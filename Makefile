@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 vet race short test bench bench-smoke bench-json cover fuzz-smoke shuffle faultnet-soak fobsd-smoke verify
+.PHONY: all tier1 vet race short test bench bench-smoke bench-json bench-e2e bench-e2e-smoke bench-e2e-test cover fuzz-smoke shuffle faultnet-soak fobsd-smoke verify
 
 all: verify
 
@@ -53,6 +53,22 @@ bench-json:
 	@grep -A4 '"overheads"' BENCH_udprt.json | head -8 || true
 	@grep -A4 '"policies"' BENCH_udprt.json | head -8 || true
 
+# The repository's end-to-end benchmark (BENCHMARK.json, benchmark/README.md):
+# every workload untraced then traced, built into .bench_build/. The smoke
+# variant runs one-second windows. benchmark/ is a module of its own, outside
+# `go build ./... && go test ./...`, so its tests have their own target —
+# and `verify` runs it, because the harness imports internal/udprt and a
+# change there that breaks it would otherwise surface only when the
+# benchmark is next run.
+bench-e2e:
+	bash benchmark/run.sh
+
+bench-e2e-smoke:
+	bash benchmark/run.sh -smoke
+
+bench-e2e-test:
+	cd benchmark && $(GO) test ./...
+
 # Statement coverage with a per-package summary. The full profile lands in
 # cover.out for `go tool cover -html=cover.out`; the summary totals are
 # recorded in DESIGN.md's testing section.
@@ -92,4 +108,4 @@ fuzz-smoke:
 	$(GO) test ./internal/xfer -run '^$$' -fuzz FuzzDecodeManifest -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzReadEvents -fuzztime 10s
 
-verify: tier1 vet race shuffle fuzz-smoke
+verify: tier1 vet race shuffle fuzz-smoke bench-e2e-test

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/hpcnet/fobs/internal/bitmap"
 	"github.com/hpcnet/fobs/internal/wire"
 )
 
@@ -353,6 +354,71 @@ func TestKnownCompleteViaAcks(t *testing.T) {
 	}
 	if _, ok := s.NextPacket(); ok {
 		t.Fatal("NextPacket yielded with a full bitmap")
+	}
+}
+
+// ackTally records what an AckObserver is told.
+type ackTally struct {
+	acks  int
+	acked map[uint32]int
+}
+
+func (o *ackTally) OnAck(uint32, int, bool) { o.acks++ }
+func (o *ackTally) OnPacketAcked(seq uint32) {
+	if o.acked == nil {
+		o.acked = map[uint32]int{}
+	}
+	o.acked[seq]++
+}
+
+// A cumulative count that reaches the packet count is the receiver saying it
+// holds everything, whatever part of the bitmap the fragment covered: the
+// object is fully acknowledged, nothing more is scheduled, and the observer
+// hears about every packet exactly once — including the ones an earlier
+// fragment had already acknowledged.
+func TestFullCountCompletesBeyondFragment(t *testing.T) {
+	const packets = 64*3 + 5 // several words and a ragged tail
+	s := NewSender(makeObject(packets*16), Config{PacketSize: 16, Transfer: 9})
+	obs := &ackTally{}
+	s.SetObserver(obs)
+	if err := s.HandleAck(wire.Ack{Transfer: 9, AckSeq: 1, Received: 64,
+		Frag: bitmap.Fragment{Start: 64, Words: []uint64{^uint64(0)}}}); err != nil {
+		t.Fatal(err)
+	}
+	if s.KnownComplete() || s.Stats().KnownReceived != 64 {
+		t.Fatalf("partial count: KnownReceived = %d, complete = %v", s.Stats().KnownReceived, s.KnownComplete())
+	}
+	if err := s.HandleAck(wire.Ack{Transfer: 9, AckSeq: 2, Received: packets,
+		Frag: bitmap.Fragment{Start: 0, Words: []uint64{^uint64(0)}}}); err != nil {
+		t.Fatal(err)
+	}
+	if !s.KnownComplete() || s.Stats().KnownReceived != packets {
+		t.Fatalf("full count: KnownReceived = %d of %d, complete = %v",
+			s.Stats().KnownReceived, packets, s.KnownComplete())
+	}
+	if _, ok := s.NextPacket(); ok {
+		t.Fatal("NextPacket yielded after a full cumulative count")
+	}
+	if obs.acks != 2 || len(obs.acked) != packets {
+		t.Fatalf("observer saw %d acks and %d distinct packets, want 2 and %d", obs.acks, len(obs.acked), packets)
+	}
+	for seq, n := range obs.acked {
+		if n != 1 {
+			t.Fatalf("observer told %d times that packet %d was acknowledged", n, seq)
+		}
+	}
+}
+
+func TestFullCountForOtherTransferIgnored(t *testing.T) {
+	s := NewSender(makeObject(4096), Config{Transfer: 5})
+	if err := s.HandleAck(wire.Ack{Transfer: 6, AckSeq: 1, Received: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if s.KnownComplete() || s.Stats().KnownReceived != 0 {
+		t.Fatal("another transfer's full count marked this one acknowledged")
+	}
+	if _, ok := s.NextPacket(); !ok {
+		t.Fatal("NextPacket yielded nothing after a foreign ack")
 	}
 }
 

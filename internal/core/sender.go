@@ -282,9 +282,28 @@ func (s *Sender) HandleAck(a wire.Ack) error {
 	if _, err := s.acked.MergeFunc(a.Frag, s.onAcked); err != nil {
 		return fmt.Errorf("core: rejecting ack fragment: %w", err)
 	}
-	// The cumulative count can outrun the fragments we have seen; it is
-	// informational only (the bitmap is authoritative for scheduling).
+	// The cumulative count can outrun the fragments we have seen. Short of
+	// the packet count it says nothing about which packets are held, and
+	// the bitmap stays authoritative for scheduling; at the packet count
+	// it is the receiver stating that it holds every one, whatever slice
+	// of the bitmap this fragment happened to cover.
+	if int(a.Received) >= s.n && !s.acked.Full() {
+		s.ackAll()
+	}
 	return nil
+}
+
+// ackAll marks every packet acknowledged through the fragment-merge path, so
+// the observer sees each newly acknowledged packet exactly as it would from
+// the receiver's own fragments. It runs at most once per transfer. The merge
+// masks the bits past the last packet and cannot fail: the fragment is the
+// bitmap's own length.
+func (s *Sender) ackAll() {
+	words := make([]uint64, s.acked.WordCount())
+	for i := range words {
+		words[i] = ^uint64(0)
+	}
+	s.acked.MergeFunc(bitmap.Fragment{Words: words}, s.onAcked)
 }
 
 // Acked reports whether the sender's bitmap shows packet seq received.

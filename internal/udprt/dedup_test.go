@@ -267,6 +267,65 @@ func TestServerDedupFanout(t *testing.T) {
 	}
 }
 
+// TestDedupBackToBackRepush pins the order the receive lifecycles owe the
+// sender: the content cache is filled before COMPLETE is written, so a
+// sender that re-pushes the same object the moment Send returns is always
+// answered a hit. Each round pushes fresh content and immediately pushes it
+// again; with the cache filled after COMPLETE the repeat races the insert
+// and some of them move the whole object a second time.
+func TestDedupBackToBackRepush(t *testing.T) {
+	const rounds = 200
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	repush := func(t *testing.T, addr string) {
+		obj := makeObj(16 << 10)
+		for i := 0; i < rounds; i++ {
+			obj[0], obj[1] = byte(i), byte(i>>8) // fresh content every round
+			first, err := Send(ctx, addr, obj, core.Config{Transfer: uint32(2*i + 1)}, Options{})
+			if err != nil || first.Deduped {
+				t.Fatalf("round %d first push: Deduped=%v err=%v", i, first.Deduped, err)
+			}
+			again, err := Send(ctx, addr, obj, core.Config{Transfer: uint32(2*i + 2)}, Options{})
+			if err != nil {
+				t.Fatalf("round %d repeat: %v", i, err)
+			}
+			if !again.Deduped || again.PacketsSent != 0 {
+				t.Fatalf("round %d repeat: Deduped=%v PacketsSent=%d, want true/0", i, again.Deduped, again.PacketsSent)
+			}
+		}
+	}
+	t.Run("server", func(t *testing.T) {
+		s, err := NewServer("127.0.0.1:0", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		sctx, stop := context.WithCancel(ctx)
+		srvDone := make(chan error, 1)
+		go func() { srvDone <- s.Serve(sctx, func(uint32, []byte, core.ReceiverStats) {}) }()
+		repush(t, s.Addr())
+		stop()
+		if err := <-srvDone; err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+	})
+	t.Run("listener", func(t *testing.T) {
+		l, err := Listen("127.0.0.1:0", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		done, _, _, rerrs := acceptN(ctx, l, 2*rounds)
+		repush(t, l.Addr())
+		<-done
+		for i, rerr := range rerrs {
+			if rerr != nil {
+				t.Fatalf("accept %d: %v", i, rerr)
+			}
+		}
+	})
+}
+
 // TestDedupCachePersistsAcrossRestart proves the cache rides the same
 // durable container as the resume store: a receiver restarted over its
 // checkpoint directory still answers HAVE for the objects it verified

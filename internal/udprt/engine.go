@@ -27,6 +27,15 @@ import (
 // catches every queued ack per poll.
 const ackPollSlots = 8
 
+// ackDatagramLen is the longest acknowledgement a transfer's receiver can
+// frame, which is what each slot of the sender's ack ring must hold. The
+// receiver sizes its acks from the announced packet size (the HELLO carries
+// no ack size), so a sender-side AckPacketSize below PacketSize must not
+// shrink the slot. A longer datagram arrives truncated and fails to decode.
+func ackDatagramLen(cfg core.Config) int {
+	return wire.AckHeaderLen + 8*wire.MaxFragWords(max(cfg.AckPacketSize, cfg.PacketSize))
+}
+
 // senderEndpoint is a sender engine's view of the network: the UDP data
 // flow it batches onto (acknowledgements return on the same socket), the
 // channel its completion verdict arrives on, and the control-channel abort
@@ -39,6 +48,9 @@ type senderEndpoint struct {
 	conn *net.UDPConn
 	// done delivers the transfer's terminal control verdict exactly once:
 	// nil for a verified COMPLETE, an error (e.g. *AbortError) otherwise.
+	// Whoever sends it (and whoever cancels the run context) must then set
+	// conn's read deadline to the past, which is what wakes an engine
+	// blocked on its ack socket (runSenderPlan's waker does both).
 	done <-chan error
 	// abort announces local failure on the control channel. Striped
 	// endpoints serialize it so the shared connection carries one ABORT.
@@ -54,8 +66,11 @@ type senderEndpoint struct {
 // paper's sender: each iteration performs one non-blocking poll of the
 // acknowledgement socket (the paper's select()-guarded "look for, but do
 // not block for, an acknowledgement packet") followed by one batch-send.
-// Only the TCP completion signal has its own goroutine — a hot sender loop
-// must never be able to starve the poll that feeds it.
+// The one departure is at the end of a turn of the circular buffer: once
+// every unacknowledged packet has gone out since the last acknowledgement,
+// re-sending carries no information, so the poll becomes a wait on the same
+// socket (see run). Only the TCP completion signal has its own goroutine —
+// a hot sender loop must never be able to starve the poll that feeds it.
 type senderEngine struct {
 	senderEndpoint
 	snd  *core.Sender
@@ -133,6 +148,23 @@ func newSendRing(slots, packetSize int) [][]byte {
 // scalar path). The ack poll likewise drains every queued acknowledgement
 // in one recvmmsg. Steady state allocates nothing per packet.
 //
+// The wait discipline: the engine counts the packets it has put on the wire
+// since the last processed acknowledgement. While that count is below the
+// number of packets not yet known received, the loop is the paper's — poll,
+// never block. Once it reaches it, every candidate has gone out since the
+// last news (one full turn of the paper's circular buffer), a further turn
+// would tell the receiver nothing the sender knows it lacks, and the engine
+// blocks on its own ack socket instead: the (n+1)-st turn starts on news or
+// after Options.IdlePoll, whichever is first. A round that put nothing on
+// the wire waits the same way. An acknowledgement ends the wait by
+// arriving; the verdict and ctx end it because whoever delivers them then
+// sets the socket's read deadline to the past (runSenderPlan's waker).
+// Arming the deadline before looking at done and ctx, and reading only
+// after, is what keeps a verdict that lands between two waits from costing
+// more than one IdlePoll: a kick that came before the arming is followed by
+// a look that sees the verdict, and one that comes after it cuts the read
+// short.
+//
 // Liveness: if the transfer is incomplete and no acknowledgement arrives
 // for Options.StallTimeout, the loop aborts (ABORT stalled on the control
 // channel) and returns an error wrapping ErrStalled. Persistent UDP write
@@ -147,7 +179,7 @@ func (e *senderEngine) run(ctx context.Context) error {
 		return fmt.Errorf("udprt: batched sender: %w", err)
 	}
 	tx.FlushHook = opts.testFlushHook
-	rx, err := batchio.NewReceiver(e.conn, ackPollSlots, maxDatagram, !opts.NoFastPath)
+	rx, err := batchio.NewReceiver(e.conn, ackPollSlots, ackDatagramLen(cfg), !opts.NoFastPath)
 	if err != nil {
 		return fmt.Errorf("udprt: ack receiver: %w", err)
 	}
@@ -175,8 +207,8 @@ func (e *senderEngine) run(ctx context.Context) error {
 		probeSeq    = -1
 		probeAt     time.Time
 	)
-	pollAck := func() error {
-		n, rerr := rx.TryRecv()
+	// handleAcks feeds the first n datagrams of the ack ring to the sender.
+	handleAcks := func(n int) {
 		for i := 0; i < n; i++ {
 			a, err := wire.DecodeAckInto(rx.Datagram(i), ackWords)
 			if err != nil {
@@ -206,7 +238,6 @@ func (e *senderEngine) run(ctx context.Context) error {
 				}
 			}
 		}
-		return rerr
 	}
 	acksSeen := 0
 	lastAck := time.Now()
@@ -223,7 +254,15 @@ func (e *senderEngine) run(ctx context.Context) error {
 		lastWriteErr = err
 		return writeErrs >= writeErrLimit
 	}
+	// sinceNews counts the packets put on the wire since the last processed
+	// acknowledgement (or since the last wait ran out); wait makes the next
+	// iteration block on the ack socket instead of polling it.
+	sinceNews := 0
+	wait := false
 	for {
+		if wait {
+			e.conn.SetReadDeadline(time.Now().Add(opts.IdlePoll))
+		}
 		select {
 		case err := <-e.done:
 			snd.SetComplete()
@@ -233,22 +272,44 @@ func (e *senderEngine) run(ctx context.Context) error {
 			return ctx.Err()
 		default:
 		}
-		// Phase 2: look for — never block for — acknowledgements. A
-		// latched socket error consumed by the poll (the asynchronous
-		// ECONNREFUSED of an earlier batch — which a partial sendmmsg
-		// reports as a short count, not an errno) counts toward the
-		// write-error limit, or the fast path could spin forever on a
-		// dead peer that scalar writes would have exposed.
-		if rerr := pollAck(); rerr != nil && noteWriteErr(rerr) {
+		// Phase 2: look for acknowledgements — blocking for one only when
+		// the turn is over. A latched socket error consumed by the read
+		// (the asynchronous ECONNREFUSED of an earlier batch — which a
+		// partial sendmmsg reports as a short count, not an errno) counts
+		// toward the write-error limit, or the fast path could spin forever
+		// on a dead peer that scalar writes would have exposed.
+		var n int
+		var rerr error
+		if wait {
+			n, rerr = rx.Recv()
+			// A lingering deadline, once past, would fail every later poll
+			// without reading the socket.
+			e.conn.SetReadDeadline(time.Time{})
+			if isTimeout(rerr) {
+				sinceNews = 0 // no news for IdlePoll: one more turn
+			}
+		} else {
+			n, rerr = rx.TryRecv()
+		}
+		handleAcks(n)
+		if rerr != nil && noteWriteErr(rerr) {
 			e.abort(wire.AbortUnspecified)
 			return fmt.Errorf("udprt: data socket: %w", lastWriteErr)
 		}
+		if wait {
+			// Whatever ended the wait may have been the verdict: look
+			// before putting anything more on the wire.
+			wait = false
+			continue
+		}
 		// Liveness: any processed ack — fresh or stale — proves the
 		// receiver is alive and resets both watchdog counters.
-		if st := snd.Stats(); st.AcksProcessed > acksSeen {
+		st := snd.Stats()
+		if st.AcksProcessed > acksSeen {
 			acksSeen = st.AcksProcessed
 			lastAck = time.Now()
 			writeErrs = 0
+			sinceNews = 0
 		} else if opts.StallTimeout > 0 && time.Since(lastAck) > opts.StallTimeout {
 			snd.NoteStall()
 			e.tm.NoteStall()
@@ -268,6 +329,12 @@ func (e *senderEngine) run(ctx context.Context) error {
 			} else if time.Since(probeAt) > rttProbeStale {
 				probeSeq = -1 // probe lost; re-arm on the next round
 			}
+		}
+		// The turn is over (or everything is known received): logically
+		// blocked on an ack or the completion signal.
+		if sinceNews >= st.PacketsNeeded-st.KnownReceived {
+			wait = true
+			continue
 		}
 		// Phases 1+3: batch-send with the schedule choosing each packet,
 		// flushed in vectors of up to IOBatch datagrams. The batch policy
@@ -298,22 +365,14 @@ func (e *senderEngine) run(ctx context.Context) error {
 			}
 		}
 		if sent == 0 {
-			// Everything known-received, or this round's write failed:
-			// logically blocked on an ack, the completion signal, or the
-			// kernel buffer draining.
-			select {
-			case err := <-e.done:
-				snd.SetComplete()
-				return err
-			case <-ctx.Done():
-				e.abort(wire.AbortCancelled)
-				return ctx.Err()
-			case <-time.After(opts.IdlePoll):
-			}
+			// This round's write failed: logically blocked on the kernel
+			// buffer draining, an ack or the completion signal.
+			wait = true
 			continue
 		}
 		e.tm.NoteRound()
 		ccSentSince += sent
+		sinceNews += sent
 		// Retransmit-classified losses of the round just sent: under the
 		// circular schedule a re-send means the first copy (or its ack) is
 		// missing — the only congestion signal an unacknowledged UDP flow
@@ -464,12 +523,12 @@ func runReceiveLoop(ctx context.Context, engines map[uint32]*receiverEngine, bas
 	if watchCtl && ctl != nil {
 		abortCh = watchControl(ctl, base)
 	}
-	rx, err := batchio.NewReceiver(udp, opts.IOBatch, maxDatagram, !opts.NoFastPath)
-	if err != nil {
-		return fmt.Errorf("udprt: batched receiver: %w", err)
-	}
 	var primary *receiverEngine
 	remaining := 0
+	// Each ring slot holds the longest datagram the announcement allows: the
+	// largest packet size over the stripes, framed. A longer one arrives
+	// truncated and fails to decode, like any malformed datagram.
+	slot := 0
 	for _, e := range engines {
 		if primary == nil || e.rcv.Config().Transfer == base {
 			primary = e
@@ -477,6 +536,11 @@ func runReceiveLoop(ctx context.Context, engines map[uint32]*receiverEngine, bas
 		if !e.finished {
 			remaining++
 		}
+		slot = max(slot, e.rcv.Config().PacketSize+wire.DataHeaderLen)
+	}
+	rx, err := batchio.NewReceiver(udp, opts.IOBatch, slot, !opts.NoFastPath)
+	if err != nil {
+		return fmt.Errorf("udprt: batched receiver: %w", err)
 	}
 	defer func() {
 		c := rx.Counters()

@@ -304,14 +304,12 @@ func acceptResumedTransfer(ctx context.Context, plan recvPlan, udp *net.UDPConn,
 		finishTrace(or, err)
 		return nil, rcv.Stats(), err
 	}
+	cacheVerified(cache, plan, ret.obj)
 	err = writeComplete(ctl, plan.base, plan.objectSize, ret.obj)
 	finishInstruments(tm, fr, err)
 	finishTrace(or, err)
 	if err != nil {
 		return nil, rcv.Stats(), err
-	}
-	if plan.hasCheck && plan.checkDedup {
-		cache.add(plan.checkDigest, ret.obj, plan.packetSize)
 	}
 	return ret.obj, rcv.Stats(), nil
 }

@@ -25,6 +25,16 @@ import (
 	"github.com/hpcnet/fobs/internal/wire"
 )
 
+// killPointPace paces the senders of the tests that cut a transfer once the
+// acknowledged fraction crosses a kill point (the sweep below paces the same
+// way, for its waste bound). The cut acts on what the
+// sender knows, so the sender must not run ahead of its acknowledgements: an
+// unpaced one has the whole object in the proxy's queues before the first
+// ack returns, the receiver can then complete after the cut — its COMPLETE
+// lost with the severed control stream — and the retries meet a listener
+// that has stopped accepting.
+const killPointPace = 25 * time.Microsecond
+
 // acceptUntilSuccess drives a Listener like a resume-aware operator: each
 // failed Accept (the interrupted run, refused resumes) is retried until one
 // transfer completes or ctx expires. The interrupted runs park their
@@ -281,7 +291,7 @@ func TestRetryDegradesWhenReceiverCannotResume(t *testing.T) {
 	var cut atomic.Bool
 	opts := Options{
 		StallTimeout: 2 * time.Second,
-		Pace:         2 * time.Microsecond,
+		Pace:         killPointPace,
 		Retry:        &RetryPolicy{MaxRetries: 4, Backoff: 250 * time.Millisecond, Seed: 5},
 		Progress: func(done, total int) {
 			if done > total/2 && cut.CompareAndSwap(false, true) {
@@ -345,7 +355,7 @@ func TestRetryNoResumePolicy(t *testing.T) {
 	var cut atomic.Bool
 	opts := Options{
 		StallTimeout: 2 * time.Second,
-		Pace:         2 * time.Microsecond,
+		Pace:         killPointPace,
 		Retry:        &RetryPolicy{MaxRetries: 4, Backoff: 250 * time.Millisecond, Seed: 5, NoResume: true},
 		Progress: func(done, total int) {
 			if done > total/2 && cut.CompareAndSwap(false, true) {
@@ -438,7 +448,7 @@ func TestResumeAfterReceiverRestart(t *testing.T) {
 	var cut atomic.Bool
 	opts := Options{
 		StallTimeout: 2 * time.Second,
-		Pace:         2 * time.Microsecond,
+		Pace:         killPointPace,
 		Retry:        &RetryPolicy{MaxRetries: 5, Backoff: 400 * time.Millisecond, Seed: 11},
 		Progress: func(done, total int) {
 			if done > total/2 && cut.CompareAndSwap(false, true) {
@@ -518,7 +528,7 @@ func TestServerResumesTransfer(t *testing.T) {
 	var cut atomic.Bool
 	opts := Options{
 		StallTimeout: 2 * time.Second,
-		Pace:         2 * time.Microsecond,
+		Pace:         killPointPace,
 		Retry:        &RetryPolicy{MaxRetries: 4, Backoff: 250 * time.Millisecond, Seed: 9},
 		Progress: func(done, total int) {
 			if done > total/2 && cut.CompareAndSwap(false, true) {

@@ -332,11 +332,9 @@ wait:
 	}
 	finishInstruments(st.eng.tm, st.eng.fr, nil)
 	finishTrace(st.or, nil)
+	cacheVerified(s.cache, plan, obj)
 	if err := writeComplete(ctl, hello.Transfer, hello.ObjectSize, obj); err != nil {
 		return
-	}
-	if plan.hasCheck && plan.checkDedup {
-		s.cache.add(plan.checkDigest, obj, plan.packetSize)
 	}
 	handle(hello.Transfer, obj, rstats)
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"time"
 
 	"github.com/hpcnet/fobs/internal/core"
 	"github.com/hpcnet/fobs/internal/flight"
@@ -245,11 +246,13 @@ func (p *progressAgg) stripe(i int) func(known, total int) {
 // runSenderPlan drives every stripe of the plan concurrently over its own
 // data flow until the shared control connection delivers the object-wide
 // verdict. One goroutine reads the single terminal frame (COMPLETE with
-// the whole-object digest, or ABORT) and fans it out to every engine; the
-// first ABORT any engine needs to announce wins the shared control
-// channel; the first engine to fail cancels its siblings. Per-stripe
-// instruments record each stripe's own outcome, while the summed stats
-// and socket counters form the caller's object-wide view.
+// the whole-object digest, or ABORT) and a second fans it out to every
+// engine and wakes the ones blocked on their ack sockets; the first ABORT
+// any engine needs to announce wins the shared control channel; the first
+// engine to fail cancels its siblings. Per-stripe instruments record each
+// stripe's own outcome, while the summed stats and socket counters form
+// the caller's object-wide view. The data sockets come back with no read
+// deadline set, so a Session can reuse them.
 func runSenderPlan(ctx context.Context, p *senderPlan, conns []*net.UDPConn, ctl net.Conn, opts Options, or *obs.Recorder) (core.SenderStats, error) {
 	n := len(p.snds)
 	completion := make(chan error, 1)
@@ -258,10 +261,25 @@ func runSenderPlan(ctx context.Context, p *senderPlan, conns []*net.UDPConn, ctl
 	for i := range stripeDone {
 		stripeDone[i] = make(chan error, 1)
 	}
+	gctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	// The waker is the unblockOnDone idiom applied to the engines' waits:
+	// once the verdict is in every done channel, or the run context is
+	// over, an immediate read deadline kicks each engine out of its ack
+	// socket. Publishing before kicking is what the engines' arm / look /
+	// read order relies on.
+	woken := make(chan struct{})
 	go func() {
-		err := <-completion
-		for _, ch := range stripeDone {
-			ch <- err
+		defer close(woken)
+		select {
+		case err := <-completion:
+			for _, ch := range stripeDone {
+				ch <- err
+			}
+		case <-gctx.Done():
+		}
+		for _, c := range conns {
+			c.SetReadDeadline(time.Now())
 		}
 	}()
 
@@ -283,8 +301,6 @@ func runSenderPlan(ctx context.Context, p *senderPlan, conns []*net.UDPConn, ctl
 	}
 
 	or.Event(obs.KindRounds, 0)
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	engines := make([]*senderEngine, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -305,6 +321,12 @@ func runSenderPlan(ctx context.Context, p *senderPlan, conns []*net.UDPConn, ctl
 		}(i)
 	}
 	wg.Wait()
+	// No kick may land after the deadlines are cleared.
+	cancel()
+	<-woken
+	for _, c := range conns {
+		c.SetReadDeadline(time.Time{})
+	}
 
 	// Every engine has returned: the schedule is drained (or the transfer
 	// is dead) and the verdict is in hand.
@@ -532,15 +554,23 @@ func acceptTransfer(ctx context.Context, plan recvPlan, udp *net.UDPConn, ctl ne
 		finishAll(err)
 		return nil, sumRecvStats(engines), err
 	}
+	cacheVerified(cache, plan, obj)
 	err := writeComplete(ctl, plan.base, plan.objectSize, obj)
 	finishAll(err)
 	if err != nil {
 		return nil, sumRecvStats(engines), err
 	}
+	return obj, sumRecvStats(engines), nil
+}
+
+// cacheVerified installs a completed, content-verified object in the dedup
+// cache when its announcement permitted that. Every receive lifecycle calls
+// it before writing COMPLETE: the sender may re-push the same content the
+// moment its Send returns, and that CHECK must already hit.
+func cacheVerified(cache *contentCache, plan recvPlan, obj []byte) {
 	if plan.hasCheck && plan.checkDedup {
 		cache.add(plan.checkDigest, obj, plan.packetSize)
 	}
-	return obj, sumRecvStats(engines), nil
 }
 
 // completeDeduped answers a dedup-hitting CHECK: the full HAVE bitmap (the

@@ -39,8 +39,14 @@ type Options struct {
 	// ReadBuffer and WriteBuffer request kernel socket buffer sizes for
 	// the UDP data socket (default 4 MiB; best effort).
 	ReadBuffer, WriteBuffer int
-	// IdlePoll is how long the sender waits for acknowledgements or the
-	// completion signal when it has nothing to send (default 2 ms).
+	// IdlePoll is how long the sender stays silent once it has nothing new
+	// to say: when every packet not yet known received has gone out since
+	// the last acknowledgement — one full turn of the paper's circular
+	// buffer — the sender blocks on its ack socket, and the (n+1)-st turn
+	// starts on news (an acknowledgement, the completion signal, ctx) or
+	// after IdlePoll, whichever is first (default 2 ms). It is the
+	// retransmission interval of a tail whose acknowledgements are lost,
+	// and the granularity of the stall watchdog while the sender is blocked.
 	IdlePoll time.Duration
 	// Pace inserts a fixed per-packet delay on top of the configured
 	// rate controller, useful to keep loopback transfers from
@@ -313,8 +319,10 @@ const DefaultIOBatch = 32
 // path.
 func FastPathAvailable() bool { return batchio.FastPathAvailable() }
 
-// maxDatagram bounds receive buffers: the largest packet size the paper
-// sweeps (32 KiB) plus headers.
+// maxDatagram bounds the receive buffers of a socket shared by transfers
+// of any packet size (the Server's demux ring): the largest packet size
+// the paper sweeps (32 KiB) plus headers. Per-transfer rings are sized
+// from the transfer's own configuration instead.
 const maxDatagram = 64 << 10
 
 // writeErrLimit is how many consecutive persistently-failing batch-send

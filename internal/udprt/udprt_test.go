@@ -257,3 +257,53 @@ func TestProgressCallback(t *testing.T) {
 		t.Fatal("progress callback never invoked")
 	}
 }
+
+// TestReceiveRingRejectsOverlongDatagram: the receive ring's slots are sized
+// from the announced packet size, so a datagram longer than any packet of
+// the transfer arrives truncated. It must die in the decoder like any other
+// malformed datagram — never be placed, never reach the state machine — and
+// the transfer around it must complete intact.
+func TestReceiveRingRejectsOverlongDatagram(t *testing.T) {
+	eachIOPath(t, func(t *testing.T, noFastPath bool) {
+		udp, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer udp.Close()
+		peer, err := net.DialUDP("udp", nil, udp.LocalAddr().(*net.UDPAddr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer peer.Close()
+
+		const packetSize, packets = 64, 4
+		obj := makeObj(packets * packetSize)
+		rcv := core.NewReceiver(int64(len(obj)), core.Config{PacketSize: packetSize, Transfer: 7})
+		// Well formed, for this transfer, and four packets long.
+		overlong := wire.AppendData(nil, &wire.Data{Transfer: 7, Seq: 0, Total: packets,
+			Payload: bytes.Repeat([]byte{0xEE}, len(obj))})
+		if _, err := peer.Write(overlong); err != nil {
+			t.Fatal(err)
+		}
+		for seq := 0; seq < packets; seq++ {
+			pkt := wire.AppendData(nil, &wire.Data{Transfer: 7, Seq: uint32(seq), Total: packets,
+				Payload: obj[seq*packetSize : (seq+1)*packetSize]})
+			if _, err := peer.Write(pkt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		engines := map[uint32]*receiverEngine{7: newReceiverEngine(rcv, nil, nil)}
+		opts := Options{NoFastPath: noFastPath}.withDefaults()
+		if err := runReceiveLoop(ctx, engines, 7, udp, nil, opts, false, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rcv.Object(), obj) {
+			t.Fatal("object corrupted")
+		}
+		if st := rcv.Stats(); st.Received != packets || st.Duplicates != 0 || st.Rejected != 0 {
+			t.Fatalf("receiver saw the overlong datagram: %+v", st)
+		}
+	})
+}
