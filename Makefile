@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 vet race short test bench bench-smoke bench-json bench-e2e bench-e2e-smoke bench-e2e-test cover fuzz-smoke shuffle faultnet-soak fobsd-smoke verify
+.PHONY: all tier1 vet cross race short test bench bench-smoke bench-json bench-e2e bench-e2e-smoke bench-e2e-test offload-probe cover fuzz-smoke shuffle faultnet-soak fobsd-smoke verify
 
 all: verify
 
@@ -20,6 +20,15 @@ vet:
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
+
+# The build-tag surfaces of internal/batchio: 64-bit linux has the
+# sendmmsg/recvmmsg path with datagram trains, everything else the stubs of
+# mmsg_unsupported.go. Cross-build and vet one target of each kind (CI's
+# vet-matrix does the same over the whole tree).
+cross:
+	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/batchio ./internal/udprt
+	GOOS=linux GOARCH=386 $(GO) vet ./internal/batchio ./internal/udprt
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/batchio ./internal/udprt
 
 # The concurrency-heavy packages (real sockets, fault injection, server
 # demux) must stay clean under the race detector.
@@ -69,6 +78,13 @@ bench-e2e-smoke:
 bench-e2e-test:
 	cd benchmark && $(GO) test ./...
 
+# Does this kernel take datagram trains? Prints whether it accepted
+# UDP_SEGMENT and UDP_GRO on loopback and how one real train travelled, so a
+# run whose senders fell back to plain datagrams (SendTrains 0 in -io-stats)
+# can be told from its log. Informational: CI runs it non-gating.
+offload-probe:
+	$(GO) test ./internal/batchio -run '^TestOffloadProbe$$' -count=1 -v | grep -E 'offload-probe|^(ok|FAIL|---)'
+
 # Statement coverage with a per-package summary. The full profile lands in
 # cover.out for `go tool cover -html=cover.out`; the summary totals are
 # recorded in DESIGN.md's testing section.
@@ -108,4 +124,4 @@ fuzz-smoke:
 	$(GO) test ./internal/xfer -run '^$$' -fuzz FuzzDecodeManifest -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzReadEvents -fuzztime 10s
 
-verify: tier1 vet race shuffle fuzz-smoke bench-e2e-test
+verify: tier1 vet cross race shuffle fuzz-smoke bench-e2e-test

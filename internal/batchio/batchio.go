@@ -1,6 +1,7 @@
 // Package batchio provides batched datagram IO for the real-network FOBS
-// runtime: many datagrams per syscall via Linux sendmmsg/recvmmsg, with a
-// portable scalar fallback everywhere else.
+// runtime: many datagrams per syscall via Linux sendmmsg/recvmmsg, and many
+// datagrams per message via UDP segmentation offload, with a portable
+// scalar fallback everywhere else.
 //
 // The motivation is the same observation the scalability literature makes
 // about reliable UDP movers: past a few hundred megabits the bottleneck is
@@ -10,6 +11,17 @@
 // before looking for an acknowledgement), so the B packets of one batch
 // map naturally onto the iovec array of one sendmmsg call, and a receiver
 // wakeup drains every queued datagram with one recvmmsg.
+//
+// A longer vector does not make a datagram cheaper, though: the cost is per
+// datagram inside the kernel (skb, route, transmit, socket queue, wake-up).
+// The unit this package moves is therefore the datagram train: a run of
+// equal-length datagrams handed to the kernel as one message with a
+// UDP_SEGMENT control message, which crosses the stack as one buffer and is
+// cut into datagrams only where it leaves it — at the device, or at a
+// receiving socket that did not ask for trains. A Receiver whose slots can
+// hold a whole train sets UDP_GRO and takes trains uncut, splitting them
+// itself. See trainLen for the grouping rule; a train of one is a plain
+// datagram.
 //
 // Both directions are allocation-free in steady state: the caller encodes
 // into a ring of pre-sized buffers it owns, and Sender/Receiver keep their
@@ -50,6 +62,22 @@ var ErrSendFault = errors.New("batchio: vectored send consumed a latched socket 
 // sendmmsg/recvmmsg path at all (Linux on a supported architecture).
 func FastPathAvailable() bool { return vectoredSupported }
 
+// The kernel's limits on one train: UDP_MAX_SEGMENTS datagrams, and the
+// largest UDP payload an IPv4 packet can carry.
+const (
+	maxTrainSegs  = 64
+	maxTrainBytes = 65507
+)
+
+// TrainBufLen is the slot size from which a vectored Receiver takes whole
+// trains (UDP_GRO): a train arrives as one message of up to 64 KiB, and a
+// shorter slot would truncate it.
+const TrainBufLen = 64 << 10
+
+// maxMessage is the most a slot is read up to: no UDP message is longer, and
+// offsets into a slot then fit a segment's sixteen bits.
+const maxMessage = 1<<16 - 1
+
 // Sender batches outbound datagrams on a connected UDP socket.
 type Sender struct {
 	conn     *net.UDPConn
@@ -67,6 +95,7 @@ type Sender struct {
 
 	calls    int
 	sent     int
+	trains   int
 	maxBatch int
 }
 
@@ -97,9 +126,11 @@ func (s *Sender) Vectored() bool { return s.vectored }
 
 // Send places pkts on the wire, each slice one datagram, and returns how
 // many the kernel accepted. On the fast path the whole slice goes out as
-// sendmmsg vectors (parking on the netpoller across backpressure, so a
-// full count is the norm; a full count with ErrSendFault means the vector
-// went out but consumed a latched socket error on the way). On the scalar
+// one sendmmsg vector of trains (parking on the netpoller across
+// backpressure, so a full count is the norm; a full count with ErrSendFault
+// means the vector went out but consumed a latched socket error on the
+// way). Slots of equal length share a train, so a caller that wants trains
+// hands over equal-length datagrams side by side. On the scalar
 // path a short count carries the error that stopped the prefix. Unsent
 // packets are simply not sent — to a loss-tolerant protocol that is
 // indistinguishable from network loss.
@@ -155,57 +186,77 @@ func (s *Sender) Counters() stats.IOCounters {
 	return stats.IOCounters{
 		SendCalls:     s.calls,
 		SentDatagrams: s.sent,
+		SendTrains:    s.trains,
 		MaxSendBatch:  s.maxBatch,
 		FastPath:      s.vectored,
 	}
 }
 
 // Receiver drains inbound datagrams from a UDP socket in batches. Each of
-// the slots buffers holds one datagram of up to bufSize bytes; Recv and
-// TryRecv report how many slots they filled, and Datagram/Addr expose the
-// contents until the next call overwrites them.
+// the slots buffers holds one message of up to bufSize bytes — one datagram,
+// or on a socket that takes trains a train of them; Recv and TryRecv report
+// how many datagrams they delivered, and Datagram/Addr expose them until
+// the next call overwrites them.
 type Receiver struct {
 	conn     *net.UDPConn
 	rc       syscall.RawConn
 	vectored bool
+	// trains is set when the socket has UDP_GRO on: a message may then carry
+	// several datagrams.
+	trains bool
 
 	bufs  [][]byte
-	lens  []int
-	addrs []netip.AddrPort
+	addrs []netip.AddrPort // per slot: the source of its message
+	segs  []segment        // the datagrams of the most recent drain
 
 	// Vectored-call state (see mmsg_linux.go).
 	vr vecRecvState
 
 	calls    int
 	recvd    int
+	ntrains  int
 	maxBatch int
+}
+
+// segment is one datagram of a drain: a window into the slot of the message
+// that carried it — the whole message, unless that was a train.
+type segment struct {
+	slot, off, n uint16
 }
 
 // NewReceiver prepares a receiver with the given number of slots, each
 // bufSize bytes. vectored requests the recvmmsg fast path; unsupported
-// builds silently degrade to one-datagram reads.
+// builds silently degrade to one-datagram reads. A vectored receiver whose
+// slots hold TrainBufLen bytes also asks the socket for whole trains
+// (UDP_GRO, for the life of the socket — so every later reader of it must
+// be a Receiver of this kind) and may then deliver up to 64 datagrams per
+// slot; a kernel that refuses the option leaves it a plain receiver. No slot
+// is read past 65535 bytes, which no UDP message exceeds.
 func NewReceiver(conn *net.UDPConn, slots, bufSize int, vectored bool) (*Receiver, error) {
-	if slots < 1 {
-		slots = 1
+	r := &Receiver{conn: conn}
+	if vectored && vectoredSupported {
+		// A socket that cannot hand out its descriptor falls back.
+		if rc, err := conn.SyscallConn(); err == nil {
+			r.rc, r.vectored = rc, true
+		}
 	}
-	r := &Receiver{
-		conn:     conn,
-		vectored: vectored && vectoredSupported,
-		bufs:     make([][]byte, slots),
-		lens:     make([]int, slots),
-		addrs:    make([]netip.AddrPort, slots),
+	if slots < 1 || !r.vectored {
+		slots = 1 // a scalar read fills one slot
 	}
+	r.trains = r.vectored && bufSize >= TrainBufLen && setGRO(r.rc) == nil
+	bufSize = min(bufSize, maxMessage)
+	r.bufs = make([][]byte, slots)
+	r.addrs = make([]netip.AddrPort, slots)
 	for i := range r.bufs {
 		r.bufs[i] = make([]byte, bufSize)
 	}
+	if r.trains {
+		r.segs = make([]segment, 0, slots*maxTrainSegs)
+	} else {
+		r.segs = make([]segment, 0, slots)
+	}
 	if r.vectored {
-		rc, err := conn.SyscallConn()
-		if err != nil {
-			r.vectored = false
-		} else {
-			r.rc = rc
-			r.vr.init(r.bufs)
-		}
+		r.vr.init(r.bufs, r.trains)
 	}
 	return r, nil
 }
@@ -213,22 +264,25 @@ func NewReceiver(conn *net.UDPConn, slots, bufSize int, vectored bool) (*Receive
 // Vectored reports whether this receiver actually uses recvmmsg.
 func (r *Receiver) Vectored() bool { return r.vectored }
 
-// Slots returns the receiver's batch capacity.
+// Slots returns the receiver's message capacity per drain.
 func (r *Receiver) Slots() int { return len(r.bufs) }
 
 // Datagram returns the i-th datagram of the most recent Recv/TryRecv. The
 // slice aliases the receiver's buffer ring and is valid until the next
 // receive call.
-func (r *Receiver) Datagram(i int) []byte { return r.bufs[i][:r.lens[i]] }
+func (r *Receiver) Datagram(i int) []byte {
+	s := r.segs[i]
+	return r.bufs[s.slot][s.off:][:s.n]
+}
 
 // Addr returns the source address of the i-th datagram of the most recent
 // Recv. TryRecv does not resolve source addresses on every path; it is
 // meant for connected sockets, where the peer is already known.
-func (r *Receiver) Addr(i int) netip.AddrPort { return r.addrs[i] }
+func (r *Receiver) Addr(i int) netip.AddrPort { return r.addrs[r.segs[i].slot] }
 
 // Recv blocks until at least one datagram is available (honouring the
-// connection's read deadline) and then drains up to Slots() of them
-// without further blocking. It returns the number of slots filled.
+// connection's read deadline) and then drains up to Slots() messages
+// without further blocking. It returns the number of datagrams delivered.
 func (r *Receiver) Recv() (int, error) {
 	var (
 		n   int
@@ -252,12 +306,12 @@ func (r *Receiver) recvScalar() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	r.lens[0] = n
+	r.segs = append(r.segs[:0], segment{n: uint16(n)})
 	r.addrs[0] = from
 	return 1, nil
 }
 
-// TryRecv performs one genuinely non-blocking drain: whatever datagrams
+// TryRecv performs one genuinely non-blocking drain: whatever messages
 // are already queued (up to Slots()) are returned immediately, and zero
 // means nothing was buffered. It never waits — this is the paper's
 // select()-guarded "look for, but do not block for, an acknowledgement
@@ -293,7 +347,7 @@ func (r *Receiver) tryRecvScalar() (int, error) {
 	if err != nil || n == 0 {
 		return 0, err
 	}
-	r.lens[0] = n
+	r.segs = append(r.segs[:0], segment{n: uint16(n)})
 	return 1, nil
 }
 
@@ -305,12 +359,20 @@ func (r *Receiver) note(n, sys int) {
 	}
 }
 
-// Counters reports the syscall and batch-fill tallies so far.
+// Counters reports the syscall and batch-fill tallies since the receiver
+// was made or last reset.
 func (r *Receiver) Counters() stats.IOCounters {
 	return stats.IOCounters{
 		RecvCalls:     r.calls,
 		RecvDatagrams: r.recvd,
+		RecvTrains:    r.ntrains,
 		MaxRecvBatch:  r.maxBatch,
 		FastPath:      r.vectored,
 	}
+}
+
+// ResetCounters zeroes the tallies, so that a receiver which outlives one
+// transfer can report each transfer's own.
+func (r *Receiver) ResetCounters() {
+	r.calls, r.recvd, r.ntrains, r.maxBatch = 0, 0, 0, 0
 }

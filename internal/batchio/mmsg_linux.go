@@ -16,6 +16,15 @@ import (
 
 const vectoredSupported = true
 
+// The UDP segmentation socket options (include/uapi/linux/udp.h), which are
+// also the types of their control messages; both live at level IPPROTO_UDP.
+// The frozen stdlib syscall tables predate them.
+const (
+	solUDP     = 17
+	udpSegment = 103 // send: cut this message into datagrams of the given size
+	udpGRO     = 104 // receive: deliver trains uncut, with the datagram size
+)
+
 // mmsghdr mirrors the kernel's struct mmsghdr: a msghdr plus the kernel's
 // per-message byte count. Go pads the struct tail to pointer alignment
 // exactly as C does, so a []mmsghdr has the kernel's array stride.
@@ -24,17 +33,31 @@ type mmsghdr struct {
 	n   uint32
 }
 
-// vecSendState is the reusable guts of one vectored flush: header and iovec
-// arrays sized once, and a closure created once (a fresh closure per flush
-// would allocate on every batch). Inputs and outputs travel through fields
-// because the raw-connection API offers the closure no other channel.
+// segmentCmsg is one UDP_SEGMENT control message as the kernel reads it:
+// CMSG_SPACE(sizeof(uint16)) bytes, header first.
+type segmentCmsg struct {
+	hdr  syscall.Cmsghdr
+	size uint16
+	_    [6]byte
+}
+
+// vecSendState is the reusable guts of one vectored flush: header, iovec
+// and control arrays sized once, and a closure created once (a fresh closure
+// per flush would allocate on every batch). Inputs and outputs travel
+// through fields because the raw-connection API offers the closure no other
+// channel.
 type vecSendState struct {
-	hdrs  []mmsghdr
-	iovs  []syscall.Iovec
-	k     int // in: vector length for this flush
-	off   int // progress: datagrams accepted so far (survives parking)
-	short int // out: consumed latched-error events (see fn)
-	nsys  int // out: sendmmsg syscalls issued for this flush
+	hdrs []mmsghdr
+	iovs []syscall.Iovec
+	ctl  []segmentCmsg // one per train of a flush: at most every second datagram starts one
+	// maxSeg is the per-train datagram limit: maxTrainSegs until the kernel
+	// refuses a train on this socket, 1 (every message a plain datagram)
+	// from then on.
+	maxSeg int
+	k      int // in: messages in this flush
+	off    int // progress: messages accepted so far (survives parking)
+	short  int // out: consumed latched-error events (see fn)
+	nsys   int // out: sendmmsg syscalls issued for this flush
 	// pendingShort marks a mid-vector stop whose cause is not yet known:
 	// the next syscall's outcome classifies it (EAGAIN → backpressure,
 	// progress → consumed socket error).
@@ -46,13 +69,15 @@ type vecSendState struct {
 func (v *vecSendState) init(batch int) {
 	v.hdrs = make([]mmsghdr, batch)
 	v.iovs = make([]syscall.Iovec, batch)
-	for i := range v.hdrs {
-		// Connected socket: no per-message destination.
-		v.hdrs[i].hdr.Iov = &v.iovs[i]
-		v.hdrs[i].hdr.Iovlen = 1
+	v.ctl = make([]segmentCmsg, (batch+1)/2)
+	v.maxSeg = maxTrainSegs
+	for i := range v.ctl {
+		c := &v.ctl[i].hdr
+		c.Level, c.Type = solUDP, udpSegment
+		c.SetLen(syscall.CmsgLen(2))
 	}
 	// One flush may take several sendmmsg calls. The kernel stops a vector
-	// at the first datagram whose send fails, returns the accepted prefix
+	// at the first message whose send fails, returns the accepted prefix
 	// as a short count, and discards the errno that stopped it — and when
 	// that errno was a latched asynchronous error (ECONNREFUSED delivered
 	// by ICMP after an earlier send), the failed attempt also CLEARS it, so
@@ -62,10 +87,12 @@ func (v *vecSendState) init(batch int) {
 	// Short counts are ambiguous, though: a full socket buffer stops the
 	// vector the same way (the EAGAIN is equally discarded). The retry
 	// disambiguates. After a stop, the loop re-submits the remainder: if
-	// the first datagram immediately hits EAGAIN the stop was backpressure
+	// the first message immediately hits EAGAIN the stop was backpressure
 	// (park on the netpoller, resume when writable); if the retry makes
-	// progress, the stopped datagram had tripped a consumed socket error —
-	// count it, so the caller can fold it into failure accounting.
+	// progress, the stopped message had tripped a consumed socket error —
+	// count it, so the caller can fold it into failure accounting; if it
+	// fails with an errno of its own (a train the kernel will not cut),
+	// that errno is the cause and sendVectored deals with it.
 	v.fn = func(fd uintptr) bool {
 		for {
 			v.nsys++
@@ -100,13 +127,38 @@ func (v *vecSendState) init(batch int) {
 
 func (v *vecSendState) cap() int { return len(v.hdrs) }
 
-// sendVectored flushes pkts as sendmmsg vectors, retrying past mid-vector
-// stops, so on return every datagram has been handed to the kernel except
-// those that tripped a socket error. A non-nil ErrSendFault with a full
-// count means the kernel accepted the vector but consumed at least one
-// latched socket error along the way.
-func (s *Sender) sendVectored(pkts [][]byte) (int, error) {
-	v := &s.vs
+// trainLen returns how many leading datagrams of pkts leave as one message:
+// a maximal run of equal-length datagrams, which one shorter datagram may
+// close (the kernel cuts a train every size bytes, so only its last
+// datagram can be short), of at most maxSeg datagrams and maxTrainBytes
+// bytes. An empty datagram always travels alone: appended to a train it
+// would add no bytes and vanish.
+func trainLen(pkts [][]byte, maxSeg int) int {
+	size := len(pkts[0])
+	if size == 0 {
+		return 1
+	}
+	n, total := 1, size
+	for n < len(pkts) && n < maxSeg {
+		l := len(pkts[n])
+		if l == 0 || l > size || total+l > maxTrainBytes {
+			break
+		}
+		n++
+		total += l
+		if l < size {
+			break
+		}
+	}
+	return n
+}
+
+// pack points the iovecs at pkts and groups them into messages by trainLen,
+// returning the message count. A train is one msghdr over its datagrams'
+// consecutive iovecs (the kernel gathers them into one buffer and cuts it
+// by size, wherever the iovecs end) plus the UDP_SEGMENT control message
+// naming that size; a train of one is a plain datagram and carries none.
+func (v *vecSendState) pack(pkts [][]byte) int {
 	for i, p := range pkts {
 		if len(p) > 0 {
 			v.iovs[i].Base = &p[0]
@@ -115,41 +167,132 @@ func (s *Sender) sendVectored(pkts [][]byte) (int, error) {
 		}
 		v.iovs[i].SetLen(len(p))
 	}
-	v.k, v.off, v.short, v.nsys, v.pendingShort, v.errno = len(pkts), 0, 0, 0, false, 0
-	if err := s.rc.Write(v.fn); err != nil {
-		return v.off, err
+	m, trains := 0, 0
+	for i := 0; i < len(pkts); m++ {
+		n := trainLen(pkts[i:], v.maxSeg)
+		h := &v.hdrs[m].hdr
+		h.Iov, h.Iovlen = &v.iovs[i], uint64(n)
+		if n > 1 {
+			c := &v.ctl[trains]
+			trains++
+			c.size = uint16(len(pkts[i]))
+			h.Control = (*byte)(unsafe.Pointer(c))
+			h.SetControllen(int(unsafe.Sizeof(*c)))
+		} else {
+			h.Control = nil
+			h.SetControllen(0)
+		}
+		i += n
 	}
-	if v.errno != 0 {
-		return v.off, v.errno
+	return m
+}
+
+// sendVectored flushes pkts as one sendmmsg vector of trains, retrying past
+// mid-vector stops, so on return every datagram has been handed to the
+// kernel except those that tripped a socket error. A non-nil ErrSendFault
+// with a full count means the kernel accepted the vector but consumed at
+// least one latched socket error along the way.
+//
+// The kernel refuses a train it cannot cut — a datagram size beyond the
+// path MTU (segments are never IP-fragmented; a plain datagram of that size
+// is), a device without the checksum offload segmentation needs, a socket
+// with checksums off, a kernel without UDP_SEGMENT — with one of the errnos
+// trainRefused lists, and will refuse the next one too. The first such
+// refusal sets the per-train limit to one for the life of this Sender, and
+// the datagrams not yet accepted go out again in the same call, plain:
+// nothing is lost and nothing is sent twice, because a refused message
+// sends none of its datagrams. Any other errno is the socket's own (a dead
+// peer, a full device queue), which a plain datagram would have met too.
+func (s *Sender) sendVectored(pkts [][]byte) (int, error) {
+	v := &s.vs
+	v.short, v.nsys = 0, 0
+	sent := 0
+	for {
+		v.k, v.off, v.pendingShort, v.errno = v.pack(pkts[sent:]), 0, false, 0
+		err := s.rc.Write(v.fn)
+		for i := range v.hdrs[:v.off] {
+			n := int(v.hdrs[i].hdr.Iovlen)
+			sent += n
+			if n > 1 {
+				s.trains++
+			}
+		}
+		switch {
+		case err != nil:
+			return sent, err
+		case trainRefused(v.errno) && v.hdrs[v.off].hdr.Iovlen > 1:
+			v.maxSeg = 1
+		case v.errno != 0:
+			return sent, v.errno
+		case v.short > 0:
+			return sent, ErrSendFault
+		default:
+			return sent, nil
+		}
 	}
-	if v.short > 0 {
-		return v.off, ErrSendFault
+}
+
+// trainRefused reports whether errno, returned for a message that is a
+// train, says the kernel will not segment on this socket or path: EMSGSIZE
+// (EINVAL before Linux 6.x) for a datagram size beyond the path MTU, EINVAL
+// for checksums off or a malformed request, EIO for a device or transform
+// that cannot take the offload, EOPNOTSUPP for a socket type without it.
+func trainRefused(errno syscall.Errno) bool {
+	switch errno {
+	case syscall.EMSGSIZE, syscall.EINVAL, syscall.EIO, syscall.EOPNOTSUPP:
+		return true
 	}
-	return v.off, nil
+	return false
+}
+
+// groCmsg is room for the one control message a UDP_GRO socket attaches to
+// a train: CMSG_SPACE(sizeof(int)) bytes, the datagram size as payload.
+type groCmsg struct {
+	hdr  syscall.Cmsghdr
+	size int32
+	_    [4]byte
 }
 
 // vecRecvState is the reusable guts of one recvmmsg call. Buffers are
-// pinned into the iovecs at init; only the name lengths (which the kernel
-// overwrites with actual sockaddr sizes) are reset per call.
+// pinned into the iovecs at init; only the name and control lengths (which
+// the kernel overwrites with what it actually wrote) are reset per call.
 type vecRecvState struct {
 	hdrs  []mmsghdr
 	iovs  []syscall.Iovec
 	names []syscall.RawSockaddrInet6
-	block bool // in: park on EAGAIN (Recv) or report empty (TryRecv)
-	n     int  // out: datagrams received
-	nsys  int  // out: recvmmsg syscalls issued for this drain
+	ctl   []groCmsg // per-slot control room; nil unless the socket takes trains
+	block bool      // in: park on EAGAIN (Recv) or report empty (TryRecv)
+	n     int       // out: messages received
+	nsys  int       // out: recvmmsg syscalls issued for this drain
 	errno syscall.Errno
 	fn    func(fd uintptr) bool
 }
 
-func (v *vecRecvState) init(bufs [][]byte) {
+// setGRO asks the socket to deliver trains uncut (UDP_GRO).
+func setGRO(rc syscall.RawConn) error {
+	var serr error
+	if err := rc.Control(func(fd uintptr) {
+		serr = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1)
+	}); err != nil {
+		return err
+	}
+	return serr
+}
+
+func (v *vecRecvState) init(bufs [][]byte, trains bool) {
 	n := len(bufs)
 	v.hdrs = make([]mmsghdr, n)
 	v.iovs = make([]syscall.Iovec, n)
 	v.names = make([]syscall.RawSockaddrInet6, n)
+	if trains {
+		v.ctl = make([]groCmsg, n)
+	}
 	for i := range v.hdrs {
 		v.iovs[i].Base = &bufs[i][0]
 		v.iovs[i].SetLen(len(bufs[i]))
+		if trains {
+			v.hdrs[i].hdr.Control = (*byte)(unsafe.Pointer(&v.ctl[i]))
+		}
 		v.hdrs[i].hdr.Iov = &v.iovs[i]
 		v.hdrs[i].hdr.Iovlen = 1
 		v.hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&v.names[i]))
@@ -157,6 +300,9 @@ func (v *vecRecvState) init(bufs [][]byte) {
 	v.fn = func(fd uintptr) bool {
 		for i := range v.hdrs {
 			v.hdrs[i].hdr.Namelen = syscall.SizeofSockaddrInet6
+			if v.ctl != nil {
+				v.hdrs[i].hdr.SetControllen(int(unsafe.Sizeof(v.ctl[i])))
+			}
 		}
 		v.nsys++
 		n, _, errno := syscall.Syscall6(sysRECVMMSG, fd,
@@ -178,11 +324,25 @@ func (v *vecRecvState) init(bufs [][]byte) {
 	}
 }
 
+// trainSize returns the datagram size the kernel attached to message i, or
+// zero when it attached none: the message is then one plain datagram.
+func (v *vecRecvState) trainSize(i int) int {
+	c := &v.ctl[i]
+	if v.hdrs[i].hdr.Controllen < uint64(syscall.CmsgLen(4)) ||
+		c.hdr.Level != solUDP || c.hdr.Type != udpGRO {
+		return 0
+	}
+	return int(c.size)
+}
+
 // drainVectored runs one recvmmsg (parking first when block is set) and
-// publishes lengths and source addresses for the filled slots.
+// publishes the source address of every filled slot and its datagrams: the
+// message itself, or — on a socket that takes trains — its cuts, every size
+// bytes, the last one possibly short, all from the message's source.
 func (r *Receiver) drainVectored(block bool) (int, error) {
 	v := &r.vr
 	v.block, v.nsys = block, 0
+	r.segs = r.segs[:0]
 	if err := r.rc.Read(v.fn); err != nil {
 		return 0, err
 	}
@@ -190,10 +350,21 @@ func (r *Receiver) drainVectored(block bool) (int, error) {
 		return 0, v.errno
 	}
 	for i := 0; i < v.n; i++ {
-		r.lens[i] = int(v.hdrs[i].n)
 		r.addrs[i] = sockaddrToAddrPort(&v.names[i])
+		total, size := int(v.hdrs[i].n), 0
+		if r.trains {
+			size = v.trainSize(i)
+		}
+		if size <= 0 || size >= total {
+			r.segs = append(r.segs, segment{slot: uint16(i), n: uint16(total)})
+			continue
+		}
+		r.ntrains++
+		for off := 0; off < total; off += size {
+			r.segs = append(r.segs, segment{slot: uint16(i), off: uint16(off), n: uint16(min(size, total-off))})
+		}
 	}
-	return v.n, nil
+	return len(r.segs), nil
 }
 
 func (r *Receiver) recvVectored() (int, error) { return r.drainVectored(true) }

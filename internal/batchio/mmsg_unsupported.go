@@ -2,9 +2,15 @@
 
 package batchio
 
+import (
+	"errors"
+	"syscall"
+)
+
 // Builds without sendmmsg/recvmmsg: the vectored entry points are never
 // reached (vectoredSupported gates them off in the constructors), but the
-// method set must exist, so each one defers to its scalar sibling.
+// method set must exist, so each one defers to its scalar sibling. There
+// are no trains either: every message is one datagram.
 
 const vectoredSupported = false
 
@@ -22,7 +28,9 @@ type vecRecvState struct {
 	nsys int // always zero: no vectored syscalls on this platform
 }
 
-func (v *vecRecvState) init([][]byte) {}
+func setGRO(syscall.RawConn) error { return errors.ErrUnsupported }
+
+func (v *vecRecvState) init([][]byte, bool) {}
 
 func (r *Receiver) recvVectored() (int, error) { return r.recvScalar() }
 

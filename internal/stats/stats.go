@@ -89,7 +89,14 @@ type IOCounters struct {
 	// non-blocking polls — including empty polls); RecvDatagrams counts
 	// datagrams they returned.
 	RecvCalls, RecvDatagrams int
-	// MaxSendBatch and MaxRecvBatch are the largest vector lengths seen.
+	// SendTrains and RecvTrains count the messages among those syscalls
+	// that carried more than one datagram (UDP_SEGMENT on the way out,
+	// UDP_GRO on the way in). Zero on a vectored path means segmentation
+	// offload is not engaged: the kernel refused it, or every flush was a
+	// single datagram.
+	SendTrains, RecvTrains int
+	// MaxSendBatch and MaxRecvBatch are the largest numbers of datagrams one
+	// flush sent and one drain delivered.
 	MaxSendBatch, MaxRecvBatch int
 	// FastPath reports whether the vectored sendmmsg/recvmmsg path was
 	// active.
@@ -103,6 +110,8 @@ func (c *IOCounters) Add(o IOCounters) {
 	c.SentDatagrams += o.SentDatagrams
 	c.RecvCalls += o.RecvCalls
 	c.RecvDatagrams += o.RecvDatagrams
+	c.SendTrains += o.SendTrains
+	c.RecvTrains += o.RecvTrains
 	if o.MaxSendBatch > c.MaxSendBatch {
 		c.MaxSendBatch = o.MaxSendBatch
 	}
@@ -136,9 +145,9 @@ func (c IOCounters) String() string {
 	if c.FastPath {
 		path = "vectored"
 	}
-	return fmt.Sprintf("%s io: %d datagrams out in %d syscalls (avg %.1f, max %d); %d in over %d syscalls (max %d)",
-		path, c.SentDatagrams, c.SendCalls, c.AvgSendBatch(), c.MaxSendBatch,
-		c.RecvDatagrams, c.RecvCalls, c.MaxRecvBatch)
+	return fmt.Sprintf("%s io: %d datagrams out in %d syscalls (avg %.1f, max %d, %d trains); %d in over %d syscalls (max %d, %d trains)",
+		path, c.SentDatagrams, c.SendCalls, c.AvgSendBatch(), c.MaxSendBatch, c.SendTrains,
+		c.RecvDatagrams, c.RecvCalls, c.MaxRecvBatch, c.RecvTrains)
 }
 
 // FormatBytes renders a byte count in binary units.

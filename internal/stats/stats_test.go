@@ -150,3 +150,18 @@ func TestFigureCSV(t *testing.T) {
 		t.Fatalf("CSV = %q, want %q", got, want)
 	}
 }
+
+// TestIOCountersTrains: train counts are summed like the syscall counts and
+// show in the -io-stats line, so "segmentation engaged" and "32 plain
+// datagrams per sendmmsg" read differently.
+func TestIOCountersTrains(t *testing.T) {
+	c := IOCounters{SendCalls: 2, SentDatagrams: 64, SendTrains: 2, MaxSendBatch: 32, FastPath: true}
+	c.Add(IOCounters{SendCalls: 1, SentDatagrams: 32, SendTrains: 1, RecvCalls: 3, RecvDatagrams: 96, RecvTrains: 3, MaxRecvBatch: 64})
+	if c.SendTrains != 3 || c.RecvTrains != 3 || c.SentDatagrams != 96 || c.MaxRecvBatch != 64 {
+		t.Fatalf("Add = %+v", c)
+	}
+	got := c.String()
+	if !strings.Contains(got, "avg 32.0, max 32, 3 trains") || !strings.Contains(got, "(max 64, 3 trains)") {
+		t.Fatalf("String = %q", got)
+	}
+}

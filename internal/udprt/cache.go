@@ -72,19 +72,20 @@ func newContentCache(opts Options) *contentCache {
 	return c
 }
 
-// lookup returns a copy of the cached object for a digest. The copy is
-// deliberate on both paths (add copies in, lookup copies out): cached
-// bytes back dedup answers for the cache's whole lifetime, so neither the
-// receive loop that produced the object nor the caller a hit is served to
-// may alias them.
-func (c *contentCache) lookup(content [32]byte) ([]byte, bool) {
+// lookup returns a copy of the size-byte object cached under a digest; an
+// entry of another size is a miss, decided before anything is copied. The
+// copy is deliberate on both paths (add copies in, lookup copies out):
+// cached bytes back dedup answers for the cache's whole lifetime, so neither
+// the receive loop that produced the object nor the caller a hit is served
+// to may alias them.
+func (c *contentCache) lookup(content [32]byte, size uint64) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
 	ent := c.entries[content]
 	c.mu.Unlock()
-	if ent == nil {
+	if ent == nil || uint64(len(ent.obj)) != size {
 		return nil, false
 	}
 	out := make([]byte, len(ent.obj))

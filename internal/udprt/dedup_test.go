@@ -394,17 +394,17 @@ func TestContentCacheEviction(t *testing.T) {
 	if n := c.len(); n != 2 {
 		t.Fatalf("cache holds %d entries, want 2", n)
 	}
-	if _, ok := c.lookup(d1); ok {
+	if _, ok := c.lookup(d1, 1024); ok {
 		t.Fatal("oldest entry survived eviction")
 	}
 	for _, d := range [][32]byte{d2, d3} {
-		got, ok := c.lookup(d)
+		got, ok := c.lookup(d, 1024)
 		if !ok {
 			t.Fatal("recent entry missing")
 		}
 		// lookup must copy out: mutating the answer must not poison the cache.
 		got[0] ^= 0xFF
-		again, _ := c.lookup(d)
+		again, _ := c.lookup(d, 1024)
 		if again[0] == got[0] {
 			t.Fatal("lookup aliases the cached bytes")
 		}
@@ -412,7 +412,7 @@ func TestContentCacheEviction(t *testing.T) {
 	// Nil cache (NoDedup): every method is a no-op.
 	var nilCache *contentCache
 	nilCache.add(d1, o1, 512)
-	if _, ok := nilCache.lookup(d1); ok || nilCache.len() != 0 {
+	if _, ok := nilCache.lookup(d1, 1024); ok || nilCache.len() != 0 {
 		t.Fatal("nil cache answered a lookup")
 	}
 }

@@ -65,7 +65,9 @@ type senderEndpoint struct {
 // sender for one data flow. It is deliberately single-threaded like the
 // paper's sender: each iteration performs one non-blocking poll of the
 // acknowledgement socket (the paper's select()-guarded "look for, but do
-// not block for, an acknowledgement packet") followed by one batch-send.
+// not block for, an acknowledgement packet") followed by one send
+// operation — which carries a ring of batch rounds where the paper's
+// carried one (see run).
 // The one departure is at the end of a turn of the circular buffer: once
 // every unacknowledged packet has gone out since the last acknowledgement,
 // re-sending carries no information, so the poll becomes a wait on the same
@@ -141,12 +143,22 @@ func newSendRing(slots, packetSize int) [][]byte {
 // run drives the engine until the completion verdict arrives on the
 // endpoint's done channel or the transfer fails.
 //
-// The batch-send phase is where the fast path earns its keep: the B
-// packets the batch policy chose are encoded into a reusable ring of
-// pre-sized buffers and flushed as one sendmmsg vector (chunked at
-// Options.IOBatch when B is larger; one write syscall per packet on the
-// scalar path). The ack poll likewise drains every queued acknowledgement
-// in one recvmmsg. Steady state allocates nothing per packet.
+// The batch-send phase is where the fast path earns its keep. Rounds are
+// planned one at a time — the batch policy asks for B packets, the
+// congestion controller may cap the ask and names the round's pacing gap —
+// and encoded one behind another into a reusable ring of Options.IOBatch
+// pre-sized buffers. The ring leaves as one flush (one sendmmsg whose
+// equal-length datagrams travel as UDP_SEGMENT trains; one write per packet
+// on the scalar path), and the ack socket is looked at once per flush, not
+// once per round: the unit between two looks stays one send operation, it
+// just carries a ring of packets in the time two used to take. The ring is
+// flushed when it is full, when the turn is over — it is never filled
+// beyond what is left of the turn — and after a round that carries a gap,
+// which therefore goes out on its own, whole (chunked at the ring length
+// when B is larger), as it always did: a paced policy's spacing on the wire
+// is round by round. The ack poll likewise drains every queued
+// acknowledgement in one recvmmsg. Steady state allocates nothing per
+// packet.
 //
 // The wait discipline: the engine counts the packets it has put on the wire
 // since the last processed acknowledgement. While that count is below the
@@ -259,6 +271,20 @@ func (e *senderEngine) run(ctx context.Context) error {
 	// iteration block on the ack socket instead of polling it.
 	sinceNews := 0
 	wait := false
+	// flush puts the first k ring slots on the wire, adds what the kernel took
+	// to sent, and reports whether this look may send more: not after a short
+	// or failed write (kernel backpressure: pace, poll, come back). fatal is
+	// set once persistent failures reach the limit.
+	var sent int
+	var fatal bool
+	flush := func(k int) bool {
+		m, err := tx.Send(ring[:k])
+		sent += m
+		if err != nil {
+			fatal = noteWriteErr(err)
+		}
+		return err == nil && m == k
+	}
 	for {
 		if wait {
 			e.conn.SetReadDeadline(time.Now().Add(opts.IdlePoll))
@@ -336,44 +362,72 @@ func (e *senderEngine) run(ctx context.Context) error {
 			wait = true
 			continue
 		}
-		// Phases 1+3: batch-send with the schedule choosing each packet,
-		// flushed in vectors of up to IOBatch datagrams. The batch policy
-		// asks, the congestion controller may cap the ask and dictates the
-		// per-packet pacing gap for the round.
-		batch, gapPer := planRound(snd.BatchSize(), e.cc)
-		e.fr.BatchSize(batch)
-		sent := 0
-		for sent < batch {
-			k, firstSeq := encodeBatch(snd, ring, batch-sent, e.tm, e.fr, sent)
-			if k == 0 {
-				break
+		// Phases 1+3: batch-send with the schedule choosing each packet. The
+		// batch policy asks, the congestion controller may cap the ask and
+		// dictates the round's per-packet pacing gap; rounds without a gap
+		// queue up in the ring until it is full or the turn is over, a round
+		// with one goes out alone — what is queued leaves first — and ends
+		// the look.
+		room := min(len(ring), st.PacketsNeeded-st.KnownReceived-sinceNews)
+		fill := 0   // ring slots awaiting the flush
+		rounds := 0 // rounds that put packets in the ring
+		sent = 0
+		var gapPer time.Duration // of the last round planned
+		gapFrom := 0             // packets sent before that round was encoded
+		ok := true
+		for ok && fill < room {
+			var batch int
+			batch, gapPer = planRound(snd.BatchSize(), e.cc)
+			e.fr.BatchSize(batch)
+			if gapPer == 0 {
+				batch = min(batch, room-fill)
+			} else if fill > 0 {
+				ok, fill = flush(fill), 0
 			}
-			if probeSeq < 0 && firstSeq >= 0 {
-				probeSeq, probeAt = firstSeq, time.Now()
-			}
-			m, err := tx.Send(ring[:k])
-			sent += m
-			if err != nil {
-				if noteWriteErr(err) {
-					e.abort(wire.AbortUnspecified)
-					return fmt.Errorf("udprt: data write: %w", lastWriteErr)
+			gapFrom = sent
+			n := 0
+			for ok && n < batch {
+				if fill == len(ring) {
+					// A round longer than the ring goes out in ring-sized chunks.
+					ok, fill = flush(fill), 0
+					continue
 				}
-				break
+				k, firstSeq := encodeBatch(snd, ring[fill:], batch-n, e.tm, e.fr, n)
+				if k == 0 {
+					break
+				}
+				if probeSeq < 0 && firstSeq >= 0 {
+					probeSeq, probeAt = firstSeq, time.Now()
+				}
+				fill, n = fill+k, n+k
 			}
-			if m < k {
-				break // kernel backpressure: pace, poll, come back
+			if n == 0 {
+				break // the schedule has nothing to send, or the kernel no room
+			}
+			rounds++
+			if gapPer > 0 {
+				break
 			}
 		}
+		if ok && fill > 0 {
+			flush(fill)
+		}
+		if fatal {
+			e.abort(wire.AbortUnspecified)
+			return fmt.Errorf("udprt: data write: %w", lastWriteErr)
+		}
 		if sent == 0 {
-			// This round's write failed: logically blocked on the kernel
+			// This look's write failed: logically blocked on the kernel
 			// buffer draining, an ack or the completion signal.
 			wait = true
 			continue
 		}
-		e.tm.NoteRound()
+		for ; rounds > 0; rounds-- {
+			e.tm.NoteRound()
+		}
 		ccSentSince += sent
 		sinceNews += sent
-		// Retransmit-classified losses of the round just sent: under the
+		// Retransmit-classified losses of the rounds just sent: under the
 		// circular schedule a re-send means the first copy (or its ack) is
 		// missing — the only congestion signal an unacknowledged UDP flow
 		// carries.
@@ -387,7 +441,7 @@ func (e *senderEngine) run(ctx context.Context) error {
 		// as of this round's ack poll — the historical inline arithmetic —
 		// so the default schedule is bit-identical to the pre-policy
 		// engine (pinned by the golden test).
-		if gap := gapPer * time.Duration(sent); gap > 0 {
+		if gap := gapPer * time.Duration(sent-gapFrom); gap > 0 {
 			paceDebt += gap
 			if paceDebt >= time.Millisecond {
 				time.Sleep(paceDebt)
@@ -501,13 +555,16 @@ func noteReceiverDelta(tm *metrics.Transfer, fr *flight.Recorder, seq uint32,
 // session) are dropped by the demux, exactly as the state machine's own
 // tag check would.
 //
-// One wakeup processes a whole queue: the batched receiver pulls up to
-// Options.IOBatch datagrams per recvmmsg syscall (one per read on the
-// scalar path) and every datagram runs through the engine pipeline before
-// the loop looks at the socket again. The hot path is allocation-free:
-// datagrams land in the receiver's buffer ring, acks are serialized into
+// One wakeup processes a whole queue: the listener's batched receiver pulls
+// up to Options.IOBatch messages per recvmmsg syscall — each a datagram or,
+// from a sender that groups them, a train of up to 64 — (one datagram per
+// read on the scalar path) and every datagram runs through the engine
+// pipeline before the loop looks at the socket again. The hot path is
+// allocation-free: datagrams land in the receiver's buffer ring, which
+// belongs to the socket and outlives the transfer, acks are serialized into
 // each engine's reusable buffer, and replies go out through the net
-// package's value-typed address API.
+// package's value-typed address API. A datagram longer than the transfer's
+// packets is not cut short by its slot; core's length check refuses it.
 //
 // Liveness: if no datagram for any engine arrives for Options.IdleTimeout,
 // the loop aborts the transfer (ABORT idle-timeout on the control channel,
@@ -517,18 +574,15 @@ func noteReceiverDelta(tm *metrics.Transfer, fr *flight.Recorder, seq uint32,
 // receive promptly; that is only safe on a connection dedicated to one
 // transfer — on a session connection it would steal the next HELLO.
 func runReceiveLoop(ctx context.Context, engines map[uint32]*receiverEngine, base uint32,
-	udp *net.UDPConn, ctl net.Conn, opts Options, watchCtl bool, or *obs.Recorder) error {
+	l *Listener, ctl net.Conn, watchCtl bool, or *obs.Recorder) error {
 
+	udp, rx, opts := l.udp, l.rx, l.opts
 	var abortCh <-chan error
 	if watchCtl && ctl != nil {
 		abortCh = watchControl(ctl, base)
 	}
 	var primary *receiverEngine
 	remaining := 0
-	// Each ring slot holds the longest datagram the announcement allows: the
-	// largest packet size over the stripes, framed. A longer one arrives
-	// truncated and fails to decode, like any malformed datagram.
-	slot := 0
 	for _, e := range engines {
 		if primary == nil || e.rcv.Config().Transfer == base {
 			primary = e
@@ -536,12 +590,8 @@ func runReceiveLoop(ctx context.Context, engines map[uint32]*receiverEngine, bas
 		if !e.finished {
 			remaining++
 		}
-		slot = max(slot, e.rcv.Config().PacketSize+wire.DataHeaderLen)
 	}
-	rx, err := batchio.NewReceiver(udp, opts.IOBatch, slot, !opts.NoFastPath)
-	if err != nil {
-		return fmt.Errorf("udprt: batched receiver: %w", err)
-	}
+	rx.ResetCounters() // the receiver outlives the transfer; the tallies are per transfer
 	defer func() {
 		c := rx.Counters()
 		ackCalls := 0
@@ -586,6 +636,7 @@ func runReceiveLoop(ctx context.Context, engines map[uint32]*receiverEngine, bas
 			}
 			return fmt.Errorf("udprt: data read: %w", err)
 		}
+		live := false
 		for i := 0; i < n; i++ {
 			d, err := wire.DecodeData(rx.Datagram(i))
 			if err != nil {
@@ -595,13 +646,7 @@ func runReceiveLoop(ctx context.Context, engines map[uint32]*receiverEngine, bas
 			if e == nil {
 				continue
 			}
-			// Any datagram for this transfer — even a duplicate —
-			// proves the sender is alive.
-			lastData = time.Now()
-			// First data of the transfer opens the rounds span. Once is a
-			// single atomic load once latched, so the hot path stays
-			// allocation-free (the gate below measures it).
-			or.Once(obs.KindRounds, 0)
+			live = true
 			ack, ackSeq, ackRecv, finishedNow := e.ingest(d)
 			if ack != nil {
 				if _, err := udp.WriteToUDPAddrPort(ack, rx.Addr(i)); err != nil {
@@ -612,6 +657,13 @@ func runReceiveLoop(ctx context.Context, engines map[uint32]*receiverEngine, bas
 			if finishedNow {
 				remaining--
 			}
+		}
+		if live {
+			// Any datagram for this transfer — even a duplicate — proves the
+			// sender is alive; the first opens the rounds span. Both are noted
+			// once per drain, not per datagram: a wake-up may deliver hundreds.
+			lastData = time.Now()
+			or.Once(obs.KindRounds, 0)
 		}
 	}
 	return nil

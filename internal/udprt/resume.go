@@ -229,8 +229,8 @@ func (p recvPlan) resumeFrame() wire.Resume {
 // in place of HELLO-ACK, then run the ordinary receive loop over only the
 // missing packets. A refused claim answers a reasoned ABORT — the sender
 // degrades to a fresh transfer or fails, per the reason.
-func acceptResumedTransfer(ctx context.Context, plan recvPlan, udp *net.UDPConn, ctl net.Conn,
-	opts Options, watchCtl bool, store *resumeStore, cache *contentCache) ([]byte, core.ReceiverStats, error) {
+func acceptResumedTransfer(ctx context.Context, plan recvPlan, l *Listener, ctl net.Conn, watchCtl bool) ([]byte, core.ReceiverStats, error) {
+	opts, store, cache := l.opts, l.store, l.cache
 	if plan.resumeStreams > 1 {
 		// Resume is defined for single-flow transfers only (the striped
 		// wire format has no per-stripe bitmap exchange yet).
@@ -277,7 +277,7 @@ func acceptResumedTransfer(ctx context.Context, plan recvPlan, udp *net.UDPConn,
 	or.Event(obs.KindHandshake, 0)
 	or.Event(obs.KindResume, uint64(restored))
 	byTag := map[uint32]*receiverEngine{plan.base: e}
-	if err := runReceiveLoop(ctx, byTag, plan.base, udp, ctl, opts, watchCtl, or); err != nil {
+	if err := runReceiveLoop(ctx, byTag, plan.base, l, ctl, watchCtl, or); err != nil {
 		store.retainReceiver(plan.base, plan.objectSize, plan.packetSize, rcv, ret.digest, true)
 		finishInstruments(tm, fr, err)
 		finishTrace(or, err)

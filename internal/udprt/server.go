@@ -25,6 +25,7 @@ import (
 type Server struct {
 	tcp   *net.TCPListener
 	udp   *net.UDPConn
+	rx    *batchio.Receiver // the data socket's receive ring (see Listener.rx)
 	opts  Options
 	store *resumeStore
 	cache *contentCache
@@ -43,7 +44,7 @@ type serverTransfer struct {
 	mu       sync.Mutex
 	eng      *receiverEngine
 	or       *obs.Recorder // span recorder (nil when untraced)
-	lastData time.Time     // last datagram for this transfer (idle watchdog)
+	lastData time.Time     // when the last drain with a datagram for this transfer began (idle watchdog)
 	complete chan struct{} // closed exactly once, on completion
 }
 
@@ -56,6 +57,7 @@ func NewServer(addr string, opts Options) (*Server, error) {
 	return &Server{
 		tcp:       l.tcp,
 		udp:       l.udp,
+		rx:        l.rx,
 		opts:      l.opts,
 		store:     l.store,
 		cache:     l.cache,
@@ -143,7 +145,7 @@ func (s *Server) handleControl(ctx context.Context, ctl *net.TCPConn, handle Han
 		// never competes for the transfer-id space (nothing will arrive on
 		// the data socket), so N senders pushing the same hot object fan
 		// out of the cache concurrently — the server is the dedup point.
-		if obj, ok := s.cache.lookup(plan.checkDigest); ok && plan.checkDedup && uint64(len(obj)) == plan.objectSize {
+		if obj, ok := plan.dedupHit(s.cache); ok {
 			if obj, rstats, err := completeDeduped(plan, ctl, s.opts, obj); err == nil {
 				handle(plan.base, obj, rstats)
 			}
@@ -340,14 +342,13 @@ wait:
 }
 
 // dataLoop demultiplexes incoming datagrams to transfers. One wakeup
-// drains up to Options.IOBatch datagrams through the batched receiver
-// (one per read on the scalar path) before touching the socket again, so
-// concurrent senders cost one recvmmsg per queueful, not one read each.
+// drains up to Options.IOBatch messages — datagrams or whole trains —
+// through the socket's batched receiver (one datagram per read on the
+// scalar path) before touching the socket again, so concurrent senders cost
+// one recvmmsg per queueful, not one read each. The clock is read once per
+// drain, not per datagram.
 func (s *Server) dataLoop(ctx context.Context) {
-	rx, err := batchio.NewReceiver(s.udp, s.opts.IOBatch, maxDatagram, !s.opts.NoFastPath)
-	if err != nil {
-		return
-	}
+	rx := s.rx
 	for {
 		s.udp.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
 		n, err := rx.Recv()
@@ -360,15 +361,16 @@ func (s *Server) dataLoop(ctx context.Context) {
 			}
 			return // socket closed
 		}
+		now := time.Now()
 		for i := 0; i < n; i++ {
-			s.handleDatagram(rx.Datagram(i), rx.Addr(i))
+			s.handleDatagram(rx.Datagram(i), rx.Addr(i), now)
 		}
 	}
 }
 
-// handleDatagram routes one data packet to its transfer, replying with an
-// acknowledgement when one is due.
-func (s *Server) handleDatagram(buf []byte, from netip.AddrPort) {
+// handleDatagram routes one data packet of the drain that began at now to
+// its transfer, replying with an acknowledgement when one is due.
+func (s *Server) handleDatagram(buf []byte, from netip.AddrPort, now time.Time) {
 	d, err := wire.DecodeData(buf)
 	if err != nil {
 		return
@@ -380,7 +382,7 @@ func (s *Server) handleDatagram(buf []byte, from netip.AddrPort) {
 		return // unknown or finished transfer
 	}
 	st.mu.Lock()
-	st.lastData = time.Now() // even a duplicate proves the sender lives
+	st.lastData = now // even a duplicate proves the sender lives
 	st.or.Once(obs.KindRounds, 0)
 	ack, ackSeq, ackRecv, finished := st.eng.ingest(d)
 	st.mu.Unlock()

@@ -189,5 +189,5 @@ func (is *IncomingSession) Next(ctx context.Context) ([]byte, core.ReceiverStats
 		}
 		return nil, core.ReceiverStats{}, err
 	}
-	return acceptTransfer(ctx, plan, is.sl.l.udp, is.ctl, is.sl.l.opts, false, is.sl.l.store, is.sl.l.cache)
+	return acceptTransfer(ctx, plan, is.sl.l, is.ctl, false)
 }

@@ -155,10 +155,12 @@ func (p *senderPlan) totalPackets() int {
 }
 
 // checkFrame serializes the plan's CHECK prelude: the whole-object content
-// digest, plus one digest per stripe for a striped plan. Nil — no prelude,
-// bit-identical to the pre-CHECK handshake — when the caller opted out of
-// dedup without demanding verification; hashing happens only when the
-// frame is actually built.
+// digest, plus — only when the caller demands verification, the one case in
+// which a receiver reads them — one digest per stripe of a striped plan; a
+// striped Send otherwise hashes its object once, not twice. Nil — no
+// prelude, bit-identical to the pre-CHECK handshake — when the caller opted
+// out of dedup without demanding verification; hashing happens only when
+// the frame is actually built.
 func (p *senderPlan) checkFrame(opts Options) []byte {
 	if opts.NoDedup && !opts.Verify {
 		return nil
@@ -177,7 +179,7 @@ func (p *senderPlan) checkFrame(opts Options) []byte {
 		PacketSize: uint32(p.cfg.PacketSize),
 		Digest:     p.contentID(),
 	}
-	if len(p.snds) > 1 {
+	if opts.Verify && len(p.snds) > 1 {
 		c.StripeDigests = make([][32]byte, len(p.snds))
 		for i, snd := range p.snds {
 			c.StripeDigests[i] = snd.ContentID()
@@ -448,6 +450,17 @@ func (p recvPlan) verifyContent(obj []byte) error {
 	return nil
 }
 
+// dedupHit returns the cached copy this announcement's CHECK may be answered
+// from. The dedup flag and the announced size are tested before the copy-out
+// (a whole object): a verify-only CHECK, or one that names a different size,
+// is a miss that costs nothing.
+func (p recvPlan) dedupHit(cache *contentCache) ([]byte, bool) {
+	if !p.checkDedup {
+		return nil, false
+	}
+	return cache.lookup(p.checkDigest, p.objectSize)
+}
+
 // newRecvEngines allocates the object and builds one instrumented
 // receiver engine per stripe. The classic path keeps its historical
 // shape — core.NewReceiver owns the allocation; striped receivers
@@ -506,9 +519,10 @@ func sumRecvStats(engines []*receiverEngine) core.ReceiverStats {
 // IncomingSession.Next are thin wrappers. A failed single-flow transfer
 // leaves its partial state in the resume store so a RESUME within the
 // window can finish it.
-func acceptTransfer(ctx context.Context, plan recvPlan, udp *net.UDPConn, ctl net.Conn, opts Options, watchCtl bool, store *resumeStore, cache *contentCache) ([]byte, core.ReceiverStats, error) {
+func acceptTransfer(ctx context.Context, plan recvPlan, l *Listener, ctl net.Conn, watchCtl bool) ([]byte, core.ReceiverStats, error) {
+	opts, store, cache := l.opts, l.store, l.cache
 	if plan.hasCheck {
-		if obj, ok := cache.lookup(plan.checkDigest); ok && plan.checkDedup && uint64(len(obj)) == plan.objectSize {
+		if obj, ok := plan.dedupHit(cache); ok {
 			return completeDeduped(plan, ctl, opts, obj)
 		}
 		if err := answerCheckMiss(ctl, plan.base); err != nil {
@@ -516,7 +530,7 @@ func acceptTransfer(ctx context.Context, plan recvPlan, udp *net.UDPConn, ctl ne
 		}
 	}
 	if plan.resume {
-		return acceptResumedTransfer(ctx, plan, udp, ctl, opts, watchCtl, store, cache)
+		return acceptResumedTransfer(ctx, plan, l, ctl, watchCtl)
 	}
 	obj, engines := newRecvEngines(plan, opts)
 	or := opts.startRecorder(plan.trace, plan.base, obs.RoleReceiver)
@@ -539,7 +553,7 @@ func acceptTransfer(ctx context.Context, plan recvPlan, udp *net.UDPConn, ctl ne
 		byTag[e.rcv.Config().Transfer] = e
 	}
 	or.Event(obs.KindHandshake, 0)
-	if err := runReceiveLoop(ctx, byTag, plan.base, udp, ctl, opts, watchCtl, or); err != nil {
+	if err := runReceiveLoop(ctx, byTag, plan.base, l, ctl, watchCtl, or); err != nil {
 		if !plan.striped() {
 			store.retainReceiver(plan.base, plan.objectSize, plan.packetSize, engines[0].rcv, 0, false)
 		}

@@ -99,10 +99,14 @@ type Options struct {
 	// HandshakeBackoff is the delay before the second handshake attempt,
 	// doubling on each further attempt (default 200ms).
 	HandshakeBackoff time.Duration
-	// IOBatch is the vector length of the batched socket path: how many
-	// datagrams one sendmmsg/recvmmsg syscall may move (default 32). The
-	// sender flushes each batch-send phase in vectors of up to this many
-	// packets; the receiver drains up to this many datagrams per wakeup.
+	// IOBatch is the ring length of the batched socket path (default 32).
+	// The sender queues batch rounds in a ring of this many packets and
+	// flushes it — and looks for an acknowledgement — when it is full, when
+	// the turn is over, or after a round that carries a pacing gap; one
+	// flush is one sendmmsg whose equal-length packets travel as datagram
+	// trains (UDP_SEGMENT). A listener drains up to this many messages —
+	// datagrams or whole trains (UDP_GRO) — per recvmmsg, into a ring of
+	// this many 64 KiB slots allocated once per Listen.
 	IOBatch int
 	// NoFastPath forces the portable scalar socket path (one syscall per
 	// datagram) even on builds where the vectored fast path is available.
@@ -308,9 +312,11 @@ func abortTrace(or *obs.Recorder, reason wire.AbortReason) {
 	or.Finish()
 }
 
-// DefaultIOBatch is the default sendmmsg/recvmmsg vector length. Large
-// enough that a receiver wakeup amortizes its syscall over a queue of
-// datagrams, small enough that the per-transfer buffer ring stays cheap.
+// DefaultIOBatch is the default ring length of the batched socket path.
+// Large enough that a 1 KiB-packet ring leaves as one full train and a
+// receiver wakeup amortizes its syscall over a queue of them, small enough
+// that the sender's per-transfer ring and the listener's 64 KiB-slot ring
+// (2 MiB) stay cheap.
 const DefaultIOBatch = 32
 
 // FastPathAvailable reports whether this build has the vectored
@@ -319,11 +325,10 @@ const DefaultIOBatch = 32
 // path.
 func FastPathAvailable() bool { return batchio.FastPathAvailable() }
 
-// maxDatagram bounds the receive buffers of a socket shared by transfers
-// of any packet size (the Server's demux ring): the largest packet size
-// the paper sweeps (32 KiB) plus headers. Per-transfer rings are sized
-// from the transfer's own configuration instead.
-const maxDatagram = 64 << 10
+// maxDatagram is the slot size of a data socket's receive ring: a slot
+// holds one message, which is a datagram of any packet size the paper
+// sweeps (up to 32 KiB plus headers) or a train of them, 64 KiB at most.
+const maxDatagram = batchio.TrainBufLen
 
 // writeErrLimit is how many consecutive persistently-failing batch-send
 // rounds the sender tolerates before surfacing the write error.
@@ -338,8 +343,13 @@ var ErrVerifyUnsupported = errors.New("udprt: peer does not support content veri
 // Listener accepts incoming FOBS transfers on a TCP control port and a UDP
 // data socket bound to the same port number.
 type Listener struct {
-	tcp   *net.TCPListener
-	udp   *net.UDPConn
+	tcp *net.TCPListener
+	udp *net.UDPConn
+	// rx is the data socket's receive ring. It belongs to the socket, not to
+	// a transfer: every Accept, every IncomingSession.Next and a Server's
+	// data loop drain the socket through it, so its 64 KiB slots are paid
+	// for once per Listen.
+	rx    *batchio.Receiver
 	opts  Options
 	store *resumeStore
 	cache *contentCache
@@ -367,7 +377,13 @@ func Listen(addr string, opts Options) (*Listener, error) {
 	// prescribe.
 	_ = ul.SetReadBuffer(opts.ReadBuffer)
 	_ = ul.SetWriteBuffer(opts.WriteBuffer)
-	return &Listener{tcp: tl, udp: ul, opts: opts,
+	rx, err := batchio.NewReceiver(ul, opts.IOBatch, maxDatagram, !opts.NoFastPath)
+	if err != nil {
+		tl.Close()
+		ul.Close()
+		return nil, fmt.Errorf("udprt: batched receiver: %w", err)
+	}
+	return &Listener{tcp: tl, udp: ul, rx: rx, opts: opts,
 		store: newResumeStore(opts), cache: newContentCache(opts)}, nil
 }
 
@@ -420,7 +436,7 @@ func (l *Listener) Accept(ctx context.Context) ([]byte, core.ReceiverStats, erro
 	}
 	// The connection carries at most one more inbound frame (an ABORT),
 	// so the receive loop may watch it for sender death.
-	return acceptTransfer(ctx, plan, l.udp, ctl, l.opts, true, l.store, l.cache)
+	return acceptTransfer(ctx, plan, l, ctl, true)
 }
 
 // finishMetrics stamps the transfer's terminal state: completed on nil

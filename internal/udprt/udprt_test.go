@@ -258,19 +258,19 @@ func TestProgressCallback(t *testing.T) {
 	}
 }
 
-// TestReceiveRingRejectsOverlongDatagram: the receive ring's slots are sized
-// from the announced packet size, so a datagram longer than any packet of
-// the transfer arrives truncated. It must die in the decoder like any other
-// malformed datagram — never be placed, never reach the state machine — and
-// the transfer around it must complete intact.
+// TestReceiveRingRejectsOverlongDatagram: the receive ring belongs to the
+// socket and its slots hold 64 KiB, so a datagram longer than any packet of
+// the transfer arrives whole and decodes. The state machine's length check
+// must refuse it — counted, never placed — and the transfer around it must
+// complete intact.
 func TestReceiveRingRejectsOverlongDatagram(t *testing.T) {
 	eachIOPath(t, func(t *testing.T, noFastPath bool) {
-		udp, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		l, err := Listen("127.0.0.1:0", Options{NoFastPath: noFastPath})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer udp.Close()
-		peer, err := net.DialUDP("udp", nil, udp.LocalAddr().(*net.UDPAddr))
+		defer l.Close()
+		peer, err := net.DialUDP("udp", nil, l.udp.LocalAddr().(*net.UDPAddr))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,15 +295,14 @@ func TestReceiveRingRejectsOverlongDatagram(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		engines := map[uint32]*receiverEngine{7: newReceiverEngine(rcv, nil, nil)}
-		opts := Options{NoFastPath: noFastPath}.withDefaults()
-		if err := runReceiveLoop(ctx, engines, 7, udp, nil, opts, false, nil); err != nil {
+		if err := runReceiveLoop(ctx, engines, 7, l, nil, false, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(rcv.Object(), obj) {
 			t.Fatal("object corrupted")
 		}
-		if st := rcv.Stats(); st.Received != packets || st.Duplicates != 0 || st.Rejected != 0 {
-			t.Fatalf("receiver saw the overlong datagram: %+v", st)
+		if st := rcv.Stats(); st.Received != packets || st.Duplicates != 0 || st.Rejected != 1 {
+			t.Fatalf("the overlong datagram was not refused exactly once: %+v", st)
 		}
 	})
 }
