@@ -24,11 +24,13 @@ vet:
 # The build-tag surfaces of internal/batchio: 64-bit linux has the
 # sendmmsg/recvmmsg path with datagram trains, everything else the stubs of
 # mmsg_unsupported.go. Cross-build and vet one target of each kind (CI's
-# vet-matrix does the same over the whole tree).
+# vet-matrix does the same over the whole tree). internal/core rides along
+# for the 386 leg: the content identity's leaf arithmetic must not assume a
+# 64-bit int.
 cross:
-	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/batchio ./internal/udprt
-	GOOS=linux GOARCH=386 $(GO) vet ./internal/batchio ./internal/udprt
-	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/batchio ./internal/udprt
+	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/core ./internal/batchio ./internal/udprt
+	GOOS=linux GOARCH=386 $(GO) vet ./internal/core ./internal/batchio ./internal/udprt
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/core ./internal/batchio ./internal/udprt
 
 # The concurrency-heavy packages (real sockets, fault injection, server
 # demux) must stay clean under the race detector.
@@ -102,10 +104,11 @@ shuffle:
 
 # Extended fault-injection soak: the sever/flap/resume suites and the proxy
 # itself, raced and repeated, to surface the low-probability interleavings a
-# single run misses. Scheduled CI runs this non-gating; it is too slow for
-# the per-push gate.
+# single run misses — and internal/core with them, whose ContentID hashes
+# leaves on several goroutines. Scheduled CI runs this non-gating; it is too
+# slow for the per-push gate (where `make race` covers every package once).
 faultnet-soak:
-	$(GO) test -race -count=10 ./internal/udprt ./internal/faultnet
+	$(GO) test -race -count=10 ./internal/core ./internal/udprt ./internal/faultnet
 
 # End-to-end daemon crash drill against the real binary: build fobsd,
 # submit three tasks over loopback, SIGKILL it mid-flight, restart it over

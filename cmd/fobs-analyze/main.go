@@ -175,8 +175,14 @@ func printWaterfall(tl obs.Timeline, width int) {
 	fmt.Printf("   %v transfer %d: %d events over %v\n",
 		tl.Role, tl.Transfer, len(tl.Events), total.Round(time.Microsecond))
 	for _, sp := range spans {
-		fmt.Printf("     %-10v %10v +%-10v %s\n",
-			sp.Kind, sp.Start.Round(time.Microsecond), sp.Duration().Round(time.Microsecond),
+		// A non-zero Arg rides on the phase name — drain(3) on a receiver is
+		// three leaves still unhashed when the last packet landed.
+		name := sp.Kind.String()
+		if sp.Arg != 0 {
+			name = fmt.Sprintf("%s(%d)", name, sp.Arg)
+		}
+		fmt.Printf("     %-14s %10v +%-10v %s\n",
+			name, sp.Start.Round(time.Microsecond), sp.Duration().Round(time.Microsecond),
 			gantt(sp.Start, sp.End, total, width))
 	}
 }

@@ -46,6 +46,11 @@ type Policy struct {
 	// rejected packet, a different — already covered — failure mode).
 	// Datagrams no longer than the offset pass untouched.
 	CorruptOffset int
+	// CorruptIf, when non-nil, decides corruption in place of the Corrupt
+	// probability: every forwarded datagram it accepts has one bit flipped.
+	// For tests that must place the damage — "whichever packet carries
+	// byte N of the object", on every retransmission too.
+	CorruptIf func(pkt []byte) bool
 }
 
 // Stats counts what the injector did. Retrieve a snapshot with
@@ -175,7 +180,11 @@ func (f *Faults) Apply(pkt []byte, send func([]byte)) {
 // (possibly replaced) packet; the caller's buffer is never mutated.
 // Caller holds f.mu.
 func (f *Faults) maybeCorruptLocked(pkt []byte) []byte {
-	if f.policy.Corrupt <= 0 || f.crng.Float64() >= f.policy.Corrupt {
+	if f.policy.CorruptIf != nil {
+		if !f.policy.CorruptIf(pkt) {
+			return pkt
+		}
+	} else if f.policy.Corrupt <= 0 || f.crng.Float64() >= f.policy.Corrupt {
 		return pkt
 	}
 	if len(pkt) <= f.policy.CorruptOffset {

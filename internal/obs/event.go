@@ -86,7 +86,13 @@ const (
 	// (receiver).
 	KindRounds
 	// KindDrain marks the end of data flow: every packet acknowledged
-	// (sender) or the object complete in memory (receiver).
+	// (sender) or the object complete in memory (receiver). On the
+	// receiver Arg is the number of content-identity leaves still unhashed
+	// when the last packet was placed: 0 means verification was fully
+	// hidden behind the data phase (or there was no CHECK to verify
+	// against), a count near the object's leaf count means the hashing
+	// worker was starved of CPU while data moved. The gap to KindVerify is
+	// what hashing those leaves cost. Arg is 0 on the sender.
 	KindDrain
 	// KindVerify marks the digest verdict on the COMPLETE exchange; Arg
 	// is 1 when the digests matched, 0 on mismatch.

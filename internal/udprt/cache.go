@@ -1,8 +1,8 @@
 // Receiver-side content cache: the dedup point that turns repeated pushes
 // of one hot object into a single control RPC. Every completed inbound
 // transfer whose announcement carried a dedup-permitting CHECK is kept
-// (bounded, oldest-evicted) keyed by its SHA-256 content identity, so the
-// next sender asking "do you already have digest D?" is answered with a
+// (bounded, oldest-evicted) keyed by its content identity (core.ContentID),
+// so the next sender asking "do you already have digest D?" is answered with a
 // full HAVE plus COMPLETE and never dials a data flow — the Dominator
 // objectserver's CheckObjects-before-AddObjects shape, folded into the
 // FOBS handshake. With Options.Checkpoint set, entries are also persisted
@@ -45,10 +45,11 @@ type contentCache struct {
 
 // newContentCache builds the cache for defaulted options, loading any
 // persisted entries a previous process left under Options.Checkpoint.
-// Loaded entries are re-verified — an entry whose bytes no longer hash to
-// its claimed digest is skipped, never served — so a corrupt or tampered
-// file degrades to a cache miss, exactly like a torn resume checkpoint
-// degrades to a fresh transfer.
+// Loaded entries are re-verified — an entry whose bytes do not hash to its
+// claimed digest is never served, and its file is removed, since nothing
+// will ever ask for it again — so a corrupt or tampered file, or one an
+// earlier build wrote under another digest scheme, degrades to a cache
+// miss, exactly like a torn resume checkpoint degrades to a fresh transfer.
 func newContentCache(opts Options) *contentCache {
 	if opts.NoDedup {
 		return nil
@@ -63,6 +64,7 @@ func newContentCache(opts Options) *contentCache {
 		if err == nil {
 			for _, st := range states {
 				if core.ContentID(st.Object) != st.Content {
+					checkpoint.RemoveCache(c.dir, st.Content)
 					continue
 				}
 				c.add(st.Content, st.Object, int(st.PacketSize))

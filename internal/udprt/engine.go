@@ -471,14 +471,22 @@ type receiverEngine struct {
 	// finished latches the engine's first observation of completion so a
 	// straggler duplicate cannot re-trigger completion actions.
 	finished bool
+	// seal, when non-nil, is told of every fresh packet's place in the
+	// object (off is this engine's stripe offset) so leaves are hashed as
+	// they complete.
+	seal       *sealer
+	off        int
+	packetSize int
 }
 
 // newReceiverEngine binds one prepared core.Receiver to its
 // instrumentation. Either instrument may be nil.
 func newReceiverEngine(rcv *core.Receiver, tm *metrics.Transfer, fr *flight.Recorder) *receiverEngine {
+	cfg := rcv.Config()
 	return &receiverEngine{
 		rcv: rcv, tm: tm, fr: fr,
-		ackBuf: make([]byte, 0, rcv.Config().AckPacketSize+wire.AckHeaderLen),
+		ackBuf:     make([]byte, 0, cfg.AckPacketSize+wire.AckHeaderLen),
+		packetSize: cfg.PacketSize,
 	}
 }
 
@@ -495,9 +503,13 @@ func (e *receiverEngine) ingest(d wire.Data) (ack []byte, ackSeq uint32, ackRecv
 	// without a second classification — and without allocating.
 	before := e.rcv.Stats()
 	ackDue, err := e.rcv.HandleData(d)
-	noteReceiverDelta(e.tm, e.fr, d.Seq, before, e.rcv.Stats(), len(d.Payload))
+	after := e.rcv.Stats()
+	noteReceiverDelta(e.tm, e.fr, d.Seq, before, after, len(d.Payload))
 	if err != nil {
 		return nil, 0, 0, false
+	}
+	if after.Received > before.Received {
+		e.seal.placed(e.off+int(d.Seq)*e.packetSize, len(d.Payload))
 	}
 	if ackDue {
 		a := e.rcv.BuildAck()

@@ -265,6 +265,8 @@ func acceptResumedTransfer(ctx context.Context, plan recvPlan, l *Listener, ctl 
 	tm.NoteRestored(restored)
 	e := newReceiverEngine(rcv, tm, fr)
 	e.finished = rcv.Complete()
+	seal := plan.startSealer(ret.obj, e)
+	defer seal.abandon()
 
 	if err := writeHave(ctl, plan.base, rcv.Stats().Received, rcv.HaveWords(nil)); err != nil {
 		// The sender never saw our acceptance; keep the state claimable.
@@ -283,7 +285,7 @@ func acceptResumedTransfer(ctx context.Context, plan recvPlan, l *Listener, ctl 
 		finishTrace(or, err)
 		return nil, rcv.Stats(), err
 	}
-	or.Event(obs.KindDrain, 0)
+	or.Event(obs.KindDrain, uint64(seal.pending()))
 	if got := wire.ObjectDigest(ret.obj); got != ret.digest {
 		// The retained bytes and the resumed run assembled a different
 		// object than the sender announced — unrecoverable for this id.
@@ -298,14 +300,14 @@ func acceptResumedTransfer(ctx context.Context, plan recvPlan, l *Listener, ctl 
 	// announced; the CHECK's content digest then reconciles both with the
 	// object's content identity — a retained buffer that rotted across the
 	// restart fails here, not at the application.
-	if err := plan.verifyContent(ret.obj); err != nil {
+	if err := plan.verifyContent(ret.obj, seal); err != nil {
 		writeAbort(ctl, plan.base, wire.AbortDigestMismatch)
 		finishInstruments(tm, fr, err)
 		finishTrace(or, err)
 		return nil, rcv.Stats(), err
 	}
 	cacheVerified(cache, plan, ret.obj)
-	err = writeComplete(ctl, plan.base, plan.objectSize, ret.obj)
+	err = writeComplete(ctl, plan, ret.obj)
 	finishInstruments(tm, fr, err)
 	finishTrace(or, err)
 	if err != nil {

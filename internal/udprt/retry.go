@@ -268,6 +268,21 @@ func sendResume(ctx context.Context, addr string, obj []byte, cfg core.Config, o
 	ctl.SetWriteDeadline(time.Time{})
 
 	checked := check != nil
+	// newPlan wraps the resumed flow for the shared completion and engine
+	// paths; its instruments register only once the peer has accepted.
+	newPlan := func() *senderPlan {
+		tm, fr := instrumentSender(snd, scfg, int64(len(obj)), opts.Metrics, opts.Record)
+		return &senderPlan{
+			base:    scfg.Transfer,
+			obj:     obj,
+			cfg:     scfg,
+			stripes: []wire.StripeDesc{{Transfer: scfg.Transfer, Length: uint64(len(obj))}},
+			snds:    []*core.Sender{snd},
+			tms:     []*metrics.Transfer{tm},
+			frs:     []*flight.Recorder{fr},
+			checked: checked,
+		}
+	}
 	if checked {
 		h, cerr := awaitCheckAnswer(ctx, ctl, scfg.Transfer, opts.HandshakeTimeout)
 		if cerr != nil {
@@ -285,18 +300,8 @@ func sendResume(ctx context.Context, addr string, obj []byte, cfg core.Config, o
 			// since the failed attempt. COMPLETE follows; the RESUME's own
 			// HAVE never comes.
 			or := opts.startRecorder(tid, scfg.Transfer, obs.RoleSender)
-			tm, fr := instrumentSender(snd, scfg, int64(len(obj)), opts.Metrics, opts.Record)
-			p := &senderPlan{
-				base:    scfg.Transfer,
-				obj:     obj,
-				cfg:     scfg,
-				stripes: []wire.StripeDesc{{Transfer: scfg.Transfer, Length: uint64(len(obj))}},
-				snds:    []*core.Sender{snd},
-				tms:     []*metrics.Transfer{tm},
-				frs:     []*flight.Recorder{fr},
-			}
 			defer ctl.Close()
-			st, err := completeDedupedSend(p, ctl, or)
+			st, err := completeDedupedSend(newPlan(), ctl, or)
 			return st, true, err
 		}
 	}
@@ -325,17 +330,8 @@ func sendResume(ctx context.Context, addr string, obj []byte, cfg core.Config, o
 	}
 	or.Event(obs.KindHandshake, 0)
 	or.Event(obs.KindResume, uint64(restored))
-	tm, fr := instrumentSender(snd, scfg, int64(len(obj)), opts.Metrics, opts.Record)
-	tm.NoteRestored(restored)
-	p := &senderPlan{
-		base:    scfg.Transfer,
-		obj:     obj,
-		cfg:     scfg,
-		stripes: []wire.StripeDesc{{Transfer: scfg.Transfer, Length: uint64(len(obj))}},
-		snds:    []*core.Sender{snd},
-		tms:     []*metrics.Transfer{tm},
-		frs:     []*flight.Recorder{fr},
-	}
+	p := newPlan()
+	p.tms[0].NoteRestored(restored)
 	p.noteHandshake()
 	conns, err := dialDataFlows(addr, 1, opts)
 	if err != nil {

@@ -1,0 +1,886 @@
+package udprt
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"math/rand"
+	"net"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"github.com/hpcnet/fobs/internal/bitmap"
+	"github.com/hpcnet/fobs/internal/checkpoint"
+	"github.com/hpcnet/fobs/internal/core"
+	"github.com/hpcnet/fobs/internal/faultnet"
+	"github.com/hpcnet/fobs/internal/wire"
+)
+
+// packetExtent is one packet's place in the object.
+type packetExtent struct{ off, n int }
+
+// extents lists every packet of an object received as the given stripes.
+func extents(stripes []wire.StripeDesc, packetSize int) []packetExtent {
+	var out []packetExtent
+	for _, sd := range stripes {
+		for at := 0; at < int(sd.Length); at += packetSize {
+			out = append(out, packetExtent{int(sd.Offset) + at, min(packetSize, int(sd.Length)-at)})
+		}
+	}
+	return out
+}
+
+// TestSealerTable drives the sealer by hand over the geometries where its
+// arithmetic can go wrong: the leaf counters must equal a brute-force count
+// of overlapping packets, and after every packet is placed (in a shuffled
+// order, some restored up front) the sum must be the object's ContentID.
+func TestSealerTable(t *testing.T) {
+	const leaf = core.LeafSize
+	for _, tc := range []struct {
+		name       string
+		size       int
+		packetSize int
+		streams    int
+		restore    float64 // fraction of packets seeded through restore()
+	}{
+		{"1KiB packets divide a leaf", 3 * leaf, 1 << 10, 1, 0},
+		{"8KiB packets divide a leaf", 3 * leaf, 8 << 10, 1, 0},
+		{"32KiB packets divide a leaf", 3 * leaf, 32 << 10, 1, 0},
+		{"1400-byte packets straddle leaves", 3*leaf + 77, 1400, 1, 0},
+		{"3000-byte packets straddle leaves", 2*leaf + 1, 3000, 1, 0},
+		{"object smaller than a leaf", 70000, 1400, 1, 0},
+		{"single packet", 100, 1024, 1, 0},
+		{"last leaf short", 2*leaf + 5000, 1 << 10, 1, 0},
+		{"four stripes with boundaries inside leaves", 3*leaf + leaf/2, 1400, 4, 0},
+		{"four stripes of 8KiB packets", 5 * leaf, 8 << 10, 4, 0},
+		{"partly restored", 3*leaf + 99, 1400, 1, 0.6},
+		{"fully restored", 2*leaf + 99, 3000, 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			obj := makeObj(tc.size)
+			stripes := splitStripes(int64(tc.size), tc.packetSize, tc.streams, 1)
+			s := newSealer(obj, tc.packetSize, stripes)
+			defer s.abandon()
+			all := extents(stripes, tc.packetSize)
+
+			want := make([]int32, core.NumLeaves(tc.size))
+			for _, p := range all {
+				for j := p.off / leaf; j <= (p.off+p.n-1)/leaf; j++ {
+					want[j]++
+				}
+			}
+			for j := range want {
+				if s.missing[j] != want[j] {
+					t.Fatalf("leaf %d expects %d packets, brute force counts %d", j, s.missing[j], want[j])
+				}
+			}
+			if got := s.pending(); got != len(want) {
+				t.Fatalf("pending = %d before any packet, want %d", got, len(want))
+			}
+
+			rng := rand.New(rand.NewSource(int64(tc.size)))
+			if tc.restore > 0 {
+				// Single-stripe cases only: seed through the bitmap path.
+				n := len(all)
+				got := bitmap.New(n)
+				for i := 0; i < n; i++ {
+					if rng.Float64() < tc.restore {
+						got.Set(i)
+					}
+				}
+				s.restore(0, tc.size, tc.packetSize, got.AppendWords(nil))
+				rest := all[:0:0]
+				for i, p := range all {
+					if !got.Test(i) {
+						rest = append(rest, p)
+					}
+				}
+				all = rest
+			}
+			rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+			for _, p := range all {
+				s.placed(p.off, p.n)
+			}
+			for j, m := range s.missing {
+				if m != 0 {
+					t.Fatalf("leaf %d still misses %d packets after all were placed", j, m)
+				}
+			}
+			if got, want := s.sum(), core.ContentID(obj); got != want {
+				t.Fatalf("sum = %x, ContentID = %x", got, want)
+			}
+			if s.pending() != 0 {
+				t.Fatalf("pending = %d after sum", s.pending())
+			}
+		})
+	}
+}
+
+// sealWorkers counts live sealer worker goroutines in this process.
+func sealWorkers() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "udprt.(*sealer).work")
+}
+
+// rawSender is a hand-driven sender: a control connection, a data socket,
+// and the frames a test chooses to put on them.
+type rawSender struct {
+	t        *testing.T
+	ctl      net.Conn
+	udp      *net.UDPConn
+	obj      []byte
+	transfer uint32
+	ps       int
+}
+
+// openRaw announces obj — [CHECK?] then HELLO — to addr and reads the
+// answers up to the HELLO-ACK.
+func openRaw(t *testing.T, addr string, obj []byte, transfer uint32, ps int, check bool) *rawSender {
+	t.Helper()
+	ctl, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ctl.Close() })
+	var frame []byte
+	if check {
+		frame = wire.AppendCheck(frame, &wire.Check{Flags: wire.CheckFlagDedup, Transfer: transfer,
+			ObjectSize: uint64(len(obj)), PacketSize: uint32(ps), Digest: core.ContentID(obj)})
+	}
+	frame = wire.AppendHello(frame, &wire.Hello{Transfer: transfer, ObjectSize: uint64(len(obj)), PacketSize: uint32(ps)})
+	if _, err := ctl.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	ctl.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if check {
+		if f, err := readControlFrame(ctl); err != nil || f.typ != wire.TypeHave || f.have.Received != 0 {
+			t.Fatalf("CHECK answer: type %d, %v", f.typ, err)
+		}
+	}
+	if f, err := readControlFrame(ctl); err != nil || f.typ != wire.TypeHelloAck {
+		t.Fatalf("HELLO answer: type %d, %v", f.typ, err)
+	}
+	ua, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	udp, err := net.DialUDP("udp", nil, ua)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { udp.Close() })
+	return &rawSender{t: t, ctl: ctl, udp: udp, obj: obj, transfer: transfer, ps: ps}
+}
+
+// data puts packets [from, to) of the object on the data socket.
+func (r *rawSender) data(from, to int) {
+	r.t.Helper()
+	total := core.NumPackets(int64(len(r.obj)), r.ps)
+	for seq := from; seq < to; seq++ {
+		lo := seq * r.ps
+		pkt := wire.AppendData(nil, &wire.Data{Transfer: r.transfer, Seq: uint32(seq), Total: uint32(total),
+			Payload: r.obj[lo:min(lo+r.ps, len(r.obj))]})
+		if _, err := r.udp.Write(pkt); err != nil {
+			r.t.Fatal(err)
+		}
+	}
+}
+
+// verdict reads the receiver's terminal control frame.
+func (r *rawSender) verdict() controlFrame {
+	r.t.Helper()
+	r.ctl.SetReadDeadline(time.Now().Add(10 * time.Second))
+	f, err := readControlFrame(r.ctl)
+	if err != nil {
+		r.t.Fatalf("no terminal frame: %v", err)
+	}
+	return f
+}
+
+// TestSealerWorkerNeverOutlivesTransfer: whichever way a checked transfer
+// ends — idle watchdog, cancellation, the sender's ABORT, or retention
+// followed by a RESUME that completes it — the leaf-hashing goroutine is
+// gone by the time the lifecycle returns.
+func TestSealerWorkerNeverOutlivesTransfer(t *testing.T) {
+	const ps = 1024
+	obj := makeObj(2*core.LeafSize + 500)
+	packets := core.NumPackets(int64(len(obj)), ps)
+
+	// partial runs one Accept against a raw sender that places the first
+	// 1.5 leaves and then ends the transfer its own way.
+	partial := func(t *testing.T, opts Options, end func(r *rawSender, cancel context.CancelFunc)) (*Listener, error) {
+		t.Helper()
+		l, err := Listen("127.0.0.1:0", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		t.Cleanup(cancel)
+		errc := make(chan error, 1)
+		go func() { _, _, err := l.Accept(ctx); errc <- err }()
+		r := openRaw(t, l.Addr(), obj, 5, ps, true)
+		r.data(0, packets*3/4)
+		deadline := time.Now().Add(5 * time.Second)
+		for sealWorkers() != 1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d sealer workers while the transfer runs, want 1", sealWorkers())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		end(r, cancel)
+		err = <-errc
+		if n := sealWorkers(); n != 0 {
+			t.Fatalf("%d sealer workers after Accept returned (%v)", n, err)
+		}
+		return l, err
+	}
+
+	t.Run("idle timeout", func(t *testing.T) {
+		_, err := partial(t, Options{IdleTimeout: 300 * time.Millisecond}, func(*rawSender, context.CancelFunc) {})
+		if !errors.Is(err, ErrIdle) {
+			t.Fatalf("Accept err = %v, want ErrIdle", err)
+		}
+	})
+	t.Run("ctx cancel", func(t *testing.T) {
+		_, err := partial(t, Options{}, func(_ *rawSender, cancel context.CancelFunc) { cancel() })
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Accept err = %v, want context.Canceled", err)
+		}
+	})
+	t.Run("sender abort then resume", func(t *testing.T) {
+		l, err := partial(t, Options{}, func(r *rawSender, _ context.CancelFunc) {
+			writeAbort(r.ctl, 5, wire.AbortCancelled)
+		})
+		var abort *AbortError
+		if !errors.As(err, &abort) {
+			t.Fatalf("Accept err = %v, want the sender's ABORT", err)
+		}
+		// The partial state was retained; a [CHECK][RESUME] claims it, seeds
+		// a new sealer from the bitmap, and completes on the rest.
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		type result struct {
+			obj []byte
+			st  core.ReceiverStats
+			err error
+		}
+		resc := make(chan result, 1)
+		go func() { got, st, err := l.Accept(ctx); resc <- result{got, st, err} }()
+		sst, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: 5, PacketSize: ps},
+			Options{Retry: &RetryPolicy{}, ResumeFirst: true})
+		if err != nil {
+			t.Fatalf("resume-first send: %v", err)
+		}
+		res := <-resc
+		if res.err != nil || !bytes.Equal(res.obj, obj) {
+			t.Fatalf("resumed accept: err=%v intact=%v", res.err, bytes.Equal(res.obj, obj))
+		}
+		if res.st.Restored == 0 || sst.Restored == 0 {
+			t.Fatalf("nothing resumed: receiver restored %d, sender %d", res.st.Restored, sst.Restored)
+		}
+		if n := sealWorkers(); n != 0 {
+			t.Fatalf("%d sealer workers after the resumed transfer completed", n)
+		}
+	})
+	t.Run("server", func(t *testing.T) {
+		srv, err := NewServer("127.0.0.1:0", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			srv.Serve(ctx, func(uint32, []byte, core.ReceiverStats) { t.Error("an aborted transfer was delivered") })
+		}()
+		r := openRaw(t, srv.Addr(), obj, 6, ps, true)
+		r.data(0, packets/2)
+		writeAbort(r.ctl, 6, wire.AbortCancelled)
+		r.ctl.Close()
+		cancel()
+		<-served // Serve waits for every control handler
+		if n := sealWorkers(); n != 0 {
+			t.Fatalf("%d sealer workers after Serve returned", n)
+		}
+	})
+}
+
+// TestSealedTransfersUnderFaults pushes a multi-leaf object, in packets
+// that straddle leaf boundaries, through duplication and reordering into
+// every receive lifecycle. Run under -race it is the check that hashing
+// leaves while their neighbours are still being written is sound.
+func TestSealedTransfersUnderFaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fault-injection test skipped in -short mode")
+	}
+	obj := makeObj(2*core.LeafSize + core.LeafSize/2 + 31)
+	cfg := core.Config{PacketSize: 1400, AckFrequency: 16}
+	faults := func() *faultnet.Faults {
+		return faultnet.New(faultnet.Policy{Seed: 3, Dup: 0.08, Reorder: 0.08})
+	}
+	front := func(t *testing.T, addr string) *faultnet.Proxy {
+		t.Helper()
+		proxy, err := faultnet.NewProxy(addr, faults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { proxy.Close() })
+		return proxy
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	sopts := Options{Pace: 2 * time.Microsecond}
+
+	accept := func(t *testing.T, sopts Options) {
+		l, err := Listen("127.0.0.1:0", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		proxy := front(t, l.Addr())
+		var got []byte
+		var rst core.ReceiverStats
+		var rerr error
+		done := make(chan struct{})
+		go func() { defer close(done); got, rst, rerr = l.Accept(ctx) }()
+		if _, err := Send(ctx, proxy.Addr(), obj, cfg, sopts); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+		<-done
+		if rerr != nil || !bytes.Equal(got, obj) {
+			t.Fatalf("receive: err=%v intact=%v", rerr, bytes.Equal(got, obj))
+		}
+		if st := proxy.Stats(); st.Duplicated == 0 || st.Reordered == 0 || rst.Duplicates == 0 {
+			t.Fatalf("faults never fired: %+v, receiver saw %d duplicates", st, rst.Duplicates)
+		}
+		if _, ok := l.cache.lookup(core.ContentID(obj), uint64(len(obj))); !ok {
+			t.Fatal("verified object was not cached")
+		}
+	}
+	t.Run("accept", func(t *testing.T) { accept(t, sopts) })
+	t.Run("striped", func(t *testing.T) {
+		striped := sopts
+		striped.Streams, striped.Verify = 4, true
+		accept(t, striped)
+	})
+	t.Run("session", func(t *testing.T) {
+		sl, err := ListenSession("127.0.0.1:0", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sl.Close()
+		proxy := front(t, sl.Addr())
+		var got []byte
+		var rerr error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			is, err := sl.AcceptSession(ctx)
+			if err != nil {
+				rerr = err
+				return
+			}
+			defer is.Close()
+			got, _, rerr = is.Next(ctx)
+		}()
+		s, err := OpenSession(ctx, proxy.Addr(), sopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if _, err := s.Send(ctx, obj, cfg); err != nil {
+			t.Fatalf("session send: %v", err)
+		}
+		<-done
+		if rerr != nil || !bytes.Equal(got, obj) {
+			t.Fatalf("session receive: err=%v intact=%v", rerr, bytes.Equal(got, obj))
+		}
+	})
+	t.Run("server", func(t *testing.T) {
+		srv, err := NewServer("127.0.0.1:0", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		proxy := front(t, srv.Addr())
+		sctx, stop := context.WithCancel(ctx)
+		delivered := make(chan []byte, 1)
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			srv.Serve(sctx, func(_ uint32, got []byte, _ core.ReceiverStats) { delivered <- got })
+		}()
+		scfg := cfg
+		scfg.Transfer = 9
+		if _, err := Send(ctx, proxy.Addr(), obj, scfg, sopts); err != nil {
+			t.Fatalf("send to server: %v", err)
+		}
+		if got := <-delivered; !bytes.Equal(got, obj) {
+			t.Fatal("server delivered a corrupted object")
+		}
+		stop()
+		<-served
+	})
+	t.Run("resumed", func(t *testing.T) {
+		l, err := Listen("127.0.0.1:0", Options{IdleTimeout: 2 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		proxy := front(t, l.Addr())
+		var got []byte
+		var rst core.ReceiverStats
+		var rerr error
+		done := make(chan struct{})
+		go func() { defer close(done); got, rst, rerr = acceptUntilSuccess(ctx, l) }()
+		var cut atomic.Bool
+		ropts := Options{
+			StallTimeout: 2 * time.Second,
+			Pace:         killPointPace,
+			Retry:        &RetryPolicy{MaxRetries: 4, Backoff: 250 * time.Millisecond, Seed: 7},
+			Progress: func(known, total int) {
+				if known > total/2 && cut.CompareAndSwap(false, true) {
+					proxy.SetBlackhole(true)
+					proxy.SeverControl()
+					time.AfterFunc(100*time.Millisecond, func() { proxy.SetBlackhole(false) })
+				}
+			},
+		}
+		if _, err := Send(ctx, proxy.Addr(), obj, cfg, ropts); err != nil {
+			t.Fatalf("supervised send: %v", err)
+		}
+		<-done
+		if rerr != nil || !bytes.Equal(got, obj) {
+			t.Fatalf("resumed receive: err=%v intact=%v", rerr, bytes.Equal(got, obj))
+		}
+		if !cut.Load() || rst.Restored == 0 {
+			t.Fatalf("the transfer was not resumed (cut=%v, restored %d)", cut.Load(), rst.Restored)
+		}
+	})
+}
+
+// TestFlippedByteInAnyLeafFailsDigest is TestCorruptedPayloadFailsDigest
+// with the damage placed: the packet carrying one chosen byte of the first,
+// a middle and the last leaf has a bit flipped on every pass, and the
+// transfer must fail on both ends with ErrDigestMismatch, deliver nothing
+// and cache nothing.
+func TestFlippedByteInAnyLeafFailsDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fault-injection test skipped in -short mode")
+	}
+	const ps = 8 << 10
+	obj := makeObj(3*core.LeafSize + 4096)
+	last := core.NumLeaves(len(obj)) - 1
+	for name, target := range map[string]int{
+		"first leaf":  100,
+		"middle leaf": core.LeafSize + core.LeafSize/2,
+		"last leaf":   last*core.LeafSize + 17,
+	} {
+		t.Run(name, func(t *testing.T) {
+			l, err := Listen("127.0.0.1:0", Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			proxy, err := faultnet.NewProxy(l.Addr(), faultnet.New(faultnet.Policy{
+				Seed:          7,
+				CorruptOffset: wire.DataHeaderLen,
+				CorruptIf: func(pkt []byte) bool {
+					d, err := wire.DecodeData(pkt)
+					return err == nil && int(d.Seq) == target/ps
+				},
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer proxy.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			var got []byte
+			var rerr error
+			done := make(chan struct{})
+			go func() { defer close(done); got, _, rerr = l.Accept(ctx) }()
+			_, serr := Send(ctx, proxy.Addr(), obj, core.Config{PacketSize: ps}, Options{Pace: 2 * time.Microsecond})
+			<-done
+			if st := proxy.Stats(); st.Corrupted == 0 {
+				t.Fatalf("corruption never fired: %+v", st)
+			}
+			if !errors.Is(serr, ErrDigestMismatch) {
+				t.Fatalf("sender err = %v, want ErrDigestMismatch", serr)
+			}
+			var abort *AbortError
+			if !errors.As(serr, &abort) || abort.Reason != wire.AbortDigestMismatch {
+				t.Fatalf("sender err = %v, want it to carry ABORT(digest-mismatch)", serr)
+			}
+			if !errors.Is(rerr, ErrDigestMismatch) {
+				t.Fatalf("receiver err = %v, want ErrDigestMismatch", rerr)
+			}
+			if got != nil {
+				t.Fatal("a corrupted object was delivered")
+			}
+			if n := l.cache.len(); n != 0 {
+				t.Fatalf("a corrupted object was cached (%d entries)", n)
+			}
+		})
+	}
+}
+
+// TestOldCheckVersionRefusedThenDegraded covers both directions of a mixed
+// pair. A version-1 CHECK (plain SHA-256 digests) is refused with
+// ABORT(unsupported) before its digest is looked at; and a sender whose
+// version-2 CHECK is refused that way drops the CHECK, opens a plain HELLO
+// and completes under the CRC rule.
+func TestOldCheckVersionRefusedThenDegraded(t *testing.T) {
+	obj := makeObj(300 << 10)
+	l, err := Listen("127.0.0.1:0", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	accErr := make(chan error, 1)
+	go func() { _, _, err := l.Accept(ctx); accErr <- err }()
+	conn, err := net.Dial("tcp", l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	v1 := wire.AppendCheck(nil, &wire.Check{Version: 1, Flags: wire.CheckFlagDedup, Transfer: 1,
+		ObjectSize: uint64(len(obj)), PacketSize: 1024, Digest: sha256.Sum256(obj)})
+	v1 = wire.AppendHello(v1, &wire.Hello{Transfer: 1, ObjectSize: uint64(len(obj)), PacketSize: 1024})
+	if _, err := conn.Write(v1); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if f, err := readControlFrame(conn); err != nil || f.typ != wire.TypeAbort || f.abort.Reason != wire.AbortUnsupported {
+		t.Fatalf("answer to a v1 CHECK = type %d reason %v (%v), want ABORT unsupported", f.typ, f.abort.Reason, err)
+	}
+	if err := <-accErr; !errors.Is(err, wire.ErrCheckVersion) {
+		t.Fatalf("Accept err = %v, want ErrCheckVersion", err)
+	}
+
+	// The stub peer: refuses whatever leads the first connection the way a
+	// version-1 build refuses a version-2 CHECK, then runs the real receive
+	// lifecycle on the second.
+	type result struct {
+		plan recvPlan
+		obj  []byte
+		err  error
+	}
+	resc := make(chan result, 1)
+	go func() {
+		first, err := acceptControl(ctx, l.tcp)
+		if err != nil {
+			resc <- result{err: err}
+			return
+		}
+		if f, err := readControlFrame(first); err != nil || f.typ != wire.TypeCheck || f.check.Version != 2 {
+			resc <- result{err: fmt.Errorf("first connection led with type %d (%v), want a v2 CHECK", f.typ, err)}
+			return
+		}
+		readControlFrame(first) // the pipelined HELLO: leave nothing unread behind the ABORT
+		writeAbort(first, 0, wire.AbortUnsupported)
+		first.Close()
+		ctl, err := acceptControl(ctx, l.tcp)
+		if err != nil {
+			resc <- result{err: err}
+			return
+		}
+		defer ctl.Close()
+		plan, err := readTransferPlan(ctx, ctl)
+		if err != nil {
+			resc <- result{err: err}
+			return
+		}
+		got, _, err := acceptTransfer(ctx, plan, l, ctl, true)
+		resc <- result{plan, got, err}
+	}()
+	if _, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: 2}, Options{}); err != nil {
+		t.Fatalf("send did not degrade past the refused CHECK: %v", err)
+	}
+	res := <-resc
+	if res.err != nil || !bytes.Equal(res.obj, obj) {
+		t.Fatalf("degraded receive: err=%v intact=%v", res.err, bytes.Equal(res.obj, obj))
+	}
+	if res.plan.hasCheck {
+		t.Fatal("the degraded announcement still carried a CHECK")
+	}
+	if got, crc := res.plan.completionDigest(obj), wire.ObjectDigest(obj); got != crc {
+		t.Fatalf("degraded COMPLETE carries %08x, want the CRC %08x", got, crc)
+	}
+}
+
+// TestCompleteDigestRule pins what COMPLETE carries, both ways: after an
+// answered CHECK the tag of the content identity, with no CHECK the
+// CRC-32C — and a sender expecting the tag refuses anything else.
+func TestCompleteDigestRule(t *testing.T) {
+	const ps = 1024
+	obj := makeObj(20 * ps)
+	tag, crc := wire.ContentTag(core.ContentID(obj)), wire.ObjectDigest(obj)
+	if tag == crc {
+		t.Fatal("test object's tag equals its CRC; pick another")
+	}
+	for _, tc := range []struct {
+		name  string
+		check bool
+		want  uint32
+	}{{"answered CHECK", true, tag}, {"no CHECK", false, crc}} {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := Listen("127.0.0.1:0", Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			accErr := make(chan error, 1)
+			go func() { _, _, err := l.Accept(ctx); accErr <- err }()
+			r := openRaw(t, l.Addr(), obj, 4, ps, tc.check)
+			r.data(0, 20)
+			f := r.verdict()
+			if f.typ != wire.TypeComplete || f.complete.Received != uint64(len(obj)) {
+				t.Fatalf("terminal frame type %d, %+v", f.typ, f.complete)
+			}
+			if f.complete.Digest != tc.want {
+				t.Fatalf("COMPLETE carries %08x, want %08x (tag %08x, crc %08x)", f.complete.Digest, tc.want, tag, crc)
+			}
+			if err := <-accErr; err != nil {
+				t.Fatalf("Accept: %v", err)
+			}
+		})
+	}
+	t.Run("wrong tag fails the send", func(t *testing.T) {
+		fake := newFakeReceiver(t, true)
+		go fake.acceptHandshake() // answers the CHECK with a miss
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		sent := make(chan error, 1)
+		go func() {
+			_, err := Send(ctx, fake.addr(), obj, core.Config{PacketSize: ps, Transfer: 3}, Options{})
+			sent <- err
+		}()
+		<-fake.done
+		// A peer still on the CRC rule after answering the CHECK.
+		unanswered := recvPlan{base: 3, objectSize: uint64(len(obj))}
+		if err := writeComplete(fake.ctl, unanswered, obj); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-sent; !errors.Is(err, ErrDigestMismatch) {
+			t.Fatalf("send err = %v, want ErrDigestMismatch", err)
+		}
+	})
+}
+
+// TestIngestWithSealerZeroAllocs re-runs the receive hot path's allocation
+// gate with a sealer attached: placing fresh packets, completing leaves and
+// hashing them in the background allocate nothing.
+func TestIngestWithSealerZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const (
+		ps   = 1024
+		per  = 8
+		runs = 600
+	)
+	obj := makeObj(5 * core.LeafSize)
+	total := core.NumPackets(int64(len(obj)), ps)
+	if (runs+1)*per > total {
+		t.Fatal("object too small to feed every run fresh packets")
+	}
+	plan := recvPlan{base: 1, objectSize: uint64(len(obj)), packetSize: ps, hasCheck: true}
+	rcv := core.NewReceiver(int64(len(obj)), core.Config{PacketSize: ps, Transfer: 1, AckFrequency: 4})
+	e := newReceiverEngine(rcv, nil, nil)
+	seal := plan.startSealer(rcv.Object(), e)
+	defer seal.abandon()
+	seq := 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		for i := 0; i < per; i++ {
+			lo := seq * ps
+			e.ingest(wire.Data{Transfer: 1, Seq: uint32(seq), Total: uint32(total), Payload: obj[lo : lo+ps]})
+			seq++
+		}
+	}); allocs > 0 {
+		t.Errorf("ingest with a sealer allocates %.1f times per %d packets, want 0", allocs, per)
+	}
+}
+
+// TestUnusableAnnouncementRefused: an announcement of a zero-byte object —
+// which used to panic the process in core.NewReceiver — or of one too large
+// to index is refused with ABORT(bad-hello) by every receive endpoint, and
+// the endpoint goes on to serve the next transfer.
+func TestUnusableAnnouncementRefused(t *testing.T) {
+	frames := map[string][]byte{
+		"HELLO of zero bytes":  wire.AppendHello(nil, &wire.Hello{Transfer: 1, PacketSize: 1024}),
+		"RESUME of zero bytes": wire.AppendResume(nil, &wire.Resume{Transfer: 1, PacketSize: 1024}),
+		"HELLO past int":       wire.AppendHello(nil, &wire.Hello{Transfer: 1, ObjectSize: 1 << 63, PacketSize: 1024}),
+		"checked HELLO of zero bytes": wire.AppendHello(
+			wire.AppendCheck(nil, &wire.Check{Transfer: 1, ObjectSize: 64, PacketSize: 1024}),
+			&wire.Hello{Transfer: 1, PacketSize: 1024}),
+	}
+	// refused writes frame on a fresh control connection and requires the
+	// reasoned ABORT.
+	refused := func(t *testing.T, addr string, frame []byte) {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		f, err := readControlFrame(conn)
+		if err != nil || f.typ != wire.TypeAbort || f.abort.Reason != wire.AbortBadHello {
+			t.Fatalf("answer = type %d reason %v (%v), want ABORT bad-hello", f.typ, f.abort.Reason, err)
+		}
+	}
+	obj := makeObj(64 << 10)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	t.Run("Listener.Accept", func(t *testing.T) {
+		l, err := Listen("127.0.0.1:0", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		for name, frame := range frames {
+			accErr := make(chan error, 1)
+			go func() { _, _, err := l.Accept(ctx); accErr <- err }()
+			refused(t, l.Addr(), frame)
+			if err := <-accErr; !errors.Is(err, errBadAnnouncement) {
+				t.Fatalf("%s: Accept err = %v, want errBadAnnouncement", name, err)
+			}
+		}
+		done, objs, _, errs := acceptN(ctx, l, 1)
+		if _, err := Send(ctx, l.Addr(), obj, core.Config{}, Options{}); err != nil {
+			t.Fatalf("send after the refusals: %v", err)
+		}
+		<-done
+		if errs[0] != nil || !bytes.Equal(objs[0], obj) {
+			t.Fatalf("accept after the refusals: %v", errs[0])
+		}
+	})
+	t.Run("IncomingSession.Next", func(t *testing.T) {
+		sl, err := ListenSession("127.0.0.1:0", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sl.Close()
+		next := func() ([]byte, error) {
+			is, err := sl.AcceptSession(ctx)
+			if err != nil {
+				return nil, err
+			}
+			defer is.Close()
+			got, _, err := is.Next(ctx)
+			return got, err
+		}
+		for name, frame := range frames {
+			accErr := make(chan error, 1)
+			go func() { _, err := next(); accErr <- err }()
+			refused(t, sl.Addr(), frame)
+			if err := <-accErr; !errors.Is(err, errBadAnnouncement) {
+				t.Fatalf("%s: Next err = %v, want errBadAnnouncement", name, err)
+			}
+		}
+		type result struct {
+			obj []byte
+			err error
+		}
+		resc := make(chan result, 1)
+		go func() { got, err := next(); resc <- result{got, err} }()
+		s, err := OpenSession(ctx, sl.Addr(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if _, err := s.Send(ctx, obj, core.Config{}); err != nil {
+			t.Fatalf("session send after the refusals: %v", err)
+		}
+		if res := <-resc; res.err != nil || !bytes.Equal(res.obj, obj) {
+			t.Fatalf("session receive after the refusals: %v", res.err)
+		}
+	})
+	t.Run("Server", func(t *testing.T) {
+		srv, err := NewServer("127.0.0.1:0", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		sctx, stop := context.WithCancel(ctx)
+		delivered := make(chan []byte, 1)
+		served := make(chan error, 1)
+		go func() {
+			served <- srv.Serve(sctx, func(_ uint32, got []byte, _ core.ReceiverStats) { delivered <- got })
+		}()
+		for _, frame := range frames {
+			refused(t, srv.Addr(), frame)
+		}
+		if _, err := Send(ctx, srv.Addr(), obj, core.Config{Transfer: 8}, Options{}); err != nil {
+			t.Fatalf("send after the refusals: %v", err)
+		}
+		if got := <-delivered; !bytes.Equal(got, obj) {
+			t.Fatal("server delivered a corrupted object after the refusals")
+		}
+		stop()
+		if err := <-served; err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+	})
+}
+
+// TestCacheLoadRemovesUnverifiable: a persisted cache entry whose bytes do
+// not hash to its name — rotted, or written by a build whose identity was
+// the plain SHA-256 — is not only skipped but removed, so the directory
+// does not fill with files nothing will ever ask for.
+func TestCacheLoadRemovesUnverifiable(t *testing.T) {
+	dir := t.TempDir()
+	save := func(id [32]byte, obj []byte) {
+		t.Helper()
+		if err := checkpoint.SaveCache(dir, &checkpoint.State{
+			ObjectSize: uint64(len(obj)), PacketSize: 1024,
+			Received: uint32(core.NumPackets(int64(len(obj)), 1024)),
+			Object:   obj, Content: id, HasContent: true,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	valid, rotten, old := makeObj(10<<10), makeObj(11<<10), makeObj(12<<10)
+	save(core.ContentID(valid), valid)
+	rottenID := core.ContentID(rotten)
+	rotten[5000] ^= 1
+	save(rottenID, rotten)
+	save(sha256.Sum256(old), old)
+	if ents, _ := os.ReadDir(dir); len(ents) != 3 {
+		t.Fatalf("seeded %d files, want 3", len(ents))
+	}
+
+	c := newContentCache(Options{Checkpoint: dir}.withDefaults())
+	if c.len() != 1 {
+		t.Fatalf("loaded %d entries, want 1", c.len())
+	}
+	if got, ok := c.lookup(core.ContentID(valid), uint64(len(valid))); !ok || !bytes.Equal(got, valid) {
+		t.Fatal("the valid entry did not load")
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != filepath.Base(checkpoint.CacheFile(dir, core.ContentID(valid))) {
+		t.Fatalf("directory holds %v after load, want only the valid entry", ents)
+	}
+}

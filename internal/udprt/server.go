@@ -132,12 +132,7 @@ func (s *Server) handleControl(ctx context.Context, ctl *net.TCPConn, handle Han
 	defer ctl.Close()
 	plan, err := readTransferPlan(ctx, ctl)
 	if err != nil {
-		if errors.Is(err, wire.ErrHelloXVersion) || errors.Is(err, wire.ErrResumeVersion) ||
-			errors.Is(err, wire.ErrTraceVersion) || errors.Is(err, wire.ErrCheckVersion) {
-			writeAbort(ctl, 0, wire.AbortUnsupported)
-		} else {
-			writeAbort(ctl, 0, wire.AbortBadHello)
-		}
+		refuseAnnouncement(ctl, err)
 		return
 	}
 	if plan.hasCheck {
@@ -198,6 +193,13 @@ func (s *Server) handleControl(ctx context.Context, ctl *net.TCPConn, handle Han
 	} else {
 		rcv = core.NewReceiver(int64(hello.ObjectSize), cfg)
 	}
+	// The engine is built (and, for a resumed transfer, its sealer seeded
+	// from the restored bitmap) outside the server lock; only its instruments
+	// wait for the critical section below.
+	st.eng = newReceiverEngine(rcv, nil, nil)
+	st.eng.finished = finished
+	seal := plan.startSealer(rcv.Object(), st.eng)
+	defer seal.abandon()
 
 	s.mu.Lock()
 	if _, dup := s.transfers[hello.Transfer]; dup {
@@ -213,10 +215,8 @@ func (s *Server) handleControl(ctx context.Context, ctl *net.TCPConn, handle Han
 	// (a rejected colliding HELLO must not disturb the in-flight transfer's
 	// record) and before the map insert (the data loop reads the engine's
 	// instruments as soon as the transfer is routable).
-	st.eng = newReceiverEngine(rcv,
-		s.opts.Metrics.StartReceiver(hello.Transfer, rcv.NumPackets(), int64(hello.ObjectSize)),
-		s.opts.Record.StartReceiver(hello.Transfer, rcv.NumPackets(), int64(hello.ObjectSize), int(hello.PacketSize)))
-	st.eng.finished = finished
+	st.eng.tm = s.opts.Metrics.StartReceiver(hello.Transfer, rcv.NumPackets(), int64(hello.ObjectSize))
+	st.eng.fr = s.opts.Record.StartReceiver(hello.Transfer, rcv.NumPackets(), int64(hello.ObjectSize), int(hello.PacketSize))
 	st.or = s.opts.startRecorder(plan.trace, hello.Transfer, obs.RoleReceiver)
 	s.transfers[hello.Transfer] = st
 	s.mu.Unlock()
@@ -314,7 +314,7 @@ wait:
 	obj := st.eng.rcv.Object()
 	rstats := st.eng.rcv.Stats()
 	st.mu.Unlock()
-	st.or.Event(obs.KindDrain, 0)
+	st.or.Event(obs.KindDrain, uint64(seal.pending()))
 	if plan.resume && wire.ObjectDigest(obj) != plan.resumeDigest {
 		// The retained bytes plus the resumed run assembled a different
 		// object than the sender announced — unrecoverable for this id.
@@ -323,7 +323,7 @@ wait:
 		abortTrace(st.or, wire.AbortDigestMismatch)
 		return
 	}
-	if err := plan.verifyContent(obj); err != nil {
+	if err := plan.verifyContent(obj, seal); err != nil {
 		// The assembled bytes are not the announced content: corrupted
 		// past the CRC's reach, or a sender lying about identity. Either
 		// way the object is neither delivered nor cached.
@@ -335,7 +335,7 @@ wait:
 	finishInstruments(st.eng.tm, st.eng.fr, nil)
 	finishTrace(st.or, nil)
 	cacheVerified(s.cache, plan, obj)
-	if err := writeComplete(ctl, hello.Transfer, hello.ObjectSize, obj); err != nil {
+	if err := writeComplete(ctl, plan, obj); err != nil {
 		return
 	}
 	handle(hello.Transfer, obj, rstats)

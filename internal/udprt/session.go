@@ -108,6 +108,7 @@ func (s *Session) Send(ctx context.Context, obj []byte, cfg core.Config) (core.S
 			finishTrace(or, err)
 			return plan.stats(), err
 		}
+		plan.checked = true
 		if int(h.Received) >= plan.totalPackets() {
 			// The receiver already holds the content: COMPLETE follows
 			// with no HELLO-ACK and no data flow, and the control stream
@@ -183,10 +184,7 @@ func (is *IncomingSession) Close() error { return is.ctl.Close() }
 func (is *IncomingSession) Next(ctx context.Context) ([]byte, core.ReceiverStats, error) {
 	plan, err := readTransferPlan(ctx, is.ctl)
 	if err != nil {
-		if errors.Is(err, wire.ErrHelloXVersion) || errors.Is(err, wire.ErrResumeVersion) ||
-			errors.Is(err, wire.ErrTraceVersion) || errors.Is(err, wire.ErrCheckVersion) {
-			writeAbort(is.ctl, 0, wire.AbortUnsupported)
-		}
+		refuseAnnouncement(is.ctl, err)
 		return nil, core.ReceiverStats{}, err
 	}
 	return acceptTransfer(ctx, plan, is.sl.l, is.ctl, false)

@@ -72,11 +72,15 @@ type senderPlan struct {
 	tms     []*metrics.Transfer
 	frs     []*flight.Recorder
 
-	// content memoizes the whole-object SHA-256 for the CHECK prelude
-	// (for a single stripe the stripe sender's own memo is reused, so the
-	// object is hashed exactly once per plan either way).
+	// content memoizes the whole object's content identity for the CHECK
+	// prelude (for a single stripe the stripe sender's own memo is reused,
+	// so the object is hashed exactly once per plan either way).
 	content    [32]byte
 	hasContent bool
+	// checked records that this attempt's CHECK prelude got its HAVE answer:
+	// the receiver verifies the object against (or already holds it under)
+	// the announced identity, which decides what its COMPLETE carries.
+	checked bool
 }
 
 // newSenderPlan splits obj per opts.Streams and builds one instrumented
@@ -132,7 +136,7 @@ func (p *senderPlan) helloFrame() []byte {
 	})
 }
 
-// contentID returns the plan's whole-object SHA-256, memoized.
+// contentID returns the whole object's content identity, memoized.
 func (p *senderPlan) contentID() [32]byte {
 	if len(p.snds) == 1 {
 		return p.snds[0].ContentID()
@@ -142,6 +146,17 @@ func (p *senderPlan) contentID() [32]byte {
 		p.hasContent = true
 	}
 	return p.content
+}
+
+// completionDigest is what the receiver's COMPLETE must carry (the rule is
+// wire.Complete's): the tag of the announced identity when the CHECK was
+// answered — already in hand, no pass over the object — the CRC-32C of the
+// object otherwise.
+func (p *senderPlan) completionDigest() uint32 {
+	if p.checked {
+		return wire.ContentTag(p.contentID())
+	}
+	return wire.ObjectDigest(p.obj)
 }
 
 // totalPackets sums the stripes' packet counts — the threshold a CHECK
@@ -248,7 +263,7 @@ func (p *progressAgg) stripe(i int) func(known, total int) {
 // runSenderPlan drives every stripe of the plan concurrently over its own
 // data flow until the shared control connection delivers the object-wide
 // verdict. One goroutine reads the single terminal frame (COMPLETE with
-// the whole-object digest, or ABORT) and a second fans it out to every
+// the whole-object integrity echo, or ABORT) and a second fans it out to every
 // engine and wakes the ones blocked on their ack sockets; the first ABORT
 // any engine needs to announce wins the shared control channel; the first
 // engine to fail cancels its siblings. Per-stripe instruments record each
@@ -258,7 +273,7 @@ func (p *progressAgg) stripe(i int) func(known, total int) {
 func runSenderPlan(ctx context.Context, p *senderPlan, conns []*net.UDPConn, ctl net.Conn, opts Options, or *obs.Recorder) (core.SenderStats, error) {
 	n := len(p.snds)
 	completion := make(chan error, 1)
-	go func() { completion <- readCompletion(ctl, p.obj) }()
+	go func() { completion <- readCompletion(ctl, p) }()
 	stripeDone := make([]chan error, n)
 	for i := range stripeDone {
 		stripeDone[i] = make(chan error, 1)
@@ -423,17 +438,41 @@ type recvPlan struct {
 
 func (p recvPlan) striped() bool { return p.stripes != nil }
 
-// verifyContent checks the assembled object against the content identity
-// the CHECK prelude announced: the whole-object SHA-256 always, and each
-// stripe's digest when the sender demanded verification. A mismatch is
-// corruption the CRC survived (or a sender announcing one object and
-// blasting another); either way the bytes must not be delivered or
-// cached. Nil when no CHECK arrived.
-func (p recvPlan) verifyContent(obj []byte) error {
+// startSealer begins leaf-by-leaf verification of an inbound transfer whose
+// CHECK was answered: one sealer over the whole object, fed by every engine
+// (given in stripe order) and seeded with what a resumed engine already
+// holds. Nil — there is nothing to verify against — without a CHECK. Every
+// receive lifecycle starts its sealer here, defers abandon so that no exit
+// leaves the worker behind, and sums it in verifyContent.
+func (p recvPlan) startSealer(obj []byte, engines ...*receiverEngine) *sealer {
 	if !p.hasCheck {
 		return nil
 	}
-	if core.ContentID(obj) != p.checkDigest {
+	stripes := p.stripes
+	if !p.striped() {
+		stripes = []wire.StripeDesc{{Transfer: p.base, Length: p.objectSize}}
+	}
+	s := newSealer(obj, p.packetSize, stripes)
+	for i, e := range engines {
+		e.seal, e.off = s, int(stripes[i].Offset)
+		if e.rcv.Stats().Restored > 0 {
+			s.restore(e.off, int(stripes[i].Length), p.packetSize, e.rcv.HaveWords(nil))
+		}
+	}
+	return s
+}
+
+// verifyContent checks the assembled object against the content identity
+// the CHECK prelude announced: the whole object's always — summed from the
+// leaves the sealer hashed as they completed — and each stripe's when the
+// sender demanded verification. A mismatch is corruption the CRC survived
+// (or a sender announcing one object and blasting another); either way the
+// bytes must not be delivered or cached. Nil when no CHECK arrived.
+func (p recvPlan) verifyContent(obj []byte, seal *sealer) error {
+	if !p.hasCheck {
+		return nil
+	}
+	if seal.sum() != p.checkDigest {
 		return fmt.Errorf("udprt: assembled object does not match announced content digest: %w", ErrDigestMismatch)
 	}
 	if p.checkVerify && p.striped() && len(p.stripeDigests) > 0 {
@@ -448,6 +487,16 @@ func (p recvPlan) verifyContent(obj []byte) error {
 		}
 	}
 	return nil
+}
+
+// completionDigest is what this transfer's COMPLETE carries (the rule is
+// wire.Complete's): the tag of the identity a CHECK announced and this end
+// verified or holds the bytes under, the CRC-32C of the bytes otherwise.
+func (p recvPlan) completionDigest(obj []byte) uint32 {
+	if p.hasCheck {
+		return wire.ContentTag(p.checkDigest)
+	}
+	return wire.ObjectDigest(obj)
 }
 
 // dedupHit returns the cached copy this announcement's CHECK may be answered
@@ -515,7 +564,7 @@ func sumRecvStats(engines []*receiverEngine) core.ReceiverStats {
 // content-cache hit short-circuits the whole data phase), HELLO-ACK (or,
 // for a RESUME announcement, the HAVE bitmap of retained state), the
 // shared receive loop demuxing every stripe, then the single COMPLETE
-// carrying the whole-object digest. Listener.Accept and
+// carrying the whole-object integrity echo. Listener.Accept and
 // IncomingSession.Next are thin wrappers. A failed single-flow transfer
 // leaves its partial state in the resume store so a RESUME within the
 // window can finish it.
@@ -533,6 +582,8 @@ func acceptTransfer(ctx context.Context, plan recvPlan, l *Listener, ctl net.Con
 		return acceptResumedTransfer(ctx, plan, l, ctl, watchCtl)
 	}
 	obj, engines := newRecvEngines(plan, opts)
+	seal := plan.startSealer(obj, engines...)
+	defer seal.abandon()
 	or := opts.startRecorder(plan.trace, plan.base, obs.RoleReceiver)
 	if plan.hasCheck {
 		or.Event(obs.KindCheck, 0)
@@ -560,16 +611,16 @@ func acceptTransfer(ctx context.Context, plan recvPlan, l *Listener, ctl net.Con
 		finishAll(err)
 		return nil, sumRecvStats(engines), err
 	}
-	// Every packet is placed; what remains is the content verdict, the CRC
-	// digest check and the COMPLETE write (writeComplete computes the CRC).
-	or.Event(obs.KindDrain, 0)
-	if err := plan.verifyContent(obj); err != nil {
+	// Every packet is placed; what remains is the content verdict over the
+	// leaves not hashed yet and the COMPLETE write.
+	or.Event(obs.KindDrain, uint64(seal.pending()))
+	if err := plan.verifyContent(obj, seal); err != nil {
 		writeAbort(ctl, plan.base, wire.AbortDigestMismatch)
 		finishAll(err)
 		return nil, sumRecvStats(engines), err
 	}
 	cacheVerified(cache, plan, obj)
-	err := writeComplete(ctl, plan.base, plan.objectSize, obj)
+	err := writeComplete(ctl, plan, obj)
 	finishAll(err)
 	if err != nil {
 		return nil, sumRecvStats(engines), err
@@ -588,8 +639,9 @@ func cacheVerified(cache *contentCache, plan recvPlan, obj []byte) {
 }
 
 // completeDeduped answers a dedup-hitting CHECK: the full HAVE bitmap (the
-// verdict) followed immediately by the COMPLETE carrying the cached bytes'
-// digest — no HELLO-ACK, no data flow, no receive loop. The returned
+// verdict) followed immediately by the COMPLETE carrying the tag of the
+// identity the bytes are cached under — no HELLO-ACK, no data flow, no
+// receive loop, no pass over the object. The returned
 // object is the cache's copy, so a Server's completion handler sees the
 // same bytes a real transfer would have assembled.
 func completeDeduped(plan recvPlan, ctl net.Conn, opts Options, obj []byte) ([]byte, core.ReceiverStats, error) {
@@ -609,7 +661,7 @@ func completeDeduped(plan recvPlan, ctl net.Conn, opts Options, obj []byte) ([]b
 	}
 	tm.NoteRestored(total)
 	or.Event(obs.KindSkip, uint64(total))
-	err := writeComplete(ctl, plan.base, plan.objectSize, obj)
+	err := writeComplete(ctl, plan, obj)
 	finishMetrics(tm, err)
 	finishTrace(or, err)
 	if err != nil {

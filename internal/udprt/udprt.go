@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"time"
 
@@ -426,12 +427,7 @@ func (l *Listener) Accept(ctx context.Context) ([]byte, core.ReceiverStats, erro
 
 	plan, err := readTransferPlan(ctx, ctl)
 	if err != nil {
-		if errors.Is(err, wire.ErrHelloXVersion) || errors.Is(err, wire.ErrResumeVersion) ||
-			errors.Is(err, wire.ErrTraceVersion) || errors.Is(err, wire.ErrCheckVersion) {
-			// A future protocol revision we cannot place: refuse cleanly
-			// so the peer fails its handshake instead of blasting data.
-			writeAbort(ctl, 0, wire.AbortUnsupported)
-		}
+		refuseAnnouncement(ctl, err)
 		return nil, core.ReceiverStats{}, err
 	}
 	// The connection carries at most one more inbound frame (an ABORT),
@@ -537,13 +533,13 @@ func abortReasonFor(err error) wire.AbortReason {
 }
 
 // writeComplete sends the terminal control signal, carrying the
-// whole-object digest for an end-to-end integrity check — one COMPLETE
+// whole-object integrity echo (recvPlan.completionDigest) — one COMPLETE
 // per object, however many stripes carried it.
-func writeComplete(ctl net.Conn, transfer uint32, size uint64, obj []byte) error {
+func writeComplete(ctl net.Conn, plan recvPlan, obj []byte) error {
 	msg := wire.AppendComplete(nil, &wire.Complete{
-		Transfer: transfer,
-		Received: size,
-		Digest:   wire.ObjectDigest(obj),
+		Transfer: plan.base,
+		Received: plan.objectSize,
+		Digest:   plan.completionDigest(obj),
 	})
 	ctl.SetWriteDeadline(time.Now().Add(10 * time.Second))
 	defer ctl.SetWriteDeadline(time.Time{})
@@ -560,9 +556,11 @@ func writeComplete(ctl net.Conn, transfer uint32, size uint64, obj []byte) error
 // announcement is always read, even when the CHECK will turn out a dedup
 // hit: the sender pipelines every frame in one write, and consuming them
 // all keeps the stream framing clean for session reuse. An announcement
-// from a future protocol revision surfaces as an error wrapping
-// wire.ErrHelloXVersion, wire.ErrResumeVersion, wire.ErrTraceVersion or
-// wire.ErrCheckVersion; callers answer those with ABORT (unsupported).
+// of a protocol revision this build does not speak surfaces as an error
+// wrapping wire.ErrHelloXVersion, wire.ErrResumeVersion, wire.ErrTraceVersion
+// or wire.ErrCheckVersion, and one whose geometry no receiver can be built
+// for — an empty object, a size or packet size that does not fit an int —
+// as errBadAnnouncement; callers answer through refuseAnnouncement.
 func readTransferPlan(ctx context.Context, ctl net.Conn) (recvPlan, error) {
 	dl := time.Now().Add(30 * time.Second)
 	if d, ok := ctx.Deadline(); ok && d.Before(dl) {
@@ -615,6 +613,10 @@ func readTransferPlan(ctx context.Context, ctl net.Conn) (recvPlan, error) {
 	default:
 		return recvPlan{}, fmt.Errorf("udprt: expected HELLO, got control frame type %d", f.typ)
 	}
+	if plan.objectSize == 0 || plan.objectSize > math.MaxInt || plan.packetSize <= 0 {
+		return recvPlan{}, fmt.Errorf("%w: %d-byte object in %d-byte packets",
+			errBadAnnouncement, plan.objectSize, plan.packetSize)
+	}
 	plan.trace = tid
 	if chk != nil {
 		plan.hasCheck = true
@@ -624,6 +626,24 @@ func readTransferPlan(ctx context.Context, ctl net.Conn) (recvPlan, error) {
 		plan.stripeDigests = chk.StripeDigests
 	}
 	return plan, nil
+}
+
+// errBadAnnouncement reports an announcement that parsed but describes a
+// transfer no receiver can be built for.
+var errBadAnnouncement = errors.New("udprt: unusable transfer announcement")
+
+// refuseAnnouncement answers an announcement readTransferPlan could not
+// accept with a reasoned ABORT, so the peer fails its handshake instead of
+// blasting data: unsupported for a protocol revision this build does not
+// speak (the sender's degradation ladder drops that extra), bad-hello for
+// anything else.
+func refuseAnnouncement(ctl net.Conn, err error) {
+	reason := wire.AbortBadHello
+	if errors.Is(err, wire.ErrHelloXVersion) || errors.Is(err, wire.ErrResumeVersion) ||
+		errors.Is(err, wire.ErrTraceVersion) || errors.Is(err, wire.ErrCheckVersion) {
+		reason = wire.AbortUnsupported
+	}
+	writeAbort(ctl, 0, reason)
 }
 
 // Send transfers obj to the FOBS listener at addr and returns the sender's
@@ -663,6 +683,7 @@ func sendOnce(ctx context.Context, addr string, obj []byte, cfg core.Config, opt
 		return plan.stats(), err
 	}
 	defer ctl.Close()
+	plan.checked = have != nil
 	if have != nil && int(have.Received) >= plan.totalPackets() {
 		// Dedup hit: the receiver already holds the object. No handshake
 		// completes and no data flow dials — just the verdict.
@@ -691,9 +712,10 @@ func sendOnce(ctx context.Context, addr string, obj []byte, cfg core.Config, opt
 // completeDedupedSend finishes a transfer whose CHECK query hit: every
 // stripe is marked fully restored (so the stats conservation laws read
 // "nothing sent, everything excused", exactly like a resume that had
-// nothing left), and the receiver's COMPLETE — digest and all — is awaited
-// and verified as usual. End-to-end integrity holds on this path too: the
-// COMPLETE carries the CRC of the receiver's cached bytes.
+// nothing left), and the receiver's COMPLETE is awaited and verified as
+// usual. End-to-end integrity holds on this path too: the receiver holds the
+// bytes under the 256-bit identity this end computed from its own, and the
+// COMPLETE echoes that identity's tag.
 func completeDedupedSend(plan *senderPlan, ctl net.Conn, or *obs.Recorder) (core.SenderStats, error) {
 	or.Event(obs.KindCheck, 1)
 	total := 0
@@ -708,7 +730,7 @@ func completeDedupedSend(plan *senderPlan, ctl net.Conn, or *obs.Recorder) (core
 		total += n
 	}
 	or.Event(obs.KindSkip, uint64(total))
-	err := readCompletion(ctl, plan.obj)
+	err := readCompletion(ctl, plan)
 	for i := range plan.snds {
 		finishInstruments(plan.tms[i], plan.frs[i], err)
 	}
@@ -844,8 +866,11 @@ func attemptHandshake(ctx context.Context, addr string, frame []byte, transfer u
 
 // readCompletion blocks until the receiver's terminal control frame
 // arrives: COMPLETE (whose digest is verified against the sender's own
-// whole object — one verdict covers every stripe) or ABORT.
-func readCompletion(ctl net.Conn, obj []byte) error {
+// whole object — one verdict covers every stripe) or ABORT. The expected
+// digest is worked out before the read blocks, so a CRC pass, where the
+// attempt needs one, runs beside the data phase instead of after it.
+func readCompletion(ctl net.Conn, p *senderPlan) error {
+	obj, want := p.obj, p.completionDigest()
 	f, err := readControlFrame(ctl)
 	if err != nil {
 		return fmt.Errorf("udprt: control read: %w", err)
@@ -869,7 +894,7 @@ func readCompletion(ctl net.Conn, obj []byte) error {
 	if c.Received != uint64(len(obj)) {
 		return fmt.Errorf("udprt: receiver reports %d bytes, sent %d", c.Received, len(obj))
 	}
-	if want := wire.ObjectDigest(obj); c.Digest != want {
+	if c.Digest != want {
 		return fmt.Errorf("udprt: receiver %08x, sender %08x: %w", c.Digest, want, ErrDigestMismatch)
 	}
 	return nil

@@ -158,7 +158,10 @@ func TestWaitWokenByAckAndVerdict(t *testing.T) {
 
 		<-fake.done
 		verdictAt := time.Now()
-		if err := writeComplete(fake.ctl, 3, uint64(len(obj)), obj); err != nil {
+		// The stub answered the CHECK, so its COMPLETE carries the identity's
+		// tag, not a CRC.
+		answered := recvPlan{base: 3, objectSize: uint64(len(obj)), hasCheck: true, checkDigest: core.ContentID(obj)}
+		if err := writeComplete(fake.ctl, answered, obj); err != nil {
 			t.Fatal(err)
 		}
 		if err := <-sent; err != nil {

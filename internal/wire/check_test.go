@@ -66,15 +66,20 @@ func TestCheckRoundTripStriped(t *testing.T) {
 	}
 }
 
-func TestCheckRejectsFutureVersion(t *testing.T) {
-	buf := AppendCheck(nil, validCheck())
-	buf[3] = CheckVersion + 1
-	_, err := DecodeCheck(buf)
-	if !errors.Is(err, ErrCheckVersion) {
-		t.Fatalf("future version err = %v, want ErrCheckVersion", err)
-	}
-	if !strings.Contains(err.Error(), "speak") {
-		t.Fatalf("version error %q does not name the spoken revision", err)
+// TestCheckRejectsOtherVersions: the version names the digest scheme, so
+// the previous revision (1, plain SHA-256) is refused exactly like a future
+// one.
+func TestCheckRejectsOtherVersions(t *testing.T) {
+	for _, v := range []uint8{CheckVersion + 1, 1} {
+		buf := AppendCheck(nil, validCheck())
+		buf[3] = v
+		_, err := DecodeCheck(buf)
+		if !errors.Is(err, ErrCheckVersion) {
+			t.Fatalf("version %d err = %v, want ErrCheckVersion", v, err)
+		}
+		if !strings.Contains(err.Error(), "speak") {
+			t.Fatalf("version error %q does not name the spoken revision", err)
+		}
 	}
 }
 

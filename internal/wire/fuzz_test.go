@@ -192,6 +192,10 @@ func FuzzDecodeControl(f *testing.F) {
 	})
 	futureCheck[3] = wire.CheckVersion + 1
 	f.Add(futureCheck)
+	// The previous revision (plain SHA-256 digests) is refused the same way.
+	f.Add(wire.AppendCheck(nil, &wire.Check{
+		Version: 1, Transfer: 7, ObjectSize: 64, PacketSize: 64, Digest: [32]byte{9},
+	}))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if h, err := wire.DecodeHello(b); err == nil {
 			if _, err := wire.DecodeHello(wire.AppendHello(nil, &h)); err != nil {

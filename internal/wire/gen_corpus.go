@@ -9,6 +9,7 @@
 package main
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"log"
 	"os"
@@ -57,6 +58,27 @@ func main() {
 		log.Fatal("capture exchange never completed")
 	}
 
+	check := wire.Check{
+		Transfer: cfg.Transfer, ObjectSize: uint64(len(obj)),
+		PacketSize: uint32(cfg.PacketSize),
+		Flags:      wire.CheckFlagDedup | wire.CheckFlagVerify,
+		Digest:     core.ContentID(obj),
+		StripeDigests: [][32]byte{
+			core.ContentID(obj[:4096]), core.ContentID(obj[4096:]),
+		},
+	}
+	// The same query as the previous revision framed it: plain SHA-256
+	// digests under version 1. A must-reject seed (ErrCheckVersion).
+	oldCheck := wire.Check{
+		Version:  1,
+		Transfer: cfg.Transfer, ObjectSize: uint64(len(obj)),
+		PacketSize: uint32(cfg.PacketSize),
+		Flags:      wire.CheckFlagDedup | wire.CheckFlagVerify,
+		Digest:     sha256.Sum256(obj),
+		StripeDigests: [][32]byte{
+			sha256.Sum256(obj[:4096]), sha256.Sum256(obj[4096:]),
+		},
+	}
 	control := [][]byte{
 		wire.AppendHello(nil, &wire.Hello{
 			Transfer: cfg.Transfer, ObjectSize: uint64(len(obj)), PacketSize: uint32(cfg.PacketSize),
@@ -76,15 +98,8 @@ func main() {
 		wire.AppendTrace(nil, &wire.Trace{
 			ID: [16]byte{0xDE, 0xAD, 0xBE, 0xEF, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
 		}),
-		wire.AppendCheck(nil, &wire.Check{
-			Transfer: cfg.Transfer, ObjectSize: uint64(len(obj)),
-			PacketSize: uint32(cfg.PacketSize),
-			Flags:      wire.CheckFlagDedup | wire.CheckFlagVerify,
-			Digest:     core.ContentID(obj),
-			StripeDigests: [][32]byte{
-				core.ContentID(obj[:4096]), core.ContentID(obj[4096:]),
-			},
-		}),
+		wire.AppendCheck(nil, &check),
+		wire.AppendCheck(nil, &oldCheck),
 	}
 
 	// A handful of representative frames per target keeps the committed

@@ -100,10 +100,11 @@ var (
 	// revision, same degradation rule again: the runtime answers with an
 	// ABORT (unsupported) and the sender retries the handshake untraced.
 	ErrTraceVersion = errors.New("wire: unsupported TRACE version")
-	// ErrCheckVersion rejects a CHECK prelude from a future protocol
-	// revision, same degradation rule again: the runtime answers with an
-	// ABORT (unsupported) and the sender retries the handshake without the
-	// content query.
+	// ErrCheckVersion rejects a CHECK prelude of another protocol revision
+	// (older or newer: the revision names the digest scheme, and a digest of
+	// one scheme proves nothing under another), same degradation rule again:
+	// the runtime answers with an ABORT (unsupported) and the sender retries
+	// the handshake without the content query.
 	ErrCheckVersion = errors.New("wire: unsupported CHECK version")
 )
 
@@ -304,16 +305,28 @@ func DecodeHello(b []byte) (Hello, error) {
 }
 
 // Complete is the receiver's "all data received" signal on the control
-// channel. Received echoes the byte count and Digest the CRC-32C of the
-// assembled object, giving the sender an end-to-end integrity check.
+// channel. Received echoes the byte count; Digest is the end-to-end
+// integrity echo, and which one depends on the attempt it closes. Where the
+// attempt's CHECK prelude was answered, the receiver has verified (or, on a
+// dedup hit, holds under) the 256-bit content identity the sender computed
+// from its own bytes, and Digest is ContentTag of that identity — neither
+// end walks the object again. With no answered CHECK (an opted-out, degraded
+// or old peer) it is ObjectDigest, the CRC-32C of the assembled object.
+// Both ends know which rule applies: the sender saw the HAVE that answers a
+// CHECK, the receiver wrote it.
 type Complete struct {
 	Transfer uint32
 	Received uint64
 	Digest   uint32
 }
 
-// ObjectDigest computes the whole-object CRC-32C carried in Complete.
+// ObjectDigest computes the whole-object CRC-32C: what Complete carries
+// when no CHECK was answered, and what a RESUME announces.
 func ObjectDigest(obj []byte) uint32 { return crc32.Checksum(obj, castagnoli) }
+
+// ContentTag is what Complete carries when a CHECK was answered: the first
+// four bytes of the content identity both ends already agree on.
+func ContentTag(id [ContentDigestLen]byte) uint32 { return binary.BigEndian.Uint32(id[:]) }
 
 // AppendComplete serializes c onto buf.
 func AppendComplete(buf []byte, c *Complete) []byte {
@@ -677,13 +690,16 @@ func DecodeTrace(b []byte) (Trace, error) {
 	return t, nil
 }
 
-// CheckVersion is the CHECK revision this build speaks. Decoders reject
-// anything newer with ErrCheckVersion; the runtimes turn that into an
-// ABORT (unsupported) and the sender retries the handshake without the
-// content query — content addressing is an optimization plus an integrity
-// layer, never worth failing a transfer a plain HELLO could open (unless
-// the sender demands verification, which it signals by failing locally).
-const CheckVersion uint8 = 1
+// CheckVersion is the CHECK revision this build speaks, and it names the
+// digest scheme rather than the frame layout: version 1 carried plain
+// SHA-256 digests, version 2 carries core.ContentID's leaf-hashed identity
+// in the same bytes. Decoders reject any other version with
+// ErrCheckVersion; the runtimes turn that into an ABORT (unsupported) and
+// the sender retries the handshake without the content query — content
+// addressing is an optimization plus an integrity layer, never worth
+// failing a transfer a plain HELLO could open (unless the sender demands
+// verification, which it signals by failing locally).
+const CheckVersion uint8 = 2
 
 // CHECK flag bits.
 const (
@@ -700,8 +716,8 @@ const (
 
 // Check is the versioned content-identity prelude: a control frame a
 // sender writes immediately before its announcement (HELLO/HELLOX/RESUME)
-// declaring the SHA-256 digest of the object about to move — and, for a
-// striped plan, the digest of each stripe. Like TRACE it precedes rather
+// declaring the content identity (core.ContentID) of the object about to
+// move — and, for a striped plan, of each stripe. Like TRACE it precedes rather
 // than extends the announcement frames, leaving their layouts untouched
 // for old peers; a receiver that never learned TypeCheck rejects the
 // unknown frame and the sender degrades to an unchecked handshake.
@@ -717,11 +733,11 @@ type Check struct {
 	Transfer   uint32
 	ObjectSize uint64
 	PacketSize uint32
-	// Digest is the whole-object SHA-256.
+	// Digest is the whole object's content identity.
 	Digest [32]byte
-	// StripeDigests carries one SHA-256 per stripe for a striped plan, in
-	// stripe order; empty for a single-flow transfer (the whole-object
-	// digest covers it).
+	// StripeDigests carries one content identity per stripe for a striped
+	// plan, in stripe order; empty for a single-flow transfer (the
+	// whole-object digest covers it).
 	StripeDigests [][32]byte
 }
 
@@ -750,8 +766,8 @@ func AppendCheck(buf []byte, c *Check) []byte {
 	return buf
 }
 
-// DecodeCheck parses a CHECK control message. Unknown future versions are
-// refused with ErrCheckVersion before any layout assumptions are made;
+// DecodeCheck parses a CHECK control message. Every version but this
+// build's is refused with ErrCheckVersion before any layout assumptions are made;
 // the caller maps that onto AbortUnsupported.
 func DecodeCheck(b []byte) (Check, error) {
 	var c Check
