@@ -258,12 +258,6 @@ var (
 // the same taxonomy the built-in Options.Retry supervisor uses.
 func IsRetryable(err error) bool { return udprt.IsRetryable(err) }
 
-// IsStripingUnsupported reports the one peer rejection with a
-// deterministic recovery: the receiver refused a striped HELLOX because it
-// cannot reassemble stripes (a concurrent Server, for instance). Retry the
-// same transfer with Options.Streams = 1.
-func IsStripingUnsupported(err error) bool { return udprt.IsStripingUnsupported(err) }
-
 // RateCap is a shared aggregate send-rate ceiling, measured in on-the-wire
 // bits per second (payload plus UDP/IP overhead). Hand the same *RateCap
 // to several Sends via Options.RateCap and their combined rate stays under

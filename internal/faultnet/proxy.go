@@ -2,6 +2,7 @@ package faultnet
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -28,6 +29,7 @@ type Proxy struct {
 	blackhole atomic.Bool
 
 	mu     sync.Mutex
+	tap    io.Writer               // see TapControl
 	links  map[string]*net.UDPConn // client addr → upstream data socket
 	pipes  []*net.TCPConn          // live control conns, both halves
 	closed bool
@@ -76,6 +78,16 @@ func (p *Proxy) Stats() Stats { return p.faults.Stats() }
 // SetBlackhole toggles total datagram loss in both directions, leaving the
 // control stream up: the "path died under the transfer" failure.
 func (p *Proxy) SetBlackhole(on bool) { p.blackhole.Store(on) }
+
+// TapControl copies every byte the upstream writes on a control connection
+// to w, before the client can see it, so a test can assert the control
+// frames a sender was answered with. It covers connections accepted from now
+// on; w must be safe for use from several goroutines.
+func (p *Proxy) TapControl(w io.Writer) {
+	p.mu.Lock()
+	p.tap = w
+	p.mu.Unlock()
+}
 
 // SeverControl tears down every relayed control connection immediately,
 // simulating the peer process dying mid-transfer.
@@ -129,20 +141,24 @@ func (p *Proxy) acceptLoop() {
 			return
 		}
 		p.pipes = append(p.pipes, cl, up)
+		tap := p.tap
 		p.mu.Unlock()
-		go pipe(up, cl)
-		go pipe(cl, up)
+		go pipe(up, cl, nil)
+		go pipe(cl, up, tap)
 	}
 }
 
 // pipe relays one direction of a control stream byte-by-byte (control
 // frames are tiny; latency matters more than throughput here) and
-// half-closes the destination at EOF.
-func pipe(dst, src *net.TCPConn) {
+// half-closes the destination at EOF. A non-nil tap sees the bytes first.
+func pipe(dst, src *net.TCPConn, tap io.Writer) {
 	buf := make([]byte, 4096)
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {
+			if tap != nil {
+				tap.Write(buf[:n])
+			}
 			if _, werr := dst.Write(buf[:n]); werr != nil {
 				break
 			}

@@ -359,15 +359,7 @@ func (d *Daemon) runTask(ctx context.Context, t *Task) {
 	var st core.SenderStats
 	if err == nil {
 		cfg := core.Config{Transfer: t.Transfer, PacketSize: t.Spec.PacketSize}
-		opts := d.moverOptions(t)
-		st, err = udprt.Send(ctx, t.Spec.Addr, obj, cfg, opts)
-		if udprt.IsStripingUnsupported(err) && opts.Streams > 1 {
-			// The receiver cannot reassemble stripes — the one rejection
-			// with a deterministic recovery. Same task, same transfer id,
-			// one flow.
-			opts.Streams = 1
-			st, err = udprt.Send(ctx, t.Spec.Addr, obj, cfg, opts)
-		}
+		st, err = udprt.Send(ctx, t.Spec.Addr, obj, cfg, d.moverOptions(t))
 	}
 	if err == nil {
 		d.mu.Lock()

@@ -1,7 +1,7 @@
 // End-to-end daemon tests over real loopback sockets: ordinary operation,
 // the crash kill-point sweep (submit / dispatch / mid-transfer / pre-ack),
-// per-tenant rate-cap isolation, fairness of dispatch, the deterministic
-// unstriped fallback, and cancellation. The crash points use the daemon's
+// per-tenant rate-cap isolation, fairness of dispatch, striped tasks, and
+// cancellation. The crash points use the daemon's
 // simulated SIGKILL (kill: contexts cancelled, nothing persisted after)
 // so every window lands deterministically; the subprocess smoke test in
 // cmd/fobsd covers the genuine signal.
@@ -531,6 +531,13 @@ func TestDaemonKillPointSweep(t *testing.T) {
 		stop := runDaemon(t, d)
 		<-killed
 		stop()
+		// The server's handler runs after its COMPLETE is on the wire, so the
+		// sender may have been killed before the delivery is counted.
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if _, n := rcv.object(task.Transfer); n > 0 {
+				break
+			}
+		}
 		if _, n := rcv.object(task.Transfer); n != 1 {
 			t.Fatalf("first life completed %d times, want exactly 1", n)
 		}
@@ -621,12 +628,13 @@ func TestDaemonTenantRateCapIsolation(t *testing.T) {
 	}
 }
 
-// TestDaemonStripedFallback submits a striped task toward the concurrent
-// server — which refuses striping with the dedicated abort reason — and
-// expects the mover to degrade to an unstriped retry and deliver.
-func TestDaemonStripedFallback(t *testing.T) {
+// TestDaemonStripedTask submits a striped task toward the concurrent server,
+// which reassembles stripes like every other endpoint: the task lands in its
+// first attempt, with no unstriped second try.
+func TestDaemonStripedTask(t *testing.T) {
 	rcv := startReceiver(t, udprt.Options{})
-	d, err := New(Config{Dir: t.TempDir()})
+	reg := metrics.New()
+	d, err := New(Config{Dir: t.TempDir(), Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -639,7 +647,21 @@ func TestDaemonStripedFallback(t *testing.T) {
 	waitTasks(t, d, 30*time.Second, isDone)
 	got, _ := rcv.object(task.Transfer)
 	if !bytes.Equal(got, obj) {
-		t.Fatal("striped-fallback object corrupted")
+		t.Fatal("striped object corrupted")
+	}
+	if done, _ := d.Get(task.ID); done.Attempts != 1 {
+		t.Fatalf("striped task took %d attempts, want 1", done.Attempts)
+	}
+	// One attempt, and within it one transfer: four stripe records, each
+	// started once, where the unstriped fallback used to add a fifth run.
+	senders := 0
+	for _, ts := range reg.Snapshot().Transfers {
+		if ts.Role == metrics.RoleSender {
+			senders++
+		}
+	}
+	if senders != 4 {
+		t.Fatalf("%d sender records for a 4-stripe task, want 4", senders)
 	}
 }
 

@@ -69,8 +69,7 @@ type Spec struct {
 	// default).
 	PacketSize int `json:"packet_size,omitempty"`
 	// Streams stripes the transfer across this many UDP flows (0 or 1:
-	// unstriped). Against a receiver that cannot reassemble stripes the
-	// mover deterministically retries unstriped.
+	// unstriped). Every receiving endpoint reassembles stripes.
 	Streams int `json:"streams,omitempty"`
 	// Congestion selects the congestion-control policy by name (empty:
 	// the runtime default).

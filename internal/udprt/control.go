@@ -55,7 +55,7 @@ type controlFrame struct {
 // reader sizes the stripe trailer before decoding — and still consumes a
 // whole frame even when the decode then rejects a future version.
 // Deadlines are the caller's business.
-func readControlFrame(ctl net.Conn) (controlFrame, error) {
+func readControlFrame(ctl io.Reader) (controlFrame, error) {
 	var f controlFrame
 	var hdr [4]byte
 	if _, err := io.ReadFull(ctl, hdr[:]); err != nil {
@@ -169,38 +169,6 @@ func answerCheckMiss(ctl net.Conn, transfer uint32) error {
 	return writeHave(ctl, transfer, 0, []uint64{0})
 }
 
-// awaitCheckAnswer reads the receiver's answer to a CHECK prelude within
-// timeout (clipped to ctx's deadline): a HAVE frame whose Received count
-// is the verdict — the whole packet count on a dedup hit (COMPLETE
-// follows, no handshake), zero on a miss (the announcement's ordinary
-// answer follows). An ABORT surfaces as an AbortError, which
-// dialHandshake's degradation ladder maps onto "drop the CHECK and try
-// again".
-func awaitCheckAnswer(ctx context.Context, ctl net.Conn, transfer uint32, timeout time.Duration) (wire.Have, error) {
-	dl := time.Now().Add(timeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(dl) {
-		dl = d
-	}
-	ctl.SetReadDeadline(dl)
-	defer ctl.SetReadDeadline(time.Time{})
-	f, err := readControlFrame(ctl)
-	if err != nil {
-		return wire.Have{}, fmt.Errorf("udprt: check answer: %w", err)
-	}
-	switch f.typ {
-	case wire.TypeHave:
-		if f.have.Transfer != transfer {
-			return wire.Have{}, fmt.Errorf("udprt: check answer for transfer %d, want %d",
-				f.have.Transfer, transfer)
-		}
-		return f.have, nil
-	case wire.TypeAbort:
-		return wire.Have{}, &AbortError{Transfer: f.abort.Transfer, Reason: f.abort.Reason}
-	default:
-		return wire.Have{}, fmt.Errorf("udprt: check answer: unexpected control frame type %d", f.typ)
-	}
-}
-
 // writeHelloAck accepts a handshake on the control channel.
 func writeHelloAck(ctl net.Conn, transfer uint32) error {
 	msg := wire.AppendHelloAck(nil, &wire.HelloAck{Transfer: transfer})
@@ -212,11 +180,48 @@ func writeHelloAck(ctl net.Conn, transfer uint32) error {
 	return nil
 }
 
-// awaitHelloAck reads the receiver's handshake response within timeout
-// (clipped to ctx's deadline). The sender places no data on the network
-// until this succeeds, so a dead or rejecting receiver can never cause an
-// open-loop UDP blast.
-func awaitHelloAck(ctx context.Context, ctl net.Conn, transfer uint32, timeout time.Duration) error {
+// exchange is the sender's one announcement exchange, on an established
+// control connection: write the pipelined frame — [TRACE][CHECK] then HELLO,
+// HELLOX or RESUME — and read its answers. With a CHECK aboard (checked) the
+// first answer is its verdict, a HAVE whose Received count is zero on a miss
+// and the whole packet count on a dedup hit; after a hit COMPLETE follows and
+// nothing else is read. Then the announcement's own answer: HELLO-ACK, or for
+// a RESUME the HAVE bitmap that accepts it. The sender places no data on the
+// network until this returns nil, so a dead or rejecting receiver can never
+// cause an open-loop UDP blast. What a failure means — retry, degrade, fall
+// back to a fresh transfer, break the session — is the caller's policy.
+func exchange(ctx context.Context, ctl net.Conn, frame []byte, transfer uint32, checked, resume bool,
+	timeout time.Duration) (check *wire.Have, have wire.Have, err error) {
+
+	ctl.SetWriteDeadline(time.Now().Add(timeout))
+	_, err = ctl.Write(frame)
+	ctl.SetWriteDeadline(time.Time{})
+	if err != nil {
+		return nil, have, fmt.Errorf("udprt: hello write: %w", err)
+	}
+	if checked {
+		h, err := awaitAnswer(ctx, ctl, transfer, wire.TypeHave, timeout)
+		if err != nil {
+			return nil, have, err
+		}
+		check = &h
+		if h.Received > 0 {
+			return check, have, nil
+		}
+	}
+	want := wire.TypeHelloAck
+	if resume {
+		want = wire.TypeHave
+	}
+	have, err = awaitAnswer(ctx, ctl, transfer, want, timeout)
+	return check, have, err
+}
+
+// awaitAnswer reads the receiver's next answer within timeout (clipped to
+// ctx's deadline) and requires a frame of type want — HELLO-ACK or HAVE —
+// for this transfer, returning the HAVE (zero for a HELLO-ACK). An ABORT
+// surfaces as an *AbortError.
+func awaitAnswer(ctx context.Context, ctl net.Conn, transfer uint32, want uint8, timeout time.Duration) (wire.Have, error) {
 	dl := time.Now().Add(timeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(dl) {
 		dl = d
@@ -225,25 +230,28 @@ func awaitHelloAck(ctx context.Context, ctl net.Conn, transfer uint32, timeout t
 	defer ctl.SetReadDeadline(time.Time{})
 	f, err := readControlFrame(ctl)
 	if err != nil {
-		return fmt.Errorf("udprt: handshake: %w", err)
+		return wire.Have{}, fmt.Errorf("udprt: handshake: %w", err)
 	}
 	switch f.typ {
-	case wire.TypeHelloAck:
-		if f.helloAck.Transfer != transfer {
-			return fmt.Errorf("udprt: handshake: hello-ack for transfer %d, want %d",
-				f.helloAck.Transfer, transfer)
-		}
-		return nil
 	case wire.TypeAbort:
-		return &AbortError{Transfer: f.abort.Transfer, Reason: f.abort.Reason}
+		return wire.Have{}, &AbortError{Transfer: f.abort.Transfer, Reason: f.abort.Reason}
+	case want:
 	default:
-		return fmt.Errorf("udprt: handshake: unexpected control frame type %d", f.typ)
+		return wire.Have{}, fmt.Errorf("udprt: handshake: unexpected control frame type %d", f.typ)
 	}
+	got := f.helloAck.Transfer
+	if want == wire.TypeHave {
+		got = f.have.Transfer
+	}
+	if got != transfer {
+		return wire.Have{}, fmt.Errorf("udprt: handshake: answer for transfer %d, want %d", got, transfer)
+	}
+	return f.have, nil
 }
 
 // watchControl reads one control frame in the background, converting it (or
 // the connection's death) into an error on the returned channel, so a
-// receive loop notices a sender's ABORT or disappearance without blocking.
+// transfer's wait notices a sender's ABORT or disappearance.
 // The goroutine exits once a frame or error arrives; closing the connection
 // releases it. Only safe while the connection carries at most one more
 // frame toward us — i.e. not on a multi-object session conn, where it would

@@ -1,0 +1,725 @@
+// The endpoint matrix: Listener.Accept, IncomingSession.Next and
+// Server.Serve are three adapters over one receive lifecycle, so one table of
+// scenarios runs against all three. Every sender reaches its endpoint through
+// a faultnet proxy whose control tap records the frames the receiver
+// answered with; every scenario ends with the endpoint quiet — no transfer
+// tag registered, no sealer goroutine alive.
+package udprt
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"github.com/hpcnet/fobs/internal/core"
+	"github.com/hpcnet/fobs/internal/faultnet"
+	"github.com/hpcnet/fobs/internal/metrics"
+	"github.com/hpcnet/fobs/internal/stats"
+	"github.com/hpcnet/fobs/internal/wire"
+)
+
+// received is one transfer's outcome as its adapter reported it.
+type received struct {
+	obj []byte
+	st  core.ReceiverStats
+	err error
+}
+
+// frameTap collects the control bytes a receiver wrote toward its senders.
+type frameTap struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (f *frameTap) Write(p []byte) (int, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.buf.Write(p)
+}
+
+// frames names the whole frames collected so far, in order.
+func (f *frameTap) frames() []string {
+	f.mu.Lock()
+	r := bytes.NewReader(bytes.Clone(f.buf.Bytes()))
+	f.mu.Unlock()
+	var out []string
+	for r.Len() > 0 {
+		fr, err := readControlFrame(r)
+		if err != nil {
+			break // a frame still in flight
+		}
+		switch fr.typ {
+		case wire.TypeHelloAck:
+			out = append(out, "HELLO-ACK")
+		case wire.TypeHave:
+			if fr.have.Received == 0 {
+				out = append(out, "HAVE(0)")
+			} else {
+				out = append(out, "HAVE(+)")
+			}
+		case wire.TypeComplete:
+			out = append(out, "COMPLETE")
+		case wire.TypeAbort:
+			out = append(out, "ABORT("+fr.abort.Reason.String()+")")
+		default:
+			out = append(out, fmt.Sprintf("type-%d", fr.typ))
+		}
+	}
+	return out
+}
+
+// testEndpoint is one receiving endpoint behind one of its adapters.
+type testEndpoint struct {
+	t      *testing.T
+	kind   string // "accept", "session" or "serve"
+	l      *Listener
+	sl     *SessionListener
+	reg    *metrics.Registry
+	io     *stats.IOCounters
+	proxy  *faultnet.Proxy
+	tap    *frameTap
+	ctx    context.Context
+	cancel context.CancelFunc
+	got    chan received
+	wg     sync.WaitGroup
+}
+
+// eachEndpoint runs fn against a fresh endpoint of each kind.
+func eachEndpoint(t *testing.T, opts Options, faults func() *faultnet.Faults, fn func(t *testing.T, ep *testEndpoint)) {
+	for _, kind := range []string{"accept", "session", "serve"} {
+		t.Run(kind, func(t *testing.T) {
+			ep := &testEndpoint{t: t, kind: kind, reg: metrics.New(), io: new(stats.IOCounters),
+				tap: new(frameTap), got: make(chan received, 8)} // more than any scenario receives
+			opts := opts
+			opts.Metrics, opts.IOCounters = ep.reg, ep.io
+			ep.ctx, ep.cancel = context.WithTimeout(context.Background(), 60*time.Second)
+			var err error
+			switch kind {
+			case "accept":
+				ep.l, err = Listen("127.0.0.1:0", opts)
+			case "session":
+				if ep.sl, err = ListenSession("127.0.0.1:0", opts); err == nil {
+					ep.l = ep.sl.l
+				}
+			case "serve":
+				var srv *Server
+				if srv, err = NewServer("127.0.0.1:0", opts); err == nil {
+					ep.l = srv.Listener
+					ep.wg.Add(1)
+					go func() {
+						defer ep.wg.Done()
+						srv.Serve(ep.ctx, func(_ uint32, obj []byte, st core.ReceiverStats) {
+							ep.got <- received{obj, st, nil}
+						})
+					}()
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var f *faultnet.Faults
+			if faults != nil {
+				f = faults()
+			}
+			if ep.proxy, err = faultnet.NewProxy(ep.l.Addr(), f); err != nil {
+				t.Fatal(err)
+			}
+			ep.proxy.TapControl(ep.tap)
+			defer ep.close()
+			fn(t, ep)
+		})
+	}
+}
+
+// close ends the endpoint and requires that it ended quiet.
+func (ep *testEndpoint) close() {
+	ep.cancel()
+	ep.proxy.Close()
+	ep.l.Close()
+	ep.wg.Wait()
+	if n := ep.tags(); n != 0 {
+		ep.t.Errorf("%d transfer tags still registered after every transfer ended", n)
+	}
+	if n := sealWorkers(); n != 0 {
+		ep.t.Errorf("%d sealer goroutines outlived their transfers", n)
+	}
+}
+
+// watches reports whether the adapter watches a transfer's control
+// connection for the sender's ABORT (a session connection cannot be).
+func (ep *testEndpoint) watches() bool { return ep.kind != "session" }
+
+func (ep *testEndpoint) receiveOne() received {
+	if ep.kind == "accept" {
+		obj, st, err := ep.l.Accept(ep.ctx)
+		return received{obj, st, err}
+	}
+	is, err := ep.sl.AcceptSession(ep.ctx)
+	if err != nil {
+		return received{err: err}
+	}
+	defer is.Close()
+	obj, st, err := is.Next(ep.ctx)
+	return received{obj, st, err}
+}
+
+// recv has the adapter take one more transfer (a Server always does).
+func (ep *testEndpoint) recv() {
+	if ep.kind == "serve" {
+		return
+	}
+	ep.wg.Add(1)
+	go func() {
+		defer ep.wg.Done()
+		ep.got <- ep.receiveOne()
+	}()
+}
+
+// recvUntilSuccess is recv for a transfer that is interrupted and resumed:
+// failed attempts are taken and dropped until one delivers.
+func (ep *testEndpoint) recvUntilSuccess() {
+	if ep.kind == "serve" {
+		return
+	}
+	ep.wg.Add(1)
+	go func() {
+		defer ep.wg.Done()
+		for {
+			r := ep.receiveOne()
+			if r.err == nil || ep.ctx.Err() != nil {
+				ep.got <- r
+				return
+			}
+		}
+	}()
+}
+
+// result waits for the next outcome an adapter reports. A Server reports
+// nothing for a failed transfer; ok is false then, and the caller reads the
+// verdict from the metrics record instead.
+func (ep *testEndpoint) result(failing bool) (r received, ok bool) {
+	ep.t.Helper()
+	if ep.kind == "serve" && failing {
+		return received{}, false
+	}
+	select {
+	case r := <-ep.got:
+		return r, true
+	case <-time.After(30 * time.Second):
+		ep.t.Fatal("the adapter never reported the transfer")
+		return received{}, false
+	}
+}
+
+// delivered is result for a transfer that must succeed with obj.
+func (ep *testEndpoint) delivered(obj []byte) received {
+	ep.t.Helper()
+	r, _ := ep.result(false)
+	if r.err != nil || !bytes.Equal(r.obj, obj) {
+		ep.t.Fatalf("delivery: err=%v intact=%v", r.err, bytes.Equal(r.obj, obj))
+	}
+	return r
+}
+
+// record waits for the receive-side metrics record of a transfer to satisfy
+// ok — a terminal outcome, or progress on a running one.
+func (ep *testEndpoint) record(id uint32, what string, ok func(metrics.TransferSnapshot) bool) metrics.TransferSnapshot {
+	ep.t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		ts, found := ep.reg.Snapshot().Find(id, metrics.RoleReceiver)
+		if found && ok(ts) {
+			return ts
+		}
+		if time.Now().After(deadline) {
+			ep.t.Fatalf("transfer %d never %s: found=%v record=%+v", id, what, found, ts)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+func (ep *testEndpoint) completed(id uint32) metrics.TransferSnapshot {
+	ep.t.Helper()
+	return ep.record(id, "completed", func(ts metrics.TransferSnapshot) bool { return ts.Outcome == metrics.OutcomeCompleted })
+}
+
+// aborted requires the record to end aborted with the given reason.
+func (ep *testEndpoint) aborted(id uint32, reason wire.AbortReason) {
+	ep.t.Helper()
+	ts := ep.record(id, "ended", func(ts metrics.TransferSnapshot) bool { return ts.Outcome != metrics.OutcomeRunning })
+	if ts.Outcome != metrics.OutcomeAborted || wire.AbortReason(ts.AbortReason) != reason {
+		ep.t.Fatalf("transfer %d recorded %v (%s), want aborted (%s)", id, ts.Outcome, wire.AbortReason(ts.AbortReason), reason)
+	}
+}
+
+// placed waits until the transfer has placed at least one packet.
+func (ep *testEndpoint) placed(id uint32) {
+	ep.t.Helper()
+	ep.record(id, "placed a packet", func(ts metrics.TransferSnapshot) bool { return ts.Fresh > 0 })
+}
+
+// wantFrames requires the control frames the senders saw to be exactly want
+// (in order, or as a multiset when several connections interleave), and to
+// stay that way.
+func (ep *testEndpoint) wantFrames(ordered bool, want ...string) {
+	ep.t.Helper()
+	same := func() bool {
+		got, want := ep.tap.frames(), slices.Clone(want)
+		if !ordered {
+			slices.Sort(got)
+			slices.Sort(want)
+		}
+		return slices.Equal(got, want)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !same() {
+		if time.Now().After(deadline) {
+			ep.t.Fatalf("control frames the senders saw: %v, want %v", ep.tap.frames(), want)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // a frame too many would be on its way
+	if !same() {
+		ep.t.Fatalf("control frames the senders saw: %v, want %v", ep.tap.frames(), want)
+	}
+}
+
+// retains reports whether the endpoint's resume store holds state for id.
+func (ep *testEndpoint) retains(id uint32) bool {
+	s := ep.l.store
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.entries[id] != nil
+}
+
+// tags counts the transfer tags registered with the endpoint.
+func (ep *testEndpoint) tags() int {
+	ep.l.mu.Lock()
+	defer ep.l.mu.Unlock()
+	return len(ep.l.inbound)
+}
+
+// registered waits until a transfer has registered its tags.
+func (ep *testEndpoint) registered() {
+	ep.t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ep.tags() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			ep.t.Fatal("no transfer ever registered")
+		}
+	}
+}
+
+// seedRetained plants resume state for id holding the first `have` packets
+// of obj, as an earlier failed transfer would have left it.
+func (ep *testEndpoint) seedRetained(id uint32, obj []byte, ps, have int) {
+	words := make([]uint64, (core.NumPackets(int64(len(obj)), ps)+63)/64)
+	for i := 0; i < have; i++ {
+		words[i/64] |= 1 << (i % 64)
+	}
+	ep.l.store.put(id, &retained{objectSize: uint64(len(obj)), packetSize: ps,
+		obj: bytes.Clone(obj), words: words, received: have})
+}
+
+// rawPeer is a hand-driven sender: a control connection carrying whatever
+// announcement the test wrote, and a data socket.
+type rawPeer struct {
+	t   *testing.T
+	ctl *net.TCPConn
+	udp *net.UDPConn
+}
+
+func dialRaw(t *testing.T, addr string, announcement []byte) *rawPeer {
+	t.Helper()
+	ctl, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ctl.Close() })
+	ua, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	udp, err := net.DialUDP("udp", nil, ua)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { udp.Close() })
+	if _, err := ctl.Write(announcement); err != nil {
+		t.Fatal(err)
+	}
+	return &rawPeer{t, ctl.(*net.TCPConn), udp}
+}
+
+// read returns the receiver's next control frame.
+func (r *rawPeer) read() controlFrame {
+	r.t.Helper()
+	r.ctl.SetReadDeadline(time.Now().Add(10 * time.Second))
+	f, err := readControlFrame(r.ctl)
+	if err != nil {
+		r.t.Fatalf("no control frame: %v", err)
+	}
+	return f
+}
+
+// data puts packets [from, to) of obj on the data socket under tag.
+func (r *rawPeer) data(tag uint32, obj []byte, ps, from, to int) {
+	r.t.Helper()
+	total := core.NumPackets(int64(len(obj)), ps)
+	for seq := from; seq < to; seq++ {
+		pkt := wire.AppendData(nil, &wire.Data{Transfer: tag, Seq: uint32(seq), Total: uint32(total),
+			Payload: obj[seq*ps : min((seq+1)*ps, len(obj))]})
+		if _, err := r.udp.Write(pkt); err != nil {
+			r.t.Fatal(err)
+		}
+	}
+}
+
+// dataUntil keeps putting packets [from, to) on the wire until done reports
+// true: a raw peer reads no acknowledgements, so a datagram dropped on the
+// way (the proxy's socket buffer is small, the host may be busy) is repaired
+// only by sending it again.
+func (r *rawPeer) dataUntil(tag uint32, obj []byte, ps, from, to int, done func() bool) {
+	r.t.Helper()
+	for deadline := time.Now().Add(20 * time.Second); !done(); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			r.t.Fatalf("packets [%d, %d) of transfer %d never had their effect", from, to, tag)
+		}
+		r.data(tag, obj, ps, from, to)
+	}
+}
+
+// reset kills the control connection with an RST, and gives it time to land:
+// the receiver's next write on the connection fails.
+func (r *rawPeer) reset() {
+	r.ctl.SetLinger(0)
+	r.ctl.Close()
+	time.Sleep(50 * time.Millisecond)
+}
+
+func helloFor(id uint32, obj []byte, ps int) []byte {
+	return wire.AppendHello(nil, &wire.Hello{Transfer: id, ObjectSize: uint64(len(obj)), PacketSize: uint32(ps)})
+}
+
+func resumeFor(id uint32, obj []byte, ps int, streams uint16) []byte {
+	return wire.AppendResume(nil, &wire.Resume{Transfer: id, Streams: streams, ObjectSize: uint64(len(obj)),
+		PacketSize: uint32(ps), Digest: wire.ObjectDigest(obj)})
+}
+
+func TestEndpointMatrix(t *testing.T) {
+	const ps = 1024
+	obj := makeObj(96<<10 + 7)
+	packets := core.NumPackets(int64(len(obj)), ps)
+	starve := Options{IdleTimeout: 300 * time.Millisecond}
+	for _, sc := range []struct {
+		name   string
+		opts   Options
+		faults func() *faultnet.Faults
+		run    func(t *testing.T, ep *testEndpoint)
+	}{
+		{name: "fresh", run: func(t *testing.T, ep *testEndpoint) {
+			ep.recv()
+			sst, err := Send(ep.ctx, ep.proxy.Addr(), obj, core.Config{Transfer: 11, PacketSize: ps}, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ep.delivered(obj)
+			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "COMPLETE")
+			// Every endpoint credits the transfer with its socket work, in the
+			// record and in Options.IOCounters alike.
+			rec := ep.completed(11)
+			ep.l.mu.Lock()
+			io := *ep.io
+			ep.l.mu.Unlock()
+			if rec.IO != io || io.RecvDatagrams < sst.PacketsNeeded || io.RecvCalls == 0 || io.SentDatagrams == 0 {
+				t.Fatalf("socket counters: record %+v, Options.IOCounters %+v, %d packets needed", rec.IO, io, sst.PacketsNeeded)
+			}
+		}},
+		{name: "4 stripes", run: func(t *testing.T, ep *testEndpoint) {
+			ep.recv()
+			if _, err := Send(ep.ctx, ep.proxy.Addr(), obj, core.Config{Transfer: 21, PacketSize: ps}, Options{Streams: 4}); err != nil {
+				t.Fatal(err)
+			}
+			ep.delivered(obj)
+			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "COMPLETE")
+			for tag := uint32(21); tag < 25; tag++ {
+				ep.completed(tag)
+			}
+		}},
+		{name: "4 stripes verified, two at once", run: func(t *testing.T, ep *testEndpoint) {
+			objs := [][]byte{bytes.Clone(obj), bytes.Clone(obj)}
+			objs[1][0] ^= 0xFF
+			errs := make([]error, len(objs))
+			var wg sync.WaitGroup
+			for i := range objs {
+				ep.recv()
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_, errs[i] = Send(ep.ctx, ep.proxy.Addr(), objs[i],
+						core.Config{Transfer: uint32(31 + 16*i), PacketSize: ps}, Options{Streams: 4, Verify: true})
+				}()
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("sender %d: %v", i, err)
+				}
+			}
+			seen := map[byte]bool{}
+			for range objs {
+				r, _ := ep.result(false)
+				if r.err != nil || (!bytes.Equal(r.obj, objs[0]) && !bytes.Equal(r.obj, objs[1])) {
+					t.Fatalf("delivery: err=%v, %d bytes matching neither object sent", r.err, len(r.obj))
+				}
+				seen[r.obj[0]] = true
+			}
+			if len(seen) != len(objs) {
+				t.Fatal("one object was delivered twice, the other never")
+			}
+			ep.wantFrames(false, "HAVE(0)", "HELLO-ACK", "COMPLETE", "HAVE(0)", "HELLO-ACK", "COMPLETE")
+		}},
+		{name: "resumed after a sever", opts: Options{IdleTimeout: 500 * time.Millisecond}, run: func(t *testing.T, ep *testEndpoint) {
+			big := makeObj(1<<20 + 31)
+			ep.recvUntilSuccess()
+			var cut atomic.Bool
+			sst, err := Send(ep.ctx, ep.proxy.Addr(), big, core.Config{Transfer: 51, PacketSize: ps, AckFrequency: 8}, Options{
+				StallTimeout: 2 * time.Second,
+				Pace:         killPointPace,
+				Retry:        &RetryPolicy{MaxRetries: 4, Backoff: 250 * time.Millisecond, Seed: 7},
+				Progress: func(done, total int) {
+					if done > total/2 && cut.CompareAndSwap(false, true) {
+						ep.proxy.SetBlackhole(true)
+						ep.proxy.SeverControl()
+						time.AfterFunc(100*time.Millisecond, func() { ep.proxy.SetBlackhole(false) })
+					}
+				},
+			})
+			if err != nil || !cut.Load() {
+				t.Fatalf("supervised send: err=%v cut=%v", err, cut.Load())
+			}
+			r := ep.delivered(big)
+			if sst.Restored == 0 || r.st.Restored == 0 {
+				t.Fatalf("nothing resumed: sender restored %d, receiver %d", sst.Restored, r.st.Restored)
+			}
+			// The first connection got as far as the handshake; the second
+			// missed its CHECK, had its RESUME answered, and completed.
+			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "HAVE(0)", "HAVE(+)", "COMPLETE")
+			if rec := ep.completed(51); rec.PacketsRestored == 0 {
+				t.Fatalf("final record restored nothing: %+v", rec)
+			}
+		}},
+		{name: "fully restored resume", run: func(t *testing.T, ep *testEndpoint) {
+			ep.seedRetained(61, obj, ps, packets)
+			ep.recv()
+			dialRaw(t, ep.proxy.Addr(), resumeFor(61, obj, ps, 1))
+			if r := ep.delivered(obj); r.st.Restored != packets {
+				t.Fatalf("restored %d of %d packets", r.st.Restored, packets)
+			}
+			ep.wantFrames(true, "HAVE(+)", "COMPLETE")
+			ep.completed(61)
+		}},
+		{name: "HAVE write severed", run: func(t *testing.T, ep *testEndpoint) {
+			// Hold the lifecycle at its claim, kill the connection under it,
+			// let it go: the HAVE that accepts the RESUME cannot be written,
+			// and the claimed state — complete, nothing left to receive — must
+			// go back to the store.
+			ep.seedRetained(62, obj, ps, packets)
+			ep.l.store.mu.Lock()
+			ep.recv()
+			peer := dialRaw(t, ep.l.Addr(), resumeFor(62, obj, ps, 1))
+			ep.registered()
+			peer.reset()
+			ep.l.store.mu.Unlock()
+			if r, ok := ep.result(true); ok && r.err == nil {
+				t.Fatal("a transfer whose HAVE could not be written was delivered")
+			}
+			ep.aborted(62, wire.AbortUnspecified)
+			if !ep.retains(62) {
+				t.Fatal("the claimed resume state was lost with the failed HAVE")
+			}
+			ep.recv()
+			dialRaw(t, ep.proxy.Addr(), resumeFor(62, obj, ps, 1))
+			ep.delivered(obj)
+			ep.wantFrames(true, "HAVE(+)", "COMPLETE")
+		}},
+		{name: "dedup hit", run: func(t *testing.T, ep *testEndpoint) {
+			for tag := uint32(71); tag <= 72; tag++ {
+				ep.recv()
+				sst, err := Send(ep.ctx, ep.proxy.Addr(), obj, core.Config{Transfer: tag, PacketSize: ps}, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := ep.delivered(obj)
+				if hit := tag == 72; sst.Deduped != hit || r.st.Deduped != hit || hit && sst.PacketsSent != 0 {
+					t.Fatalf("push %d: sender %+v, receiver %+v", tag, sst, r.st)
+				}
+			}
+			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "COMPLETE", "HAVE(+)", "COMPLETE")
+			if rec := ep.completed(72); rec.PacketsRestored != int64(packets) {
+				t.Fatalf("dedup record restored %d of %d", rec.PacketsRestored, packets)
+			}
+		}},
+		{name: "flipped byte", faults: func() *faultnet.Faults {
+			return faultnet.New(faultnet.Policy{Seed: 7, CorruptOffset: wire.DataHeaderLen, CorruptIf: func(pkt []byte) bool {
+				d, err := wire.DecodeData(pkt)
+				return err == nil && d.Seq == 3
+			}})
+		}, run: func(t *testing.T, ep *testEndpoint) {
+			ep.recv()
+			_, serr := Send(ep.ctx, ep.proxy.Addr(), obj, core.Config{Transfer: 81, PacketSize: ps}, Options{Pace: 2 * time.Microsecond})
+			if !errors.Is(serr, ErrDigestMismatch) {
+				t.Fatalf("sender err = %v, want ErrDigestMismatch", serr)
+			}
+			if r, ok := ep.result(true); ok && (!errors.Is(r.err, ErrDigestMismatch) || r.obj != nil) {
+				t.Fatalf("receiver err = %v with %d bytes delivered, want ErrDigestMismatch and nothing", r.err, len(r.obj))
+			}
+			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "ABORT("+wire.AbortDigestMismatch.String()+")")
+			ep.aborted(81, wire.AbortDigestMismatch)
+			if ep.l.cache.len() != 0 || ep.retains(81) {
+				t.Fatal("a corrupted object was cached or retained")
+			}
+		}},
+		{name: "idle timeout", opts: starve, run: func(t *testing.T, ep *testEndpoint) {
+			ep.recv()
+			peer := dialRaw(t, ep.proxy.Addr(), helloFor(91, obj, ps))
+			peer.read()
+			peer.data(91, obj, ps, 0, packets/2)
+			if r, ok := ep.result(true); ok && (!errors.Is(r.err, ErrIdle) || r.st.IdleTimeouts != 1) {
+				t.Fatalf("receiver err = %v, stats %+v, want ErrIdle", r.err, r.st)
+			}
+			ep.wantFrames(true, "HELLO-ACK", "ABORT("+wire.AbortIdleTimeout.String()+")")
+			ep.aborted(91, wire.AbortIdleTimeout)
+			if !ep.retains(91) {
+				t.Fatal("the starved transfer's state was not retained")
+			}
+		}},
+		{name: "sender ABORT", opts: starve, run: func(t *testing.T, ep *testEndpoint) {
+			ep.recv()
+			peer := dialRaw(t, ep.proxy.Addr(), helloFor(92, obj, ps))
+			peer.read()
+			peer.data(92, obj, ps, 0, packets/2)
+			ep.placed(92)
+			writeAbort(peer.ctl, 92, wire.AbortCancelled)
+			r, ok := ep.result(true)
+			if ep.watches() {
+				var abort *AbortError
+				if ok && (!errors.As(r.err, &abort) || abort.Reason != wire.AbortCancelled) {
+					t.Fatalf("receiver err = %v, want the sender's ABORT", r.err)
+				}
+				ep.aborted(92, wire.AbortCancelled)
+				ep.wantFrames(true, "HELLO-ACK")
+			} else {
+				// A session connection is not watched: the silence that
+				// follows the ABORT is what ends the transfer.
+				if !errors.Is(r.err, ErrIdle) {
+					t.Fatalf("receiver err = %v, want ErrIdle", r.err)
+				}
+				ep.aborted(92, wire.AbortIdleTimeout)
+				ep.wantFrames(true, "HELLO-ACK", "ABORT("+wire.AbortIdleTimeout.String()+")")
+			}
+			if !ep.retains(92) {
+				t.Fatal("the aborted transfer's state was not retained")
+			}
+		}},
+		{name: "ctx cancel", run: func(t *testing.T, ep *testEndpoint) {
+			ep.recv()
+			peer := dialRaw(t, ep.proxy.Addr(), helloFor(93, obj, ps))
+			peer.read()
+			peer.data(93, obj, ps, 0, packets/2)
+			ep.placed(93)
+			ep.cancel()
+			if r, ok := ep.result(true); ok && !errors.Is(r.err, context.Canceled) {
+				t.Fatalf("receiver err = %v, want context.Canceled", r.err)
+			}
+			ep.wantFrames(true, "HELLO-ACK", "ABORT("+wire.AbortCancelled.String()+")")
+			ep.aborted(93, wire.AbortCancelled)
+			if !ep.retains(93) {
+				t.Fatal("the cancelled transfer's state was not retained")
+			}
+		}},
+		{name: "duplicate tag", run: func(t *testing.T, ep *testEndpoint) {
+			// A RESUME collides with a transfer in flight under its tag while
+			// the store holds state for that tag: refused as a duplicate, with
+			// the state left claimable and the transfer in flight unharmed.
+			ep.seedRetained(95, obj, ps, 1)
+			ep.recv()
+			ep.recv()
+			squatter := dialRaw(t, ep.proxy.Addr(), helloFor(95, obj, ps))
+			squatter.read()
+			squatter.data(95, obj, ps, 0, packets/2)
+			collider := dialRaw(t, ep.proxy.Addr(), resumeFor(95, obj, ps, 1))
+			if f := collider.read(); f.typ != wire.TypeAbort || f.abort.Reason != wire.AbortDuplicateTransfer {
+				t.Fatalf("collider was answered type %d (%s), want ABORT(duplicate)", f.typ, f.abort.Reason)
+			}
+			if r, ok := ep.result(true); ok && r.err == nil {
+				t.Fatal("the colliding announcement was delivered as a transfer")
+			}
+			if !ep.retains(95) {
+				t.Fatal("the refused RESUME took the retained state with it")
+			}
+			squatter.dataUntil(95, obj, ps, 0, packets, func() bool { return len(ep.got) > 0 })
+			ep.delivered(obj)
+			ep.wantFrames(true, "HELLO-ACK", "ABORT("+wire.AbortDuplicateTransfer.String()+")", "COMPLETE")
+			if rec := ep.completed(95); rec.Rejected != 0 || rec.Fresh != int64(packets) || rec.PacketsRestored != 0 {
+				t.Fatalf("the transfer in flight was disturbed: %+v", rec)
+			}
+		}},
+		{name: "striped RESUME", run: func(t *testing.T, ep *testEndpoint) {
+			ep.seedRetained(97, obj, ps, 1)
+			ep.recv()
+			dialRaw(t, ep.proxy.Addr(), resumeFor(97, obj, ps, 4))
+			if r, ok := ep.result(true); ok && r.err == nil {
+				t.Fatal("a striped RESUME was accepted")
+			}
+			ep.wantFrames(true, "ABORT("+wire.AbortUnsupported.String()+")")
+			if !ep.retains(97) {
+				t.Fatal("the refused RESUME took the retained state with it")
+			}
+		}},
+		{name: "COMPLETE write severed", run: func(t *testing.T, ep *testEndpoint) {
+			// Hold the lifecycle between its verdict and its COMPLETE (at the
+			// content cache), kill the connection under it, let it go: the
+			// record must say the transfer failed, with the write's error.
+			check := wire.AppendCheck(nil, &wire.Check{Flags: wire.CheckFlagDedup, Transfer: 98,
+				ObjectSize: uint64(len(obj)), PacketSize: ps, Digest: core.ContentID(obj)})
+			ep.recv()
+			peer := dialRaw(t, ep.l.Addr(), append(check, helloFor(98, obj, ps)...))
+			peer.read()
+			peer.read()
+			peer.dataUntil(98, obj, ps, 0, packets-1, func() bool {
+				ts, _ := ep.reg.Snapshot().Find(98, metrics.RoleReceiver)
+				return ts.Fresh == int64(packets-1)
+			})
+			ep.l.cache.mu.Lock()
+			peer.dataUntil(98, obj, ps, packets-1, packets, func() bool { return ep.tags() == 0 })
+			peer.reset()
+			ep.l.cache.mu.Unlock()
+			if r, ok := ep.result(true); ok && r.err == nil {
+				t.Fatal("a transfer whose COMPLETE could not be written was delivered")
+			}
+			ep.aborted(98, wire.AbortUnspecified)
+		}},
+	} {
+		t.Run(sc.name, func(t *testing.T) { eachEndpoint(t, sc.opts, sc.faults, sc.run) })
+	}
+}
+
+// TestStripingUnsupportedStaysTerminal: no endpoint of this build refuses
+// stripes, but an older Server may still answer ABORT(striping-unsupported);
+// it must decode, and read as a deliberate rejection, not a reason to retry.
+func TestStripingUnsupportedStaysTerminal(t *testing.T) {
+	a, err := wire.DecodeAbort(wire.AppendAbort(nil, &wire.Abort{Transfer: 3, Reason: wire.AbortStripingUnsupported}))
+	if err != nil || a.Reason != wire.AbortStripingUnsupported {
+		t.Fatalf("decode: %+v, %v", a, err)
+	}
+	if IsRetryable(&AbortError{Transfer: 3, Reason: a.Reason}) {
+		t.Fatal("striping-unsupported classified as retryable")
+	}
+}

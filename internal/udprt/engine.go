@@ -1,10 +1,11 @@
 // The transfer engine: the one sender loop and the one receiver pipeline
-// behind every datapath in this package. Send, Session.Send, each stripe
-// of a striped transfer, Listener.Accept, IncomingSession.Next and every
-// Server transfer are thin adapters over the two engine types here — they
+// behind every datapath in this package. Send, Session.Send and each stripe
+// of a striped transfer are thin adapters over the sender engine — they
 // differ only in how sockets are obtained, how the completion verdict is
 // delivered, and who writes the control-channel ABORT, which is exactly
-// what the endpoint parameters capture.
+// what the endpoint parameters capture. On the receive side there is nothing
+// to adapt: every endpoint's one loop (receive.go) routes each datagram to
+// the receiver engine of the stripe it belongs to.
 package udprt
 
 import (
@@ -17,7 +18,6 @@ import (
 	"github.com/hpcnet/fobs/internal/core"
 	"github.com/hpcnet/fobs/internal/flight"
 	"github.com/hpcnet/fobs/internal/metrics"
-	"github.com/hpcnet/fobs/internal/obs"
 	"github.com/hpcnet/fobs/internal/stats"
 	"github.com/hpcnet/fobs/internal/wire"
 )
@@ -454,18 +454,17 @@ func (e *senderEngine) run(ctx context.Context) error {
 // receiverEngine owns the receive-side per-datagram pipeline for one
 // transfer (or one stripe): classify via the state machine, place the
 // payload, mirror the verdict into the metrics and the flight recorder,
-// and frame the acknowledgement when one is due. The pull loop below and
-// the Server's demux both feed it, so there is exactly one implementation
-// of the receive pipeline in this package. An engine is not safe for
-// concurrent use; its caller provides the serialization (a single loop
-// goroutine, or the Server's per-transfer lock).
+// and frame the acknowledgement when one is due. The endpoint's routing
+// function (Listener.route) is its one caller. An engine is not safe for
+// concurrent use: its transfer's lock (inbound.mu) serializes the loop that
+// feeds it with the lifecycle goroutine that reads it.
 type receiverEngine struct {
 	rcv    *core.Receiver
 	tm     *metrics.Transfer
 	fr     *flight.Recorder
 	ackBuf []byte
 	// ackCalls counts acknowledgement datagrams emitted for this engine;
-	// the pull loop folds it into the socket counters (acks go out one
+	// detach folds it into the transfer's socket counters (acks go out one
 	// WriteToUDPAddrPort each).
 	ackCalls int
 	// finished latches the engine's first observation of completion so a
@@ -556,127 +555,4 @@ func noteReceiverDelta(tm *metrics.Transfer, fr *flight.Recorder, seq uint32,
 		tm.NoteDataRejected()
 		fr.DataReceived(seq, payload, flight.ClassRejected)
 	}
-}
-
-// runReceiveLoop drains one owned UDP socket into a set of receiver
-// engines demuxed by transfer tag, until every engine's object completes.
-// This is THE pull loop: Listener.Accept and IncomingSession.Next drive it
-// with a single engine, a striped accept with one engine per stripe; the
-// Server's push-side demux feeds the same engines from its own socket
-// loop. Packets for unknown tags (stragglers of a previous object in a
-// session) are dropped by the demux, exactly as the state machine's own
-// tag check would.
-//
-// One wakeup processes a whole queue: the listener's batched receiver pulls
-// up to Options.IOBatch messages per recvmmsg syscall — each a datagram or,
-// from a sender that groups them, a train of up to 64 — (one datagram per
-// read on the scalar path) and every datagram runs through the engine
-// pipeline before the loop looks at the socket again. The hot path is
-// allocation-free: datagrams land in the receiver's buffer ring, which
-// belongs to the socket and outlives the transfer, acks are serialized into
-// each engine's reusable buffer, and replies go out through the net
-// package's value-typed address API. A datagram longer than the transfer's
-// packets is not cut short by its slot; core's length check refuses it.
-//
-// Liveness: if no datagram for any engine arrives for Options.IdleTimeout,
-// the loop aborts the transfer (ABORT idle-timeout on the control channel,
-// tagged with the transfer's base id) and returns an error wrapping
-// ErrIdle. When watchCtl is true the loop additionally watches the control
-// connection in the background, so a sender's ABORT or death ends the
-// receive promptly; that is only safe on a connection dedicated to one
-// transfer — on a session connection it would steal the next HELLO.
-func runReceiveLoop(ctx context.Context, engines map[uint32]*receiverEngine, base uint32,
-	l *Listener, ctl net.Conn, watchCtl bool, or *obs.Recorder) error {
-
-	udp, rx, opts := l.udp, l.rx, l.opts
-	var abortCh <-chan error
-	if watchCtl && ctl != nil {
-		abortCh = watchControl(ctl, base)
-	}
-	var primary *receiverEngine
-	remaining := 0
-	for _, e := range engines {
-		if primary == nil || e.rcv.Config().Transfer == base {
-			primary = e
-		}
-		if !e.finished {
-			remaining++
-		}
-	}
-	rx.ResetCounters() // the receiver outlives the transfer; the tallies are per transfer
-	defer func() {
-		c := rx.Counters()
-		ackCalls := 0
-		for _, e := range engines {
-			ackCalls += e.ackCalls
-		}
-		c.SendCalls, c.SentDatagrams = ackCalls, ackCalls
-		if ackCalls > 0 {
-			c.MaxSendBatch = 1 // acks go out one WriteToUDPAddrPort each
-		}
-		if opts.IOCounters != nil {
-			*opts.IOCounters = c
-		}
-		// The socket is shared by every stripe, so its counters are
-		// attributed to the base transfer's engine rather than split by a
-		// guess; per-stripe ack emission is already counted per engine.
-		primary.tm.NoteIO(c)
-	}()
-	lastData := time.Now()
-	for remaining > 0 {
-		if err := ctx.Err(); err != nil {
-			writeAbort(ctl, base, wire.AbortCancelled)
-			return err
-		}
-		select {
-		case err := <-abortCh:
-			return err
-		default:
-		}
-		if opts.IdleTimeout > 0 && time.Since(lastData) > opts.IdleTimeout {
-			for _, e := range engines {
-				e.noteIdle()
-			}
-			writeAbort(ctl, base, wire.AbortIdleTimeout)
-			return fmt.Errorf("udprt: no data for %v: %w", opts.IdleTimeout, ErrIdle)
-		}
-		udp.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-		n, err := rx.Recv()
-		if err != nil {
-			if isTimeout(err) {
-				continue
-			}
-			return fmt.Errorf("udprt: data read: %w", err)
-		}
-		live := false
-		for i := 0; i < n; i++ {
-			d, err := wire.DecodeData(rx.Datagram(i))
-			if err != nil {
-				continue
-			}
-			e := engines[d.Transfer]
-			if e == nil {
-				continue
-			}
-			live = true
-			ack, ackSeq, ackRecv, finishedNow := e.ingest(d)
-			if ack != nil {
-				if _, err := udp.WriteToUDPAddrPort(ack, rx.Addr(i)); err != nil {
-					return fmt.Errorf("udprt: ack write: %w", err)
-				}
-				e.noteAckSent(ack, ackSeq, ackRecv)
-			}
-			if finishedNow {
-				remaining--
-			}
-		}
-		if live {
-			// Any datagram for this transfer — even a duplicate — proves the
-			// sender is alive; the first opens the rounds span. Both are noted
-			// once per drain, not per datagram: a wake-up may deliver hundreds.
-			lastData = time.Now()
-			or.Once(obs.KindRounds, 0)
-		}
-	}
-	return nil
 }

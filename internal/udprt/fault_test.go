@@ -280,7 +280,7 @@ func TestDuplicateTransferIDAborted(t *testing.T) {
 	if _, err := squatter.Write(hello); err != nil {
 		t.Fatal(err)
 	}
-	if err := awaitHelloAck(ctx, squatter, 9, 10*time.Second); err != nil {
+	if _, err := awaitAnswer(ctx, squatter, 9, wire.TypeHelloAck, 10*time.Second); err != nil {
 		t.Fatalf("squatter handshake: %v", err)
 	}
 
@@ -331,7 +331,7 @@ func TestReceiverIdleAbortsAndInformsSender(t *testing.T) {
 	if _, err := ctl.Write(hello); err != nil {
 		t.Fatal(err)
 	}
-	if err := awaitHelloAck(ctx, ctl, 3, 10*time.Second); err != nil {
+	if _, err := awaitAnswer(ctx, ctl, 3, wire.TypeHelloAck, 10*time.Second); err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
 

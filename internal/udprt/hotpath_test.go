@@ -11,7 +11,6 @@ import (
 	"github.com/hpcnet/fobs/internal/flight"
 	"github.com/hpcnet/fobs/internal/metrics"
 	"github.com/hpcnet/fobs/internal/obs"
-	"github.com/hpcnet/fobs/internal/wire"
 )
 
 // eachInstrumentation runs fn with instrumentation off (nil handles, the
@@ -147,87 +146,79 @@ func TestSenderHotPathZeroAllocs(t *testing.T) {
 }
 
 // TestReceiverHotPathZeroAllocs measures the receiver's steady-state
-// per-wakeup work — drain the socket, decode each datagram, place it,
-// classify it for the metrics, serialize and send the acknowledgement — as
-// runReceiveLoop performs it, and requires zero allocations on both socket
-// paths, with and without metrics.
+// per-wakeup work — drain the socket, decode each datagram, look its tag up,
+// place it, classify it for the instruments, tell the sealer, serialize and
+// send the acknowledgement — by calling the endpoint's own drain (the body of
+// its loop, routing function included) on a registered transfer, and requires
+// zero allocations on both socket paths, with and without each instrument,
+// with and without a sealer attached.
 func TestReceiverHotPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
+	const packetSize, objSize = 1024, 2<<20 + 512 // three leaves: the sealer's worker runs
 	eachIOPath(t, func(t *testing.T, noFastPath bool) {
-		eachInstrumentation(t, metrics.RoleReceiver, 1<<20/1024, func(t *testing.T, tm *metrics.Transfer, fr *flight.Recorder, or *obs.Recorder) {
-			udp, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer udp.Close()
-			udp.SetReadBuffer(4 << 20)
-			feeder, err := net.DialUDP("udp", nil, udp.LocalAddr().(*net.UDPAddr))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer feeder.Close()
-
-			const packetSize = 1024
-			snd := core.NewSender(makeObj(1<<20), core.Config{PacketSize: packetSize})
-			rcv := core.NewReceiver(snd.ObjectSize(), core.Config{
-				PacketSize:   packetSize,
-				AckFrequency: 4,
-			})
-			ftx, err := batchio.NewSender(feeder, 8, !noFastPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			feed := newSendRing(8, packetSize)
-			rx, err := batchio.NewReceiver(udp, 8, maxDatagram, !noFastPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ackBuf := make([]byte, 0, rcv.Config().AckPacketSize+wire.AckHeaderLen)
-			udp.SetReadDeadline(time.Time{})
-
-			// The feeding sends run in this goroutine too, but the sender side
-			// is proven allocation-free by TestSenderHotPathZeroAllocs.
-			if allocs := testing.AllocsPerRun(300, func() {
-				k, _ := encodeBatch(snd, feed, len(feed), nil, nil, 0)
-				if _, err := ftx.Send(feed[:k]); err != nil {
-					t.Fatalf("feed: %v", err)
+		eachInstrumentation(t, metrics.RoleReceiver, objSize/packetSize+1, func(t *testing.T, tm *metrics.Transfer, fr *flight.Recorder, or *obs.Recorder) {
+			for _, sealed := range []bool{false, true} {
+				udp, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+				if err != nil {
+					t.Fatal(err)
 				}
-				udp.SetReadDeadline(time.Now().Add(2 * time.Second))
-				got := 0
-				for got < k {
-					n, err := rx.Recv()
-					if err != nil {
-						t.Fatalf("Recv: %v", err)
+				defer udp.Close()
+				udp.SetReadBuffer(4 << 20)
+				feeder, err := net.DialUDP("udp", nil, udp.LocalAddr().(*net.UDPAddr))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer feeder.Close()
+				ftx, err := batchio.NewSender(feeder, 8, !noFastPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				feed := newSendRing(8, packetSize)
+				rx, err := batchio.NewReceiver(udp, 8, maxDatagram, !noFastPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// A Listener in every respect except that its loop is not
+				// running: the test is the loop, one drain at a time.
+				l := &Listener{udp: udp, rx: rx, inbound: make(map[uint32]tagRoute)}
+
+				snd := core.NewSender(makeObj(objSize), core.Config{PacketSize: packetSize})
+				plan := recvPlan{objectSize: objSize, packetSize: packetSize, hasCheck: sealed}
+				in := l.register(plan)
+				obj := make([]byte, objSize)
+				engines := newRecvEngines(plan, obj)
+				engines[0].tm, engines[0].fr = tm, fr
+				seal := plan.startSealer(obj, engines...)
+				defer seal.abandon()
+				if sealed != (engines[0].seal != nil) {
+					t.Fatalf("sealed=%v but the engine's sealer is %v", sealed, engines[0].seal)
+				}
+				in.arm(engines, or)
+
+				// The feeding sends run in this goroutine too, but the sender
+				// side is proven allocation-free by TestSenderHotPathZeroAllocs.
+				// Unacknowledged, the circular schedule re-sends forever: the
+				// runs cover fresh packets, the completing one and duplicates.
+				if allocs := testing.AllocsPerRun(300, func() {
+					k, _ := encodeBatch(snd, feed, len(feed), nil, nil, 0)
+					if _, err := ftx.Send(feed[:k]); err != nil {
+						t.Fatalf("feed: %v", err)
 					}
-					for i := 0; i < n; i++ {
-						d, err := wire.DecodeData(rx.Datagram(i))
-						if err != nil {
-							t.Fatalf("decode: %v", err)
-						}
-						// The receive loop's per-datagram span cost.
-						or.Once(obs.KindRounds, 0)
-						before := rcv.Stats()
-						ackDue, err := rcv.HandleData(d)
-						noteReceiverDelta(tm, fr, d.Seq, before, rcv.Stats(), len(d.Payload))
-						if err != nil {
-							t.Fatalf("place: %v", err)
-						}
-						if ackDue {
-							a := rcv.BuildAck()
-							ackBuf = wire.AppendAck(ackBuf[:0], &a)
-							if _, err := udp.WriteToUDPAddrPort(ackBuf, rx.Addr(i)); err != nil {
-								t.Fatalf("ack write: %v", err)
-							}
-							tm.NoteAckSent(len(ackBuf))
-							fr.AckSent(a.AckSeq, int(a.Received), len(ackBuf))
+					udp.SetReadDeadline(time.Now().Add(2 * time.Second))
+					for before := l.io.RecvDatagrams; l.io.RecvDatagrams < before+k; {
+						if err := l.drain(); err != nil {
+							t.Fatalf("drain: %v", err)
 						}
 					}
-					got += n
+				}); allocs > 0 {
+					t.Errorf("sealed=%v: receiver drain+route+place+ack allocates %.1f times per wakeup, want 0", sealed, allocs)
 				}
-			}); allocs > 0 {
-				t.Errorf("receiver drain+place+ack allocates %.1f times per wakeup, want 0", allocs)
+				l.detach(in)
+				if st := engines[0].rcv.Stats(); st.Received == 0 || st.AcksBuilt == 0 || st.Rejected != 0 {
+					t.Errorf("sealed=%v: the measured path did not place and acknowledge: %+v", sealed, st)
+				}
 			}
 			if tm != nil {
 				s := tm.Snapshot()

@@ -1,0 +1,385 @@
+// The receive side: one demux loop per endpoint and one transfer lifecycle.
+// The paper's receiver is a single algorithm on a single channel layout (§3:
+// TCP control connection, UDP data flow, acks back to the data's source
+// address), and so is this one. A Listener owns the data socket's loop, which
+// routes every datagram by transfer tag to the transfer in flight that
+// registered it; receive runs one announced transfer from its announcement to
+// COMPLETE, ABORT or retention. Listener.Accept, IncomingSession.Next and
+// Server.Serve differ only in where the control connection comes from,
+// whether it may be watched, and how many transfers run at once.
+package udprt
+
+import (
+	"context"
+	"fmt"
+	"net"
+	"net/netip"
+	"sync"
+	"time"
+
+	"github.com/hpcnet/fobs/internal/core"
+	"github.com/hpcnet/fobs/internal/obs"
+	"github.com/hpcnet/fobs/internal/stats"
+	"github.com/hpcnet/fobs/internal/wire"
+)
+
+// inbound is the receive state of one transfer in flight. Its tags are
+// registered with the endpoint from register to detach; between arm and
+// detach it is live and the endpoint's loop drives its engines.
+type inbound struct {
+	plan recvPlan
+	io0  stats.IOCounters // the ring's published tallies at registration
+	// complete is closed by the loop when the last stripe's last packet is
+	// placed (by arm, when a restored transfer had nothing missing).
+	complete chan struct{}
+
+	// mu serializes the engines: the loop ingests under it, the lifecycle
+	// goroutine takes it to go live, to run the idle watchdog and to detach —
+	// after which the engines are the lifecycle's alone.
+	mu       sync.Mutex
+	live     bool              // the loop drops datagrams for a transfer that is not
+	engines  []*receiverEngine // one per stripe, in layout order
+	or       *obs.Recorder     // span recorder (nil when untraced)
+	pending  int               // stripes not yet complete
+	lastData time.Time         // when the last drain holding a datagram of this transfer began
+}
+
+// tagRoute is a registered transfer tag's destination: a stripe of an inbound.
+type tagRoute struct {
+	in     *inbound
+	stripe int
+}
+
+// loop is the endpoint's one reader of rx, from Listen until Close closes
+// the socket under it. It blocks with no read deadline: nothing but the
+// socket's closing ends it.
+func (l *Listener) loop() {
+	defer close(l.stopped)
+	for l.drain() == nil {
+	}
+}
+
+// drain is one wakeup of the loop: up to Options.IOBatch messages — each a
+// datagram or, from a sender that groups them, a train of up to 64 — leave
+// the socket in one recvmmsg (one datagram per read on the scalar path) and
+// every datagram is routed before the socket is touched again, so concurrent
+// senders and stripes cost one syscall per queueful, not one read each. The
+// clock is read, and the ring's counters published, once per drain.
+func (l *Listener) drain() error {
+	n, err := l.rx.Recv()
+	if err != nil {
+		return err
+	}
+	now := time.Now()
+	l.mu.Lock()
+	l.io = l.rx.Counters()
+	l.mu.Unlock()
+	for i := 0; i < n; i++ {
+		l.route(l.rx.Datagram(i), l.rx.Addr(i), now)
+	}
+	return nil
+}
+
+// route hands one datagram of the drain that began at now to the stripe that
+// registered its tag, and writes the acknowledgement when one is due. A tag
+// nobody registered — a straggler of a finished transfer, most often — is
+// dropped, exactly as the state machine's own tag check would. The path
+// allocates nothing: the datagram lives in the socket's ring, the ack is
+// serialized into the engine's reusable buffer, and the reply goes out
+// through the net package's value-typed address API. A datagram longer than
+// the transfer's packets is not cut short by its slot; core's length check
+// refuses it.
+func (l *Listener) route(buf []byte, from netip.AddrPort, now time.Time) {
+	d, err := wire.DecodeData(buf)
+	if err != nil {
+		return
+	}
+	l.mu.Lock()
+	rt, ok := l.inbound[d.Transfer]
+	l.mu.Unlock()
+	if !ok {
+		return
+	}
+	in := rt.in
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if !in.live {
+		return
+	}
+	// Any datagram for the transfer — even a duplicate — proves the sender
+	// lives; the first opens the rounds span.
+	in.lastData = now
+	in.or.Once(obs.KindRounds, 0)
+	e := in.engines[rt.stripe]
+	ack, ackSeq, ackRecv, finishedNow := e.ingest(d)
+	if ack != nil {
+		// A lost ack is the protocol's everyday case; a failed write is one.
+		if _, err := l.udp.WriteToUDPAddrPort(ack, from); err == nil {
+			e.noteAckSent(ack, ackSeq, ackRecv)
+		}
+	}
+	if finishedNow {
+		if in.pending--; in.pending == 0 {
+			close(in.complete)
+		}
+	}
+}
+
+// register reserves the plan's transfer tags, one per stripe, or returns nil
+// when any of them belongs to a transfer in flight: colliding data would
+// corrupt that transfer's accounting. Datagrams for a reserved tag are
+// dropped until arm.
+func (l *Listener) register(plan recvPlan) *inbound {
+	in := &inbound{plan: plan, complete: make(chan struct{})}
+	layout := plan.layout()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, sd := range layout {
+		if _, dup := l.inbound[sd.Transfer]; dup {
+			return nil
+		}
+	}
+	for i, sd := range layout {
+		l.inbound[sd.Transfer] = tagRoute{in, i}
+	}
+	in.io0 = l.io
+	return in
+}
+
+// arm attaches the engines and lets the loop drive them.
+func (in *inbound) arm(engines []*receiverEngine, or *obs.Recorder) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	in.engines, in.or = engines, or
+	for _, e := range engines {
+		if !e.finished {
+			in.pending++
+		}
+	}
+	if in.pending == 0 {
+		close(in.complete) // fully restored: nothing left on the wire
+	}
+	in.lastData = time.Now()
+	in.live = true
+}
+
+// detach ends the loop's hold on the transfer — whatever arrives for its tags
+// from here on is a straggler — and credits it with the socket work of its
+// span; the lifecycle calls it exactly once per registration. The ring is
+// shared and outlives the transfer, so the receive counts are the difference
+// between the tallies published now and at registration (resetting the ring
+// per transfer would be wrong under concurrency), and the sends are the
+// acknowledgements its engines wrote. The socket is shared by every stripe,
+// so the counters go to the base transfer's record rather than being split
+// by a guess.
+func (l *Listener) detach(in *inbound) {
+	in.mu.Lock()
+	in.live = false
+	in.mu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, sd := range in.plan.layout() {
+		delete(l.inbound, sd.Transfer)
+	}
+	if in.engines == nil {
+		return // refused before it went live
+	}
+	c := l.io
+	c.RecvCalls -= in.io0.RecvCalls
+	c.RecvDatagrams -= in.io0.RecvDatagrams
+	c.RecvTrains -= in.io0.RecvTrains
+	for _, e := range in.engines {
+		c.SendCalls += e.ackCalls
+	}
+	c.SentDatagrams = c.SendCalls
+	if c.SendCalls > 0 {
+		c.MaxSendBatch = 1 // acks go out one WriteToUDPAddrPort each
+	}
+	if l.opts.IOCounters != nil {
+		*l.opts.IOCounters = c
+	}
+	in.engines[0].tm.NoteIO(c)
+}
+
+// receive runs one inbound transfer on an established control connection,
+// from its announcement to its verdict:
+//
+//	plan → CHECK answer (dedup hit | miss) → register → claim-or-create →
+//	start sealer → go live → HAVE | HELLO-ACK → wait → detach →
+//	verify → cache → COMPLETE
+//
+// A content-cache hit ends the transfer at its second step (completeDeduped).
+// A refusal — unusable announcement, striped RESUME, a tag in flight, no
+// claimable state — answers a reasoned ABORT and leaves nothing behind. The
+// wait ends on completion, ctx, the idle watchdog or, when watchCtl says the
+// connection is dedicated to this transfer, the sender's ABORT or death (on a
+// session connection the watcher would steal the next announcement; the idle
+// watchdog covers a vanished sender there). A transfer that fails after it
+// was admitted leaves its partial state in the resume store, so a RESUME
+// within the window can finish it; one whose bytes failed verification is
+// neither delivered, cached nor retained. Every exit stamps the instruments
+// with its error value.
+func (l *Listener) receive(ctx context.Context, ctl net.Conn, watchCtl bool) (recvPlan, []byte, core.ReceiverStats, error) {
+	plan, err := readTransferPlan(ctx, ctl)
+	if err != nil {
+		refuseAnnouncement(ctl, err)
+		return plan, nil, core.ReceiverStats{}, err
+	}
+	if plan.hasCheck {
+		if obj, ok := plan.dedupHit(l.cache); ok {
+			obj, st, err := completeDeduped(plan, ctl, l.opts, obj)
+			return plan, obj, st, err
+		}
+		if err := answerCheckMiss(ctl, plan.base); err != nil {
+			return plan, nil, core.ReceiverStats{}, err
+		}
+	}
+	refuse := func(reason wire.AbortReason) (recvPlan, []byte, core.ReceiverStats, error) {
+		writeAbort(ctl, plan.base, reason)
+		return plan, nil, core.ReceiverStats{}, fmt.Errorf("udprt: transfer %d refused: %s", plan.base, reason)
+	}
+	if plan.resume && plan.resumeStreams > 1 {
+		// Resume is defined for single-flow transfers only (the striped wire
+		// format has no per-stripe bitmap exchange).
+		return refuse(wire.AbortUnsupported)
+	}
+	// Register first, claim second: a RESUME that collides with a transfer
+	// in flight must not take the retained state down with it.
+	in := l.register(plan)
+	if in == nil {
+		return refuse(wire.AbortDuplicateTransfer)
+	}
+	var obj []byte
+	var ret *retained
+	if plan.resume {
+		var reason wire.AbortReason
+		if ret, reason = l.store.claim(plan.resumeFrame()); ret == nil {
+			l.detach(in)
+			return refuse(reason)
+		}
+		obj = ret.obj
+	} else {
+		obj = make([]byte, plan.objectSize)
+	}
+	engines := newRecvEngines(plan, obj)
+	restored := 0
+	if ret != nil {
+		if restored, err = engines[0].rcv.Restore(ret.words); err != nil {
+			l.detach(in)
+			return refuse(wire.AbortResumeUnknown) // corrupt retained state is dropped, not put back
+		}
+		engines[0].finished = engines[0].rcv.Complete()
+	}
+	for _, e := range engines {
+		cfg, size := e.rcv.Config(), int64(len(e.rcv.Object()))
+		e.tm = l.opts.Metrics.StartReceiver(cfg.Transfer, e.rcv.NumPackets(), size)
+		e.fr = l.opts.Record.StartReceiver(cfg.Transfer, e.rcv.NumPackets(), size, cfg.PacketSize)
+	}
+	seal := plan.startSealer(obj, engines...)
+	defer seal.abandon()
+	or := l.opts.startRecorder(plan.trace, plan.base, obs.RoleReceiver)
+	if plan.hasCheck {
+		or.Event(obs.KindCheck, 0) // the query was answered a miss above
+	}
+	// fail is every exit of a detached transfer but success: the engines are
+	// this goroutine's alone by then, so what they hold can be retained and
+	// summed.
+	fail := func(err error, retain bool) (recvPlan, []byte, core.ReceiverStats, error) {
+		if retain && !plan.striped() {
+			l.store.retainReceiver(plan.base, plan.objectSize, plan.packetSize,
+				engines[0].rcv, plan.resumeDigest, plan.resume)
+		}
+		for _, e := range engines {
+			finishInstruments(e.tm, e.fr, err)
+		}
+		finishTrace(or, err)
+		return plan, nil, sumRecvStats(engines), err
+	}
+
+	// The handshake is noted before the transfer goes live, so that no record
+	// shows data ahead of it; and the HAVE payload is read before then too:
+	// stragglers of the interrupted run may mutate the bitmap the moment the
+	// loop can reach it.
+	for _, e := range engines {
+		noteHandshake(e.tm, e.fr)
+	}
+	or.Event(obs.KindHandshake, 0)
+	if ret != nil {
+		engines[0].tm.NoteRestored(restored)
+		or.Event(obs.KindResume, uint64(restored))
+		have, words := engines[0].rcv.Stats().Received, engines[0].rcv.HaveWords(nil)
+		in.arm(engines, or)
+		err = writeHave(ctl, plan.base, have, words)
+	} else {
+		in.arm(engines, or)
+		err = writeHelloAck(ctl, plan.base)
+	}
+	if err != nil {
+		l.detach(in)
+		return fail(err, true) // the sender never saw our acceptance; stay claimable
+	}
+	err = l.await(ctx, in, ctl, watchCtl)
+	l.detach(in)
+	if err != nil {
+		return fail(err, true)
+	}
+	// Every packet is placed; what remains is the content verdict over the
+	// leaves not hashed yet and the COMPLETE write.
+	or.Event(obs.KindDrain, uint64(seal.pending()))
+	if err := plan.verifyContent(obj, seal); err != nil {
+		writeAbort(ctl, plan.base, wire.AbortDigestMismatch)
+		return fail(err, false)
+	}
+	cacheVerified(l.cache, plan, obj)
+	if err := writeComplete(ctl, plan, obj); err != nil {
+		return fail(err, false)
+	}
+	for _, e := range engines {
+		finishInstruments(e.tm, e.fr, nil)
+	}
+	finishTrace(or, nil)
+	return plan, obj, sumRecvStats(engines), nil
+}
+
+// await blocks until the live transfer completes (nil) or fails: ctx ends,
+// the sender aborts or vanishes (only when watchCtl allows watching the
+// connection), or no datagram for any stripe arrives for Options.IdleTimeout.
+// The two failures the sender cannot know of are announced to it with an
+// ABORT tagged with the transfer's base id.
+func (l *Listener) await(ctx context.Context, in *inbound, ctl net.Conn, watchCtl bool) error {
+	base, idle := in.plan.base, l.opts.IdleTimeout
+	var abortCh <-chan error
+	if watchCtl {
+		abortCh = watchControl(ctl, base)
+	}
+	var idleC <-chan time.Time
+	if idle > 0 {
+		tick := time.NewTicker(max(idle/4, 50*time.Millisecond))
+		defer tick.Stop()
+		idleC = tick.C
+	}
+	for {
+		select {
+		case <-in.complete:
+			return nil
+		case <-ctx.Done():
+			writeAbort(ctl, base, wire.AbortCancelled)
+			return ctx.Err()
+		case err := <-abortCh:
+			return err
+		case <-idleC:
+			in.mu.Lock()
+			starved := in.pending > 0 && time.Since(in.lastData) > idle
+			if starved {
+				for _, e := range in.engines {
+					e.noteIdle()
+				}
+			}
+			in.mu.Unlock()
+			if starved {
+				writeAbort(ctl, base, wire.AbortIdleTimeout)
+				return fmt.Errorf("udprt: no data for %v: %w", idle, ErrIdle)
+			}
+		}
+	}
+}

@@ -10,15 +10,11 @@
 package udprt
 
 import (
-	"context"
-	"fmt"
-	"net"
 	"sync"
 	"time"
 
 	"github.com/hpcnet/fobs/internal/checkpoint"
 	"github.com/hpcnet/fobs/internal/core"
-	"github.com/hpcnet/fobs/internal/obs"
 	"github.com/hpcnet/fobs/internal/wire"
 )
 
@@ -84,17 +80,18 @@ func newResumeStore(opts Options) *resumeStore {
 	return s
 }
 
-// retainReceiver keeps a single-flow receiver's partial state so a RESUME
-// within the window can pick it up. Empty or complete receivers retain
-// nothing (nothing to resume). digest is the sender-announced object CRC
-// when known (a RESUME carries one, a classic HELLO does not).
+// retainReceiver keeps a single-flow receiver's state so a RESUME within the
+// window can pick it up. An empty receiver retains nothing; a complete one is
+// kept like any other — it is the fully restored transfer whose HAVE never
+// reached the sender, and must stay claimable. digest is the sender-announced
+// object CRC when known (a RESUME carries one, a classic HELLO does not).
 func (s *resumeStore) retainReceiver(transfer uint32, objectSize uint64, packetSize int,
 	rcv *core.Receiver, digest uint32, hasDigest bool) {
 	if s == nil || rcv == nil {
 		return
 	}
 	st := rcv.Stats()
-	if st.Received == 0 || rcv.Complete() {
+	if st.Received == 0 {
 		return
 	}
 	s.put(transfer, &retained{
@@ -173,8 +170,8 @@ func (s *resumeStore) expire(transfer uint32, ret *retained) {
 }
 
 // claim validates a RESUME against the retained entry for its transfer id
-// and, on success, removes and returns the entry (a failed resumed run
-// re-retains it). On refusal the entry stays put and the returned abort
+// and, on success, removes and returns the entry (a resumed run that fails,
+// its answer included, re-retains it). On refusal the entry stays put and the returned abort
 // reason tells the sender whether to degrade to a fresh transfer
 // (ResumeUnknown, BadHello) or give up (DigestMismatch — the peer is
 // resuming a different object under a known id).
@@ -221,97 +218,4 @@ func (p recvPlan) resumeFrame() wire.Resume {
 		PacketSize: uint32(p.packetSize),
 		Digest:     p.resumeDigest,
 	}
-}
-
-// acceptResumedTransfer answers one RESUME announcement on a pull-loop
-// endpoint (Listener.Accept or IncomingSession.Next): claim the retained
-// state, rebuild the receiver around it, answer HAVE with the got-bitmap
-// in place of HELLO-ACK, then run the ordinary receive loop over only the
-// missing packets. A refused claim answers a reasoned ABORT — the sender
-// degrades to a fresh transfer or fails, per the reason.
-func acceptResumedTransfer(ctx context.Context, plan recvPlan, l *Listener, ctl net.Conn, watchCtl bool) ([]byte, core.ReceiverStats, error) {
-	opts, store, cache := l.opts, l.store, l.cache
-	if plan.resumeStreams > 1 {
-		// Resume is defined for single-flow transfers only (the striped
-		// wire format has no per-stripe bitmap exchange yet).
-		writeAbort(ctl, plan.base, wire.AbortUnsupported)
-		return nil, core.ReceiverStats{}, fmt.Errorf("udprt: %d-stream resume unsupported", plan.resumeStreams)
-	}
-	ret, reason := store.claim(plan.resumeFrame())
-	if ret == nil {
-		writeAbort(ctl, plan.base, reason)
-		return nil, core.ReceiverStats{}, fmt.Errorf("udprt: resume refused: %s", reason)
-	}
-	cfg := core.Config{
-		PacketSize:   plan.packetSize,
-		Transfer:     plan.base,
-		AckFrequency: core.DefaultAckFrequency,
-	}
-	rcv := core.NewReceiverInto(ret.obj, cfg)
-	restored, err := rcv.Restore(ret.words)
-	if err != nil {
-		// Corrupt retained state: discard it rather than re-retain.
-		writeAbort(ctl, plan.base, wire.AbortResumeUnknown)
-		return nil, core.ReceiverStats{}, fmt.Errorf("udprt: restore retained state: %w", err)
-	}
-	tm := opts.Metrics.StartReceiver(plan.base, rcv.NumPackets(), int64(plan.objectSize))
-	fr := opts.Record.StartReceiver(plan.base, rcv.NumPackets(), int64(plan.objectSize), plan.packetSize)
-	or := opts.startRecorder(plan.trace, plan.base, obs.RoleReceiver)
-	if plan.hasCheck {
-		// The CHECK missed (a hit never reaches this path); record the
-		// answered query on the resumed timeline too.
-		or.Event(obs.KindCheck, 0)
-	}
-	tm.NoteRestored(restored)
-	e := newReceiverEngine(rcv, tm, fr)
-	e.finished = rcv.Complete()
-	seal := plan.startSealer(ret.obj, e)
-	defer seal.abandon()
-
-	if err := writeHave(ctl, plan.base, rcv.Stats().Received, rcv.HaveWords(nil)); err != nil {
-		// The sender never saw our acceptance; keep the state claimable.
-		store.put(plan.base, ret)
-		finishInstruments(tm, fr, err)
-		finishTrace(or, err)
-		return nil, rcv.Stats(), err
-	}
-	noteHandshake(tm, fr)
-	or.Event(obs.KindHandshake, 0)
-	or.Event(obs.KindResume, uint64(restored))
-	byTag := map[uint32]*receiverEngine{plan.base: e}
-	if err := runReceiveLoop(ctx, byTag, plan.base, l, ctl, watchCtl, or); err != nil {
-		store.retainReceiver(plan.base, plan.objectSize, plan.packetSize, rcv, ret.digest, true)
-		finishInstruments(tm, fr, err)
-		finishTrace(or, err)
-		return nil, rcv.Stats(), err
-	}
-	or.Event(obs.KindDrain, uint64(seal.pending()))
-	if got := wire.ObjectDigest(ret.obj); got != ret.digest {
-		// The retained bytes and the resumed run assembled a different
-		// object than the sender announced — unrecoverable for this id.
-		writeAbort(ctl, plan.base, wire.AbortDigestMismatch)
-		err := fmt.Errorf("udprt: resumed object digest %08x, sender announced %08x: %w",
-			got, ret.digest, ErrDigestMismatch)
-		finishInstruments(tm, fr, err)
-		finishTrace(or, err)
-		return nil, rcv.Stats(), err
-	}
-	// The CRC above reconciles the resumed bytes with what the RESUME
-	// announced; the CHECK's content digest then reconciles both with the
-	// object's content identity — a retained buffer that rotted across the
-	// restart fails here, not at the application.
-	if err := plan.verifyContent(ret.obj, seal); err != nil {
-		writeAbort(ctl, plan.base, wire.AbortDigestMismatch)
-		finishInstruments(tm, fr, err)
-		finishTrace(or, err)
-		return nil, rcv.Stats(), err
-	}
-	cacheVerified(cache, plan, ret.obj)
-	err = writeComplete(ctl, plan, ret.obj)
-	finishInstruments(tm, fr, err)
-	finishTrace(or, err)
-	if err != nil {
-		return nil, rcv.Stats(), err
-	}
-	return ret.obj, rcv.Stats(), nil
 }

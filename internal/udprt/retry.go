@@ -18,8 +18,6 @@ import (
 	"time"
 
 	"github.com/hpcnet/fobs/internal/core"
-	"github.com/hpcnet/fobs/internal/flight"
-	"github.com/hpcnet/fobs/internal/metrics"
 	"github.com/hpcnet/fobs/internal/obs"
 	"github.com/hpcnet/fobs/internal/wire"
 )
@@ -137,16 +135,6 @@ func IsRetryable(err error) bool {
 	return errors.As(err, &op)
 }
 
-// IsStripingUnsupported reports whether err is a peer's ABORT saying it
-// cannot reassemble striped transfers (wire.AbortStripingUnsupported — the
-// concurrent Server today). It is deliberately not retryable as-is: the
-// deterministic recovery is to retry the transfer with Options.Streams = 1,
-// which orchestrators like the fobsd mover do.
-func IsStripingUnsupported(err error) bool {
-	var abort *AbortError
-	return errors.As(err, &abort) && abort.Reason == wire.AbortStripingUnsupported
-}
-
 // sendSupervised is Send with Options.Retry set: attempts run under the
 // policy's budget, failures are classified, and retries resume where the
 // previous attempt left off when the peer cooperates. The returned stats
@@ -219,168 +207,64 @@ func sendSupervised(ctx context.Context, addr string, obj []byte, cfg core.Confi
 	return st, err
 }
 
-// sendResume opens one attempt with the RESUME handshake. resumed reports
-// whether the peer accepted it: (resumed=false, err=nil) means the peer
-// refused in a degradable way — no RESUME support, state expired or
-// mismatched geometry — and the caller should fall back to a fresh
-// transfer; a non-nil err is the attempt's verdict either way.
+// sendResume opens one attempt with the RESUME handshake: the same exchange
+// a fresh transfer runs, announcing RESUME in HELLO's place (single stream;
+// the callers see to that) behind the same TRACE and CHECK preludes — the
+// receiver may have completed, and cached, the object since the failed
+// attempt, in which case resuming would move packets it already holds.
+// resumed reports whether the peer accepted it: (resumed=false, err=nil)
+// means it refused in a way a fresh transfer can cure — no connection, a
+// hang-up or malformed reply (a RESUME- or extras-unaware peer fails its
+// announcement parse), an ABORT carrying unsupported / no-state /
+// bad-geometry, a bitmap that does not fit — and the caller falls back to
+// one, whose dialHandshake ladder re-negotiates the preludes and enforces
+// Options.Verify. A non-nil err is the attempt's verdict either way.
 func sendResume(ctx context.Context, addr string, obj []byte, cfg core.Config, opts Options) (core.SenderStats, bool, error) {
-	snd := core.NewSender(obj, cfg)
-	scfg := snd.Config()
-	tid := opts.senderTraceID()
-	// A RESUME gets the same CHECK prelude a fresh transfer would: the
-	// receiver may have completed (and cached) the object since the failed
-	// attempt, in which case resuming would move packets it already holds.
-	var check []byte
-	if !opts.NoDedup || opts.Verify {
-		var flags uint8
-		if opts.Verify {
-			flags |= wire.CheckFlagVerify
-		}
-		if !opts.NoDedup {
-			flags |= wire.CheckFlagDedup
-		}
-		check = wire.AppendCheck(nil, &wire.Check{
-			Flags:      flags,
-			Transfer:   scfg.Transfer,
-			ObjectSize: uint64(len(obj)),
-			PacketSize: uint32(scfg.PacketSize),
-			Digest:     snd.ContentID(),
-		})
+	p, err := newSenderPlan(obj, cfg, opts)
+	if err != nil {
+		return core.SenderStats{}, false, err
 	}
-	frame := wire.AppendResume(append(tracePrelude(tid), check...), &wire.Resume{
-		Transfer:   scfg.Transfer,
-		ObjectSize: uint64(len(obj)),
-		PacketSize: uint32(scfg.PacketSize),
-		Digest:     wire.ObjectDigest(obj),
-	})
+	tid := opts.senderTraceID()
+	check := p.checkFrame(opts)
+	frame := append(append(tracePrelude(tid), check...), p.resumeFrame()...)
 	var d net.Dialer
 	ctl, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
-		// No connection at all: the fresh fallback will classify this.
 		return core.SenderStats{}, false, nil
-	}
-	ctl.SetWriteDeadline(time.Now().Add(opts.HandshakeTimeout))
-	if _, err := ctl.Write(frame); err != nil {
-		ctl.Close()
-		return core.SenderStats{}, false, nil
-	}
-	ctl.SetWriteDeadline(time.Time{})
-
-	checked := check != nil
-	// newPlan wraps the resumed flow for the shared completion and engine
-	// paths; its instruments register only once the peer has accepted.
-	newPlan := func() *senderPlan {
-		tm, fr := instrumentSender(snd, scfg, int64(len(obj)), opts.Metrics, opts.Record)
-		return &senderPlan{
-			base:    scfg.Transfer,
-			obj:     obj,
-			cfg:     scfg,
-			stripes: []wire.StripeDesc{{Transfer: scfg.Transfer, Length: uint64(len(obj))}},
-			snds:    []*core.Sender{snd},
-			tms:     []*metrics.Transfer{tm},
-			frs:     []*flight.Recorder{fr},
-			checked: checked,
-		}
-	}
-	if checked {
-		h, cerr := awaitCheckAnswer(ctx, ctl, scfg.Transfer, opts.HandshakeTimeout)
-		if cerr != nil {
-			ctl.Close()
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return core.SenderStats{}, false, fmt.Errorf("udprt: resume handshake: %w", ctxErr)
-			}
-			// An ABORT or hang-up here is an extras-unaware (or refusing)
-			// peer: degrade to the fresh fallback, whose dialHandshake
-			// ladder re-negotiates the CHECK — and enforces Options.Verify.
-			return core.SenderStats{}, false, nil
-		}
-		if int(h.Received) >= snd.NumPackets() {
-			// Dedup hit: the receiver completed (and cached) the object
-			// since the failed attempt. COMPLETE follows; the RESUME's own
-			// HAVE never comes.
-			or := opts.startRecorder(tid, scfg.Transfer, obs.RoleSender)
-			defer ctl.Close()
-			st, err := completeDedupedSend(newPlan(), ctl, or)
-			return st, true, err
-		}
-	}
-	have, ok, err := awaitResumeAnswer(ctx, ctl, scfg.Transfer, opts.HandshakeTimeout)
-	if err != nil {
-		ctl.Close()
-		return core.SenderStats{}, false, err
-	}
-	if !ok {
-		// Refused in a degradable way — a TRACE- or RESUME-unaware peer
-		// lands here too; the caller's fresh fallback re-negotiates the
-		// prelude on its own.
-		ctl.Close()
-		return core.SenderStats{}, false, nil
-	}
-	restored, err := snd.Restore(have.Words)
-	if err != nil {
-		// The peer's bitmap does not fit our object — treat as refusal.
-		writeAbort(ctl, scfg.Transfer, wire.AbortBadHello)
-		ctl.Close()
-		return core.SenderStats{}, false, nil
-	}
-	or := opts.startRecorder(tid, scfg.Transfer, obs.RoleSender)
-	if checked {
-		or.Event(obs.KindCheck, 0)
-	}
-	or.Event(obs.KindHandshake, 0)
-	or.Event(obs.KindResume, uint64(restored))
-	p := newPlan()
-	p.tms[0].NoteRestored(restored)
-	p.noteHandshake()
-	conns, err := dialDataFlows(addr, 1, opts)
-	if err != nil {
-		writeAbort(ctl, p.base, wire.AbortUnspecified)
-		ctl.Close()
-		p.fail(err)
-		finishTrace(or, err)
-		return p.stats(), true, err
 	}
 	defer ctl.Close()
-	defer closeAll(conns)
-	st, err := runSenderPlan(ctx, p, conns, ctl, opts, or)
-	return st, true, err
-}
-
-// awaitResumeAnswer reads the receiver's verdict on a RESUME: the HAVE
-// bitmap on acceptance (ok=true); ok=false with nil error when the peer
-// refused in a way a fresh transfer can cure — an ABORT carrying
-// unsupported / no-state / bad-geometry, a closed connection (a
-// RESUME-unaware peer fails its announcement parse and hangs up), or a
-// malformed reply; and a terminal error for everything else.
-func awaitResumeAnswer(ctx context.Context, ctl net.Conn, transfer uint32, timeout time.Duration) (wire.Have, bool, error) {
-	dl := time.Now().Add(timeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(dl) {
-		dl = d
-	}
-	ctl.SetReadDeadline(dl)
-	defer ctl.SetReadDeadline(time.Time{})
-	f, err := readControlFrame(ctl)
+	answer, have, err := exchange(ctx, ctl, frame, p.base, check != nil, true, opts.HandshakeTimeout)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
-			return wire.Have{}, false, fmt.Errorf("udprt: resume handshake: %w", ctxErr)
+			return core.SenderStats{}, false, fmt.Errorf("udprt: resume handshake: %w", ctxErr)
 		}
-		return wire.Have{}, false, nil
+		var abort *AbortError
+		if errors.As(err, &abort) {
+			switch abort.Reason {
+			case wire.AbortUnsupported, wire.AbortResumeUnknown, wire.AbortBadHello:
+			default:
+				return core.SenderStats{}, false, err
+			}
+		}
+		return core.SenderStats{}, false, nil
 	}
-	switch f.typ {
-	case wire.TypeHave:
-		if f.have.Transfer != transfer {
-			return wire.Have{}, false, nil
+	// The peer accepted: with its HAVE bitmap, or — the CHECK hit, so the
+	// RESUME's own HAVE never comes — with the whole object.
+	restored := 0
+	if !p.dedupHit(answer) {
+		if restored, err = p.snds[0].Restore(have.Words); err != nil {
+			writeAbort(ctl, p.base, wire.AbortBadHello)
+			return core.SenderStats{}, false, nil
 		}
-		return f.have, true, nil
-	case wire.TypeAbort:
-		switch f.abort.Reason {
-		case wire.AbortUnsupported, wire.AbortResumeUnknown, wire.AbortBadHello:
-			return wire.Have{}, false, nil
-		default:
-			return wire.Have{}, false, &AbortError{Transfer: f.abort.Transfer, Reason: f.abort.Reason}
-		}
-	default:
-		return wire.Have{}, false, nil
 	}
+	p.instrument(opts)
+	or := opts.startRecorder(tid, p.base, obs.RoleSender)
+	if p.accepted(answer, or) {
+		st, err := completeDedupedSend(p, ctl, or)
+		return st, true, err
+	}
+	or.Event(obs.KindResume, uint64(restored))
+	p.tms[0].NoteRestored(restored)
+	st, err := dialAndRun(ctx, addr, p, ctl, opts, or)
+	return st, true, err
 }

@@ -22,9 +22,10 @@ import (
 // packet is placed never change again, and the channel send that queues the
 // leaf orders those writes before the worker's reads.
 //
-// placed and restore are called from whatever serializes the transfer's
-// engines (the pull loop's goroutine, or the Server's per-transfer lock);
-// sum and abandon from the goroutine that owns the transfer's lifecycle. A
+// placed and restore are called under whatever serializes the transfer's
+// engines (the lifecycle goroutine before the transfer goes live, the
+// endpoint's loop under the transfer's lock after); sum and abandon from the
+// goroutine that owns the transfer's lifecycle. A
 // nil sealer (no CHECK to verify against) ignores every call.
 type sealer struct {
 	obj     []byte

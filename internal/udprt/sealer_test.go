@@ -598,12 +598,7 @@ func TestOldCheckVersionRefusedThenDegraded(t *testing.T) {
 			return
 		}
 		defer ctl.Close()
-		plan, err := readTransferPlan(ctx, ctl)
-		if err != nil {
-			resc <- result{err: err}
-			return
-		}
-		got, _, err := acceptTransfer(ctx, plan, l, ctl, true)
+		plan, got, _, err := l.receive(ctx, ctl, true)
 		resc <- result{plan, got, err}
 	}()
 	if _, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: 2}, Options{}); err != nil {

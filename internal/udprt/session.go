@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"time"
 
 	"github.com/hpcnet/fobs/internal/core"
 	"github.com/hpcnet/fobs/internal/obs"
@@ -82,6 +81,8 @@ func (s *Session) Send(ctx context.Context, obj []byte, cfg core.Config) (core.S
 	}
 	s.next += uint32(len(plan.snds))
 
+	plan.instrument(s.opts)
+
 	// Each object gets its own trace id (unless the session pins one).
 	// There is no prelude degradation inside a session — any handshake
 	// failure breaks it — so a traced or verifying session requires a
@@ -89,50 +90,24 @@ func (s *Session) Send(ctx context.Context, obj []byte, cfg core.Config) (core.S
 	tid := s.opts.senderTraceID()
 	or := s.opts.startRecorder(tid, plan.base, obs.RoleSender)
 	check := plan.checkFrame(s.opts)
-	hello := append(append(tracePrelude(tid), check...), plan.helloFrame()...)
-	s.ctl.SetWriteDeadline(time.Now().Add(s.opts.HandshakeTimeout))
-	if _, err := s.ctl.Write(hello); err != nil {
-		s.ctl.SetWriteDeadline(time.Time{})
-		s.broken = true
-		err = fmt.Errorf("udprt: hello write: %w", err)
-		plan.fail(err)
-		finishTrace(or, err)
-		return plan.stats(), err
-	}
-	s.ctl.SetWriteDeadline(time.Time{})
-	if check != nil {
-		h, err := awaitCheckAnswer(ctx, s.ctl, plan.base, s.opts.HandshakeTimeout)
-		if err != nil {
-			s.broken = true
-			plan.fail(err)
-			finishTrace(or, err)
-			return plan.stats(), err
-		}
-		plan.checked = true
-		if int(h.Received) >= plan.totalPackets() {
-			// The receiver already holds the content: COMPLETE follows
-			// with no HELLO-ACK and no data flow, and the control stream
-			// stays clean for the session's next object.
-			st, err := completeDedupedSend(plan, s.ctl, or)
-			if err != nil {
-				s.broken = true
-			}
-			return st, err
-		}
-		or.Event(obs.KindCheck, 0)
-	}
-	if err := awaitHelloAck(ctx, s.ctl, plan.base, s.opts.HandshakeTimeout); err != nil {
-		s.broken = true
-		plan.fail(err)
-		finishTrace(or, err)
-		return plan.stats(), err
-	}
-	plan.noteHandshake()
-	or.Event(obs.KindHandshake, 0)
-	st, err := runSenderPlan(ctx, plan, s.conns[:len(plan.snds)], s.ctl, s.opts, or)
+	frame := append(append(tracePrelude(tid), check...), plan.helloFrame()...)
+	answer, _, err := exchange(ctx, s.ctl, frame, plan.base, check != nil, false, s.opts.HandshakeTimeout)
 	if err != nil {
 		s.broken = true
+		plan.fail(err)
+		finishTrace(or, err)
+		return plan.stats(), err
 	}
+	var st core.SenderStats
+	if plan.accepted(answer, or) {
+		// The receiver already holds the content: COMPLETE follows with no
+		// HELLO-ACK and no data flow, and the control stream stays clean for
+		// the session's next object.
+		st, err = completeDedupedSend(plan, s.ctl, or)
+	} else {
+		st, err = runSenderPlan(ctx, plan, s.conns[:len(plan.snds)], s.ctl, s.opts, or)
+	}
+	s.broken = err != nil
 	return st, err
 }
 
@@ -178,14 +153,10 @@ func (is *IncomingSession) Close() error { return is.ctl.Close() }
 // Next receives the session's next object — single-flow or striped,
 // whatever the announcement declares. It returns io-style errors when the
 // sender closes the session or ctx expires. The control connection
-// carries further HELLOs after this object, so the receive loop cannot
+// carries further HELLOs after this object, so the transfer cannot
 // watch it for aborts; the idle watchdog covers a vanished sender
 // instead.
 func (is *IncomingSession) Next(ctx context.Context) ([]byte, core.ReceiverStats, error) {
-	plan, err := readTransferPlan(ctx, is.ctl)
-	if err != nil {
-		refuseAnnouncement(is.ctl, err)
-		return nil, core.ReceiverStats{}, err
-	}
-	return acceptTransfer(ctx, plan, is.sl.l, is.ctl, false)
+	_, obj, st, err := is.sl.l.receive(ctx, is.ctl, false)
+	return obj, st, err
 }

@@ -83,9 +83,9 @@ type senderPlan struct {
 	checked bool
 }
 
-// newSenderPlan splits obj per opts.Streams and builds one instrumented
-// core.Sender per stripe. cfg.Transfer is the base tag; stripe i uses
-// base+i.
+// newSenderPlan splits obj per opts.Streams and builds one core.Sender per
+// stripe. cfg.Transfer is the base tag; stripe i uses base+i. The plan's
+// instruments start with instrument, once the caller means to run it.
 func newSenderPlan(obj []byte, cfg core.Config, opts Options) (*senderPlan, error) {
 	if opts.Streams > wire.MaxStreams {
 		return nil, fmt.Errorf("udprt: %d streams exceeds the wire limit of %d", opts.Streams, wire.MaxStreams)
@@ -106,15 +106,23 @@ func newSenderPlan(obj []byte, cfg core.Config, opts Options) (*senderPlan, erro
 		scfg := cfg
 		scfg.Transfer = sd.Transfer
 		snd := core.NewSender(obj[sd.Offset:sd.Offset+sd.Length], scfg)
-		tm, fr := instrumentSender(snd, snd.Config(), int64(sd.Length), opts.Metrics, opts.Record)
 		if i == 0 {
 			p.cfg = snd.Config()
 		}
 		p.snds = append(p.snds, snd)
-		p.tms = append(p.tms, tm)
-		p.frs = append(p.frs, fr)
 	}
+	p.tms = make([]*metrics.Transfer, len(p.snds))
+	p.frs = make([]*flight.Recorder, len(p.snds))
 	return p, nil
+}
+
+// instrument registers every stripe with the metrics registry and the flight
+// log (either may be nil). A RESUME that the peer refuses never gets here, so
+// the fresh transfer it degrades to is the attempt's only record.
+func (p *senderPlan) instrument(opts Options) {
+	for i, snd := range p.snds {
+		p.tms[i], p.frs[i] = instrumentSender(snd, snd.Config(), int64(p.stripes[i].Length), opts.Metrics, opts.Record)
+	}
 }
 
 // helloFrame serializes the plan's announcement: the classic HELLO for a
@@ -133,6 +141,18 @@ func (p *senderPlan) helloFrame() []byte {
 		ObjectSize: uint64(len(p.obj)),
 		PacketSize: uint32(p.cfg.PacketSize),
 		Stripes:    p.stripes,
+	})
+}
+
+// resumeFrame serializes a RESUME for the plan (single stripe): the HELLO's
+// geometry plus the whole-object CRC the receiver reconciles its retained
+// bytes with.
+func (p *senderPlan) resumeFrame() []byte {
+	return wire.AppendResume(nil, &wire.Resume{
+		Transfer:   p.base,
+		ObjectSize: uint64(len(p.obj)),
+		PacketSize: uint32(p.cfg.PacketSize),
+		Digest:     wire.ObjectDigest(p.obj),
 	})
 }
 
@@ -159,14 +179,19 @@ func (p *senderPlan) completionDigest() uint32 {
 	return wire.ObjectDigest(p.obj)
 }
 
-// totalPackets sums the stripes' packet counts — the threshold a CHECK
-// answer's Received count must reach to be a dedup hit.
+// totalPackets sums the stripes' packet counts.
 func (p *senderPlan) totalPackets() int {
 	total := 0
 	for _, snd := range p.snds {
 		total += snd.NumPackets()
 	}
 	return total
+}
+
+// dedupHit reports whether check — a CHECK's answer, nil when none was asked
+// for — says the receiver already holds the whole object.
+func (p *senderPlan) dedupHit(check *wire.Have) bool {
+	return check != nil && int(check.Received) >= p.totalPackets()
 }
 
 // checkFrame serializes the plan's CHECK prelude: the whole-object content
@@ -209,6 +234,21 @@ func (p *senderPlan) noteHandshake() {
 	for i := range p.snds {
 		noteHandshake(p.tms[i], p.frs[i])
 	}
+}
+
+// accepted records a completed exchange and reports whether its CHECK hit:
+// COMPLETE follows then, and neither a handshake nor a data phase happens.
+func (p *senderPlan) accepted(check *wire.Have, or *obs.Recorder) (hit bool) {
+	p.checked = check != nil
+	if p.dedupHit(check) {
+		return true
+	}
+	if p.checked {
+		or.Event(obs.KindCheck, 0)
+	}
+	p.noteHandshake()
+	or.Event(obs.KindHandshake, 0)
+	return false
 }
 
 // fail stamps every stripe's instruments with a pre-engine failure.
@@ -438,20 +478,27 @@ type recvPlan struct {
 
 func (p recvPlan) striped() bool { return p.stripes != nil }
 
+// layout is the plan as stripes: the announced ones, or the whole object as
+// the single stripe a classic HELLO or a RESUME describes. The endpoint
+// registers one transfer tag per entry.
+func (p recvPlan) layout() []wire.StripeDesc {
+	if p.striped() {
+		return p.stripes
+	}
+	return []wire.StripeDesc{{Transfer: p.base, Length: p.objectSize}}
+}
+
 // startSealer begins leaf-by-leaf verification of an inbound transfer whose
 // CHECK was answered: one sealer over the whole object, fed by every engine
 // (given in stripe order) and seeded with what a resumed engine already
-// holds. Nil — there is nothing to verify against — without a CHECK. Every
+// holds. Nil — there is nothing to verify against — without a CHECK. The
 // receive lifecycle starts its sealer here, defers abandon so that no exit
 // leaves the worker behind, and sums it in verifyContent.
 func (p recvPlan) startSealer(obj []byte, engines ...*receiverEngine) *sealer {
 	if !p.hasCheck {
 		return nil
 	}
-	stripes := p.stripes
-	if !p.striped() {
-		stripes = []wire.StripeDesc{{Transfer: p.base, Length: p.objectSize}}
-	}
+	stripes := p.layout()
 	s := newSealer(obj, p.packetSize, stripes)
 	for i, e := range engines {
 		e.seal, e.off = s, int(stripes[i].Offset)
@@ -462,13 +509,23 @@ func (p recvPlan) startSealer(obj []byte, engines ...*receiverEngine) *sealer {
 	return s
 }
 
-// verifyContent checks the assembled object against the content identity
-// the CHECK prelude announced: the whole object's always — summed from the
-// leaves the sealer hashed as they completed — and each stripe's when the
-// sender demanded verification. A mismatch is corruption the CRC survived
-// (or a sender announcing one object and blasting another); either way the
-// bytes must not be delivered or cached. Nil when no CHECK arrived.
+// verifyContent checks the assembled object against everything its
+// announcement said about the content. A RESUME's CRC reconciles the retained
+// bytes plus the resumed run with the object the sender holds. The content
+// identity a CHECK prelude announced then covers the whole object always —
+// summed from the leaves the sealer hashed as they completed, so a retained
+// buffer that rotted across a restart fails here, not at the application —
+// and each stripe when the sender demanded verification. A mismatch is
+// corruption (or a sender announcing one object and blasting another);
+// either way the bytes must not be delivered or cached, and nothing is left
+// to resume under this id.
 func (p recvPlan) verifyContent(obj []byte, seal *sealer) error {
+	if p.resume {
+		if got := wire.ObjectDigest(obj); got != p.resumeDigest {
+			return fmt.Errorf("udprt: resumed object digest %08x, sender announced %08x: %w",
+				got, p.resumeDigest, ErrDigestMismatch)
+		}
+	}
 	if !p.hasCheck {
 		return nil
 	}
@@ -510,37 +567,24 @@ func (p recvPlan) dedupHit(cache *contentCache) ([]byte, bool) {
 	return cache.lookup(p.checkDigest, p.objectSize)
 }
 
-// newRecvEngines allocates the object and builds one instrumented
-// receiver engine per stripe. The classic path keeps its historical
-// shape — core.NewReceiver owns the allocation; striped receivers
-// assemble in place into disjoint slices of one buffer via
-// core.NewReceiverInto, so completion needs no reassembly copy.
-func newRecvEngines(plan recvPlan, opts Options) (obj []byte, engines []*receiverEngine) {
-	baseCfg := core.Config{
-		PacketSize: plan.packetSize,
-		// The receiver's ack frequency is its own policy; the sender
-		// adapts to whatever cadence arrives.
-		AckFrequency: core.DefaultAckFrequency,
+// newRecvEngines builds one receiver engine per stripe of the plan, each
+// assembling in place into its own slice of obj — the one pre-allocated
+// object, or the retained buffer of a resumed transfer — so completion needs
+// no reassembly copy. Instruments are attached by the lifecycle once the
+// transfer is certain to start.
+func newRecvEngines(plan recvPlan, obj []byte) []*receiverEngine {
+	layout := plan.layout()
+	engines := make([]*receiverEngine, len(layout))
+	for i, sd := range layout {
+		engines[i] = newReceiverEngine(core.NewReceiverInto(obj[sd.Offset:sd.Offset+sd.Length], core.Config{
+			PacketSize: plan.packetSize,
+			Transfer:   sd.Transfer,
+			// The receiver's ack frequency is its own policy; the sender
+			// adapts to whatever cadence arrives.
+			AckFrequency: core.DefaultAckFrequency,
+		}), nil, nil)
 	}
-	if !plan.striped() {
-		cfg := baseCfg
-		cfg.Transfer = plan.base
-		rcv := core.NewReceiver(int64(plan.objectSize), cfg)
-		tm := opts.Metrics.StartReceiver(plan.base, rcv.NumPackets(), int64(plan.objectSize))
-		fr := opts.Record.StartReceiver(plan.base, rcv.NumPackets(), int64(plan.objectSize), cfg.PacketSize)
-		return rcv.Object(), []*receiverEngine{newReceiverEngine(rcv, tm, fr)}
-	}
-	obj = make([]byte, plan.objectSize)
-	engines = make([]*receiverEngine, 0, len(plan.stripes))
-	for _, sd := range plan.stripes {
-		cfg := baseCfg
-		cfg.Transfer = sd.Transfer
-		rcv := core.NewReceiverInto(obj[sd.Offset:sd.Offset+sd.Length], cfg)
-		tm := opts.Metrics.StartReceiver(sd.Transfer, rcv.NumPackets(), int64(sd.Length))
-		fr := opts.Record.StartReceiver(sd.Transfer, rcv.NumPackets(), int64(sd.Length), cfg.PacketSize)
-		engines = append(engines, newReceiverEngine(rcv, tm, fr))
-	}
-	return obj, engines
+	return engines
 }
 
 // sumRecvStats is the receive-side counterpart of senderPlan.stats.
@@ -559,77 +603,8 @@ func sumRecvStats(engines []*receiverEngine) core.ReceiverStats {
 	return t
 }
 
-// acceptTransfer runs one announced inbound transfer to completion over
-// the listener's UDP socket: the CHECK answer when the sender asked (a
-// content-cache hit short-circuits the whole data phase), HELLO-ACK (or,
-// for a RESUME announcement, the HAVE bitmap of retained state), the
-// shared receive loop demuxing every stripe, then the single COMPLETE
-// carrying the whole-object integrity echo. Listener.Accept and
-// IncomingSession.Next are thin wrappers. A failed single-flow transfer
-// leaves its partial state in the resume store so a RESUME within the
-// window can finish it.
-func acceptTransfer(ctx context.Context, plan recvPlan, l *Listener, ctl net.Conn, watchCtl bool) ([]byte, core.ReceiverStats, error) {
-	opts, store, cache := l.opts, l.store, l.cache
-	if plan.hasCheck {
-		if obj, ok := plan.dedupHit(cache); ok {
-			return completeDeduped(plan, ctl, opts, obj)
-		}
-		if err := answerCheckMiss(ctl, plan.base); err != nil {
-			return nil, core.ReceiverStats{}, err
-		}
-	}
-	if plan.resume {
-		return acceptResumedTransfer(ctx, plan, l, ctl, watchCtl)
-	}
-	obj, engines := newRecvEngines(plan, opts)
-	seal := plan.startSealer(obj, engines...)
-	defer seal.abandon()
-	or := opts.startRecorder(plan.trace, plan.base, obs.RoleReceiver)
-	if plan.hasCheck {
-		or.Event(obs.KindCheck, 0)
-	}
-	finishAll := func(err error) {
-		for _, e := range engines {
-			finishInstruments(e.tm, e.fr, err)
-		}
-		finishTrace(or, err)
-	}
-	if err := writeHelloAck(ctl, plan.base); err != nil {
-		finishAll(err)
-		return nil, sumRecvStats(engines), err
-	}
-	byTag := make(map[uint32]*receiverEngine, len(engines))
-	for _, e := range engines {
-		noteHandshake(e.tm, e.fr)
-		byTag[e.rcv.Config().Transfer] = e
-	}
-	or.Event(obs.KindHandshake, 0)
-	if err := runReceiveLoop(ctx, byTag, plan.base, l, ctl, watchCtl, or); err != nil {
-		if !plan.striped() {
-			store.retainReceiver(plan.base, plan.objectSize, plan.packetSize, engines[0].rcv, 0, false)
-		}
-		finishAll(err)
-		return nil, sumRecvStats(engines), err
-	}
-	// Every packet is placed; what remains is the content verdict over the
-	// leaves not hashed yet and the COMPLETE write.
-	or.Event(obs.KindDrain, uint64(seal.pending()))
-	if err := plan.verifyContent(obj, seal); err != nil {
-		writeAbort(ctl, plan.base, wire.AbortDigestMismatch)
-		finishAll(err)
-		return nil, sumRecvStats(engines), err
-	}
-	cacheVerified(cache, plan, obj)
-	err := writeComplete(ctl, plan, obj)
-	finishAll(err)
-	if err != nil {
-		return nil, sumRecvStats(engines), err
-	}
-	return obj, sumRecvStats(engines), nil
-}
-
 // cacheVerified installs a completed, content-verified object in the dedup
-// cache when its announcement permitted that. Every receive lifecycle calls
+// cache when its announcement permitted that. The receive lifecycle calls
 // it before writing COMPLETE: the sender may re-push the same content the
 // moment its Send returns, and that CHECK must already hit.
 func cacheVerified(cache *contentCache, plan recvPlan, obj []byte) {
@@ -641,9 +616,11 @@ func cacheVerified(cache *contentCache, plan recvPlan, obj []byte) {
 // completeDeduped answers a dedup-hitting CHECK: the full HAVE bitmap (the
 // verdict) followed immediately by the COMPLETE carrying the tag of the
 // identity the bytes are cached under — no HELLO-ACK, no data flow, no
-// receive loop, no pass over the object. The returned
-// object is the cache's copy, so a Server's completion handler sees the
-// same bytes a real transfer would have assembled.
+// registration, no pass over the object — so N senders pushing the same hot
+// object fan out of the cache concurrently, never competing for the
+// transfer-id space. The returned object is the cache's copy, so a Server's
+// completion handler sees the same bytes a real transfer would have
+// assembled.
 func completeDeduped(plan recvPlan, ctl net.Conn, opts Options, obj []byte) ([]byte, core.ReceiverStats, error) {
 	or := opts.startRecorder(plan.trace, plan.base, obs.RoleReceiver)
 	or.Event(obs.KindCheck, 1)
@@ -654,15 +631,13 @@ func completeDeduped(plan recvPlan, ctl net.Conn, opts Options, obj []byte) ([]b
 		Restored:      total,
 		PacketsNeeded: total,
 	}
-	if err := writeHave(ctl, plan.base, total, fullWords(total)); err != nil {
-		finishMetrics(tm, err)
-		finishTrace(or, err)
-		return nil, st, err
+	err := writeHave(ctl, plan.base, total, fullWords(total))
+	if err == nil {
+		tm.NoteRestored(total)
+		or.Event(obs.KindSkip, uint64(total))
+		err = writeComplete(ctl, plan, obj)
 	}
-	tm.NoteRestored(total)
-	or.Event(obs.KindSkip, uint64(total))
-	err := writeComplete(ctl, plan, obj)
-	finishMetrics(tm, err)
+	finishInstruments(tm, nil, err)
 	finishTrace(or, err)
 	if err != nil {
 		return nil, st, err

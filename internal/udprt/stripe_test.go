@@ -334,46 +334,6 @@ func TestSessionBrokenAfterFailedSend(t *testing.T) {
 	}
 }
 
-// TestServerRejectsStriping: receive-side striping for the concurrent
-// Server is a roadmap item, so a striped HELLOX toward it must fail the
-// handshake with the dedicated ABORT (striping unsupported) — distinct
-// from the generic unsupported reason version rejections use, so an
-// orchestrating sender (the fobsd mover) can deterministically detect
-// "retry unstriped" instead of guessing, and must not stall out.
-func TestServerRejectsStriping(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	go srv.Serve(ctx, func(uint32, []byte, core.ReceiverStats) {})
-
-	_, err = Send(ctx, srv.Addr(), makeObj(256<<10), core.Config{}, Options{Streams: 2})
-	var abort *AbortError
-	if !errors.As(err, &abort) {
-		t.Fatalf("striped send to Server = %v, want AbortError", err)
-	}
-	if abort.Reason != wire.AbortStripingUnsupported {
-		t.Fatalf("abort reason = %v, want striping-unsupported", abort.Reason)
-	}
-	if !IsStripingUnsupported(err) {
-		t.Fatalf("IsStripingUnsupported(%v) = false, want true", err)
-	}
-	if IsRetryable(err) {
-		t.Fatalf("striping rejection must not be blindly retryable: %v", err)
-	}
-	// The same rejection must not be conflated with other aborts.
-	if IsStripingUnsupported(&AbortError{Reason: wire.AbortUnsupported}) {
-		t.Fatal("generic unsupported misclassified as striping-unsupported")
-	}
-	// The deterministic recovery works: the same object, unstriped, lands.
-	if _, err := Send(ctx, srv.Addr(), makeObj(64<<10), core.Config{Transfer: 9}, Options{}); err != nil {
-		t.Fatalf("unstriped retry after striping rejection: %v", err)
-	}
-}
-
 // TestFutureHelloXVersionRejected hand-builds a HELLOX from a future
 // protocol revision and checks both ends of the contract: the receiver
 // answers with ABORT (unsupported) and surfaces wire.ErrHelloXVersion —

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"sync"
 	"time"
 
 	"github.com/hpcnet/fobs/internal/batchio"
@@ -113,9 +114,16 @@ type Options struct {
 	// datagram) even on builds where the vectored fast path is available.
 	// The equivalence suite runs every scenario both ways.
 	NoFastPath bool
-	// IOCounters, when non-nil, is filled with the endpoint's
-	// socket-level counters (syscalls, datagrams, batch fill) when its
-	// transfer loop ends.
+	// IOCounters, when non-nil, is filled with a transfer's socket-level
+	// counters (syscalls, datagrams, batch fill) when the transfer ends. A
+	// sender reports its own sockets. A receiving endpoint — Listener,
+	// session or Server alike — credits the transfer with what its shared
+	// receive ring counted between the transfer's registration and its
+	// completion (concurrent Server transfers each see the ring's whole
+	// traffic over their own span; MaxRecvBatch is the ring's largest drain
+	// since Listen) plus the acknowledgements it wrote, and writes the field
+	// under the endpoint's lock before Accept or Next returns or the
+	// Server's handler runs.
 	IOCounters *stats.IOCounters
 	// Metrics, when non-nil, receives a live per-transfer record of every
 	// run: packets sent/retransmitted/duplicate, acks both ways, bytes,
@@ -300,19 +308,6 @@ func finishTrace(or *obs.Recorder, err error) {
 	or.Finish()
 }
 
-// abortTrace is finishTrace for paths that already hold the wire abort
-// reason instead of a driver error.
-func abortTrace(or *obs.Recorder, reason wire.AbortReason) {
-	if or == nil {
-		return
-	}
-	if reason == wire.AbortDigestMismatch {
-		or.Event(obs.KindVerify, 0)
-	}
-	or.Event(obs.KindAbort, uint64(reason))
-	or.Finish()
-}
-
 // DefaultIOBatch is the default ring length of the batched socket path.
 // Large enough that a 1 KiB-packet ring leaves as one full train and a
 // receiver wakeup amortizes its syscall over a queue of them, small enough
@@ -341,23 +336,33 @@ const writeErrLimit = 8
 // fails instead of degrading. Terminal under IsRetryable.
 var ErrVerifyUnsupported = errors.New("udprt: peer does not support content verification")
 
-// Listener accepts incoming FOBS transfers on a TCP control port and a UDP
-// data socket bound to the same port number.
+// Listener is one receiving endpoint: a TCP control port and a UDP data
+// socket bound to the same port number, the data socket's receive ring, and
+// the one goroutine that drains it (see loop). Accept runs one transfer per
+// call on it; a SessionListener and a Server are the same endpoint behind
+// other adapters.
 type Listener struct {
 	tcp *net.TCPListener
 	udp *net.UDPConn
 	// rx is the data socket's receive ring. It belongs to the socket, not to
-	// a transfer: every Accept, every IncomingSession.Next and a Server's
-	// data loop drain the socket through it, so its 64 KiB slots are paid
-	// for once per Listen.
+	// a transfer: its 64 KiB slots are paid for once per Listen, and only the
+	// endpoint's loop reads it.
 	rx    *batchio.Receiver
 	opts  Options
 	store *resumeStore
 	cache *contentCache
+
+	// mu guards the registration map, the published ring counters and
+	// Options.IOCounters.
+	mu      sync.Mutex
+	inbound map[uint32]tagRoute // transfer tag (one per stripe) → transfer in flight
+	io      stats.IOCounters    // rx's tallies as of the loop's latest drain
+	stopped chan struct{}       // closed when the loop has exited
 }
 
 // Listen binds addr (e.g. "127.0.0.1:7700") for control (TCP) and data
-// (UDP, same port).
+// (UDP, same port) and starts the endpoint's receive loop, which runs until
+// Close.
 func Listen(addr string, opts Options) (*Listener, error) {
 	opts = opts.withDefaults()
 	tcpAddr, err := net.ResolveTCPAddr("tcp", addr)
@@ -384,16 +389,21 @@ func Listen(addr string, opts Options) (*Listener, error) {
 		ul.Close()
 		return nil, fmt.Errorf("udprt: batched receiver: %w", err)
 	}
-	return &Listener{tcp: tl, udp: ul, rx: rx, opts: opts,
-		store: newResumeStore(opts), cache: newContentCache(opts)}, nil
+	l := &Listener{tcp: tl, udp: ul, rx: rx, opts: opts,
+		store: newResumeStore(opts), cache: newContentCache(opts),
+		inbound: make(map[uint32]tagRoute), stopped: make(chan struct{})}
+	go l.loop()
+	return l, nil
 }
 
 // Addr returns the control address the listener is bound to.
 func (l *Listener) Addr() string { return l.tcp.Addr().String() }
 
-// Close releases both sockets.
+// Close releases both sockets and returns once the receive loop has exited.
+// Transfers still in flight end on their own context or idle watchdog.
 func (l *Listener) Close() error {
 	l.udp.Close()
+	<-l.stopped
 	return l.tcp.Close()
 }
 
@@ -414,9 +424,8 @@ func acceptControl(ctx context.Context, tl *net.TCPListener) (*net.TCPConn, erro
 	return ctl, nil
 }
 
-// Accept waits for a sender's control connection and its announcement
-// (HELLO, or a striped HELLOX), acknowledges the handshake, then runs the
-// receive loop until the object completes, the idle watchdog fires, the
+// Accept waits for a sender's control connection and runs one transfer on
+// it (see receive) until the object completes, the idle watchdog fires, the
 // sender aborts, or ctx ends, returning the assembled object.
 func (l *Listener) Accept(ctx context.Context) ([]byte, core.ReceiverStats, error) {
 	ctl, err := acceptControl(ctx, l.tcp)
@@ -424,58 +433,30 @@ func (l *Listener) Accept(ctx context.Context) ([]byte, core.ReceiverStats, erro
 		return nil, core.ReceiverStats{}, err
 	}
 	defer ctl.Close()
-
-	plan, err := readTransferPlan(ctx, ctl)
-	if err != nil {
-		refuseAnnouncement(ctl, err)
-		return nil, core.ReceiverStats{}, err
-	}
-	// The connection carries at most one more inbound frame (an ABORT),
-	// so the receive loop may watch it for sender death.
-	return acceptTransfer(ctx, plan, l, ctl, true)
+	// The connection carries at most one more inbound frame (an ABORT), so
+	// the transfer may watch it for sender death.
+	_, obj, st, err := l.receive(ctx, ctl, true)
+	return obj, st, err
 }
 
-// finishMetrics stamps the transfer's terminal state: completed on nil
-// error, aborted with the best matching wire reason code otherwise. Safe on
-// a nil handle, and idempotent (the first outcome wins).
-func finishMetrics(tm *metrics.Transfer, err error) {
-	if tm == nil {
-		return
-	}
-	if err == nil {
-		tm.Complete()
-		return
-	}
-	tm.Abort(uint32(abortReasonFor(err)))
-}
-
-// finishInstruments stamps the terminal state into both instrumentation
-// sinks, then seals the flight recording with the final metrics snapshot
-// as its trailer (the zero snapshot when metrics were off — the analyzer
-// skips its cross-check then). The metrics handle stays readable after
+// finishInstruments stamps the transfer's terminal state into both
+// instrumentation sinks — completed on nil error, aborted with the best
+// matching wire reason code otherwise — then seals the flight recording with
+// the final metrics snapshot as its trailer (the zero snapshot when metrics
+// were off — the analyzer skips its cross-check then). Either handle may be
+// nil, the first outcome wins, and the metrics handle stays readable after
 // Complete/Abort, so the snapshot reflects the terminal state.
 func finishInstruments(tm *metrics.Transfer, fr *flight.Recorder, err error) {
-	finishMetrics(tm, err)
-	if fr == nil {
-		return
-	}
 	if err == nil {
+		tm.Complete()
 		fr.Phase(flight.PhaseComplete, 0)
 	} else {
+		tm.Abort(uint32(abortReasonFor(err)))
 		fr.Phase(flight.PhaseAbort, uint32(abortReasonFor(err)))
 	}
-	fr.Finish(tm.Snapshot())
-}
-
-// abortInstruments is finishInstruments for paths that already know the
-// wire abort reason instead of holding a driver error.
-func abortInstruments(tm *metrics.Transfer, fr *flight.Recorder, reason wire.AbortReason) {
-	tm.Abort(uint32(reason))
-	if fr == nil {
-		return
+	if fr != nil {
+		fr.Finish(tm.Snapshot())
 	}
-	fr.Phase(flight.PhaseAbort, uint32(reason))
-	fr.Finish(tm.Snapshot())
 }
 
 // senderObserver fans the core sender's acknowledgement callbacks out to
@@ -525,6 +506,8 @@ func abortReasonFor(err error) wire.AbortReason {
 		return wire.AbortStalled
 	case errors.Is(err, ErrIdle):
 		return wire.AbortIdleTimeout
+	case errors.Is(err, ErrDigestMismatch):
+		return wire.AbortDigestMismatch
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return wire.AbortCancelled
 	default:
@@ -673,28 +656,29 @@ func sendOnce(ctx context.Context, addr string, obj []byte, cfg core.Config, opt
 	if err != nil {
 		return core.SenderStats{}, err
 	}
+	plan.instrument(opts)
 	tid := opts.senderTraceID()
 	or := opts.startRecorder(tid, plan.base, obs.RoleSender)
 	or.Event(obs.KindDial, 0)
-	ctl, have, err := dialHandshake(ctx, addr, tracePrelude(tid), plan.checkFrame(opts), plan.helloFrame(), plan.base, opts)
+	ctl, check, err := dialHandshake(ctx, addr, tracePrelude(tid), plan.checkFrame(opts), plan.helloFrame(), plan.base, opts)
 	if err != nil {
 		plan.fail(err)
 		finishTrace(or, err)
 		return plan.stats(), err
 	}
 	defer ctl.Close()
-	plan.checked = have != nil
-	if have != nil && int(have.Received) >= plan.totalPackets() {
+	if plan.accepted(check, or) {
 		// Dedup hit: the receiver already holds the object. No handshake
 		// completes and no data flow dials — just the verdict.
 		return completeDedupedSend(plan, ctl, or)
 	}
-	if have != nil {
-		or.Event(obs.KindCheck, 0)
-	}
-	plan.noteHandshake()
-	or.Event(obs.KindHandshake, 0)
+	return dialAndRun(ctx, addr, plan, ctl, opts, or)
+}
 
+// dialAndRun opens the plan's data flows toward addr and lets the shared
+// sender engine drive each stripe until the completion signal arrives on the
+// control channel.
+func dialAndRun(ctx context.Context, addr string, plan *senderPlan, ctl net.Conn, opts Options, or *obs.Recorder) (core.SenderStats, error) {
 	conns, err := dialDataFlows(addr, len(plan.snds), opts)
 	if err != nil {
 		writeAbort(ctl, plan.base, wire.AbortUnspecified)
@@ -703,9 +687,6 @@ func sendOnce(ctx context.Context, addr string, obj []byte, cfg core.Config, opt
 		return plan.stats(), err
 	}
 	defer closeAll(conns)
-
-	// The shared sender engine drives each stripe until the completion
-	// signal arrives on the control channel.
 	return runSenderPlan(ctx, plan, conns, ctl, opts, or)
 }
 
@@ -832,36 +813,20 @@ func dialHandshake(ctx context.Context, addr string, prelude, check, hello []byt
 		opts.HandshakeRetries, lastErr)
 }
 
+// attemptHandshake dials one control connection and runs the announcement
+// exchange on it.
 func attemptHandshake(ctx context.Context, addr string, frame []byte, transfer uint32, checked bool, opts Options) (net.Conn, *wire.Have, error) {
 	var d net.Dialer
 	ctl, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, nil, fmt.Errorf("udprt: dial control: %w", err)
 	}
-	ctl.SetWriteDeadline(time.Now().Add(opts.HandshakeTimeout))
-	if _, err := ctl.Write(frame); err != nil {
-		ctl.Close()
-		return nil, nil, fmt.Errorf("udprt: hello write: %w", err)
-	}
-	ctl.SetWriteDeadline(time.Time{})
-	var have *wire.Have
-	if checked {
-		h, err := awaitCheckAnswer(ctx, ctl, transfer, opts.HandshakeTimeout)
-		if err != nil {
-			ctl.Close()
-			return nil, nil, err
-		}
-		have = &h
-		if h.Received > 0 {
-			// Dedup hit: COMPLETE follows, never a HELLO-ACK.
-			return ctl, have, nil
-		}
-	}
-	if err := awaitHelloAck(ctx, ctl, transfer, opts.HandshakeTimeout); err != nil {
+	check, _, err := exchange(ctx, ctl, frame, transfer, checked, false, opts.HandshakeTimeout)
+	if err != nil {
 		ctl.Close()
 		return nil, nil, err
 	}
-	return ctl, have, nil
+	return ctl, check, nil
 }
 
 // readCompletion blocks until the receiver's terminal control frame

@@ -278,7 +278,15 @@ func TestReceiveRingRejectsOverlongDatagram(t *testing.T) {
 
 		const packetSize, packets = 64, 4
 		obj := makeObj(packets * packetSize)
-		rcv := core.NewReceiver(int64(len(obj)), core.Config{PacketSize: packetSize, Transfer: 7})
+		// Register before anything is on the wire: the endpoint's loop is
+		// already draining, and drops what nobody has registered for.
+		plan := recvPlan{base: 7, objectSize: uint64(len(obj)), packetSize: packetSize}
+		in := l.register(plan)
+		if in == nil {
+			t.Fatal("tag 7 refused on an idle endpoint")
+		}
+		engines := newRecvEngines(plan, make([]byte, len(obj)))
+		in.arm(engines, nil)
 		// Well formed, for this transfer, and four packets long.
 		overlong := wire.AppendData(nil, &wire.Data{Transfer: 7, Seq: 0, Total: packets,
 			Payload: bytes.Repeat([]byte{0xEE}, len(obj))})
@@ -292,12 +300,13 @@ func TestReceiveRingRejectsOverlongDatagram(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		engines := map[uint32]*receiverEngine{7: newReceiverEngine(rcv, nil, nil)}
-		if err := runReceiveLoop(ctx, engines, 7, l, nil, false, nil); err != nil {
-			t.Fatal(err)
+		select {
+		case <-in.complete:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the transfer around the overlong datagram never completed")
 		}
+		l.detach(in)
+		rcv := engines[0].rcv
 		if !bytes.Equal(rcv.Object(), obj) {
 			t.Fatal("object corrupted")
 		}

@@ -859,11 +859,11 @@ const (
 	// holds no retained state for (expired, evicted, or never seen). The
 	// sender degrades to a fresh transfer.
 	AbortResumeUnknown
-	// AbortStripingUnsupported rejects a well-formed striped HELLOX toward
-	// an endpoint that cannot reassemble stripes (today: the concurrent
-	// Server). Distinct from AbortUnsupported — which also covers
-	// future-version handshakes — so an orchestrating sender can
-	// deterministically degrade to an unstriped retry instead of failing.
+	// AbortStripingUnsupported rejected a well-formed striped HELLOX toward
+	// an endpoint that could not reassemble stripes. Sent by builds before
+	// the concurrent Server shared the Listener's receive lifecycle; no
+	// endpoint of this build sends it, but the code point stays decodable,
+	// and surfaces as any other deliberate, non-retryable rejection.
 	AbortStripingUnsupported
 )
 
