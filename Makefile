@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 vet cross loc race short test bench bench-smoke bench-json bench-e2e bench-e2e-smoke bench-e2e-test offload-probe cover fuzz-smoke shuffle faultnet-soak fobsd-smoke verify
+.PHONY: all tier1 vet cross loc race short test bench bench-smoke bench-e2e bench-e2e-smoke bench-e2e-test offload-probe cover fuzz-smoke shuffle faultnet-soak fobsd-smoke verify
 
 all: verify
 
@@ -24,12 +24,14 @@ vet:
 # The build-tag surfaces of internal/batchio: 64-bit linux has the
 # sendmmsg/recvmmsg path with datagram trains, everything else the stubs of
 # mmsg_unsupported.go. Cross-build and vet one target of each kind (CI's
-# vet-matrix does the same over the whole tree). internal/core rides along
-# for the 386 leg: the content identity's leaf arithmetic must not assume a
-# 64-bit int.
+# vet-matrix does the same over the whole tree). Two riders on the 386 leg:
+# internal/core, whose content-identity leaf arithmetic must not assume a
+# 64-bit int, and the instrumentation spine with the three instruments on
+# it, whose ring is 64-bit atomics inside structs (sync/atomic's types align
+# themselves; a plain uint64 moved in there would not).
 cross:
 	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/core ./internal/batchio ./internal/udprt
-	GOOS=linux GOARCH=386 $(GO) vet ./internal/core ./internal/batchio ./internal/udprt
+	GOOS=linux GOARCH=386 $(GO) vet ./internal/core ./internal/batchio ./internal/udprt ./internal/spine ./internal/metrics ./internal/flight ./internal/obs
 	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/core ./internal/batchio ./internal/udprt
 
 # Go line counts per package directory — non-test files, then test files —
@@ -69,16 +71,6 @@ bench:
 # (CI runs it non-gating) — loopback numbers vary too much to gate on.
 bench-smoke:
 	$(GO) test ./internal/udprt -run '^$$' -bench BenchmarkStripedLoopback -benchtime=1x
-
-# Full batched-IO benchmark sweep, recorded as machine-readable JSON for
-# regression tracking: ns/op, packets/sec and allocs/op per path, plus
-# fast-vs-scalar speedup ratios.
-bench-json:
-	$(GO) test -bench=. -benchtime=1s -run=^$$ ./internal/udprt \
-		| $(GO) run ./cmd/fobs-benchjson > BENCH_udprt.json
-	@grep -A4 '"ratios"' BENCH_udprt.json | head -8 || true
-	@grep -A4 '"overheads"' BENCH_udprt.json | head -8 || true
-	@grep -A4 '"policies"' BENCH_udprt.json | head -8 || true
 
 # The repository's end-to-end benchmark (BENCHMARK.json, benchmark/README.md):
 # every workload untraced then traced, built into .bench_build/. The smoke
@@ -120,11 +112,13 @@ shuffle:
 
 # Extended fault-injection soak: the sever/flap/resume suites and the proxy
 # itself, raced and repeated, to surface the low-probability interleavings a
-# single run misses — and internal/core with them, whose ContentID hashes
-# leaves on several goroutines. Scheduled CI runs this non-gating; it is too
-# slow for the per-push gate (where `make race` covers every package once).
+# single run misses — and with them internal/core, whose ContentID hashes
+# leaves on several goroutines, and the instrumentation spine and its three
+# instruments, whose ring is pushed, drained and snapshotted concurrently.
+# Scheduled CI runs this non-gating; it is too slow for the per-push gate
+# (where `make race` covers every package once).
 faultnet-soak:
-	$(GO) test -race -count=10 ./internal/core ./internal/udprt ./internal/faultnet
+	$(GO) test -race -count=10 ./internal/core ./internal/udprt ./internal/faultnet ./internal/spine ./internal/metrics ./internal/flight ./internal/obs
 
 # End-to-end daemon crash drill against the real binary: build fobsd,
 # submit three tasks over loopback, SIGKILL it mid-flight, restart it over

@@ -37,7 +37,6 @@ package fobs
 
 import (
 	"context"
-	"io"
 
 	"github.com/hpcnet/fobs/internal/core"
 	"github.com/hpcnet/fobs/internal/experiments"
@@ -151,34 +150,17 @@ type (
 	// events. Snapshot() returns everything; StartReporter emits periodic
 	// one-line summaries; ServeMetricsDebug exposes it over HTTP.
 	Metrics = metrics.Registry
-	// MetricsSnapshot is one observation of a whole registry.
-	MetricsSnapshot = metrics.Snapshot
-	// TransferMetrics is the frozen state of one transfer endpoint.
-	TransferMetrics = metrics.TransferSnapshot
-	// MetricsEvent is one lifecycle event (handshake, first data, stall,
-	// idle, complete, abort) from the registry's event ring.
-	MetricsEvent = metrics.Event
 	// MetricsDebugServer is a running debug HTTP endpoint.
 	MetricsDebugServer = metrics.DebugServer
-	// MetricsRole distinguishes a transfer's two endpoints in a snapshot
-	// (MetricsSnapshot.Find takes one).
-	MetricsRole = metrics.Role
-	// TransferOutcome is a transfer's terminal state in a snapshot:
-	// running, completed or aborted.
-	TransferOutcome = metrics.Outcome
 )
 
-// Transfer outcomes for TransferMetrics.Outcome.
+// What the commands read back from a Metrics snapshot: the terminal
+// outcomes of a transfer's record, and the sending endpoint's role for
+// Snapshot().Find. (internal/metrics has the full vocabulary.)
 const (
-	OutcomeRunning   = metrics.OutcomeRunning
 	OutcomeCompleted = metrics.OutcomeCompleted
 	OutcomeAborted   = metrics.OutcomeAborted
-)
-
-// Endpoint roles for MetricsSnapshot.Find.
-const (
-	RoleSender   = metrics.RoleSender
-	RoleReceiver = metrics.RoleReceiver
+	RoleSender       = metrics.RoleSender
 )
 
 // NewMetrics returns an empty metrics registry to hang on Options.Metrics.
@@ -189,30 +171,14 @@ func NewMetrics() *Metrics { return metrics.New() }
 // — each send with attempt number, each acknowledgement with the packets it
 // newly covered, batch-size changes, phase transitions — into a compact
 // .fobrec file that cmd/fobs-analyze verifies and replays offline.
-type (
-	// FlightLog is one .fobrec capture in progress; CreateFlightLog opens
-	// one on disk, Close seals it.
-	FlightLog = flight.Log
-	// FlightRecord is one decoded flight-recorder entry.
-	FlightRecord = flight.Record
-	// FlightEndpoint is one endpoint's complete recorded stream, as read
-	// back by ReadFlightLog.
-	FlightEndpoint = flight.EndpointLog
-	// FlightAnalysis is the offline reconstruction of one recorded stream:
-	// totals, verified invariants, latency histograms.
-	FlightAnalysis = flight.Analysis
-)
+//
+// FlightLog is one .fobrec capture in progress; CreateFlightLog opens one on
+// disk, Close seals it.
+type FlightLog = flight.Log
 
 // CreateFlightLog opens path for writing as a .fobrec flight recording;
 // hang the result on Options.Record and Close it after the transfers end.
 func CreateFlightLog(path string) (*FlightLog, error) { return flight.Create(path) }
-
-// ReadFlightLog parses a sealed .fobrec file into its per-endpoint streams.
-func ReadFlightLog(path string) ([]*FlightEndpoint, error) { return flight.ReadFile(path) }
-
-// AnalyzeFlight replays one endpoint's records, rebuilding totals and
-// verifying the stream's consistency and protocol invariants.
-func AnalyzeFlight(ep *FlightEndpoint) (*FlightAnalysis, error) { return flight.Analyze(ep) }
 
 // ServeMetricsDebug starts an HTTP server on addr (":0" for ephemeral)
 // serving the registry as expvar-style JSON (/debug/fobs), sampled trace
@@ -329,45 +295,20 @@ const (
 // verdict), correlated across hosts by a 16-byte trace id that rides the
 // control channel. Hand a *TraceLog to Options.Trace (any endpoint) or
 // TaskDaemonConfig.Trace; join the two endpoints' logs offline with
-// JoinTraces or fobs-analyze -events.
+// fobs-analyze -events.
 type (
-	// TraceLog is an append-only span log; construct with NewTraceLog or
-	// CreateTraceLog and Close it to flush.
+	// TraceLog is an append-only span log; construct with CreateTraceLog
+	// and Close it to flush.
 	TraceLog = obs.Log
-	// TraceID is the 16-byte cross-host correlation id.
+	// TraceID is the 16-byte cross-host correlation id (Options.TraceID).
 	TraceID = obs.TraceID
-	// TraceEvent is one decoded span-log line.
-	TraceEvent = obs.Event
-	// TraceTimeline is one endpoint's ordered events for one trace.
-	TraceTimeline = obs.Timeline
 	// TaskEvent is one entry in a task's durable timeline (see
 	// TaskDaemon and GET /tasks/{id}/events).
 	TaskEvent = tasks.TaskEvent
 )
 
-// NewTraceLog starts a span log writing JSONL to w.
-func NewTraceLog(w io.Writer) *TraceLog { return obs.NewLog(w) }
-
 // CreateTraceLog starts a span log writing to a new file at path.
 func CreateTraceLog(path string) (*TraceLog, error) { return obs.Create(path) }
-
-// NewTraceID mints a random trace id; pin it via Options.TraceID to
-// correlate a transfer across hosts.
-func NewTraceID() TraceID { return obs.NewTraceID() }
-
-// ParseTraceID parses the 32-hex-digit form produced by TraceID.String.
-func ParseTraceID(s string) (TraceID, error) { return obs.ParseTraceID(s) }
-
-// ReadTraceEvents decodes a span log, tolerating torn tails and foreign
-// lines (crash-safe logs are read best-effort).
-func ReadTraceEvents(r io.Reader) ([]TraceEvent, error) { return obs.ReadEvents(r) }
-
-// ReadTraceFile decodes the span log at path.
-func ReadTraceFile(path string) ([]TraceEvent, error) { return obs.ReadFile(path) }
-
-// JoinTraces correlates events from any number of span logs (typically a
-// sender's and a receiver's) into per-trace timelines, senders first.
-func JoinTraces(logs ...[]TraceEvent) map[string][]TraceTimeline { return obs.Join(logs...) }
 
 // NewTaskDaemon opens (or creates) the configured state directory, loads
 // every persisted task, and requeues the non-terminal ones.

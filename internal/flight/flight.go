@@ -17,13 +17,15 @@
 //
 // Design constraints mirror internal/metrics: the hot path (one record per
 // datagram and per acknowledgement) never allocates and never locks. Each
-// recorder owns a fixed-size ring of seqlock-published slots; producers
-// claim slots with one atomic add, and a background drainer serializes
-// published records to the file. A producer that outruns the drainer
-// overwrites old slots — the drain counts every lost record, and the count
-// lands in the file trailer so the analyzer knows the recording is partial
-// rather than silently wrong. Everything is nil-safe: a nil *Log hands out
-// nil *Recorder handles whose methods no-op.
+// recorder pushes its records, three words each, into a ring of its own, and
+// the log's background drainer writes them out as frames; the ring and the
+// drained log are internal/spine's, shared with the other instruments, and
+// this package is the record and frame encoding on top, the reader and the
+// analyzer. A producer that outruns the drainer overwrites old slots — the
+// drain counts every lost record, and the count lands in the file trailer so
+// the analyzer knows the recording is partial rather than silently wrong.
+// Everything is nil-safe: a nil *Log hands out nil *Recorder handles whose
+// methods no-op.
 package flight
 
 import "time"

@@ -25,57 +25,6 @@ func TestRecordWordsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRingRoundTripInOrder(t *testing.T) {
-	r := newRecordRing(128)
-	const n = 100
-	for i := 0; i < n; i++ {
-		rec := Record{At: time.Duration(i + 1), Kind: KindDataSend, Seq: uint32(i), Aux: 1}
-		r.push(rec.words())
-	}
-	var cursor uint64
-	buf, dropped := r.drain(&cursor, nil)
-	if dropped != 0 {
-		t.Fatalf("dropped = %d, want 0", dropped)
-	}
-	if len(buf) != n*recordBytes {
-		t.Fatalf("drained %d bytes, want %d", len(buf), n*recordBytes)
-	}
-	for i := 0; i < n; i++ {
-		off := i * recordBytes
-		rec := recordFromWords(rd64(buf[off:]), rd64(buf[off+8:]), rd64(buf[off+16:]))
-		if rec.Seq != uint32(i) || rec.At != time.Duration(i+1) {
-			t.Fatalf("record %d decoded as %+v", i, rec)
-		}
-	}
-	// A second drain with nothing new yields nothing.
-	buf, dropped = r.drain(&cursor, buf[:0])
-	if len(buf) != 0 || dropped != 0 {
-		t.Fatalf("second drain: %d bytes, %d dropped", len(buf), dropped)
-	}
-}
-
-func TestRingOverrunCountsDrops(t *testing.T) {
-	r := newRecordRing(64)
-	const n = 200 // laps the 64-slot ring twice over
-	for i := 0; i < n; i++ {
-		rec := Record{At: time.Duration(i + 1), Kind: KindDataSend, Seq: uint32(i), Aux: 1}
-		r.push(rec.words())
-	}
-	var cursor uint64
-	buf, dropped := r.drain(&cursor, nil)
-	if dropped != n-64 {
-		t.Fatalf("dropped = %d, want %d", dropped, n-64)
-	}
-	if len(buf) != 64*recordBytes {
-		t.Fatalf("drained %d bytes, want %d", len(buf), 64*recordBytes)
-	}
-	// The survivors are the newest 64, still in order.
-	first := recordFromWords(rd64(buf), rd64(buf[8:]), rd64(buf[16:]))
-	if first.Seq != n-64 {
-		t.Fatalf("first surviving seq = %d, want %d", first.Seq, n-64)
-	}
-}
-
 // writeSenderRecording drives a complete two-packet sender transfer through
 // a Log and returns the encoded file. Packet 1 needs a retransmission
 // before its ack arrives, so the stream exercises every sender record kind.
@@ -99,6 +48,7 @@ func writeSenderRecording(t *testing.T, snap metrics.TransferSnapshot) []byte {
 	fr.AckedSeq(1)
 	fr.Phase(PhaseComplete, 0)
 	fr.Finish(snap)
+	go log.Close() // concurrent Closes are the core's to serialize (spine.TestLogCloseConcurrent)
 	if err := log.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}

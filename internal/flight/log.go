@@ -1,16 +1,14 @@
 package flight
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/hpcnet/fobs/internal/metrics"
+	"github.com/hpcnet/fobs/internal/spine"
 )
 
 // fileMagic opens every .fobrec file.
@@ -42,8 +40,10 @@ const startPayloadLen = 28
 // at two million records per second, far beyond loopback rates.
 const defaultRingSize = 1 << 16
 
-// drainInterval is how often the background drainer sweeps every ring.
-const drainInterval = 5 * time.Millisecond
+// format is what the shared log core (internal/spine) needs to know of a
+// .fobrec file; the core owns the writer, the recorder registry, the sweep
+// goroutine, the write-error latch and Close.
+var format = spine.Format{Head: fileMagic, BufSize: 1 << 16}
 
 // Log is one .fobrec capture in progress: a shared destination file, a
 // common timebase, and the set of per-endpoint recorders feeding it. All
@@ -56,48 +56,21 @@ type Log struct {
 	// alone.
 	RingSize int
 
-	start time.Time
-
-	mu     sync.Mutex
-	w      *bufio.Writer
-	file   *os.File // nil when writing to a caller-supplied io.Writer
-	recs   []*Recorder
-	err    error
-	closed bool
-
-	stop chan struct{}
-	done chan struct{}
+	core *spine.Log
 }
 
 // Create opens path for writing and returns a running Log. The file is
 // complete and readable only after Close.
 func Create(path string) (*Log, error) {
-	f, err := os.Create(path)
+	core, err := spine.Create(path, format)
 	if err != nil {
 		return nil, fmt.Errorf("flight: create %s: %w", path, err)
 	}
-	l := newLog(f)
-	l.file = f
-	return l, nil
+	return &Log{core: core}, nil
 }
 
 // NewLog returns a running Log writing to w, for tests and in-memory use.
-func NewLog(w io.Writer) *Log { return newLog(w) }
-
-func newLog(w io.Writer) *Log {
-	l := &Log{
-		start: time.Now(),
-		w:     bufio.NewWriterSize(w, 1<<16),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	l.w.WriteString(fileMagic)
-	go l.drainLoop()
-	return l
-}
-
-// since returns the log-relative timestamp now. Hot path: no allocation.
-func (l *Log) since() time.Duration { return time.Since(l.start) }
+func NewLog(w io.Writer) *Log { return &Log{core: spine.NewLog(w, format)} }
 
 // StartSender registers the data-sending endpoint of a transfer and
 // returns its recorder. packetsNeeded sizes the per-packet attempt table;
@@ -114,7 +87,6 @@ func (l *Log) StartSender(transfer uint32, packetsNeeded int, objectBytes int64,
 		PacketSize:    packetSize,
 		ObjectBytes:   objectBytes,
 		Schedule:      schedule,
-		StartAt:       l.since(),
 	})
 	if r != nil && packetsNeeded > 0 {
 		r.tx = make([]uint32, packetsNeeded)
@@ -133,7 +105,6 @@ func (l *Log) StartReceiver(transfer uint32, packetsNeeded int, objectBytes int6
 		PacketsNeeded: packetsNeeded,
 		PacketSize:    packetSize,
 		ObjectBytes:   objectBytes,
-		StartAt:       l.since(),
 	})
 }
 
@@ -142,152 +113,36 @@ func (l *Log) startRecorder(m Meta) *Recorder {
 	if size <= 0 {
 		size = defaultRingSize
 	}
-	r := &Recorder{log: l, meta: m, ring: newRecordRing(size), lastBatch: -1}
+	m.StartAt = l.core.Since()
+	r := &Recorder{core: l.core, meta: m, ring: spine.NewRing(size), lastBatch: -1}
 	// One sweep never yields more records than the ring holds, so sizing
 	// the drain buffer to the ring keeps the drainer allocation-free for
 	// the recorder's whole life (the hot-path gates measure process-wide
 	// allocations, so the background writer must be quiet too).
-	r.buf = make([]byte, 0, len(r.ring.slots)*recordBytes)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	l.writeStartLocked(m)
-	l.recs = append(l.recs, r)
-	return r
-}
-
-// writeStartLocked emits the endpoint announcement frame. Caller holds
-// l.mu.
-func (l *Log) writeStartLocked(m Meta) {
+	r.buf = make([]byte, 0, frameHeaderLen+r.ring.Len()*recordBytes)
 	var p [startPayloadLen]byte
 	be32(p[0:], uint32(m.PacketsNeeded))
 	be32(p[4:], uint32(m.PacketSize))
 	p[8] = uint8(m.Schedule)
 	be64(p[12:], uint64(m.ObjectBytes))
 	be64(p[20:], uint64(m.StartAt.Nanoseconds()))
-	l.writeFrameLocked(frameStart, m.Role, m.Transfer, p[:])
-}
-
-// writeFrameLocked serializes one frame. Caller holds l.mu; the first
-// write error latches and poisons Close.
-func (l *Log) writeFrameLocked(typ uint8, role metrics.Role, transfer uint32, payload []byte) {
-	if l.err != nil {
-		return
+	h := r.frameHeader(frameStart, len(p))
+	if !l.core.Add(r, append(h[:], p[:]...)) {
+		return nil
 	}
-	var h [frameHeaderLen]byte
-	h[0] = frameMarker
-	h[1] = typ
-	h[2] = uint8(role)
-	be32(h[4:], transfer)
-	be32(h[8:], uint32(len(payload)))
-	if _, err := l.w.Write(h[:]); err != nil {
-		l.err = err
-		return
-	}
-	if _, err := l.w.Write(payload); err != nil {
-		l.err = err
-	}
-}
-
-// drainLoop is the background writer: it sweeps every recorder's ring on
-// a short period so rings stay nearly empty and a crash loses little.
-func (l *Log) drainLoop() {
-	defer close(l.done)
-	tick := time.NewTicker(drainInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-l.stop:
-			return
-		case <-tick.C:
-			l.mu.Lock()
-			for _, r := range l.recs {
-				l.drainLocked(r)
-			}
-			l.mu.Unlock()
-		}
-	}
-}
-
-// drainLocked moves every published record of r into the file as one
-// records frame. Caller holds l.mu.
-func (l *Log) drainLocked(r *Recorder) {
-	var dropped uint64
-	r.buf, dropped = r.ring.drain(&r.cursor, r.buf[:0])
-	r.dropped += dropped
-	if len(r.buf) > 0 {
-		l.writeFrameLocked(frameRecords, r.meta.Role, r.meta.Transfer, r.buf)
-	}
-}
-
-// finish retires one recorder: a final drain, then the trailer frame
-// embedding the endpoint's final metrics snapshot (zero-valued when the
-// run had metrics disabled; the analyzer skips the cross-check then).
-func (l *Log) finish(r *Recorder, snap metrics.TransferSnapshot) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return
-	}
-	l.drainLocked(r)
-	js, err := json.Marshal(snap)
-	if err != nil {
-		js = nil
-	}
-	trailer := make([]byte, 12+len(js))
-	be64(trailer[0:], r.dropped)
-	be32(trailer[8:], uint32(len(js)))
-	copy(trailer[12:], js)
-	l.writeFrameLocked(frameEnd, r.meta.Role, r.meta.Transfer, trailer)
-	for i, rr := range l.recs {
-		if rr == r {
-			l.recs = append(l.recs[:i], l.recs[i+1:]...)
-			break
-		}
-	}
+	return r
 }
 
 // Close stops the drainer, performs a final sweep of any recorder still
 // open (emitting its trailer with whatever was captured), flushes and —
 // when the Log owns the file — closes it. The first underlying write
-// error, if any, is returned. Safe on nil and idempotent.
+// error, if any, is returned. Safe on nil, idempotent, and safe to call
+// from several goroutines: every call returns once the log is closed.
 func (l *Log) Close() error {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	if l.closed {
-		err := l.err
-		l.mu.Unlock()
-		return err
-	}
-	l.mu.Unlock()
-
-	close(l.stop)
-	<-l.done
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, r := range l.recs {
-		r.finished.Store(true)
-		l.drainLocked(r)
-		var trailer [12]byte
-		be64(trailer[0:], r.dropped)
-		l.writeFrameLocked(frameEnd, r.meta.Role, r.meta.Transfer, trailer[:])
-	}
-	l.recs = nil
-	l.closed = true
-	if err := l.w.Flush(); err != nil && l.err == nil {
-		l.err = err
-	}
-	if l.file != nil {
-		if err := l.file.Close(); err != nil && l.err == nil {
-			l.err = err
-		}
-	}
-	return l.err
+	return l.core.Close()
 }
 
 // Recorder captures one endpoint's protocol decisions. The recording
@@ -297,9 +152,9 @@ func (l *Log) Close() error {
 // attempt table without atomics); the other methods are safe from any
 // goroutine.
 type Recorder struct {
-	log  *Log
+	core *spine.Log
 	meta Meta
-	ring *recordRing
+	ring *spine.Ring
 
 	// tx is the per-packet transmit count (sender role): attempt numbers
 	// in DataSent records come from here, and AckedSeq snapshots the
@@ -311,10 +166,51 @@ type Recorder struct {
 	// can race a datagram past the control goroutine's trailer).
 	finished atomic.Bool
 
-	// Drain state, owned by the Log (under its mutex).
-	cursor  uint64
-	buf     []byte
-	dropped uint64
+	// Drain state, owned by the Log (under its mutex); buf opens with room
+	// for the records frame's header. snapshot is Finish's, for the trailer.
+	cursor   uint64
+	buf      []byte
+	dropped  uint64
+	snapshot []byte
+}
+
+// frameHeader is the header of one frame of this endpoint.
+func (r *Recorder) frameHeader(typ uint8, payloadLen int) (h [frameHeaderLen]byte) {
+	h[0], h[1], h[2] = frameMarker, typ, uint8(r.meta.Role)
+	be32(h[4:], r.meta.Transfer)
+	be32(h[8:], uint32(payloadLen))
+	return h
+}
+
+// Sweep moves every published record into one records frame. The Log calls
+// it (spine.Source), under its mutex.
+func (r *Recorder) Sweep() []byte {
+	var dropped uint64
+	r.buf, dropped = r.ring.Drain(&r.cursor, r.buf[:frameHeaderLen])
+	r.dropped += dropped
+	if len(r.buf) == frameHeaderLen {
+		return nil
+	}
+	h := r.frameHeader(frameRecords, len(r.buf)-frameHeaderLen)
+	copy(r.buf, h[:])
+	return r.buf
+}
+
+// Seal discards later records and returns a last records frame and the
+// trailer frame: the drop count and, when Finish retired the recorder rather
+// than Close, the final metrics snapshot Finish left.
+func (r *Recorder) Seal(closing bool) []byte {
+	r.finished.Store(true)
+	out := r.Sweep()
+	var snapshot []byte
+	if !closing {
+		snapshot = r.snapshot
+	}
+	var p [12]byte
+	be64(p[0:], r.dropped)
+	be32(p[8:], uint32(len(snapshot)))
+	h := r.frameHeader(frameEnd, len(p)+len(snapshot))
+	return append(append(append(out, h[:]...), p[:]...), snapshot...)
 }
 
 // Meta describes one recorded endpoint.
@@ -336,9 +232,8 @@ func (r *Recorder) push(rec Record) {
 	if r == nil || r.finished.Load() {
 		return
 	}
-	rec.At = r.log.since()
-	w0, w1, w2 := rec.words()
-	r.ring.push(w0, w1, w2)
+	rec.At = r.core.Since()
+	r.ring.Push(rec.words())
 }
 
 // DataSent records one data packet placed on the wire; batchIdx is its
@@ -415,7 +310,10 @@ func (r *Recorder) Finish(snap metrics.TransferSnapshot) {
 	if r == nil || r.finished.Swap(true) {
 		return
 	}
-	r.log.finish(r, snap)
+	if js, err := json.Marshal(snap); err == nil {
+		r.snapshot = js
+	}
+	r.core.Retire(r)
 }
 
 func be32(b []byte, v uint32) {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/hpcnet/fobs/internal/metrics"
+	"github.com/hpcnet/fobs/internal/spine"
 )
 
 // ErrCorrupt wraps every structural defect the reader detects, so callers
@@ -117,7 +118,7 @@ func Read(r io.Reader) ([]*EndpointLog, error) {
 				return nil, fmt.Errorf("%w: records frame of %d bytes is not a whole number of records", ErrCorrupt, plen)
 			}
 			for off := 0; off < plen; off += recordBytes {
-				rec := recordFromWords(rd64(payload[off:]), rd64(payload[off+8:]), rd64(payload[off+16:]))
+				rec := recordFromWords(spine.Words(payload[off:]))
 				if rec.Kind == 0 || rec.Kind > kindMax {
 					return nil, fmt.Errorf("%w: unknown record kind %d in transfer %d %v", ErrCorrupt, rec.Kind, transfer, role)
 				}

@@ -20,7 +20,7 @@
 //     bitmap. The hot-path allocation gates in internal/udprt run with
 //     metrics enabled to keep this honest.
 //  2. Lifecycle events (handshake, first data, completion, abort, watchdog
-//     firings) go through a fixed-size lock-free ring (see ring.go), so
+//     firings) go through a fixed-size lock-free ring (internal/spine), so
 //     recording an event never blocks a transfer loop and a crashed or
 //     wedged transfer leaves its last events readable.
 //  3. Everything is nil-safe: a nil *Registry hands out nil *Transfer
@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/hpcnet/fobs/internal/spine"
 	"github.com/hpcnet/fobs/internal/stats"
 )
 
@@ -120,6 +121,11 @@ func (o *Outcome) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
+// ringSize is the number of retained events. 256 comfortably covers the
+// lifecycle traffic of a multi-transfer server's recent past (a clean
+// transfer emits 3 events).
+const ringSize = 256
+
 // historyCap bounds how many finished transfers a registry retains; older
 // snapshots are dropped oldest-first so a long-lived server's registry
 // cannot grow without bound.
@@ -131,7 +137,9 @@ const historyCap = 256
 // (they no-op or return zero values).
 type Registry struct {
 	start time.Time
-	ring  eventRing
+	// ring holds the recent lifecycle events, a slot each: the instant, then
+	// transfer (high 32 bits), role (8) and kind (8) packed, then the arg.
+	ring *spine.Ring
 
 	// retries and resumes count supervisor-level recovery actions, which
 	// span transfers (a retried Send registers a fresh Transfer handle per
@@ -168,6 +176,7 @@ type transferKey struct {
 func New() *Registry {
 	return &Registry{
 		start:  time.Now(),
+		ring:   spine.NewRing(ringSize),
 		active: make(map[transferKey]*Transfer),
 	}
 }
@@ -250,7 +259,7 @@ func (r *Registry) NoteRetry(transfer uint32, attempt int) {
 		return
 	}
 	r.retries.Add(1)
-	r.ring.record(r.now(), transfer, RoleSender, EventRetry, uint32(attempt))
+	r.record(r.now(), transfer, RoleSender, EventRetry, uint32(attempt))
 }
 
 // NoteResume records one RESUME handshake the peer accepted; restored is
@@ -261,7 +270,7 @@ func (r *Registry) NoteResume(transfer uint32, role Role, restored int) {
 		return
 	}
 	r.resumes.Add(1)
-	r.ring.record(r.now(), transfer, role, EventResume, uint32(restored))
+	r.record(r.now(), transfer, role, EventResume, uint32(restored))
 }
 
 // Events returns the lifecycle events still held in the ring, oldest
@@ -271,7 +280,28 @@ func (r *Registry) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	return r.ring.collect()
+	raw := r.ring.Snapshot(nil)
+	if len(raw) == 0 {
+		return nil
+	}
+	out := make([]Event, 0, len(raw)/spine.SlotBytes)
+	for ; len(raw) > 0; raw = raw[spine.SlotBytes:] {
+		at, meta, arg := spine.Words(raw)
+		out = append(out, Event{
+			At:       time.Duration(at),
+			Transfer: uint32(meta >> 32),
+			Role:     Role(meta >> 8),
+			Kind:     EventKind(meta),
+			Arg:      uint32(arg),
+		})
+	}
+	return out
+}
+
+// record publishes one lifecycle event. It never blocks: an event lapped
+// by ringSize newer ones is simply overwritten.
+func (r *Registry) record(at time.Duration, transfer uint32, role Role, kind EventKind, arg uint32) {
+	r.ring.Push(uint64(at), uint64(transfer)<<32|uint64(role)<<8|uint64(kind), uint64(arg))
 }
 
 // Snapshot captures the registry's current state: every active transfer,
@@ -530,7 +560,7 @@ func (t *Transfer) NoteHandshake() {
 	}
 	now := t.reg.now()
 	t.handshakeNs.Store(int64(now))
-	t.reg.ring.record(now, t.id, t.role, EventHandshake, 0)
+	t.reg.record(now, t.id, t.role, EventHandshake, 0)
 }
 
 // NoteDataSent records one data packet placed on the wire: seq is its
@@ -619,7 +649,7 @@ func (t *Transfer) NoteStall() {
 		return
 	}
 	t.stalls.Add(1)
-	t.reg.ring.record(t.reg.now(), t.id, t.role, EventStall, 0)
+	t.reg.record(t.reg.now(), t.id, t.role, EventStall, 0)
 }
 
 // noteFirstData stamps the first-data phase timestamp once.
@@ -629,7 +659,7 @@ func (t *Transfer) noteFirstData() {
 	}
 	now := t.reg.now()
 	if t.firstDataNs.CompareAndSwap(0, int64(now)) {
-		t.reg.ring.record(now, t.id, t.role, EventFirstData, 0)
+		t.reg.record(now, t.id, t.role, EventFirstData, 0)
 	}
 }
 
@@ -681,7 +711,7 @@ func (t *Transfer) NoteIdle() {
 		return
 	}
 	t.idles.Add(1)
-	t.reg.ring.record(t.reg.now(), t.id, t.role, EventIdle, 0)
+	t.reg.record(t.reg.now(), t.id, t.role, EventIdle, 0)
 }
 
 // NoteIO stores the endpoint's socket-level counters; drivers call it once
@@ -706,7 +736,7 @@ func (t *Transfer) Complete() {
 	}
 	now := t.reg.now()
 	t.doneNs.Store(int64(now))
-	t.reg.ring.record(now, t.id, t.role, EventComplete, 0)
+	t.reg.record(now, t.id, t.role, EventComplete, 0)
 	t.reg.finish(t)
 }
 
@@ -722,7 +752,7 @@ func (t *Transfer) Abort(reason uint32) {
 	t.abortReason.Store(reason)
 	now := t.reg.now()
 	t.doneNs.Store(int64(now))
-	t.reg.ring.record(now, t.id, t.role, EventAbort, reason)
+	t.reg.record(now, t.id, t.role, EventAbort, reason)
 	t.reg.finish(t)
 }
 

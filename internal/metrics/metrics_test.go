@@ -212,6 +212,10 @@ func TestIDReuseArchivesOldHandle(t *testing.T) {
 	}
 }
 
+// TestEventRingConcurrent: lifecycle events recorded from several goroutines
+// while Events is read come back decoded whole — the kind, role, transfer
+// and arg of one event, never a mix (the ring's own discipline is raced in
+// internal/spine; this is the registry's packing on top of it).
 func TestEventRingConcurrent(t *testing.T) {
 	r := New()
 	const writers = 8
@@ -222,9 +226,9 @@ func TestEventRingConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				r.ring.record(time.Duration(i), uint32(w), RoleSender, EventStall, uint32(i))
+				r.record(time.Duration(i), uint32(w), RoleSender, EventStall, uint32(i))
 				if i%16 == 0 {
-					r.ring.collect() // readers race the writers
+					r.Events() // readers race the writers
 				}
 			}
 		}(w)
@@ -235,7 +239,7 @@ func TestEventRingConcurrent(t *testing.T) {
 		t.Fatalf("ring holds %d events, want 1..%d", len(evs), ringSize)
 	}
 	for _, e := range evs {
-		if e.Kind != EventStall || e.Transfer >= writers {
+		if e.Kind != EventStall || e.Role != RoleSender || e.Transfer >= writers {
 			t.Fatalf("torn event read: %+v", e)
 		}
 		if uint32(e.At) != e.Arg {
@@ -245,19 +249,19 @@ func TestEventRingConcurrent(t *testing.T) {
 }
 
 func TestEventRingOrderAndLapping(t *testing.T) {
-	var ring eventRing
+	r := New()
 	total := ringSize + 40
 	for i := 0; i < total; i++ {
-		ring.record(time.Duration(i), uint32(i), RoleReceiver, EventIdle, 0)
+		r.record(time.Duration(i), uint32(i), RoleReceiver, EventIdle, 0)
 	}
-	evs := ring.collect()
+	evs := r.Events()
 	if len(evs) != ringSize {
 		t.Fatalf("got %d events, want %d", len(evs), ringSize)
 	}
 	for i, e := range evs {
 		want := uint32(total - ringSize + i)
-		if e.Transfer != want {
-			t.Fatalf("event %d = transfer %d, want %d (oldest-first order)", i, e.Transfer, want)
+		if e.Transfer != want || e.Role != RoleReceiver || e.Kind != EventIdle {
+			t.Fatalf("event %d = %+v, want transfer %d (oldest-first order)", i, e, want)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -68,95 +67,4 @@ type Event struct {
 	// Arg carries kind-specific detail: the abort-reason code for
 	// EventAbort, zero otherwise.
 	Arg uint32 `json:"arg,omitempty"`
-}
-
-// ringSize is the number of retained events; must be a power of two. 256
-// comfortably covers the lifecycle traffic of a multi-transfer server's
-// recent past (a clean transfer emits 3 events).
-const ringSize = 256
-
-// eventRing is a fixed-size, lock-free, multi-producer event buffer.
-// Writers claim a slot with one atomic add and publish with a per-slot
-// sequence marker; readers snapshot slots and re-check the marker to
-// discard slots a concurrent writer was overwriting. Every slot field is
-// individually atomic, so the race detector sees a data-race-free program
-// rather than a "benign" seqlock race.
-//
-// The zero value is ready to use.
-type eventRing struct {
-	next  atomic.Uint64 // claim counter; slot = (next-1) & mask
-	slots [ringSize]eventSlot
-}
-
-type eventSlot struct {
-	// seq is the publication marker: 0 means never written; an odd value
-	// means a writer owns the slot; seq == 2*(claim+1) means generation
-	// `claim` of this slot is fully published.
-	seq  atomic.Uint64
-	atNs atomic.Int64
-	// meta packs transfer (high 32 bits), role (8), kind (8) — see pack.
-	meta atomic.Uint64
-	arg  atomic.Uint32
-}
-
-func packMeta(transfer uint32, role Role, kind EventKind) uint64 {
-	return uint64(transfer)<<32 | uint64(role)<<8 | uint64(kind)
-}
-
-func unpackMeta(m uint64) (transfer uint32, role Role, kind EventKind) {
-	return uint32(m >> 32), Role(m >> 8), EventKind(m)
-}
-
-// record publishes one event. It never blocks: concurrent writers claim
-// distinct slots, and a writer lapped by ringSize newer events simply has
-// its slot overwritten.
-func (r *eventRing) record(at time.Duration, transfer uint32, role Role, kind EventKind, arg uint32) {
-	claim := r.next.Add(1) - 1
-	s := &r.slots[claim&(ringSize-1)]
-	seq := 2*claim + 1
-	// Mark the slot in-progress, fill it, then publish. A reader that
-	// observes the odd seq (or mismatched before/after values) discards
-	// the slot. Writers lapping each other on the same slot are ringSize
-	// claims apart, so their seq values never collide.
-	s.seq.Store(seq)
-	s.atNs.Store(int64(at))
-	s.meta.Store(packMeta(transfer, role, kind))
-	s.arg.Store(arg)
-	s.seq.Store(seq + 1)
-}
-
-// collect returns the published events currently in the ring, oldest
-// first. Slots being concurrently rewritten are skipped.
-func (r *eventRing) collect() []Event {
-	head := r.next.Load()
-	if head == 0 {
-		return nil
-	}
-	lo := uint64(0)
-	if head > ringSize {
-		lo = head - ringSize
-	}
-	out := make([]Event, 0, head-lo)
-	for claim := lo; claim < head; claim++ {
-		s := &r.slots[claim&(ringSize-1)]
-		want := 2*claim + 2
-		if s.seq.Load() != want {
-			continue // unpublished, or already overwritten by a lapper
-		}
-		at := s.atNs.Load()
-		meta := s.meta.Load()
-		arg := s.arg.Load()
-		if s.seq.Load() != want {
-			continue // a writer moved in while we were reading
-		}
-		tr, role, kind := unpackMeta(meta)
-		out = append(out, Event{
-			At:       time.Duration(at),
-			Transfer: tr,
-			Role:     role,
-			Kind:     kind,
-			Arg:      arg,
-		})
-	}
-	return out
 }

@@ -1,23 +1,30 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/hex"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
-	"sync"
 	"sync/atomic"
-	"time"
+
+	"github.com/hpcnet/fobs/internal/spine"
 )
 
-// drainInterval is how often the background drainer sweeps every ring.
-const drainInterval = 5 * time.Millisecond
+// defaultRingSize is the per-recorder ring capacity in events. Phase
+// events are a handful per transfer lifetime, so even a small ring is
+// generous headroom for the 5 ms drain period.
+const defaultRingSize = 64
 
 // maxLineBytes bounds one encoded event line; drain buffers are
 // pre-sized to ring×maxLineBytes so the drainer never allocates.
 const maxLineBytes = 192
+
+// format is what the shared log core (internal/spine) needs to know of a
+// span log; the core owns the writer, the recorder registry, the sweep
+// goroutine, the write-error latch and Close. Sweeps are flushed through:
+// a span log is low-volume, and the value of a 5 ms drain period is that a
+// crash loses at most 5 ms of events.
+var format = spine.Format{BufSize: 1 << 14, FlushSweeps: true}
 
 // Log is one span log in progress: a shared JSONL destination, a common
 // timebase, and the set of per-endpoint recorders feeding it. All
@@ -30,51 +37,26 @@ type Log struct {
 	// alone.
 	RingSize int
 
-	start  time.Time
-	wallNs int64 // wall clock at start; wall_ns = wallNs + t_ns
-
-	mu     sync.Mutex
-	w      *bufio.Writer
-	file   *os.File // nil when writing to a caller-supplied io.Writer
-	recs   []*Recorder
-	err    error
-	closed bool
-
-	stop chan struct{}
-	done chan struct{}
+	core   *spine.Log
+	wallNs int64 // wall clock at the core's epoch; wall_ns = wallNs + t_ns
 }
 
 // Create opens path for writing and returns a running Log.
 func Create(path string) (*Log, error) {
-	f, err := os.Create(path)
+	core, err := spine.Create(path, format)
 	if err != nil {
 		return nil, fmt.Errorf("obs: create %s: %w", path, err)
 	}
-	l := newLog(f)
-	l.file = f
-	return l, nil
+	return newLog(core), nil
 }
 
 // NewLog returns a running Log writing to w, for tests and in-memory
 // use.
-func NewLog(w io.Writer) *Log { return newLog(w) }
+func NewLog(w io.Writer) *Log { return newLog(spine.NewLog(w, format)) }
 
-func newLog(w io.Writer) *Log {
-	now := time.Now()
-	l := &Log{
-		start:  now,
-		wallNs: now.UnixNano(),
-		w:      bufio.NewWriterSize(w, 1<<14),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	go l.drainLoop()
-	return l
+func newLog(core *spine.Log) *Log {
+	return &Log{core: core, wallNs: core.Epoch().UnixNano()}
 }
-
-// since returns the log-relative timestamp now. Hot path: no
-// allocation.
-func (l *Log) since() int64 { return int64(time.Since(l.start)) }
 
 // Start registers one endpoint of a traced transfer and returns its
 // recorder. Safe on a nil Log (returns a nil, inert recorder).
@@ -86,77 +68,62 @@ func (l *Log) Start(trace TraceID, transfer uint32, role Role) *Recorder {
 	if size <= 0 {
 		size = defaultRingSize
 	}
-	r := &Recorder{log: l, trace: trace, transfer: transfer, role: role, ring: newEventRing(size)}
+	r := &Recorder{log: l, trace: trace, transfer: transfer, role: role, ring: spine.NewRing(size)}
 	// One sweep never yields more events than the ring holds, so sizing
 	// the scratch buffers to the ring keeps the drainer allocation-free
 	// for the recorder's whole life (the udprt hot-path gates measure
 	// process-wide allocations, so the background writer must be quiet
 	// too).
-	r.events = make([]drained, 0, len(r.ring.slots))
-	r.buf = make([]byte, 0, len(r.ring.slots)*maxLineBytes)
+	r.raw = make([]byte, 0, r.ring.Len()*spine.SlotBytes)
+	r.buf = make([]byte, 0, r.ring.Len()*maxLineBytes)
 	hex.Encode(r.traceHex[:], trace[:])
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+	if !l.core.Add(r, nil) {
 		return nil
 	}
-	l.recs = append(l.recs, r)
 	return r
 }
 
-// drainLoop is the background writer: it sweeps every recorder's ring
-// on a short period so rings stay nearly empty and a crash loses
-// little.
-func (l *Log) drainLoop() {
-	defer close(l.done)
-	tick := time.NewTicker(drainInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-l.stop:
-			return
-		case <-tick.C:
-			l.mu.Lock()
-			for _, r := range l.recs {
-				l.drainLocked(r)
-			}
-			// Push the lines through to the destination now: a span log
-			// is low-volume, and the value of a 5 ms drain period is
-			// that a crash loses at most 5 ms of events.
-			if l.err == nil && l.w.Buffered() > 0 {
-				if err := l.w.Flush(); err != nil {
-					l.err = err
-				}
-			}
-			l.mu.Unlock()
-		}
+// Close stops the drainer, performs a final sweep of any recorder still
+// open, flushes and — when the Log owns the file — closes it. The first
+// underlying write error, if any, is returned. Safe on nil, idempotent,
+// and safe to call from several goroutines: every call returns once the
+// log is closed.
+func (l *Log) Close() error {
+	if l == nil {
+		return nil
 	}
+	return l.core.Close()
 }
 
-// drainLocked encodes and writes every published event of r. Caller
-// holds l.mu. The first write error latches and poisons Close.
-func (l *Log) drainLocked(r *Recorder) {
+// Sweep encodes every published event of r, a line each. The Log calls it
+// (spine.Source), under its mutex.
+func (r *Recorder) Sweep() []byte {
 	var dropped uint64
-	r.events, dropped = r.ring.drain(&r.cursor, r.events[:0])
+	r.raw, dropped = r.ring.Drain(&r.cursor, r.raw[:0])
 	r.dropped += dropped
-	if len(r.events) == 0 {
-		return
-	}
 	r.buf = r.buf[:0]
-	for _, ev := range r.events {
-		r.buf = l.appendEvent(r.buf, r, ev.atNs, ev.kind, ev.arg)
+	for raw := r.raw; len(raw) > 0; raw = raw[spine.SlotBytes:] {
+		atNs, kind, arg := spine.Words(raw)
+		r.buf = r.appendEvent(r.buf, int64(atNs), Kind(kind), arg)
 	}
-	if l.err == nil {
-		if _, err := l.w.Write(r.buf); err != nil {
-			l.err = err
-		}
+	return r.buf
+}
+
+// Seal discards later events and returns the last lines, closed by a loss
+// marker when Finish retired a recorder whose ring overran.
+func (r *Recorder) Seal(closing bool) []byte {
+	r.finished.Store(true)
+	out := r.Sweep()
+	if !closing && r.dropped > 0 {
+		out = r.appendEvent(out, int64(r.log.core.Since()), KindLost, r.dropped)
 	}
+	return out
 }
 
 // appendEvent hand-rolls one JSONL line into b. Every value is a fixed
 // name, a hex id, or an integer — no escaping, no reflection, no
 // allocation beyond b's own growth (pre-sized by Start).
-func (l *Log) appendEvent(b []byte, r *Recorder, atNs int64, kind Kind, arg uint64) []byte {
+func (r *Recorder) appendEvent(b []byte, atNs int64, kind Kind, arg uint64) []byte {
 	b = append(b, `{"v":1,"trace":"`...)
 	b = append(b, r.traceHex[:]...)
 	b = append(b, `","transfer":`...)
@@ -168,76 +135,13 @@ func (l *Log) appendEvent(b []byte, r *Recorder, atNs int64, kind Kind, arg uint
 	b = append(b, `","t_ns":`...)
 	b = strconv.AppendInt(b, atNs, 10)
 	b = append(b, `,"wall_ns":`...)
-	b = strconv.AppendInt(b, l.wallNs+atNs, 10)
+	b = strconv.AppendInt(b, r.log.wallNs+atNs, 10)
 	if arg != 0 {
 		b = append(b, `,"arg":`...)
 		b = strconv.AppendUint(b, arg, 10)
 	}
 	b = append(b, '}', '\n')
 	return b
-}
-
-// finish retires one recorder: a final drain, then a loss marker when
-// the ring overran.
-func (l *Log) finish(r *Recorder) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return
-	}
-	l.drainLocked(r)
-	if r.dropped > 0 {
-		line := l.appendEvent(r.buf[:0], r, l.since(), KindLost, r.dropped)
-		if l.err == nil {
-			if _, err := l.w.Write(line); err != nil {
-				l.err = err
-			}
-		}
-	}
-	for i, rr := range l.recs {
-		if rr == r {
-			l.recs = append(l.recs[:i], l.recs[i+1:]...)
-			break
-		}
-	}
-}
-
-// Close stops the drainer, performs a final sweep of any recorder still
-// open, flushes and — when the Log owns the file — closes it. The first
-// underlying write error, if any, is returned. Safe on nil and
-// idempotent.
-func (l *Log) Close() error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	if l.closed {
-		err := l.err
-		l.mu.Unlock()
-		return err
-	}
-	l.mu.Unlock()
-
-	close(l.stop)
-	<-l.done
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, r := range l.recs {
-		r.finished.Store(true)
-		l.drainLocked(r)
-	}
-	l.recs = nil
-	l.closed = true
-	if err := l.w.Flush(); err != nil && l.err == nil {
-		l.err = err
-	}
-	if l.file != nil {
-		if err := l.file.Close(); err != nil && l.err == nil {
-			l.err = err
-		}
-	}
-	return l.err
 }
 
 // Recorder captures one endpoint's lifecycle events. The recording
@@ -249,7 +153,7 @@ type Recorder struct {
 	traceHex [32]byte
 	transfer uint32
 	role     Role
-	ring     *eventRing
+	ring     *spine.Ring
 
 	// once is the emit-once bitmask by kind, for phase latches callers
 	// can leave in per-round or per-packet paths (Once early-outs on one
@@ -260,8 +164,8 @@ type Recorder struct {
 
 	// Drain state, owned by the Log (under its mutex).
 	cursor  uint64
-	events  []drained
-	buf     []byte
+	raw     []byte // one sweep's slots as the ring drains them
+	buf     []byte // the same, encoded
 	dropped uint64
 }
 
@@ -278,7 +182,7 @@ func (r *Recorder) Event(kind Kind, arg uint64) {
 	if r == nil || r.finished.Load() {
 		return
 	}
-	r.ring.push(r.log.since(), kind, arg)
+	r.ring.Push(uint64(r.log.core.Since()), uint64(kind), arg)
 }
 
 // Once records the event only the first time it is called for kind —
@@ -298,7 +202,7 @@ func (r *Recorder) Once(kind Kind, arg uint64) bool {
 			break
 		}
 	}
-	r.ring.push(r.log.since(), kind, arg)
+	r.ring.Push(uint64(r.log.core.Since()), uint64(kind), arg)
 	return true
 }
 
@@ -309,5 +213,5 @@ func (r *Recorder) Finish() {
 	if r == nil || r.finished.Swap(true) {
 		return
 	}
-	r.log.finish(r)
+	r.log.core.Retire(r)
 }

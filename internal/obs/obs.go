@@ -13,10 +13,11 @@
 // a slow grid transfer needs. Events are a handful per transfer, so the
 // recording path can afford a wall timestamp next to the monotonic one
 // and a self-describing JSON encoding, while still staying off the hot
-// path: recorders publish into a lock-free seqlock ring (the
-// internal/metrics event-ring pattern) and a background drainer encodes
-// and writes, allocation-free, so the udprt hot-path alloc gates hold
-// with tracing enabled.
+// path: recorders push into a lock-free ring and a background drainer
+// encodes and writes, allocation-free, so the udprt hot-path alloc gates
+// hold with tracing enabled. The ring and the drained log are
+// internal/spine's, shared with the other instruments; this package is the
+// line encoding on top, the tolerant reader and the join.
 //
 // A sender and a receiver each append to their own log file; the two
 // files join offline on the propagated trace id (see Join/Waterfall and

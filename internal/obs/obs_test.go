@@ -209,6 +209,7 @@ func TestEventsAfterFinishDropped(t *testing.T) {
 	r.Event(KindHandshake, 0)
 	r.Finish()
 	r.Event(KindComplete, 0) // late straggler: discarded
+	go l.Close()             // concurrent Closes are the core's to serialize (spine.TestLogCloseConcurrent)
 	l.Close()
 	evs, _ := ReadEvents(&buf)
 	if len(evs) != 1 {
@@ -242,43 +243,6 @@ func TestRingOverrunCounted(t *testing.T) {
 	}
 	if uint64(kept)+lost < 100 {
 		t.Fatalf("kept %d + lost %d < 100 emitted", kept, lost)
-	}
-}
-
-func TestRingConcurrentPushDrain(t *testing.T) {
-	r := newEventRing(64)
-	const writers, per = 8, 500
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				r.push(int64(i), KindRetry, uint64(w))
-			}
-		}(w)
-	}
-	var cursor uint64
-	var got, dropped uint64
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	buf := make([]drained, 0, 64)
-	for {
-		var d uint64
-		buf, d = r.drain(&cursor, buf[:0])
-		got += uint64(len(buf))
-		dropped += d
-		select {
-		case <-done:
-			buf, d = r.drain(&cursor, buf[:0])
-			got += uint64(len(buf))
-			dropped += d
-			if got+dropped != writers*per {
-				t.Fatalf("got %d + dropped %d != %d emitted", got, dropped, writers*per)
-			}
-			return
-		default:
-		}
 	}
 }
 
@@ -358,7 +322,7 @@ func TestDrainTimeliness(t *testing.T) {
 		if n > 0 {
 			return
 		}
-		time.Sleep(drainInterval)
+		time.Sleep(5 * time.Millisecond) // the core's sweep period
 	}
 	t.Fatal("event never drained to the writer")
 }

@@ -21,9 +21,9 @@ import (
 // FixedBatch(2) never hands the socket layer more than two datagrams.
 const benchBatch = 64
 
-// benchEachPath runs the benchmark once per socket path so the JSON
-// regression harness (make bench-json) can compute fast-vs-scalar ratios
-// from like-named sub-benchmarks.
+// benchEachPath runs the benchmark once per socket path, as like-named
+// sub-benchmarks a fast-vs-scalar ratio can be read from. (The recorded
+// counterparts are the batchio.* rows of the ledger, benchmark/run.sh.)
 func benchEachPath(b *testing.B, fn func(b *testing.B, noFastPath bool)) {
 	b.Run("fast", func(b *testing.B) {
 		if !FastPathAvailable() {
@@ -73,7 +73,7 @@ func BenchmarkBatchFlush(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			k, _ := encodeBatch(snd, ring, benchBatch, nil, nil, 0)
+			k, _ := encodeBatch(snd, ring, benchBatch, probe{}, 0)
 			if _, err := tx.Send(ring[:k]); err != nil {
 				b.Fatal(err)
 			}
@@ -85,9 +85,9 @@ func BenchmarkBatchFlush(b *testing.B) {
 
 // BenchmarkRecordingOverhead measures the sender's per-batch hot path with
 // the flight recorder off and on, writing a real .fobrec file in the
-// recorded case. The JSON regression harness (make bench-json) pairs the
-// sub-benchmarks; the acceptance bar is the recorded run within 5% of the
-// bare run's pkts/s.
+// recorded case. This is the encode-and-flush loop alone; what recording
+// costs a whole transfer is the ledger row flight.overhead_pct
+// (bash benchmark/run.sh -workload bulk_1k -trace 1).
 func BenchmarkRecordingOverhead(b *testing.B) {
 	run := func(b *testing.B, fr *flight.Recorder) {
 		conn, _ := udpBenchPair(b)
@@ -102,7 +102,7 @@ func BenchmarkRecordingOverhead(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			k, _ := encodeBatch(snd, ring, benchBatch, nil, fr, 0)
+			k, _ := encodeBatch(snd, ring, benchBatch, probe{fr: fr}, 0)
 			if _, err := tx.Send(ring[:k]); err != nil {
 				b.Fatal(err)
 			}
@@ -124,9 +124,9 @@ func BenchmarkRecordingOverhead(b *testing.B) {
 // BenchmarkTracingOverhead measures the sender's per-batch hot path with
 // the lifecycle span recorder off and on, writing a real JSONL span log in
 // the traced case. Tracing records phase transitions, not packets, so its
-// steady-state cost is one latched atomic check per round; the JSON
-// regression harness (make bench-json) pairs the sub-benchmarks with a 5%
-// acceptance bar, same as the flight recorder's.
+// steady-state cost is one latched atomic check per round; what tracing
+// costs a whole transfer is the ledger row obs.overhead_pct
+// (bash benchmark/run.sh -workload bulk_1k -trace 1).
 func BenchmarkTracingOverhead(b *testing.B) {
 	run := func(b *testing.B, or *obs.Recorder) {
 		conn, _ := udpBenchPair(b)
@@ -142,7 +142,7 @@ func BenchmarkTracingOverhead(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			or.Once(obs.KindRounds, 0)
-			k, _ := encodeBatch(snd, ring, benchBatch, nil, nil, 0)
+			k, _ := encodeBatch(snd, ring, benchBatch, probe{}, 0)
 			if _, err := tx.Send(ring[:k]); err != nil {
 				b.Fatal(err)
 			}
@@ -256,8 +256,8 @@ func BenchmarkStripedLoopback(b *testing.B) {
 }
 
 // BenchmarkCCPolicies moves the same object end to end once per congestion
-// policy, so bench-json can put a per-policy throughput number next to the
-// waste curves in EXPERIMENTS.md. On an uncontended loopback path the
+// policy, for a per-policy throughput number to put next to the waste
+// curves in EXPERIMENTS.md. On an uncontended loopback path the
 // fixed (greedy) policy is the ceiling; what the adaptive policies give up
 // here is the price of their friendliness, not a regression — the numbers
 // are reported, not gated.
@@ -349,8 +349,8 @@ func BenchmarkLoopbackTransfer(b *testing.B) {
 }
 
 // BenchmarkVerifyOverhead measures the sender's per-batch hot path with
-// content identity off and on — the same pairing scheme (and the same 5%
-// acceptance bar under make bench-json) as the flight recorder's. The
+// content identity off and on — the same pairing scheme as the flight
+// recorder's. The
 // design's contract is that digesting happens once, at object load, when
 // the CHECK frame is built — never per packet — so the verify variant
 // pays its whole SHA-256 before the timed loop and the per-packet rates
@@ -381,7 +381,7 @@ func BenchmarkVerifyOverhead(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			k, _ := encodeBatch(snd, ring, benchBatch, nil, nil, 0)
+			k, _ := encodeBatch(snd, ring, benchBatch, probe{}, 0)
 			if _, err := tx.Send(ring[:k]); err != nil {
 				b.Fatal(err)
 			}

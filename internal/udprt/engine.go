@@ -16,8 +16,6 @@ import (
 
 	"github.com/hpcnet/fobs/internal/batchio"
 	"github.com/hpcnet/fobs/internal/core"
-	"github.com/hpcnet/fobs/internal/flight"
-	"github.com/hpcnet/fobs/internal/metrics"
 	"github.com/hpcnet/fobs/internal/stats"
 	"github.com/hpcnet/fobs/internal/wire"
 )
@@ -78,8 +76,8 @@ type senderEngine struct {
 	snd  *core.Sender
 	cfg  core.Config
 	opts Options
-	tm   *metrics.Transfer
-	fr   *flight.Recorder
+	// probe is the stripe's instrumentation (inert when none is on).
+	probe probe
 	// cc is the engine's congestion controller (one per stripe, driven
 	// only from the loop goroutine). Selected by Options.Congestion;
 	// fixed — the paper's greedy sender — by default.
@@ -91,10 +89,10 @@ type senderEngine struct {
 
 // newSenderEngine binds one prepared core.Sender to its endpoint. The
 // opts.Congestion name must already be validated (newSenderPlan does).
-func newSenderEngine(snd *core.Sender, ep senderEndpoint, opts Options, tm *metrics.Transfer, fr *flight.Recorder) *senderEngine {
+func newSenderEngine(snd *core.Sender, ep senderEndpoint, opts Options, p probe) *senderEngine {
 	cfg := snd.Config()
 	return &senderEngine{
-		senderEndpoint: ep, snd: snd, cfg: cfg, opts: opts, tm: tm, fr: fr,
+		senderEndpoint: ep, snd: snd, cfg: cfg, opts: opts, probe: p,
 		cc: newController(opts.Congestion, cfg, opts),
 	}
 }
@@ -110,9 +108,9 @@ const rttProbeStale = time.Second
 // slots were filled and the sequence number of the first (firstSeq = -1
 // when none; the engine's round-trip probe arms on it). The ring's buffers
 // are pre-sized to the packet framing, so steady-state encoding allocates
-// nothing — including the metrics note, which is a handful of atomic adds
-// plus a bitmap test-and-set to classify retransmissions.
-func encodeBatch(snd *core.Sender, ring [][]byte, max int, tm *metrics.Transfer, fr *flight.Recorder, base int) (k, firstSeq int) {
+// nothing — including the probe's report, which with metrics on is a handful
+// of atomic adds plus a bitmap test-and-set to classify retransmissions.
+func encodeBatch(snd *core.Sender, ring [][]byte, max int, p probe, base int) (k, firstSeq int) {
 	firstSeq = -1
 	for k < len(ring) && k < max {
 		pkt, ok := snd.NextPacket()
@@ -123,8 +121,7 @@ func encodeBatch(snd *core.Sender, ring [][]byte, max int, tm *metrics.Transfer,
 			firstSeq = int(pkt.Seq)
 		}
 		ring[k] = wire.AppendData(ring[k][:0], &pkt)
-		tm.NoteDataSent(pkt.Seq, len(pkt.Payload))
-		fr.DataSent(pkt.Seq, len(pkt.Payload), base+k)
+		p.dataSent(pkt.Seq, len(pkt.Payload), base+k)
 		k++
 	}
 	return k, firstSeq
@@ -199,7 +196,7 @@ func (e *senderEngine) run(ctx context.Context) error {
 		c := tx.Counters()
 		c.Add(rx.Counters())
 		e.io = c
-		e.tm.NoteIO(c)
+		e.probe.io(c)
 	}()
 	ring := newSendRing(opts.IOBatch, cfg.PacketSize)
 	ackWords := make([]uint64, 0, wire.MaxFragWords(cfg.AckPacketSize))
@@ -233,8 +230,8 @@ func (e *senderEngine) run(ctx context.Context) error {
 			}
 			// Per-ack instrumentation (metrics counter, flight record,
 			// latency histograms) fires inside HandleAck via the sender's
-			// ack observer, which also sees exactly which packets the
-			// fragment newly acknowledged.
+			// ack observer (the probe), which also sees exactly which
+			// packets the fragment newly acknowledged.
 			if snd.HandleAck(a) == nil {
 				if e.progress != nil {
 					e.progress(snd.Stats().KnownReceived, snd.NumPackets())
@@ -338,8 +335,7 @@ func (e *senderEngine) run(ctx context.Context) error {
 			sinceNews = 0
 		} else if opts.StallTimeout > 0 && time.Since(lastAck) > opts.StallTimeout {
 			snd.NoteStall()
-			e.tm.NoteStall()
-			e.fr.Phase(flight.PhaseStall, 0)
+			e.probe.stalled()
 			e.abort(wire.AbortStalled)
 			return fmt.Errorf("udprt: no acknowledgement for %v: %w",
 				opts.StallTimeout, ErrStalled)
@@ -378,7 +374,7 @@ func (e *senderEngine) run(ctx context.Context) error {
 		for ok && fill < room {
 			var batch int
 			batch, gapPer = planRound(snd.BatchSize(), e.cc)
-			e.fr.BatchSize(batch)
+			e.probe.batchSize(batch)
 			if gapPer == 0 {
 				batch = min(batch, room-fill)
 			} else if fill > 0 {
@@ -392,7 +388,7 @@ func (e *senderEngine) run(ctx context.Context) error {
 					ok, fill = flush(fill), 0
 					continue
 				}
-				k, firstSeq := encodeBatch(snd, ring[fill:], batch-n, e.tm, e.fr, n)
+				k, firstSeq := encodeBatch(snd, ring[fill:], batch-n, e.probe, n)
 				if k == 0 {
 					break
 				}
@@ -423,7 +419,7 @@ func (e *senderEngine) run(ctx context.Context) error {
 			continue
 		}
 		for ; rounds > 0; rounds-- {
-			e.tm.NoteRound()
+			e.probe.round()
 		}
 		ccSentSince += sent
 		sinceNews += sent
@@ -453,15 +449,13 @@ func (e *senderEngine) run(ctx context.Context) error {
 
 // receiverEngine owns the receive-side per-datagram pipeline for one
 // transfer (or one stripe): classify via the state machine, place the
-// payload, mirror the verdict into the metrics and the flight recorder,
-// and frame the acknowledgement when one is due. The endpoint's routing
+// payload, report the verdict to the probe, and frame the acknowledgement when one is due. The endpoint's routing
 // function (Listener.route) is its one caller. An engine is not safe for
 // concurrent use: its transfer's lock (inbound.mu) serializes the loop that
 // feeds it with the lifecycle goroutine that reads it.
 type receiverEngine struct {
 	rcv    *core.Receiver
-	tm     *metrics.Transfer
-	fr     *flight.Recorder
+	probe  probe // the stripe's instrumentation, attached by the lifecycle
 	ackBuf []byte
 	// ackCalls counts acknowledgement datagrams emitted for this engine;
 	// detach folds it into the transfer's socket counters (acks go out one
@@ -478,12 +472,11 @@ type receiverEngine struct {
 	packetSize int
 }
 
-// newReceiverEngine binds one prepared core.Receiver to its
-// instrumentation. Either instrument may be nil.
-func newReceiverEngine(rcv *core.Receiver, tm *metrics.Transfer, fr *flight.Recorder) *receiverEngine {
+// newReceiverEngine wraps one prepared core.Receiver.
+func newReceiverEngine(rcv *core.Receiver) *receiverEngine {
 	cfg := rcv.Config()
 	return &receiverEngine{
-		rcv: rcv, tm: tm, fr: fr,
+		rcv:        rcv,
 		ackBuf:     make([]byte, 0, cfg.AckPacketSize+wire.AckHeaderLen),
 		packetSize: cfg.PacketSize,
 	}
@@ -492,18 +485,18 @@ func newReceiverEngine(rcv *core.Receiver, tm *metrics.Transfer, fr *flight.Reco
 // ingest runs one decoded datagram (already demuxed to this engine's
 // transfer tag) through the classify → place → ack pipeline. The returned
 // ack frame aliases the engine's reusable buffer — put it on the wire (and
-// note it) before the next ingest — and is nil when no acknowledgement is
+// report it) before the next ingest — and is nil when no acknowledgement is
 // due. finishedNow reports the engine's first transition to complete. The
 // hot path allocates nothing.
 func (e *receiverEngine) ingest(d wire.Data) (ack []byte, ackSeq uint32, ackRecv int, finishedNow bool) {
 	// The state machine classifies the packet (fresh, duplicate,
 	// rejected, other-transfer straggler); diffing its value-typed
-	// stats before and after mirrors that verdict into the metrics
+	// stats before and after mirrors that verdict into the instruments
 	// without a second classification — and without allocating.
 	before := e.rcv.Stats()
 	ackDue, err := e.rcv.HandleData(d)
 	after := e.rcv.Stats()
-	noteReceiverDelta(e.tm, e.fr, d.Seq, before, after, len(d.Payload))
+	e.probe.dataReceived(d.Seq, len(d.Payload), before, after)
 	if err != nil {
 		return nil, 0, 0, false
 	}
@@ -520,39 +513,4 @@ func (e *receiverEngine) ingest(d wire.Data) (ack []byte, ackSeq uint32, ackRecv
 		finishedNow = true
 	}
 	return ack, ackSeq, ackRecv, finishedNow
-}
-
-// noteAckSent records one emitted acknowledgement in both sinks; callers
-// invoke it after the socket write succeeds.
-func (e *receiverEngine) noteAckSent(ack []byte, ackSeq uint32, ackRecv int) {
-	e.ackCalls++
-	e.tm.NoteAckSent(len(ack))
-	e.fr.AckSent(ackSeq, ackRecv, len(ack))
-}
-
-// noteIdle records a firing of the idle watchdog in the state machine and
-// both sinks.
-func (e *receiverEngine) noteIdle() {
-	e.rcv.NoteIdle()
-	e.tm.NoteIdle()
-	e.fr.Phase(flight.PhaseIdle, 0)
-}
-
-// noteReceiverDelta translates one HandleData call's effect on the
-// receiver's counters into the instrumentation classification. A packet
-// that moved no counter belonged to another transfer and is not this
-// transfer's traffic.
-func noteReceiverDelta(tm *metrics.Transfer, fr *flight.Recorder, seq uint32,
-	before, after core.ReceiverStats, payload int) {
-	switch {
-	case after.Received > before.Received:
-		tm.NoteDataFresh(payload)
-		fr.DataReceived(seq, payload, flight.ClassFresh)
-	case after.Duplicates > before.Duplicates:
-		tm.NoteDataDuplicate()
-		fr.DataReceived(seq, payload, flight.ClassDuplicate)
-	case after.Rejected > before.Rejected:
-		tm.NoteDataRejected()
-		fr.DataReceived(seq, payload, flight.ClassRejected)
-	}
 }

@@ -117,7 +117,7 @@ func TestSenderHotPathZeroAllocs(t *testing.T) {
 						if gapPer < 0 {
 							t.Fatal("negative pacing gap")
 						}
-						k, firstSeq := encodeBatch(snd, ring, batch, tm, fr, 0)
+						k, firstSeq := encodeBatch(snd, ring, batch, probe{tm: tm, fr: fr}, 0)
 						if k != batch {
 							t.Fatalf("encodeBatch = %d, want %d", k, batch)
 						}
@@ -189,20 +189,20 @@ func TestReceiverHotPathZeroAllocs(t *testing.T) {
 				in := l.register(plan)
 				obj := make([]byte, objSize)
 				engines := newRecvEngines(plan, obj)
-				engines[0].tm, engines[0].fr = tm, fr
+				engines[0].probe = probe{tm: tm, fr: fr, or: or}
 				seal := plan.startSealer(obj, engines...)
 				defer seal.abandon()
 				if sealed != (engines[0].seal != nil) {
 					t.Fatalf("sealed=%v but the engine's sealer is %v", sealed, engines[0].seal)
 				}
-				in.arm(engines, or)
+				in.arm(engines)
 
 				// The feeding sends run in this goroutine too, but the sender
 				// side is proven allocation-free by TestSenderHotPathZeroAllocs.
 				// Unacknowledged, the circular schedule re-sends forever: the
 				// runs cover fresh packets, the completing one and duplicates.
 				if allocs := testing.AllocsPerRun(300, func() {
-					k, _ := encodeBatch(snd, feed, len(feed), nil, nil, 0)
+					k, _ := encodeBatch(snd, feed, len(feed), probe{}, 0)
 					if _, err := ftx.Send(feed[:k]); err != nil {
 						t.Fatalf("feed: %v", err)
 					}

@@ -39,7 +39,6 @@ type inbound struct {
 	mu       sync.Mutex
 	live     bool              // the loop drops datagrams for a transfer that is not
 	engines  []*receiverEngine // one per stripe, in layout order
-	or       *obs.Recorder     // span recorder (nil when untraced)
 	pending  int               // stripes not yet complete
 	lastData time.Time         // when the last drain holding a datagram of this transfer began
 }
@@ -109,13 +108,14 @@ func (l *Listener) route(buf []byte, from netip.AddrPort, now time.Time) {
 	// Any datagram for the transfer — even a duplicate — proves the sender
 	// lives; the first opens the rounds span.
 	in.lastData = now
-	in.or.Once(obs.KindRounds, 0)
 	e := in.engines[rt.stripe]
+	e.probe.dataArrived()
 	ack, ackSeq, ackRecv, finishedNow := e.ingest(d)
 	if ack != nil {
 		// A lost ack is the protocol's everyday case; a failed write is one.
 		if _, err := l.udp.WriteToUDPAddrPort(ack, from); err == nil {
-			e.noteAckSent(ack, ackSeq, ackRecv)
+			e.ackCalls++
+			e.probe.ackSent(ackSeq, ackRecv, len(ack))
 		}
 	}
 	if finishedNow {
@@ -147,10 +147,10 @@ func (l *Listener) register(plan recvPlan) *inbound {
 }
 
 // arm attaches the engines and lets the loop drive them.
-func (in *inbound) arm(engines []*receiverEngine, or *obs.Recorder) {
+func (in *inbound) arm(engines []*receiverEngine) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.engines, in.or = engines, or
+	in.engines = engines
 	for _, e := range engines {
 		if !e.finished {
 			in.pending++
@@ -198,7 +198,7 @@ func (l *Listener) detach(in *inbound) {
 	if l.opts.IOCounters != nil {
 		*l.opts.IOCounters = c
 	}
-	in.engines[0].tm.NoteIO(c)
+	in.engines[0].probe.io(c)
 }
 
 // receive runs one inbound transfer on an established control connection,
@@ -270,16 +270,15 @@ func (l *Listener) receive(ctx context.Context, ctl net.Conn, watchCtl bool) (re
 		}
 		engines[0].finished = engines[0].rcv.Complete()
 	}
+	span := l.opts.startSpan(plan.trace, plan.base, obs.RoleReceiver)
 	for _, e := range engines {
-		cfg, size := e.rcv.Config(), int64(len(e.rcv.Object()))
-		e.tm = l.opts.Metrics.StartReceiver(cfg.Transfer, e.rcv.NumPackets(), size)
-		e.fr = l.opts.Record.StartReceiver(cfg.Transfer, e.rcv.NumPackets(), size, cfg.PacketSize)
+		cfg := e.rcv.Config()
+		e.probe = span.receiver(l.opts.Metrics, l.opts.Record, cfg.Transfer, e.rcv.NumPackets(), int64(len(e.rcv.Object())), cfg.PacketSize)
 	}
 	seal := plan.startSealer(obj, engines...)
 	defer seal.abandon()
-	or := l.opts.startRecorder(plan.trace, plan.base, obs.RoleReceiver)
 	if plan.hasCheck {
-		or.Event(obs.KindCheck, 0) // the query was answered a miss above
+		span.event(obs.KindCheck, 0) // the query was answered a miss above
 	}
 	// fail is every exit of a detached transfer but success: the engines are
 	// this goroutine's alone by then, so what they hold can be retained and
@@ -290,9 +289,8 @@ func (l *Listener) receive(ctx context.Context, ctl net.Conn, watchCtl bool) (re
 				engines[0].rcv, plan.resumeDigest, plan.resume)
 		}
 		for _, e := range engines {
-			finishInstruments(e.tm, e.fr, err)
+			e.probe.finish(err)
 		}
-		finishTrace(or, err)
 		return plan, nil, sumRecvStats(engines), err
 	}
 
@@ -301,17 +299,17 @@ func (l *Listener) receive(ctx context.Context, ctl net.Conn, watchCtl bool) (re
 	// stragglers of the interrupted run may mutate the bitmap the moment the
 	// loop can reach it.
 	for _, e := range engines {
-		noteHandshake(e.tm, e.fr)
+		e.probe.handshake()
 	}
-	or.Event(obs.KindHandshake, 0)
+	span.event(obs.KindHandshake, 0)
 	if ret != nil {
-		engines[0].tm.NoteRestored(restored)
-		or.Event(obs.KindResume, uint64(restored))
+		engines[0].probe.restored(restored)
+		span.event(obs.KindResume, uint64(restored))
 		have, words := engines[0].rcv.Stats().Received, engines[0].rcv.HaveWords(nil)
-		in.arm(engines, or)
+		in.arm(engines)
 		err = writeHave(ctl, plan.base, have, words)
 	} else {
-		in.arm(engines, or)
+		in.arm(engines)
 		err = writeHelloAck(ctl, plan.base)
 	}
 	if err != nil {
@@ -325,7 +323,7 @@ func (l *Listener) receive(ctx context.Context, ctl net.Conn, watchCtl bool) (re
 	}
 	// Every packet is placed; what remains is the content verdict over the
 	// leaves not hashed yet and the COMPLETE write.
-	or.Event(obs.KindDrain, uint64(seal.pending()))
+	span.event(obs.KindDrain, uint64(seal.pending()))
 	if err := plan.verifyContent(obj, seal); err != nil {
 		writeAbort(ctl, plan.base, wire.AbortDigestMismatch)
 		return fail(err, false)
@@ -335,9 +333,8 @@ func (l *Listener) receive(ctx context.Context, ctl net.Conn, watchCtl bool) (re
 		return fail(err, false)
 	}
 	for _, e := range engines {
-		finishInstruments(e.tm, e.fr, nil)
+		e.probe.finish(nil)
 	}
-	finishTrace(or, nil)
 	return plan, obj, sumRecvStats(engines), nil
 }
 
@@ -372,7 +369,8 @@ func (l *Listener) await(ctx context.Context, in *inbound, ctl net.Conn, watchCt
 			starved := in.pending > 0 && time.Since(in.lastData) > idle
 			if starved {
 				for _, e := range in.engines {
-					e.noteIdle()
+					e.rcv.NoteIdle()
+					e.probe.idled()
 				}
 			}
 			in.mu.Unlock()

@@ -158,8 +158,8 @@ func sendSupervised(ctx context.Context, addr string, obj []byte, cfg core.Confi
 		// single cross-host timeline.
 		opts.TraceID = obs.NewTraceID()
 	}
-	sup := opts.startRecorder(opts.TraceID, cfg.Transfer, obs.RoleSender)
-	defer sup.Finish()
+	sup := opts.startSpan(opts.TraceID, cfg.Transfer, obs.RoleSender)
+	defer sup.seal()
 
 	var st core.SenderStats
 	var err error
@@ -183,7 +183,7 @@ func sendSupervised(ctx context.Context, addr string, obj []byte, cfg core.Confi
 	sentAny = sentAny || st.PacketsSent > 0
 	for attempt := 1; attempt <= pol.MaxRetries && IsRetryable(err); attempt++ {
 		opts.Metrics.NoteRetry(cfg.Transfer, attempt)
-		sup.Event(obs.KindRetry, uint64(attempt))
+		sup.event(obs.KindRetry, uint64(attempt))
 		select {
 		case <-ctx.Done():
 			// Budget exhausted mid-backoff: surface the last real failure,
@@ -257,14 +257,13 @@ func sendResume(ctx context.Context, addr string, obj []byte, cfg core.Config, o
 			return core.SenderStats{}, false, nil
 		}
 	}
-	p.instrument(opts)
-	or := opts.startRecorder(tid, p.base, obs.RoleSender)
-	if p.accepted(answer, or) {
-		st, err := completeDedupedSend(p, ctl, or)
+	p.instrument(opts, tid)
+	if p.accepted(answer) {
+		st, err := completeDedupedSend(p, ctl)
 		return st, true, err
 	}
-	or.Event(obs.KindResume, uint64(restored))
-	p.tms[0].NoteRestored(restored)
-	st, err := dialAndRun(ctx, addr, p, ctl, opts, or)
+	p.event(obs.KindResume, uint64(restored))
+	p.probes[0].restored(restored)
+	st, err := dialAndRun(ctx, addr, p, ctl, opts)
 	return st, true, err
 }

@@ -696,7 +696,7 @@ func TestIngestWithSealerZeroAllocs(t *testing.T) {
 	}
 	plan := recvPlan{base: 1, objectSize: uint64(len(obj)), packetSize: ps, hasCheck: true}
 	rcv := core.NewReceiver(int64(len(obj)), core.Config{PacketSize: ps, Transfer: 1, AckFrequency: 4})
-	e := newReceiverEngine(rcv, nil, nil)
+	e := newReceiverEngine(rcv)
 	seal := plan.startSealer(rcv.Object(), e)
 	defer seal.abandon()
 	seq := 0

@@ -7,7 +7,6 @@ import (
 	"net"
 
 	"github.com/hpcnet/fobs/internal/core"
-	"github.com/hpcnet/fobs/internal/obs"
 	"github.com/hpcnet/fobs/internal/wire"
 )
 
@@ -81,31 +80,28 @@ func (s *Session) Send(ctx context.Context, obj []byte, cfg core.Config) (core.S
 	}
 	s.next += uint32(len(plan.snds))
 
-	plan.instrument(s.opts)
-
 	// Each object gets its own trace id (unless the session pins one).
 	// There is no prelude degradation inside a session — any handshake
 	// failure breaks it — so a traced or verifying session requires a
 	// peer that speaks those preludes.
 	tid := s.opts.senderTraceID()
-	or := s.opts.startRecorder(tid, plan.base, obs.RoleSender)
+	plan.instrument(s.opts, tid)
 	check := plan.checkFrame(s.opts)
 	frame := append(append(tracePrelude(tid), check...), plan.helloFrame()...)
 	answer, _, err := exchange(ctx, s.ctl, frame, plan.base, check != nil, false, s.opts.HandshakeTimeout)
 	if err != nil {
 		s.broken = true
-		plan.fail(err)
-		finishTrace(or, err)
+		plan.finish(err)
 		return plan.stats(), err
 	}
 	var st core.SenderStats
-	if plan.accepted(answer, or) {
+	if plan.accepted(answer) {
 		// The receiver already holds the content: COMPLETE follows with no
 		// HELLO-ACK and no data flow, and the control stream stays clean for
 		// the session's next object.
-		st, err = completeDedupedSend(plan, s.ctl, or)
+		st, err = completeDedupedSend(plan, s.ctl)
 	} else {
-		st, err = runSenderPlan(ctx, plan, s.conns[:len(plan.snds)], s.ctl, s.opts, or)
+		st, err = runSenderPlan(ctx, plan, s.conns[:len(plan.snds)], s.ctl, s.opts)
 	}
 	s.broken = err != nil
 	return st, err

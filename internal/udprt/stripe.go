@@ -19,8 +19,6 @@ import (
 	"time"
 
 	"github.com/hpcnet/fobs/internal/core"
-	"github.com/hpcnet/fobs/internal/flight"
-	"github.com/hpcnet/fobs/internal/metrics"
 	"github.com/hpcnet/fobs/internal/obs"
 	"github.com/hpcnet/fobs/internal/stats"
 	"github.com/hpcnet/fobs/internal/wire"
@@ -69,8 +67,9 @@ type senderPlan struct {
 	cfg     core.Config // stripe 0's effective (defaulted) config
 	stripes []wire.StripeDesc
 	snds    []*core.Sender
-	tms     []*metrics.Transfer
-	frs     []*flight.Recorder
+	// probes are the stripes' instrumentation, sharing the transfer's span
+	// recorder; inert until instrument.
+	probes []probe
 
 	// content memoizes the whole object's content identity for the CHECK
 	// prelude (for a single stripe the stripe sender's own memo is reused,
@@ -111,19 +110,23 @@ func newSenderPlan(obj []byte, cfg core.Config, opts Options) (*senderPlan, erro
 		}
 		p.snds = append(p.snds, snd)
 	}
-	p.tms = make([]*metrics.Transfer, len(p.snds))
-	p.frs = make([]*flight.Recorder, len(p.snds))
+	p.probes = make([]probe, len(p.snds))
 	return p, nil
 }
 
-// instrument registers every stripe with the metrics registry and the flight
-// log (either may be nil). A RESUME that the peer refuses never gets here, so
-// the fresh transfer it degrades to is the attempt's only record.
-func (p *senderPlan) instrument(opts Options) {
+// instrument opens the transfer's span recorder under tid and registers every
+// stripe with the metrics registry and the flight log (any of the three may
+// be off). A RESUME that the peer refuses never gets here, so the fresh
+// transfer it degrades to is the attempt's only record.
+func (p *senderPlan) instrument(opts Options, tid obs.TraceID) {
+	span := opts.startSpan(tid, p.base, obs.RoleSender)
 	for i, snd := range p.snds {
-		p.tms[i], p.frs[i] = instrumentSender(snd, snd.Config(), int64(p.stripes[i].Length), opts.Metrics, opts.Record)
+		p.probes[i] = span.sender(opts.Metrics, opts.Record, snd, int64(p.stripes[i].Length))
 	}
 }
+
+// event records one phase boundary in the transfer's span log.
+func (p *senderPlan) event(kind obs.Kind, arg uint64) { p.probes[0].event(kind, arg) }
 
 // helloFrame serializes the plan's announcement: the classic HELLO for a
 // single stripe (bit-compatible with every earlier receiver), a versioned
@@ -228,33 +231,27 @@ func (p *senderPlan) checkFrame(opts Options) []byte {
 	return wire.AppendCheck(nil, &c)
 }
 
-// noteHandshake records the completed handshake on every stripe's
-// instruments.
-func (p *senderPlan) noteHandshake() {
-	for i := range p.snds {
-		noteHandshake(p.tms[i], p.frs[i])
-	}
-}
-
 // accepted records a completed exchange and reports whether its CHECK hit:
 // COMPLETE follows then, and neither a handshake nor a data phase happens.
-func (p *senderPlan) accepted(check *wire.Have, or *obs.Recorder) (hit bool) {
+func (p *senderPlan) accepted(check *wire.Have) (hit bool) {
 	p.checked = check != nil
 	if p.dedupHit(check) {
 		return true
 	}
 	if p.checked {
-		or.Event(obs.KindCheck, 0)
+		p.event(obs.KindCheck, 0)
 	}
-	p.noteHandshake()
-	or.Event(obs.KindHandshake, 0)
+	for _, pr := range p.probes {
+		pr.handshake()
+	}
+	p.event(obs.KindHandshake, 0)
 	return false
 }
 
-// fail stamps every stripe's instruments with a pre-engine failure.
-func (p *senderPlan) fail(err error) {
-	for i := range p.snds {
-		finishInstruments(p.tms[i], p.frs[i], err)
+// finish stamps one outcome into every stripe's instruments and the span.
+func (p *senderPlan) finish(err error) {
+	for _, pr := range p.probes {
+		pr.finish(err)
 	}
 }
 
@@ -310,7 +307,7 @@ func (p *progressAgg) stripe(i int) func(known, total int) {
 // stripe's own outcome, while the summed stats and socket counters form
 // the caller's object-wide view. The data sockets come back with no read
 // deadline set, so a Session can reuse them.
-func runSenderPlan(ctx context.Context, p *senderPlan, conns []*net.UDPConn, ctl net.Conn, opts Options, or *obs.Recorder) (core.SenderStats, error) {
+func runSenderPlan(ctx context.Context, p *senderPlan, conns []*net.UDPConn, ctl net.Conn, opts Options) (core.SenderStats, error) {
 	n := len(p.snds)
 	completion := make(chan error, 1)
 	go func() { completion <- readCompletion(ctl, p) }()
@@ -357,7 +354,7 @@ func runSenderPlan(ctx context.Context, p *senderPlan, conns []*net.UDPConn, ctl
 		}
 	}
 
-	or.Event(obs.KindRounds, 0)
+	p.event(obs.KindRounds, 0)
 	engines := make([]*senderEngine, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -367,7 +364,7 @@ func runSenderPlan(ctx context.Context, p *senderPlan, conns []*net.UDPConn, ctl
 			done:     stripeDone[i],
 			abort:    abort,
 			progress: progressFor(i),
-		}, opts, p.tms[i], p.frs[i])
+		}, opts, p.probes[i])
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -387,18 +384,20 @@ func runSenderPlan(ctx context.Context, p *senderPlan, conns []*net.UDPConn, ctl
 
 	// Every engine has returned: the schedule is drained (or the transfer
 	// is dead) and the verdict is in hand.
-	or.Event(obs.KindDrain, 0)
+	p.event(obs.KindDrain, 0)
 
+	// The span's outcome is the transfer's, so it goes in ahead of the
+	// stripes' own: a stripe reaped for a sibling's failure says cancelled.
+	err := pickStripeErr(errs)
+	p.probes[0].span().finish(err)
 	var io stats.IOCounters
 	for i := range engines {
 		io.Add(engines[i].io)
-		finishInstruments(p.tms[i], p.frs[i], errs[i])
+		p.probes[i].finish(errs[i])
 	}
 	if opts.IOCounters != nil {
 		*opts.IOCounters = io
 	}
-	err := pickStripeErr(errs)
-	finishTrace(or, err)
 	return p.stats(), err
 }
 
@@ -570,8 +569,8 @@ func (p recvPlan) dedupHit(cache *contentCache) ([]byte, bool) {
 // newRecvEngines builds one receiver engine per stripe of the plan, each
 // assembling in place into its own slice of obj — the one pre-allocated
 // object, or the retained buffer of a resumed transfer — so completion needs
-// no reassembly copy. Instruments are attached by the lifecycle once the
-// transfer is certain to start.
+// no reassembly copy. The lifecycle attaches their probes once the transfer
+// is certain to start.
 func newRecvEngines(plan recvPlan, obj []byte) []*receiverEngine {
 	layout := plan.layout()
 	engines := make([]*receiverEngine, len(layout))
@@ -582,7 +581,7 @@ func newRecvEngines(plan recvPlan, obj []byte) []*receiverEngine {
 			// The receiver's ack frequency is its own policy; the sender
 			// adapts to whatever cadence arrives.
 			AckFrequency: core.DefaultAckFrequency,
-		}), nil, nil)
+		}))
 	}
 	return engines
 }
@@ -622,10 +621,11 @@ func cacheVerified(cache *contentCache, plan recvPlan, obj []byte) {
 // completion handler sees the same bytes a real transfer would have
 // assembled.
 func completeDeduped(plan recvPlan, ctl net.Conn, opts Options, obj []byte) ([]byte, core.ReceiverStats, error) {
-	or := opts.startRecorder(plan.trace, plan.base, obs.RoleReceiver)
-	or.Event(obs.KindCheck, 1)
 	total := core.NumPackets(int64(plan.objectSize), plan.packetSize)
-	tm := opts.Metrics.StartReceiver(plan.base, total, int64(plan.objectSize))
+	// A hit moves no packet, so it has no flight recording.
+	pr := opts.startSpan(plan.trace, plan.base, obs.RoleReceiver).
+		receiver(opts.Metrics, nil, plan.base, total, int64(plan.objectSize), plan.packetSize)
+	pr.event(obs.KindCheck, 1)
 	st := core.ReceiverStats{
 		Received:      total,
 		Restored:      total,
@@ -633,12 +633,11 @@ func completeDeduped(plan recvPlan, ctl net.Conn, opts Options, obj []byte) ([]b
 	}
 	err := writeHave(ctl, plan.base, total, fullWords(total))
 	if err == nil {
-		tm.NoteRestored(total)
-		or.Event(obs.KindSkip, uint64(total))
+		pr.restored(total)
+		pr.event(obs.KindSkip, uint64(total))
 		err = writeComplete(ctl, plan, obj)
 	}
-	finishInstruments(tm, nil, err)
-	finishTrace(or, err)
+	pr.finish(err)
 	if err != nil {
 		return nil, st, err
 	}

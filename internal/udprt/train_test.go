@@ -124,7 +124,7 @@ func TestPacedRoundLeavesAlone(t *testing.T) {
 		snd := core.NewSender(makeObj(packets<<10), core.Config{PacketSize: 1024, Batch: core.FixedBatch(2)})
 		e := newSenderEngine(snd, senderEndpoint{
 			conn: conn, done: make(chan error), abort: func(wire.AbortReason) {},
-		}, opts, nil, nil)
+		}, opts, probe{})
 		e.cc = &gapAfter{free: 3}
 		ctx, cancel := context.WithCancel(context.Background())
 		ran := make(chan error, 1)

@@ -274,40 +274,6 @@ func tracePrelude(tid obs.TraceID) []byte {
 	return wire.AppendTrace(nil, &wire.Trace{ID: tid})
 }
 
-// startRecorder opens one endpoint-side span recorder. Nil-safe all the
-// way down: with no span log configured it returns a nil recorder, whose
-// every method is a cheap no-op.
-func (o Options) startRecorder(tid obs.TraceID, transfer uint32, role obs.Role) *obs.Recorder {
-	if o.Trace == nil {
-		return nil
-	}
-	if tid.IsZero() {
-		// An untraced peer (no TRACE prelude arrived) still gets a local
-		// timeline under a locally minted id.
-		tid = obs.NewTraceID()
-	}
-	return o.Trace.Start(tid, transfer, role)
-}
-
-// finishTrace stamps the terminal span event and seals the recorder:
-// verify+complete on success, a reasoned abort otherwise (with the failed
-// verify spelled out when the object digest is what sank the transfer).
-func finishTrace(or *obs.Recorder, err error) {
-	if or == nil {
-		return
-	}
-	if err == nil {
-		or.Event(obs.KindVerify, 1)
-		or.Event(obs.KindComplete, 0)
-	} else {
-		if errors.Is(err, ErrDigestMismatch) {
-			or.Event(obs.KindVerify, 0)
-		}
-		or.Event(obs.KindAbort, uint64(abortReasonFor(err)))
-	}
-	or.Finish()
-}
-
 // DefaultIOBatch is the default ring length of the batched socket path.
 // Large enough that a 1 KiB-packet ring leaves as one full train and a
 // receiver wakeup amortizes its syscall over a queue of them, small enough
@@ -437,62 +403,6 @@ func (l *Listener) Accept(ctx context.Context) ([]byte, core.ReceiverStats, erro
 	// the transfer may watch it for sender death.
 	_, obj, st, err := l.receive(ctx, ctl, true)
 	return obj, st, err
-}
-
-// finishInstruments stamps the transfer's terminal state into both
-// instrumentation sinks — completed on nil error, aborted with the best
-// matching wire reason code otherwise — then seals the flight recording with
-// the final metrics snapshot as its trailer (the zero snapshot when metrics
-// were off — the analyzer skips its cross-check then). Either handle may be
-// nil, the first outcome wins, and the metrics handle stays readable after
-// Complete/Abort, so the snapshot reflects the terminal state.
-func finishInstruments(tm *metrics.Transfer, fr *flight.Recorder, err error) {
-	if err == nil {
-		tm.Complete()
-		fr.Phase(flight.PhaseComplete, 0)
-	} else {
-		tm.Abort(uint32(abortReasonFor(err)))
-		fr.Phase(flight.PhaseAbort, uint32(abortReasonFor(err)))
-	}
-	if fr != nil {
-		fr.Finish(tm.Snapshot())
-	}
-}
-
-// senderObserver fans the core sender's acknowledgement callbacks out to
-// the live metrics and the flight recorder; it is installed once per
-// transfer, so the ack hot path adds two nil checks and no allocation.
-type senderObserver struct {
-	tm *metrics.Transfer
-	fr *flight.Recorder
-}
-
-func (o *senderObserver) OnAck(serial uint32, received int, stale bool) {
-	o.tm.NoteAckReceived(int64(received))
-	o.fr.AckReceived(serial, received, stale)
-}
-
-func (o *senderObserver) OnPacketAcked(seq uint32) {
-	o.tm.NoteSeqAcked(seq)
-	o.fr.AckedSeq(seq)
-}
-
-// instrumentSender registers the transfer with both sinks and installs
-// the ack observer. Either registry may be nil.
-func instrumentSender(snd *core.Sender, cfg core.Config, objBytes int64, reg *metrics.Registry, rec *flight.Log) (*metrics.Transfer, *flight.Recorder) {
-	tm := reg.StartSender(cfg.Transfer, snd.NumPackets(), objBytes)
-	fr := rec.StartSender(cfg.Transfer, snd.NumPackets(), objBytes, cfg.PacketSize, int(cfg.Schedule))
-	if tm != nil || fr != nil {
-		snd.SetObserver(&senderObserver{tm: tm, fr: fr})
-	}
-	return tm, fr
-}
-
-// noteHandshake records the completed HELLO/HELLO-ACK exchange in both
-// sinks.
-func noteHandshake(tm *metrics.Transfer, fr *flight.Recorder) {
-	tm.NoteHandshake()
-	fr.Phase(flight.PhaseHandshake, 0)
 }
 
 // abortReasonFor maps a driver error onto the wire abort-reason taxonomy,
@@ -656,38 +566,35 @@ func sendOnce(ctx context.Context, addr string, obj []byte, cfg core.Config, opt
 	if err != nil {
 		return core.SenderStats{}, err
 	}
-	plan.instrument(opts)
 	tid := opts.senderTraceID()
-	or := opts.startRecorder(tid, plan.base, obs.RoleSender)
-	or.Event(obs.KindDial, 0)
+	plan.instrument(opts, tid)
+	plan.event(obs.KindDial, 0)
 	ctl, check, err := dialHandshake(ctx, addr, tracePrelude(tid), plan.checkFrame(opts), plan.helloFrame(), plan.base, opts)
 	if err != nil {
-		plan.fail(err)
-		finishTrace(or, err)
+		plan.finish(err)
 		return plan.stats(), err
 	}
 	defer ctl.Close()
-	if plan.accepted(check, or) {
+	if plan.accepted(check) {
 		// Dedup hit: the receiver already holds the object. No handshake
 		// completes and no data flow dials — just the verdict.
-		return completeDedupedSend(plan, ctl, or)
+		return completeDedupedSend(plan, ctl)
 	}
-	return dialAndRun(ctx, addr, plan, ctl, opts, or)
+	return dialAndRun(ctx, addr, plan, ctl, opts)
 }
 
 // dialAndRun opens the plan's data flows toward addr and lets the shared
 // sender engine drive each stripe until the completion signal arrives on the
 // control channel.
-func dialAndRun(ctx context.Context, addr string, plan *senderPlan, ctl net.Conn, opts Options, or *obs.Recorder) (core.SenderStats, error) {
+func dialAndRun(ctx context.Context, addr string, plan *senderPlan, ctl net.Conn, opts Options) (core.SenderStats, error) {
 	conns, err := dialDataFlows(addr, len(plan.snds), opts)
 	if err != nil {
 		writeAbort(ctl, plan.base, wire.AbortUnspecified)
-		plan.fail(err)
-		finishTrace(or, err)
+		plan.finish(err)
 		return plan.stats(), err
 	}
 	defer closeAll(conns)
-	return runSenderPlan(ctx, plan, conns, ctl, opts, or)
+	return runSenderPlan(ctx, plan, conns, ctl, opts)
 }
 
 // completeDedupedSend finishes a transfer whose CHECK query hit: every
@@ -697,25 +604,21 @@ func dialAndRun(ctx context.Context, addr string, plan *senderPlan, ctl net.Conn
 // usual. End-to-end integrity holds on this path too: the receiver holds the
 // bytes under the 256-bit identity this end computed from its own, and the
 // COMPLETE echoes that identity's tag.
-func completeDedupedSend(plan *senderPlan, ctl net.Conn, or *obs.Recorder) (core.SenderStats, error) {
-	or.Event(obs.KindCheck, 1)
+func completeDedupedSend(plan *senderPlan, ctl net.Conn) (core.SenderStats, error) {
+	plan.event(obs.KindCheck, 1)
 	total := 0
 	for i, snd := range plan.snds {
 		n := snd.NumPackets()
 		if _, err := snd.Restore(fullWords(n)); err != nil {
-			plan.fail(err)
-			finishTrace(or, err)
+			plan.finish(err)
 			return plan.stats(), err
 		}
-		plan.tms[i].NoteRestored(n)
+		plan.probes[i].restored(n)
 		total += n
 	}
-	or.Event(obs.KindSkip, uint64(total))
+	plan.event(obs.KindSkip, uint64(total))
 	err := readCompletion(ctl, plan)
-	for i := range plan.snds {
-		finishInstruments(plan.tms[i], plan.frs[i], err)
-	}
-	finishTrace(or, err)
+	plan.finish(err)
 	st := plan.stats()
 	st.Deduped = err == nil
 	return st, err

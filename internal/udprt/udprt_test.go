@@ -286,7 +286,7 @@ func TestReceiveRingRejectsOverlongDatagram(t *testing.T) {
 			t.Fatal("tag 7 refused on an idle endpoint")
 		}
 		engines := newRecvEngines(plan, make([]byte, len(obj)))
-		in.arm(engines, nil)
+		in.arm(engines)
 		// Well formed, for this transfer, and four packets long.
 		overlong := wire.AppendData(nil, &wire.Data{Transfer: 7, Seq: 0, Total: packets,
 			Payload: bytes.Repeat([]byte{0xEE}, len(obj))})
