@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 vet cross loc race short test bench bench-smoke bench-e2e bench-e2e-smoke bench-e2e-test offload-probe cover fuzz-smoke shuffle faultnet-soak fobsd-smoke verify
+.PHONY: all tier1 vet cross loc race short test bench bench-smoke mem-smoke bench-e2e bench-e2e-smoke bench-e2e-test offload-probe cover fuzz-smoke shuffle faultnet-soak fobsd-smoke verify
 
 all: verify
 
@@ -72,6 +72,18 @@ bench:
 bench-smoke:
 	$(GO) test ./internal/udprt -run '^$$' -bench BenchmarkStripedLoopback -benchtime=1x
 
+# The memory budgets in one place: the tests that pin them — one object-sized
+# allocation per received object once the content cache is at its bound, both
+# cache bounds at run time and at start-up, a checkpoint written without
+# copying the object — then a two-second untraced bulk_32k run of the
+# end-to-end benchmark, printing the two ledger rows they keep down.
+# Informational (CI runs it non-gating): the tests gate in tier1 already,
+# and two seconds of loopback is a reading, not a measurement.
+mem-smoke:
+	$(GO) test ./internal/udprt -count=1 -v -run 'TestReceiveAllocBudget|TestContentCacheEviction|TestOversizeObjectIsNotCached|TestCacheLoadReplaysWithinBounds'
+	$(GO) test ./internal/checkpoint -count=1 -v -run 'TestSaveStreamsTheObject'
+	bash benchmark/run.sh --workload bulk_32k --seed 1 --seconds 2 --trace 0 | grep -E '^(# |alloc_kib_per_op |rss_peak_mib )'
+
 # The repository's end-to-end benchmark (BENCHMARK.json, benchmark/README.md):
 # every workload untraced then traced, built into .bench_build/. The smoke
 # variant runs one-second windows. benchmark/ is a module of its own, outside
@@ -113,12 +125,16 @@ shuffle:
 # Extended fault-injection soak: the sever/flap/resume suites and the proxy
 # itself, raced and repeated, to surface the low-probability interleavings a
 # single run misses — and with them internal/core, whose ContentID hashes
-# leaves on several goroutines, and the instrumentation spine and its three
-# instruments, whose ring is pushed, drained and snapshotted concurrently.
+# leaves on several goroutines, the instrumentation spine and its three
+# instruments, whose ring is pushed, drained and snapshotted concurrently,
+# and the two halves of the content cache: internal/udprt's
+# TestContentCacheRecycleRace (lookups and in-flight saves against adds that
+# evict and recycle the buffers they read) and internal/checkpoint's
+# streaming writer under it.
 # Scheduled CI runs this non-gating; it is too slow for the per-push gate
 # (where `make race` covers every package once).
 faultnet-soak:
-	$(GO) test -race -count=10 ./internal/core ./internal/udprt ./internal/faultnet ./internal/spine ./internal/metrics ./internal/flight ./internal/obs
+	$(GO) test -race -count=10 ./internal/core ./internal/checkpoint ./internal/udprt ./internal/faultnet ./internal/spine ./internal/metrics ./internal/flight ./internal/obs
 
 # End-to-end daemon crash drill against the real binary: build fobsd,
 # submit three tasks over loopback, SIGKILL it mid-flight, restart it over

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // cacheState builds a completed-object cache entry with a genuine digest.
@@ -93,7 +94,7 @@ func TestSaveCacheLoadCacheDir(t *testing.T) {
 	other[0] = 0xEE
 	os.WriteFile(CacheFile(dir, other), mustEncodeFramed(t, a), 0o644)
 
-	got, err := LoadCacheDir(dir)
+	got, err := loadCacheAll(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +119,66 @@ func TestSaveCacheLoadCacheDir(t *testing.T) {
 	}
 
 	RemoveCache(dir, a.Content)
-	got, err = LoadCacheDir(dir)
+	got, err = loadCacheAll(dir)
 	if err != nil || len(got) != 1 || got[0].Content != b.Content {
 		t.Fatalf("after RemoveCache: %d entries, err=%v", len(got), err)
+	}
+}
+
+// loadCacheAll admits every entry LoadCacheDir offers, in the order offered.
+func loadCacheAll(dir string) ([]*State, error) {
+	var out []*State
+	err := LoadCacheDir(dir, func(st *State) bool {
+		out = append(out, st)
+		return true
+	})
+	return out, err
+}
+
+// TestLoadCacheDirOldestFirstAndRemovesRefused: entries are offered one at a
+// time in the order they were saved (modification time, not directory
+// order), and one the caller turns down loses its file — while junk the
+// loader itself skipped is left where it is.
+func TestLoadCacheDirOldestFirstAndRemovesRefused(t *testing.T) {
+	dir := t.TempDir()
+	base := time.Now().Add(-time.Hour)
+	var saved []*State
+	// Saved in an order that is neither the digests' nor the names'.
+	for i, fill := range []byte{40, 10, 30, 20, 50} {
+		st := cacheState(fill)
+		if err := SaveCache(dir, st); err != nil {
+			t.Fatal(err)
+		}
+		at := base.Add(time.Duration(i) * time.Minute)
+		if err := os.Chtimes(CacheFile(dir, st.Content), at, at); err != nil {
+			t.Fatal(err)
+		}
+		saved = append(saved, st)
+	}
+	junk := filepath.Join(dir, "fobs-cache-0000000000000009")
+	os.WriteFile(junk, []byte("FOBSCKPTgarbage"), 0o644)
+
+	var offered [][32]byte
+	if err := LoadCacheDir(dir, func(st *State) bool {
+		offered = append(offered, st.Content)
+		return len(offered)%2 == 1 // keep the 1st, 3rd and 5th
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(offered) != len(saved) {
+		t.Fatalf("offered %d entries, want %d", len(offered), len(saved))
+	}
+	for i, st := range saved {
+		if offered[i] != st.Content {
+			t.Fatalf("entry %d offered out of save order", i)
+		}
+		_, err := os.Stat(CacheFile(dir, st.Content))
+		if kept := i%2 == 0; kept != (err == nil) {
+			t.Fatalf("entry %d: kept=%v, file present=%v", i, kept, err == nil)
+		}
+	}
+	if _, err := os.Stat(junk); err != nil {
+		t.Fatalf("a file the loader skipped was removed: %v", err)
 	}
 }
 
@@ -133,7 +191,7 @@ func TestSaveCacheRequiresContent(t *testing.T) {
 }
 
 func TestLoadCacheDirMissingDirIsEmpty(t *testing.T) {
-	got, err := LoadCacheDir(filepath.Join(t.TempDir(), "never-created"))
+	got, err := loadCacheAll(filepath.Join(t.TempDir(), "never-created"))
 	if err != nil || got != nil {
 		t.Fatalf("missing dir: got %v, err=%v", got, err)
 	}

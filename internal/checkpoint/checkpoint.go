@@ -20,6 +20,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sort"
+	"time"
 )
 
 // fileMagic opens every checkpoint file.
@@ -75,19 +77,17 @@ const headerLen = 1 + 1 + 4 + 8 + 4 + 4 + 4 + 4
 // crash mid-write leaves either the old checkpoint or none — never a torn
 // one that Load would have to reject.
 func Save(dir string, st *State) error {
-	body, err := encode(st)
-	if err != nil {
-		return err
-	}
-	return WriteFramed(File(dir, st.Transfer), fileMagic, body)
+	return save(File(dir, st.Transfer), st)
 }
 
-// encode serializes st into a framed-file body.
-func encode(st *State) ([]byte, error) {
+// save writes st to path as a framed file whose body is three parts — the
+// header with the bitmap words, the object, the content trailer — so the
+// object goes from the caller's buffer to the file without a copy.
+func save(path string, st *State) error {
 	if uint64(len(st.Object)) != st.ObjectSize {
-		return nil, fmt.Errorf("checkpoint: object is %d bytes, header says %d", len(st.Object), st.ObjectSize)
+		return fmt.Errorf("checkpoint: object is %d bytes, header says %d", len(st.Object), st.ObjectSize)
 	}
-	body := make([]byte, 0, headerLen+8*len(st.Words)+len(st.Object)+32)
+	head := make([]byte, 0, headerLen+8*len(st.Words))
 	var flags uint8
 	if st.HasDigest {
 		flags |= 1
@@ -95,21 +95,21 @@ func encode(st *State) ([]byte, error) {
 	if st.HasContent {
 		flags |= 2
 	}
-	body = append(body, Version, flags)
-	body = binary.BigEndian.AppendUint32(body, st.Transfer)
-	body = binary.BigEndian.AppendUint64(body, st.ObjectSize)
-	body = binary.BigEndian.AppendUint32(body, st.PacketSize)
-	body = binary.BigEndian.AppendUint32(body, st.Digest)
-	body = binary.BigEndian.AppendUint32(body, st.Received)
-	body = binary.BigEndian.AppendUint32(body, uint32(len(st.Words)))
+	head = append(head, Version, flags)
+	head = binary.BigEndian.AppendUint32(head, st.Transfer)
+	head = binary.BigEndian.AppendUint64(head, st.ObjectSize)
+	head = binary.BigEndian.AppendUint32(head, st.PacketSize)
+	head = binary.BigEndian.AppendUint32(head, st.Digest)
+	head = binary.BigEndian.AppendUint32(head, st.Received)
+	head = binary.BigEndian.AppendUint32(head, uint32(len(st.Words)))
 	for _, w := range st.Words {
-		body = binary.BigEndian.AppendUint64(body, w)
+		head = binary.BigEndian.AppendUint64(head, w)
 	}
-	body = append(body, st.Object...)
+	var trailer []byte
 	if st.HasContent {
-		body = append(body, st.Content[:]...)
+		trailer = st.Content[:]
 	}
-	return body, nil
+	return WriteFramed(path, fileMagic, head, st.Object, trailer)
 }
 
 // Load reads and validates one checkpoint file.
@@ -208,27 +208,31 @@ func SaveCache(dir string, st *State) error {
 	if !st.HasContent {
 		return errors.New("checkpoint: cache entry without a content digest")
 	}
-	body, err := encode(st)
-	if err != nil {
-		return err
-	}
-	return WriteFramed(CacheFile(dir, st.Content), fileMagic, body)
+	return save(CacheFile(dir, st.Content), st)
 }
 
-// LoadCacheDir loads every valid content-cache entry under dir. Corrupt or
-// foreign files are skipped for the same reason LoadDir skips them; an
-// entry whose filename does not match its own content digest is treated as
-// foreign. Callers still verify the full digest against the object bytes
-// before trusting an entry.
-func LoadCacheDir(dir string) ([]*State, error) {
+// LoadCacheDir offers every valid content-cache entry under dir to admit,
+// one file at a time and oldest first by modification time — the order the
+// entries were saved in — so no more is resident than admit keeps. An entry
+// admit turns down has its file removed. Corrupt or foreign files are
+// skipped for the same reason LoadDir skips them; an entry whose filename
+// does not match its own content digest is treated as foreign. admit still
+// verifies the full digest against the object bytes before trusting an
+// entry, and owns st.Object if it keeps it.
+func LoadCacheDir(dir string, admit func(st *State) bool) error {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, nil
+			return nil
 		}
-		return nil, fmt.Errorf("checkpoint: %w", err)
+		return fmt.Errorf("checkpoint: %w", err)
 	}
-	var out []*State
+	type cacheFile struct {
+		name  string
+		key   uint64
+		saved time.Time
+	}
+	var files []cacheFile
 	for _, e := range ents {
 		var key uint64
 		if e.IsDir() {
@@ -237,13 +241,24 @@ func LoadCacheDir(dir string) ([]*State, error) {
 		if _, err := fmt.Sscanf(e.Name(), "fobs-cache-%016x", &key); err != nil {
 			continue
 		}
-		st, err := Load(filepath.Join(dir, e.Name()))
-		if err != nil || !st.HasContent || binary.BigEndian.Uint64(st.Content[:8]) != key {
+		info, err := e.Info()
+		if err != nil {
 			continue
 		}
-		out = append(out, st)
+		files = append(files, cacheFile{e.Name(), key, info.ModTime()})
 	}
-	return out, nil
+	sort.SliceStable(files, func(i, j int) bool { return files[i].saved.Before(files[j].saved) })
+	for _, f := range files {
+		path := filepath.Join(dir, f.name)
+		st, err := Load(path)
+		if err != nil || !st.HasContent || binary.BigEndian.Uint64(st.Content[:8]) != f.key {
+			continue
+		}
+		if !admit(st) {
+			os.Remove(path)
+		}
+	}
+	return nil
 }
 
 // RemoveCache deletes the content-cache entry for a digest, if present.

@@ -8,6 +8,7 @@
 package checkpoint
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -18,23 +19,46 @@ import (
 // in front, the checksum behind.
 const framedOverhead = 8 + 4
 
-// WriteFramed atomically persists body to path inside the framed
-// container. The temporary sibling (path + ".tmp") is renamed over path on
-// success and removed on failure.
-func WriteFramed(path string, magic [8]byte, body []byte) error {
-	buf := make([]byte, 0, framedOverhead+len(body))
-	buf = append(buf, magic[:]...)
-	buf = append(buf, body...)
-	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(body, castagnoli))
+// WriteFramed atomically persists a body, given as the parts that make it
+// up in order, to path inside the framed container. The parts are streamed
+// to the temporary sibling (path + ".tmp") with the checksum folded over
+// them as they go — a part is never copied, so persisting an object costs
+// no second object — and the sibling is renamed over path on success and
+// removed on failure.
+func WriteFramed(path string, magic [8]byte, body ...[]byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
+	err := writeParts(tmp, magic, body)
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil
+}
+
+// writeParts creates path holding magic, the parts and their checksum. The
+// small buffer keeps a short file one write call and lets a large part pass
+// through uncopied.
+func writeParts(path string, magic [8]byte, parts [][]byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriterSize(f, 4096)
+	w.Write(magic[:]) // bufio latches the first error; Flush reports it
+	var sum uint32
+	for _, p := range parts {
+		sum = crc32.Update(sum, castagnoli, p)
+		w.Write(p)
+	}
+	w.Write(binary.BigEndian.AppendUint32(nil, sum))
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // ReadFramed reads path and validates the container — length, magic,

@@ -59,10 +59,7 @@ func (s *store) save(t *Task) error {
 	if err != nil {
 		return fmt.Errorf("tasks: marshal task %d: %w", t.ID, err)
 	}
-	body := make([]byte, 0, 1+len(js))
-	body = append(body, storeVersion)
-	body = append(body, js...)
-	return checkpoint.WriteFramed(taskFile(s.dir, t.ID), taskMagic, body)
+	return checkpoint.WriteFramed(taskFile(s.dir, t.ID), taskMagic, []byte{storeVersion}, js)
 }
 
 // remove deletes a task's file, if present.

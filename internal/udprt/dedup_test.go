@@ -376,20 +376,29 @@ func TestDedupCachePersistsAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestContentCacheEviction bounds the cache: past the limit the oldest
-// entry goes, newest stays.
+// TestContentCacheEviction bounds the cache, in entries and in bytes: past
+// either limit the oldest entry goes, newest stays, and the add that evicted
+// it copies into the buffer it left behind when that buffer is the right
+// size.
 func TestContentCacheEviction(t *testing.T) {
 	c := newContentCache(Options{})
 	c.max = 2
-	mk := func(fill byte) ([32]byte, []byte) {
-		obj := bytes.Repeat([]byte{fill}, 1024)
+	mk := func(fill byte, size int) ([32]byte, []byte) {
+		obj := bytes.Repeat([]byte{fill}, size)
 		return core.ContentID(obj), obj
 	}
-	d1, o1 := mk(1)
-	d2, o2 := mk(2)
-	d3, o3 := mk(3)
+	// buffer is where the cache keeps the object held under a digest.
+	buffer := func(d [32]byte) *byte {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return &c.entries[c.index(d)].obj[0]
+	}
+	d1, o1 := mk(1, 1024)
+	d2, o2 := mk(2, 1024)
+	d3, o3 := mk(3, 1024)
 	c.add(d1, o1, 512)
 	c.add(d2, o2, 512)
+	first := buffer(d1)
 	c.add(d3, o3, 512)
 	if n := c.len(); n != 2 {
 		t.Fatalf("cache holds %d entries, want 2", n)
@@ -397,10 +406,13 @@ func TestContentCacheEviction(t *testing.T) {
 	if _, ok := c.lookup(d1, 1024); ok {
 		t.Fatal("oldest entry survived eviction")
 	}
+	if buffer(d3) != first {
+		t.Fatal("a same-size add did not recycle the buffer of the entry it evicted")
+	}
 	for _, d := range [][32]byte{d2, d3} {
 		got, ok := c.lookup(d, 1024)
-		if !ok {
-			t.Fatal("recent entry missing")
+		if !ok || core.ContentID(got) != d {
+			t.Fatal("recent entry missing, or not the bytes it was added with")
 		}
 		// lookup must copy out: mutating the answer must not poison the cache.
 		got[0] ^= 0xFF
@@ -409,6 +421,67 @@ func TestContentCacheEviction(t *testing.T) {
 			t.Fatal("lookup aliases the cached bytes")
 		}
 	}
+	// add must copy in: the caller keeps, and may overwrite, what it passed.
+	o3[0] ^= 0xFF
+	if got, _ := c.lookup(d3, 1024); core.ContentID(got) != d3 {
+		t.Fatal("add aliases the caller's bytes")
+	}
+
+	// Mixed sizes: a buffer is reused for an object at least half its
+	// capacity, and not for a smaller one (which would pin the rest).
+	victim := buffer(d2)
+	d4, o4 := mk(4, 512)
+	c.add(d4, o4, 512) // evicts d2: 512 of 1024 is still a fit
+	if buffer(d4) != victim {
+		t.Fatal("a half-capacity object did not reuse the evicted buffer")
+	}
+	victim = buffer(d3)
+	d5, o5 := mk(5, 511)
+	c.add(d5, o5, 512) // evicts d3: 511 of 1024 is not
+	if buffer(d5) == victim {
+		t.Fatal("a buffer was reused for an object less than half its capacity")
+	}
+	if got, ok := c.lookup(d5, 511); !ok || !bytes.Equal(got, o5) {
+		t.Fatal("the small object is not served as added")
+	}
+
+	// The byte bound: nine objects whose sizes sum past it leave no more
+	// than the bound cached, the newest among them.
+	c.max, c.maxBytes = maxCached, 8<<10
+	var newest [32]byte
+	for i := 0; i < 9; i++ {
+		d, o := mk(byte(10+i), 1<<10+i<<6) // 1024 … 1536 bytes, 11.25 KiB in all
+		c.add(d, o, 512)
+		newest = d
+		if c.bytes > c.maxBytes {
+			t.Fatalf("after add %d the cache holds %d bytes, bound %d", i, c.bytes, c.maxBytes)
+		}
+	}
+	sum := 0
+	for _, e := range c.entries {
+		sum += len(e.obj)
+	}
+	if sum != c.bytes || c.len() >= maxCached {
+		t.Fatalf("cache accounts %d bytes for %d held in %d entries; the byte bound, not the entry bound, should have evicted",
+			c.bytes, sum, c.len())
+	}
+	if _, ok := c.lookup(newest, 1<<10+8<<6); !ok {
+		t.Fatal("the newest object was evicted by the byte bound")
+	}
+	// An object larger than the bound is neither copied nor cached, and
+	// evicts nothing on its way past.
+	held := c.len()
+	dBig, oBig := mk(99, c.maxBytes+1)
+	c.add(dBig, oBig, 512)
+	if _, ok := c.lookup(dBig, uint64(len(oBig))); ok || c.len() != held {
+		t.Fatalf("an oversize object was cached, or evicted on its way past (%d entries, were %d)", c.len(), held)
+	}
+	if !raceEnabled {
+		if allocs := testing.AllocsPerRun(20, func() { c.add(dBig, oBig, 512) }); allocs > 0 {
+			t.Fatalf("add allocated %.0f times for an object it does not cache", allocs)
+		}
+	}
+
 	// Nil cache (NoDedup): every method is a no-op.
 	var nilCache *contentCache
 	nilCache.add(d1, o1, 512)
