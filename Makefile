@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 vet cross loc race short test bench bench-smoke mem-smoke bench-e2e bench-e2e-smoke bench-e2e-test offload-probe cover fuzz-smoke shuffle faultnet-soak fobsd-smoke verify
+.PHONY: all tier1 vet cross loc race short test bench bench-smoke mem-smoke waste-smoke bench-e2e bench-e2e-smoke bench-e2e-test offload-probe cover fuzz-smoke shuffle faultnet-soak fobsd-smoke verify
 
 all: verify
 
@@ -84,6 +84,17 @@ mem-smoke:
 	$(GO) test ./internal/checkpoint -count=1 -v -run 'TestSaveStreamsTheObject'
 	bash benchmark/run.sh --workload bulk_32k --seed 1 --seconds 2 --trace 0 | grep -E '^(# |alloc_kib_per_op |rss_peak_mib )'
 
+# The paper's headline number — packets sent beyond the object's own,
+# "approximately 3%" — read off real loopback sockets through the public API:
+# 16 MiB at 1 KiB and 32 MiB at 32 KiB, one discarded push then three
+# measured, failing above 25% / 10% waste or when the receiver's socket buffer
+# dropped anything (IOCounters.RecvOverflow): the sender has stopped being
+# held to the window the receiver advertised. Informational (CI runs it
+# non-gating): the window's own tests gate in tier1, and four pushes on a
+# shared machine are a reading.
+waste-smoke:
+	FOBS_WASTE_SMOKE=1 $(GO) test . -run '^TestWasteSmoke$$' -count=1 -v
+
 # The repository's end-to-end benchmark (BENCHMARK.json, benchmark/README.md):
 # every workload untraced then traced, built into .bench_build/. The smoke
 # variant runs one-second windows. benchmark/ is a module of its own, outside
@@ -130,7 +141,10 @@ shuffle:
 # and the two halves of the content cache: internal/udprt's
 # TestContentCacheRecycleRace (lookups and in-flight saves against adds that
 # evict and recycle the buffers they read) and internal/checkpoint's
-# streaming writer under it.
+# streaming writer under it. internal/udprt also brings the receive window's
+# real-socket tests (window_test.go): ack-clocked senders against small
+# buffers, a 20 ms path and one that dies, where a race detector's slowdown is
+# the busy host the forgiveness rule has to survive.
 # Scheduled CI runs this non-gating; it is too slow for the per-push gate
 # (where `make race` covers every package once).
 faultnet-soak:

@@ -155,6 +155,9 @@ func run() error {
 		}
 		defer sl.Close()
 		fmt.Printf("fobs-cp: listening on %s\n", sl.Addr())
+		if got, want := sl.ReadBuffer(); got > 0 && got < want {
+			fmt.Printf("fobs-cp: the kernel granted %d of the %d-byte receive buffer asked for; senders will be held to it (raise net.core.rmem_max for more)\n", got, want)
+		}
 		sum, err := fobs.ReceiveTree(ctx, sl, *recv)
 		if err != nil {
 			reportPartials(reg)

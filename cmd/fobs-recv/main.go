@@ -130,6 +130,9 @@ func run() error {
 	}
 	defer l.Close()
 	fmt.Printf("fobs-recv: listening on %s\n", l.Addr())
+	if got, want := l.ReadBuffer(); got > 0 && got < want {
+		fmt.Printf("fobs-recv: the kernel granted %d of the %d-byte receive buffer asked for; senders will be held to it (raise net.core.rmem_max for more)\n", got, want)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()

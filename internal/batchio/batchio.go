@@ -204,6 +204,9 @@ type Receiver struct {
 	// trains is set when the socket has UDP_GRO on: a message may then carry
 	// several datagrams.
 	trains bool
+	// drops is the kernel's count of what the socket dropped for want of
+	// buffer, as of the latest message that carried one (SO_RXQ_OVFL).
+	drops uint32
 
 	bufs  [][]byte
 	addrs []netip.AddrPort // per slot: the source of its message
@@ -215,6 +218,7 @@ type Receiver struct {
 	calls    int
 	recvd    int
 	ntrains  int
+	overflow int
 	maxBatch int
 }
 
@@ -227,11 +231,13 @@ type segment struct {
 // NewReceiver prepares a receiver with the given number of slots, each
 // bufSize bytes. vectored requests the recvmmsg fast path; unsupported
 // builds silently degrade to one-datagram reads. A vectored receiver whose
-// slots hold TrainBufLen bytes also asks the socket for whole trains
-// (UDP_GRO, for the life of the socket — so every later reader of it must
-// be a Receiver of this kind) and may then deliver up to 64 datagrams per
-// slot; a kernel that refuses the option leaves it a plain receiver. No slot
-// is read past 65535 bytes, which no UDP message exceeds.
+// slots hold TrainBufLen bytes is the reader of a data socket: it asks the
+// socket for whole trains (UDP_GRO, for the life of the socket — so every
+// later reader of it must be a Receiver of this kind) and may then deliver up
+// to 64 datagrams per slot, and for the count of what the socket drops when
+// its buffer is full (SO_RXQ_OVFL, reported as Counters().RecvOverflow); a
+// kernel that refuses either option leaves it without that one. No slot is
+// read past 65535 bytes, which no UDP message exceeds.
 func NewReceiver(conn *net.UDPConn, slots, bufSize int, vectored bool) (*Receiver, error) {
 	r := &Receiver{conn: conn}
 	if vectored && vectoredSupported {
@@ -243,7 +249,10 @@ func NewReceiver(conn *net.UDPConn, slots, bufSize int, vectored bool) (*Receive
 	if slots < 1 || !r.vectored {
 		slots = 1 // a scalar read fills one slot
 	}
-	r.trains = r.vectored && bufSize >= TrainBufLen && setGRO(r.rc) == nil
+	counted := false
+	if r.vectored && bufSize >= TrainBufLen {
+		r.trains, counted = setDataSockopts(r.rc)
+	}
 	bufSize = min(bufSize, maxMessage)
 	r.bufs = make([][]byte, slots)
 	r.addrs = make([]netip.AddrPort, slots)
@@ -256,7 +265,7 @@ func NewReceiver(conn *net.UDPConn, slots, bufSize int, vectored bool) (*Receive
 		r.segs = make([]segment, 0, slots)
 	}
 	if r.vectored {
-		r.vr.init(r.bufs, r.trains)
+		r.vr.init(r.bufs, r.trains || counted)
 	}
 	return r, nil
 }
@@ -366,6 +375,7 @@ func (r *Receiver) Counters() stats.IOCounters {
 		RecvCalls:     r.calls,
 		RecvDatagrams: r.recvd,
 		RecvTrains:    r.ntrains,
+		RecvOverflow:  r.overflow,
 		MaxRecvBatch:  r.maxBatch,
 		FastPath:      r.vectored,
 	}
@@ -374,5 +384,5 @@ func (r *Receiver) Counters() stats.IOCounters {
 // ResetCounters zeroes the tallies, so that a receiver which outlives one
 // transfer can report each transfer's own.
 func (r *Receiver) ResetCounters() {
-	r.calls, r.recvd, r.ntrains, r.maxBatch = 0, 0, 0, 0
+	r.calls, r.recvd, r.ntrains, r.overflow, r.maxBatch = 0, 0, 0, 0, 0
 }

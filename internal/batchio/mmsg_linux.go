@@ -245,12 +245,14 @@ func trainRefused(errno syscall.Errno) bool {
 	return false
 }
 
-// groCmsg is room for the one control message a UDP_GRO socket attaches to
-// a train: CMSG_SPACE(sizeof(int)) bytes, the datagram size as payload.
-type groCmsg struct {
-	hdr  syscall.Cmsghdr
-	size int32
-	_    [4]byte
+// recvCmsgs is a slot's control room: a receiving data socket gets at most
+// two control messages per message, each CMSG_SPACE(sizeof(int)) bytes with a
+// 32-bit payload — the drop count of SO_RXQ_OVFL, then the datagram size of
+// UDP_GRO.
+type recvCmsgs [2]struct {
+	hdr syscall.Cmsghdr
+	val uint32
+	_   [4]byte
 }
 
 // vecRecvState is the reusable guts of one recvmmsg call. Buffers are
@@ -260,37 +262,37 @@ type vecRecvState struct {
 	hdrs  []mmsghdr
 	iovs  []syscall.Iovec
 	names []syscall.RawSockaddrInet6
-	ctl   []groCmsg // per-slot control room; nil unless the socket takes trains
-	block bool      // in: park on EAGAIN (Recv) or report empty (TryRecv)
-	n     int       // out: messages received
-	nsys  int       // out: recvmmsg syscalls issued for this drain
+	ctl   []recvCmsgs // per-slot control room; nil unless the socket takes trains or counts drops
+	block bool        // in: park on EAGAIN (Recv) or report empty (TryRecv)
+	n     int         // out: messages received
+	nsys  int         // out: recvmmsg syscalls issued for this drain
 	errno syscall.Errno
 	fn    func(fd uintptr) bool
 }
 
-// setGRO asks the socket to deliver trains uncut (UDP_GRO).
-func setGRO(rc syscall.RawConn) error {
-	var serr error
-	if err := rc.Control(func(fd uintptr) {
-		serr = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1)
-	}); err != nil {
-		return err
-	}
-	return serr
+// setDataSockopts asks a data socket to deliver trains uncut (UDP_GRO) and to
+// attach to what it delivers the count of what it dropped for want of buffer
+// (SO_RXQ_OVFL), reporting which of the two the kernel granted.
+func setDataSockopts(rc syscall.RawConn) (trains, drops bool) {
+	rc.Control(func(fd uintptr) {
+		trains = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1) == nil
+		drops = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RXQ_OVFL, 1) == nil
+	})
+	return trains, drops
 }
 
-func (v *vecRecvState) init(bufs [][]byte, trains bool) {
+func (v *vecRecvState) init(bufs [][]byte, control bool) {
 	n := len(bufs)
 	v.hdrs = make([]mmsghdr, n)
 	v.iovs = make([]syscall.Iovec, n)
 	v.names = make([]syscall.RawSockaddrInet6, n)
-	if trains {
-		v.ctl = make([]groCmsg, n)
+	if control {
+		v.ctl = make([]recvCmsgs, n)
 	}
 	for i := range v.hdrs {
 		v.iovs[i].Base = &bufs[i][0]
 		v.iovs[i].SetLen(len(bufs[i]))
-		if trains {
+		if control {
 			v.hdrs[i].hdr.Control = (*byte)(unsafe.Pointer(&v.ctl[i]))
 		}
 		v.hdrs[i].hdr.Iov = &v.iovs[i]
@@ -324,15 +326,28 @@ func (v *vecRecvState) init(bufs [][]byte, trains bool) {
 	}
 }
 
-// trainSize returns the datagram size the kernel attached to message i, or
-// zero when it attached none: the message is then one plain datagram.
-func (v *vecRecvState) trainSize(i int) int {
-	c := &v.ctl[i]
-	if v.hdrs[i].hdr.Controllen < uint64(syscall.CmsgLen(4)) ||
-		c.hdr.Level != solUDP || c.hdr.Type != udpGRO {
-		return 0
+// control reads what the kernel attached to message i: the datagram size of
+// a train (zero when it attached none: the message is one plain datagram) and
+// the socket's drop count as of the message's arrival (zero until the first
+// drop).
+func (v *vecRecvState) control(i int) (trainSize int, drops uint32) {
+	if v.ctl == nil {
+		return 0, 0
 	}
-	return int(c.size)
+	// The kernel reports how much of the room it filled, a whole control
+	// message at a time.
+	msgs := &v.ctl[i]
+	filled := int(v.hdrs[i].hdr.Controllen / uint64(unsafe.Sizeof(msgs[0])))
+	for j := 0; j < min(filled, len(msgs)); j++ {
+		c := &msgs[j]
+		switch {
+		case c.hdr.Level == solUDP && c.hdr.Type == udpGRO:
+			trainSize = int(int32(c.val))
+		case c.hdr.Level == syscall.SOL_SOCKET && c.hdr.Type == syscall.SO_RXQ_OVFL:
+			drops = c.val
+		}
+	}
+	return trainSize, drops
 }
 
 // drainVectored runs one recvmmsg (parking first when block is set) and
@@ -351,9 +366,12 @@ func (r *Receiver) drainVectored(block bool) (int, error) {
 	}
 	for i := 0; i < v.n; i++ {
 		r.addrs[i] = sockaddrToAddrPort(&v.names[i])
-		total, size := int(v.hdrs[i].n), 0
-		if r.trains {
-			size = v.trainSize(i)
+		total := int(v.hdrs[i].n)
+		size, drops := v.control(i)
+		if drops != 0 {
+			// The count is the socket's, cumulative and 32 bits wide.
+			r.overflow += int(drops - r.drops)
+			r.drops = drops
 		}
 		if size <= 0 || size >= total {
 			r.segs = append(r.segs, segment{slot: uint16(i), n: uint16(total)})

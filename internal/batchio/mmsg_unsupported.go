@@ -2,10 +2,7 @@
 
 package batchio
 
-import (
-	"errors"
-	"syscall"
-)
+import "syscall"
 
 // Builds without sendmmsg/recvmmsg: the vectored entry points are never
 // reached (vectoredSupported gates them off in the constructors), but the
@@ -28,7 +25,7 @@ type vecRecvState struct {
 	nsys int // always zero: no vectored syscalls on this platform
 }
 
-func setGRO(syscall.RawConn) error { return errors.ErrUnsupported }
+func setDataSockopts(syscall.RawConn) (trains, drops bool) { return false, false }
 
 func (v *vecRecvState) init([][]byte, bool) {}
 

@@ -8,6 +8,10 @@ import (
 	"time"
 )
 
+// ReadBuffer would return the receive buffer the kernel granted conn; there
+// is no portable way to ask, and zero says so.
+func ReadBuffer(*net.UDPConn) int { return 0 }
+
 // pollDatagram approximates a non-blocking read on platforms without
 // MSG_DONTWAIT semantics through the raw connection: a deadline one
 // microsecond ahead returns immediately when a datagram is buffered and

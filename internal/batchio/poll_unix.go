@@ -4,8 +4,29 @@ package batchio
 
 import (
 	"net"
+	"runtime"
 	"syscall"
 )
+
+// ReadBuffer returns the receive buffer the kernel granted conn, in the units
+// SetReadBuffer takes, or zero when it will not say. A request above the
+// system's limit (net.core.rmem_max on Linux) is cut down to it without an
+// error, so what was asked for says nothing about what the socket can hold.
+// Linux reports twice what it granted, bookkeeping included.
+func ReadBuffer(conn *net.UDPConn) int {
+	rc, err := conn.SyscallConn()
+	if err != nil {
+		return 0
+	}
+	n := 0
+	rc.Control(func(fd uintptr) {
+		n, _ = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF)
+	})
+	if runtime.GOOS == "linux" {
+		n /= 2
+	}
+	return n
+}
 
 // pollDatagram performs one genuinely non-blocking read on the UDP socket:
 // it returns a buffered datagram if one is queued and (0, false) otherwise,

@@ -125,8 +125,8 @@ func probeOffload(t *testing.T) (gso, gro error) {
 		rc.Control(func(fd uintptr) {
 			// Size zero is "no segmentation": accepted wherever the option exists.
 			offload.gso = syscall.SetsockoptInt(int(fd), solUDP, udpSegment, 0)
+			offload.gro = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1)
 		})
-		offload.gro = setGRO(rc)
 	})
 	return offload.gso, offload.gro
 }
@@ -259,6 +259,64 @@ func TestRecvSplitsTrains(t *testing.T) {
 			t.Fatalf("datagram %d: %d bytes from port %d, want %d bytes from port %d",
 				i, len(d.payload), d.from.Port(), len(want[i]), port)
 		}
+	}
+}
+
+// TestRecvCountsSocketOverflow: what a data socket drops because its buffer
+// is full is counted (SO_RXQ_OVFL), beside the train sizes in the same
+// control room. The kernel stamps its running count on what it queues after a
+// drop, so the count shows with the next message to arrive; it is the
+// socket's own and cumulative, and is not added twice.
+func TestRecvCountsSocketOverflow(t *testing.T) {
+	snd, rcv := udpPair(t)
+	if err := rcv.SetReadBuffer(16 << 10); err != nil {
+		t.Fatal(err)
+	}
+	rx, err := NewReceiver(rcv, 8, TrainBufLen, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rx.vr.ctl == nil {
+		t.Skip("the kernel grants this socket neither UDP_GRO nor SO_RXQ_OVFL")
+	}
+	tx, _ := NewSender(snd, 32, true)
+	burst := sizedPackets(repeat(1000, 32)...)
+	sent := 0
+	for i := 0; i < 16; i++ { // half a megabyte at a socket that holds a few kilobytes
+		m, _ := tx.Send(burst)
+		sent += m
+	}
+	drain := func() (got int) {
+		for {
+			rcv.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+			n, err := rx.Recv()
+			if err != nil {
+				return got
+			}
+			got += n
+		}
+	}
+	got := drain()
+	if got >= sent {
+		t.Skipf("all %d datagrams fit a 16 KiB buffer: nothing was dropped", sent)
+	}
+	if m, _ := tx.Send(burst[:1]); m != 1 {
+		t.Fatal("send after the burst")
+	}
+	got += drain()
+	dropped := rx.Counters().RecvOverflow
+	// A train dropped whole counts once.
+	if dropped < 1 || dropped > sent+1-got {
+		t.Fatalf("%d of %d datagrams arrived and the socket is said to have dropped %d", got, sent+1, dropped)
+	}
+	tx.Send(burst[:1])
+	drain()
+	if again := rx.Counters().RecvOverflow; again != dropped {
+		t.Fatalf("the count moved from %d to %d with nothing dropped", dropped, again)
+	}
+	rx.ResetCounters()
+	if c := rx.Counters(); c.RecvOverflow != 0 {
+		t.Fatalf("counters after reset: %+v", c)
 	}
 }
 

@@ -153,7 +153,8 @@ type Config struct {
 	// the object — for large benchmark sweeps.
 	Discard bool
 	// Rand seeds the RandomUnacked schedule; unused otherwise. Nil means
-	// a fixed-seed source (determinism by default).
+	// a fixed-seed source (determinism by default), built only for that
+	// schedule: seeding one costs more than setting up a small transfer.
 	Rand *rand.Rand
 }
 
@@ -173,7 +174,7 @@ func (c Config) withDefaults() Config {
 	if c.Rate == nil {
 		c.Rate = Greedy{}
 	}
-	if c.Rand == nil {
+	if c.Rand == nil && c.Schedule == RandomUnacked {
 		c.Rand = rand.New(rand.NewSource(1))
 	}
 	if c.PacketSize < 1 {

@@ -289,6 +289,26 @@ func TestRandomScheduleOnlyPicksUnacked(t *testing.T) {
 	}
 }
 
+// TestRandomSourceOnlyForRandomSchedule: the fixed-seed source is built only
+// where the RandomUnacked schedule draws from it — seeding one costs more than
+// setting up a small transfer — and is the same source as ever, so that
+// schedule's transcripts do not change.
+func TestRandomSourceOnlyForRandomSchedule(t *testing.T) {
+	if cfg := NewSender(makeObject(1024), Config{}).Config(); cfg.Rand != nil {
+		t.Fatal("a circular-schedule sender seeded a random source")
+	}
+	obj := makeObject(64 * 1024)
+	def := NewSender(obj, Config{Schedule: RandomUnacked})
+	pinned := NewSender(obj, Config{Schedule: RandomUnacked, Rand: rand.New(rand.NewSource(1))})
+	for i := 0; i < 200; i++ {
+		a, _ := def.NextPacket()
+		b, _ := pinned.NextPacket()
+		if a.Seq != b.Seq {
+			t.Fatalf("pick %d: default source chose %d, seed 1 chooses %d", i, a.Seq, b.Seq)
+		}
+	}
+}
+
 // --- sender ack handling ---------------------------------------------------
 
 func TestSenderIgnoresForeignTransfer(t *testing.T) {

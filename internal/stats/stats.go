@@ -98,6 +98,12 @@ type IOCounters struct {
 	// MaxSendBatch and MaxRecvBatch are the largest numbers of datagrams one
 	// flush sent and one drain delivered.
 	MaxSendBatch, MaxRecvBatch int
+	// RecvOverflow counts what the kernel dropped at this endpoint's own
+	// data socket because its receive buffer was full (SO_RXQ_OVFL) — loss
+	// in the host, not on the wire. The kernel counts buffers, so a datagram
+	// train dropped whole counts once. Only the vectored path on Linux reads
+	// it: zero on the scalar path and elsewhere means not measured.
+	RecvOverflow int
 	// FastPath reports whether the vectored sendmmsg/recvmmsg path was
 	// active.
 	FastPath bool
@@ -112,6 +118,7 @@ func (c *IOCounters) Add(o IOCounters) {
 	c.RecvDatagrams += o.RecvDatagrams
 	c.SendTrains += o.SendTrains
 	c.RecvTrains += o.RecvTrains
+	c.RecvOverflow += o.RecvOverflow
 	if o.MaxSendBatch > c.MaxSendBatch {
 		c.MaxSendBatch = o.MaxSendBatch
 	}
@@ -145,9 +152,9 @@ func (c IOCounters) String() string {
 	if c.FastPath {
 		path = "vectored"
 	}
-	return fmt.Sprintf("%s io: %d datagrams out in %d syscalls (avg %.1f, max %d, %d trains); %d in over %d syscalls (max %d, %d trains)",
+	return fmt.Sprintf("%s io: %d datagrams out in %d syscalls (avg %.1f, max %d, %d trains); %d in over %d syscalls (max %d, %d trains), %d dropped at the socket",
 		path, c.SentDatagrams, c.SendCalls, c.AvgSendBatch(), c.MaxSendBatch, c.SendTrains,
-		c.RecvDatagrams, c.RecvCalls, c.MaxRecvBatch, c.RecvTrains)
+		c.RecvDatagrams, c.RecvCalls, c.MaxRecvBatch, c.RecvTrains, c.RecvOverflow)
 }
 
 // FormatBytes renders a byte count in binary units.

@@ -151,17 +151,18 @@ func TestFigureCSV(t *testing.T) {
 	}
 }
 
-// TestIOCountersTrains: train counts are summed like the syscall counts and
-// show in the -io-stats line, so "segmentation engaged" and "32 plain
-// datagrams per sendmmsg" read differently.
+// TestIOCountersTrains: train counts — and what the socket dropped — are
+// summed like the syscall counts and show in the -io-stats line, so
+// "segmentation engaged" and "32 plain datagrams per sendmmsg" read
+// differently, and loss in the host reads differently from loss on the wire.
 func TestIOCountersTrains(t *testing.T) {
-	c := IOCounters{SendCalls: 2, SentDatagrams: 64, SendTrains: 2, MaxSendBatch: 32, FastPath: true}
-	c.Add(IOCounters{SendCalls: 1, SentDatagrams: 32, SendTrains: 1, RecvCalls: 3, RecvDatagrams: 96, RecvTrains: 3, MaxRecvBatch: 64})
-	if c.SendTrains != 3 || c.RecvTrains != 3 || c.SentDatagrams != 96 || c.MaxRecvBatch != 64 {
+	c := IOCounters{SendCalls: 2, SentDatagrams: 64, SendTrains: 2, MaxSendBatch: 32, RecvOverflow: 2, FastPath: true}
+	c.Add(IOCounters{SendCalls: 1, SentDatagrams: 32, SendTrains: 1, RecvCalls: 3, RecvDatagrams: 96, RecvTrains: 3, MaxRecvBatch: 64, RecvOverflow: 5})
+	if c.SendTrains != 3 || c.RecvTrains != 3 || c.SentDatagrams != 96 || c.MaxRecvBatch != 64 || c.RecvOverflow != 7 {
 		t.Fatalf("Add = %+v", c)
 	}
 	got := c.String()
-	if !strings.Contains(got, "avg 32.0, max 32, 3 trains") || !strings.Contains(got, "(max 64, 3 trains)") {
+	if !strings.Contains(got, "avg 32.0, max 32, 3 trains") || !strings.Contains(got, "(max 64, 3 trains), 7 dropped at the socket") {
 		t.Fatalf("String = %q", got)
 	}
 }

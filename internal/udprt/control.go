@@ -147,12 +147,14 @@ func writeAbort(ctl net.Conn, transfer uint32, reason wire.AbortReason) {
 }
 
 // writeHave accepts a RESUME on the control channel: the receiver's
-// got-bitmap tells the sender exactly which packets to skip.
-func writeHave(ctl net.Conn, transfer uint32, received int, words []uint64) error {
+// got-bitmap tells the sender exactly which packets to skip, and window how
+// far ahead of the acknowledgements it may run.
+func writeHave(ctl net.Conn, transfer uint32, received int, words []uint64, window wire.Window) error {
 	msg := wire.AppendHave(nil, &wire.Have{
 		Transfer: transfer,
 		Received: uint32(received),
 		Words:    words,
+		Window:   window,
 	})
 	ctl.SetWriteDeadline(time.Now().Add(10 * time.Second))
 	defer ctl.SetWriteDeadline(time.Time{})
@@ -166,12 +168,13 @@ func writeHave(ctl net.Conn, transfer uint32, received int, words []uint64) erro
 // Received count is zero. The wire format forbids an empty word list, so
 // the canonical "hold nothing" answer carries a single zero word.
 func answerCheckMiss(ctl net.Conn, transfer uint32) error {
-	return writeHave(ctl, transfer, 0, []uint64{0})
+	return writeHave(ctl, transfer, 0, []uint64{0}, 0)
 }
 
-// writeHelloAck accepts a handshake on the control channel.
-func writeHelloAck(ctl net.Conn, transfer uint32) error {
-	msg := wire.AppendHelloAck(nil, &wire.HelloAck{Transfer: transfer})
+// writeHelloAck accepts a handshake on the control channel, advertising the
+// receive window.
+func writeHelloAck(ctl net.Conn, transfer uint32, window wire.Window) error {
+	msg := wire.AppendHelloAck(nil, &wire.HelloAck{Transfer: transfer, Window: window})
 	ctl.SetWriteDeadline(time.Now().Add(10 * time.Second))
 	defer ctl.SetWriteDeadline(time.Time{})
 	if _, err := ctl.Write(msg); err != nil {
@@ -180,47 +183,55 @@ func writeHelloAck(ctl net.Conn, transfer uint32) error {
 	return nil
 }
 
+// answer is what a completed announcement exchange told the sender.
+type answer struct {
+	// check is the CHECK's verdict, nil when none was asked for: a HAVE whose
+	// Received count is zero on a miss and the whole packet count on a dedup
+	// hit, after which COMPLETE follows and nothing else was read.
+	check *wire.Have
+	// have is the announcement's own answer: the HAVE bitmap that accepts a
+	// RESUME, or of a HELLO-ACK nothing but the receive window both carry.
+	have wire.Have
+}
+
 // exchange is the sender's one announcement exchange, on an established
 // control connection: write the pipelined frame — [TRACE][CHECK] then HELLO,
-// HELLOX or RESUME — and read its answers. With a CHECK aboard (checked) the
-// first answer is its verdict, a HAVE whose Received count is zero on a miss
-// and the whole packet count on a dedup hit; after a hit COMPLETE follows and
-// nothing else is read. Then the announcement's own answer: HELLO-ACK, or for
-// a RESUME the HAVE bitmap that accepts it. The sender places no data on the
-// network until this returns nil, so a dead or rejecting receiver can never
-// cause an open-loop UDP blast. What a failure means — retry, degrade, fall
-// back to a fresh transfer, break the session — is the caller's policy.
+// HELLOX or RESUME — and read its answers, the CHECK's verdict first when one
+// is aboard (checked). The sender places no data on the network until this
+// returns nil, so a dead or rejecting receiver can never cause an open-loop
+// UDP blast. What a failure means — retry, degrade, fall back to a fresh
+// transfer, break the session — is the caller's policy.
 func exchange(ctx context.Context, ctl net.Conn, frame []byte, transfer uint32, checked, resume bool,
-	timeout time.Duration) (check *wire.Have, have wire.Have, err error) {
+	timeout time.Duration) (ans answer, err error) {
 
 	ctl.SetWriteDeadline(time.Now().Add(timeout))
 	_, err = ctl.Write(frame)
 	ctl.SetWriteDeadline(time.Time{})
 	if err != nil {
-		return nil, have, fmt.Errorf("udprt: hello write: %w", err)
+		return ans, fmt.Errorf("udprt: hello write: %w", err)
 	}
 	if checked {
 		h, err := awaitAnswer(ctx, ctl, transfer, wire.TypeHave, timeout)
 		if err != nil {
-			return nil, have, err
+			return ans, err
 		}
-		check = &h
+		ans.check = &h
 		if h.Received > 0 {
-			return check, have, nil
+			return ans, nil
 		}
 	}
 	want := wire.TypeHelloAck
 	if resume {
 		want = wire.TypeHave
 	}
-	have, err = awaitAnswer(ctx, ctl, transfer, want, timeout)
-	return check, have, err
+	ans.have, err = awaitAnswer(ctx, ctl, transfer, want, timeout)
+	return ans, err
 }
 
 // awaitAnswer reads the receiver's next answer within timeout (clipped to
 // ctx's deadline) and requires a frame of type want — HELLO-ACK or HAVE —
-// for this transfer, returning the HAVE (zero for a HELLO-ACK). An ABORT
-// surfaces as an *AbortError.
+// for this transfer, returning the HAVE (of a HELLO-ACK, nothing but its
+// window). An ABORT surfaces as an *AbortError.
 func awaitAnswer(ctx context.Context, ctl net.Conn, transfer uint32, want uint8, timeout time.Duration) (wire.Have, error) {
 	dl := time.Now().Add(timeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(dl) {
@@ -239,12 +250,11 @@ func awaitAnswer(ctx context.Context, ctl net.Conn, transfer uint32, want uint8,
 	default:
 		return wire.Have{}, fmt.Errorf("udprt: handshake: unexpected control frame type %d", f.typ)
 	}
-	got := f.helloAck.Transfer
-	if want == wire.TypeHave {
-		got = f.have.Transfer
+	if want == wire.TypeHelloAck {
+		f.have = wire.Have{Transfer: f.helloAck.Transfer, Window: f.helloAck.Window}
 	}
-	if got != transfer {
-		return wire.Have{}, fmt.Errorf("udprt: handshake: answer for transfer %d, want %d", got, transfer)
+	if f.have.Transfer != transfer {
+		return wire.Have{}, fmt.Errorf("udprt: handshake: answer for transfer %d, want %d", f.have.Transfer, transfer)
 	}
 	return f.have, nil
 }

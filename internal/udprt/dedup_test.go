@@ -592,12 +592,12 @@ func TestCheckPreludeDegradesOnAbort(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	ctl, have, err := dialHandshake(ctx, tl.Addr().String(), nil, plan.checkFrame(opts), plan.helloFrame(), transfer, opts)
+	ctl, ans, err := dialHandshake(ctx, tl.Addr().String(), nil, plan.checkFrame(opts), plan.helloFrame(), transfer, opts)
 	if err != nil {
 		t.Fatalf("checked handshake did not degrade: %v", err)
 	}
 	ctl.Close()
-	if have != nil {
+	if ans.check != nil {
 		t.Fatal("degraded handshake still reported a CHECK answer")
 	}
 	if err := <-peer; err != nil {

@@ -57,7 +57,13 @@ func (f *frameTap) frames() []string {
 		}
 		switch fr.typ {
 		case wire.TypeHelloAck:
-			out = append(out, "HELLO-ACK")
+			// Every acceptance advertises a receive window; a receiver that
+			// predates the window leaves its byte zero.
+			if fr.helloAck.Window == 0 {
+				out = append(out, "HELLO-ACK(no window)")
+			} else {
+				out = append(out, "HELLO-ACK")
+			}
 		case wire.TypeHave:
 			if fr.have.Received == 0 {
 				out = append(out, "HAVE(0)")
@@ -441,6 +447,20 @@ func TestEndpointMatrix(t *testing.T) {
 				t.Fatalf("socket counters: record %+v, Options.IOCounters %+v, %d packets needed", rec.IO, io, sst.PacketsNeeded)
 			}
 		}},
+		{name: "old receiver (window byte 0)", opts: Options{testNoWindow: true}, run: func(t *testing.T, ep *testEndpoint) {
+			// What a receiver built before the window answers with: byte 3
+			// of its HELLO-ACK zero. The sender takes that for "no window" and
+			// the transfer — longer than the window such an endpoint would
+			// have advertised had it known how — runs as it always did.
+			big := makeObj(1<<20 + 31)
+			ep.recv()
+			if _, err := Send(ep.ctx, ep.proxy.Addr(), big, core.Config{Transfer: 15, PacketSize: ps}, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			ep.delivered(big)
+			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK(no window)", "COMPLETE")
+			ep.completed(15)
+		}},
 		{name: "4 stripes", run: func(t *testing.T, ep *testEndpoint) {
 			ep.recv()
 			if _, err := Send(ep.ctx, ep.proxy.Addr(), obj, core.Config{Transfer: 21, PacketSize: ps}, Options{Streams: 4}); err != nil {
@@ -518,7 +538,12 @@ func TestEndpointMatrix(t *testing.T) {
 		{name: "fully restored resume", run: func(t *testing.T, ep *testEndpoint) {
 			ep.seedRetained(61, obj, ps, packets)
 			ep.recv()
-			dialRaw(t, ep.proxy.Addr(), resumeFor(61, obj, ps, 1))
+			peer := dialRaw(t, ep.proxy.Addr(), resumeFor(61, obj, ps, 1))
+			// The HAVE that accepts a RESUME stands in for the HELLO-ACK, receive
+			// window included.
+			if f := peer.read(); f.typ != wire.TypeHave || f.have.Window == 0 {
+				t.Fatalf("RESUME answered with frame type %d, window %d; want a HAVE advertising one", f.typ, f.have.Window)
+			}
 			if r := ep.delivered(obj); r.st.Restored != packets {
 				t.Fatalf("restored %d of %d packets", r.st.Restored, packets)
 			}

@@ -44,6 +44,11 @@ type senderEndpoint struct {
 	// conn is the engine's own UDP data socket; its source port is what
 	// the receiver acks back to, so every engine must have its own.
 	conn *net.UDPConn
+	// window is how many bytes of this flow the receiver undertook, when it
+	// accepted the transfer, to hold unread in its socket buffer; zero when
+	// it said nothing, and the engine then sends as if the buffer were
+	// bottomless (see run's wait discipline).
+	window int
 	// done delivers the transfer's terminal control verdict exactly once:
 	// nil for a verified COMPLETE, an error (e.g. *AbortError) otherwise.
 	// Whoever sends it (and whoever cancels the run context) must then set
@@ -168,6 +173,22 @@ func newSendRing(slots, packetSize int) [][]byte {
 // the wire waits the same way. An acknowledgement ends the wait by
 // arriving; the verdict and ctx end it because whoever delivers them then
 // sets the socket's read deadline to the past (runSenderPlan's waker).
+//
+// The same wait is the receiver's flow control (flowWindow, window.go): the
+// first sends the receiver has not been heard to take out of its socket
+// buffer are held to the window it advertised when it accepted the transfer
+// (senderEndpoint.window), and before planning a round the engine blocks — on
+// the same socket, for the same news — once they fill it. Each acknowledgement
+// then lets out as many packets as it reports taken in: the sender runs at the
+// rate the receiver drains its buffer instead of finding that rate by
+// overflowing it. A wait that runs out ends the turn as before and, when the
+// silence is longer than the round trips lately probed explain, writes
+// off what is outstanding, so that loss on the wire cannot wedge the
+// transfer; the stall watchdog keeps the last word. This is flow control, not
+// congestion control: it cuts what may go out below what any Controller asks
+// for, like a receive window below a congestion window, and plans nothing. A
+// receiver that advertised no window gets none of it.
+//
 // Arming the deadline before looking at done and ctx, and reading only
 // after, is what keeps a verdict that lands between two waits from costing
 // more than one IdlePoll: a kick that came before the arming is followed by
@@ -216,6 +237,8 @@ func (e *senderEngine) run(ctx context.Context) error {
 		probeSeq    = -1
 		probeAt     time.Time
 	)
+	// fw is the receiver's flow control (see the wait discipline).
+	fw := newFlowWindow(e.window, cfg, snd.Stats(), opts.IdlePoll)
 	// handleAcks feeds the first n datagrams of the ack ring to the sender.
 	handleAcks := func(n int) {
 		for i := 0; i < n; i++ {
@@ -227,6 +250,7 @@ func (e *senderEngine) run(ctx context.Context) error {
 			fresh := a.Transfer == cfg.Transfer && a.AckSeq > ccLastSeq
 			if fresh {
 				ccLastSeq = a.AckSeq
+				fw.ack(int(a.Received))
 			}
 			// Per-ack instrumentation (metrics counter, flight record,
 			// latency histograms) fires inside HandleAck via the sender's
@@ -309,7 +333,10 @@ func (e *senderEngine) run(ctx context.Context) error {
 			// without reading the socket.
 			e.conn.SetReadDeadline(time.Time{})
 			if isTimeout(rerr) {
-				sinceNews = 0 // no news for IdlePoll: one more turn
+				// No news for IdlePoll: one more turn, and maybe a
+				// window written off.
+				sinceNews = 0
+				fw.quiet(snd.Stats(), time.Since(lastAck))
 			}
 		} else {
 			n, rerr = rx.TryRecv()
@@ -331,6 +358,7 @@ func (e *senderEngine) run(ctx context.Context) error {
 		if st.AcksProcessed > acksSeen {
 			acksSeen = st.AcksProcessed
 			lastAck = time.Now()
+			fw.news(lastAck)
 			writeErrs = 0
 			sinceNews = 0
 		} else if opts.StallTimeout > 0 && time.Since(lastAck) > opts.StallTimeout {
@@ -346,15 +374,19 @@ func (e *senderEngine) run(ctx context.Context) error {
 		// ack-batching delay, which is part of the control loop anyway).
 		if probeSeq >= 0 {
 			if snd.Acked(probeSeq) {
-				e.cc.OnRTT(time.Since(probeAt))
+				rtt := time.Since(probeAt)
+				e.cc.OnRTT(rtt)
+				fw.rtt(rtt)
 				probeSeq = -1
 			} else if time.Since(probeAt) > rttProbeStale {
 				probeSeq = -1 // probe lost; re-arm on the next round
 			}
 		}
-		// The turn is over (or everything is known received): logically
-		// blocked on an ack or the completion signal.
-		if sinceNews >= st.PacketsNeeded-st.KnownReceived {
+		// The turn is over (or everything is known received), or the
+		// receiver's window is full: logically blocked on an ack or the
+		// completion signal.
+		room := fw.room(st, min(len(ring), st.PacketsNeeded-st.KnownReceived-sinceNews))
+		if room <= 0 {
 			wait = true
 			continue
 		}
@@ -364,7 +396,6 @@ func (e *senderEngine) run(ctx context.Context) error {
 		// queue up in the ring until it is full or the turn is over, a round
 		// with one goes out alone — what is queued leaves first — and ends
 		// the look.
-		room := min(len(ring), st.PacketsNeeded-st.KnownReceived-sinceNews)
 		fill := 0   // ring slots awaiting the flush
 		rounds := 0 // rounds that put packets in the ring
 		sent = 0

@@ -86,7 +86,7 @@ func (f *fakeReceiver) acceptHandshake() {
 		f.t.Errorf("fake receiver hello: type %d, %v", frame.typ, err)
 		return
 	}
-	if err := writeHelloAck(ctl, frame.hello.Transfer); err != nil {
+	if err := writeHelloAck(ctl, frame.hello.Transfer, 0); err != nil {
 		f.t.Errorf("fake receiver hello-ack: %v", err)
 	}
 }

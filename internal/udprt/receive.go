@@ -188,6 +188,7 @@ func (l *Listener) detach(in *inbound) {
 	c.RecvCalls -= in.io0.RecvCalls
 	c.RecvDatagrams -= in.io0.RecvDatagrams
 	c.RecvTrains -= in.io0.RecvTrains
+	c.RecvOverflow -= in.io0.RecvOverflow
 	for _, e := range in.engines {
 		c.SendCalls += e.ackCalls
 	}
@@ -307,10 +308,10 @@ func (l *Listener) receive(ctx context.Context, ctl net.Conn, watchCtl bool) (re
 		span.event(obs.KindResume, uint64(restored))
 		have, words := engines[0].rcv.Stats().Received, engines[0].rcv.HaveWords(nil)
 		in.arm(engines)
-		err = writeHave(ctl, plan.base, have, words)
+		err = writeHave(ctl, plan.base, have, words, l.window(1))
 	} else {
 		in.arm(engines)
-		err = writeHelloAck(ctl, plan.base)
+		err = writeHelloAck(ctl, plan.base, l.window(len(engines)))
 	}
 	if err != nil {
 		l.detach(in)

@@ -233,7 +233,7 @@ func sendResume(ctx context.Context, addr string, obj []byte, cfg core.Config, o
 		return core.SenderStats{}, false, nil
 	}
 	defer ctl.Close()
-	answer, have, err := exchange(ctx, ctl, frame, p.base, check != nil, true, opts.HandshakeTimeout)
+	ans, err := exchange(ctx, ctl, frame, p.base, check != nil, true, opts.HandshakeTimeout)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return core.SenderStats{}, false, fmt.Errorf("udprt: resume handshake: %w", ctxErr)
@@ -251,14 +251,14 @@ func sendResume(ctx context.Context, addr string, obj []byte, cfg core.Config, o
 	// The peer accepted: with its HAVE bitmap, or — the CHECK hit, so the
 	// RESUME's own HAVE never comes — with the whole object.
 	restored := 0
-	if !p.dedupHit(answer) {
-		if restored, err = p.snds[0].Restore(have.Words); err != nil {
+	if !p.dedupHit(ans.check) {
+		if restored, err = p.snds[0].Restore(ans.have.Words); err != nil {
 			writeAbort(ctl, p.base, wire.AbortBadHello)
 			return core.SenderStats{}, false, nil
 		}
 	}
 	p.instrument(opts, tid)
-	if p.accepted(answer) {
+	if p.accepted(ans) {
 		st, err := completeDedupedSend(p, ctl)
 		return st, true, err
 	}

@@ -88,14 +88,14 @@ func (s *Session) Send(ctx context.Context, obj []byte, cfg core.Config) (core.S
 	plan.instrument(s.opts, tid)
 	check := plan.checkFrame(s.opts)
 	frame := append(append(tracePrelude(tid), check...), plan.helloFrame()...)
-	answer, _, err := exchange(ctx, s.ctl, frame, plan.base, check != nil, false, s.opts.HandshakeTimeout)
+	ans, err := exchange(ctx, s.ctl, frame, plan.base, check != nil, false, s.opts.HandshakeTimeout)
 	if err != nil {
 		s.broken = true
 		plan.finish(err)
 		return plan.stats(), err
 	}
 	var st core.SenderStats
-	if plan.accepted(answer) {
+	if plan.accepted(ans) {
 		// The receiver already holds the content: COMPLETE follows with no
 		// HELLO-ACK and no data flow, and the control stream stays clean for
 		// the session's next object.
@@ -124,6 +124,9 @@ func ListenSession(addr string, opts Options) (*SessionListener, error) {
 
 // Addr returns the bound control address.
 func (sl *SessionListener) Addr() string { return sl.l.Addr() }
+
+// ReadBuffer reports the data socket's receive buffer (see Listener.ReadBuffer).
+func (sl *SessionListener) ReadBuffer() (granted, requested int) { return sl.l.ReadBuffer() }
 
 // Close releases the listener.
 func (sl *SessionListener) Close() error { return sl.l.Close() }

@@ -80,6 +80,10 @@ type senderPlan struct {
 	// the receiver verifies the object against (or already holds it under)
 	// the announced identity, which decides what its COMPLETE carries.
 	checked bool
+	// window is what the receiver's acceptance said each of the plan's flows
+	// may have unread in its socket buffer, in bytes; zero when it said
+	// nothing (see senderEndpoint.window).
+	window int
 }
 
 // newSenderPlan splits obj per opts.Streams and builds one core.Sender per
@@ -233,9 +237,10 @@ func (p *senderPlan) checkFrame(opts Options) []byte {
 
 // accepted records a completed exchange and reports whether its CHECK hit:
 // COMPLETE follows then, and neither a handshake nor a data phase happens.
-func (p *senderPlan) accepted(check *wire.Have) (hit bool) {
-	p.checked = check != nil
-	if p.dedupHit(check) {
+func (p *senderPlan) accepted(ans answer) (hit bool) {
+	p.checked = ans.check != nil
+	p.window = ans.have.Window.Bytes()
+	if p.dedupHit(ans.check) {
 		return true
 	}
 	if p.checked {
@@ -361,6 +366,7 @@ func runSenderPlan(ctx context.Context, p *senderPlan, conns []*net.UDPConn, ctl
 	for i := range engines {
 		engines[i] = newSenderEngine(p.snds[i], senderEndpoint{
 			conn:     conns[i],
+			window:   p.window,
 			done:     stripeDone[i],
 			abort:    abort,
 			progress: progressFor(i),
@@ -435,6 +441,9 @@ func dialDataFlows(addr string, n int, opts Options) ([]*net.UDPConn, error) {
 			closeAll(conns)
 			return nil, fmt.Errorf("udprt: dial data: %w", err)
 		}
+		// As large as the kernel will grant, which may be less than asked
+		// for: a short send buffer only parks the flush on the netpoller,
+		// and what comes back on this socket is acknowledgements.
 		_ = conn.SetReadBuffer(opts.ReadBuffer)
 		_ = conn.SetWriteBuffer(opts.WriteBuffer)
 		conns = append(conns, conn)
@@ -631,7 +640,7 @@ func completeDeduped(plan recvPlan, ctl net.Conn, opts Options, obj []byte) ([]b
 		Restored:      total,
 		PacketsNeeded: total,
 	}
-	err := writeHave(ctl, plan.base, total, fullWords(total))
+	err := writeHave(ctl, plan.base, total, fullWords(total), 0)
 	if err == nil {
 		pr.restored(total)
 		pr.event(obs.KindSkip, uint64(total))

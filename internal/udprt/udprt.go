@@ -39,7 +39,11 @@ import (
 // Options tune the real-network drivers.
 type Options struct {
 	// ReadBuffer and WriteBuffer request kernel socket buffer sizes for
-	// the UDP data socket (default 4 MiB; best effort).
+	// the UDP data socket (default 4 MiB; best effort). The kernel cuts a
+	// request down to its own limit without an error (net.core.rmem_max and
+	// wmem_max on Linux); a receiving endpoint reads back what it was
+	// granted (Listener.ReadBuffer) and advertises its receive window from
+	// that, not from the request.
 	ReadBuffer, WriteBuffer int
 	// IdlePoll is how long the sender stays silent once it has nothing new
 	// to say: when every packet not yet known received has gone out since
@@ -209,6 +213,9 @@ type Options struct {
 	// package's tests can set it, to assert that batch-policy sizes
 	// reach the wire as real vector lengths.
 	testFlushHook func(k, m int)
+	// testNoWindow makes a receiving endpoint advertise no receive window,
+	// as a build that predates the window does.
+	testNoWindow bool
 }
 
 func (o Options) withDefaults() Options {
@@ -313,10 +320,13 @@ type Listener struct {
 	// rx is the data socket's receive ring. It belongs to the socket, not to
 	// a transfer: its 64 KiB slots are paid for once per Listen, and only the
 	// endpoint's loop reads it.
-	rx    *batchio.Receiver
-	opts  Options
-	store *resumeStore
-	cache *contentCache
+	rx *batchio.Receiver
+	// rcvbuf is the data socket's receive buffer as the kernel granted it
+	// (zero where that cannot be read back): what receive windows are cut from.
+	rcvbuf int
+	opts   Options
+	store  *resumeStore
+	cache  *contentCache
 
 	// mu guards the registration map, the published ring counters and
 	// Options.IOCounters.
@@ -345,8 +355,10 @@ func Listen(addr string, opts Options) (*Listener, error) {
 		tl.Close()
 		return nil, fmt.Errorf("udprt: listen data: %w", err)
 	}
-	// Best effort: large kernel buffers, as the paper's tuning guides
-	// prescribe.
+	// Large kernel buffers, as the paper's tuning guides prescribe — as large
+	// as the kernel will grant: a refusal and a request cut down to the
+	// system's limit both show in the read-back below, and only acks leave
+	// through the write buffer.
 	_ = ul.SetReadBuffer(opts.ReadBuffer)
 	_ = ul.SetWriteBuffer(opts.WriteBuffer)
 	rx, err := batchio.NewReceiver(ul, opts.IOBatch, maxDatagram, !opts.NoFastPath)
@@ -355,7 +367,7 @@ func Listen(addr string, opts Options) (*Listener, error) {
 		ul.Close()
 		return nil, fmt.Errorf("udprt: batched receiver: %w", err)
 	}
-	l := &Listener{tcp: tl, udp: ul, rx: rx, opts: opts,
+	l := &Listener{tcp: tl, udp: ul, rx: rx, rcvbuf: batchio.ReadBuffer(ul), opts: opts,
 		store: newResumeStore(opts), cache: newContentCache(opts),
 		inbound: make(map[uint32]tagRoute), stopped: make(chan struct{})}
 	go l.loop()
@@ -364,6 +376,25 @@ func Listen(addr string, opts Options) (*Listener, error) {
 
 // Addr returns the control address the listener is bound to.
 func (l *Listener) Addr() string { return l.tcp.Addr().String() }
+
+// ReadBuffer reports the data socket's receive buffer in bytes: what the
+// kernel granted (zero where it cannot be read back) and what
+// Options.ReadBuffer asked for. Granted below requested means the system's
+// limit (net.core.rmem_max on Linux) cut the request down; receive windows
+// are cut from what was granted, so senders slow down rather than overrun it.
+func (l *Listener) ReadBuffer() (granted, requested int) { return l.rcvbuf, l.opts.ReadBuffer }
+
+// window is the receive window an accepted transfer of that many stripes is
+// told: per flow, because every stripe's sender runs its own, and of half
+// the buffer — every flow lands on the endpoint's one socket, whose buffer
+// is charged per datagram for more than the payload, and an ack-clocked
+// sender overshoots by what it sends between two acknowledgements.
+func (l *Listener) window(stripes int) wire.Window {
+	if l.opts.testNoWindow {
+		return 0
+	}
+	return wire.WindowOf(l.rcvbuf / 2 / stripes)
+}
 
 // Close releases both sockets and returns once the receive loop has exited.
 // Transfers still in flight end on their own context or idle watchdog.
@@ -569,13 +600,13 @@ func sendOnce(ctx context.Context, addr string, obj []byte, cfg core.Config, opt
 	tid := opts.senderTraceID()
 	plan.instrument(opts, tid)
 	plan.event(obs.KindDial, 0)
-	ctl, check, err := dialHandshake(ctx, addr, tracePrelude(tid), plan.checkFrame(opts), plan.helloFrame(), plan.base, opts)
+	ctl, ans, err := dialHandshake(ctx, addr, tracePrelude(tid), plan.checkFrame(opts), plan.helloFrame(), plan.base, opts)
 	if err != nil {
 		plan.finish(err)
 		return plan.stats(), err
 	}
 	defer ctl.Close()
-	if plan.accepted(check) {
+	if plan.accepted(ans) {
 		// Dedup hit: the receiver already holds the object. No handshake
 		// completes and no data flow dials — just the verdict.
 		return completeDedupedSend(plan, ctl)
@@ -639,11 +670,12 @@ func completeDedupedSend(plan *senderPlan, ctl net.Conn) (core.SenderStats, erro
 // connection) drops every droppable extra on its retry, so neither prelude
 // can ever wedge a transfer a plain HELLO would have opened.
 //
-// The returned Have is the CHECK answer when one arrived (nil when the
-// CHECK was never sent or was dropped): a full bitmap means the receiver
-// already holds the object and the caller must await COMPLETE instead of
-// running the data phase; no HELLO-ACK is read then, since none comes.
-func dialHandshake(ctx context.Context, addr string, prelude, check, hello []byte, transfer uint32, opts Options) (net.Conn, *wire.Have, error) {
+// The returned answer's check is the CHECK's verdict when one arrived (nil
+// when the CHECK was never sent or was dropped): a full bitmap means the
+// receiver already holds the object and the caller must await COMPLETE
+// instead of running the data phase; no HELLO-ACK is read then, since none
+// comes.
+func dialHandshake(ctx context.Context, addr string, prelude, check, hello []byte, transfer uint32, opts Options) (net.Conn, answer, error) {
 	traced := len(prelude) > 0
 	checked := len(check) > 0
 	frame := hello
@@ -666,14 +698,14 @@ func dialHandshake(ctx context.Context, addr string, prelude, check, hello []byt
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():
-				return nil, nil, fmt.Errorf("udprt: handshake: %w", ctx.Err())
+				return nil, answer{}, fmt.Errorf("udprt: handshake: %w", ctx.Err())
 			case <-time.After(backoff):
 			}
 			backoff *= 2
 		}
-		ctl, have, err := attemptHandshake(ctx, addr, frame, transfer, checked, opts)
+		ctl, ans, err := attemptHandshake(ctx, addr, frame, transfer, checked, opts)
 		if err == nil {
-			return ctl, have, nil
+			return ctl, ans, nil
 		}
 		var abort *AbortError
 		if errors.As(err, &abort) {
@@ -683,7 +715,7 @@ func dialHandshake(ctx context.Context, addr string, prelude, check, hello []byt
 				// Drop one extra and try again with the full retry budget.
 				if checked {
 					if opts.Verify {
-						return nil, nil, fmt.Errorf("%w: peer answered %s", ErrVerifyUnsupported, abort.Reason)
+						return nil, answer{}, fmt.Errorf("%w: peer answered %s", ErrVerifyUnsupported, abort.Reason)
 					}
 					checked = false
 				} else {
@@ -694,10 +726,10 @@ func dialHandshake(ctx context.Context, addr string, prelude, check, hello []byt
 				attempt--
 				continue
 			}
-			return nil, nil, err
+			return nil, answer{}, err
 		}
 		if ctx.Err() != nil {
-			return nil, nil, err
+			return nil, answer{}, err
 		}
 		if traced || (checked && !opts.Verify) {
 			// Connection-level failure: could be transient, could be an old
@@ -712,24 +744,24 @@ func dialHandshake(ctx context.Context, addr string, prelude, check, hello []byt
 		}
 		lastErr = err
 	}
-	return nil, nil, fmt.Errorf("udprt: handshake failed after %d attempts: %w",
+	return nil, answer{}, fmt.Errorf("udprt: handshake failed after %d attempts: %w",
 		opts.HandshakeRetries, lastErr)
 }
 
 // attemptHandshake dials one control connection and runs the announcement
 // exchange on it.
-func attemptHandshake(ctx context.Context, addr string, frame []byte, transfer uint32, checked bool, opts Options) (net.Conn, *wire.Have, error) {
+func attemptHandshake(ctx context.Context, addr string, frame []byte, transfer uint32, checked bool, opts Options) (net.Conn, answer, error) {
 	var d net.Dialer
 	ctl, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
-		return nil, nil, fmt.Errorf("udprt: dial control: %w", err)
+		return nil, answer{}, fmt.Errorf("udprt: dial control: %w", err)
 	}
-	check, _, err := exchange(ctx, ctl, frame, transfer, checked, false, opts.HandshakeTimeout)
+	ans, err := exchange(ctx, ctl, frame, transfer, checked, false, opts.HandshakeTimeout)
 	if err != nil {
 		ctl.Close()
-		return nil, nil, err
+		return nil, answer{}, err
 	}
-	return ctl, check, nil
+	return ctl, ans, nil
 }
 
 // readCompletion blocks until the receiver's terminal control frame

@@ -89,6 +89,12 @@ func captureFrames(tb testing.TB) (datas, acks, control [][]byte) {
 			PacketSize: uint32(cfg.PacketSize), Flags: wire.CheckFlagDedup,
 			Digest: core.ContentID(obj),
 		}),
+		// The two answers with a receive window in their fourth byte.
+		wire.AppendHelloAck(nil, &wire.HelloAck{Transfer: cfg.Transfer, Window: 21}),
+		wire.AppendHave(nil, &wire.Have{
+			Transfer: cfg.Transfer, Received: uint32(len(datas)),
+			Words: rcv.HaveWords(nil), Window: 17,
+		}),
 	}
 	return datas, acks, control
 }
@@ -208,8 +214,11 @@ func FuzzDecodeControl(f *testing.F) {
 			}
 		}
 		if h, err := wire.DecodeHelloAck(b); err == nil {
-			if _, err := wire.DecodeHelloAck(wire.AppendHelloAck(nil, &h)); err != nil {
-				t.Fatalf("hello-ack re-decode failed: %v", err)
+			if re, err := wire.DecodeHelloAck(wire.AppendHelloAck(nil, &h)); err != nil || re != h {
+				t.Fatalf("hello-ack re-decode failed: %v (%+v vs %+v)", err, re, h)
+			}
+			if n := h.Window.Bytes(); n < 0 || (h.Window != 0 && n < 2) {
+				t.Fatalf("window %d is %d bytes", h.Window, n)
 			}
 		}
 		if h, err := wire.DecodeHelloX(b); err == nil {
@@ -236,7 +245,7 @@ func FuzzDecodeControl(f *testing.F) {
 			if err != nil {
 				t.Fatalf("have re-decode failed: %v", err)
 			}
-			if re.Transfer != h.Transfer || re.Received != h.Received || len(re.Words) != len(h.Words) {
+			if re.Transfer != h.Transfer || re.Received != h.Received || re.Window != h.Window || len(re.Words) != len(h.Words) {
 				t.Fatalf("re-encode changed the have: %+v vs %+v", re, h)
 			}
 		}

@@ -100,6 +100,12 @@ func main() {
 		}),
 		wire.AppendCheck(nil, &check),
 		wire.AppendCheck(nil, &oldCheck),
+		// The two answers with a receive window in their fourth byte (the
+		// HELLO-ACK and HAVE above are the byte-zero, "no window" forms).
+		wire.AppendHelloAck(nil, &wire.HelloAck{Transfer: cfg.Transfer, Window: 21}),
+		wire.AppendHave(nil, &wire.Have{
+			Transfer: cfg.Transfer, Received: 3, Words: []uint64{^uint64(0), 0, 0b101}, Window: 17,
+		}),
 	}
 
 	// A handful of representative frames per target keeps the committed

@@ -95,6 +95,7 @@ func validHave() *Have {
 		Transfer: 21,
 		Received: 130,
 		Words:    []uint64{^uint64(0), ^uint64(0), 0b11},
+		Window:   19,
 	}
 }
 
@@ -108,7 +109,7 @@ func TestHaveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Transfer != h.Transfer || got.Received != h.Received {
+	if got.Transfer != h.Transfer || got.Received != h.Received || got.Window != h.Window {
 		t.Fatalf("header fields changed: %+v vs %+v", got, h)
 	}
 	if len(got.Words) != len(h.Words) {

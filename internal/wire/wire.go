@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 
 	"github.com/hpcnet/fobs/internal/bitmap"
 )
@@ -358,15 +359,42 @@ func DecodeComplete(b []byte) (Complete, error) {
 
 // HelloAck is the receiver's acceptance of a HELLO on the control channel.
 // Until it arrives the sender does not place data on the network, so a dead
-// or rejecting receiver can never cause an open-loop UDP blast.
+// or rejecting receiver can never cause an open-loop UDP blast. Window is the
+// receive window the acceptance advertises (see Window).
 type HelloAck struct {
 	Transfer uint32
+	Window   Window
+}
+
+// Window is a receive window as the answer to an announcement carries it: the
+// base-two logarithm of how many payload bytes of one data flow the receiver
+// undertakes to hold unread, in the fourth byte of HELLO-ACK and HAVE. That
+// byte was written zero and read by nobody before the window existed, so zero
+// is "no window advertised": a receiver that predates it asks for no flow
+// control, and a sender that predates it never looks.
+type Window uint8
+
+// WindowOf returns the largest window not above n bytes (none below two).
+func WindowOf(n int) Window {
+	if n < 2 {
+		return 0
+	}
+	return Window(bits.Len(uint(n)) - 1)
+}
+
+// Bytes is the window in bytes, zero for none. A logarithm no object size can
+// reach bounds nothing, and reads as the largest window there is.
+func (w Window) Bytes() int {
+	if w == 0 {
+		return 0
+	}
+	return 1 << min(int(w), bits.UintSize-2)
 }
 
 // AppendHelloAck serializes h onto buf.
 func AppendHelloAck(buf []byte, h *HelloAck) []byte {
 	buf = binary.BigEndian.AppendUint16(buf, Magic)
-	buf = append(buf, TypeHelloAck, 0)
+	buf = append(buf, TypeHelloAck, byte(h.Window))
 	return binary.BigEndian.AppendUint32(buf, h.Transfer)
 }
 
@@ -382,6 +410,7 @@ func DecodeHelloAck(b []byte) (HelloAck, error) {
 	if b[2] != TypeHelloAck {
 		return h, ErrBadType
 	}
+	h.Window = Window(b[3])
 	h.Transfer = binary.BigEndian.Uint32(b[4:])
 	return h, nil
 }
@@ -583,11 +612,13 @@ func DecodeResume(b []byte) (Resume, error) {
 // already holds. Received counts distinct packets held; Words is the full
 // got-bitmap (word 0 covers packets 0–63, bit i of word w is packet
 // w*64+i), so the sender can mark them acknowledged and transmit only the
-// gaps. Accepting a RESUME with a HAVE replaces the HELLO-ACK.
+// gaps. Accepting a RESUME with a HAVE replaces the HELLO-ACK, and so carries
+// the receive window HELLO-ACK would have (see Window).
 type Have struct {
 	Transfer uint32
 	Received uint32
 	Words    []uint64
+	Window   Window
 }
 
 // HaveLen returns the framed length of a HAVE carrying n bitmap words.
@@ -600,7 +631,7 @@ func AppendHave(buf []byte, h *Have) []byte {
 		panic(fmt.Sprintf("wire: %d have words outside 1..%d", len(h.Words), MaxHaveWords))
 	}
 	buf = binary.BigEndian.AppendUint16(buf, Magic)
-	buf = append(buf, TypeHave, 0)
+	buf = append(buf, TypeHave, byte(h.Window))
 	buf = binary.BigEndian.AppendUint32(buf, h.Transfer)
 	buf = binary.BigEndian.AppendUint32(buf, h.Received)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(h.Words)))
@@ -622,6 +653,7 @@ func DecodeHave(b []byte) (Have, error) {
 	if b[2] != TypeHave {
 		return h, ErrBadType
 	}
+	h.Window = Window(b[3])
 	h.Transfer = binary.BigEndian.Uint32(b[4:])
 	h.Received = binary.BigEndian.Uint32(b[8:])
 	n, err := HaveWordCount(b)

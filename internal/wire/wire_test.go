@@ -201,13 +201,57 @@ func TestCompleteRoundTrip(t *testing.T) {
 }
 
 func TestHelloAckRoundTrip(t *testing.T) {
-	h := HelloAck{Transfer: 77}
-	got, err := DecodeHelloAck(AppendHelloAck(nil, &h))
-	if err != nil {
-		t.Fatal(err)
+	for _, h := range []HelloAck{{Transfer: 77}, {Transfer: 77, Window: 21}, {Transfer: 1, Window: 255}} {
+		got, err := DecodeHelloAck(AppendHelloAck(nil, &h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != h {
+			t.Fatalf("round trip mismatch: %+v vs %+v", got, h)
+		}
 	}
-	if got != h {
-		t.Fatalf("round trip mismatch: %+v vs %+v", got, h)
+}
+
+// TestWindowByte: the receive window rides in the fourth byte of HELLO-ACK
+// and HAVE, which every build before it wrote zero and none read. So the
+// frame a windowless receiver writes is the frame as it always was and reads
+// as "no window"; a frame with the byte set is the old frame in every other
+// byte; and the logarithm rounds a buffer share down, never up.
+func TestWindowByte(t *testing.T) {
+	old := []byte{0xF0, 0xB5, TypeHelloAck, 0, 0, 0, 0, 77} // as PR 1 framed it
+	if got := AppendHelloAck(nil, &HelloAck{Transfer: 77}); !bytes.Equal(got, old) {
+		t.Fatalf("windowless HELLO-ACK % x, want % x", got, old)
+	}
+	h, err := DecodeHelloAck(old)
+	if err != nil || h.Window != 0 || h.Window.Bytes() != 0 {
+		t.Fatalf("an old receiver's HELLO-ACK reads as window %d (%d bytes), err %v; want none", h.Window, h.Window.Bytes(), err)
+	}
+	set := AppendHelloAck(nil, &HelloAck{Transfer: 77, Window: 21})
+	if set[3] != 21 || !bytes.Equal(set[:3], old[:3]) || !bytes.Equal(set[4:], old[4:]) {
+		t.Fatalf("HELLO-ACK with a window % x differs from % x beyond byte 3", set, old)
+	}
+	have := AppendHave(nil, &Have{Transfer: 5, Received: 1, Words: []uint64{1}, Window: 17})
+	plain := AppendHave(nil, &Have{Transfer: 5, Received: 1, Words: []uint64{1}})
+	if have[3] != 17 || plain[3] != 0 || !bytes.Equal(have[4:], plain[4:]) {
+		t.Fatalf("HAVE with a window % x, without % x", have, plain)
+	}
+	if got, err := DecodeHave(have); err != nil || got.Window != 17 || got.Window.Bytes() != 128<<10 {
+		t.Fatalf("HAVE window %d (%d bytes), err %v; want 17 (128 KiB)", got.Window, got.Window.Bytes(), err)
+	}
+	for _, c := range []struct {
+		bytes int
+		want  Window
+	}{{-1, 0}, {0, 0}, {1, 0}, {2, 1}, {3, 1}, {2 << 20, 21}, {2<<20 - 1, 20}, {3 << 20, 21}} {
+		if got := WindowOf(c.bytes); got != c.want {
+			t.Errorf("WindowOf(%d) = %d, want %d", c.bytes, got, c.want)
+		}
+		if got := WindowOf(c.bytes).Bytes(); got > max(c.bytes, 0) {
+			t.Errorf("a window of %d bytes advertises %d", c.bytes, got)
+		}
+	}
+	// A hostile logarithm is a window nothing fills, not an overflow.
+	if got := Window(255).Bytes(); got <= 0 {
+		t.Fatalf("Window(255).Bytes() = %d", got)
 	}
 }
 
