@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 vet cross loc race short test bench bench-smoke mem-smoke waste-smoke bench-e2e bench-e2e-smoke bench-e2e-test offload-probe cover fuzz-smoke shuffle faultnet-soak fobsd-smoke verify
+.PHONY: all tier1 vet cross loc race short test bench bench-smoke sim-golden mem-smoke waste-smoke bench-e2e bench-e2e-smoke bench-e2e-test offload-probe cover fuzz-smoke shuffle faultnet-soak fobsd-smoke verify
 
 all: verify
 
@@ -71,6 +71,15 @@ bench:
 # (CI runs it non-gating) — loopback numbers vary too much to gate on.
 bench-smoke:
 	$(GO) test ./internal/udprt -run '^$$' -bench BenchmarkStripedLoopback -benchtime=1x
+
+# Rewrite internal/experiments/testdata/sim_tables.golden — what `fobs-bench
+# -ext -related -sharing -size 4194304` prints, timing lines stripped — from
+# this tree. TestSimTablesGolden (tier1; skipped under -short) compares against
+# it: the file pins greedy FOBS, Backoff, Hybrid and sabul.Run on the
+# simulator's deterministic clock, so rewriting it is a decision that a table
+# was meant to move, never the fix for a diff.
+sim-golden:
+	$(GO) test ./internal/experiments -run '^TestSimTablesGolden$$' -count=1 -update
 
 # The memory budgets in one place: the tests that pin them — one object-sized
 # allocation per received object once the content cache is at its bound, both

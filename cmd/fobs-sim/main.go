@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"strings"
 	"time"
 
 	"github.com/hpcnet/fobs"
@@ -79,7 +80,7 @@ func main() {
 		packetSize = flag.Int("packet-size", fobs.PacketSize, "FOBS/RUDP/SABUL packet size")
 		batch      = flag.Int("batch", fobs.DefaultBatch, "FOBS batch-send size")
 		streams    = flag.Int("streams", 8, "PSockets stream count")
-		rate       = flag.String("rate", "greedy", "FOBS rate controller: greedy | backoff | hybrid")
+		rate       = flag.String("rate", "greedy", "FOBS rate controller: greedy or one of "+strings.Join(core.Policies(), ", "))
 		doTrace    = flag.Bool("trace", false, "sample rates/cwnd over time and print sparklines (fobs and tcp protocols)")
 	)
 	flag.Parse()
@@ -93,32 +94,26 @@ func main() {
 	var res stats.TransferResult
 	switch *proto {
 	case "fobs":
-		var rc core.RateController
-		switch *rate {
-		case "greedy":
-			rc = core.Greedy{}
-		case "backoff":
-			rc = &core.Backoff{}
-		case "hybrid":
-			rc = &core.Hybrid{RTT: sc.RTT}
-		default:
-			log.Fatalf("fobs-sim: unknown rate controller %q", *rate)
+		cc, err := core.NewController(*rate, *packetSize)
+		if err != nil {
+			log.Fatalf("fobs-sim: -rate: %v", err)
 		}
 		cfg := core.Config{
 			AckFrequency: *ackFreq,
 			PacketSize:   *packetSize,
 			Batch:        core.FixedBatch(*batch),
-			Rate:         rc,
 			Discard:      true,
 		}
+		opts := simrun.Options{AckBuildTime: 300 * time.Microsecond}
 		if *doTrace {
-			run := simrun.NewFOBS(sc.Build(*seed), make([]byte, *size), cfg,
-				simrun.Options{AckBuildTime: 300 * time.Microsecond, SampleEvery: 20 * time.Millisecond})
-			res = run.Run()
+			opts.SampleEvery = 20 * time.Millisecond
+		}
+		run := simrun.NewFOBS(sc.Build(*seed), make([]byte, *size), cfg, opts)
+		run.Sender().SetController(cc)
+		res = run.Run()
+		if *doTrace {
 			goodput, sendRate := run.Trace()
 			traceOut = append(traceOut, goodput.Render(60), sendRate.Render(60))
-		} else {
-			res = experiments.RunFOBS(sc, *seed, *size, cfg)
 		}
 	case "tcp", "tcp+lwe":
 		lwe := *proto == "tcp+lwe"

@@ -146,7 +146,7 @@ func (c *client) submit(args []string) (int, error) {
 		tenant  = fs.String("tenant", "", "tenant for fairness and rate capping")
 		pktSize = fs.Int("packet-size", 0, "payload bytes per datagram (0: runtime default)")
 		streams = fs.Int("streams", 0, "stripe across this many UDP flows (0/1: unstriped)")
-		cc      = fs.String("cc", "", "congestion control policy for this task")
+		cc      = fs.String("cc", "", "congestion control policy for this task ("+strings.Join(fobs.CongestionPolicies(), ", ")+")")
 		verify  = fs.Bool("verify", false,
 			"require end-to-end content verification; fail rather than degrade past it")
 		noDedup = fs.Bool("no-dedup", false,

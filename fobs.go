@@ -65,9 +65,12 @@ type (
 	AdaptiveBatch = core.AdaptiveBatch
 	// Schedule selects which unacknowledged packet is sent next.
 	Schedule = core.Schedule
-	// RateController is the pacing hook behind the paper's §7 congestion
-	// extensions.
-	RateController = core.RateController
+	// Controller is the sender's rate-control policy: the paper's greedy
+	// protocol, its §7 congestion extensions and the related work's loops
+	// behind one interface. Sockets select one by name
+	// (Options.Congestion); the simulator may also hand a tuned instance to
+	// core.Sender.SetController.
+	Controller = core.Controller
 	// Greedy is the paper's protocol proper: no congestion response.
 	Greedy = core.Greedy
 	// Backoff reduces greediness under sustained loss.
@@ -125,6 +128,8 @@ const MaxStreams = wire.MaxStreams
 // CCFixed) is the paper's greedy sender at its configured rate; the
 // adaptive policies are the related work the paper positions FOBS against,
 // reacting to retransmit-classified loss instead of holding a fixed rate.
+// CongestionPolicies lists these and the two §7 extensions ("backoff",
+// "hybrid").
 const (
 	// CCFixed sends full batches at the configured rate — bit-identical
 	// to the pre-policy engine and the library default.

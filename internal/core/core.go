@@ -140,9 +140,6 @@ type Config struct {
 	Batch BatchPolicy
 	// Schedule chooses the next-packet policy (default Circular).
 	Schedule Schedule
-	// Rate chooses the pacing/congestion extension (default Greedy —
-	// the paper's protocol proper; see ratectl.go for the §7 variants).
-	Rate RateController
 	// Transfer tags packets so concurrent transfers do not mix.
 	Transfer uint32
 	// Checksum adds a CRC-32C over each data packet's payload, detecting
@@ -170,9 +167,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Batch == nil {
 		c.Batch = FixedBatch(DefaultBatch)
-	}
-	if c.Rate == nil {
-		c.Rate = Greedy{}
 	}
 	if c.Rand == nil && c.Schedule == RandomUnacked {
 		c.Rand = rand.New(rand.NewSource(1))

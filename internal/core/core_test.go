@@ -616,91 +616,6 @@ func TestBatchSizeUsesPolicy(t *testing.T) {
 	}
 }
 
-// --- rate controllers -------------------------------------------------------
-
-func TestGreedyNeverPaces(t *testing.T) {
-	g := Greedy{}
-	g.OnAckSample(1000, 1)
-	if g.Gap() != 0 {
-		t.Fatal("greedy controller paced")
-	}
-}
-
-func TestBackoffGrowsAndDecays(t *testing.T) {
-	b := &Backoff{}
-	for i := 0; i < 10; i++ {
-		b.OnAckSample(100, 20) // 80% loss
-	}
-	grown := b.Gap()
-	if grown == 0 {
-		t.Fatal("backoff did not grow under sustained loss")
-	}
-	if grown > b.MaxGap {
-		t.Fatalf("gap %v exceeds MaxGap %v", grown, b.MaxGap)
-	}
-	for i := 0; i < 10000; i++ {
-		b.OnAckSample(100, 100) // clean
-	}
-	if b.Gap() != 0 {
-		t.Fatalf("backoff did not decay to zero, gap=%v", b.Gap())
-	}
-}
-
-func TestHybridSwitchesAfterPatience(t *testing.T) {
-	h := &Hybrid{Patience: 4}
-	for i := 0; i < 3; i++ {
-		h.OnAckSample(100, 20)
-		if h.InTCPMode() {
-			t.Fatal("hybrid switched before patience elapsed")
-		}
-	}
-	h.OnAckSample(100, 20)
-	if !h.InTCPMode() {
-		t.Fatal("hybrid did not switch after patience")
-	}
-	if h.Gap() <= 0 {
-		t.Fatal("hybrid in TCP mode has zero gap")
-	}
-	for i := 0; i < 100; i++ {
-		h.OnAckSample(100, 100)
-	}
-	if h.InTCPMode() {
-		t.Fatal("hybrid did not return to greedy after loss cleared")
-	}
-	if h.Gap() != 0 {
-		t.Fatal("hybrid out of TCP mode still paces")
-	}
-}
-
-func TestHybridMathisRate(t *testing.T) {
-	h := &Hybrid{RTT: 100 * 1e6, Patience: 1} // 100ms in time.Duration
-	h.OnAckSample(100, 96)                    // ~4% loss < default threshold: stays greedy
-	if h.InTCPMode() {
-		t.Fatal("4% loss should not trip the default 5% threshold")
-	}
-	h2 := &Hybrid{Patience: 1}
-	h2.OnAckSample(100, 0) // 100% loss
-	if !h2.InTCPMode() {
-		t.Fatal("100% loss did not trip hybrid")
-	}
-	// Gap must be finite and positive.
-	if g := h2.Gap(); g <= 0 {
-		t.Fatalf("gap = %v", g)
-	}
-}
-
-func TestLossEstimateClampsNegative(t *testing.T) {
-	var l lossEstimate
-	l.add(10, 50) // receiver drained backlog: received > sent
-	if l.smoothed != 0 {
-		t.Fatalf("negative loss not clamped: %v", l.smoothed)
-	}
-	l.add(0, 0) // no packets: no-op
-	if !l.primed {
-		t.Fatal("estimate lost its primed state")
-	}
-}
-
 // --- whole-transfer properties ----------------------------------------------
 
 // Property: for any loss pattern and ack frequency, the transfer completes

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"github.com/hpcnet/fobs/internal/bitmap"
 	"github.com/hpcnet/fobs/internal/wire"
@@ -33,8 +34,8 @@ type SenderStats struct {
 	Restored int
 	// Retransmits counts the packets of PacketsSent whose sequence number
 	// had been sent before this run — the same classification the metrics
-	// layer performs, kept here so rate policy (the udprt congestion
-	// controllers key loss off it) works with instrumentation disabled.
+	// layer performs, kept here so rate policy (a Controller's LossEvents
+	// are its increments) works with instrumentation disabled.
 	// Conservation: PacketsSent = first sends + Retransmits.
 	Retransmits int
 	// Deduped reports that the receiver answered the content-digest query
@@ -69,7 +70,7 @@ type AckObserver interface {
 	OnPacketAcked(seq uint32)
 }
 
-// Sender is the FOBS data-sending state machine. Drivers call BatchSize and
+// Sender is the FOBS data-sending state machine. Drivers call PlanRound and
 // NextPacket to emit packets, HandleAck whenever an acknowledgement is
 // available (never blocking for one), and SetComplete when the completion
 // signal arrives on the control channel.
@@ -92,6 +93,18 @@ type Sender struct {
 	lastDelta int
 	sentSince int // packets sent since the previous processed ack
 	complete  bool
+
+	// cc is the rate-control policy, fed here and nowhere else: fresh
+	// acknowledgements by HandleAck, losses — the part of stats.Retransmits
+	// beyond lossSeen — ahead of the next OnAck or Tick, round trips by
+	// ProbeRTT.
+	cc       Controller
+	lossSeen int
+	// The one round-trip probe in flight: probeSeq is the sequence number it
+	// rides on (probeIdle: none; probeArmed: the next packet selected),
+	// probeAt the driver's clock when the round that carries it was planned.
+	probeSeq int
+	probeAt  time.Duration
 
 	// content memoizes ContentID(obj) — computed on first demand, not at
 	// construction, so the simulation harnesses that build thousands of
@@ -116,7 +129,73 @@ func NewSender(obj []byte, cfg Config) *Sender {
 		acked: bitmap.New(n),
 		sent:  bitmap.New(n),
 		stats: SenderStats{PacketsNeeded: n},
+		cc:    Greedy{}, probeSeq: probeIdle,
 	}
+}
+
+// SetController installs the sender's rate-control policy in Greedy's place,
+// before the first round is planned. A controller serves one sender.
+func (s *Sender) SetController(c Controller) { s.cc = c }
+
+const (
+	probeIdle  = -1
+	probeArmed = -2
+	// rttProbeStale bounds how long one round-trip probe stays armed: if the
+	// probed packet's acknowledgement has not appeared in a second (lost
+	// packet, or a stalled flow), it is abandoned and a later round arms a
+	// new one.
+	rttProbeStale = time.Second
+)
+
+// reportLoss tells the controller of the retransmissions selected since the
+// last report.
+func (s *Sender) reportLoss() {
+	if d := s.stats.Retransmits - s.lossSeen; d > 0 {
+		s.lossSeen = s.stats.Retransmits
+		s.cc.OnLoss(LossEvent{Retransmits: d})
+	}
+}
+
+// PlanRound plans the next batch-send round, the one call both drivers make:
+// the batch policy asks, the controller may cap the ask and names the pacing
+// gap to charge per packet sent. Nothing to ask for (batch <= 0) bypasses the
+// controller. The clamps are the sender's own guarantee — no controller can
+// push a round outside [1, ask] or make the gap negative. now is the
+// driver's clock, as in ProbeRTT: with no round-trip probe in flight, the
+// round's first packet becomes one.
+func (s *Sender) PlanRound(now time.Duration) (batch int, gap time.Duration) {
+	want := s.BatchSize()
+	if want <= 0 {
+		return want, 0
+	}
+	s.reportLoss()
+	d := s.cc.Tick(want)
+	if s.probeSeq < 0 {
+		s.probeSeq, s.probeAt = probeArmed, now
+	}
+	return min(want, max(d.Batch, 1)), max(d.Gap, 0)
+}
+
+// ProbeRTT resolves the round-trip probe against the driver's clock (any
+// monotonic reading; the sender only subtracts): the moment the probed
+// sequence number shows acknowledged, plan-to-acknowledgement bounds one
+// network round trip — an overestimate by up to the receiver's ack-batching
+// delay, which is part of the control loop anyway. The controller hears of
+// the sample, and so does the caller.
+func (s *Sender) ProbeRTT(now time.Duration) (rtt time.Duration, ok bool) {
+	if s.probeSeq < 0 {
+		return 0, false
+	}
+	if !s.acked.Test(s.probeSeq) {
+		if now-s.probeAt > rttProbeStale {
+			s.probeSeq = probeIdle
+		}
+		return 0, false
+	}
+	s.probeSeq = probeIdle
+	rtt = now - s.probeAt
+	s.cc.OnRTT(rtt)
+	return rtt, true
 }
 
 // SetObserver installs the acknowledgement observer (nil to remove).
@@ -214,6 +293,9 @@ func (s *Sender) NextPacket() (pkt wire.Data, ok bool) {
 	if !s.sent.Set(seq) {
 		s.stats.Retransmits++
 	}
+	if s.probeSeq == probeArmed {
+		s.probeSeq = seq
+	}
 	lo := seq * s.cfg.PacketSize
 	hi := lo + s.cfg.PacketSize
 	if hi > len(s.obj) {
@@ -268,7 +350,8 @@ func (s *Sender) HandleAck(a wire.Ack) error {
 	if fresh {
 		s.lastAck = a.AckSeq
 		s.lastDelta = int(a.Delta)
-		s.cfg.Rate.OnAckSample(s.sentSince, int(a.Delta))
+		s.reportLoss()
+		s.cc.OnAck(AckEvent{Sent: s.sentSince, Acked: int(a.Delta)})
 		s.sentSince = 0
 	} else {
 		s.stats.StaleAcks++
@@ -307,8 +390,6 @@ func (s *Sender) ackAll() {
 }
 
 // Acked reports whether the sender's bitmap shows packet seq received.
-// Drivers use it to resolve round-trip probes: the instant a probed
-// sequence number flips acknowledged bounds its network round trip.
 func (s *Sender) Acked(seq int) bool {
 	if seq < 0 || seq >= s.n {
 		return false

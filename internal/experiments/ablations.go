@@ -213,9 +213,10 @@ func Extensions(objSize int64) ExtensionResult {
 	heavy.PeakRate = 90e6
 	sc.Contention = &heavy
 
-	run := func(rc core.RateController) stats.TransferResult {
-		cfg := core.Config{AckFrequency: 32, Rate: rc}
-		res := RunFOBS(sc, 1, objSize, cfg)
+	run := func(rc core.Controller) stats.TransferResult {
+		r := newFOBS(sc, 1, objSize, core.Config{AckFrequency: 32}, 0)
+		r.Sender().SetController(rc)
+		res := r.Run()
 		res.Protocol = "fobs/" + rc.Name()
 		return res
 	}

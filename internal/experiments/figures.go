@@ -40,14 +40,19 @@ func RunFOBS(sc Scenario, seed int64, objSize int64, cfg core.Config) stats.Tran
 // default. Sweeps over pathological configurations (the Restart schedule
 // can live-lock by design) use a short limit.
 func runFOBSWithLimit(sc Scenario, seed int64, objSize int64, cfg core.Config, limit time.Duration) stats.TransferResult {
+	return newFOBS(sc, seed, objSize, cfg, limit).Run()
+}
+
+// newFOBS wires the transfer runFOBSWithLimit runs, for the callers that
+// hand its sender a tuned controller first.
+func newFOBS(sc Scenario, seed int64, objSize int64, cfg core.Config, limit time.Duration) *simrun.FOBSRun {
 	if cfg.PacketSize == 0 {
 		cfg.PacketSize = PacketSize
 	}
 	cfg.Discard = true
 	opts := fobsOptions()
 	opts.Limit = limit
-	p := sc.Build(seed)
-	return simrun.NewFOBS(p, make([]byte, objSize), cfg, opts).Run()
+	return simrun.NewFOBS(sc.Build(seed), make([]byte, objSize), cfg, opts)
 }
 
 // AckSweepPoint is one x-position of Figures 1 and 2: the same pair of runs

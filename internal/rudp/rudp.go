@@ -15,7 +15,6 @@ import (
 	"github.com/hpcnet/fobs/internal/core"
 	"github.com/hpcnet/fobs/internal/event"
 	"github.com/hpcnet/fobs/internal/netsim"
-	"github.com/hpcnet/fobs/internal/simrun"
 	"github.com/hpcnet/fobs/internal/stats"
 	"github.com/hpcnet/fobs/internal/wire"
 )
@@ -112,7 +111,7 @@ func Run(p *netsim.Path, obj []byte, cfg Config) stats.TransferResult {
 				hi = len(obj)
 			}
 			sent++
-			res := sndSock.SendTo(dst, wire.DataHeaderLen+(hi-lo)+simrun.UDPIPOverhead, wire.Data{
+			res := sndSock.SendTo(dst, wire.DataHeaderLen+(hi-lo)+wire.UDPIPOverhead, wire.Data{
 				Transfer: cfg.Transfer, Seq: seq, Total: uint32(n), Payload: obj[lo:hi],
 			})
 			now := p.Net.Now()

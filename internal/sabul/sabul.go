@@ -8,7 +8,10 @@
 // loss implies congestion, and, similar to TCP, reduces the sending rate to
 // accommodate such perceived congestion", while FOBS assumes some loss is
 // inevitable and tolerable. Here that appears as multiplicative rate
-// decrease on every lossy report and gentle increase on clean ones.
+// decrease on every lossy report and gentle increase on clean ones: the rate
+// loop is core.SABUL, the same controller a FOBS sender runs under the
+// "sabul" policy, driven here by SABUL's own NAK reports instead of FOBS
+// acknowledgements.
 package sabul
 
 import (
@@ -17,7 +20,6 @@ import (
 	"github.com/hpcnet/fobs/internal/core"
 	"github.com/hpcnet/fobs/internal/event"
 	"github.com/hpcnet/fobs/internal/netsim"
-	"github.com/hpcnet/fobs/internal/simrun"
 	"github.com/hpcnet/fobs/internal/stats"
 	"github.com/hpcnet/fobs/internal/wire"
 )
@@ -31,18 +33,12 @@ const (
 type Config struct {
 	// PacketSize is the UDP payload per data packet (default 1024).
 	PacketSize int
-	// InitialRate is the starting send rate in bits per second
-	// (default 100 Mb/s).
+	// InitialRate is the starting send rate, and its ceiling, in bits per
+	// second (default core.SABULInitialRate, 100 Mb/s).
 	InitialRate float64
-	// MinRate floors the rate controller (default 1 Mb/s).
-	MinRate float64
 	// SynInterval is the receiver's reporting period (default 10 ms, as
 	// in SABUL's SYN interval).
 	SynInterval time.Duration
-	// DecreaseFactor scales the rate down on a lossy report
-	// (default 0.875); IncreaseFactor scales it up on a clean one
-	// (default 1.05).
-	DecreaseFactor, IncreaseFactor float64
 	// CtlRTO is the control channel retransmission timeout (default 250 ms).
 	CtlRTO time.Duration
 	// Limit aborts the run (default 10 min).
@@ -55,20 +51,8 @@ func (c Config) withDefaults() Config {
 	if c.PacketSize == 0 {
 		c.PacketSize = core.DefaultPacketSize
 	}
-	if c.InitialRate == 0 {
-		c.InitialRate = 100e6
-	}
-	if c.MinRate == 0 {
-		c.MinRate = 1e6
-	}
 	if c.SynInterval == 0 {
 		c.SynInterval = 10 * time.Millisecond
-	}
-	if c.DecreaseFactor == 0 {
-		c.DecreaseFactor = 0.875
-	}
-	if c.IncreaseFactor == 0 {
-		c.IncreaseFactor = 1.05
 	}
 	if c.CtlRTO == 0 {
 		c.CtlRTO = 250 * time.Millisecond
@@ -110,24 +94,20 @@ func Run(p *netsim.Path, obj []byte, cfg Config) stats.TransferResult {
 	})
 
 	var (
-		rate                 = cfg.InitialRate
-		sent                 = 0
-		rateDrops, rateRises int
-		nextNew              = 0 // next never-sent packet
-		rtxQueue             []uint32
-		lastRtx              = map[uint32]int{} // seq -> report index of last queueing
-		reportIdx            = 0
-		done                 bool
-		start                = p.Net.Now()
-		end                  event.Time
-		lastRept             = 0
+		// rate charges every packet its framing and UDP/IP headers too.
+		rate      = core.NewSABUL(cfg.InitialRate, float64((cfg.PacketSize+wire.DataHeaderLen+wire.UDPIPOverhead)*8))
+		sent      = 0
+		nextNew   = 0 // next never-sent packet
+		rtxQueue  []uint32
+		lastRtx   = map[uint32]int{} // seq -> report index of last queueing
+		reportIdx = 0
+		done      bool
+		start     = p.Net.Now()
+		end       event.Time
+		lastRept  = 0
 	)
 
 	dst := p.B.Addr(portData)
-	gap := func() time.Duration {
-		bits := float64((cfg.PacketSize + wire.DataHeaderLen + simrun.UDPIPOverhead) * 8)
-		return time.Duration(bits / rate * float64(time.Second))
-	}
 
 	var sendLoop func()
 	sendLoop = func() {
@@ -159,7 +139,7 @@ func Run(p *netsim.Path, obj []byte, cfg Config) stats.TransferResult {
 		if debugSend != nil {
 			debugSend(p.Net.Now().Seconds(), seq)
 		}
-		res := sndSock.SendTo(dst, wire.DataHeaderLen+(hi-lo)+simrun.UDPIPOverhead, wire.Data{
+		res := sndSock.SendTo(dst, wire.DataHeaderLen+(hi-lo)+wire.UDPIPOverhead, wire.Data{
 			Transfer: cfg.Transfer, Seq: uint32(seq), Total: uint32(n), Payload: obj[lo:hi],
 		})
 		now := p.Net.Now()
@@ -170,7 +150,7 @@ func Run(p *netsim.Path, obj []byte, cfg Config) stats.TransferResult {
 		if cpu := p.A.CPUFreeAt(); cpu > next {
 			next = cpu
 		}
-		if paced := now.Add(gap()); paced > next {
+		if paced := now.Add(rate.Tick(1).Gap); paced > next {
 			next = paced
 		}
 		if next <= now {
@@ -234,7 +214,7 @@ func Run(p *netsim.Path, obj []byte, cfg Config) stats.TransferResult {
 		// when it stays missing long enough that the retransmission
 		// itself must have been lost.
 		reportIdx++
-		lossy := false
+		lossy := 0
 		for _, seq := range rep.missing {
 			if int(seq) >= nextNew {
 				continue // not sent yet; absence is expected
@@ -243,22 +223,11 @@ func Run(p *netsim.Path, obj []byte, cfg Config) stats.TransferResult {
 			if !seen || reportIdx-last >= 3 {
 				rtxQueue = append(rtxQueue, seq)
 				lastRtx[seq] = reportIdx
-				lossy = true
+				lossy++
 			}
 		}
-		if lossy {
-			rate *= cfg.DecreaseFactor
-			if rate < cfg.MinRate {
-				rate = cfg.MinRate
-			}
-			rateDrops++
-		} else if rep.newPackets > 0 {
-			rate *= cfg.IncreaseFactor
-			if rate > cfg.InitialRate {
-				rate = cfg.InitialRate
-			}
-			rateRises++
-		}
+		rate.OnLoss(core.LossEvent{Retransmits: lossy})
+		rate.OnAck(core.AckEvent{Acked: rep.newPackets})
 	}
 
 	sendLoop()
@@ -280,8 +249,8 @@ func Run(p *netsim.Path, obj []byte, cfg Config) stats.TransferResult {
 		PacketsNeeded: n,
 		Duplicates:    rcv.Stats().Duplicates,
 	}
-	res = res.WithExtra("rate_drops", float64(rateDrops))
-	res.Extra["rate_rises"] = float64(rateRises)
-	res.Extra["final_rate"] = rate
+	res = res.WithExtra("rate_drops", float64(rate.Drops()))
+	res.Extra["rate_rises"] = float64(rate.Rises())
+	res.Extra["final_rate"] = rate.Rate()
 	return res
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hpcnet/fobs/internal/core"
 	"github.com/hpcnet/fobs/internal/netsim"
 )
 
@@ -86,11 +87,11 @@ func TestHeavyLossCompletes(t *testing.T) {
 }
 
 func TestMinRateFloor(t *testing.T) {
-	res := Run(path(7, 0.40), make([]byte, 128<<10), Config{MinRate: 5e6})
+	res := Run(path(7, 0.40), make([]byte, 128<<10), Config{InitialRate: 2e6})
 	if !res.Completed {
 		t.Fatal("incomplete")
 	}
-	if res.Extra["final_rate"] < 5e6 {
+	if res.Extra["final_rate"] < core.SABULMinRate {
 		t.Fatalf("final rate %v fell below the floor", res.Extra["final_rate"])
 	}
 }

@@ -6,8 +6,8 @@
 //
 //   - the sender alternates batch-send operations with non-blocking polls
 //     of the acknowledgement socket, paced only by its NIC (the analogue
-//     of select()-guarded sends) plus whatever gap the configured rate
-//     controller requests;
+//     of select()-guarded sends) plus whatever gap the sender's rate
+//     controller dictates, in rounds that controller may cap;
 //   - the receiver handles data packets as the host CPU serves them,
 //     occupies the CPU while building each acknowledgement (the stall the
 //     paper identifies as the loss mechanism at high ack rates), and
@@ -25,9 +25,6 @@ import (
 	"github.com/hpcnet/fobs/internal/trace"
 	"github.com/hpcnet/fobs/internal/wire"
 )
-
-// UDPIPOverhead is the per-datagram UDP+IPv4 header overhead on the wire.
-const UDPIPOverhead = 28
 
 // Default ports used by a FOBS transfer on both hosts; concurrent
 // transfers on one path offset them via Options.PortBase.
@@ -263,8 +260,11 @@ func (r *FOBSRun) senderLoop() {
 			panic("simrun: " + err.Error())
 		}
 	}
-	// Phase 1 + 3: batch-send with the schedule choosing each packet.
-	batch := r.snd.BatchSize()
+	// Phase 1 + 3: batch-send with the schedule choosing each packet, in a
+	// round planned by the sender's controller on the simulation's clock.
+	clock := r.path.Net.Now().Sub(r.started)
+	r.snd.ProbeRTT(clock)
+	batch, gapPer := r.snd.PlanRound(clock)
 	var last netsim.SendResult
 	sent := 0
 	dst := r.dataAddr
@@ -273,7 +273,7 @@ func (r *FOBSRun) senderLoop() {
 		if !ok {
 			break
 		}
-		size := wire.DataHeaderLen + len(pkt.Payload) + UDPIPOverhead
+		size := wire.DataHeaderLen + len(pkt.Payload) + wire.UDPIPOverhead
 		last = r.sndSock.SendTo(dst, size, pkt)
 		sent++
 	}
@@ -295,7 +295,7 @@ func (r *FOBSRun) senderLoop() {
 	if next < now {
 		next = now
 	}
-	gap := r.snd.Config().Rate.Gap() * time.Duration(sent)
+	gap := gapPer * time.Duration(sent)
 	if r.opts.SchedNoise > 0 {
 		gap += time.Duration(r.path.Net.Rand().Int63n(int64(r.opts.SchedNoise)))
 	}
@@ -342,7 +342,7 @@ func (r *FOBSRun) onData(p *netsim.Packet) {
 	// keeps building acks, so the fragment must not alias BuildAck's
 	// reusable buffer (a real driver serializes it to the wire instead).
 	a.Frag.Words = append([]uint64(nil), a.Frag.Words...)
-	size := wire.AckHeaderLen + 8*len(a.Frag.Words) + UDPIPOverhead
+	size := wire.AckHeaderLen + 8*len(a.Frag.Words) + wire.UDPIPOverhead
 	r.rcvSock.SendTo(r.ackAddr, size, a)
 	if r.rcv.Complete() {
 		r.ctlRcv.Send(wire.Complete{Transfer: r.rcv.Config().Transfer,

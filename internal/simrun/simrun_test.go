@@ -143,11 +143,13 @@ func TestFOBSAdaptiveBatchCompletes(t *testing.T) {
 func TestFOBSBackoffControllerThrottlesUnderLoss(t *testing.T) {
 	// Under heavy loss, the Backoff controller should send fewer packets
 	// per unit time than Greedy — trading speed for fewer wasted packets.
-	run := func(rc core.RateController) (float64, float64) {
+	run := func(rc core.Controller) (float64, float64) {
 		p := shortHaulPath(6, 0.30)
-		res := NewFOBS(p, makeObj(1<<20),
-			core.Config{AckFrequency: 16, Rate: rc, Discard: true},
-			Options{Limit: 5 * time.Minute}).Run()
+		r := NewFOBS(p, makeObj(1<<20),
+			core.Config{AckFrequency: 16, Discard: true},
+			Options{Limit: 5 * time.Minute})
+		r.Sender().SetController(rc)
+		res := r.Run()
 		if !res.Completed {
 			t.Fatal("transfer incomplete")
 		}
@@ -164,14 +166,16 @@ func TestFOBSBackoffControllerThrottlesUnderLoss(t *testing.T) {
 func TestFOBSHybridEntersTCPModeUnderSustainedLoss(t *testing.T) {
 	h := &core.Hybrid{RTT: 26 * time.Millisecond, Patience: 4}
 	p := shortHaulPath(8, 0.35)
-	res := NewFOBS(p, makeObj(1<<20),
-		core.Config{AckFrequency: 16, Rate: h, Discard: true},
-		Options{Limit: 10 * time.Minute}).Run()
+	r := NewFOBS(p, makeObj(1<<20),
+		core.Config{AckFrequency: 16, Discard: true},
+		Options{Limit: 10 * time.Minute})
+	r.Sender().SetController(h)
+	res := r.Run()
 	if !res.Completed {
 		t.Fatal("hybrid transfer incomplete")
 	}
 	// The controller must have tripped at least once during the run.
-	if h.Gap() == 0 && !h.InTCPMode() {
+	if !h.InTCPMode() {
 		// It may have exited TCP mode at the very end; that is fine as
 		// long as it was engaged at some point — detectable through the
 		// much lower send rate relative to greedy.
@@ -318,5 +322,76 @@ func TestTwoConcurrentFOBSFlowsShareViaPortBase(t *testing.T) {
 	if res1.Goodput()+res2.Goodput() > 100e6*1.05 {
 		t.Fatalf("combined goodput %.1f Mb/s exceeds the bottleneck",
 			(res1.Goodput()+res2.Goodput())/1e6)
+	}
+}
+
+// contractChecked forwards to a controller and holds every directive it
+// returns to the Controller contract.
+type contractChecked struct {
+	core.Controller
+	t          *testing.T
+	ticks      int
+	capped     int // rounds planned below the ask
+	rttSamples int
+	firstRTT   time.Duration // the one probe sure to ride a first send
+}
+
+func (c *contractChecked) Tick(max int) core.Directive {
+	d := c.Controller.Tick(max)
+	if d.Batch < 1 || d.Batch > max || d.Gap < 0 || d.Gap > core.MaxControllerGap {
+		c.t.Fatalf("%s: Tick(%d) = %+v outside the contract", c.Name(), max, d)
+	}
+	c.ticks++
+	if d.Batch < max {
+		c.capped++
+	}
+	return d
+}
+
+func (c *contractChecked) OnRTT(d time.Duration) {
+	if c.rttSamples++; c.rttSamples == 1 {
+		c.firstRTT = d
+	}
+	c.Controller.OnRTT(d)
+}
+
+// TestEveryPolicyRunsOnTheSimulator runs each policy in core's table — the
+// three the socket runtime grew up with included — over one fixed-seed lossy
+// short-haul path: the transfer completes, every directive is within the
+// contract, the sender's first round-trip probe reads the path's 26 ms (plus
+// queueing and the acknowledgement interval), a window policy's batch cap is honoured, and the two policies that
+// read loss as congestion waste less than the greedy sender does.
+func TestEveryPolicyRunsOnTheSimulator(t *testing.T) {
+	waste := map[string]float64{}
+	for _, name := range core.Policies() {
+		cc, err := core.NewController(name, core.DefaultPacketSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := &contractChecked{Controller: cc, t: t}
+		r := NewFOBS(shortHaulPath(6, 0.05), makeObj(1<<20),
+			core.Config{AckFrequency: 16, Batch: core.FixedBatch(8), Discard: true},
+			Options{Limit: 5 * time.Minute})
+		r.Sender().SetController(checked)
+		res := r.Run()
+		if !res.Completed {
+			t.Fatalf("%s: transfer incomplete: %+v", name, res)
+		}
+		if checked.ticks == 0 || checked.firstRTT < 26*time.Millisecond || checked.firstRTT > 40*time.Millisecond {
+			t.Fatalf("%s: %d rounds planned, %d round trips probed, the first %v on a 26 ms path",
+				name, checked.ticks, checked.rttSamples, checked.firstRTT)
+		}
+		if name == core.CCAIMD && checked.capped == 0 {
+			t.Fatalf("aimd never planned a round below the ask in %d rounds at 5%% loss", checked.ticks)
+		}
+		waste[name] = res.Waste()
+		t.Logf("%-7s %6.1f Mb/s  waste %5.1f%%  %d rounds (%d capped), %d rtt samples, first %v",
+			name, res.Goodput()/1e6, 100*res.Waste(), checked.ticks, checked.capped, checked.rttSamples, checked.firstRTT)
+	}
+	for _, name := range []string{core.CCSABUL, core.CCBackoff} {
+		if waste[name] >= waste[core.CCFixed] {
+			t.Errorf("%s wasted %.1f%%, greedy %.1f%%: reading loss as congestion bought nothing",
+				name, 100*waste[name], 100*waste[core.CCFixed])
+		}
 	}
 }

@@ -73,7 +73,7 @@ func BenchmarkBatchFlush(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			k, _ := encodeBatch(snd, ring, benchBatch, probe{}, 0)
+			k := encodeBatch(snd, ring, benchBatch, probe{}, 0)
 			if _, err := tx.Send(ring[:k]); err != nil {
 				b.Fatal(err)
 			}
@@ -102,7 +102,7 @@ func BenchmarkRecordingOverhead(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			k, _ := encodeBatch(snd, ring, benchBatch, probe{fr: fr}, 0)
+			k := encodeBatch(snd, ring, benchBatch, probe{fr: fr}, 0)
 			if _, err := tx.Send(ring[:k]); err != nil {
 				b.Fatal(err)
 			}
@@ -142,7 +142,7 @@ func BenchmarkTracingOverhead(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			or.Once(obs.KindRounds, 0)
-			k, _ := encodeBatch(snd, ring, benchBatch, probe{}, 0)
+			k := encodeBatch(snd, ring, benchBatch, probe{}, 0)
 			if _, err := tx.Send(ring[:k]); err != nil {
 				b.Fatal(err)
 			}
@@ -381,7 +381,7 @@ func BenchmarkVerifyOverhead(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			k, _ := encodeBatch(snd, ring, benchBatch, probe{}, 0)
+			k := encodeBatch(snd, ring, benchBatch, probe{}, 0)
 			if _, err := tx.Send(ring[:k]); err != nil {
 				b.Fatal(err)
 			}

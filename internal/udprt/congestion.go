@@ -1,405 +1,76 @@
-// Pluggable congestion control for the sender engine (the paper's §7
-// future work, made a first-class policy axis). The engine's rate policy
-// used to be hard-wired greedy: send whatever the batch policy asks for,
-// pace only by the fixed Options.Pace plus whatever core.Config.Rate
-// returns. A Controller abstracts exactly that decision — observe the
-// acknowledgement/loss/round-trip signals the engine already has, dictate
-// the batch-size cap and per-packet pacing gap for the next round — so
-// TCP-friendly modes coexist with the paper's greedy sender behind one
-// Options.Congestion switch.
-//
-// Three policies ship:
-//
-//   - fixed: the paper's greedy sender, bit-identical to the pre-policy
-//     engine (the default). Its directives reproduce the historical
-//     arithmetic exactly: no batch cap, gap = Config.Rate.Gap() +
-//     Options.Pace.
-//   - aimd: TCP-friendly additive-increase/multiplicative-decrease over a
-//     window of packets, keyed off retransmit-classified losses (the same
-//     classification internal/metrics performs, maintained loss-path-free
-//     in core.SenderStats.Retransmits). The window halves once per loss
-//     epoch and grows one packet per window acknowledged; pacing spreads
-//     the window over the measured round trip.
-//   - sabul: SABUL-style rate probing modeled on internal/sabul's
-//     simulated reference: every acknowledgement interval is a state
-//     report — multiplicative rate decrease (×0.875) when the interval saw
-//     retransmit-classified loss, gentle increase (×1.05) when clean,
-//     floored and capped so the flow neither starves nor exceeds its
-//     configured ceiling.
-//
-// Contract (enforced by the conformance harness in
-// congestion_conformance_test.go): controllers are driven from the single
-// engine goroutine and need no locking; OnAck/OnLoss/OnRTT and Tick must
-// not allocate (the engine consults the controller once per batch round on
-// the zero-alloc hot path); Tick(max) with max >= 1 must return a batch in
-// [1, max] and a gap in [0, MaxControllerGap]; and a controller must never
-// pace a flow to a standstill — after any loss burst clears, clean
-// acknowledgement intervals must restore a positive sending rate.
+// Congestion control on sockets. The policies — the Controller interface, its
+// five implementations and the one table that names them — live in
+// internal/core, and the core.Sender every engine drives is what feeds them
+// and plans each round (Sender.PlanRound): nothing here observes an
+// acknowledgement or counts a retransmission on a controller's behalf. What
+// is this package's own is what only a socket runtime has: the name a caller
+// selects a policy by (Options.Congestion), and the two ways a deployment
+// slows every policy down from outside — the fixed Options.Pace and the
+// shared Options.RateCap — which wrap whichever controller was built.
 package udprt
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/hpcnet/fobs/internal/core"
+	"github.com/hpcnet/fobs/internal/wire"
 )
 
-// Controller policy names, the values Options.Congestion and the CLIs'
-// -cc flag accept.
+// Controller policy names, the values Options.Congestion and the CLIs' -cc
+// flag accept, out of core's table; CongestionPolicies lists all of them.
 const (
-	// CCFixed is the paper's greedy sender: no batch cap, pacing from
-	// core.Config.Rate plus Options.Pace, exactly as before this policy
-	// axis existed. The default.
-	CCFixed = "fixed"
+	// CCFixed is the paper's greedy sender: no batch cap, no pacing beyond
+	// Options.Pace. The default.
+	CCFixed = core.CCFixed
 	// CCAIMD is the TCP-friendly additive-increase/multiplicative-decrease
 	// window policy.
-	CCAIMD = "aimd"
+	CCAIMD = core.CCAIMD
 	// CCSABUL is SABUL-style multiplicative rate probing.
-	CCSABUL = "sabul"
+	CCSABUL = core.CCSABUL
 )
 
 // CongestionPolicies lists every accepted Options.Congestion value, in the
 // order the benches sweep them.
-func CongestionPolicies() []string { return []string{CCFixed, CCAIMD, CCSABUL} }
+func CongestionPolicies() []string { return core.Policies() }
 
-// MaxControllerGap bounds the per-packet pacing gap any controller may
-// dictate: one packet per 50 ms is the contract's starvation floor (a
-// stalled-looking flow must still be the stall watchdog's call, never a
-// controller's).
-const MaxControllerGap = 50 * time.Millisecond
-
-// AckEvent is one fresh acknowledgement as the sender engine observed it:
-// the receiver advanced its ack serial and reported Acked packets newly
-// received in its inter-ack window, against the Sent packets the engine
-// placed on the wire since the previous fresh acknowledgement. Known and
-// Total give the cumulative picture for policies that care about transfer
-// phase. Stale (reordered) acknowledgements are not reported — their
-// bitmap still merges, but they carry no fresh rate signal.
-type AckEvent struct {
-	Sent  int
-	Acked int
-	Known int
-	Total int
+// newController builds one stripe's controller for one attempt — always a
+// fresh one, so no two senders share a policy's state — failing on a name
+// the table does not have. Options.Pace and Options.RateCap, when set, wrap
+// it.
+func newController(opts Options, packetSize int) (core.Controller, error) {
+	cc, err := core.NewController(opts.Congestion, packetSize)
+	if err != nil || (opts.Pace == 0 && opts.RateCap == nil) {
+		return cc, err
+	}
+	return &slowedController{
+		Controller: cc, pace: opts.Pace, cap: opts.RateCap,
+		bitsPerPkt: float64(8 * (packetSize + wire.UDPIPOverhead)),
+	}, nil
 }
 
-// LossEvent reports retransmit-classified losses: Retransmits is how many
-// packets of the batch round just sent had already been transmitted
-// before. Under the circular schedule a packet is re-sent only once every
-// unacknowledged packet has had its turn, so a retransmission means the
-// first copy was either lost or its acknowledgement is still in flight —
-// the same inference internal/metrics draws, and the only loss signal an
-// unacknowledged UDP flow has.
-type LossEvent struct {
-	Retransmits int
+// slowedController post-processes a policy's directive: Options.Pace is added
+// to the gap, and the shared RateCap, when there is one, then takes the
+// stricter of the two verdicts — smaller batch, longer gap. Observations pass
+// through untouched. Like every controller it is driven from its sender's
+// single goroutine and allocates nothing per round; the state behind the cap
+// is a mutex-guarded timestamp, touched once per batch round, never per
+// packet.
+type slowedController struct {
+	core.Controller
+	pace       time.Duration
+	cap        *RateCap
+	bitsPerPkt float64
 }
 
-// Directive is a controller's command for the next batch round.
-type Directive struct {
-	// Batch caps the number of packets in the round; the engine clamps it
-	// to [1, the batch policy's ask].
-	Batch int
-	// Gap is the pacing delay inserted per packet sent this round,
-	// non-negative and at most MaxControllerGap.
-	Gap time.Duration
+func (c *slowedController) Tick(max int) core.Directive {
+	d := c.Controller.Tick(max)
+	d.Gap += c.pace
+	if c.cap == nil {
+		return d
+	}
+	n, gap := c.cap.grant(min(max, d.Batch), c.bitsPerPkt)
+	if d.Gap > gap {
+		gap = d.Gap
+	}
+	return core.Directive{Batch: n, Gap: gap}
 }
-
-// Controller is the sender engine's pluggable congestion-control policy.
-// Implementations are driven from the engine's single loop goroutine (one
-// instance per stripe — never shared) and must not allocate in any method:
-// the engine consults them inside the zero-alloc hot path.
-type Controller interface {
-	// OnAck observes one fresh acknowledgement interval.
-	OnAck(ev AckEvent)
-	// OnLoss observes retransmit-classified losses in the round just sent.
-	OnLoss(ev LossEvent)
-	// OnRTT observes one measured network round trip (a probed data
-	// packet's send-to-acknowledgement time). Samples are sparse — at most
-	// one probe is in flight — and absent entirely until acks flow.
-	OnRTT(sample time.Duration)
-	// Tick returns the directive for the next batch round. max is the
-	// batch policy's ask for this round (always >= 1; the engine does not
-	// consult the controller when the schedule has nothing to send).
-	Tick(max int) Directive
-	// Name returns the policy name (one of CongestionPolicies).
-	Name() string
-}
-
-// validateCongestion rejects unknown Options.Congestion values before any
-// socket work happens. An empty name selects CCFixed.
-func validateCongestion(name string) error {
-	switch name {
-	case "", CCFixed, CCAIMD, CCSABUL:
-		return nil
-	}
-	return fmt.Errorf("udprt: unknown congestion controller %q (have %v)",
-		name, CongestionPolicies())
-}
-
-// newController builds the controller for one sender engine (one stripe).
-// The name must have passed validateCongestion; cfg is the stripe's
-// effective core configuration.
-func newController(name string, cfg core.Config, opts Options) Controller {
-	var cc Controller
-	switch name {
-	case CCAIMD:
-		cc = newAIMDController(opts.Pace)
-	case CCSABUL:
-		cc = newSABULController(cfg.PacketSize, opts.Pace)
-	default:
-		cc = &fixedController{rate: cfg.Rate, pace: opts.Pace}
-	}
-	if opts.RateCap != nil {
-		pkt := cfg.PacketSize
-		if pkt <= 0 {
-			pkt = core.DefaultPacketSize
-		}
-		cc = &capController{
-			inner:      cc,
-			cap:        opts.RateCap,
-			bitsPerPkt: float64(8 * (pkt + sabulWireOverhead)),
-		}
-	}
-	return cc
-}
-
-// fixedController reproduces the pre-policy engine bit for bit: the batch
-// policy's ask passes through uncapped, and the gap is the core rate
-// controller's current value plus the fixed Options.Pace — the exact
-// arithmetic the engine used to inline (pinned by the golden schedule
-// test). All observation hooks are no-ops; core.Sender.HandleAck already
-// feeds Config.Rate its ack samples.
-type fixedController struct {
-	rate core.RateController
-	pace time.Duration
-}
-
-func (c *fixedController) OnAck(AckEvent)      {}
-func (c *fixedController) OnLoss(LossEvent)    {}
-func (c *fixedController) OnRTT(time.Duration) {}
-func (c *fixedController) Name() string        { return CCFixed }
-func (c *fixedController) Tick(max int) Directive {
-	return Directive{Batch: max, Gap: c.rate.Gap() + c.pace}
-}
-
-// aimdController is textbook TCP-friendly AIMD over a congestion window
-// measured in packets: the window grows by one packet per window of
-// acknowledged data (additive increase, +1 per round trip), and halves
-// once per loss epoch (multiplicative decrease). An epoch opens on the
-// first retransmit-classified loss and closes after a window's worth of
-// packets is acknowledged, so the burst of retransmissions one loss event
-// produces triggers exactly one halving — TCP's once-per-RTT reaction.
-// Pacing spreads the window over the measured round trip (rate =
-// window/RTT, so gap = RTT/window), bounded by aimdMaxGap so the flow can
-// never starve.
-type aimdController struct {
-	pace     time.Duration
-	cwnd     float64       // congestion window, packets
-	rtt      time.Duration // EWMA of probed round trips
-	blackout float64       // acked packets until the loss epoch closes
-	epochs   int           // halvings, for tests and bench reporting
-}
-
-const (
-	// aimdInitWindow is the starting congestion window in packets —
-	// deliberately modest, like TCP's initial window scaled for a
-	// high-bandwidth-delay path.
-	aimdInitWindow = 16
-	// aimdMinWindow floors the window so progress never stops.
-	aimdMinWindow = 1
-	// aimdMaxWindow caps the window (2^20 packets ≈ 1 GiB in flight at
-	// the default packet size; past that the gap is zero anyway).
-	aimdMaxWindow = 1 << 20
-	// aimdInitRTT seeds pacing before the first probe resolves: 500 µs is
-	// between loopback and LAN, and the EWMA converges within a few
-	// probes either way.
-	aimdInitRTT = 500 * time.Microsecond
-	// aimdMaxGap bounds the per-packet gap: even a fully collapsed window
-	// keeps sending at 1/aimdMaxGap packets per second.
-	aimdMaxGap = 5 * time.Millisecond
-)
-
-func newAIMDController(pace time.Duration) *aimdController {
-	return &aimdController{pace: pace, cwnd: aimdInitWindow, rtt: aimdInitRTT}
-}
-
-func (c *aimdController) OnAck(ev AckEvent) {
-	if ev.Acked <= 0 {
-		return
-	}
-	if c.blackout > 0 {
-		c.blackout -= float64(ev.Acked)
-		if c.blackout > 0 {
-			return
-		}
-		c.blackout = 0
-	}
-	c.cwnd += float64(ev.Acked) / c.cwnd
-	if c.cwnd > aimdMaxWindow {
-		c.cwnd = aimdMaxWindow
-	}
-}
-
-func (c *aimdController) OnLoss(ev LossEvent) {
-	if ev.Retransmits <= 0 || c.blackout > 0 {
-		return
-	}
-	c.cwnd /= 2
-	if c.cwnd < aimdMinWindow {
-		c.cwnd = aimdMinWindow
-	}
-	c.blackout = c.cwnd
-	c.epochs++
-}
-
-func (c *aimdController) OnRTT(sample time.Duration) {
-	if sample <= 0 {
-		return
-	}
-	c.rtt = c.rtt - c.rtt/8 + sample/8
-	if c.rtt <= 0 {
-		c.rtt = time.Microsecond
-	}
-}
-
-func (c *aimdController) Name() string { return CCAIMD }
-
-// Window exposes the current congestion window for tests, benches and the
-// loss-epoch assertions of the conformance harness.
-func (c *aimdController) Window() float64 { return c.cwnd }
-
-// Epochs reports how many loss epochs (halvings) the controller has
-// reacted to.
-func (c *aimdController) Epochs() int { return c.epochs }
-
-func (c *aimdController) Tick(max int) Directive {
-	batch := int(c.cwnd)
-	if batch > max {
-		batch = max
-	}
-	if batch < 1 {
-		batch = 1
-	}
-	gap := time.Duration(float64(c.rtt) / c.cwnd)
-	if gap > aimdMaxGap {
-		gap = aimdMaxGap
-	}
-	return Directive{Batch: batch, Gap: gap + c.pace}
-}
-
-// sabulController is the engine-side port of internal/sabul's rate
-// controller: the flow is purely rate-paced (no window — Batch passes the
-// policy's ask through, as SABUL streams at its rate regardless of batch
-// shape), and every fresh acknowledgement interval plays the role of a SYN
-// report. An interval that saw retransmit-classified loss multiplies the
-// rate by sabulDecrease; a clean interval that delivered data multiplies
-// it by sabulIncrease, capped at the initial rate — SABUL "makes the
-// assumption that packet loss implies congestion" and probes back up only
-// gently.
-type sabulController struct {
-	pace     time.Duration
-	rate     float64 // packets per second
-	initRate float64
-	minRate  float64
-	lossy    bool // retransmit seen since the last fresh ack
-	drops    int
-	rises    int
-}
-
-const (
-	// sabulInitRateBits mirrors sabul.Config.InitialRate: 100 Mb/s of
-	// on-the-wire bandwidth, converted to packets per second at the
-	// transfer's packet size.
-	sabulInitRateBits = 100e6
-	// sabulMinRateBits mirrors sabul.Config.MinRate (1 Mb/s).
-	sabulMinRateBits = 1e6
-	// sabulDecrease and sabulIncrease mirror sabul.Config's
-	// DecreaseFactor and IncreaseFactor.
-	sabulDecrease = 0.875
-	sabulIncrease = 1.05
-	// sabulWireOverhead approximates the UDP+IP header bytes per packet,
-	// matching simrun.UDPIPOverhead's accounting in the simulated
-	// reference.
-	sabulWireOverhead = 28
-)
-
-func newSABULController(packetSize int, pace time.Duration) *sabulController {
-	if packetSize <= 0 {
-		packetSize = core.DefaultPacketSize
-	}
-	bitsPerPkt := float64(8 * (packetSize + sabulWireOverhead))
-	c := &sabulController{
-		pace:     pace,
-		initRate: sabulInitRateBits / bitsPerPkt,
-		minRate:  sabulMinRateBits / bitsPerPkt,
-	}
-	c.rate = c.initRate
-	return c
-}
-
-func (c *sabulController) OnAck(ev AckEvent) {
-	if c.lossy {
-		c.rate *= sabulDecrease
-		if c.rate < c.minRate {
-			c.rate = c.minRate
-		}
-		c.drops++
-	} else if ev.Acked > 0 {
-		c.rate *= sabulIncrease
-		if c.rate > c.initRate {
-			c.rate = c.initRate
-		}
-		c.rises++
-	}
-	c.lossy = false
-}
-
-func (c *sabulController) OnLoss(ev LossEvent) {
-	if ev.Retransmits > 0 {
-		c.lossy = true
-	}
-}
-
-func (c *sabulController) OnRTT(time.Duration) {}
-
-func (c *sabulController) Name() string { return CCSABUL }
-
-// Rate exposes the current rate (packets per second) for tests.
-func (c *sabulController) Rate() float64 { return c.rate }
-
-func (c *sabulController) Tick(max int) Directive {
-	gap := time.Duration(float64(time.Second) / c.rate)
-	if gap > MaxControllerGap {
-		gap = MaxControllerGap
-	}
-	return Directive{Batch: max, Gap: gap + c.pace}
-}
-
-// planRound is the engine's per-round consultation: the batch policy asks
-// for want packets; the controller may cap the batch and dictates the
-// per-packet pacing gap. want <= 0 (nothing to send) bypasses the
-// controller entirely, preserving the historical idle path. The clamps
-// below are the engine's own guarantee — a misbehaving controller cannot
-// push the round outside [1, want] or make the gap negative.
-func planRound(want int, cc Controller) (batch int, gapPer time.Duration) {
-	if want <= 0 {
-		return want, 0
-	}
-	d := cc.Tick(want)
-	batch = want
-	if d.Batch < batch {
-		batch = d.Batch
-	}
-	if batch < 1 {
-		batch = 1
-	}
-	if d.Gap > 0 {
-		gapPer = d.Gap
-	}
-	return batch, gapPer
-}
-
-var (
-	_ Controller = (*fixedController)(nil)
-	_ Controller = (*aimdController)(nil)
-	_ Controller = (*sabulController)(nil)
-)

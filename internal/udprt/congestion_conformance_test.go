@@ -1,421 +1,191 @@
 package udprt
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 	"time"
 
 	"github.com/hpcnet/fobs/internal/core"
 )
 
-// ccSim drives one Controller through a deterministic, seeded synthetic
-// ack/loss trace without sockets: each step asks the controller for its
-// directive, "sends" that many packets through a seeded loss process,
-// classifies the round's retransmissions the way the engine does (a lost
-// packet re-enters the schedule and is re-sent once the circle comes back
-// around), and delivers an acknowledgement interval every ackEvery rounds
-// with an occasional round-trip sample. Everything the controller observes
-// is a pure function of (seed, loss schedule), so a trace is replayable —
-// the conformance suite's determinism check runs the same trace twice
-// against two fresh controller instances and requires identical
-// directives.
-type ccSim struct {
-	rng *rand.Rand
-	cc  Controller
-	max int // the batch policy's ask per round (IOBatch stand-in)
-	rtt time.Duration
+// The controllers' own contract suite — bounds, determinism, recovery and
+// zero allocations over synthetic traces, for all five policies — is
+// internal/core's TestControllerConformance. The tests here hold what this
+// package adds to the same contract: the controller Options selects, wrapped
+// by Options.Pace and Options.RateCap, planning a real sender's rounds.
 
-	backlog   int // lost packets awaiting their retransmission turn
-	pendSent  int // packets sent since the last acknowledgement interval
-	pendDeliv int // of pendSent, delivered
-	round     int
-	known     int
-	total     int
-}
-
-// ccAckEvery is the simulator's acknowledgement cadence in rounds,
-// standing in for the receiver's AckFrequency.
-const ccAckEvery = 4
-
-func newCCSim(cc Controller, seed int64, max int, rtt time.Duration) *ccSim {
-	return &ccSim{
-		rng: rand.New(rand.NewSource(seed)),
-		cc:  cc, max: max, rtt: rtt,
-		total: 1 << 20, // far larger than any trace sends; Known never saturates
-	}
-}
-
-// step runs one round at the given per-packet loss probability and returns
-// the controller's directive for it.
-func (s *ccSim) step(loss float64) Directive {
-	d := s.cc.Tick(s.max)
-	sent := d.Batch
-	if sent < 1 {
-		sent = 1 // invariant violations are the caller's to flag
-	}
-	// The engine reports retransmit-classified losses after the send; in
-	// the simulator a backlogged lost packet takes the first free slots of
-	// the round, modeling the circular schedule coming back around.
-	if retx := min(s.backlog, sent); retx > 0 {
-		s.backlog -= retx
-		s.cc.OnLoss(LossEvent{Retransmits: retx})
-	}
-	lost := 0
-	for i := 0; i < sent; i++ {
-		if s.rng.Float64() < loss {
-			lost++
-		}
-	}
-	s.backlog += lost
-	s.pendSent += sent
-	s.pendDeliv += sent - lost
-	s.round++
-	if s.round%ccAckEvery == 0 && s.pendDeliv > 0 {
-		s.known += s.pendDeliv
-		s.cc.OnAck(AckEvent{Sent: s.pendSent, Acked: s.pendDeliv, Known: s.known, Total: s.total})
-		s.pendSent, s.pendDeliv = 0, 0
-		// A round-trip probe resolves roughly once per ack interval, with
-		// seeded jitter.
-		s.cc.OnRTT(s.rtt + time.Duration(s.rng.Int63n(int64(s.rtt/4)+1)))
-	}
-	return d
-}
-
-// runPhase executes rounds steps at one loss rate, invoking check (when
-// non-nil) on every directive, and returns the directives in order.
-func (s *ccSim) runPhase(rounds int, loss float64, check func(round int, d Directive)) []Directive {
-	out := make([]Directive, 0, rounds)
-	for i := 0; i < rounds; i++ {
-		d := s.step(loss)
-		if check != nil {
-			check(s.round, d)
-		}
-		out = append(out, d)
-	}
-	return out
-}
-
-// ccTestConfig builds the effective core configuration a controller under
-// test is constructed against (the same defaulting a real sender applies).
-func ccTestConfig() core.Config {
-	return core.NewSender(make([]byte, 4096), core.Config{}).Config()
-}
-
-// newTestController builds a fresh controller by policy name with zero
-// extra Pace, so directive gaps reflect the policy alone.
-func newTestController(t *testing.T, name string) Controller {
-	t.Helper()
-	if err := validateCongestion(name); err != nil {
-		t.Fatal(err)
-	}
-	return newController(name, ccTestConfig(), Options{})
-}
-
-// directiveRate is a scalar throughput proxy for comparing directives:
-// packets per second the directive permits (batch packets per max(gap·batch,
-// 1ns) of pacing). Only ratios of it are asserted.
-func directiveRate(d Directive) float64 {
-	gap := d.Gap
-	if gap <= 0 {
-		gap = time.Nanosecond
-	}
-	return float64(d.Batch) / (float64(gap) * float64(d.Batch)) * float64(time.Second)
-}
-
-// TestControllerConformance is the shared contract suite every policy must
-// pass: over randomized seeded ack/loss traces, (a) every directive keeps
-// the batch within [1, max] and the gap non-negative, finite and at most
-// MaxControllerGap; (b) identical traces produce identical directives
-// (determinism — the property that makes every other test in this file
-// trustworthy); (c) after a heavy loss burst ends, the policy recovers:
-// its permitted rate a recovery phase after the burst is no lower than at
-// the burst's end, so no policy can pace a flow into a permanent stall.
+// TestControllerConformance runs every policy Options.Congestion can name
+// through runSchedule — a real sender and receiver, the sender's own feed —
+// and requires of the rounds it plans what the engine relies on: (a) every
+// batch within [1, ask] and every gap within [0, MaxControllerGap] plus the
+// configured pace, bare, paced and under a (generous) rate cap; (b) the same
+// transfer planned twice gives the same schedule. And (c), of the wrapped
+// controller by itself: the rate it permits after a burst of lossy
+// acknowledgement intervals and then four hundred clean ones is no lower
+// than at the end of the burst — wrapping paces no policy into a standstill.
 func TestControllerConformance(t *testing.T) {
-	seeds := []int64{1, 7, 42}
-	losses := []float64{0, 0.05, 0.30}
+	const pace = 5 * time.Microsecond
+	obj := makeObj(256 << 10)
+	cfg := core.Config{PacketSize: 64, AckFrequency: 32, Batch: core.FixedBatch(16)}
 	for _, name := range CongestionPolicies() {
 		t.Run(name, func(t *testing.T) {
+			generous, _ := NewRateCap(1e12)
 			t.Run("invariants", func(t *testing.T) {
-				for _, seed := range seeds {
-					for _, loss := range losses {
-						sim := newCCSim(newTestController(t, name), seed, DefaultIOBatch, 300*time.Microsecond)
-						sim.runPhase(400, loss, func(round int, d Directive) {
-							if d.Batch < 1 || d.Batch > DefaultIOBatch {
-								t.Fatalf("seed %d loss %.2f round %d: batch %d outside [1, %d]",
-									seed, loss, round, d.Batch, DefaultIOBatch)
+				for _, opts := range []Options{
+					{Congestion: name},
+					{Congestion: name, Pace: pace},
+					{Congestion: name, Pace: pace, RateCap: generous},
+				} {
+					for _, loss := range []float64{0, 0.05, 0.30} {
+						_, rounds := runSchedule(t, obj[:128<<10], cfg, opts, func(int) float64 { return loss })
+						for i, r := range rounds {
+							if r.batch < 1 || r.batch > r.ask {
+								t.Fatalf("pace %v loss %.2f round %d: batch %d outside [1, %d]", opts.Pace, loss, i+1, r.batch, r.ask)
 							}
-							if d.Gap < 0 || d.Gap > MaxControllerGap {
-								t.Fatalf("seed %d loss %.2f round %d: gap %v outside [0, %v]",
-									seed, loss, round, d.Gap, MaxControllerGap)
+							if r.gap < 0 || r.gap > core.MaxControllerGap+opts.Pace {
+								t.Fatalf("pace %v loss %.2f round %d: gap %v outside [0, %v]", opts.Pace, loss, i+1, r.gap, core.MaxControllerGap+opts.Pace)
 							}
-						})
-					}
-				}
-			})
-			t.Run("deterministic", func(t *testing.T) {
-				for _, seed := range seeds {
-					a := newCCSim(newTestController(t, name), seed, DefaultIOBatch, 300*time.Microsecond).
-						runPhase(300, 0.12, nil)
-					b := newCCSim(newTestController(t, name), seed, DefaultIOBatch, 300*time.Microsecond).
-						runPhase(300, 0.12, nil)
-					for i := range a {
-						if a[i] != b[i] {
-							t.Fatalf("seed %d: directive %d diverged: %+v vs %+v", seed, i, a[i], b[i])
 						}
 					}
 				}
 			})
-			t.Run("recovers_after_loss_burst", func(t *testing.T) {
-				sim := newCCSim(newTestController(t, name), 11, DefaultIOBatch, 300*time.Microsecond)
-				sim.runPhase(100, 0, nil) // warm up clean
-				burst := sim.runPhase(100, 0.5, nil)
-				atBurstEnd := directiveRate(burst[len(burst)-1])
-				rec := sim.runPhase(400, 0, nil)
-				recovered := directiveRate(rec[len(rec)-1])
-				if recovered < atBurstEnd {
-					t.Fatalf("rate after recovery %.0f pkts/s < rate at burst end %.0f pkts/s",
-						recovered, atBurstEnd)
+			t.Run("deterministic", func(t *testing.T) {
+				opts := Options{Congestion: name, Pace: pace}
+				a, _ := runSchedule(t, obj, cfg, opts, func(int) float64 { return 0.12 })
+				b, _ := runSchedule(t, obj, cfg, opts, func(int) float64 { return 0.12 })
+				if a != b {
+					t.Fatalf("two runs of one transfer planned different schedules:\n%s", firstScheduleDiff(a, b))
 				}
-				// And the post-burst flow is emphatically not stalled: the
-				// directive still permits at least one packet per
-				// MaxControllerGap.
-				last := rec[len(rec)-1]
-				if last.Batch < 1 || last.Gap > MaxControllerGap {
-					t.Fatalf("post-recovery directive %+v is a stall", last)
+			})
+			t.Run("recovers_after_loss_burst", func(t *testing.T) {
+				cc, err := newController(Options{Congestion: name, Pace: pace, RateCap: generous}, 1024)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// intervals drives n rounds, each its own acknowledgement
+				// interval, half of it lost when lossy, and returns the last
+				// directive.
+				intervals := func(n int, lossy bool) (d core.Directive) {
+					for i := 0; i < n; i++ {
+						d = cc.Tick(DefaultIOBatch)
+						ev := core.AckEvent{Sent: d.Batch, Acked: d.Batch}
+						if lossy {
+							ev.Acked = d.Batch / 2
+							cc.OnLoss(core.LossEvent{Retransmits: d.Batch - ev.Acked})
+						}
+						cc.OnAck(ev)
+						cc.OnRTT(300 * time.Microsecond)
+					}
+					return d
+				}
+				intervals(100, false)
+				atBurstEnd := intervals(100, true)
+				recovered := intervals(400, false)
+				if recovered.Gap > atBurstEnd.Gap || recovered.Batch < atBurstEnd.Batch {
+					t.Fatalf("directive after recovery %+v is slower than at the burst's end %+v", recovered, atBurstEnd)
 				}
 			})
 		})
 	}
 }
 
-// TestFixedControllerLegacyArithmetic pins the fixed policy's directive to
-// the pre-policy engine's exact inline arithmetic: batch is the policy
-// ask, the gap is Config.Rate.Gap() + Options.Pace — whatever the core
-// rate controller currently says, sampled at Tick time.
+// TestFixedControllerLegacyArithmetic: greedy plus Options.Pace through the
+// wrapper is the pre-policy engine's arithmetic — the ask uncapped, the gap
+// exactly the pace, whatever the controller is told — and a state-carrying
+// policy's gap has the pace added to whatever it says at Tick time.
 func TestFixedControllerLegacyArithmetic(t *testing.T) {
-	rate := &core.Backoff{Step: 40 * time.Microsecond}
-	cfg := ccTestConfig()
-	cfg.Rate = rate
 	const pace = 7 * time.Microsecond
-	cc := newController(CCFixed, cfg, Options{Pace: pace})
-	if cc.Name() != CCFixed {
-		t.Fatalf("Name() = %q", cc.Name())
+	cc, err := newController(Options{Congestion: CCFixed, Pace: pace}, 1024)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Observation hooks must not disturb the delegated arithmetic.
-	cc.OnLoss(LossEvent{Retransmits: 100})
+	cc.OnLoss(core.LossEvent{Retransmits: 100})
 	cc.OnRTT(3 * time.Millisecond)
-	cc.OnAck(AckEvent{Sent: 50, Acked: 1, Known: 1, Total: 100})
+	cc.OnAck(core.AckEvent{Sent: 50, Acked: 1})
+	if got, want := cc.Tick(13), (core.Directive{Batch: 13, Gap: pace}); got != want {
+		t.Fatalf("fixed + pace: Tick = %+v, want %+v", got, want)
+	}
+	paced, _ := newController(Options{Congestion: core.CCBackoff, Pace: pace}, 1024)
+	bare := &core.Backoff{}
 	for i := 0; i < 5; i++ {
-		// Drive the core rate controller directly, as Sender.HandleAck
-		// does, and require the fixed policy to track it exactly.
-		rate.OnAckSample(64, 64-8*i)
-		want := Directive{Batch: 13, Gap: rate.Gap() + pace}
-		if got := cc.Tick(13); got != want {
+		ev := core.AckEvent{Sent: 64, Acked: 64 - 8*i}
+		paced.OnAck(ev)
+		bare.OnAck(ev)
+		want := bare.Tick(13)
+		want.Gap += pace
+		if got := paced.Tick(13); got != want {
 			t.Fatalf("sample %d: Tick = %+v, want %+v", i, got, want)
 		}
 	}
 }
 
-// TestAIMDLossEpochs verifies the multiplicative-decrease state machine:
-// the window halves on the first retransmit-classified loss, further
-// losses inside the epoch (until a window's worth of packets is acked) do
-// not halve again, and the next loss after the epoch closes does.
-func TestAIMDLossEpochs(t *testing.T) {
-	cc := newAIMDController(0)
-	// Grow the window well past its initial value.
-	for i := 0; i < 200; i++ {
-		cc.OnAck(AckEvent{Sent: 32, Acked: 32})
-	}
-	before := cc.Window()
-	if before <= aimdInitWindow {
-		t.Fatalf("window %.1f did not grow past %d", before, aimdInitWindow)
-	}
-	cc.OnLoss(LossEvent{Retransmits: 1})
-	if got := cc.Window(); math.Abs(got-before/2) > 1e-9 {
-		t.Fatalf("after loss: window %.2f, want exactly half of %.2f", got, before)
-	}
-	if cc.Epochs() != 1 {
-		t.Fatalf("epochs = %d, want 1", cc.Epochs())
-	}
-	// Same epoch: the retransmissions of the same loss event keep arriving
-	// over the next rounds; no further halving, and acks inside the
-	// blackout do not grow the window either.
-	inEpoch := cc.Window()
-	cc.OnLoss(LossEvent{Retransmits: 5})
-	cc.OnAck(AckEvent{Sent: 4, Acked: 2})
-	cc.OnLoss(LossEvent{Retransmits: 2})
-	if got := cc.Window(); got != inEpoch {
-		t.Fatalf("window moved inside the loss epoch: %.2f -> %.2f", inEpoch, got)
-	}
-	if cc.Epochs() != 1 {
-		t.Fatalf("epochs = %d inside the blackout, want still 1", cc.Epochs())
-	}
-	// Close the epoch: ack a window's worth, then the next loss halves
-	// again.
-	cc.OnAck(AckEvent{Sent: int(inEpoch) + 8, Acked: int(inEpoch) + 8})
-	cc.OnLoss(LossEvent{Retransmits: 1})
-	if cc.Epochs() != 2 {
-		t.Fatalf("epochs = %d after the blackout cleared, want 2", cc.Epochs())
-	}
+// misbehavedController returns hostile directives; the sender's round
+// planning must clamp them so the engine never sees an unusable round.
+type misbehavedController struct {
+	core.Greedy
+	d core.Directive
 }
 
-// TestAIMDNeverStarves holds the policy under relentless loss and requires
-// the floor to hold: the window never drops below one packet and the gap
-// never exceeds its cap, so progress continues even in the worst case.
-func TestAIMDNeverStarves(t *testing.T) {
-	cc := newAIMDController(0)
-	for i := 0; i < 1000; i++ {
-		cc.OnLoss(LossEvent{Retransmits: 3})
-		cc.OnAck(AckEvent{Sent: 2, Acked: 1}) // drain the blackout slowly
-		d := cc.Tick(DefaultIOBatch)
-		if d.Batch < 1 {
-			t.Fatalf("iteration %d: batch %d < 1", i, d.Batch)
-		}
-		if d.Gap > aimdMaxGap {
-			t.Fatalf("iteration %d: gap %v exceeds the %v starvation cap", i, d.Gap, aimdMaxGap)
-		}
-	}
-	if w := cc.Window(); w < aimdMinWindow {
-		t.Fatalf("window %.3f below the floor %d", w, aimdMinWindow)
-	}
-}
+func (m *misbehavedController) Tick(int) core.Directive { return m.d }
 
-// TestAIMDAdditiveIncrease verifies the additive half: with clean acks the
-// window grows by roughly one packet per window acknowledged (TCP's +1 per
-// round trip), not multiplicatively.
-func TestAIMDAdditiveIncrease(t *testing.T) {
-	cc := newAIMDController(0)
-	start := cc.Window()
-	// Ack exactly one window's worth in small pieces.
-	remaining := int(start)
-	for remaining > 0 {
-		n := min(4, remaining)
-		cc.OnAck(AckEvent{Sent: n, Acked: n})
-		remaining -= n
-	}
-	grown := cc.Window() - start
-	if grown < 0.5 || grown > 1.5 {
-		t.Fatalf("one window of acks grew the window by %.2f packets, want ~1", grown)
-	}
-}
-
-// TestSABULRateProbing pins the rate state machine to the simulated
-// reference's constants: ×0.875 on a lossy acknowledgement interval,
-// ×1.05 on a clean one, capped at the initial rate and floored at the
-// minimum.
-func TestSABULRateProbing(t *testing.T) {
-	cc := newSABULController(core.DefaultPacketSize, 0)
-	init := cc.Rate()
-	if init <= 0 {
-		t.Fatalf("initial rate %.0f", init)
-	}
-	// Clean interval at the cap: no growth past the configured ceiling.
-	cc.OnAck(AckEvent{Sent: 10, Acked: 10})
-	if got := cc.Rate(); got != init {
-		t.Fatalf("clean interval at cap moved the rate: %.2f -> %.2f", init, got)
-	}
-	// A lossy interval decreases multiplicatively; the loss mark is
-	// consumed by the interval that observes it.
-	cc.OnLoss(LossEvent{Retransmits: 2})
-	cc.OnAck(AckEvent{Sent: 10, Acked: 8})
-	if got, want := cc.Rate(), init*sabulDecrease; math.Abs(got-want) > 1e-6 {
-		t.Fatalf("lossy interval: rate %.4f, want %.4f", got, want)
-	}
-	// The next clean interval probes back up by exactly the increase
-	// factor.
-	cc.OnAck(AckEvent{Sent: 10, Acked: 10})
-	if got, want := cc.Rate(), init*sabulDecrease*sabulIncrease; math.Abs(got-want) > 1e-6 {
-		t.Fatalf("probe up: rate %.4f, want %.4f", got, want)
-	}
-	// Relentless loss floors at the minimum rate, never zero.
-	for i := 0; i < 500; i++ {
-		cc.OnLoss(LossEvent{Retransmits: 1})
-		cc.OnAck(AckEvent{Sent: 10, Acked: 5})
-	}
-	if got := cc.Rate(); got < cc.minRate || got == 0 {
-		t.Fatalf("rate %.4f fell through the floor %.4f", got, cc.minRate)
-	}
-	if d := cc.Tick(DefaultIOBatch); d.Gap > MaxControllerGap || d.Batch != DefaultIOBatch {
-		t.Fatalf("floored directive %+v violates the contract", d)
-	}
-}
-
-// misbehavedController returns hostile directives; planRound must clamp
-// them so the engine never sees an unusable round.
-type misbehavedController struct{ d Directive }
-
-func (m *misbehavedController) OnAck(AckEvent)      {}
-func (m *misbehavedController) OnLoss(LossEvent)    {}
-func (m *misbehavedController) OnRTT(time.Duration) {}
-func (m *misbehavedController) Name() string        { return "misbehaved" }
-func (m *misbehavedController) Tick(int) Directive  { return m.d }
-
-// TestPlanRoundClamps proves the engine's own guarantee around any
+// TestPlanRoundClamps proves the guarantee the engine plans under, around any
 // controller: the round batch stays within [1, ask] and the gap is never
-// negative, no matter what the policy returns; an empty ask bypasses the
-// controller.
+// negative, no matter what the policy returns.
 func TestPlanRoundClamps(t *testing.T) {
 	cases := []struct {
 		name  string
-		want  int
-		d     Directive
+		d     core.Directive
 		batch int
 		gap   time.Duration
 	}{
-		{"zero_batch", 8, Directive{Batch: 0, Gap: time.Millisecond}, 1, time.Millisecond},
-		{"negative_batch", 8, Directive{Batch: -5}, 1, 0},
-		{"oversized_batch", 8, Directive{Batch: 1 << 30}, 8, 0},
-		{"negative_gap", 8, Directive{Batch: 4, Gap: -time.Second}, 4, 0},
-		{"honest", 8, Directive{Batch: 4, Gap: time.Microsecond}, 4, time.Microsecond},
+		{"zero_batch", core.Directive{Batch: 0, Gap: time.Millisecond}, 1, time.Millisecond},
+		{"negative_batch", core.Directive{Batch: -5}, 1, 0},
+		{"oversized_batch", core.Directive{Batch: 1 << 30}, 8, 0},
+		{"negative_gap", core.Directive{Batch: 4, Gap: -time.Second}, 4, 0},
+		{"honest", core.Directive{Batch: 4, Gap: time.Microsecond}, 4, time.Microsecond},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			batch, gap := planRound(tc.want, &misbehavedController{d: tc.d})
-			if batch != tc.batch || gap != tc.gap {
-				t.Fatalf("planRound(%d, %+v) = (%d, %v), want (%d, %v)",
-					tc.want, tc.d, batch, gap, tc.batch, tc.gap)
+			snd := core.NewSender(makeObj(64<<10), core.Config{Batch: core.FixedBatch(8)})
+			snd.SetController(&misbehavedController{d: tc.d})
+			if batch, gap := snd.PlanRound(0); batch != tc.batch || gap != tc.gap {
+				t.Fatalf("PlanRound under %+v = (%d, %v), want (%d, %v)", tc.d, batch, gap, tc.batch, tc.gap)
 			}
 		})
 	}
-	// The idle path never consults the controller.
-	cc := &misbehavedController{d: Directive{Batch: 99}}
-	if batch, gap := planRound(0, cc); batch != 0 || gap != 0 {
-		t.Fatalf("planRound(0) = (%d, %v), want (0, 0)", batch, gap)
-	}
 }
 
-// TestValidateCongestion covers the Options.Congestion name gate: the
-// three policies and the empty default pass, anything else fails before
-// any network activity.
+// TestValidateCongestion covers the Options.Congestion name gate: every
+// name in the table, the empty default and greedy's second spelling pass;
+// anything else fails in the plan constructor — which covers Send and
+// Session.Send — before any network activity, naming the table.
 func TestValidateCongestion(t *testing.T) {
-	for _, ok := range append(CongestionPolicies(), "") {
-		if err := validateCongestion(ok); err != nil {
-			t.Errorf("validateCongestion(%q) = %v", ok, err)
+	for _, ok := range append(CongestionPolicies(), "", "greedy") {
+		if _, err := newSenderPlan(make([]byte, 1024), core.Config{}, Options{Congestion: ok}); err != nil {
+			t.Errorf("Options.Congestion %q: %v", ok, err)
 		}
 	}
 	for _, bad := range []string{"AIMD", "cubic", "fixed ", "bbr"} {
-		if err := validateCongestion(bad); err == nil {
-			t.Errorf("validateCongestion(%q) accepted", bad)
+		if _, err := newSenderPlan(make([]byte, 1024), core.Config{}, Options{Congestion: bad}); err == nil {
+			t.Errorf("newSenderPlan accepted the unknown congestion controller %q", bad)
 		}
-	}
-	// The plan constructor enforces it, covering Send and Session.Send.
-	if _, err := newSenderPlan(make([]byte, 1024), core.Config{}, Options{Congestion: "bogus"}); err == nil {
-		t.Error("newSenderPlan accepted an unknown congestion controller")
 	}
 }
 
-// TestControllerZeroAlloc gates every policy's full observe/decide surface
-// at zero allocations — the engine consults controllers inside the
-// zero-alloc hot path, so any per-event garbage is a regression.
+// TestControllerZeroAlloc gates every policy as this package hands it to a
+// sender — wrapped for a pace — at zero allocations over its full
+// observe/decide surface: the engine consults it inside the zero-alloc hot
+// path.
 func TestControllerZeroAlloc(t *testing.T) {
 	for _, name := range CongestionPolicies() {
 		t.Run(name, func(t *testing.T) {
-			cc := newTestController(t, name)
-			var sink Directive
+			cc, err := newController(Options{Congestion: name, Pace: time.Microsecond}, 1024)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sink core.Directive
 			if allocs := testing.AllocsPerRun(1000, func() {
-				cc.OnAck(AckEvent{Sent: 32, Acked: 30, Known: 100, Total: 1000})
-				cc.OnLoss(LossEvent{Retransmits: 2})
+				cc.OnAck(core.AckEvent{Sent: 32, Acked: 30})
+				cc.OnLoss(core.LossEvent{Retransmits: 2})
 				cc.OnRTT(250 * time.Microsecond)
 				sink = cc.Tick(DefaultIOBatch)
 			}); allocs != 0 {

@@ -13,64 +13,40 @@ import (
 	"github.com/hpcnet/fobs/internal/wire"
 )
 
-// legacyPlanRound is a frozen transcription of the sender engine's
-// pre-Controller round logic (engine.go as of PR 6): the batch policy's
-// ask passes straight through, and the pacing arithmetic was the inline
-//
-//	gap := cfg.Rate.Gap()*time.Duration(sent) + opts.Pace*time.Duration(sent)
-//
-// evaluated after the round's sends. It exists only as the golden test's
-// reference — if the refit ever changes the default schedule, this is the
-// arithmetic the diff shows.
-func legacyPlanRound(snd *core.Sender) int { return snd.BatchSize() }
-
-func legacyGap(cfg core.Config, opts Options, sent int) time.Duration {
-	return cfg.Rate.Gap()*time.Duration(sent) + opts.Pace*time.Duration(sent)
+// plannedRound is one round of a socketless schedule as the sender planned
+// it: the batch policy's ask, and the clamped directive.
+type plannedRound struct {
+	ask, batch int
+	gap        time.Duration
 }
 
-// runFixedSchedule drives one deterministic socketless transfer — real
-// core.Sender and core.Receiver state machines joined by a seeded drop
-// process, acknowledgements delivered with one round of latency exactly
-// as the engine's poll-at-loop-top does — and transcribes the complete
-// packet schedule: per round, the batch ask, every sequence number sent,
-// and the pacing gap charged. With useController it plans rounds through
-// planRound + the fixed Controller (the refit engine's path); otherwise
-// through the frozen legacy arithmetic. The two transcripts must be
-// byte-identical: that equality is the proof the refactor preserves the
-// default sender's behavior bit for bit.
-func runFixedSchedule(t *testing.T, useController bool) string {
+// runSchedule drives one deterministic socketless transfer — the
+// core.Sender newSenderPlan builds for (cfg, opts), controller installed the
+// way Send installs it, and a core.Receiver, joined by a seeded drop process
+// whose rate loss names round by round; acknowledgements delivered with one
+// round of latency exactly as the engine's poll-at-loop-top does — and
+// transcribes the complete packet schedule: per round, the batch, every
+// sequence number sent, and the pacing gap charged. Rounds are planned by
+// the call the engine makes (Sender.PlanRound) on a virtual clock, the
+// round-trip probe resolved by the call it makes (Sender.ProbeRTT): the
+// sender's own feed, not a copy of it.
+func runSchedule(t *testing.T, obj []byte, cfg core.Config, opts Options, loss func(round int) float64) (string, []plannedRound) {
 	t.Helper()
-	const (
-		objSize = 8 << 10
-		pace    = 3 * time.Microsecond
-	)
-	cfg := core.Config{
-		PacketSize:   64,
-		AckFrequency: 8,
-		Transfer:     77,
-		Rate:         &core.Backoff{}, // a live, state-carrying gap source
+	plan, err := newSenderPlan(obj, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	obj := make([]byte, objSize)
-	for i := range obj {
-		obj[i] = byte(i * 131)
-	}
-	snd := core.NewSender(obj, cfg)
-	ecfg := snd.Config()
-	rcv := core.NewReceiver(int64(objSize), ecfg)
-	opts := Options{Pace: pace}
-	var cc Controller
-	if useController {
-		cc = newController(CCFixed, ecfg, opts)
-	}
-	// A seeded drop pattern, so the golden run exercises retransmission
-	// rounds and a moving Backoff gap.
+	snd := plan.snds[0]
+	rcv := core.NewReceiver(int64(len(obj)), plan.cfg)
 	drops := rand.New(rand.NewSource(1234))
 
 	var sb strings.Builder
+	var rounds []plannedRound
 	var pending []wire.Ack
+	var now time.Duration
 	for round := 1; ; round++ {
-		if round > 10000 {
-			t.Fatal("schedule did not complete in 10000 rounds")
+		if round > 100000 {
+			t.Fatal("schedule did not complete in 100000 rounds")
 		}
 		// Poll-ack phase: the previous round's acknowledgements arrive.
 		for _, a := range pending {
@@ -83,13 +59,11 @@ func runFixedSchedule(t *testing.T, useController bool) string {
 			break
 		}
 		// Plan + send phase.
-		var batch int
-		var gapPer time.Duration
-		if useController {
-			batch, gapPer = planRound(snd.BatchSize(), cc)
-		} else {
-			batch = legacyPlanRound(snd)
-		}
+		now += 50 * time.Microsecond
+		snd.ProbeRTT(now)
+		ask := snd.BatchSize()
+		batch, gapPer := snd.PlanRound(now)
+		rounds = append(rounds, plannedRound{ask, batch, gapPer})
 		fmt.Fprintf(&sb, "round %d: batch=%d seqs=", round, batch)
 		sent := 0
 		for sent < batch {
@@ -102,7 +76,7 @@ func runFixedSchedule(t *testing.T, useController bool) string {
 			}
 			fmt.Fprintf(&sb, "%d", pkt.Seq)
 			sent++
-			if drops.Float64() < 0.15 {
+			if drops.Float64() < loss(round) {
 				continue
 			}
 			if ackDue, err := rcv.HandleData(pkt); err != nil {
@@ -111,13 +85,9 @@ func runFixedSchedule(t *testing.T, useController bool) string {
 				pending = append(pending, rcv.BuildAck())
 			}
 		}
-		// Pacing phase: transcribe the exact gap the engine would charge.
-		var gap time.Duration
-		if useController {
-			gap = gapPer * time.Duration(sent)
-		} else {
-			gap = legacyGap(ecfg, opts, sent)
-		}
+		// Pacing phase: the exact gap the engine would charge.
+		gap := gapPer * time.Duration(sent)
+		now += gap
 		fmt.Fprintf(&sb, " sent=%d gap=%d\n", sent, gap)
 		if sent == 0 && len(pending) == 0 {
 			t.Fatalf("round %d: schedule stalled with %d packets missing", round, rcv.Missing())
@@ -126,27 +96,33 @@ func runFixedSchedule(t *testing.T, useController bool) string {
 	st := snd.Stats()
 	fmt.Fprintf(&sb, "done: sent=%d needed=%d retransmits=%d waste=%.4f\n",
 		st.PacketsSent, st.PacketsNeeded, st.Retransmits, st.Waste())
-	return sb.String()
+	return sb.String(), rounds
 }
 
-// TestFixedPolicyGoldenSchedule is the refactor's behavior-preservation
-// proof, in two layers: (1) the refit engine path (planRound + the fixed
-// Controller) produces a packet schedule byte-identical to the frozen
-// pre-refactor arithmetic over the same deterministic transfer; (2) both
-// match the committed golden transcript, pinning the default schedule
-// against any future drift. Regenerate the golden with
-// UPDATE_CC_GOLDEN=1 — and be certain the change is intentional, because
-// it means the default sender no longer behaves as it did.
+// TestFixedPolicyGoldenSchedule pins the schedule of a paced, state-carrying
+// sender against the transcript committed when the engine's round logic was
+// still inline (PR 6): the batch policy's ask passed straight through and the
+// gap charged after a round's sends was
+//
+//	cfg.Rate.Gap()*time.Duration(sent) + opts.Pace*time.Duration(sent)
+//
+// with a live core.Backoff as cfg.Rate. Config.Rate is gone — what it did on
+// sockets is Options{Congestion: "backoff"} — and the same schedule now comes
+// out of one call, Sender.PlanRound, through the one wrapper that adds
+// Options.Pace: the golden file has not changed since. Regenerate it with
+// UPDATE_CC_GOLDEN=1 only if the sender is meant to behave differently.
 func TestFixedPolicyGoldenSchedule(t *testing.T) {
-	legacy := runFixedSchedule(t, false)
-	refit := runFixedSchedule(t, true)
-	if legacy != refit {
-		t.Fatalf("fixed policy diverged from the legacy engine arithmetic:\n%s",
-			firstScheduleDiff(legacy, refit))
+	obj := make([]byte, 8<<10)
+	for i := range obj {
+		obj[i] = byte(i * 131)
 	}
+	got, _ := runSchedule(t, obj,
+		core.Config{PacketSize: 64, AckFrequency: 8, Transfer: 77},
+		Options{Congestion: core.CCBackoff, Pace: 3 * time.Microsecond},
+		func(int) float64 { return 0.15 }) // retransmission rounds and a moving Backoff gap
 	golden := filepath.Join("testdata", "fixed_schedule.golden")
 	if os.Getenv("UPDATE_CC_GOLDEN") != "" {
-		if err := os.WriteFile(golden, []byte(refit), 0o644); err != nil {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,9 +130,9 @@ func TestFixedPolicyGoldenSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden (run with UPDATE_CC_GOLDEN=1 to create): %v", err)
 	}
-	if string(want) != refit {
+	if string(want) != got {
 		t.Fatalf("schedule drifted from the committed golden:\n%s",
-			firstScheduleDiff(string(want), refit))
+			firstScheduleDiff(string(want), got))
 	}
 }
 

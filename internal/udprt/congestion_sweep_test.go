@@ -52,8 +52,8 @@ func startCrossTraffic(t *testing.T, addr string) func() {
 	}
 }
 
-// TestCongestionWasteSweep is the tentpole's end-to-end evidence: every
-// policy crosses a seeded faultnet path at each loss rate, with and
+// TestCongestionWasteSweep is the policies' end-to-end evidence: every
+// policy in core's table crosses a seeded faultnet path at each loss rate, with and
 // without competing cross-traffic, on both IO paths, and must deliver the
 // object bit-exact. The per-run wasted-bandwidth fraction
 // (core.SenderStats.Waste — packets beyond the minimum over the minimum,
@@ -127,12 +127,13 @@ func TestCongestionWasteSweep(t *testing.T) {
 							}()
 							// The paper's greedy sender runs at a configured
 							// rate matched to the path (here: what the proxy
-							// forwards without drowning); the adaptive
-							// policies discover their rate and get only a
-							// token base pace.
-							pace := 5 * time.Microsecond
-							if policy == CCFixed {
-								pace = 15 * time.Microsecond
+							// forwards without drowning), and so do its two §7
+							// responses, which are that sender until loss has
+							// lasted; the policies that discover their rate
+							// get only a token base pace.
+							pace := 15 * time.Microsecond
+							if policy == CCAIMD || policy == CCSABUL {
+								pace = 5 * time.Microsecond
 							}
 							sst, serr := Send(ctx, proxy.Addr(), obj,
 								core.Config{AckFrequency: 32},

@@ -83,53 +83,35 @@ type senderEngine struct {
 	opts Options
 	// probe is the stripe's instrumentation (inert when none is on).
 	probe probe
-	// cc is the engine's congestion controller (one per stripe, driven
-	// only from the loop goroutine). Selected by Options.Congestion;
-	// fixed — the paper's greedy sender — by default.
-	cc Controller
 	// io receives the engine's socket-level counters when run returns;
 	// adapters aggregate it into Options.IOCounters.
 	io stats.IOCounters
 }
 
-// newSenderEngine binds one prepared core.Sender to its endpoint. The
-// opts.Congestion name must already be validated (newSenderPlan does).
+// newSenderEngine binds one prepared core.Sender — its controller, which
+// plans the engine's rounds, already installed (newSenderPlan does) — to its
+// endpoint.
 func newSenderEngine(snd *core.Sender, ep senderEndpoint, opts Options, p probe) *senderEngine {
-	cfg := snd.Config()
-	return &senderEngine{
-		senderEndpoint: ep, snd: snd, cfg: cfg, opts: opts, probe: p,
-		cc: newController(opts.Congestion, cfg, opts),
-	}
+	return &senderEngine{senderEndpoint: ep, snd: snd, cfg: snd.Config(), opts: opts, probe: p}
 }
-
-// rttProbeStale bounds how long one round-trip probe stays armed: if the
-// probed packet's acknowledgement has not appeared in a second (lost
-// packet, or a stalled flow), the probe is abandoned so a fresh round can
-// arm a new one.
-const rttProbeStale = time.Second
 
 // encodeBatch pulls up to max packets from the sender's schedule and
 // serializes each into its slot of the reusable ring, returning how many
-// slots were filled and the sequence number of the first (firstSeq = -1
-// when none; the engine's round-trip probe arms on it). The ring's buffers
-// are pre-sized to the packet framing, so steady-state encoding allocates
-// nothing — including the probe's report, which with metrics on is a handful
-// of atomic adds plus a bitmap test-and-set to classify retransmissions.
-func encodeBatch(snd *core.Sender, ring [][]byte, max int, p probe, base int) (k, firstSeq int) {
-	firstSeq = -1
+// slots were filled. The ring's buffers are pre-sized to the packet framing,
+// so steady-state encoding allocates nothing — including the probe's report,
+// which with metrics on is a handful of atomic adds plus a bitmap
+// test-and-set to classify retransmissions.
+func encodeBatch(snd *core.Sender, ring [][]byte, max int, p probe, base int) (k int) {
 	for k < len(ring) && k < max {
 		pkt, ok := snd.NextPacket()
 		if !ok {
 			break
 		}
-		if k == 0 {
-			firstSeq = int(pkt.Seq)
-		}
 		ring[k] = wire.AppendData(ring[k][:0], &pkt)
 		p.dataSent(pkt.Seq, len(pkt.Payload), base+k)
 		k++
 	}
-	return k, firstSeq
+	return k
 }
 
 // newSendRing builds the reusable encode ring: slots buffers each sized
@@ -146,10 +128,10 @@ func newSendRing(slots, packetSize int) [][]byte {
 // endpoint's done channel or the transfer fails.
 //
 // The batch-send phase is where the fast path earns its keep. Rounds are
-// planned one at a time — the batch policy asks for B packets, the
-// congestion controller may cap the ask and names the round's pacing gap —
-// and encoded one behind another into a reusable ring of Options.IOBatch
-// pre-sized buffers. The ring leaves as one flush (one sendmmsg whose
+// planned one at a time by the sender (core.Sender.PlanRound: the batch
+// policy asks for B packets, the congestion controller may cap the ask and
+// names the round's pacing gap) and encoded one behind another into a
+// reusable ring of Options.IOBatch pre-sized buffers. The ring leaves as one flush (one sendmmsg whose
 // equal-length datagrams travel as UDP_SEGMENT trains; one write per packet
 // on the scalar path), and the ack socket is looked at once per flush, not
 // once per round: the unit between two looks stays one send operation, it
@@ -222,21 +204,9 @@ func (e *senderEngine) run(ctx context.Context) error {
 	ring := newSendRing(opts.IOBatch, cfg.PacketSize)
 	ackWords := make([]uint64, 0, wire.MaxFragWords(cfg.AckPacketSize))
 	var paceDebt time.Duration
-	// Congestion-controller observation state: ccLastSeq mirrors the core
-	// sender's freshness rule (only an advancing ack serial is a rate
-	// signal), ccSentSince counts the packets put on the wire since the
-	// last fresh ack (the AckEvent's Sent), ccRetx is the watermark that
-	// turns the sender's cumulative retransmit count into per-round
-	// LossEvents, and probeSeq/probeAt are the single in-flight round-trip
-	// probe (first sequence of a batch round, resolved when the sender's
-	// bitmap shows it acknowledged).
-	var (
-		ccLastSeq   uint32
-		ccSentSince int
-		ccRetx      int
-		probeSeq    = -1
-		probeAt     time.Time
-	)
+	// started is the epoch of the clock the sender's round-trip probe is
+	// read against.
+	started := time.Now()
 	// fw is the receiver's flow control (see the wait discipline).
 	fw := newFlowWindow(e.window, cfg, snd.Stats(), opts.IdlePoll)
 	// handleAcks feeds the first n datagrams of the ack ring to the sender.
@@ -247,28 +217,18 @@ func (e *senderEngine) run(ctx context.Context) error {
 				continue
 			}
 			ackWords = a.Frag.Words[:0] // HandleAck consumed the fragment
-			fresh := a.Transfer == cfg.Transfer && a.AckSeq > ccLastSeq
-			if fresh {
-				ccLastSeq = a.AckSeq
+			if a.Transfer == cfg.Transfer {
+				// The count is cumulative: a reordered acknowledgement
+				// carries a smaller one, which the account ignores.
 				fw.ack(int(a.Received))
 			}
 			// Per-ack instrumentation (metrics counter, flight record,
 			// latency histograms) fires inside HandleAck via the sender's
 			// ack observer (the probe), which also sees exactly which
-			// packets the fragment newly acknowledged.
-			if snd.HandleAck(a) == nil {
-				if e.progress != nil {
-					e.progress(snd.Stats().KnownReceived, snd.NumPackets())
-				}
-				if fresh {
-					e.cc.OnAck(AckEvent{
-						Sent:  ccSentSince,
-						Acked: int(a.Delta),
-						Known: snd.Stats().KnownReceived,
-						Total: snd.NumPackets(),
-					})
-					ccSentSince = 0
-				}
+			// packets the fragment newly acknowledged; a fresh
+			// acknowledgement is the controller's rate signal there too.
+			if snd.HandleAck(a) == nil && e.progress != nil {
+				e.progress(snd.Stats().KnownReceived, snd.NumPackets())
 			}
 		}
 	}
@@ -368,19 +328,11 @@ func (e *senderEngine) run(ctx context.Context) error {
 			return fmt.Errorf("udprt: no acknowledgement for %v: %w",
 				opts.StallTimeout, ErrStalled)
 		}
-		// Resolve or expire the round-trip probe: the moment the probed
-		// sequence number shows acknowledged, send-to-ack bounds one
-		// network round trip (an overestimate by up to the receiver's
-		// ack-batching delay, which is part of the control loop anyway).
-		if probeSeq >= 0 {
-			if snd.Acked(probeSeq) {
-				rtt := time.Since(probeAt)
-				e.cc.OnRTT(rtt)
-				fw.rtt(rtt)
-				probeSeq = -1
-			} else if time.Since(probeAt) > rttProbeStale {
-				probeSeq = -1 // probe lost; re-arm on the next round
-			}
+		// Resolve or expire the sender's round-trip probe; the controller
+		// has heard of the sample, the window's account has not.
+		now := time.Since(started)
+		if rtt, ok := snd.ProbeRTT(now); ok {
+			fw.rtt(rtt)
 		}
 		// The turn is over (or everything is known received), or the
 		// receiver's window is full: logically blocked on an ack or the
@@ -404,7 +356,7 @@ func (e *senderEngine) run(ctx context.Context) error {
 		ok := true
 		for ok && fill < room {
 			var batch int
-			batch, gapPer = planRound(snd.BatchSize(), e.cc)
+			batch, gapPer = snd.PlanRound(now)
 			e.probe.batchSize(batch)
 			if gapPer == 0 {
 				batch = min(batch, room-fill)
@@ -419,12 +371,9 @@ func (e *senderEngine) run(ctx context.Context) error {
 					ok, fill = flush(fill), 0
 					continue
 				}
-				k, firstSeq := encodeBatch(snd, ring[fill:], batch-n, e.probe, n)
+				k := encodeBatch(snd, ring[fill:], batch-n, e.probe, n)
 				if k == 0 {
 					break
-				}
-				if probeSeq < 0 && firstSeq >= 0 {
-					probeSeq, probeAt = firstSeq, time.Now()
 				}
 				fill, n = fill+k, n+k
 			}
@@ -452,22 +401,11 @@ func (e *senderEngine) run(ctx context.Context) error {
 		for ; rounds > 0; rounds-- {
 			e.probe.round()
 		}
-		ccSentSince += sent
 		sinceNews += sent
-		// Retransmit-classified losses of the rounds just sent: under the
-		// circular schedule a re-send means the first copy (or its ack) is
-		// missing — the only congestion signal an unacknowledged UDP flow
-		// carries.
-		if st := snd.Stats(); st.Retransmits > ccRetx {
-			e.cc.OnLoss(LossEvent{Retransmits: st.Retransmits - ccRetx})
-			ccRetx = st.Retransmits
-		}
 		// Pacing: the controller's per-packet gap accumulates into a debt
-		// that sleeps only once it is coarse enough for the OS timer. For
-		// the fixed policy gapPer is exactly Config.Rate.Gap()+Options.Pace
-		// as of this round's ack poll — the historical inline arithmetic —
-		// so the default schedule is bit-identical to the pre-policy
-		// engine (pinned by the golden test).
+		// that sleeps only once it is coarse enough for the OS timer. Under
+		// the fixed policy gapPer is exactly Options.Pace, so the default
+		// schedule is the pre-policy engine's (pinned by the golden test).
 		if gap := gapPer * time.Duration(sent-gapFrom); gap > 0 {
 			paceDebt += gap
 			if paceDebt >= time.Millisecond {

@@ -53,11 +53,12 @@ func eachInstrumentation(t *testing.T, role metrics.Role, packets int, fn func(t
 }
 
 // TestSenderHotPathZeroAllocs measures the sender's steady-state per-batch
-// work — consult the congestion controller for the round plan, pull packets
-// from the schedule, note them in the metrics, encode into the ring, flush,
-// feed the controller the round's loss classification — exactly as the
-// sender engine performs it, and requires zero allocations on both socket
-// paths, with and without metrics, under every congestion policy.
+// work — resolve the round-trip probe, have the sender plan the round under
+// its congestion controller (the call that also reports the last round's
+// loss classification), pull packets from the schedule, note them in the
+// metrics, encode into the ring, flush — through the calls the sender
+// engine makes, and requires zero allocations on both socket paths, with and
+// without metrics, under every congestion policy in the table.
 func TestSenderHotPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -94,9 +95,12 @@ func TestSenderHotPathZeroAllocs(t *testing.T) {
 					}()
 					defer func() { close(stop); <-drained }()
 
-					snd := core.NewSender(makeObj(1<<20), core.Config{PacketSize: 1024})
-					cfg := snd.Config()
-					cc := newController(policy, cfg, Options{})
+					plan, err := newSenderPlan(makeObj(1<<20),
+						core.Config{PacketSize: 1024, Batch: core.FixedBatch(16)}, Options{Congestion: policy})
+					if err != nil {
+						t.Fatal(err)
+					}
+					snd, cfg := plan.snds[0], plan.cfg
 					tx, err := batchio.NewSender(conn, 16, !noFastPath)
 					if err != nil {
 						t.Fatal(err)
@@ -108,26 +112,23 @@ func TestSenderHotPathZeroAllocs(t *testing.T) {
 					// runs live (a no-ack run is all retransmissions), so
 					// window policies are measured at their smallest batch
 					// too.
-					ccRetx := 0
+					started := time.Now()
 					if allocs := testing.AllocsPerRun(300, func() {
 						// The span recorder's steady-state cost: one latched
 						// Once per round, as the engine loop pays it.
 						or.Once(obs.KindRounds, 0)
-						batch, gapPer := planRound(len(ring), cc)
+						now := time.Since(started)
+						snd.ProbeRTT(now)
+						batch, gapPer := snd.PlanRound(now)
 						if gapPer < 0 {
 							t.Fatal("negative pacing gap")
 						}
-						k, firstSeq := encodeBatch(snd, ring, batch, probe{tm: tm, fr: fr}, 0)
+						k := encodeBatch(snd, ring, batch, probe{tm: tm, fr: fr}, 0)
 						if k != batch {
 							t.Fatalf("encodeBatch = %d, want %d", k, batch)
 						}
-						snd.Acked(firstSeq) // the engine's probe resolution check
 						if _, err := tx.Send(ring[:k]); err != nil {
 							t.Fatalf("Send: %v", err)
-						}
-						if st := snd.Stats(); st.Retransmits > ccRetx {
-							cc.OnLoss(LossEvent{Retransmits: st.Retransmits - ccRetx})
-							ccRetx = st.Retransmits
 						}
 					}); allocs > 0 {
 						t.Errorf("sender plan+encode+flush allocates %.1f times per batch, want 0", allocs)
@@ -202,7 +203,7 @@ func TestReceiverHotPathZeroAllocs(t *testing.T) {
 				// Unacknowledged, the circular schedule re-sends forever: the
 				// runs cover fresh packets, the completing one and duplicates.
 				if allocs := testing.AllocsPerRun(300, func() {
-					k, _ := encodeBatch(snd, feed, len(feed), probe{}, 0)
+					k := encodeBatch(snd, feed, len(feed), probe{}, 0)
 					if _, err := ftx.Send(feed[:k]); err != nil {
 						t.Fatalf("feed: %v", err)
 					}

@@ -4,11 +4,11 @@
 // the per-tenant ceiling a transfer-orchestration daemon imposes so one
 // tenant's queue cannot monopolize the uplink. The cap composes with the
 // selected Options.Congestion policy rather than replacing it: each
-// sender engine's controller is wrapped in a capController that forwards
-// every observation to the inner policy and, per round, takes the
-// stricter of the policy's pacing and the cap's — an AIMD flow under a
-// cap still halves on loss, it just also never exceeds its tenant's
-// ceiling even when the network would let it.
+// sender's controller is wrapped (slowedController, congestion.go) so that
+// every observation reaches the inner policy and, per round, the stricter of
+// the policy's pacing and the cap's wins — an AIMD flow under a cap still
+// halves on loss, it just also never exceeds its tenant's ceiling even when
+// the network would let it.
 //
 // The cap is deliberately a pacing device, not an admission controller:
 // the engine contract guarantees every flow at least one packet per
@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"github.com/hpcnet/fobs/internal/core"
 )
 
 // capMaxBacklog bounds how far ahead of real time the shared schedule may
@@ -76,55 +78,19 @@ func (c *RateCap) grant(want int, bitsPerPkt float64) (n int, gap time.Duration)
 		c.next = now
 	}
 	backlog := c.next.Sub(now)
-	if backlog >= capMaxBacklog || perPkt > MaxControllerGap {
+	if backlog >= capMaxBacklog || perPkt > core.MaxControllerGap {
 		// Far behind (or the cap is below one flow's floor): hold the flow
 		// at the starvation floor without charging the schedule further.
-		return 1, MaxControllerGap
+		return 1, core.MaxControllerGap
 	}
 	n = want
-	for n > 1 && (backlog+time.Duration(n)*perPkt)/time.Duration(n) > MaxControllerGap {
+	for n > 1 && (backlog+time.Duration(n)*perPkt)/time.Duration(n) > core.MaxControllerGap {
 		n--
 	}
 	c.next = c.next.Add(time.Duration(n) * perPkt)
 	gap = (backlog + time.Duration(n)*perPkt) / time.Duration(n)
-	if gap > MaxControllerGap {
-		gap = MaxControllerGap
+	if gap > core.MaxControllerGap {
+		gap = core.MaxControllerGap
 	}
 	return n, gap
 }
-
-// capController wraps one stripe's congestion controller with a shared
-// RateCap. Observations pass through untouched; per round the inner
-// policy is consulted first and the cap then takes the stricter of the
-// two verdicts — smaller batch, longer gap. Like every controller it is
-// driven from its engine's single goroutine and allocates nothing per
-// round; the shared state behind the cap is a mutex-guarded timestamp,
-// touched once per batch round, never per packet.
-type capController struct {
-	inner      Controller
-	cap        *RateCap
-	bitsPerPkt float64
-}
-
-func (c *capController) OnAck(ev AckEvent)          { c.inner.OnAck(ev) }
-func (c *capController) OnLoss(ev LossEvent)        { c.inner.OnLoss(ev) }
-func (c *capController) OnRTT(sample time.Duration) { c.inner.OnRTT(sample) }
-func (c *capController) Name() string               { return c.inner.Name() }
-
-func (c *capController) Tick(max int) Directive {
-	d := c.inner.Tick(max)
-	batch := d.Batch
-	if batch > max {
-		batch = max
-	}
-	if batch < 1 {
-		batch = 1
-	}
-	n, gap := c.cap.grant(batch, c.bitsPerPkt)
-	if d.Gap > gap {
-		gap = d.Gap
-	}
-	return Directive{Batch: n, Gap: gap}
-}
-
-var _ Controller = (*capController)(nil)

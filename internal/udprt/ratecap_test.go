@@ -1,5 +1,5 @@
 // Rate-cap tests: the shared-limiter contract (bounds, starvation floor,
-// bounded backlog, zero-alloc rounds), the capController composition with
+// bounded backlog, zero-alloc rounds), the wrapper's composition with
 // the inner congestion policy, measured aggregate rates for one and many
 // flows sharing one cap, a real loopback transfer demonstrably slowed by
 // its cap, and the ResumeFirst supervisor path an orchestrator uses to
@@ -34,7 +34,7 @@ func TestNewRateCapValidates(t *testing.T) {
 }
 
 // TestRateCapGrantContract pins the limiter's per-round verdict: the batch
-// stays in [1, want], the gap in [0, MaxControllerGap]; a cap below one
+// stays in [1, want], the gap in [0, core.MaxControllerGap]; a cap below one
 // flow's starvation floor yields exactly the floor; and a tight loop of
 // grants cannot reserve wire time unboundedly far into the future.
 func TestRateCapGrantContract(t *testing.T) {
@@ -49,18 +49,18 @@ func TestRateCapGrantContract(t *testing.T) {
 		if n < 1 || n > lo {
 			t.Fatalf("grant(%d): batch %d outside [1, %d]", want, n, lo)
 		}
-		if gap < 0 || gap > MaxControllerGap {
-			t.Fatalf("grant(%d): gap %v outside [0, %v]", want, gap, MaxControllerGap)
+		if gap < 0 || gap > core.MaxControllerGap {
+			t.Fatalf("grant(%d): gap %v outside [0, %v]", want, gap, core.MaxControllerGap)
 		}
 	}
 
-	// A cap below one packet per MaxControllerGap cannot be honoured; the
+	// A cap below one packet per core.MaxControllerGap cannot be honoured; the
 	// engine contract's floor wins, verbatim.
 	floor, _ := NewRateCap(1) // 1 bit/s
 	for i := 0; i < 4; i++ {
 		n, gap := floor.grant(32, bitsPerPkt)
-		if n != 1 || gap != MaxControllerGap {
-			t.Fatalf("sub-floor cap granted (%d, %v), want (1, %v)", n, gap, MaxControllerGap)
+		if n != 1 || gap != core.MaxControllerGap {
+			t.Fatalf("sub-floor cap granted (%d, %v), want (1, %v)", n, gap, core.MaxControllerGap)
 		}
 	}
 
@@ -73,7 +73,7 @@ func TestRateCapGrantContract(t *testing.T) {
 	if ahead := time.Until(c2.next); ahead > capMaxBacklog+time.Second {
 		t.Fatalf("schedule ran %v ahead of real time; backlog bound failed", ahead)
 	}
-	if n, gap := c2.grant(32, bitsPerPkt); n != 1 || gap != MaxControllerGap {
+	if n, gap := c2.grant(32, bitsPerPkt); n != 1 || gap != core.MaxControllerGap {
 		t.Fatalf("saturated cap granted (%d, %v), want the starvation floor", n, gap)
 	}
 }
@@ -81,15 +81,24 @@ func TestRateCapGrantContract(t *testing.T) {
 // TestRateCapControllerComposes checks the wrapper against the controller
 // contract and its stricter-verdict rule: observations pass through to the
 // inner policy, the batch never exceeds the inner verdict or max, and the
-// gap is the larger of the inner policy's and the cap's.
+// gap is the larger of the inner policy's (Options.Pace added first) and the
+// cap's; with neither a pace nor a cap there is no wrapper at all.
 func TestRateCapControllerComposes(t *testing.T) {
-	cap1, _ := NewRateCap(1e9) // generous: the inner policy should dominate
-	inner := newAIMDController(0)
-	cc := newController(CCAIMD, ccTestConfig(), Options{RateCap: cap1})
-	wrapped, ok := cc.(*capController)
-	if !ok {
-		t.Fatalf("newController with RateCap built %T, want *capController", cc)
+	if cc, _ := newController(Options{Congestion: CCAIMD}, 1024); cc != nil {
+		if _, bare := cc.(*core.AIMD); !bare {
+			t.Fatalf("newController without Pace or RateCap built %T, want the bare policy", cc)
+		}
 	}
+	cap1, _ := NewRateCap(1e9) // generous: the inner policy should dominate
+	cc, err := newController(Options{Congestion: CCAIMD, RateCap: cap1}, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapped, ok := cc.(*slowedController)
+	if !ok {
+		t.Fatalf("newController with RateCap built %T, want *slowedController", cc)
+	}
+	inner := wrapped.Controller.(*core.AIMD)
 	if wrapped.Name() != inner.Name() {
 		t.Fatalf("wrapper name %q, want inner policy name %q", wrapped.Name(), inner.Name())
 	}
@@ -98,17 +107,34 @@ func TestRateCapControllerComposes(t *testing.T) {
 		if d.Batch < 1 || d.Batch > DefaultIOBatch {
 			t.Fatalf("round %d: batch %d outside [1, %d]", round, d.Batch, DefaultIOBatch)
 		}
-		if d.Gap < 0 || d.Gap > MaxControllerGap {
-			t.Fatalf("round %d: gap %v outside [0, %v]", round, d.Gap, MaxControllerGap)
+		if d.Gap < 0 || d.Gap > core.MaxControllerGap {
+			t.Fatalf("round %d: gap %v outside [0, %v]", round, d.Gap, core.MaxControllerGap)
 		}
-		wrapped.OnAck(AckEvent{Sent: d.Batch, Acked: d.Batch, Known: round, Total: 200})
+		wrapped.OnAck(core.AckEvent{Sent: d.Batch, Acked: d.Batch})
+	}
+	if inner.Window() <= 16 {
+		t.Fatalf("200 clean intervals left the inner window at %.1f: observations did not pass through", inner.Window())
+	}
+	wrapped.OnLoss(core.LossEvent{Retransmits: 1})
+	if inner.Epochs() != 1 {
+		t.Fatal("a loss did not reach the inner policy")
+	}
+
+	// Pace first, then the cap's stricter verdict: under a generous cap the
+	// gap is the policy's plus the pace, to the nanosecond.
+	const pace = 7 * time.Microsecond
+	cap2, _ := NewRateCap(1e12)
+	paced, _ := newController(Options{Congestion: CCSABUL, Pace: pace, RateCap: cap2}, 1024)
+	bare, _ := newController(Options{Congestion: CCSABUL}, 1024)
+	if got, want := paced.Tick(DefaultIOBatch), bare.Tick(DefaultIOBatch); got.Gap != want.Gap+pace || got.Batch != want.Batch {
+		t.Fatalf("paced and capped directive %+v, want %+v plus %v", got, want, pace)
 	}
 
 	// A starved cap must override even a greedy inner policy.
 	capLow, _ := NewRateCap(1)
-	strict := newController(CCFixed, ccTestConfig(), Options{RateCap: capLow})
+	strict, _ := newController(Options{RateCap: capLow}, 1024)
 	d := strict.Tick(DefaultIOBatch)
-	if d.Batch != 1 || d.Gap != MaxControllerGap {
+	if d.Batch != 1 || d.Gap != core.MaxControllerGap {
 		t.Fatalf("starved cap let directive %+v through, want the floor", d)
 	}
 }
@@ -117,9 +143,9 @@ func TestRateCapControllerComposes(t *testing.T) {
 // policy: no allocation in any observation hook or in Tick.
 func TestRateCapZeroAlloc(t *testing.T) {
 	c, _ := NewRateCap(1e8)
-	cc := newController(CCSABUL, ccTestConfig(), Options{RateCap: c})
-	ack := AckEvent{Sent: 8, Acked: 8, Known: 100, Total: 1000}
-	loss := LossEvent{Retransmits: 1}
+	cc, _ := newController(Options{Congestion: CCSABUL, RateCap: c}, 1024)
+	ack := core.AckEvent{Sent: 8, Acked: 8}
+	loss := core.LossEvent{Retransmits: 1}
 	if n := testing.AllocsPerRun(200, func() {
 		cc.OnAck(ack)
 		cc.OnLoss(loss)
@@ -170,7 +196,7 @@ func TestRateCapBoundsAggregateRate(t *testing.T) {
 		rate := measureGrantRate(c, flows, bitsPerPkt, 400*time.Millisecond)
 		// Allow the documented starvation-floor leak (one packet per
 		// MaxControllerGap per flow) plus measurement slop.
-		leak := float64(flows) * bitsPerPkt * float64(time.Second/MaxControllerGap)
+		leak := float64(flows) * bitsPerPkt * float64(time.Second/core.MaxControllerGap)
 		if rate > limit*1.4+leak {
 			t.Fatalf("%d flows: aggregate %.0f b/s far exceeds cap %.0f b/s", flows, rate, limit)
 		}

@@ -93,9 +93,6 @@ func newSenderPlan(obj []byte, cfg core.Config, opts Options) (*senderPlan, erro
 	if opts.Streams > wire.MaxStreams {
 		return nil, fmt.Errorf("udprt: %d streams exceeds the wire limit of %d", opts.Streams, wire.MaxStreams)
 	}
-	if err := validateCongestion(opts.Congestion); err != nil {
-		return nil, err
-	}
 	ps := cfg.PacketSize
 	if ps <= 0 {
 		ps = core.DefaultPacketSize
@@ -109,6 +106,17 @@ func newSenderPlan(obj []byte, cfg core.Config, opts Options) (*senderPlan, erro
 		scfg := cfg
 		scfg.Transfer = sd.Transfer
 		snd := core.NewSender(obj[sd.Offset:sd.Offset+sd.Length], scfg)
+		// A controller per stripe, and — plans being per attempt — per
+		// attempt: an unknown Options.Congestion fails here, before any
+		// socket work.
+		cc, err := newController(opts, ps)
+		if err != nil {
+			return nil, err
+		}
+		snd.SetController(cc)
+		if opts.testController != nil {
+			opts.testController(cc)
+		}
 		if i == 0 {
 			p.cfg = snd.Config()
 		}

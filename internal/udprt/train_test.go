@@ -89,16 +89,16 @@ func TestUnpacedRoundsFlushPerRing(t *testing.T) {
 // first free rounds and one ever after: a pace that switches on between two
 // looks, as a RateCap set mid-transfer does.
 type gapAfter struct {
-	fixedController
+	core.Greedy
 	free int
 }
 
-func (c *gapAfter) Tick(max int) Directive {
+func (c *gapAfter) Tick(max int) core.Directive {
 	if c.free > 0 {
 		c.free--
-		return Directive{Batch: max}
+		return core.Directive{Batch: max}
 	}
-	return Directive{Batch: max, Gap: time.Microsecond}
+	return core.Directive{Batch: max, Gap: time.Microsecond}
 }
 
 // TestPacedRoundLeavesAlone: a round whose directive carries a gap is never
@@ -125,7 +125,7 @@ func TestPacedRoundLeavesAlone(t *testing.T) {
 		e := newSenderEngine(snd, senderEndpoint{
 			conn: conn, done: make(chan error), abort: func(wire.AbortReason) {},
 		}, opts, probe{})
-		e.cc = &gapAfter{free: 3}
+		snd.SetController(&gapAfter{free: 3})
 		ctx, cancel := context.WithCancel(context.Background())
 		ran := make(chan error, 1)
 		go func() { ran <- e.run(ctx) }()

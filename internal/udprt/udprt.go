@@ -54,19 +54,22 @@ type Options struct {
 	// retransmission interval of a tail whose acknowledgements are lost,
 	// and the granularity of the stall watchdog while the sender is blocked.
 	IdlePoll time.Duration
-	// Pace inserts a fixed per-packet delay on top of the configured
-	// rate controller, useful to keep loopback transfers from
+	// Pace inserts a fixed per-packet delay on top of whatever gap the
+	// Congestion policy dictates, useful to keep loopback transfers from
 	// overrunning the receiving process (default 0). Sub-millisecond
 	// gaps are accumulated and paid in batches, since operating systems
 	// cannot sleep that briefly.
 	Pace time.Duration
-	// Congestion selects the sender's congestion-control policy: CCFixed
-	// (the paper's greedy sender; the default, also selected by ""),
-	// CCAIMD (TCP-friendly additive-increase/multiplicative-decrease) or
-	// CCSABUL (SABUL-style rate probing). The controller observes
-	// acknowledgement, retransmit-classified-loss and round-trip signals
-	// and dictates the batch cap and per-packet pacing gap per round; a
-	// striped transfer runs one independent controller per stripe. Unknown
+	// Congestion selects the sender's congestion-control policy by its name
+	// in core's table (CongestionPolicies): CCFixed (the paper's greedy
+	// sender; the default, also selected by "" and "greedy"), CCAIMD
+	// (TCP-friendly additive-increase/multiplicative-decrease), CCSABUL
+	// (SABUL-style rate probing), "backoff" and "hybrid" (the paper's two
+	// §7 responses). It is the one selector a sender has. The controller
+	// observes acknowledgement, retransmit-classified-loss and round-trip
+	// signals and dictates the batch cap and per-packet pacing gap per
+	// round; a striped transfer runs one independent controller per stripe,
+	// every attempt of a retried one a fresh set. Unknown
 	// names fail Send before any network activity. Options.Pace stacks on
 	// top of whatever gap the policy dictates.
 	Congestion string
@@ -161,8 +164,8 @@ type Options struct {
 	// the stricter of the policy's pacing and the cap's applies — and is
 	// how an orchestrator imposes a per-tenant ceiling across that
 	// tenant's concurrent transfers. A cap below one packet per
-	// MaxControllerGap per flow cannot be fully honoured: the engine
-	// contract's starvation floor wins.
+	// core.MaxControllerGap per flow cannot be fully honoured: the
+	// controller contract's starvation floor wins.
 	RateCap *RateCap
 	// ResumeFirst makes a supervised Send (Options.Retry non-nil,
 	// single-stream) open its very first attempt with a RESUME handshake
@@ -213,6 +216,9 @@ type Options struct {
 	// package's tests can set it, to assert that batch-policy sizes
 	// reach the wire as real vector lengths.
 	testFlushHook func(k, m int)
+	// testController observes each controller a sender plan builds (tests
+	// only): one per stripe per attempt.
+	testController func(core.Controller)
 	// testNoWindow makes a receiving endpoint advertise no receive window,
 	// as a build that predates the window does.
 	testNoWindow bool

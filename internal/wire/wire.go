@@ -43,6 +43,8 @@ const (
 
 // Header sizes in bytes.
 const (
+	// UDPIPOverhead is what UDP and IPv4 add to every datagram on the wire.
+	UDPIPOverhead = 28
 	DataHeaderLen = 2 + 1 + 1 + 4 + 4 + 4 + 2 + 4 // magic,type,flags,xfer,seq,total,len,crc = 22
 	AckHeaderLen  = 2 + 1 + 1 + 4 + 4 + 4 + 4 + 4 + 2
 	HelloLen      = 2 + 1 + 1 + 4 + 8 + 4
