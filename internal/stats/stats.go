@@ -104,6 +104,9 @@ type IOCounters struct {
 	// train dropped whole counts once. Only the vectored path on Linux reads
 	// it: zero on the scalar path and elsewhere means not measured.
 	RecvOverflow int
+	// PaceWait is the time a sender spent waiting on its pacing clock, apart
+	// from its waits for news or for room in the receiver's window.
+	PaceWait time.Duration
 	// FastPath reports whether the vectored sendmmsg/recvmmsg path was
 	// active.
 	FastPath bool
@@ -119,6 +122,7 @@ func (c *IOCounters) Add(o IOCounters) {
 	c.SendTrains += o.SendTrains
 	c.RecvTrains += o.RecvTrains
 	c.RecvOverflow += o.RecvOverflow
+	c.PaceWait += o.PaceWait
 	if o.MaxSendBatch > c.MaxSendBatch {
 		c.MaxSendBatch = o.MaxSendBatch
 	}
@@ -152,9 +156,13 @@ func (c IOCounters) String() string {
 	if c.FastPath {
 		path = "vectored"
 	}
-	return fmt.Sprintf("%s io: %d datagrams out in %d syscalls (avg %.1f, max %d, %d trains); %d in over %d syscalls (max %d, %d trains), %d dropped at the socket",
+	s := fmt.Sprintf("%s io: %d datagrams out in %d syscalls (avg %.1f, max %d, %d trains); %d in over %d syscalls (max %d, %d trains), %d dropped at the socket",
 		path, c.SentDatagrams, c.SendCalls, c.AvgSendBatch(), c.MaxSendBatch, c.SendTrains,
 		c.RecvDatagrams, c.RecvCalls, c.MaxRecvBatch, c.RecvTrains, c.RecvOverflow)
+	if c.PaceWait > 0 {
+		s += fmt.Sprintf("; %v waiting on pacing", c.PaceWait.Round(time.Microsecond))
+	}
+	return s
 }
 
 // FormatBytes renders a byte count in binary units.

@@ -165,4 +165,20 @@ func TestIOCountersTrains(t *testing.T) {
 	if !strings.Contains(got, "avg 32.0, max 32, 3 trains") || !strings.Contains(got, "(max 64, 3 trains), 7 dropped at the socket") {
 		t.Fatalf("String = %q", got)
 	}
+	if strings.Contains(got, "pacing") {
+		t.Fatalf("unpaced String = %q mentions pacing", got)
+	}
+}
+
+// TestIOCountersPaceWait: the time stripes spent waiting on their pacing
+// clocks sums across them and shows in the -io-stats line.
+func TestIOCountersPaceWait(t *testing.T) {
+	c := IOCounters{PaceWait: 30 * time.Millisecond}
+	c.Add(IOCounters{PaceWait: 12 * time.Millisecond})
+	if c.PaceWait != 42*time.Millisecond {
+		t.Fatalf("Add: PaceWait = %v, want 42ms", c.PaceWait)
+	}
+	if got := c.String(); !strings.HasSuffix(got, "; 42ms waiting on pacing") {
+		t.Fatalf("String = %q", got)
+	}
 }

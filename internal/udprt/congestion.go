@@ -60,6 +60,7 @@ type slowedController struct {
 	pace       time.Duration
 	cap        *RateCap
 	bitsPerPkt float64
+	capEnd     time.Time // where this stripe's last reservation on the cap ends
 }
 
 func (c *slowedController) Tick(max int) core.Directive {
@@ -68,7 +69,8 @@ func (c *slowedController) Tick(max int) core.Directive {
 	if c.cap == nil {
 		return d
 	}
-	n, gap := c.cap.grant(min(max, d.Batch), c.bitsPerPkt)
+	n, gap, end := c.cap.grant(min(max, d.Batch), c.bitsPerPkt, c.capEnd)
+	c.capEnd = end
 	if d.Gap > gap {
 		gap = d.Gap
 	}

@@ -130,10 +130,17 @@ func TestCongestionWasteSweep(t *testing.T) {
 							// forwards without drowning), and so do its two §7
 							// responses, which are that sender until loss has
 							// lasted; the policies that discover their rate
-							// get only a token base pace.
-							pace := 15 * time.Microsecond
+							// get only a token base pace. Both are the
+							// per-packet intervals a sender that paid pacing
+							// as a sleep-rounded debt achieved on this path at
+							// 15 µs and 5 µs, the paces this curve was first
+							// recorded at (its data phase, 12% to 90% of the
+							// object confirmed, ran at 22–23.5 µs and
+							// 9.5–9.7 µs a packet), and a paced sender keeps
+							// to the gap it is given.
+							pace := 22 * time.Microsecond
 							if policy == CCAIMD || policy == CCSABUL {
-								pace = 5 * time.Microsecond
+								pace = 10 * time.Microsecond
 							}
 							sst, serr := Send(ctx, proxy.Addr(), obj,
 								core.Config{AckFrequency: 32},

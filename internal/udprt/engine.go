@@ -171,6 +171,13 @@ func newSendRing(slots, packetSize int) [][]byte {
 // for, like a receive window below a congestion window, and plans nothing. A
 // receiver that advertised no window gets none of it.
 //
+// Pacing is the same wait with another deadline: the instant of the pacing
+// clock (pacer, pace.go), which each paced round moves on by its gap for every
+// packet the kernel took. Acknowledgements landing in the gap are processed as
+// they land; an instant that passes is not silence (no turn restarts, nothing
+// is written off); whatever ends the wait, nothing leaves before the instant.
+// The engine blocks nowhere else.
+//
 // Arming the deadline before looking at done and ctx, and reading only
 // after, is what keeps a verdict that lands between two waits from costing
 // more than one IdlePoll: a kick that came before the arming is followed by
@@ -195,15 +202,19 @@ func (e *senderEngine) run(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("udprt: ack receiver: %w", err)
 	}
+	// The pacing clock, the instant it set (zero: none), and the time waited.
+	var pace pacer
+	var paceAt time.Time
+	var paceWait time.Duration
 	defer func() {
 		c := tx.Counters()
 		c.Add(rx.Counters())
+		c.PaceWait = paceWait
 		e.io = c
 		e.probe.io(c)
 	}()
 	ring := newSendRing(opts.IOBatch, cfg.PacketSize)
 	ackWords := make([]uint64, 0, wire.MaxFragWords(cfg.AckPacketSize))
-	var paceDebt time.Duration
 	// started is the epoch of the clock the sender's round-trip probe is
 	// read against.
 	started := time.Now()
@@ -267,8 +278,12 @@ func (e *senderEngine) run(ctx context.Context) error {
 		return err == nil && m == k
 	}
 	for {
+		until := paceAt // a look with no deadline is a poll
 		if wait {
-			e.conn.SetReadDeadline(time.Now().Add(opts.IdlePoll))
+			until = time.Now().Add(opts.IdlePoll)
+		}
+		if !until.IsZero() {
+			e.conn.SetReadDeadline(until)
 		}
 		select {
 		case err := <-e.done:
@@ -279,20 +294,23 @@ func (e *senderEngine) run(ctx context.Context) error {
 			return ctx.Err()
 		default:
 		}
-		// Phase 2: look for acknowledgements — blocking for one only when
-		// the turn is over. A latched socket error consumed by the read
-		// (the asynchronous ECONNREFUSED of an earlier batch — which a
-		// partial sendmmsg reports as a short count, not an errno) counts
+		// Phase 2: look for acknowledgements — blocking only when the turn is
+		// over or a pacing instant pends. A latched socket error consumed by
+		// the read (the asynchronous ECONNREFUSED of an earlier batch — which
+		// a partial sendmmsg reports as a short count, not an errno) counts
 		// toward the write-error limit, or the fast path could spin forever
 		// on a dead peer that scalar writes would have exposed.
 		var n int
 		var rerr error
-		if wait {
+		if !until.IsZero() {
+			waitFrom := time.Now()
 			n, rerr = rx.Recv()
 			// A lingering deadline, once past, would fail every later poll
 			// without reading the socket.
 			e.conn.SetReadDeadline(time.Time{})
-			if isTimeout(rerr) {
+			if !wait {
+				paceWait += time.Since(waitFrom) // a passing instant is not silence
+			} else if isTimeout(rerr) {
 				// No news for IdlePoll: one more turn, and maybe a
 				// window written off.
 				sinceNews = 0
@@ -334,6 +352,10 @@ func (e *senderEngine) run(ctx context.Context) error {
 		if rtt, ok := snd.ProbeRTT(now); ok {
 			fw.rtt(rtt)
 		}
+		if !paceAt.IsZero() && time.Now().Before(paceAt) {
+			continue // nothing goes out before the pacing instant
+		}
+		paceAt = time.Time{}
 		// The turn is over (or everything is known received), or the
 		// receiver's window is full: logically blocked on an ack or the
 		// completion signal.
@@ -402,16 +424,10 @@ func (e *senderEngine) run(ctx context.Context) error {
 			e.probe.round()
 		}
 		sinceNews += sent
-		// Pacing: the controller's per-packet gap accumulates into a debt
-		// that sleeps only once it is coarse enough for the OS timer. Under
-		// the fixed policy gapPer is exactly Options.Pace, so the default
-		// schedule is the pre-policy engine's (pinned by the golden test).
-		if gap := gapPer * time.Duration(sent-gapFrom); gap > 0 {
-			paceDebt += gap
-			if paceDebt >= time.Millisecond {
-				time.Sleep(paceDebt)
-				paceDebt = 0
-			}
+		// Pacing: the round's gap, per packet the kernel took, moves the clock
+		// on (under the fixed policy gapPer is exactly Options.Pace).
+		if gapPer > 0 {
+			paceAt = pace.charge(time.Now(), gapPer, sent-gapFrom)
 		}
 	}
 }

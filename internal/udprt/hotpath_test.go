@@ -56,92 +56,103 @@ func eachInstrumentation(t *testing.T, role metrics.Role, packets int, fn func(t
 // work — resolve the round-trip probe, have the sender plan the round under
 // its congestion controller (the call that also reports the last round's
 // loss classification), pull packets from the schedule, note them in the
-// metrics, encode into the ring, flush — through the calls the sender
-// engine makes, and requires zero allocations on both socket paths, with and
-// without metrics, under every congestion policy in the table.
+// metrics, encode into the ring, flush, charge the pacing clock — through the
+// calls the sender engine makes, and requires zero allocations on both socket
+// paths, with and without metrics, under every congestion policy in the
+// table, bare and slowed by both Options.Pace and a RateCap.
 func TestSenderHotPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
+	capped, _ := NewRateCap(1e12) // generous: the cap runs, nothing starves
 	eachIOPath(t, func(t *testing.T, noFastPath bool) {
 		for _, policy := range CongestionPolicies() {
-			t.Run("cc="+policy, func(t *testing.T) {
-				eachInstrumentation(t, metrics.RoleSender, 1<<20/1024, func(t *testing.T, tm *metrics.Transfer, fr *flight.Recorder, or *obs.Recorder) {
-					rcv, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer rcv.Close()
-					conn, err := net.DialUDP("udp", nil, rcv.LocalAddr().(*net.UDPAddr))
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer conn.Close()
-					conn.SetWriteBuffer(4 << 20)
-					stop := make(chan struct{})
-					drained := make(chan struct{})
-					go func() { // keep the socket writable; its allocs are not measured
-						defer close(drained)
-						buf := make([]byte, 2048)
-						for {
-							select {
-							case <-stop:
-								return
-							default:
+			for _, slowed := range []bool{false, true} {
+				name, opts := "cc="+policy, Options{Congestion: policy}
+				if slowed {
+					name += "/paced+capped"
+					opts.Pace, opts.RateCap = time.Microsecond, capped
+				}
+				t.Run(name, func(t *testing.T) {
+					eachInstrumentation(t, metrics.RoleSender, 1<<20/1024, func(t *testing.T, tm *metrics.Transfer, fr *flight.Recorder, or *obs.Recorder) {
+						rcv, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer rcv.Close()
+						conn, err := net.DialUDP("udp", nil, rcv.LocalAddr().(*net.UDPAddr))
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer conn.Close()
+						conn.SetWriteBuffer(4 << 20)
+						stop := make(chan struct{})
+						drained := make(chan struct{})
+						go func() { // keep the socket writable; its allocs are not measured
+							defer close(drained)
+							buf := make([]byte, 2048)
+							for {
+								select {
+								case <-stop:
+									return
+								default:
+								}
+								rcv.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+								rcv.Read(buf)
 							}
-							rcv.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-							rcv.Read(buf)
-						}
-					}()
-					defer func() { close(stop); <-drained }()
+						}()
+						defer func() { close(stop); <-drained }()
 
-					plan, err := newSenderPlan(makeObj(1<<20),
-						core.Config{PacketSize: 1024, Batch: core.FixedBatch(16)}, Options{Congestion: policy})
-					if err != nil {
-						t.Fatal(err)
-					}
-					snd, cfg := plan.snds[0], plan.cfg
-					tx, err := batchio.NewSender(conn, 16, !noFastPath)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ring := newSendRing(16, cfg.PacketSize)
-					// With no acks the circular schedule supplies
-					// retransmissions forever, so every run encodes and
-					// flushes a controller-planned batch. The loss feedback
-					// runs live (a no-ack run is all retransmissions), so
-					// window policies are measured at their smallest batch
-					// too.
-					started := time.Now()
-					if allocs := testing.AllocsPerRun(300, func() {
-						// The span recorder's steady-state cost: one latched
-						// Once per round, as the engine loop pays it.
-						or.Once(obs.KindRounds, 0)
-						now := time.Since(started)
-						snd.ProbeRTT(now)
-						batch, gapPer := snd.PlanRound(now)
-						if gapPer < 0 {
-							t.Fatal("negative pacing gap")
+						plan, err := newSenderPlan(makeObj(1<<20),
+							core.Config{PacketSize: 1024, Batch: core.FixedBatch(16)}, opts)
+						if err != nil {
+							t.Fatal(err)
 						}
-						k := encodeBatch(snd, ring, batch, probe{tm: tm, fr: fr}, 0)
-						if k != batch {
-							t.Fatalf("encodeBatch = %d, want %d", k, batch)
+						snd, cfg := plan.snds[0], plan.cfg
+						tx, err := batchio.NewSender(conn, 16, !noFastPath)
+						if err != nil {
+							t.Fatal(err)
 						}
-						if _, err := tx.Send(ring[:k]); err != nil {
-							t.Fatalf("Send: %v", err)
+						ring := newSendRing(16, cfg.PacketSize)
+						// With no acks the circular schedule supplies
+						// retransmissions forever, so every run encodes and
+						// flushes a controller-planned batch. The loss feedback
+						// runs live (a no-ack run is all retransmissions), so
+						// window policies are measured at their smallest batch
+						// too.
+						started := time.Now()
+						var clock pacer
+						if allocs := testing.AllocsPerRun(300, func() {
+							// The span recorder's steady-state cost: one latched
+							// Once per round, as the engine loop pays it.
+							or.Once(obs.KindRounds, 0)
+							now := time.Since(started)
+							snd.ProbeRTT(now)
+							batch, gapPer := snd.PlanRound(now)
+							if gapPer < 0 {
+								t.Fatal("negative pacing gap")
+							}
+							k := encodeBatch(snd, ring, batch, probe{tm: tm, fr: fr}, 0)
+							if k != batch {
+								t.Fatalf("encodeBatch = %d, want %d", k, batch)
+							}
+							if _, err := tx.Send(ring[:k]); err != nil {
+								t.Fatalf("Send: %v", err)
+							}
+							clock.charge(time.Now(), gapPer, k)
+						}); allocs > 0 {
+							t.Errorf("sender plan+encode+flush+pace allocates %.1f times per batch, want 0", allocs)
 						}
-					}); allocs > 0 {
-						t.Errorf("sender plan+encode+flush allocates %.1f times per batch, want 0", allocs)
-					}
-					if tm != nil {
-						s := tm.Snapshot()
-						if s.PacketsSent == 0 || s.PacketsSent != s.PacketsNeeded+s.Retransmits {
-							t.Errorf("metrics conservation: sent=%d needed=%d retx=%d",
-								s.PacketsSent, s.PacketsNeeded, s.Retransmits)
+						if tm != nil {
+							s := tm.Snapshot()
+							if s.PacketsSent == 0 || s.PacketsSent != s.PacketsNeeded+s.Retransmits {
+								t.Errorf("metrics conservation: sent=%d needed=%d retx=%d",
+									s.PacketsSent, s.PacketsNeeded, s.Retransmits)
+							}
 						}
-					}
+					})
 				})
-			})
+			}
 		}
 	})
 }

@@ -36,7 +36,8 @@ const capMaxBacklog = time.Second
 // carry it. One RateCap may be shared by any number of concurrent Sends
 // (and by every stripe within them); the combined on-the-wire rate —
 // payload plus UDP/IP header overhead, matching the SABUL controller's
-// accounting — stays at or under the configured bits per second. All
+// accounting — stays at or under the configured bits per second: one flow
+// alone paces at the cap, flows sharing it queue behind each other. All
 // methods are safe for concurrent use.
 type RateCap struct {
 	bps float64
@@ -59,14 +60,17 @@ func NewRateCap(bitsPerSecond float64) (*RateCap, error) {
 // Limit returns the configured cap in bits per second.
 func (c *RateCap) Limit() float64 { return c.bps }
 
-// grant reserves up to want packets of bitsPerPkt on-the-wire bits each
-// against the shared schedule, returning how many the round may send and
-// the per-packet pacing gap that spreads them (plus any backlog other
-// flows reserved first) under the engine's MaxControllerGap bound. The
-// batch shrinks before the gap clamps, so the aggregate rate holds even
-// when many flows share one cap; only the starvation floor (one packet
-// per MaxControllerGap per flow) is allowed to leak past it.
-func (c *RateCap) grant(want int, bitsPerPkt float64) (n int, gap time.Duration) {
+// grant reserves up to want packets of bitsPerPkt on-the-wire bits each at
+// the head of the shared schedule for a flow whose last reservation ended at
+// end, returning how many the round may send, the per-packet pacing gap that
+// spreads them, and where this reservation ends. The gap covers the schedule
+// from end (or now, if later) to the new end — the flow's own packets plus
+// what other flows reserved in between, never its own earlier reservations
+// again — under the engine's MaxControllerGap bound. The batch shrinks
+// before the gap clamps, so the aggregate rate holds even when many flows
+// share one cap; only the starvation floor (one packet per MaxControllerGap
+// per flow) is allowed to leak past it.
+func (c *RateCap) grant(want int, bitsPerPkt float64, end time.Time) (n int, gap time.Duration, next time.Time) {
 	if want < 1 {
 		want = 1
 	}
@@ -77,20 +81,21 @@ func (c *RateCap) grant(want int, bitsPerPkt float64) (n int, gap time.Duration)
 	if c.next.Before(now) {
 		c.next = now
 	}
-	backlog := c.next.Sub(now)
-	if backlog >= capMaxBacklog || perPkt > core.MaxControllerGap {
+	if c.next.Sub(now) >= capMaxBacklog || perPkt > core.MaxControllerGap {
 		// Far behind (or the cap is below one flow's floor): hold the flow
 		// at the starvation floor without charging the schedule further.
-		return 1, core.MaxControllerGap
+		return 1, core.MaxControllerGap, end
 	}
+	// end was once the schedule's head, which never moves back: queued ≥ 0.
+	if end.Before(now) {
+		end = now
+	}
+	queued := c.next.Sub(end)
 	n = want
-	for n > 1 && (backlog+time.Duration(n)*perPkt)/time.Duration(n) > core.MaxControllerGap {
+	for n > 1 && (queued+time.Duration(n)*perPkt)/time.Duration(n) > core.MaxControllerGap {
 		n--
 	}
 	c.next = c.next.Add(time.Duration(n) * perPkt)
-	gap = (backlog + time.Duration(n)*perPkt) / time.Duration(n)
-	if gap > core.MaxControllerGap {
-		gap = core.MaxControllerGap
-	}
-	return n, gap
+	gap = min((queued+time.Duration(n)*perPkt)/time.Duration(n), core.MaxControllerGap)
+	return n, gap, c.next
 }

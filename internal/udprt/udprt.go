@@ -56,9 +56,9 @@ type Options struct {
 	IdlePoll time.Duration
 	// Pace inserts a fixed per-packet delay on top of whatever gap the
 	// Congestion policy dictates, useful to keep loopback transfers from
-	// overrunning the receiving process (default 0). Sub-millisecond
-	// gaps are accumulated and paid in batches, since operating systems
-	// cannot sleep that briefly.
+	// overrunning the receiving process (default 0). Gaps are charged to the
+	// sender's pacing clock, which waits only once it is a millisecond ahead
+	// and repays what a wait oversleeps: the wire carries one packet per gap.
 	Pace time.Duration
 	// Congestion selects the sender's congestion-control policy by its name
 	// in core's table (CongestionPolicies): CCFixed (the paper's greedy
@@ -163,7 +163,8 @@ type Options struct {
 	// selected Congestion policy — each stripe's controller is wrapped so
 	// the stricter of the policy's pacing and the cap's applies — and is
 	// how an orchestrator imposes a per-tenant ceiling across that
-	// tenant's concurrent transfers. A cap below one packet per
+	// tenant's concurrent transfers: one transfer alone runs at the cap,
+	// several share it. A cap below one packet per
 	// core.MaxControllerGap per flow cannot be fully honoured: the
 	// controller contract's starvation floor wins.
 	RateCap *RateCap
