@@ -152,8 +152,10 @@ shuffle:
 # evict and recycle the buffers they read) and internal/checkpoint's
 # streaming writer under it. internal/udprt also brings the receive window's
 # real-socket tests (window_test.go): ack-clocked senders against small
-# buffers, a 20 ms path and one that dies, where a race detector's slowdown is
-# the busy host the forgiveness rule has to survive.
+# buffers, a 50 ms path and one that dies, where a race detector's slowdown is
+# the busy host the forgiveness rule has to survive. The window's account
+# itself is internal/core's (flow.go), soaked with it here; its simulated
+# transfers are internal/simrun's, deterministic and not worth repeating.
 # Scheduled CI runs this non-gating; it is too slow for the per-push gate
 # (where `make race` covers every package once).
 faultnet-soak:

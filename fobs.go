@@ -56,42 +56,12 @@ type (
 	// frequency, batch policy, retransmission schedule and rate control.
 	// The zero value reproduces the paper's tuned protocol.
 	Config = core.Config
-	// BatchPolicy decides the size of each batch-send operation.
-	BatchPolicy = core.BatchPolicy
 	// FixedBatch always sends N packets per batch; FixedBatch(2) is the
 	// paper's tuned sender.
 	FixedBatch = core.FixedBatch
-	// AdaptiveBatch sizes batches by the receiver's recent delivery rate.
-	AdaptiveBatch = core.AdaptiveBatch
-	// Schedule selects which unacknowledged packet is sent next.
-	Schedule = core.Schedule
-	// Controller is the sender's rate-control policy: the paper's greedy
-	// protocol, its §7 congestion extensions and the related work's loops
-	// behind one interface. Sockets select one by name
-	// (Options.Congestion); the simulator may also hand a tuned instance to
-	// core.Sender.SetController.
-	Controller = core.Controller
-	// Greedy is the paper's protocol proper: no congestion response.
-	Greedy = core.Greedy
-	// Backoff reduces greediness under sustained loss.
-	Backoff = core.Backoff
-	// Hybrid switches to a TCP-friendly rate under sustained loss.
-	Hybrid = core.Hybrid
 	// SenderStats and ReceiverStats are per-endpoint transfer counters.
 	SenderStats   = core.SenderStats
 	ReceiverStats = core.ReceiverStats
-)
-
-// Retransmission schedules.
-const (
-	// Circular treats the object as a circular buffer — the paper's
-	// winning policy.
-	Circular = core.Circular
-	// Restart always resends the lowest unacknowledged packet (rejected
-	// by the paper; kept for the ablation).
-	Restart = core.Restart
-	// RandomUnacked picks uniformly among unacknowledged packets.
-	RandomUnacked = core.RandomUnacked
 )
 
 // Real-network runtime.
@@ -101,10 +71,6 @@ type (
 	Options = udprt.Options
 	// Listener accepts incoming FOBS transfers.
 	Listener = udprt.Listener
-	// AbortError reports that the peer terminated a transfer with a
-	// reasoned ABORT control frame (duplicate transfer id, idle timeout,
-	// stall, cancellation).
-	AbortError = udprt.AbortError
 	// RetryPolicy configures the sender-side retry/backoff supervisor.
 	// Hang one on Options.Retry and Send re-dials failed transfers with
 	// jittered exponential backoff, resuming from the receiver's HAVE
@@ -124,26 +90,13 @@ const DefaultIOBatch = udprt.DefaultIOBatch
 // parallel stripes one striped transfer may announce.
 const MaxStreams = wire.MaxStreams
 
-// Congestion control policies for Options.Congestion. The zero value (and
-// CCFixed) is the paper's greedy sender at its configured rate; the
-// adaptive policies are the related work the paper positions FOBS against,
-// reacting to retransmit-classified loss instead of holding a fixed rate.
-// CongestionPolicies lists these and the two §7 extensions ("backoff",
-// "hybrid").
-const (
-	// CCFixed sends full batches at the configured rate — bit-identical
-	// to the pre-policy engine and the library default.
-	CCFixed = udprt.CCFixed
-	// CCAIMD is a TCP-friendly window: additive increase per acked
-	// window, halved on each loss epoch.
-	CCAIMD = udprt.CCAIMD
-	// CCSABUL is SABUL-style rate probing: multiplicative backoff on
-	// lossy ack intervals, gentle rate increase on clean ones.
-	CCSABUL = udprt.CCSABUL
-)
+// CCFixed names the congestion policy for Options.Congestion that is the
+// paper's greedy sender at its configured rate — the library default.
+const CCFixed = udprt.CCFixed
 
 // CongestionPolicies lists the selectable congestion policy names, CCFixed
-// first.
+// first: the related work's adaptive loops ("aimd", "sabul") and the §7
+// extensions ("backoff", "hybrid") beside it.
 func CongestionPolicies() []string { return udprt.CongestionPolicies() }
 
 // Live observability (see internal/metrics). Point Options.Metrics at a
@@ -198,48 +151,6 @@ func ServeMetricsDebug(addr string, reg *Metrics) (*MetricsDebugServer, error) {
 // architecture). Options.NoFastPath forces the scalar path regardless.
 func FastPathAvailable() bool { return udprt.FastPathAvailable() }
 
-// Failure-model sentinels (see the "Failure model" section of DESIGN.md).
-// Match them with errors.Is.
-var (
-	// ErrStalled reports the sender's liveness watchdog: the transfer was
-	// incomplete and no acknowledgement arrived for Options.StallTimeout.
-	ErrStalled = udprt.ErrStalled
-	// ErrIdle reports the receiver's liveness watchdog: the object was
-	// incomplete and no data arrived for Options.IdleTimeout.
-	ErrIdle = udprt.ErrIdle
-	// ErrSessionBroken reports a Session.Send after an earlier Send on
-	// the same session failed; the session must be closed and reopened.
-	ErrSessionBroken = udprt.ErrSessionBroken
-	// ErrDigestMismatch reports that sender and receiver disagree on the
-	// object's content identity — the whole-object CRC or the SHA-256
-	// content digest — terminal for that transfer; a retry cannot fix it.
-	ErrDigestMismatch = udprt.ErrDigestMismatch
-	// ErrVerifyUnsupported reports Options.Verify against a peer that
-	// cannot answer the CHECK prelude: verification was required but the
-	// receiver cannot provide it, so the transfer fails instead of
-	// silently degrading. Terminal.
-	ErrVerifyUnsupported = udprt.ErrVerifyUnsupported
-)
-
-// IsRetryable classifies a Send error the way the retry supervisor does:
-// true for transient failures another attempt could clear (stall or idle
-// watchdog firings, severed or refused connections, timeouts), false for
-// terminal verdicts (cancellation, version rejection, digest mismatch, and
-// deliberate peer rejections). Callers running their own retry loops get
-// the same taxonomy the built-in Options.Retry supervisor uses.
-func IsRetryable(err error) bool { return udprt.IsRetryable(err) }
-
-// RateCap is a shared aggregate send-rate ceiling, measured in on-the-wire
-// bits per second (payload plus UDP/IP overhead). Hand the same *RateCap
-// to several Sends via Options.RateCap and their combined rate stays under
-// the ceiling, composed beneath whatever congestion policy each runs.
-type RateCap = udprt.RateCap
-
-// NewRateCap builds a RateCap; bitsPerSecond must be positive.
-func NewRateCap(bitsPerSecond float64) (*RateCap, error) {
-	return udprt.NewRateCap(bitsPerSecond)
-}
-
 // Listen binds addr (e.g. "0.0.0.0:7700") for incoming transfers: TCP for
 // control, UDP on the same port for data.
 func Listen(addr string, opts Options) (*Listener, error) {
@@ -254,9 +165,6 @@ func Send(ctx context.Context, addr string, obj []byte, cfg Config, opts Options
 // Server accepts many concurrent transfers on one address, demultiplexed
 // by each sender's Transfer tag.
 type Server = udprt.Server
-
-// Handler receives each completed transfer from a Server.
-type Handler = udprt.Handler
 
 // NewServer binds addr for concurrent incoming transfers; drive it with
 // Server.Serve.
@@ -286,13 +194,11 @@ type (
 	TaskStats = tasks.Stats
 )
 
-// Task lifecycle states. Done, failed and cancelled are terminal.
+// The task lifecycle states the commands read: the first, and the one that
+// ends well (internal/tasks has the rest).
 const (
-	TaskQueued    = tasks.StateQueued
-	TaskRunning   = tasks.StateRunning
-	TaskDone      = tasks.StateDone
-	TaskFailed    = tasks.StateFailed
-	TaskCancelled = tasks.StateCancelled
+	TaskQueued = tasks.StateQueued
+	TaskDone   = tasks.StateDone
 )
 
 // Lifecycle tracing wraps the obs package: a versioned JSONL span log of
@@ -305,8 +211,6 @@ type (
 	// TraceLog is an append-only span log; construct with CreateTraceLog
 	// and Close it to flush.
 	TraceLog = obs.Log
-	// TraceID is the 16-byte cross-host correlation id (Options.TraceID).
-	TraceID = obs.TraceID
 	// TaskEvent is one entry in a task's durable timeline (see
 	// TaskDaemon and GET /tasks/{id}/events).
 	TaskEvent = tasks.TaskEvent
@@ -321,37 +225,18 @@ func NewTaskDaemon(cfg TaskDaemonConfig) (*TaskDaemon, error) {
 	return tasks.New(cfg)
 }
 
-// Session types stream a sequence of objects to one receiver over a single
-// socket pair — the remote-visualization workload.
-type (
-	// Session is the sending side of a multi-object stream.
-	Session = udprt.Session
-	// SessionListener accepts sessions; IncomingSession yields each
-	// received object in order.
-	SessionListener = udprt.SessionListener
-	IncomingSession = udprt.IncomingSession
-)
-
-// OpenSession dials a multi-object session toward a SessionListener.
-func OpenSession(ctx context.Context, addr string, opts Options) (*Session, error) {
-	return udprt.OpenSession(ctx, addr, opts)
-}
+// SessionListener accepts multi-object sessions — a sequence of objects to
+// one receiver over a single socket pair, the remote-visualization workload.
+type SessionListener = udprt.SessionListener
 
 // ListenSession binds addr for incoming multi-object sessions.
 func ListenSession(addr string, opts Options) (*SessionListener, error) {
 	return udprt.ListenSession(addr, opts)
 }
 
-// Tree transfer: files and directories over FOBS sessions (see
-// internal/xfer).
-type (
-	// Manifest lists a tree's files in transfer order.
-	Manifest = xfer.Manifest
-	// FileEntry is one file in a manifest.
-	FileEntry = xfer.FileEntry
-	// TreeSummary reports one tree transfer.
-	TreeSummary = xfer.Summary
-)
+// TreeSummary reports one tree transfer: files and directories over FOBS
+// sessions (see internal/xfer).
+type TreeSummary = xfer.Summary
 
 // SendTree transfers every regular file under root to the tree receiver at
 // addr (see ReceiveTree), with per-file CRC verification.
@@ -515,21 +400,13 @@ func Incast(objSize int64, n int) IncastResult { return experiments.Incast(objSi
 
 // Default sweep axes matching the paper's evaluation.
 var (
-	DefaultAckFrequencies   = experiments.DefaultAckFrequencies
-	DefaultPacketSizes      = experiments.DefaultPacketSizes
-	DefaultBatchSizes       = experiments.DefaultBatchSizes
-	DefaultStreamCandidates = experiments.DefaultStreamCandidates
+	DefaultAckFrequencies = experiments.DefaultAckFrequencies
+	DefaultPacketSizes    = experiments.DefaultPacketSizes
+	DefaultBatchSizes     = experiments.DefaultBatchSizes
 )
 
-// Rendering helpers for the paper's figures.
-type (
-	// Figure is a renderable set of series sharing axes.
-	Figure = stats.Figure
-	// Series is one curve of a figure.
-	Series = stats.Series
-	// Table is a renderable text table.
-	Table = stats.Table
-)
+// Figure is a renderable set of series sharing axes: the paper's figures.
+type Figure = stats.Figure
 
 // Figure1 formats an acknowledgement-frequency sweep as the paper's
 // Figure 1 (percentage of maximum bandwidth).

@@ -616,7 +616,7 @@ func TestSenderFeedsController(t *testing.T) {
 	if got := f.take(); got != "tick 3" {
 		t.Fatalf("first round fed %q", got)
 	}
-	if _, ok := s.ProbeRTT(11 * ms); ok || f.take() != "" {
+	if _, ok := s.probeRTT(11 * ms); ok || f.take() != "" {
 		t.Fatal("probe resolved before its packet was acknowledged")
 	}
 	send(3) // 3, then 0 1 again: two retransmissions, not yet reported
@@ -638,8 +638,8 @@ func TestSenderFeedsController(t *testing.T) {
 		t.Fatalf("planning fed %q", got)
 	}
 	ack(2, 1, 0b0001) // packet 0: the probe's
-	if rtt, ok := s.ProbeRTT(14 * ms); !ok || rtt != 4*ms {
-		t.Fatalf("ProbeRTT = %v, %v; want 4ms from the round planned at 10ms", rtt, ok)
+	if rtt, ok := s.probeRTT(14 * ms); !ok || rtt != 4*ms {
+		t.Fatalf("probeRTT = %v, %v; want 4ms from the round planned at 10ms", rtt, ok)
 	}
 	if got := f.take(); got != "ack 1/1, rtt 4ms" {
 		t.Fatalf("resolving fed %q", got)
@@ -648,13 +648,13 @@ func TestSenderFeedsController(t *testing.T) {
 	// second of silence gives it up and the round after re-arms.
 	s.PlanRound(20 * ms)
 	send(1)
-	if _, ok := s.ProbeRTT(20*ms + rttProbeStale + 1); ok || s.probeSeq != probeIdle {
+	if _, ok := s.probeRTT(20*ms + rttProbeStale + 1); ok || s.probeSeq != probeIdle {
 		t.Fatalf("stale probe: ok=%v probeSeq=%d", ok, s.probeSeq)
 	}
 	s.PlanRound(2000 * ms)
 	send(1)
 	ack(3, 1, 0b1000)
-	if rtt, ok := s.ProbeRTT(2001 * ms); !ok || rtt != ms {
+	if rtt, ok := s.probeRTT(2001 * ms); !ok || rtt != ms {
 		t.Fatalf("re-armed probe = %v, %v", rtt, ok)
 	}
 	// A batch policy that asks for nothing bypasses the controller.

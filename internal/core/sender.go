@@ -70,10 +70,10 @@ type AckObserver interface {
 	OnPacketAcked(seq uint32)
 }
 
-// Sender is the FOBS data-sending state machine. Drivers call PlanRound and
-// NextPacket to emit packets, HandleAck whenever an acknowledgement is
-// available (never blocking for one), and SetComplete when the completion
-// signal arrives on the control channel.
+// Sender is the FOBS data-sending state machine. Its callers use HandleAck for
+// each acknowledgement available (never blocking for one), Look, PlanRound
+// and NextPacket to emit packets, Quiet when a wait for news ran out, and
+// SetComplete when the completion signal arrives on the control channel.
 type Sender struct {
 	cfg   Config
 	obj   []byte
@@ -97,7 +97,7 @@ type Sender struct {
 	// cc is the rate-control policy, fed here and nowhere else: fresh
 	// acknowledgements by HandleAck, losses — the part of stats.Retransmits
 	// beyond lossSeen — ahead of the next OnAck or Tick, round trips by
-	// ProbeRTT.
+	// probeRTT.
 	cc       Controller
 	lossSeen int
 	// The one round-trip probe in flight: probeSeq is the sequence number it
@@ -105,6 +105,9 @@ type Sender struct {
 	// probeAt the driver's clock when the round that carries it was planned.
 	probeSeq int
 	probeAt  time.Duration
+	// flow is the rest of the send decision: the turn-over rule and the
+	// receive window (flow.go), inert until SetFlow.
+	flow flow
 
 	// content memoizes ContentID(obj) — computed on first demand, not at
 	// construction, so the simulation harnesses that build thousands of
@@ -161,7 +164,7 @@ func (s *Sender) reportLoss() {
 // gap to charge per packet sent. Nothing to ask for (batch <= 0) bypasses the
 // controller. The clamps are the sender's own guarantee — no controller can
 // push a round outside [1, ask] or make the gap negative. now is the
-// driver's clock, as in ProbeRTT: with no round-trip probe in flight, the
+// caller's clock, as in Look: with no round-trip probe in flight, the
 // round's first packet becomes one.
 func (s *Sender) PlanRound(now time.Duration) (batch int, gap time.Duration) {
 	want := s.BatchSize()
@@ -176,13 +179,13 @@ func (s *Sender) PlanRound(now time.Duration) (batch int, gap time.Duration) {
 	return min(want, max(d.Batch, 1)), max(d.Gap, 0)
 }
 
-// ProbeRTT resolves the round-trip probe against the driver's clock (any
+// probeRTT resolves the round-trip probe against the caller's clock (any
 // monotonic reading; the sender only subtracts): the moment the probed
 // sequence number shows acknowledged, plan-to-acknowledgement bounds one
 // network round trip — an overestimate by up to the receiver's ack-batching
-// delay, which is part of the control loop anyway. The controller hears of
-// the sample, and so does the caller.
-func (s *Sender) ProbeRTT(now time.Duration) (rtt time.Duration, ok bool) {
+// delay, which is part of the control loop anyway. The controller and the
+// flow account hear of the sample; Look is the callers' way in.
+func (s *Sender) probeRTT(now time.Duration) (rtt time.Duration, ok bool) {
 	if s.probeSeq < 0 {
 		return 0, false
 	}
@@ -195,6 +198,7 @@ func (s *Sender) ProbeRTT(now time.Duration) (rtt time.Duration, ok bool) {
 	s.probeSeq = probeIdle
 	rtt = now - s.probeAt
 	s.cc.OnRTT(rtt)
+	s.flow.rtt(rtt)
 	return rtt, true
 }
 
@@ -213,10 +217,6 @@ func (s *Sender) NumPackets() int { return s.n }
 
 // ObjectSize returns the object's size in bytes.
 func (s *Sender) ObjectSize() int64 { return int64(len(s.obj)) }
-
-// ObjectDigest returns the whole-object CRC-32C, for verification against
-// the receiver's completion report.
-func (s *Sender) ObjectDigest() uint32 { return wire.ObjectDigest(s.obj) }
 
 // ContentID returns the object's SHA-256 content identity, memoized on
 // first call. Drivers hash here — once per object, off the per-packet
@@ -290,6 +290,7 @@ func (s *Sender) NextPacket() (pkt wire.Data, ok bool) {
 	}
 	s.stats.PacketsSent++
 	s.sentSince++
+	s.flow.turn++
 	if !s.sent.Set(seq) {
 		s.stats.Retransmits++
 	}
@@ -346,6 +347,7 @@ func (s *Sender) HandleAck(a wire.Ack) error {
 		return nil
 	}
 	s.stats.AcksProcessed++
+	s.flow.ack(int(a.Received))
 	fresh := a.AckSeq > s.lastAck
 	if fresh {
 		s.lastAck = a.AckSeq
@@ -387,14 +389,6 @@ func (s *Sender) ackAll() {
 		words[i] = ^uint64(0)
 	}
 	s.acked.MergeFunc(bitmap.Fragment{Words: words}, s.onAcked)
-}
-
-// Acked reports whether the sender's bitmap shows packet seq received.
-func (s *Sender) Acked(seq int) bool {
-	if seq < 0 || seq >= s.n {
-		return false
-	}
-	return s.acked.Test(seq)
 }
 
 // KnownComplete reports whether the sender's own bitmap already shows every

@@ -7,7 +7,8 @@
 //   - the sender alternates batch-send operations with non-blocking polls
 //     of the acknowledgement socket, paced only by its NIC (the analogue
 //     of select()-guarded sends) plus whatever gap the sender's rate
-//     controller dictates, in rounds that controller may cap;
+//     controller dictates, in rounds that controller may cap, and waiting
+//     for news when the sender's flow control says so (Sender().SetFlow);
 //   - the receiver handles data packets as the host CPU serves them,
 //     occupies the CPU while building each acknowledgement (the stall the
 //     paper identifies as the loss mechanism at high ack rates), and
@@ -16,6 +17,7 @@
 package simrun
 
 import (
+	"math"
 	"time"
 
 	"github.com/hpcnet/fobs/internal/core"
@@ -101,6 +103,12 @@ type FOBSRun struct {
 	finished      event.Time
 	done          bool
 
+	// wait runs out IdlePoll after the sender said to wait, unless an ack
+	// arrives first; waitsOut counts those that ran out, writtenOff the first
+	// sends they wrote off.
+	wait                 *event.Timer
+	waitsOut, writtenOff int
+
 	goodput  *trace.Rate
 	sendRate *trace.Rate
 }
@@ -124,6 +132,13 @@ func NewFOBS(p *netsim.Path, obj []byte, cfg core.Config, opts Options) *FOBSRun
 	r.rcvSock = p.B.OpenUDP(base, r.onData)
 	r.sndSock = p.A.OpenUDP(base+1, r.onAck)
 	r.ctlSnd, r.ctlRcv = netsim.NewPipe(p.A, base+2, p.B, base+2, opts.CtlRTO)
+	r.wait = event.NewTimer(p.Net.Sim, func() { // a wait for news ran out
+		if !r.done {
+			r.waitsOut++
+			r.writtenOff += r.snd.Quiet(r.path.Net.Now().Sub(r.started))
+			r.senderLoop()
+		}
+	})
 	r.ctlSnd.OnMessage = func(m any) {
 		if _, ok := m.(wire.Complete); ok {
 			r.complete()
@@ -220,6 +235,8 @@ func (r *FOBSRun) Result() stats.TransferResult {
 	res.Extra["drops_random"] = float64(random)
 	res.Extra["drops_outage"] = float64(outage)
 	res.Extra["drops_rxbuf"] = float64(r.path.B.Stats().RXDropsFull)
+	res.Extra["waits_out"] = float64(r.waitsOut)
+	res.Extra["written_off"] = float64(r.writtenOff)
 	return res
 }
 
@@ -260,11 +277,22 @@ func (r *FOBSRun) senderLoop() {
 			panic("simrun: " + err.Error())
 		}
 	}
+	clock := r.path.Net.Now().Sub(r.started)
+	room, _ := r.snd.Look(clock, math.MaxInt)
+	if room <= 0 {
+		// The sender waits for news: the next queued ack, or the one that
+		// stops the timer by arriving, or IdlePoll of silence.
+		if len(r.ackQ) > 0 {
+			r.scheduleLoop(0)
+		} else {
+			r.wait.Reset(r.opts.IdlePoll)
+		}
+		return
+	}
 	// Phase 1 + 3: batch-send with the schedule choosing each packet, in a
 	// round planned by the sender's controller on the simulation's clock.
-	clock := r.path.Net.Now().Sub(r.started)
-	r.snd.ProbeRTT(clock)
 	batch, gapPer := r.snd.PlanRound(clock)
+	batch = min(batch, room)
 	var last netsim.SendResult
 	sent := 0
 	dst := r.dataAddr
@@ -310,13 +338,14 @@ func (r *FOBSRun) senderLoop() {
 }
 
 // onAck queues an acknowledgement for the sender's next poll and wakes an
-// idle sender.
+// idle or waiting sender.
 func (r *FOBSRun) onAck(p *netsim.Packet) {
 	a, ok := p.Payload.(wire.Ack)
 	if !ok {
 		return
 	}
 	r.ackQ = append(r.ackQ, a)
+	r.wait.Stop()
 	r.scheduleLoop(0)
 }
 

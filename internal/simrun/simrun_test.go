@@ -9,6 +9,7 @@ import (
 	"github.com/hpcnet/fobs/internal/core"
 	"github.com/hpcnet/fobs/internal/event"
 	"github.com/hpcnet/fobs/internal/netsim"
+	"github.com/hpcnet/fobs/internal/stats"
 )
 
 // shortHaulPath builds a 100 Mb/s bottleneck, 26 ms RTT path resembling the
@@ -360,7 +361,10 @@ func (c *contractChecked) OnRTT(d time.Duration) {
 // short-haul path: the transfer completes, every directive is within the
 // contract, the sender's first round-trip probe reads the path's 26 ms (plus
 // queueing and the acknowledgement interval), a window policy's batch cap is honoured, and the two policies that
-// read loss as congestion waste less than the greedy sender does.
+// read loss as congestion waste less than the greedy sender does. Then each
+// runs again on a receiver half as fast as its sender, as the paper's sender
+// and with the receive window the socket runtime installs: with the window,
+// no policy overflows the receiver's socket buffer.
 func TestEveryPolicyRunsOnTheSimulator(t *testing.T) {
 	waste := map[string]float64{}
 	for _, name := range core.Policies() {
@@ -393,5 +397,28 @@ func TestEveryPolicyRunsOnTheSimulator(t *testing.T) {
 			t.Errorf("%s wasted %.1f%%, greedy %.1f%%: reading loss as congestion bought nothing",
 				name, 100*waste[name], 100*waste[core.CCFixed])
 		}
+	}
+
+	obj := makeObj(16384 << 10)
+	for _, name := range core.Policies() {
+		var legs [2]stats.TransferResult
+		for i, windowed := range []bool{false, true} {
+			cc, err := core.NewController(name, core.DefaultPacketSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := slowReceiverRun(slowReceiverPath(2*time.Microsecond), obj, windowed)
+			r.Sender().SetController(&contractChecked{Controller: cc, t: t})
+			if legs[i] = r.Run(); !legs[i].Completed {
+				t.Fatalf("%s (windowed %v) on the slow receiver: transfer incomplete: %+v", name, windowed, legs[i])
+			}
+		}
+		greedy, windowed := legs[0], legs[1]
+		if windowed.Extra["drops_rxbuf"] != 0 {
+			t.Errorf("%s with the window: %v packets found the receiver's buffer full", name, windowed.Extra["drops_rxbuf"])
+		}
+		t.Logf("%-7s slow receiver: greedy waste %5.1f%% %6.0f dropped %v; windowed waste %5.1f%% %6.0f dropped %v",
+			name, 100*greedy.Waste(), greedy.Extra["drops_rxbuf"], greedy.Elapsed,
+			100*windowed.Waste(), windowed.Extra["drops_rxbuf"], windowed.Elapsed)
 	}
 }

@@ -28,8 +28,8 @@ type plannedRound struct {
 // transcribes the complete packet schedule: per round, the batch, every
 // sequence number sent, and the pacing gap charged. Rounds are planned by
 // the call the engine makes (Sender.PlanRound) on a virtual clock, the
-// round-trip probe resolved by the call it makes (Sender.ProbeRTT): the
-// sender's own feed, not a copy of it.
+// round-trip probe resolved by the call it makes (Sender.Look, with no flow
+// installed: the paper's sender): the sender's own feed, not a copy of it.
 func runSchedule(t *testing.T, obj []byte, cfg core.Config, opts Options, loss func(round int) float64) (string, []plannedRound) {
 	t.Helper()
 	plan, err := newSenderPlan(obj, cfg, opts)
@@ -60,8 +60,8 @@ func runSchedule(t *testing.T, obj []byte, cfg core.Config, opts Options, loss f
 		}
 		// Plan + send phase.
 		now += 50 * time.Microsecond
-		snd.ProbeRTT(now)
 		ask := snd.BatchSize()
+		snd.Look(now, ask)
 		batch, gapPer := snd.PlanRound(now)
 		rounds = append(rounds, plannedRound{ask, batch, gapPer})
 		fmt.Fprintf(&sb, "round %d: batch=%d seqs=", round, batch)

@@ -44,11 +44,6 @@ type senderEndpoint struct {
 	// conn is the engine's own UDP data socket; its source port is what
 	// the receiver acks back to, so every engine must have its own.
 	conn *net.UDPConn
-	// window is how many bytes of this flow the receiver undertook, when it
-	// accepted the transfer, to hold unread in its socket buffer; zero when
-	// it said nothing, and the engine then sends as if the buffer were
-	// bottomless (see run's wait discipline).
-	window int
 	// done delivers the transfer's terminal control verdict exactly once:
 	// nil for a verified COMPLETE, an error (e.g. *AbortError) otherwise.
 	// Whoever sends it (and whoever cancels the run context) must then set
@@ -70,12 +65,10 @@ type senderEndpoint struct {
 // acknowledgement socket (the paper's select()-guarded "look for, but do
 // not block for, an acknowledgement packet") followed by one send
 // operation — which carries a ring of batch rounds where the paper's
-// carried one (see run).
-// The one departure is at the end of a turn of the circular buffer: once
-// every unacknowledged packet has gone out since the last acknowledgement,
-// re-sending carries no information, so the poll becomes a wait on the same
-// socket (see run). Only the TCP completion signal has its own goroutine —
-// a hot sender loop must never be able to starve the poll that feeds it.
+// carried one. The one departure: when the sender says a look may send
+// nothing, the poll becomes a wait on the same socket (see run). Only the TCP
+// completion signal has its own goroutine — a hot sender loop must never be
+// able to starve the poll that feeds it.
 type senderEngine struct {
 	senderEndpoint
 	snd  *core.Sender
@@ -89,8 +82,9 @@ type senderEngine struct {
 }
 
 // newSenderEngine binds one prepared core.Sender — its controller, which
-// plans the engine's rounds, already installed (newSenderPlan does) — to its
-// endpoint.
+// plans the engine's rounds, and its flow control, which says whether a look
+// sends at all, already installed (newSenderPlan and runSenderPlan do) — to
+// its endpoint.
 func newSenderEngine(snd *core.Sender, ep senderEndpoint, opts Options, p probe) *senderEngine {
 	return &senderEngine{senderEndpoint: ep, snd: snd, cfg: snd.Config(), opts: opts, probe: p}
 }
@@ -136,46 +130,26 @@ func newSendRing(slots, packetSize int) [][]byte {
 // on the scalar path), and the ack socket is looked at once per flush, not
 // once per round: the unit between two looks stays one send operation, it
 // just carries a ring of packets in the time two used to take. The ring is
-// flushed when it is full, when the turn is over — it is never filled
-// beyond what is left of the turn — and after a round that carries a gap,
-// which therefore goes out on its own, whole (chunked at the ring length
-// when B is larger), as it always did: a paced policy's spacing on the wire
-// is round by round. The ack poll likewise drains every queued
-// acknowledgement in one recvmmsg. Steady state allocates nothing per
-// packet.
+// flushed when it is full, when the look's room is used up, and after a
+// round that carries a gap, which therefore goes out on its own, whole
+// (chunked at the ring length when B is larger), as it always did: a paced
+// policy's spacing on the wire is round by round. The ack poll likewise
+// drains every queued acknowledgement in one recvmmsg. Steady state
+// allocates nothing per packet.
 //
-// The wait discipline: the engine counts the packets it has put on the wire
-// since the last processed acknowledgement. While that count is below the
-// number of packets not yet known received, the loop is the paper's — poll,
-// never block. Once it reaches it, every candidate has gone out since the
-// last news (one full turn of the paper's circular buffer), a further turn
-// would tell the receiver nothing the sender knows it lacks, and the engine
-// blocks on its own ack socket instead: the (n+1)-st turn starts on news or
-// after Options.IdlePoll, whichever is first. A round that put nothing on
-// the wire waits the same way. An acknowledgement ends the wait by
-// arriving; the verdict and ctx end it because whoever delivers them then
-// sets the socket's read deadline to the past (runSenderPlan's waker).
-//
-// The same wait is the receiver's flow control (flowWindow, window.go): the
-// first sends the receiver has not been heard to take out of its socket
-// buffer are held to the window it advertised when it accepted the transfer
-// (senderEndpoint.window), and before planning a round the engine blocks — on
-// the same socket, for the same news — once they fill it. Each acknowledgement
-// then lets out as many packets as it reports taken in: the sender runs at the
-// rate the receiver drains its buffer instead of finding that rate by
-// overflowing it. A wait that runs out ends the turn as before and, when the
-// silence is longer than the round trips lately probed explain, writes
-// off what is outstanding, so that loss on the wire cannot wedge the
-// transfer; the stall watchdog keeps the last word. This is flow control, not
-// congestion control: it cuts what may go out below what any Controller asks
-// for, like a receive window below a congestion window, and plans nothing. A
-// receiver that advertised no window gets none of it.
+// Whether a look sends at all is the sender's decision too (core.Sender.Look:
+// the turn-over rule and the receive window, core's flow.go). A look with room
+// for nothing blocks on the ack socket until news or Options.IdlePoll, and a
+// wait that runs out is reported (core.Sender.Quiet). An acknowledgement ends
+// the wait by arriving; the verdict and ctx end it because whoever delivers
+// them then sets the socket's read deadline to the past (runSenderPlan's
+// waker).
 //
 // Pacing is the same wait with another deadline: the instant of the pacing
 // clock (pacer, pace.go), which each paced round moves on by its gap for every
 // packet the kernel took. Acknowledgements landing in the gap are processed as
-// they land; an instant that passes is not silence (no turn restarts, nothing
-// is written off); whatever ends the wait, nothing leaves before the instant.
+// they land; an instant that passes is not silence (nothing is reported to
+// the sender); whatever ends the wait, nothing leaves before the instant.
 // The engine blocks nowhere else.
 //
 // Arming the deadline before looking at done and ctx, and reading only
@@ -215,11 +189,8 @@ func (e *senderEngine) run(ctx context.Context) error {
 	}()
 	ring := newSendRing(opts.IOBatch, cfg.PacketSize)
 	ackWords := make([]uint64, 0, wire.MaxFragWords(cfg.AckPacketSize))
-	// started is the epoch of the clock the sender's round-trip probe is
-	// read against.
+	// started is the epoch of the sender's clock (core.Sender.Look).
 	started := time.Now()
-	// fw is the receiver's flow control (see the wait discipline).
-	fw := newFlowWindow(e.window, cfg, snd.Stats(), opts.IdlePoll)
 	// handleAcks feeds the first n datagrams of the ack ring to the sender.
 	handleAcks := func(n int) {
 		for i := 0; i < n; i++ {
@@ -228,11 +199,6 @@ func (e *senderEngine) run(ctx context.Context) error {
 				continue
 			}
 			ackWords = a.Frag.Words[:0] // HandleAck consumed the fragment
-			if a.Transfer == cfg.Transfer {
-				// The count is cumulative: a reordered acknowledgement
-				// carries a smaller one, which the account ignores.
-				fw.ack(int(a.Received))
-			}
 			// Per-ack instrumentation (metrics counter, flight record,
 			// latency histograms) fires inside HandleAck via the sender's
 			// ack observer (the probe), which also sees exactly which
@@ -243,8 +209,6 @@ func (e *senderEngine) run(ctx context.Context) error {
 			}
 		}
 	}
-	acksSeen := 0
-	lastAck := time.Now()
 	writeErrs := 0
 	var lastWriteErr error
 	// noteWriteErr folds one persistent socket failure into the abort
@@ -258,10 +222,7 @@ func (e *senderEngine) run(ctx context.Context) error {
 		lastWriteErr = err
 		return writeErrs >= writeErrLimit
 	}
-	// sinceNews counts the packets put on the wire since the last processed
-	// acknowledgement (or since the last wait ran out); wait makes the next
-	// iteration block on the ack socket instead of polling it.
-	sinceNews := 0
+	// wait makes the next look block on the ack socket instead of polling it.
 	wait := false
 	// flush puts the first k ring slots on the wire, adds what the kernel took
 	// to sent, and reports whether this look may send more: not after a short
@@ -294,9 +255,9 @@ func (e *senderEngine) run(ctx context.Context) error {
 			return ctx.Err()
 		default:
 		}
-		// Phase 2: look for acknowledgements — blocking only when the turn is
-		// over or a pacing instant pends. A latched socket error consumed by
-		// the read (the asynchronous ECONNREFUSED of an earlier batch — which
+		// Phase 2: look for acknowledgements — blocking only when the sender
+		// said wait or a pacing instant pends. A latched socket error consumed
+		// by the read (the asynchronous ECONNREFUSED of an earlier batch — which
 		// a partial sendmmsg reports as a short count, not an errno) counts
 		// toward the write-error limit, or the fast path could spin forever
 		// on a dead peer that scalar writes would have exposed.
@@ -311,10 +272,7 @@ func (e *senderEngine) run(ctx context.Context) error {
 			if !wait {
 				paceWait += time.Since(waitFrom) // a passing instant is not silence
 			} else if isTimeout(rerr) {
-				// No news for IdlePoll: one more turn, and maybe a
-				// window written off.
-				sinceNews = 0
-				fw.quiet(snd.Stats(), time.Since(lastAck))
+				snd.Quiet(time.Since(started)) // no news for IdlePoll
 			}
 		} else {
 			n, rerr = rx.TryRecv()
@@ -330,44 +288,31 @@ func (e *senderEngine) run(ctx context.Context) error {
 			wait = false
 			continue
 		}
+		now := time.Since(started)
+		room, silence := snd.Look(now, len(ring))
 		// Liveness: any processed ack — fresh or stale — proves the
 		// receiver is alive and resets both watchdog counters.
-		st := snd.Stats()
-		if st.AcksProcessed > acksSeen {
-			acksSeen = st.AcksProcessed
-			lastAck = time.Now()
-			fw.news(lastAck)
+		if silence == 0 {
 			writeErrs = 0
-			sinceNews = 0
-		} else if opts.StallTimeout > 0 && time.Since(lastAck) > opts.StallTimeout {
+		} else if opts.StallTimeout > 0 && silence > opts.StallTimeout {
 			snd.NoteStall()
 			e.probe.stalled()
 			e.abort(wire.AbortStalled)
 			return fmt.Errorf("udprt: no acknowledgement for %v: %w",
 				opts.StallTimeout, ErrStalled)
 		}
-		// Resolve or expire the sender's round-trip probe; the controller
-		// has heard of the sample, the window's account has not.
-		now := time.Since(started)
-		if rtt, ok := snd.ProbeRTT(now); ok {
-			fw.rtt(rtt)
-		}
 		if !paceAt.IsZero() && time.Now().Before(paceAt) {
 			continue // nothing goes out before the pacing instant
 		}
 		paceAt = time.Time{}
-		// The turn is over (or everything is known received), or the
-		// receiver's window is full: logically blocked on an ack or the
-		// completion signal.
-		room := fw.room(st, min(len(ring), st.PacketsNeeded-st.KnownReceived-sinceNews))
 		if room <= 0 {
-			wait = true
+			wait = true // logically blocked on an ack or the completion signal
 			continue
 		}
 		// Phases 1+3: batch-send with the schedule choosing each packet. The
 		// batch policy asks, the congestion controller may cap the ask and
 		// dictates the round's per-packet pacing gap; rounds without a gap
-		// queue up in the ring until it is full or the turn is over, a round
+		// queue up in the ring until it is full or the room used up, a round
 		// with one goes out alone — what is queued leaves first — and ends
 		// the look.
 		fill := 0   // ring slots awaiting the flush
@@ -423,7 +368,6 @@ func (e *senderEngine) run(ctx context.Context) error {
 		for ; rounds > 0; rounds-- {
 			e.probe.round()
 		}
-		sinceNews += sent
 		// Pacing: the round's gap, per packet the kernel took, moves the clock
 		// on (under the fixed policy gapPer is exactly Options.Pace).
 		if gapPer > 0 {

@@ -53,7 +53,8 @@ func eachInstrumentation(t *testing.T, role metrics.Role, packets int, fn func(t
 }
 
 // TestSenderHotPathZeroAllocs measures the sender's steady-state per-batch
-// work — resolve the round-trip probe, have the sender plan the round under
+// work — ask the sender what the look may send (which resolves the
+// round-trip probe and runs the flow account), have it plan the round under
 // its congestion controller (the call that also reports the last round's
 // loss classification), pull packets from the schedule, note them in the
 // metrics, encode into the ring, flush, charge the pacing clock — through the
@@ -109,6 +110,7 @@ func TestSenderHotPathZeroAllocs(t *testing.T) {
 							t.Fatal(err)
 						}
 						snd, cfg := plan.snds[0], plan.cfg
+						snd.SetFlow(1<<20, time.Millisecond) // as runSenderPlan installs it
 						tx, err := batchio.NewSender(conn, 16, !noFastPath)
 						if err != nil {
 							t.Fatal(err)
@@ -127,7 +129,7 @@ func TestSenderHotPathZeroAllocs(t *testing.T) {
 							// Once per round, as the engine loop pays it.
 							or.Once(obs.KindRounds, 0)
 							now := time.Since(started)
-							snd.ProbeRTT(now)
+							snd.Look(now, len(ring))
 							batch, gapPer := snd.PlanRound(now)
 							if gapPer < 0 {
 								t.Fatal("negative pacing gap")

@@ -82,7 +82,7 @@ type senderPlan struct {
 	checked bool
 	// window is what the receiver's acceptance said each of the plan's flows
 	// may have unread in its socket buffer, in bytes; zero when it said
-	// nothing (see senderEndpoint.window).
+	// nothing (core.Sender.SetFlow).
 	window int
 }
 
@@ -372,9 +372,9 @@ func runSenderPlan(ctx context.Context, p *senderPlan, conns []*net.UDPConn, ctl
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := range engines {
+		p.snds[i].SetFlow(p.window, opts.IdlePoll)
 		engines[i] = newSenderEngine(p.snds[i], senderEndpoint{
 			conn:     conns[i],
-			window:   p.window,
 			done:     stripeDone[i],
 			abort:    abort,
 			progress: progressFor(i),

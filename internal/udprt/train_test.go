@@ -122,6 +122,7 @@ func TestPacedRoundLeavesAlone(t *testing.T) {
 		opts := Options{IOBatch: 16, IdlePoll: 5 * time.Second, NoFastPath: noFastPath}.withDefaults()
 		opts.testFlushHook = func(k, m int) { flushes = append(flushes, k) }
 		snd := core.NewSender(makeObj(packets<<10), core.Config{PacketSize: 1024, Batch: core.FixedBatch(2)})
+		snd.SetFlow(0, opts.IdlePoll) // as runSenderPlan installs it for a receiver that advertised no window
 		e := newSenderEngine(snd, senderEndpoint{
 			conn: conn, done: make(chan error), abort: func(wire.AbortReason) {},
 		}, opts, probe{})

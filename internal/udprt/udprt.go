@@ -46,13 +46,12 @@ type Options struct {
 	// that, not from the request.
 	ReadBuffer, WriteBuffer int
 	// IdlePoll is how long the sender stays silent once it has nothing new
-	// to say: when every packet not yet known received has gone out since
-	// the last acknowledgement — one full turn of the paper's circular
-	// buffer — the sender blocks on its ack socket, and the (n+1)-st turn
-	// starts on news (an acknowledgement, the completion signal, ctx) or
-	// after IdlePoll, whichever is first (default 2 ms). It is the
-	// retransmission interval of a tail whose acknowledgements are lost,
-	// and the granularity of the stall watchdog while the sender is blocked.
+	// to say — a full turn of the paper's circular buffer gone out since the
+	// last acknowledgement, or the receive window full: it blocks on its ack
+	// socket until news (an acknowledgement, the completion signal, ctx) or
+	// IdlePoll, whichever is first (default 2 ms). It is the retransmission
+	// interval of a tail whose acknowledgements are lost, and the granularity
+	// of the stall watchdog while the sender is blocked.
 	IdlePoll time.Duration
 	// Pace inserts a fixed per-packet delay on top of whatever gap the
 	// Congestion policy dictates, useful to keep loopback transfers from

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,413 +12,12 @@ import (
 	"github.com/hpcnet/fobs/internal/core"
 	"github.com/hpcnet/fobs/internal/faultnet"
 	"github.com/hpcnet/fobs/internal/stats"
-	"github.com/hpcnet/fobs/internal/wire"
 )
 
-// The receive window: the receiver's half of the sender's wait discipline.
-// The first half of this file drives flowWindow without sockets — the real
-// state machines of internal/core either side of a fake receiver that takes
-// packets out of a bounded queue at a fixed rate, on a clock the test owns, so
-// every count is exact and every run the same. The second half runs it on
-// real sockets, where the queue is the kernel's and SO_RXQ_OVFL does the
-// counting.
-
-// windowSim is one simulated transfer: senderEngine.run's loop — look for
-// acknowledgements, wait when the turn is over or the window full, otherwise
-// put what there is room for on the wire — against a receiver that needs
-// drain per packet and whose queue holds capacity of them. Packets cross in
-// no time and acknowledgements in ackDelay. fw nil is the loop as it stood
-// before there was a window.
-type windowSim struct {
-	fw       *flowWindow
-	capacity int
-	sendCost time.Duration
-	drain    time.Duration
-	ackDelay time.Duration
-	idlePoll time.Duration
-	// lose, when non-nil, says whether the n-th packet sent is lost on the
-	// wire, before it reaches the queue.
-	lose func(n int) bool
-
-	// What the run saw.
-	seqs       []uint32
-	overflow   int // packets that found the queue full
-	firstLost  int // those of them that were first sends
-	maxQueue   int
-	maxUnheard int // first sends beyond the count heard, at its largest
-	timeouts   int
-	elapsed    time.Duration
-}
-
-type simPacket struct {
-	d  wire.Data
-	at time.Duration
-}
-
-type simAck struct {
-	a  wire.Ack
-	at time.Duration
-}
-
-func (s *windowSim) run(t *testing.T, snd *core.Sender, rcv *core.Receiver) core.SenderStats {
-	t.Helper()
-	const ring = DefaultIOBatch
-	var (
-		base             = time.Unix(0, 0)
-		now, free        time.Duration
-		queue            []simPacket
-		acks             []simAck
-		lastSeq          uint32
-		lastAck          time.Duration
-		acksSeen         int
-		sinceNews, total int
-		wait             bool
-		probeSeq         = -1 // the engine's one round-trip probe
-		probeAt          time.Duration
-	)
-	// advance lets the receiver work until the clock reads to.
-	advance := func(to time.Duration) {
-		for len(queue) > 0 {
-			done := max(free, queue[0].at) + s.drain
-			if done > to {
-				return
-			}
-			p := queue[0]
-			queue = queue[1:]
-			free = done
-			due, err := rcv.HandleData(p.d)
-			if err != nil {
-				t.Fatalf("receiver: %v", err)
-			}
-			if due {
-				a := rcv.BuildAck()
-				a.Frag.Words = slices.Clone(a.Frag.Words) // the next BuildAck reuses them
-				acks = append(acks, simAck{a, done + s.ackDelay})
-			}
-		}
-	}
-	for looks := 0; !snd.KnownComplete(); looks++ {
-		if looks > 1<<22 {
-			t.Fatalf("transfer did not complete: %+v", snd.Stats())
-		}
-		if wait {
-			// Blocked on the ack socket until news or IdlePoll.
-			deadline := now + s.idlePoll
-			for advance(now); len(acks) == 0 || acks[0].at > now; advance(now) {
-				if now += s.drain; now > deadline {
-					break
-				}
-			}
-			if now > deadline {
-				now = deadline
-				s.timeouts++
-				sinceNews = 0
-				if s.fw != nil {
-					s.fw.quiet(snd.Stats(), now-lastAck)
-				}
-			}
-		}
-		advance(now)
-		for len(acks) > 0 && acks[0].at <= now {
-			a := acks[0].a
-			acks = acks[1:]
-			if a.AckSeq > lastSeq {
-				lastSeq = a.AckSeq
-				if s.fw != nil {
-					s.fw.ack(int(a.Received))
-				}
-			}
-			if err := snd.HandleAck(a); err != nil {
-				t.Fatalf("sender: %v", err)
-			}
-		}
-		if wait {
-			wait = false
-			continue
-		}
-		st := snd.Stats()
-		if st.AcksProcessed > acksSeen {
-			acksSeen = st.AcksProcessed
-			if s.fw != nil {
-				s.fw.news(base.Add(now))
-			}
-			lastAck = now
-			sinceNews = 0
-		}
-		if probeSeq >= 0 && snd.Acked(probeSeq) {
-			if s.fw != nil {
-				s.fw.rtt(now - probeAt)
-			}
-			probeSeq = -1
-		}
-		room := min(ring, st.PacketsNeeded-st.KnownReceived-sinceNews)
-		if s.fw != nil {
-			room = s.fw.room(st, room)
-		}
-		if room <= 0 {
-			wait = true
-			continue
-		}
-		for i := 0; i < room; i++ {
-			again := snd.Stats().Retransmits
-			pkt, ok := snd.NextPacket()
-			if !ok {
-				break
-			}
-			again = snd.Stats().Retransmits - again
-			if probeSeq < 0 {
-				probeSeq, probeAt = int(pkt.Seq), now
-			}
-			now += s.sendCost
-			sinceNews++
-			total++
-			s.seqs = append(s.seqs, pkt.Seq)
-			if s.lose != nil && s.lose(total) {
-				continue
-			}
-			advance(now)
-			if len(queue) >= s.capacity {
-				s.overflow++
-				s.firstLost += 1 - again
-				continue
-			}
-			queue = append(queue, simPacket{pkt, now})
-			s.maxQueue = max(s.maxQueue, len(queue))
-		}
-		if st := snd.Stats(); s.fw != nil {
-			s.maxUnheard = max(s.maxUnheard, st.PacketsSent-st.Retransmits-s.fw.heard)
-		}
-	}
-	s.elapsed = now
-	return snd.Stats()
-}
-
-// simEndpoints builds the state machines of a packets-long transfer of
-// 1 KiB packets, with acknowledgements long enough that one bitmap fragment
-// covers the object whole: the sender's bitmap is never staler than the
-// latest acknowledgement.
-func simEndpoints(packets int) (*core.Sender, *core.Receiver, core.Config) {
-	obj := makeObj(packets << 10)
-	snd := core.NewSender(obj, core.Config{PacketSize: 1024, AckPacketSize: 4096, Transfer: 9})
-	cfg := snd.Config()
-	return snd, core.NewReceiver(int64(len(obj)), cfg), cfg
-}
-
-// A receiver half as fast as the sender that advertises a window of 256
-// packets, half of what its queue holds, as a real endpoint advertises half
-// its buffer: the count the sender hears is behind the queue by the packets
-// the receiver has taken since it last reported and by the report on its way,
-// and retransmissions are not charged to the window at all.
-func slowReceiverSim(fw *flowWindow) *windowSim {
-	return &windowSim{fw: fw, capacity: 2 * 256, sendCost: time.Microsecond, drain: 2 * time.Microsecond,
-		ackDelay: 20 * time.Microsecond, idlePoll: 2 * time.Millisecond}
-}
-
-// TestWindowHoldsSenderToReceiver: told the size of the receiver's queue, the
-// sender never has more outstanding than it holds, nothing overflows, and
-// next to nothing is sent twice; told nothing, the same sender overruns the
-// same receiver.
-func TestWindowHoldsSenderToReceiver(t *testing.T) {
-	const packets, window = 16384, 256
-	snd, rcv, cfg := simEndpoints(packets)
-	fw := newFlowWindow(window<<10, cfg, snd.Stats(), 2*time.Millisecond)
-	sim := slowReceiverSim(&fw)
-	st := sim.run(t, snd, rcv)
-	if !rcv.Complete() {
-		t.Fatal("receiver incomplete")
-	}
-	// Outstanding: the window and what the probes put on the wire — the time
-	// a packet spends in the receiver beyond its acknowledgement interval.
-	if sim.overflow != 0 || sim.maxUnheard > window+cfg.AckFrequency {
-		t.Fatalf("overflow %d, queue up to %d of %d, %d outstanding at most; want 0 and at most the window of %d",
-			sim.overflow, sim.maxQueue, sim.capacity, sim.maxUnheard, window)
-	}
-	if sim.maxQueue < window/2 {
-		t.Fatalf("queue never held more than %d packets: a window of %d starved the receiver", sim.maxQueue, window)
-	}
-	// What is sent twice is the tail: once everything has gone out once,
-	// each acknowledgement makes room the sender fills with the packets
-	// its bitmap still misses — the ones at the back of the queue — so
-	// about one window.
-	if st.Waste() > 0.05 || st.Retransmits > 2*window {
-		t.Fatalf("sent %d packets for %d: waste %.1f%%, want at most 5%% and two windows", st.PacketsSent, st.PacketsNeeded, 100*st.Waste())
-	}
-	if sim.timeouts > 1 {
-		t.Fatalf("%d waits ran out on a lossless path: the sender is not ack-clocked", sim.timeouts)
-	}
-	// The receiver is the bottleneck and must never have run dry.
-	if floor := time.Duration(packets) * sim.drain; sim.elapsed > floor+floor/10 {
-		t.Fatalf("took %v, the receiver alone needs %v", sim.elapsed, floor)
-	}
-
-	snd, rcv, _ = simEndpoints(packets)
-	greedy := slowReceiverSim(nil)
-	st = greedy.run(t, snd, rcv)
-	if greedy.overflow == 0 || st.Waste() < 0.2 {
-		t.Fatalf("with no window: overflow %d, waste %.1f%% — this receiver cannot be overrun, and the test above shows nothing",
-			greedy.overflow, 100*st.Waste())
-	}
-}
-
-// TestNoWindowAdvertisedIsTheOldSender: a receiver that advertises nothing —
-// one that predates the window — is sent to packet for packet as before.
-func TestNoWindowAdvertisedIsTheOldSender(t *testing.T) {
-	snd, rcv, _ := simEndpoints(16384)
-	before := slowReceiverSim(nil)
-	before.run(t, snd, rcv)
-
-	snd, rcv, cfg := simEndpoints(16384)
-	fw := newFlowWindow(wire.Window(0).Bytes(), cfg, snd.Stats(), 2*time.Millisecond)
-	after := slowReceiverSim(&fw)
-	after.run(t, snd, rcv)
-	if !slices.Equal(before.seqs, after.seqs) {
-		t.Fatalf("send sequences differ: %d packets without a window, %d with none advertised", len(before.seqs), len(after.seqs))
-	}
-	if before.overflow != after.overflow || before.timeouts != after.timeouts || before.elapsed != after.elapsed {
-		t.Fatalf("runs differ: %+v / %+v", before, after)
-	}
-}
-
-// TestWindowFloorAndShare: the window is the advertised bytes in packets, and
-// never counted as less than two acknowledgement intervals — below that the
-// acknowledgement that would reopen it might never be sent.
-func TestWindowFloorAndShare(t *testing.T) {
-	cfg := core.NewSender(makeObj(1024), core.Config{PacketSize: 1024}).Config()
-	for _, c := range []struct{ bytes, pkts, room int }{
-		{0, 0, 1 << 20}, {2, 1, 2 * cfg.AckFrequency}, {64 << 10, 64, 2 * cfg.AckFrequency}, {1 << 20, 1024, 1024},
-	} {
-		fw := newFlowWindow(c.bytes, cfg, core.SenderStats{}, 0)
-		if got := fw.room(core.SenderStats{}, 1<<20); fw.pkts != c.pkts || got != c.room {
-			t.Errorf("window of %d bytes: %d packets with room for %d, want %d and %d", c.bytes, fw.pkts, got, c.pkts, c.room)
-		}
-	}
-}
-
-// TestWindowForgivesLossNotSlowness: first sends lost on the wire are never
-// reported received; the waits that run out on them write them off, so a
-// lossy path completes, and a path that dies outright keeps being probed
-// a window at a time rather than once. A receiver that is only slow — its
-// acknowledgements further apart than IdlePoll — is not forgiven the queue
-// it has yet to drain.
-func TestWindowForgivesLossNotSlowness(t *testing.T) {
-	const packets, window = 4096, 256
-	t.Run("lossy", func(t *testing.T) {
-		snd, rcv, cfg := simEndpoints(packets)
-		fw := newFlowWindow(window<<10, cfg, snd.Stats(), 2*time.Millisecond)
-		sim := slowReceiverSim(&fw)
-		sim.lose = func(n int) bool { return n%3 == 0 } // a third of everything
-		st := sim.run(t, snd, rcv)
-		if !rcv.Complete() || sim.firstLost != 0 {
-			t.Fatalf("complete %v, %d first sends found the queue full", rcv.Complete(), sim.firstLost)
-		}
-		// Every window's worth of lost first sends costs one wait; more
-		// than that and losses are closing the window for good.
-		if limit := packets/3/window + packets/window; sim.timeouts > limit {
-			t.Fatalf("%d waits ran out, want at most %d", sim.timeouts, limit)
-		}
-		if st.Waste() > 0.8 {
-			t.Fatalf("waste %.0f%% at 33%% loss", 100*st.Waste())
-		}
-	})
-	t.Run("dead", func(t *testing.T) {
-		snd, _, cfg := simEndpoints(packets)
-		fw := newFlowWindow(window<<10, cfg, snd.Stats(), 2*time.Millisecond)
-		for wave := 1; wave <= 3; wave++ {
-			for fw.room(snd.Stats(), 1) > 0 {
-				snd.NextPacket()
-			}
-			if sent := snd.Stats().PacketsSent; sent != wave*window {
-				t.Fatalf("wave %d: %d packets out, want %d", wave, sent, wave*window)
-			}
-			// A few IdlePolls of silence say nothing yet: no round trip has
-			// been probed, and the first acknowledgement may simply be slow.
-			fw.quiet(snd.Stats(), firstWaits*2*time.Millisecond)
-			if fw.room(snd.Stats(), 1) > 0 {
-				t.Fatalf("wave %d: written off after %d IdlePolls", wave, firstWaits)
-			}
-			fw.quiet(snd.Stats(), 2*firstWaits*2*time.Millisecond)
-		}
-	})
-	t.Run("slow", func(t *testing.T) {
-		snd, rcv, cfg := simEndpoints(packets)
-		fw := newFlowWindow(window<<10, cfg, snd.Stats(), 2*time.Millisecond)
-		sim := slowReceiverSim(&fw)
-		// Sixty-four packets take 3.2 ms: every wait for the next
-		// acknowledgement runs out IdlePoll first, the one for the first
-		// acknowledgement included.
-		sim.drain = 50 * time.Microsecond
-		sim.run(t, snd, rcv)
-		if sim.timeouts < packets/64/2 {
-			t.Fatalf("only %d waits ran out: the receiver is not slower than IdlePoll, and the test shows nothing", sim.timeouts)
-		}
-		// Retransmissions are not the window's business: once everything
-		// has gone out once, each wait that runs out starts another turn.
-		if sim.firstLost != 0 || fw.forgiven != 0 {
-			t.Fatalf("%d first sends found the queue full, %d written off; want none of either",
-				sim.firstLost, fw.forgiven)
-		}
-	})
-}
-
-// TestWindowDoesNotChargeTheWire: the window is widened by the packets the
-// receiver reported over the latest minimum round trip — in flight, in no
-// buffer — so a long fat path is not held to a window per round trip.
-func TestWindowDoesNotChargeTheWire(t *testing.T) {
-	cfg := core.NewSender(makeObj(1024), core.Config{PacketSize: 1024}).Config()
-	fw := newFlowWindow(256<<10, cfg, core.SenderStats{}, 0)
-	t0 := time.Unix(100, 0)
-	fw.rtt(30 * time.Millisecond)
-	fw.rtt(10 * time.Millisecond)
-	if fw.minRTT != 10*time.Millisecond || fw.lastRTT != 15*time.Millisecond {
-		t.Fatalf("after probes of 30 and 10 ms: shortest %v, latest %v; want 10 ms and half of 30", fw.minRTT, fw.lastRTT)
-	}
-	fw.rtt(50 * time.Millisecond)
-	fw.news(t0) // opens the measuring stretch
-	fw.ack(600)
-	fw.news(t0.Add(5 * time.Millisecond)) // shorter than a round trip: not yet
-	if fw.onWire != 0 {
-		t.Fatalf("allowance %d after half a round trip", fw.onWire)
-	}
-	fw.ack(1000)
-	fw.news(t0.Add(20 * time.Millisecond))
-	// 1000 packets in 20 ms is 500 per 10 ms round trip, less the interval
-	// the probe's acknowledgement waited out in the receiver.
-	if want := 500 - cfg.AckFrequency; fw.onWire != want {
-		t.Fatalf("allowance %d packets, want %d", fw.onWire, want)
-	}
-	sent := core.SenderStats{PacketsSent: 1000 + 256 + 400 - cfg.AckFrequency}
-	if got := fw.room(sent, 1000); got != 100 {
-		t.Fatalf("room for %d packets with %d outstanding, want 100 (256 and what is on the wire)", got, sent.PacketsSent-1000)
-	}
-	// Forgiveness taken back: the receiver reports more than was charged.
-	fw.quiet(sent, time.Second)
-	fw.ack(sent.PacketsSent)
-	if got, want := fw.room(sent, 1000), 256+500-cfg.AckFrequency; got != want || fw.forgiven != 0 {
-		t.Fatalf("room %d, forgiven %d after a late report; want %d and 0", got, fw.forgiven, want)
-	}
-}
-
-// TestWindowAccountAllocatesNothing: the account rides the sender's hot
-// loop.
-func TestWindowAccountAllocatesNothing(t *testing.T) {
-	cfg := core.NewSender(makeObj(1024), core.Config{PacketSize: 1024}).Config()
-	fw := newFlowWindow(1<<20, cfg, core.SenderStats{}, 0)
-	st := core.SenderStats{PacketsSent: 5000, PacketsNeeded: 1 << 20}
-	now := time.Unix(1, 0)
-	if n := testing.AllocsPerRun(100, func() {
-		now = now.Add(time.Millisecond)
-		st.PacketsSent += 64
-		fw.ack(st.PacketsSent - 100)
-		fw.rtt(time.Millisecond)
-		fw.news(now)
-		fw.quiet(st, time.Millisecond)
-		fw.room(st, 32)
-	}); n != 0 {
-		t.Fatalf("%v allocations per look", n)
-	}
-}
-
-// --- real sockets ----------------------------------------------------------
+// The receive window on real sockets, where the queue is the kernel's and
+// SO_RXQ_OVFL does the counting. The sender's account itself, and a greedy and
+// a windowed sender against one slow receiver on a deterministic clock, are
+// tested where they live: internal/core (flow_test.go) and internal/simrun.
 
 // grantedFor binds an endpoint asking for that receive buffer and returns
 // what it says the kernel granted.
