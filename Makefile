@@ -177,5 +177,6 @@ fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeControl -fuzztime 10s
 	$(GO) test ./internal/xfer -run '^$$' -fuzz FuzzDecodeManifest -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzReadEvents -fuzztime 10s
+	$(GO) test ./internal/checkpoint -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 10s
 
 verify: tier1 vet cross race shuffle fuzz-smoke bench-e2e-test

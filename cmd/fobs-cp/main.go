@@ -76,10 +76,10 @@ func run() error {
 		verify  = flag.Bool("verify", false,
 			"require end-to-end content verification per file; fail rather than degrade past it (with -send)")
 		noDedup = flag.Bool("no-dedup", false,
-			"skip the digest-first handshake; always move every file's bytes (with -send)")
+			"do not let the receiver answer from its content cache; always move every file's bytes (with -send)")
 
 		resumeWindow = flag.Duration("resume-window", 0,
-			"retain interrupted transfers this long so a reconnecting sender can RESUME them (0: default 60s, negative: disabled; with -recv)")
+			"retain interrupted transfers this long so a sender of the same content sends only what is missing (0: default 60s, negative: disabled; with -recv)")
 		checkpointDir = flag.String("checkpoint", "",
 			"directory for resume checkpoints; interrupted transfers survive a restart of this process (with -recv)")
 

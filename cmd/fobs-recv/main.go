@@ -55,7 +55,7 @@ func run() error {
 			"abort when no data arrives mid-transfer for this long (0: default 30s, negative: disabled)")
 
 		resumeWindow = flag.Duration("resume-window", 0,
-			"retain interrupted transfers this long so a reconnecting sender can RESUME them (0: default 60s, negative: disabled)")
+			"retain interrupted transfers this long so a sender of the same content sends only what is missing (0: default 60s, negative: disabled)")
 		checkpointDir = flag.String("checkpoint", "",
 			"directory for resume checkpoints; interrupted transfers survive a restart of this process")
 
@@ -141,8 +141,9 @@ func run() error {
 
 	// Accept until one transfer completes: an interrupted attempt parks its
 	// partial state in the resume window (and checkpoint directory, when
-	// configured), and the sender's supervisor reconnects with a RESUME
-	// that picks it up — so a failed Accept here means "listen again", not
+	// configured), and the sender's supervisor reconnects with an
+	// announcement of the same content that picks it up — so a failed
+	// Accept here means "listen again", not
 	// "give up", until the deadline or an interrupt ends the wait.
 	start := time.Now()
 	var obj []byte

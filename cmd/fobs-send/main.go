@@ -77,12 +77,10 @@ func run() error {
 			"re-dial a failed transfer up to this many times with exponential backoff (0: no retries)")
 		retryBackoff = flag.Duration("retry-backoff", 0,
 			"delay before the first retry, doubling each attempt (0: default 500ms; needs -retries)")
-		resume = flag.Bool("resume", true,
-			"open retries with a RESUME handshake so only missing packets are resent (needs -retries)")
 		verify = flag.Bool("verify", false,
-			"require end-to-end content verification; fail rather than degrade past the digest handshake")
+			"have the receiver verify every stripe's digest, not just the whole object's")
 		noDedup = flag.Bool("no-dedup", false,
-			"skip the digest-first handshake; always move the bytes even if the receiver holds them")
+			"do not let the receiver answer from its content cache; move the bytes even if it holds them")
 
 		stallTimeout = flag.Duration("stall-timeout", 0,
 			"abort when no acknowledgement arrives for this long (0: default 15s, negative: disabled)")
@@ -150,7 +148,6 @@ func run() error {
 		opts.Retry = &fobs.RetryPolicy{
 			MaxRetries: *retries,
 			Backoff:    *retryBackoff,
-			NoResume:   !*resume,
 		}
 	}
 	var ioc fobs.IOCounters

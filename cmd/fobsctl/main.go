@@ -148,9 +148,9 @@ func (c *client) submit(args []string) (int, error) {
 		streams = fs.Int("streams", 0, "stripe across this many UDP flows (0/1: unstriped)")
 		cc      = fs.String("cc", "", "congestion control policy for this task ("+strings.Join(fobs.CongestionPolicies(), ", ")+")")
 		verify  = fs.Bool("verify", false,
-			"require end-to-end content verification; fail rather than degrade past it")
+			"have the receiver verify every stripe's digest, not just the whole object's")
 		noDedup = fs.Bool("no-dedup", false,
-			"skip the digest-first handshake; always move the bytes")
+			"do not let the receiver answer from its content cache; always move the bytes")
 		wait = fs.Bool("wait", false, "poll until the task reaches a terminal state")
 	)
 	fs.Parse(args)

@@ -1,6 +1,7 @@
 // Package checkpoint persists the receive side of an interrupted transfer
-// — the partially assembled object and its got-bitmap — so a restarted
-// process can answer a RESUME instead of forcing a full retransmission.
+// — the partially assembled object, its got-bitmap and the content identity
+// it was announced under — so a restarted process can answer a CHECK for
+// that content with what it holds instead of forcing a full retransmission.
 // GridFTP's restart markers serve the same purpose; here the unit is the
 // whole receiver state, written atomically once per abort rather than
 // streamed, because FOBS transfers are single objects, not byte streams.
@@ -27,38 +28,44 @@ import (
 // fileMagic opens every checkpoint file.
 var fileMagic = [8]byte{'F', 'O', 'B', 'S', 'C', 'K', 'P', 'T'}
 
-// Version is the checkpoint format revision this build writes.
-const Version uint8 = 1
+// Version is the checkpoint format revision this build writes. Version 1
+// also carried a whole-object CRC-32C; version 2 identifies the object by its
+// content identity alone.
+const Version uint8 = 2
 
-// ErrCorrupt reports a checkpoint file that failed a structural or
-// checksum validation.
-var ErrCorrupt = errors.New("checkpoint: corrupt or truncated file")
+// flagContent marks a file whose State carries a content identity.
+const flagContent = 1 << 1
+
+var (
+	// ErrCorrupt reports a checkpoint file that failed a structural or
+	// checksum validation.
+	ErrCorrupt = errors.New("checkpoint: corrupt or truncated file")
+	// ErrOldVersion reports a file an earlier build wrote in a format this
+	// one no longer reads. LoadDir and LoadCacheDir remove such files:
+	// nothing will ever read them again.
+	ErrOldVersion = errors.New("checkpoint: written by an earlier format version")
+)
 
 // castagnoli matches the CRC-32C polynomial used on the wire.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // State is one retained transfer: everything a receiver needs to rebuild
-// its state machines and answer a RESUME after a restart.
+// its state machines and answer a CHECK for its content after a restart.
 type State struct {
+	// Transfer names the file; the content identity is what a later
+	// transfer finds the state by.
 	Transfer   uint32
 	ObjectSize uint64
 	PacketSize uint32
-	// Digest is the whole-object CRC-32C from the original announcement's
-	// sender, when known (HasDigest); it guards against resuming a
-	// same-id transfer of a different object.
-	Digest    uint32
-	HasDigest bool
 	// Received counts distinct packets held; Words is the got-bitmap.
 	Received uint32
 	Words    []uint64
 	// Object is the partially filled object buffer, ObjectSize bytes.
 	Object []byte
-	// Content is the whole-object SHA-256 content identity, when known
-	// (HasContent). A content-cache entry always carries one — it is the
-	// lookup key — and a retained partial transfer carries one when its
-	// announcement included a CHECK. Serialized after the object under
-	// flags bit 1, so pre-content builds reject (and skip) the longer
-	// format instead of misparsing it.
+	// Content is the whole-object content identity (core.ContentID), when
+	// known (HasContent). Both a content-cache entry and a retained partial
+	// transfer are found by it; a file without one is never claimed.
+	// Serialized after the object under flags bit 1.
 	Content    [32]byte
 	HasContent bool
 }
@@ -69,8 +76,8 @@ func File(dir string, transfer uint32) string {
 }
 
 // headerLen is the fixed payload prefix after the magic:
-// version, flags, transfer, objsize, psize, digest, received, words.
-const headerLen = 1 + 1 + 4 + 8 + 4 + 4 + 4 + 4
+// version, flags, transfer, objsize, psize, received, words.
+const headerLen = 1 + 1 + 4 + 8 + 4 + 4 + 4
 
 // Save atomically writes st to the checkpoint file for its transfer id:
 // the bytes land in a temporary file first and rename into place, so a
@@ -89,17 +96,13 @@ func save(path string, st *State) error {
 	}
 	head := make([]byte, 0, headerLen+8*len(st.Words))
 	var flags uint8
-	if st.HasDigest {
-		flags |= 1
-	}
 	if st.HasContent {
-		flags |= 2
+		flags |= flagContent
 	}
 	head = append(head, Version, flags)
 	head = binary.BigEndian.AppendUint32(head, st.Transfer)
 	head = binary.BigEndian.AppendUint64(head, st.ObjectSize)
 	head = binary.BigEndian.AppendUint32(head, st.PacketSize)
-	head = binary.BigEndian.AppendUint32(head, st.Digest)
 	head = binary.BigEndian.AppendUint32(head, st.Received)
 	head = binary.BigEndian.AppendUint32(head, uint32(len(st.Words)))
 	for _, w := range st.Words {
@@ -118,45 +121,65 @@ func Load(path string) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decode(body)
+}
+
+// decode validates and parses a checkpoint body, the framed container's
+// payload. The State's Object aliases body.
+func decode(body []byte) (*State, error) {
 	if len(body) < headerLen {
 		return nil, ErrCorrupt
+	}
+	if body[0] < Version {
+		return nil, fmt.Errorf("%w: version %d, speak %d", ErrOldVersion, body[0], Version)
 	}
 	if body[0] != Version {
 		return nil, fmt.Errorf("checkpoint: version %d, speak %d", body[0], Version)
 	}
 	st := &State{
-		HasDigest:  body[1]&1 != 0,
-		HasContent: body[1]&2 != 0,
+		HasContent: body[1]&flagContent != 0,
 		Transfer:   binary.BigEndian.Uint32(body[2:]),
 		ObjectSize: binary.BigEndian.Uint64(body[6:]),
 		PacketSize: binary.BigEndian.Uint32(body[14:]),
-		Digest:     binary.BigEndian.Uint32(body[18:]),
-		Received:   binary.BigEndian.Uint32(body[22:]),
+		Received:   binary.BigEndian.Uint32(body[18:]),
 	}
-	nw := int(binary.BigEndian.Uint32(body[26:]))
+	nw := int(binary.BigEndian.Uint32(body[22:]))
 	rest := body[headerLen:]
-	want := uint64(8*nw) + st.ObjectSize
 	if st.HasContent {
-		want += 32
+		if len(rest) < 32 {
+			return nil, ErrCorrupt
+		}
+		st.Content = [32]byte(rest[len(rest)-32:])
+		rest = rest[:len(rest)-32]
 	}
-	if st.PacketSize == 0 || st.ObjectSize == 0 ||
-		nw < 0 || uint64(len(rest)) != want {
+	// Measured against what is there, never summed: a lying header's sizes
+	// could wrap a sum around to the file's length.
+	if st.PacketSize == 0 || st.ObjectSize == 0 || nw > len(rest)/8 ||
+		uint64(len(rest)-8*nw) != st.ObjectSize {
 		return nil, ErrCorrupt
 	}
 	st.Words = make([]uint64, nw)
 	for i := range st.Words {
 		st.Words[i] = binary.BigEndian.Uint64(rest[8*i:])
 	}
-	st.Object = rest[8*nw : uint64(8*nw)+st.ObjectSize]
-	if st.HasContent {
-		copy(st.Content[:], rest[uint64(8*nw)+st.ObjectSize:])
-	}
+	st.Object = rest[8*nw:]
 	return st, nil
+}
+
+// load is Load for the directory scans: a file of an earlier format version
+// is removed on the way.
+func load(path string) (*State, error) {
+	st, err := Load(path)
+	if errors.Is(err, ErrOldVersion) {
+		os.Remove(path)
+	}
+	return st, err
 }
 
 // LoadDir loads every valid checkpoint under dir, keyed by transfer id.
 // Corrupt or foreign files are skipped, not errors: a retained directory
-// shared with other artifacts must not poison startup.
+// shared with other artifacts must not poison startup. Checkpoints an
+// earlier format version wrote are removed.
 func LoadDir(dir string) (map[uint32]*State, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -174,7 +197,7 @@ func LoadDir(dir string) (map[uint32]*State, error) {
 		if _, err := fmt.Sscanf(e.Name(), "fobs-ckpt-%08x", &xfer); err != nil {
 			continue
 		}
-		st, err := Load(filepath.Join(dir, e.Name()))
+		st, err := load(filepath.Join(dir, e.Name()))
 		if err != nil || st.Transfer != xfer {
 			continue
 		}
@@ -218,7 +241,8 @@ func SaveCache(dir string, st *State) error {
 // skipped for the same reason LoadDir skips them; an entry whose filename
 // does not match its own content digest is treated as foreign. admit still
 // verifies the full digest against the object bytes before trusting an
-// entry, and owns st.Object if it keeps it.
+// entry, and owns st.Object if it keeps it. Entries an earlier format version
+// wrote are removed, like the ones admit turns down.
 func LoadCacheDir(dir string, admit func(st *State) bool) error {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -250,7 +274,7 @@ func LoadCacheDir(dir string, admit func(st *State) bool) error {
 	sort.SliceStable(files, func(i, j int) bool { return files[i].saved.Before(files[j].saved) })
 	for _, f := range files {
 		path := filepath.Join(dir, f.name)
-		st, err := Load(path)
+		st, err := load(path)
 		if err != nil || !st.HasContent || binary.BigEndian.Uint64(st.Content[:8]) != f.key {
 			continue
 		}

@@ -19,11 +19,11 @@ func sampleState() *State {
 		Transfer:   42,
 		ObjectSize: uint64(len(obj)),
 		PacketSize: 1024,
-		Digest:     0xCAFEF00D,
-		HasDigest:  true,
 		Received:   2,
 		Words:      []uint64{0b101},
 		Object:     obj,
+		Content:    [32]byte{0xCA, 0xFE, 0xF0, 0x0D},
+		HasContent: true,
 	}
 }
 
@@ -38,8 +38,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Transfer != st.Transfer || got.ObjectSize != st.ObjectSize ||
-		got.PacketSize != st.PacketSize || got.Digest != st.Digest ||
-		got.HasDigest != st.HasDigest || got.Received != st.Received {
+		got.PacketSize != st.PacketSize || got.Content != st.Content ||
+		got.HasContent != st.HasContent || got.Received != st.Received {
 		t.Fatalf("header changed: %+v vs %+v", got, st)
 	}
 	if len(got.Words) != len(st.Words) || got.Words[0] != st.Words[0] {
@@ -106,7 +106,14 @@ func TestLoadRejectsLyingHeader(t *testing.T) {
 	}{
 		{"object size inflated", func(b []byte) { binary.BigEndian.PutUint32(b[8+6+4:], 1<<30) }},
 		{"packet size zeroed", func(b []byte) { binary.BigEndian.PutUint32(b[8+14:], 0) }},
-		{"word count inflated", func(b []byte) { binary.BigEndian.PutUint32(b[8+26:], 1<<20) }},
+		{"word count inflated", func(b []byte) { binary.BigEndian.PutUint32(b[8+22:], 1<<20) }},
+		{"sizes that wrap to the file's length", func(b []byte) {
+			// 8 MiB of words plus an object size that is their negation
+			// plus what the file really holds: the sum wraps to its length.
+			words := uint64(1 << 20)
+			binary.BigEndian.PutUint32(b[8+22:], uint32(words))
+			binary.BigEndian.PutUint64(b[8+6:], uint64(8+3000)-8*words)
+		}},
 	} {
 		if err := Save(dir, st); err != nil {
 			t.Fatal(err)
@@ -126,20 +133,20 @@ func TestLoadRejectsLyingHeader(t *testing.T) {
 	}
 }
 
-// TestSaveGoldenBytes pins the on-disk layout to the byte: the framed-
-// container split must never change what Save writes, or checkpoints
-// would stop round-tripping across versions.
+// TestSaveGoldenBytes pins the version-2 on-disk layout to the byte: the
+// framed-container split must never change what Save writes, or checkpoints
+// would stop round-tripping across builds of one version.
 func TestSaveGoldenBytes(t *testing.T) {
 	dir := t.TempDir()
 	st := &State{
 		Transfer:   0x01020304,
 		ObjectSize: 4,
 		PacketSize: 2,
-		Digest:     0xAABBCCDD,
-		HasDigest:  true,
 		Received:   2,
 		Words:      []uint64{0x5},
 		Object:     []byte{0xDE, 0xAD, 0xBE, 0xEF},
+		Content:    [32]byte{0xAA, 0xBB, 0xCC, 0xDD},
+		HasContent: true,
 	}
 	if err := Save(dir, st); err != nil {
 		t.Fatal(err)
@@ -150,16 +157,17 @@ func TestSaveGoldenBytes(t *testing.T) {
 	}
 	want := []byte{
 		'F', 'O', 'B', 'S', 'C', 'K', 'P', 'T', // magic
-		0x01, 0x01, // version, flags (has-digest)
+		0x02, 0x02, // version, flags (has-content)
 		0x01, 0x02, 0x03, 0x04, // transfer
 		0, 0, 0, 0, 0, 0, 0, 0x04, // object size
 		0, 0, 0, 0x02, // packet size
-		0xAA, 0xBB, 0xCC, 0xDD, // digest
 		0, 0, 0, 0x02, // received
 		0, 0, 0, 0x01, // word count
 		0, 0, 0, 0, 0, 0, 0, 0x05, // bitmap word
 		0xDE, 0xAD, 0xBE, 0xEF, // object
+		0xAA, 0xBB, 0xCC, 0xDD, // content identity, 32 bytes
 	}
+	want = append(want, make([]byte, 28)...)
 	want = append(want, 0, 0, 0, 0)
 	restamp(want)
 	if !bytes.Equal(got, want) {
@@ -251,6 +259,51 @@ func TestLoadDirSkipsJunk(t *testing.T) {
 	got, err = LoadDir(dir)
 	if err != nil || len(got) != 1 || got[7] == nil {
 		t.Fatalf("after Remove: %v states, err=%v", got, err)
+	}
+}
+
+// TestLoadDirRemovesOldVersion: a checkpoint an earlier format version wrote
+// is refused as ErrOldVersion, and the directory scans remove it — resume
+// checkpoint and cache entry alike — while a current one stays.
+func TestLoadDirRemovesOldVersion(t *testing.T) {
+	dir := t.TempDir()
+	st := sampleState()
+	if err := Save(dir, st); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveCache(dir, st); err != nil {
+		t.Fatal(err)
+	}
+	old := func(path string) {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[8] = Version - 1
+		if err := os.WriteFile(path, restamp(b), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); !errors.Is(err, ErrOldVersion) {
+			t.Fatalf("old version: err=%v, want ErrOldVersion", err)
+		}
+	}
+	old(File(dir, st.Transfer))
+	old(CacheFile(dir, st.Content))
+	st.Transfer = 7
+	if err := Save(dir, st); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadDir(dir)
+	if err != nil || len(got) != 1 || got[7] == nil {
+		t.Fatalf("LoadDir: %d states (err=%v), want just transfer 7", len(got), err)
+	}
+	if err := LoadCacheDir(dir, func(*State) bool { t.Fatal("an old cache entry was offered"); return true }); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{File(dir, 42), CacheFile(dir, st.Content)} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("%s survived the scan: %v", filepath.Base(path), err)
+		}
 	}
 }
 

@@ -23,8 +23,6 @@ func bigState(size int) *State {
 		Transfer:   7,
 		ObjectSize: uint64(size),
 		PacketSize: 1024,
-		Digest:     0xCAFEF00D,
-		HasDigest:  true,
 		Received:   uint32(size / 2048),
 		Words:      words,
 		Object:     obj,

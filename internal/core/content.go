@@ -56,8 +56,7 @@ func RootID(size int, leaves [][32]byte) [32]byte {
 
 // ContentID returns the object's content identity: a two-level SHA-256,
 // RootID over the LeafID of every LeafSize-byte leaf. Unlike the per-packet
-// CRC-32C (Config.Checksum) and the completion-report CRC
-// (wire.ObjectDigest), a content identity names the bytes strongly enough
+// CRC-32C (Config.Checksum), a content identity names the bytes strongly enough
 // to deduplicate by — two objects with equal ContentIDs are the same object
 // for transfer-avoidance purposes. Leaves are what let the identity be
 // computed in pieces: here on up to GOMAXPROCS goroutines at once, and by a

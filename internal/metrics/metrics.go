@@ -262,8 +262,8 @@ func (r *Registry) NoteRetry(transfer uint32, attempt int) {
 	r.record(r.now(), transfer, RoleSender, EventRetry, uint32(attempt))
 }
 
-// NoteResume records one RESUME handshake the peer accepted; restored is
-// the packet count the HAVE bitmap carried over. role distinguishes the
+// NoteResume records one handshake whose CHECK was answered from retained
+// state; restored is the packet count the HAVE bitmap carried over. role distinguishes the
 // two ends (both record the event). Safe on a nil registry.
 func (r *Registry) NoteResume(transfer uint32, role Role, restored int) {
 	if r == nil {
@@ -352,7 +352,7 @@ type Snapshot struct {
 	// Events is the retained lifecycle event ring, oldest first.
 	Events []Event `json:"events"`
 	// Retries counts sender-supervisor retry attempts; Resumes counts
-	// accepted RESUME handshakes (either role). Registry-wide: one logical
+	// handshakes answered from retained state (either role). Registry-wide: one logical
 	// transfer spans several Transfer handles when retried.
 	Retries int64 `json:"retries,omitempty"`
 	Resumes int64 `json:"resumes,omitempty"`

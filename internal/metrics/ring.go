@@ -25,8 +25,9 @@ const (
 	// EventRetry marks one retry attempt by the sender-side supervisor;
 	// the event's Arg carries the attempt number (1 = first retry).
 	EventRetry
-	// EventResume marks a RESUME handshake the peer accepted; the event's
-	// Arg carries the number of packets the HAVE bitmap restored.
+	// EventResume marks a handshake whose CHECK was answered from retained
+	// state; the event's Arg carries the number of packets the HAVE bitmap
+	// restored.
 	EventResume
 )
 

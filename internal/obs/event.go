@@ -70,12 +70,11 @@ const (
 	// is 1 on a dedup hit (the peer already holds the object), 0 on a
 	// miss.
 	KindCheck
-	// KindHandshake marks a completed announcement exchange:
-	// HELLO/HELLO-ACK, HELLOX/HELLO-ACK, or RESUME/HAVE. Arg is the
-	// stripe count.
+	// KindHandshake marks a completed announcement exchange: CHECK and
+	// HELLO or HELLOX, answered with HAVE and HELLO-ACK.
 	KindHandshake
-	// KindResume marks an accepted RESUME: Arg is the number of packets
-	// the HAVE bitmap restored.
+	// KindResume marks a CHECK answered from retained state: Arg is the
+	// number of packets the HAVE bitmap restored.
 	KindResume
 	// KindSkip marks a deduplicated data phase: the transfer completed
 	// without a data flow because the receiver already held the object.

@@ -51,7 +51,7 @@ type Config struct {
 	// a long-lived state directory does not accrete every task ever run.
 	Retention time.Duration
 	// Send is the base socket configuration every mover starts from; the
-	// daemon fills Retry, ResumeFirst, RateCap, Streams, Congestion and
+	// daemon fills Retry, Verify, NoDedup, RateCap, Streams, Congestion and
 	// Metrics per task on top of it.
 	Send udprt.Options
 	// Metrics, when non-nil, receives per-transfer records from every
@@ -325,14 +325,12 @@ func (d *Daemon) moverOptions(t *Task) udprt.Options {
 	opts.Metrics = d.reg
 	pol := *d.cfg.Retry
 	opts.Retry = &pol
-	// Rerun attempts (a crash, a requeue) always lead with RESUME: the
-	// receiver may hold most of the object, and the handshake degrades to
-	// a fresh transfer when it holds nothing. First attempts skip the
-	// extra round trip.
-	opts.ResumeFirst = t.Attempts > 1
-	// Movers are digest-first by default: the CHECK prelude lets a
-	// receiver that already holds the content complete the task without a
-	// data flow. The spec can harden (Verify) or disable (NoDedup) it.
+	// Every announcement carries the content's CHECK: a receiver that holds
+	// the content completes the task without a data flow, and one that
+	// retained part of it from an earlier attempt (a crash, a requeue) is
+	// sent only the rest — a rerun costs one handshake, whatever the
+	// receiver holds. The spec can harden (Verify) the check, or keep the
+	// receiver from answering it from its cache (NoDedup).
 	opts.Verify = t.Spec.Verify
 	opts.NoDedup = t.Spec.NoDedup
 	opts.RateCap = d.capFor(t.Spec.tenant())

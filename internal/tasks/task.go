@@ -9,17 +9,18 @@
 // The paper evaluates single transfers; an operational deployment runs
 // many, for many users, against a machine that can die. This package adds
 // exactly that operational shell while reusing the runtime's own
-// primitives: movers are supervised udprt Sends (Retry + ResumeFirst),
+// primitives: movers are supervised udprt Sends (Retry),
 // per-tenant ceilings are shared udprt.RateCaps composed under whatever
 // congestion policy each transfer runs, and the store's file format is
 // the checkpoint package's framed container with a task magic.
 //
 // Semantics are at-least-once: a task is marked done only after the
 // receiver's COMPLETE verdict, so a crash between the verdict and the
-// mark reruns the task. Reruns are safe — the transfer id is stable per
-// task, so the rerun resumes (or at worst repeats) delivery of the same
-// bytes, and the FOBS digest check keeps a rerun from ever completing
-// against different content.
+// mark reruns the task. Reruns are safe — the receiver finds what it
+// retained of the task's bytes by their content identity, so the rerun
+// resumes (or at worst repeats) delivery of the same bytes, and the
+// identity check keeps a rerun from ever completing against different
+// content.
 package tasks
 
 import (
@@ -74,12 +75,13 @@ type Spec struct {
 	// Congestion selects the congestion-control policy by name (empty:
 	// the runtime default).
 	Congestion string `json:"congestion,omitempty"`
-	// Verify requires end-to-end content verification: the mover refuses
-	// to degrade past the CHECK prelude, so a receiver that cannot answer
-	// digests fails the task instead of silently skipping verification.
+	// Verify asks the receiver to verify every stripe of a striped task
+	// against its own digest, not just the whole object (which every
+	// transfer's CHECK has it verify).
 	Verify bool `json:"verify,omitempty"`
-	// NoDedup opts the task out of the digest-first handshake entirely:
-	// no CHECK prelude, no receiver-cache hit, bytes always move.
+	// NoDedup keeps the receiver from answering the task's CHECK from its
+	// content cache, so the bytes move even when it holds them; what it
+	// retained of an earlier, failed attempt still excuses packets.
 	NoDedup bool `json:"no_dedup,omitempty"`
 }
 
@@ -166,8 +168,9 @@ type Task struct {
 	// State is the lifecycle position; see State.
 	State State `json:"state"`
 	// Transfer is the stable FOBS transfer id the task's attempts all
-	// use — stability is what lets a post-restart rerun RESUME against
-	// the receiver's retained state.
+	// use. A post-restart rerun finds the receiver's retained state by the
+	// content's identity, not by this id; the stable id keeps the
+	// receiver's records of one task under one name.
 	Transfer uint32 `json:"transfer"`
 	// Attempts counts mover executions, across restarts.
 	Attempts int `json:"attempts"`

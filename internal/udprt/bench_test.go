@@ -365,7 +365,7 @@ func BenchmarkVerifyOverhead(b *testing.B) {
 		snd := core.NewSender(makeObj(objSize), core.Config{PacketSize: packetSize})
 		var hashDur time.Duration
 		if verify {
-			// Hash at object load — where checkFrame computes it. The
+			// Hash at object load — where announcement computes it. The
 			// memoized digest is what the CHECK prelude carries; nothing
 			// below touches it again.
 			hashStart := time.Now()

@@ -31,7 +31,7 @@ func TestStripeDigestsOnlyUnderVerify(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c, err := wire.DecodeCheck(plan.checkFrame(tc.opts))
+			c, err := wire.DecodeCheck(plan.announcement(tc.opts))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func TestCheckMissCopiesNothing(t *testing.T) {
 	cache := newContentCache(Options{}.withDefaults())
 	id := core.ContentID(obj)
 	cache.add(id, obj, 1024)
-	hit := recvPlan{hasCheck: true, checkDedup: true, checkDigest: id, objectSize: uint64(len(obj))}
+	hit := recvPlan{checkDedup: true, checkDigest: id, objectSize: uint64(len(obj))}
 	if got, ok := hit.dedupHit(cache); !ok || len(got) != len(obj) {
 		t.Fatal("a dedup-permitting CHECK for a cached object missed")
 	}

@@ -42,7 +42,6 @@ type controlFrame struct {
 	helloAck wire.HelloAck
 	complete wire.Complete
 	abort    wire.Abort
-	resume   wire.Resume
 	have     wire.Have
 	trace    wire.Trace
 	check    wire.Check
@@ -121,8 +120,6 @@ func readControlFrame(ctl io.Reader) (controlFrame, error) {
 		f.complete, err = wire.DecodeComplete(buf)
 	case wire.TypeAbort:
 		f.abort, err = wire.DecodeAbort(buf)
-	case wire.TypeResume:
-		f.resume, err = wire.DecodeResume(buf)
 	case wire.TypeHave:
 		f.have, err = wire.DecodeHave(buf)
 	case wire.TypeTrace:
@@ -146,90 +143,51 @@ func writeAbort(ctl net.Conn, transfer uint32, reason wire.AbortReason) {
 	ctl.SetWriteDeadline(time.Time{})
 }
 
-// writeHave accepts a RESUME on the control channel: the receiver's
-// got-bitmap tells the sender exactly which packets to skip, and window how
-// far ahead of the acknowledgements it may run.
-func writeHave(ctl net.Conn, transfer uint32, received int, words []uint64, window wire.Window) error {
-	msg := wire.AppendHave(nil, &wire.Have{
-		Transfer: transfer,
-		Received: uint32(received),
-		Words:    words,
-		Window:   window,
-	})
+// writeControl writes the frames msg holds on the control channel, bounded
+// by a 10-second deadline.
+func writeControl(ctl net.Conn, msg []byte) error {
 	ctl.SetWriteDeadline(time.Now().Add(10 * time.Second))
 	defer ctl.SetWriteDeadline(time.Time{})
-	if _, err := ctl.Write(msg); err != nil {
-		return fmt.Errorf("udprt: have write: %w", err)
-	}
-	return nil
-}
-
-// answerCheckMiss tells the sender its CHECK query missed: a HAVE whose
-// Received count is zero. The wire format forbids an empty word list, so
-// the canonical "hold nothing" answer carries a single zero word.
-func answerCheckMiss(ctl net.Conn, transfer uint32) error {
-	return writeHave(ctl, transfer, 0, []uint64{0}, 0)
-}
-
-// writeHelloAck accepts a handshake on the control channel, advertising the
-// receive window.
-func writeHelloAck(ctl net.Conn, transfer uint32, window wire.Window) error {
-	msg := wire.AppendHelloAck(nil, &wire.HelloAck{Transfer: transfer, Window: window})
-	ctl.SetWriteDeadline(time.Now().Add(10 * time.Second))
-	defer ctl.SetWriteDeadline(time.Time{})
-	if _, err := ctl.Write(msg); err != nil {
-		return fmt.Errorf("udprt: hello-ack write: %w", err)
-	}
-	return nil
+	_, err := ctl.Write(msg)
+	return err
 }
 
 // answer is what a completed announcement exchange told the sender.
 type answer struct {
-	// check is the CHECK's verdict, nil when none was asked for: a HAVE whose
-	// Received count is zero on a miss and the whole packet count on a dedup
-	// hit, after which COMPLETE follows and nothing else was read.
-	check *wire.Have
-	// have is the announcement's own answer: the HAVE bitmap that accepts a
-	// RESUME, or of a HELLO-ACK nothing but the receive window both carry.
+	// have is the CHECK's verdict: Received zero on a miss, the retained
+	// packets' bitmap when the receiver holds part of the object, and the
+	// whole packet count when it holds all of it — after which COMPLETE
+	// follows and nothing else was read.
 	have wire.Have
+	// window is the receive window the HELLO-ACK advertised (zero when it
+	// advertised none, or no HELLO-ACK came).
+	window wire.Window
 }
 
 // exchange is the sender's one announcement exchange, on an established
-// control connection: write the pipelined frame — [TRACE][CHECK] then HELLO,
-// HELLOX or RESUME — and read its answers, the CHECK's verdict first when one
-// is aboard (checked). The sender places no data on the network until this
-// returns nil, so a dead or rejecting receiver can never cause an open-loop
-// UDP blast. What a failure means — retry, degrade, fall back to a fresh
-// transfer, break the session — is the caller's policy.
-func exchange(ctx context.Context, ctl net.Conn, frame []byte, transfer uint32, checked, resume bool,
-	timeout time.Duration) (ans answer, err error) {
-
+// control connection: write the pipelined frame — [TRACE] CHECK then HELLO or
+// HELLOX — and read its answers, the CHECK's HAVE first and then, unless that
+// says the receiver holds the whole object, the HELLO-ACK. The sender places
+// no data on the network until this returns nil, so a dead or rejecting
+// receiver can never cause an open-loop UDP blast. What a failure means —
+// retry, degrade, break the session — is the caller's policy.
+func exchange(ctx context.Context, ctl net.Conn, frame []byte, transfer uint32, packets int, timeout time.Duration) (ans answer, err error) {
 	ctl.SetWriteDeadline(time.Now().Add(timeout))
 	_, err = ctl.Write(frame)
 	ctl.SetWriteDeadline(time.Time{})
 	if err != nil {
 		return ans, fmt.Errorf("udprt: hello write: %w", err)
 	}
-	if checked {
-		h, err := awaitAnswer(ctx, ctl, transfer, wire.TypeHave, timeout)
-		if err != nil {
-			return ans, err
-		}
-		ans.check = &h
-		if h.Received > 0 {
-			return ans, nil
-		}
+	if ans.have, err = awaitAnswer(ctx, ctl, transfer, wire.TypeHave, timeout); err != nil || int(ans.have.Received) >= packets {
+		return ans, err
 	}
-	want := wire.TypeHelloAck
-	if resume {
-		want = wire.TypeHave
-	}
-	ans.have, err = awaitAnswer(ctx, ctl, transfer, want, timeout)
+	ack, err := awaitAnswer(ctx, ctl, transfer, wire.TypeHelloAck, timeout)
+	ans.window = ack.Window
 	return ans, err
 }
 
 // awaitAnswer reads the receiver's next answer within timeout (clipped to
-// ctx's deadline) and requires a frame of type want — HELLO-ACK or HAVE —
+// ctx's deadline) and requires a frame of type want — HAVE or HELLO-ACK —
 // for this transfer, returning the HAVE (of a HELLO-ACK, nothing but its
 // window). An ABORT surfaces as an *AbortError.
 func awaitAnswer(ctx context.Context, ctl net.Conn, transfer uint32, want uint8, timeout time.Duration) (wire.Have, error) {

@@ -7,10 +7,12 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/hpcnet/fobs/internal/core"
+	"github.com/hpcnet/fobs/internal/obs"
 	"github.com/hpcnet/fobs/internal/wire"
 )
 
@@ -490,10 +492,10 @@ func TestContentCacheEviction(t *testing.T) {
 	}
 }
 
-// TestResumeReconciledWithDedup pins the RESUME/CHECK pipeline: a
-// ResumeFirst supervisor leading with [CHECK][RESUME] against a receiver
-// that already completed (and cached) the object finishes on the CHECK
-// answer alone — no resume bitmap, no data flow.
+// TestResumeReconciledWithDedup pins the one lookup a CHECK is answered
+// from: a supervised rerun of a transfer against a receiver that already
+// completed (and cached) the object finishes on the CHECK answer alone — no
+// resume bitmap, no data flow.
 func TestResumeReconciledWithDedup(t *testing.T) {
 	l, err := Listen("127.0.0.1:0", Options{})
 	if err != nil {
@@ -507,11 +509,10 @@ func TestResumeReconciledWithDedup(t *testing.T) {
 	if _, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: 1}, Options{}); err != nil {
 		t.Fatalf("seed send: %v", err)
 	}
-	// A restarted orchestrator re-driving the same task: leads with RESUME.
-	opts := Options{Retry: &RetryPolicy{}, ResumeFirst: true}
-	sst, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: 1}, opts)
+	// A restarted orchestrator re-driving the same task.
+	sst, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: 1}, Options{Retry: &RetryPolicy{}})
 	if err != nil {
-		t.Fatalf("resume-first send: %v", err)
+		t.Fatalf("rerun: %v", err)
 	}
 	<-done
 	for i, rerr := range rerrs {
@@ -520,153 +521,64 @@ func TestResumeReconciledWithDedup(t *testing.T) {
 		}
 	}
 	if !sst.Deduped || sst.PacketsSent != 0 {
-		t.Fatalf("resume-first dedup: Deduped=%v PacketsSent=%d, want true/0", sst.Deduped, sst.PacketsSent)
+		t.Fatalf("rerun dedup: Deduped=%v PacketsSent=%d, want true/0", sst.Deduped, sst.PacketsSent)
 	}
 }
 
-// startAbortingPeer runs a fake receiver that answers its first n
-// connections' first frame with ABORT(reason), then expects a plain HELLO
-// on connection n+1 and acknowledges it. It reports through errc.
-func startAbortingPeer(t *testing.T, tl net.Listener, aborts int, reason wire.AbortReason, transfer uint32) <-chan error {
-	t.Helper()
-	errc := make(chan error, 1)
-	go func() {
-		errc <- func() error {
-			for i := 0; i < aborts; i++ {
-				c, err := tl.Accept()
-				if err != nil {
-					return err
-				}
-				// Read just the fixed header worth of bytes — enough to see a
-				// frame arrived — then refuse the announcement wholesale, the
-				// way an extras-unaware peer's parser answers.
-				buf := make([]byte, 4)
-				if _, err := io.ReadFull(c, buf); err != nil {
-					c.Close()
-					return err
-				}
-				c.Write(wire.AppendAbort(nil, &wire.Abort{Reason: reason}))
-				c.Close()
-			}
-			c, err := tl.Accept()
-			if err != nil {
-				return err
-			}
-			defer c.Close()
-			buf := make([]byte, wire.HelloLen)
-			if _, err := io.ReadFull(c, buf); err != nil {
-				return err
-			}
-			h, err := wire.DecodeHello(buf)
-			if err != nil {
-				return errors.New("degraded handshake did not lead with a plain HELLO")
-			}
-			if h.Transfer != transfer {
-				return errors.New("degraded HELLO changed the transfer id")
-			}
-			_, err = c.Write(wire.AppendHelloAck(nil, &wire.HelloAck{Transfer: transfer}))
-			return err
-		}()
-	}()
-	return errc
-}
-
-// TestCheckPreludeDegradesOnAbort covers negotiate-down against a peer
-// that rejects the CHECK-bearing announcement with a reasoned ABORT: the
-// handshake must drop the CHECK and succeed without consuming the retry
-// budget — the same zero-cost ladder the TRACE prelude rides.
-func TestCheckPreludeDegradesOnAbort(t *testing.T) {
-	tl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tl.Close()
-	const transfer = 77
-	peer := startAbortingPeer(t, tl, 1, wire.AbortBadHello, transfer)
-
-	opts := Options{HandshakeTimeout: 5 * time.Second}.withDefaults()
-	opts.HandshakeRetries = 1 // even a no-retry budget must degrade cleanly
-	plan, err := newSenderPlan(makeObj(1024), core.Config{Transfer: transfer, PacketSize: 512}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	ctl, ans, err := dialHandshake(ctx, tl.Addr().String(), nil, plan.checkFrame(opts), plan.helloFrame(), transfer, opts)
-	if err != nil {
-		t.Fatalf("checked handshake did not degrade: %v", err)
-	}
-	ctl.Close()
-	if ans.check != nil {
-		t.Fatal("degraded handshake still reported a CHECK answer")
-	}
-	if err := <-peer; err != nil {
-		t.Fatalf("peer: %v", err)
-	}
-}
-
-// TestCheckAndTraceDegradeTogether stacks both extras against an old
-// peer: the CHECK drops first, the TRACE second, and the third connection
-// carries the plain HELLO — all within a single-attempt budget.
-func TestCheckAndTraceDegradeTogether(t *testing.T) {
-	tl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tl.Close()
-	const transfer = 78
-	peer := startAbortingPeer(t, tl, 2, wire.AbortUnsupported, transfer)
-
-	opts := Options{HandshakeTimeout: 5 * time.Second}.withDefaults()
-	opts.HandshakeRetries = 1
-	plan, err := newSenderPlan(makeObj(1024), core.Config{Transfer: transfer, PacketSize: 512}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prelude := tracePrelude([16]byte{9, 9})
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	ctl, _, err := dialHandshake(ctx, tl.Addr().String(), prelude, plan.checkFrame(opts), plan.helloFrame(), transfer, opts)
-	if err != nil {
-		t.Fatalf("stacked extras did not degrade: %v", err)
-	}
-	ctl.Close()
-	if err := <-peer; err != nil {
-		t.Fatalf("peer: %v", err)
-	}
-}
-
-// TestVerifyRequiredIsTerminalOnRefusal pins the Verify contract: a peer
-// that refuses the CHECK makes the transfer fail with
-// ErrVerifyUnsupported — no degradation, no retry.
+// TestVerifyRequiredIsTerminalOnRefusal pins what a refused CHECK means: a
+// peer that refuses it fails the transfer with ErrVerifyUnsupported — no
+// degradation past it, no retry — whether or not Verify was asked for,
+// since every announcement carries one. A traced sender drops its TRACE
+// prelude first (the refusal may have been the TRACE's), then fails the
+// same way.
 func TestVerifyRequiredIsTerminalOnRefusal(t *testing.T) {
-	tl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tl.Close()
-	go func() {
-		c, err := tl.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		buf := make([]byte, 4)
-		if _, err := io.ReadFull(c, buf); err != nil {
-			return
-		}
-		c.Write(wire.AppendAbort(nil, &wire.Abort{Reason: wire.AbortUnsupported}))
-	}()
-
-	opts := Options{Verify: true, HandshakeTimeout: 5 * time.Second}.withDefaults()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	_, err = Send(ctx, tl.Addr().String(), makeObj(1024), core.Config{Transfer: 3, PacketSize: 512}, opts)
-	if !errors.Is(err, ErrVerifyUnsupported) {
-		t.Fatalf("err = %v, want ErrVerifyUnsupported", err)
-	}
-	if IsRetryable(err) {
-		t.Fatal("ErrVerifyUnsupported classified retryable")
+	for _, tc := range []struct {
+		name string
+		opts Options
+		// refusals is how many connections the peer refuses.
+		refusals int
+	}{
+		{"verify", Options{Verify: true}, 1},
+		{"plain", Options{}, 1},
+		{"traced", Options{TraceID: obs.TraceID{9, 9}}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tl, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tl.Close()
+			var conns atomic.Int32
+			go func() {
+				for {
+					c, err := tl.Accept()
+					if err != nil {
+						return
+					}
+					conns.Add(1)
+					buf := make([]byte, 4)
+					if _, err := io.ReadFull(c, buf); err == nil {
+						c.Write(wire.AppendAbort(nil, &wire.Abort{Reason: wire.AbortUnsupported}))
+					}
+					c.Close()
+				}
+			}()
+			opts := tc.opts
+			opts.HandshakeTimeout = 5 * time.Second
+			opts.HandshakeRetries = 1 // the TRACE drop must not consume the budget
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			_, err = Send(ctx, tl.Addr().String(), makeObj(1024), core.Config{Transfer: 3, PacketSize: 512}, opts)
+			if !errors.Is(err, ErrVerifyUnsupported) {
+				t.Fatalf("err = %v, want ErrVerifyUnsupported", err)
+			}
+			if IsRetryable(err) {
+				t.Fatal("ErrVerifyUnsupported classified retryable")
+			}
+			if n := conns.Load(); n != int32(tc.refusals) {
+				t.Fatalf("%d connections, want %d", n, tc.refusals)
+			}
+		})
 	}
 }
 
@@ -715,10 +627,9 @@ func TestFutureCheckVersionAborted(t *testing.T) {
 }
 
 // TestSessionDedupAnswersNext covers the one-session-many-objects path:
-// IncomingSession.Next must answer a checked announcement from the
-// listener's cache too. (Session.Send itself never sends a CHECK — there
-// is no degradation inside a session — so the hit is driven by a plain
-// Send against the session listener's port.)
+// IncomingSession.Next must answer an announcement from the listener's
+// cache too, here driven by plain Sends against the session listener's
+// port.
 func TestSessionDedupAnswersNext(t *testing.T) {
 	sl, err := ListenSession("127.0.0.1:0", Options{})
 	if err != nil {

@@ -9,8 +9,10 @@ package udprt
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net"
 	"slices"
 	"sync"
@@ -297,12 +299,13 @@ func (ep *testEndpoint) wantFrames(ordered bool, want ...string) {
 	}
 }
 
-// retains reports whether the endpoint's resume store holds state for id.
-func (ep *testEndpoint) retains(id uint32) bool {
+// retains reports whether the endpoint's resume store holds state for obj's
+// content.
+func (ep *testEndpoint) retains(obj []byte) bool {
 	s := ep.l.store
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.entries[id] != nil
+	return s.entries[core.ContentID(obj)] != nil
 }
 
 // tags counts the transfer tags registered with the endpoint.
@@ -322,15 +325,17 @@ func (ep *testEndpoint) registered() {
 	}
 }
 
-// seedRetained plants resume state for id holding the first `have` packets
-// of obj, as an earlier failed transfer would have left it.
+// seedRetained plants resume state for obj's content holding its first
+// `have` packets, as an earlier failed transfer under id would have left it.
 func (ep *testEndpoint) seedRetained(id uint32, obj []byte, ps, have int) {
 	words := make([]uint64, (core.NumPackets(int64(len(obj)), ps)+63)/64)
 	for i := 0; i < have; i++ {
 		words[i/64] |= 1 << (i % 64)
 	}
-	ep.l.store.put(id, &retained{objectSize: uint64(len(obj)), packetSize: ps,
-		obj: bytes.Clone(obj), words: words, received: have})
+	held := make([]byte, len(obj))
+	copy(held, obj[:min(have*ps, len(obj))])
+	ep.l.store.insert(&retained{content: core.ContentID(obj), transfer: id, objectSize: uint64(len(obj)),
+		packetSize: ps, obj: held, words: words, received: have})
 }
 
 // rawPeer is a hand-driven sender: a control connection carrying whatever
@@ -361,6 +366,18 @@ func dialRaw(t *testing.T, addr string, announcement []byte) *rawPeer {
 		t.Fatal(err)
 	}
 	return &rawPeer{t, ctl.(*net.TCPConn), udp}
+}
+
+// accepted reads the answer to an announcement the receiver took on: the
+// CHECK's HAVE, then the HELLO-ACK.
+func (r *rawPeer) accepted() {
+	r.t.Helper()
+	if f := r.read(); f.typ != wire.TypeHave {
+		r.t.Fatalf("CHECK answered with frame type %d", f.typ)
+	}
+	if f := r.read(); f.typ != wire.TypeHelloAck {
+		r.t.Fatalf("HAVE followed by frame type %d", f.typ)
+	}
 }
 
 // read returns the receiver's next control frame.
@@ -409,13 +426,25 @@ func (r *rawPeer) reset() {
 	time.Sleep(50 * time.Millisecond)
 }
 
-func helloFor(id uint32, obj []byte, ps int) []byte {
-	return wire.AppendHello(nil, &wire.Hello{Transfer: id, ObjectSize: uint64(len(obj)), PacketSize: uint32(ps)})
+// announceFor is a single-flow announcement of obj under id: its CHECK, then
+// the HELLO.
+func announceFor(id uint32, obj []byte, ps int) []byte {
+	check := wire.AppendCheck(nil, &wire.Check{Flags: wire.CheckFlagDedup, Transfer: id,
+		ObjectSize: uint64(len(obj)), PacketSize: uint32(ps), Digest: core.ContentID(obj)})
+	return wire.AppendHello(check, &wire.Hello{Transfer: id, ObjectSize: uint64(len(obj)), PacketSize: uint32(ps)})
 }
 
-func resumeFor(id uint32, obj []byte, ps int, streams uint16) []byte {
-	return wire.AppendResume(nil, &wire.Resume{Transfer: id, Streams: streams, ObjectSize: uint64(len(obj)),
-		PacketSize: uint32(ps), Digest: wire.ObjectDigest(obj)})
+// legacyResume is a RESUME frame (type 8, retired) for obj under id as an
+// earlier build wrote it: magic, type, version 1, one stream, transfer,
+// object size, packet size, whole-object CRC-32C.
+func legacyResume(id uint32, obj []byte, ps int) []byte {
+	b := binary.BigEndian.AppendUint16(nil, wire.Magic)
+	b = append(b, 8, 1)
+	b = binary.BigEndian.AppendUint16(b, 1)
+	b = binary.BigEndian.AppendUint32(b, id)
+	b = binary.BigEndian.AppendUint64(b, uint64(len(obj)))
+	b = binary.BigEndian.AppendUint32(b, uint32(ps))
+	return binary.BigEndian.AppendUint32(b, crc32.Checksum(obj, crc32.MakeTable(crc32.Castagnoli)))
 }
 
 func TestEndpointMatrix(t *testing.T) {
@@ -529,36 +558,36 @@ func TestEndpointMatrix(t *testing.T) {
 				t.Fatalf("nothing resumed: sender restored %d, receiver %d", sst.Restored, r.st.Restored)
 			}
 			// The first connection got as far as the handshake; the second
-			// missed its CHECK, had its RESUME answered, and completed.
-			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "HAVE(0)", "HAVE(+)", "COMPLETE")
+			// had its CHECK answered with what the first left behind.
+			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "HAVE(+)", "HELLO-ACK", "COMPLETE")
 			if rec := ep.completed(51); rec.PacketsRestored == 0 {
 				t.Fatalf("final record restored nothing: %+v", rec)
 			}
 		}},
 		{name: "fully restored resume", run: func(t *testing.T, ep *testEndpoint) {
-			ep.seedRetained(61, obj, ps, packets)
+			// Retained state that is the whole object answers the CHECK the
+			// way a cache hit does: the full HAVE, then COMPLETE, no HELLO-ACK.
+			ep.seedRetained(60, obj, ps, packets)
 			ep.recv()
-			peer := dialRaw(t, ep.proxy.Addr(), resumeFor(61, obj, ps, 1))
-			// The HAVE that accepts a RESUME stands in for the HELLO-ACK, receive
-			// window included.
-			if f := peer.read(); f.typ != wire.TypeHave || f.have.Window == 0 {
-				t.Fatalf("RESUME answered with frame type %d, window %d; want a HAVE advertising one", f.typ, f.have.Window)
+			peer := dialRaw(t, ep.proxy.Addr(), announceFor(61, obj, ps))
+			if f := peer.read(); f.typ != wire.TypeHave || int(f.have.Received) != packets {
+				t.Fatalf("CHECK answered with frame type %d holding %d packets; want a HAVE of all %d", f.typ, f.have.Received, packets)
 			}
-			if r := ep.delivered(obj); r.st.Restored != packets {
-				t.Fatalf("restored %d of %d packets", r.st.Restored, packets)
+			if r := ep.delivered(obj); r.st.Restored != packets || r.st.Deduped {
+				t.Fatalf("restored %d of %d packets (deduped %v)", r.st.Restored, packets, r.st.Deduped)
 			}
 			ep.wantFrames(true, "HAVE(+)", "COMPLETE")
 			ep.completed(61)
 		}},
 		{name: "HAVE write severed", run: func(t *testing.T, ep *testEndpoint) {
 			// Hold the lifecycle at its claim, kill the connection under it,
-			// let it go: the HAVE that accepts the RESUME cannot be written,
+			// let it go: the HAVE that answers the CHECK cannot be written,
 			// and the claimed state — complete, nothing left to receive — must
 			// go back to the store.
 			ep.seedRetained(62, obj, ps, packets)
 			ep.l.store.mu.Lock()
 			ep.recv()
-			peer := dialRaw(t, ep.l.Addr(), resumeFor(62, obj, ps, 1))
+			peer := dialRaw(t, ep.l.Addr(), announceFor(62, obj, ps))
 			ep.registered()
 			peer.reset()
 			ep.l.store.mu.Unlock()
@@ -566,13 +595,84 @@ func TestEndpointMatrix(t *testing.T) {
 				t.Fatal("a transfer whose HAVE could not be written was delivered")
 			}
 			ep.aborted(62, wire.AbortUnspecified)
-			if !ep.retains(62) {
+			if !ep.retains(obj) {
 				t.Fatal("the claimed resume state was lost with the failed HAVE")
 			}
 			ep.recv()
-			dialRaw(t, ep.proxy.Addr(), resumeFor(62, obj, ps, 1))
+			dialRaw(t, ep.proxy.Addr(), announceFor(62, obj, ps))
 			ep.delivered(obj)
 			ep.wantFrames(true, "HAVE(+)", "COMPLETE")
+		}},
+		{name: "retained content under another id", run: func(t *testing.T, ep *testEndpoint) {
+			// The identity is the content, not the transfer id: a fresh Send
+			// under a new id of content the receiver retains in part sends
+			// only the rest.
+			ep.seedRetained(63, obj, ps, packets/2)
+			ep.recv()
+			sst, err := Send(ep.ctx, ep.proxy.Addr(), obj, core.Config{Transfer: 64, PacketSize: ps}, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := ep.delivered(obj)
+			if sst.Restored != packets/2 || r.st.Restored != packets/2 || sst.PacketsSent < packets-packets/2 {
+				t.Fatalf("restored: sender %d, receiver %d, of %d retained; sender sent %d",
+					sst.Restored, r.st.Restored, packets/2, sst.PacketsSent)
+			}
+			ep.wantFrames(true, "HAVE(+)", "HELLO-ACK", "COMPLETE")
+			if ep.retains(obj) {
+				t.Fatal("the claimed state is still retained")
+			}
+		}},
+		{name: "other object under a retained id", run: func(t *testing.T, ep *testEndpoint) {
+			// A different object under the retained transfer id is a miss,
+			// and leaves the retained entry alone.
+			other := bytes.Clone(obj)
+			other[0] ^= 0xFF
+			ep.seedRetained(65, obj, ps, packets/2)
+			ep.recv()
+			sst, err := Send(ep.ctx, ep.proxy.Addr(), other, core.Config{Transfer: 65, PacketSize: ps}, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := ep.delivered(other); sst.Restored != 0 || r.st.Restored != 0 {
+				t.Fatalf("restored %d (receiver %d) from another object's state", sst.Restored, r.st.Restored)
+			}
+			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "COMPLETE")
+			if !ep.retains(obj) {
+				t.Fatal("another object's transfer took the retained state")
+			}
+		}},
+		{name: "unrestorable retained state", run: func(t *testing.T, ep *testEndpoint) {
+			// Retained state whose bitmap does not fit the object is dropped
+			// and the CHECK answered as a miss, never refused.
+			ep.l.store.insert(&retained{content: core.ContentID(obj), transfer: 67, objectSize: uint64(len(obj)),
+				packetSize: ps, obj: make([]byte, len(obj)), words: fullWords(packets + 640), received: packets})
+			ep.recv()
+			sst, err := Send(ep.ctx, ep.proxy.Addr(), obj, core.Config{Transfer: 67, PacketSize: ps}, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := ep.delivered(obj); sst.Restored != 0 || r.st.Restored != 0 {
+				t.Fatalf("restored %d (receiver %d) from a bitmap that does not fit", sst.Restored, r.st.Restored)
+			}
+			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "COMPLETE")
+			if ep.retains(obj) {
+				t.Fatal("the unrestorable state is still retained")
+			}
+		}},
+		{name: "RESUME from an earlier build", run: func(t *testing.T, ep *testEndpoint) {
+			// The retired frame is refused with a reason, and nothing is
+			// registered or claimed.
+			ep.seedRetained(66, obj, ps, packets/2)
+			ep.recv()
+			dialRaw(t, ep.proxy.Addr(), legacyResume(66, obj, ps))
+			if r, ok := ep.result(true); ok && r.err == nil {
+				t.Fatal("a RESUME was taken as a transfer")
+			}
+			ep.wantFrames(true, "ABORT("+wire.AbortBadHello.String()+")")
+			if ep.tags() != 0 || !ep.retains(obj) {
+				t.Fatalf("a refused RESUME left %d tags registered (retained: %v)", ep.tags(), ep.retains(obj))
+			}
 		}},
 		{name: "dedup hit", run: func(t *testing.T, ep *testEndpoint) {
 			for tag := uint32(71); tag <= 72; tag++ {
@@ -607,28 +707,28 @@ func TestEndpointMatrix(t *testing.T) {
 			}
 			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "ABORT("+wire.AbortDigestMismatch.String()+")")
 			ep.aborted(81, wire.AbortDigestMismatch)
-			if ep.l.cache.len() != 0 || ep.retains(81) {
+			if ep.l.cache.len() != 0 || ep.retains(obj) {
 				t.Fatal("a corrupted object was cached or retained")
 			}
 		}},
 		{name: "idle timeout", opts: starve, run: func(t *testing.T, ep *testEndpoint) {
 			ep.recv()
-			peer := dialRaw(t, ep.proxy.Addr(), helloFor(91, obj, ps))
-			peer.read()
+			peer := dialRaw(t, ep.proxy.Addr(), announceFor(91, obj, ps))
+			peer.accepted()
 			peer.data(91, obj, ps, 0, packets/2)
 			if r, ok := ep.result(true); ok && (!errors.Is(r.err, ErrIdle) || r.st.IdleTimeouts != 1) {
 				t.Fatalf("receiver err = %v, stats %+v, want ErrIdle", r.err, r.st)
 			}
-			ep.wantFrames(true, "HELLO-ACK", "ABORT("+wire.AbortIdleTimeout.String()+")")
+			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "ABORT("+wire.AbortIdleTimeout.String()+")")
 			ep.aborted(91, wire.AbortIdleTimeout)
-			if !ep.retains(91) {
+			if !ep.retains(obj) {
 				t.Fatal("the starved transfer's state was not retained")
 			}
 		}},
 		{name: "sender ABORT", opts: starve, run: func(t *testing.T, ep *testEndpoint) {
 			ep.recv()
-			peer := dialRaw(t, ep.proxy.Addr(), helloFor(92, obj, ps))
-			peer.read()
+			peer := dialRaw(t, ep.proxy.Addr(), announceFor(92, obj, ps))
+			peer.accepted()
 			peer.data(92, obj, ps, 0, packets/2)
 			ep.placed(92)
 			writeAbort(peer.ctl, 92, wire.AbortCancelled)
@@ -639,7 +739,7 @@ func TestEndpointMatrix(t *testing.T) {
 					t.Fatalf("receiver err = %v, want the sender's ABORT", r.err)
 				}
 				ep.aborted(92, wire.AbortCancelled)
-				ep.wantFrames(true, "HELLO-ACK")
+				ep.wantFrames(true, "HAVE(0)", "HELLO-ACK")
 			} else {
 				// A session connection is not watched: the silence that
 				// follows the ABORT is what ends the transfer.
@@ -647,77 +747,82 @@ func TestEndpointMatrix(t *testing.T) {
 					t.Fatalf("receiver err = %v, want ErrIdle", r.err)
 				}
 				ep.aborted(92, wire.AbortIdleTimeout)
-				ep.wantFrames(true, "HELLO-ACK", "ABORT("+wire.AbortIdleTimeout.String()+")")
+				ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "ABORT("+wire.AbortIdleTimeout.String()+")")
 			}
-			if !ep.retains(92) {
+			if !ep.retains(obj) {
 				t.Fatal("the aborted transfer's state was not retained")
 			}
 		}},
 		{name: "ctx cancel", run: func(t *testing.T, ep *testEndpoint) {
 			ep.recv()
-			peer := dialRaw(t, ep.proxy.Addr(), helloFor(93, obj, ps))
-			peer.read()
+			peer := dialRaw(t, ep.proxy.Addr(), announceFor(93, obj, ps))
+			peer.accepted()
 			peer.data(93, obj, ps, 0, packets/2)
 			ep.placed(93)
 			ep.cancel()
 			if r, ok := ep.result(true); ok && !errors.Is(r.err, context.Canceled) {
 				t.Fatalf("receiver err = %v, want context.Canceled", r.err)
 			}
-			ep.wantFrames(true, "HELLO-ACK", "ABORT("+wire.AbortCancelled.String()+")")
+			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "ABORT("+wire.AbortCancelled.String()+")")
 			ep.aborted(93, wire.AbortCancelled)
-			if !ep.retains(93) {
+			if !ep.retains(obj) {
 				t.Fatal("the cancelled transfer's state was not retained")
 			}
 		}},
 		{name: "duplicate tag", run: func(t *testing.T, ep *testEndpoint) {
-			// A RESUME collides with a transfer in flight under its tag while
-			// the store holds state for that tag: refused as a duplicate, with
-			// the state left claimable and the transfer in flight unharmed.
+			// An announcement of retained content collides with a transfer
+			// of another object in flight under its tag: refused as a
+			// duplicate, with the state left claimable and the transfer in
+			// flight unharmed.
+			other := bytes.Clone(obj)
+			other[0] ^= 0xFF
 			ep.seedRetained(95, obj, ps, 1)
 			ep.recv()
 			ep.recv()
-			squatter := dialRaw(t, ep.proxy.Addr(), helloFor(95, obj, ps))
-			squatter.read()
-			squatter.data(95, obj, ps, 0, packets/2)
-			collider := dialRaw(t, ep.proxy.Addr(), resumeFor(95, obj, ps, 1))
+			squatter := dialRaw(t, ep.proxy.Addr(), announceFor(95, other, ps))
+			squatter.accepted()
+			squatter.data(95, other, ps, 0, packets/2)
+			collider := dialRaw(t, ep.proxy.Addr(), announceFor(95, obj, ps))
 			if f := collider.read(); f.typ != wire.TypeAbort || f.abort.Reason != wire.AbortDuplicateTransfer {
 				t.Fatalf("collider was answered type %d (%s), want ABORT(duplicate)", f.typ, f.abort.Reason)
 			}
 			if r, ok := ep.result(true); ok && r.err == nil {
 				t.Fatal("the colliding announcement was delivered as a transfer")
 			}
-			if !ep.retains(95) {
-				t.Fatal("the refused RESUME took the retained state with it")
+			if !ep.retains(obj) {
+				t.Fatal("the refused announcement took the retained state with it")
 			}
-			squatter.dataUntil(95, obj, ps, 0, packets, func() bool { return len(ep.got) > 0 })
-			ep.delivered(obj)
-			ep.wantFrames(true, "HELLO-ACK", "ABORT("+wire.AbortDuplicateTransfer.String()+")", "COMPLETE")
+			squatter.dataUntil(95, other, ps, 0, packets, func() bool { return len(ep.got) > 0 })
+			ep.delivered(other)
+			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "ABORT("+wire.AbortDuplicateTransfer.String()+")", "COMPLETE")
 			if rec := ep.completed(95); rec.Rejected != 0 || rec.Fresh != int64(packets) || rec.PacketsRestored != 0 {
 				t.Fatalf("the transfer in flight was disturbed: %+v", rec)
 			}
 		}},
 		{name: "striped RESUME", run: func(t *testing.T, ep *testEndpoint) {
-			ep.seedRetained(97, obj, ps, 1)
+			// A striped announcement of retained content never consults the
+			// store: it moves every packet, and the state stays retained.
+			ep.seedRetained(97, obj, ps, packets/2)
 			ep.recv()
-			dialRaw(t, ep.proxy.Addr(), resumeFor(97, obj, ps, 4))
-			if r, ok := ep.result(true); ok && r.err == nil {
-				t.Fatal("a striped RESUME was accepted")
+			sst, err := Send(ep.ctx, ep.proxy.Addr(), obj, core.Config{Transfer: 97, PacketSize: ps}, Options{Streams: 4})
+			if err != nil {
+				t.Fatal(err)
 			}
-			ep.wantFrames(true, "ABORT("+wire.AbortUnsupported.String()+")")
-			if !ep.retains(97) {
-				t.Fatal("the refused RESUME took the retained state with it")
+			if r := ep.delivered(obj); sst.Restored != 0 || r.st.Restored != 0 {
+				t.Fatalf("a striped transfer restored %d (receiver %d)", sst.Restored, r.st.Restored)
+			}
+			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "COMPLETE")
+			if !ep.retains(obj) {
+				t.Fatal("the striped transfer took the retained state with it")
 			}
 		}},
 		{name: "COMPLETE write severed", run: func(t *testing.T, ep *testEndpoint) {
 			// Hold the lifecycle between its verdict and its COMPLETE (at the
 			// content cache), kill the connection under it, let it go: the
 			// record must say the transfer failed, with the write's error.
-			check := wire.AppendCheck(nil, &wire.Check{Flags: wire.CheckFlagDedup, Transfer: 98,
-				ObjectSize: uint64(len(obj)), PacketSize: ps, Digest: core.ContentID(obj)})
 			ep.recv()
-			peer := dialRaw(t, ep.l.Addr(), append(check, helloFor(98, obj, ps)...))
-			peer.read()
-			peer.read()
+			peer := dialRaw(t, ep.l.Addr(), announceFor(98, obj, ps))
+			peer.accepted()
 			peer.dataUntil(98, obj, ps, 0, packets-1, func() bool {
 				ts, _ := ep.reg.Snapshot().Find(98, metrics.RoleReceiver)
 				return ts.Fresh == int64(packets-1)

@@ -75,7 +75,7 @@ func (f *fakeReceiver) acceptHandshake() {
 	frame, err := readControlFrame(ctl)
 	for err == nil && (frame.typ == wire.TypeTrace || frame.typ == wire.TypeCheck) {
 		if frame.typ == wire.TypeCheck {
-			if err := answerCheckMiss(ctl, frame.check.Transfer); err != nil {
+			if err := writeControl(ctl, wire.AppendHave(nil, &wire.Have{Transfer: frame.check.Transfer, Words: []uint64{0}})); err != nil {
 				f.t.Errorf("fake receiver check answer: %v", err)
 				return
 			}
@@ -86,7 +86,7 @@ func (f *fakeReceiver) acceptHandshake() {
 		f.t.Errorf("fake receiver hello: type %d, %v", frame.typ, err)
 		return
 	}
-	if err := writeHelloAck(ctl, frame.hello.Transfer, 0); err != nil {
+	if err := writeControl(ctl, wire.AppendHelloAck(nil, &wire.HelloAck{Transfer: frame.hello.Transfer})); err != nil {
 		f.t.Errorf("fake receiver hello-ack: %v", err)
 	}
 }
@@ -276,11 +276,7 @@ func TestDuplicateTransferIDAborted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer squatter.Close()
-	hello := wire.AppendHello(nil, &wire.Hello{Transfer: 9, ObjectSize: 1 << 20, PacketSize: 1024})
-	if _, err := squatter.Write(hello); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := awaitAnswer(ctx, squatter, 9, wire.TypeHelloAck, 10*time.Second); err != nil {
+	if _, err := exchange(ctx, squatter, announceFor(9, makeObj(1<<20), 1024), 9, 1024, 10*time.Second); err != nil {
 		t.Fatalf("squatter handshake: %v", err)
 	}
 
@@ -327,11 +323,7 @@ func TestReceiverIdleAbortsAndInformsSender(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
-	hello := wire.AppendHello(nil, &wire.Hello{Transfer: 3, ObjectSize: 1 << 20, PacketSize: 1024})
-	if _, err := ctl.Write(hello); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := awaitAnswer(ctx, ctl, 3, wire.TypeHelloAck, 10*time.Second); err != nil {
+	if _, err := exchange(ctx, ctl, announceFor(3, makeObj(1<<20), 1024), 3, 1024, 10*time.Second); err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
 

@@ -199,13 +199,15 @@ func TestReceiverHotPathZeroAllocs(t *testing.T) {
 				l := &Listener{udp: udp, rx: rx, inbound: make(map[uint32]tagRoute)}
 
 				snd := core.NewSender(makeObj(objSize), core.Config{PacketSize: packetSize})
-				plan := recvPlan{objectSize: objSize, packetSize: packetSize, hasCheck: sealed}
+				plan := recvPlan{objectSize: objSize, packetSize: packetSize}
 				in := l.register(plan)
 				obj := make([]byte, objSize)
 				engines := newRecvEngines(plan, obj)
 				engines[0].probe = probe{tm: tm, fr: fr, or: or}
-				seal := plan.startSealer(obj, engines...)
-				defer seal.abandon()
+				if sealed {
+					seal := plan.startSealer(obj, engines...)
+					defer seal.abandon()
+				}
 				if sealed != (engines[0].seal != nil) {
 					t.Fatalf("sealed=%v but the engine's sealer is %v", sealed, engines[0].seal)
 				}

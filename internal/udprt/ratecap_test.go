@@ -2,8 +2,8 @@
 // bounded backlog, one charge per reservation, zero-alloc rounds), the
 // wrapper's composition with the inner congestion policy, measured aggregate
 // rates for one and many flows sharing one cap, real loopback transfers paced
-// at their cap — one alone, two sharing it — and the ResumeFirst supervisor
-// path an orchestrator uses to continue a transfer across its own restart.
+// at their cap — one alone, two sharing it — and the supervised rerun an
+// orchestrator uses to continue a transfer across its own restart.
 package udprt
 
 import (
@@ -356,13 +356,14 @@ func TestConcurrentSendsShareRateCap(t *testing.T) {
 	}
 }
 
-// TestResumeFirstContinuesRetainedTransfer is the orchestrator-restart
-// scenario: one process's Send is severed mid-flight (the receiver parks
-// partial state), then a brand-new supervised Send for the same transfer —
-// as a restarted daemon would issue, with no in-memory knowledge that data
-// was ever placed — opens with RESUME because ResumeFirst says so, and
-// completes by sending essentially only the missing packets.
-func TestResumeFirstContinuesRetainedTransfer(t *testing.T) {
+// TestRerunContinuesRetainedTransfer is the orchestrator-restart scenario:
+// one process's Send is severed mid-flight (the receiver parks partial
+// state), then a brand-new supervised Send of the same content — as a
+// restarted daemon would issue, with no in-memory knowledge that data was
+// ever placed, and here under another transfer id — is answered with the
+// retained bitmap, and completes by sending essentially only the missing
+// packets.
+func TestRerunContinuesRetainedTransfer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault-injection test skipped in -short mode")
 	}
@@ -414,20 +415,19 @@ func TestResumeFirstContinuesRetainedTransfer(t *testing.T) {
 	// accept loop a beat to get back into Accept before the second life.
 	time.Sleep(300 * time.Millisecond)
 
-	// Second life: a fresh supervised Send straight to the listener. It
-	// has no in-memory resume state — ResumeFirst is the only way it can
-	// know to ask.
+	// Second life: a fresh supervised Send straight to the listener, with
+	// no in-memory resume state; its CHECK finds what the receiver holds.
+	cfg.Transfer = 78
 	sst, err := Send(ctx, l.Addr(), obj, cfg, Options{
 		StallTimeout: 5 * time.Second,
 		// Pace the resumed attempt so acknowledgements keep up: the waste
 		// bound below measures resume economy, not the greedy sender's
 		// ack-lag retransmissions.
-		Pace:        killPointPace,
-		Retry:       &RetryPolicy{Seed: 3},
-		ResumeFirst: true,
+		Pace:  killPointPace,
+		Retry: &RetryPolicy{Seed: 3},
 	})
 	if err != nil {
-		t.Fatalf("resume-first send: %v", err)
+		t.Fatalf("rerun: %v", err)
 	}
 	r := <-recvCh
 	if r.err != nil {
@@ -437,7 +437,7 @@ func TestResumeFirstContinuesRetainedTransfer(t *testing.T) {
 		t.Fatal("resumed object differs from the original")
 	}
 	if sst.Restored == 0 || r.st.Restored == 0 {
-		t.Fatalf("nothing restored (sender %d, receiver %d): ResumeFirst restarted from scratch",
+		t.Fatalf("nothing restored (sender %d, receiver %d): the rerun restarted from scratch",
 			sst.Restored, r.st.Restored)
 	}
 	// Resume economy: the second life resends the gaps, not the object.
@@ -448,11 +448,11 @@ func TestResumeFirstContinuesRetainedTransfer(t *testing.T) {
 	}
 }
 
-// TestResumeFirstDegradesWithoutState points ResumeFirst at a receiver
-// that retains nothing for the transfer: the RESUME is refused, the same
-// attempt degrades to a fresh classic transfer, and the object still
-// arrives — so an orchestrator can use ResumeFirst unconditionally.
-func TestResumeFirstDegradesWithoutState(t *testing.T) {
+// TestRerunWithoutStateIsOneHandshake points a supervised rerun at a
+// receiver that retains nothing of the object: its CHECK is answered a miss
+// and the same connection runs the whole transfer — one Accept, one
+// handshake — so an orchestrator pays nothing for asking.
+func TestRerunWithoutStateIsOneHandshake(t *testing.T) {
 	l, err := Listen("127.0.0.1:0", Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -466,26 +466,26 @@ func TestResumeFirstDegradesWithoutState(t *testing.T) {
 	}
 	recvCh := make(chan recvResult, 1)
 	go func() {
-		got, _, err := acceptUntilSuccess(ctx, l)
+		got, _, err := l.Accept(ctx) // exactly one control connection
 		recvCh <- recvResult{got, err}
 	}()
 
 	obj := makeObj(64<<10 + 5)
 	sst, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: 9}, Options{
-		Retry:       &RetryPolicy{Seed: 5},
-		ResumeFirst: true,
+		Retry:            &RetryPolicy{Seed: 5},
+		HandshakeTimeout: 5 * time.Second,
 	})
 	if err != nil {
-		t.Fatalf("resume-first send against a stateless receiver: %v", err)
+		t.Fatalf("rerun against a stateless receiver: %v", err)
 	}
 	if sst.Restored != 0 {
 		t.Fatalf("restored %d packets from a receiver that retains nothing", sst.Restored)
 	}
 	r := <-recvCh
 	if r.err != nil {
-		t.Fatalf("receive: %v", r.err)
+		t.Fatalf("the one accepted connection: %v", r.err)
 	}
 	if !bytes.Equal(r.obj, obj) {
-		t.Fatal("object corrupted on the degraded fresh path")
+		t.Fatal("object corrupted on the fresh path")
 	}
 }

@@ -205,72 +205,44 @@ func (l *Listener) detach(in *inbound) {
 // receive runs one inbound transfer on an established control connection,
 // from its announcement to its verdict:
 //
-//	plan → CHECK answer (dedup hit | miss) → register → claim-or-create →
-//	start sealer → go live → HAVE | HELLO-ACK → wait → detach →
+//	plan → cache hit? → register → claim-or-create → start sealer →
+//	go live → CHECK answer (HAVE [+ HELLO-ACK]) → wait → detach →
 //	verify → cache → COMPLETE
 //
-// A content-cache hit ends the transfer at its second step (completeDeduped).
-// A refusal — unusable announcement, striped RESUME, a tag in flight, no
-// claimable state — answers a reasoned ABORT and leaves nothing behind. The
-// wait ends on completion, ctx, the idle watchdog or, when watchCtl says the
-// connection is dedicated to this transfer, the sender's ABORT or death (on a
-// session connection the watcher would steal the next announcement; the idle
-// watchdog covers a vanished sender there). A transfer that fails after it
-// was admitted leaves its partial state in the resume store, so a RESUME
-// within the window can finish it; one whose bytes failed verification is
-// neither delivered, cached nor retained. Every exit stamps the instruments
-// with its error value.
+// The CHECK every announcement carries is answered from one lookup. A
+// content-cache hit ends the transfer at its second step (completeDeduped).
+// Otherwise the resume store is consulted for the announced content: a hit
+// restores its bitmap, and the HAVE that answers the CHECK carries it — or
+// carries nothing on a miss — with the HELLO-ACK behind it, unless the
+// retained state was already the whole object, which then completes at once.
+// A refusal — an unusable announcement, a tag in flight — answers a reasoned
+// ABORT and leaves nothing behind. The wait ends on completion, ctx, the idle
+// watchdog or, when watchCtl says the connection is dedicated to this
+// transfer, the sender's ABORT or death (on a session connection the watcher
+// would steal the next announcement; the idle watchdog covers a vanished
+// sender there). A single-flow transfer that fails after it was admitted
+// leaves its partial state in the resume store under its content identity;
+// one whose bytes failed verification is neither delivered, cached nor
+// retained. Every exit stamps the instruments with its error value.
 func (l *Listener) receive(ctx context.Context, ctl net.Conn, watchCtl bool) (recvPlan, []byte, core.ReceiverStats, error) {
 	plan, err := readTransferPlan(ctx, ctl)
 	if err != nil {
 		refuseAnnouncement(ctl, err)
 		return plan, nil, core.ReceiverStats{}, err
 	}
-	if plan.hasCheck {
-		if obj, ok := plan.dedupHit(l.cache); ok {
-			obj, st, err := completeDeduped(plan, ctl, l.opts, obj)
-			return plan, obj, st, err
-		}
-		if err := answerCheckMiss(ctl, plan.base); err != nil {
-			return plan, nil, core.ReceiverStats{}, err
-		}
+	if obj, ok := plan.dedupHit(l.cache); ok {
+		obj, st, err := completeDeduped(plan, ctl, l.opts, obj)
+		return plan, obj, st, err
 	}
-	refuse := func(reason wire.AbortReason) (recvPlan, []byte, core.ReceiverStats, error) {
-		writeAbort(ctl, plan.base, reason)
-		return plan, nil, core.ReceiverStats{}, fmt.Errorf("udprt: transfer %d refused: %s", plan.base, reason)
-	}
-	if plan.resume && plan.resumeStreams > 1 {
-		// Resume is defined for single-flow transfers only (the striped wire
-		// format has no per-stripe bitmap exchange).
-		return refuse(wire.AbortUnsupported)
-	}
-	// Register first, claim second: a RESUME that collides with a transfer
-	// in flight must not take the retained state down with it.
+	// Register first, claim second: an announcement that collides with a
+	// transfer in flight must not take the retained state down with it.
 	in := l.register(plan)
 	if in == nil {
-		return refuse(wire.AbortDuplicateTransfer)
+		writeAbort(ctl, plan.base, wire.AbortDuplicateTransfer)
+		return plan, nil, core.ReceiverStats{}, fmt.Errorf("udprt: transfer %d refused: %s", plan.base, wire.AbortDuplicateTransfer)
 	}
-	var obj []byte
-	var ret *retained
-	if plan.resume {
-		var reason wire.AbortReason
-		if ret, reason = l.store.claim(plan.resumeFrame()); ret == nil {
-			l.detach(in)
-			return refuse(reason)
-		}
-		obj = ret.obj
-	} else {
-		obj = make([]byte, plan.objectSize)
-	}
-	engines := newRecvEngines(plan, obj)
-	restored := 0
-	if ret != nil {
-		if restored, err = engines[0].rcv.Restore(ret.words); err != nil {
-			l.detach(in)
-			return refuse(wire.AbortResumeUnknown) // corrupt retained state is dropped, not put back
-		}
-		engines[0].finished = engines[0].rcv.Complete()
-	}
+	obj, engines := l.landing(plan)
+	restored := engines[0].rcv.Stats().Restored
 	span := l.opts.startSpan(plan.trace, plan.base, obs.RoleReceiver)
 	for _, e := range engines {
 		cfg := e.rcv.Config()
@@ -278,16 +250,12 @@ func (l *Listener) receive(ctx context.Context, ctl net.Conn, watchCtl bool) (re
 	}
 	seal := plan.startSealer(obj, engines...)
 	defer seal.abandon()
-	if plan.hasCheck {
-		span.event(obs.KindCheck, 0) // the query was answered a miss above
-	}
 	// fail is every exit of a detached transfer but success: the engines are
 	// this goroutine's alone by then, so what they hold can be retained and
 	// summed.
 	fail := func(err error, retain bool) (recvPlan, []byte, core.ReceiverStats, error) {
-		if retain && !plan.striped() {
-			l.store.retainReceiver(plan.base, plan.objectSize, plan.packetSize,
-				engines[0].rcv, plan.resumeDigest, plan.resume)
+		if retain {
+			l.store.retain(plan, engines[0].rcv)
 		}
 		for _, e := range engines {
 			e.probe.finish(err)
@@ -296,26 +264,30 @@ func (l *Listener) receive(ctx context.Context, ctl net.Conn, watchCtl bool) (re
 	}
 
 	// The handshake is noted before the transfer goes live, so that no record
-	// shows data ahead of it; and the HAVE payload is read before then too:
+	// shows data ahead of it; and the answer is built before then too:
 	// stragglers of the interrupted run may mutate the bitmap the moment the
 	// loop can reach it.
+	span.event(obs.KindCheck, 0)
 	for _, e := range engines {
 		e.probe.handshake()
 	}
 	span.event(obs.KindHandshake, 0)
-	if ret != nil {
+	have := wire.Have{Transfer: plan.base, Words: []uint64{0}}
+	if restored > 0 {
 		engines[0].probe.restored(restored)
 		span.event(obs.KindResume, uint64(restored))
-		have, words := engines[0].rcv.Stats().Received, engines[0].rcv.HaveWords(nil)
-		in.arm(engines)
-		err = writeHave(ctl, plan.base, have, words, l.window(1))
-	} else {
-		in.arm(engines)
-		err = writeHelloAck(ctl, plan.base, l.window(len(engines)))
+		have.Received, have.Words = uint32(restored), engines[0].rcv.HaveWords(nil)
 	}
-	if err != nil {
+	msg := wire.AppendHave(nil, &have)
+	if !engines[0].finished {
+		// A HAVE of every packet is followed by COMPLETE alone, as a cache
+		// hit's is: the sender has nothing to hand-shake for.
+		msg = wire.AppendHelloAck(msg, &wire.HelloAck{Transfer: plan.base, Window: l.window(len(engines))})
+	}
+	in.arm(engines)
+	if err := writeControl(ctl, msg); err != nil {
 		l.detach(in)
-		return fail(err, true) // the sender never saw our acceptance; stay claimable
+		return fail(fmt.Errorf("udprt: check answer write: %w", err), true) // the sender never saw our acceptance; stay claimable
 	}
 	err = l.await(ctx, in, ctl, watchCtl)
 	l.detach(in)
@@ -330,13 +302,30 @@ func (l *Listener) receive(ctx context.Context, ctl net.Conn, watchCtl bool) (re
 		return fail(err, false)
 	}
 	cacheVerified(l.cache, plan, obj)
-	if err := writeComplete(ctl, plan, obj); err != nil {
-		return fail(err, false)
+	if err := writeControl(ctl, completeFrame(plan)); err != nil {
+		return fail(fmt.Errorf("udprt: completion write: %w", err), false)
 	}
 	for _, e := range engines {
 		e.probe.finish(nil)
 	}
 	return plan, obj, sumRecvStats(engines), nil
+}
+
+// landing builds the plan's engines over the buffer they assemble into: the
+// state the resume store retained for the announced content, restored, when
+// there is some (single-flow plans only), or a fresh object. Retained state
+// that does not restore is dropped, and the plan gets a fresh object as on a
+// miss.
+func (l *Listener) landing(plan recvPlan) ([]byte, []*receiverEngine) {
+	if ret := l.store.claim(plan); ret != nil {
+		engines := newRecvEngines(plan, ret.obj)
+		if _, err := engines[0].rcv.Restore(ret.words); err == nil {
+			engines[0].finished = engines[0].rcv.Complete()
+			return ret.obj, engines
+		}
+	}
+	obj := make([]byte, plan.objectSize)
+	return obj, newRecvEngines(plan, obj)
 }
 
 // await blocks until the live transfer completes (nil) or fails: ctx ends,

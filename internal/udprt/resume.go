@@ -2,11 +2,12 @@
 // receiver already holds most of the object, and the paper's whole-object
 // selective-acknowledgement bitmap describes the hole pattern exactly. The
 // resume store retains that state (buffer + got-bitmap) for a grace window
-// keyed by transfer id, so a reconnecting sender's RESUME can be answered
-// with a HAVE bitmap and only the missing packets cross the network again.
-// With Options.Checkpoint set the retained state is also persisted through
-// internal/checkpoint, surviving a receiver restart — the object-based
-// analogue of GridFTP's restart markers.
+// keyed by the content identity the transfer's CHECK announced, so the next
+// announcement of the same content — a retry, a rerun, another sender —
+// is answered with the retained bitmap in its CHECK's HAVE and only the
+// missing packets cross the network again. With Options.Checkpoint set the
+// retained state is also persisted through internal/checkpoint, surviving a
+// receiver restart — the object-based analogue of GridFTP's restart markers.
 package udprt
 
 import (
@@ -15,7 +16,6 @@ import (
 
 	"github.com/hpcnet/fobs/internal/checkpoint"
 	"github.com/hpcnet/fobs/internal/core"
-	"github.com/hpcnet/fobs/internal/wire"
 )
 
 // maxRetained bounds how many aborted transfers one endpoint keeps resume
@@ -25,33 +25,34 @@ const maxRetained = 16
 
 // retained is one aborted transfer's resume state.
 type retained struct {
+	content    [32]byte // the identity a later CHECK finds it by
+	transfer   uint32   // the id its checkpoint file is named by
 	objectSize uint64
 	packetSize int
 	obj        []byte   // partially filled object buffer
 	words      []uint64 // got-bitmap
 	received   int      // distinct packets held
-	// digest is the whole-object CRC the sender announced, when known; a
-	// classic HELLO carries none, so hasDigest guards the claim-time check.
-	digest     uint32
-	hasDigest  bool
 	timer      *time.Timer
 	retainedAt time.Time
 }
 
 // resumeStore holds retained transfers for a listener or server. A nil
-// store (ResumeWindow < 0) refuses every RESUME and retains nothing; all
-// methods are nil-safe.
+// store (ResumeWindow < 0) retains nothing and so answers every CHECK from
+// the content cache or as a miss; all methods are nil-safe.
 type resumeStore struct {
 	window time.Duration
 	dir    string // checkpoint directory; empty = memory only
 
 	mu      sync.Mutex
-	entries map[uint32]*retained
+	entries map[[32]byte]*retained
 }
 
-// newResumeStore builds the store for defaulted options, loading any
-// checkpoints a previous process left under Options.Checkpoint. A negative
-// ResumeWindow disables retention entirely (nil store).
+// newResumeStore builds the store for defaulted options, installing any
+// checkpoints a previous process left under Options.Checkpoint as they are
+// — they are on disk already, so nothing is written. A checkpoint that names
+// no content could never be claimed and is removed (LoadDir removes those of
+// an earlier format version). A negative ResumeWindow disables retention
+// entirely (nil store).
 func newResumeStore(opts Options) *resumeStore {
 	if opts.ResumeWindow < 0 {
 		return nil
@@ -59,163 +60,132 @@ func newResumeStore(opts Options) *resumeStore {
 	s := &resumeStore{
 		window:  opts.ResumeWindow,
 		dir:     opts.Checkpoint,
-		entries: make(map[uint32]*retained),
+		entries: make(map[[32]byte]*retained),
 	}
-	if s.dir != "" {
-		states, err := checkpoint.LoadDir(s.dir)
-		if err == nil {
-			for id, st := range states {
-				s.put(id, &retained{
-					objectSize: st.ObjectSize,
-					packetSize: int(st.PacketSize),
-					obj:        st.Object,
-					words:      st.Words,
-					received:   int(st.Received),
-					digest:     st.Digest,
-					hasDigest:  st.HasDigest,
-				})
-			}
+	if s.dir == "" {
+		return s
+	}
+	states, _ := checkpoint.LoadDir(s.dir)
+	for id, st := range states {
+		if !st.HasContent {
+			checkpoint.Remove(s.dir, id)
+			continue
 		}
+		s.insert(&retained{
+			content:    st.Content,
+			transfer:   id,
+			objectSize: st.ObjectSize,
+			packetSize: int(st.PacketSize),
+			obj:        st.Object,
+			words:      st.Words,
+			received:   int(st.Received),
+		})
 	}
 	return s
 }
 
-// retainReceiver keeps a single-flow receiver's state so a RESUME within the
-// window can pick it up. An empty receiver retains nothing; a complete one is
-// kept like any other — it is the fully restored transfer whose HAVE never
-// reached the sender, and must stay claimable. digest is the sender-announced
-// object CRC when known (a RESUME carries one, a classic HELLO does not).
-func (s *resumeStore) retainReceiver(transfer uint32, objectSize uint64, packetSize int,
-	rcv *core.Receiver, digest uint32, hasDigest bool) {
-	if s == nil || rcv == nil {
+// retain keeps a failed single-flow transfer's state under the content
+// identity its CHECK announced, so a later CHECK for that content within the
+// window can pick it up. Striped plans are never retained, and neither is an
+// empty receiver; a complete one is kept like any other — it is the fully
+// restored transfer whose answer never reached the sender, and must stay
+// claimable. Checkpoint IO is best-effort: a full disk must not turn
+// retention into a failure.
+func (s *resumeStore) retain(plan recvPlan, rcv *core.Receiver) {
+	if s == nil || plan.striped() {
 		return
 	}
 	st := rcv.Stats()
 	if st.Received == 0 {
 		return
 	}
-	s.put(transfer, &retained{
-		objectSize: objectSize,
-		packetSize: packetSize,
+	ret := &retained{
+		content:    plan.checkDigest,
+		transfer:   plan.base,
+		objectSize: plan.objectSize,
+		packetSize: plan.packetSize,
 		obj:        rcv.Object(),
 		words:      rcv.HaveWords(nil),
 		received:   st.Received,
-		digest:     digest,
-		hasDigest:  hasDigest,
-	})
-}
-
-// put installs (or replaces) one retained entry, arming its expiry timer,
-// evicting the oldest entry past maxRetained, and persisting a checkpoint
-// when a directory is configured. Checkpoint IO is best-effort: a full
-// disk must not turn retention into a failure.
-func (s *resumeStore) put(transfer uint32, ret *retained) {
-	if s == nil {
-		return
 	}
-	s.mu.Lock()
-	if old := s.entries[transfer]; old != nil && old.timer != nil {
-		old.timer.Stop()
-	}
-	if _, replacing := s.entries[transfer]; !replacing && len(s.entries) >= maxRetained {
-		var oldestID uint32
-		var oldest *retained
-		for id, e := range s.entries {
-			if oldest == nil || e.retainedAt.Before(oldest.retainedAt) {
-				oldestID, oldest = id, e
-			}
-		}
-		if oldest.timer != nil {
-			oldest.timer.Stop()
-		}
-		delete(s.entries, oldestID)
-		if s.dir != "" {
-			checkpoint.Remove(s.dir, oldestID)
-		}
-	}
-	ret.retainedAt = time.Now()
-	if s.window > 0 {
-		ret.timer = time.AfterFunc(s.window, func() { s.expire(transfer, ret) })
-	}
-	s.entries[transfer] = ret
-	dir := s.dir
-	s.mu.Unlock()
-	if dir != "" {
-		_ = checkpoint.Save(dir, &checkpoint.State{
-			Transfer:   transfer,
+	s.insert(ret)
+	if s.dir != "" {
+		_ = checkpoint.Save(s.dir, &checkpoint.State{
+			Transfer:   ret.transfer,
 			ObjectSize: ret.objectSize,
 			PacketSize: uint32(ret.packetSize),
-			Digest:     ret.digest,
-			HasDigest:  ret.hasDigest,
 			Received:   uint32(ret.received),
 			Words:      ret.words,
 			Object:     ret.obj,
+			Content:    ret.content,
+			HasContent: true,
 		})
 	}
 }
 
-// expire drops one entry when its grace window lapses. The identity check
-// keeps a stale timer from reaping a newer entry under a reused id.
-func (s *resumeStore) expire(transfer uint32, ret *retained) {
+// insert installs one entry and arms its expiry timer. It replaces the entry
+// held for the same content, and the one held under the same transfer id —
+// whose checkpoint file the new entry's would overwrite — and evicts the
+// oldest entry past maxRetained.
+func (s *resumeStore) insert(ret *retained) {
 	s.mu.Lock()
-	owned := s.entries[transfer] == ret
-	if owned {
-		delete(s.entries, transfer)
+	defer s.mu.Unlock()
+	for _, e := range s.entries {
+		if e.content == ret.content || e.transfer == ret.transfer {
+			s.drop(e)
+		}
 	}
-	dir := s.dir
-	s.mu.Unlock()
-	if owned && dir != "" {
-		checkpoint.Remove(dir, transfer)
+	if len(s.entries) >= maxRetained {
+		var oldest *retained
+		for _, e := range s.entries {
+			if oldest == nil || e.retainedAt.Before(oldest.retainedAt) {
+				oldest = e
+			}
+		}
+		s.drop(oldest)
 	}
+	ret.retainedAt = time.Now()
+	if s.window > 0 {
+		ret.timer = time.AfterFunc(s.window, func() { s.expire(ret) })
+	}
+	s.entries[ret.content] = ret
 }
 
-// claim validates a RESUME against the retained entry for its transfer id
-// and, on success, removes and returns the entry (a resumed run that fails,
-// its answer included, re-retains it). On refusal the entry stays put and the returned abort
-// reason tells the sender whether to degrade to a fresh transfer
-// (ResumeUnknown, BadHello) or give up (DigestMismatch — the peer is
-// resuming a different object under a known id).
-func (s *resumeStore) claim(res wire.Resume) (*retained, wire.AbortReason) {
-	if s == nil {
-		return nil, wire.AbortResumeUnknown
-	}
-	s.mu.Lock()
-	ret := s.entries[res.Transfer]
-	if ret == nil {
-		s.mu.Unlock()
-		return nil, wire.AbortResumeUnknown
-	}
-	if ret.objectSize != res.ObjectSize || ret.packetSize != int(res.PacketSize) {
-		s.mu.Unlock()
-		return nil, wire.AbortBadHello
-	}
-	if ret.hasDigest && ret.digest != res.Digest {
-		s.mu.Unlock()
-		return nil, wire.AbortDigestMismatch
-	}
+// drop removes one entry and its checkpoint, under mu.
+func (s *resumeStore) drop(ret *retained) {
 	if ret.timer != nil {
 		ret.timer.Stop()
 	}
-	delete(s.entries, res.Transfer)
-	dir := s.dir
-	s.mu.Unlock()
-	if dir != "" {
-		checkpoint.Remove(dir, res.Transfer)
+	delete(s.entries, ret.content)
+	if s.dir != "" {
+		checkpoint.Remove(s.dir, ret.transfer)
 	}
-	// The RESUME's digest is authoritative from here: the completed object
-	// is verified against it before COMPLETE goes out.
-	ret.digest, ret.hasDigest = res.Digest, true
-	return ret, 0
 }
 
-// resumeFrame reconstructs the wire announcement a resume plan arrived as,
-// for claim validation.
-func (p recvPlan) resumeFrame() wire.Resume {
-	return wire.Resume{
-		Transfer:   p.base,
-		Streams:    uint16(p.resumeStreams),
-		ObjectSize: p.objectSize,
-		PacketSize: uint32(p.packetSize),
-		Digest:     p.resumeDigest,
+// expire drops one entry when its grace window lapses. The identity check
+// keeps a stale timer from reaping a newer entry for the same content.
+func (s *resumeStore) expire(ret *retained) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.entries[ret.content] == ret {
+		s.drop(ret)
 	}
+}
+
+// claim removes and returns the state retained for the content a
+// single-flow plan's CHECK announced, when its object and packet size match
+// the plan's; anything else is a miss that leaves the store as it was. A
+// claimed transfer that fails, its answer included, is retained again.
+func (s *resumeStore) claim(plan recvPlan) *retained {
+	if s == nil || plan.striped() {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ret := s.entries[plan.checkDigest]
+	if ret == nil || ret.objectSize != plan.objectSize || ret.packetSize != plan.packetSize {
+		return nil
+	}
+	s.drop(ret)
+	return ret
 }

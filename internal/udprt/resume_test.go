@@ -8,8 +8,10 @@ package udprt
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"net"
@@ -263,9 +265,8 @@ func TestRetryFlappingLink(t *testing.T) {
 }
 
 // TestRetryDegradesWhenReceiverCannotResume points the supervisor at a
-// listener with retention disabled: every RESUME is refused with
-// no-such-state and the retry must fall back to a full fresh transfer —
-// the RESUME-unaware-peer compatibility guarantee.
+// listener with retention disabled: every retry's CHECK is answered a miss,
+// and the retry is a full fresh transfer.
 func TestRetryDegradesWhenReceiverCannotResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault-injection test skipped in -short mode")
@@ -327,68 +328,11 @@ func TestRetryDegradesWhenReceiverCannotResume(t *testing.T) {
 	}
 }
 
-// TestRetryNoResumePolicy forces the fresh-restart path from the sender's
-// side: with NoResume set the retry must never open with a RESUME even
-// though the receiver retained state for it.
-func TestRetryNoResumePolicy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fault-injection test skipped in -short mode")
-	}
-	l, err := Listen("127.0.0.1:0", Options{IdleTimeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	proxy, err := faultnet.NewProxy(l.Addr(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	obj := makeObj(512 << 10)
-	done := make(chan struct{})
-	var got []byte
-	var rerr error
-	go func() {
-		defer close(done)
-		got, _, rerr = acceptUntilSuccess(ctx, l)
-	}()
-
-	var cut atomic.Bool
-	opts := Options{
-		StallTimeout: 2 * time.Second,
-		Pace:         killPointPace,
-		Retry:        &RetryPolicy{MaxRetries: 4, Backoff: 250 * time.Millisecond, Seed: 5, NoResume: true},
-		Progress: func(done, total int) {
-			if done > total/2 && cut.CompareAndSwap(false, true) {
-				proxy.SetBlackhole(true)
-				proxy.SeverControl()
-				time.AfterFunc(100*time.Millisecond, func() { proxy.SetBlackhole(false) })
-			}
-		},
-	}
-	sst, serr := Send(ctx, proxy.Addr(), obj, core.Config{AckFrequency: 16}, opts)
-	if serr != nil {
-		t.Fatalf("supervised send with NoResume: %v", serr)
-	}
-	<-done
-	if rerr != nil {
-		t.Fatalf("receive: %v", rerr)
-	}
-	if !bytes.Equal(got, obj) {
-		t.Fatal("object corrupted")
-	}
-	if sst.Restored != 0 {
-		t.Fatalf("NoResume policy still restored %d packets", sst.Restored)
-	}
-}
-
 // TestResumeAfterReceiverRestart is the durability proof: the receiving
 // process dies mid-transfer, a new one binds the same port with the same
-// checkpoint directory, and the supervisor's RESUME finds the state on
-// disk. The checkpoint file must be consumed by the successful claim.
+// checkpoint directory, and the supervisor's retry finds the state on disk
+// by its content. The checkpoint file must be consumed by the successful
+// claim.
 func TestResumeAfterReceiverRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault-injection test skipped in -short mode")
@@ -581,7 +525,6 @@ func TestIsRetryable(t *testing.T) {
 		{"wrapped-cancel", fmt.Errorf("outer: %w", context.Canceled), false},
 		{"digest-mismatch", fmt.Errorf("verify: %w", ErrDigestMismatch), false},
 		{"hellox-version", wire.ErrHelloXVersion, false},
-		{"resume-version", wire.ErrResumeVersion, false},
 		{"session-broken", ErrSessionBroken, false},
 		{"stalled", fmt.Errorf("udprt: %w", ErrStalled), true},
 		{"idle", ErrIdle, true},
@@ -634,80 +577,92 @@ func TestRetryPolicyDelay(t *testing.T) {
 	}
 }
 
-// TestResumeStoreClaim covers the store's refusal matrix: unknown id,
-// geometry mismatch, digest mismatch, and the consume-on-claim contract.
-func TestResumeStoreClaim(t *testing.T) {
-	store := &resumeStore{window: time.Minute, entries: map[uint32]*retained{}}
-	store.put(7, &retained{objectSize: 1000, packetSize: 100, received: 3,
-		obj: make([]byte, 1000), words: []uint64{0x7}})
+// retainedOf is resume state for size bytes of content id under transfer,
+// holding its first packet of 100 bytes.
+func retainedOf(id byte, transfer uint32, size uint64) *retained {
+	return &retained{content: [32]byte{id}, transfer: transfer, objectSize: size, packetSize: 100,
+		received: 1, obj: make([]byte, size), words: []uint64{1}}
+}
 
-	if ret, reason := store.claim(wire.Resume{Transfer: 8, ObjectSize: 1000, PacketSize: 100}); ret != nil || reason != wire.AbortResumeUnknown {
-		t.Fatalf("unknown id: ret=%v reason=%v", ret, reason)
+// TestResumeStoreClaim covers the store's identity rule: a claim is a hit
+// only for the announced content in the announced geometry, a hit consumes
+// the entry, a miss leaves every entry alone, and striped plans never claim.
+func TestResumeStoreClaim(t *testing.T) {
+	store := &resumeStore{window: time.Minute, entries: map[[32]byte]*retained{}}
+	store.insert(retainedOf(0xA, 7, 1000))
+	plan := func(id byte, transfer uint32, size uint64, ps int) recvPlan {
+		return recvPlan{base: transfer, objectSize: size, packetSize: ps, checkDigest: [32]byte{id}}
 	}
-	if ret, reason := store.claim(wire.Resume{Transfer: 7, ObjectSize: 2000, PacketSize: 100}); ret != nil || reason != wire.AbortBadHello {
-		t.Fatalf("size mismatch: ret=%v reason=%v", ret, reason)
+	for name, p := range map[string]recvPlan{
+		"other content, retained id": plan(0xB, 7, 1000, 100),
+		"other size":                 plan(0xA, 7, 2000, 100),
+		"other packet size":          plan(0xA, 7, 1000, 200),
+		"striped": func() recvPlan {
+			p := plan(0xA, 7, 1000, 100)
+			p.stripes = []wire.StripeDesc{{Transfer: 7, Length: 500}, {Transfer: 8, Offset: 500, Length: 500}}
+			return p
+		}(),
+	} {
+		if ret := store.claim(p); ret != nil {
+			t.Fatalf("%s: claimed %+v", name, ret)
+		}
 	}
-	if ret, reason := store.claim(wire.Resume{Transfer: 7, ObjectSize: 1000, PacketSize: 200}); ret != nil || reason != wire.AbortBadHello {
-		t.Fatalf("packet-size mismatch: ret=%v reason=%v", ret, reason)
+	// The content is the identity: another transfer id claims it…
+	ret := store.claim(plan(0xA, 99, 1000, 100))
+	if ret == nil || ret.transfer != 7 {
+		t.Fatalf("a claim of retained content under another id: %+v", ret)
 	}
-	// A refused claim must leave the entry in place…
-	ret, reason := store.claim(wire.Resume{Transfer: 7, ObjectSize: 1000, PacketSize: 100, Digest: 0xD})
-	if ret == nil {
-		t.Fatalf("valid claim refused: %v", reason)
-	}
-	if !ret.hasDigest || ret.digest != 0xD {
-		t.Fatalf("claim did not adopt the RESUME digest: %+v", ret)
-	}
-	// …and a successful one must consume it.
-	if ret, _ := store.claim(wire.Resume{Transfer: 7, ObjectSize: 1000, PacketSize: 100, Digest: 0xD}); ret != nil {
+	// …and a successful claim consumes it.
+	if ret := store.claim(plan(0xA, 99, 1000, 100)); ret != nil {
 		t.Fatal("second claim of a consumed entry succeeded")
 	}
 
-	// Digest pinned by a previous RESUME refuses a different object.
-	store.put(9, &retained{objectSize: 1000, packetSize: 100, received: 3,
-		obj: make([]byte, 1000), words: []uint64{0x7}, digest: 0xAA, hasDigest: true})
-	if ret, reason := store.claim(wire.Resume{Transfer: 9, ObjectSize: 1000, PacketSize: 100, Digest: 0xBB}); ret != nil || reason != wire.AbortDigestMismatch {
-		t.Fatalf("digest mismatch: ret=%v reason=%v", ret, reason)
+	// A retained id taken by other content replaces the entry whose
+	// checkpoint file the new one's would overwrite.
+	store.insert(retainedOf(0xA, 7, 1000))
+	store.insert(retainedOf(0xB, 7, 1000))
+	if store.claim(plan(0xA, 7, 1000, 100)) != nil || store.claim(plan(0xB, 7, 1000, 100)) == nil {
+		t.Fatal("one transfer id holds two entries")
 	}
 
-	// A nil store refuses everything and never panics.
+	// A nil store claims nothing and never panics.
 	var nilStore *resumeStore
-	if ret, reason := nilStore.claim(wire.Resume{Transfer: 7}); ret != nil || reason != wire.AbortResumeUnknown {
-		t.Fatalf("nil store: ret=%v reason=%v", ret, reason)
+	if ret := nilStore.claim(plan(0xA, 7, 1000, 100)); ret != nil {
+		t.Fatalf("nil store claimed %+v", ret)
 	}
-	nilStore.put(1, &retained{})
-	nilStore.retainReceiver(1, 0, 0, nil, 0, false)
+	nilStore.retain(plan(0xA, 7, 1000, 100), nil)
 }
 
 // TestResumeStoreEvictionAndExpiry bounds the store: the oldest entry is
 // evicted past maxRetained, and the grace window reaps on schedule.
 func TestResumeStoreEvictionAndExpiry(t *testing.T) {
-	store := &resumeStore{entries: map[uint32]*retained{}} // window 0: no timers
+	store := &resumeStore{entries: map[[32]byte]*retained{}} // window 0: no timers
 	for i := 0; i < maxRetained+3; i++ {
-		store.put(uint32(i), &retained{objectSize: 10, packetSize: 10, received: 1})
-		// put() stamps retainedAt with the wall clock; space the entries so
-		// "oldest" is well defined.
+		store.insert(retainedOf(byte(i), uint32(i), 10))
+		// insert stamps retainedAt with the wall clock; space the entries
+		// so "oldest" is well defined.
 		time.Sleep(time.Millisecond)
+	}
+	held := func(id byte) bool {
+		store.mu.Lock()
+		defer store.mu.Unlock()
+		return store.entries[[32]byte{id}] != nil
 	}
 	store.mu.Lock()
 	n := len(store.entries)
-	_, oldest := store.entries[0]
-	_, second := store.entries[1]
-	_, third := store.entries[2]
-	_, newest := store.entries[maxRetained+2]
 	store.mu.Unlock()
 	if n != maxRetained {
 		t.Fatalf("store holds %d entries, want %d", n, maxRetained)
 	}
-	if oldest || second || third {
+	if held(0) || held(1) || held(2) {
 		t.Fatal("oldest entries survived eviction")
 	}
-	if !newest {
+	if !held(maxRetained + 2) {
 		t.Fatal("newest entry was evicted")
 	}
 
-	// Replacing an existing id must not evict anyone.
-	store.put(uint32(maxRetained+2), &retained{objectSize: 11, packetSize: 10, received: 2})
+	// Replacing the entry for held content must not evict anyone.
+	store.insert(retainedOf(maxRetained+2, 99, 11))
 	store.mu.Lock()
 	n = len(store.entries)
 	store.mu.Unlock()
@@ -715,12 +670,12 @@ func TestResumeStoreEvictionAndExpiry(t *testing.T) {
 		t.Fatalf("replacement changed the count to %d", n)
 	}
 
-	fast := &resumeStore{window: 30 * time.Millisecond, entries: map[uint32]*retained{}}
-	fast.put(1, &retained{objectSize: 10, packetSize: 10, received: 1})
+	fast := &resumeStore{window: 30 * time.Millisecond, entries: map[[32]byte]*retained{}}
+	fast.insert(retainedOf(1, 1, 10))
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		fast.mu.Lock()
-		_, alive := fast.entries[1]
+		alive := len(fast.entries) != 0
 		fast.mu.Unlock()
 		if !alive {
 			break
@@ -734,26 +689,29 @@ func TestResumeStoreEvictionAndExpiry(t *testing.T) {
 
 // TestListenSurvivesCorruptCheckpoints seeds a checkpoint directory with
 // every flavour of broken file — torn, checksum-flipped, wrong magic,
-// empty, junk-named — plus one valid checkpoint, and requires Listen to
-// come up without panicking, resume the one valid transfer, and treat the
-// rest as unresumable. Startup over a dirty state directory is exactly the
-// daemon-restart path, so corruption must degrade, never crash.
+// empty, junk-named — plus a checkpoint an earlier format version wrote, one
+// that names no content, and one valid checkpoint, and requires Listen to
+// come up without panicking and without rewriting what it loads, remove
+// the two that nothing could ever claim, resume the one valid transfer, and
+// treat the rest as unresumable. Startup over a dirty state directory is
+// exactly the daemon-restart path, so corruption must degrade, never crash.
 func TestListenSurvivesCorruptCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 
-	// One genuine checkpoint for transfer 5: an empty bitmap is fine (a
-	// RESUME against it just resends everything).
+	// One genuine checkpoint for transfer 5: an empty bitmap is fine (the
+	// transfer that claims it just moves everything).
 	obj := makeObj(4 << 10)
 	rcv := core.NewReceiver(int64(len(obj)), core.Config{Transfer: 5, PacketSize: 512})
-	if err := checkpoint.Save(dir, &checkpoint.State{
+	valid := &checkpoint.State{
 		Transfer:   5,
 		ObjectSize: uint64(len(obj)),
 		PacketSize: 512,
-		Digest:     wire.ObjectDigest(obj),
-		HasDigest:  true,
 		Words:      rcv.HaveWords(nil),
 		Object:     make([]byte, len(obj)),
-	}); err != nil {
+		Content:    core.ContentID(obj),
+		HasContent: true,
+	}
+	if err := checkpoint.Save(dir, valid); err != nil {
 		t.Fatal(err)
 	}
 	good, err := os.ReadFile(checkpoint.File(dir, 5))
@@ -776,44 +734,63 @@ func TestListenSurvivesCorruptCheckpoints(t *testing.T) {
 	if err := os.WriteFile(checkpoint.File(dir, 10)+".tmp", good, 0o644); err != nil {
 		t.Fatal(err) // a crash's leftover temporary
 	}
+	// A version-1 file (its checksum restamped, so only the version is
+	// wrong) and a current one that names no content.
+	v1 := append([]byte(nil), good...)
+	v1[8] = 1
+	binary.BigEndian.PutUint32(v1[len(v1)-4:], crc32.Checksum(v1[8:len(v1)-4], crc32.MakeTable(crc32.Castagnoli)))
+	writeCkpt(11, v1)
+	anonymous := *valid
+	anonymous.Transfer, anonymous.HasContent = 12, false
+	if err := checkpoint.Save(dir, &anonymous); err != nil {
+		t.Fatal(err)
+	}
+	// Backdate the valid file: loading it must not write it again.
+	backdated := time.Now().Add(-time.Hour).Truncate(time.Second)
+	if err := os.Chtimes(checkpoint.File(dir, 5), backdated, backdated); err != nil {
+		t.Fatal(err)
+	}
 
 	l, err := Listen("127.0.0.1:0", Options{Checkpoint: dir})
 	if err != nil {
 		t.Fatalf("Listen over a dirty checkpoint dir: %v", err)
 	}
 	defer l.Close()
+	if fi, err := os.Stat(checkpoint.File(dir, 5)); err != nil || !fi.ModTime().Equal(backdated) {
+		t.Fatalf("Listen rewrote the checkpoint it loaded: %v, %v", fi.ModTime(), err)
+	}
+	for _, id := range []uint32{11, 12} {
+		if _, err := os.Stat(checkpoint.File(dir, id)); !os.IsNotExist(err) {
+			t.Fatalf("unclaimable checkpoint %d survived Listen: %v", id, err)
+		}
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	recvCh := make(chan error, 1)
 	var got []byte
+	var rst core.ReceiverStats
 	go func() {
-		g, _, err := acceptUntilSuccess(ctx, l)
-		got = g
+		g, st, err := acceptUntilSuccess(ctx, l)
+		got, rst = g, st
 		recvCh <- err
 	}()
-	// The valid checkpoint answers a RESUME for transfer 5; the supervisor
-	// completes the object against its empty bitmap.
-	sst, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: 5, PacketSize: 512},
-		Options{Retry: &RetryPolicy{Seed: 2}, ResumeFirst: true})
-	if err != nil {
-		t.Fatalf("resume against restored checkpoint: %v", err)
+	// The valid checkpoint answers the CHECK for its content; the transfer
+	// completes the object against its empty bitmap, and consumes it.
+	if _, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: 5, PacketSize: 512}, Options{}); err != nil {
+		t.Fatalf("send against restored checkpoint: %v", err)
 	}
 	if err := <-recvCh; err != nil {
 		t.Fatalf("receive: %v", err)
 	}
-	if !bytes.Equal(got, obj) {
-		t.Fatal("object corrupted after checkpoint restore")
+	if !bytes.Equal(got, obj) || rst.Restored != 0 {
+		t.Fatalf("object intact %v, %d restored from an empty bitmap", bytes.Equal(got, obj), rst.Restored)
 	}
-	// The handshake genuinely took the resume path (zero restored packets —
-	// the bitmap was empty — but the RESUME was accepted, not refused).
-	if sst.PacketsNeeded != sst.PacketsSent-sst.Retransmits {
-		t.Logf("resumed send: needed %d, sent %d", sst.PacketsNeeded, sst.PacketsSent)
+	if _, err := os.Stat(checkpoint.File(dir, 5)); !os.IsNotExist(err) {
+		t.Fatalf("the claimed checkpoint was not consumed: %v", err)
 	}
 
-	// And a RESUME for a transfer whose checkpoint was corrupt is refused
-	// in the degradable way: the supervised sender falls back to a fresh
-	// transfer and still succeeds.
+	// A transfer whose checkpoint was corrupt is an ordinary fresh one.
 	recvCh2 := make(chan error, 1)
 	var got2 []byte
 	go func() {
@@ -822,8 +799,7 @@ func TestListenSurvivesCorruptCheckpoints(t *testing.T) {
 		recvCh2 <- err
 	}()
 	obj2 := makeObj(2 << 10)
-	sst2, err := Send(ctx, l.Addr(), obj2, core.Config{Transfer: 7, PacketSize: 512},
-		Options{Retry: &RetryPolicy{Seed: 4}, ResumeFirst: true})
+	sst2, err := Send(ctx, l.Addr(), obj2, core.Config{Transfer: 7, PacketSize: 512}, Options{})
 	if err != nil {
 		t.Fatalf("send for corrupt-checkpoint id: %v", err)
 	}

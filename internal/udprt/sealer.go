@@ -25,8 +25,9 @@ import (
 // placed and restore are called under whatever serializes the transfer's
 // engines (the lifecycle goroutine before the transfer goes live, the
 // endpoint's loop under the transfer's lock after); sum and abandon from the
-// goroutine that owns the transfer's lifecycle. A
-// nil sealer (no CHECK to verify against) ignores every call.
+// goroutine that owns the transfer's lifecycle. Every transfer the receive
+// lifecycle runs has one; placed ignores a nil sealer, so an engine driven
+// without one (as the engine-level tests do) needs no other case.
 type sealer struct {
 	obj     []byte
 	missing []int32    // per leaf: packets overlapping it that are not yet placed
@@ -114,9 +115,6 @@ func (s *sealer) placed(off, n int) {
 // got-bitmap, off and length its extent in the object — as placed, so
 // fully restored leaves are hashed while the handshake is still in flight.
 func (s *sealer) restore(off, length, packetSize int, words []uint64) {
-	if s == nil {
-		return
-	}
 	for w, word := range words {
 		for ; word != 0; word &= word - 1 {
 			at := (w*64 + bits.TrailingZeros64(word)) * packetSize
@@ -127,9 +125,6 @@ func (s *sealer) restore(off, length, packetSize int, words []uint64) {
 
 // pending reports how many leaves have not been hashed yet.
 func (s *sealer) pending() int {
-	if s == nil {
-		return 0
-	}
 	return len(s.leaves) - int(s.hashed.Load())
 }
 
@@ -145,7 +140,7 @@ func (s *sealer) sum() [32]byte {
 // still queued is dropped unhashed — and waits for it, so no goroutine
 // outlives its transfer. Safe after sum.
 func (s *sealer) abandon() {
-	if s != nil && !s.joined {
+	if !s.joined {
 		s.finish(func(int) {})
 	}
 }

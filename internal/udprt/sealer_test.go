@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"errors"
-	"fmt"
 	"math/rand"
 	"net"
 	"os"
@@ -140,29 +139,21 @@ type rawSender struct {
 	ps       int
 }
 
-// openRaw announces obj — [CHECK?] then HELLO — to addr and reads the
-// answers up to the HELLO-ACK.
-func openRaw(t *testing.T, addr string, obj []byte, transfer uint32, ps int, check bool) *rawSender {
+// openRaw announces obj — CHECK then HELLO — to addr and reads the answers
+// up to the HELLO-ACK.
+func openRaw(t *testing.T, addr string, obj []byte, transfer uint32, ps int) *rawSender {
 	t.Helper()
 	ctl, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ctl.Close() })
-	var frame []byte
-	if check {
-		frame = wire.AppendCheck(frame, &wire.Check{Flags: wire.CheckFlagDedup, Transfer: transfer,
-			ObjectSize: uint64(len(obj)), PacketSize: uint32(ps), Digest: core.ContentID(obj)})
-	}
-	frame = wire.AppendHello(frame, &wire.Hello{Transfer: transfer, ObjectSize: uint64(len(obj)), PacketSize: uint32(ps)})
-	if _, err := ctl.Write(frame); err != nil {
+	if _, err := ctl.Write(announceFor(transfer, obj, ps)); err != nil {
 		t.Fatal(err)
 	}
 	ctl.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if check {
-		if f, err := readControlFrame(ctl); err != nil || f.typ != wire.TypeHave || f.have.Received != 0 {
-			t.Fatalf("CHECK answer: type %d, %v", f.typ, err)
-		}
+	if f, err := readControlFrame(ctl); err != nil || f.typ != wire.TypeHave || f.have.Received != 0 {
+		t.Fatalf("CHECK answer: type %d, %v", f.typ, err)
 	}
 	if f, err := readControlFrame(ctl); err != nil || f.typ != wire.TypeHelloAck {
 		t.Fatalf("HELLO answer: type %d, %v", f.typ, err)
@@ -204,10 +195,10 @@ func (r *rawSender) verdict() controlFrame {
 	return f
 }
 
-// TestSealerWorkerNeverOutlivesTransfer: whichever way a checked transfer
-// ends — idle watchdog, cancellation, the sender's ABORT, or retention
-// followed by a RESUME that completes it — the leaf-hashing goroutine is
-// gone by the time the lifecycle returns.
+// TestSealerWorkerNeverOutlivesTransfer: whichever way a transfer ends —
+// idle watchdog, cancellation, the sender's ABORT, or retention followed by
+// a transfer that claims the state and completes it — the leaf-hashing
+// goroutine is gone by the time the lifecycle returns.
 func TestSealerWorkerNeverOutlivesTransfer(t *testing.T) {
 	const ps = 1024
 	obj := makeObj(2*core.LeafSize + 500)
@@ -226,7 +217,7 @@ func TestSealerWorkerNeverOutlivesTransfer(t *testing.T) {
 		t.Cleanup(cancel)
 		errc := make(chan error, 1)
 		go func() { _, _, err := l.Accept(ctx); errc <- err }()
-		r := openRaw(t, l.Addr(), obj, 5, ps, true)
+		r := openRaw(t, l.Addr(), obj, 5, ps)
 		r.data(0, packets*3/4)
 		deadline := time.Now().Add(5 * time.Second)
 		for sealWorkers() != 1 {
@@ -263,8 +254,9 @@ func TestSealerWorkerNeverOutlivesTransfer(t *testing.T) {
 		if !errors.As(err, &abort) {
 			t.Fatalf("Accept err = %v, want the sender's ABORT", err)
 		}
-		// The partial state was retained; a [CHECK][RESUME] claims it, seeds
-		// a new sealer from the bitmap, and completes on the rest.
+		// The partial state was retained; the next announcement of the
+		// content claims it, seeds a new sealer from the bitmap, and
+		// completes on the rest.
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		type result struct {
@@ -274,10 +266,9 @@ func TestSealerWorkerNeverOutlivesTransfer(t *testing.T) {
 		}
 		resc := make(chan result, 1)
 		go func() { got, st, err := l.Accept(ctx); resc <- result{got, st, err} }()
-		sst, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: 5, PacketSize: ps},
-			Options{Retry: &RetryPolicy{}, ResumeFirst: true})
+		sst, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: 5, PacketSize: ps}, Options{Retry: &RetryPolicy{}})
 		if err != nil {
-			t.Fatalf("resume-first send: %v", err)
+			t.Fatalf("rerun: %v", err)
 		}
 		res := <-resc
 		if res.err != nil || !bytes.Equal(res.obj, obj) {
@@ -302,7 +293,7 @@ func TestSealerWorkerNeverOutlivesTransfer(t *testing.T) {
 			defer close(served)
 			srv.Serve(ctx, func(uint32, []byte, core.ReceiverStats) { t.Error("an aborted transfer was delivered") })
 		}()
-		r := openRaw(t, srv.Addr(), obj, 6, ps, true)
+		r := openRaw(t, srv.Addr(), obj, 6, ps)
 		r.data(0, packets/2)
 		writeAbort(r.ctl, 6, wire.AbortCancelled)
 		r.ctl.Close()
@@ -534,12 +525,12 @@ func TestFlippedByteInAnyLeafFailsDigest(t *testing.T) {
 	}
 }
 
-// TestOldCheckVersionRefusedThenDegraded covers both directions of a mixed
-// pair. A version-1 CHECK (plain SHA-256 digests) is refused with
-// ABORT(unsupported) before its digest is looked at; and a sender whose
-// version-2 CHECK is refused that way drops the CHECK, opens a plain HELLO
-// and completes under the CRC rule.
-func TestOldCheckVersionRefusedThenDegraded(t *testing.T) {
+// TestOldCheckVersionRefused covers both directions of a mixed pair. A
+// version-1 CHECK (plain SHA-256 digests) is refused with ABORT(unsupported)
+// before its digest is looked at; and a sender whose version-2 CHECK is
+// refused that way fails with ErrVerifyUnsupported on that one connection,
+// since every announcement must name its content.
+func TestOldCheckVersionRefused(t *testing.T) {
 	obj := makeObj(300 << 10)
 	l, err := Listen("127.0.0.1:0", Options{})
 	if err != nil {
@@ -570,91 +561,85 @@ func TestOldCheckVersionRefusedThenDegraded(t *testing.T) {
 		t.Fatalf("Accept err = %v, want ErrCheckVersion", err)
 	}
 
-	// The stub peer: refuses whatever leads the first connection the way a
-	// version-1 build refuses a version-2 CHECK, then runs the real receive
-	// lifecycle on the second.
-	type result struct {
-		plan recvPlan
-		obj  []byte
-		err  error
-	}
-	resc := make(chan result, 1)
+	// The stub peer refuses the first connection the way a version-1 build
+	// refuses a version-2 CHECK; there must be no second.
+	conns := make(chan int, 1)
 	go func() {
-		first, err := acceptControl(ctx, l.tcp)
-		if err != nil {
-			resc <- result{err: err}
-			return
+		n := 0
+		defer func() { conns <- n }()
+		for {
+			c, err := acceptControl(ctx, l.tcp)
+			if err != nil {
+				return
+			}
+			n++
+			if f, err := readControlFrame(c); err != nil || f.typ != wire.TypeCheck || f.check.Version != 2 {
+				t.Errorf("connection led with type %d (%v), want a v2 CHECK", f.typ, err)
+			}
+			readControlFrame(c) // the pipelined HELLO: leave nothing unread behind the ABORT
+			writeAbort(c, 0, wire.AbortUnsupported)
+			c.Close()
 		}
-		if f, err := readControlFrame(first); err != nil || f.typ != wire.TypeCheck || f.check.Version != 2 {
-			resc <- result{err: fmt.Errorf("first connection led with type %d (%v), want a v2 CHECK", f.typ, err)}
-			return
-		}
-		readControlFrame(first) // the pipelined HELLO: leave nothing unread behind the ABORT
-		writeAbort(first, 0, wire.AbortUnsupported)
-		first.Close()
-		ctl, err := acceptControl(ctx, l.tcp)
-		if err != nil {
-			resc <- result{err: err}
-			return
-		}
-		defer ctl.Close()
-		plan, got, _, err := l.receive(ctx, ctl, true)
-		resc <- result{plan, got, err}
 	}()
-	if _, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: 2}, Options{}); err != nil {
-		t.Fatalf("send did not degrade past the refused CHECK: %v", err)
+	_, err = Send(ctx, l.Addr(), obj, core.Config{Transfer: 2}, Options{HandshakeRetries: 3})
+	if !errors.Is(err, ErrVerifyUnsupported) {
+		t.Fatalf("send past a refused CHECK: err = %v, want ErrVerifyUnsupported", err)
 	}
-	res := <-resc
-	if res.err != nil || !bytes.Equal(res.obj, obj) {
-		t.Fatalf("degraded receive: err=%v intact=%v", res.err, bytes.Equal(res.obj, obj))
-	}
-	if res.plan.hasCheck {
-		t.Fatal("the degraded announcement still carried a CHECK")
-	}
-	if got, crc := res.plan.completionDigest(obj), wire.ObjectDigest(obj); got != crc {
-		t.Fatalf("degraded COMPLETE carries %08x, want the CRC %08x", got, crc)
+	cancel()
+	if n := <-conns; n != 1 {
+		t.Fatalf("%d connections, want 1", n)
 	}
 }
 
-// TestCompleteDigestRule pins what COMPLETE carries, both ways: after an
-// answered CHECK the tag of the content identity, with no CHECK the
-// CRC-32C — and a sender expecting the tag refuses anything else.
+// TestCompleteDigestRule pins what COMPLETE carries — the tag of the
+// content identity the CHECK announced — and that an announcement without
+// a CHECK gets no COMPLETE at all, but a refusal; a sender expecting the tag
+// refuses anything else.
 func TestCompleteDigestRule(t *testing.T) {
 	const ps = 1024
 	obj := makeObj(20 * ps)
-	tag, crc := wire.ContentTag(core.ContentID(obj)), wire.ObjectDigest(obj)
-	if tag == crc {
-		t.Fatal("test object's tag equals its CRC; pick another")
-	}
-	for _, tc := range []struct {
-		name  string
-		check bool
-		want  uint32
-	}{{"answered CHECK", true, tag}, {"no CHECK", false, crc}} {
-		t.Run(tc.name, func(t *testing.T) {
-			l, err := Listen("127.0.0.1:0", Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer l.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			accErr := make(chan error, 1)
-			go func() { _, _, err := l.Accept(ctx); accErr <- err }()
-			r := openRaw(t, l.Addr(), obj, 4, ps, tc.check)
-			r.data(0, 20)
-			f := r.verdict()
-			if f.typ != wire.TypeComplete || f.complete.Received != uint64(len(obj)) {
-				t.Fatalf("terminal frame type %d, %+v", f.typ, f.complete)
-			}
-			if f.complete.Digest != tc.want {
-				t.Fatalf("COMPLETE carries %08x, want %08x (tag %08x, crc %08x)", f.complete.Digest, tc.want, tag, crc)
-			}
-			if err := <-accErr; err != nil {
-				t.Fatalf("Accept: %v", err)
-			}
-		})
-	}
+	tag := wire.ContentTag(core.ContentID(obj))
+	t.Run("answered CHECK", func(t *testing.T) {
+		l, err := Listen("127.0.0.1:0", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		accErr := make(chan error, 1)
+		go func() { _, _, err := l.Accept(ctx); accErr <- err }()
+		r := openRaw(t, l.Addr(), obj, 4, ps)
+		r.data(0, 20)
+		f := r.verdict()
+		if f.typ != wire.TypeComplete || f.complete.Received != uint64(len(obj)) {
+			t.Fatalf("terminal frame type %d, %+v", f.typ, f.complete)
+		}
+		if f.complete.Digest != tag {
+			t.Fatalf("COMPLETE carries %08x, want the content tag %08x", f.complete.Digest, tag)
+		}
+		if err := <-accErr; err != nil {
+			t.Fatalf("Accept: %v", err)
+		}
+	})
+	t.Run("no CHECK", func(t *testing.T) {
+		l, err := Listen("127.0.0.1:0", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		accErr := make(chan error, 1)
+		go func() { _, _, err := l.Accept(ctx); accErr <- err }()
+		peer := dialRaw(t, l.Addr(), wire.AppendHello(nil, &wire.Hello{Transfer: 4, ObjectSize: uint64(len(obj)), PacketSize: ps}))
+		if f := peer.read(); f.typ != wire.TypeAbort || f.abort.Reason != wire.AbortBadHello {
+			t.Fatalf("an announcement without a CHECK was answered type %d (%s), want ABORT(bad-hello)", f.typ, f.abort.Reason)
+		}
+		if err := <-accErr; !errors.Is(err, errBadAnnouncement) {
+			t.Fatalf("Accept err = %v, want errBadAnnouncement", err)
+		}
+	})
 	t.Run("wrong tag fails the send", func(t *testing.T) {
 		fake := newFakeReceiver(t, true)
 		go fake.acceptHandshake() // answers the CHECK with a miss
@@ -666,9 +651,9 @@ func TestCompleteDigestRule(t *testing.T) {
 			sent <- err
 		}()
 		<-fake.done
-		// A peer still on the CRC rule after answering the CHECK.
-		unanswered := recvPlan{base: 3, objectSize: uint64(len(obj))}
-		if err := writeComplete(fake.ctl, unanswered, obj); err != nil {
+		// A peer echoing some other identity's tag.
+		other := recvPlan{base: 3, objectSize: uint64(len(obj)), checkDigest: [32]byte{1}}
+		if err := writeControl(fake.ctl, completeFrame(other)); err != nil {
 			t.Fatal(err)
 		}
 		if err := <-sent; !errors.Is(err, ErrDigestMismatch) {
@@ -694,7 +679,7 @@ func TestIngestWithSealerZeroAllocs(t *testing.T) {
 	if (runs+1)*per > total {
 		t.Fatal("object too small to feed every run fresh packets")
 	}
-	plan := recvPlan{base: 1, objectSize: uint64(len(obj)), packetSize: ps, hasCheck: true}
+	plan := recvPlan{base: 1, objectSize: uint64(len(obj)), packetSize: ps}
 	rcv := core.NewReceiver(int64(len(obj)), core.Config{PacketSize: ps, Transfer: 1, AckFrequency: 4})
 	e := newReceiverEngine(rcv)
 	seal := plan.startSealer(rcv.Object(), e)
@@ -717,9 +702,9 @@ func TestIngestWithSealerZeroAllocs(t *testing.T) {
 // the endpoint goes on to serve the next transfer.
 func TestUnusableAnnouncementRefused(t *testing.T) {
 	frames := map[string][]byte{
-		"HELLO of zero bytes":  wire.AppendHello(nil, &wire.Hello{Transfer: 1, PacketSize: 1024}),
-		"RESUME of zero bytes": wire.AppendResume(nil, &wire.Resume{Transfer: 1, PacketSize: 1024}),
-		"HELLO past int":       wire.AppendHello(nil, &wire.Hello{Transfer: 1, ObjectSize: 1 << 63, PacketSize: 1024}),
+		"HELLO of zero bytes": wire.AppendHello(nil, &wire.Hello{Transfer: 1, PacketSize: 1024}),
+		"HELLO with no CHECK": wire.AppendHello(nil, &wire.Hello{Transfer: 1, ObjectSize: 64, PacketSize: 1024}),
+		"HELLO past int":      wire.AppendHello(nil, &wire.Hello{Transfer: 1, ObjectSize: 1 << 63, PacketSize: 1024}),
 		"checked HELLO of zero bytes": wire.AppendHello(
 			wire.AppendCheck(nil, &wire.Check{Transfer: 1, ObjectSize: 64, PacketSize: 1024}),
 			&wire.Hello{Transfer: 1, PacketSize: 1024}),

@@ -86,16 +86,19 @@ func (s *Session) Send(ctx context.Context, obj []byte, cfg core.Config) (core.S
 	// peer that speaks those preludes.
 	tid := s.opts.senderTraceID()
 	plan.instrument(s.opts, tid)
-	check := plan.checkFrame(s.opts)
-	frame := append(append(tracePrelude(tid), check...), plan.helloFrame()...)
-	ans, err := exchange(ctx, s.ctl, frame, plan.base, check != nil, false, s.opts.HandshakeTimeout)
+	frame := append(tracePrelude(tid), plan.announcement(s.opts)...)
+	ans, err := exchange(ctx, s.ctl, frame, plan.base, plan.totalPackets(), s.opts.HandshakeTimeout)
+	var hit bool
+	if err == nil {
+		hit, err = plan.accepted(ans)
+	}
 	if err != nil {
 		s.broken = true
 		plan.finish(err)
 		return plan.stats(), err
 	}
 	var st core.SenderStats
-	if plan.accepted(ans) {
+	if hit {
 		// The receiver already holds the content: COMPLETE follows with no
 		// HELLO-ACK and no data flow, and the control stream stays clean for
 		// the session's next object.

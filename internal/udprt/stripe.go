@@ -76,10 +76,6 @@ type senderPlan struct {
 	// so the object is hashed exactly once per plan either way).
 	content    [32]byte
 	hasContent bool
-	// checked records that this attempt's CHECK prelude got its HAVE answer:
-	// the receiver verifies the object against (or already holds it under)
-	// the announced identity, which decides what its COMPLETE carries.
-	checked bool
 	// window is what the receiver's acceptance said each of the plan's flows
 	// may have unread in its socket buffer, in bytes; zero when it said
 	// nothing (core.Sender.SetFlow).
@@ -128,8 +124,7 @@ func newSenderPlan(obj []byte, cfg core.Config, opts Options) (*senderPlan, erro
 
 // instrument opens the transfer's span recorder under tid and registers every
 // stripe with the metrics registry and the flight log (any of the three may
-// be off). A RESUME that the peer refuses never gets here, so the fresh
-// transfer it degrades to is the attempt's only record.
+// be off).
 func (p *senderPlan) instrument(opts Options, tid obs.TraceID) {
 	span := opts.startSpan(tid, p.base, obs.RoleSender)
 	for i, snd := range p.snds {
@@ -139,37 +134,6 @@ func (p *senderPlan) instrument(opts Options, tid obs.TraceID) {
 
 // event records one phase boundary in the transfer's span log.
 func (p *senderPlan) event(kind obs.Kind, arg uint64) { p.probes[0].event(kind, arg) }
-
-// helloFrame serializes the plan's announcement: the classic HELLO for a
-// single stripe (bit-compatible with every earlier receiver), a versioned
-// HELLOX otherwise.
-func (p *senderPlan) helloFrame() []byte {
-	if len(p.stripes) == 1 {
-		return wire.AppendHello(nil, &wire.Hello{
-			Transfer:   p.base,
-			ObjectSize: uint64(len(p.obj)),
-			PacketSize: uint32(p.cfg.PacketSize),
-		})
-	}
-	return wire.AppendHelloX(nil, &wire.HelloX{
-		Transfer:   p.base,
-		ObjectSize: uint64(len(p.obj)),
-		PacketSize: uint32(p.cfg.PacketSize),
-		Stripes:    p.stripes,
-	})
-}
-
-// resumeFrame serializes a RESUME for the plan (single stripe): the HELLO's
-// geometry plus the whole-object CRC the receiver reconciles its retained
-// bytes with.
-func (p *senderPlan) resumeFrame() []byte {
-	return wire.AppendResume(nil, &wire.Resume{
-		Transfer:   p.base,
-		ObjectSize: uint64(len(p.obj)),
-		PacketSize: uint32(p.cfg.PacketSize),
-		Digest:     wire.ObjectDigest(p.obj),
-	})
-}
 
 // contentID returns the whole object's content identity, memoized.
 func (p *senderPlan) contentID() [32]byte {
@@ -183,17 +147,6 @@ func (p *senderPlan) contentID() [32]byte {
 	return p.content
 }
 
-// completionDigest is what the receiver's COMPLETE must carry (the rule is
-// wire.Complete's): the tag of the announced identity when the CHECK was
-// answered — already in hand, no pass over the object — the CRC-32C of the
-// object otherwise.
-func (p *senderPlan) completionDigest() uint32 {
-	if p.checked {
-		return wire.ContentTag(p.contentID())
-	}
-	return wire.ObjectDigest(p.obj)
-}
-
 // totalPackets sums the stripes' packet counts.
 func (p *senderPlan) totalPackets() int {
 	total := 0
@@ -203,23 +156,13 @@ func (p *senderPlan) totalPackets() int {
 	return total
 }
 
-// dedupHit reports whether check — a CHECK's answer, nil when none was asked
-// for — says the receiver already holds the whole object.
-func (p *senderPlan) dedupHit(check *wire.Have) bool {
-	return check != nil && int(check.Received) >= p.totalPackets()
-}
-
-// checkFrame serializes the plan's CHECK prelude: the whole-object content
-// digest, plus — only when the caller demands verification, the one case in
-// which a receiver reads them — one digest per stripe of a striped plan; a
-// striped Send otherwise hashes its object once, not twice. Nil — no
-// prelude, bit-identical to the pre-CHECK handshake — when the caller opted
-// out of dedup without demanding verification; hashing happens only when
-// the frame is actually built.
-func (p *senderPlan) checkFrame(opts Options) []byte {
-	if opts.NoDedup && !opts.Verify {
-		return nil
-	}
+// announcement serializes the plan's announcement, its CHECK prelude
+// first: the whole-object content identity — plus, only when the caller
+// demands verification, the one case in which a receiver reads them, one
+// digest per stripe of a striped plan (a striped Send otherwise hashes its
+// object once, not twice) — then the classic HELLO for a single stripe, a
+// versioned HELLOX otherwise.
+func (p *senderPlan) announcement(opts Options) []byte {
 	var flags uint8
 	if opts.Verify {
 		flags |= wire.CheckFlagVerify
@@ -240,25 +183,51 @@ func (p *senderPlan) checkFrame(opts Options) []byte {
 			c.StripeDigests[i] = snd.ContentID()
 		}
 	}
-	return wire.AppendCheck(nil, &c)
+	frame := wire.AppendCheck(nil, &c)
+	if len(p.stripes) == 1 {
+		return wire.AppendHello(frame, &wire.Hello{
+			Transfer:   p.base,
+			ObjectSize: uint64(len(p.obj)),
+			PacketSize: uint32(p.cfg.PacketSize),
+		})
+	}
+	return wire.AppendHelloX(frame, &wire.HelloX{
+		Transfer:   p.base,
+		ObjectSize: uint64(len(p.obj)),
+		PacketSize: uint32(p.cfg.PacketSize),
+		Stripes:    p.stripes,
+	})
 }
 
-// accepted records a completed exchange and reports whether its CHECK hit:
-// COMPLETE follows then, and neither a handshake nor a data phase happens.
-func (p *senderPlan) accepted(ans answer) (hit bool) {
-	p.checked = ans.check != nil
-	p.window = ans.have.Window.Bytes()
-	if p.dedupHit(ans.check) {
-		return true
+// accepted records a completed exchange and reports whether the receiver
+// holds the whole object: COMPLETE follows then, and neither a handshake nor
+// a data phase happens. A HAVE of part of the object — the state the
+// receiver retained of an earlier, failed transfer of this content — excuses
+// those packets; one that does not fit the plan is a broken peer.
+func (p *senderPlan) accepted(ans answer) (hit bool, err error) {
+	if int(ans.have.Received) >= p.totalPackets() {
+		return true, nil
 	}
-	if p.checked {
-		p.event(obs.KindCheck, 0)
+	p.window = ans.window.Bytes()
+	restored := 0
+	if ans.have.Received > 0 {
+		if len(p.snds) > 1 {
+			return false, fmt.Errorf("udprt: receiver answered a striped transfer with %d of its packets", ans.have.Received)
+		}
+		if restored, err = p.snds[0].Restore(ans.have.Words); err != nil {
+			return false, fmt.Errorf("udprt: receiver's HAVE: %w", err)
+		}
 	}
+	p.event(obs.KindCheck, 0)
 	for _, pr := range p.probes {
 		pr.handshake()
 	}
 	p.event(obs.KindHandshake, 0)
-	return false
+	if restored > 0 {
+		p.event(obs.KindResume, uint64(restored))
+		p.probes[0].restored(restored)
+	}
+	return false, nil
 }
 
 // finish stamps one outcome into every stripe's instruments and the span.
@@ -475,17 +444,11 @@ type recvPlan struct {
 	// trace is the sender's trace id, propagated in a TRACE prelude before
 	// the announcement; zero when the handshake was untraced.
 	trace obs.TraceID
-	// RESUME announcements re-propose an aborted transfer: resumeDigest is
-	// the sender's whole-object CRC and resumeStreams its stream count
-	// (resume is defined for single-flow transfers only).
-	resume        bool
-	resumeDigest  uint32
-	resumeStreams int
-	// CHECK prelude state: the sender announced the object's content
-	// identity before the handshake. checkDedup permits answering from the
-	// content cache; checkVerify demands the per-stripe digests be checked
-	// too, not just the whole-object one.
-	hasCheck      bool
+	// The CHECK prelude every announcement carries: checkDigest is the
+	// object's content identity, which the object is verified against,
+	// cached under and retained under. checkDedup permits answering from
+	// the content cache; checkVerify demands the per-stripe digests be
+	// checked too, not just the whole-object one.
 	checkDigest   [32]byte
 	checkVerify   bool
 	checkDedup    bool
@@ -495,7 +458,7 @@ type recvPlan struct {
 func (p recvPlan) striped() bool { return p.stripes != nil }
 
 // layout is the plan as stripes: the announced ones, or the whole object as
-// the single stripe a classic HELLO or a RESUME describes. The endpoint
+// the single stripe a classic HELLO describes. The endpoint
 // registers one transfer tag per entry.
 func (p recvPlan) layout() []wire.StripeDesc {
 	if p.striped() {
@@ -504,16 +467,13 @@ func (p recvPlan) layout() []wire.StripeDesc {
 	return []wire.StripeDesc{{Transfer: p.base, Length: p.objectSize}}
 }
 
-// startSealer begins leaf-by-leaf verification of an inbound transfer whose
-// CHECK was answered: one sealer over the whole object, fed by every engine
-// (given in stripe order) and seeded with what a resumed engine already
-// holds. Nil — there is nothing to verify against — without a CHECK. The
-// receive lifecycle starts its sealer here, defers abandon so that no exit
-// leaves the worker behind, and sums it in verifyContent.
+// startSealer begins leaf-by-leaf verification of an inbound transfer: one
+// sealer over the whole object, fed by every engine (given in stripe order)
+// and seeded with what a restored engine already holds — re-hashed, so
+// retained bytes that rotted fail verification. The receive lifecycle
+// starts its sealer here, defers abandon so that no exit leaves the worker
+// behind, and sums it in verifyContent.
 func (p recvPlan) startSealer(obj []byte, engines ...*receiverEngine) *sealer {
-	if !p.hasCheck {
-		return nil
-	}
 	stripes := p.layout()
 	s := newSealer(obj, p.packetSize, stripes)
 	for i, e := range engines {
@@ -526,25 +486,14 @@ func (p recvPlan) startSealer(obj []byte, engines ...*receiverEngine) *sealer {
 }
 
 // verifyContent checks the assembled object against everything its
-// announcement said about the content. A RESUME's CRC reconciles the retained
-// bytes plus the resumed run with the object the sender holds. The content
-// identity a CHECK prelude announced then covers the whole object always —
-// summed from the leaves the sealer hashed as they completed, so a retained
-// buffer that rotted across a restart fails here, not at the application —
-// and each stripe when the sender demanded verification. A mismatch is
-// corruption (or a sender announcing one object and blasting another);
-// either way the bytes must not be delivered or cached, and nothing is left
-// to resume under this id.
+// announcement said about the content: the content identity the CHECK
+// announced covers the whole object always — summed from the leaves the
+// sealer hashed as they completed, so a retained buffer that rotted across a
+// restart fails here, not at the application — and each stripe when the
+// sender demanded verification. A mismatch is corruption (or a sender
+// announcing one object and blasting another); either way the bytes must
+// not be delivered, cached or retained.
 func (p recvPlan) verifyContent(obj []byte, seal *sealer) error {
-	if p.resume {
-		if got := wire.ObjectDigest(obj); got != p.resumeDigest {
-			return fmt.Errorf("udprt: resumed object digest %08x, sender announced %08x: %w",
-				got, p.resumeDigest, ErrDigestMismatch)
-		}
-	}
-	if !p.hasCheck {
-		return nil
-	}
 	if seal.sum() != p.checkDigest {
 		return fmt.Errorf("udprt: assembled object does not match announced content digest: %w", ErrDigestMismatch)
 	}
@@ -562,16 +511,6 @@ func (p recvPlan) verifyContent(obj []byte, seal *sealer) error {
 	return nil
 }
 
-// completionDigest is what this transfer's COMPLETE carries (the rule is
-// wire.Complete's): the tag of the identity a CHECK announced and this end
-// verified or holds the bytes under, the CRC-32C of the bytes otherwise.
-func (p recvPlan) completionDigest(obj []byte) uint32 {
-	if p.hasCheck {
-		return wire.ContentTag(p.checkDigest)
-	}
-	return wire.ObjectDigest(obj)
-}
-
 // dedupHit returns the cached copy this announcement's CHECK may be answered
 // from. The dedup flag and the announced size are tested before the copy-out
 // (a whole object): a verify-only CHECK, or one that names a different size,
@@ -585,7 +524,7 @@ func (p recvPlan) dedupHit(cache *contentCache) ([]byte, bool) {
 
 // newRecvEngines builds one receiver engine per stripe of the plan, each
 // assembling in place into its own slice of obj — the one pre-allocated
-// object, or the retained buffer of a resumed transfer — so completion needs
+// object, or the retained buffer of a restored transfer — so completion needs
 // no reassembly copy. The lifecycle attaches their probes once the transfer
 // is certain to start.
 func newRecvEngines(plan recvPlan, obj []byte) []*receiverEngine {
@@ -624,7 +563,7 @@ func sumRecvStats(engines []*receiverEngine) core.ReceiverStats {
 // it before writing COMPLETE: the sender may re-push the same content the
 // moment its Send returns, and that CHECK must already hit.
 func cacheVerified(cache *contentCache, plan recvPlan, obj []byte) {
-	if plan.hasCheck && plan.checkDedup {
+	if plan.checkDedup {
 		cache.add(plan.checkDigest, obj, plan.packetSize)
 	}
 }
@@ -648,11 +587,13 @@ func completeDeduped(plan recvPlan, ctl net.Conn, opts Options, obj []byte) ([]b
 		Restored:      total,
 		PacketsNeeded: total,
 	}
-	err := writeHave(ctl, plan.base, total, fullWords(total), 0)
+	msg := wire.AppendHave(nil, &wire.Have{Transfer: plan.base, Received: uint32(total), Words: fullWords(total)})
+	err := writeControl(ctl, append(msg, completeFrame(plan)...))
 	if err == nil {
 		pr.restored(total)
 		pr.event(obs.KindSkip, uint64(total))
-		err = writeComplete(ctl, plan, obj)
+	} else {
+		err = fmt.Errorf("udprt: completion write: %w", err)
 	}
 	pr.finish(err)
 	if err != nil {

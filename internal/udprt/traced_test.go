@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -184,34 +185,39 @@ func TestTracePreludeDegradesOnAbort(t *testing.T) {
 				return errors.New("first frame was not the TRACE prelude")
 			}
 			c1.Write(wire.AppendAbort(nil, &wire.Abort{Reason: wire.AbortUnsupported}))
-			// Second connection: a plain HELLO must arrive, with no prelude.
+			// Second connection: the announcement must arrive with no
+			// prelude — its CHECK, then the HELLO.
 			c2, err := tl.Accept()
 			if err != nil {
 				return err
 			}
 			defer c2.Close()
-			if _, err := io.ReadFull(c2, buf); err != nil {
-				return err
+			if f, err := readControlFrame(c2); err != nil || f.typ != wire.TypeCheck {
+				return fmt.Errorf("degraded handshake led with type %d (%v), want the CHECK", f.typ, err)
 			}
-			h, err := wire.DecodeHello(buf)
-			if err != nil {
-				return errors.New("degraded handshake did not lead with a plain HELLO")
+			f, err := readControlFrame(c2)
+			if err != nil || f.typ != wire.TypeHello {
+				return fmt.Errorf("CHECK followed by type %d (%v), want the HELLO", f.typ, err)
 			}
-			if h.Transfer != transfer {
+			if f.hello.Transfer != transfer {
 				return errors.New("degraded HELLO changed the transfer id")
 			}
-			_, err = c2.Write(wire.AppendHelloAck(nil, &wire.HelloAck{Transfer: transfer}))
+			answer := wire.AppendHave(nil, &wire.Have{Transfer: transfer, Words: []uint64{0}})
+			_, err = c2.Write(wire.AppendHelloAck(answer, &wire.HelloAck{Transfer: transfer}))
 			return err
 		}()
 	}()
 
 	opts := Options{HandshakeRetries: 1, HandshakeTimeout: 5 * time.Second}.withDefaults()
 	opts.HandshakeRetries = 1 // even a no-retry budget must degrade cleanly
-	hello := wire.AppendHello(nil, &wire.Hello{Transfer: transfer, ObjectSize: 1024, PacketSize: 512})
+	plan, err := newSenderPlan(makeObj(1024), core.Config{Transfer: transfer, PacketSize: 512}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	prelude := tracePrelude(obs.NewTraceID())
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	ctl, _, err := dialHandshake(ctx, tl.Addr().String(), prelude, nil, hello, transfer, opts)
+	ctl, _, err := dialHandshake(ctx, tl.Addr().String(), prelude, plan.announcement(opts), transfer, plan.totalPackets(), opts)
 	if err != nil {
 		t.Fatalf("traced handshake did not degrade: %v", err)
 	}
@@ -223,7 +229,7 @@ func TestTracePreludeDegradesOnAbort(t *testing.T) {
 
 // TestFutureTraceVersionAborted pins the receive-side version gate: a
 // TRACE prelude from a future protocol revision is answered with
-// ABORT (unsupported), exactly like future HELLOX and RESUME revisions —
+// ABORT (unsupported), exactly like future HELLOX and CHECK revisions —
 // never a hang, never a data blast.
 func TestFutureTraceVersionAborted(t *testing.T) {
 	l, err := Listen("127.0.0.1:0", Options{})

@@ -139,22 +139,21 @@ type Options struct {
 	// field nil costs one predictable nil check per event.
 	Metrics *metrics.Registry
 	// Retry, when non-nil, wraps Send in a retry supervisor: failed
-	// attempts are classified (see IsRetryable), re-dialed with jittered
-	// exponential backoff under the policy's budget, and — when the
-	// previous attempt already placed data and the transfer is
-	// single-stream — reopened with a RESUME handshake so the receiver's
-	// HAVE bitmap excuses every packet it already holds. Peers without
-	// RESUME support degrade each retry to a fresh transfer.
+	// attempts are classified (see IsRetryable) and re-dialed with jittered
+	// exponential backoff under the policy's budget. Every attempt is the
+	// same announcement, so a single-stream retry is answered with whatever
+	// the receiver retained of the failed one, and sends only the rest.
 	Retry *RetryPolicy
 	// ResumeWindow is how long a listener or server retains the partial
-	// state (buffer + got-bitmap) of an aborted inbound transfer so a
-	// RESUME under the same transfer id can complete it (default 60s;
-	// negative disables retention and refuses every RESUME).
+	// state (buffer + got-bitmap) of a failed single-stream inbound transfer,
+	// keyed by the content identity its CHECK announced, so that the next
+	// announcement of the same content — under any transfer id — sends only
+	// what is missing (default 60s; negative disables retention).
 	ResumeWindow time.Duration
 	// Checkpoint, when non-empty, is a directory where retained transfer
 	// state is also persisted as checkpoint files, so a restarted receiver
-	// process can still answer RESUME for transfers aborted before the
-	// restart. Files are removed when claimed or when the window lapses.
+	// process still holds what it retained before the restart. Files are
+	// removed when claimed or when the window lapses.
 	Checkpoint string
 	// RateCap, when non-nil, bounds the aggregate on-the-wire send rate of
 	// every transfer sharing the same *RateCap value (payload plus UDP/IP
@@ -167,13 +166,6 @@ type Options struct {
 	// core.MaxControllerGap per flow cannot be fully honoured: the
 	// controller contract's starvation floor wins.
 	RateCap *RateCap
-	// ResumeFirst makes a supervised Send (Options.Retry non-nil,
-	// single-stream) open its very first attempt with a RESUME handshake
-	// instead of a fresh HELLO, so a restarted orchestrator can continue a
-	// transfer whose receiver still retains partial state without paying
-	// for a full resend. A peer without matching state degrades the
-	// attempt to a fresh transfer; without Retry the flag is ignored.
-	ResumeFirst bool
 	// Trace, when non-nil, receives a lifecycle span log of every transfer
 	// this endpoint runs: one event per phase transition (dial, handshake,
 	// resume, data rounds, drain, digest verify, terminal verdict), each
@@ -189,19 +181,18 @@ type Options struct {
 	// prelude before the announcement; peers that do not speak TRACE
 	// degrade the handshake to an untraced one (see DESIGN.md §5i).
 	TraceID obs.TraceID
-	// Verify demands end-to-end content verification. Sending: the CHECK
-	// prelude carries wire.CheckFlagVerify, asking the receiver to verify
-	// every stripe digest (not just the whole object) before COMPLETE, and
-	// a peer that refuses the CHECK fails the transfer with
-	// ErrVerifyUnsupported instead of degrading to an unchecked handshake.
-	// Receiving: announced stripe digests are verified at completion. The
-	// whole-object digest is always verified when a CHECK arrived,
-	// Verify or not.
+	// Verify demands per-stripe content verification. Sending: the CHECK
+	// prelude carries wire.CheckFlagVerify and one digest per stripe,
+	// asking the receiver to verify every stripe (not just the whole
+	// object) before COMPLETE. Receiving: announced stripe digests are
+	// verified at completion. The whole-object identity every CHECK carries
+	// is always verified, Verify or not, and a peer that refuses the CHECK
+	// always fails the transfer (ErrVerifyUnsupported).
 	Verify bool
-	// NoDedup opts out of content-cache participation. Sending: the CHECK
-	// prelude omits wire.CheckFlagDedup (and is omitted entirely unless
-	// Verify asks for it), so every push moves its bytes. Receiving: no
-	// content cache is kept and every CHECK is answered as a miss.
+	// NoDedup opts out of answers from the content cache. Sending: the
+	// CHECK prelude omits wire.CheckFlagDedup, so every push moves the
+	// bytes the receiver did not retain of it. Receiving: no content cache
+	// is kept. Retained partial state is consulted either way.
 	NoDedup bool
 	// Record, when non-nil, captures a packet-level flight recording of
 	// every transfer this endpoint runs: each data send with its attempt
@@ -309,10 +300,10 @@ const maxDatagram = batchio.TrainBufLen
 // rounds the sender tolerates before surfacing the write error.
 const writeErrLimit = 8
 
-// ErrVerifyUnsupported reports that Options.Verify was set but the peer
-// refused the CHECK prelude — it cannot verify content digests, and the
-// caller asked for verification rather than best effort, so the transfer
-// fails instead of degrading. Terminal under IsRetryable.
+// ErrVerifyUnsupported reports that the peer refused the CHECK prelude: it
+// cannot verify content digests, and every announcement names its content,
+// so the transfer fails rather than move bytes nothing would verify.
+// Terminal under IsRetryable.
 var ErrVerifyUnsupported = errors.New("udprt: peer does not support content verification")
 
 // Listener is one receiving endpoint: a TCP control port and a UDP data
@@ -462,35 +453,31 @@ func abortReasonFor(err error) wire.AbortReason {
 	}
 }
 
-// writeComplete sends the terminal control signal, carrying the
-// whole-object integrity echo (recvPlan.completionDigest) — one COMPLETE
-// per object, however many stripes carried it.
-func writeComplete(ctl net.Conn, plan recvPlan, obj []byte) error {
-	msg := wire.AppendComplete(nil, &wire.Complete{
+// completeFrame is the plan's terminal control signal: one COMPLETE per
+// object, however many stripes carried it, echoing the tag of the content
+// identity the object was verified against or is cached under.
+func completeFrame(plan recvPlan) []byte {
+	return wire.AppendComplete(nil, &wire.Complete{
 		Transfer: plan.base,
 		Received: plan.objectSize,
-		Digest:   plan.completionDigest(obj),
+		Digest:   wire.ContentTag(plan.checkDigest),
 	})
-	ctl.SetWriteDeadline(time.Now().Add(10 * time.Second))
-	defer ctl.SetWriteDeadline(time.Time{})
-	if _, err := ctl.Write(msg); err != nil {
-		return fmt.Errorf("udprt: completion write: %w", err)
-	}
-	return nil
 }
 
 // readTransferPlan consumes the transfer announcement — a classic HELLO
-// or a striped HELLOX, optionally preceded by TRACE and CHECK preludes —
-// bounded by 30s or ctx's deadline, whichever is sooner. The deadline is
-// cleared afterwards so it never lingers on the control connection. The
+// or a striped HELLOX, preceded by its CHECK prelude and optionally a TRACE
+// one — bounded by 30s or ctx's deadline, whichever is sooner. The deadline
+// is cleared afterwards so it never lingers on the control connection. The
 // announcement is always read, even when the CHECK will turn out a dedup
 // hit: the sender pipelines every frame in one write, and consuming them
 // all keeps the stream framing clean for session reuse. An announcement
 // of a protocol revision this build does not speak surfaces as an error
-// wrapping wire.ErrHelloXVersion, wire.ErrResumeVersion, wire.ErrTraceVersion
-// or wire.ErrCheckVersion, and one whose geometry no receiver can be built
-// for — an empty object, a size or packet size that does not fit an int —
-// as errBadAnnouncement; callers answer through refuseAnnouncement.
+// wrapping wire.ErrHelloXVersion, wire.ErrTraceVersion or
+// wire.ErrCheckVersion; one without a CHECK, or whose geometry no receiver
+// can be built for — an empty object, a size or packet size that does not
+// fit an int — as errBadAnnouncement; and a frame of a retired type (an
+// earlier build's RESUME) as a bad control frame. Callers answer through
+// refuseAnnouncement.
 func readTransferPlan(ctx context.Context, ctl net.Conn) (recvPlan, error) {
 	dl := time.Now().Add(30 * time.Second)
 	if d, ok := ctx.Deadline(); ok && d.Before(dl) {
@@ -531,15 +518,6 @@ func readTransferPlan(ctx context.Context, ctl net.Conn) (recvPlan, error) {
 			packetSize: int(f.hellox.PacketSize),
 			stripes:    f.hellox.Stripes,
 		}
-	case wire.TypeResume:
-		plan = recvPlan{
-			base:          f.resume.Transfer,
-			objectSize:    f.resume.ObjectSize,
-			packetSize:    int(f.resume.PacketSize),
-			resume:        true,
-			resumeDigest:  f.resume.Digest,
-			resumeStreams: int(f.resume.Streams),
-		}
 	default:
 		return recvPlan{}, fmt.Errorf("udprt: expected HELLO, got control frame type %d", f.typ)
 	}
@@ -547,14 +525,14 @@ func readTransferPlan(ctx context.Context, ctl net.Conn) (recvPlan, error) {
 		return recvPlan{}, fmt.Errorf("%w: %d-byte object in %d-byte packets",
 			errBadAnnouncement, plan.objectSize, plan.packetSize)
 	}
-	plan.trace = tid
-	if chk != nil {
-		plan.hasCheck = true
-		plan.checkDigest = chk.Digest
-		plan.checkVerify = chk.Flags&wire.CheckFlagVerify != 0
-		plan.checkDedup = chk.Flags&wire.CheckFlagDedup != 0
-		plan.stripeDigests = chk.StripeDigests
+	if chk == nil {
+		return recvPlan{}, fmt.Errorf("%w: no CHECK names the object", errBadAnnouncement)
 	}
+	plan.trace = tid
+	plan.checkDigest = chk.Digest
+	plan.checkVerify = chk.Flags&wire.CheckFlagVerify != 0
+	plan.checkDedup = chk.Flags&wire.CheckFlagDedup != 0
+	plan.stripeDigests = chk.StripeDigests
 	return plan, nil
 }
 
@@ -569,8 +547,8 @@ var errBadAnnouncement = errors.New("udprt: unusable transfer announcement")
 // anything else.
 func refuseAnnouncement(ctl net.Conn, err error) {
 	reason := wire.AbortBadHello
-	if errors.Is(err, wire.ErrHelloXVersion) || errors.Is(err, wire.ErrResumeVersion) ||
-		errors.Is(err, wire.ErrTraceVersion) || errors.Is(err, wire.ErrCheckVersion) {
+	if errors.Is(err, wire.ErrHelloXVersion) || errors.Is(err, wire.ErrTraceVersion) ||
+		errors.Is(err, wire.ErrCheckVersion) {
 		reason = wire.AbortUnsupported
 	}
 	writeAbort(ctl, 0, reason)
@@ -581,9 +559,9 @@ func refuseAnnouncement(ctl net.Conn, err error) {
 // by the caller (zero is fine for a single transfer). With Options.Streams
 // > 1 the object is split into contiguous stripes, each with its own tag
 // (base+i), flow and engine; the returned statistics sum over stripes.
-// With Options.Retry set, failed transfers are retried (resuming from the
-// receiver's retained state when possible) and the returned statistics are
-// the final attempt's.
+// With Options.Retry set, failed transfers are retried (a single-stream
+// retry sends only what the receiver did not retain) and the returned
+// statistics are the final attempt's.
 func Send(ctx context.Context, addr string, obj []byte, cfg core.Config, opts Options) (core.SenderStats, error) {
 	opts = opts.withDefaults()
 	if len(obj) == 0 {
@@ -595,9 +573,10 @@ func Send(ctx context.Context, addr string, obj []byte, cfg core.Config, opts Op
 	return sendOnce(ctx, addr, obj, cfg, opts)
 }
 
-// sendOnce is one un-supervised transfer attempt: the whole classic Send
-// path, handshake to verdict — or, when the receiver answers the CHECK
-// prelude with a full HAVE, a zero-data completion.
+// sendOnce is one un-supervised transfer attempt: the whole Send path,
+// handshake to verdict — a data phase for whatever the CHECK's answer did
+// not excuse, or, when it says the receiver holds the whole object, a
+// zero-data completion.
 func sendOnce(ctx context.Context, addr string, obj []byte, cfg core.Config, opts Options) (core.SenderStats, error) {
 	plan, err := newSenderPlan(obj, cfg, opts)
 	if err != nil {
@@ -606,13 +585,19 @@ func sendOnce(ctx context.Context, addr string, obj []byte, cfg core.Config, opt
 	tid := opts.senderTraceID()
 	plan.instrument(opts, tid)
 	plan.event(obs.KindDial, 0)
-	ctl, ans, err := dialHandshake(ctx, addr, tracePrelude(tid), plan.checkFrame(opts), plan.helloFrame(), plan.base, opts)
+	ctl, ans, err := dialHandshake(ctx, addr, tracePrelude(tid), plan.announcement(opts), plan.base, plan.totalPackets(), opts)
 	if err != nil {
 		plan.finish(err)
 		return plan.stats(), err
 	}
 	defer ctl.Close()
-	if plan.accepted(ans) {
+	hit, err := plan.accepted(ans)
+	if err != nil {
+		writeAbort(ctl, plan.base, wire.AbortBadHello)
+		plan.finish(err)
+		return plan.stats(), err
+	}
+	if hit {
 		// Dedup hit: the receiver already holds the object. No handshake
 		// completes and no data flow dials — just the verdict.
 		return completeDedupedSend(plan, ctl)
@@ -662,42 +647,25 @@ func completeDedupedSend(plan *senderPlan, ctl net.Conn) (core.SenderStats, erro
 }
 
 // dialHandshake establishes the control connection and completes the
-// handshake — the optional TRACE and CHECK preludes plus HELLO, pipelined
-// in one write, then the answers back — retrying with exponential backoff
-// on connection errors and timeouts. An ABORT from the receiver (e.g. a
-// duplicate transfer id) is final and never retried, with one exception:
-// a peer that rejects the announcement outright (bad-hello or unsupported)
-// while extras are armed is treated as not speaking them, and the
-// handshake degrades — the CHECK is dropped first (unless Options.Verify
-// makes its refusal terminal), then the TRACE prelude — each drop
-// restoring the attempt it consumed, because the reasoned rejection was an
-// answer to the extra, not to the transfer. A peer that hangs up instead
-// of ABORTing (an old Listener fails its announcement parse and closes the
-// connection) drops every droppable extra on its retry, so neither prelude
-// can ever wedge a transfer a plain HELLO would have opened.
+// handshake — the optional TRACE prelude plus the announcement, pipelined in
+// one write, then the answers back — retrying with exponential backoff on
+// connection errors and timeouts. An ABORT from the receiver (e.g. a
+// duplicate transfer id) is final and never retried, with one exception: a
+// peer that rejects a traced announcement outright (bad-hello or
+// unsupported) is treated as not speaking TRACE, and the handshake goes on
+// untraced, restoring the attempt the refusal consumed. A peer that refuses
+// the untraced announcement refuses its CHECK, which every announcement
+// carries: the transfer fails with ErrVerifyUnsupported. A peer that hangs up
+// instead of ABORTing (an old Listener fails its announcement parse and
+// closes the connection) also loses the TRACE prelude on the retry, so it
+// can never wedge a transfer the untraced announcement would have opened.
 //
-// The returned answer's check is the CHECK's verdict when one arrived (nil
-// when the CHECK was never sent or was dropped): a full bitmap means the
-// receiver already holds the object and the caller must await COMPLETE
-// instead of running the data phase; no HELLO-ACK is read then, since none
-// comes.
-func dialHandshake(ctx context.Context, addr string, prelude, check, hello []byte, transfer uint32, opts Options) (net.Conn, answer, error) {
-	traced := len(prelude) > 0
-	checked := len(check) > 0
-	frame := hello
-	rebuild := func() {
-		frame = frame[:0:0]
-		if traced {
-			frame = append(frame, prelude...)
-		}
-		if checked {
-			frame = append(frame, check...)
-		}
-		frame = append(frame, hello...)
-	}
-	if traced || checked {
-		rebuild()
-	}
+// The returned answer's HAVE is the CHECK's verdict; when it covers all
+// packets the receiver already holds the object and the caller must await
+// COMPLETE instead of running the data phase (no HELLO-ACK was read then,
+// since none comes).
+func dialHandshake(ctx context.Context, addr string, prelude, announcement []byte, transfer uint32, packets int, opts Options) (net.Conn, answer, error) {
+	frame := append(prelude, announcement...)
 	var lastErr error
 	backoff := opts.HandshakeBackoff
 	for attempt := 0; attempt < opts.HandshakeRetries; attempt++ {
@@ -709,46 +677,33 @@ func dialHandshake(ctx context.Context, addr string, prelude, check, hello []byt
 			}
 			backoff *= 2
 		}
-		ctl, ans, err := attemptHandshake(ctx, addr, frame, transfer, checked, opts)
+		ctl, ans, err := attemptHandshake(ctx, addr, frame, transfer, packets, opts)
 		if err == nil {
 			return ctl, ans, nil
 		}
+		traced := len(frame) > len(announcement)
 		var abort *AbortError
 		if errors.As(err, &abort) {
-			if (traced || checked) && (abort.Reason == wire.AbortBadHello || abort.Reason == wire.AbortUnsupported) {
-				// The peer refused the announcement itself — exactly how an
-				// extras-unaware (or version-rejecting) receiver presents.
-				// Drop one extra and try again with the full retry budget.
-				if checked {
-					if opts.Verify {
-						return nil, answer{}, fmt.Errorf("%w: peer answered %s", ErrVerifyUnsupported, abort.Reason)
-					}
-					checked = false
-				} else {
-					traced = false
-				}
-				rebuild()
-				lastErr = err
-				attempt--
-				continue
+			if abort.Reason != wire.AbortBadHello && abort.Reason != wire.AbortUnsupported {
+				return nil, answer{}, err
 			}
-			return nil, answer{}, err
+			if !traced {
+				return nil, answer{}, fmt.Errorf("%w: peer answered %s", ErrVerifyUnsupported, abort.Reason)
+			}
+			// The peer refused the announcement itself — exactly how a
+			// TRACE-unaware (or version-rejecting) receiver presents. Drop
+			// the prelude and try again with the full retry budget.
+			frame, lastErr = announcement, err
+			attempt--
+			continue
 		}
 		if ctx.Err() != nil {
 			return nil, answer{}, err
 		}
-		if traced || (checked && !opts.Verify) {
-			// Connection-level failure: could be transient, could be an old
-			// peer hanging up on an unknown frame. The retry goes without
-			// the droppable extras so the two causes converge on a working
-			// transfer. A Verify-required CHECK stays: against an old peer
-			// the attempts run out and the failure surfaces, which is what
-			// "required" means.
-			traced = false
-			checked = checked && opts.Verify
-			rebuild()
-		}
-		lastErr = err
+		// Connection-level failure: could be transient, could be an old
+		// peer hanging up on an unknown frame. The retry goes without the
+		// TRACE prelude so the two causes converge on a working transfer.
+		frame, lastErr = announcement, err
 	}
 	return nil, answer{}, fmt.Errorf("udprt: handshake failed after %d attempts: %w",
 		opts.HandshakeRetries, lastErr)
@@ -756,13 +711,13 @@ func dialHandshake(ctx context.Context, addr string, prelude, check, hello []byt
 
 // attemptHandshake dials one control connection and runs the announcement
 // exchange on it.
-func attemptHandshake(ctx context.Context, addr string, frame []byte, transfer uint32, checked bool, opts Options) (net.Conn, answer, error) {
+func attemptHandshake(ctx context.Context, addr string, frame []byte, transfer uint32, packets int, opts Options) (net.Conn, answer, error) {
 	var d net.Dialer
 	ctl, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, answer{}, fmt.Errorf("udprt: dial control: %w", err)
 	}
-	ans, err := exchange(ctx, ctl, frame, transfer, checked, false, opts.HandshakeTimeout)
+	ans, err := exchange(ctx, ctl, frame, transfer, packets, opts.HandshakeTimeout)
 	if err != nil {
 		ctl.Close()
 		return nil, answer{}, err
@@ -771,12 +726,10 @@ func attemptHandshake(ctx context.Context, addr string, frame []byte, transfer u
 }
 
 // readCompletion blocks until the receiver's terminal control frame
-// arrives: COMPLETE (whose digest is verified against the sender's own
-// whole object — one verdict covers every stripe) or ABORT. The expected
-// digest is worked out before the read blocks, so a CRC pass, where the
-// attempt needs one, runs beside the data phase instead of after it.
+// arrives: COMPLETE (whose digest must be the tag of the content identity
+// the CHECK announced — one verdict covers every stripe) or ABORT.
 func readCompletion(ctl net.Conn, p *senderPlan) error {
-	obj, want := p.obj, p.completionDigest()
+	obj, want := p.obj, wire.ContentTag(p.contentID())
 	f, err := readControlFrame(ctl)
 	if err != nil {
 		return fmt.Errorf("udprt: control read: %w", err)

@@ -158,10 +158,10 @@ func TestWaitWokenByAckAndVerdict(t *testing.T) {
 
 		<-fake.done
 		verdictAt := time.Now()
-		// The stub answered the CHECK, so its COMPLETE carries the identity's
-		// tag, not a CRC.
-		answered := recvPlan{base: 3, objectSize: uint64(len(obj)), hasCheck: true, checkDigest: core.ContentID(obj)}
-		if err := writeComplete(fake.ctl, answered, obj); err != nil {
+		// The stub's COMPLETE carries the tag of the identity the CHECK
+		// announced.
+		answered := recvPlan{base: 3, objectSize: uint64(len(obj)), checkDigest: core.ContentID(obj)}
+		if err := writeControl(fake.ctl, completeFrame(answered)); err != nil {
 			t.Fatal(err)
 		}
 		if err := <-sent; err != nil {

@@ -101,7 +101,7 @@ func TestCheckRejectsBadFrames(t *testing.T) {
 		// length) must reject it.
 		{"wrong type", func() []byte {
 			b := append([]byte(nil), good...)
-			b[2] = TypeResume
+			b[2] = TypeHave
 			return b
 		}(), ErrBadType},
 	}

@@ -11,6 +11,7 @@ package wire_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"github.com/hpcnet/fobs/internal/bitmap"
@@ -70,13 +71,9 @@ func captureFrames(tb testing.TB) (datas, acks, control [][]byte) {
 		}),
 		wire.AppendHelloAck(nil, &wire.HelloAck{Transfer: cfg.Transfer}),
 		wire.AppendComplete(nil, &wire.Complete{
-			Transfer: cfg.Transfer, Received: uint64(len(obj)), Digest: wire.ObjectDigest(rcv.Object()),
+			Transfer: cfg.Transfer, Received: uint64(len(obj)), Digest: wire.ContentTag(core.ContentID(rcv.Object())),
 		}),
 		wire.AppendAbort(nil, &wire.Abort{Transfer: cfg.Transfer, Reason: wire.AbortStalled}),
-		wire.AppendResume(nil, &wire.Resume{
-			Transfer: cfg.Transfer, ObjectSize: uint64(len(obj)),
-			PacketSize: uint32(cfg.PacketSize), Digest: wire.ObjectDigest(obj),
-		}),
 		wire.AppendHave(nil, &wire.Have{
 			Transfer: cfg.Transfer, Received: uint32(len(datas)),
 			Words: rcv.HaveWords(nil),
@@ -149,6 +146,19 @@ func FuzzDecodeAck(f *testing.F) {
 	})
 }
 
+// legacyResume is a RESUME frame (type 8, retired) as an earlier build wrote
+// it — magic, type, version, streams, transfer, object size, packet size,
+// whole-object CRC-32C — at the given revision and stream count.
+func legacyResume(version uint8, streams uint16) []byte {
+	b := binary.BigEndian.AppendUint16(nil, wire.Magic)
+	b = append(b, 8, version)
+	b = binary.BigEndian.AppendUint16(b, streams)
+	b = binary.BigEndian.AppendUint32(b, 3)
+	b = binary.BigEndian.AppendUint64(b, 9000)
+	b = binary.BigEndian.AppendUint32(b, 512)
+	return binary.BigEndian.AppendUint32(b, 0x01020304)
+}
+
 func FuzzDecodeControl(f *testing.F) {
 	_, _, control := captureFrames(f)
 	for _, frame := range control {
@@ -166,18 +176,17 @@ func FuzzDecodeControl(f *testing.F) {
 			{Transfer: 7, Offset: 4096, Length: 904},
 		},
 	}))
-	f.Add(wire.AppendResume(nil, &wire.Resume{
-		Transfer: 3, ObjectSize: 9000, PacketSize: 512, Digest: 0x01020304,
-	}))
+	// RESUME frames of an earlier build — single-flow, striped, and of a
+	// future revision: the retired type must be refused however well-formed
+	// its body.
+	f.Add(legacyResume(1, 1))
+	f.Add(legacyResume(1, 4))
+	f.Add(legacyResume(2, 1))
 	have := wire.AppendHave(nil, &wire.Have{Transfer: 3, Received: 64, Words: []uint64{^uint64(0), 1}})
 	f.Add(have)
 	// Truncated bitmap: the fixed prefix promises two words but only one
 	// follows. Must come back ErrShort, never a partial decode.
 	f.Add(have[:len(have)-8])
-	// Future-version RESUME: decoder must refuse before layout parsing.
-	futureResume := wire.AppendResume(nil, &wire.Resume{Transfer: 4, ObjectSize: 100, PacketSize: 64})
-	futureResume[3] = wire.ResumeVersion + 1
-	f.Add(futureResume)
 	// Future-version TRACE: same refusal rule.
 	futureTrace := wire.AppendTrace(nil, &wire.Trace{ID: [16]byte{0xAA}})
 	futureTrace[3] = wire.TraceVersion + 1
@@ -235,11 +244,6 @@ func FuzzDecodeControl(f *testing.F) {
 				t.Fatalf("abort re-decode failed: %v (%+v vs %+v)", err, re, a)
 			}
 		}
-		if r, err := wire.DecodeResume(b); err == nil {
-			if re, err := wire.DecodeResume(wire.AppendResume(nil, &r)); err != nil || re != r {
-				t.Fatalf("resume re-decode failed: %v (%+v vs %+v)", err, re, r)
-			}
-		}
 		if h, err := wire.DecodeHave(b); err == nil {
 			re, err := wire.DecodeHave(wire.AppendHave(nil, &h))
 			if err != nil {
@@ -264,10 +268,14 @@ func FuzzDecodeControl(f *testing.F) {
 				t.Fatalf("re-encode changed the check: %+v vs %+v", re, c)
 			}
 		}
-		// Any frame the stream framer would read must have a stable length.
+		// Any frame the stream framer would read must have a stable length,
+		// and the retired RESUME type is never read.
 		if typ, err := wire.PeekType(b); err == nil && typ != wire.TypeData && typ != wire.TypeAck {
 			if _, err := wire.ControlLen(typ); err != nil {
 				t.Fatalf("PeekType accepted control type %d but ControlLen rejects it", typ)
+			}
+			if typ == 8 {
+				t.Fatal("PeekType accepted a RESUME frame")
 			}
 		}
 	})

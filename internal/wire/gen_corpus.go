@@ -10,7 +10,9 @@ package main
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"log"
 	"os"
 	"path/filepath"
@@ -85,13 +87,12 @@ func main() {
 		}),
 		wire.AppendHelloAck(nil, &wire.HelloAck{Transfer: cfg.Transfer}),
 		wire.AppendComplete(nil, &wire.Complete{
-			Transfer: cfg.Transfer, Received: uint64(len(obj)), Digest: wire.ObjectDigest(rcv.Object()),
+			Transfer: cfg.Transfer, Received: uint64(len(obj)), Digest: wire.ContentTag(core.ContentID(rcv.Object())),
 		}),
 		wire.AppendAbort(nil, &wire.Abort{Transfer: cfg.Transfer, Reason: wire.AbortStalled}),
-		wire.AppendResume(nil, &wire.Resume{
-			Transfer: cfg.Transfer, ObjectSize: uint64(len(obj)),
-			PacketSize: uint32(cfg.PacketSize), Digest: wire.ObjectDigest(obj),
-		}),
+		// A RESUME (type 8, retired) as an earlier build wrote it: kept as a
+		// seed the decoders must refuse.
+		legacyResume(cfg.Transfer, obj, uint32(cfg.PacketSize)),
 		wire.AppendHave(nil, &wire.Have{
 			Transfer: cfg.Transfer, Received: 3, Words: []uint64{^uint64(0), 0, 0b101},
 		}),
@@ -113,6 +114,19 @@ func main() {
 	write("FuzzDecodeData", [][]byte{datas[0], datas[len(datas)/2], datas[len(datas)-1]})
 	write("FuzzDecodeAck", [][]byte{acks[0], acks[len(acks)-1]})
 	write("FuzzDecodeControl", control)
+}
+
+// legacyResume builds a RESUME frame (type 8, version 1) of obj the way an
+// earlier build wrote it: magic, type, version, streams, transfer, object
+// size, packet size, whole-object CRC-32C.
+func legacyResume(transfer uint32, obj []byte, packetSize uint32) []byte {
+	b := binary.BigEndian.AppendUint16(nil, wire.Magic)
+	b = append(b, 8, 1)
+	b = binary.BigEndian.AppendUint16(b, 1)
+	b = binary.BigEndian.AppendUint32(b, transfer)
+	b = binary.BigEndian.AppendUint64(b, uint64(len(obj)))
+	b = binary.BigEndian.AppendUint32(b, packetSize)
+	return binary.BigEndian.AppendUint32(b, crc32.Checksum(obj, crc32.MakeTable(crc32.Castagnoli)))
 }
 
 // write stores each frame as one corpus file for the named fuzz target.

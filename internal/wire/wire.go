@@ -28,17 +28,18 @@ const Magic uint16 = 0xF0B5
 
 // Message types.
 const (
-	TypeData     uint8 = 1  // sender → receiver, carries object bytes
-	TypeAck      uint8 = 2  // receiver → sender, carries status bitmap fragments
-	TypeHello    uint8 = 3  // control channel, announces a transfer
-	TypeComplete uint8 = 4  // control channel, "all data received"
-	TypeHelloAck uint8 = 5  // control channel, receiver accepts the transfer
-	TypeAbort    uint8 = 6  // control channel, either side terminates the transfer
-	TypeHelloX   uint8 = 7  // control channel, versioned extended announcement (striping)
-	TypeResume   uint8 = 8  // control channel, versioned request to resume an interrupted transfer
-	TypeHave     uint8 = 9  // control channel, receiver's got-bitmap summary answering a RESUME
-	TypeTrace    uint8 = 10 // control channel, versioned trace-id prelude ahead of an announcement
-	TypeCheck    uint8 = 11 // control channel, versioned content-digest query ahead of an announcement
+	TypeData     uint8 = 1 // sender → receiver, carries object bytes
+	TypeAck      uint8 = 2 // receiver → sender, carries status bitmap fragments
+	TypeHello    uint8 = 3 // control channel, announces a transfer
+	TypeComplete uint8 = 4 // control channel, "all data received"
+	TypeHelloAck uint8 = 5 // control channel, receiver accepts the transfer
+	TypeAbort    uint8 = 6 // control channel, either side terminates the transfer
+	TypeHelloX   uint8 = 7 // control channel, versioned extended announcement (striping)
+	// Type 8 was RESUME, retired when retained state came to be found by
+	// content identity; PeekType refuses it, and it is never reused.
+	TypeHave  uint8 = 9  // control channel, receiver's got-bitmap summary answering a CHECK
+	TypeTrace uint8 = 10 // control channel, versioned trace-id prelude ahead of an announcement
+	TypeCheck uint8 = 11 // control channel, versioned content-digest query ahead of an announcement
 )
 
 // Header sizes in bytes.
@@ -56,9 +57,6 @@ const (
 	// bytes per stripe follow.
 	HelloXFixedLen = 2 + 1 + 1 + 2 + 4 + 8 + 4
 	StripeDescLen  = 4 + 8 + 8
-	// ResumeLen is a RESUME frame:
-	// magic,type,version,streams(2),xfer,objsize,psize,digest = 26.
-	ResumeLen = 2 + 1 + 1 + 2 + 4 + 8 + 4 + 4
 	// HaveFixedLen is the fixed prefix of a HAVE frame:
 	// magic,type,flags,xfer,received,words = 16; 8 bytes per bitmap word
 	// follow.
@@ -95,19 +93,16 @@ var (
 	// build knows, so an unknown version must be refused outright (the
 	// runtime answers with an ABORT) rather than half-parsed.
 	ErrHelloXVersion = errors.New("wire: unsupported HELLOX version")
-	// ErrResumeVersion rejects a RESUME from a future protocol revision,
-	// for the same reason: the runtime answers with an ABORT (unsupported)
-	// and the sender degrades to a fresh classic-HELLO transfer.
-	ErrResumeVersion = errors.New("wire: unsupported RESUME version")
 	// ErrTraceVersion rejects a TRACE prelude from a future protocol
-	// revision, same degradation rule again: the runtime answers with an
-	// ABORT (unsupported) and the sender retries the handshake untraced.
+	// revision, for the same reason: the runtime answers with an ABORT
+	// (unsupported) and the sender retries the handshake untraced.
 	ErrTraceVersion = errors.New("wire: unsupported TRACE version")
 	// ErrCheckVersion rejects a CHECK prelude of another protocol revision
 	// (older or newer: the revision names the digest scheme, and a digest of
-	// one scheme proves nothing under another), same degradation rule again:
-	// the runtime answers with an ABORT (unsupported) and the sender retries
-	// the handshake without the content query.
+	// one scheme proves nothing under another). The runtime answers with an
+	// ABORT (unsupported); the CHECK names the object every transfer is
+	// verified, cached and retained under, so the sender fails rather than
+	// announce without it.
 	ErrCheckVersion = errors.New("wire: unsupported CHECK version")
 )
 
@@ -309,26 +304,18 @@ func DecodeHello(b []byte) (Hello, error) {
 
 // Complete is the receiver's "all data received" signal on the control
 // channel. Received echoes the byte count; Digest is the end-to-end
-// integrity echo, and which one depends on the attempt it closes. Where the
-// attempt's CHECK prelude was answered, the receiver has verified (or, on a
-// dedup hit, holds under) the 256-bit content identity the sender computed
-// from its own bytes, and Digest is ContentTag of that identity — neither
-// end walks the object again. With no answered CHECK (an opted-out, degraded
-// or old peer) it is ObjectDigest, the CRC-32C of the assembled object.
-// Both ends know which rule applies: the sender saw the HAVE that answers a
-// CHECK, the receiver wrote it.
+// integrity echo: ContentTag of the 256-bit content identity the sender
+// computed from its own bytes and announced in its CHECK, which the
+// receiver has verified the assembled object against (or, on a dedup hit,
+// holds the bytes under) — neither end walks the object again for it.
 type Complete struct {
 	Transfer uint32
 	Received uint64
 	Digest   uint32
 }
 
-// ObjectDigest computes the whole-object CRC-32C: what Complete carries
-// when no CHECK was answered, and what a RESUME announces.
-func ObjectDigest(obj []byte) uint32 { return crc32.Checksum(obj, castagnoli) }
-
-// ContentTag is what Complete carries when a CHECK was answered: the first
-// four bytes of the content identity both ends already agree on.
+// ContentTag is what Complete carries: the first four bytes of the content
+// identity both ends already agree on.
 func ContentTag(id [ContentDigestLen]byte) uint32 { return binary.BigEndian.Uint32(id[:]) }
 
 // AppendComplete serializes c onto buf.
@@ -535,87 +522,17 @@ func DecodeHelloX(b []byte) (HelloX, error) {
 	return h, nil
 }
 
-// ResumeVersion is the RESUME revision this build speaks. Decoders reject
-// anything newer with ErrResumeVersion; the runtimes turn that into an
-// ABORT (unsupported) and the sender falls back to a fresh transfer.
-const ResumeVersion uint8 = 1
-
 // MaxHaveWords bounds the bitmap a HAVE frame may carry. At 64 packets per
 // word it covers objects of up to 2^28 packets while capping the trailer a
 // hostile control peer can make a sender buffer at 32 MiB.
 const MaxHaveWords = 1 << 22
 
-// Resume asks the receiver to continue an interrupted transfer instead of
-// starting over. Transfer, ObjectSize and PacketSize must match the
-// original announcement exactly; Digest is the whole-object CRC-32C so a
-// receiver never grafts retained bytes onto a different object. Streams is
-// the stream count of the resumed transfer (v1 only defines 1).
-type Resume struct {
-	Version    uint8
-	Streams    uint16
-	Transfer   uint32
-	ObjectSize uint64
-	PacketSize uint32
-	Digest     uint32
-}
-
-// AppendResume serializes r onto buf.
-func AppendResume(buf []byte, r *Resume) []byte {
-	v := r.Version
-	if v == 0 {
-		v = ResumeVersion
-	}
-	s := r.Streams
-	if s == 0 {
-		s = 1
-	}
-	buf = binary.BigEndian.AppendUint16(buf, Magic)
-	buf = append(buf, TypeResume, v)
-	buf = binary.BigEndian.AppendUint16(buf, s)
-	buf = binary.BigEndian.AppendUint32(buf, r.Transfer)
-	buf = binary.BigEndian.AppendUint64(buf, r.ObjectSize)
-	buf = binary.BigEndian.AppendUint32(buf, r.PacketSize)
-	return binary.BigEndian.AppendUint32(buf, r.Digest)
-}
-
-// DecodeResume parses a RESUME control message. Unknown future versions are
-// refused with ErrResumeVersion before any layout assumptions are made; the
-// caller maps that onto AbortUnsupported.
-func DecodeResume(b []byte) (Resume, error) {
-	var r Resume
-	if len(b) < ResumeLen {
-		return r, ErrShort
-	}
-	if binary.BigEndian.Uint16(b) != Magic {
-		return r, ErrBadMagic
-	}
-	if b[2] != TypeResume {
-		return r, ErrBadType
-	}
-	r.Version = b[3]
-	if r.Version != ResumeVersion {
-		return r, fmt.Errorf("%w: got %d, speak %d", ErrResumeVersion, r.Version, ResumeVersion)
-	}
-	r.Streams = binary.BigEndian.Uint16(b[4:])
-	if r.Streams < 1 || r.Streams > MaxStreams {
-		return r, fmt.Errorf("wire: resume stream count %d outside 1..%d", r.Streams, MaxStreams)
-	}
-	r.Transfer = binary.BigEndian.Uint32(b[6:])
-	r.ObjectSize = binary.BigEndian.Uint64(b[10:])
-	r.PacketSize = binary.BigEndian.Uint32(b[18:])
-	r.Digest = binary.BigEndian.Uint32(b[22:])
-	if r.PacketSize == 0 {
-		return r, errors.New("wire: resume with zero packet size")
-	}
-	return r, nil
-}
-
-// Have is the receiver's answer to an accepted RESUME: a summary of what it
-// already holds. Received counts distinct packets held; Words is the full
-// got-bitmap (word 0 covers packets 0–63, bit i of word w is packet
+// Have is the receiver's answer to a CHECK: a summary of what it already
+// holds of the named object. Received counts distinct packets held; Words is
+// the full got-bitmap (word 0 covers packets 0–63, bit i of word w is packet
 // w*64+i), so the sender can mark them acknowledged and transmit only the
-// gaps. Accepting a RESUME with a HAVE replaces the HELLO-ACK, and so carries
-// the receive window HELLO-ACK would have (see Window).
+// gaps. Window is the receive window a HELLO-ACK also carries; the receiver
+// leaves it zero here and advertises it in the HELLO-ACK that follows.
 type Have struct {
 	Transfer uint32
 	Received uint32
@@ -680,7 +597,7 @@ func DecodeHave(b []byte) (Have, error) {
 const TraceVersion uint8 = 1
 
 // Trace is the trace-id prelude: an optional control frame a sender
-// writes immediately before its announcement (HELLO/HELLOX/RESUME) so
+// writes immediately before its announcement (HELLO/HELLOX) so
 // both endpoints' span logs carry the same 16-byte correlation id. It
 // deliberately precedes — rather than extends — the announcement frames,
 // leaving their layouts untouched for old peers; a receiver that never
@@ -749,18 +666,20 @@ const (
 )
 
 // Check is the versioned content-identity prelude: a control frame a
-// sender writes immediately before its announcement (HELLO/HELLOX/RESUME)
+// sender writes immediately before its announcement (HELLO/HELLOX)
 // declaring the content identity (core.ContentID) of the object about to
-// move — and, for a striped plan, of each stripe. Like TRACE it precedes rather
-// than extends the announcement frames, leaving their layouts untouched
-// for old peers; a receiver that never learned TypeCheck rejects the
-// unknown frame and the sender degrades to an unchecked handshake.
+// move — and, for a striped plan, of each stripe. Like TRACE it precedes
+// rather than extends the announcement frames, leaving their layouts
+// untouched. Every announcement carries one: it is the identity the
+// receiver verifies the object against, caches it under, and retains a
+// failed transfer's partial state under.
 //
-// The receiver answers every CHECK before processing the announcement: a
-// HAVE carrying the full got-bitmap (followed by COMPLETE) when
-// CheckFlagDedup is set and its content cache holds the digest, or a HAVE
-// with Received == 0 and a single zero word — the encodable "hold
-// nothing" answer — when it does not.
+// The receiver answers every CHECK from one lookup, with a HAVE: the full
+// got-bitmap (followed by COMPLETE) when CheckFlagDedup is set and its
+// content cache holds the digest; the bitmap of what it retained of the
+// object from an earlier, failed transfer (followed by HELLO-ACK); or a
+// HAVE with Received == 0 and a single zero word — the encodable "hold
+// nothing" answer — followed by HELLO-ACK.
 type Check struct {
 	Version    uint8
 	Flags      uint8
@@ -884,14 +803,15 @@ const (
 	// cannot serve: a HELLOX from a future protocol version, or striping
 	// toward an endpoint without stripe reassembly.
 	AbortUnsupported
-	// AbortDigestMismatch rejects a RESUME whose object digest disagrees
-	// with the retained partial transfer, or reports an assembled object
-	// whose digest check failed. The sender must not retry: the two sides
-	// hold different objects.
+	// AbortDigestMismatch reports an assembled object that does not match
+	// the content identity its CHECK announced (or a stripe that does not
+	// match its announced digest). The sender must not retry: the bytes
+	// that arrived are not the object it named.
 	AbortDigestMismatch
-	// AbortResumeUnknown rejects a RESUME for a transfer this endpoint
-	// holds no retained state for (expired, evicted, or never seen). The
-	// sender degrades to a fresh transfer.
+	// AbortResumeUnknown rejected a RESUME for a transfer the endpoint held
+	// no retained state for. RESUME is retired — retained state answers a
+	// CHECK — so no endpoint of this build sends it; the code point stays
+	// decodable.
 	AbortResumeUnknown
 	// AbortStripingUnsupported rejected a well-formed striped HELLOX toward
 	// an endpoint that could not reassemble stripes. Sent by builds before
@@ -978,8 +898,6 @@ func ControlLen(typ uint8) (int, error) {
 		return AbortLen, nil
 	case TypeHelloX:
 		return HelloXFixedLen, nil
-	case TypeResume:
-		return ResumeLen, nil
 	case TypeHave:
 		return HaveFixedLen, nil
 	case TypeTrace:
@@ -1030,8 +948,11 @@ func PeekType(b []byte) (uint8, error) {
 		return 0, ErrBadMagic
 	}
 	t := b[2]
-	if t < TypeData || t > TypeCheck {
-		return 0, ErrBadType
+	if t == TypeData || t == TypeAck {
+		return t, nil
+	}
+	if _, err := ControlLen(t); err != nil {
+		return 0, err // unknown, or retired like RESUME's 8
 	}
 	return t, nil
 }

@@ -473,13 +473,12 @@ func TestCompleteDigestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestObjectDigestDistinguishesObjects(t *testing.T) {
-	a := ObjectDigest([]byte("object a"))
-	b := ObjectDigest([]byte("object b"))
-	if a == b {
-		t.Fatal("digests collide on different objects")
+func TestContentTagIsTheIdentityPrefix(t *testing.T) {
+	a, b := [ContentDigestLen]byte{0xA1, 0xB2, 0xC3, 0xD4, 0xFF}, [ContentDigestLen]byte{0xA1, 0xB2, 0xC3, 0xD5}
+	if ContentTag(a) != 0xA1B2C3D4 {
+		t.Fatalf("ContentTag = %08x, want the identity's first four bytes", ContentTag(a))
 	}
-	if ObjectDigest(nil) != 0 {
-		t.Fatal("nil object digest not 0")
+	if ContentTag(a) == ContentTag(b) {
+		t.Fatal("tags collide on identities that differ in their first four bytes")
 	}
 }
