@@ -24,9 +24,10 @@
 // datagram.
 //
 // Both directions are allocation-free in steady state: the caller encodes
-// into a ring of pre-sized buffers it owns, and Sender/Receiver keep their
-// iovec/msghdr/sockaddr arrays (and the closures handed to the raw
-// connection) alive across calls.
+// into a ring of pre-sized buffers it owns — on the send side only headers,
+// when it gathers each datagram from a header and a payload that stays where
+// it lies (SendGather) — and Sender/Receiver keep their iovec/msghdr/sockaddr
+// arrays (and the closures handed to the raw connection) alive across calls.
 //
 // Fast-path availability is a build-time property (vectoredSupported, set
 // by the mmsg_* files); callers can additionally force the scalar path at
@@ -87,6 +88,9 @@ type Sender struct {
 	// Vectored-call state, sized to the construction-time batch capacity
 	// and reused for every flush (see mmsg_linux.go).
 	vs vecSendState
+	// joined is the scalar path's one datagram of a gathered flush, grown
+	// to the longest datagram and reused.
+	joined []byte
 
 	// FlushHook, when non-nil, observes every flush: k datagrams handed
 	// in, m actually accepted by the kernel. Tests use it to assert the
@@ -134,8 +138,23 @@ func (s *Sender) Vectored() bool { return s.vectored }
 // path a short count carries the error that stopped the prefix. Unsent
 // packets are simply not sent — to a loss-tolerant protocol that is
 // indistinguishable from network loss.
-func (s *Sender) Send(pkts [][]byte) (int, error) {
-	if len(pkts) == 0 {
+func (s *Sender) Send(pkts [][]byte) (int, error) { return s.send(pkts, nil) }
+
+// SendGather is Send for datagrams in two parts: datagram i is heads[i]
+// followed by bodies[i] (bodies is as long as heads), which is how a sender
+// frames a packet whose payload stays where it lies in the object — a small
+// header of its own, then a slice of the object. On the fast path the kernel
+// gathers the parts (two iovecs per datagram, in the same trains Send packs,
+// grouped by whole-datagram length), so the payload is read once, by the
+// kernel. The scalar path has no gather write: it joins each datagram in one
+// reusable buffer of the Sender's before writing it.
+func (s *Sender) SendGather(heads, bodies [][]byte) (int, error) {
+	return s.send(heads, bodies[:len(heads)])
+}
+
+// send is Send and SendGather: bodies is nil for datagrams in one part.
+func (s *Sender) send(heads, bodies [][]byte) (int, error) {
+	if len(heads) == 0 {
 		return 0, nil
 	}
 	var (
@@ -144,11 +163,11 @@ func (s *Sender) Send(pkts [][]byte) (int, error) {
 		batch int // largest vector handed to one syscall
 		err   error
 	)
-	if s.vectored && len(pkts) <= s.vs.cap() {
-		m, err = s.sendVectored(pkts)
-		sys, batch = s.vs.nsys, len(pkts)
+	if s.vectored && len(heads) <= s.vs.cap() {
+		m, err = s.sendVectored(heads, bodies)
+		sys, batch = s.vs.nsys, len(heads)
 	} else {
-		m, err = s.sendScalar(pkts)
+		m, err = s.sendScalar(heads, bodies)
 		sys = m
 		if err != nil {
 			sys++ // the failing write was a syscall too
@@ -163,7 +182,7 @@ func (s *Sender) Send(pkts [][]byte) (int, error) {
 		s.maxBatch = batch
 	}
 	if s.FlushHook != nil {
-		s.FlushHook(len(pkts), m)
+		s.FlushHook(len(heads), m)
 	}
 	return m, err
 }
@@ -172,13 +191,17 @@ func (s *Sender) Send(pkts [][]byte) (int, error) {
 // first failure. The accepted prefix is returned together with the error
 // that stopped it — swallowing a mid-prefix error would lose it for good,
 // because the failing write already consumed any latched socket error.
-func (s *Sender) sendScalar(pkts [][]byte) (int, error) {
-	for i, p := range pkts {
+func (s *Sender) sendScalar(heads, bodies [][]byte) (int, error) {
+	for i, p := range heads {
+		if bodies != nil {
+			s.joined = append(append(s.joined[:0], p...), bodies[i]...)
+			p = s.joined
+		}
 		if _, err := s.conn.Write(p); err != nil {
 			return i, err
 		}
 	}
-	return len(pkts), nil
+	return len(heads), nil
 }
 
 // Counters reports the syscall and batch-fill tallies so far.

@@ -48,8 +48,11 @@ type segmentCmsg struct {
 // channel.
 type vecSendState struct {
 	hdrs []mmsghdr
-	iovs []syscall.Iovec
-	ctl  []segmentCmsg // one per train of a flush: at most every second datagram starts one
+	iovs []syscall.Iovec // parts per datagram: one, or two for a gathered flush
+	lens []int           // per datagram of a flush: its length, all parts together
+	ctl  []segmentCmsg   // one per train of a flush: at most every second datagram starts one
+	// parts is the iovecs per datagram of the flush being packed.
+	parts int
 	// maxSeg is the per-train datagram limit: maxTrainSegs until the kernel
 	// refuses a train on this socket, 1 (every message a plain datagram)
 	// from then on.
@@ -68,7 +71,8 @@ type vecSendState struct {
 
 func (v *vecSendState) init(batch int) {
 	v.hdrs = make([]mmsghdr, batch)
-	v.iovs = make([]syscall.Iovec, batch)
+	v.iovs = make([]syscall.Iovec, 2*batch)
+	v.lens = make([]int, batch)
 	v.ctl = make([]segmentCmsg, (batch+1)/2)
 	v.maxSeg = maxTrainSegs
 	for i := range v.ctl {
@@ -127,20 +131,20 @@ func (v *vecSendState) init(batch int) {
 
 func (v *vecSendState) cap() int { return len(v.hdrs) }
 
-// trainLen returns how many leading datagrams of pkts leave as one message:
-// a maximal run of equal-length datagrams, which one shorter datagram may
-// close (the kernel cuts a train every size bytes, so only its last
-// datagram can be short), of at most maxSeg datagrams and maxTrainBytes
+// trainLen returns how many leading datagrams, of the lengths given, leave
+// as one message: a maximal run of equal-length datagrams, which one shorter
+// datagram may close (the kernel cuts a train every size bytes, so only its
+// last datagram can be short), of at most maxSeg datagrams and maxTrainBytes
 // bytes. An empty datagram always travels alone: appended to a train it
 // would add no bytes and vanish.
-func trainLen(pkts [][]byte, maxSeg int) int {
-	size := len(pkts[0])
+func trainLen(lens []int, maxSeg int) int {
+	size := lens[0]
 	if size == 0 {
 		return 1
 	}
 	n, total := 1, size
-	for n < len(pkts) && n < maxSeg {
-		l := len(pkts[n])
+	for n < len(lens) && n < maxSeg {
+		l := lens[n]
 		if l == 0 || l > size || total+l > maxTrainBytes {
 			break
 		}
@@ -153,29 +157,37 @@ func trainLen(pkts [][]byte, maxSeg int) int {
 	return n
 }
 
-// pack points the iovecs at pkts and groups them into messages by trainLen,
-// returning the message count. A train is one msghdr over its datagrams'
-// consecutive iovecs (the kernel gathers them into one buffer and cuts it
-// by size, wherever the iovecs end) plus the UDP_SEGMENT control message
-// naming that size; a train of one is a plain datagram and carries none.
-func (v *vecSendState) pack(pkts [][]byte) int {
-	for i, p := range pkts {
-		if len(p) > 0 {
-			v.iovs[i].Base = &p[0]
-		} else {
-			v.iovs[i].Base = nil
+// pack points the iovecs at the datagrams — heads alone, or each head and
+// its body side by side when bodies is not nil — and groups them into
+// messages by trainLen, returning the message count. A train is one msghdr
+// over its datagrams' consecutive iovecs (the kernel gathers them into one
+// buffer and cuts it by size, wherever the iovecs end) plus the UDP_SEGMENT
+// control message naming that size; a train of one is a plain datagram and
+// carries none.
+func (v *vecSendState) pack(heads, bodies [][]byte) int {
+	v.parts = 1
+	if bodies != nil {
+		v.parts = 2
+	}
+	lens := v.lens[:len(heads)]
+	for i, p := range heads {
+		j := i * v.parts
+		setIovec(&v.iovs[j], p)
+		lens[i] = len(p)
+		if bodies != nil {
+			setIovec(&v.iovs[j+1], bodies[i])
+			lens[i] += len(bodies[i])
 		}
-		v.iovs[i].SetLen(len(p))
 	}
 	m, trains := 0, 0
-	for i := 0; i < len(pkts); m++ {
-		n := trainLen(pkts[i:], v.maxSeg)
+	for i := 0; i < len(lens); m++ {
+		n := trainLen(lens[i:], v.maxSeg)
 		h := &v.hdrs[m].hdr
-		h.Iov, h.Iovlen = &v.iovs[i], uint64(n)
+		h.Iov, h.Iovlen = &v.iovs[i*v.parts], uint64(n*v.parts)
 		if n > 1 {
 			c := &v.ctl[trains]
 			trains++
-			c.size = uint16(len(pkts[i]))
+			c.size = uint16(lens[i])
 			h.Control = (*byte)(unsafe.Pointer(c))
 			h.SetControllen(int(unsafe.Sizeof(*c)))
 		} else {
@@ -187,9 +199,22 @@ func (v *vecSendState) pack(pkts [][]byte) int {
 	return m
 }
 
-// sendVectored flushes pkts as one sendmmsg vector of trains, retrying past
-// mid-vector stops, so on return every datagram has been handed to the
-// kernel except those that tripped a socket error. A non-nil ErrSendFault
+// setIovec points iov at p.
+func setIovec(iov *syscall.Iovec, p []byte) {
+	if len(p) > 0 {
+		iov.Base = &p[0]
+	} else {
+		iov.Base = nil
+	}
+	iov.SetLen(len(p))
+}
+
+// datagrams returns how many datagrams message i of the packed flush carries.
+func (v *vecSendState) datagrams(i int) int { return int(v.hdrs[i].hdr.Iovlen) / v.parts }
+
+// sendVectored flushes the datagrams as one sendmmsg vector of trains,
+// retrying past mid-vector stops, so on return every datagram has been
+// handed to the kernel except those that tripped a socket error. A non-nil ErrSendFault
 // with a full count means the kernel accepted the vector but consumed at
 // least one latched socket error along the way.
 //
@@ -203,15 +228,19 @@ func (v *vecSendState) pack(pkts [][]byte) int {
 // nothing is lost and nothing is sent twice, because a refused message
 // sends none of its datagrams. Any other errno is the socket's own (a dead
 // peer, a full device queue), which a plain datagram would have met too.
-func (s *Sender) sendVectored(pkts [][]byte) (int, error) {
+func (s *Sender) sendVectored(heads, bodies [][]byte) (int, error) {
 	v := &s.vs
 	v.short, v.nsys = 0, 0
 	sent := 0
 	for {
-		v.k, v.off, v.pendingShort, v.errno = v.pack(pkts[sent:]), 0, false, 0
+		rest := bodies
+		if bodies != nil {
+			rest = bodies[sent:]
+		}
+		v.k, v.off, v.pendingShort, v.errno = v.pack(heads[sent:], rest), 0, false, 0
 		err := s.rc.Write(v.fn)
 		for i := range v.hdrs[:v.off] {
-			n := int(v.hdrs[i].hdr.Iovlen)
+			n := v.datagrams(i)
 			sent += n
 			if n > 1 {
 				s.trains++
@@ -220,7 +249,7 @@ func (s *Sender) sendVectored(pkts [][]byte) (int, error) {
 		switch {
 		case err != nil:
 			return sent, err
-		case trainRefused(v.errno) && v.hdrs[v.off].hdr.Iovlen > 1:
+		case trainRefused(v.errno) && v.datagrams(v.off) > 1:
 			v.maxSeg = 1
 		case v.errno != 0:
 			return sent, v.errno

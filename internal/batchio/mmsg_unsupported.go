@@ -19,7 +19,9 @@ func (v *vecSendState) init(int) {}
 
 func (v *vecSendState) cap() int { return 0 }
 
-func (s *Sender) sendVectored(pkts [][]byte) (int, error) { return s.sendScalar(pkts) }
+func (s *Sender) sendVectored(heads, bodies [][]byte) (int, error) {
+	return s.sendScalar(heads, bodies)
+}
 
 type vecRecvState struct {
 	nsys int // always zero: no vectored syscalls on this platform

@@ -68,7 +68,7 @@ func TestTrainPacking(t *testing.T) {
 			v.init(len(tc.lens))
 			v.maxSeg = tc.maxSeg
 			pkts := sizedPackets(tc.lens...)
-			if got := v.pack(pkts); got != len(tc.want) {
+			if got := v.pack(pkts, nil); got != len(tc.want) {
 				t.Fatalf("pack = %d messages, want %d", got, len(tc.want))
 			}
 			next := 0 // index of the datagram the next message must start at

@@ -68,13 +68,13 @@ func BenchmarkBatchFlush(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ring := newSendRing(benchBatch, packetSize)
+		ring := newSendRing(benchBatch)
 		b.SetBytes(benchBatch * packetSize)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			k := encodeBatch(snd, ring, benchBatch, probe{}, 0)
-			if _, err := tx.Send(ring[:k]); err != nil {
+			if _, err := ring.send(tx, k); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -97,13 +97,13 @@ func BenchmarkRecordingOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ring := newSendRing(benchBatch, packetSize)
+		ring := newSendRing(benchBatch)
 		b.SetBytes(benchBatch * packetSize)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			k := encodeBatch(snd, ring, benchBatch, probe{fr: fr}, 0)
-			if _, err := tx.Send(ring[:k]); err != nil {
+			if _, err := ring.send(tx, k); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -136,14 +136,14 @@ func BenchmarkTracingOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ring := newSendRing(benchBatch, packetSize)
+		ring := newSendRing(benchBatch)
 		b.SetBytes(benchBatch * packetSize)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			or.Once(obs.KindRounds, 0)
 			k := encodeBatch(snd, ring, benchBatch, probe{}, 0)
-			if _, err := tx.Send(ring[:k]); err != nil {
+			if _, err := ring.send(tx, k); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -376,13 +376,13 @@ func BenchmarkVerifyOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ring := newSendRing(benchBatch, packetSize)
+		ring := newSendRing(benchBatch)
 		b.SetBytes(benchBatch * packetSize)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			k := encodeBatch(snd, ring, benchBatch, probe{}, 0)
-			if _, err := tx.Send(ring[:k]); err != nil {
+			if _, err := ring.send(tx, k); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,7 +1,8 @@
 // Receiver-side content cache: the dedup point that turns repeated pushes
 // of one hot object into a single control RPC. Every completed inbound
 // transfer whose announcement carried a dedup-permitting CHECK is kept
-// (bounded, oldest-evicted) keyed by its content identity (core.ContentID),
+// (bounded, oldest-evicted) keyed by its content identity (core.ContentID):
+// the buffer it landed in becomes the entry, no copy taken (cacheSlot),
 // so the next sender asking "do you already have digest D?" is answered with a
 // full HAVE plus COMPLETE and never dials a data flow — the Dominator
 // objectserver's CheckObjects-before-AddObjects shape, folded into the
@@ -12,6 +13,7 @@
 package udprt
 
 import (
+	"bytes"
 	"sync"
 
 	"github.com/hpcnet/fobs/internal/checkpoint"
@@ -29,17 +31,19 @@ const (
 	maxCachedBytes = 64 << 20
 )
 
-// cachedObject is one completed, digest-verified object. An entry is
-// immutable once it is in the cache; what is recycled on eviction is its
-// buffer, into a new entry.
+// cachedObject is one completed, digest-verified object: the buffer its
+// transfer landed in, kept as it was verified. An entry is immutable once it
+// is in the cache; what is recycled on eviction is its buffer, into the
+// landing buffer of a transfer admitted later.
 type cachedObject struct {
 	content [32]byte
 	obj     []byte
-	// readers counts the lookup copy-outs and the SaveCache still reading
-	// obj. It changes under contentCache.mu only, and rises only while the
-	// entry is in the cache, so an entry evicted with readers == 0 has a
-	// buffer nothing else can reach: that buffer, and no other, may be
-	// written again.
+	// readers counts the lookup copy-outs, and the slot that made the entry
+	// until its caller's copy and cache file are done, still reading obj. It
+	// changes under contentCache.mu only, and rises only while the entry is
+	// in the cache, so an entry evicted with readers == 0 has a buffer
+	// nothing else can reach: that buffer, and no other, may be written
+	// again.
 	readers int
 }
 
@@ -54,6 +58,10 @@ type contentCache struct {
 	mu      sync.Mutex
 	entries []*cachedObject // oldest first
 	bytes   int             // sum of len(obj) over entries
+	// reserved and reservedBytes count the slots of admitted transfers not
+	// yet kept or released, and their announced bytes; both count against
+	// the bounds beside the entries (admit).
+	reserved, reservedBytes int
 }
 
 // newContentCache builds the cache for defaulted options, loading any
@@ -94,12 +102,12 @@ func (c *contentCache) load() {
 
 // lookup returns a copy of the size-byte object cached under a digest; an
 // entry of another size is a miss, decided before anything is copied. The
-// copy is deliberate on both paths (add copies in, lookup copies out):
-// cached bytes back dedup answers for the cache's whole lifetime, so neither
-// the receive loop that produced the object nor the caller a hit is served
-// to may alias them. The copy-out runs outside mu — concurrent hits on one
-// hot object are what the cache is for — and holds the entry's reader count
-// while it does, so an eviction in the meantime leaves the buffer alone.
+// copy is deliberate: cached bytes back dedup answers for the cache's whole
+// lifetime, and their buffer is recycled into a landing buffer once evicted,
+// so the caller a hit is served to may not alias them. The copy-out runs
+// outside mu — concurrent hits on one hot object are what the cache is for —
+// and holds the entry's reader count while it does, so an eviction in the
+// meantime leaves the buffer alone.
 func (c *contentCache) lookup(content [32]byte, size uint64) ([]byte, bool) {
 	if c == nil {
 		return nil, false
@@ -121,32 +129,112 @@ func (c *contentCache) lookup(content [32]byte, size uint64) ([]byte, bool) {
 	return out, true
 }
 
-// add installs a copy of one completed object under its content digest,
-// evicting oldest-first until both bounds hold and persisting a cache file
-// when a directory is configured. The copy lands in the buffer of an entry
-// this add evicted when one is the right size, so a cache at its bound
-// serving same-size traffic allocates nothing: the landing buffer the
-// caller keeps is then the only object-sized allocation of the transfer.
-// The copy-in runs under mu (a memcpy of at most maxCachedBytes), which is
-// what makes the evict-recycle-insert step atomic. Persistence is
-// best-effort, like resume checkpoints: a full disk must not turn a
-// completed transfer into a failure.
-func (c *contentCache) add(content [32]byte, obj []byte, packetSize int) {
-	if c == nil || len(obj) == 0 || len(obj) > c.maxBytes {
-		return
+// cacheSlot is one admitted transfer's place in the cache, from admission
+// (admit) to its end (release): first a reservation, counted against both
+// bounds, then — once the transfer's object is verified — the entry that
+// object's landing buffer becomes (keep). All methods are nil-safe; a nil
+// slot is a transfer the cache does not take.
+type cacheSlot struct {
+	c       *contentCache
+	content [32]byte
+	n       int
+	// spare is a buffer an eviction at admission freed: n bytes of one no
+	// reader holds, for the transfer to land in; nil when none fitted.
+	spare []byte
+	// ent is the entry keep made, pinned (a reader) until release.
+	ent  *cachedObject
+	done bool
+}
+
+// admit reserves room for the n-byte object announced under content, or
+// returns nil when the cache does not take it: an empty object, one over the
+// byte bound, or one the reservations already made leave no room for (the
+// transfers in flight hold every slot). Admission evicts oldest-first until
+// the entries plus the reservations, this one included, fit both bounds, so
+// entries and reservations together never exceed them, and the slot hands
+// back a buffer an evicted entry freed when one fits (makeRoom).
+func (c *contentCache) admit(content [32]byte, n int) *cacheSlot {
+	if c == nil || n <= 0 || n > c.maxBytes {
+		return nil
 	}
 	c.mu.Lock()
-	buf := c.makeRoom(content, len(obj))
-	if buf == nil {
-		buf = make([]byte, len(obj))
+	defer c.mu.Unlock()
+	if c.reserved >= c.max || c.reservedBytes+n > c.maxBytes {
+		return nil
 	}
-	copy(buf, obj)
-	ent := &cachedObject{content: content, obj: buf}
-	c.insert(ent)
-	if c.dir != "" {
-		ent.readers++
+	spare := c.makeRoom(content, n)
+	c.reserved++
+	c.reservedBytes += n
+	return &cacheSlot{c: c, content: content, n: n, spare: spare}
+}
+
+// recycled is the buffer to land in that admission freed, or nil.
+func (s *cacheSlot) recycled() []byte {
+	if s == nil {
+		return nil
 	}
-	c.mu.Unlock()
+	return s.spare
+}
+
+// keep makes obj — the transfer's verified landing buffer, which the cache
+// owns from here on — the slot's entry: an insert under mu, replacing an
+// entry another transfer of the same content made meanwhile, with no copy.
+// The entry stays pinned until release, so the caller's copy and the cache
+// file are read from a buffer no admission can recycle.
+func (s *cacheSlot) keep(obj []byte) {
+	if s == nil {
+		return
+	}
+	c := s.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.reserved--
+	c.reservedBytes -= s.n
+	if i := c.index(s.content); i >= 0 {
+		c.evict(i)
+	}
+	s.ent = &cachedObject{content: s.content, obj: obj, readers: 1}
+	c.insert(s.ent)
+}
+
+// deliver hands the caller its object once COMPLETE is out: obj itself on a
+// nil slot, else a copy of the kept entry (bytes.Clone: the new buffer is
+// written once, never zeroed first). It then persists the entry and releases
+// the slot.
+func (s *cacheSlot) deliver(obj []byte, packetSize int) []byte {
+	if s == nil {
+		return obj
+	}
+	out := bytes.Clone(s.ent.obj)
+	s.c.persist(s.ent, packetSize)
+	s.release()
+	return out
+}
+
+// release ends the slot: a reservation never kept gives its room back, and a
+// kept entry is unpinned. It is idempotent, so the receive lifecycle defers it
+// and every exit, failures included, ends its slot.
+func (s *cacheSlot) release() {
+	if s == nil || s.done {
+		return
+	}
+	s.done = true
+	c := s.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if s.ent == nil {
+		c.reserved--
+		c.reservedBytes -= s.n
+		return
+	}
+	s.ent.readers--
+}
+
+// persist writes a pinned entry's cache file when a directory is configured.
+// Persistence is best-effort, like resume checkpoints: a full disk must not
+// turn a completed transfer into a failure, and a receiver that dies before
+// the file is written loses a dedup hit, never correctness.
+func (c *contentCache) persist(ent *cachedObject, packetSize int) {
 	if c.dir == "" {
 		return
 	}
@@ -155,44 +243,54 @@ func (c *contentCache) add(content [32]byte, obj []byte, packetSize int) {
 		PacketSize: uint32(packetSize),
 		Received:   uint32(core.NumPackets(int64(len(ent.obj)), packetSize)),
 		Object:     ent.obj,
-		Content:    content,
+		Content:    ent.content,
 		HasContent: true,
 	})
 	c.mu.Lock()
-	ent.readers--
-	if c.index(content) < 0 {
+	defer c.mu.Unlock()
+	if c.index(ent.content) < 0 {
 		// Evicted while the file was being written, so the eviction found
 		// nothing to remove (the rename had not happened). Under mu, so a
 		// re-add of the same content cannot have its new file taken instead.
-		checkpoint.RemoveCache(c.dir, content)
+		checkpoint.RemoveCache(c.dir, ent.content)
 	}
-	c.mu.Unlock()
 }
 
 // makeRoom evicts, under mu, an entry already held for content and then the
-// oldest entries until one more object of n bytes fits both bounds, removing
-// their files. It returns an evicted buffer the new object may be copied
-// into — n bytes of one that no reader holds and whose capacity is at most
-// twice n (a small object does not pin a big buffer) — or nil.
+// oldest entries until one more object of n bytes fits both bounds beside the
+// reservations. It returns an evicted buffer the new object may land in — n
+// bytes of one that no reader holds and whose capacity is at most twice n (a
+// small object does not pin a big buffer) — or nil. The caller has checked
+// that the reservations alone leave room, so the entries run out last.
 func (c *contentCache) makeRoom(content [32]byte, n int) (spare []byte) {
-	evict := func(i int) {
-		e := c.entries[i]
-		c.entries = append(c.entries[:i], c.entries[i+1:]...)
-		c.bytes -= len(e.obj)
-		if c.dir != "" {
-			checkpoint.RemoveCache(c.dir, e.content)
-		}
-		if spare == nil && e.readers == 0 && n <= cap(e.obj) && cap(e.obj) <= 2*n {
-			spare = e.obj[:n]
+	take := func(buf []byte) {
+		if spare == nil && buf != nil && n <= cap(buf) && cap(buf) <= 2*n {
+			spare = buf[:n]
 		}
 	}
 	if i := c.index(content); i >= 0 {
-		evict(i)
+		take(c.evict(i))
 	}
-	for len(c.entries) >= c.max || c.bytes+n > c.maxBytes {
-		evict(0)
+	for len(c.entries)+c.reserved >= c.max || c.bytes+c.reservedBytes+n > c.maxBytes {
+		take(c.evict(0))
 	}
 	return spare
+}
+
+// evict removes entry i and its file, under mu, and returns its buffer when
+// no reader holds it: an entry evicted with readers == 0 has a buffer nothing
+// else can reach, and that buffer, and no other, may be written again.
+func (c *contentCache) evict(i int) (free []byte) {
+	e := c.entries[i]
+	c.entries = append(c.entries[:i], c.entries[i+1:]...)
+	c.bytes -= len(e.obj)
+	if c.dir != "" {
+		checkpoint.RemoveCache(c.dir, e.content)
+	}
+	if e.readers == 0 {
+		return e.obj
+	}
+	return nil
 }
 
 // insert appends one entry as the newest, under mu, after makeRoom.

@@ -29,18 +29,38 @@ func numbered(obj []byte, i int) [32]byte {
 	return core.ContentID(obj)
 }
 
+// add installs a copy of obj under content the way a transfer does — admit,
+// land in the recycled buffer (or a new one), keep, persist, release — for
+// tests that fill a cache without moving packets.
+func (c *contentCache) add(content [32]byte, obj []byte, packetSize int) {
+	slot := c.admit(content, len(obj))
+	if slot == nil {
+		return
+	}
+	buf := slot.recycled()
+	if buf == nil {
+		buf = make([]byte, len(obj))
+	}
+	copy(buf, obj)
+	slot.keep(buf)
+	c.persist(slot.ent, packetSize)
+	slot.release()
+}
+
 // TestReceiveAllocBudget: a completed inbound transfer costs one
-// object-sized allocation, the landing buffer the caller is handed. Twelve
-// distinct 4 MiB objects through one default Listener: the first eight fill
-// the cache (a landing buffer and a cache buffer each); from the ninth on
-// the cache is at its bound, each add recycles the buffer it evicts, and
-// the whole process — sender included — allocates the object plus small
-// change per transfer.
+// object-sized allocation, the copy the caller is handed. Twelve distinct
+// 4 MiB objects through one default Listener: the first eight fill the cache
+// (a landing buffer, which becomes the entry, and the caller's copy each);
+// from the ninth on the cache is at its bound, each admission recycles the
+// buffer it evicts into the transfer's landing buffer, and the whole process
+// — sender included — allocates the object plus small change per transfer.
+// The change is what neither end may grow with the object or the ring: the
+// sender's ring holds headers only, not a packet's worth per slot.
 func TestReceiveAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
 	}
-	const size, pushes, slack = 4 << 20, 12, 256 << 10
+	const size, pushes, slack = 4 << 20, 12, 48 << 10
 	l, err := Listen("127.0.0.1:0", Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -70,6 +90,50 @@ func TestReceiveAllocBudget(t *testing.T) {
 	}
 	if n := l.cache.len(); n != maxCached {
 		t.Fatalf("cache holds %d entries after %d pushes, want %d", n, pushes, maxCached)
+	}
+}
+
+// TestSendRingAllocBudget: what a Send allocates grows with Options.IOBatch
+// by the ring's per-slot bookkeeping — a DATA header, the slices naming it
+// and its payload, and batchio's message and iovec room — never by a
+// packet's worth per slot: the payloads go out from the object where they
+// lie. A 64 KiB push of 1 KiB packets with a 256-slot ring against one with
+// 32 slots (the least of five pushes each, the receiver's share being the
+// same for both) may differ by less than 256 bytes per extra slot.
+func TestSendRingAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	const size, pushes, perSlot = 64 << 10, 5, 256
+	l, err := Listen("127.0.0.1:0", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	obj := makeObj(size)
+	least := map[int]uint64{}
+	for i := 0; i < 2*pushes; i++ {
+		batch := []int{32, 256}[i%2]
+		numbered(obj, i)
+		done, _, _, rerrs := acceptN(ctx, l, 1)
+		before := totalAlloc()
+		_, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: uint32(i + 1), PacketSize: 1024}, Options{IOBatch: batch})
+		<-done
+		grew := totalAlloc() - before
+		if err != nil || rerrs[0] != nil {
+			t.Fatalf("push %d: send err=%v, accept err=%v", i, err, rerrs[0])
+		}
+		if m, ok := least[batch]; !ok || grew < m {
+			least[batch] = grew
+		}
+	}
+	extra := int64(least[256]) - int64(least[32])
+	t.Logf("IOBatch 32: %d KiB, IOBatch 256: %d KiB, %d bytes per extra slot", least[32]>>10, least[256]>>10, extra/224)
+	if extra >= 224*perSlot {
+		t.Errorf("224 more ring slots cost %d KiB, want < %d KiB: the send ring scales with the packet size",
+			extra>>10, 224*perSlot>>10)
 	}
 }
 

@@ -89,33 +89,55 @@ func newSenderEngine(snd *core.Sender, ep senderEndpoint, opts Options, p probe)
 	return &senderEngine{senderEndpoint: ep, snd: snd, cfg: snd.Config(), opts: opts, probe: p}
 }
 
-// encodeBatch pulls up to max packets from the sender's schedule and
-// serializes each into its slot of the reusable ring, returning how many
-// slots were filled. The ring's buffers are pre-sized to the packet framing,
-// so steady-state encoding allocates nothing — including the probe's report,
-// which with metrics on is a handful of atomic adds plus a bitmap
+// sendRing is the engine's reusable flush: per slot, the DATA header framed
+// in place (all of them in one DataHeaderLen-stride array) and the payload,
+// a slice of the object. Each datagram is gathered from the two by the
+// kernel (batchio.Sender.SendGather), so no payload byte is copied on its way
+// to the socket, and the ring's size does not scale with the packet size.
+type sendRing struct {
+	heads  [][]byte
+	bodies [][]byte
+}
+
+// newSendRing builds the ring of slots headers.
+func newSendRing(slots int) sendRing {
+	frames := make([]byte, slots*wire.DataHeaderLen)
+	r := sendRing{heads: make([][]byte, slots), bodies: make([][]byte, slots)}
+	for i := range r.heads {
+		r.heads[i] = frames[i*wire.DataHeaderLen : i*wire.DataHeaderLen : (i+1)*wire.DataHeaderLen]
+	}
+	return r
+}
+
+// len is the ring's slot count.
+func (r sendRing) len() int { return len(r.heads) }
+
+// from is the ring from slot i on.
+func (r sendRing) from(i int) sendRing { return sendRing{r.heads[i:], r.bodies[i:]} }
+
+// send puts the first k slots on the wire.
+func (r sendRing) send(tx *batchio.Sender, k int) (int, error) {
+	return tx.SendGather(r.heads[:k], r.bodies[:k])
+}
+
+// encodeBatch pulls up to max packets from the sender's schedule and frames
+// each into its slot of the reusable ring, returning how many slots were
+// filled. The headers are framed in place and the payloads stay in the
+// object, so steady-state encoding allocates nothing — including the probe's
+// report, which with metrics on is a handful of atomic adds plus a bitmap
 // test-and-set to classify retransmissions.
-func encodeBatch(snd *core.Sender, ring [][]byte, max int, p probe, base int) (k int) {
-	for k < len(ring) && k < max {
+func encodeBatch(snd *core.Sender, ring sendRing, max int, p probe, base int) (k int) {
+	for k < ring.len() && k < max {
 		pkt, ok := snd.NextPacket()
 		if !ok {
 			break
 		}
-		ring[k] = wire.AppendData(ring[k][:0], &pkt)
+		ring.heads[k] = wire.AppendDataHeader(ring.heads[k][:0], &pkt)
+		ring.bodies[k] = pkt.Payload
 		p.dataSent(pkt.Seq, len(pkt.Payload), base+k)
 		k++
 	}
 	return k
-}
-
-// newSendRing builds the reusable encode ring: slots buffers each sized
-// for one framed data packet.
-func newSendRing(slots, packetSize int) [][]byte {
-	ring := make([][]byte, slots)
-	for i := range ring {
-		ring[i] = make([]byte, 0, packetSize+wire.DataHeaderLen)
-	}
-	return ring
 }
 
 // run drives the engine until the completion verdict arrives on the
@@ -124,8 +146,9 @@ func newSendRing(slots, packetSize int) [][]byte {
 // The batch-send phase is where the fast path earns its keep. Rounds are
 // planned one at a time by the sender (core.Sender.PlanRound: the batch
 // policy asks for B packets, the congestion controller may cap the ask and
-// names the round's pacing gap) and encoded one behind another into a
-// reusable ring of Options.IOBatch pre-sized buffers. The ring leaves as one flush (one sendmmsg whose
+// names the round's pacing gap) and framed one behind another into a
+// reusable ring of Options.IOBatch slots (sendRing: a header each, the
+// payload left in the object). The ring leaves as one flush (one sendmmsg whose
 // equal-length datagrams travel as UDP_SEGMENT trains; one write per packet
 // on the scalar path), and the ack socket is looked at once per flush, not
 // once per round: the unit between two looks stays one send operation, it
@@ -187,7 +210,7 @@ func (e *senderEngine) run(ctx context.Context) error {
 		e.io = c
 		e.probe.io(c)
 	}()
-	ring := newSendRing(opts.IOBatch, cfg.PacketSize)
+	ring := newSendRing(opts.IOBatch)
 	ackWords := make([]uint64, 0, wire.MaxFragWords(cfg.AckPacketSize))
 	// started is the epoch of the sender's clock (core.Sender.Look).
 	started := time.Now()
@@ -231,7 +254,7 @@ func (e *senderEngine) run(ctx context.Context) error {
 	var sent int
 	var fatal bool
 	flush := func(k int) bool {
-		m, err := tx.Send(ring[:k])
+		m, err := ring.send(tx, k)
 		sent += m
 		if err != nil {
 			fatal = noteWriteErr(err)
@@ -289,7 +312,7 @@ func (e *senderEngine) run(ctx context.Context) error {
 			continue
 		}
 		now := time.Since(started)
-		room, silence := snd.Look(now, len(ring))
+		room, silence := snd.Look(now, ring.len())
 		// Liveness: any processed ack — fresh or stale — proves the
 		// receiver is alive and resets both watchdog counters.
 		if silence == 0 {
@@ -333,12 +356,12 @@ func (e *senderEngine) run(ctx context.Context) error {
 			gapFrom = sent
 			n := 0
 			for ok && n < batch {
-				if fill == len(ring) {
+				if fill == ring.len() {
 					// A round longer than the ring goes out in ring-sized chunks.
 					ok, fill = flush(fill), 0
 					continue
 				}
-				k := encodeBatch(snd, ring[fill:], batch-n, e.probe, n)
+				k := encodeBatch(snd, ring.from(fill), batch-n, e.probe, n)
 				if k == 0 {
 					break
 				}

@@ -109,13 +109,13 @@ func TestSenderHotPathZeroAllocs(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						snd, cfg := plan.snds[0], plan.cfg
+						snd := plan.snds[0]
 						snd.SetFlow(1<<20, time.Millisecond) // as runSenderPlan installs it
 						tx, err := batchio.NewSender(conn, 16, !noFastPath)
 						if err != nil {
 							t.Fatal(err)
 						}
-						ring := newSendRing(16, cfg.PacketSize)
+						ring := newSendRing(16)
 						// With no acks the circular schedule supplies
 						// retransmissions forever, so every run encodes and
 						// flushes a controller-planned batch. The loss feedback
@@ -129,7 +129,7 @@ func TestSenderHotPathZeroAllocs(t *testing.T) {
 							// Once per round, as the engine loop pays it.
 							or.Once(obs.KindRounds, 0)
 							now := time.Since(started)
-							snd.Look(now, len(ring))
+							snd.Look(now, ring.len())
 							batch, gapPer := snd.PlanRound(now)
 							if gapPer < 0 {
 								t.Fatal("negative pacing gap")
@@ -138,7 +138,7 @@ func TestSenderHotPathZeroAllocs(t *testing.T) {
 							if k != batch {
 								t.Fatalf("encodeBatch = %d, want %d", k, batch)
 							}
-							if _, err := tx.Send(ring[:k]); err != nil {
+							if _, err := ring.send(tx, k); err != nil {
 								t.Fatalf("Send: %v", err)
 							}
 							clock.charge(time.Now(), gapPer, k)
@@ -189,7 +189,7 @@ func TestReceiverHotPathZeroAllocs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				feed := newSendRing(8, packetSize)
+				feed := newSendRing(8)
 				rx, err := batchio.NewReceiver(udp, 8, maxDatagram, !noFastPath)
 				if err != nil {
 					t.Fatal(err)
@@ -218,8 +218,8 @@ func TestReceiverHotPathZeroAllocs(t *testing.T) {
 				// Unacknowledged, the circular schedule re-sends forever: the
 				// runs cover fresh packets, the completing one and duplicates.
 				if allocs := testing.AllocsPerRun(300, func() {
-					k := encodeBatch(snd, feed, len(feed), probe{}, 0)
-					if _, err := ftx.Send(feed[:k]); err != nil {
+					k := encodeBatch(snd, feed, feed.len(), probe{}, 0)
+					if _, err := feed.send(ftx, k); err != nil {
 						t.Fatalf("feed: %v", err)
 					}
 					udp.SetReadDeadline(time.Now().Add(2 * time.Second))

@@ -1,0 +1,331 @@
+package udprt
+
+import (
+	"bytes"
+	"context"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"github.com/hpcnet/fobs/internal/checkpoint"
+	"github.com/hpcnet/fobs/internal/core"
+	"github.com/hpcnet/fobs/internal/faultnet"
+)
+
+// Landing in the cache: a transfer the content cache will keep reserves its
+// slot on admission, lands in the buffer the admission's eviction freed, and
+// that buffer becomes the cache entry. These tests hold the three promises
+// that makes: a recycled buffer's old bytes never leave the receiver, a
+// buffer someone still reads is never recycled, and entries plus
+// reservations stay within the cache's bounds.
+
+// held reports the cache's entries plus reservations, and their bytes: what
+// the bounds limit.
+func (c *contentCache) held() (slots, bytes int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries) + c.reserved, c.bytes + c.reservedBytes
+}
+
+// reservations reports the slots reserved and not yet kept or released, and
+// their bytes.
+func (c *contentCache) reservations() (n, bytes int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.reserved, c.reservedBytes
+}
+
+// pattern returns n bytes of one value stamped with a counter: an object
+// whose content is nothing like makeObj's.
+func pattern(n int, b byte, i int) []byte {
+	obj := bytes.Repeat([]byte{b}, n)
+	numbered(obj, i)
+	return obj
+}
+
+// checkPlacedOrZero requires every packet of obj the got-bitmap holds to be
+// want's, and every other one to be zero — and, with tail set, the buffer's
+// capacity past the object too — and reports how many packets were unplaced.
+func checkPlacedOrZero(t *testing.T, where string, obj, want []byte, words []uint64, packetSize int, tail bool) (unplaced int) {
+	t.Helper()
+	for seq, lo := 0, 0; lo < len(obj); seq, lo = seq+1, lo+packetSize {
+		hi := min(lo+packetSize, len(obj))
+		if words[seq/64]&(1<<(seq%64)) != 0 {
+			if !bytes.Equal(obj[lo:hi], want[lo:hi]) {
+				t.Fatalf("%s: placed packet %d differs from the object sent", where, seq)
+			}
+			continue
+		}
+		unplaced++
+		if !bytes.Equal(obj[lo:hi], make([]byte, hi-lo)) {
+			t.Fatalf("%s: unplaced packet %d holds bytes it was never sent", where, seq)
+		}
+	}
+	if rest := obj[len(obj):cap(obj)]; tail && !bytes.Equal(rest, make([]byte, len(rest))) {
+		t.Fatalf("%s: the buffer's capacity past the object holds old bytes", where)
+	}
+	return unplaced
+}
+
+// TestRecycledLandingRetainsNoEvictedBytes: with the cache at its bound, a
+// transfer lands in the buffer of the entry its admission evicted. Severed
+// mid-flight, it is retained — and neither the resume store's buffer nor the
+// checkpoint file holds a byte of the evicted object: every unplaced packet
+// is zero. Its reservation is released, and the retry resumes from the
+// retained packets and completes bit-identical.
+func TestRecycledLandingRetainsNoEvictedBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fault-injection test skipped in -short mode")
+	}
+	const size, transfer = 1<<20 + 31, 9
+	dir := t.TempDir()
+	l, err := Listen("127.0.0.1:0", Options{Checkpoint: dir, IdleTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	l.cache.max = 2
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for i := 0; i < l.cache.max; i++ {
+		done, _, _, rerrs := acceptN(ctx, l, 1)
+		if _, err := Send(ctx, l.Addr(), pattern(size, 0xA5, i), core.Config{Transfer: uint32(i + 1)}, Options{}); err != nil {
+			t.Fatalf("fill %d: %v", i, err)
+		}
+		if <-done; rerrs[0] != nil {
+			t.Fatalf("fill %d: accept: %v", i, rerrs[0])
+		}
+	}
+	if slots, _ := l.cache.held(); slots != l.cache.max {
+		t.Fatalf("the cache holds %d, want it at its bound of %d", slots, l.cache.max)
+	}
+	l.cache.mu.Lock()
+	oldest := &l.cache.entries[0].obj[0]
+	l.cache.mu.Unlock()
+
+	proxy, err := faultnet.NewProxy(l.Addr(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	obj := makeObj(size)
+	id := core.ContentID(obj)
+	done, _, _, rerrs := acceptN(ctx, l, 1)
+	var cut atomic.Bool
+	_, serr := Send(ctx, proxy.Addr(), obj, core.Config{Transfer: transfer, AckFrequency: 8}, Options{
+		StallTimeout: 2 * time.Second,
+		Pace:         killPointPace,
+		Progress: func(got, total int) {
+			if got > total/2 && cut.CompareAndSwap(false, true) {
+				proxy.SetBlackhole(true)
+				proxy.SeverControl()
+			}
+		},
+	})
+	<-done
+	if !cut.Load() || serr == nil || rerrs[0] == nil {
+		t.Fatalf("the transfer was not severed: cut=%v, send err=%v, accept err=%v", cut.Load(), serr, rerrs[0])
+	}
+
+	l.store.mu.Lock()
+	ret := l.store.entries[id]
+	l.store.mu.Unlock()
+	if ret == nil {
+		t.Fatal("the severed transfer was not retained")
+	}
+	if &ret.obj[0] != oldest {
+		t.Fatal("the transfer did not land in the buffer its admission evicted: nothing was recycled")
+	}
+	unplaced := checkPlacedOrZero(t, "resume store", ret.obj, obj, ret.words, ret.packetSize, true)
+	if unplaced == 0 {
+		t.Fatal("every packet was placed before the cut: nothing to check")
+	}
+	st, err := checkpoint.Load(checkpoint.File(dir, transfer))
+	if err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	checkPlacedOrZero(t, "checkpoint", st.Object, obj, st.Words, int(st.PacketSize), false)
+	if n, b := l.cache.reservations(); n != 0 || b != 0 {
+		t.Fatal("the failed transfer's reservation was not released")
+	}
+
+	done, objs, rsts, rerrs := acceptN(ctx, l, 1)
+	if _, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: transfer + 1}, Options{}); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	<-done
+	if rerrs[0] != nil || !bytes.Equal(objs[0], obj) {
+		t.Fatalf("retry: accept err=%v, delivered equal=%v", rerrs[0], bytes.Equal(objs[0], obj))
+	}
+	if rsts[0].Restored == 0 {
+		t.Fatal("the retry restored nothing: it did not resume")
+	}
+	t.Logf("%d of %d packets unplaced at the cut, restored %d", unplaced, core.NumPackets(size, 1024), rsts[0].Restored)
+}
+
+// TestDedupHitsNeverShareARecycledBuffer: senders pushing one hot object —
+// dedup hits, each a reader copying the entry out — against senders pushing
+// fresh objects of the same size into a Server whose cache sits at its
+// bound, so every miss evicts and recycles. A hit must always deliver the hot
+// bytes, every miss its own; under -race, a buffer recycled while a hit still
+// reads it is reported even when the bytes happen to match.
+func TestDedupHitsNeverShareARecycledBuffer(t *testing.T) {
+	const size, rounds = 32 << 10, 12
+	srv, err := NewServer("127.0.0.1:0", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.cache.max = 2
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	var mu sync.Mutex
+	want := map[uint32][32]byte{}
+	bad := 0
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.Serve(ctx, func(transfer uint32, obj []byte, _ core.ReceiverStats) {
+			id := core.ContentID(obj)
+			mu.Lock()
+			if want[transfer] != id {
+				bad++
+			}
+			mu.Unlock()
+		})
+	}()
+	hot := makeObj(size)
+	hotID := core.ContentID(hot)
+	var next atomic.Uint32
+	push := func(obj []byte, id [32]byte) (core.SenderStats, error) {
+		tr := next.Add(1)
+		mu.Lock()
+		want[tr] = id
+		mu.Unlock()
+		return Send(ctx, srv.Addr(), obj, core.Config{Transfer: tr}, Options{})
+	}
+	if _, err := push(hot, hotID); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var hits atomic.Int64
+	errs := make(chan error, 5*rounds)
+	for g := 0; g < 5; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			fresh := pattern(size, byte(g), 0)
+			for i := 0; i < rounds; i++ {
+				if g < 3 {
+					st, err := push(hot, hotID)
+					if st.Deduped {
+						hits.Add(1)
+					}
+					errs <- err
+					continue
+				}
+				errs <- func() error { _, err := push(fresh, numbered(fresh, g*1000+i)); return err }()
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatalf("push: %v", err)
+		}
+	}
+	cancel()
+	<-served
+	if hits.Load() == 0 {
+		t.Fatal("the hot object never hit: no reader raced the recycling")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if bad > 0 {
+		t.Fatalf("%d deliveries were not the bytes their sender pushed", bad)
+	}
+	if slots, _ := srv.cache.held(); slots > srv.cache.max {
+		t.Fatalf("after the pushes the cache holds %d slots, want ≤ %d", slots, srv.cache.max)
+	}
+	if n, _ := srv.cache.reservations(); n != 0 {
+		t.Fatalf("%d reservations outlived their transfers", n)
+	}
+	t.Logf("%d of %d hot pushes were hits", hits.Load(), 3*rounds)
+}
+
+// TestServerReservationsWithinBounds: transfers in flight at once into a
+// Server each hold a reservation from admission to completion, and entries
+// plus reservations never exceed the cache's bounds — in slots or in bytes —
+// at any moment sampled. A transfer admitted with every slot reserved gets
+// none: it completes uncached, and nothing leaks once all are done.
+func TestServerReservationsWithinBounds(t *testing.T) {
+	const size, flows = 512 << 10, 3
+	srv, err := NewServer("127.0.0.1:0", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := srv.cache
+	c.max, c.maxBytes = 2, 3*size
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.Serve(ctx, func(uint32, []byte, core.ReceiverStats) {})
+	}()
+	for i := 0; i < c.max; i++ { // at the bound before the flows start
+		if _, err := Send(ctx, srv.Addr(), pattern(size, 0x5A, i), core.Config{Transfer: uint32(100 + i)}, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	sampled := make(chan int)
+	go func() {
+		most := 0
+		for {
+			select {
+			case <-stop:
+				sampled <- most
+				return
+			default:
+			}
+			slots, held := c.held()
+			n, _ := c.reservations()
+			most = max(most, n)
+			if slots > c.max || held > c.maxBytes {
+				t.Errorf("entries plus reservations hold %d slots and %d bytes, bounds %d and %d", slots, held, c.max, c.maxBytes)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+	var wg sync.WaitGroup
+	errs := make([]error, flows)
+	for i := 0; i < flows; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = Send(ctx, srv.Addr(), pattern(size, byte(i), i), core.Config{Transfer: uint32(i + 1)},
+				Options{Pace: 100 * time.Microsecond})
+		}(i)
+	}
+	wg.Wait()
+	close(stop)
+	most := <-sampled
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("flow %d: %v", i, err)
+		}
+	}
+	if most < 2 {
+		t.Fatalf("at most %d reservations were seen at once: the flows did not overlap", most)
+	}
+	cancel()
+	<-served // every transfer's lifecycle has returned
+	slots, held := c.held()
+	if n, b := c.reservations(); n != 0 || b != 0 || slots > c.max || held > c.maxBytes {
+		t.Fatalf("after the flows: %d slots, %d bytes, %d still reserved", slots, held, n)
+	}
+}

@@ -205,9 +205,9 @@ func (l *Listener) detach(in *inbound) {
 // receive runs one inbound transfer on an established control connection,
 // from its announcement to its verdict:
 //
-//	plan → cache hit? → register → claim-or-create → start sealer →
-//	go live → CHECK answer (HAVE [+ HELLO-ACK]) → wait → detach →
-//	verify → cache → COMPLETE
+//	plan → cache hit? → register → reserve a cache slot → claim, recycle
+//	or create → start sealer → go live → CHECK answer (HAVE [+ HELLO-ACK])
+//	→ wait → detach → verify → keep → COMPLETE → caller's copy
 //
 // The CHECK every announcement carries is answered from one lookup. A
 // content-cache hit ends the transfer at its second step (completeDeduped).
@@ -215,6 +215,11 @@ func (l *Listener) detach(in *inbound) {
 // restores its bitmap, and the HAVE that answers the CHECK carries it — or
 // carries nothing on a miss — with the HELLO-ACK behind it, unless the
 // retained state was already the whole object, which then completes at once.
+// A transfer the cache will keep reserves its slot on admission and, on a
+// miss, lands in the buffer the reservation's eviction freed when one fits;
+// once verified, its landing buffer becomes the cache entry before COMPLETE
+// goes out, and the caller is handed a copy of it made after (cacheSlot). A
+// transfer with no slot is handed its landing buffer itself.
 // A refusal — an unusable announcement, a tag in flight — answers a reasoned
 // ABORT and leaves nothing behind. The wait ends on completion, ctx, the idle
 // watchdog or, when watchCtl says the connection is dedicated to this
@@ -241,7 +246,9 @@ func (l *Listener) receive(ctx context.Context, ctl net.Conn, watchCtl bool) (re
 		writeAbort(ctl, plan.base, wire.AbortDuplicateTransfer)
 		return plan, nil, core.ReceiverStats{}, fmt.Errorf("udprt: transfer %d refused: %s", plan.base, wire.AbortDuplicateTransfer)
 	}
-	obj, engines := l.landing(plan)
+	slot := plan.admit(l.cache)
+	defer slot.release()
+	obj, engines := l.landing(plan, slot)
 	restored := engines[0].rcv.Stats().Restored
 	span := l.opts.startSpan(plan.trace, plan.base, obs.RoleReceiver)
 	for _, e := range engines {
@@ -301,10 +308,13 @@ func (l *Listener) receive(ctx context.Context, ctl net.Conn, watchCtl bool) (re
 		writeAbort(ctl, plan.base, wire.AbortDigestMismatch)
 		return fail(err, false)
 	}
-	cacheVerified(l.cache, plan, obj)
+	// Kept before COMPLETE: the sender may re-push the same content the
+	// moment its Send returns, and that CHECK must already hit.
+	slot.keep(obj)
 	if err := writeControl(ctl, completeFrame(plan)); err != nil {
 		return fail(fmt.Errorf("udprt: completion write: %w", err), false)
 	}
+	obj = slot.deliver(obj, plan.packetSize)
 	for _, e := range engines {
 		e.probe.finish(nil)
 	}
@@ -313,10 +323,13 @@ func (l *Listener) receive(ctx context.Context, ctl net.Conn, watchCtl bool) (re
 
 // landing builds the plan's engines over the buffer they assemble into: the
 // state the resume store retained for the announced content, restored, when
-// there is some (single-flow plans only), or a fresh object. Retained state
-// that does not restore is dropped, and the plan gets a fresh object as on a
-// miss.
-func (l *Listener) landing(plan recvPlan) ([]byte, []*receiverEngine) {
+// there is some (single-flow plans only), or else the buffer the slot's
+// admission recycled, or else a new one. A recycled buffer is not cleared:
+// nothing reads a byte of it before a packet is placed there (the sealer
+// hashes whole leaves only), and a failed transfer's unplaced bytes are
+// zeroed before the resume store keeps it. Retained state that does not
+// restore is dropped, and the plan lands as on a miss.
+func (l *Listener) landing(plan recvPlan, slot *cacheSlot) ([]byte, []*receiverEngine) {
 	if ret := l.store.claim(plan); ret != nil {
 		engines := newRecvEngines(plan, ret.obj)
 		if _, err := engines[0].rcv.Restore(ret.words); err == nil {
@@ -324,7 +337,10 @@ func (l *Listener) landing(plan recvPlan) ([]byte, []*receiverEngine) {
 			return ret.obj, engines
 		}
 	}
-	obj := make([]byte, plan.objectSize)
+	obj := slot.recycled()
+	if obj == nil {
+		obj = make([]byte, plan.objectSize)
+	}
 	return obj, newRecvEngines(plan, obj)
 }
 

@@ -89,8 +89,11 @@ func newResumeStore(opts Options) *resumeStore {
 // window can pick it up. Striped plans are never retained, and neither is an
 // empty receiver; a complete one is kept like any other — it is the fully
 // restored transfer whose answer never reached the sender, and must stay
-// claimable. Checkpoint IO is best-effort: a full disk must not turn
-// retention into a failure.
+// claimable. What the store keeps, in memory and in the checkpoint, is the
+// placed packets and zeros: the transfer may have landed in a buffer the
+// content cache recycled, whose other bytes are an evicted object's.
+// Checkpoint IO is best-effort: a full disk must not turn retention into a
+// failure.
 func (s *resumeStore) retain(plan recvPlan, rcv *core.Receiver) {
 	if s == nil || plan.striped() {
 		return
@@ -108,6 +111,7 @@ func (s *resumeStore) retain(plan recvPlan, rcv *core.Receiver) {
 		words:      rcv.HaveWords(nil),
 		received:   st.Received,
 	}
+	clearUnplaced(ret.obj, ret.words, ret.packetSize)
 	s.insert(ret)
 	if s.dir != "" {
 		_ = checkpoint.Save(s.dir, &checkpoint.State{
@@ -188,4 +192,15 @@ func (s *resumeStore) claim(plan recvPlan) *retained {
 	}
 	s.drop(ret)
 	return ret
+}
+
+// clearUnplaced zeroes every packet of obj the got-bitmap words do not hold,
+// and the buffer's capacity past the object.
+func clearUnplaced(obj []byte, words []uint64, packetSize int) {
+	clear(obj[len(obj):cap(obj)])
+	for seq, lo := 0, 0; lo < len(obj); seq, lo = seq+1, lo+packetSize {
+		if words[seq/64]&(1<<(seq%64)) == 0 {
+			clear(obj[lo:min(lo+packetSize, len(obj))])
+		}
+	}
 }

@@ -558,14 +558,13 @@ func sumRecvStats(engines []*receiverEngine) core.ReceiverStats {
 	return t
 }
 
-// cacheVerified installs a completed, content-verified object in the dedup
-// cache when its announcement permitted that. The receive lifecycle calls
-// it before writing COMPLETE: the sender may re-push the same content the
-// moment its Send returns, and that CHECK must already hit.
-func cacheVerified(cache *contentCache, plan recvPlan, obj []byte) {
-	if plan.checkDedup {
-		cache.add(plan.checkDigest, obj, plan.packetSize)
+// admit reserves the cache slot of a transfer whose announcement permits
+// caching (cacheSlot); nil otherwise, or when the cache does not take it.
+func (p recvPlan) admit(cache *contentCache) *cacheSlot {
+	if !p.checkDedup {
+		return nil
 	}
+	return cache.admit(p.checkDigest, int(p.objectSize))
 }
 
 // completeDeduped answers a dedup-hitting CHECK: the full HAVE bitmap (the

@@ -119,8 +119,18 @@ type Data struct {
 	Checksum bool
 }
 
-// AppendData serializes d onto buf and returns the extended slice.
+// AppendData serializes d onto buf and returns the extended slice: the
+// header AppendDataHeader frames, then the payload.
 func AppendData(buf []byte, d *Data) []byte {
+	return append(AppendDataHeader(buf, d), d.Payload...)
+}
+
+// AppendDataHeader serializes the DataHeaderLen-byte header of d onto buf —
+// everything of the datagram but the payload, whose length and checksum it
+// carries — and returns the extended slice. A sender that gathers each
+// datagram from its header and the payload where it lies in the object
+// (batchio.Sender.SendGather) frames with this, and never copies the payload.
+func AppendDataHeader(buf []byte, d *Data) []byte {
 	if len(d.Payload) > 0xFFFF {
 		panic(fmt.Sprintf("wire: payload %d exceeds 64KiB framing limit", len(d.Payload)))
 	}
@@ -136,8 +146,7 @@ func AppendData(buf []byte, d *Data) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, d.Seq)
 	buf = binary.BigEndian.AppendUint32(buf, d.Total)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(d.Payload)))
-	buf = binary.BigEndian.AppendUint32(buf, crc)
-	return append(buf, d.Payload...)
+	return binary.BigEndian.AppendUint32(buf, crc)
 }
 
 // DecodeData parses a DATA datagram, verifying the payload checksum when

@@ -412,6 +412,22 @@ func TestDataChecksumRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDataHeaderIsTheFrameLessItsPayload: a gathered datagram — the header
+// AppendDataHeader frames, then the payload where it lies — is byte for byte
+// the one AppendData builds, checksummed or not.
+func TestDataHeaderIsTheFrameLessItsPayload(t *testing.T) {
+	for _, sum := range []bool{false, true} {
+		d := Data{Transfer: 7, Seq: 3, Total: 9, Payload: []byte("gathered, not staged"), Checksum: sum}
+		hdr := AppendDataHeader(nil, &d)
+		if len(hdr) != DataHeaderLen {
+			t.Fatalf("checksum=%v: header is %d bytes, want %d", sum, len(hdr), DataHeaderLen)
+		}
+		if !bytes.Equal(append(hdr, d.Payload...), AppendData(nil, &d)) {
+			t.Fatalf("checksum=%v: header plus payload differs from AppendData", sum)
+		}
+	}
+}
+
 func TestDataChecksumDetectsCorruption(t *testing.T) {
 	d := Data{Transfer: 1, Seq: 0, Total: 2, Payload: []byte("integrity matters"), Checksum: true}
 	buf := AppendData(nil, &d)
