@@ -182,5 +182,6 @@ fuzz-smoke:
 	$(GO) test ./internal/xfer -run '^$$' -fuzz FuzzDecodeManifest -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzReadEvents -fuzztime 10s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 10s
+	$(GO) test ./internal/tasks -run '^$$' -fuzz FuzzReplayJournal -fuzztime 10s
 
 verify: tier1 vet cross race shuffle fuzz-smoke bench-e2e-test

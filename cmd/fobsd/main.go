@@ -100,7 +100,7 @@ func run() error {
 	rates := make(tenantRates)
 	var (
 		listen  = flag.String("listen", "127.0.0.1:7780", "HTTP API address")
-		dir     = flag.String("dir", "", "state directory for the crash-safe task store (required)")
+		dir     = flag.String("dir", "", "state directory for the crash-safe task journal, fobs-tasks.journal (required; one-file-per-task directories of earlier builds are migrated)")
 		workers = flag.Int("workers", 2, "concurrent transfer tasks")
 		pace    = flag.Duration("pace", 0, "extra delay per batch-send in every mover")
 		cc      = flag.String("cc", "",

@@ -1,5 +1,6 @@
-// The framed-file container the checkpoint format lives in, split out so
-// other crash-safe stores (the transfer daemon's task files) can share the
+// The framed-file container the checkpoint format lives in, and the atomic
+// replace under it, split out so other crash-safe stores (the transfer
+// daemon's task journal, which compacts through Replace) can share the
 // exact conventions instead of inventing parallel ones: an 8-byte magic, an
 // opaque body, a trailing CRC-32C (Castagnoli — the wire's polynomial) over
 // the body, written atomically via a temporary file renamed into place. A
@@ -12,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 )
 
@@ -21,13 +23,29 @@ const framedOverhead = 8 + 4
 
 // WriteFramed atomically persists a body, given as the parts that make it
 // up in order, to path inside the framed container. The parts are streamed
-// to the temporary sibling (path + ".tmp") with the checksum folded over
-// them as they go — a part is never copied, so persisting an object costs
-// no second object — and the sibling is renamed over path on success and
-// removed on failure.
+// through Replace with the checksum folded over them as they go — a part is
+// never copied, so persisting an object costs no second object.
 func WriteFramed(path string, magic [8]byte, body ...[]byte) error {
+	return Replace(path, func(w io.Writer) error {
+		w.Write(magic[:]) // the writer latches the first error; the last write reports it
+		var sum uint32
+		for _, p := range body {
+			sum = crc32.Update(sum, castagnoli, p)
+			w.Write(p)
+		}
+		_, err := w.Write(binary.BigEndian.AppendUint32(nil, sum))
+		return err
+	})
+}
+
+// Replace atomically replaces path with the bytes write streams into it.
+// They go to the temporary sibling path + ".tmp", which is renamed over
+// path on success and removed on failure, so a crash at any instant leaves
+// path either as it was or wholly replaced. A small buffer keeps a short
+// file one write call and lets a large part pass through uncopied.
+func Replace(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
-	err := writeParts(tmp, magic, body)
+	err := writeTemp(tmp, write)
 	if err == nil {
 		err = os.Rename(tmp, path)
 	}
@@ -38,22 +56,17 @@ func WriteFramed(path string, magic [8]byte, body ...[]byte) error {
 	return nil
 }
 
-// writeParts creates path holding magic, the parts and their checksum. The
-// small buffer keeps a short file one write call and lets a large part pass
-// through uncopied.
-func writeParts(path string, magic [8]byte, parts [][]byte) error {
+// writeTemp creates path holding what write streams.
+func writeTemp(path string, write func(io.Writer) error) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
 	w := bufio.NewWriterSize(f, 4096)
-	w.Write(magic[:]) // bufio latches the first error; Flush reports it
-	var sum uint32
-	for _, p := range parts {
-		sum = crc32.Update(sum, castagnoli, p)
-		w.Write(p)
+	if err := write(w); err != nil {
+		f.Close()
+		return err
 	}
-	w.Write(binary.BigEndian.AppendUint32(nil, sum))
 	if err := w.Flush(); err != nil {
 		f.Close()
 		return err

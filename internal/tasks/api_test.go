@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -221,8 +222,10 @@ func TestAPICancelAndErrors(t *testing.T) {
 
 	// A store failure while persisting the cancel of a queued task is a
 	// server error, not "not found". Use a dispatcher-less daemon so the
-	// task stays queued, then break its store directory.
-	d2, err := New(Config{Dir: t.TempDir()})
+	// task stays queued, then hand its store a journal handle that can
+	// neither append nor cut back: a journal that refuses writes.
+	dir2 := t.TempDir()
+	d2, err := New(Config{Dir: dir2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +235,13 @@ func TestAPICancelAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ro, err := os.Open(filepath.Join(dir2, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ro.Close() })
 	d2.mu.Lock()
-	d2.store.dir = filepath.Join(d2.store.dir, "gone")
+	d2.store.f = ro
 	d2.mu.Unlock()
 	req, _ = http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/tasks/%d", ts2.URL, queued.ID), nil)
 	resp, err = client.Do(req)

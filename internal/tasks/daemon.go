@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
 	"sync"
@@ -29,9 +28,10 @@ var ErrNotFound = errors.New("tasks: no such task")
 
 // Config configures a Daemon.
 type Config struct {
-	// Dir is the state directory: task files live at its top level,
+	// Dir is the state directory: the task journal lives at its top level,
 	// receiver-side checkpoints (if this process also receives) elsewhere.
-	// Created if missing.
+	// Created if missing; a directory holding the one-file-per-task layout
+	// of earlier builds is migrated into the journal once.
 	Dir string
 	// Workers bounds the mover pool — how many tasks run concurrently
 	// (default 2).
@@ -101,6 +101,10 @@ type Daemon struct {
 	stopped bool // Run's context ended; workers drain and exit
 	crashed bool // simulated SIGKILL (tests): freeze disk and memory
 
+	// storeErrors counts failed store writes (the tasks_store_errors
+	// gauge).
+	storeErrors int
+
 	// tenantGauged remembers which tenants currently have per-tenant
 	// queue gauges exported, so a drained tenant's gauges are deleted
 	// rather than frozen at their last value.
@@ -122,13 +126,13 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("tasks: Config.Dir is required")
 	}
-	st, err := newStore(cfg.Dir)
+	st, loaded, err := openStore(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
 	log := cfg.Logger
 	if log == nil {
-		log = slog.New(slog.NewTextHandler(io.Discard, nil))
+		log = slog.New(discardHandler{})
 	}
 	d := &Daemon{
 		cfg:    cfg,
@@ -142,10 +146,6 @@ func New(cfg Config) (*Daemon, error) {
 		nextID: 1,
 	}
 	d.cond = sync.NewCond(&d.mu)
-	loaded, err := st.load()
-	if err != nil {
-		return nil, err
-	}
 	for _, t := range loaded {
 		if t.ID >= d.nextID {
 			d.nextID = t.ID + 1
@@ -156,7 +156,7 @@ func New(cfg Config) (*Daemon, error) {
 			t.note("requeued", "", "")
 			// Persist the demotion: a second crash before dispatch must
 			// not resurrect a phantom "running" task.
-			if err := st.save(t); err != nil {
+			if err := d.persist(t); err != nil {
 				return nil, err
 			}
 			d.queue.push(t)
@@ -226,7 +226,7 @@ func (d *Daemon) worker(ctx context.Context) {
 		t.Attempts++
 		t.Updated = time.Now()
 		t.note("dispatched", d.ccOf(t), "")
-		if err := d.store.save(t); err != nil {
+		if err := d.persist(t); err != nil {
 			// Disk refused the transition: park the task back and stall
 			// briefly rather than running work the store cannot record.
 			t.State = StateQueued
@@ -282,9 +282,10 @@ func (d *Daemon) sweeper(ctx context.Context) {
 }
 
 // sweepRetention deletes terminal tasks whose last transition is older
-// than the retention window: the task file first, then the in-memory
-// record — so a crash mid-sweep leaves at worst an already-terminal file
-// the next sweep deletes again, never a resurrected task.
+// than the retention window: the journal's remove record first, then the
+// in-memory record — so a crash mid-sweep leaves at worst an
+// already-terminal task the next sweep deletes again, never a resurrected
+// one. A task whose remove the store refused stays for the next sweep.
 func (d *Daemon) sweepRetention() {
 	cutoff := time.Now().Add(-d.cfg.Retention)
 	d.mu.Lock()
@@ -296,7 +297,9 @@ func (d *Daemon) sweepRetention() {
 		if !t.State.Terminal() || !t.Updated.Before(cutoff) {
 			continue
 		}
-		d.store.remove(id)
+		if err := d.forget(id); err != nil {
+			continue
+		}
 		delete(d.tasks, id)
 		d.log.Info("task swept", "task", id, "transfer", t.Transfer,
 			"trace", t.Trace, "state", string(t.State))
@@ -407,7 +410,10 @@ func (d *Daemon) runTask(ctx context.Context, t *Task) {
 		t.note("failed", "", err.Error())
 	}
 	d.reg.ObserveHistogram("task_attempts", int64(t.Attempts))
-	d.store.save(t)
+	// A verdict the store refused is logged and counted by persist. The
+	// task stays as decided in memory; a later compaction writes it if the
+	// store recovers, and a restart before that reruns the task.
+	d.persist(t)
 	d.updateGauges()
 	d.log.Info("task finished", "task", t.ID, "transfer", t.Transfer,
 		"trace", t.Trace, "state", string(t.State), "attempt", t.Attempts,
@@ -439,7 +445,7 @@ func (d *Daemon) Submit(spec Spec) (Task, error) {
 	// the monotonic task id provides both.
 	t.Transfer = uint32(t.ID)
 	t.note("queued", "", "")
-	if err := d.store.save(t); err != nil {
+	if err := d.persist(t); err != nil {
 		return Task{}, err
 	}
 	d.nextID++
@@ -469,7 +475,7 @@ func (d *Daemon) Cancel(id uint64) error {
 		t.State = StateCancelled
 		t.Updated = time.Now()
 		t.note("cancelled", "", "cancelled while queued")
-		if err := d.store.save(t); err != nil {
+		if err := d.persist(t); err != nil {
 			return err
 		}
 		d.reg.ObserveHistogram("task_attempts", int64(t.Attempts))
@@ -507,6 +513,43 @@ func (d *Daemon) List() []Task {
 	}
 	return out
 }
+
+// persist makes one task transition durable, and forget one task's
+// removal. Caller holds d.mu.
+func (d *Daemon) persist(t *Task) error  { return d.settle(d.store.save(t), t.ID) }
+func (d *Daemon) forget(id uint64) error { return d.settle(d.store.remove(id), id) }
+
+// settle accounts for one journal append. A failed append is logged,
+// counted in the tasks_store_errors gauge and returned: the transition did
+// not happen. After a good one the journal compacts when its dead records
+// are due; a failed compaction is logged and counted but not returned, since
+// the append stands and the next transition tries again.
+func (d *Daemon) settle(err error, id uint64) error {
+	if err != nil {
+		d.storeFailed(err, "task", id)
+		return err
+	}
+	if err := d.store.compactIfDue(); err != nil {
+		d.storeFailed(err)
+	}
+	return nil
+}
+
+func (d *Daemon) storeFailed(err error, attrs ...any) {
+	d.storeErrors++
+	d.reg.SetGauge("tasks_store_errors", float64(d.storeErrors))
+	d.log.Error("task store write failed", append(attrs, "error", err)...)
+}
+
+// discardHandler drops every record before it is formatted: Enabled says
+// no, so a daemon without a logger spends nothing on its transition log
+// under d.mu. (slog.DiscardHandler is the same, from Go 1.24.)
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }
 
 // kill simulates a SIGKILL for crash tests: every mover's context is
 // cancelled and, crucially, nothing further is persisted or transitioned
@@ -548,6 +591,7 @@ func (d *Daemon) updateGauges() {
 	d.reg.SetGauge("tasks_failed", float64(failed))
 	d.reg.SetGauge("tasks_cancelled", float64(cancelled))
 	d.reg.SetGauge("tasks_dedup_hits", float64(deduped))
+	d.reg.SetGauge("tasks_store_errors", float64(d.storeErrors))
 
 	// Per-tenant queue health: depth and the age of the oldest queued
 	// task, the two numbers that tell a stuck tenant from a busy one.

@@ -1,5 +1,6 @@
 // End-to-end daemon tests over real loopback sockets: ordinary operation,
-// the crash kill-point sweep (submit / dispatch / mid-transfer / pre-ack),
+// the crash kill-point sweep (submit / dispatch / mid-transfer / pre-ack /
+// torn append / compaction / migration),
 // per-tenant rate-cap isolation, fairness of dispatch, striped tasks, and
 // cancellation. The crash points use the daemon's
 // simulated SIGKILL (kill: contexts cancelled, nothing persisted after)
@@ -12,8 +13,10 @@ import (
 	"context"
 	"crypto/rand"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -128,6 +131,18 @@ func (r *receiver) object(id uint32) ([]byte, int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.objs[id], r.completions[id]
+}
+
+// await is object once the transfer has completed at least n times, or
+// after five seconds. The server's handler runs after its COMPLETE is on
+// the wire, so a task can be done before its delivery is counted.
+func (r *receiver) await(id uint32, n int) ([]byte, int) {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if obj, got := r.object(id); got >= n {
+			return obj, got
+		}
+	}
+	return r.object(id)
 }
 
 // writeObj creates an object file of n random bytes and returns its path
@@ -341,7 +356,7 @@ func TestDaemonKillPointSweep(t *testing.T) {
 		runDaemon(t, d)
 		waitTasks(t, d, 60*time.Second, isDone)
 		for id, obj := range want {
-			got, _ := rcv.object(id)
+			got, _ := rcv.await(id, 1)
 			if !bytes.Equal(got, obj) {
 				t.Fatalf("transfer %d delivered different bytes after restart", id)
 			}
@@ -531,19 +546,153 @@ func TestDaemonKillPointSweep(t *testing.T) {
 		stop := runDaemon(t, d)
 		<-killed
 		stop()
-		// The server's handler runs after its COMPLETE is on the wire, so the
-		// sender may have been killed before the delivery is counted.
-		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-			if _, n := rcv.object(task.Transfer); n > 0 {
-				break
-			}
-		}
-		if _, n := rcv.object(task.Transfer); n != 1 {
+		if _, n := rcv.await(task.Transfer, 1); n != 1 {
 			t.Fatalf("first life completed %d times, want exactly 1", n)
 		}
 		restart(t, dir, rcv, map[uint32][]byte{task.Transfer: obj}, nil)
-		if got, n := rcv.object(task.Transfer); n != 2 || !bytes.Equal(got, obj) {
+		if got, n := rcv.await(task.Transfer, 2); n != 2 || !bytes.Equal(got, obj) {
 			t.Fatalf("rerun delivered %d completions (want 2), identical=%v", n, bytes.Equal(got, obj))
+		}
+	})
+
+	t.Run("torn-append", func(t *testing.T) {
+		// Killed in the middle of writing the verdict's record: half of it
+		// reached the journal. The replay must stop at the torn record —
+		// the task reruns, as at pre-ack — and the restarted daemon's
+		// appends must land after the cut, where a later replay reads them.
+		rcv := startReceiver(t, udprt.Options{})
+		dir := t.TempDir()
+		killed := make(chan Task, 1)
+		var once sync.Once
+		d, err := New(Config{Dir: dir, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.hookDelivered = func(snap Task) {
+			once.Do(func() {
+				d.kill()
+				killed <- snap
+			})
+		}
+		path, obj := writeObj(t, 48<<10)
+		task, err := d.Submit(Spec{Addr: rcv.addr, Path: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := runDaemon(t, d)
+		snap := <-killed
+		stop()
+		snap.State = StateDone
+		snap.note("done", "", "")
+		rec := record(t, kindSave, &snap)
+		appendRaw(t, dir, rec[:len(rec)/2])
+
+		restart(t, dir, rcv, map[uint32][]byte{task.Transfer: obj}, nil)
+		if _, n := rcv.await(task.Transfer, 2); n < 2 {
+			t.Fatalf("transfer completed %d times: a torn verdict counted as durable", n)
+		}
+		if onDisk := journalTasks(t, dir); len(onDisk) != 1 || onDisk[0].State != StateDone {
+			t.Fatalf("journal replays %+v after the rerun, want the task done", onDisk)
+		}
+	})
+
+	t.Run("compaction", func(t *testing.T) {
+		// Killed while compacting, after its temp file was created and
+		// before the rename: the temp holds part of the new image. The old
+		// journal is the truth; the temp is never read.
+		rcv := startReceiver(t, udprt.Options{})
+		dir := t.TempDir()
+		d, err := New(Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make(map[uint32][]byte)
+		for i := 0; i < 3; i++ {
+			path, obj := writeObj(t, 40<<10+i)
+			task, err := d.Submit(Spec{Addr: rcv.addr, Path: path})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[task.Transfer] = obj
+		}
+		d.kill()
+		// The image a compaction writes, made by a real one over a copy of
+		// the state directory, cut short.
+		scratch := t.TempDir()
+		b, err := os.ReadFile(filepath.Join(dir, journalName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		os.WriteFile(filepath.Join(scratch, journalName), b, 0o644)
+		openT(t, scratch)
+		img, err := os.ReadFile(filepath.Join(scratch, journalName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tmp := filepath.Join(dir, journalName) + ".tmp"
+		os.WriteFile(tmp, img[:len(img)/2], 0o644)
+
+		restart(t, dir, rcv, want, nil)
+		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+			t.Fatalf("the killed compaction's temp survived the restart: %v", err)
+		}
+	})
+
+	t.Run("migration", func(t *testing.T) {
+		// A state directory of the one-file-per-task layout is migrated by
+		// the first life, which runs one task to done and is killed at the
+		// next dispatch. The task files then reappear beside the journal —
+		// what a migration killed before removing them leaves. They must
+		// be removed unread: the done task is not rerun.
+		rcv := startReceiver(t, udprt.Options{})
+		dir := t.TempDir()
+		want := make(map[uint32][]byte)
+		legacy := make(map[string][]byte)
+		for id := uint64(1); id <= 2; id++ {
+			path, obj := writeObj(t, 40<<10+int(id))
+			now := time.Now()
+			task := &Task{ID: id, Spec: Spec{Addr: rcv.addr, Path: path}, State: StateQueued,
+				Transfer: uint32(id), Created: now, Updated: now, Trace: obs.NewTraceID().String()}
+			task.note("queued", "", "")
+			writeLegacy(t, dir, task)
+			want[task.Transfer] = obj
+			b, err := os.ReadFile(legacyFile(dir, id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			legacy[legacyFile(dir, id)] = b
+		}
+		d, err := New(Config{Dir: dir, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if left, _ := legacyNames(dir); len(left) != 0 {
+			t.Fatalf("task files survived the migration: %v", left)
+		}
+		killed := make(chan struct{})
+		dispatches := 0
+		d.hookDispatched = func(Task) {
+			if dispatches++; dispatches == 2 {
+				d.kill()
+				close(killed)
+			}
+		}
+		stop := runDaemon(t, d)
+		<-killed
+		stop()
+		if first, _ := d.Get(1); first.State != StateDone {
+			t.Fatalf("first life left task 1 %s, want done", first.State)
+		}
+		for path, b := range legacy {
+			os.WriteFile(path, b, 0o644)
+		}
+
+		restart(t, dir, rcv, want, nil)
+		if _, n := rcv.await(1, 1); n != 1 {
+			t.Fatalf("task 1 completed %d times: a leftover task file was read", n)
+		}
+		if left, _ := legacyNames(dir); len(left) != 0 {
+			t.Fatalf("leftover task files survived the restart: %v", left)
 		}
 	})
 }
@@ -728,11 +877,7 @@ func TestDaemonCancel(t *testing.T) {
 	}
 
 	// The cancellations are durable: a restart must not resurrect either.
-	loaded, err := (&store{dir: dir}).load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, task := range loaded {
+	for _, task := range journalTasks(t, dir) {
 		if task.ID == queuedTask.ID || task.ID == runningTask.ID {
 			if task.State != StateCancelled {
 				t.Fatalf("task %d persisted as %q, want cancelled", task.ID, task.State)
@@ -814,12 +959,9 @@ func TestDaemonShutdownVerdictBeforeStoppedFlag(t *testing.T) {
 	if got.State != StateRunning {
 		t.Fatalf("state %q after shutdown-window cancellation, want running", got.State)
 	}
-	onDisk, err := loadTask(taskFile(dir, task.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if onDisk.State != StateRunning {
-		t.Fatalf("durable state %q, want running so restart requeues it", onDisk.State)
+	onDisk := journalTasks(t, dir)
+	if len(onDisk) != 1 || onDisk[0].ID != task.ID || onDisk[0].State != StateRunning {
+		t.Fatalf("journal replays %+v, want task %d running so restart requeues it", onDisk, task.ID)
 	}
 	d2, err := New(Config{Dir: dir})
 	if err != nil {
@@ -827,6 +969,62 @@ func TestDaemonShutdownVerdictBeforeStoppedFlag(t *testing.T) {
 	}
 	if got2, ok := d2.Get(task.ID); !ok || got2.State != StateQueued {
 		t.Fatalf("restarted daemon sees %+v, want the task requeued", got2)
+	}
+}
+
+// TestDaemonVerdictStoreFailureCounted: a verdict the journal refuses is
+// logged at error level and counted in the tasks_store_errors gauge, not
+// dropped; the task keeps its verdict in memory and its last durable state
+// on disk.
+func TestDaemonVerdictStoreFailureCounted(t *testing.T) {
+	dir := t.TempDir()
+	reg := metrics.New()
+	var logs bytes.Buffer
+	d, err := New(Config{Dir: dir, Metrics: reg, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	task, err := d.Submit(Spec{Addr: "127.0.0.1:1", Path: filepath.Join(dir, "absent")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := reg.Gauge("tasks_store_errors"); !ok || v != 0 {
+		t.Fatalf("tasks_store_errors = %v (exported %v), want 0", v, ok)
+	}
+	// Dispatch by hand as worker does, then take the journal's write
+	// access away before the mover's verdict.
+	d.mu.Lock()
+	tk := d.queue.pop()
+	tk.State = StateRunning
+	tk.Attempts++
+	if err := d.persist(tk); err != nil {
+		d.mu.Unlock()
+		t.Fatal(err)
+	}
+	ro, err := os.Open(filepath.Join(dir, journalName))
+	if err != nil {
+		d.mu.Unlock()
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	d.store.f = ro
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	d.active[tk.ID] = &running{cancel: cancel}
+	d.mu.Unlock()
+	d.runTask(ctx, tk)
+
+	if got, _ := d.Get(task.ID); got.State != StateFailed {
+		t.Fatalf("state %q after a missing source, want failed", got.State)
+	}
+	if v, _ := reg.Gauge("tasks_store_errors"); v != 1 {
+		t.Fatalf("tasks_store_errors = %v, want 1", v)
+	}
+	if !strings.Contains(logs.String(), "level=ERROR msg=\"task store write failed\"") {
+		t.Fatalf("no error-level record of the refused verdict:\n%s", logs.String())
+	}
+	if onDisk := journalTasks(t, dir); len(onDisk) != 1 || onDisk[0].State != StateRunning {
+		t.Fatalf("journal replays %+v, want the last durable state, running", onDisk)
 	}
 }
 
@@ -855,9 +1053,8 @@ func TestDaemonFailsUnreachableTask(t *testing.T) {
 		t.Fatalf("failed task carries no error: %+v", after)
 	}
 	// Durably failed: a restart must not rerun it.
-	loaded, err := (&store{dir: dir}).load()
-	if err != nil || len(loaded) != 1 || loaded[0].State != StateFailed {
-		t.Fatalf("persisted state wrong: %+v err=%v", loaded, err)
+	if loaded := journalTasks(t, dir); len(loaded) != 1 || loaded[0].State != StateFailed {
+		t.Fatalf("persisted state wrong: %+v", loaded)
 	}
 	// A missing source file also fails cleanly.
 	task2, err := d.Submit(Spec{Addr: "127.0.0.1:1", Path: filepath.Join(dir, "absent")})
@@ -981,12 +1178,21 @@ func TestDaemonRetentionSweepSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(80 * time.Millisecond)
+	// A sweep whose remove the journal refuses keeps the task: forgotten
+	// in memory alone, it would stay live in the journal, unswept.
+	good := d.store.f
+	d.store.f = tornFile{good.(*os.File)}
+	d.sweepRetention()
+	if _, ok := d.Get(gone.ID); !ok {
+		t.Fatal("the sweep dropped a task whose remove the journal refused")
+	}
+	d.store.f = good
 	d.sweepRetention()
 	if _, ok := d.Get(gone.ID); ok {
 		t.Fatal("terminal task survived the sweep")
 	}
-	if _, err := os.Stat(taskFile(dir, gone.ID)); !os.IsNotExist(err) {
-		t.Fatalf("swept task file still on disk: %v", err)
+	if onDisk := journalTasks(t, dir); !sameIDs(onDisk, keep.ID) {
+		t.Fatalf("journal replays tasks %v after the sweep, want only %d", ids(onDisk), keep.ID)
 	}
 	if _, ok := d.Get(keep.ID); !ok {
 		t.Fatal("queued task was swept")

@@ -11,8 +11,8 @@
 // exactly that operational shell while reusing the runtime's own
 // primitives: movers are supervised udprt Sends (Retry),
 // per-tenant ceilings are shared udprt.RateCaps composed under whatever
-// congestion policy each transfer runs, and the store's file format is
-// the checkpoint package's framed container with a task magic.
+// congestion policy each transfer runs, and the store is one CRC-framed
+// journal that compacts through the checkpoint package's atomic replace.
 //
 // Semantics are at-least-once: a task is marked done only after the
 // receiver's COMPLETE verdict, so a crash between the verdict and the
@@ -153,7 +153,7 @@ type TaskEvent struct {
 }
 
 // eventCap bounds a task's retained timeline; a task requeued in a crash
-// loop keeps its most recent history rather than growing its file
+// loop keeps its most recent history rather than growing its record
 // without bound. Oldest entries drop first.
 const eventCap = 64
 
