@@ -87,15 +87,20 @@ sim-golden:
 # time and at start-up with transfers in flight holding reservations, a
 # recycled landing buffer that never leaks an evicted object's bytes nor is
 # taken while a dedup hit reads it, a checkpoint written without copying the
-# object — then two-second untraced bulk_32k and small_objects runs of the
-# end-to-end benchmark, printing the two ledger rows they keep down.
+# object, a Send that keeps nothing of the object once it returns, a fobsd
+# mover that reads each task into the one buffer it keeps (never over its
+# cap) — then two-second untraced bulk_32k, small_objects and fobsd_tasks
+# runs of the end-to-end benchmark, printing the two ledger rows they keep
+# down.
 # Informational (CI runs it non-gating): the tests gate in tier1 already,
 # and two seconds of loopback is a reading, not a measurement.
 mem-smoke:
-	$(GO) test ./internal/udprt -count=1 -v -run 'TestReceiveAllocBudget|TestSendRingAllocBudget|TestContentCacheEviction|TestOversizeObjectIsNotCached|TestCacheLoadReplaysWithinBounds|TestRecycledLandingRetainsNoEvictedBytes|TestDedupHitsNeverShareARecycledBuffer|TestServerReservationsWithinBounds'
+	$(GO) test ./internal/udprt -count=1 -v -run 'TestReceiveAllocBudget|TestSendRingAllocBudget|TestContentCacheEviction|TestOversizeObjectIsNotCached|TestCacheLoadReplaysWithinBounds|TestRecycledLandingRetainsNoEvictedBytes|TestDedupHitsNeverShareARecycledBuffer|TestServerReservationsWithinBounds|TestSendKeepsNothingOfObj'
 	$(GO) test ./internal/checkpoint -count=1 -v -run 'TestSaveStreamsTheObject'
+	$(GO) test ./internal/tasks -count=1 -v -run 'TestMoverReadMatchesReadFile|TestDaemonOversizeFileSentNotKept|TestMoverTaskAllocBudget'
 	bash benchmark/run.sh --workload bulk_32k --seed 1 --seconds 2 --trace 0 | grep -E '^(# |alloc_kib_per_op |rss_peak_mib )'
 	bash benchmark/run.sh --workload small_objects --seed 1 --seconds 2 --trace 0 | grep -E '^(# |alloc_kib_per_op |rss_peak_mib )'
+	bash benchmark/run.sh --workload fobsd_tasks --seed 1 --seconds 2 --trace 0 | grep -E '^(# |alloc_kib_per_op |rss_peak_mib )'
 
 # The paper's headline number — packets sent beyond the object's own,
 # "approximately 3%" — read off real loopback sockets through the public API:

@@ -83,7 +83,7 @@ func TestAPILifecycle(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if delivered, _ := rcv.object(task.Transfer); !bytes.Equal(delivered, obj) {
+	if delivered, _ := rcv.await(task.Transfer, 1); !bytes.Equal(delivered, obj) {
 		t.Fatal("object delivered over the API path is corrupted")
 	}
 

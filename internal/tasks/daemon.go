@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"os"
 	"sync"
 	"time"
 
@@ -34,7 +33,11 @@ type Config struct {
 	// of earlier builds is migrated into the journal once.
 	Dir string
 	// Workers bounds the mover pool — how many tasks run concurrently
-	// (default 2).
+	// (default 2). Each worker keeps the buffer it reads task files into,
+	// as large as the largest file it has read up to 16 MiB
+	// (moverBufferCap), so an idle daemon holds at most Workers × 16 MiB of
+	// read buffers; a larger file is read into a buffer dropped with its
+	// task.
 	Workers int
 	// TenantRate caps each named tenant's aggregate send rate in
 	// on-the-wire bits per second (payload + UDP/IP overhead). Tenants
@@ -209,8 +212,10 @@ func (d *Daemon) Run(ctx context.Context) error {
 	return nil
 }
 
-// worker pulls tasks in fair order and runs each through a mover.
+// worker pulls tasks in fair order and runs each through its mover, whose
+// read buffer it keeps from one task to the next.
 func (d *Daemon) worker(ctx context.Context) {
+	var m mover
 	for {
 		d.mu.Lock()
 		for d.queue.len() == 0 && !d.stopped {
@@ -253,7 +258,7 @@ func (d *Daemon) worker(ctx context.Context) {
 		if hook != nil {
 			hook(snap)
 		}
-		d.runTask(mctx, t)
+		d.runTask(mctx, t, &m)
 		cancel()
 	}
 }
@@ -353,10 +358,10 @@ func (d *Daemon) moverOptions(t *Task) udprt.Options {
 	return opts
 }
 
-// runTask executes one dispatched task end to end and records its
+// runTask executes one dispatched task end to end through m and records its
 // verdict. The task pointer is shared; all mutations happen under d.mu.
-func (d *Daemon) runTask(ctx context.Context, t *Task) {
-	obj, err := os.ReadFile(t.Spec.Path)
+func (d *Daemon) runTask(ctx context.Context, t *Task, m *mover) {
+	obj, err := m.read(t.Spec.Path)
 	var st core.SenderStats
 	if err == nil {
 		cfg := core.Config{Transfer: t.Transfer, PacketSize: t.Spec.PacketSize}

@@ -145,14 +145,21 @@ func (r *receiver) await(id uint32, n int) ([]byte, int) {
 	return r.object(id)
 }
 
+// randBytes returns n random bytes.
+func randBytes(t *testing.T, n int) []byte {
+	t.Helper()
+	b := make([]byte, n)
+	if _, err := rand.Read(b); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // writeObj creates an object file of n random bytes and returns its path
 // and content.
 func writeObj(t *testing.T, n int) (string, []byte) {
 	t.Helper()
-	obj := make([]byte, n)
-	if _, err := rand.Read(obj); err != nil {
-		t.Fatal(err)
-	}
+	obj := randBytes(t, n)
 	path := filepath.Join(t.TempDir(), fmt.Sprintf("obj-%d", n))
 	if err := os.WriteFile(path, obj, 0o644); err != nil {
 		t.Fatal(err)
@@ -280,7 +287,7 @@ func TestDaemonRunsSubmittedTasks(t *testing.T) {
 		if !ok {
 			t.Fatalf("task %d vanished", id)
 		}
-		got, n := rcv.object(task.Transfer)
+		got, n := rcv.await(task.Transfer, 1)
 		if n != 1 {
 			t.Fatalf("transfer %d completed %d times, want once", task.Transfer, n)
 		}
@@ -759,7 +766,7 @@ func TestDaemonTenantRateCapIsolation(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	if got, _ := rcv.object(uint32(free.ID)); !bytes.Equal(got, freeObj) {
+	if got, _ := rcv.await(uint32(free.ID), 1); !bytes.Equal(got, freeObj) {
 		t.Fatal("free tenant's object corrupted")
 	}
 	// The cap bound the capped pair: combined wire bits / cap is the
@@ -794,7 +801,7 @@ func TestDaemonStripedTask(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitTasks(t, d, 30*time.Second, isDone)
-	got, _ := rcv.object(task.Transfer)
+	got, _ := rcv.await(task.Transfer, 1)
 	if !bytes.Equal(got, obj) {
 		t.Fatal("striped object corrupted")
 	}
@@ -953,7 +960,7 @@ func TestDaemonShutdownVerdictBeforeStoppedFlag(t *testing.T) {
 	d.active[tk.ID] = &running{cancel: cancel}
 	d.mu.Unlock()
 	cancel()
-	d.runTask(ctx, tk)
+	d.runTask(ctx, tk, &mover{})
 
 	got, _ := d.Get(task.ID)
 	if got.State != StateRunning {
@@ -1012,7 +1019,7 @@ func TestDaemonVerdictStoreFailureCounted(t *testing.T) {
 	defer cancel()
 	d.active[tk.ID] = &running{cancel: cancel}
 	d.mu.Unlock()
-	d.runTask(ctx, tk)
+	d.runTask(ctx, tk, &mover{})
 
 	if got, _ := d.Get(task.ID); got.State != StateFailed {
 		t.Fatalf("state %q after a missing source, want failed", got.State)
@@ -1111,7 +1118,7 @@ func TestDaemonDedupSecondTask(t *testing.T) {
 		t.Fatalf("tasks_dedup_hits = %v, want 1", v)
 	}
 	for _, task := range []Task{f, s} {
-		got, n := rcv.object(task.Transfer)
+		got, n := rcv.await(task.Transfer, 1)
 		if n != 1 {
 			t.Fatalf("transfer %d completed %d times, want once", task.Transfer, n)
 		}

@@ -562,6 +562,11 @@ func refuseAnnouncement(ctl net.Conn, err error) {
 // With Options.Retry set, failed transfers are retried (a single-stream
 // retry sends only what the receiver did not retain) and the returned
 // statistics are the final attempt's.
+//
+// Send keeps nothing of obj. Once it returns, on any exit — a verified
+// COMPLETE, a dedup hit, an ABORT, a cancelled context, an error, the last
+// attempt of a retried run — no goroutine it started reads a byte of obj
+// again, so the caller may overwrite or reuse the buffer at once.
 func Send(ctx context.Context, addr string, obj []byte, cfg core.Config, opts Options) (core.SenderStats, error) {
 	opts = opts.withDefaults()
 	if len(obj) == 0 {
