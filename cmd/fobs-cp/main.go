@@ -73,8 +73,6 @@ func run() error {
 		streams = flag.Int("streams", 1,
 			fmt.Sprintf("parallel stripes per file, each its own UDP flow (1..%d; with -send)", fobs.MaxStreams))
 		timeout = flag.Duration("timeout", time.Hour, "give up after this long")
-		verify  = flag.Bool("verify", false,
-			"require end-to-end content verification per file; fail rather than degrade past it (with -send)")
 		noDedup = flag.Bool("no-dedup", false,
 			"do not let the receiver answer from its content cache; always move every file's bytes (with -send)")
 
@@ -104,7 +102,6 @@ func run() error {
 		Streams:      *streams,
 		ResumeWindow: *resumeWindow,
 		Checkpoint:   *checkpointDir,
-		Verify:       *verify,
 		NoDedup:      *noDedup,
 	}
 	// The registry is always on: an aborted copy reports how far each

@@ -77,15 +77,13 @@ func run() error {
 			"re-dial a failed transfer up to this many times with exponential backoff (0: no retries)")
 		retryBackoff = flag.Duration("retry-backoff", 0,
 			"delay before the first retry, doubling each attempt (0: default 500ms; needs -retries)")
-		verify = flag.Bool("verify", false,
-			"have the receiver verify every stripe's digest, not just the whole object's")
 		noDedup = flag.Bool("no-dedup", false,
 			"do not let the receiver answer from its content cache; move the bytes even if it holds them")
 
 		stallTimeout = flag.Duration("stall-timeout", 0,
 			"abort when no acknowledgement arrives for this long (0: default 15s, negative: disabled)")
 		handshakeTimeout = flag.Duration("handshake-timeout", 0,
-			"bound on each HELLO/HELLO-ACK exchange (0: default 10s)")
+			"bound on each announcement/HAVE exchange (0: default 10s)")
 		handshakeRetries = flag.Int("handshake-retries", 0,
 			"connection+handshake attempts before giving up (0: default 3)")
 
@@ -141,7 +139,6 @@ func run() error {
 		HandshakeRetries: *handshakeRetries,
 		IOBatch:          *ioBatch,
 		NoFastPath:       *noFastPath,
-		Verify:           *verify,
 		NoDedup:          *noDedup,
 	}
 	if *retries > 0 {

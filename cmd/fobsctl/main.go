@@ -42,7 +42,7 @@ func usage() {
 
 commands:
   submit   submit a transfer task (-addr, -path, -tenant, -packet-size,
-           -streams, -cc, -verify, -no-dedup, -wait)
+           -streams, -cc, -no-dedup, -wait)
   list     list every task the daemon knows
   get      show one task by id
   events   show one task's durable timeline
@@ -147,8 +147,6 @@ func (c *client) submit(args []string) (int, error) {
 		pktSize = fs.Int("packet-size", 0, "payload bytes per datagram (0: runtime default)")
 		streams = fs.Int("streams", 0, "stripe across this many UDP flows (0/1: unstriped)")
 		cc      = fs.String("cc", "", "congestion control policy for this task ("+strings.Join(fobs.CongestionPolicies(), ", ")+")")
-		verify  = fs.Bool("verify", false,
-			"have the receiver verify every stripe's digest, not just the whole object's")
 		noDedup = fs.Bool("no-dedup", false,
 			"do not let the receiver answer from its content cache; always move the bytes")
 		wait = fs.Bool("wait", false, "poll until the task reaches a terminal state")
@@ -164,7 +162,6 @@ func (c *client) submit(args []string) (int, error) {
 		PacketSize: *pktSize,
 		Streams:    *streams,
 		Congestion: *cc,
-		Verify:     *verify,
 		NoDedup:    *noDedup,
 	}
 	var task fobs.Task

@@ -89,7 +89,7 @@ func (k Kind) String() string {
 
 // Phase codes carried in KindPhase records.
 const (
-	// PhaseHandshake marks the completed HELLO/HELLO-ACK exchange.
+	// PhaseHandshake marks the completed announcement/HAVE exchange.
 	PhaseHandshake uint32 = iota + 1
 	// PhaseComplete marks successful delivery of the whole object.
 	PhaseComplete

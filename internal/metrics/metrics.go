@@ -553,7 +553,7 @@ func (t *Transfer) ID() uint32 {
 	return t.id
 }
 
-// NoteHandshake records the completion of the HELLO/HELLO-ACK exchange.
+// NoteHandshake records the completion of the announcement/HAVE exchange.
 func (t *Transfer) NoteHandshake() {
 	if t == nil {
 		return

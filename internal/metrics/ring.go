@@ -9,7 +9,7 @@ import (
 type EventKind uint8
 
 const (
-	// EventHandshake marks a completed HELLO/HELLO-ACK exchange.
+	// EventHandshake marks a completed announcement/HAVE exchange.
 	EventHandshake EventKind = iota + 1
 	// EventFirstData marks the first data packet a receiver accepted.
 	EventFirstData

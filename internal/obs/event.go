@@ -71,7 +71,7 @@ const (
 	// miss.
 	KindCheck
 	// KindHandshake marks a completed announcement exchange: CHECK and
-	// HELLO or HELLOX, answered with HAVE and HELLO-ACK.
+	// HELLO, answered with the HAVE that accepts the transfer.
 	KindHandshake
 	// KindResume marks a CHECK answered from retained state: Arg is the
 	// number of packets the HAVE bitmap restored.

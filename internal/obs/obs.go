@@ -32,8 +32,8 @@ import (
 
 // TraceID correlates the two endpoints' views of one transfer. It is
 // minted by the submitting side (the sender or the fobsd daemon) and
-// propagated to the receiver in a TRACE control frame ahead of the
-// handshake announcement. The zero value means "untraced".
+// propagated to the receiver in the announcement's CHECK. The zero value
+// means "untraced".
 type TraceID [16]byte
 
 // NewTraceID returns a fresh random trace id.

@@ -142,6 +142,23 @@ func TestAPILifecycle(t *testing.T) {
 	}
 }
 
+// TestAPIAcceptsDroppedVerifyField: a POST /tasks body from a client that
+// still sends "verify" is accepted, the field ignored, and the task runs.
+func TestAPIAcceptsDroppedVerifyField(t *testing.T) {
+	d, rcv, ts := startAPI(t)
+	path, _ := writeObj(t, 16<<10)
+	body := fmt.Sprintf(`{"addr":%q,"path":%q,"verify":true}`, rcv.addr, path)
+	resp, err := http.Post(ts.URL+"/tasks", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := decodeTask(t, resp, http.StatusCreated)
+	if task.Spec.Addr != rcv.addr || task.Spec.Path != path {
+		t.Fatalf("submitted spec %+v", task.Spec)
+	}
+	waitTasks(t, d, 30*time.Second, isDone)
+}
+
 func TestAPICancelAndErrors(t *testing.T) {
 	d, rcv, ts := startAPI(t)
 	client := ts.Client()

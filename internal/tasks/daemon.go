@@ -54,7 +54,7 @@ type Config struct {
 	// a long-lived state directory does not accrete every task ever run.
 	Retention time.Duration
 	// Send is the base socket configuration every mover starts from; the
-	// daemon fills Retry, Verify, NoDedup, RateCap, Streams, Congestion and
+	// daemon fills Retry, NoDedup, RateCap, Streams, Congestion and
 	// Metrics per task on top of it.
 	Send udprt.Options
 	// Metrics, when non-nil, receives per-transfer records from every
@@ -63,7 +63,7 @@ type Config struct {
 	Metrics *metrics.Registry
 	// Trace, when non-nil, receives lifecycle span events from every
 	// mover's transfers, keyed by the per-task trace id that also travels
-	// to the receiving endpoint in the TRACE prelude.
+	// to the receiving endpoint in the announcement's CHECK.
 	Trace *obs.Log
 	// Logger receives the daemon's structured transition log, keyed by
 	// task/transfer/trace ids. Nil discards.
@@ -337,9 +337,8 @@ func (d *Daemon) moverOptions(t *Task) udprt.Options {
 	// the content completes the task without a data flow, and one that
 	// retained part of it from an earlier attempt (a crash, a requeue) is
 	// sent only the rest — a rerun costs one handshake, whatever the
-	// receiver holds. The spec can harden (Verify) the check, or keep the
-	// receiver from answering it from its cache (NoDedup).
-	opts.Verify = t.Spec.Verify
+	// receiver holds. The spec can keep the receiver from answering it from
+	// its cache (NoDedup).
 	opts.NoDedup = t.Spec.NoDedup
 	opts.RateCap = d.capFor(t.Spec.tenant())
 	if t.Spec.Streams > 1 {

@@ -1076,7 +1076,7 @@ func TestDaemonFailsUnreachableTask(t *testing.T) {
 
 // TestDaemonDedupSecondTask submits the same object twice: the first
 // task moves every packet, the second hits the receiver's content cache
-// off the CHECK prelude and completes without a data flow. The daemon
+// off the CHECK and completes without a data flow. The daemon
 // must surface the hit in the task's stats and the tasks_dedup_hits
 // gauge, and the receiver's handler must still see both completions.
 func TestDaemonDedupSecondTask(t *testing.T) {
@@ -1130,8 +1130,7 @@ func TestDaemonDedupSecondTask(t *testing.T) {
 
 // TestDaemonSpecNoDedupMovesData pins the opt-out: a spec with NoDedup
 // repeats the full data flow even when the receiver already holds the
-// content, and a Verify spec still completes against a digest-speaking
-// receiver.
+// content.
 func TestDaemonSpecNoDedupMovesData(t *testing.T) {
 	rcv := startReceiver(t, udprt.Options{})
 	reg := metrics.New()
@@ -1142,7 +1141,7 @@ func TestDaemonSpecNoDedupMovesData(t *testing.T) {
 	runDaemon(t, d)
 	path, _ := writeObj(t, 64<<10)
 
-	if _, err := d.Submit(Spec{Addr: rcv.addr, Path: path, Verify: true}); err != nil {
+	if _, err := d.Submit(Spec{Addr: rcv.addr, Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	waitTasks(t, d, 30*time.Second, isDone)

@@ -2,8 +2,10 @@ package tasks
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -131,6 +133,35 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	if !got.Created.Equal(want.Created) || len(got.Events) != 1 || !got.Events[0].At.Equal(want.Events[0].At) {
 		t.Fatalf("stamps changed: %+v vs %+v", got, want)
+	}
+}
+
+// TestStoreReplaysDroppedVerifyField: specs once carried "verify", asking
+// for per-stripe digests that the whole-object content identity made
+// redundant. A journal record written with it still replays, the field
+// ignored and the rest of the spec intact.
+func TestStoreReplaysDroppedVerifyField(t *testing.T) {
+	want := sampleTask(7)
+	js, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	js = bytes.Replace(js, []byte(`"packet_size":1024`), []byte(`"packet_size":1024,"verify":true`), 1)
+	if !bytes.Contains(js, []byte(`"verify":true`)) {
+		t.Fatalf("no verify field spliced into %s", js)
+	}
+	rec := make([]byte, recordHead+recordKey, recordHead+recordKey+len(js))
+	rec[recordHead] = kindSave
+	binary.BigEndian.PutUint64(rec[recordHead+1:], want.ID)
+	rec = append(rec, js...)
+	binary.BigEndian.PutUint32(rec, uint32(len(rec)-recordHead))
+	binary.BigEndian.PutUint32(rec[4:], crc32.Checksum(rec[recordHead:], castagnoli))
+	loaded, n, err := replay(append(journalHeader[:], rec...))
+	if err != nil || n != len(journalHeader)+len(rec) || len(loaded) != 1 {
+		t.Fatalf("replay: %d tasks from %d bytes, err %v", len(loaded), n, err)
+	}
+	if got := loaded[0]; got.ID != want.ID || got.Spec != want.Spec || got.State != want.State {
+		t.Fatalf("replayed %+v, want %+v", got, want)
 	}
 }
 

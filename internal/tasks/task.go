@@ -75,10 +75,6 @@ type Spec struct {
 	// Congestion selects the congestion-control policy by name (empty:
 	// the runtime default).
 	Congestion string `json:"congestion,omitempty"`
-	// Verify asks the receiver to verify every stripe of a striped task
-	// against its own digest, not just the whole object (which every
-	// transfer's CHECK has it verify).
-	Verify bool `json:"verify,omitempty"`
 	// NoDedup keeps the receiver from answering the task's CHECK from its
 	// content cache, so the bytes move even when it holds them; what it
 	// retained of an earlier, failed attempt still excuses packets.
@@ -117,7 +113,7 @@ type Stats struct {
 	PacketsSent   int `json:"packets_sent"`
 	Retransmits   int `json:"retransmits"`
 	Restored      int `json:"restored"`
-	// Deduped means the receiver answered the CHECK prelude with the
+	// Deduped means the receiver answered the CHECK with the
 	// whole object already cached: the task completed without a data flow.
 	Deduped bool `json:"deduped,omitempty"`
 }

@@ -366,7 +366,7 @@ func BenchmarkVerifyOverhead(b *testing.B) {
 		var hashDur time.Duration
 		if verify {
 			// Hash at object load — where announcement computes it. The
-			// memoized digest is what the CHECK prelude carries; nothing
+			// memoized digest is what the CHECK carries; nothing
 			// below touches it again.
 			hashStart := time.Now()
 			snd.ContentID()

@@ -38,22 +38,17 @@ func (e *AbortError) Error() string {
 type controlFrame struct {
 	typ      uint8
 	hello    wire.Hello
-	hellox   wire.HelloX
-	helloAck wire.HelloAck
 	complete wire.Complete
 	abort    wire.Abort
 	have     wire.Have
-	trace    wire.Trace
 	check    wire.Check
 }
 
 // readControlFrame consumes exactly one control message from the stream:
-// the fixed 4-byte header first, then the remainder sized by the type.
-// The one variable-length frame, HELLOX, carries its stripe count inside
-// the fixed prefix (a position every HELLOX revision keeps), so the
-// reader sizes the stripe trailer before decoding — and still consumes a
-// whole frame even when the decode then rejects a future version.
-// Deadlines are the caller's business.
+// the fixed 4-byte header first, then the rest of the fixed prefix sized by
+// the type, then the trailer — a HELLO's stripe table, a HAVE's bitmap —
+// sized by the count inside that prefix. A frame of a retired or unknown
+// type is refused at its header. Deadlines are the caller's business.
 func readControlFrame(ctl io.Reader) (controlFrame, error) {
 	var f controlFrame
 	var hdr [4]byte
@@ -64,66 +59,35 @@ func readControlFrame(ctl io.Reader) (controlFrame, error) {
 	if err != nil {
 		return f, fmt.Errorf("udprt: bad control frame: %w", err)
 	}
-	total, err := wire.ControlLen(typ)
+	fixed, err := wire.ControlLen(typ)
 	if err != nil {
 		return f, fmt.Errorf("udprt: control channel: %w", err)
 	}
-	buf := make([]byte, total)
+	buf := make([]byte, fixed)
 	copy(buf, hdr[:])
 	if _, err := io.ReadFull(ctl, buf[len(hdr):]); err != nil {
 		return f, err
 	}
-	// The variable-length frames — HELLOX and HAVE — carry their trailer
-	// length inside the fixed prefix (a position every revision keeps), so
-	// the reader sizes the trailer before decoding.
-	switch typ {
-	case wire.TypeHelloX:
-		n, err := wire.HelloXStripeCount(buf)
-		if err != nil {
-			return f, fmt.Errorf("udprt: bad control frame: %w", err)
-		}
-		trailer := make([]byte, n*wire.StripeDescLen)
-		if _, err := io.ReadFull(ctl, trailer); err != nil {
+	trailer, err := wire.TrailerLen(buf)
+	if err != nil {
+		return f, fmt.Errorf("udprt: bad control frame: %w", err)
+	}
+	if trailer > 0 {
+		buf = append(buf, make([]byte, trailer)...)
+		if _, err := io.ReadFull(ctl, buf[fixed:]); err != nil {
 			return f, err
 		}
-		buf = append(buf, trailer...)
-	case wire.TypeHave:
-		n, err := wire.HaveWordCount(buf)
-		if err != nil {
-			return f, fmt.Errorf("udprt: bad control frame: %w", err)
-		}
-		trailer := make([]byte, n*8)
-		if _, err := io.ReadFull(ctl, trailer); err != nil {
-			return f, err
-		}
-		buf = append(buf, trailer...)
-	case wire.TypeCheck:
-		n, err := wire.CheckStripeCount(buf)
-		if err != nil {
-			return f, fmt.Errorf("udprt: bad control frame: %w", err)
-		}
-		trailer := make([]byte, n*wire.ContentDigestLen)
-		if _, err := io.ReadFull(ctl, trailer); err != nil {
-			return f, err
-		}
-		buf = append(buf, trailer...)
 	}
 	f.typ = typ
 	switch typ {
 	case wire.TypeHello:
 		f.hello, err = wire.DecodeHello(buf)
-	case wire.TypeHelloX:
-		f.hellox, err = wire.DecodeHelloX(buf)
-	case wire.TypeHelloAck:
-		f.helloAck, err = wire.DecodeHelloAck(buf)
 	case wire.TypeComplete:
 		f.complete, err = wire.DecodeComplete(buf)
 	case wire.TypeAbort:
 		f.abort, err = wire.DecodeAbort(buf)
 	case wire.TypeHave:
 		f.have, err = wire.DecodeHave(buf)
-	case wire.TypeTrace:
-		f.trace, err = wire.DecodeTrace(buf)
 	case wire.TypeCheck:
 		f.check, err = wire.DecodeCheck(buf)
 	}
@@ -152,45 +116,23 @@ func writeControl(ctl net.Conn, msg []byte) error {
 	return err
 }
 
-// answer is what a completed announcement exchange told the sender.
-type answer struct {
-	// have is the CHECK's verdict: Received zero on a miss, the retained
-	// packets' bitmap when the receiver holds part of the object, and the
-	// whole packet count when it holds all of it — after which COMPLETE
-	// follows and nothing else was read.
-	have wire.Have
-	// window is the receive window the HELLO-ACK advertised (zero when it
-	// advertised none, or no HELLO-ACK came).
-	window wire.Window
-}
-
 // exchange is the sender's one announcement exchange, on an established
-// control connection: write the pipelined frame — [TRACE] CHECK then HELLO or
-// HELLOX — and read its answers, the CHECK's HAVE first and then, unless that
-// says the receiver holds the whole object, the HELLO-ACK. The sender places
-// no data on the network until this returns nil, so a dead or rejecting
-// receiver can never cause an open-loop UDP blast. What a failure means —
-// retry, degrade, break the session — is the caller's policy.
-func exchange(ctx context.Context, ctl net.Conn, frame []byte, transfer uint32, packets int, timeout time.Duration) (ans answer, err error) {
+// control connection: write the announcement — CHECK then HELLO, in one
+// write — and read the one answer, the HAVE, within timeout (clipped to ctx's
+// deadline). The HAVE is the CHECK's verdict and the acceptance: Received
+// zero on a miss, the retained packets' bitmap when the receiver holds part
+// of the object, and the whole packet count when it holds all of it — after
+// which COMPLETE follows and no data phase happens. The sender places no data
+// on the network until this returns nil, so a dead or rejecting receiver can
+// never cause an open-loop UDP blast. An ABORT surfaces as an *AbortError.
+// What a failure means — retry, break the session — is the caller's policy.
+func exchange(ctx context.Context, ctl net.Conn, frame []byte, transfer uint32, timeout time.Duration) (wire.Have, error) {
 	ctl.SetWriteDeadline(time.Now().Add(timeout))
-	_, err = ctl.Write(frame)
+	_, err := ctl.Write(frame)
 	ctl.SetWriteDeadline(time.Time{})
 	if err != nil {
-		return ans, fmt.Errorf("udprt: hello write: %w", err)
+		return wire.Have{}, fmt.Errorf("udprt: hello write: %w", err)
 	}
-	if ans.have, err = awaitAnswer(ctx, ctl, transfer, wire.TypeHave, timeout); err != nil || int(ans.have.Received) >= packets {
-		return ans, err
-	}
-	ack, err := awaitAnswer(ctx, ctl, transfer, wire.TypeHelloAck, timeout)
-	ans.window = ack.Window
-	return ans, err
-}
-
-// awaitAnswer reads the receiver's next answer within timeout (clipped to
-// ctx's deadline) and requires a frame of type want — HAVE or HELLO-ACK —
-// for this transfer, returning the HAVE (of a HELLO-ACK, nothing but its
-// window). An ABORT surfaces as an *AbortError.
-func awaitAnswer(ctx context.Context, ctl net.Conn, transfer uint32, want uint8, timeout time.Duration) (wire.Have, error) {
 	dl := time.Now().Add(timeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(dl) {
 		dl = d
@@ -204,12 +146,9 @@ func awaitAnswer(ctx context.Context, ctl net.Conn, transfer uint32, want uint8,
 	switch f.typ {
 	case wire.TypeAbort:
 		return wire.Have{}, &AbortError{Transfer: f.abort.Transfer, Reason: f.abort.Reason}
-	case want:
+	case wire.TypeHave:
 	default:
 		return wire.Have{}, fmt.Errorf("udprt: handshake: unexpected control frame type %d", f.typ)
-	}
-	if want == wire.TypeHelloAck {
-		f.have = wire.Have{Transfer: f.helloAck.Transfer, Window: f.helloAck.Window}
 	}
 	if f.have.Transfer != transfer {
 		return wire.Have{}, fmt.Errorf("udprt: handshake: answer for transfer %d, want %d", f.have.Transfer, transfer)
@@ -223,7 +162,7 @@ func awaitAnswer(ctx context.Context, ctl net.Conn, transfer uint32, want uint8,
 // The goroutine exits once a frame or error arrives; closing the connection
 // releases it. Only safe while the connection carries at most one more
 // frame toward us — i.e. not on a multi-object session conn, where it would
-// steal the next HELLO.
+// steal the next announcement.
 func watchControl(ctl net.Conn, transfer uint32) <-chan error {
 	ch := make(chan error, 1)
 	go func() {

@@ -187,23 +187,21 @@ func TestNoDedupDisablesCache(t *testing.T) {
 	})
 }
 
-// TestVerifyLoopback runs a verified transfer end to end: Verify demands
-// the per-stripe digest check on top of the whole-object one, and the
-// transfer must complete exactly like an unverified one when the bytes
-// are honest.
+// TestVerifyLoopback runs verified transfers end to end, single-flow and
+// striped: every transfer is verified against the content identity its CHECK
+// announced, and completes when the bytes are honest.
 func TestVerifyLoopback(t *testing.T) {
-	opts := Options{Verify: true}
 	obj := makeObj(256<<10 + 9)
-	got, sst, _ := transfer(t, obj, core.Config{}, opts)
+	got, sst, _ := transfer(t, obj, core.Config{}, Options{})
 	if !bytes.Equal(got, obj) {
 		t.Fatal("object corrupted")
 	}
 	if sst.Deduped {
 		t.Fatal("fresh verified transfer reported Deduped")
 	}
-	// Striped verified transfer: per-stripe digests on the wire.
+	// Striped: the one whole-object identity covers every stripe.
 	obj2 := makeObj(1 << 20)
-	got2, _, _ := transfer(t, obj2, core.Config{Transfer: 5}, Options{Verify: true, Streams: 3})
+	got2, _, _ := transfer(t, obj2, core.Config{Transfer: 5}, Options{Streams: 3})
 	if !bytes.Equal(got2, obj2) {
 		t.Fatal("striped verified object corrupted")
 	}
@@ -525,22 +523,18 @@ func TestResumeReconciledWithDedup(t *testing.T) {
 	}
 }
 
-// TestVerifyRequiredIsTerminalOnRefusal pins what a refused CHECK means: a
-// peer that refuses it fails the transfer with ErrVerifyUnsupported — no
-// degradation past it, no retry — whether or not Verify was asked for,
-// since every announcement carries one. A traced sender drops its TRACE
-// prelude first (the refusal may have been the TRACE's), then fails the
-// same way.
+// TestVerifyRequiredIsTerminalOnRefusal pins what a refused announcement
+// means. Every announcement opens with the CHECK the object is verified
+// against, so there is nothing to drop and nothing to degrade to: the
+// transfer fails with the peer's ABORT on its one connection, traced (the
+// trace id rides in that CHECK) or not, and the failure is not retryable.
 func TestVerifyRequiredIsTerminalOnRefusal(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts Options
-		// refusals is how many connections the peer refuses.
-		refusals int
 	}{
-		{"verify", Options{Verify: true}, 1},
-		{"plain", Options{}, 1},
-		{"traced", Options{TraceID: obs.TraceID{9, 9}}, 2},
+		{"plain", Options{}},
+		{"traced", Options{TraceID: obs.TraceID{9, 9}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tl, err := net.Listen("tcp", "127.0.0.1:0")
@@ -565,27 +559,27 @@ func TestVerifyRequiredIsTerminalOnRefusal(t *testing.T) {
 			}()
 			opts := tc.opts
 			opts.HandshakeTimeout = 5 * time.Second
-			opts.HandshakeRetries = 1 // the TRACE drop must not consume the budget
+			opts.HandshakeRetries = 3 // a budget the refusal must not touch
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			_, err = Send(ctx, tl.Addr().String(), makeObj(1024), core.Config{Transfer: 3, PacketSize: 512}, opts)
-			if !errors.Is(err, ErrVerifyUnsupported) {
-				t.Fatalf("err = %v, want ErrVerifyUnsupported", err)
+			var abort *AbortError
+			if !errors.As(err, &abort) || abort.Reason != wire.AbortUnsupported {
+				t.Fatalf("err = %v, want the peer's ABORT(unsupported)", err)
 			}
 			if IsRetryable(err) {
-				t.Fatal("ErrVerifyUnsupported classified retryable")
+				t.Fatal("a refused announcement classified retryable")
 			}
-			if n := conns.Load(); n != int32(tc.refusals) {
-				t.Fatalf("%d connections, want %d", n, tc.refusals)
+			if n := conns.Load(); n != 1 {
+				t.Fatalf("%d connections, want 1", n)
 			}
 		})
 	}
 }
 
 // TestFutureCheckVersionAborted pins the receive-side version gate: a
-// CHECK prelude from a future protocol revision is answered with
-// ABORT (unsupported), exactly like future HELLOX, RESUME and TRACE
-// revisions — never a hang, never a data blast.
+// CHECK from a future protocol revision is answered with ABORT
+// (unsupported) — never a hang, never a data blast.
 func TestFutureCheckVersionAborted(t *testing.T) {
 	l, err := Listen("127.0.0.1:0", Options{})
 	if err != nil {

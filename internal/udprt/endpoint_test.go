@@ -58,20 +58,17 @@ func (f *frameTap) frames() []string {
 			break // a frame still in flight
 		}
 		switch fr.typ {
-		case wire.TypeHelloAck:
-			// Every acceptance advertises a receive window; a receiver that
-			// predates the window leaves its byte zero.
-			if fr.helloAck.Window == 0 {
-				out = append(out, "HELLO-ACK(no window)")
-			} else {
-				out = append(out, "HELLO-ACK")
-			}
 		case wire.TypeHave:
-			if fr.have.Received == 0 {
-				out = append(out, "HAVE(0)")
-			} else {
-				out = append(out, "HAVE(+)")
+			// Every answer advertises a receive window; a receiver that
+			// predates the window leaves its byte zero.
+			name := "HAVE(0)"
+			if fr.have.Received > 0 {
+				name = "HAVE(+)"
 			}
+			if fr.have.Window == 0 {
+				name += "(no window)"
+			}
+			out = append(out, name)
 		case wire.TypeComplete:
 			out = append(out, "COMPLETE")
 		case wire.TypeAbort:
@@ -369,14 +366,11 @@ func dialRaw(t *testing.T, addr string, announcement []byte) *rawPeer {
 }
 
 // accepted reads the answer to an announcement the receiver took on: the
-// CHECK's HAVE, then the HELLO-ACK.
+// HAVE.
 func (r *rawPeer) accepted() {
 	r.t.Helper()
 	if f := r.read(); f.typ != wire.TypeHave {
-		r.t.Fatalf("CHECK answered with frame type %d", f.typ)
-	}
-	if f := r.read(); f.typ != wire.TypeHelloAck {
-		r.t.Fatalf("HAVE followed by frame type %d", f.typ)
+		r.t.Fatalf("announcement answered with frame type %d", f.typ)
 	}
 }
 
@@ -434,9 +428,11 @@ func announceFor(id uint32, obj []byte, ps int) []byte {
 	return wire.AppendHello(check, &wire.Hello{Transfer: id, ObjectSize: uint64(len(obj)), PacketSize: uint32(ps)})
 }
 
-// legacyResume is a RESUME frame (type 8, retired) for obj under id as an
-// earlier build wrote it: magic, type, version 1, one stream, transfer,
-// object size, packet size, whole-object CRC-32C.
+// The retired announcement frames as earlier builds wrote them.
+
+// legacyResume is a RESUME frame (type 8) for obj under id: magic, type,
+// version 1, one stream, transfer, object size, packet size, whole-object
+// CRC-32C.
 func legacyResume(id uint32, obj []byte, ps int) []byte {
 	b := binary.BigEndian.AppendUint16(nil, wire.Magic)
 	b = append(b, 8, 1)
@@ -445,6 +441,32 @@ func legacyResume(id uint32, obj []byte, ps int) []byte {
 	b = binary.BigEndian.AppendUint64(b, uint64(len(obj)))
 	b = binary.BigEndian.AppendUint32(b, uint32(ps))
 	return binary.BigEndian.AppendUint32(b, crc32.Checksum(obj, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// legacyHelloX is a HELLOX frame (type 7) announcing obj under id in n
+// stripes: magic, type, version 1, a two-byte stripe count, transfer, object
+// size, packet size, then each stripe's tag, offset and length.
+func legacyHelloX(id uint32, obj []byte, ps, n int) []byte {
+	stripes := splitStripes(int64(len(obj)), ps, n, id)
+	b := binary.BigEndian.AppendUint16(nil, wire.Magic)
+	b = append(b, 7, 1)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(stripes)))
+	b = binary.BigEndian.AppendUint32(b, id)
+	b = binary.BigEndian.AppendUint64(b, uint64(len(obj)))
+	b = binary.BigEndian.AppendUint32(b, uint32(ps))
+	for _, s := range stripes {
+		b = binary.BigEndian.AppendUint32(b, s.Transfer)
+		b = binary.BigEndian.AppendUint64(b, s.Offset)
+		b = binary.BigEndian.AppendUint64(b, s.Length)
+	}
+	return b
+}
+
+// legacyTrace is a TRACE prelude (type 10), written ahead of the
+// announcement: magic, type, version, the 16-byte trace id.
+func legacyTrace(version uint8, id [16]byte) []byte {
+	b := binary.BigEndian.AppendUint16(nil, wire.Magic)
+	return append(append(b, 10, version), id[:]...)
 }
 
 func TestEndpointMatrix(t *testing.T) {
@@ -465,7 +487,7 @@ func TestEndpointMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			ep.delivered(obj)
-			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "COMPLETE")
+			ep.wantFrames(true, "HAVE(0)", "COMPLETE")
 			// Every endpoint credits the transfer with its socket work, in the
 			// record and in Options.IOCounters alike.
 			rec := ep.completed(11)
@@ -478,7 +500,7 @@ func TestEndpointMatrix(t *testing.T) {
 		}},
 		{name: "old receiver (window byte 0)", opts: Options{testNoWindow: true}, run: func(t *testing.T, ep *testEndpoint) {
 			// What a receiver built before the window answers with: byte 3
-			// of its HELLO-ACK zero. The sender takes that for "no window" and
+			// of its acceptance zero. The sender takes that for "no window" and
 			// the transfer — longer than the window such an endpoint would
 			// have advertised had it known how — runs as it always did.
 			big := makeObj(1<<20 + 31)
@@ -487,7 +509,7 @@ func TestEndpointMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			ep.delivered(big)
-			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK(no window)", "COMPLETE")
+			ep.wantFrames(true, "HAVE(0)(no window)", "COMPLETE")
 			ep.completed(15)
 		}},
 		{name: "4 stripes", run: func(t *testing.T, ep *testEndpoint) {
@@ -496,12 +518,15 @@ func TestEndpointMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			ep.delivered(obj)
-			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "COMPLETE")
+			ep.wantFrames(true, "HAVE(0)", "COMPLETE")
 			for tag := uint32(21); tag < 25; tag++ {
 				ep.completed(tag)
 			}
 		}},
 		{name: "4 stripes verified, two at once", run: func(t *testing.T, ep *testEndpoint) {
+			// Two striped objects that differ in one byte, at once: each is
+			// verified against its own content identity, and neither is
+			// answered from the other.
 			objs := [][]byte{bytes.Clone(obj), bytes.Clone(obj)}
 			objs[1][0] ^= 0xFF
 			errs := make([]error, len(objs))
@@ -512,7 +537,7 @@ func TestEndpointMatrix(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					_, errs[i] = Send(ep.ctx, ep.proxy.Addr(), objs[i],
-						core.Config{Transfer: uint32(31 + 16*i), PacketSize: ps}, Options{Streams: 4, Verify: true})
+						core.Config{Transfer: uint32(31 + 16*i), PacketSize: ps}, Options{Streams: 4})
 				}()
 			}
 			wg.Wait()
@@ -532,7 +557,7 @@ func TestEndpointMatrix(t *testing.T) {
 			if len(seen) != len(objs) {
 				t.Fatal("one object was delivered twice, the other never")
 			}
-			ep.wantFrames(false, "HAVE(0)", "HELLO-ACK", "COMPLETE", "HAVE(0)", "HELLO-ACK", "COMPLETE")
+			ep.wantFrames(false, "HAVE(0)", "COMPLETE", "HAVE(0)", "COMPLETE")
 		}},
 		{name: "resumed after a sever", opts: Options{IdleTimeout: 500 * time.Millisecond}, run: func(t *testing.T, ep *testEndpoint) {
 			big := makeObj(1<<20 + 31)
@@ -559,14 +584,14 @@ func TestEndpointMatrix(t *testing.T) {
 			}
 			// The first connection got as far as the handshake; the second
 			// had its CHECK answered with what the first left behind.
-			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "HAVE(+)", "HELLO-ACK", "COMPLETE")
+			ep.wantFrames(true, "HAVE(0)", "HAVE(+)", "COMPLETE")
 			if rec := ep.completed(51); rec.PacketsRestored == 0 {
 				t.Fatalf("final record restored nothing: %+v", rec)
 			}
 		}},
 		{name: "fully restored resume", run: func(t *testing.T, ep *testEndpoint) {
 			// Retained state that is the whole object answers the CHECK the
-			// way a cache hit does: the full HAVE, then COMPLETE, no HELLO-ACK.
+			// way a cache hit does: the full HAVE, then COMPLETE, no data.
 			ep.seedRetained(60, obj, ps, packets)
 			ep.recv()
 			peer := dialRaw(t, ep.proxy.Addr(), announceFor(61, obj, ps))
@@ -618,7 +643,7 @@ func TestEndpointMatrix(t *testing.T) {
 				t.Fatalf("restored: sender %d, receiver %d, of %d retained; sender sent %d",
 					sst.Restored, r.st.Restored, packets/2, sst.PacketsSent)
 			}
-			ep.wantFrames(true, "HAVE(+)", "HELLO-ACK", "COMPLETE")
+			ep.wantFrames(true, "HAVE(+)", "COMPLETE")
 			if ep.retains(obj) {
 				t.Fatal("the claimed state is still retained")
 			}
@@ -637,7 +662,7 @@ func TestEndpointMatrix(t *testing.T) {
 			if r := ep.delivered(other); sst.Restored != 0 || r.st.Restored != 0 {
 				t.Fatalf("restored %d (receiver %d) from another object's state", sst.Restored, r.st.Restored)
 			}
-			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "COMPLETE")
+			ep.wantFrames(true, "HAVE(0)", "COMPLETE")
 			if !ep.retains(obj) {
 				t.Fatal("another object's transfer took the retained state")
 			}
@@ -655,7 +680,7 @@ func TestEndpointMatrix(t *testing.T) {
 			if r := ep.delivered(obj); sst.Restored != 0 || r.st.Restored != 0 {
 				t.Fatalf("restored %d (receiver %d) from a bitmap that does not fit", sst.Restored, r.st.Restored)
 			}
-			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "COMPLETE")
+			ep.wantFrames(true, "HAVE(0)", "COMPLETE")
 			if ep.retains(obj) {
 				t.Fatal("the unrestorable state is still retained")
 			}
@@ -674,6 +699,63 @@ func TestEndpointMatrix(t *testing.T) {
 				t.Fatalf("a refused RESUME left %d tags registered (retained: %v)", ep.tags(), ep.retains(obj))
 			}
 		}},
+		{name: "HELLOX from an earlier build", run: func(t *testing.T, ep *testEndpoint) {
+			// A CHECK naming retained content, then the retired striped
+			// announcement: refused with a reason, nothing registered or
+			// claimed.
+			ep.seedRetained(67, obj, ps, packets/2)
+			ep.recv()
+			check := announceFor(67, obj, ps)[:wire.CheckLen]
+			dialRaw(t, ep.proxy.Addr(), append(check, legacyHelloX(67, obj, ps, 4)...))
+			if r, ok := ep.result(true); ok && r.err == nil {
+				t.Fatal("a HELLOX was taken as a transfer")
+			}
+			ep.wantFrames(true, "ABORT("+wire.AbortBadHello.String()+")")
+			if ep.tags() != 0 || !ep.retains(obj) {
+				t.Fatalf("a refused HELLOX left %d tags registered (retained: %v)", ep.tags(), ep.retains(obj))
+			}
+		}},
+		{name: "TRACE prelude from an earlier build", run: func(t *testing.T, ep *testEndpoint) {
+			// The retired prelude ahead of an announcement of retained
+			// content: refused with a reason, nothing registered or claimed.
+			ep.seedRetained(68, obj, ps, packets/2)
+			ep.recv()
+			dialRaw(t, ep.proxy.Addr(), append(legacyTrace(1, [16]byte{7}), announceFor(68, obj, ps)...))
+			if r, ok := ep.result(true); ok && r.err == nil {
+				t.Fatal("a traced announcement of an earlier build was taken as a transfer")
+			}
+			ep.wantFrames(true, "ABORT("+wire.AbortBadHello.String()+")")
+			if ep.tags() != 0 || !ep.retains(obj) {
+				t.Fatalf("a refused TRACE prelude left %d tags registered (retained: %v)", ep.tags(), ep.retains(obj))
+			}
+		}},
+		{name: "CHECK and HELLO disagree", run: func(t *testing.T, ep *testEndpoint) {
+			// A CHECK that names another transfer, object size or packet size
+			// than the HELLO behind it is refused before any tag is
+			// registered, and the retained state of the content it names is
+			// left alone.
+			ep.seedRetained(69, obj, ps, packets/2)
+			for _, bend := range []func(*wire.Check){
+				func(c *wire.Check) { c.Transfer++ },
+				func(c *wire.Check) { c.ObjectSize-- },
+				func(c *wire.Check) { c.PacketSize *= 2 },
+			} {
+				c := wire.Check{Flags: wire.CheckFlagDedup, Transfer: 69, ObjectSize: uint64(len(obj)),
+					PacketSize: ps, Digest: core.ContentID(obj)}
+				bend(&c)
+				ep.recv()
+				dialRaw(t, ep.proxy.Addr(), wire.AppendHello(wire.AppendCheck(nil, &c),
+					&wire.Hello{Transfer: 69, ObjectSize: uint64(len(obj)), PacketSize: ps}))
+				if r, ok := ep.result(true); ok && r.err == nil {
+					t.Fatal("a CHECK that disagrees with its HELLO was taken as a transfer")
+				}
+			}
+			abort := "ABORT(" + wire.AbortBadHello.String() + ")"
+			ep.wantFrames(true, abort, abort, abort)
+			if ep.tags() != 0 || !ep.retains(obj) {
+				t.Fatalf("a refused announcement left %d tags registered (retained: %v)", ep.tags(), ep.retains(obj))
+			}
+		}},
 		{name: "dedup hit", run: func(t *testing.T, ep *testEndpoint) {
 			for tag := uint32(71); tag <= 72; tag++ {
 				ep.recv()
@@ -686,7 +768,7 @@ func TestEndpointMatrix(t *testing.T) {
 					t.Fatalf("push %d: sender %+v, receiver %+v", tag, sst, r.st)
 				}
 			}
-			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "COMPLETE", "HAVE(+)", "COMPLETE")
+			ep.wantFrames(true, "HAVE(0)", "COMPLETE", "HAVE(+)", "COMPLETE")
 			if rec := ep.completed(72); rec.PacketsRestored != int64(packets) {
 				t.Fatalf("dedup record restored %d of %d", rec.PacketsRestored, packets)
 			}
@@ -705,7 +787,7 @@ func TestEndpointMatrix(t *testing.T) {
 			if r, ok := ep.result(true); ok && (!errors.Is(r.err, ErrDigestMismatch) || r.obj != nil) {
 				t.Fatalf("receiver err = %v with %d bytes delivered, want ErrDigestMismatch and nothing", r.err, len(r.obj))
 			}
-			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "ABORT("+wire.AbortDigestMismatch.String()+")")
+			ep.wantFrames(true, "HAVE(0)", "ABORT("+wire.AbortDigestMismatch.String()+")")
 			ep.aborted(81, wire.AbortDigestMismatch)
 			if ep.l.cache.len() != 0 || ep.retains(obj) {
 				t.Fatal("a corrupted object was cached or retained")
@@ -719,7 +801,7 @@ func TestEndpointMatrix(t *testing.T) {
 			if r, ok := ep.result(true); ok && (!errors.Is(r.err, ErrIdle) || r.st.IdleTimeouts != 1) {
 				t.Fatalf("receiver err = %v, stats %+v, want ErrIdle", r.err, r.st)
 			}
-			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "ABORT("+wire.AbortIdleTimeout.String()+")")
+			ep.wantFrames(true, "HAVE(0)", "ABORT("+wire.AbortIdleTimeout.String()+")")
 			ep.aborted(91, wire.AbortIdleTimeout)
 			if !ep.retains(obj) {
 				t.Fatal("the starved transfer's state was not retained")
@@ -739,7 +821,7 @@ func TestEndpointMatrix(t *testing.T) {
 					t.Fatalf("receiver err = %v, want the sender's ABORT", r.err)
 				}
 				ep.aborted(92, wire.AbortCancelled)
-				ep.wantFrames(true, "HAVE(0)", "HELLO-ACK")
+				ep.wantFrames(true, "HAVE(0)")
 			} else {
 				// A session connection is not watched: the silence that
 				// follows the ABORT is what ends the transfer.
@@ -747,7 +829,7 @@ func TestEndpointMatrix(t *testing.T) {
 					t.Fatalf("receiver err = %v, want ErrIdle", r.err)
 				}
 				ep.aborted(92, wire.AbortIdleTimeout)
-				ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "ABORT("+wire.AbortIdleTimeout.String()+")")
+				ep.wantFrames(true, "HAVE(0)", "ABORT("+wire.AbortIdleTimeout.String()+")")
 			}
 			if !ep.retains(obj) {
 				t.Fatal("the aborted transfer's state was not retained")
@@ -763,7 +845,7 @@ func TestEndpointMatrix(t *testing.T) {
 			if r, ok := ep.result(true); ok && !errors.Is(r.err, context.Canceled) {
 				t.Fatalf("receiver err = %v, want context.Canceled", r.err)
 			}
-			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "ABORT("+wire.AbortCancelled.String()+")")
+			ep.wantFrames(true, "HAVE(0)", "ABORT("+wire.AbortCancelled.String()+")")
 			ep.aborted(93, wire.AbortCancelled)
 			if !ep.retains(obj) {
 				t.Fatal("the cancelled transfer's state was not retained")
@@ -794,7 +876,7 @@ func TestEndpointMatrix(t *testing.T) {
 			}
 			squatter.dataUntil(95, other, ps, 0, packets, func() bool { return len(ep.got) > 0 })
 			ep.delivered(other)
-			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "ABORT("+wire.AbortDuplicateTransfer.String()+")", "COMPLETE")
+			ep.wantFrames(true, "HAVE(0)", "ABORT("+wire.AbortDuplicateTransfer.String()+")", "COMPLETE")
 			if rec := ep.completed(95); rec.Rejected != 0 || rec.Fresh != int64(packets) || rec.PacketsRestored != 0 {
 				t.Fatalf("the transfer in flight was disturbed: %+v", rec)
 			}
@@ -811,7 +893,7 @@ func TestEndpointMatrix(t *testing.T) {
 			if r := ep.delivered(obj); sst.Restored != 0 || r.st.Restored != 0 {
 				t.Fatalf("a striped transfer restored %d (receiver %d)", sst.Restored, r.st.Restored)
 			}
-			ep.wantFrames(true, "HAVE(0)", "HELLO-ACK", "COMPLETE")
+			ep.wantFrames(true, "HAVE(0)", "COMPLETE")
 			if !ep.retains(obj) {
 				t.Fatal("the striped transfer took the retained state with it")
 			}
@@ -842,14 +924,18 @@ func TestEndpointMatrix(t *testing.T) {
 }
 
 // TestStripingUnsupportedStaysTerminal: no endpoint of this build refuses
-// stripes, but an older Server may still answer ABORT(striping-unsupported);
-// it must decode, and read as a deliberate rejection, not a reason to retry.
+// stripes, but an older Server may still answer ABORT with the code it once
+// meant striping-unsupported by, reserved now (as is the retired RESUME's
+// refusal code before it); either decodes, and reads as a deliberate
+// rejection, not a reason to retry.
 func TestStripingUnsupportedStaysTerminal(t *testing.T) {
-	a, err := wire.DecodeAbort(wire.AppendAbort(nil, &wire.Abort{Transfer: 3, Reason: wire.AbortStripingUnsupported}))
-	if err != nil || a.Reason != wire.AbortStripingUnsupported {
-		t.Fatalf("decode: %+v, %v", a, err)
-	}
-	if IsRetryable(&AbortError{Transfer: 3, Reason: a.Reason}) {
-		t.Fatal("striping-unsupported classified as retryable")
+	for _, code := range []wire.AbortReason{8, 9} {
+		a, err := wire.DecodeAbort(wire.AppendAbort(nil, &wire.Abort{Transfer: 3, Reason: code}))
+		if err != nil || a.Reason != code || a.Reason.String() != fmt.Sprintf("reason(%d)", code) {
+			t.Fatalf("decode: %+v (%s), %v", a, a.Reason, err)
+		}
+		if IsRetryable(&AbortError{Transfer: 3, Reason: a.Reason}) {
+			t.Fatalf("reserved code %d classified as retryable", code)
+		}
 	}
 }

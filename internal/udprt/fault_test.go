@@ -60,8 +60,8 @@ func (f *fakeReceiver) close() {
 }
 
 // acceptHandshake accepts the sender's control connection, consumes its
-// announcement — answering any CHECK prelude with a miss, like a real
-// cache-empty receiver — and acknowledges the HELLO, then goes silent.
+// announcement — CHECK, then HELLO — and answers it with a miss that accepts
+// the transfer, like a real cache-empty receiver, then goes silent.
 func (f *fakeReceiver) acceptHandshake() {
 	defer close(f.done)
 	f.tcp.SetDeadline(time.Now().Add(10 * time.Second))
@@ -72,22 +72,17 @@ func (f *fakeReceiver) acceptHandshake() {
 	}
 	f.ctl = ctl
 	ctl.SetReadDeadline(time.Now().Add(10 * time.Second))
-	frame, err := readControlFrame(ctl)
-	for err == nil && (frame.typ == wire.TypeTrace || frame.typ == wire.TypeCheck) {
-		if frame.typ == wire.TypeCheck {
-			if err := writeControl(ctl, wire.AppendHave(nil, &wire.Have{Transfer: frame.check.Transfer, Words: []uint64{0}})); err != nil {
-				f.t.Errorf("fake receiver check answer: %v", err)
-				return
-			}
+	var transfer uint32
+	for _, want := range []uint8{wire.TypeCheck, wire.TypeHello} {
+		frame, err := readControlFrame(ctl)
+		if err != nil || frame.typ != want {
+			f.t.Errorf("fake receiver announcement: type %d (want %d), %v", frame.typ, want, err)
+			return
 		}
-		frame, err = readControlFrame(ctl)
+		transfer = frame.hello.Transfer
 	}
-	if err != nil || frame.typ != wire.TypeHello {
-		f.t.Errorf("fake receiver hello: type %d, %v", frame.typ, err)
-		return
-	}
-	if err := writeControl(ctl, wire.AppendHelloAck(nil, &wire.HelloAck{Transfer: frame.hello.Transfer})); err != nil {
-		f.t.Errorf("fake receiver hello-ack: %v", err)
+	if err := writeControl(ctl, wire.AppendHave(nil, &wire.Have{Transfer: transfer, Words: []uint64{0}})); err != nil {
+		f.t.Errorf("fake receiver answer: %v", err)
 	}
 }
 
@@ -276,7 +271,7 @@ func TestDuplicateTransferIDAborted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer squatter.Close()
-	if _, err := exchange(ctx, squatter, announceFor(9, makeObj(1<<20), 1024), 9, 1024, 10*time.Second); err != nil {
+	if _, err := exchange(ctx, squatter, announceFor(9, makeObj(1<<20), 1024), 9, 10*time.Second); err != nil {
 		t.Fatalf("squatter handshake: %v", err)
 	}
 
@@ -323,7 +318,7 @@ func TestReceiverIdleAbortsAndInformsSender(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
-	if _, err := exchange(ctx, ctl, announceFor(3, makeObj(1<<20), 1024), 3, 1024, 10*time.Second); err != nil {
+	if _, err := exchange(ctx, ctl, announceFor(3, makeObj(1<<20), 1024), 3, 10*time.Second); err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
 
@@ -538,7 +533,7 @@ func TestServerConcurrentTransfersWithCollisions(t *testing.T) {
 // transfer whose payload bytes are bit-flipped in flight (corruption the
 // per-packet CRC never sees — Checksum is off by default) must fail on
 // both endpoints with ErrDigestMismatch instead of reporting success,
-// because the CHECK prelude's content digest is verified at completion.
+// because the CHECK's content digest is verified at completion.
 func TestCorruptedPayloadFailsDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault-injection test skipped in -short mode")

@@ -24,8 +24,8 @@ type probe struct {
 }
 
 // startSpan opens an endpoint's span recorder for one transfer and returns
-// the probe holding only that. An untraced peer (no TRACE prelude arrived)
-// still gets a local timeline, under a locally minted id.
+// the probe holding only that. An untraced peer (a zero trace id in its
+// CHECK) still gets a local timeline, under a locally minted id.
 func (o Options) startSpan(tid obs.TraceID, transfer uint32, role obs.Role) probe {
 	if o.Trace == nil {
 		return probe{}

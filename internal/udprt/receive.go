@@ -206,15 +206,15 @@ func (l *Listener) detach(in *inbound) {
 // from its announcement to its verdict:
 //
 //	plan → cache hit? → register → reserve a cache slot → claim, recycle
-//	or create → start sealer → go live → CHECK answer (HAVE [+ HELLO-ACK])
-//	→ wait → detach → verify → keep → COMPLETE → caller's copy
+//	or create → start sealer → go live → answer (HAVE) → wait → detach →
+//	verify → keep → COMPLETE → caller's copy
 //
-// The CHECK every announcement carries is answered from one lookup. A
+// The announcement is answered from one lookup, with one HAVE. A
 // content-cache hit ends the transfer at its second step (completeDeduped).
 // Otherwise the resume store is consulted for the announced content: a hit
-// restores its bitmap, and the HAVE that answers the CHECK carries it — or
-// carries nothing on a miss — with the HELLO-ACK behind it, unless the
-// retained state was already the whole object, which then completes at once.
+// restores its bitmap, and the HAVE carries it — or carries nothing on a
+// miss — with the receive window that accepts the transfer; retained state
+// that was already the whole object completes at once.
 // A transfer the cache will keep reserves its slot on admission and, on a
 // miss, lands in the buffer the reservation's eviction freed when one fits;
 // once verified, its landing buffer becomes the cache entry before COMPLETE
@@ -236,7 +236,7 @@ func (l *Listener) receive(ctx context.Context, ctl net.Conn, watchCtl bool) (re
 		return plan, nil, core.ReceiverStats{}, err
 	}
 	if obj, ok := plan.dedupHit(l.cache); ok {
-		obj, st, err := completeDeduped(plan, ctl, l.opts, obj)
+		obj, st, err := l.completeDeduped(plan, ctl, obj)
 		return plan, obj, st, err
 	}
 	// Register first, claim second: an announcement that collides with a
@@ -279,20 +279,14 @@ func (l *Listener) receive(ctx context.Context, ctl net.Conn, watchCtl bool) (re
 		e.probe.handshake()
 	}
 	span.event(obs.KindHandshake, 0)
-	have := wire.Have{Transfer: plan.base, Words: []uint64{0}}
+	have := wire.Have{Transfer: plan.base, Words: []uint64{0}, Window: l.window(len(engines))}
 	if restored > 0 {
 		engines[0].probe.restored(restored)
 		span.event(obs.KindResume, uint64(restored))
 		have.Received, have.Words = uint32(restored), engines[0].rcv.HaveWords(nil)
 	}
-	msg := wire.AppendHave(nil, &have)
-	if !engines[0].finished {
-		// A HAVE of every packet is followed by COMPLETE alone, as a cache
-		// hit's is: the sender has nothing to hand-shake for.
-		msg = wire.AppendHelloAck(msg, &wire.HelloAck{Transfer: plan.base, Window: l.window(len(engines))})
-	}
 	in.arm(engines)
-	if err := writeControl(ctl, msg); err != nil {
+	if err := writeControl(ctl, wire.AppendHave(nil, &have)); err != nil {
 		l.detach(in)
 		return fail(fmt.Errorf("udprt: check answer write: %w", err), true) // the sender never saw our acceptance; stay claimable
 	}
@@ -304,7 +298,7 @@ func (l *Listener) receive(ctx context.Context, ctl net.Conn, watchCtl bool) (re
 	// Every packet is placed; what remains is the content verdict over the
 	// leaves not hashed yet and the COMPLETE write.
 	span.event(obs.KindDrain, uint64(seal.pending()))
-	if err := plan.verifyContent(obj, seal); err != nil {
+	if err := plan.verifyContent(seal); err != nil {
 		writeAbort(ctl, plan.base, wire.AbortDigestMismatch)
 		return fail(err, false)
 	}

@@ -524,7 +524,7 @@ func TestIsRetryable(t *testing.T) {
 		{"deadline", context.DeadlineExceeded, false},
 		{"wrapped-cancel", fmt.Errorf("outer: %w", context.Canceled), false},
 		{"digest-mismatch", fmt.Errorf("verify: %w", ErrDigestMismatch), false},
-		{"hellox-version", wire.ErrHelloXVersion, false},
+		{"check-version", fmt.Errorf("udprt: %w", wire.ErrCheckVersion), false},
 		{"session-broken", ErrSessionBroken, false},
 		{"stalled", fmt.Errorf("udprt: %w", ErrStalled), true},
 		{"idle", ErrIdle, true},
@@ -539,7 +539,7 @@ func TestIsRetryable(t *testing.T) {
 		{"abort-duplicate", &AbortError{Reason: wire.AbortDuplicateTransfer}, false},
 		{"abort-unsupported", &AbortError{Reason: wire.AbortUnsupported}, false},
 		{"abort-digest", &AbortError{Reason: wire.AbortDigestMismatch}, false},
-		{"abort-resume-unknown", &AbortError{Reason: wire.AbortResumeUnknown}, false},
+		{"abort-reserved", &AbortError{Reason: 8}, false},
 		{"plain", errors.New("something else"), false},
 	}
 	for _, tc := range cases {

@@ -97,10 +97,7 @@ func IsRetryable(err error) bool {
 		return false
 	}
 	if errors.Is(err, ErrDigestMismatch) ||
-		errors.Is(err, wire.ErrHelloXVersion) ||
-		errors.Is(err, wire.ErrTraceVersion) ||
 		errors.Is(err, wire.ErrCheckVersion) ||
-		errors.Is(err, ErrVerifyUnsupported) ||
 		errors.Is(err, ErrSessionBroken) {
 		return false
 	}

@@ -139,8 +139,8 @@ type rawSender struct {
 	ps       int
 }
 
-// openRaw announces obj — CHECK then HELLO — to addr and reads the answers
-// up to the HELLO-ACK.
+// openRaw announces obj — CHECK then HELLO — to addr and reads the HAVE
+// that accepts it.
 func openRaw(t *testing.T, addr string, obj []byte, transfer uint32, ps int) *rawSender {
 	t.Helper()
 	ctl, err := net.Dial("tcp", addr)
@@ -153,10 +153,7 @@ func openRaw(t *testing.T, addr string, obj []byte, transfer uint32, ps int) *ra
 	}
 	ctl.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if f, err := readControlFrame(ctl); err != nil || f.typ != wire.TypeHave || f.have.Received != 0 {
-		t.Fatalf("CHECK answer: type %d, %v", f.typ, err)
-	}
-	if f, err := readControlFrame(ctl); err != nil || f.typ != wire.TypeHelloAck {
-		t.Fatalf("HELLO answer: type %d, %v", f.typ, err)
+		t.Fatalf("announcement answer: type %d, %v", f.typ, err)
 	}
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
@@ -360,7 +357,7 @@ func TestSealedTransfersUnderFaults(t *testing.T) {
 	t.Run("accept", func(t *testing.T) { accept(t, sopts) })
 	t.Run("striped", func(t *testing.T) {
 		striped := sopts
-		striped.Streams, striped.Verify = 4, true
+		striped.Streams = 4
 		accept(t, striped)
 	})
 	t.Run("session", func(t *testing.T) {
@@ -527,9 +524,9 @@ func TestFlippedByteInAnyLeafFailsDigest(t *testing.T) {
 
 // TestOldCheckVersionRefused covers both directions of a mixed pair. A
 // version-1 CHECK (plain SHA-256 digests) is refused with ABORT(unsupported)
-// before its digest is looked at; and a sender whose version-2 CHECK is
-// refused that way fails with ErrVerifyUnsupported on that one connection,
-// since every announcement must name its content.
+// before its digest is looked at; and a sender whose CHECK is refused that
+// way — as an earlier build refuses this one's — fails with the peer's ABORT
+// on that one connection, since every announcement must name its content.
 func TestOldCheckVersionRefused(t *testing.T) {
 	obj := makeObj(300 << 10)
 	l, err := Listen("127.0.0.1:0", Options{})
@@ -561,8 +558,8 @@ func TestOldCheckVersionRefused(t *testing.T) {
 		t.Fatalf("Accept err = %v, want ErrCheckVersion", err)
 	}
 
-	// The stub peer refuses the first connection the way a version-1 build
-	// refuses a version-2 CHECK; there must be no second.
+	// The stub peer refuses the first connection the way an earlier build
+	// refuses this one's CHECK; there must be no second.
 	conns := make(chan int, 1)
 	go func() {
 		n := 0
@@ -573,8 +570,8 @@ func TestOldCheckVersionRefused(t *testing.T) {
 				return
 			}
 			n++
-			if f, err := readControlFrame(c); err != nil || f.typ != wire.TypeCheck || f.check.Version != 2 {
-				t.Errorf("connection led with type %d (%v), want a v2 CHECK", f.typ, err)
+			if f, err := readControlFrame(c); err != nil || f.typ != wire.TypeCheck || f.check.Version != wire.CheckVersion {
+				t.Errorf("connection led with type %d (%v), want a version-%d CHECK", f.typ, err, wire.CheckVersion)
 			}
 			readControlFrame(c) // the pipelined HELLO: leave nothing unread behind the ABORT
 			writeAbort(c, 0, wire.AbortUnsupported)
@@ -582,8 +579,9 @@ func TestOldCheckVersionRefused(t *testing.T) {
 		}
 	}()
 	_, err = Send(ctx, l.Addr(), obj, core.Config{Transfer: 2}, Options{HandshakeRetries: 3})
-	if !errors.Is(err, ErrVerifyUnsupported) {
-		t.Fatalf("send past a refused CHECK: err = %v, want ErrVerifyUnsupported", err)
+	var abort *AbortError
+	if !errors.As(err, &abort) || abort.Reason != wire.AbortUnsupported {
+		t.Fatalf("send past a refused CHECK: err = %v, want the peer's ABORT(unsupported)", err)
 	}
 	cancel()
 	if n := <-conns; n != 1 {

@@ -19,7 +19,7 @@ var ErrSessionBroken = errors.New("udprt: session broken by earlier failed send"
 
 // Session sends a sequence of objects to one receiver over a single
 // control connection and a fixed set of data sockets: the control
-// connection carries one HELLO/HELLO-ACK/COMPLETE exchange per object,
+// connection carries one announcement/HAVE/COMPLETE exchange per object,
 // and transfer tags auto-increment so stragglers from a previous object
 // cannot corrupt the next. This is the shape of the paper's
 // remote-visualization workload — many frames, one peer. With
@@ -80,17 +80,13 @@ func (s *Session) Send(ctx context.Context, obj []byte, cfg core.Config) (core.S
 	}
 	s.next += uint32(len(plan.snds))
 
-	// Each object gets its own trace id (unless the session pins one).
-	// There is no prelude degradation inside a session — any handshake
-	// failure breaks it — so a traced or verifying session requires a
-	// peer that speaks those preludes.
-	tid := s.opts.senderTraceID()
-	plan.instrument(s.opts, tid)
-	frame := append(tracePrelude(tid), plan.announcement(s.opts)...)
-	ans, err := exchange(ctx, s.ctl, frame, plan.base, plan.totalPackets(), s.opts.HandshakeTimeout)
+	// Each object gets its own trace id (unless the session pins one); any
+	// handshake failure breaks the session.
+	plan.instrument(s.opts, s.opts.senderTraceID())
+	have, err := exchange(ctx, s.ctl, plan.announcement(s.opts), plan.base, s.opts.HandshakeTimeout)
 	var hit bool
 	if err == nil {
-		hit, err = plan.accepted(ans)
+		hit, err = plan.accepted(have)
 	}
 	if err != nil {
 		s.broken = true
@@ -99,9 +95,9 @@ func (s *Session) Send(ctx context.Context, obj []byte, cfg core.Config) (core.S
 	}
 	var st core.SenderStats
 	if hit {
-		// The receiver already holds the content: COMPLETE follows with no
-		// HELLO-ACK and no data flow, and the control stream stays clean for
-		// the session's next object.
+		// The receiver already holds the content: COMPLETE follows the HAVE
+		// with no data flow, and the control stream stays clean for the
+		// session's next object.
 		st, err = completeDedupedSend(plan, s.ctl)
 	} else {
 		st, err = runSenderPlan(ctx, plan, s.conns[:len(plan.snds)], s.ctl, s.opts)
@@ -155,7 +151,7 @@ func (is *IncomingSession) Close() error { return is.ctl.Close() }
 // Next receives the session's next object — single-flow or striped,
 // whatever the announcement declares. It returns io-style errors when the
 // sender closes the session or ctx expires. The control connection
-// carries further HELLOs after this object, so the transfer cannot
+// carries further announcements after this object, so the transfer cannot
 // watch it for aborts; the idle watchdog covers a vanished sender
 // instead.
 func (is *IncomingSession) Next(ctx context.Context) ([]byte, core.ReceiverStats, error) {

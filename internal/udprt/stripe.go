@@ -1,11 +1,12 @@
 // Striped parallel transfers: Options.Streams splits one object into N
 // contiguous stripes, each an independent FOBS transfer (its own transfer
 // tag, sequence space and UDP data flow) driven by its own sender engine,
-// all sharing a single control connection. One HELLOX announces the whole
-// plan, one HELLO-ACK accepts it, and one COMPLETE — carrying the
-// whole-object digest — finishes it, honouring the paper's object-based
-// premise: the receive window spans the entire buffer, so stripes
-// reassemble by placement into one pre-allocated object, never by copy.
+// all sharing a single control connection. One announcement — the HELLO
+// carrying the stripe table — describes the whole plan, one HAVE accepts
+// it, and one COMPLETE — carrying the whole-object digest — finishes it,
+// honouring the paper's object-based premise: the receive window spans the
+// entire buffer, so stripes reassemble by placement into one pre-allocated
+// object, never by copy.
 // This is the real-network counterpart of the parallel-sockets baseline
 // that internal/psockets reproduces in simulation.
 package udprt
@@ -60,7 +61,7 @@ func splitStripes(size int64, packetSize, n int, base uint32) []wire.StripeDesc 
 // senderPlan is one outbound transfer, prepared but not yet on the wire:
 // per-stripe state machines and instrumentation plus the control-channel
 // announcement that describes them. A one-stripe plan is exactly the
-// classic single-flow transfer, HELLO frame and all.
+// classic single-flow transfer, its HELLO the short form without a table.
 type senderPlan struct {
 	base    uint32
 	obj     []byte
@@ -70,9 +71,11 @@ type senderPlan struct {
 	// probes are the stripes' instrumentation, sharing the transfer's span
 	// recorder; inert until instrument.
 	probes []probe
+	// trace is the id the announcement's CHECK carries; zero: untraced.
+	trace obs.TraceID
 
 	// content memoizes the whole object's content identity for the CHECK
-	// prelude (for a single stripe the stripe sender's own memo is reused,
+	// (for a single stripe the stripe sender's own memo is reused,
 	// so the object is hashed exactly once per plan either way).
 	content    [32]byte
 	hasContent bool
@@ -122,10 +125,11 @@ func newSenderPlan(obj []byte, cfg core.Config, opts Options) (*senderPlan, erro
 	return p, nil
 }
 
-// instrument opens the transfer's span recorder under tid and registers every
-// stripe with the metrics registry and the flight log (any of the three may
-// be off).
+// instrument opens the transfer's span recorder under tid, which the
+// announcement then carries, and registers every stripe with the metrics
+// registry and the flight log (any of the three may be off).
 func (p *senderPlan) instrument(opts Options, tid obs.TraceID) {
+	p.trace = tid
 	span := opts.startSpan(tid, p.base, obs.RoleSender)
 	for i, snd := range p.snds {
 		p.probes[i] = span.sender(opts.Metrics, opts.Record, snd, int64(p.stripes[i].Length))
@@ -156,65 +160,46 @@ func (p *senderPlan) totalPackets() int {
 	return total
 }
 
-// announcement serializes the plan's announcement, its CHECK prelude
-// first: the whole-object content identity — plus, only when the caller
-// demands verification, the one case in which a receiver reads them, one
-// digest per stripe of a striped plan (a striped Send otherwise hashes its
-// object once, not twice) — then the classic HELLO for a single stripe, a
-// versioned HELLOX otherwise.
+// announcement serializes the plan's announcement: the CHECK — the
+// whole-object content identity, the trace id — then the HELLO, carrying
+// the stripe table when there is more than one stripe.
 func (p *senderPlan) announcement(opts Options) []byte {
 	var flags uint8
-	if opts.Verify {
-		flags |= wire.CheckFlagVerify
-	}
 	if !opts.NoDedup {
 		flags |= wire.CheckFlagDedup
 	}
-	c := wire.Check{
+	frame := wire.AppendCheck(nil, &wire.Check{
 		Flags:      flags,
 		Transfer:   p.base,
 		ObjectSize: uint64(len(p.obj)),
 		PacketSize: uint32(p.cfg.PacketSize),
 		Digest:     p.contentID(),
-	}
-	if opts.Verify && len(p.snds) > 1 {
-		c.StripeDigests = make([][32]byte, len(p.snds))
-		for i, snd := range p.snds {
-			c.StripeDigests[i] = snd.ContentID()
-		}
-	}
-	frame := wire.AppendCheck(nil, &c)
-	if len(p.stripes) == 1 {
-		return wire.AppendHello(frame, &wire.Hello{
-			Transfer:   p.base,
-			ObjectSize: uint64(len(p.obj)),
-			PacketSize: uint32(p.cfg.PacketSize),
-		})
-	}
-	return wire.AppendHelloX(frame, &wire.HelloX{
-		Transfer:   p.base,
-		ObjectSize: uint64(len(p.obj)),
-		PacketSize: uint32(p.cfg.PacketSize),
-		Stripes:    p.stripes,
+		Trace:      p.trace,
 	})
+	h := wire.Hello{Transfer: p.base, ObjectSize: uint64(len(p.obj)), PacketSize: uint32(p.cfg.PacketSize)}
+	if len(p.stripes) > 1 {
+		h.Stripes = p.stripes
+	}
+	return wire.AppendHello(frame, &h)
 }
 
 // accepted records a completed exchange and reports whether the receiver
-// holds the whole object: COMPLETE follows then, and neither a handshake nor
-// a data phase happens. A HAVE of part of the object — the state the
-// receiver retained of an earlier, failed transfer of this content — excuses
-// those packets; one that does not fit the plan is a broken peer.
-func (p *senderPlan) accepted(ans answer) (hit bool, err error) {
-	if int(ans.have.Received) >= p.totalPackets() {
+// holds the whole object: COMPLETE follows then, and no data phase happens.
+// Otherwise the HAVE accepts the transfer with its receive window, and a HAVE
+// of part of the object — the state the receiver retained of an earlier,
+// failed transfer of this content — excuses those packets; one that does
+// not fit the plan is a broken peer.
+func (p *senderPlan) accepted(have wire.Have) (hit bool, err error) {
+	if int(have.Received) >= p.totalPackets() {
 		return true, nil
 	}
-	p.window = ans.window.Bytes()
+	p.window = have.Window.Bytes()
 	restored := 0
-	if ans.have.Received > 0 {
+	if have.Received > 0 {
 		if len(p.snds) > 1 {
-			return false, fmt.Errorf("udprt: receiver answered a striped transfer with %d of its packets", ans.have.Received)
+			return false, fmt.Errorf("udprt: receiver answered a striped transfer with %d of its packets", have.Received)
 		}
-		if restored, err = p.snds[0].Restore(ans.have.Words); err != nil {
+		if restored, err = p.snds[0].Restore(have.Words); err != nil {
 			return false, fmt.Errorf("udprt: receiver's HAVE: %w", err)
 		}
 	}
@@ -434,31 +419,29 @@ func closeAll(conns []*net.UDPConn) {
 	}
 }
 
-// recvPlan is one inbound transfer as announced on the control channel:
-// the classic single-flow HELLO (stripes nil) or a striped HELLOX.
+// recvPlan is one inbound transfer as announced on the control channel: a
+// single flow (the HELLO's short form, stripes nil) or the HELLO's stripe
+// table.
 type recvPlan struct {
 	base       uint32
 	objectSize uint64
 	packetSize int
-	stripes    []wire.StripeDesc // nil for a classic HELLO
-	// trace is the sender's trace id, propagated in a TRACE prelude before
-	// the announcement; zero when the handshake was untraced.
+	stripes    []wire.StripeDesc // nil for a single flow
+	// trace is the sender's trace id, from its CHECK; zero when the
+	// announcement was untraced.
 	trace obs.TraceID
-	// The CHECK prelude every announcement carries: checkDigest is the
-	// object's content identity, which the object is verified against,
-	// cached under and retained under. checkDedup permits answering from
-	// the content cache; checkVerify demands the per-stripe digests be
-	// checked too, not just the whole-object one.
-	checkDigest   [32]byte
-	checkVerify   bool
-	checkDedup    bool
-	stripeDigests [][32]byte
+	// The CHECK every announcement opens with: checkDigest is the object's
+	// content identity, which the object is verified against, cached under
+	// and retained under. checkDedup permits answering from the content
+	// cache.
+	checkDigest [32]byte
+	checkDedup  bool
 }
 
 func (p recvPlan) striped() bool { return p.stripes != nil }
 
 // layout is the plan as stripes: the announced ones, or the whole object as
-// the single stripe a classic HELLO describes. The endpoint
+// the single stripe a short-form HELLO describes. The endpoint
 // registers one transfer tag per entry.
 func (p recvPlan) layout() []wire.StripeDesc {
 	if p.striped() {
@@ -485,36 +468,24 @@ func (p recvPlan) startSealer(obj []byte, engines ...*receiverEngine) *sealer {
 	return s
 }
 
-// verifyContent checks the assembled object against everything its
-// announcement said about the content: the content identity the CHECK
-// announced covers the whole object always — summed from the leaves the
-// sealer hashed as they completed, so a retained buffer that rotted across a
-// restart fails here, not at the application — and each stripe when the
-// sender demanded verification. A mismatch is corruption (or a sender
-// announcing one object and blasting another); either way the bytes must
-// not be delivered, cached or retained.
-func (p recvPlan) verifyContent(obj []byte, seal *sealer) error {
+// verifyContent checks the assembled object against the content identity
+// its CHECK announced, summed from the leaves the sealer hashed as they
+// completed — so a retained buffer that rotted across a restart fails here,
+// not at the application, and one flipped byte in any stripe fails the
+// whole object. A mismatch is corruption (or a sender announcing one object
+// and blasting another); either way the bytes must not be delivered, cached
+// or retained.
+func (p recvPlan) verifyContent(seal *sealer) error {
 	if seal.sum() != p.checkDigest {
 		return fmt.Errorf("udprt: assembled object does not match announced content digest: %w", ErrDigestMismatch)
-	}
-	if p.checkVerify && p.striped() && len(p.stripeDigests) > 0 {
-		if len(p.stripeDigests) != len(p.stripes) {
-			return fmt.Errorf("udprt: %d stripe digests announced for %d stripes: %w",
-				len(p.stripeDigests), len(p.stripes), ErrDigestMismatch)
-		}
-		for i, sd := range p.stripes {
-			if core.ContentID(obj[sd.Offset:sd.Offset+sd.Length]) != p.stripeDigests[i] {
-				return fmt.Errorf("udprt: stripe %d does not match its announced digest: %w", i, ErrDigestMismatch)
-			}
-		}
 	}
 	return nil
 }
 
 // dedupHit returns the cached copy this announcement's CHECK may be answered
 // from. The dedup flag and the announced size are tested before the copy-out
-// (a whole object): a verify-only CHECK, or one that names a different size,
-// is a miss that costs nothing.
+// (a whole object): a CHECK without the flag, or one that names a different
+// size, is a miss that costs nothing.
 func (p recvPlan) dedupHit(cache *contentCache) ([]byte, bool) {
 	if !p.checkDedup {
 		return nil, false
@@ -569,13 +540,13 @@ func (p recvPlan) admit(cache *contentCache) *cacheSlot {
 
 // completeDeduped answers a dedup-hitting CHECK: the full HAVE bitmap (the
 // verdict) followed immediately by the COMPLETE carrying the tag of the
-// identity the bytes are cached under — no HELLO-ACK, no data flow, no
-// registration, no pass over the object — so N senders pushing the same hot
-// object fan out of the cache concurrently, never competing for the
-// transfer-id space. The returned object is the cache's copy, so a Server's
+// identity the bytes are cached under — no data flow, no registration, no
+// pass over the object — so N senders pushing the same hot object fan out of
+// the cache concurrently, never competing for the transfer-id space. The returned object is the cache's copy, so a Server's
 // completion handler sees the same bytes a real transfer would have
 // assembled.
-func completeDeduped(plan recvPlan, ctl net.Conn, opts Options, obj []byte) ([]byte, core.ReceiverStats, error) {
+func (l *Listener) completeDeduped(plan recvPlan, ctl net.Conn, obj []byte) ([]byte, core.ReceiverStats, error) {
+	opts := l.opts
 	total := core.NumPackets(int64(plan.objectSize), plan.packetSize)
 	// A hit moves no packet, so it has no flight recording.
 	pr := opts.startSpan(plan.trace, plan.base, obs.RoleReceiver).
@@ -586,7 +557,8 @@ func completeDeduped(plan recvPlan, ctl net.Conn, opts Options, obj []byte) ([]b
 		Restored:      total,
 		PacketsNeeded: total,
 	}
-	msg := wire.AppendHave(nil, &wire.Have{Transfer: plan.base, Received: uint32(total), Words: fullWords(total)})
+	msg := wire.AppendHave(nil, &wire.Have{Transfer: plan.base, Received: uint32(total), Words: fullWords(total),
+		Window: l.window(len(plan.layout()))})
 	err := writeControl(ctl, append(msg, completeFrame(plan)...))
 	if err == nil {
 		pr.restored(total)

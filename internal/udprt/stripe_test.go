@@ -334,11 +334,10 @@ func TestSessionBrokenAfterFailedSend(t *testing.T) {
 	}
 }
 
-// TestFutureHelloXVersionRejected hand-builds a HELLOX from a future
-// protocol revision and checks both ends of the contract: the receiver
-// answers with ABORT (unsupported) and surfaces wire.ErrHelloXVersion —
-// never data corruption or a hang — and the raw frame is consumed whole,
-// exactly as a forward-compatible framer must.
+// TestFutureHelloXVersionRejected hand-builds the retired HELLOX, stamped
+// with a later revision, behind a current CHECK, and checks both ends of the
+// contract: the receiver answers with ABORT (bad hello) and surfaces the
+// refused frame type — never data corruption or a hang.
 func TestFutureHelloXVersionRejected(t *testing.T) {
 	l, err := Listen("127.0.0.1:0", Options{})
 	if err != nil {
@@ -354,24 +353,15 @@ func TestFutureHelloXVersionRejected(t *testing.T) {
 		acceptErr <- err
 	}()
 
-	// A structurally valid v1 layout stamped with version 2: a plausible
-	// future revision this build cannot place.
-	frame := wire.AppendHelloX(nil, &wire.HelloX{
-		Version:    wire.HelloXVersion + 1,
-		Transfer:   3,
-		ObjectSize: 4096,
-		PacketSize: 1024,
-		Stripes: []wire.StripeDesc{
-			{Transfer: 3, Offset: 0, Length: 2048},
-			{Transfer: 4, Offset: 2048, Length: 2048},
-		},
-	})
+	obj := makeObj(4096)
+	frame := legacyHelloX(3, obj, 1024, 2)
+	frame[3] = 2
 	conn, err := net.Dial("tcp", l.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(frame); err != nil {
+	if _, err := conn.Write(append(announceFor(3, obj, 1024)[:wire.CheckLen], frame...)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -380,11 +370,11 @@ func TestFutureHelloXVersionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading the receiver's answer: %v", err)
 	}
-	if f.typ != wire.TypeAbort || f.abort.Reason != wire.AbortUnsupported {
-		t.Fatalf("receiver answered type %d reason %v, want ABORT(unsupported)", f.typ, f.abort.Reason)
+	if f.typ != wire.TypeAbort || f.abort.Reason != wire.AbortBadHello {
+		t.Fatalf("receiver answered type %d reason %v, want ABORT(bad hello)", f.typ, f.abort.Reason)
 	}
-	if err := <-acceptErr; !errors.Is(err, wire.ErrHelloXVersion) {
-		t.Fatalf("Accept = %v, want wrapped wire.ErrHelloXVersion", err)
+	if err := <-acceptErr; !errors.Is(err, wire.ErrBadType) {
+		t.Fatalf("Accept = %v, want wrapped wire.ErrBadType", err)
 	}
 }
 

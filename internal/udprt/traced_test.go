@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
-	"io"
 	"net"
 	"testing"
 	"time"
@@ -86,7 +84,7 @@ func TestTracedLoopbackJoin(t *testing.T) {
 			t.Errorf("%s timeline tagged transfer %d, want 7", tl.Role, tl.Transfer)
 		}
 	}
-	// Default options send the CHECK prelude, so both timelines record the
+	// Every announcement opens with the CHECK, so both timelines record the
 	// answered (missed) content query between dial and handshake.
 	wantSender := []obs.Kind{obs.KindDial, obs.KindCheck, obs.KindHandshake,
 		obs.KindRounds, obs.KindDrain, obs.KindVerify, obs.KindComplete}
@@ -155,113 +153,42 @@ func TestTracedAutoIDPropagates(t *testing.T) {
 	}
 }
 
-// TestTracePreludeDegradesOnAbort covers negotiate-down against a peer
-// that rejects the TRACE prelude with a reasoned ABORT (how a receiver
-// that speaks an older protocol revision, or rejects a future TRACE
-// version, answers): the handshake must retry untraced and succeed
-// without consuming the retry budget.
-func TestTracePreludeDegradesOnAbort(t *testing.T) {
-	tl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tl.Close()
-	const transfer = 42
-	srv := make(chan error, 1)
-	go func() {
-		srv <- func() error {
-			// First connection: choke on the prelude like a TRACE-unaware
-			// peer's entry point does.
-			c1, err := tl.Accept()
-			if err != nil {
-				return err
-			}
-			defer c1.Close()
-			buf := make([]byte, wire.TraceLen)
-			if _, err := io.ReadFull(c1, buf); err != nil {
-				return err
-			}
-			if typ, _ := wire.PeekType(buf); typ != wire.TypeTrace {
-				return errors.New("first frame was not the TRACE prelude")
-			}
-			c1.Write(wire.AppendAbort(nil, &wire.Abort{Reason: wire.AbortUnsupported}))
-			// Second connection: the announcement must arrive with no
-			// prelude — its CHECK, then the HELLO.
-			c2, err := tl.Accept()
-			if err != nil {
-				return err
-			}
-			defer c2.Close()
-			if f, err := readControlFrame(c2); err != nil || f.typ != wire.TypeCheck {
-				return fmt.Errorf("degraded handshake led with type %d (%v), want the CHECK", f.typ, err)
-			}
-			f, err := readControlFrame(c2)
-			if err != nil || f.typ != wire.TypeHello {
-				return fmt.Errorf("CHECK followed by type %d (%v), want the HELLO", f.typ, err)
-			}
-			if f.hello.Transfer != transfer {
-				return errors.New("degraded HELLO changed the transfer id")
-			}
-			answer := wire.AppendHave(nil, &wire.Have{Transfer: transfer, Words: []uint64{0}})
-			_, err = c2.Write(wire.AppendHelloAck(answer, &wire.HelloAck{Transfer: transfer}))
-			return err
-		}()
-	}()
-
-	opts := Options{HandshakeRetries: 1, HandshakeTimeout: 5 * time.Second}.withDefaults()
-	opts.HandshakeRetries = 1 // even a no-retry budget must degrade cleanly
-	plan, err := newSenderPlan(makeObj(1024), core.Config{Transfer: transfer, PacketSize: 512}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prelude := tracePrelude(obs.NewTraceID())
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	ctl, _, err := dialHandshake(ctx, tl.Addr().String(), prelude, plan.announcement(opts), transfer, plan.totalPackets(), opts)
-	if err != nil {
-		t.Fatalf("traced handshake did not degrade: %v", err)
-	}
-	ctl.Close()
-	if err := <-srv; err != nil {
-		t.Fatalf("peer: %v", err)
-	}
-}
-
-// TestFutureTraceVersionAborted pins the receive-side version gate: a
-// TRACE prelude from a future protocol revision is answered with
-// ABORT (unsupported), exactly like future HELLOX and CHECK revisions —
-// never a hang, never a data blast.
+// TestFutureTraceVersionAborted pins the receive-side refusal of the retired
+// TRACE prelude: ahead of an otherwise valid announcement, at the version
+// earlier builds spoke or a future one, it is answered with ABORT (bad
+// hello) — never a hang, never a data blast.
 func TestFutureTraceVersionAborted(t *testing.T) {
-	l, err := Listen("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	accErr := make(chan error, 1)
-	go func() { _, _, err := l.Accept(ctx); accErr <- err }()
+	for _, version := range []uint8{1, 2} {
+		l, err := Listen("127.0.0.1:0", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		accErr := make(chan error, 1)
+		go func() { _, _, err := l.Accept(ctx); accErr <- err }()
 
-	conn, err := net.Dial("tcp", l.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	frame := wire.AppendTrace(nil, &wire.Trace{ID: [16]byte{1}})
-	frame[3] = wire.TraceVersion + 1
-	frame = wire.AppendHello(frame, &wire.Hello{Transfer: 1, ObjectSize: 64, PacketSize: 64})
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	f, err := readControlFrame(conn)
-	if err != nil {
-		t.Fatalf("no answer to future-version TRACE: %v", err)
-	}
-	if f.typ != wire.TypeAbort || f.abort.Reason != wire.AbortUnsupported {
-		t.Fatalf("answer = type %d reason %v, want ABORT unsupported", f.typ, f.abort.Reason)
-	}
-	if err := <-accErr; !errors.Is(err, wire.ErrTraceVersion) {
-		t.Fatalf("Accept err = %v, want ErrTraceVersion", err)
+		conn, err := net.Dial("tcp", l.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		frame := legacyTrace(version, [16]byte{1})
+		frame = append(frame, announceFor(1, makeObj(64), 64)...)
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		f, err := readControlFrame(conn)
+		if err != nil {
+			t.Fatalf("no answer to a version-%d TRACE: %v", version, err)
+		}
+		if f.typ != wire.TypeAbort || f.abort.Reason != wire.AbortBadHello {
+			t.Fatalf("answer = type %d reason %v, want ABORT bad hello", f.typ, f.abort.Reason)
+		}
+		if err := <-accErr; !errors.Is(err, wire.ErrBadType) {
+			t.Fatalf("Accept err = %v, want wire.ErrBadType", err)
+		}
 	}
 }

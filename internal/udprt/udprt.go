@@ -6,12 +6,13 @@
 // Channel layout (paper §3): the sender pushes DATA datagrams to the
 // receiver's UDP port; the receiver pushes ACK datagrams back to the source
 // address of the data flow; one TCP connection carries the control
-// handshake (HELLO sender→receiver, HELLO-ACK back) and the terminal
-// signal (COMPLETE receiver→sender, or ABORT from either side).
+// handshake (the announcement, CHECK then HELLO, sender→receiver in one
+// write, and the receiver's one answer, HAVE, back) and the terminal signal
+// (COMPLETE receiver→sender, or ABORT from either side).
 //
 // Failure model (beyond the paper, which assumes both endpoints stay alive
 // for the whole transfer): the sender transmits no data until the receiver
-// accepts the HELLO; a stall watchdog aborts the sender when no
+// accepts the announcement; a stall watchdog aborts the sender when no
 // acknowledgement arrives for Options.StallTimeout; an idle watchdog
 // aborts the receiver when no data arrives for Options.IdleTimeout; and
 // either side announces termination with an ABORT control frame carrying a
@@ -96,7 +97,7 @@ type Options struct {
 	// ABORT and returns an error wrapping ErrIdle. Default 30s; negative
 	// disables.
 	IdleTimeout time.Duration
-	// HandshakeTimeout bounds each HELLO → HELLO-ACK exchange (default
+	// HandshakeTimeout bounds each announcement → HAVE exchange (default
 	// 10s).
 	HandshakeTimeout time.Duration
 	// HandshakeRetries is how many times Send attempts the control
@@ -177,20 +178,12 @@ type Options struct {
 	Trace *obs.Log
 	// TraceID pins the trace id transfers from this endpoint carry. Zero
 	// (the default) generates a fresh id per transfer when Trace is set.
-	// The id is propagated to the receiver in a TRACE control-frame
-	// prelude before the announcement; peers that do not speak TRACE
-	// degrade the handshake to an untraced one (see DESIGN.md §5i).
+	// The id rides in the announcement's CHECK, so the receiver files its
+	// span log under it too; a zero id there is an untraced announcement
+	// (see DESIGN.md §5i).
 	TraceID obs.TraceID
-	// Verify demands per-stripe content verification. Sending: the CHECK
-	// prelude carries wire.CheckFlagVerify and one digest per stripe,
-	// asking the receiver to verify every stripe (not just the whole
-	// object) before COMPLETE. Receiving: announced stripe digests are
-	// verified at completion. The whole-object identity every CHECK carries
-	// is always verified, Verify or not, and a peer that refuses the CHECK
-	// always fails the transfer (ErrVerifyUnsupported).
-	Verify bool
 	// NoDedup opts out of answers from the content cache. Sending: the
-	// CHECK prelude omits wire.CheckFlagDedup, so every push moves the
+	// CHECK omits wire.CheckFlagDedup, so every push moves the
 	// bytes the receiver did not retain of it. Receiving: no content cache
 	// is kept. Retained partial state is consulted either way.
 	NoDedup bool
@@ -255,10 +248,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// senderTraceID resolves the trace id one outbound transfer carries: the
-// pinned Options.TraceID when set, a fresh id when only the span log is
-// configured, the zero id (no tracing, no prelude — bit-compatible with
-// every earlier receiver) otherwise.
+// senderTraceID resolves the trace id one outbound transfer's CHECK carries:
+// the pinned Options.TraceID when set, a fresh id when only the span log is
+// configured, the zero id (untraced) otherwise.
 func (o Options) senderTraceID() obs.TraceID {
 	if !o.TraceID.IsZero() {
 		return o.TraceID
@@ -267,15 +259,6 @@ func (o Options) senderTraceID() obs.TraceID {
 		return obs.NewTraceID()
 	}
 	return obs.TraceID{}
-}
-
-// tracePrelude frames the TRACE control prelude for tid, nil for the zero
-// id.
-func tracePrelude(tid obs.TraceID) []byte {
-	if tid.IsZero() {
-		return nil
-	}
-	return wire.AppendTrace(nil, &wire.Trace{ID: tid})
 }
 
 // DefaultIOBatch is the default ring length of the batched socket path.
@@ -299,12 +282,6 @@ const maxDatagram = batchio.TrainBufLen
 // writeErrLimit is how many consecutive persistently-failing batch-send
 // rounds the sender tolerates before surfacing the write error.
 const writeErrLimit = 8
-
-// ErrVerifyUnsupported reports that the peer refused the CHECK prelude: it
-// cannot verify content digests, and every announcement names its content,
-// so the transfer fails rather than move bytes nothing would verify.
-// Terminal under IsRetryable.
-var ErrVerifyUnsupported = errors.New("udprt: peer does not support content verification")
 
 // Listener is one receiving endpoint: a TCP control port and a UDP data
 // socket bound to the same port number, the data socket's receive ring, and
@@ -464,19 +441,18 @@ func completeFrame(plan recvPlan) []byte {
 	})
 }
 
-// readTransferPlan consumes the transfer announcement — a classic HELLO
-// or a striped HELLOX, preceded by its CHECK prelude and optionally a TRACE
-// one — bounded by 30s or ctx's deadline, whichever is sooner. The deadline
-// is cleared afterwards so it never lingers on the control connection. The
-// announcement is always read, even when the CHECK will turn out a dedup
-// hit: the sender pipelines every frame in one write, and consuming them
-// all keeps the stream framing clean for session reuse. An announcement
-// of a protocol revision this build does not speak surfaces as an error
-// wrapping wire.ErrHelloXVersion, wire.ErrTraceVersion or
-// wire.ErrCheckVersion; one without a CHECK, or whose geometry no receiver
-// can be built for — an empty object, a size or packet size that does not
-// fit an int — as errBadAnnouncement; and a frame of a retired type (an
-// earlier build's RESUME) as a bad control frame. Callers answer through
+// readTransferPlan consumes the transfer announcement — exactly a CHECK,
+// then the HELLO — bounded by 30s or ctx's deadline, whichever is sooner.
+// The deadline is cleared afterwards so it never lingers on the control
+// connection. The HELLO is always read, even when the CHECK will turn out a
+// dedup hit: the sender writes both in one piece, and consuming them keeps
+// the stream framing clean for session reuse. A CHECK of a protocol
+// revision this build does not speak surfaces as an error wrapping
+// wire.ErrCheckVersion; a frame of a retired type (an earlier build's TRACE,
+// HELLOX or RESUME) as a bad control frame; and anything else that is not
+// CHECK then HELLO, a CHECK whose geometry is not the HELLO's, or a geometry
+// no receiver can be built for — an empty object, a size or packet size that
+// does not fit an int — as errBadAnnouncement. Callers answer through
 // refuseAnnouncement.
 func readTransferPlan(ctx context.Context, ctl net.Conn) (recvPlan, error) {
 	dl := time.Now().Add(30 * time.Second)
@@ -485,54 +461,35 @@ func readTransferPlan(ctx context.Context, ctl net.Conn) (recvPlan, error) {
 	}
 	ctl.SetReadDeadline(dl)
 	defer ctl.SetReadDeadline(time.Time{})
-	f, err := readControlFrame(ctl)
-	if err != nil {
-		return recvPlan{}, fmt.Errorf("udprt: hello read: %w", err)
-	}
-	var tid obs.TraceID
-	var chk *wire.Check
-	// The preludes only decorate the announcement that must follow them.
-	for f.typ == wire.TypeTrace || f.typ == wire.TypeCheck {
-		if f.typ == wire.TypeTrace {
-			tid = obs.TraceID(f.trace.ID)
-		} else {
-			c := f.check
-			chk = &c
-		}
-		if f, err = readControlFrame(ctl); err != nil {
+	var frames [2]controlFrame
+	for i, want := range []uint8{wire.TypeCheck, wire.TypeHello} {
+		f, err := readControlFrame(ctl)
+		if err != nil {
 			return recvPlan{}, fmt.Errorf("udprt: hello read: %w", err)
 		}
+		if f.typ != want {
+			return recvPlan{}, fmt.Errorf("%w: control frame type %d where type %d belongs", errBadAnnouncement, f.typ, want)
+		}
+		frames[i] = f
 	}
-	var plan recvPlan
-	switch f.typ {
-	case wire.TypeHello:
-		plan = recvPlan{
-			base:       f.hello.Transfer,
-			objectSize: f.hello.ObjectSize,
-			packetSize: int(f.hello.PacketSize),
-		}
-	case wire.TypeHelloX:
-		plan = recvPlan{
-			base:       f.hellox.Transfer,
-			objectSize: f.hellox.ObjectSize,
-			packetSize: int(f.hellox.PacketSize),
-			stripes:    f.hellox.Stripes,
-		}
-	default:
-		return recvPlan{}, fmt.Errorf("udprt: expected HELLO, got control frame type %d", f.typ)
+	chk, h := frames[0].check, frames[1].hello
+	plan := recvPlan{
+		base:        h.Transfer,
+		objectSize:  h.ObjectSize,
+		packetSize:  int(h.PacketSize),
+		stripes:     h.Stripes,
+		trace:       obs.TraceID(chk.Trace),
+		checkDigest: chk.Digest,
+		checkDedup:  chk.Flags&wire.CheckFlagDedup != 0,
+	}
+	if chk.Transfer != h.Transfer || chk.ObjectSize != h.ObjectSize || chk.PacketSize != h.PacketSize {
+		return recvPlan{}, fmt.Errorf("%w: CHECK names transfer %d, %d bytes in %d-byte packets; HELLO %d, %d in %d",
+			errBadAnnouncement, chk.Transfer, chk.ObjectSize, chk.PacketSize, h.Transfer, h.ObjectSize, h.PacketSize)
 	}
 	if plan.objectSize == 0 || plan.objectSize > math.MaxInt || plan.packetSize <= 0 {
 		return recvPlan{}, fmt.Errorf("%w: %d-byte object in %d-byte packets",
 			errBadAnnouncement, plan.objectSize, plan.packetSize)
 	}
-	if chk == nil {
-		return recvPlan{}, fmt.Errorf("%w: no CHECK names the object", errBadAnnouncement)
-	}
-	plan.trace = tid
-	plan.checkDigest = chk.Digest
-	plan.checkVerify = chk.Flags&wire.CheckFlagVerify != 0
-	plan.checkDedup = chk.Flags&wire.CheckFlagDedup != 0
-	plan.stripeDigests = chk.StripeDigests
 	return plan, nil
 }
 
@@ -543,12 +500,10 @@ var errBadAnnouncement = errors.New("udprt: unusable transfer announcement")
 // refuseAnnouncement answers an announcement readTransferPlan could not
 // accept with a reasoned ABORT, so the peer fails its handshake instead of
 // blasting data: unsupported for a protocol revision this build does not
-// speak (the sender's degradation ladder drops that extra), bad-hello for
-// anything else.
+// speak, bad-hello for anything else.
 func refuseAnnouncement(ctl net.Conn, err error) {
 	reason := wire.AbortBadHello
-	if errors.Is(err, wire.ErrHelloXVersion) || errors.Is(err, wire.ErrTraceVersion) ||
-		errors.Is(err, wire.ErrCheckVersion) {
+	if errors.Is(err, wire.ErrCheckVersion) {
 		reason = wire.AbortUnsupported
 	}
 	writeAbort(ctl, 0, reason)
@@ -587,16 +542,15 @@ func sendOnce(ctx context.Context, addr string, obj []byte, cfg core.Config, opt
 	if err != nil {
 		return core.SenderStats{}, err
 	}
-	tid := opts.senderTraceID()
-	plan.instrument(opts, tid)
+	plan.instrument(opts, opts.senderTraceID())
 	plan.event(obs.KindDial, 0)
-	ctl, ans, err := dialHandshake(ctx, addr, tracePrelude(tid), plan.announcement(opts), plan.base, plan.totalPackets(), opts)
+	ctl, have, err := dialHandshake(ctx, addr, plan.announcement(opts), plan.base, opts)
 	if err != nil {
 		plan.finish(err)
 		return plan.stats(), err
 	}
 	defer ctl.Close()
-	hit, err := plan.accepted(ans)
+	hit, err := plan.accepted(have)
 	if err != nil {
 		writeAbort(ctl, plan.base, wire.AbortBadHello)
 		plan.finish(err)
@@ -652,82 +606,54 @@ func completeDedupedSend(plan *senderPlan, ctl net.Conn) (core.SenderStats, erro
 }
 
 // dialHandshake establishes the control connection and completes the
-// handshake — the optional TRACE prelude plus the announcement, pipelined in
-// one write, then the answers back — retrying with exponential backoff on
-// connection errors and timeouts. An ABORT from the receiver (e.g. a
-// duplicate transfer id) is final and never retried, with one exception: a
-// peer that rejects a traced announcement outright (bad-hello or
-// unsupported) is treated as not speaking TRACE, and the handshake goes on
-// untraced, restoring the attempt the refusal consumed. A peer that refuses
-// the untraced announcement refuses its CHECK, which every announcement
-// carries: the transfer fails with ErrVerifyUnsupported. A peer that hangs up
-// instead of ABORTing (an old Listener fails its announcement parse and
-// closes the connection) also loses the TRACE prelude on the retry, so it
-// can never wedge a transfer the untraced announcement would have opened.
+// handshake — the announcement in one write, the HAVE back — retrying with
+// exponential backoff on connection errors and timeouts. An ABORT from the
+// receiver (a duplicate transfer id, an announcement it refuses) is final
+// and never retried.
 //
-// The returned answer's HAVE is the CHECK's verdict; when it covers all
-// packets the receiver already holds the object and the caller must await
-// COMPLETE instead of running the data phase (no HELLO-ACK was read then,
-// since none comes).
-func dialHandshake(ctx context.Context, addr string, prelude, announcement []byte, transfer uint32, packets int, opts Options) (net.Conn, answer, error) {
-	frame := append(prelude, announcement...)
+// When the returned HAVE covers all packets the receiver already holds the
+// object, and the caller must await COMPLETE instead of running the data
+// phase.
+func dialHandshake(ctx context.Context, addr string, frame []byte, transfer uint32, opts Options) (net.Conn, wire.Have, error) {
 	var lastErr error
 	backoff := opts.HandshakeBackoff
 	for attempt := 0; attempt < opts.HandshakeRetries; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():
-				return nil, answer{}, fmt.Errorf("udprt: handshake: %w", ctx.Err())
+				return nil, wire.Have{}, fmt.Errorf("udprt: handshake: %w", ctx.Err())
 			case <-time.After(backoff):
 			}
 			backoff *= 2
 		}
-		ctl, ans, err := attemptHandshake(ctx, addr, frame, transfer, packets, opts)
+		ctl, have, err := attemptHandshake(ctx, addr, frame, transfer, opts)
 		if err == nil {
-			return ctl, ans, nil
+			return ctl, have, nil
 		}
-		traced := len(frame) > len(announcement)
 		var abort *AbortError
-		if errors.As(err, &abort) {
-			if abort.Reason != wire.AbortBadHello && abort.Reason != wire.AbortUnsupported {
-				return nil, answer{}, err
-			}
-			if !traced {
-				return nil, answer{}, fmt.Errorf("%w: peer answered %s", ErrVerifyUnsupported, abort.Reason)
-			}
-			// The peer refused the announcement itself — exactly how a
-			// TRACE-unaware (or version-rejecting) receiver presents. Drop
-			// the prelude and try again with the full retry budget.
-			frame, lastErr = announcement, err
-			attempt--
-			continue
+		if errors.As(err, &abort) || ctx.Err() != nil {
+			return nil, wire.Have{}, err
 		}
-		if ctx.Err() != nil {
-			return nil, answer{}, err
-		}
-		// Connection-level failure: could be transient, could be an old
-		// peer hanging up on an unknown frame. The retry goes without the
-		// TRACE prelude so the two causes converge on a working transfer.
-		frame, lastErr = announcement, err
+		lastErr = err
 	}
-	return nil, answer{}, fmt.Errorf("udprt: handshake failed after %d attempts: %w",
+	return nil, wire.Have{}, fmt.Errorf("udprt: handshake failed after %d attempts: %w",
 		opts.HandshakeRetries, lastErr)
 }
 
 // attemptHandshake dials one control connection and runs the announcement
 // exchange on it.
-func attemptHandshake(ctx context.Context, addr string, frame []byte, transfer uint32, packets int, opts Options) (net.Conn, answer, error) {
+func attemptHandshake(ctx context.Context, addr string, frame []byte, transfer uint32, opts Options) (net.Conn, wire.Have, error) {
 	var d net.Dialer
 	ctl, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
-		return nil, answer{}, fmt.Errorf("udprt: dial control: %w", err)
+		return nil, wire.Have{}, fmt.Errorf("udprt: dial control: %w", err)
 	}
-	ans, err := exchange(ctx, ctl, frame, transfer, packets, opts.HandshakeTimeout)
+	have, err := exchange(ctx, ctl, frame, transfer, opts.HandshakeTimeout)
 	if err != nil {
 		ctl.Close()
-		return nil, answer{}, err
+		return nil, wire.Have{}, err
 	}
-	return ctl, ans, nil
+	return ctl, have, nil
 }
 
 // readCompletion blocks until the receiver's terminal control frame

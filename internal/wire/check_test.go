@@ -20,82 +20,79 @@ func validCheck() *Check {
 		PacketSize: 1024,
 		Flags:      CheckFlagDedup,
 		Digest:     digest(0x10),
+		Trace:      [16]byte{0xAB, 1, 2, 3},
 	}
 }
 
 func TestCheckRoundTrip(t *testing.T) {
 	c := validCheck()
 	buf := AppendCheck(nil, c)
-	if len(buf) != CheckFixedLen {
-		t.Fatalf("unstriped frame length %d, want %d", len(buf), CheckFixedLen)
+	if len(buf) != CheckLen {
+		t.Fatalf("frame length %d, want %d", len(buf), CheckLen)
 	}
 	got, err := DecodeCheck(buf)
 	if err != nil {
 		t.Fatalf("DecodeCheck: %v", err)
 	}
-	if got.Version != CheckVersion || got.Flags != c.Flags || got.Transfer != c.Transfer ||
-		got.ObjectSize != c.ObjectSize || got.PacketSize != c.PacketSize ||
-		got.Digest != c.Digest || len(got.StripeDigests) != 0 {
+	c.Version = CheckVersion // zero on encode means "current"
+	if got != *c {
 		t.Fatalf("round trip changed the frame: %+v vs %+v", got, c)
 	}
 }
 
+// TestCheckRoundTripStriped: a striped transfer's announcement is the same
+// fixed-length CHECK — the whole object's identity, no per-stripe digests —
+// followed by the HELLO carrying the stripe table, and the pair decodes
+// frame by frame from the one buffer a sender writes.
 func TestCheckRoundTripStriped(t *testing.T) {
 	c := validCheck()
-	c.Flags |= CheckFlagVerify
-	c.StripeDigests = [][32]byte{digest(1), digest(2), digest(3)}
-	buf := AppendCheck(nil, c)
-	if len(buf) != CheckLen(3) {
-		t.Fatalf("striped frame length %d, want %d", len(buf), CheckLen(3))
+	c.ObjectSize = 10000
+	h := &Hello{Transfer: c.Transfer, ObjectSize: c.ObjectSize, PacketSize: c.PacketSize, Stripes: []StripeDesc{
+		{Transfer: 7, Offset: 0, Length: 6144}, {Transfer: 8, Offset: 6144, Length: 3856},
+	}}
+	buf := AppendHello(AppendCheck(nil, c), h)
+	if len(buf) != CheckLen+HelloLen+2*StripeDescLen {
+		t.Fatalf("announcement length %d, want %d", len(buf), CheckLen+HelloLen+2*StripeDescLen)
 	}
 	got, err := DecodeCheck(buf)
-	if err != nil {
-		t.Fatalf("DecodeCheck: %v", err)
+	if err != nil || got.Digest != c.Digest || got.ObjectSize != c.ObjectSize {
+		t.Fatalf("DecodeCheck = %+v, %v", got, err)
 	}
-	if len(got.StripeDigests) != 3 {
-		t.Fatalf("stripe digest count %d, want 3", len(got.StripeDigests))
-	}
-	for i := range got.StripeDigests {
-		if got.StripeDigests[i] != c.StripeDigests[i] {
-			t.Fatalf("stripe %d digest changed: %x vs %x", i, got.StripeDigests[i], c.StripeDigests[i])
-		}
-	}
-	n, err := CheckStripeCount(buf)
-	if err != nil || n != 3 {
-		t.Fatalf("CheckStripeCount = (%d, %v), want (3, nil)", n, err)
+	hello, err := DecodeHello(buf[CheckLen:])
+	if err != nil || len(hello.Stripes) != 2 || hello.Stripes[1] != h.Stripes[1] {
+		t.Fatalf("DecodeHello = %+v, %v", hello, err)
 	}
 }
 
-// TestCheckRejectsOtherVersions: the version names the digest scheme, so
-// the previous revision (1, plain SHA-256) is refused exactly like a future
-// one.
+// TestCheckRejectsOtherVersions: the version names the digest scheme and the
+// announcement's layout, so earlier revisions (1, plain SHA-256; 2, stripe
+// digests beside TRACE, HELLOX and HELLO-ACK) are refused exactly like a
+// future one — by the version byte alone, however short the rest.
 func TestCheckRejectsOtherVersions(t *testing.T) {
-	for _, v := range []uint8{CheckVersion + 1, 1} {
+	for _, v := range []uint8{CheckVersion + 1, 1, 2} {
 		buf := AppendCheck(nil, validCheck())
 		buf[3] = v
-		_, err := DecodeCheck(buf)
-		if !errors.Is(err, ErrCheckVersion) {
-			t.Fatalf("version %d err = %v, want ErrCheckVersion", v, err)
-		}
-		if !strings.Contains(err.Error(), "speak") {
-			t.Fatalf("version error %q does not name the spoken revision", err)
+		for _, b := range [][]byte{buf, buf[:4]} {
+			_, err := DecodeCheck(b)
+			if !errors.Is(err, ErrCheckVersion) {
+				t.Fatalf("version %d (%d bytes) err = %v, want ErrCheckVersion", v, len(b), err)
+			}
+			if !strings.Contains(err.Error(), "speak") {
+				t.Fatalf("version error %q does not name the spoken revision", err)
+			}
 		}
 	}
 }
 
 func TestCheckRejectsBadFrames(t *testing.T) {
 	good := AppendCheck(nil, validCheck())
-	striped := validCheck()
-	striped.StripeDigests = [][32]byte{digest(1), digest(2)}
-	stripedBuf := AppendCheck(nil, striped)
 	cases := []struct {
 		name string
 		buf  []byte
 		want error
 	}{
 		{"empty", nil, ErrShort},
-		{"truncated prefix", good[:CheckFixedLen-1], ErrShort},
-		{"truncated trailer", stripedBuf[:len(stripedBuf)-1], ErrShort},
+		{"truncated", good[:CheckLen-1], ErrShort},
 		{"bad magic", append([]byte{0, 0}, good[2:]...), ErrBadMagic},
 		// Long enough to pass the length check, so the type byte (not the
 		// length) must reject it.
@@ -111,29 +108,15 @@ func TestCheckRejectsBadFrames(t *testing.T) {
 		}
 	}
 	zeroPkt := AppendCheck(nil, validCheck())
-	zeroPkt[18], zeroPkt[19], zeroPkt[20], zeroPkt[21] = 0, 0, 0, 0
+	zeroPkt[17], zeroPkt[18], zeroPkt[19], zeroPkt[20] = 0, 0, 0, 0
 	if _, err := DecodeCheck(zeroPkt); err == nil {
 		t.Fatal("zero packet size accepted")
 	}
-	overcount := AppendCheck(nil, validCheck())
-	overcount[5] = MaxStreams + 1
-	if _, err := DecodeCheck(overcount); err == nil {
-		t.Fatal("stripe count beyond MaxStreams accepted")
+	zeroObj := validCheck()
+	zeroObj.ObjectSize = 0
+	if _, err := DecodeCheck(AppendCheck(nil, zeroObj)); err == nil {
+		t.Fatal("zero object size accepted")
 	}
-	if _, err := CheckStripeCount(overcount); err == nil {
-		t.Fatal("CheckStripeCount accepted a count beyond MaxStreams")
-	}
-}
-
-func TestAppendCheckPanicsOnTooManyStripes(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AppendCheck accepted MaxStreams+1 stripe digests")
-		}
-	}()
-	c := validCheck()
-	c.StripeDigests = make([][32]byte, MaxStreams+1)
-	AppendCheck(nil, c)
 }
 
 func TestCheckPeekAndControlLen(t *testing.T) {
@@ -143,7 +126,10 @@ func TestCheckPeekAndControlLen(t *testing.T) {
 		t.Fatalf("PeekType = (%d, %v), want (%d, nil)", typ, err, TypeCheck)
 	}
 	n, err := ControlLen(TypeCheck)
-	if err != nil || n != CheckFixedLen {
-		t.Fatalf("ControlLen(TypeCheck) = (%d, %v), want (%d, nil)", n, err, CheckFixedLen)
+	if err != nil || n != CheckLen {
+		t.Fatalf("ControlLen(TypeCheck) = (%d, %v), want (%d, nil)", n, err, CheckLen)
+	}
+	if n, err := TrailerLen(buf); err != nil || n != 0 {
+		t.Fatalf("TrailerLen(CHECK) = (%d, %v), want (0, nil): the frame is fixed-length", n, err)
 	}
 }

@@ -69,7 +69,6 @@ func captureFrames(tb testing.TB) (datas, acks, control [][]byte) {
 		wire.AppendHello(nil, &wire.Hello{
 			Transfer: cfg.Transfer, ObjectSize: uint64(len(obj)), PacketSize: uint32(cfg.PacketSize),
 		}),
-		wire.AppendHelloAck(nil, &wire.HelloAck{Transfer: cfg.Transfer}),
 		wire.AppendComplete(nil, &wire.Complete{
 			Transfer: cfg.Transfer, Received: uint64(len(obj)), Digest: wire.ContentTag(core.ContentID(rcv.Object())),
 		}),
@@ -78,16 +77,13 @@ func captureFrames(tb testing.TB) (datas, acks, control [][]byte) {
 			Transfer: cfg.Transfer, Received: uint32(len(datas)),
 			Words: rcv.HaveWords(nil),
 		}),
-		wire.AppendTrace(nil, &wire.Trace{
-			ID: [16]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
-		}),
 		wire.AppendCheck(nil, &wire.Check{
 			Transfer: cfg.Transfer, ObjectSize: uint64(len(obj)),
 			PacketSize: uint32(cfg.PacketSize), Flags: wire.CheckFlagDedup,
 			Digest: core.ContentID(obj),
+			Trace:  [16]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
 		}),
-		// The two answers with a receive window in their fourth byte.
-		wire.AppendHelloAck(nil, &wire.HelloAck{Transfer: cfg.Transfer, Window: 21}),
+		// The answer that accepts a transfer, with a receive window.
 		wire.AppendHave(nil, &wire.Have{
 			Transfer: cfg.Transfer, Received: uint32(len(datas)),
 			Words: rcv.HaveWords(nil), Window: 17,
@@ -146,9 +142,13 @@ func FuzzDecodeAck(f *testing.F) {
 	})
 }
 
-// legacyResume is a RESUME frame (type 8, retired) as an earlier build wrote
-// it — magic, type, version, streams, transfer, object size, packet size,
-// whole-object CRC-32C — at the given revision and stream count.
+// The retired control frames as earlier builds wrote them: a frozen corpus
+// the decoders must keep refusing, seeded into FuzzDecodeControl and used by
+// the tests that pin the refusals.
+
+// legacyResume is a RESUME frame (type 8) — magic, type, version, streams,
+// transfer, object size, packet size, whole-object CRC-32C — at the given
+// revision and stream count.
 func legacyResume(version uint8, streams uint16) []byte {
 	b := binary.BigEndian.AppendUint16(nil, wire.Magic)
 	b = append(b, 8, version)
@@ -159,23 +159,61 @@ func legacyResume(version uint8, streams uint16) []byte {
 	return binary.BigEndian.AppendUint32(b, 0x01020304)
 }
 
+// legacyHelloX is a HELLOX frame (type 7), the striped announcement: magic,
+// type, version, a two-byte stripe count, transfer, object size, packet size,
+// then each stripe's tag, offset and length.
+func legacyHelloX(version uint8, transfer uint32, size uint64, packetSize uint32, stripes []wire.StripeDesc) []byte {
+	b := binary.BigEndian.AppendUint16(nil, wire.Magic)
+	b = append(b, 7, version)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(stripes)))
+	b = binary.BigEndian.AppendUint32(b, transfer)
+	b = binary.BigEndian.AppendUint64(b, size)
+	b = binary.BigEndian.AppendUint32(b, packetSize)
+	for _, s := range stripes {
+		b = binary.BigEndian.AppendUint32(b, s.Transfer)
+		b = binary.BigEndian.AppendUint64(b, s.Offset)
+		b = binary.BigEndian.AppendUint64(b, s.Length)
+	}
+	return b
+}
+
+// legacyTrace is a TRACE prelude (type 10): magic, type, version, the
+// 16-byte trace id.
+func legacyTrace(version uint8, id [16]byte) []byte {
+	return append(binary.BigEndian.AppendUint16(nil, wire.Magic), append([]byte{10, version}, id[:]...)...)
+}
+
+// legacyHelloAck is a HELLO-ACK (type 5), the acceptance: magic, type, the
+// window byte, transfer.
+func legacyHelloAck(transfer uint32, window uint8) []byte {
+	return binary.BigEndian.AppendUint32(append(binary.BigEndian.AppendUint16(nil, wire.Magic), 5, window), transfer)
+}
+
 func FuzzDecodeControl(f *testing.F) {
 	_, _, control := captureFrames(f)
 	for _, frame := range control {
 		f.Add(frame)
 	}
-	f.Add(wire.AppendHelloX(nil, &wire.HelloX{
-		Transfer: 2, ObjectSize: 4096, PacketSize: 1024,
-		Stripes: []wire.StripeDesc{{Transfer: 2, Offset: 0, Length: 4096}},
-	}))
-	f.Add(wire.AppendHelloX(nil, &wire.HelloX{
-		Transfer: 5, ObjectSize: 5000, PacketSize: 1024,
-		Stripes: []wire.StripeDesc{
-			{Transfer: 5, Offset: 0, Length: 2048},
-			{Transfer: 6, Offset: 2048, Length: 2048},
-			{Transfer: 7, Offset: 4096, Length: 904},
-		},
-	}))
+	stripes := []wire.StripeDesc{
+		{Transfer: 5, Offset: 0, Length: 2048},
+		{Transfer: 6, Offset: 2048, Length: 2048},
+		{Transfer: 7, Offset: 4096, Length: 904},
+	}
+	tabled := wire.AppendHello(nil, &wire.Hello{Transfer: 5, ObjectSize: 5000, PacketSize: 1024, Stripes: stripes})
+	f.Add(tabled)
+	f.Add(wire.AppendHello(nil, &wire.Hello{Transfer: 2, ObjectSize: 4096, PacketSize: 1024,
+		Stripes: []wire.StripeDesc{{Transfer: 2, Offset: 0, Length: 4096}}}))
+	// Truncated table: the prefix promises three stripes, but only part of
+	// the last follows. Must come back ErrShort.
+	f.Add(tabled[:len(tabled)-5])
+	// The retired frames, however well-formed their bodies: HELLOX,
+	// TRACE at the version earlier builds spoke and a later one, and
+	// HELLO-ACK with and without a window.
+	f.Add(legacyHelloX(1, 5, 5000, 1024, stripes))
+	f.Add(legacyTrace(1, [16]byte{0xAA}))
+	f.Add(legacyTrace(2, [16]byte{0xAA}))
+	f.Add(legacyHelloAck(3, 0))
+	f.Add(legacyHelloAck(3, 21))
 	// RESUME frames of an earlier build — single-flow, striped, and of a
 	// future revision: the retired type must be refused however well-formed
 	// its body.
@@ -187,56 +225,28 @@ func FuzzDecodeControl(f *testing.F) {
 	// Truncated bitmap: the fixed prefix promises two words but only one
 	// follows. Must come back ErrShort, never a partial decode.
 	f.Add(have[:len(have)-8])
-	// Future-version TRACE: same refusal rule.
-	futureTrace := wire.AppendTrace(nil, &wire.Trace{ID: [16]byte{0xAA}})
-	futureTrace[3] = wire.TraceVersion + 1
-	f.Add(futureTrace)
-	// CHECK with stripe digests, and a future-version CHECK: the decoder
-	// must refuse the latter before any layout parsing.
-	striped := wire.AppendCheck(nil, &wire.Check{
-		Transfer: 6, ObjectSize: 4096, PacketSize: 1024,
-		Flags:  wire.CheckFlagDedup | wire.CheckFlagVerify,
-		Digest: [32]byte{1, 2, 3}, StripeDigests: [][32]byte{{4}, {5}},
-	})
-	f.Add(striped)
-	// Truncated trailer: the prefix promises two stripe digests but only
-	// part of one follows. Must come back ErrShort.
-	f.Add(striped[:len(striped)-40])
-	futureCheck := wire.AppendCheck(nil, &wire.Check{
-		Transfer: 7, ObjectSize: 64, PacketSize: 64, Digest: [32]byte{9},
-	})
-	futureCheck[3] = wire.CheckVersion + 1
-	f.Add(futureCheck)
-	// The previous revision (plain SHA-256 digests) is refused the same way.
-	f.Add(wire.AppendCheck(nil, &wire.Check{
-		Version: 1, Transfer: 7, ObjectSize: 64, PacketSize: 64, Digest: [32]byte{9},
-	}))
+	// A future-version CHECK and the two earlier revisions: the decoder
+	// must refuse them by the version byte before any layout parsing.
+	for _, v := range []uint8{wire.CheckVersion + 1, 1, 2} {
+		c := wire.AppendCheck(nil, &wire.Check{
+			Transfer: 7, ObjectSize: 64, PacketSize: 64, Digest: [32]byte{9},
+		})
+		c[3] = v
+		f.Add(c)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if h, err := wire.DecodeHello(b); err == nil {
-			if _, err := wire.DecodeHello(wire.AppendHello(nil, &h)); err != nil {
+			re, err := wire.DecodeHello(wire.AppendHello(nil, &h))
+			if err != nil {
 				t.Fatalf("hello re-decode failed: %v", err)
+			}
+			if re.Transfer != h.Transfer || re.ObjectSize != h.ObjectSize || len(re.Stripes) != len(h.Stripes) {
+				t.Fatalf("re-encode changed the hello: %+v vs %+v", re, h)
 			}
 		}
 		if c, err := wire.DecodeComplete(b); err == nil {
 			if _, err := wire.DecodeComplete(wire.AppendComplete(nil, &c)); err != nil {
 				t.Fatalf("complete re-decode failed: %v", err)
-			}
-		}
-		if h, err := wire.DecodeHelloAck(b); err == nil {
-			if re, err := wire.DecodeHelloAck(wire.AppendHelloAck(nil, &h)); err != nil || re != h {
-				t.Fatalf("hello-ack re-decode failed: %v (%+v vs %+v)", err, re, h)
-			}
-			if n := h.Window.Bytes(); n < 0 || (h.Window != 0 && n < 2) {
-				t.Fatalf("window %d is %d bytes", h.Window, n)
-			}
-		}
-		if h, err := wire.DecodeHelloX(b); err == nil {
-			re, err := wire.DecodeHelloX(wire.AppendHelloX(nil, &h))
-			if err != nil {
-				t.Fatalf("hellox re-decode failed: %v", err)
-			}
-			if re.Transfer != h.Transfer || len(re.Stripes) != len(h.Stripes) {
-				t.Fatalf("re-encode changed the hellox: %+v vs %+v", re, h)
 			}
 		}
 		if a, err := wire.DecodeAbort(b); err == nil {
@@ -252,30 +262,26 @@ func FuzzDecodeControl(f *testing.F) {
 			if re.Transfer != h.Transfer || re.Received != h.Received || re.Window != h.Window || len(re.Words) != len(h.Words) {
 				t.Fatalf("re-encode changed the have: %+v vs %+v", re, h)
 			}
-		}
-		if tr, err := wire.DecodeTrace(b); err == nil {
-			if re, err := wire.DecodeTrace(wire.AppendTrace(nil, &tr)); err != nil || re != tr {
-				t.Fatalf("trace re-decode failed: %v (%+v vs %+v)", err, re, tr)
+			if n := h.Window.Bytes(); n < 0 || (h.Window != 0 && n < 2) {
+				t.Fatalf("window %d is %d bytes", h.Window, n)
 			}
 		}
 		if c, err := wire.DecodeCheck(b); err == nil {
-			re, err := wire.DecodeCheck(wire.AppendCheck(nil, &c))
-			if err != nil {
-				t.Fatalf("check re-decode failed: %v", err)
-			}
-			if re.Transfer != c.Transfer || re.Digest != c.Digest ||
-				re.Flags != c.Flags || len(re.StripeDigests) != len(c.StripeDigests) {
-				t.Fatalf("re-encode changed the check: %+v vs %+v", re, c)
+			if re, err := wire.DecodeCheck(wire.AppendCheck(nil, &c)); err != nil || re != c {
+				t.Fatalf("check re-decode failed: %v (%+v vs %+v)", err, re, c)
 			}
 		}
 		// Any frame the stream framer would read must have a stable length,
-		// and the retired RESUME type is never read.
+		// and no retired type is ever read.
 		if typ, err := wire.PeekType(b); err == nil && typ != wire.TypeData && typ != wire.TypeAck {
-			if _, err := wire.ControlLen(typ); err != nil {
+			if fixed, err := wire.ControlLen(typ); err != nil {
 				t.Fatalf("PeekType accepted control type %d but ControlLen rejects it", typ)
+			} else if len(b) >= fixed {
+				wire.TrailerLen(b[:fixed])
 			}
-			if typ == 8 {
-				t.Fatal("PeekType accepted a RESUME frame")
+			switch typ {
+			case 5, 7, 8, 10:
+				t.Fatalf("PeekType accepted retired type %d", typ)
 			}
 		}
 	})

@@ -9,10 +9,7 @@
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"log"
 	"os"
 	"path/filepath"
@@ -60,50 +57,32 @@ func main() {
 		log.Fatal("capture exchange never completed")
 	}
 
-	check := wire.Check{
-		Transfer: cfg.Transfer, ObjectSize: uint64(len(obj)),
-		PacketSize: uint32(cfg.PacketSize),
-		Flags:      wire.CheckFlagDedup | wire.CheckFlagVerify,
-		Digest:     core.ContentID(obj),
-		StripeDigests: [][32]byte{
-			core.ContentID(obj[:4096]), core.ContentID(obj[4096:]),
-		},
-	}
-	// The same query as the previous revision framed it: plain SHA-256
-	// digests under version 1. A must-reject seed (ErrCheckVersion).
-	oldCheck := wire.Check{
-		Version:  1,
-		Transfer: cfg.Transfer, ObjectSize: uint64(len(obj)),
-		PacketSize: uint32(cfg.PacketSize),
-		Flags:      wire.CheckFlagDedup | wire.CheckFlagVerify,
-		Digest:     sha256.Sum256(obj),
-		StripeDigests: [][32]byte{
-			sha256.Sum256(obj[:4096]), sha256.Sum256(obj[4096:]),
-		},
-	}
 	control := [][]byte{
 		wire.AppendHello(nil, &wire.Hello{
 			Transfer: cfg.Transfer, ObjectSize: uint64(len(obj)), PacketSize: uint32(cfg.PacketSize),
 		}),
-		wire.AppendHelloAck(nil, &wire.HelloAck{Transfer: cfg.Transfer}),
+		// The striped announcement: the same HELLO with its stripe table.
+		wire.AppendHello(nil, &wire.Hello{
+			Transfer: cfg.Transfer, ObjectSize: uint64(len(obj)), PacketSize: uint32(cfg.PacketSize),
+			Stripes: []wire.StripeDesc{
+				{Transfer: cfg.Transfer, Offset: 0, Length: 4096},
+				{Transfer: cfg.Transfer + 1, Offset: 4096, Length: uint64(len(obj)) - 4096},
+			},
+		}),
+		wire.AppendCheck(nil, &wire.Check{
+			Transfer: cfg.Transfer, ObjectSize: uint64(len(obj)),
+			PacketSize: uint32(cfg.PacketSize), Flags: wire.CheckFlagDedup,
+			Digest: core.ContentID(obj),
+			Trace:  [16]byte{0xDE, 0xAD, 0xBE, 0xEF, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
+		}),
 		wire.AppendComplete(nil, &wire.Complete{
 			Transfer: cfg.Transfer, Received: uint64(len(obj)), Digest: wire.ContentTag(core.ContentID(rcv.Object())),
 		}),
 		wire.AppendAbort(nil, &wire.Abort{Transfer: cfg.Transfer, Reason: wire.AbortStalled}),
-		// A RESUME (type 8, retired) as an earlier build wrote it: kept as a
-		// seed the decoders must refuse.
-		legacyResume(cfg.Transfer, obj, uint32(cfg.PacketSize)),
+		// The answer without and with a receive window in its fourth byte.
 		wire.AppendHave(nil, &wire.Have{
 			Transfer: cfg.Transfer, Received: 3, Words: []uint64{^uint64(0), 0, 0b101},
 		}),
-		wire.AppendTrace(nil, &wire.Trace{
-			ID: [16]byte{0xDE, 0xAD, 0xBE, 0xEF, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
-		}),
-		wire.AppendCheck(nil, &check),
-		wire.AppendCheck(nil, &oldCheck),
-		// The two answers with a receive window in their fourth byte (the
-		// HELLO-ACK and HAVE above are the byte-zero, "no window" forms).
-		wire.AppendHelloAck(nil, &wire.HelloAck{Transfer: cfg.Transfer, Window: 21}),
 		wire.AppendHave(nil, &wire.Have{
 			Transfer: cfg.Transfer, Received: 3, Words: []uint64{^uint64(0), 0, 0b101}, Window: 17,
 		}),
@@ -111,33 +90,25 @@ func main() {
 
 	// A handful of representative frames per target keeps the committed
 	// corpus small; the in-code f.Add seeds cover the rest of the capture.
-	write("FuzzDecodeData", [][]byte{datas[0], datas[len(datas)/2], datas[len(datas)-1]})
-	write("FuzzDecodeAck", [][]byte{acks[0], acks[len(acks)-1]})
-	write("FuzzDecodeControl", control)
+	// The control frames go in under the CHECK revision that speaks them:
+	// the captured-* files of FuzzDecodeControl are earlier revisions'
+	// frames — HELLO-ACK, TRACE, RESUME, version-1 and -2 CHECKs among them —
+	// kept as seeds the decoders must refuse.
+	write("FuzzDecodeData", "captured", [][]byte{datas[0], datas[len(datas)/2], datas[len(datas)-1]})
+	write("FuzzDecodeAck", "captured", [][]byte{acks[0], acks[len(acks)-1]})
+	write("FuzzDecodeControl", fmt.Sprintf("v%d", wire.CheckVersion), control)
 }
 
-// legacyResume builds a RESUME frame (type 8, version 1) of obj the way an
-// earlier build wrote it: magic, type, version, streams, transfer, object
-// size, packet size, whole-object CRC-32C.
-func legacyResume(transfer uint32, obj []byte, packetSize uint32) []byte {
-	b := binary.BigEndian.AppendUint16(nil, wire.Magic)
-	b = append(b, 8, 1)
-	b = binary.BigEndian.AppendUint16(b, 1)
-	b = binary.BigEndian.AppendUint32(b, transfer)
-	b = binary.BigEndian.AppendUint64(b, uint64(len(obj)))
-	b = binary.BigEndian.AppendUint32(b, packetSize)
-	return binary.BigEndian.AppendUint32(b, crc32.Checksum(obj, crc32.MakeTable(crc32.Castagnoli)))
-}
-
-// write stores each frame as one corpus file for the named fuzz target.
-func write(target string, frames [][]byte) {
+// write stores each frame as one corpus file for the named fuzz target,
+// named by prefix and index.
+func write(target, prefix string, frames [][]byte) {
 	dir := filepath.Join("testdata", "fuzz", target)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		log.Fatal(err)
 	}
 	for i, frame := range frames {
 		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(frame)) + ")\n"
-		name := filepath.Join(dir, fmt.Sprintf("captured-%02d", i))
+		name := filepath.Join(dir, fmt.Sprintf("%s-%02d", prefix, i))
 		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
 			log.Fatal(err)
 		}

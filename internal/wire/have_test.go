@@ -88,7 +88,8 @@ func TestAppendHavePanicsOnBadWordCounts(t *testing.T) {
 }
 
 // TestPeekTypeAndControlLenCoverResumeHave: a HAVE frames by its fixed
-// prefix, and the retired RESUME type is refused like an unknown one.
+// prefix and a trailer its word count sizes, and the retired RESUME type is
+// refused like an unknown one.
 func TestPeekTypeAndControlLenCoverResumeHave(t *testing.T) {
 	h := AppendHave(nil, validHave())
 	typ, err := PeekType(h)
@@ -97,6 +98,9 @@ func TestPeekTypeAndControlLenCoverResumeHave(t *testing.T) {
 	}
 	if n, err := ControlLen(typ); err != nil || n != HaveFixedLen {
 		t.Fatalf("ControlLen(%d)=%d err=%v, want %d", typ, n, err, HaveFixedLen)
+	}
+	if n, err := TrailerLen(h[:HaveFixedLen]); err != nil || HaveFixedLen+n != len(h) {
+		t.Fatalf("TrailerLen=%d err=%v, want %d", n, err, len(h)-HaveFixedLen)
 	}
 	// The retired RESUME type and one past the last known type (TypeCheck)
 	// must both be rejected.

@@ -5,7 +5,14 @@
 //
 //   - DATA packets on the sender→receiver UDP flow,
 //   - ACK packets on the receiver→sender UDP flow, and
-//   - control messages (HELLO/COMPLETE) on the reliable TCP channel.
+//   - control messages on the reliable TCP channel: the announcement a
+//     sender writes in one piece (CHECK, then HELLO), the receiver's answer
+//     (HAVE, followed by COMPLETE when it already holds the object), the
+//     terminal COMPLETE, and ABORT from either side.
+//
+// That is seven message types. The codes of retired ones — 5 (HELLO-ACK),
+// 7 (HELLOX), 8 (RESUME) and 10 (TRACE) — are refused by PeekType and never
+// reused.
 //
 // All integers are big-endian. Every decoder bounds-checks so a corrupted or
 // hostile datagram can never panic a peer; decoders return an error and the
@@ -26,20 +33,15 @@ import (
 // dropped silently.
 const Magic uint16 = 0xF0B5
 
-// Message types.
+// Message types. Codes 5, 7, 8 and 10 belonged to retired control frames.
 const (
-	TypeData     uint8 = 1 // sender → receiver, carries object bytes
-	TypeAck      uint8 = 2 // receiver → sender, carries status bitmap fragments
-	TypeHello    uint8 = 3 // control channel, announces a transfer
-	TypeComplete uint8 = 4 // control channel, "all data received"
-	TypeHelloAck uint8 = 5 // control channel, receiver accepts the transfer
-	TypeAbort    uint8 = 6 // control channel, either side terminates the transfer
-	TypeHelloX   uint8 = 7 // control channel, versioned extended announcement (striping)
-	// Type 8 was RESUME, retired when retained state came to be found by
-	// content identity; PeekType refuses it, and it is never reused.
-	TypeHave  uint8 = 9  // control channel, receiver's got-bitmap summary answering a CHECK
-	TypeTrace uint8 = 10 // control channel, versioned trace-id prelude ahead of an announcement
-	TypeCheck uint8 = 11 // control channel, versioned content-digest query ahead of an announcement
+	TypeData     uint8 = 1  // sender → receiver, carries object bytes
+	TypeAck      uint8 = 2  // receiver → sender, carries status bitmap fragments
+	TypeHello    uint8 = 3  // control channel, announces a transfer and its stripes
+	TypeComplete uint8 = 4  // control channel, "all data received"
+	TypeAbort    uint8 = 6  // control channel, either side terminates the transfer
+	TypeHave     uint8 = 9  // control channel, the receiver's answer to an announcement
+	TypeCheck    uint8 = 11 // control channel, the announcement's versioned content identity
 )
 
 // Header sizes in bytes.
@@ -48,25 +50,20 @@ const (
 	UDPIPOverhead = 28
 	DataHeaderLen = 2 + 1 + 1 + 4 + 4 + 4 + 2 + 4 // magic,type,flags,xfer,seq,total,len,crc = 22
 	AckHeaderLen  = 2 + 1 + 1 + 4 + 4 + 4 + 4 + 4 + 2
+	// HelloLen is the fixed prefix of a HELLO frame:
+	// magic,type,stripes,xfer,objsize,psize = 20; StripeDescLen bytes per
+	// announced stripe follow.
 	HelloLen      = 2 + 1 + 1 + 4 + 8 + 4
+	StripeDescLen = 4 + 8 + 8
 	CompleteLen   = 2 + 1 + 1 + 4 + 8 + 4
-	HelloAckLen   = 2 + 1 + 1 + 4
 	AbortLen      = 2 + 1 + 1 + 4 + 1
-	// HelloXFixedLen is the fixed prefix of a HELLOX frame:
-	// magic,type,version,streams,xfer,objsize,psize = 22; StripeDescLen
-	// bytes per stripe follow.
-	HelloXFixedLen = 2 + 1 + 1 + 2 + 4 + 8 + 4
-	StripeDescLen  = 4 + 8 + 8
 	// HaveFixedLen is the fixed prefix of a HAVE frame:
-	// magic,type,flags,xfer,received,words = 16; 8 bytes per bitmap word
+	// magic,type,window,xfer,received,words = 16; 8 bytes per bitmap word
 	// follow.
 	HaveFixedLen = 2 + 1 + 1 + 4 + 4 + 4
-	// TraceLen is a TRACE frame: magic,type,version,id(16) = 20.
-	TraceLen = 2 + 1 + 1 + 16
-	// CheckFixedLen is the fixed prefix of a CHECK frame:
-	// magic,type,version,flags,nstripes,xfer,objsize,psize,digest(32) = 54;
-	// ContentDigestLen bytes per stripe digest follow.
-	CheckFixedLen = 2 + 1 + 1 + 1 + 1 + 4 + 8 + 4 + 32
+	// CheckLen is a CHECK frame:
+	// magic,type,version,flags,xfer,objsize,psize,digest(32),trace(16) = 69.
+	CheckLen = 2 + 1 + 1 + 1 + 4 + 8 + 4 + ContentDigestLen + 16
 	// ContentDigestLen is the byte length of a content digest (SHA-256).
 	ContentDigestLen = 32
 )
@@ -88,21 +85,11 @@ var (
 	ErrBadMagic = errors.New("wire: bad magic")
 	ErrBadType  = errors.New("wire: unexpected message type")
 	ErrChecksum = errors.New("wire: payload checksum mismatch")
-	// ErrHelloXVersion rejects a HELLOX from a future protocol revision.
-	// The layout after the version byte is only defined for versions this
-	// build knows, so an unknown version must be refused outright (the
-	// runtime answers with an ABORT) rather than half-parsed.
-	ErrHelloXVersion = errors.New("wire: unsupported HELLOX version")
-	// ErrTraceVersion rejects a TRACE prelude from a future protocol
-	// revision, for the same reason: the runtime answers with an ABORT
-	// (unsupported) and the sender retries the handshake untraced.
-	ErrTraceVersion = errors.New("wire: unsupported TRACE version")
-	// ErrCheckVersion rejects a CHECK prelude of another protocol revision
-	// (older or newer: the revision names the digest scheme, and a digest of
-	// one scheme proves nothing under another). The runtime answers with an
-	// ABORT (unsupported); the CHECK names the object every transfer is
-	// verified, cached and retained under, so the sender fails rather than
-	// announce without it.
+	// ErrCheckVersion rejects an announcement of another protocol revision,
+	// older or newer: the CHECK's version byte is the announcement's one
+	// version, and the layout after it is only defined for the revision this
+	// build speaks. The runtime answers with an ABORT (unsupported), which
+	// the sender takes as final.
 	ErrCheckVersion = errors.New("wire: unsupported CHECK version")
 )
 
@@ -271,26 +258,55 @@ func DecodeAckInto(b []byte, words []uint64) (Ack, error) {
 	return a, nil
 }
 
+// MaxStreams bounds the stripe count a HELLO may announce. It caps the
+// frame size a hostile control peer can demand and keeps per-transfer
+// receiver state small; GridFTP-style deployments rarely profit beyond a
+// few tens of parallel streams.
+const MaxStreams = 64
+
+// StripeDesc places one stripe of a striped transfer: the stripe's own
+// transfer tag (its UDP flows carry this id), and the contiguous
+// [Offset, Offset+Length) byte range of the object it covers.
+type StripeDesc struct {
+	Transfer uint32
+	Offset   uint64
+	Length   uint64
+}
+
 // Hello announces a transfer on the control channel: the object size in
 // bytes and the data packet payload size, from which both sides derive the
-// packet count.
+// packet count, and the stripe table of a striped transfer. Its fourth byte
+// is the stripe count: zero is the single-stripe short form (the whole
+// object under Transfer, one flow), and 1..MaxStreams is followed by that
+// many StripeDesc entries in offset order, which must tile the object. A
+// one-entry table describes the same transfer as the short form.
 type Hello struct {
 	Transfer   uint32
 	ObjectSize uint64
 	PacketSize uint32
+	// Stripes is the stripe table; nil for the short form.
+	Stripes []StripeDesc
 }
 
 // AppendHello serializes h onto buf.
 func AppendHello(buf []byte, h *Hello) []byte {
+	if len(h.Stripes) > MaxStreams {
+		panic(fmt.Sprintf("wire: %d stripes exceed %d", len(h.Stripes), MaxStreams))
+	}
 	buf = binary.BigEndian.AppendUint16(buf, Magic)
-	buf = append(buf, TypeHello, 0)
+	buf = append(buf, TypeHello, uint8(len(h.Stripes)))
 	buf = binary.BigEndian.AppendUint32(buf, h.Transfer)
 	buf = binary.BigEndian.AppendUint64(buf, h.ObjectSize)
 	buf = binary.BigEndian.AppendUint32(buf, h.PacketSize)
+	for _, s := range h.Stripes {
+		buf = binary.BigEndian.AppendUint32(buf, s.Transfer)
+		buf = binary.BigEndian.AppendUint64(buf, s.Offset)
+		buf = binary.BigEndian.AppendUint64(buf, s.Length)
+	}
 	return buf
 }
 
-// DecodeHello parses a HELLO control message.
+// DecodeHello parses a HELLO control message, stripe table and all.
 func DecodeHello(b []byte) (Hello, error) {
 	var h Hello
 	if len(b) < HelloLen {
@@ -302,13 +318,53 @@ func DecodeHello(b []byte) (Hello, error) {
 	if b[2] != TypeHello {
 		return h, ErrBadType
 	}
+	n, err := helloStripeCount(b)
+	if err != nil {
+		return h, err
+	}
+	if len(b) < HelloLen+n*StripeDescLen {
+		return h, ErrShort
+	}
 	h.Transfer = binary.BigEndian.Uint32(b[4:])
 	h.ObjectSize = binary.BigEndian.Uint64(b[8:])
 	h.PacketSize = binary.BigEndian.Uint32(b[16:])
 	if h.PacketSize == 0 {
 		return h, errors.New("wire: hello with zero packet size")
 	}
+	if n == 0 {
+		return h, nil
+	}
+	h.Stripes = make([]StripeDesc, n)
+	var at uint64
+	for i := range h.Stripes {
+		o := HelloLen + i*StripeDescLen
+		s := StripeDesc{
+			Transfer: binary.BigEndian.Uint32(b[o:]),
+			Offset:   binary.BigEndian.Uint64(b[o+4:]),
+			Length:   binary.BigEndian.Uint64(b[o+12:]),
+		}
+		// The stripes must tile the object exactly: contiguous, in order,
+		// nothing missing, nothing overlapping. Rejecting here means no
+		// runtime ever sees a plan it could mis-place.
+		if s.Offset != at || s.Length == 0 {
+			return h, fmt.Errorf("wire: hello stripe %d at offset %d, want contiguous %d", i, s.Offset, at)
+		}
+		at += s.Length
+		h.Stripes[i] = s
+	}
+	if at != h.ObjectSize {
+		return h, fmt.Errorf("wire: hello stripes cover %d bytes of a %d-byte object", at, h.ObjectSize)
+	}
 	return h, nil
+}
+
+// helloStripeCount reads the stripe count out of a HELLO's fixed prefix,
+// bounds-checked against MaxStreams.
+func helloStripeCount(b []byte) (int, error) {
+	if n := int(b[3]); n <= MaxStreams {
+		return n, nil
+	}
+	return 0, fmt.Errorf("wire: hello stripe count %d exceeds %d", b[3], MaxStreams)
 }
 
 // Complete is the receiver's "all data received" signal on the control
@@ -355,21 +411,11 @@ func DecodeComplete(b []byte) (Complete, error) {
 	return c, nil
 }
 
-// HelloAck is the receiver's acceptance of a HELLO on the control channel.
-// Until it arrives the sender does not place data on the network, so a dead
-// or rejecting receiver can never cause an open-loop UDP blast. Window is the
-// receive window the acceptance advertises (see Window).
-type HelloAck struct {
-	Transfer uint32
-	Window   Window
-}
-
 // Window is a receive window as the answer to an announcement carries it: the
 // base-two logarithm of how many payload bytes of one data flow the receiver
-// undertakes to hold unread, in the fourth byte of HELLO-ACK and HAVE. That
-// byte was written zero and read by nobody before the window existed, so zero
-// is "no window advertised": a receiver that predates it asks for no flow
-// control, and a sender that predates it never looks.
+// undertakes to hold unread, in the fourth byte of HAVE. Zero is "no window
+// advertised": a receiver that predates the window wrote that byte zero and
+// asks for no flow control, and a sender that predates it never looks.
 type Window uint8
 
 // WindowOf returns the largest window not above n bytes (none below two).
@@ -389,159 +435,19 @@ func (w Window) Bytes() int {
 	return 1 << min(int(w), bits.UintSize-2)
 }
 
-// AppendHelloAck serializes h onto buf.
-func AppendHelloAck(buf []byte, h *HelloAck) []byte {
-	buf = binary.BigEndian.AppendUint16(buf, Magic)
-	buf = append(buf, TypeHelloAck, byte(h.Window))
-	return binary.BigEndian.AppendUint32(buf, h.Transfer)
-}
-
-// DecodeHelloAck parses a HELLO-ACK control message.
-func DecodeHelloAck(b []byte) (HelloAck, error) {
-	var h HelloAck
-	if len(b) < HelloAckLen {
-		return h, ErrShort
-	}
-	if binary.BigEndian.Uint16(b) != Magic {
-		return h, ErrBadMagic
-	}
-	if b[2] != TypeHelloAck {
-		return h, ErrBadType
-	}
-	h.Window = Window(b[3])
-	h.Transfer = binary.BigEndian.Uint32(b[4:])
-	return h, nil
-}
-
-// HelloXVersion is the HELLOX revision this build speaks. Decoders reject
-// anything newer with ErrHelloXVersion; the runtimes turn that into an
-// ABORT (unsupported) so a future sender fails fast instead of corrupting
-// data against a receiver that cannot place its stripes.
-const HelloXVersion uint8 = 1
-
-// MaxStreams bounds the stripe count a HELLOX may announce. It caps the
-// frame size a hostile control peer can demand and keeps per-transfer
-// receiver state small; GridFTP-style deployments rarely profit beyond a
-// few tens of parallel streams.
-const MaxStreams = 64
-
-// StripeDesc places one stripe of a striped transfer: the stripe's own
-// transfer tag (its UDP flows carry this id), and the contiguous
-// [Offset, Offset+Length) byte range of the object it covers.
-type StripeDesc struct {
-	Transfer uint32
-	Offset   uint64
-	Length   uint64
-}
-
-// HelloX is the versioned extended announcement: one control frame
-// describing a whole striped transfer. Transfer tags the transfer as a
-// unit (the HELLO-ACK and COMPLETE echo it); ObjectSize and PacketSize
-// are object-wide, exactly as in HELLO; Stripes lists every stripe in
-// offset order. A single-stripe HelloX is legal and equivalent to HELLO.
-type HelloX struct {
-	Version    uint8
-	Transfer   uint32
-	ObjectSize uint64
-	PacketSize uint32
-	Stripes    []StripeDesc
-}
-
-// HelloXLen returns the framed length of a HELLOX announcing n stripes.
-func HelloXLen(n int) int { return HelloXFixedLen + n*StripeDescLen }
-
-// AppendHelloX serializes h onto buf. The stripe count rides directly
-// after the 4-byte frame header so a stream reader can size the remainder
-// from one extra 2-byte read.
-func AppendHelloX(buf []byte, h *HelloX) []byte {
-	if len(h.Stripes) < 1 || len(h.Stripes) > MaxStreams {
-		panic(fmt.Sprintf("wire: %d stripes outside 1..%d", len(h.Stripes), MaxStreams))
-	}
-	v := h.Version
-	if v == 0 {
-		v = HelloXVersion
-	}
-	buf = binary.BigEndian.AppendUint16(buf, Magic)
-	buf = append(buf, TypeHelloX, v)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(h.Stripes)))
-	buf = binary.BigEndian.AppendUint32(buf, h.Transfer)
-	buf = binary.BigEndian.AppendUint64(buf, h.ObjectSize)
-	buf = binary.BigEndian.AppendUint32(buf, h.PacketSize)
-	for _, s := range h.Stripes {
-		buf = binary.BigEndian.AppendUint32(buf, s.Transfer)
-		buf = binary.BigEndian.AppendUint64(buf, s.Offset)
-		buf = binary.BigEndian.AppendUint64(buf, s.Length)
-	}
-	return buf
-}
-
-// DecodeHelloX parses a HELLOX control message. Unknown future versions
-// are refused with ErrHelloXVersion before any layout assumptions are
-// made; the caller maps that onto AbortUnsupported.
-func DecodeHelloX(b []byte) (HelloX, error) {
-	var h HelloX
-	if len(b) < HelloXFixedLen {
-		return h, ErrShort
-	}
-	if binary.BigEndian.Uint16(b) != Magic {
-		return h, ErrBadMagic
-	}
-	if b[2] != TypeHelloX {
-		return h, ErrBadType
-	}
-	h.Version = b[3]
-	if h.Version != HelloXVersion {
-		return h, fmt.Errorf("%w: got %d, speak %d", ErrHelloXVersion, h.Version, HelloXVersion)
-	}
-	n := int(binary.BigEndian.Uint16(b[4:]))
-	if n < 1 || n > MaxStreams {
-		return h, fmt.Errorf("wire: hellox stripe count %d outside 1..%d", n, MaxStreams)
-	}
-	if len(b) < HelloXLen(n) {
-		return h, ErrShort
-	}
-	h.Transfer = binary.BigEndian.Uint32(b[6:])
-	h.ObjectSize = binary.BigEndian.Uint64(b[10:])
-	h.PacketSize = binary.BigEndian.Uint32(b[18:])
-	if h.PacketSize == 0 {
-		return h, errors.New("wire: hellox with zero packet size")
-	}
-	h.Stripes = make([]StripeDesc, n)
-	for i := 0; i < n; i++ {
-		o := HelloXFixedLen + i*StripeDescLen
-		h.Stripes[i] = StripeDesc{
-			Transfer: binary.BigEndian.Uint32(b[o:]),
-			Offset:   binary.BigEndian.Uint64(b[o+4:]),
-			Length:   binary.BigEndian.Uint64(b[o+12:]),
-		}
-	}
-	// The stripes must tile the object exactly: contiguous, in order,
-	// nothing missing, nothing overlapping. Rejecting here means no
-	// runtime ever sees a plan it could mis-place.
-	var at uint64
-	for i, s := range h.Stripes {
-		if s.Offset != at || s.Length == 0 {
-			return h, fmt.Errorf("wire: hellox stripe %d at offset %d, want contiguous %d", i, s.Offset, at)
-		}
-		at += s.Length
-	}
-	if at != h.ObjectSize {
-		return h, fmt.Errorf("wire: hellox stripes cover %d bytes of a %d-byte object", at, h.ObjectSize)
-	}
-	return h, nil
-}
-
 // MaxHaveWords bounds the bitmap a HAVE frame may carry. At 64 packets per
 // word it covers objects of up to 2^28 packets while capping the trailer a
 // hostile control peer can make a sender buffer at 32 MiB.
 const MaxHaveWords = 1 << 22
 
-// Have is the receiver's answer to a CHECK: a summary of what it already
-// holds of the named object. Received counts distinct packets held; Words is
-// the full got-bitmap (word 0 covers packets 0–63, bit i of word w is packet
-// w*64+i), so the sender can mark them acknowledged and transmit only the
-// gaps. Window is the receive window a HELLO-ACK also carries; the receiver
-// leaves it zero here and advertises it in the HELLO-ACK that follows.
+// Have is the receiver's one answer to an announcement: a summary of what it
+// already holds of the object the CHECK named, and its acceptance. Received
+// counts distinct packets held; Words is the full got-bitmap (word 0 covers
+// packets 0–63, bit i of word w is packet w*64+i), so the sender can mark them
+// acknowledged and transmit only the gaps. A HAVE of every packet is followed
+// by COMPLETE and no data phase; any other HAVE accepts the transfer. Window
+// is the receive window each of the transfer's data flows may fill. A HAVE
+// with Received == 0 and a single zero word is the encodable "hold nothing".
 type Have struct {
 	Transfer uint32
 	Received uint32
@@ -553,7 +459,7 @@ type Have struct {
 func HaveLen(n int) int { return HaveFixedLen + n*8 }
 
 // AppendHave serializes h onto buf. The word count rides inside the fixed
-// prefix so a stream reader can size the trailer, like HELLOX.
+// prefix so a stream reader can size the trailer (TrailerLen).
 func AppendHave(buf []byte, h *Have) []byte {
 	if len(h.Words) < 1 || len(h.Words) > MaxHaveWords {
 		panic(fmt.Sprintf("wire: %d have words outside 1..%d", len(h.Words), MaxHaveWords))
@@ -598,97 +504,32 @@ func DecodeHave(b []byte) (Have, error) {
 	return h, nil
 }
 
-// TraceVersion is the TRACE revision this build speaks. Decoders reject
-// anything newer with ErrTraceVersion; the runtimes turn that into an
-// ABORT (unsupported) and the sender retries the handshake without the
-// prelude — tracing is observability, never worth failing a transfer
-// over.
-const TraceVersion uint8 = 1
+// CheckVersion is the announcement revision this build speaks. It rides in
+// the CHECK, the announcement's first frame, and names both the digest
+// scheme — core.ContentID's leaf-hashed identity; version 1 carried plain
+// SHA-256 digests — and the layout of the whole announcement: version 2 had
+// per-stripe digests and travelled with TRACE, HELLOX and HELLO-ACK frames.
+// Decoders reject any other version with ErrCheckVersion before reading the
+// layout behind it; the runtimes turn that into an ABORT (unsupported).
+const CheckVersion uint8 = 3
 
-// Trace is the trace-id prelude: an optional control frame a sender
-// writes immediately before its announcement (HELLO/HELLOX) so
-// both endpoints' span logs carry the same 16-byte correlation id. It
-// deliberately precedes — rather than extends — the announcement frames,
-// leaving their layouts untouched for old peers; a receiver that never
-// learned TypeTrace rejects the unknown frame and the sender degrades to
-// an untraced handshake.
-type Trace struct {
-	Version uint8
-	ID      [16]byte
-}
+// CheckFlagDedup permits the receiver to answer the CHECK from its content
+// cache: a full HAVE bitmap plus COMPLETE, skipping the data phase entirely.
+// Without it the receiver must answer "miss" even when it holds the object,
+// so the transfer always moves the bytes the receiver did not retain.
+const CheckFlagDedup uint8 = 1 << 1
 
-// AppendTrace serializes t onto buf.
-func AppendTrace(buf []byte, t *Trace) []byte {
-	v := t.Version
-	if v == 0 {
-		v = TraceVersion
-	}
-	buf = binary.BigEndian.AppendUint16(buf, Magic)
-	buf = append(buf, TypeTrace, v)
-	return append(buf, t.ID[:]...)
-}
-
-// DecodeTrace parses a TRACE control message. Unknown future versions
-// are refused with ErrTraceVersion before any layout assumptions are
-// made; the caller maps that onto AbortUnsupported.
-func DecodeTrace(b []byte) (Trace, error) {
-	var t Trace
-	if len(b) < TraceLen {
-		return t, ErrShort
-	}
-	if binary.BigEndian.Uint16(b) != Magic {
-		return t, ErrBadMagic
-	}
-	if b[2] != TypeTrace {
-		return t, ErrBadType
-	}
-	t.Version = b[3]
-	if t.Version != TraceVersion {
-		return t, fmt.Errorf("%w: got %d, speak %d", ErrTraceVersion, t.Version, TraceVersion)
-	}
-	copy(t.ID[:], b[4:])
-	return t, nil
-}
-
-// CheckVersion is the CHECK revision this build speaks, and it names the
-// digest scheme rather than the frame layout: version 1 carried plain
-// SHA-256 digests, version 2 carries core.ContentID's leaf-hashed identity
-// in the same bytes. Decoders reject any other version with
-// ErrCheckVersion; the runtimes turn that into an ABORT (unsupported) and
-// the sender retries the handshake without the content query — content
-// addressing is an optimization plus an integrity layer, never worth
-// failing a transfer a plain HELLO could open (unless the sender demands
-// verification, which it signals by failing locally).
-const CheckVersion uint8 = 2
-
-// CHECK flag bits.
-const (
-	// CheckFlagVerify asks the receiver to verify every stripe digest it
-	// was given, not just the whole-object digest, before COMPLETE.
-	CheckFlagVerify uint8 = 1 << 0
-	// CheckFlagDedup permits the receiver to answer the query from its
-	// content cache: a full HAVE bitmap plus COMPLETE in place of the
-	// handshake, skipping the data phase entirely. Without it the receiver
-	// must answer "miss" even when it holds the object, so a
-	// verification-only transfer always moves its bytes.
-	CheckFlagDedup uint8 = 1 << 1
-)
-
-// Check is the versioned content-identity prelude: a control frame a
-// sender writes immediately before its announcement (HELLO/HELLOX)
-// declaring the content identity (core.ContentID) of the object about to
-// move — and, for a striped plan, of each stripe. Like TRACE it precedes
-// rather than extends the announcement frames, leaving their layouts
-// untouched. Every announcement carries one: it is the identity the
-// receiver verifies the object against, caches it under, and retains a
-// failed transfer's partial state under.
+// Check is the announcement's first frame: the content identity
+// (core.ContentID) of the object about to move, with the geometry it names —
+// which must be the HELLO's that follows it — and the trace id. It is the
+// identity the receiver verifies the object against, caches it under, and
+// retains a failed transfer's partial state under.
 //
-// The receiver answers every CHECK from one lookup, with a HAVE: the full
-// got-bitmap (followed by COMPLETE) when CheckFlagDedup is set and its
-// content cache holds the digest; the bitmap of what it retained of the
-// object from an earlier, failed transfer (followed by HELLO-ACK); or a
-// HAVE with Received == 0 and a single zero word — the encodable "hold
-// nothing" answer — followed by HELLO-ACK.
+// The receiver answers every announcement from one lookup, with a HAVE: the
+// full got-bitmap (followed by COMPLETE) when CheckFlagDedup is set and its
+// content cache holds the digest, or when it retained the whole object; the
+// bitmap of what it retained of the object from an earlier, failed transfer;
+// or the "hold nothing" HAVE.
 type Check struct {
 	Version    uint8
 	Flags      uint8
@@ -697,43 +538,33 @@ type Check struct {
 	PacketSize uint32
 	// Digest is the whole object's content identity.
 	Digest [32]byte
-	// StripeDigests carries one content identity per stripe for a striped
-	// plan, in stripe order; empty for a single-flow transfer (the
-	// whole-object digest covers it).
-	StripeDigests [][32]byte
+	// Trace is the id both endpoints' span logs file the transfer under, so
+	// they join into one cross-host timeline; zero when the sender traces
+	// nothing.
+	Trace [16]byte
 }
 
-// CheckLen returns the framed length of a CHECK carrying n stripe digests.
-func CheckLen(n int) int { return CheckFixedLen + n*ContentDigestLen }
-
-// AppendCheck serializes c onto buf. The stripe-digest count rides inside
-// the fixed prefix so a stream reader can size the trailer, like HELLOX.
+// AppendCheck serializes c onto buf.
 func AppendCheck(buf []byte, c *Check) []byte {
-	if len(c.StripeDigests) > MaxStreams {
-		panic(fmt.Sprintf("wire: %d stripe digests exceed %d", len(c.StripeDigests), MaxStreams))
-	}
 	v := c.Version
 	if v == 0 {
 		v = CheckVersion
 	}
 	buf = binary.BigEndian.AppendUint16(buf, Magic)
-	buf = append(buf, TypeCheck, v, c.Flags, uint8(len(c.StripeDigests)))
+	buf = append(buf, TypeCheck, v, c.Flags)
 	buf = binary.BigEndian.AppendUint32(buf, c.Transfer)
 	buf = binary.BigEndian.AppendUint64(buf, c.ObjectSize)
 	buf = binary.BigEndian.AppendUint32(buf, c.PacketSize)
 	buf = append(buf, c.Digest[:]...)
-	for i := range c.StripeDigests {
-		buf = append(buf, c.StripeDigests[i][:]...)
-	}
-	return buf
+	return append(buf, c.Trace[:]...)
 }
 
 // DecodeCheck parses a CHECK control message. Every version but this
-// build's is refused with ErrCheckVersion before any layout assumptions are made;
-// the caller maps that onto AbortUnsupported.
+// build's is refused with ErrCheckVersion before any layout assumptions are
+// made; the caller maps that onto AbortUnsupported.
 func DecodeCheck(b []byte) (Check, error) {
 	var c Check
-	if len(b) < CheckFixedLen {
+	if len(b) < 4 {
 		return c, ErrShort
 	}
 	if binary.BigEndian.Uint16(b) != Magic {
@@ -746,46 +577,22 @@ func DecodeCheck(b []byte) (Check, error) {
 	if c.Version != CheckVersion {
 		return c, fmt.Errorf("%w: got %d, speak %d", ErrCheckVersion, c.Version, CheckVersion)
 	}
-	c.Flags = b[4]
-	n := int(b[5])
-	if n > MaxStreams {
-		return c, fmt.Errorf("wire: check stripe count %d exceeds %d", n, MaxStreams)
-	}
-	if len(b) < CheckLen(n) {
+	if len(b) < CheckLen {
 		return c, ErrShort
 	}
-	c.Transfer = binary.BigEndian.Uint32(b[6:])
-	c.ObjectSize = binary.BigEndian.Uint64(b[10:])
-	c.PacketSize = binary.BigEndian.Uint32(b[18:])
+	c.Flags = b[4]
+	c.Transfer = binary.BigEndian.Uint32(b[5:])
+	c.ObjectSize = binary.BigEndian.Uint64(b[9:])
+	c.PacketSize = binary.BigEndian.Uint32(b[17:])
 	if c.PacketSize == 0 {
 		return c, errors.New("wire: check with zero packet size")
 	}
 	if c.ObjectSize == 0 {
 		return c, errors.New("wire: check with zero object size")
 	}
-	copy(c.Digest[:], b[22:])
-	if n > 0 {
-		c.StripeDigests = make([][32]byte, n)
-		for i := 0; i < n; i++ {
-			copy(c.StripeDigests[i][:], b[CheckFixedLen+i*ContentDigestLen:])
-		}
-	}
+	copy(c.Digest[:], b[21:])
+	copy(c.Trace[:], b[21+ContentDigestLen:])
 	return c, nil
-}
-
-// CheckStripeCount reads the stripe-digest count out of a CHECK frame
-// prefix (at least 6 bytes), bounds-checked against MaxStreams, so a
-// stream reader can size the variable trailer before parsing the whole
-// frame — a position every CHECK revision keeps.
-func CheckStripeCount(b []byte) (int, error) {
-	if len(b) < 6 {
-		return 0, ErrShort
-	}
-	n := int(b[5])
-	if n > MaxStreams {
-		return 0, fmt.Errorf("wire: check stripe count %d exceeds %d", n, MaxStreams)
-	}
-	return n, nil
 }
 
 // AbortReason explains why a transfer was terminated.
@@ -808,26 +615,16 @@ const (
 	AbortCancelled
 	// AbortBadHello rejects a malformed or unacceptable handshake.
 	AbortBadHello
-	// AbortUnsupported rejects a well-formed handshake this endpoint
-	// cannot serve: a HELLOX from a future protocol version, or striping
-	// toward an endpoint without stripe reassembly.
+	// AbortUnsupported rejects a well-formed announcement of a protocol
+	// revision this endpoint does not speak.
 	AbortUnsupported
 	// AbortDigestMismatch reports an assembled object that does not match
-	// the content identity its CHECK announced (or a stripe that does not
-	// match its announced digest). The sender must not retry: the bytes
-	// that arrived are not the object it named.
+	// the content identity its CHECK announced. The sender must not retry:
+	// the bytes that arrived are not the object it named.
 	AbortDigestMismatch
-	// AbortResumeUnknown rejected a RESUME for a transfer the endpoint held
-	// no retained state for. RESUME is retired — retained state answers a
-	// CHECK — so no endpoint of this build sends it; the code point stays
-	// decodable.
-	AbortResumeUnknown
-	// AbortStripingUnsupported rejected a well-formed striped HELLOX toward
-	// an endpoint that could not reassemble stripes. Sent by builds before
-	// the concurrent Server shared the Listener's receive lifecycle; no
-	// endpoint of this build sends it, but the code point stays decodable,
-	// and surfaces as any other deliberate, non-retryable rejection.
-	AbortStripingUnsupported
+	// Codes 8 and 9 are reserved: they were sent by earlier builds to refuse
+	// a RESUME they held no state for and a striped announcement they could
+	// not reassemble. They decode, print as reason(n) and are never reused.
 )
 
 func (r AbortReason) String() string {
@@ -848,10 +645,6 @@ func (r AbortReason) String() string {
 		return "unsupported by peer"
 	case AbortDigestMismatch:
 		return "object digest mismatch"
-	case AbortResumeUnknown:
-		return "no resumable state for transfer"
-	case AbortStripingUnsupported:
-		return "striped transfers unsupported by peer"
 	default:
 		return fmt.Sprintf("reason(%d)", uint8(r))
 	}
@@ -890,46 +683,49 @@ func DecodeAbort(b []byte) (Abort, error) {
 	return a, nil
 }
 
-// ControlLen returns the frame length of a control message type, letting a
-// stream reader consume exactly one frame after peeking the 4-byte header.
-// For the variable-length TypeHelloX and TypeHave it returns the fixed
-// prefix length; the full frame is that prefix plus a trailer sized by a
-// count inside the prefix (HelloXStripeCount / HaveWordCount).
+// ControlLen returns the fixed length of a control message type, letting a
+// stream reader consume exactly one frame after peeking the 4-byte header:
+// the whole frame for COMPLETE, ABORT and CHECK, and the fixed prefix for
+// HELLO and HAVE, whose trailer TrailerLen sizes from that prefix. Any other
+// type, retired ones included, is ErrBadType.
 func ControlLen(typ uint8) (int, error) {
 	switch typ {
 	case TypeHello:
 		return HelloLen, nil
-	case TypeHelloAck:
-		return HelloAckLen, nil
 	case TypeComplete:
 		return CompleteLen, nil
 	case TypeAbort:
 		return AbortLen, nil
-	case TypeHelloX:
-		return HelloXFixedLen, nil
 	case TypeHave:
 		return HaveFixedLen, nil
-	case TypeTrace:
-		return TraceLen, nil
 	case TypeCheck:
-		return CheckFixedLen, nil
+		return CheckLen, nil
 	default:
 		return 0, ErrBadType
 	}
 }
 
-// HelloXStripeCount reads the stripe count out of a HELLOX frame prefix
-// (at least 6 bytes), bounds-checked against MaxStreams, so a stream
-// reader can size the variable trailer before parsing the whole frame.
-func HelloXStripeCount(b []byte) (int, error) {
-	if len(b) < 6 {
+// TrailerLen returns how many bytes follow the ControlLen-byte prefix of a
+// control frame: a HELLO's stripe table or a HAVE's bitmap, sized from the
+// count inside the prefix and bounds-checked, so a stream reader sizes the
+// rest of the frame before decoding it; zero for the fixed-length types.
+func TrailerLen(prefix []byte) (int, error) {
+	typ, err := PeekType(prefix)
+	if err != nil {
+		return 0, err
+	}
+	if fixed, _ := ControlLen(typ); len(prefix) < fixed {
 		return 0, ErrShort
 	}
-	n := int(binary.BigEndian.Uint16(b[4:]))
-	if n < 1 || n > MaxStreams {
-		return 0, fmt.Errorf("wire: hellox stripe count %d outside 1..%d", n, MaxStreams)
+	switch typ {
+	case TypeHello:
+		n, err := helloStripeCount(prefix)
+		return n * StripeDescLen, err
+	case TypeHave:
+		n, err := HaveWordCount(prefix)
+		return n * 8, err
 	}
-	return n, nil
+	return 0, nil
 }
 
 // HaveWordCount reads the bitmap word count out of a HAVE frame prefix
@@ -961,7 +757,7 @@ func PeekType(b []byte) (uint8, error) {
 		return t, nil
 	}
 	if _, err := ControlLen(t); err != nil {
-		return 0, err // unknown, or retired like RESUME's 8
+		return 0, err // unknown, or retired
 	}
 	return t, nil
 }

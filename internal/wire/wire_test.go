@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -177,7 +178,7 @@ func TestHelloRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != h {
+	if got.Transfer != h.Transfer || got.ObjectSize != h.ObjectSize || got.PacketSize != h.PacketSize || got.Stripes != nil {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, h)
 	}
 }
@@ -200,36 +201,12 @@ func TestCompleteRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHelloAckRoundTrip(t *testing.T) {
-	for _, h := range []HelloAck{{Transfer: 77}, {Transfer: 77, Window: 21}, {Transfer: 1, Window: 255}} {
-		got, err := DecodeHelloAck(AppendHelloAck(nil, &h))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != h {
-			t.Fatalf("round trip mismatch: %+v vs %+v", got, h)
-		}
-	}
-}
-
-// TestWindowByte: the receive window rides in the fourth byte of HELLO-ACK
-// and HAVE, which every build before it wrote zero and none read. So the
-// frame a windowless receiver writes is the frame as it always was and reads
-// as "no window"; a frame with the byte set is the old frame in every other
-// byte; and the logarithm rounds a buffer share down, never up.
+// TestWindowByte: the receive window rides in the fourth byte of HAVE, which
+// builds before the window wrote zero and none read. So the frame a
+// windowless receiver writes reads as "no window"; a frame with the byte set
+// is that frame in every other byte; and the logarithm rounds a buffer share
+// down, never up.
 func TestWindowByte(t *testing.T) {
-	old := []byte{0xF0, 0xB5, TypeHelloAck, 0, 0, 0, 0, 77} // as PR 1 framed it
-	if got := AppendHelloAck(nil, &HelloAck{Transfer: 77}); !bytes.Equal(got, old) {
-		t.Fatalf("windowless HELLO-ACK % x, want % x", got, old)
-	}
-	h, err := DecodeHelloAck(old)
-	if err != nil || h.Window != 0 || h.Window.Bytes() != 0 {
-		t.Fatalf("an old receiver's HELLO-ACK reads as window %d (%d bytes), err %v; want none", h.Window, h.Window.Bytes(), err)
-	}
-	set := AppendHelloAck(nil, &HelloAck{Transfer: 77, Window: 21})
-	if set[3] != 21 || !bytes.Equal(set[:3], old[:3]) || !bytes.Equal(set[4:], old[4:]) {
-		t.Fatalf("HELLO-ACK with a window % x differs from % x beyond byte 3", set, old)
-	}
 	have := AppendHave(nil, &Have{Transfer: 5, Received: 1, Words: []uint64{1}, Window: 17})
 	plain := AppendHave(nil, &Have{Transfer: 5, Received: 1, Words: []uint64{1}})
 	if have[3] != 17 || plain[3] != 0 || !bytes.Equal(have[4:], plain[4:]) {
@@ -237,6 +214,9 @@ func TestWindowByte(t *testing.T) {
 	}
 	if got, err := DecodeHave(have); err != nil || got.Window != 17 || got.Window.Bytes() != 128<<10 {
 		t.Fatalf("HAVE window %d (%d bytes), err %v; want 17 (128 KiB)", got.Window, got.Window.Bytes(), err)
+	}
+	if got, err := DecodeHave(plain); err != nil || got.Window != 0 || got.Window.Bytes() != 0 {
+		t.Fatalf("a windowless HAVE reads as window %d (%d bytes), err %v; want none", got.Window, got.Window.Bytes(), err)
 	}
 	for _, c := range []struct {
 		bytes int
@@ -255,25 +235,11 @@ func TestWindowByte(t *testing.T) {
 	}
 }
 
-func TestDecodeHelloAckErrors(t *testing.T) {
-	good := AppendHelloAck(nil, &HelloAck{Transfer: 1})
-	if _, err := DecodeHelloAck(good[:HelloAckLen-1]); err != ErrShort {
-		t.Errorf("short: %v", err)
-	}
-	bad := append([]byte{}, good...)
-	bad[0] = 0
-	if _, err := DecodeHelloAck(bad); err != ErrBadMagic {
-		t.Errorf("bad magic: %v", err)
-	}
-	if _, err := DecodeHelloAck(AppendAbort(nil, &Abort{})); err != ErrBadType {
-		t.Errorf("wrong type: %v", err)
-	}
-}
-
 func TestAbortRoundTrip(t *testing.T) {
 	for _, reason := range []AbortReason{
 		AbortUnspecified, AbortDuplicateTransfer, AbortIdleTimeout,
-		AbortStalled, AbortCancelled, AbortBadHello, AbortReason(200),
+		AbortStalled, AbortCancelled, AbortBadHello, AbortUnsupported,
+		AbortDigestMismatch, AbortReason(8), AbortReason(9), AbortReason(200),
 	} {
 		a := Abort{Transfer: 9, Reason: reason}
 		got, err := DecodeAbort(AppendAbort(nil, &a))
@@ -285,6 +251,10 @@ func TestAbortRoundTrip(t *testing.T) {
 		}
 		if got.Reason.String() == "" {
 			t.Fatalf("reason %d has empty String()", reason)
+		}
+		// The reserved codes of retired refusals print as numbers.
+		if reason > AbortDigestMismatch && got.Reason.String() != fmt.Sprintf("reason(%d)", reason) {
+			t.Fatalf("reason %d prints as %q", reason, got.Reason)
 		}
 	}
 }
@@ -306,23 +276,28 @@ func TestDecodeAbortErrors(t *testing.T) {
 	}
 }
 
+// TestControlLen: exactly the five control types frame on the stream.
 func TestControlLen(t *testing.T) {
 	cases := map[uint8]int{
 		TypeHello:    len(AppendHello(nil, &Hello{PacketSize: 1})),
-		TypeHelloAck: len(AppendHelloAck(nil, &HelloAck{})),
 		TypeComplete: len(AppendComplete(nil, &Complete{})),
 		TypeAbort:    len(AppendAbort(nil, &Abort{})),
+		TypeHave:     HaveFixedLen,
+		TypeCheck:    len(AppendCheck(nil, &Check{})),
 	}
-	for typ, want := range cases {
-		got, err := ControlLen(typ)
+	for typ := 0; typ < 256; typ++ {
+		got, err := ControlLen(uint8(typ))
+		want, ok := cases[uint8(typ)]
+		if !ok {
+			// Data and ack are datagram types, never framed on the control
+			// stream; every other code is unknown or retired.
+			if err != ErrBadType {
+				t.Errorf("ControlLen(%d) err = %v, want ErrBadType", typ, err)
+			}
+			continue
+		}
 		if err != nil || got != want {
 			t.Errorf("ControlLen(%d) = (%d, %v), want (%d, nil)", typ, got, err, want)
-		}
-	}
-	// Data and ack are datagram types, never framed on the control stream.
-	for _, typ := range []uint8{TypeData, TypeAck, 99} {
-		if _, err := ControlLen(typ); err != ErrBadType {
-			t.Errorf("ControlLen(%d) err = %v, want ErrBadType", typ, err)
 		}
 	}
 }
@@ -333,8 +308,9 @@ func TestPeekType(t *testing.T) {
 		TypeAck:      AppendAck(nil, &Ack{}),
 		TypeHello:    AppendHello(nil, &Hello{PacketSize: 1}),
 		TypeComplete: AppendComplete(nil, &Complete{}),
-		TypeHelloAck: AppendHelloAck(nil, &HelloAck{}),
 		TypeAbort:    AppendAbort(nil, &Abort{Reason: AbortIdleTimeout}),
+		TypeHave:     AppendHave(nil, &Have{Words: []uint64{0}}),
+		TypeCheck:    AppendCheck(nil, &Check{}),
 	}
 	for want, buf := range msgs {
 		got, err := PeekType(buf)
@@ -348,8 +324,11 @@ func TestPeekType(t *testing.T) {
 	if _, err := PeekType([]byte{0, 0, 1}); err != ErrBadMagic {
 		t.Errorf("bad magic peek: %v", err)
 	}
-	if _, err := PeekType([]byte{0xF0, 0xB5, 99}); err != ErrBadType {
-		t.Errorf("bad type peek: %v", err)
+	// Unknown, and the retired HELLO-ACK, HELLOX, RESUME and TRACE.
+	for _, typ := range []uint8{99, 5, 7, 8, 10} {
+		if _, err := PeekType([]byte{0xF0, 0xB5, typ}); err != ErrBadType {
+			t.Errorf("type %d peek: %v", typ, err)
+		}
 	}
 }
 
@@ -365,9 +344,11 @@ func TestDecodersNeverPanic(t *testing.T) {
 		DecodeAck(b)
 		DecodeHello(b)
 		DecodeComplete(b)
-		DecodeHelloAck(b)
 		DecodeAbort(b)
+		DecodeHave(b)
+		DecodeCheck(b)
 		PeekType(b)
+		TrailerLen(b)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
