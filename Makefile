@@ -186,6 +186,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeControl -fuzztime 10s
 	$(GO) test ./internal/xfer -run '^$$' -fuzz FuzzDecodeManifest -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzReadEvents -fuzztime 10s
+	$(GO) test ./internal/flight -run '^$$' -fuzz FuzzReadRecording -fuzztime 10s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 10s
 	$(GO) test ./internal/tasks -run '^$$' -fuzz FuzzReplayJournal -fuzztime 10s
 

@@ -221,7 +221,7 @@ func report(ep *flight.EndpointLog, a *flight.Analysis) {
 		fmt.Printf("   PARTIAL capture: %d records lost to ring overrun; strict checks skipped\n", a.Dropped)
 	}
 
-	if m.Role == metrics.RoleSender {
+	if m.Role == obs.RoleSender {
 		fmt.Printf("   sent %d packets (%d retransmits, %d bytes) in %d batches' worth; acks %d (%d stale), acked %d, peer holds %d\n",
 			a.PacketsSent, a.Retransmits, a.BytesSent,
 			a.PacketsSent, a.AcksReceived, a.StaleAcks, a.AckedPackets, a.KnownReceived)
@@ -286,18 +286,18 @@ func abortSuffix(a *flight.Analysis) string {
 
 // printCounts renders transmissions-per-packet as bars: row k is the number
 // of packets acknowledged after exactly k transmissions.
-func printCounts(counts []int64) {
+func printCounts(counts map[uint32]int64) {
 	var max int64
-	for _, c := range counts {
+	ks := make([]uint32, 0, len(counts))
+	for k, c := range counts {
 		if c > max {
 			max = c
 		}
+		ks = append(ks, k)
 	}
-	for k, c := range counts {
-		if c == 0 {
-			continue
-		}
-		fmt.Printf("     %3dx %8d %s\n", k, c, bar(c, max, 40))
+	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+	for _, k := range ks {
+		fmt.Printf("     %3dx %8d %s\n", k, counts[k], bar(counts[k], max, 40))
 	}
 }
 

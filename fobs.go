@@ -114,11 +114,13 @@ type (
 
 // What the commands read back from a Metrics snapshot: the terminal
 // outcomes of a transfer's record, and the sending endpoint's role for
-// Snapshot().Find. (internal/metrics has the full vocabulary.)
+// Snapshot().Find. (Roles and lifecycle event kinds are internal/obs's —
+// one vocabulary for the metrics' event ring, flight recordings and span
+// logs; outcomes are internal/metrics'.)
 const (
 	OutcomeCompleted = metrics.OutcomeCompleted
 	OutcomeAborted   = metrics.OutcomeAborted
-	RoleSender       = metrics.RoleSender
+	RoleSender       = obs.RoleSender
 )
 
 // NewMetrics returns an empty metrics registry to hang on Options.Metrics.

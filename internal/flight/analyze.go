@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/hpcnet/fobs/internal/metrics"
+	"github.com/hpcnet/fobs/internal/obs"
 	"github.com/hpcnet/fobs/internal/trace"
 )
 
@@ -35,7 +36,7 @@ type Analysis struct {
 	AcksSent      int64
 	Idles         int64
 
-	// Lifecycle, from phase records.
+	// Lifecycle, from event records.
 	Handshakes  int64
 	Outcome     metrics.Outcome
 	AbortReason uint32
@@ -50,9 +51,9 @@ type Analysis struct {
 	ViolationCount  int64
 
 	// RetransmitCounts[k] is how many acknowledged packets had been
-	// transmitted exactly k times when their acknowledgement arrived
-	// (index 0 unused for well-formed streams).
-	RetransmitCounts []int64
+	// transmitted exactly k times when their acknowledgement arrived (no
+	// key 0 in well-formed streams).
+	RetransmitCounts map[uint32]int64
 
 	// AckDelay and RTT are recomputed offline from the record timestamps:
 	// first-send → acked and last-send → acked per packet, in
@@ -98,9 +99,18 @@ func (f *fairState) spread() (lo, hi int, ok bool) {
 	return lo, hi, lo >= 0
 }
 
+// packet is what the analyzer knows of one sequence number the stream names.
+type packet struct {
+	tx          uint32 // transmissions so far
+	acked       bool
+	first, last time.Duration // first and latest send
+}
+
 // Analyze replays one endpoint's records, rebuilding totals and verifying
-// stream consistency. A stream that contradicts itself — attempt numbers
-// that do not follow the per-packet transmit count, acknowledgements of
+// stream consistency. Its state is per packet the records name, not per
+// packet the start frame claims, so what it holds tracks the recording's
+// size. A stream that contradicts itself — attempt numbers that do not
+// follow the per-packet transmit count, acknowledgements of
 // unsent or already-acknowledged packets, sequence numbers outside the
 // object — is rejected with an error wrapping ErrCorrupt (such streams
 // indicate a damaged or reordered file, and every downstream number would
@@ -112,13 +122,10 @@ func Analyze(ep *EndpointLog) (*Analysis, error) {
 	a := &Analysis{Meta: ep.Meta, Dropped: ep.Dropped, Ended: ep.Ended}
 	n := ep.Meta.PacketsNeeded
 	strict := ep.Dropped == 0
-	checkFair := strict && ep.Meta.Role == metrics.RoleSender && ep.Meta.Schedule == 0 && n > 0
+	checkFair := strict && ep.Meta.Role == obs.RoleSender && ep.Meta.Schedule == 0 && n > 0
 
 	var (
-		tx        = make([]uint32, n)
-		acked     = make([]bool, n)
-		firstSend = make([]time.Duration, n)
-		lastSend  = make([]time.Duration, n)
+		pkts      = make(map[uint32]*packet)
 		fair      = fairState{unacked: int64(n)}
 		ackDelay  = new(metrics.Histogram)
 		rtt       = new(metrics.Histogram)
@@ -138,6 +145,14 @@ func Analyze(ep *EndpointLog) (*Analysis, error) {
 	corrupt := func(i int, format string, args ...any) error {
 		return fmt.Errorf("%w: record %d: %s", ErrCorrupt, i, fmt.Sprintf(format, args...))
 	}
+	pkt := func(seq uint32) *packet {
+		p := pkts[seq]
+		if p == nil {
+			p = new(packet)
+			pkts[seq] = p
+		}
+		return p
+	}
 
 	for i, rec := range ep.Records {
 		if rec.At < lastAt && strict {
@@ -148,26 +163,26 @@ func Analyze(ep *EndpointLog) (*Analysis, error) {
 		case KindDataSend:
 			a.PacketsSent++
 			a.BytesSent += int64(rec.Size)
-			if int(rec.Seq) >= n {
+			if int64(rec.Seq) >= int64(n) {
 				return nil, corrupt(i, "data send of seq %d beyond object of %d packets", rec.Seq, n)
 			}
-			seq := int(rec.Seq)
+			p := pkt(rec.Seq)
 			if strict {
-				if rec.Aux != tx[seq]+1 {
-					return nil, corrupt(i, "seq %d sent with attempt %d after %d prior sends", rec.Seq, rec.Aux, tx[seq])
+				if rec.Aux != p.tx+1 {
+					return nil, corrupt(i, "seq %d sent with attempt %d after %d prior sends", rec.Seq, rec.Aux, p.tx)
 				}
 			}
-			prev := tx[seq]
-			tx[seq] = rec.Aux
+			prev := p.tx
+			p.tx = rec.Aux
 			if rec.Aux >= 2 {
 				a.Retransmits++
 			}
-			lastSend[seq] = rec.At
-			if firstSend[seq] == 0 {
-				firstSend[seq] = rec.At
+			p.last = rec.At
+			if p.first == 0 {
+				p.first = rec.At
 			}
 			if checkFair {
-				if acked[seq] {
+				if p.acked {
 					violate("seq %d sent after it was acknowledged", rec.Seq)
 				} else {
 					fair.cnt[prev]--
@@ -195,37 +210,36 @@ func Analyze(ep *EndpointLog) (*Analysis, error) {
 				a.KnownReceived = int64(rec.Aux)
 			}
 		case KindAcked:
-			if int(rec.Seq) >= n {
+			if int64(rec.Seq) >= int64(n) {
 				return nil, corrupt(i, "ack of seq %d beyond object of %d packets", rec.Seq, n)
 			}
-			seq := int(rec.Seq)
+			p := pkt(rec.Seq)
 			if strict {
-				if acked[seq] {
+				if p.acked {
 					return nil, corrupt(i, "seq %d acknowledged twice", rec.Seq)
 				}
-				if tx[seq] == 0 {
+				if p.tx == 0 {
 					return nil, corrupt(i, "seq %d acknowledged before ever being sent", rec.Seq)
 				}
-				if rec.Aux != tx[seq] {
-					return nil, corrupt(i, "seq %d acked at transmit count %d, stream shows %d", rec.Seq, rec.Aux, tx[seq])
+				if rec.Aux != p.tx {
+					return nil, corrupt(i, "seq %d acked at transmit count %d, stream shows %d", rec.Seq, rec.Aux, p.tx)
 				}
 			}
 			a.AckedPackets++
-			c := int(rec.Aux)
-			for len(a.RetransmitCounts) <= c {
-				a.RetransmitCounts = append(a.RetransmitCounts, 0)
+			if a.RetransmitCounts == nil {
+				a.RetransmitCounts = make(map[uint32]int64)
 			}
-			a.RetransmitCounts[c]++
-			if !acked[seq] {
+			a.RetransmitCounts[rec.Aux]++
+			if !p.acked {
 				if checkFair {
-					fair.cnt[tx[seq]]--
+					fair.cnt[p.tx]--
 					fair.unacked--
 				}
-				acked[seq] = true
+				p.acked = true
 			}
-			if firstSend[seq] != 0 {
-				ackDelay.Observe(int64(rec.At - firstSend[seq]))
-				rtt.Observe(int64(rec.At - lastSend[seq]))
+			if p.first != 0 {
+				ackDelay.Observe(int64(rec.At - p.first))
+				rtt.Observe(int64(rec.At - p.last))
 			}
 		case KindBatch:
 			// Batch-size changes carry no totals; they feed the series.
@@ -244,21 +258,23 @@ func Analyze(ep *EndpointLog) (*Analysis, error) {
 			}
 		case KindAckSend:
 			a.AcksSent++
-		case KindPhase:
-			switch rec.Seq {
-			case PhaseHandshake:
+		case KindEvent:
+			switch kind := obs.Kind(rec.Seq); kind {
+			case obs.KindHandshake:
 				a.Handshakes++
-			case PhaseComplete:
+			case obs.KindComplete:
 				a.Outcome = metrics.OutcomeCompleted
-			case PhaseAbort:
+			case obs.KindAbort:
 				a.Outcome = metrics.OutcomeAborted
 				a.AbortReason = rec.Aux
-			case PhaseStall:
+			case obs.KindStall:
 				a.Stalls++
-			case PhaseIdle:
+			case obs.KindIdle:
 				a.Idles++
 			default:
-				return nil, corrupt(i, "unknown phase code %d", rec.Seq)
+				if uint32(kind) != rec.Seq || !kind.Known() {
+					return nil, corrupt(i, "unknown event kind %d", rec.Seq)
+				}
 			}
 		default:
 			return nil, corrupt(i, "unknown record kind %d", rec.Kind)
@@ -287,7 +303,7 @@ func (a *Analysis) CrossCheck(snap *metrics.TransferSnapshot) (mismatches []stri
 	}
 	cmp("packets_needed", int64(a.Meta.PacketsNeeded), snap.PacketsNeeded)
 	cmp("object_bytes", a.Meta.ObjectBytes, snap.ObjectBytes)
-	if a.Meta.Role == metrics.RoleSender {
+	if a.Meta.Role == obs.RoleSender {
 		cmp("packets_sent", a.PacketsSent, snap.PacketsSent)
 		cmp("retransmits", a.Retransmits, snap.Retransmits)
 		cmp("bytes_sent", a.BytesSent, snap.BytesSent)
@@ -345,16 +361,19 @@ func SeriesFor(ep *EndpointLog, buckets int) []*trace.Series {
 		return &binSet{name: name, unit: unit, bins: make([]float64, buckets)}
 	}
 	binOf := func(at time.Duration) int {
-		b := int(at / width)
-		if b >= buckets {
-			b = buckets - 1
+		switch b := at / width; {
+		case b < 0:
+			return 0
+		case b >= time.Duration(buckets):
+			return buckets - 1
+		default:
+			return int(b)
 		}
-		return b
 	}
 
 	var sets []*binSet
 	perSec := 1.0 / width.Seconds()
-	if ep.Meta.Role == metrics.RoleSender {
+	if ep.Meta.Role == obs.RoleSender {
 		sent := mk("sent_pps", "pkt/s")
 		retx := mk("retx_pps", "pkt/s")
 		ackd := mk("acked_pps", "pkt/s")

@@ -2,8 +2,9 @@
 // FOBS runtime: a per-transfer capture of every protocol decision — each
 // data send with its sequence number, attempt count and batch position,
 // each acknowledgement with the packets it newly acknowledged, batch-size
-// changes from the B policy, phase transitions and watchdog firings — in a
-// compact binary file that cmd/fobs-analyze replays offline.
+// changes from the B policy, and the transfer's lifecycle events (dial,
+// handshake, rounds, watchdog firings, verdict — internal/obs's vocabulary)
+// — in a compact binary file that cmd/fobs-analyze replays offline.
 //
 // The live metrics layer (internal/metrics) answers "how much"; this
 // package answers "in what order, exactly". The paper's central claims are
@@ -59,11 +60,11 @@ const (
 	// the ack serial, Aux the cumulative received count, Size the framed
 	// wire bytes.
 	KindAckSend
-	// KindPhase is a lifecycle transition: Seq is a Phase code, Aux the
-	// wire abort-reason code for PhaseAbort.
-	KindPhase
+	// KindEvent is a lifecycle event: Seq is its obs.Kind, Aux its arg
+	// (the wire abort-reason code for obs.KindAbort).
+	KindEvent
 
-	kindMax = KindPhase
+	kindMax = KindEvent
 )
 
 func (k Kind) String() string {
@@ -80,27 +81,12 @@ func (k Kind) String() string {
 		return "data-recv"
 	case KindAckSend:
 		return "ack-send"
-	case KindPhase:
-		return "phase"
+	case KindEvent:
+		return "event"
 	default:
 		return "kind(?)"
 	}
 }
-
-// Phase codes carried in KindPhase records.
-const (
-	// PhaseHandshake marks the completed announcement/HAVE exchange.
-	PhaseHandshake uint32 = iota + 1
-	// PhaseComplete marks successful delivery of the whole object.
-	PhaseComplete
-	// PhaseAbort marks termination on an error or ABORT; the record's Aux
-	// carries the wire abort-reason code.
-	PhaseAbort
-	// PhaseStall marks a firing of the sender's stall watchdog.
-	PhaseStall
-	// PhaseIdle marks a firing of the receiver's idle watchdog.
-	PhaseIdle
-)
 
 // Data-packet classifications carried in KindDataRecv records' Flag.
 const (

@@ -3,10 +3,12 @@ package flight
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/hpcnet/fobs/internal/metrics"
+	"github.com/hpcnet/fobs/internal/obs"
 )
 
 func TestRecordWordsRoundTrip(t *testing.T) {
@@ -14,7 +16,7 @@ func TestRecordWordsRoundTrip(t *testing.T) {
 		{At: 0, Kind: KindDataSend, Seq: 0, Aux: 1},
 		{At: 123456789 * time.Nanosecond, Kind: KindDataSend, Seq: 42, Aux: 3, Aux2: 7, Size: 1024},
 		{At: time.Hour, Kind: KindAckRecv, Seq: 9, Aux: 100, Flag: 1},
-		{At: time.Millisecond, Kind: KindPhase, Seq: PhaseAbort, Aux: 5},
+		{At: time.Millisecond, Kind: KindEvent, Seq: uint32(obs.KindAbort), Aux: 5},
 		{At: 1, Kind: KindDataRecv, Seq: 1<<32 - 1, Flag: ClassRejected, Size: 1<<16 - 1, Aux2: 1<<32 - 1},
 	}
 	for _, want := range recs {
@@ -36,7 +38,7 @@ func writeSenderRecording(t *testing.T, snap metrics.TransferSnapshot) []byte {
 	if fr == nil {
 		t.Fatal("StartSender returned nil recorder on a live log")
 	}
-	fr.Phase(PhaseHandshake, 0)
+	fr.Event(obs.KindHandshake, 0)
 	fr.BatchSize(2)
 	fr.BatchSize(2) // dedup: must not produce a second record
 	fr.DataSent(0, 1024, 0)
@@ -46,7 +48,7 @@ func writeSenderRecording(t *testing.T, snap metrics.TransferSnapshot) []byte {
 	fr.DataSent(1, 1024, 0) // retransmit
 	fr.AckReceived(2, 2, false)
 	fr.AckedSeq(1)
-	fr.Phase(PhaseComplete, 0)
+	fr.Event(obs.KindComplete, 0)
 	fr.Finish(snap)
 	go log.Close() // concurrent Closes are the core's to serialize (spine.TestLogCloseConcurrent)
 	if err := log.Close(); err != nil {
@@ -58,7 +60,7 @@ func writeSenderRecording(t *testing.T, snap metrics.TransferSnapshot) []byte {
 func senderSnapshot() metrics.TransferSnapshot {
 	return metrics.TransferSnapshot{
 		Transfer:      7,
-		Role:          metrics.RoleSender,
+		Role:          obs.RoleSender,
 		PacketsNeeded: 2,
 		ObjectBytes:   2048,
 		PacketsSent:   3,
@@ -81,7 +83,7 @@ func TestLogReadRoundTrip(t *testing.T) {
 		t.Fatalf("got %d endpoints, want 1", len(eps))
 	}
 	ep := eps[0]
-	if ep.Meta.Transfer != 7 || ep.Meta.Role != metrics.RoleSender ||
+	if ep.Meta.Transfer != 7 || ep.Meta.Role != obs.RoleSender ||
 		ep.Meta.PacketsNeeded != 2 || ep.Meta.PacketSize != 1024 ||
 		ep.Meta.ObjectBytes != 2048 || ep.Meta.Schedule != 0 {
 		t.Fatalf("meta round trip: %+v", ep.Meta)
@@ -93,8 +95,8 @@ func TestLogReadRoundTrip(t *testing.T) {
 		t.Fatalf("trailer snapshot round trip: %+v", ep.Snapshot)
 	}
 	wantKinds := []Kind{
-		KindPhase, KindBatch, KindDataSend, KindDataSend, KindAckRecv,
-		KindAcked, KindDataSend, KindAckRecv, KindAcked, KindPhase,
+		KindEvent, KindBatch, KindDataSend, KindDataSend, KindAckRecv,
+		KindAcked, KindDataSend, KindAckRecv, KindAcked, KindEvent,
 	}
 	if len(ep.Records) != len(wantKinds) {
 		t.Fatalf("got %d records, want %d: %+v", len(ep.Records), len(wantKinds), ep.Records)
@@ -132,7 +134,7 @@ func TestNilSafety(t *testing.T) {
 	fr.BatchSize(4)
 	fr.DataReceived(0, 1024, ClassFresh)
 	fr.AckSent(0, 1, 64)
-	fr.Phase(PhaseComplete, 0)
+	fr.Event(obs.KindComplete, 0)
 	fr.Finish(metrics.TransferSnapshot{})
 }
 
@@ -171,6 +173,11 @@ func TestReadRejectsCorruption(t *testing.T) {
 		{"bad magic", func() []byte {
 			d := append([]byte(nil), valid...)
 			d[0] = 'X'
+			return d
+		}},
+		{"older format version", func() []byte {
+			d := append([]byte(nil), valid...)
+			copy(d, "FOBREC01")
 			return d
 		}},
 		{"bad frame marker", func() []byte {
@@ -219,6 +226,9 @@ func TestReadRejectsCorruption(t *testing.T) {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("Read = %v, want ErrCorrupt", err)
 			}
+			if tc.name == "older format version" && !strings.Contains(err.Error(), "version 01") {
+				t.Fatalf("Read = %v, want the refusal to name version 01", err)
+			}
 		})
 	}
 }
@@ -246,7 +256,7 @@ func TestAnalyzeSenderStream(t *testing.T) {
 		t.Errorf("lifecycle: outcome=%v handshakes=%d", a.Outcome, a.Handshakes)
 	}
 	// Packet 0 acked after 1 send, packet 1 after 2.
-	if len(a.RetransmitCounts) != 3 || a.RetransmitCounts[1] != 1 || a.RetransmitCounts[2] != 1 {
+	if len(a.RetransmitCounts) != 2 || a.RetransmitCounts[1] != 1 || a.RetransmitCounts[2] != 1 {
 		t.Errorf("retransmit counts: %v", a.RetransmitCounts)
 	}
 	if a.AckDelay.Count != 2 || a.RTT.Count != 2 {
@@ -272,7 +282,7 @@ func synthetic(n int, recs []Record) *EndpointLog {
 		recs[i].At = at
 	}
 	return &EndpointLog{
-		Meta:    Meta{Role: metrics.RoleSender, PacketsNeeded: n, PacketSize: 1024},
+		Meta:    Meta{Role: obs.RoleSender, PacketsNeeded: n, PacketSize: 1024},
 		Records: recs,
 		Ended:   true,
 	}
@@ -302,7 +312,7 @@ func TestAnalyzeRejectsInconsistentStreams(t *testing.T) {
 			{Kind: KindAcked, Seq: 0, Aux: 3},
 		})},
 		{"unknown phase", synthetic(2, []Record{
-			{Kind: KindPhase, Seq: 999},
+			{Kind: KindEvent, Seq: 999},
 		})},
 	}
 	for _, tc := range cases {

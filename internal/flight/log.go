@@ -8,11 +8,14 @@ import (
 	"time"
 
 	"github.com/hpcnet/fobs/internal/metrics"
+	"github.com/hpcnet/fobs/internal/obs"
 	"github.com/hpcnet/fobs/internal/spine"
 )
 
-// fileMagic opens every .fobrec file.
-const fileMagic = "FOBREC01"
+// fileMagic opens every .fobrec file: "FOBREC" and a two-digit format
+// version. Version 02 carries obs.Kind in event records and obs.Role in
+// frame headers; version 01 had flight's own phase codes and roles.
+const fileMagic = "FOBREC02"
 
 // Frame types within a .fobrec file. A file is the magic followed by a
 // sequence of frames; frames from concurrent transfers interleave freely
@@ -82,7 +85,7 @@ func (l *Log) StartSender(transfer uint32, packetsNeeded int, objectBytes int64,
 	}
 	r := l.startRecorder(Meta{
 		Transfer:      transfer,
-		Role:          metrics.RoleSender,
+		Role:          obs.RoleSender,
 		PacketsNeeded: packetsNeeded,
 		PacketSize:    packetSize,
 		ObjectBytes:   objectBytes,
@@ -101,7 +104,7 @@ func (l *Log) StartReceiver(transfer uint32, packetsNeeded int, objectBytes int6
 	}
 	return l.startRecorder(Meta{
 		Transfer:      transfer,
-		Role:          metrics.RoleReceiver,
+		Role:          obs.RoleReceiver,
 		PacketsNeeded: packetsNeeded,
 		PacketSize:    packetSize,
 		ObjectBytes:   objectBytes,
@@ -216,7 +219,7 @@ func (r *Recorder) Seal(closing bool) []byte {
 // Meta describes one recorded endpoint.
 type Meta struct {
 	Transfer      uint32
-	Role          metrics.Role
+	Role          obs.Role
 	PacketsNeeded int
 	PacketSize    int
 	ObjectBytes   int64
@@ -296,10 +299,10 @@ func (r *Recorder) AckSent(serial uint32, received int, size int) {
 	r.push(Record{Kind: KindAckSend, Seq: serial, Aux: uint32(received), Size: uint16(size)})
 }
 
-// Phase records a lifecycle transition (PhaseHandshake, PhaseStall, ...);
-// arg carries the abort-reason code for PhaseAbort.
-func (r *Recorder) Phase(code uint32, arg uint32) {
-	r.push(Record{Kind: KindPhase, Seq: code, Aux: arg})
+// Event records one lifecycle event of the endpoint; arg is the kind's (the
+// abort-reason code for obs.KindAbort), kept to its low 32 bits.
+func (r *Recorder) Event(kind obs.Kind, arg uint64) {
+	r.push(Record{Kind: KindEvent, Seq: uint32(kind), Aux: uint32(arg)})
 }
 
 // Finish retires the recorder, emitting its trailer frame with the final

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/hpcnet/fobs/internal/metrics"
+	"github.com/hpcnet/fobs/internal/obs"
 	"github.com/hpcnet/fobs/internal/spine"
 )
 
@@ -44,10 +45,11 @@ func ReadFile(path string) ([]*EndpointLog, error) {
 	return Read(f)
 }
 
-// Read parses a .fobrec stream. Structural damage — a bad magic, an
-// unknown frame or record kind, records for an unannounced or already
-// ended endpoint, a truncated frame — is reported as an error wrapping
-// ErrCorrupt.
+// Read parses a .fobrec stream. Structural damage — a bad magic or another
+// format version, an unknown frame or record kind, records for an
+// unannounced or already ended endpoint, a truncated frame — is reported as
+// an error wrapping ErrCorrupt. What Read holds grows with the bytes the
+// stream delivers, never with the lengths its frames claim.
 func Read(r io.Reader) ([]*EndpointLog, error) {
 	br := bufio.NewReader(r)
 	var magic [len(fileMagic)]byte
@@ -55,12 +57,15 @@ func Read(r io.Reader) ([]*EndpointLog, error) {
 		return nil, fmt.Errorf("%w: missing file magic: %v", ErrCorrupt, err)
 	}
 	if string(magic[:]) != fileMagic {
+		if string(magic[:6]) == fileMagic[:6] {
+			return nil, fmt.Errorf("%w: recording format version %s, this build reads %s", ErrCorrupt, magic[6:], fileMagic[6:])
+		}
 		return nil, fmt.Errorf("%w: bad file magic %q", ErrCorrupt, magic)
 	}
 
 	type key struct {
 		transfer uint32
-		role     metrics.Role
+		role     obs.Role
 	}
 	byKey := make(map[key]*EndpointLog)
 	var order []*EndpointLog
@@ -76,14 +81,19 @@ func Read(r io.Reader) ([]*EndpointLog, error) {
 		if h[0] != frameMarker {
 			return nil, fmt.Errorf("%w: bad frame marker 0x%02x (frame %d)", ErrCorrupt, h[0], frameNo)
 		}
-		typ, role := h[1], metrics.Role(h[2])
+		typ, role := h[1], obs.Role(h[2])
 		transfer := rd32(h[4:])
 		plen := int(rd32(h[8:]))
 		if plen < 0 || plen > 1<<30 {
 			return nil, fmt.Errorf("%w: absurd frame payload length %d", ErrCorrupt, plen)
 		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(br, payload); err != nil {
+		// Read as it arrives rather than allocated up front: a frame claiming
+		// more than the stream holds costs what the stream holds.
+		payload, err := io.ReadAll(io.LimitReader(br, int64(plen)))
+		if err == nil && len(payload) < plen {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
 			return nil, fmt.Errorf("%w: truncated frame payload (frame %d): %v", ErrCorrupt, frameNo, err)
 		}
 		k := key{transfer, role}
@@ -95,10 +105,14 @@ func Read(r io.Reader) ([]*EndpointLog, error) {
 			if old := byKey[k]; old != nil && !old.Ended {
 				return nil, fmt.Errorf("%w: duplicate start for transfer %d %v", ErrCorrupt, transfer, role)
 			}
+			packets := int(rd32(payload[0:]))
+			if packets < 0 {
+				return nil, fmt.Errorf("%w: start frame claims %d packets, beyond this platform's int", ErrCorrupt, rd32(payload[0:]))
+			}
 			ep := &EndpointLog{Meta: Meta{
 				Transfer:      transfer,
 				Role:          role,
-				PacketsNeeded: int(rd32(payload[0:])),
+				PacketsNeeded: packets,
 				PacketSize:    int(rd32(payload[4:])),
 				Schedule:      int(payload[8]),
 				ObjectBytes:   int64(rd64(payload[12:])),

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"github.com/hpcnet/fobs/internal/obs"
 )
 
 func TestHistBucketMonotoneAndInvertible(t *testing.T) {
@@ -123,7 +125,7 @@ func TestSenderLatencyHistograms(t *testing.T) {
 	tm.NoteSeqAcked(0)
 	tm.NoteSeqAcked(1)
 	tm.NoteSeqAcked(3) // never sent: must not observe
-	tm.Complete()
+	tm.Event(obs.KindComplete, 0)
 	s := tm.Snapshot()
 	if s.AckDelay == nil || s.AckDelay.Count != 2 {
 		t.Fatalf("ack delay count: %+v", s.AckDelay)
@@ -147,7 +149,7 @@ func TestWritePrometheus(t *testing.T) {
 	tm.NoteSeqAcked(0)
 	tm.NoteSeqAcked(1)
 	tm.NoteAckReceived(2)
-	tm.Complete()
+	tm.Event(obs.KindComplete, 0)
 	var sb strings.Builder
 	r.WritePrometheus(&sb)
 	out := sb.String()

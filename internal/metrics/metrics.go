@@ -19,8 +19,9 @@
 //     retransmission classifier is a test-and-set on a pre-sized atomic
 //     bitmap. The hot-path allocation gates in internal/udprt run with
 //     metrics enabled to keep this honest.
-//  2. Lifecycle events (handshake, first data, completion, abort, watchdog
-//     firings) go through a fixed-size lock-free ring (internal/spine), so
+//  2. Lifecycle events — internal/obs's vocabulary: handshake, rounds,
+//     completion, abort, watchdog firings and the rest — go through one
+//     Transfer.Event into a fixed-size lock-free ring (internal/spine), so
 //     recording an event never blocks a transfer loop and a crashed or
 //     wedged transfer leaves its last events readable.
 //  3. Everything is nil-safe: a nil *Registry hands out nil *Transfer
@@ -35,48 +36,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/hpcnet/fobs/internal/obs"
 	"github.com/hpcnet/fobs/internal/spine"
 	"github.com/hpcnet/fobs/internal/stats"
 )
-
-// Role distinguishes the two endpoints of a transfer inside one registry
-// (a process may hold both ends of a loopback transfer).
-type Role uint8
-
-const (
-	// RoleSender marks the data-sending endpoint.
-	RoleSender Role = iota
-	// RoleReceiver marks the data-receiving endpoint.
-	RoleReceiver
-)
-
-func (r Role) String() string {
-	switch r {
-	case RoleSender:
-		return "sender"
-	case RoleReceiver:
-		return "receiver"
-	default:
-		return fmt.Sprintf("role(%d)", uint8(r))
-	}
-}
-
-// MarshalJSON renders the role as its name.
-func (r Role) MarshalJSON() ([]byte, error) { return []byte(`"` + r.String() + `"`), nil }
-
-// UnmarshalJSON parses a role name, so snapshots round-trip through JSON
-// (the flight-recorder trailer embeds one).
-func (r *Role) UnmarshalJSON(b []byte) error {
-	switch string(b) {
-	case `"sender"`:
-		*r = RoleSender
-	case `"receiver"`:
-		*r = RoleReceiver
-	default:
-		return fmt.Errorf("metrics: unknown role %s", b)
-	}
-	return nil
-}
 
 // Outcome is a transfer's terminal state.
 type Outcome uint8
@@ -106,7 +69,8 @@ func (o Outcome) String() string {
 // MarshalJSON renders the outcome as its name.
 func (o Outcome) MarshalJSON() ([]byte, error) { return []byte(`"` + o.String() + `"`), nil }
 
-// UnmarshalJSON parses an outcome name; see Role.UnmarshalJSON.
+// UnmarshalJSON parses an outcome name, so snapshots round-trip through
+// JSON (the flight-recorder trailer embeds one).
 func (o *Outcome) UnmarshalJSON(b []byte) error {
 	switch string(b) {
 	case `"running"`:
@@ -123,7 +87,7 @@ func (o *Outcome) UnmarshalJSON(b []byte) error {
 
 // ringSize is the number of retained events. 256 comfortably covers the
 // lifecycle traffic of a multi-transfer server's recent past (a clean
-// transfer emits 3 events).
+// transfer emits 6 or 7 events per endpoint).
 const ringSize = 256
 
 // historyCap bounds how many finished transfers a registry retains; older
@@ -141,9 +105,9 @@ type Registry struct {
 	// transfer (high 32 bits), role (8) and kind (8) packed, then the arg.
 	ring *spine.Ring
 
-	// retries and resumes count supervisor-level recovery actions, which
-	// span transfers (a retried Send registers a fresh Transfer handle per
-	// attempt) and so live on the registry.
+	// retries and resumes count recovery actions, which span transfers (a
+	// retried Send registers a fresh Transfer handle per attempt) and so
+	// live on the registry.
 	retries atomic.Int64
 	resumes atomic.Int64
 
@@ -169,7 +133,7 @@ type Registry struct {
 // registers both roles of the same id in one registry.
 type transferKey struct {
 	id   uint32
-	role Role
+	role obs.Role
 }
 
 // New returns an empty registry whose clock starts now.
@@ -194,15 +158,26 @@ func (r *Registry) now() time.Duration { return time.Since(r.start) }
 // handle, snapshotting it into history first — ids are reusable once a
 // transfer ends.
 func (r *Registry) StartSender(id uint32, packetsNeeded int, objectBytes int64) *Transfer {
-	return r.startTransfer(id, RoleSender, packetsNeeded, objectBytes)
+	return r.startTransfer(id, obs.RoleSender, packetsNeeded, objectBytes)
 }
 
 // StartReceiver registers the receiving end of a transfer.
 func (r *Registry) StartReceiver(id uint32, packetsNeeded int, objectBytes int64) *Transfer {
-	return r.startTransfer(id, RoleReceiver, packetsNeeded, objectBytes)
+	return r.startTransfer(id, obs.RoleReceiver, packetsNeeded, objectBytes)
 }
 
-func (r *Registry) startTransfer(id uint32, role Role, packetsNeeded int, objectBytes int64) *Transfer {
+// Supervisor returns the handle of a sending transfer's retry supervisor:
+// its events (KindRetry) reach the ring and the registry's retry count,
+// but it is registered nowhere, so it is no transfer of the snapshot's.
+// Nil (and safe to use) when the registry is nil.
+func (r *Registry) Supervisor(id uint32) *Transfer {
+	if r == nil {
+		return nil
+	}
+	return &Transfer{reg: r, id: id, role: obs.RoleSender}
+}
+
+func (r *Registry) startTransfer(id uint32, role obs.Role, packetsNeeded int, objectBytes int64) *Transfer {
 	if r == nil {
 		return nil
 	}
@@ -213,7 +188,7 @@ func (r *Registry) startTransfer(id uint32, role Role, packetsNeeded int, object
 		needed:      int64(packetsNeeded),
 		objectBytes: objectBytes,
 	}
-	if role == RoleSender && packetsNeeded > 0 {
+	if role == obs.RoleSender && packetsNeeded > 0 {
 		t.sentOnce = make([]atomic.Uint64, (packetsNeeded+63)/64)
 		t.firstSendNs = make([]int64, packetsNeeded)
 		t.lastSendNs = make([]int64, packetsNeeded)
@@ -240,8 +215,8 @@ func (r *Registry) retireLocked(t *Transfer) {
 	}
 }
 
-// finish is called by Transfer.Complete/Abort exactly once: it removes the
-// handle from the active set and archives its final snapshot.
+// finish is called by a transfer's first outcome event exactly once: it
+// removes the handle from the active set and archives its final snapshot.
 func (r *Registry) finish(t *Transfer) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -252,25 +227,17 @@ func (r *Registry) finish(t *Transfer) {
 	r.retireLocked(t)
 }
 
-// NoteRetry records one retry attempt by the sender-side supervisor;
-// attempt is 1 for the first retry. Safe on a nil registry.
-func (r *Registry) NoteRetry(transfer uint32, attempt int) {
-	if r == nil {
-		return
-	}
-	r.retries.Add(1)
-	r.record(r.now(), transfer, RoleSender, EventRetry, uint32(attempt))
-}
-
-// NoteResume records one handshake whose CHECK was answered from retained
-// state; restored is the packet count the HAVE bitmap carried over. role distinguishes the
-// two ends (both record the event). Safe on a nil registry.
-func (r *Registry) NoteResume(transfer uint32, role Role, restored int) {
-	if r == nil {
-		return
-	}
-	r.resumes.Add(1)
-	r.record(r.now(), transfer, role, EventResume, uint32(restored))
+// Event is one lifecycle occurrence pulled out of the ring.
+type Event struct {
+	// At is the event instant relative to the registry's start.
+	At time.Duration `json:"at_ns"`
+	// Transfer and Role identify the endpoint the event belongs to.
+	Transfer uint32   `json:"transfer"`
+	Role     obs.Role `json:"role"`
+	Kind     obs.Kind `json:"kind"`
+	// Arg carries kind-specific detail (see obs.Kind): the abort-reason
+	// code for KindAbort, the attempt for KindRetry, zero for most.
+	Arg uint64 `json:"arg,omitempty"`
 }
 
 // Events returns the lifecycle events still held in the ring, oldest
@@ -290,9 +257,9 @@ func (r *Registry) Events() []Event {
 		out = append(out, Event{
 			At:       time.Duration(at),
 			Transfer: uint32(meta >> 32),
-			Role:     Role(meta >> 8),
-			Kind:     EventKind(meta),
-			Arg:      uint32(arg),
+			Role:     obs.Role(meta >> 8),
+			Kind:     obs.Kind(meta),
+			Arg:      arg,
 		})
 	}
 	return out
@@ -300,8 +267,8 @@ func (r *Registry) Events() []Event {
 
 // record publishes one lifecycle event. It never blocks: an event lapped
 // by ringSize newer ones is simply overwritten.
-func (r *Registry) record(at time.Duration, transfer uint32, role Role, kind EventKind, arg uint32) {
-	r.ring.Push(uint64(at), uint64(transfer)<<32|uint64(role)<<8|uint64(kind), uint64(arg))
+func (r *Registry) record(at time.Duration, transfer uint32, role obs.Role, kind obs.Kind, arg uint64) {
+	r.ring.Push(uint64(at), uint64(transfer)<<32|uint64(role)<<8|uint64(kind), arg)
 }
 
 // Snapshot captures the registry's current state: every active transfer,
@@ -352,8 +319,9 @@ type Snapshot struct {
 	// Events is the retained lifecycle event ring, oldest first.
 	Events []Event `json:"events"`
 	// Retries counts sender-supervisor retry attempts; Resumes counts
-	// handshakes answered from retained state (either role). Registry-wide: one logical
-	// transfer spans several Transfer handles when retried.
+	// handshakes answered from retained state (either role; a dedup hit is
+	// no resume). Registry-wide: one logical transfer spans several
+	// Transfer handles when retried.
 	Retries int64 `json:"retries,omitempty"`
 	Resumes int64 `json:"resumes,omitempty"`
 	// Gauges holds the registry's named instantaneous values (queue
@@ -368,7 +336,7 @@ type Snapshot struct {
 
 // Find returns the snapshot of the given transfer endpoint and whether it
 // was present. When an id was reused, the most recent entry wins.
-func (s Snapshot) Find(id uint32, role Role) (TransferSnapshot, bool) {
+func (s Snapshot) Find(id uint32, role obs.Role) (TransferSnapshot, bool) {
 	for i := len(s.Transfers) - 1; i >= 0; i-- {
 		if t := s.Transfers[i]; t.Transfer == id && t.Role == role {
 			return t, true
@@ -427,8 +395,8 @@ func (a *Totals) add(t *TransferSnapshot) {
 // (StartedAt is always set, so the zero ambiguity only affects transfers
 // registered in the registry's first nanosecond — tolerable).
 type TransferSnapshot struct {
-	Transfer uint32 `json:"transfer"`
-	Role     Role   `json:"role"`
+	Transfer uint32   `json:"transfer"`
+	Role     obs.Role `json:"role"`
 	// PacketsNeeded is the object's packet count; ObjectBytes its size.
 	PacketsNeeded int64 `json:"packets_needed"`
 	ObjectBytes   int64 `json:"object_bytes"`
@@ -445,9 +413,10 @@ type TransferSnapshot struct {
 	BytesSent     int64 `json:"bytes_sent"`
 	AcksReceived  int64 `json:"acks_received"`
 	KnownReceived int64 `json:"known_received"`
-	// PacketsRestored counts packets a resume handshake marked already
-	// delivered before this run's first send (sender role) or carried
-	// over from retained state (receiver role).
+	// PacketsRestored counts packets a resume handshake or a dedup hit
+	// marked already delivered before this run's first send (sender role)
+	// or carried over from retained state or the content cache (receiver
+	// role).
 	PacketsRestored int64 `json:"packets_restored,omitempty"`
 	// Rounds counts batch-send phases that placed at least one packet.
 	Rounds int64 `json:"rounds"`
@@ -465,7 +434,9 @@ type TransferSnapshot struct {
 	AcksSent      int64 `json:"acks_sent"`
 	IdleTimeouts  int64 `json:"idle_timeouts"`
 
-	// Phase timestamps, relative to the registry's start.
+	// Phase timestamps, relative to the registry's start. FirstDataAt is
+	// the transfer's KindRounds: its first data batch on the wire (sender)
+	// or its first data packet demuxed (receiver).
 	StartedAt   time.Duration `json:"started_at_ns"`
 	HandshakeAt time.Duration `json:"handshake_at_ns"`
 	FirstDataAt time.Duration `json:"first_data_at_ns"`
@@ -489,13 +460,14 @@ type TransferSnapshot struct {
 	IO stats.IOCounters `json:"io"`
 }
 
-// Transfer is the live handle one endpoint's driver feeds. All Note
-// methods are safe for concurrent use, never allocate, never lock, and
-// no-op on a nil receiver.
+// Transfer is the live handle one endpoint's driver feeds. Event and the
+// Note methods are safe for concurrent use and no-op on a nil receiver; none
+// allocates or locks, but for the first outcome event, which archives the
+// handle under the registry's lock.
 type Transfer struct {
 	reg         *Registry
 	id          uint32
-	role        Role
+	role        obs.Role
 	needed      int64
 	objectBytes int64
 
@@ -553,14 +525,49 @@ func (t *Transfer) ID() uint32 {
 	return t.id
 }
 
-// NoteHandshake records the completion of the announcement/HAVE exchange.
-func (t *Transfer) NoteHandshake() {
+// Event records one lifecycle moment of the endpoint in the registry's
+// ring, with the state that depends on its kind: the handshake and
+// first-data stamps (KindHandshake, KindRounds — the first only), the
+// watchdog counts (KindStall, KindIdle), packets a resume or a dedup hit
+// excused (KindResume, KindSkip; a resume also counts in Resumes), the
+// registry's retry count (KindRetry) and the outcome (KindComplete, or
+// KindAbort with the wire abort-reason code as arg). Only the first
+// outcome takes effect: it archives the transfer, and a later one is not
+// recorded at all.
+func (t *Transfer) Event(kind obs.Kind, arg uint64) {
 	if t == nil {
 		return
 	}
 	now := t.reg.now()
-	t.handshakeNs.Store(int64(now))
-	t.reg.record(now, t.id, t.role, EventHandshake, 0)
+	switch kind {
+	case obs.KindHandshake:
+		t.handshakeNs.Store(int64(now))
+	case obs.KindRounds:
+		t.firstDataNs.CompareAndSwap(0, int64(now))
+	case obs.KindStall:
+		t.stalls.Add(1)
+	case obs.KindIdle:
+		t.idles.Add(1)
+	case obs.KindResume:
+		t.restored.Add(int64(arg))
+		t.reg.resumes.Add(1)
+	case obs.KindSkip:
+		t.restored.Add(int64(arg))
+	case obs.KindRetry:
+		t.reg.retries.Add(1)
+	case obs.KindComplete, obs.KindAbort:
+		outcome := OutcomeCompleted
+		if kind == obs.KindAbort {
+			outcome = OutcomeAborted
+		}
+		if !t.outcome.CompareAndSwap(uint32(OutcomeRunning), uint32(outcome)) {
+			return
+		}
+		t.abortReason.Store(uint32(arg))
+		t.doneNs.Store(int64(now))
+		defer t.reg.finish(t)
+	}
+	t.reg.record(now, t.id, t.role, kind, arg)
 }
 
 // NoteDataSent records one data packet placed on the wire: seq is its
@@ -608,17 +615,6 @@ func (t *Transfer) NoteSeqAcked(seq uint32) {
 	t.rtt.Observe(now - t.lastSendNs[seq])
 }
 
-// NoteRestored records that a resume handshake carried over n packets from
-// a prior attempt: the peer's HAVE bitmap on the sender side, retained or
-// checkpointed state on the receiver side.
-func (t *Transfer) NoteRestored(n int) {
-	if t == nil || n == 0 {
-		return
-	}
-	t.restored.Add(int64(n))
-	t.reg.NoteResume(t.id, t.role, n)
-}
-
 // NoteRound records one batch-send phase that placed at least one packet.
 func (t *Transfer) NoteRound() {
 	if t == nil {
@@ -643,26 +639,6 @@ func (t *Transfer) NoteAckReceived(received int64) {
 	}
 }
 
-// NoteStall records one firing of the sender's stall watchdog.
-func (t *Transfer) NoteStall() {
-	if t == nil {
-		return
-	}
-	t.stalls.Add(1)
-	t.reg.record(t.reg.now(), t.id, t.role, EventStall, 0)
-}
-
-// noteFirstData stamps the first-data phase timestamp once.
-func (t *Transfer) noteFirstData() {
-	if t.firstDataNs.Load() != 0 {
-		return
-	}
-	now := t.reg.now()
-	if t.firstDataNs.CompareAndSwap(0, int64(now)) {
-		t.reg.record(now, t.id, t.role, EventFirstData, 0)
-	}
-}
-
 // NoteDataFresh records one never-before-seen data packet of n payload
 // bytes delivered to the receiver.
 func (t *Transfer) NoteDataFresh(n int) {
@@ -672,7 +648,6 @@ func (t *Transfer) NoteDataFresh(n int) {
 	t.demuxed.Add(1)
 	t.fresh.Add(1)
 	t.bytesReceived.Add(int64(n))
-	t.noteFirstData()
 }
 
 // NoteDataDuplicate records one retransmission of a packet the receiver
@@ -683,7 +658,6 @@ func (t *Transfer) NoteDataDuplicate() {
 	}
 	t.demuxed.Add(1)
 	t.duplicates.Add(1)
-	t.noteFirstData()
 }
 
 // NoteDataRejected records one well-formed packet for this transfer that
@@ -705,15 +679,6 @@ func (t *Transfer) NoteAckSent(n int) {
 	t.acksSent.Add(1)
 }
 
-// NoteIdle records one firing of the receiver's idle watchdog.
-func (t *Transfer) NoteIdle() {
-	if t == nil {
-		return
-	}
-	t.idles.Add(1)
-	t.reg.record(t.reg.now(), t.id, t.role, EventIdle, 0)
-}
-
 // NoteIO stores the endpoint's socket-level counters; drivers call it once
 // when their IO loop ends.
 func (t *Transfer) NoteIO(c stats.IOCounters) {
@@ -723,37 +688,6 @@ func (t *Transfer) NoteIO(c stats.IOCounters) {
 	t.cold.Lock()
 	t.io.Add(c)
 	t.cold.Unlock()
-}
-
-// Complete marks the transfer delivered and archives it. Only the first
-// Complete/Abort call takes effect.
-func (t *Transfer) Complete() {
-	if t == nil {
-		return
-	}
-	if !t.outcome.CompareAndSwap(uint32(OutcomeRunning), uint32(OutcomeCompleted)) {
-		return
-	}
-	now := t.reg.now()
-	t.doneNs.Store(int64(now))
-	t.reg.record(now, t.id, t.role, EventComplete, 0)
-	t.reg.finish(t)
-}
-
-// Abort marks the transfer failed with the given wire abort-reason code
-// and archives it. Only the first Complete/Abort call takes effect.
-func (t *Transfer) Abort(reason uint32) {
-	if t == nil {
-		return
-	}
-	if !t.outcome.CompareAndSwap(uint32(OutcomeRunning), uint32(OutcomeAborted)) {
-		return
-	}
-	t.abortReason.Store(reason)
-	now := t.reg.now()
-	t.doneNs.Store(int64(now))
-	t.reg.record(now, t.id, t.role, EventAbort, reason)
-	t.reg.finish(t)
 }
 
 // Snapshot freezes the transfer's current counters.

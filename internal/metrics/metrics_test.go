@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hpcnet/fobs/internal/obs"
 	"github.com/hpcnet/fobs/internal/stats"
 )
 
@@ -21,23 +22,25 @@ func TestNilRegistryIsInert(t *testing.T) {
 	if tm != nil {
 		t.Fatalf("nil registry handed out non-nil transfer")
 	}
+	if r.Supervisor(1) != nil {
+		t.Fatalf("nil registry handed out a non-nil supervisor handle")
+	}
 	// Every method must be a no-op on the nil handle.
-	tm.NoteHandshake()
+	tm.Event(obs.KindHandshake, 0)
 	tm.NoteDataSent(0, 100)
 	tm.NoteRound()
 	tm.NoteAckReceived(5)
-	tm.NoteStall()
+	tm.Event(obs.KindStall, 0)
 	tm.NoteDataFresh(100)
 	tm.NoteDataDuplicate()
 	tm.NoteDataRejected()
 	tm.NoteAckSent(32)
-	tm.NoteIdle()
-	tm.NoteRestored(5)
+	tm.Event(obs.KindIdle, 0)
+	tm.Event(obs.KindResume, 5)
 	tm.NoteIO(stats.IOCounters{})
-	r.NoteRetry(1, 1)
-	r.NoteResume(1, RoleSender, 5)
-	tm.Complete()
-	tm.Abort(0)
+	r.Supervisor(1).Event(obs.KindRetry, 1)
+	tm.Event(obs.KindComplete, 0)
+	tm.Event(obs.KindAbort, 0)
 	if got := tm.Snapshot(); got != (TransferSnapshot{}) {
 		t.Fatalf("nil transfer snapshot = %+v, want zero", got)
 	}
@@ -86,7 +89,7 @@ func TestResumeAndRetryCounters(t *testing.T) {
 	r := New()
 	tm := r.StartSender(9, 10, 10000)
 	// A resumed sender: 6 packets carried over, 4 sent fresh, 1 retransmit.
-	tm.NoteRestored(6)
+	tm.Event(obs.KindResume, 6)
 	for seq := uint32(6); seq < 10; seq++ {
 		tm.NoteDataSent(seq, 1000)
 	}
@@ -100,8 +103,9 @@ func TestResumeAndRetryCounters(t *testing.T) {
 			s.PacketsSent, s.PacketsNeeded, s.PacketsRestored, s.Retransmits)
 	}
 
-	r.NoteRetry(9, 1)
-	r.NoteRetry(9, 2)
+	sup := r.Supervisor(9)
+	sup.Event(obs.KindRetry, 1)
+	sup.Event(obs.KindRetry, 2)
 	snap := r.Snapshot()
 	if snap.Retries != 2 || snap.Resumes != 1 {
 		t.Fatalf("retries=%d resumes=%d, want 2/1", snap.Retries, snap.Resumes)
@@ -113,12 +117,12 @@ func TestResumeAndRetryCounters(t *testing.T) {
 	var sawRetry, sawResume bool
 	for _, ev := range snap.Events {
 		switch ev.Kind {
-		case EventRetry:
+		case obs.KindRetry:
 			sawRetry = true
 			if ev.Arg != 1 && ev.Arg != 2 {
 				t.Fatalf("retry arg=%d, want attempt number", ev.Arg)
 			}
-		case EventResume:
+		case obs.KindResume:
 			sawResume = true
 			if ev.Arg != 6 {
 				t.Fatalf("resume arg=%d, want 6 restored", ev.Arg)
@@ -133,7 +137,8 @@ func TestResumeAndRetryCounters(t *testing.T) {
 func TestReceiverClassificationAndTotals(t *testing.T) {
 	r := New()
 	tm := r.StartReceiver(9, 3, 3000)
-	tm.NoteHandshake()
+	tm.Event(obs.KindHandshake, 0)
+	tm.Event(obs.KindRounds, 0)
 	tm.NoteDataFresh(1000)
 	tm.NoteDataFresh(1000)
 	tm.NoteDataDuplicate()
@@ -157,12 +162,12 @@ func TestReceiverClassificationAndTotals(t *testing.T) {
 	if s.FirstDataAt < s.HandshakeAt {
 		t.Fatalf("first data %v before handshake %v", s.FirstDataAt, s.HandshakeAt)
 	}
-	tm.Complete()
+	tm.Event(obs.KindComplete, 0)
 	snap := r.Snapshot()
 	if snap.Active != 0 || snap.Totals.Completed != 1 {
 		t.Fatalf("after complete: active=%d completed=%d", snap.Active, snap.Totals.Completed)
 	}
-	got, ok := snap.Find(9, RoleReceiver)
+	got, ok := snap.Find(9, obs.RoleReceiver)
 	if !ok || got.Outcome != OutcomeCompleted || got.DoneAt == 0 {
 		t.Fatalf("Find(9, receiver) = %+v, %v", got, ok)
 	}
@@ -171,8 +176,8 @@ func TestReceiverClassificationAndTotals(t *testing.T) {
 func TestCompleteAbortFirstWins(t *testing.T) {
 	r := New()
 	tm := r.StartSender(1, 1, 10)
-	tm.Complete()
-	tm.Abort(3)
+	tm.Event(obs.KindComplete, 0)
+	tm.Event(obs.KindAbort, 3)
 	s := tm.Snapshot()
 	if s.Outcome != OutcomeCompleted || s.AbortReason != 0 {
 		t.Fatalf("outcome=%v reason=%d, want completed/0", s.Outcome, s.AbortReason)
@@ -201,12 +206,12 @@ func TestIDReuseArchivesOldHandle(t *testing.T) {
 	b := r.StartSender(5, 2, 20) // same id, new transfer
 	b.NoteDataSent(0, 10)
 	b.NoteDataSent(1, 10)
-	b.Complete()
+	b.Event(obs.KindComplete, 0)
 	snap := r.Snapshot()
 	if len(snap.Transfers) != 2 {
 		t.Fatalf("want both generations retained, got %d", len(snap.Transfers))
 	}
-	got, _ := snap.Find(5, RoleSender)
+	got, _ := snap.Find(5, obs.RoleSender)
 	if got.PacketsSent != 2 {
 		t.Fatalf("Find returned the stale generation: %+v", got)
 	}
@@ -226,7 +231,7 @@ func TestEventRingConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				r.record(time.Duration(i), uint32(w), RoleSender, EventStall, uint32(i))
+				r.record(time.Duration(i), uint32(w), obs.RoleSender, obs.KindStall, uint64(i))
 				if i%16 == 0 {
 					r.Events() // readers race the writers
 				}
@@ -239,10 +244,10 @@ func TestEventRingConcurrent(t *testing.T) {
 		t.Fatalf("ring holds %d events, want 1..%d", len(evs), ringSize)
 	}
 	for _, e := range evs {
-		if e.Kind != EventStall || e.Role != RoleSender || e.Transfer >= writers {
+		if e.Kind != obs.KindStall || e.Role != obs.RoleSender || e.Transfer >= writers {
 			t.Fatalf("torn event read: %+v", e)
 		}
-		if uint32(e.At) != e.Arg {
+		if uint64(e.At) != e.Arg {
 			t.Fatalf("mixed-generation slot: at=%d arg=%d", e.At, e.Arg)
 		}
 	}
@@ -252,7 +257,7 @@ func TestEventRingOrderAndLapping(t *testing.T) {
 	r := New()
 	total := ringSize + 40
 	for i := 0; i < total; i++ {
-		r.record(time.Duration(i), uint32(i), RoleReceiver, EventIdle, 0)
+		r.record(time.Duration(i), uint32(i), obs.RoleReceiver, obs.KindIdle, 0)
 	}
 	evs := r.Events()
 	if len(evs) != ringSize {
@@ -260,7 +265,7 @@ func TestEventRingOrderAndLapping(t *testing.T) {
 	}
 	for i, e := range evs {
 		want := uint32(total - ringSize + i)
-		if e.Transfer != want || e.Role != RoleReceiver || e.Kind != EventIdle {
+		if e.Transfer != want || e.Role != obs.RoleReceiver || e.Kind != obs.KindIdle {
 			t.Fatalf("event %d = %+v, want transfer %d (oldest-first order)", i, e, want)
 		}
 	}
@@ -277,7 +282,7 @@ func TestSamplerAndCharts(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		r.Sample()
 	}
-	tm.Complete()
+	tm.Event(obs.KindComplete, 0)
 	csv := r.TraceCSV()
 	if !strings.HasPrefix(csv, "t_seconds,active,goodput,send,pkts,retx,acks\n") {
 		t.Fatalf("CSV header = %q", strings.SplitN(csv, "\n", 2)[0])
@@ -306,7 +311,7 @@ func TestReporterWritesSummaries(t *testing.T) {
 		tm.NoteDataSent(i, 1000)
 	}
 	time.Sleep(15 * time.Millisecond)
-	tm.Complete()
+	tm.Event(obs.KindComplete, 0)
 	stop()
 	stop() // idempotent
 	mu.Lock()
@@ -376,19 +381,27 @@ func TestStringers(t *testing.T) {
 	cases := []struct {
 		got, want string
 	}{
-		{RoleSender.String(), "sender"},
-		{RoleReceiver.String(), "receiver"},
 		{OutcomeCompleted.String(), "completed"},
 		{OutcomeAborted.String(), "aborted"},
-		{EventAbort.String(), "abort"},
-		{EventHandshake.String(), "handshake"},
-		{fmt.Sprint(Role(9)), "role(9)"},
+		{fmt.Sprint(Outcome(9)), "outcome(9)"},
+		// /debug/fobs names an event's role and kind in obs's vocabulary.
+		{mustJSON(t, Event{Transfer: 3, Role: obs.RoleReceiver, Kind: obs.KindRounds}), `{"at_ns":0,"transfer":3,"role":"receiver","kind":"rounds"}`},
+		{mustJSON(t, Event{Role: obs.RoleSender, Kind: obs.KindAbort, Arg: 5}), `{"at_ns":0,"transfer":0,"role":"sender","kind":"abort","arg":5}`},
 	}
 	for _, c := range cases {
 		if c.got != c.want {
 			t.Fatalf("got %q, want %q", c.got, c.want)
 		}
 	}
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 func TestGauges(t *testing.T) {

@@ -11,8 +11,8 @@ import (
 // misparse.
 const Version = 1
 
-// Role identifies which endpoint of a transfer (or which actor) emitted
-// an event. The zero value is invalid; unknown names decode to it.
+// Role identifies which endpoint of a transfer emitted an event. The zero
+// value is invalid; unknown names decode to it.
 type Role uint8
 
 const (
@@ -20,8 +20,6 @@ const (
 	RoleSender Role = 1 + iota
 	// RoleReceiver is the data-receiving endpoint.
 	RoleReceiver
-	// RoleDaemon is the fobsd orchestration layer (task transitions).
-	RoleDaemon
 )
 
 func (r Role) String() string {
@@ -30,8 +28,6 @@ func (r Role) String() string {
 		return "sender"
 	case RoleReceiver:
 		return "receiver"
-	case RoleDaemon:
-		return "daemon"
 	default:
 		return fmt.Sprintf("role(%d)", uint8(r))
 	}
@@ -48,15 +44,15 @@ func (r *Role) UnmarshalJSON(b []byte) error {
 		*r = RoleSender
 	case `"receiver"`:
 		*r = RoleReceiver
-	case `"daemon"`:
-		*r = RoleDaemon
 	default:
 		*r = 0
 	}
 	return nil
 }
 
-// Kind classifies a lifecycle event. Transfer phases are emitted in
+// Kind classifies a lifecycle event. It is the one lifecycle vocabulary of
+// the runtime: the span log, the live metrics' event ring and the flight
+// recorder's event records all carry it. Transfer phases are emitted in
 // lifecycle order; an endpoint's waterfall is the gaps between them.
 type Kind uint8
 
@@ -107,44 +103,31 @@ const (
 	KindRetry
 	// KindStall marks a firing of the sender's stall watchdog.
 	KindStall
+	// KindIdle marks a firing of the receiver's idle watchdog.
+	KindIdle
 	// KindLost reports ring overrun at drain time: Arg events were
 	// overwritten before the drainer reached them.
 	KindLost
-
-	// Task-transition kinds, recorded by the fobsd daemon into each
-	// task's durable event history (and readable through the same
-	// model). Arg is the attempt number where meaningful.
-	KindTaskQueued
-	KindTaskDispatched
-	KindTaskRequeued
-	KindTaskDone
-	KindTaskFailed
-	KindTaskCancelled
 
 	kindCount // sentinel; keep last
 )
 
 var kindNames = [kindCount]string{
-	KindUnknown:        "unknown",
-	KindDial:           "dial",
-	KindCheck:          "check",
-	KindHandshake:      "handshake",
-	KindResume:         "resume",
-	KindSkip:           "skip",
-	KindRounds:         "rounds",
-	KindDrain:          "drain",
-	KindVerify:         "verify",
-	KindComplete:       "complete",
-	KindAbort:          "abort",
-	KindRetry:          "retry",
-	KindStall:          "stall",
-	KindLost:           "lost",
-	KindTaskQueued:     "task-queued",
-	KindTaskDispatched: "task-dispatched",
-	KindTaskRequeued:   "task-requeued",
-	KindTaskDone:       "task-done",
-	KindTaskFailed:     "task-failed",
-	KindTaskCancelled:  "task-cancelled",
+	KindUnknown:   "unknown",
+	KindDial:      "dial",
+	KindCheck:     "check",
+	KindHandshake: "handshake",
+	KindResume:    "resume",
+	KindSkip:      "skip",
+	KindRounds:    "rounds",
+	KindDrain:     "drain",
+	KindVerify:    "verify",
+	KindComplete:  "complete",
+	KindAbort:     "abort",
+	KindRetry:     "retry",
+	KindStall:     "stall",
+	KindIdle:      "idle",
+	KindLost:      "lost",
 }
 
 func (k Kind) String() string {
@@ -169,6 +152,9 @@ func (k *Kind) UnmarshalJSON(b []byte) error {
 	*k = KindUnknown
 	return nil
 }
+
+// Known reports whether k is a kind of this build's vocabulary.
+func (k Kind) Known() bool { return k > KindUnknown && k < kindCount }
 
 // Terminal reports whether the kind ends a transfer's lifecycle.
 func (k Kind) Terminal() bool { return k == KindComplete || k == KindAbort }

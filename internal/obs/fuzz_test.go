@@ -32,6 +32,9 @@ func FuzzReadEvents(f *testing.F) {
 	f.Add([]byte("\n\nnot json\n{\"v\":1"))
 	f.Add([]byte{})
 	f.Add([]byte{0xFB, 0x00, 0xFF})
+	// Names earlier builds declared and this one retired: the fobsd task
+	// kinds and the daemon role read as KindUnknown and the zero role.
+	f.Add([]byte(`{"v":1,"trace":"00112233445566778899aabbccddeeff","transfer":4,"role":"daemon","kind":"task-queued","t_ns":7,"wall_ns":70,"arg":1}`))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		evs, err := ReadEvents(bytes.NewReader(b))
 		if err != nil {

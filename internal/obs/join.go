@@ -18,7 +18,7 @@ type Timeline struct {
 // Join groups events — typically the sender-side and receiver-side
 // logs of the same run — by trace id, then by (role, transfer) within
 // each trace. Timelines within a trace are ordered sender first, then
-// receiver, then daemon, then by transfer id, so the two halves of one
+// receiver, then by transfer id, so the two halves of one
 // transfer sit next to each other. Events without a trace id are
 // grouped under the empty key.
 func Join(logs ...[]Event) map[string][]Timeline {

@@ -155,10 +155,6 @@ type Recorder struct {
 	role     Role
 	ring     *spine.Ring
 
-	// once is the emit-once bitmask by kind, for phase latches callers
-	// can leave in per-round or per-packet paths (Once early-outs on one
-	// atomic load once latched).
-	once atomic.Uint64
 	// finished gates late events from stragglers.
 	finished atomic.Bool
 
@@ -183,27 +179,6 @@ func (r *Recorder) Event(kind Kind, arg uint64) {
 		return
 	}
 	r.ring.Push(uint64(r.log.core.Since()), uint64(kind), arg)
-}
-
-// Once records the event only the first time it is called for kind —
-// the latch that lets a per-round (or per-packet) call site mark "first
-// data" without flooding the ring. Reports whether this call emitted.
-func (r *Recorder) Once(kind Kind, arg uint64) bool {
-	if r == nil || r.finished.Load() {
-		return false
-	}
-	bit := uint64(1) << uint(kind&63)
-	for {
-		cur := r.once.Load()
-		if cur&bit != 0 {
-			return false // already latched
-		}
-		if r.once.CompareAndSwap(cur, cur|bit) {
-			break
-		}
-	}
-	r.ring.Push(uint64(r.log.core.Since()), uint64(kind), arg)
-	return true
 }
 
 // Finish retires the recorder: a final drain, a loss marker when the

@@ -1,8 +1,10 @@
 // Package obs is the lifecycle-tracing layer: a versioned JSONL event
-// log of the rare, phase-level transitions a transfer and its
-// orchestrating task move through — dial, handshake, blast rounds,
-// resume, drain, digest verify, verdict — correlated across hosts by a
-// 16-byte trace id that rides the control channel.
+// log of the rare, phase-level transitions a transfer moves through —
+// dial, handshake, blast rounds, resume, drain, digest verify, watchdog
+// firings, verdict — correlated across hosts by a 16-byte trace id that
+// rides the control channel. Its Kind and Role are the runtime's one
+// lifecycle vocabulary: internal/metrics' event ring and internal/flight's
+// event records carry them too.
 //
 // The package deliberately records *phases*, not packets: the flight
 // recorder (internal/flight) already captures per-packet decisions for

@@ -156,49 +156,12 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil log returned a live recorder")
 	}
 	r.Event(KindHandshake, 0) // must not panic
-	r.Once(KindRounds, 0)
 	r.Finish()
 	if r.Trace() != (TraceID{}) {
 		t.Fatal("nil recorder has a trace id")
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestOnceLatch(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLog(&buf)
-	r := l.Start(NewTraceID(), 1, RoleSender)
-	var wg sync.WaitGroup
-	emitted := make([]bool, 64)
-	var mu sync.Mutex
-	for i := 0; i < 64; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if r.Once(KindRounds, 0) {
-				mu.Lock()
-				emitted[i] = true
-				mu.Unlock()
-			}
-		}(i)
-	}
-	wg.Wait()
-	n := 0
-	for _, e := range emitted {
-		if e {
-			n++
-		}
-	}
-	if n != 1 {
-		t.Fatalf("Once emitted %d times under contention, want 1", n)
-	}
-	r.Finish()
-	l.Close()
-	evs, _ := ReadEvents(&buf)
-	if len(evs) != 1 || evs[0].Kind != KindRounds {
-		t.Fatalf("log holds %+v, want exactly one rounds event", evs)
 	}
 }
 
@@ -253,21 +216,25 @@ func TestReaderTolerance(t *testing.T) {
 		``,                      // blank
 		`not json at all`,       // foreign line
 		`{"v":1,"trace":"` + id, // torn by a crash mid-line
-		`{"v":99,"trace":"` + id + `","transfer":3,"role":"sender","kind":"handshake","t_ns":20,"wall_ns":200}`, // future revision
-		`{"v":1,"trace":"` + id + `","transfer":3,"role":"starship","kind":"warp","t_ns":30,"wall_ns":300}`,     // future names
+		`{"v":99,"trace":"` + id + `","transfer":3,"role":"sender","kind":"handshake","t_ns":20,"wall_ns":200}`,  // future revision
+		`{"v":1,"trace":"` + id + `","transfer":3,"role":"starship","kind":"warp","t_ns":30,"wall_ns":300}`,      // future names
+		`{"v":1,"trace":"` + id + `","transfer":3,"role":"daemon","kind":"task-queued","t_ns":35,"wall_ns":350}`, // retired names
 		`{"v":1,"trace":"` + id + `","transfer":3,"role":"sender","kind":"complete","t_ns":40,"wall_ns":400}`,
 	}, "\n")
 	evs, err := ReadEvents(strings.NewReader(lines))
 	if err != nil {
 		t.Fatalf("ReadEvents: %v", err)
 	}
-	if len(evs) != 3 {
-		t.Fatalf("got %d events, want 3 (skip blank, junk, torn, future-version)", len(evs))
+	if len(evs) != 4 {
+		t.Fatalf("got %d events, want 4 (skip blank, junk, torn, future-version)", len(evs))
 	}
 	if evs[1].Kind != KindUnknown || evs[1].Role != 0 {
 		t.Fatalf("future names should decode to zero values, got %+v", evs[1])
 	}
-	if evs[0].Kind != KindHandshake || evs[2].Kind != KindComplete {
+	if evs[2].Kind != KindUnknown || evs[2].Role != 0 {
+		t.Fatalf("the retired task kinds and daemon role should decode to zero values, got %+v", evs[2])
+	}
+	if evs[0].Kind != KindHandshake || evs[3].Kind != KindComplete {
 		t.Fatalf("known events misparsed: %+v", evs)
 	}
 }
@@ -286,7 +253,7 @@ func TestKindRoleJSONStable(t *testing.T) {
 			t.Fatalf("kind %v round-tripped to %v", k, back)
 		}
 	}
-	for _, r := range []Role{RoleSender, RoleReceiver, RoleDaemon} {
+	for _, r := range []Role{RoleSender, RoleReceiver} {
 		js, _ := json.Marshal(r)
 		var back Role
 		json.Unmarshal(js, &back)
@@ -296,6 +263,9 @@ func TestKindRoleJSONStable(t *testing.T) {
 	}
 	if !KindComplete.Terminal() || !KindAbort.Terminal() || KindRounds.Terminal() {
 		t.Fatal("Terminal misclassifies kinds")
+	}
+	if KindUnknown.Known() || !KindDial.Known() || !KindIdle.Known() || !KindLost.Known() || kindCount.Known() {
+		t.Fatal("Known misclassifies kinds")
 	}
 }
 

@@ -812,7 +812,7 @@ func TestDaemonStripedTask(t *testing.T) {
 	// started once, where the unstriped fallback used to add a fifth run.
 	senders := 0
 	for _, ts := range reg.Snapshot().Transfers {
-		if ts.Role == metrics.RoleSender {
+		if ts.Role == obs.RoleSender {
 			senders++
 		}
 	}

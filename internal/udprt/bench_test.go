@@ -12,7 +12,6 @@ import (
 	"github.com/hpcnet/fobs/internal/batchio"
 	"github.com/hpcnet/fobs/internal/core"
 	"github.com/hpcnet/fobs/internal/flight"
-	"github.com/hpcnet/fobs/internal/obs"
 )
 
 // benchBatch is the vector length the benchmarks drive: long enough that
@@ -118,46 +117,6 @@ func BenchmarkRecordingOverhead(b *testing.B) {
 		}
 		defer log.Close()
 		run(b, log.StartSender(0, (4<<20)/1024, 4<<20, 1024, 0))
-	})
-}
-
-// BenchmarkTracingOverhead measures the sender's per-batch hot path with
-// the lifecycle span recorder off and on, writing a real JSONL span log in
-// the traced case. Tracing records phase transitions, not packets, so its
-// steady-state cost is one latched atomic check per round; what tracing
-// costs a whole transfer is the ledger row obs.overhead_pct
-// (bash benchmark/run.sh -workload bulk_1k -trace 1).
-func BenchmarkTracingOverhead(b *testing.B) {
-	run := func(b *testing.B, or *obs.Recorder) {
-		conn, _ := udpBenchPair(b)
-		const packetSize = 1024
-		snd := core.NewSender(makeObj(4<<20), core.Config{PacketSize: packetSize})
-		tx, err := batchio.NewSender(conn, benchBatch, FastPathAvailable())
-		if err != nil {
-			b.Fatal(err)
-		}
-		ring := newSendRing(benchBatch)
-		b.SetBytes(benchBatch * packetSize)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			or.Once(obs.KindRounds, 0)
-			k := encodeBatch(snd, ring, benchBatch, probe{}, 0)
-			if _, err := ring.send(tx, k); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(b.N*benchBatch)/b.Elapsed().Seconds(), "pkts/s")
-	}
-	b.Run("bare", func(b *testing.B) { run(b, nil) })
-	b.Run("traced", func(b *testing.B) {
-		log, err := obs.Create(filepath.Join(b.TempDir(), "bench.events"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer log.Close()
-		run(b, log.Start(obs.NewTraceID(), 0, obs.RoleSender))
 	})
 }
 

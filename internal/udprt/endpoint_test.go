@@ -23,6 +23,7 @@ import (
 	"github.com/hpcnet/fobs/internal/core"
 	"github.com/hpcnet/fobs/internal/faultnet"
 	"github.com/hpcnet/fobs/internal/metrics"
+	"github.com/hpcnet/fobs/internal/obs"
 	"github.com/hpcnet/fobs/internal/stats"
 	"github.com/hpcnet/fobs/internal/wire"
 )
@@ -239,7 +240,7 @@ func (ep *testEndpoint) record(id uint32, what string, ok func(metrics.TransferS
 	ep.t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		ts, found := ep.reg.Snapshot().Find(id, metrics.RoleReceiver)
+		ts, found := ep.reg.Snapshot().Find(id, obs.RoleReceiver)
 		if found && ok(ts) {
 			return ts
 		}
@@ -906,7 +907,7 @@ func TestEndpointMatrix(t *testing.T) {
 			peer := dialRaw(t, ep.l.Addr(), announceFor(98, obj, ps))
 			peer.accepted()
 			peer.dataUntil(98, obj, ps, 0, packets-1, func() bool {
-				ts, _ := ep.reg.Snapshot().Find(98, metrics.RoleReceiver)
+				ts, _ := ep.reg.Snapshot().Find(98, obs.RoleReceiver)
 				return ts.Fresh == int64(packets-1)
 			})
 			ep.l.cache.mu.Lock()

@@ -16,6 +16,7 @@ import (
 
 	"github.com/hpcnet/fobs/internal/batchio"
 	"github.com/hpcnet/fobs/internal/core"
+	"github.com/hpcnet/fobs/internal/obs"
 	"github.com/hpcnet/fobs/internal/stats"
 	"github.com/hpcnet/fobs/internal/wire"
 )
@@ -319,7 +320,7 @@ func (e *senderEngine) run(ctx context.Context) error {
 			writeErrs = 0
 		} else if opts.StallTimeout > 0 && silence > opts.StallTimeout {
 			snd.NoteStall()
-			e.probe.stalled()
+			e.probe.event(obs.KindStall, 0)
 			e.abort(wire.AbortStalled)
 			return fmt.Errorf("udprt: no acknowledgement for %v: %w",
 				opts.StallTimeout, ErrStalled)

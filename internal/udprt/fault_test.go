@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,9 @@ import (
 
 	"github.com/hpcnet/fobs/internal/core"
 	"github.com/hpcnet/fobs/internal/faultnet"
+	"github.com/hpcnet/fobs/internal/flight"
+	"github.com/hpcnet/fobs/internal/metrics"
+	"github.com/hpcnet/fobs/internal/obs"
 	"github.com/hpcnet/fobs/internal/wire"
 )
 
@@ -102,6 +106,78 @@ func (f *fakeReceiver) expectAbort(reason wire.AbortReason) {
 	}
 }
 
+// instruments is one endpoint's three instruments, all on: live metrics, a
+// flight recording and a span log, the last two into memory.
+type instruments struct {
+	reg          *metrics.Registry
+	rec          *flight.Log
+	trace        *obs.Log
+	frec, events bytes.Buffer
+}
+
+func newInstruments() *instruments {
+	in := &instruments{reg: metrics.New()}
+	in.rec, in.trace = flight.NewLog(&in.frec), obs.NewLog(&in.events)
+	return in
+}
+
+// on returns o with every instrument switched on.
+func (in *instruments) on(o Options) Options {
+	o.Metrics, o.Record, o.Trace = in.reg, in.rec, in.trace
+	return o
+}
+
+// expectWatchdog closes the logs and requires each instrument to hold, for
+// the role's endpoint, the watchdog's firing (kind) ahead of an abort that
+// carries reason: the metrics ring, the flight records and the span log
+// tell the same story.
+func (in *instruments) expectWatchdog(t *testing.T, role obs.Role, kind obs.Kind, reason wire.AbortReason) {
+	t.Helper()
+	if err := in.rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.trace.Close(); err != nil {
+		t.Fatal(err)
+	}
+	type moment struct { // exported fields, so a failure prints kind names
+		Kind obs.Kind
+		Arg  uint64
+	}
+	seen := map[string][]moment{}
+	for _, ev := range in.reg.Snapshot().Events {
+		if ev.Role == role {
+			seen["metrics ring"] = append(seen["metrics ring"], moment{ev.Kind, ev.Arg})
+		}
+	}
+	eps, err := flight.Read(&in.frec)
+	if err != nil {
+		t.Fatalf("flight.Read: %v", err)
+	}
+	for _, ep := range eps {
+		for _, r := range ep.Records {
+			if ep.Meta.Role == role && r.Kind == flight.KindEvent {
+				seen["flight records"] = append(seen["flight records"], moment{obs.Kind(r.Seq), uint64(r.Aux)})
+			}
+		}
+	}
+	evs, err := obs.ReadEvents(&in.events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range evs {
+		if ev.Role == role {
+			seen["span log"] = append(seen["span log"], moment{ev.Kind, ev.Arg})
+		}
+	}
+	for _, where := range []string{"metrics ring", "flight records", "span log"} {
+		got := seen[where]
+		fired := slices.IndexFunc(got, func(m moment) bool { return m.Kind == kind })
+		if fired < 0 || !slices.Contains(got[fired:], moment{obs.KindAbort, uint64(reason)}) {
+			t.Errorf("%s holds %v for the %v, want %v and then abort(%d)", where, got, role, kind, reason)
+		}
+	}
+}
+
 // TestTransferCompletesUnderLoss drives a real transfer through a seeded
 // fault proxy dropping, duplicating, reordering and delaying data
 // datagrams: the protocol's whole reason to exist. The digest in the
@@ -172,9 +248,10 @@ func TestSenderStallsWhenReceiverVanishes(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	const stall = 400 * time.Millisecond
+	inst := newInstruments()
 	start := time.Now()
 	sst, err := Send(ctx, fake.addr(), makeObj(64<<10), core.Config{},
-		Options{StallTimeout: stall, Pace: 20 * time.Microsecond})
+		inst.on(Options{StallTimeout: stall, Pace: 20 * time.Microsecond}))
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrStalled) {
 		t.Fatalf("err = %v, want ErrStalled", err)
@@ -189,6 +266,7 @@ func TestSenderStallsWhenReceiverVanishes(t *testing.T) {
 		t.Fatalf("stats.Stalls = %d, want 1", sst.Stalls)
 	}
 	fake.expectAbort(wire.AbortStalled)
+	inst.expectWatchdog(t, obs.RoleSender, obs.KindStall, wire.AbortStalled)
 }
 
 // TestSenderStallMidTransferViaBlackhole kills the network path — not the
@@ -296,7 +374,8 @@ func TestDuplicateTransferIDAborted(t *testing.T) {
 // and expects its idle watchdog to end the transfer with a reasoned ABORT
 // back to the (silent but connected) sender.
 func TestReceiverIdleAbortsAndInformsSender(t *testing.T) {
-	l, err := Listen("127.0.0.1:0", Options{IdleTimeout: 300 * time.Millisecond})
+	inst := newInstruments()
+	l, err := Listen("127.0.0.1:0", inst.on(Options{IdleTimeout: 300 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,6 +421,7 @@ func TestReceiverIdleAbortsAndInformsSender(t *testing.T) {
 		t.Fatalf("got frame type %d reason %v, want ABORT idle-timeout",
 			frame.typ, frame.abort.Reason)
 	}
+	inst.expectWatchdog(t, obs.RoleReceiver, obs.KindIdle, wire.AbortIdleTimeout)
 }
 
 // TestAcceptDeadlineNotPoisoned is the regression test for the deadline

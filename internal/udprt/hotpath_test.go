@@ -18,17 +18,17 @@ import (
 // flight recording, and with every layer plus a span recorder, so every
 // hot-path allocation gate also proves all three instrumentation layers
 // allocation-free.
-func eachInstrumentation(t *testing.T, role metrics.Role, packets int, fn func(t *testing.T, tm *metrics.Transfer, fr *flight.Recorder, or *obs.Recorder)) {
+func eachInstrumentation(t *testing.T, role obs.Role, packets int, fn func(t *testing.T, tm *metrics.Transfer, fr *flight.Recorder, or *obs.Recorder)) {
 	t.Run("bare", func(t *testing.T) { fn(t, nil, nil, nil) })
 	startTM := func() *metrics.Transfer {
 		reg := metrics.New()
-		if role == metrics.RoleSender {
+		if role == obs.RoleSender {
 			return reg.StartSender(0, packets, int64(packets)*1024)
 		}
 		return reg.StartReceiver(0, packets, int64(packets)*1024)
 	}
 	startFR := func(log *flight.Log) *flight.Recorder {
-		if role == metrics.RoleSender {
+		if role == obs.RoleSender {
 			return log.StartSender(0, packets, int64(packets)*1024, 1024, 0)
 		}
 		return log.StartReceiver(0, packets, int64(packets)*1024, 1024)
@@ -44,11 +44,7 @@ func eachInstrumentation(t *testing.T, role metrics.Role, packets int, fn func(t
 		defer log.Close()
 		span := obs.NewLog(io.Discard)
 		defer span.Close()
-		orole := obs.RoleSender
-		if role != metrics.RoleSender {
-			orole = obs.RoleReceiver
-		}
-		fn(t, startTM(), startFR(log), span.Start(obs.NewTraceID(), 0, orole))
+		fn(t, startTM(), startFR(log), span.Start(obs.NewTraceID(), 0, role))
 	})
 }
 
@@ -75,7 +71,7 @@ func TestSenderHotPathZeroAllocs(t *testing.T) {
 					opts.Pace, opts.RateCap = time.Microsecond, capped
 				}
 				t.Run(name, func(t *testing.T) {
-					eachInstrumentation(t, metrics.RoleSender, 1<<20/1024, func(t *testing.T, tm *metrics.Transfer, fr *flight.Recorder, or *obs.Recorder) {
+					eachInstrumentation(t, obs.RoleSender, 1<<20/1024, func(t *testing.T, tm *metrics.Transfer, fr *flight.Recorder, or *obs.Recorder) {
 						rcv, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 						if err != nil {
 							t.Fatal(err)
@@ -125,9 +121,6 @@ func TestSenderHotPathZeroAllocs(t *testing.T) {
 						started := time.Now()
 						var clock pacer
 						if allocs := testing.AllocsPerRun(300, func() {
-							// The span recorder's steady-state cost: one latched
-							// Once per round, as the engine loop pays it.
-							or.Once(obs.KindRounds, 0)
 							now := time.Since(started)
 							snd.Look(now, ring.len())
 							batch, gapPer := snd.PlanRound(now)
@@ -172,7 +165,7 @@ func TestReceiverHotPathZeroAllocs(t *testing.T) {
 	}
 	const packetSize, objSize = 1024, 2<<20 + 512 // three leaves: the sealer's worker runs
 	eachIOPath(t, func(t *testing.T, noFastPath bool) {
-		eachInstrumentation(t, metrics.RoleReceiver, objSize/packetSize+1, func(t *testing.T, tm *metrics.Transfer, fr *flight.Recorder, or *obs.Recorder) {
+		eachInstrumentation(t, obs.RoleReceiver, objSize/packetSize+1, func(t *testing.T, tm *metrics.Transfer, fr *flight.Recorder, or *obs.Recorder) {
 			for _, sealed := range []bool{false, true} {
 				udp, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 				if err != nil {

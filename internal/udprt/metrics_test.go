@@ -13,11 +13,12 @@ import (
 	"github.com/hpcnet/fobs/internal/core"
 	"github.com/hpcnet/fobs/internal/faultnet"
 	"github.com/hpcnet/fobs/internal/metrics"
+	"github.com/hpcnet/fobs/internal/obs"
 	"github.com/hpcnet/fobs/internal/wire"
 )
 
 // findTransfer fetches one endpoint's snapshot or fails the test.
-func findTransfer(t *testing.T, snap metrics.Snapshot, id uint32, role metrics.Role) metrics.TransferSnapshot {
+func findTransfer(t *testing.T, snap metrics.Snapshot, id uint32, role obs.Role) metrics.TransferSnapshot {
 	t.Helper()
 	ts, ok := snap.Find(id, role)
 	if !ok {
@@ -154,8 +155,8 @@ func TestMetricsEquivalenceUnderImpairments(t *testing.T) {
 				}
 
 				snap := reg.Snapshot()
-				s := findTransfer(t, snap, 0, metrics.RoleSender)
-				r := findTransfer(t, snap, 0, metrics.RoleReceiver)
+				s := findTransfer(t, snap, 0, obs.RoleSender)
+				r := findTransfer(t, snap, 0, obs.RoleReceiver)
 				checkSenderLaws(t, s, sst, len(obj))
 				checkReceiverLaws(t, r, rst, len(obj))
 				// The fault proxy relays acknowledgements untouched, so the
@@ -188,8 +189,8 @@ func TestMetricsLoopbackGroundTruth(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	s := findTransfer(t, snap, 0, metrics.RoleSender)
-	r := findTransfer(t, snap, 0, metrics.RoleReceiver)
+	s := findTransfer(t, snap, 0, obs.RoleSender)
+	r := findTransfer(t, snap, 0, obs.RoleReceiver)
 	checkSenderLaws(t, s, sst, len(obj))
 	checkReceiverLaws(t, r, rst, len(obj))
 
@@ -216,9 +217,9 @@ func TestMetricsLoopbackGroundTruth(t *testing.T) {
 	}
 
 	// The event ring retained the lifecycle of both endpoints.
-	want := map[metrics.Role]map[metrics.EventKind]bool{
-		metrics.RoleSender:   {metrics.EventHandshake: false, metrics.EventComplete: false},
-		metrics.RoleReceiver: {metrics.EventHandshake: false, metrics.EventFirstData: false, metrics.EventComplete: false},
+	want := map[obs.Role]map[obs.Kind]bool{
+		obs.RoleSender:   {obs.KindHandshake: false, obs.KindComplete: false},
+		obs.RoleReceiver: {obs.KindHandshake: false, obs.KindRounds: false, obs.KindComplete: false},
 	}
 	for _, e := range snap.Events {
 		if kinds, ok := want[e.Role]; ok {
@@ -276,7 +277,7 @@ func TestServerMetricsIsolation(t *testing.T) {
 	// Wait until the slow transfer is demonstrably mid-flight (the server
 	// has registered it and classified at least one data packet).
 	waitFor(t, 30*time.Second, "slow transfer to start moving data", func() bool {
-		ts, ok := reg.Snapshot().Find(slowID, metrics.RoleReceiver)
+		ts, ok := reg.Snapshot().Find(slowID, obs.RoleReceiver)
 		return ok && ts.Fresh > 0
 	})
 
@@ -310,7 +311,7 @@ func TestServerMetricsIsolation(t *testing.T) {
 
 	// The slow transfer must still be running — the quick ones finished
 	// around it — and is now cancelled mid-flight.
-	if ts, ok := reg.Snapshot().Find(slowID, metrics.RoleReceiver); !ok || ts.Outcome != metrics.OutcomeRunning {
+	if ts, ok := reg.Snapshot().Find(slowID, obs.RoleReceiver); !ok || ts.Outcome != metrics.OutcomeRunning {
 		t.Fatalf("slow transfer not mid-flight when quick ones finished (present %v, outcome %v)",
 			ok, ts.Outcome)
 	}
@@ -319,12 +320,12 @@ func TestServerMetricsIsolation(t *testing.T) {
 		t.Fatal("cancelled sender returned nil error")
 	}
 	waitFor(t, 10*time.Second, "server to archive the aborted transfer", func() bool {
-		ts, ok := reg.Snapshot().Find(slowID, metrics.RoleReceiver)
+		ts, ok := reg.Snapshot().Find(slowID, obs.RoleReceiver)
 		return ok && ts.Outcome == metrics.OutcomeAborted
 	})
 
 	snap := reg.Snapshot()
-	slow := findTransfer(t, snap, slowID, metrics.RoleReceiver)
+	slow := findTransfer(t, snap, slowID, obs.RoleReceiver)
 	if slow.AbortReason != uint32(wire.AbortCancelled) {
 		t.Fatalf("abort reason = %d, want %d (cancelled)", slow.AbortReason, uint32(wire.AbortCancelled))
 	}
@@ -341,7 +342,7 @@ func TestServerMetricsIsolation(t *testing.T) {
 		if !bytes.Equal(got, objs[i]) {
 			t.Fatalf("transfer %d corrupted", i+1)
 		}
-		r := findTransfer(t, snap, uint32(i+1), metrics.RoleReceiver)
+		r := findTransfer(t, snap, uint32(i+1), obs.RoleReceiver)
 		if r.Outcome != metrics.OutcomeCompleted {
 			t.Fatalf("transfer %d outcome = %v, want completed", i+1, r.Outcome)
 		}

@@ -12,11 +12,13 @@ import (
 
 // probe is the one handle the engines and the transfer lifecycles report
 // through; what Options.Metrics, Options.Record and Options.Trace each make
-// of a report is decided in this file and nowhere else. A stripe has its own
-// live counters and packet recorder; the span recorder is the transfer's, and
-// the probes of its stripes share it. A handle is nil when its instrument is
-// off and no-ops then, so the zero probe is inert and no call site asks what
-// is on. No method allocates, a failed finish aside.
+// of a report is decided in this file and nowhere else. A lifecycle moment is
+// reported once, as an obs.Kind, through event, and every instrument that is
+// on gets it. A stripe has its own live counters and packet recorder; the
+// span recorder is the transfer's, and the probes of its stripes share it
+// (see stripes). A handle is nil when its instrument is off and no-ops then,
+// so the zero probe is inert and no call site asks what is on. No method
+// allocates, a failed finish aside.
 type probe struct {
 	tm *metrics.Transfer
 	fr *flight.Recorder
@@ -56,40 +58,51 @@ func (p probe) receiver(reg *metrics.Registry, rec *flight.Log, transfer uint32,
 	return p
 }
 
+// supervisor opens the retry supervisor's probe: the span that pins one
+// trace across the attempts, and the registry's retry count.
+func (o Options) supervisor(tid obs.TraceID, transfer uint32) probe {
+	p := o.startSpan(tid, transfer, obs.RoleSender)
+	p.tm = o.Metrics.Supervisor(transfer)
+	return p
+}
+
 // span is p without its stripe: a lifecycle stamps the transfer's outcome
 // through it ahead of the stripes' own where the two can differ.
 func (p probe) span() probe { return probe{or: p.or} }
 
-// event records one phase boundary of the transfer in the span log; the first
-// dataArrived opens its rounds phase, and seal closes it with no outcome (the
-// retry supervisor's span: each attempt stamps its own).
-func (p probe) event(kind obs.Kind, arg uint64) { p.or.Event(kind, arg) }
-func (p probe) dataArrived()                    { p.or.Once(obs.KindRounds, 0) }
-func (p probe) seal()                           { p.or.Finish() }
+// event reports one lifecycle moment to every instrument that is on; seal
+// closes the span with no outcome (the retry supervisor's: each attempt
+// stamps its own).
+func (p probe) event(kind obs.Kind, arg uint64) {
+	p.tm.Event(kind, arg)
+	p.fr.Event(kind, arg)
+	p.or.Event(kind, arg)
+}
 
-// Reports with one instrument behind them: packets a HAVE bitmap excused the
-// stripe, a batch-size decision, a batch round sent, the socket counters.
-func (p probe) restored(n int)        { p.tm.NoteRestored(n) }
+func (p probe) seal() { p.or.Finish() }
+
+// stripe is p without the span it shares with its sibling stripes.
+func (p probe) stripe() probe { return probe{tm: p.tm, fr: p.fr} }
+
+// stripes is the probes of one transfer's stripes, which share its span.
+type stripes []probe
+
+// event reports one moment of the whole transfer: every stripe's counters
+// and recording get it, and the span the stripes share gets it once.
+func (s stripes) event(kind obs.Kind, arg uint64) {
+	for i, p := range s {
+		if i > 0 {
+			p = p.stripe()
+		}
+		p.event(kind, arg)
+	}
+}
+
+// Reports with one instrument behind them: a batch-size decision, a batch
+// round sent, the socket counters.
 func (p probe) batchSize(b int)       { p.fr.BatchSize(b) }
 func (p probe) round()                { p.tm.NoteRound() }
 func (p probe) io(c stats.IOCounters) { p.tm.NoteIO(c) }
-
-// handshake records the stripe's completed announcement exchange; stalled
-// and idled a firing of the sender's and of the receiver's watchdog.
-func (p probe) handshake() {
-	p.tm.NoteHandshake()
-	p.fr.Phase(flight.PhaseHandshake, 0)
-}
-
-func (p probe) stalled() {
-	p.tm.NoteStall()
-	p.fr.Phase(flight.PhaseStall, 0)
-}
-
-func (p probe) idled() {
-	p.tm.NoteIdle()
-	p.fr.Phase(flight.PhaseIdle, 0)
-}
 
 // dataSent records one data packet encoded for the wire, the idx-th of its
 // batch round.
@@ -133,26 +146,21 @@ func (p probe) ackSent(serial uint32, received, size int) {
 }
 
 // finish stamps the outcome err (nil: delivered whole) into every instrument
-// and seals the recorders: completed, or aborted with the wire reason err
-// maps to. The flight trailer takes the final metrics snapshot (zero with
-// metrics off: the analyzer skips its cross-check); the span log says
-// verify+complete or a reasoned abort, spelling out the failed verify when
-// the digest sank the transfer. Every instrument keeps its first outcome, so
-// on the span recorder stripes share, the first finish decides.
+// and seals the recorders: verify+complete, or a reasoned abort with the wire
+// reason err maps to, spelling out the failed verify when the digest sank the
+// transfer. The flight trailer takes the final metrics snapshot (zero with
+// metrics off: the analyzer skips its cross-check). Every instrument keeps
+// its first outcome, so on the span recorder stripes share, the first finish
+// decides.
 func (p probe) finish(err error) {
 	if err == nil {
-		p.tm.Complete()
-		p.fr.Phase(flight.PhaseComplete, 0)
-		p.or.Event(obs.KindVerify, 1)
-		p.or.Event(obs.KindComplete, 0)
+		p.event(obs.KindVerify, 1)
+		p.event(obs.KindComplete, 0)
 	} else {
-		reason := uint32(abortReasonFor(err))
-		p.tm.Abort(reason)
-		p.fr.Phase(flight.PhaseAbort, reason)
 		if errors.Is(err, ErrDigestMismatch) {
-			p.or.Event(obs.KindVerify, 0)
+			p.event(obs.KindVerify, 0)
 		}
-		p.or.Event(obs.KindAbort, uint64(reason))
+		p.event(obs.KindAbort, uint64(abortReasonFor(err)))
 	}
 	if p.fr != nil {
 		p.fr.Finish(p.tm.Snapshot())

@@ -28,22 +28,26 @@ func TestZeroProbeInert(t *testing.T) {
 	if q := p.span().receiver(nil, nil, 1, 4, 4096, 1024); q != (probe{}) {
 		t.Fatalf("instruments off, yet the receiver probe is %+v", q)
 	}
+	if q := (Options{}).supervisor(obs.NewTraceID(), 1); q != (probe{}) {
+		t.Fatalf("instruments off, yet the supervisor probe is %+v", q)
+	}
 	every := func() {
 		p.event(obs.KindDial, 0)
-		p.handshake()
-		p.restored(3)
+		p.event(obs.KindHandshake, 0)
+		p.event(obs.KindResume, 3)
 		p.dataSent(0, 1024, 0)
 		p.OnAck(1, 1, false)
 		p.OnPacketAcked(0)
 		p.batchSize(8)
 		p.round()
-		p.stalled()
-		p.dataArrived()
+		p.event(obs.KindStall, 0)
+		stripes{p, p}.event(obs.KindRounds, 0)
+		p.stripe().event(obs.KindSkip, 4)
 		p.dataReceived(0, 1024, core.ReceiverStats{}, core.ReceiverStats{Received: 1})
 		p.dataReceived(0, 1024, core.ReceiverStats{}, core.ReceiverStats{Duplicates: 1})
 		p.dataReceived(0, 1024, core.ReceiverStats{}, core.ReceiverStats{Rejected: 1})
 		p.ackSent(1, 1, 40)
-		p.idled()
+		p.event(obs.KindIdle, 0)
 		p.io(stats.IOCounters{SendCalls: 1})
 		p.span().finish(nil)
 		p.finish(nil)
@@ -104,7 +108,7 @@ func TestProbeFinishFirstOutcomeWins(t *testing.T) {
 		t.Fatalf("flight.Read: %d endpoints, %v", len(eps), err)
 	}
 	for i := 0; i < stripes; i++ {
-		ts, ok := snap.Find(uint32(10+i), metrics.RoleReceiver)
+		ts, ok := snap.Find(uint32(10+i), obs.RoleReceiver)
 		wantOutcome := metrics.OutcomeAborted
 		if outcomes[i] == nil {
 			wantOutcome = metrics.OutcomeCompleted
@@ -114,13 +118,13 @@ func TestProbeFinishFirstOutcomeWins(t *testing.T) {
 		}
 		var phases []flight.Record
 		for _, r := range eps[i].Records {
-			if r.Kind == flight.KindPhase {
+			if r.Kind == flight.KindEvent && obs.Kind(r.Seq).Terminal() {
 				phases = append(phases, r)
 			}
 		}
-		wantPhase := flight.Record{Kind: flight.KindPhase, Seq: flight.PhaseAbort, Aux: uint32(wantReason[i])}
+		wantPhase := flight.Record{Kind: flight.KindEvent, Seq: uint32(obs.KindAbort), Aux: uint32(wantReason[i])}
 		if outcomes[i] == nil {
-			wantPhase = flight.Record{Kind: flight.KindPhase, Seq: flight.PhaseComplete}
+			wantPhase = flight.Record{Kind: flight.KindEvent, Seq: uint32(obs.KindComplete)}
 		}
 		if len(phases) != 1 || phases[0].Seq != wantPhase.Seq || phases[0].Aux != wantPhase.Aux {
 			t.Errorf("stripe %d recording: terminal phases %+v, want one %+v", i, phases, wantPhase)

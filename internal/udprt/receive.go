@@ -39,6 +39,8 @@ type inbound struct {
 	mu       sync.Mutex
 	live     bool              // the loop drops datagrams for a transfer that is not
 	engines  []*receiverEngine // one per stripe, in layout order
+	probes   stripes           // the engines' probes, in the same order
+	arrived  bool              // a data datagram has been routed to the transfer
 	pending  int               // stripes not yet complete
 	lastData time.Time         // when the last drain holding a datagram of this transfer began
 }
@@ -106,10 +108,13 @@ func (l *Listener) route(buf []byte, from netip.AddrPort, now time.Time) {
 		return
 	}
 	// Any datagram for the transfer — even a duplicate — proves the sender
-	// lives; the first opens the rounds span.
+	// lives; the first opens the rounds phase.
 	in.lastData = now
+	if !in.arrived {
+		in.arrived = true
+		in.probes.event(obs.KindRounds, 0)
+	}
 	e := in.engines[rt.stripe]
-	e.probe.dataArrived()
 	ack, ackSeq, ackRecv, finishedNow := e.ingest(d)
 	if ack != nil {
 		// A lost ack is the protocol's everyday case; a failed write is one.
@@ -152,6 +157,7 @@ func (in *inbound) arm(engines []*receiverEngine) {
 	defer in.mu.Unlock()
 	in.engines = engines
 	for _, e := range engines {
+		in.probes = append(in.probes, e.probe)
 		if !e.finished {
 			in.pending++
 		}
@@ -251,9 +257,11 @@ func (l *Listener) receive(ctx context.Context, ctl net.Conn, watchCtl bool) (re
 	obj, engines := l.landing(plan, slot)
 	restored := engines[0].rcv.Stats().Restored
 	span := l.opts.startSpan(plan.trace, plan.base, obs.RoleReceiver)
-	for _, e := range engines {
+	probes := make(stripes, len(engines))
+	for i, e := range engines {
 		cfg := e.rcv.Config()
-		e.probe = span.receiver(l.opts.Metrics, l.opts.Record, cfg.Transfer, e.rcv.NumPackets(), int64(len(e.rcv.Object())), cfg.PacketSize)
+		probes[i] = span.receiver(l.opts.Metrics, l.opts.Record, cfg.Transfer, e.rcv.NumPackets(), int64(len(e.rcv.Object())), cfg.PacketSize)
+		e.probe = probes[i]
 	}
 	seal := plan.startSealer(obj, engines...)
 	defer seal.abandon()
@@ -274,15 +282,11 @@ func (l *Listener) receive(ctx context.Context, ctl net.Conn, watchCtl bool) (re
 	// shows data ahead of it; and the answer is built before then too:
 	// stragglers of the interrupted run may mutate the bitmap the moment the
 	// loop can reach it.
-	span.event(obs.KindCheck, 0)
-	for _, e := range engines {
-		e.probe.handshake()
-	}
-	span.event(obs.KindHandshake, 0)
+	probes.event(obs.KindCheck, 0)
+	probes.event(obs.KindHandshake, 0)
 	have := wire.Have{Transfer: plan.base, Words: []uint64{0}, Window: l.window(len(engines))}
 	if restored > 0 {
-		engines[0].probe.restored(restored)
-		span.event(obs.KindResume, uint64(restored))
+		probes[0].event(obs.KindResume, uint64(restored))
 		have.Received, have.Words = uint32(restored), engines[0].rcv.HaveWords(nil)
 	}
 	in.arm(engines)
@@ -297,7 +301,7 @@ func (l *Listener) receive(ctx context.Context, ctl net.Conn, watchCtl bool) (re
 	}
 	// Every packet is placed; what remains is the content verdict over the
 	// leaves not hashed yet and the COMPLETE write.
-	span.event(obs.KindDrain, uint64(seal.pending()))
+	probes.event(obs.KindDrain, uint64(seal.pending()))
 	if err := plan.verifyContent(seal); err != nil {
 		writeAbort(ctl, plan.base, wire.AbortDigestMismatch)
 		return fail(err, false)
@@ -370,8 +374,8 @@ func (l *Listener) await(ctx context.Context, in *inbound, ctl net.Conn, watchCt
 			if starved {
 				for _, e := range in.engines {
 					e.rcv.NoteIdle()
-					e.probe.idled()
 				}
+				in.probes.event(obs.KindIdle, 0)
 			}
 			in.mu.Unlock()
 			if starved {

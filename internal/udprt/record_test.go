@@ -11,6 +11,7 @@ import (
 	"github.com/hpcnet/fobs/internal/faultnet"
 	"github.com/hpcnet/fobs/internal/flight"
 	"github.com/hpcnet/fobs/internal/metrics"
+	"github.com/hpcnet/fobs/internal/obs"
 )
 
 // recordedTransfer runs one transfer through a seeded fault proxy with both
@@ -114,7 +115,7 @@ func TestFlightRecorderEquivalence(t *testing.T) {
 				ep.Meta.Role, ep.Snapshot, live)
 		}
 
-		if ep.Meta.Role == metrics.RoleSender {
+		if ep.Meta.Role == obs.RoleSender {
 			if !a.FairnessChecked {
 				t.Fatal("fairness invariant was not checked on the sender stream")
 			}

@@ -150,12 +150,11 @@ func sendSupervised(ctx context.Context, addr string, obj []byte, cfg core.Confi
 		// single cross-host timeline.
 		opts.TraceID = obs.NewTraceID()
 	}
-	sup := opts.startSpan(opts.TraceID, cfg.Transfer, obs.RoleSender)
+	sup := opts.supervisor(opts.TraceID, cfg.Transfer)
 	defer sup.seal()
 
 	st, err := sendOnce(ctx, addr, obj, cfg, opts)
 	for attempt := 1; attempt <= pol.MaxRetries && IsRetryable(err); attempt++ {
-		opts.Metrics.NoteRetry(cfg.Transfer, attempt)
 		sup.event(obs.KindRetry, uint64(attempt))
 		select {
 		case <-ctx.Done():

@@ -70,7 +70,7 @@ type senderPlan struct {
 	snds    []*core.Sender
 	// probes are the stripes' instrumentation, sharing the transfer's span
 	// recorder; inert until instrument.
-	probes []probe
+	probes stripes
 	// trace is the id the announcement's CHECK carries; zero: untraced.
 	trace obs.TraceID
 
@@ -121,7 +121,7 @@ func newSenderPlan(obj []byte, cfg core.Config, opts Options) (*senderPlan, erro
 		}
 		p.snds = append(p.snds, snd)
 	}
-	p.probes = make([]probe, len(p.snds))
+	p.probes = make(stripes, len(p.snds))
 	return p, nil
 }
 
@@ -135,9 +135,6 @@ func (p *senderPlan) instrument(opts Options, tid obs.TraceID) {
 		p.probes[i] = span.sender(opts.Metrics, opts.Record, snd, int64(p.stripes[i].Length))
 	}
 }
-
-// event records one phase boundary in the transfer's span log.
-func (p *senderPlan) event(kind obs.Kind, arg uint64) { p.probes[0].event(kind, arg) }
 
 // contentID returns the whole object's content identity, memoized.
 func (p *senderPlan) contentID() [32]byte {
@@ -203,14 +200,10 @@ func (p *senderPlan) accepted(have wire.Have) (hit bool, err error) {
 			return false, fmt.Errorf("udprt: receiver's HAVE: %w", err)
 		}
 	}
-	p.event(obs.KindCheck, 0)
-	for _, pr := range p.probes {
-		pr.handshake()
-	}
-	p.event(obs.KindHandshake, 0)
+	p.probes.event(obs.KindCheck, 0)
+	p.probes.event(obs.KindHandshake, 0)
 	if restored > 0 {
-		p.event(obs.KindResume, uint64(restored))
-		p.probes[0].restored(restored)
+		p.probes[0].event(obs.KindResume, uint64(restored))
 	}
 	return false, nil
 }
@@ -321,7 +314,7 @@ func runSenderPlan(ctx context.Context, p *senderPlan, conns []*net.UDPConn, ctl
 		}
 	}
 
-	p.event(obs.KindRounds, 0)
+	p.probes.event(obs.KindRounds, 0)
 	engines := make([]*senderEngine, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -352,7 +345,7 @@ func runSenderPlan(ctx context.Context, p *senderPlan, conns []*net.UDPConn, ctl
 
 	// Every engine has returned: the schedule is drained (or the transfer
 	// is dead) and the verdict is in hand.
-	p.event(obs.KindDrain, 0)
+	p.probes.event(obs.KindDrain, 0)
 
 	// The span's outcome is the transfer's, so it goes in ahead of the
 	// stripes' own: a stripe reaped for a sibling's failure says cancelled.
@@ -561,7 +554,6 @@ func (l *Listener) completeDeduped(plan recvPlan, ctl net.Conn, obj []byte) ([]b
 		Window: l.window(len(plan.layout()))})
 	err := writeControl(ctl, append(msg, completeFrame(plan)...))
 	if err == nil {
-		pr.restored(total)
 		pr.event(obs.KindSkip, uint64(total))
 	} else {
 		err = fmt.Errorf("udprt: completion write: %w", err)

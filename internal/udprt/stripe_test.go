@@ -12,6 +12,7 @@ import (
 	"github.com/hpcnet/fobs/internal/core"
 	"github.com/hpcnet/fobs/internal/faultnet"
 	"github.com/hpcnet/fobs/internal/metrics"
+	"github.com/hpcnet/fobs/internal/obs"
 	"github.com/hpcnet/fobs/internal/wire"
 )
 
@@ -158,8 +159,8 @@ func TestStripedUnderLoss(t *testing.T) {
 		snap := reg.Snapshot()
 		var sentSum, neededSum, freshSum, bytesSum int64
 		for i := uint32(0); i < streams; i++ {
-			s := findTransfer(t, snap, i, metrics.RoleSender)
-			r := findTransfer(t, snap, i, metrics.RoleReceiver)
+			s := findTransfer(t, snap, i, obs.RoleSender)
+			r := findTransfer(t, snap, i, obs.RoleReceiver)
 			if s.Outcome != metrics.OutcomeCompleted || r.Outcome != metrics.OutcomeCompleted {
 				t.Fatalf("stripe %d outcomes %v/%v, want completed", i, s.Outcome, r.Outcome)
 			}

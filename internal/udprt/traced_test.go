@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/hpcnet/fobs/internal/core"
+	"github.com/hpcnet/fobs/internal/metrics"
 	"github.com/hpcnet/fobs/internal/obs"
 	"github.com/hpcnet/fobs/internal/wire"
 )
@@ -101,6 +102,49 @@ func TestTracedLoopbackJoin(t *testing.T) {
 			}
 			if i > 0 && sp.Start != spans[i-1].End {
 				t.Errorf("%s span %d (%s) does not abut its predecessor", tl.Role, i, sp.Kind)
+			}
+		}
+	}
+}
+
+// TestTracedStripedTransferReportsEachMomentOnce: a striped transfer's
+// transfer-level moments reach its span log once, however many stripes it
+// has, while every stripe's own counters hear each of them.
+func TestTracedStripedTransferReportsEachMomentOnce(t *testing.T) {
+	const streams = 3
+	var buf bytes.Buffer
+	opts, log := tracedOpts(&buf) // both ends, one log: the join parts them by role
+	reg := metrics.New()
+	opts.Metrics, opts.Streams = reg, streams
+	if got, _, _ := transfer(t, makeObj(512<<10), core.Config{Transfer: 20}, opts); len(got) != 512<<10 {
+		t.Fatalf("received %d bytes", len(got))
+	}
+	log.Close()
+	evs, err := obs.ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tls []obs.Timeline
+	for _, byTrace := range obs.Join(evs) {
+		tls = append(tls, byTrace...)
+	}
+	if len(tls) != 2 || tls[0].Role != obs.RoleSender || tls[1].Role != obs.RoleReceiver {
+		t.Fatalf("joined %d timelines, want the sender's and the receiver's under one trace", len(tls))
+	}
+	checkOrder(t, "sender", obs.PhaseOrder(tls[0]), []obs.Kind{obs.KindDial, obs.KindCheck,
+		obs.KindHandshake, obs.KindRounds, obs.KindDrain, obs.KindVerify, obs.KindComplete})
+	checkOrder(t, "receiver", obs.PhaseOrder(tls[1]), []obs.Kind{obs.KindCheck, obs.KindHandshake,
+		obs.KindRounds, obs.KindDrain, obs.KindVerify, obs.KindComplete})
+	heard := map[obs.Role]map[uint32]int{obs.RoleSender: {}, obs.RoleReceiver: {}}
+	for _, ev := range reg.Snapshot().Events {
+		if ev.Kind == obs.KindHandshake || ev.Kind == obs.KindRounds || ev.Kind == obs.KindDrain {
+			heard[ev.Role][ev.Transfer]++
+		}
+	}
+	for role, byStripe := range heard {
+		for i := uint32(20); i < 20+streams; i++ {
+			if byStripe[i] != 3 {
+				t.Errorf("%v stripe %d heard %d of handshake, rounds and drain, want 3", role, i, byStripe[i])
 			}
 		}
 	}

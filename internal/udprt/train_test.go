@@ -12,6 +12,7 @@ import (
 	"github.com/hpcnet/fobs/internal/bitmap"
 	"github.com/hpcnet/fobs/internal/core"
 	"github.com/hpcnet/fobs/internal/metrics"
+	"github.com/hpcnet/fobs/internal/obs"
 	"github.com/hpcnet/fobs/internal/stats"
 	"github.com/hpcnet/fobs/internal/wire"
 )
@@ -203,7 +204,7 @@ func TestTrainsAcrossSocketPaths(t *testing.T) {
 			}
 			// The metrics record exports the same tallies, trains included.
 			snap := reg.Snapshot()
-			if s, r := findTransfer(t, snap, 0, metrics.RoleSender), findTransfer(t, snap, 0, metrics.RoleReceiver); s.IO != sio || r.IO != rio {
+			if s, r := findTransfer(t, snap, 0, obs.RoleSender), findTransfer(t, snap, 0, obs.RoleReceiver); s.IO != sio || r.IO != rio {
 				t.Fatalf("metrics io %+v / %+v, Options.IOCounters %+v / %+v", s.IO, r.IO, sio, rio)
 			}
 			if !tc.wantSendTrain {

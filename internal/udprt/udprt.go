@@ -543,7 +543,7 @@ func sendOnce(ctx context.Context, addr string, obj []byte, cfg core.Config, opt
 		return core.SenderStats{}, err
 	}
 	plan.instrument(opts, opts.senderTraceID())
-	plan.event(obs.KindDial, 0)
+	plan.probes.event(obs.KindDial, 0)
 	ctl, have, err := dialHandshake(ctx, addr, plan.announcement(opts), plan.base, opts)
 	if err != nil {
 		plan.finish(err)
@@ -586,7 +586,7 @@ func dialAndRun(ctx context.Context, addr string, plan *senderPlan, ctl net.Conn
 // bytes under the 256-bit identity this end computed from its own, and the
 // COMPLETE echoes that identity's tag.
 func completeDedupedSend(plan *senderPlan, ctl net.Conn) (core.SenderStats, error) {
-	plan.event(obs.KindCheck, 1)
+	plan.probes.event(obs.KindCheck, 1)
 	total := 0
 	for i, snd := range plan.snds {
 		n := snd.NumPackets()
@@ -594,10 +594,10 @@ func completeDedupedSend(plan *senderPlan, ctl net.Conn) (core.SenderStats, erro
 			plan.finish(err)
 			return plan.stats(), err
 		}
-		plan.probes[i].restored(n)
+		plan.probes[i].stripe().event(obs.KindSkip, uint64(n))
 		total += n
 	}
-	plan.event(obs.KindSkip, uint64(total))
+	plan.probes[0].span().event(obs.KindSkip, uint64(total))
 	err := readCompletion(ctl, plan)
 	plan.finish(err)
 	st := plan.stats()
