@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 vet cross loc race short test bench bench-smoke sim-golden mem-smoke waste-smoke bench-e2e bench-e2e-smoke bench-e2e-test offload-probe cover fuzz-smoke shuffle faultnet-soak fobsd-smoke verify
+.PHONY: all tier1 vet cross loc race short test bench bench-smoke sim-golden mem-smoke waste-smoke bench-e2e bench-e2e-smoke bench-e2e-test offload-probe cover fuzz-smoke shuffle faultnet-soak flake-census fobsd-smoke verify
 
 all: verify
 
@@ -169,6 +169,23 @@ shuffle:
 # (where `make race` covers every package once).
 faultnet-soak:
 	$(GO) test -race -count=10 ./internal/core ./internal/checkpoint ./internal/udprt ./internal/faultnet ./internal/spine ./internal/metrics ./internal/flight ./internal/obs
+
+# The flake census: every test of the three packages with real-socket tests
+# (internal/udprt, internal/tasks, cmd/fobsd), twenty times unraced and
+# twenty times raced, each top-level test's passes and failures counted — a
+# floor that fails one run in eight shows here as a count, not as a red run
+# nobody can reproduce. TestCongestionWasteSweep is left out: it alone is
+# about 129 s of each run, and the sans-IO item on the roadmap moves it to the
+# simulator. The sealer's abort row logs how many datagrams a sender's ABORT
+# left unread in the endpoint's data socket; the census counts those lines
+# too. Informational: scheduled CI runs it non-gating.
+flake-census:
+	@for race in "" -race; do \
+		echo "# $(GO) test $$race -count=20, TestCongestionWasteSweep skipped"; \
+		$(GO) test $$race -count=20 -timeout 90m -v -skip '^TestCongestionWasteSweep$$' ./internal/udprt ./internal/tasks ./cmd/fobsd 2>&1 \
+		| grep -E '^(--- (PASS|FAIL)|ok|FAIL)|datagrams unread at the ABORT' \
+		| sed -E 's/ \([0-9.]+s\)$$//; s/^ +[a-z_]+\.go:[0-9]+: //' | sort | uniq -c; \
+	done
 
 # End-to-end daemon crash drill against the real binary: build fobsd,
 # submit three tasks over loopback, SIGKILL it mid-flight, restart it over

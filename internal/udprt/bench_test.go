@@ -1,10 +1,7 @@
 package udprt
 
 import (
-	"bytes"
-	"context"
 	"fmt"
-	"net"
 	"path/filepath"
 	"testing"
 	"time"
@@ -33,25 +30,6 @@ func benchEachPath(b *testing.B, fn func(b *testing.B, noFastPath bool)) {
 	b.Run("scalar", func(b *testing.B) { fn(b, true) })
 }
 
-// udpBenchPair returns a connected sender socket and its bound peer with
-// generous kernel buffers.
-func udpBenchPair(b *testing.B) (*net.UDPConn, *net.UDPConn) {
-	b.Helper()
-	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	snd, err := net.DialUDP("udp", nil, peer.LocalAddr().(*net.UDPAddr))
-	if err != nil {
-		peer.Close()
-		b.Fatal(err)
-	}
-	peer.SetReadBuffer(8 << 20)
-	snd.SetWriteBuffer(8 << 20)
-	b.Cleanup(func() { snd.Close(); peer.Close() })
-	return snd, peer
-}
-
 // BenchmarkBatchFlush measures the sender's per-batch hot path in
 // isolation: pull benchBatch packets from the schedule, encode into the
 // ring, flush to the socket. The fast path pays one sendmmsg per
@@ -60,7 +38,7 @@ func udpBenchPair(b *testing.B) (*net.UDPConn, *net.UDPConn) {
 // nothing extra.
 func BenchmarkBatchFlush(b *testing.B) {
 	benchEachPath(b, func(b *testing.B, noFastPath bool) {
-		conn, _ := udpBenchPair(b)
+		conn, _ := udpPair(b)
 		const packetSize = 1024
 		snd := core.NewSender(makeObj(4<<20), core.Config{PacketSize: packetSize})
 		tx, err := batchio.NewSender(conn, benchBatch, !noFastPath)
@@ -89,7 +67,7 @@ func BenchmarkBatchFlush(b *testing.B) {
 // (bash benchmark/run.sh -workload bulk_1k -trace 1).
 func BenchmarkRecordingOverhead(b *testing.B) {
 	run := func(b *testing.B, fr *flight.Recorder) {
-		conn, _ := udpBenchPair(b)
+		conn, _ := udpPair(b)
 		const packetSize = 1024
 		snd := core.NewSender(makeObj(4<<20), core.Config{PacketSize: packetSize})
 		tx, err := batchio.NewSender(conn, benchBatch, FastPathAvailable())
@@ -129,7 +107,7 @@ func BenchmarkSocketPump(b *testing.B) {
 		b.Skip("real-socket benchmark skipped in -short mode")
 	}
 	benchEachPath(b, func(b *testing.B, noFastPath bool) {
-		snd, peer := udpBenchPair(b)
+		snd, peer := udpPair(b)
 		tx, err := batchio.NewSender(snd, benchBatch, !noFastPath)
 		if err != nil {
 			b.Fatal(err)
@@ -190,25 +168,7 @@ func BenchmarkStripedLoopback(b *testing.B) {
 			b.SetBytes(int64(len(obj)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				l, err := Listen("127.0.0.1:0", opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-				var got []byte
-				var rerr error
-				done := make(chan struct{})
-				go func() { defer close(done); got, _, rerr = l.Accept(ctx) }()
-				_, serr := Send(ctx, l.Addr(), obj, cfg, opts)
-				<-done
-				cancel()
-				l.Close()
-				if serr != nil || rerr != nil {
-					b.Fatalf("send: %v, receive: %v", serr, rerr)
-				}
-				if !bytes.Equal(got, obj) {
-					b.Fatal("object corrupted")
-				}
+				push(b, obj, cfg, opts, opts)
 			}
 		})
 	}
@@ -235,26 +195,7 @@ func BenchmarkCCPolicies(b *testing.B) {
 			b.ResetTimer()
 			packets := 0
 			for i := 0; i < b.N; i++ {
-				l, err := Listen("127.0.0.1:0", opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-				var got []byte
-				var rerr error
-				done := make(chan struct{})
-				go func() { defer close(done); got, _, rerr = l.Accept(ctx) }()
-				sst, serr := Send(ctx, l.Addr(), obj, cfg, opts)
-				<-done
-				cancel()
-				l.Close()
-				if serr != nil || rerr != nil {
-					b.Fatalf("send: %v, receive: %v", serr, rerr)
-				}
-				if !bytes.Equal(got, obj) {
-					b.Fatal("object corrupted")
-				}
-				packets += sst.PacketsNeeded
+				packets += push(b, obj, cfg, opts, opts).sst.PacketsNeeded
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(packets)/b.Elapsed().Seconds(), "pkts/s")
@@ -278,29 +219,10 @@ func BenchmarkLoopbackTransfer(b *testing.B) {
 		b.ResetTimer()
 		packets := 0
 		for i := 0; i < b.N; i++ {
-			l, err := Listen("127.0.0.1:0", opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-			var got []byte
-			var rerr error
-			done := make(chan struct{})
-			go func() { defer close(done); got, _, rerr = l.Accept(ctx) }()
-			sst, serr := Send(ctx, l.Addr(), obj, cfg, opts)
-			<-done
-			cancel()
-			l.Close()
-			if serr != nil || rerr != nil {
-				b.Fatalf("send: %v, receive: %v", serr, rerr)
-			}
-			if !bytes.Equal(got, obj) {
-				b.Fatal("object corrupted")
-			}
 			// Count delivered packets, not sends: the scalar path wastes
 			// heavily on retransmissions at this batch size, and the
 			// interesting rate is useful packets through the pipe.
-			packets += sst.PacketsNeeded
+			packets += push(b, obj, cfg, opts, opts).sst.PacketsNeeded
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(packets)/b.Elapsed().Seconds(), "pkts/s")
@@ -318,7 +240,7 @@ func BenchmarkLoopbackTransfer(b *testing.B) {
 // the packet rate.
 func BenchmarkVerifyOverhead(b *testing.B) {
 	run := func(b *testing.B, verify bool) {
-		conn, _ := udpBenchPair(b)
+		conn, _ := udpPair(b)
 		const packetSize = 1024
 		const objSize = 4 << 20
 		snd := core.NewSender(makeObj(objSize), core.Config{PacketSize: packetSize})
@@ -368,35 +290,23 @@ func BenchmarkDedupSecondPush(b *testing.B) {
 	obj := makeObj(8 << 20)
 	opts := Options{IOBatch: benchBatch}
 	cfg := core.Config{Batch: core.FixedBatch(benchBatch)}
-	l, err := Listen("127.0.0.1:0", opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-	defer cancel()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			if _, _, err := l.Accept(ctx); err != nil {
-				return
-			}
-		}
-	}()
-	defer func() { cancel(); l.Close(); <-done }()
-	if st, err := Send(ctx, l.Addr(), obj, cfg, opts); err != nil || st.Deduped {
+	ep := listen(b, byAccept, opts)
+	ep.recv(1 + b.N)
+	if st, err := Send(ep.ctx, ep.l.Addr(), obj, cfg, opts); err != nil || st.Deduped {
 		b.Fatalf("seed push: err=%v deduped=%v", err, st.Deduped)
 	}
 	b.SetBytes(int64(len(obj)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := Send(ctx, l.Addr(), obj, cfg, opts)
+		st, err := Send(ep.ctx, ep.l.Addr(), obj, cfg, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if !st.Deduped || st.PacketsSent != 0 {
 			b.Fatalf("push %d was not a cache hit: %+v", i, st)
+		}
+		for len(ep.got) > 0 {
+			<-ep.got // the delivered copies: drop them as they come
 		}
 	}
 }

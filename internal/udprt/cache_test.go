@@ -2,7 +2,6 @@ package udprt
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"os"
 	"runtime"
@@ -61,26 +60,18 @@ func TestReceiveAllocBudget(t *testing.T) {
 		t.Skip("allocation budgets are not meaningful under the race detector")
 	}
 	const size, pushes, slack = 4 << 20, 12, 48 << 10
-	l, err := Listen("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	ep := listen(t, byAccept, Options{})
 	obj := makeObj(size)
 	for i := 0; i < pushes; i++ {
 		numbered(obj, i)
-		done, objs, _, rerrs := acceptN(ctx, l, 1)
 		before := totalAlloc()
-		sst, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: uint32(i + 1)}, Options{})
-		<-done
+		p := ep.push(obj, core.Config{Transfer: uint32(i + 1)}, Options{})
 		grew := totalAlloc() - before
-		if err != nil || rerrs[0] != nil {
-			t.Fatalf("push %d: send err=%v, accept err=%v", i, err, rerrs[0])
+		if p.serr != nil || p.err != nil {
+			t.Fatalf("push %d: send err=%v, accept err=%v", i, p.serr, p.err)
 		}
-		if sst.Deduped || !bytes.Equal(objs[0], obj) {
-			t.Fatalf("push %d: Deduped=%v, delivered equal=%v", i, sst.Deduped, bytes.Equal(objs[0], obj))
+		if p.sst.Deduped || !bytes.Equal(p.obj, obj) {
+			t.Fatalf("push %d: Deduped=%v, delivered equal=%v", i, p.sst.Deduped, bytes.Equal(p.obj, obj))
 		}
 		if i >= maxCached && grew > size+slack {
 			t.Errorf("push %d with the cache at its bound allocated %d KiB, want ≤ %d KiB (object + %d KiB)",
@@ -88,7 +79,7 @@ func TestReceiveAllocBudget(t *testing.T) {
 		}
 		t.Logf("push %d: %d KiB", i, grew>>10)
 	}
-	if n := l.cache.len(); n != maxCached {
+	if n := ep.l.cache.len(); n != maxCached {
 		t.Fatalf("cache holds %d entries after %d pushes, want %d", n, pushes, maxCached)
 	}
 }
@@ -105,25 +96,17 @@ func TestSendRingAllocBudget(t *testing.T) {
 		t.Skip("allocation budgets are not meaningful under the race detector")
 	}
 	const size, pushes, perSlot = 64 << 10, 5, 256
-	l, err := Listen("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	ep := listen(t, byAccept, Options{})
 	obj := makeObj(size)
 	least := map[int]uint64{}
 	for i := 0; i < 2*pushes; i++ {
 		batch := []int{32, 256}[i%2]
 		numbered(obj, i)
-		done, _, _, rerrs := acceptN(ctx, l, 1)
 		before := totalAlloc()
-		_, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: uint32(i + 1), PacketSize: 1024}, Options{IOBatch: batch})
-		<-done
+		p := ep.push(obj, core.Config{Transfer: uint32(i + 1), PacketSize: 1024}, Options{IOBatch: batch})
 		grew := totalAlloc() - before
-		if err != nil || rerrs[0] != nil {
-			t.Fatalf("push %d: send err=%v, accept err=%v", i, err, rerrs[0])
+		if p.serr != nil || p.err != nil {
+			t.Fatalf("push %d: send err=%v, accept err=%v", i, p.serr, p.err)
 		}
 		if m, ok := least[batch]; !ok || grew < m {
 			least[batch] = grew
@@ -141,32 +124,15 @@ func TestSendRingAllocBudget(t *testing.T) {
 // bound is delivered like any other and simply not kept — its re-push is a
 // miss that moves the data again — and it evicts nothing on its way past.
 func TestOversizeObjectIsNotCached(t *testing.T) {
-	l, err := Listen("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	l.cache.maxBytes = 1 << 20
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	ep := listen(t, byAccept, Options{})
+	ep.l.cache.maxBytes = 1 << 20
 	small, big := makeObj(256<<10), makeObj(1<<20+1)
-	done, objs, _, rerrs := acceptN(ctx, l, 4)
 	for i, tc := range []struct {
 		obj     []byte
 		deduped bool
 	}{{small, false}, {big, false}, {big, false}, {small, true}} {
-		sst, err := Send(ctx, l.Addr(), tc.obj, core.Config{Transfer: uint32(i + 1)}, Options{})
-		if err != nil {
-			t.Fatalf("push %d: %v", i, err)
-		}
-		if sst.Deduped != tc.deduped {
+		if sst := ep.pushOK(tc.obj, core.Config{Transfer: uint32(i + 1)}, Options{}).sst; sst.Deduped != tc.deduped {
 			t.Fatalf("push %d: Deduped=%v, want %v", i, sst.Deduped, tc.deduped)
-		}
-	}
-	<-done
-	for i, want := range [][]byte{small, big, big, small} {
-		if rerrs[i] != nil || !bytes.Equal(objs[i], want) {
-			t.Fatalf("accept %d: err=%v, delivered equal=%v", i, rerrs[i], bytes.Equal(objs[i], want))
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package udprt
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"time"
@@ -19,33 +18,18 @@ func TestStripedCorruptionFailsDigest(t *testing.T) {
 		t.Skip("fault-injection test skipped in -short mode")
 	}
 	t.Run("plain", func(t *testing.T) {
-		l, err := Listen("127.0.0.1:0", Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		proxy, err := faultnet.NewProxy(l.Addr(), faultnet.New(faultnet.Policy{
+		ep := listen(t, byAccept, Options{})
+		proxy := ep.front(faultnet.New(faultnet.Policy{
 			Seed:          7,
 			Corrupt:       0.05,
 			CorruptOffset: wire.DataHeaderLen, // flip object bytes, not headers
 		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer proxy.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		var rerr error
-		done := make(chan struct{})
-		go func() { defer close(done); _, _, rerr = l.Accept(ctx) }()
-		_, serr := Send(ctx, proxy.Addr(), makeObj(1<<20), core.Config{},
-			Options{Streams: 4, Pace: 2 * time.Microsecond})
-		<-done
+		p := ep.push(makeObj(1<<20), core.Config{}, Options{Streams: 4, Pace: 2 * time.Microsecond})
 		if st := proxy.Stats(); st.Corrupted == 0 {
 			t.Fatalf("corruption never fired: %+v", st)
 		}
-		if !errors.Is(serr, ErrDigestMismatch) || !errors.Is(rerr, ErrDigestMismatch) {
-			t.Fatalf("sender err = %v, receiver err = %v; want ErrDigestMismatch from both", serr, rerr)
+		if !errors.Is(p.serr, ErrDigestMismatch) || !errors.Is(p.err, ErrDigestMismatch) {
+			t.Fatalf("sender err = %v, receiver err = %v; want ErrDigestMismatch from both", p.serr, p.err)
 		}
 	})
 }

@@ -1,14 +1,11 @@
 package udprt
 
 import (
-	"bytes"
-	"context"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/hpcnet/fobs/internal/core"
-	"github.com/hpcnet/fobs/internal/faultnet"
 )
 
 // TestStripesNeverShareAController: every stripe of a striped Send plans its
@@ -23,33 +20,11 @@ import (
 func TestStripesNeverShareAController(t *testing.T) {
 	for _, name := range CongestionPolicies() {
 		t.Run(name, func(t *testing.T) {
-			l, err := Listen("127.0.0.1:0", Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer l.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			defer cancel()
-			var got []byte
-			var rerr error
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				got, _, rerr = l.Accept(ctx)
-			}()
 			var built []core.Controller // appended to by Send's own goroutine
-			obj := makeObj(1<<20 + 3)
-			_, serr := Send(ctx, l.Addr(), obj, core.Config{AckFrequency: 16}, Options{
+			push(t, makeObj(1<<20+3), core.Config{AckFrequency: 16}, Options{
 				Congestion: name, Streams: 4,
 				testController: func(cc core.Controller) { built = append(built, cc) },
-			})
-			<-done
-			if serr != nil || rerr != nil {
-				t.Fatalf("send: %v, receive: %v", serr, rerr)
-			}
-			if !bytes.Equal(got, obj) {
-				t.Fatal("object corrupted")
-			}
+			}, Options{})
 			if len(built) != 4 {
 				t.Fatalf("%d controllers built for 4 stripes", len(built))
 			}
@@ -75,26 +50,10 @@ func TestRetriedSendStartsFromAFreshController(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault-injection test skipped in -short mode")
 	}
-	l, err := Listen("127.0.0.1:0", Options{IdleTimeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	proxy, err := faultnet.NewProxy(l.Addr(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	ep := listen(t, byAccept, Options{IdleTimeout: 2 * time.Second})
+	proxy := ep.front(nil)
 	obj := makeObj(512 << 10)
-	var got []byte
-	var rerr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		got, _, rerr = acceptUntilSuccess(ctx, l)
-	}()
+	ep.recvUntilSuccess()
 
 	// Each controller as it is built, with the window the ones before it
 	// stand at by then.
@@ -105,7 +64,7 @@ func TestRetriedSendStartsFromAFreshController(t *testing.T) {
 	}
 	var attempts []built
 	var cut atomic.Bool
-	_, serr := Send(ctx, proxy.Addr(), obj, core.Config{AckFrequency: 16}, Options{
+	_, serr := Send(ep.ctx, proxy.Addr(), obj, core.Config{AckFrequency: 16}, Options{
 		Congestion:   CCAIMD,
 		StallTimeout: 2 * time.Second,
 		Pace:         killPointPace,
@@ -126,16 +85,13 @@ func TestRetriedSendStartsFromAFreshController(t *testing.T) {
 			attempts = append(attempts, b)
 		},
 	})
-	<-done
-	if serr != nil || rerr != nil {
-		t.Fatalf("send: %v, receive: %v", serr, rerr)
+	if serr != nil {
+		t.Fatalf("send: %v", serr)
 	}
 	if !cut.Load() {
 		t.Fatal("transfer finished before the kill point; enlarge the object")
 	}
-	if !bytes.Equal(got, obj) {
-		t.Fatal("object corrupted")
-	}
+	ep.delivered(obj)
 	if len(attempts) < 2 {
 		t.Fatalf("%d controllers built; the severed attempt was not retried", len(attempts))
 	}

@@ -1,10 +1,8 @@
 package udprt
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -22,10 +20,7 @@ import (
 // blaster to exit.
 func startCrossTraffic(t *testing.T, addr string) func() {
 	t.Helper()
-	conn, err := net.Dial("udp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dialData(t, addr)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -42,13 +37,12 @@ func startCrossTraffic(t *testing.T, addr string) func() {
 			})
 			conn.Write(buf) // best effort; the path may drop it
 			seq++
-			time.Sleep(50 * time.Microsecond)
+			time.Sleep(50 * time.Microsecond) // scenario: the cross-traffic's spacing
 		}
 	}()
 	return func() {
 		cancel()
 		<-done
-		conn.Close()
 	}
 }
 
@@ -87,11 +81,7 @@ func TestCongestionWasteSweep(t *testing.T) {
 					seed := int64(1000 + 100*pi + 10*li + ci)
 					t.Run(fmt.Sprintf("loss=%d%%/cross=%v", int(loss*100), cross), func(t *testing.T) {
 						eachIOPath(t, func(t *testing.T, noFastPath bool) {
-							l, err := Listen("127.0.0.1:0", Options{NoFastPath: noFastPath})
-							if err != nil {
-								t.Fatal(err)
-							}
-							defer l.Close()
+							ep := listen(t, byAccept, Options{NoFastPath: noFastPath})
 							var faults *faultnet.Faults
 							if loss > 0 {
 								faults = faultnet.New(faultnet.Policy{
@@ -102,29 +92,16 @@ func TestCongestionWasteSweep(t *testing.T) {
 									DelayBy: 500 * time.Microsecond,
 								})
 							}
-							proxy, err := faultnet.NewProxy(l.Addr(), faults)
-							if err != nil {
-								t.Fatal(err)
-							}
-							defer proxy.Close()
+							proxy := ep.front(faults)
 							if cross {
 								defer startCrossTraffic(t, proxy.Addr())()
 							}
 
-							ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-							defer cancel()
 							// Big enough that the greedy sender's first circular
 							// wrap happens with acks already flowing; a tiny
 							// object makes every policy look maximally wasteful
 							// (whole-object resends before the first ack lands).
 							obj := makeObj(1<<20 + 7)
-							var got []byte
-							var rerr error
-							done := make(chan struct{})
-							go func() {
-								defer close(done)
-								got, _, rerr = l.Accept(ctx)
-							}()
 							// The paper's greedy sender runs at a configured
 							// rate matched to the path (here: what the proxy
 							// forwards without drowning), and so do its two §7
@@ -142,23 +119,11 @@ func TestCongestionWasteSweep(t *testing.T) {
 							if policy == CCAIMD || policy == CCSABUL {
 								pace = 10 * time.Microsecond
 							}
-							sst, serr := Send(ctx, proxy.Addr(), obj,
-								core.Config{AckFrequency: 32},
-								Options{
-									Congestion: policy,
-									Pace:       pace,
-									NoFastPath: noFastPath,
-								})
-							<-done
-							if serr != nil {
-								t.Fatalf("send: %v", serr)
-							}
-							if rerr != nil {
-								t.Fatalf("receive: %v", rerr)
-							}
-							if !bytes.Equal(got, obj) {
-								t.Fatal("object corrupted")
-							}
+							sst := ep.pushOK(obj, core.Config{AckFrequency: 32}, Options{
+								Congestion: policy,
+								Pace:       pace,
+								NoFastPath: noFastPath,
+							}).sst
 							// Conservation: every completed transfer sent each
 							// packet at least once, so the overshoot is exactly
 							// the retransmit-classified count the controllers

@@ -5,8 +5,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"net"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,57 +14,25 @@ import (
 	"github.com/hpcnet/fobs/internal/wire"
 )
 
-// acceptN runs n sequential Accepts on one listener in the background.
-func acceptN(ctx context.Context, l *Listener, n int) (<-chan struct{}, []([]byte), []core.ReceiverStats, []error) {
-	done := make(chan struct{})
-	objs := make([][]byte, n)
-	rsts := make([]core.ReceiverStats, n)
-	rerrs := make([]error, n)
-	go func() {
-		defer close(done)
-		for i := 0; i < n; i++ {
-			objs[i], rsts[i], rerrs[i] = l.Accept(ctx)
-		}
-	}()
-	return done, objs, rsts, rerrs
-}
-
 // TestDedupSecondSendMovesNoData is the tentpole's acceptance test: the
 // second push of an identical object must complete without a single DATA
 // packet crossing the wire — one control RPC, answered from the
 // receiver's content cache.
 func TestDedupSecondSendMovesNoData(t *testing.T) {
-	l, err := Listen("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	ep := listen(t, byAccept, Options{})
 	obj := makeObj(512<<10 + 123)
-	done, objs, rsts, rerrs := acceptN(ctx, l, 2)
-
-	sst1, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: 1}, Options{})
-	if err != nil {
-		t.Fatalf("first send: %v", err)
-	}
+	sst1 := ep.pushOK(obj, core.Config{Transfer: 1}, Options{}).sst
 	if sst1.Deduped {
 		t.Fatal("first send of a never-seen object reported Deduped")
 	}
 	if sst1.PacketsSent == 0 {
 		t.Fatal("first send moved no data")
 	}
-
-	sst2, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: 2}, Options{})
-	if err != nil {
-		t.Fatalf("second send: %v", err)
-	}
-	<-done
-	for i, rerr := range rerrs {
-		if rerr != nil {
-			t.Fatalf("accept %d: %v", i, rerr)
-		}
-	}
+	// The deduplicated Accept must still deliver the exact bytes (pushOK
+	// checks them): the application cannot tell a cache hit from a real
+	// transfer.
+	p := ep.pushOK(obj, core.Config{Transfer: 2}, Options{})
+	sst2, rst2 := p.sst, p.st
 	if !sst2.Deduped {
 		t.Fatal("second send of an identical object did not dedup")
 	}
@@ -77,111 +43,44 @@ func TestDedupSecondSendMovesNoData(t *testing.T) {
 		t.Fatalf("dedup conservation: Restored = %d, PacketsNeeded = %d; want equal and nonzero",
 			sst2.Restored, sst2.PacketsNeeded)
 	}
-	if !rsts[1].Deduped {
+	if !rst2.Deduped {
 		t.Fatal("receiver stats for the deduplicated transfer lack Deduped")
 	}
-	if rsts[1].Restored != rsts[1].PacketsNeeded {
+	if rst2.Restored != rst2.PacketsNeeded {
 		t.Fatalf("receiver dedup conservation: Restored = %d, PacketsNeeded = %d",
-			rsts[1].Restored, rsts[1].PacketsNeeded)
-	}
-	// The deduplicated Accept must still deliver the exact bytes: the
-	// application cannot tell a cache hit from a real transfer.
-	if !bytes.Equal(objs[1], obj) {
-		t.Fatal("deduplicated accept returned different bytes")
+			rst2.Restored, rst2.PacketsNeeded)
 	}
 }
 
 // TestDedupStripedSend covers the striped plan: the CHECK carries
 // per-stripe digests, and a hit excuses every stripe at once.
 func TestDedupStripedSend(t *testing.T) {
-	l, err := Listen("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	ep := listen(t, byAccept, Options{})
 	obj := makeObj(1 << 20)
-	done, objs, _, rerrs := acceptN(ctx, l, 2)
-
 	opts := Options{Streams: 4}
-	if _, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: 10}, opts); err != nil {
-		t.Fatalf("first send: %v", err)
-	}
-	sst, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: 20}, opts)
-	if err != nil {
-		t.Fatalf("second send: %v", err)
-	}
-	<-done
-	for i, rerr := range rerrs {
-		if rerr != nil {
-			t.Fatalf("accept %d: %v", i, rerr)
-		}
-	}
-	if !sst.Deduped || sst.PacketsSent != 0 {
+	ep.pushOK(obj, core.Config{Transfer: 10}, opts)
+	if sst := ep.pushOK(obj, core.Config{Transfer: 20}, opts).sst; !sst.Deduped || sst.PacketsSent != 0 {
 		t.Fatalf("striped dedup: Deduped=%v PacketsSent=%d, want true/0", sst.Deduped, sst.PacketsSent)
-	}
-	if !bytes.Equal(objs[1], obj) {
-		t.Fatal("deduplicated striped accept returned different bytes")
 	}
 }
 
 // TestNoDedupDisablesCache pins the opt-outs on both ends: a NoDedup
 // receiver caches nothing, and a NoDedup sender never asks.
 func TestNoDedupDisablesCache(t *testing.T) {
+	obj := makeObj(128 << 10)
 	t.Run("receiver", func(t *testing.T) {
-		l, err := Listen("127.0.0.1:0", Options{NoDedup: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		obj := makeObj(128 << 10)
-		done, _, _, rerrs := acceptN(ctx, l, 2)
-		if _, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: 1}, Options{}); err != nil {
-			t.Fatalf("first send: %v", err)
-		}
-		sst, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: 2}, Options{})
-		if err != nil {
-			t.Fatalf("second send: %v", err)
-		}
-		<-done
-		for i, rerr := range rerrs {
-			if rerr != nil {
-				t.Fatalf("accept %d: %v", i, rerr)
-			}
-		}
-		if sst.Deduped || sst.PacketsSent == 0 {
+		ep := listen(t, byAccept, Options{NoDedup: true})
+		ep.pushOK(obj, core.Config{Transfer: 1}, Options{})
+		if sst := ep.pushOK(obj, core.Config{Transfer: 2}, Options{}).sst; sst.Deduped || sst.PacketsSent == 0 {
 			t.Fatalf("NoDedup receiver still deduplicated: Deduped=%v PacketsSent=%d", sst.Deduped, sst.PacketsSent)
 		}
 	})
 	t.Run("sender", func(t *testing.T) {
-		l, err := Listen("127.0.0.1:0", Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		obj := makeObj(128 << 10)
-		done, _, _, rerrs := acceptN(ctx, l, 2)
-		if _, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: 1}, Options{}); err != nil {
-			t.Fatalf("first send: %v", err)
-		}
+		ep := listen(t, byAccept, Options{})
+		ep.pushOK(obj, core.Config{Transfer: 1}, Options{})
 		// The receiver holds the object now, but a NoDedup sender sends no
 		// CHECK, so the data flows anyway.
-		sst, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: 2}, Options{NoDedup: true})
-		if err != nil {
-			t.Fatalf("second send: %v", err)
-		}
-		<-done
-		for i, rerr := range rerrs {
-			if rerr != nil {
-				t.Fatalf("accept %d: %v", i, rerr)
-			}
-		}
-		if sst.Deduped || sst.PacketsSent == 0 {
+		if sst := ep.pushOK(obj, core.Config{Transfer: 2}, Options{NoDedup: true}).sst; sst.Deduped || sst.PacketsSent == 0 {
 			t.Fatalf("NoDedup sender still deduplicated: Deduped=%v PacketsSent=%d", sst.Deduped, sst.PacketsSent)
 		}
 	})
@@ -191,20 +90,12 @@ func TestNoDedupDisablesCache(t *testing.T) {
 // striped: every transfer is verified against the content identity its CHECK
 // announced, and completes when the bytes are honest.
 func TestVerifyLoopback(t *testing.T) {
-	obj := makeObj(256<<10 + 9)
-	got, sst, _ := transfer(t, obj, core.Config{}, Options{})
-	if !bytes.Equal(got, obj) {
-		t.Fatal("object corrupted")
-	}
-	if sst.Deduped {
+	if push(t, makeObj(256<<10+9), core.Config{}, Options{}, Options{}).sst.Deduped {
 		t.Fatal("fresh verified transfer reported Deduped")
 	}
 	// Striped: the one whole-object identity covers every stripe.
-	obj2 := makeObj(1 << 20)
-	got2, _, _ := transfer(t, obj2, core.Config{Transfer: 5}, Options{Streams: 3})
-	if !bytes.Equal(got2, obj2) {
-		t.Fatal("striped verified object corrupted")
-	}
+	opts := Options{Streams: 3}
+	push(t, makeObj(1<<20), core.Config{Transfer: 5}, opts, opts)
 }
 
 // TestServerDedupFanout makes the concurrent Server the dedup point: after
@@ -212,35 +103,15 @@ func TestVerifyLoopback(t *testing.T) {
 // complete from the cache without ever registering a transfer (so the
 // same transfer id would not even collide).
 func TestServerDedupFanout(t *testing.T) {
-	s, err := NewServer("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var mu sync.Mutex
-	var handled [][]byte
-	var dedups int
-	srvDone := make(chan error, 1)
-	go func() {
-		srvDone <- s.Serve(ctx, func(transfer uint32, obj []byte, st core.ReceiverStats) {
-			mu.Lock()
-			handled = append(handled, obj)
-			if st.Deduped {
-				dedups++
-			}
-			mu.Unlock()
-		})
-	}()
-
+	ep := listen(t, byServe, Options{})
+	ep.recv(1)
 	obj := makeObj(256 << 10)
-	if _, err := Send(ctx, s.Addr(), obj, core.Config{Transfer: 1}, Options{}); err != nil {
+	if _, err := Send(ep.ctx, ep.l.Addr(), obj, core.Config{Transfer: 1}, Options{}); err != nil {
 		t.Fatalf("seed send: %v", err)
 	}
 	const fan = 3
 	for i := 0; i < fan; i++ {
-		sst, err := Send(ctx, s.Addr(), obj, core.Config{Transfer: uint32(100 + i)}, Options{})
+		sst, err := Send(ep.ctx, ep.l.Addr(), obj, core.Config{Transfer: uint32(100 + i)}, Options{})
 		if err != nil {
 			t.Fatalf("fanout send %d: %v", i, err)
 		}
@@ -248,22 +119,22 @@ func TestServerDedupFanout(t *testing.T) {
 			t.Fatalf("fanout send %d: Deduped=%v PacketsSent=%d, want true/0", i, sst.Deduped, sst.PacketsSent)
 		}
 	}
-	cancel()
-	if err := <-srvDone; err != nil {
-		t.Fatalf("serve: %v", err)
+	ep.close() // Serve waits for every handler
+	if n := len(ep.got); n != 1+fan {
+		t.Fatalf("handler saw %d completions, want %d", n, 1+fan)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(handled) != 1+fan {
-		t.Fatalf("handler saw %d completions, want %d", len(handled), 1+fan)
+	dedups := 0
+	for i := 0; i < 1+fan; i++ {
+		r := <-ep.got
+		if r.st.Deduped {
+			dedups++
+		}
+		if !bytes.Equal(r.obj, obj) {
+			t.Fatalf("completion %d delivered different bytes", i)
+		}
 	}
 	if dedups != fan {
 		t.Fatalf("handler saw %d deduplicated completions, want %d", dedups, fan)
-	}
-	for i, got := range handled {
-		if !bytes.Equal(got, obj) {
-			t.Fatalf("completion %d delivered different bytes", i)
-		}
 	}
 }
 
@@ -295,32 +166,17 @@ func TestDedupBackToBackRepush(t *testing.T) {
 		}
 	}
 	t.Run("server", func(t *testing.T) {
-		s, err := NewServer("127.0.0.1:0", Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		sctx, stop := context.WithCancel(ctx)
-		srvDone := make(chan error, 1)
-		go func() { srvDone <- s.Serve(sctx, func(uint32, []byte, core.ReceiverStats) {}) }()
-		repush(t, s.Addr())
-		stop()
-		if err := <-srvDone; err != nil {
-			t.Fatalf("serve: %v", err)
-		}
+		ep := listen(t, byServe, Options{})
+		ep.recv(1)
+		repush(t, ep.l.Addr())
 	})
 	t.Run("listener", func(t *testing.T) {
-		l, err := Listen("127.0.0.1:0", Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		done, _, _, rerrs := acceptN(ctx, l, 2*rounds)
-		repush(t, l.Addr())
-		<-done
-		for i, rerr := range rerrs {
-			if rerr != nil {
-				t.Fatalf("accept %d: %v", i, rerr)
+		ep := listen(t, byAccept, Options{})
+		ep.recv(2 * rounds)
+		repush(t, ep.l.Addr())
+		for i := 0; i < 2*rounds; i++ {
+			if r, _ := ep.result(false); r.err != nil {
+				t.Fatalf("accept %d: %v", i, r.err)
 			}
 		}
 	})
@@ -332,47 +188,17 @@ func TestDedupBackToBackRepush(t *testing.T) {
 // before the restart.
 func TestDedupCachePersistsAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
 	obj := makeObj(128 << 10)
+	seed := listen(t, byAccept, Options{Checkpoint: dir})
+	seed.pushOK(obj, core.Config{Transfer: 1}, Options{})
+	seed.close()
 
-	l1, err := Listen("127.0.0.1:0", Options{Checkpoint: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done, _, _, rerrs := acceptN(ctx, l1, 1)
-	if _, err := Send(ctx, l1.Addr(), obj, core.Config{Transfer: 1}, Options{}); err != nil {
-		l1.Close()
-		t.Fatalf("seed send: %v", err)
-	}
-	<-done
-	if rerrs[0] != nil {
-		t.Fatalf("seed accept: %v", rerrs[0])
-	}
-	l1.Close()
-
-	l2, err := Listen("127.0.0.1:0", Options{Checkpoint: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if n := l2.cache.len(); n != 1 {
+	ep := listen(t, byAccept, Options{Checkpoint: dir})
+	if n := ep.l.cache.len(); n != 1 {
 		t.Fatalf("restarted cache holds %d entries, want 1", n)
 	}
-	done2, objs2, _, rerrs2 := acceptN(ctx, l2, 1)
-	sst, err := Send(ctx, l2.Addr(), obj, core.Config{Transfer: 2}, Options{})
-	if err != nil {
-		t.Fatalf("post-restart send: %v", err)
-	}
-	<-done2
-	if rerrs2[0] != nil {
-		t.Fatalf("post-restart accept: %v", rerrs2[0])
-	}
-	if !sst.Deduped || sst.PacketsSent != 0 {
+	if sst := ep.pushOK(obj, core.Config{Transfer: 2}, Options{}).sst; !sst.Deduped || sst.PacketsSent != 0 {
 		t.Fatalf("post-restart dedup: Deduped=%v PacketsSent=%d, want true/0", sst.Deduped, sst.PacketsSent)
-	}
-	if !bytes.Equal(objs2[0], obj) {
-		t.Fatal("post-restart deduplicated accept returned different bytes")
 	}
 }
 
@@ -495,30 +321,11 @@ func TestContentCacheEviction(t *testing.T) {
 // completed (and cached) the object finishes on the CHECK answer alone — no
 // resume bitmap, no data flow.
 func TestResumeReconciledWithDedup(t *testing.T) {
-	l, err := Listen("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	ep := listen(t, byAccept, Options{})
 	obj := makeObj(256 << 10)
-	done, _, _, rerrs := acceptN(ctx, l, 2)
-	if _, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: 1}, Options{}); err != nil {
-		t.Fatalf("seed send: %v", err)
-	}
+	ep.pushOK(obj, core.Config{Transfer: 1}, Options{})
 	// A restarted orchestrator re-driving the same task.
-	sst, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: 1}, Options{Retry: &RetryPolicy{}})
-	if err != nil {
-		t.Fatalf("rerun: %v", err)
-	}
-	<-done
-	for i, rerr := range rerrs {
-		if rerr != nil {
-			t.Fatalf("accept %d: %v", i, rerr)
-		}
-	}
-	if !sst.Deduped || sst.PacketsSent != 0 {
+	if sst := ep.pushOK(obj, core.Config{Transfer: 1}, Options{Retry: &RetryPolicy{}}).sst; !sst.Deduped || sst.PacketsSent != 0 {
 		t.Fatalf("rerun dedup: Deduped=%v PacketsSent=%d, want true/0", sst.Deduped, sst.PacketsSent)
 	}
 }
@@ -537,15 +344,11 @@ func TestVerifyRequiredIsTerminalOnRefusal(t *testing.T) {
 		{"traced", Options{TraceID: obs.TraceID{9, 9}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tl, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tl.Close()
+			stub := newFakeReceiver(t, false)
 			var conns atomic.Int32
 			go func() {
 				for {
-					c, err := tl.Accept()
+					c, err := stub.tcp.Accept()
 					if err != nil {
 						return
 					}
@@ -562,7 +365,7 @@ func TestVerifyRequiredIsTerminalOnRefusal(t *testing.T) {
 			opts.HandshakeRetries = 3 // a budget the refusal must not touch
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			_, err = Send(ctx, tl.Addr().String(), makeObj(1024), core.Config{Transfer: 3, PacketSize: 512}, opts)
+			_, err := Send(ctx, stub.addr(), makeObj(1024), core.Config{Transfer: 3, PacketSize: 512}, opts)
 			var abort *AbortError
 			if !errors.As(err, &abort) || abort.Reason != wire.AbortUnsupported {
 				t.Fatalf("err = %v, want the peer's ABORT(unsupported)", err)
@@ -581,21 +384,8 @@ func TestVerifyRequiredIsTerminalOnRefusal(t *testing.T) {
 // CHECK from a future protocol revision is answered with ABORT
 // (unsupported) — never a hang, never a data blast.
 func TestFutureCheckVersionAborted(t *testing.T) {
-	l, err := Listen("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	accErr := make(chan error, 1)
-	go func() { _, _, err := l.Accept(ctx); accErr <- err }()
-
-	conn, err := net.Dial("tcp", l.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	ep := listen(t, byAccept, Options{})
+	ep.recv(1)
 	frame := wire.AppendCheck(nil, &wire.Check{
 		Transfer:   1,
 		ObjectSize: 64,
@@ -604,19 +394,9 @@ func TestFutureCheckVersionAborted(t *testing.T) {
 	})
 	frame[3] = wire.CheckVersion + 1
 	frame = wire.AppendHello(frame, &wire.Hello{Transfer: 1, ObjectSize: 64, PacketSize: 64})
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	f, err := readControlFrame(conn)
-	if err != nil {
-		t.Fatalf("no answer to future-version CHECK: %v", err)
-	}
-	if f.typ != wire.TypeAbort || f.abort.Reason != wire.AbortUnsupported {
-		t.Fatalf("answer = type %d reason %v, want ABORT unsupported", f.typ, f.abort.Reason)
-	}
-	if err := <-accErr; !errors.Is(err, wire.ErrCheckVersion) {
-		t.Fatalf("Accept err = %v, want ErrCheckVersion", err)
+	dialRaw(t, ep.l.Addr(), frame).refused(wire.AbortUnsupported)
+	if r, _ := ep.result(true); !errors.Is(r.err, wire.ErrCheckVersion) {
+		t.Fatalf("Accept err = %v, want ErrCheckVersion", r.err)
 	}
 }
 
@@ -625,54 +405,17 @@ func TestFutureCheckVersionAborted(t *testing.T) {
 // cache too, here driven by plain Sends against the session listener's
 // port.
 func TestSessionDedupAnswersNext(t *testing.T) {
-	sl, err := ListenSession("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sl.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	ep := listen(t, bySession, Options{})
 	obj := makeObj(128 << 10)
-	type result struct {
-		obj []byte
-		st  core.ReceiverStats
-		err error
+	// Each plain Send dials its own control connection, so the endpoint
+	// accepts one session per send; both sessions share the listener's cache.
+	ep.pushOK(obj, core.Config{Transfer: 1}, Options{})
+	p := ep.pushOK(obj, core.Config{Transfer: 2}, Options{})
+	if !p.sst.Deduped || p.sst.PacketsSent != 0 {
+		t.Fatalf("session dedup: Deduped=%v PacketsSent=%d, want true/0", p.sst.Deduped, p.sst.PacketsSent)
 	}
-	results := make(chan result, 2)
-	go func() {
-		// Each plain Send dials its own control connection, so accept one
-		// session per send; both sessions share the listener's cache.
-		for i := 0; i < 2; i++ {
-			is, err := sl.AcceptSession(ctx)
-			if err != nil {
-				results <- result{err: err}
-				continue
-			}
-			got, st, err := is.Next(ctx)
-			is.Close()
-			results <- result{got, st, err}
-		}
-	}()
-	if _, err := Send(ctx, sl.Addr(), obj, core.Config{Transfer: 1}, Options{}); err != nil {
-		t.Fatalf("first send: %v", err)
-	}
-	r1 := <-results
-	if r1.err != nil {
-		t.Fatalf("first next: %v", r1.err)
-	}
-	sst, err := Send(ctx, sl.Addr(), obj, core.Config{Transfer: 2}, Options{})
-	if err != nil {
-		t.Fatalf("second send: %v", err)
-	}
-	r2 := <-results
-	if r2.err != nil {
-		t.Fatalf("second next: %v", r2.err)
-	}
-	if !sst.Deduped || sst.PacketsSent != 0 {
-		t.Fatalf("session dedup: Deduped=%v PacketsSent=%d, want true/0", sst.Deduped, sst.PacketsSent)
-	}
-	if !r2.st.Deduped || !bytes.Equal(r2.obj, obj) {
-		t.Fatalf("session receiver: Deduped=%v, bytes equal=%v", r2.st.Deduped, bytes.Equal(r2.obj, obj))
+	if !p.st.Deduped {
+		t.Fatalf("session receiver: Deduped=%v", p.st.Deduped)
 	}
 }
 
@@ -681,39 +424,12 @@ func TestSessionDedupAnswersNext(t *testing.T) {
 // off the receiver's cache — zero data packets, session unbroken, and a
 // third (different) object still flows normally afterwards.
 func TestSessionSenderDedups(t *testing.T) {
-	sl, err := ListenSession("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sl.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	ep := listen(t, bySession, Options{})
+	ctx := ep.ctx
 	obj := makeObj(128 << 10)
 	other := makeObj(96 << 10)
-
-	type result struct {
-		obj []byte
-		st  core.ReceiverStats
-		err error
-	}
-	results := make(chan result, 3)
-	go func() {
-		is, err := sl.AcceptSession(ctx)
-		if err != nil {
-			results <- result{err: err}
-			return
-		}
-		defer is.Close()
-		for i := 0; i < 3; i++ {
-			got, st, err := is.Next(ctx)
-			results <- result{got, st, err}
-			if err != nil {
-				return
-			}
-		}
-	}()
-
-	s, err := OpenSession(ctx, sl.Addr(), Options{})
+	ep.recv(3)
+	s, err := OpenSession(ctx, ep.l.Addr(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -721,9 +437,7 @@ func TestSessionSenderDedups(t *testing.T) {
 	if _, err := s.Send(ctx, obj, core.Config{}); err != nil {
 		t.Fatalf("first send: %v", err)
 	}
-	if r := <-results; r.err != nil || !bytes.Equal(r.obj, obj) {
-		t.Fatalf("first next: err=%v equal=%v", r.err, bytes.Equal(r.obj, obj))
-	}
+	ep.delivered(obj)
 	st, err := s.Send(ctx, obj, core.Config{})
 	if err != nil {
 		t.Fatalf("second send: %v", err)
@@ -734,9 +448,8 @@ func TestSessionSenderDedups(t *testing.T) {
 	if st.Restored != st.PacketsNeeded || st.PacketsNeeded == 0 {
 		t.Fatalf("second send restored %d of %d", st.Restored, st.PacketsNeeded)
 	}
-	r := <-results
-	if r.err != nil || !r.st.Deduped || !bytes.Equal(r.obj, obj) {
-		t.Fatalf("second next: err=%v Deduped=%v", r.err, r.st.Deduped)
+	if r := ep.delivered(obj); !r.st.Deduped {
+		t.Fatalf("second next: Deduped=%v", r.st.Deduped)
 	}
 	// The session survives the dedup hit: a fresh object still flows.
 	st3, err := s.Send(ctx, other, core.Config{})
@@ -746,7 +459,5 @@ func TestSessionSenderDedups(t *testing.T) {
 	if st3.Deduped || st3.PacketsSent == 0 {
 		t.Fatalf("third send should have moved data: %+v", st3)
 	}
-	if r := <-results; r.err != nil || !bytes.Equal(r.obj, other) {
-		t.Fatalf("third next: err=%v equal=%v", r.err, bytes.Equal(r.obj, other))
-	}
+	ep.delivered(other)
 }

@@ -13,8 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,410 +21,28 @@ import (
 	"github.com/hpcnet/fobs/internal/core"
 	"github.com/hpcnet/fobs/internal/faultnet"
 	"github.com/hpcnet/fobs/internal/metrics"
-	"github.com/hpcnet/fobs/internal/obs"
 	"github.com/hpcnet/fobs/internal/stats"
 	"github.com/hpcnet/fobs/internal/wire"
 )
 
-// received is one transfer's outcome as its adapter reported it.
-type received struct {
-	obj []byte
-	st  core.ReceiverStats
-	err error
-}
-
-// frameTap collects the control bytes a receiver wrote toward its senders.
-type frameTap struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (f *frameTap) Write(p []byte) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.buf.Write(p)
-}
-
-// frames names the whole frames collected so far, in order.
-func (f *frameTap) frames() []string {
-	f.mu.Lock()
-	r := bytes.NewReader(bytes.Clone(f.buf.Bytes()))
-	f.mu.Unlock()
-	var out []string
-	for r.Len() > 0 {
-		fr, err := readControlFrame(r)
-		if err != nil {
-			break // a frame still in flight
-		}
-		switch fr.typ {
-		case wire.TypeHave:
-			// Every answer advertises a receive window; a receiver that
-			// predates the window leaves its byte zero.
-			name := "HAVE(0)"
-			if fr.have.Received > 0 {
-				name = "HAVE(+)"
-			}
-			if fr.have.Window == 0 {
-				name += "(no window)"
-			}
-			out = append(out, name)
-		case wire.TypeComplete:
-			out = append(out, "COMPLETE")
-		case wire.TypeAbort:
-			out = append(out, "ABORT("+fr.abort.Reason.String()+")")
-		default:
-			out = append(out, fmt.Sprintf("type-%d", fr.typ))
-		}
-	}
-	return out
-}
-
-// testEndpoint is one receiving endpoint behind one of its adapters.
-type testEndpoint struct {
-	t      *testing.T
-	kind   string // "accept", "session" or "serve"
-	l      *Listener
-	sl     *SessionListener
-	reg    *metrics.Registry
-	io     *stats.IOCounters
-	proxy  *faultnet.Proxy
-	tap    *frameTap
-	ctx    context.Context
-	cancel context.CancelFunc
-	got    chan received
-	wg     sync.WaitGroup
-}
-
-// eachEndpoint runs fn against a fresh endpoint of each kind.
+// eachEndpoint runs fn against a fresh endpoint of each kind, behind a proxy
+// with the faults a call of faults returns (nil: none), and requires each to
+// end quiet.
 func eachEndpoint(t *testing.T, opts Options, faults func() *faultnet.Faults, fn func(t *testing.T, ep *testEndpoint)) {
-	for _, kind := range []string{"accept", "session", "serve"} {
+	for _, kind := range []string{byAccept, bySession, byServe} {
 		t.Run(kind, func(t *testing.T) {
-			ep := &testEndpoint{t: t, kind: kind, reg: metrics.New(), io: new(stats.IOCounters),
-				tap: new(frameTap), got: make(chan received, 8)} // more than any scenario receives
 			opts := opts
-			opts.Metrics, opts.IOCounters = ep.reg, ep.io
-			ep.ctx, ep.cancel = context.WithTimeout(context.Background(), 60*time.Second)
-			var err error
-			switch kind {
-			case "accept":
-				ep.l, err = Listen("127.0.0.1:0", opts)
-			case "session":
-				if ep.sl, err = ListenSession("127.0.0.1:0", opts); err == nil {
-					ep.l = ep.sl.l
-				}
-			case "serve":
-				var srv *Server
-				if srv, err = NewServer("127.0.0.1:0", opts); err == nil {
-					ep.l = srv.Listener
-					ep.wg.Add(1)
-					go func() {
-						defer ep.wg.Done()
-						srv.Serve(ep.ctx, func(_ uint32, obj []byte, st core.ReceiverStats) {
-							ep.got <- received{obj, st, nil}
-						})
-					}()
-				}
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
+			opts.Metrics, opts.IOCounters = metrics.New(), new(stats.IOCounters)
+			ep := listen(t, kind, opts)
 			var f *faultnet.Faults
 			if faults != nil {
 				f = faults()
 			}
-			if ep.proxy, err = faultnet.NewProxy(ep.l.Addr(), f); err != nil {
-				t.Fatal(err)
-			}
-			ep.proxy.TapControl(ep.tap)
-			defer ep.close()
+			ep.front(f)
+			defer func() { ep.close(); ep.quiet() }()
 			fn(t, ep)
 		})
 	}
-}
-
-// close ends the endpoint and requires that it ended quiet.
-func (ep *testEndpoint) close() {
-	ep.cancel()
-	ep.proxy.Close()
-	ep.l.Close()
-	ep.wg.Wait()
-	if n := ep.tags(); n != 0 {
-		ep.t.Errorf("%d transfer tags still registered after every transfer ended", n)
-	}
-	if n := sealWorkers(); n != 0 {
-		ep.t.Errorf("%d sealer goroutines outlived their transfers", n)
-	}
-}
-
-// watches reports whether the adapter watches a transfer's control
-// connection for the sender's ABORT (a session connection cannot be).
-func (ep *testEndpoint) watches() bool { return ep.kind != "session" }
-
-func (ep *testEndpoint) receiveOne() received {
-	if ep.kind == "accept" {
-		obj, st, err := ep.l.Accept(ep.ctx)
-		return received{obj, st, err}
-	}
-	is, err := ep.sl.AcceptSession(ep.ctx)
-	if err != nil {
-		return received{err: err}
-	}
-	defer is.Close()
-	obj, st, err := is.Next(ep.ctx)
-	return received{obj, st, err}
-}
-
-// recv has the adapter take one more transfer (a Server always does).
-func (ep *testEndpoint) recv() {
-	if ep.kind == "serve" {
-		return
-	}
-	ep.wg.Add(1)
-	go func() {
-		defer ep.wg.Done()
-		ep.got <- ep.receiveOne()
-	}()
-}
-
-// recvUntilSuccess is recv for a transfer that is interrupted and resumed:
-// failed attempts are taken and dropped until one delivers.
-func (ep *testEndpoint) recvUntilSuccess() {
-	if ep.kind == "serve" {
-		return
-	}
-	ep.wg.Add(1)
-	go func() {
-		defer ep.wg.Done()
-		for {
-			r := ep.receiveOne()
-			if r.err == nil || ep.ctx.Err() != nil {
-				ep.got <- r
-				return
-			}
-		}
-	}()
-}
-
-// result waits for the next outcome an adapter reports. A Server reports
-// nothing for a failed transfer; ok is false then, and the caller reads the
-// verdict from the metrics record instead.
-func (ep *testEndpoint) result(failing bool) (r received, ok bool) {
-	ep.t.Helper()
-	if ep.kind == "serve" && failing {
-		return received{}, false
-	}
-	select {
-	case r := <-ep.got:
-		return r, true
-	case <-time.After(30 * time.Second):
-		ep.t.Fatal("the adapter never reported the transfer")
-		return received{}, false
-	}
-}
-
-// delivered is result for a transfer that must succeed with obj.
-func (ep *testEndpoint) delivered(obj []byte) received {
-	ep.t.Helper()
-	r, _ := ep.result(false)
-	if r.err != nil || !bytes.Equal(r.obj, obj) {
-		ep.t.Fatalf("delivery: err=%v intact=%v", r.err, bytes.Equal(r.obj, obj))
-	}
-	return r
-}
-
-// record waits for the receive-side metrics record of a transfer to satisfy
-// ok — a terminal outcome, or progress on a running one.
-func (ep *testEndpoint) record(id uint32, what string, ok func(metrics.TransferSnapshot) bool) metrics.TransferSnapshot {
-	ep.t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		ts, found := ep.reg.Snapshot().Find(id, obs.RoleReceiver)
-		if found && ok(ts) {
-			return ts
-		}
-		if time.Now().After(deadline) {
-			ep.t.Fatalf("transfer %d never %s: found=%v record=%+v", id, what, found, ts)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-func (ep *testEndpoint) completed(id uint32) metrics.TransferSnapshot {
-	ep.t.Helper()
-	return ep.record(id, "completed", func(ts metrics.TransferSnapshot) bool { return ts.Outcome == metrics.OutcomeCompleted })
-}
-
-// aborted requires the record to end aborted with the given reason.
-func (ep *testEndpoint) aborted(id uint32, reason wire.AbortReason) {
-	ep.t.Helper()
-	ts := ep.record(id, "ended", func(ts metrics.TransferSnapshot) bool { return ts.Outcome != metrics.OutcomeRunning })
-	if ts.Outcome != metrics.OutcomeAborted || wire.AbortReason(ts.AbortReason) != reason {
-		ep.t.Fatalf("transfer %d recorded %v (%s), want aborted (%s)", id, ts.Outcome, wire.AbortReason(ts.AbortReason), reason)
-	}
-}
-
-// placed waits until the transfer has placed at least one packet.
-func (ep *testEndpoint) placed(id uint32) {
-	ep.t.Helper()
-	ep.record(id, "placed a packet", func(ts metrics.TransferSnapshot) bool { return ts.Fresh > 0 })
-}
-
-// wantFrames requires the control frames the senders saw to be exactly want
-// (in order, or as a multiset when several connections interleave), and to
-// stay that way.
-func (ep *testEndpoint) wantFrames(ordered bool, want ...string) {
-	ep.t.Helper()
-	same := func() bool {
-		got, want := ep.tap.frames(), slices.Clone(want)
-		if !ordered {
-			slices.Sort(got)
-			slices.Sort(want)
-		}
-		return slices.Equal(got, want)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !same() {
-		if time.Now().After(deadline) {
-			ep.t.Fatalf("control frames the senders saw: %v, want %v", ep.tap.frames(), want)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	time.Sleep(20 * time.Millisecond) // a frame too many would be on its way
-	if !same() {
-		ep.t.Fatalf("control frames the senders saw: %v, want %v", ep.tap.frames(), want)
-	}
-}
-
-// retains reports whether the endpoint's resume store holds state for obj's
-// content.
-func (ep *testEndpoint) retains(obj []byte) bool {
-	s := ep.l.store
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.entries[core.ContentID(obj)] != nil
-}
-
-// tags counts the transfer tags registered with the endpoint.
-func (ep *testEndpoint) tags() int {
-	ep.l.mu.Lock()
-	defer ep.l.mu.Unlock()
-	return len(ep.l.inbound)
-}
-
-// registered waits until a transfer has registered its tags.
-func (ep *testEndpoint) registered() {
-	ep.t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); ep.tags() == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			ep.t.Fatal("no transfer ever registered")
-		}
-	}
-}
-
-// seedRetained plants resume state for obj's content holding its first
-// `have` packets, as an earlier failed transfer under id would have left it.
-func (ep *testEndpoint) seedRetained(id uint32, obj []byte, ps, have int) {
-	words := make([]uint64, (core.NumPackets(int64(len(obj)), ps)+63)/64)
-	for i := 0; i < have; i++ {
-		words[i/64] |= 1 << (i % 64)
-	}
-	held := make([]byte, len(obj))
-	copy(held, obj[:min(have*ps, len(obj))])
-	ep.l.store.insert(&retained{content: core.ContentID(obj), transfer: id, objectSize: uint64(len(obj)),
-		packetSize: ps, obj: held, words: words, received: have})
-}
-
-// rawPeer is a hand-driven sender: a control connection carrying whatever
-// announcement the test wrote, and a data socket.
-type rawPeer struct {
-	t   *testing.T
-	ctl *net.TCPConn
-	udp *net.UDPConn
-}
-
-func dialRaw(t *testing.T, addr string, announcement []byte) *rawPeer {
-	t.Helper()
-	ctl, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ctl.Close() })
-	ua, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	udp, err := net.DialUDP("udp", nil, ua)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { udp.Close() })
-	if _, err := ctl.Write(announcement); err != nil {
-		t.Fatal(err)
-	}
-	return &rawPeer{t, ctl.(*net.TCPConn), udp}
-}
-
-// accepted reads the answer to an announcement the receiver took on: the
-// HAVE.
-func (r *rawPeer) accepted() {
-	r.t.Helper()
-	if f := r.read(); f.typ != wire.TypeHave {
-		r.t.Fatalf("announcement answered with frame type %d", f.typ)
-	}
-}
-
-// read returns the receiver's next control frame.
-func (r *rawPeer) read() controlFrame {
-	r.t.Helper()
-	r.ctl.SetReadDeadline(time.Now().Add(10 * time.Second))
-	f, err := readControlFrame(r.ctl)
-	if err != nil {
-		r.t.Fatalf("no control frame: %v", err)
-	}
-	return f
-}
-
-// data puts packets [from, to) of obj on the data socket under tag.
-func (r *rawPeer) data(tag uint32, obj []byte, ps, from, to int) {
-	r.t.Helper()
-	total := core.NumPackets(int64(len(obj)), ps)
-	for seq := from; seq < to; seq++ {
-		pkt := wire.AppendData(nil, &wire.Data{Transfer: tag, Seq: uint32(seq), Total: uint32(total),
-			Payload: obj[seq*ps : min((seq+1)*ps, len(obj))]})
-		if _, err := r.udp.Write(pkt); err != nil {
-			r.t.Fatal(err)
-		}
-	}
-}
-
-// dataUntil keeps putting packets [from, to) on the wire until done reports
-// true: a raw peer reads no acknowledgements, so a datagram dropped on the
-// way (the proxy's socket buffer is small, the host may be busy) is repaired
-// only by sending it again.
-func (r *rawPeer) dataUntil(tag uint32, obj []byte, ps, from, to int, done func() bool) {
-	r.t.Helper()
-	for deadline := time.Now().Add(20 * time.Second); !done(); time.Sleep(10 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			r.t.Fatalf("packets [%d, %d) of transfer %d never had their effect", from, to, tag)
-		}
-		r.data(tag, obj, ps, from, to)
-	}
-}
-
-// reset kills the control connection with an RST, and gives it time to land:
-// the receiver's next write on the connection fails.
-func (r *rawPeer) reset() {
-	r.ctl.SetLinger(0)
-	r.ctl.Close()
-	time.Sleep(50 * time.Millisecond)
-}
-
-// announceFor is a single-flow announcement of obj under id: its CHECK, then
-// the HELLO.
-func announceFor(id uint32, obj []byte, ps int) []byte {
-	check := wire.AppendCheck(nil, &wire.Check{Flags: wire.CheckFlagDedup, Transfer: id,
-		ObjectSize: uint64(len(obj)), PacketSize: uint32(ps), Digest: core.ContentID(obj)})
-	return wire.AppendHello(check, &wire.Hello{Transfer: id, ObjectSize: uint64(len(obj)), PacketSize: uint32(ps)})
 }
 
 // The retired announcement frames as earlier builds wrote them.
@@ -482,7 +98,7 @@ func TestEndpointMatrix(t *testing.T) {
 		run    func(t *testing.T, ep *testEndpoint)
 	}{
 		{name: "fresh", run: func(t *testing.T, ep *testEndpoint) {
-			ep.recv()
+			ep.recv(1)
 			sst, err := Send(ep.ctx, ep.proxy.Addr(), obj, core.Config{Transfer: 11, PacketSize: ps}, Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -493,7 +109,7 @@ func TestEndpointMatrix(t *testing.T) {
 			// record and in Options.IOCounters alike.
 			rec := ep.completed(11)
 			ep.l.mu.Lock()
-			io := *ep.io
+			io := *ep.l.opts.IOCounters
 			ep.l.mu.Unlock()
 			if rec.IO != io || io.RecvDatagrams < sst.PacketsNeeded || io.RecvCalls == 0 || io.SentDatagrams == 0 {
 				t.Fatalf("socket counters: record %+v, Options.IOCounters %+v, %d packets needed", rec.IO, io, sst.PacketsNeeded)
@@ -505,7 +121,7 @@ func TestEndpointMatrix(t *testing.T) {
 			// the transfer — longer than the window such an endpoint would
 			// have advertised had it known how — runs as it always did.
 			big := makeObj(1<<20 + 31)
-			ep.recv()
+			ep.recv(1)
 			if _, err := Send(ep.ctx, ep.proxy.Addr(), big, core.Config{Transfer: 15, PacketSize: ps}, Options{}); err != nil {
 				t.Fatal(err)
 			}
@@ -514,7 +130,7 @@ func TestEndpointMatrix(t *testing.T) {
 			ep.completed(15)
 		}},
 		{name: "4 stripes", run: func(t *testing.T, ep *testEndpoint) {
-			ep.recv()
+			ep.recv(1)
 			if _, err := Send(ep.ctx, ep.proxy.Addr(), obj, core.Config{Transfer: 21, PacketSize: ps}, Options{Streams: 4}); err != nil {
 				t.Fatal(err)
 			}
@@ -533,7 +149,7 @@ func TestEndpointMatrix(t *testing.T) {
 			errs := make([]error, len(objs))
 			var wg sync.WaitGroup
 			for i := range objs {
-				ep.recv()
+				ep.recv(1)
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
@@ -594,7 +210,7 @@ func TestEndpointMatrix(t *testing.T) {
 			// Retained state that is the whole object answers the CHECK the
 			// way a cache hit does: the full HAVE, then COMPLETE, no data.
 			ep.seedRetained(60, obj, ps, packets)
-			ep.recv()
+			ep.recv(1)
 			peer := dialRaw(t, ep.proxy.Addr(), announceFor(61, obj, ps))
 			if f := peer.read(); f.typ != wire.TypeHave || int(f.have.Received) != packets {
 				t.Fatalf("CHECK answered with frame type %d holding %d packets; want a HAVE of all %d", f.typ, f.have.Received, packets)
@@ -612,7 +228,7 @@ func TestEndpointMatrix(t *testing.T) {
 			// go back to the store.
 			ep.seedRetained(62, obj, ps, packets)
 			ep.l.store.mu.Lock()
-			ep.recv()
+			ep.recv(1)
 			peer := dialRaw(t, ep.l.Addr(), announceFor(62, obj, ps))
 			ep.registered()
 			peer.reset()
@@ -624,7 +240,7 @@ func TestEndpointMatrix(t *testing.T) {
 			if !ep.retains(obj) {
 				t.Fatal("the claimed resume state was lost with the failed HAVE")
 			}
-			ep.recv()
+			ep.recv(1)
 			dialRaw(t, ep.proxy.Addr(), announceFor(62, obj, ps))
 			ep.delivered(obj)
 			ep.wantFrames(true, "HAVE(+)", "COMPLETE")
@@ -634,7 +250,7 @@ func TestEndpointMatrix(t *testing.T) {
 			// under a new id of content the receiver retains in part sends
 			// only the rest.
 			ep.seedRetained(63, obj, ps, packets/2)
-			ep.recv()
+			ep.recv(1)
 			sst, err := Send(ep.ctx, ep.proxy.Addr(), obj, core.Config{Transfer: 64, PacketSize: ps}, Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -655,7 +271,7 @@ func TestEndpointMatrix(t *testing.T) {
 			other := bytes.Clone(obj)
 			other[0] ^= 0xFF
 			ep.seedRetained(65, obj, ps, packets/2)
-			ep.recv()
+			ep.recv(1)
 			sst, err := Send(ep.ctx, ep.proxy.Addr(), other, core.Config{Transfer: 65, PacketSize: ps}, Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -673,7 +289,7 @@ func TestEndpointMatrix(t *testing.T) {
 			// and the CHECK answered as a miss, never refused.
 			ep.l.store.insert(&retained{content: core.ContentID(obj), transfer: 67, objectSize: uint64(len(obj)),
 				packetSize: ps, obj: make([]byte, len(obj)), words: fullWords(packets + 640), received: packets})
-			ep.recv()
+			ep.recv(1)
 			sst, err := Send(ep.ctx, ep.proxy.Addr(), obj, core.Config{Transfer: 67, PacketSize: ps}, Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -690,7 +306,7 @@ func TestEndpointMatrix(t *testing.T) {
 			// The retired frame is refused with a reason, and nothing is
 			// registered or claimed.
 			ep.seedRetained(66, obj, ps, packets/2)
-			ep.recv()
+			ep.recv(1)
 			dialRaw(t, ep.proxy.Addr(), legacyResume(66, obj, ps))
 			if r, ok := ep.result(true); ok && r.err == nil {
 				t.Fatal("a RESUME was taken as a transfer")
@@ -705,7 +321,7 @@ func TestEndpointMatrix(t *testing.T) {
 			// announcement: refused with a reason, nothing registered or
 			// claimed.
 			ep.seedRetained(67, obj, ps, packets/2)
-			ep.recv()
+			ep.recv(1)
 			check := announceFor(67, obj, ps)[:wire.CheckLen]
 			dialRaw(t, ep.proxy.Addr(), append(check, legacyHelloX(67, obj, ps, 4)...))
 			if r, ok := ep.result(true); ok && r.err == nil {
@@ -720,7 +336,7 @@ func TestEndpointMatrix(t *testing.T) {
 			// The retired prelude ahead of an announcement of retained
 			// content: refused with a reason, nothing registered or claimed.
 			ep.seedRetained(68, obj, ps, packets/2)
-			ep.recv()
+			ep.recv(1)
 			dialRaw(t, ep.proxy.Addr(), append(legacyTrace(1, [16]byte{7}), announceFor(68, obj, ps)...))
 			if r, ok := ep.result(true); ok && r.err == nil {
 				t.Fatal("a traced announcement of an earlier build was taken as a transfer")
@@ -744,7 +360,7 @@ func TestEndpointMatrix(t *testing.T) {
 				c := wire.Check{Flags: wire.CheckFlagDedup, Transfer: 69, ObjectSize: uint64(len(obj)),
 					PacketSize: ps, Digest: core.ContentID(obj)}
 				bend(&c)
-				ep.recv()
+				ep.recv(1)
 				dialRaw(t, ep.proxy.Addr(), wire.AppendHello(wire.AppendCheck(nil, &c),
 					&wire.Hello{Transfer: 69, ObjectSize: uint64(len(obj)), PacketSize: ps}))
 				if r, ok := ep.result(true); ok && r.err == nil {
@@ -759,7 +375,7 @@ func TestEndpointMatrix(t *testing.T) {
 		}},
 		{name: "dedup hit", run: func(t *testing.T, ep *testEndpoint) {
 			for tag := uint32(71); tag <= 72; tag++ {
-				ep.recv()
+				ep.recv(1)
 				sst, err := Send(ep.ctx, ep.proxy.Addr(), obj, core.Config{Transfer: tag, PacketSize: ps}, Options{})
 				if err != nil {
 					t.Fatal(err)
@@ -780,7 +396,7 @@ func TestEndpointMatrix(t *testing.T) {
 				return err == nil && d.Seq == 3
 			}})
 		}, run: func(t *testing.T, ep *testEndpoint) {
-			ep.recv()
+			ep.recv(1)
 			_, serr := Send(ep.ctx, ep.proxy.Addr(), obj, core.Config{Transfer: 81, PacketSize: ps}, Options{Pace: 2 * time.Microsecond})
 			if !errors.Is(serr, ErrDigestMismatch) {
 				t.Fatalf("sender err = %v, want ErrDigestMismatch", serr)
@@ -795,7 +411,7 @@ func TestEndpointMatrix(t *testing.T) {
 			}
 		}},
 		{name: "idle timeout", opts: starve, run: func(t *testing.T, ep *testEndpoint) {
-			ep.recv()
+			ep.recv(1)
 			peer := dialRaw(t, ep.proxy.Addr(), announceFor(91, obj, ps))
 			peer.accepted()
 			peer.data(91, obj, ps, 0, packets/2)
@@ -809,7 +425,7 @@ func TestEndpointMatrix(t *testing.T) {
 			}
 		}},
 		{name: "sender ABORT", opts: starve, run: func(t *testing.T, ep *testEndpoint) {
-			ep.recv()
+			ep.recv(1)
 			peer := dialRaw(t, ep.proxy.Addr(), announceFor(92, obj, ps))
 			peer.accepted()
 			peer.data(92, obj, ps, 0, packets/2)
@@ -837,7 +453,7 @@ func TestEndpointMatrix(t *testing.T) {
 			}
 		}},
 		{name: "ctx cancel", run: func(t *testing.T, ep *testEndpoint) {
-			ep.recv()
+			ep.recv(1)
 			peer := dialRaw(t, ep.proxy.Addr(), announceFor(93, obj, ps))
 			peer.accepted()
 			peer.data(93, obj, ps, 0, packets/2)
@@ -860,8 +476,8 @@ func TestEndpointMatrix(t *testing.T) {
 			other := bytes.Clone(obj)
 			other[0] ^= 0xFF
 			ep.seedRetained(95, obj, ps, 1)
-			ep.recv()
-			ep.recv()
+			ep.recv(1)
+			ep.recv(1)
 			squatter := dialRaw(t, ep.proxy.Addr(), announceFor(95, other, ps))
 			squatter.accepted()
 			squatter.data(95, other, ps, 0, packets/2)
@@ -886,7 +502,7 @@ func TestEndpointMatrix(t *testing.T) {
 			// A striped announcement of retained content never consults the
 			// store: it moves every packet, and the state stays retained.
 			ep.seedRetained(97, obj, ps, packets/2)
-			ep.recv()
+			ep.recv(1)
 			sst, err := Send(ep.ctx, ep.proxy.Addr(), obj, core.Config{Transfer: 97, PacketSize: ps}, Options{Streams: 4})
 			if err != nil {
 				t.Fatal(err)
@@ -903,13 +519,10 @@ func TestEndpointMatrix(t *testing.T) {
 			// Hold the lifecycle between its verdict and its COMPLETE (at the
 			// content cache), kill the connection under it, let it go: the
 			// record must say the transfer failed, with the write's error.
-			ep.recv()
+			ep.recv(1)
 			peer := dialRaw(t, ep.l.Addr(), announceFor(98, obj, ps))
 			peer.accepted()
-			peer.dataUntil(98, obj, ps, 0, packets-1, func() bool {
-				ts, _ := ep.reg.Snapshot().Find(98, obs.RoleReceiver)
-				return ts.Fresh == int64(packets-1)
-			})
+			peer.dataUntil(98, obj, ps, 0, packets-1, func() bool { return ep.fresh(98) == int64(packets-1) })
 			ep.l.cache.mu.Lock()
 			peer.dataUntil(98, obj, ps, packets-1, packets, func() bool { return ep.tags() == 0 })
 			peer.reset()

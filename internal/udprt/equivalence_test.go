@@ -1,7 +1,6 @@
 package udprt
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -56,37 +55,9 @@ func TestPathEquivalenceUnderImpairments(t *testing.T) {
 					Pace:       2 * time.Microsecond,
 					NoFastPath: noFastPath,
 				}
-				l, err := Listen("127.0.0.1:0", opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer l.Close()
-				proxy, err := faultnet.NewProxy(l.Addr(), tc.policy)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer proxy.Close()
-
-				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-				defer cancel()
-				var got []byte
-				var rerr error
-				done := make(chan struct{})
-				go func() {
-					defer close(done)
-					got, _, rerr = l.Accept(ctx)
-				}()
-				sst, serr := Send(ctx, proxy.Addr(), obj, core.Config{}, opts)
-				<-done
-				if serr != nil {
-					t.Fatalf("send: %v", serr)
-				}
-				if rerr != nil {
-					t.Fatalf("receive: %v", rerr)
-				}
-				if !bytes.Equal(got, obj) {
-					t.Fatal("object corrupted")
-				}
+				ep := listen(t, byAccept, opts)
+				proxy := ep.front(tc.policy)
+				sst := ep.pushOK(obj, core.Config{}, opts).sst
 				if tc.policy != nil {
 					if st := proxy.Stats(); st.Dropped+st.Duplicated+st.Reordered+st.Delayed == 0 {
 						t.Fatalf("faults never fired: %+v", st)
@@ -188,10 +159,7 @@ func TestBatchPolicyReachesWire(t *testing.T) {
 				opts.testFlushHook = func(k, m int) { flushes = append(flushes, k) }
 				obj := makeObj(tc.objBytes)
 				cfg := core.Config{PacketSize: 1024, Batch: tc.batch}
-				got, _, _ := transfer(t, obj, cfg, opts)
-				if !bytes.Equal(got, obj) {
-					t.Fatal("object corrupted")
-				}
+				push(t, obj, cfg, opts, opts)
 				if len(flushes) < len(tc.wantPrefix) {
 					t.Fatalf("only %d flushes recorded, want at least %d: %v",
 						len(flushes), len(tc.wantPrefix), flushes)
@@ -218,26 +186,8 @@ func TestBatchPolicyReachesWire(t *testing.T) {
 func TestIOCountersReported(t *testing.T) {
 	eachIOPath(t, func(t *testing.T, noFastPath bool) {
 		var sio, rio stats.IOCounters
-		sOpts := Options{NoFastPath: noFastPath, IOCounters: &sio}
-		obj := makeObj(128 << 10)
-
-		l, err := Listen("127.0.0.1:0", Options{NoFastPath: noFastPath, IOCounters: &rio})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		done := make(chan struct{})
-		var got []byte
-		go func() { defer close(done); got, _, _ = l.Accept(ctx) }()
-		if _, err := Send(ctx, l.Addr(), obj, core.Config{}, sOpts); err != nil {
-			t.Fatal(err)
-		}
-		<-done
-		if !bytes.Equal(got, obj) {
-			t.Fatal("object corrupted")
-		}
+		push(t, makeObj(128<<10), core.Config{}, Options{NoFastPath: noFastPath, IOCounters: &sio},
+			Options{NoFastPath: noFastPath, IOCounters: &rio})
 		wantFast := !noFastPath && FastPathAvailable()
 		if sio.FastPath != wantFast || rio.FastPath != wantFast {
 			t.Fatalf("FastPath flags = %v/%v, want %v", sio.FastPath, rio.FastPath, wantFast)

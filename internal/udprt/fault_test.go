@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"net"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -18,93 +17,6 @@ import (
 	"github.com/hpcnet/fobs/internal/obs"
 	"github.com/hpcnet/fobs/internal/wire"
 )
-
-// fakeReceiver is a hand-driven peer speaking just enough of the control
-// protocol to lure a real sender into a chosen failure: it completes the
-// handshake and then does whatever the test says — typically nothing.
-type fakeReceiver struct {
-	t    *testing.T
-	tcp  *net.TCPListener
-	udp  *net.UDPConn // nil when the test wants ECONNREFUSED on data writes
-	ctl  *net.TCPConn
-	done chan struct{}
-}
-
-// newFakeReceiver binds the TCP control port, optionally with a UDP socket
-// on the same port swallowing (never reading) data packets.
-func newFakeReceiver(t *testing.T, withUDP bool) *fakeReceiver {
-	t.Helper()
-	tl, err := net.ListenTCP("tcp", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := &fakeReceiver{t: t, tcp: tl, done: make(chan struct{})}
-	if withUDP {
-		port := tl.Addr().(*net.TCPAddr).Port
-		f.udp, err = net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: port})
-		if err != nil {
-			tl.Close()
-			t.Fatal(err)
-		}
-	}
-	t.Cleanup(f.close)
-	return f
-}
-
-func (f *fakeReceiver) addr() string { return f.tcp.Addr().String() }
-
-func (f *fakeReceiver) close() {
-	f.tcp.Close()
-	if f.udp != nil {
-		f.udp.Close()
-	}
-	if f.ctl != nil {
-		f.ctl.Close()
-	}
-}
-
-// acceptHandshake accepts the sender's control connection, consumes its
-// announcement — CHECK, then HELLO — and answers it with a miss that accepts
-// the transfer, like a real cache-empty receiver, then goes silent.
-func (f *fakeReceiver) acceptHandshake() {
-	defer close(f.done)
-	f.tcp.SetDeadline(time.Now().Add(10 * time.Second))
-	ctl, err := f.tcp.AcceptTCP()
-	if err != nil {
-		f.t.Errorf("fake receiver accept: %v", err)
-		return
-	}
-	f.ctl = ctl
-	ctl.SetReadDeadline(time.Now().Add(10 * time.Second))
-	var transfer uint32
-	for _, want := range []uint8{wire.TypeCheck, wire.TypeHello} {
-		frame, err := readControlFrame(ctl)
-		if err != nil || frame.typ != want {
-			f.t.Errorf("fake receiver announcement: type %d (want %d), %v", frame.typ, want, err)
-			return
-		}
-		transfer = frame.hello.Transfer
-	}
-	if err := writeControl(ctl, wire.AppendHave(nil, &wire.Have{Transfer: transfer, Words: []uint64{0}})); err != nil {
-		f.t.Errorf("fake receiver answer: %v", err)
-	}
-}
-
-// expectAbort reads one more control frame and checks it is an ABORT with
-// the given reason.
-func (f *fakeReceiver) expectAbort(reason wire.AbortReason) {
-	f.t.Helper()
-	<-f.done
-	f.ctl.SetReadDeadline(time.Now().Add(10 * time.Second))
-	frame, err := readControlFrame(f.ctl)
-	if err != nil {
-		f.t.Fatalf("reading abort: %v", err)
-	}
-	if frame.typ != wire.TypeAbort || frame.abort.Reason != reason {
-		f.t.Fatalf("got control frame type %d reason %v, want ABORT %v",
-			frame.typ, frame.abort.Reason, reason)
-	}
-}
 
 // instruments is one endpoint's three instruments, all on: live metrics, a
 // flight recording and a span log, the last two into memory.
@@ -186,12 +98,8 @@ func TestTransferCompletesUnderLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault-injection test skipped in -short mode")
 	}
-	l, err := Listen("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	proxy, err := faultnet.NewProxy(l.Addr(), faultnet.New(faultnet.Policy{
+	ep := listen(t, byAccept, Options{})
+	proxy := ep.front(faultnet.New(faultnet.Policy{
 		Seed:    42,
 		Drop:    0.12,
 		Dup:     0.04,
@@ -199,32 +107,7 @@ func TestTransferCompletesUnderLoss(t *testing.T) {
 		Delay:   0.04,
 		DelayBy: time.Millisecond,
 	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	obj := makeObj(1<<20 + 13)
-	var got []byte
-	var rerr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		got, _, rerr = l.Accept(ctx)
-	}()
-	sst, serr := Send(ctx, proxy.Addr(), obj, core.Config{}, Options{Pace: 2 * time.Microsecond})
-	<-done
-	if serr != nil {
-		t.Fatalf("send through faults: %v", serr)
-	}
-	if rerr != nil {
-		t.Fatalf("receive through faults: %v", rerr)
-	}
-	if !bytes.Equal(got, obj) {
-		t.Fatal("object corrupted by fault injection")
-	}
+	sst := ep.pushOK(makeObj(1<<20+13), core.Config{}, Options{Pace: 2 * time.Microsecond}).sst
 	st := proxy.Stats()
 	if st.Dropped == 0 || st.Duplicated == 0 {
 		t.Fatalf("faults never fired: %+v", st)
@@ -276,24 +159,11 @@ func TestSenderStallMidTransferViaBlackhole(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault-injection test skipped in -short mode")
 	}
-	l, err := Listen("127.0.0.1:0", Options{IdleTimeout: 30 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	proxy, err := faultnet.NewProxy(l.Addr(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-
+	ep := listen(t, byAccept, Options{IdleTimeout: 30 * time.Second})
+	proxy := ep.front(nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	recvErr := make(chan error, 1)
-	go func() {
-		_, _, err := l.Accept(ctx)
-		recvErr <- err
-	}()
+	ep.recv(1)
 
 	var cut atomic.Bool
 	opts := Options{
@@ -305,7 +175,7 @@ func TestSenderStallMidTransferViaBlackhole(t *testing.T) {
 			}
 		},
 	}
-	_, err = Send(ctx, proxy.Addr(), makeObj(4<<20), core.Config{AckFrequency: 16}, opts)
+	_, err := Send(ctx, proxy.Addr(), makeObj(4<<20), core.Config{AckFrequency: 16}, opts)
 	if !cut.Load() {
 		t.Fatal("transfer finished before the blackhole engaged; enlarge the object")
 	}
@@ -315,14 +185,9 @@ func TestSenderStallMidTransferViaBlackhole(t *testing.T) {
 	// The sender's ABORT travels over the (still connected) control
 	// channel, so the receiver learns of the failure promptly instead of
 	// idling out.
-	select {
-	case rerr := <-recvErr:
-		var abort *AbortError
-		if !errors.As(rerr, &abort) || abort.Reason != wire.AbortStalled {
-			t.Fatalf("receiver error = %v, want stall abort", rerr)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("receiver did not learn about the sender's abort")
+	var abort *AbortError
+	if r, _ := ep.result(true); !errors.As(r.err, &abort) || abort.Reason != wire.AbortStalled {
+		t.Fatalf("receiver error = %v, want stall abort", r.err)
 	}
 }
 
@@ -330,31 +195,13 @@ func TestSenderStallMidTransferViaBlackhole(t *testing.T) {
 // transfer id with a prompt reasoned ABORT, rather than the old silent
 // drop that left the second sender hanging until some timeout.
 func TestDuplicateTransferIDAborted(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	serveDone := make(chan struct{})
-	go func() {
-		defer close(serveDone)
-		srv.Serve(ctx, func(uint32, []byte, core.ReceiverStats) {})
-	}()
-
+	ep := listen(t, byServe, Options{})
+	ep.recv(1)
 	// A squatter handshakes for transfer 9 and sits on it.
-	squatter, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer squatter.Close()
-	if _, err := exchange(ctx, squatter, announceFor(9, makeObj(1<<20), 1024), 9, 10*time.Second); err != nil {
-		t.Fatalf("squatter handshake: %v", err)
-	}
+	dialRaw(t, ep.l.Addr(), announceFor(9, makeObj(1<<20), 1024)).accepted()
 
 	start := time.Now()
-	_, err = Send(ctx, srv.Addr(), makeObj(32<<10), core.Config{Transfer: 9}, Options{})
+	_, err := Send(ep.ctx, ep.l.Addr(), makeObj(32<<10), core.Config{Transfer: 9}, Options{})
 	elapsed := time.Since(start)
 	var abort *AbortError
 	if !errors.As(err, &abort) {
@@ -366,8 +213,6 @@ func TestDuplicateTransferIDAborted(t *testing.T) {
 	if elapsed > 5*time.Second {
 		t.Fatalf("duplicate rejection took %v; must be prompt, not a timeout", elapsed)
 	}
-	cancel()
-	<-serveDone
 }
 
 // TestReceiverIdleAbortsAndInformsSender starves a live receiver of data
@@ -375,52 +220,19 @@ func TestDuplicateTransferIDAborted(t *testing.T) {
 // back to the (silent but connected) sender.
 func TestReceiverIdleAbortsAndInformsSender(t *testing.T) {
 	inst := newInstruments()
-	l, err := Listen("127.0.0.1:0", inst.on(Options{IdleTimeout: 300 * time.Millisecond}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	var rst core.ReceiverStats
-	recvErr := make(chan error, 1)
-	go func() {
-		var err error
-		_, rst, err = l.Accept(ctx)
-		recvErr <- err
-	}()
-
+	ep := listen(t, byAccept, inst.on(Options{IdleTimeout: 300 * time.Millisecond}))
+	ep.recv(1)
 	// A raw sender that handshakes and then never sends a byte of data.
-	ctl, err := net.Dial("tcp", l.Addr())
-	if err != nil {
-		t.Fatal(err)
+	peer := dialRaw(t, ep.l.Addr(), announceFor(3, makeObj(1<<20), 1024))
+	peer.accepted()
+	r, _ := ep.result(true)
+	if !errors.Is(r.err, ErrIdle) {
+		t.Fatalf("receiver error = %v, want ErrIdle", r.err)
 	}
-	defer ctl.Close()
-	if _, err := exchange(ctx, ctl, announceFor(3, makeObj(1<<20), 1024), 3, 10*time.Second); err != nil {
-		t.Fatalf("handshake: %v", err)
+	if r.st.IdleTimeouts != 1 {
+		t.Fatalf("stats.IdleTimeouts = %d, want 1", r.st.IdleTimeouts)
 	}
-
-	select {
-	case rerr := <-recvErr:
-		if !errors.Is(rerr, ErrIdle) {
-			t.Fatalf("receiver error = %v, want ErrIdle", rerr)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("receiver never idled out")
-	}
-	if rst.IdleTimeouts != 1 {
-		t.Fatalf("stats.IdleTimeouts = %d, want 1", rst.IdleTimeouts)
-	}
-	ctl.SetReadDeadline(time.Now().Add(10 * time.Second))
-	frame, err := readControlFrame(ctl)
-	if err != nil {
-		t.Fatalf("reading abort: %v", err)
-	}
-	if frame.typ != wire.TypeAbort || frame.abort.Reason != wire.AbortIdleTimeout {
-		t.Fatalf("got frame type %d reason %v, want ABORT idle-timeout",
-			frame.typ, frame.abort.Reason)
-	}
+	peer.refused(wire.AbortIdleTimeout)
 	inst.expectWatchdog(t, obs.RoleReceiver, obs.KindIdle, wire.AbortIdleTimeout)
 }
 
@@ -428,39 +240,14 @@ func TestReceiverIdleAbortsAndInformsSender(t *testing.T) {
 // leak: a deadline-bounded Accept that expires used to leave the deadline
 // set on the listening socket, poisoning every later Accept.
 func TestAcceptDeadlineNotPoisoned(t *testing.T) {
-	l, err := Listen("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	ctx1, cancel1 := context.WithTimeout(context.Background(), 150*time.Millisecond)
-	if _, _, err := l.Accept(ctx1); err == nil {
+	ep := listen(t, byAccept, Options{})
+	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	defer cancel()
+	if _, _, err := ep.l.Accept(ctx); err == nil {
 		t.Fatal("Accept returned without a sender")
 	}
-	cancel1()
-
 	// The listener must still work for a patient caller.
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel2()
-	obj := makeObj(64 << 10)
-	var got []byte
-	var rerr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		got, _, rerr = l.Accept(ctx2)
-	}()
-	if _, err := Send(ctx2, l.Addr(), obj, core.Config{}, Options{}); err != nil {
-		t.Fatalf("send after expired Accept: %v", err)
-	}
-	<-done
-	if rerr != nil {
-		t.Fatalf("accept after expired Accept: %v", rerr)
-	}
-	if !bytes.Equal(got, obj) {
-		t.Fatal("object corrupted")
-	}
+	ep.pushOK(makeObj(64<<10), core.Config{}, Options{})
 }
 
 // TestSeverControlMidTransfer cuts the TCP control connection while data
@@ -470,24 +257,11 @@ func TestSeverControlMidTransfer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault-injection test skipped in -short mode")
 	}
-	l, err := Listen("127.0.0.1:0", Options{IdleTimeout: 60 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	proxy, err := faultnet.NewProxy(l.Addr(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-
+	ep := listen(t, byAccept, Options{IdleTimeout: 60 * time.Second})
+	proxy := ep.front(nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	recvErr := make(chan error, 1)
-	go func() {
-		_, _, err := l.Accept(ctx)
-		recvErr <- err
-	}()
+	ep.recv(1)
 
 	var cut atomic.Bool
 	opts := Options{
@@ -500,7 +274,7 @@ func TestSeverControlMidTransfer(t *testing.T) {
 		},
 	}
 	start := time.Now()
-	_, err = Send(ctx, proxy.Addr(), makeObj(4<<20), core.Config{AckFrequency: 16}, opts)
+	_, err := Send(ctx, proxy.Addr(), makeObj(4<<20), core.Config{AckFrequency: 16}, opts)
 	if !cut.Load() {
 		t.Fatal("transfer finished before the control cut; enlarge the object")
 	}
@@ -510,13 +284,8 @@ func TestSeverControlMidTransfer(t *testing.T) {
 	if e := time.Since(start); e > 15*time.Second {
 		t.Fatalf("sender took %v to notice the severed control connection", e)
 	}
-	select {
-	case rerr := <-recvErr:
-		if rerr == nil {
-			t.Fatal("receiver succeeded across a severed control connection")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("receiver never noticed the severed control connection")
+	if r, _ := ep.result(true); r.err == nil {
+		t.Fatal("receiver succeeded across a severed control connection")
 	}
 }
 
@@ -553,29 +322,12 @@ func TestServerConcurrentTransfersWithCollisions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault-injection test skipped in -short mode")
 	}
-	srv, err := NewServer("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
-	var mu sync.Mutex
-	delivered := map[uint32][]byte{}
-	serveDone := make(chan struct{})
-	go func() {
-		defer close(serveDone)
-		srv.Serve(ctx, func(id uint32, obj []byte, _ core.ReceiverStats) {
-			mu.Lock()
-			delivered[id] = obj
-			mu.Unlock()
-		})
-	}()
-
+	ep := listen(t, byServe, Options{})
+	ep.recv(1)
 	const n = 4
 	objs := make([][]byte, n)
 	var wg sync.WaitGroup
+	var completed atomic.Int32
 	for i := 0; i < n; i++ {
 		objs[i] = makeObj(200<<10 + i)
 		id := uint32(i + 1)
@@ -586,24 +338,23 @@ func TestServerConcurrentTransfersWithCollisions(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				_, err := Send(ctx, srv.Addr(), objs[i], core.Config{Transfer: id},
+				_, err := Send(ep.ctx, ep.l.Addr(), objs[i], core.Config{Transfer: id},
 					Options{Pace: 5 * time.Microsecond})
 				var abort *AbortError
-				if err != nil && (!errors.As(err, &abort) || abort.Reason != wire.AbortDuplicateTransfer) {
+				if err == nil {
+					completed.Add(1)
+				} else if !errors.As(err, &abort) || abort.Reason != wire.AbortDuplicateTransfer {
 					t.Errorf("transfer %d: unexpected error %v", id, err)
 				}
 			}(i)
 		}
 	}
 	wg.Wait()
-	cancel()
-	<-serveDone
-
-	mu.Lock()
-	defer mu.Unlock()
+	// Every completed Send was delivered to the handler once.
+	delivered := ep.byID(int(completed.Load()))
 	for i := 0; i < n; i++ {
 		id := uint32(i + 1)
-		if !bytes.Equal(delivered[id], objs[i]) {
+		if !bytes.Equal(delivered[id].obj, objs[i]) {
 			t.Errorf("transfer %d corrupted or missing", id)
 		}
 	}
@@ -618,42 +369,23 @@ func TestCorruptedPayloadFailsDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault-injection test skipped in -short mode")
 	}
-	l, err := Listen("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	proxy, err := faultnet.NewProxy(l.Addr(), faultnet.New(faultnet.Policy{
+	ep := listen(t, byAccept, Options{})
+	proxy := ep.front(faultnet.New(faultnet.Policy{
 		Seed:          7,
 		Corrupt:       0.05,
 		CorruptOffset: wire.DataHeaderLen, // flip object bytes, not headers
 	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	obj := makeObj(1 << 20)
-	var rerr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, _, rerr = l.Accept(ctx)
-	}()
-	_, serr := Send(ctx, proxy.Addr(), obj, core.Config{}, Options{Pace: 2 * time.Microsecond})
-	<-done
+	p := ep.push(makeObj(1<<20), core.Config{}, Options{Pace: 2 * time.Microsecond})
 	if st := proxy.Stats(); st.Corrupted == 0 {
 		t.Fatalf("corruption never fired: %+v", st)
 	}
-	if !errors.Is(serr, ErrDigestMismatch) {
-		t.Fatalf("sender err = %v, want ErrDigestMismatch", serr)
+	if !errors.Is(p.serr, ErrDigestMismatch) {
+		t.Fatalf("sender err = %v, want ErrDigestMismatch", p.serr)
 	}
-	if !errors.Is(rerr, ErrDigestMismatch) {
-		t.Fatalf("receiver err = %v, want ErrDigestMismatch", rerr)
+	if !errors.Is(p.err, ErrDigestMismatch) {
+		t.Fatalf("receiver err = %v, want ErrDigestMismatch", p.err)
 	}
-	if IsRetryable(serr) {
+	if IsRetryable(p.serr) {
 		t.Fatal("content corruption classified retryable")
 	}
 }

@@ -2,7 +2,6 @@ package udprt
 
 import (
 	"io"
-	"net"
 	"testing"
 	"time"
 
@@ -72,17 +71,7 @@ func TestSenderHotPathZeroAllocs(t *testing.T) {
 				}
 				t.Run(name, func(t *testing.T) {
 					eachInstrumentation(t, obs.RoleSender, 1<<20/1024, func(t *testing.T, tm *metrics.Transfer, fr *flight.Recorder, or *obs.Recorder) {
-						rcv, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-						if err != nil {
-							t.Fatal(err)
-						}
-						defer rcv.Close()
-						conn, err := net.DialUDP("udp", nil, rcv.LocalAddr().(*net.UDPAddr))
-						if err != nil {
-							t.Fatal(err)
-						}
-						defer conn.Close()
-						conn.SetWriteBuffer(4 << 20)
+						conn, rcv := udpPair(t)
 						stop := make(chan struct{})
 						drained := make(chan struct{})
 						go func() { // keep the socket writable; its allocs are not measured
@@ -167,17 +156,7 @@ func TestReceiverHotPathZeroAllocs(t *testing.T) {
 	eachIOPath(t, func(t *testing.T, noFastPath bool) {
 		eachInstrumentation(t, obs.RoleReceiver, objSize/packetSize+1, func(t *testing.T, tm *metrics.Transfer, fr *flight.Recorder, or *obs.Recorder) {
 			for _, sealed := range []bool{false, true} {
-				udp, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer udp.Close()
-				udp.SetReadBuffer(4 << 20)
-				feeder, err := net.DialUDP("udp", nil, udp.LocalAddr().(*net.UDPAddr))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer feeder.Close()
+				feeder, udp := udpPair(t)
 				ftx, err := batchio.NewSender(feeder, 8, !noFastPath)
 				if err != nil {
 					t.Fatal(err)

@@ -2,7 +2,6 @@ package udprt
 
 import (
 	"bytes"
-	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,7 +9,6 @@ import (
 
 	"github.com/hpcnet/fobs/internal/checkpoint"
 	"github.com/hpcnet/fobs/internal/core"
-	"github.com/hpcnet/fobs/internal/faultnet"
 )
 
 // Landing in the cache: a transfer the content cache will keep reserves its
@@ -80,22 +78,11 @@ func TestRecycledLandingRetainsNoEvictedBytes(t *testing.T) {
 	}
 	const size, transfer = 1<<20 + 31, 9
 	dir := t.TempDir()
-	l, err := Listen("127.0.0.1:0", Options{Checkpoint: dir, IdleTimeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
+	ep := listen(t, byAccept, Options{Checkpoint: dir, IdleTimeout: 2 * time.Second})
+	l := ep.l
 	l.cache.max = 2
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
 	for i := 0; i < l.cache.max; i++ {
-		done, _, _, rerrs := acceptN(ctx, l, 1)
-		if _, err := Send(ctx, l.Addr(), pattern(size, 0xA5, i), core.Config{Transfer: uint32(i + 1)}, Options{}); err != nil {
-			t.Fatalf("fill %d: %v", i, err)
-		}
-		if <-done; rerrs[0] != nil {
-			t.Fatalf("fill %d: accept: %v", i, rerrs[0])
-		}
+		ep.pushOK(pattern(size, 0xA5, i), core.Config{Transfer: uint32(i + 1)}, Options{})
 	}
 	if slots, _ := l.cache.held(); slots != l.cache.max {
 		t.Fatalf("the cache holds %d, want it at its bound of %d", slots, l.cache.max)
@@ -104,16 +91,11 @@ func TestRecycledLandingRetainsNoEvictedBytes(t *testing.T) {
 	oldest := &l.cache.entries[0].obj[0]
 	l.cache.mu.Unlock()
 
-	proxy, err := faultnet.NewProxy(l.Addr(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
+	proxy := ep.front(nil)
 	obj := makeObj(size)
 	id := core.ContentID(obj)
-	done, _, _, rerrs := acceptN(ctx, l, 1)
 	var cut atomic.Bool
-	_, serr := Send(ctx, proxy.Addr(), obj, core.Config{Transfer: transfer, AckFrequency: 8}, Options{
+	p := ep.push(obj, core.Config{Transfer: transfer, AckFrequency: 8}, Options{
 		StallTimeout: 2 * time.Second,
 		Pace:         killPointPace,
 		Progress: func(got, total int) {
@@ -123,9 +105,8 @@ func TestRecycledLandingRetainsNoEvictedBytes(t *testing.T) {
 			}
 		},
 	})
-	<-done
-	if !cut.Load() || serr == nil || rerrs[0] == nil {
-		t.Fatalf("the transfer was not severed: cut=%v, send err=%v, accept err=%v", cut.Load(), serr, rerrs[0])
+	if !cut.Load() || p.serr == nil || p.err == nil {
+		t.Fatalf("the transfer was not severed: cut=%v, send err=%v, accept err=%v", cut.Load(), p.serr, p.err)
 	}
 
 	l.store.mu.Lock()
@@ -150,18 +131,12 @@ func TestRecycledLandingRetainsNoEvictedBytes(t *testing.T) {
 		t.Fatal("the failed transfer's reservation was not released")
 	}
 
-	done, objs, rsts, rerrs := acceptN(ctx, l, 1)
-	if _, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: transfer + 1}, Options{}); err != nil {
-		t.Fatalf("retry: %v", err)
-	}
-	<-done
-	if rerrs[0] != nil || !bytes.Equal(objs[0], obj) {
-		t.Fatalf("retry: accept err=%v, delivered equal=%v", rerrs[0], bytes.Equal(objs[0], obj))
-	}
-	if rsts[0].Restored == 0 {
+	proxy.SetBlackhole(false) // the path heals for the retry
+	restored := ep.pushOK(obj, core.Config{Transfer: transfer + 1}, Options{}).st.Restored
+	if restored == 0 {
 		t.Fatal("the retry restored nothing: it did not resume")
 	}
-	t.Logf("%d of %d packets unplaced at the cut, restored %d", unplaced, core.NumPackets(size, 1024), rsts[0].Restored)
+	t.Logf("%d of %d packets unplaced at the cut, restored %d", unplaced, core.NumPackets(size, 1024), restored)
 }
 
 // TestDedupHitsNeverShareARecycledBuffer: senders pushing one hot object —
@@ -172,29 +147,11 @@ func TestRecycledLandingRetainsNoEvictedBytes(t *testing.T) {
 // reads it is reported even when the bytes happen to match.
 func TestDedupHitsNeverShareARecycledBuffer(t *testing.T) {
 	const size, rounds = 32 << 10, 12
-	srv, err := NewServer("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	srv.cache.max = 2
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
+	ep := listen(t, byServe, Options{})
+	ep.l.cache.max = 2
+	ep.recv(1)
 	var mu sync.Mutex
 	want := map[uint32][32]byte{}
-	bad := 0
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		srv.Serve(ctx, func(transfer uint32, obj []byte, _ core.ReceiverStats) {
-			id := core.ContentID(obj)
-			mu.Lock()
-			if want[transfer] != id {
-				bad++
-			}
-			mu.Unlock()
-		})
-	}()
 	hot := makeObj(size)
 	hotID := core.ContentID(hot)
 	var next atomic.Uint32
@@ -203,7 +160,7 @@ func TestDedupHitsNeverShareARecycledBuffer(t *testing.T) {
 		mu.Lock()
 		want[tr] = id
 		mu.Unlock()
-		return Send(ctx, srv.Addr(), obj, core.Config{Transfer: tr}, Options{})
+		return Send(ep.ctx, ep.l.Addr(), obj, core.Config{Transfer: tr}, Options{})
 	}
 	if _, err := push(hot, hotID); err != nil {
 		t.Fatal(err)
@@ -236,20 +193,23 @@ func TestDedupHitsNeverShareARecycledBuffer(t *testing.T) {
 			t.Fatalf("push: %v", err)
 		}
 	}
-	cancel()
-	<-served
+	ep.close() // every transfer's lifecycle has returned
 	if hits.Load() == 0 {
 		t.Fatal("the hot object never hit: no reader raced the recycling")
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	bad := 0
+	for range int(next.Load()) {
+		if r := <-ep.got; want[r.id] != core.ContentID(r.obj) {
+			bad++
+		}
+	}
 	if bad > 0 {
 		t.Fatalf("%d deliveries were not the bytes their sender pushed", bad)
 	}
-	if slots, _ := srv.cache.held(); slots > srv.cache.max {
-		t.Fatalf("after the pushes the cache holds %d slots, want ≤ %d", slots, srv.cache.max)
+	if slots, _ := ep.l.cache.held(); slots > ep.l.cache.max {
+		t.Fatalf("after the pushes the cache holds %d slots, want ≤ %d", slots, ep.l.cache.max)
 	}
-	if n, _ := srv.cache.reservations(); n != 0 {
+	if n, _ := ep.l.cache.reservations(); n != 0 {
 		t.Fatalf("%d reservations outlived their transfers", n)
 	}
 	t.Logf("%d of %d hot pushes were hits", hits.Load(), 3*rounds)
@@ -262,22 +222,13 @@ func TestDedupHitsNeverShareARecycledBuffer(t *testing.T) {
 // none: it completes uncached, and nothing leaks once all are done.
 func TestServerReservationsWithinBounds(t *testing.T) {
 	const size, flows = 512 << 10, 3
-	srv, err := NewServer("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c := srv.cache
+	ep := listen(t, byServe, Options{})
+	c := ep.l.cache
 	c.max, c.maxBytes = 2, 3*size
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		srv.Serve(ctx, func(uint32, []byte, core.ReceiverStats) {})
-	}()
+	ep.recv(1)
+	ctx := ep.ctx
 	for i := 0; i < c.max; i++ { // at the bound before the flows start
-		if _, err := Send(ctx, srv.Addr(), pattern(size, 0x5A, i), core.Config{Transfer: uint32(100 + i)}, Options{}); err != nil {
+		if _, err := Send(ctx, ep.l.Addr(), pattern(size, 0x5A, i), core.Config{Transfer: uint32(100 + i)}, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -298,7 +249,7 @@ func TestServerReservationsWithinBounds(t *testing.T) {
 			if slots > c.max || held > c.maxBytes {
 				t.Errorf("entries plus reservations hold %d slots and %d bytes, bounds %d and %d", slots, held, c.max, c.maxBytes)
 			}
-			time.Sleep(100 * time.Microsecond)
+			time.Sleep(100 * time.Microsecond) // scenario: the sampling interval
 		}
 	}()
 	var wg sync.WaitGroup
@@ -307,7 +258,7 @@ func TestServerReservationsWithinBounds(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = Send(ctx, srv.Addr(), pattern(size, byte(i), i), core.Config{Transfer: uint32(i + 1)},
+			_, errs[i] = Send(ctx, ep.l.Addr(), pattern(size, byte(i), i), core.Config{Transfer: uint32(i + 1)},
 				Options{Pace: 100 * time.Microsecond})
 		}(i)
 	}
@@ -322,8 +273,7 @@ func TestServerReservationsWithinBounds(t *testing.T) {
 	if most < 2 {
 		t.Fatalf("at most %d reservations were seen at once: the flows did not overlap", most)
 	}
-	cancel()
-	<-served // every transfer's lifecycle has returned
+	ep.close() // every transfer's lifecycle has returned
 	slots, held := c.held()
 	if n, b := c.reservations(); n != 0 || b != 0 || slots > c.max || held > c.maxBytes {
 		t.Fatalf("after the flows: %d slots, %d bytes, %d still reserved", slots, held, n)

@@ -121,38 +121,10 @@ func TestMetricsEquivalenceUnderImpairments(t *testing.T) {
 					NoFastPath: noFastPath,
 					Metrics:    reg,
 				}
-				l, err := Listen("127.0.0.1:0", opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer l.Close()
-				proxy, err := faultnet.NewProxy(l.Addr(), tc.policy)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer proxy.Close()
-
-				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-				defer cancel()
-				var got []byte
-				var rst core.ReceiverStats
-				var rerr error
-				done := make(chan struct{})
-				go func() {
-					defer close(done)
-					got, rst, rerr = l.Accept(ctx)
-				}()
-				sst, serr := Send(ctx, proxy.Addr(), obj, core.Config{}, opts)
-				<-done
-				if serr != nil {
-					t.Fatalf("send: %v", serr)
-				}
-				if rerr != nil {
-					t.Fatalf("receive: %v", rerr)
-				}
-				if !bytes.Equal(got, obj) {
-					t.Fatal("object corrupted")
-				}
+				ep := listen(t, byAccept, opts)
+				ep.front(tc.policy)
+				p := ep.pushOK(obj, core.Config{}, opts)
+				sst, rst := p.sst, p.st
 
 				snap := reg.Snapshot()
 				s := findTransfer(t, snap, 0, obs.RoleSender)
@@ -183,10 +155,9 @@ func TestMetricsEquivalenceUnderImpairments(t *testing.T) {
 func TestMetricsLoopbackGroundTruth(t *testing.T) {
 	reg := metrics.New()
 	obj := makeObj(512<<10 + 13)
-	got, sst, rst := transfer(t, obj, core.Config{}, Options{Metrics: reg})
-	if !bytes.Equal(got, obj) {
-		t.Fatal("object corrupted")
-	}
+	opts := Options{Metrics: reg}
+	p := push(t, obj, core.Config{}, opts, opts)
+	sst, rst := p.sst, p.st
 
 	snap := reg.Snapshot()
 	s := findTransfer(t, snap, 0, obs.RoleSender)
@@ -247,20 +218,8 @@ func TestServerMetricsIsolation(t *testing.T) {
 		t.Skip("concurrent-transfer test skipped in -short mode")
 	}
 	reg := metrics.New()
-	srv, err := NewServer("127.0.0.1:0", Options{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	received := map[uint32][]byte{}
-	var mu sync.Mutex
-	go srv.Serve(ctx, func(transfer uint32, obj []byte, st core.ReceiverStats) {
-		mu.Lock()
-		received[transfer] = obj
-		mu.Unlock()
-	})
-	defer srv.Close()
+	ep := listen(t, byServe, Options{Metrics: reg})
+	ep.recv(1)
 
 	// A deliberately slow transfer that will be cancelled mid-flight.
 	const slowID = 9
@@ -269,17 +228,14 @@ func TestServerMetricsIsolation(t *testing.T) {
 	defer scancel()
 	slowDone := make(chan error, 1)
 	go func() {
-		_, err := Send(sctx, srv.Addr(), slowObj,
+		_, err := Send(sctx, ep.l.Addr(), slowObj,
 			core.Config{Transfer: slowID}, Options{Pace: 500 * time.Microsecond})
 		slowDone <- err
 	}()
 
 	// Wait until the slow transfer is demonstrably mid-flight (the server
 	// has registered it and classified at least one data packet).
-	waitFor(t, 30*time.Second, "slow transfer to start moving data", func() bool {
-		ts, ok := reg.Snapshot().Find(slowID, obs.RoleReceiver)
-		return ok && ts.Fresh > 0
-	})
+	ep.placed(slowID)
 
 	// Three quick transfers complete while the slow one is in flight.
 	const n = 3
@@ -293,7 +249,7 @@ func TestServerMetricsIsolation(t *testing.T) {
 			defer wg.Done()
 			tctx, tcancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer tcancel()
-			_, errs[i] = Send(tctx, srv.Addr(), objs[i],
+			_, errs[i] = Send(tctx, ep.l.Addr(), objs[i],
 				core.Config{Transfer: uint32(i + 1)}, Options{Pace: 5 * time.Microsecond})
 		}(i)
 	}
@@ -303,11 +259,7 @@ func TestServerMetricsIsolation(t *testing.T) {
 			t.Fatalf("sender %d: %v", i+1, err)
 		}
 	}
-	waitFor(t, 10*time.Second, "quick transfers to reach the handler", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(received) == n
-	})
+	received := ep.byID(n)
 
 	// The slow transfer must still be running — the quick ones finished
 	// around it — and is now cancelled mid-flight.
@@ -319,16 +271,8 @@ func TestServerMetricsIsolation(t *testing.T) {
 	if err := <-slowDone; err == nil {
 		t.Fatal("cancelled sender returned nil error")
 	}
-	waitFor(t, 10*time.Second, "server to archive the aborted transfer", func() bool {
-		ts, ok := reg.Snapshot().Find(slowID, obs.RoleReceiver)
-		return ok && ts.Outcome == metrics.OutcomeAborted
-	})
-
+	slow := ep.aborted(slowID, wire.AbortCancelled)
 	snap := reg.Snapshot()
-	slow := findTransfer(t, snap, slowID, obs.RoleReceiver)
-	if slow.AbortReason != uint32(wire.AbortCancelled) {
-		t.Fatalf("abort reason = %d, want %d (cancelled)", slow.AbortReason, uint32(wire.AbortCancelled))
-	}
 	if slow.Fresh == 0 || slow.Fresh >= slow.PacketsNeeded {
 		t.Fatalf("aborted transfer should be partial: fresh %d of %d", slow.Fresh, slow.PacketsNeeded)
 	}
@@ -336,10 +280,7 @@ func TestServerMetricsIsolation(t *testing.T) {
 	// Each completed transfer's record is exact and its own: cross-transfer
 	// contamination would break the per-object byte and packet equalities.
 	for i := 0; i < n; i++ {
-		mu.Lock()
-		got := received[uint32(i+1)]
-		mu.Unlock()
-		if !bytes.Equal(got, objs[i]) {
+		if !bytes.Equal(received[uint32(i+1)].obj, objs[i]) {
 			t.Fatalf("transfer %d corrupted", i+1)
 		}
 		r := findTransfer(t, snap, uint32(i+1), obs.RoleReceiver)
@@ -360,18 +301,6 @@ func TestServerMetricsIsolation(t *testing.T) {
 	if snap.Totals.Completed != n || snap.Totals.Aborted != 1 {
 		t.Fatalf("Totals completed/aborted = %d/%d, want %d/1",
 			snap.Totals.Completed, snap.Totals.Aborted, n)
-	}
-}
-
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 
@@ -419,23 +348,11 @@ func TestDebugEndpointDuringLiveTransfer(t *testing.T) {
 
 	opts := Options{Metrics: reg, Pace: 200 * time.Microsecond}
 	obj := makeObj(2 << 20)
-	l, err := Listen("127.0.0.1:0", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	recvDone := make(chan struct{})
-	var got []byte
-	var rerr error
-	go func() {
-		defer close(recvDone)
-		got, _, rerr = l.Accept(ctx)
-	}()
+	ep := listen(t, byAccept, opts)
+	ep.recv(1)
 	sendDone := make(chan error, 1)
 	go func() {
-		_, err := Send(ctx, l.Addr(), obj, core.Config{}, opts)
+		_, err := Send(ep.ctx, ep.l.Addr(), obj, core.Config{}, opts)
 		sendDone <- err
 	}()
 
@@ -457,18 +374,12 @@ poll:
 				sawRunning = true
 			}
 		}
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond) // scenario: the endpoint is sampled while the transfer runs
 	}
-	<-recvDone
 	if serr != nil {
 		t.Fatalf("send: %v", serr)
 	}
-	if rerr != nil {
-		t.Fatalf("receive: %v", rerr)
-	}
-	if !bytes.Equal(got, obj) {
-		t.Fatal("object corrupted")
-	}
+	ep.delivered(obj)
 	if !sawRunning {
 		t.Fatal("debug endpoint never observed the transfer in flight")
 	}

@@ -146,7 +146,7 @@ func TestPacedSendCancelsPromptly(t *testing.T) {
 		if _, err := fake.readData(core.DefaultBatch, 5*time.Second); err != nil {
 			t.Fatalf("first round: %v", err)
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond) // scenario: into the pacing wait before cancelling
 		cancelledAt := time.Now()
 		cancel()
 		select {
@@ -198,7 +198,7 @@ func TestAckProcessedDuringPacingGap(t *testing.T) {
 			if time.Now().After(gapEnd) {
 				t.Fatal("the acknowledgement was not processed before the pacing gap ended")
 			}
-			time.Sleep(100 * time.Microsecond)
+			time.Sleep(100 * time.Microsecond) // scenario: a pacer measurement, finer than the harness poll
 		}
 		if _, err := fake.readData(1, 5*time.Second); err != nil {
 			t.Fatalf("second round: %v", err)

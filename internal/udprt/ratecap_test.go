@@ -7,15 +7,12 @@
 package udprt
 
 import (
-	"bytes"
-	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/hpcnet/fobs/internal/core"
-	"github.com/hpcnet/fobs/internal/faultnet"
 	"github.com/hpcnet/fobs/internal/wire"
 )
 
@@ -213,7 +210,7 @@ func measureGrantRate(c *RateCap, flows int, bitsPerPkt float64, dur time.Durati
 				end = e
 				total.Add(int64(n))
 				if at := clock.charge(time.Now(), gap, n); !at.IsZero() {
-					time.Sleep(time.Until(at))
+					time.Sleep(time.Until(at)) // scenario: the grant-rate measurement
 				}
 			}
 		}()
@@ -248,37 +245,6 @@ func TestRateCapBoundsAggregateRate(t *testing.T) {
 	}
 }
 
-// sendCapped pushes obj through a listener of its own under opts and checks
-// that it arrives intact. It may run on any goroutine.
-func sendCapped(t *testing.T, ctx context.Context, obj []byte, cfg core.Config, opts Options) core.SenderStats {
-	l, err := Listen("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Error(err)
-		return core.SenderStats{}
-	}
-	defer l.Close()
-	type recvResult struct {
-		obj []byte
-		err error
-	}
-	recvCh := make(chan recvResult, 1)
-	go func() {
-		got, _, err := l.Accept(ctx)
-		recvCh <- recvResult{got, err}
-	}()
-	sst, err := Send(ctx, l.Addr(), obj, cfg, opts)
-	if err != nil {
-		t.Errorf("capped send: %v", err)
-		return sst
-	}
-	if r := <-recvCh; r.err != nil {
-		t.Errorf("receive: %v", r.err)
-	} else if !bytes.Equal(r.obj, obj) {
-		t.Error("object corrupted under rate cap")
-	}
-	return sst
-}
-
 // TestSendUnderRateCapSlowsTransfer runs a real loopback transfer under a
 // cap sized so the wire time is macroscopic, and asserts the transfer
 // completes intact in about the time the cap dictates: not much less — the
@@ -288,8 +254,6 @@ func TestSendUnderRateCapSlowsTransfer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive rate measurement skipped in -short mode")
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
 	const packetSize = 64
 	obj := makeObj(48 << 10)
 	cfg := core.Config{PacketSize: packetSize}
@@ -300,11 +264,8 @@ func TestSendUnderRateCapSlowsTransfer(t *testing.T) {
 	const limit = 1.6e6
 	c, _ := NewRateCap(limit)
 	start := time.Now()
-	sst := sendCapped(t, ctx, obj, cfg, Options{RateCap: c})
+	sst := push(t, obj, cfg, Options{RateCap: c}, Options{}).sst
 	elapsed := time.Since(start)
-	if t.Failed() {
-		return
-	}
 	capTime := time.Duration(float64(sst.PacketsNeeded) * 8 * (packetSize + wire.UDPIPOverhead) / limit * float64(time.Second))
 	t.Logf("%d packets in %v under a cap that needs %v for them", sst.PacketsSent, elapsed, capTime)
 	if elapsed < capTime/2 {
@@ -323,30 +284,34 @@ func TestConcurrentSendsShareRateCap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive rate measurement skipped in -short mode")
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
 	const (
 		packetSize = 1024
 		limit      = 80e6 // 105 µs of wire time per packet
 	)
 	c, _ := NewRateCap(limit)
 	var sent [2]int
+	var errs [2]error
+	var eps [2]*testEndpoint
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := range sent {
+		eps[i] = listen(t, byAccept, Options{})
+		eps[i].recv(1)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			obj := makeObj(2<<20 + i)
-			sst := sendCapped(t, ctx, obj, core.Config{PacketSize: packetSize, Transfer: uint32(11 + i)},
+			sst, err := Send(eps[i].ctx, eps[i].l.Addr(), makeObj(2<<20+i), core.Config{PacketSize: packetSize, Transfer: uint32(11 + i)},
 				Options{RateCap: c})
-			sent[i] = sst.PacketsSent
+			sent[i], errs[i] = sst.PacketsSent, err
 		}()
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	if t.Failed() {
-		return
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("capped send %d: %v", i, err)
+		}
+		eps[i].delivered(makeObj(2<<20 + i))
 	}
 	rate := float64(sent[0]+sent[1]) * 8 * (packetSize + wire.UDPIPOverhead) / elapsed.Seconds()
 	t.Logf("two Sends: %d + %d packets in %v, %.2f Mb/s on the wire under a %.0f Mb/s cap (%.1f%%)",
@@ -367,35 +332,15 @@ func TestRerunContinuesRetainedTransfer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault-injection test skipped in -short mode")
 	}
-	l, err := Listen("127.0.0.1:0", Options{IdleTimeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	proxy, err := faultnet.NewProxy(l.Addr(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	ep := listen(t, byAccept, Options{IdleTimeout: 2 * time.Second})
+	proxy := ep.front(nil)
 	obj := makeObj(1<<20 + 17)
 	cfg := core.Config{Transfer: 77, AckFrequency: 8}
-	type recvResult struct {
-		obj []byte
-		st  core.ReceiverStats
-		err error
-	}
-	recvCh := make(chan recvResult, 1)
-	go func() {
-		got, st, err := acceptUntilSuccess(ctx, l)
-		recvCh <- recvResult{got, st, err}
-	}()
+	ep.recvUntilSuccess()
 
 	// First life: unsupervised send, severed at half delivered.
 	var cut atomic.Bool
-	_, err = Send(ctx, proxy.Addr(), obj, cfg, Options{
+	_, err := Send(ep.ctx, proxy.Addr(), obj, cfg, Options{
 		StallTimeout: time.Second,
 		Pace:         killPointPace,
 		Progress: func(done, total int) {
@@ -411,14 +356,13 @@ func TestRerunContinuesRetainedTransfer(t *testing.T) {
 	if !cut.Load() {
 		t.Fatal("transfer finished before the kill point; enlarge the object")
 	}
-	// The receiver parks its state the moment its control dies; give its
-	// accept loop a beat to get back into Accept before the second life.
-	time.Sleep(300 * time.Millisecond)
+	// The receiver parks its state the moment its control dies.
+	waitUntil(t, 10*time.Second, "the severed transfer's state being retained", func() bool { return ep.retains(obj) })
 
 	// Second life: a fresh supervised Send straight to the listener, with
 	// no in-memory resume state; its CHECK finds what the receiver holds.
 	cfg.Transfer = 78
-	sst, err := Send(ctx, l.Addr(), obj, cfg, Options{
+	sst, err := Send(ep.ctx, ep.l.Addr(), obj, cfg, Options{
 		StallTimeout: 5 * time.Second,
 		// Pace the resumed attempt so acknowledgements keep up: the waste
 		// bound below measures resume economy, not the greedy sender's
@@ -429,13 +373,7 @@ func TestRerunContinuesRetainedTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rerun: %v", err)
 	}
-	r := <-recvCh
-	if r.err != nil {
-		t.Fatalf("receive: %v", r.err)
-	}
-	if !bytes.Equal(r.obj, obj) {
-		t.Fatal("resumed object differs from the original")
-	}
+	r := ep.delivered(obj)
 	if sst.Restored == 0 || r.st.Restored == 0 {
 		t.Fatalf("nothing restored (sender %d, receiver %d): the rerun restarted from scratch",
 			sst.Restored, r.st.Restored)
@@ -453,39 +391,12 @@ func TestRerunContinuesRetainedTransfer(t *testing.T) {
 // and the same connection runs the whole transfer — one Accept, one
 // handshake — so an orchestrator pays nothing for asking.
 func TestRerunWithoutStateIsOneHandshake(t *testing.T) {
-	l, err := Listen("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	type recvResult struct {
-		obj []byte
-		err error
-	}
-	recvCh := make(chan recvResult, 1)
-	go func() {
-		got, _, err := l.Accept(ctx) // exactly one control connection
-		recvCh <- recvResult{got, err}
-	}()
-
-	obj := makeObj(64<<10 + 5)
-	sst, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: 9}, Options{
+	// pushOK takes exactly one control connection.
+	sst := push(t, makeObj(64<<10+5), core.Config{Transfer: 9}, Options{
 		Retry:            &RetryPolicy{Seed: 5},
 		HandshakeTimeout: 5 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("rerun against a stateless receiver: %v", err)
-	}
+	}, Options{}).sst
 	if sst.Restored != 0 {
 		t.Fatalf("restored %d packets from a receiver that retains nothing", sst.Restored)
-	}
-	r := <-recvCh
-	if r.err != nil {
-		t.Fatalf("the one accepted connection: %v", r.err)
-	}
-	if !bytes.Equal(r.obj, obj) {
-		t.Fatal("object corrupted on the fresh path")
 	}
 }

@@ -2,7 +2,6 @@ package udprt
 
 import (
 	"bytes"
-	"context"
 	"path/filepath"
 	"testing"
 	"time"
@@ -14,56 +13,6 @@ import (
 	"github.com/hpcnet/fobs/internal/obs"
 )
 
-// recordedTransfer runs one transfer through a seeded fault proxy with both
-// metrics and flight recording live, returning the parsed recording and the
-// final registry snapshot.
-func recordedTransfer(t *testing.T, obj []byte, faults *faultnet.Faults) ([]*flight.EndpointLog, metrics.Snapshot) {
-	t.Helper()
-	reg := metrics.New()
-	path := filepath.Join(t.TempDir(), "transfer.fobrec")
-	rec, err := flight.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{Pace: 2 * time.Microsecond, Metrics: reg, Record: rec}
-	l, err := Listen("127.0.0.1:0", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	proxy, err := faultnet.NewProxy(l.Addr(), faults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	var got []byte
-	var rerr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		got, _, rerr = l.Accept(ctx)
-	}()
-	_, serr := Send(ctx, proxy.Addr(), obj, core.Config{}, opts)
-	<-done
-	if serr != nil || rerr != nil {
-		t.Fatalf("send: %v, receive: %v", serr, rerr)
-	}
-	if !bytes.Equal(got, obj) {
-		t.Fatal("object corrupted")
-	}
-	if err := rec.Close(); err != nil {
-		t.Fatalf("close recording: %v", err)
-	}
-	eps, err := flight.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read recording: %v", err)
-	}
-	return eps, reg.Snapshot()
-}
-
 // TestFlightRecorderEquivalence is the recorder's end-to-end gate: a lossy
 // seeded-faultnet transfer is recorded, the recording replayed offline, and
 // the analyzer's reconstructed totals must match the live metrics snapshot
@@ -74,9 +23,27 @@ func TestFlightRecorderEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault-injection test skipped in -short mode")
 	}
+	// One transfer through a seeded lossy proxy with metrics and flight
+	// recording live on both ends.
 	obj := makeObj(768<<10 + 7)
-	faults := faultnet.New(faultnet.Policy{Seed: 7, Drop: 0.10, Dup: 0.03})
-	eps, snap := recordedTransfer(t, obj, faults)
+	reg := metrics.New()
+	path := filepath.Join(t.TempDir(), "transfer.fobrec")
+	rec, err := flight.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Pace: 2 * time.Microsecond, Metrics: reg, Record: rec}
+	ep := listen(t, byAccept, opts)
+	ep.front(faultnet.New(faultnet.Policy{Seed: 7, Drop: 0.10, Dup: 0.03}))
+	ep.pushOK(obj, core.Config{}, opts)
+	if err := rec.Close(); err != nil {
+		t.Fatalf("close recording: %v", err)
+	}
+	eps, err := flight.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read recording: %v", err)
+	}
+	snap := reg.Snapshot()
 	if len(eps) != 2 {
 		t.Fatalf("recording has %d endpoints, want sender and receiver", len(eps))
 	}

@@ -6,7 +6,6 @@
 package udprt
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -22,7 +21,6 @@ import (
 
 	"github.com/hpcnet/fobs/internal/checkpoint"
 	"github.com/hpcnet/fobs/internal/core"
-	"github.com/hpcnet/fobs/internal/faultnet"
 	"github.com/hpcnet/fobs/internal/metrics"
 	"github.com/hpcnet/fobs/internal/wire"
 )
@@ -40,22 +38,6 @@ import (
 // the rest of the object already in the proxy's queues about one time in
 // twenty under -race.
 const killPointPace = 32 * time.Microsecond
-
-// acceptUntilSuccess drives a Listener like a resume-aware operator: each
-// failed Accept (the interrupted run, refused resumes) is retried until one
-// transfer completes or ctx expires. The interrupted runs park their
-// partial state in the listener's resume store on the way out.
-func acceptUntilSuccess(ctx context.Context, l *Listener) ([]byte, core.ReceiverStats, error) {
-	for {
-		obj, st, err := l.Accept(ctx)
-		if err == nil {
-			return obj, st, nil
-		}
-		if ctx.Err() != nil {
-			return nil, st, err
-		}
-	}
-}
 
 // TestResumeKillPointSweep is the acceptance sweep: a transfer severed at
 // 10%, 50% and 90% delivered must complete after the supervisor reconnects,
@@ -82,39 +64,27 @@ func TestResumeKillPointSweep(t *testing.T) {
 			t.Run(fmt.Sprintf("kill-%d%%/cc=%s", frac, policy), func(t *testing.T) {
 				eachIOPath(t, func(t *testing.T, noFastPath bool) {
 					sreg, rreg := metrics.New(), metrics.New()
-					l, err := Listen("127.0.0.1:0", Options{
+					ep := listen(t, byAccept, Options{
 						NoFastPath:  noFastPath,
 						IdleTimeout: 2 * time.Second,
 						Metrics:     rreg,
 					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer l.Close()
-					proxy, err := faultnet.NewProxy(l.Addr(), nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer proxy.Close()
-
-					ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-					defer cancel()
+					proxy := ep.front(nil)
 					obj := makeObj(1<<20 + 31)
-					type recvResult struct {
-						obj []byte
-						st  core.ReceiverStats
-						err error
-					}
-					recvCh := make(chan recvResult, 1)
-					go func() {
-						got, st, err := acceptUntilSuccess(ctx, l)
-						recvCh <- recvResult{got, st, err}
-					}()
+					ep.recvUntilSuccess()
 
 					// Sever both channels once the acked fraction crosses the
 					// kill point: the sender sees its control die (retryable),
-					// the receiver parks its partial state.
+					// the receiver parks its partial state. The receiver must
+					// not complete ahead of the cut (beforeEnd).
 					var cut atomic.Bool
+					sever := func() {
+						if cut.CompareAndSwap(false, true) {
+							proxy.SetBlackhole(true)
+							proxy.SeverControl()
+							time.AfterFunc(100*time.Millisecond, func() { proxy.SetBlackhole(false) })
+						}
+					}
 					opts := Options{
 						NoFastPath: noFastPath,
 						Congestion: policy,
@@ -126,27 +96,20 @@ func TestResumeKillPointSweep(t *testing.T) {
 						Metrics:      sreg,
 						Retry:        &RetryPolicy{MaxRetries: 4, Backoff: 250 * time.Millisecond, Seed: 7},
 						Progress: func(done, total int) {
-							if done > total*frac/100 && cut.CompareAndSwap(false, true) {
-								proxy.SetBlackhole(true)
-								proxy.SeverControl()
-								time.AfterFunc(100*time.Millisecond, func() { proxy.SetBlackhole(false) })
+							if done > total*frac/100 {
+								sever()
 							}
 						},
 					}
-					sst, serr := Send(ctx, proxy.Addr(), obj, core.Config{AckFrequency: 8}, opts)
+					opts.testFlushHook = beforeEnd(core.NumPackets(int64(len(obj)), core.DefaultPacketSize), sever)
+					sst, serr := Send(ep.ctx, proxy.Addr(), obj, core.Config{AckFrequency: 8}, opts)
 					if !cut.Load() {
 						t.Fatal("transfer finished before the kill point; enlarge the object")
 					}
 					if serr != nil {
 						t.Fatalf("supervised send: %v", serr)
 					}
-					r := <-recvCh
-					if r.err != nil {
-						t.Fatalf("receive: %v", r.err)
-					}
-					if !bytes.Equal(r.obj, obj) {
-						t.Fatal("resumed object differs from the original")
-					}
+					r := ep.delivered(obj)
 
 					// Both sides must have genuinely resumed, not restarted.
 					if r.st.Restored == 0 {
@@ -196,30 +159,14 @@ func TestRetryFlappingLink(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault-injection test skipped in -short mode")
 	}
-	l, err := Listen("127.0.0.1:0", Options{IdleTimeout: 30 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	proxy, err := faultnet.NewProxy(l.Addr(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	ep := listen(t, byAccept, Options{IdleTimeout: 30 * time.Second})
+	proxy := ep.front(nil)
 	obj := makeObj(1 << 20)
-	done := make(chan struct{})
-	var got []byte
-	var rerr error
-	go func() {
-		defer close(done)
-		got, _, rerr = acceptUntilSuccess(ctx, l)
-	}()
+	ep.recvUntilSuccess()
 
 	// The link drops at 20% and again at 70% of whatever the sender has
-	// delivered so far, healing 400ms after each cut.
+	// delivered so far, healing 400ms after each cut; the first drop comes
+	// before the transfer can end (beforeEnd).
 	var cuts atomic.Int32
 	cutAt := func(done, total int) bool {
 		switch cuts.Load() {
@@ -231,29 +178,31 @@ func TestRetryFlappingLink(t *testing.T) {
 			return false
 		}
 	}
+	flap := func() {
+		cuts.Add(1)
+		proxy.SetBlackhole(true)
+		time.AfterFunc(400*time.Millisecond, func() { proxy.SetBlackhole(false) })
+	}
 	opts := Options{
 		StallTimeout: 400 * time.Millisecond,
 		Pace:         2 * time.Microsecond,
 		Retry:        &RetryPolicy{MaxRetries: 6, Backoff: 300 * time.Millisecond, Seed: 3},
 		Progress: func(done, total int) {
 			if cutAt(done, total) {
-				cuts.Add(1)
-				proxy.SetBlackhole(true)
-				time.AfterFunc(400*time.Millisecond, func() { proxy.SetBlackhole(false) })
+				flap()
 			}
 		},
 	}
-	sst, serr := Send(ctx, proxy.Addr(), obj, core.Config{AckFrequency: 16}, opts)
+	opts.testFlushHook = beforeEnd(core.NumPackets(int64(len(obj)), core.DefaultPacketSize), func() {
+		if cuts.Load() == 0 {
+			flap()
+		}
+	})
+	sst, serr := Send(ep.ctx, proxy.Addr(), obj, core.Config{AckFrequency: 16}, opts)
 	if serr != nil {
 		t.Fatalf("supervised send across flapping link: %v", serr)
 	}
-	<-done
-	if rerr != nil {
-		t.Fatalf("receive across flapping link: %v", rerr)
-	}
-	if !bytes.Equal(got, obj) {
-		t.Fatal("object corrupted across flapping link")
-	}
+	ep.delivered(obj)
 	if cuts.Load() == 0 {
 		t.Fatal("link never flapped; enlarge the object")
 	}
@@ -271,55 +220,38 @@ func TestRetryDegradesWhenReceiverCannotResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault-injection test skipped in -short mode")
 	}
-	l, err := Listen("127.0.0.1:0", Options{ResumeWindow: -1, IdleTimeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	proxy, err := faultnet.NewProxy(l.Addr(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	ep := listen(t, byAccept, Options{ResumeWindow: -1, IdleTimeout: 2 * time.Second})
+	proxy := ep.front(nil)
 	obj := makeObj(512 << 10)
-	done := make(chan struct{})
-	var got []byte
-	var rerr error
-	go func() {
-		defer close(done)
-		got, _, rerr = acceptUntilSuccess(ctx, l)
-	}()
+	ep.recvUntilSuccess()
 
 	var cut atomic.Bool
+	sever := func() {
+		if cut.CompareAndSwap(false, true) {
+			proxy.SetBlackhole(true)
+			proxy.SeverControl()
+			time.AfterFunc(100*time.Millisecond, func() { proxy.SetBlackhole(false) })
+		}
+	}
 	opts := Options{
 		StallTimeout: 2 * time.Second,
 		Pace:         killPointPace,
 		Retry:        &RetryPolicy{MaxRetries: 4, Backoff: 250 * time.Millisecond, Seed: 5},
 		Progress: func(done, total int) {
-			if done > total/2 && cut.CompareAndSwap(false, true) {
-				proxy.SetBlackhole(true)
-				proxy.SeverControl()
-				time.AfterFunc(100*time.Millisecond, func() { proxy.SetBlackhole(false) })
+			if done > total/2 {
+				sever()
 			}
 		},
 	}
-	sst, serr := Send(ctx, proxy.Addr(), obj, core.Config{AckFrequency: 16}, opts)
+	opts.testFlushHook = beforeEnd(core.NumPackets(int64(len(obj)), core.DefaultPacketSize), sever)
+	sst, serr := Send(ep.ctx, proxy.Addr(), obj, core.Config{AckFrequency: 16}, opts)
 	if !cut.Load() {
 		t.Fatal("transfer finished before the kill point; enlarge the object")
 	}
 	if serr != nil {
 		t.Fatalf("supervised send against no-resume receiver: %v", serr)
 	}
-	<-done
-	if rerr != nil {
-		t.Fatalf("receive: %v", rerr)
-	}
-	if !bytes.Equal(got, obj) {
-		t.Fatal("object corrupted by degraded retry")
-	}
+	ep.delivered(obj)
 	if sst.Restored != 0 {
 		t.Fatalf("restored %d packets from a receiver that retains nothing", sst.Restored)
 	}
@@ -338,63 +270,17 @@ func TestResumeAfterReceiverRestart(t *testing.T) {
 		t.Skip("fault-injection test skipped in -short mode")
 	}
 	dir := t.TempDir()
-	l1, err := Listen("127.0.0.1:0", Options{Checkpoint: dir, IdleTimeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l1.Addr()
-	proxy, err := faultnet.NewProxy(addr, nil)
-	if err != nil {
-		l1.Close()
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	opts := Options{Checkpoint: dir, IdleTimeout: 2 * time.Second}
+	first := listen(t, byAccept, opts)
+	proxy := first.front(nil)
 	obj := makeObj(768 << 10)
 	const transferID = 42
 
 	// Phase 1: the first listener takes the interrupted run, checkpoints it
 	// on the abort, and is shut down — the process-death analogue.
-	phase1 := make(chan error, 1)
-	go func() {
-		_, _, err := l1.Accept(ctx)
-		phase1 <- err
-	}()
-	// Phase 2 runs concurrently with the supervisor's backoff: once the
-	// first listener reports its abort, restart on the same port.
-	restarted := make(chan *Listener, 1)
-	go func() {
-		if err := <-phase1; err == nil {
-			t.Error("interrupted accept succeeded")
-			restarted <- nil
-			return
-		}
-		l1.Close()
-		// The port was just released; a short grace covers rebind lag.
-		var l2 *Listener
-		var err error
-		for i := 0; i < 50; i++ {
-			l2, err = Listen(addr, Options{Checkpoint: dir, IdleTimeout: 2 * time.Second})
-			if err == nil {
-				break
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-		if err != nil {
-			t.Errorf("rebinding %s: %v", addr, err)
-			restarted <- nil
-			return
-		}
-		if got := len(l2.store.entries); got != 1 {
-			t.Errorf("restarted listener loaded %d checkpoints, want 1", got)
-		}
-		restarted <- l2
-	}()
-
+	first.recv(1)
 	var cut atomic.Bool
-	opts := Options{
+	sopts := Options{
 		StallTimeout: 2 * time.Second,
 		Pace:         killPointPace,
 		Retry:        &RetryPolicy{MaxRetries: 5, Backoff: 400 * time.Millisecond, Seed: 11},
@@ -406,33 +292,34 @@ func TestResumeAfterReceiverRestart(t *testing.T) {
 			}
 		},
 	}
-	sendDone := make(chan struct{})
-	var sst core.SenderStats
-	var serr error
+	type sent struct {
+		st  core.SenderStats
+		err error
+	}
+	sendDone := make(chan sent, 1)
 	go func() {
-		defer close(sendDone)
-		sst, serr = Send(ctx, proxy.Addr(), obj, core.Config{Transfer: transferID, AckFrequency: 16}, opts)
+		st, err := Send(first.ctx, proxy.Addr(), obj, core.Config{Transfer: transferID, AckFrequency: 16}, sopts)
+		sendDone <- sent{st, err}
 	}()
+	if r, _ := first.result(true); r.err == nil {
+		t.Fatal("interrupted accept succeeded")
+	}
 
-	l2 := <-restarted
-	if l2 == nil {
-		t.FailNow()
+	// Phase 2 runs concurrently with the supervisor's backoff: once the
+	// first listener reports its abort, restart on the same port.
+	first.l.Close()
+	ep := listenAt(t, first.l.Addr(), byAccept, opts)
+	if got := len(ep.l.store.entries); got != 1 {
+		t.Fatalf("restarted listener loaded %d checkpoints, want 1", got)
 	}
-	defer l2.Close()
-	got, rst, rerr := acceptUntilSuccess(ctx, l2)
-	<-sendDone
-	if serr != nil {
-		t.Fatalf("supervised send across receiver restart: %v", serr)
+	ep.recvUntilSuccess()
+	s := <-sendDone
+	if s.err != nil {
+		t.Fatalf("supervised send across receiver restart: %v", s.err)
 	}
-	if rerr != nil {
-		t.Fatalf("receive after restart: %v", rerr)
-	}
-	if !bytes.Equal(got, obj) {
-		t.Fatal("object corrupted across receiver restart")
-	}
-	if rst.Restored == 0 || sst.Restored == 0 {
+	if r := ep.delivered(obj); r.st.Restored == 0 || s.st.Restored == 0 {
 		t.Fatalf("restart did not resume: receiver restored %d, sender restored %d",
-			rst.Restored, sst.Restored)
+			r.st.Restored, s.st.Restored)
 	}
 	if _, err := os.Stat(checkpoint.File(dir, transferID)); !os.IsNotExist(err) {
 		t.Fatalf("checkpoint not consumed by the successful resume: %v", err)
@@ -446,31 +333,9 @@ func TestServerResumesTransfer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault-injection test skipped in -short mode")
 	}
-	srv, err := NewServer("127.0.0.1:0", Options{IdleTimeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	proxy, err := faultnet.NewProxy(srv.Addr(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	type delivery struct {
-		obj []byte
-		st  core.ReceiverStats
-	}
-	delivered := make(chan delivery, 1)
-	serveDone := make(chan struct{})
-	go func() {
-		defer close(serveDone)
-		srv.Serve(ctx, func(_ uint32, obj []byte, st core.ReceiverStats) {
-			delivered <- delivery{obj, st}
-		})
-	}()
+	ep := listen(t, byServe, Options{IdleTimeout: 2 * time.Second})
+	proxy := ep.front(nil)
+	ep.recv(1)
 
 	obj := makeObj(1 << 20)
 	var cut atomic.Bool
@@ -486,29 +351,19 @@ func TestServerResumesTransfer(t *testing.T) {
 			}
 		},
 	}
-	sst, serr := Send(ctx, proxy.Addr(), obj, core.Config{Transfer: 77, AckFrequency: 16}, opts)
+	sst, serr := Send(ep.ctx, proxy.Addr(), obj, core.Config{Transfer: 77, AckFrequency: 16}, opts)
 	if !cut.Load() {
 		t.Fatal("transfer finished before the kill point; enlarge the object")
 	}
 	if serr != nil {
 		t.Fatalf("supervised send to server: %v", serr)
 	}
-	select {
-	case d := <-delivered:
-		if !bytes.Equal(d.obj, obj) {
-			t.Fatal("server delivered a corrupted object")
-		}
-		if d.st.Restored == 0 {
-			t.Fatal("server restored nothing: the retry restarted from scratch")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("server never delivered the resumed object")
+	if d := ep.delivered(obj); d.st.Restored == 0 {
+		t.Fatal("server restored nothing: the retry restarted from scratch")
 	}
 	if sst.Restored == 0 {
 		t.Fatal("sender restored nothing against the server")
 	}
-	cancel()
-	<-serveDone
 }
 
 // TestIsRetryable pins the supervisor's error taxonomy: transient failures
@@ -641,7 +496,7 @@ func TestResumeStoreEvictionAndExpiry(t *testing.T) {
 		store.insert(retainedOf(byte(i), uint32(i), 10))
 		// insert stamps retainedAt with the wall clock; space the entries
 		// so "oldest" is well defined.
-		time.Sleep(time.Millisecond)
+		time.Sleep(time.Millisecond) // scenario: entries retained a moment apart
 	}
 	held := func(id byte) bool {
 		store.mu.Lock()
@@ -672,19 +527,11 @@ func TestResumeStoreEvictionAndExpiry(t *testing.T) {
 
 	fast := &resumeStore{window: 30 * time.Millisecond, entries: map[[32]byte]*retained{}}
 	fast.insert(retainedOf(1, 1, 10))
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	waitUntil(t, 5*time.Second, "the entry expiring", func() bool {
 		fast.mu.Lock()
-		alive := len(fast.entries) != 0
-		fast.mu.Unlock()
-		if !alive {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("entry never expired")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		defer fast.mu.Unlock()
+		return len(fast.entries) == 0
+	})
 }
 
 // TestListenSurvivesCorruptCheckpoints seeds a checkpoint directory with
@@ -751,11 +598,7 @@ func TestListenSurvivesCorruptCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l, err := Listen("127.0.0.1:0", Options{Checkpoint: dir})
-	if err != nil {
-		t.Fatalf("Listen over a dirty checkpoint dir: %v", err)
-	}
-	defer l.Close()
+	ep := listen(t, byAccept, Options{Checkpoint: dir})
 	if fi, err := os.Stat(checkpoint.File(dir, 5)); err != nil || !fi.ModTime().Equal(backdated) {
 		t.Fatalf("Listen rewrote the checkpoint it loaded: %v, %v", fi.ModTime(), err)
 	}
@@ -765,51 +608,17 @@ func TestListenSurvivesCorruptCheckpoints(t *testing.T) {
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	recvCh := make(chan error, 1)
-	var got []byte
-	var rst core.ReceiverStats
-	go func() {
-		g, st, err := acceptUntilSuccess(ctx, l)
-		got, rst = g, st
-		recvCh <- err
-	}()
 	// The valid checkpoint answers the CHECK for its content; the transfer
 	// completes the object against its empty bitmap, and consumes it.
-	if _, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: 5, PacketSize: 512}, Options{}); err != nil {
-		t.Fatalf("send against restored checkpoint: %v", err)
-	}
-	if err := <-recvCh; err != nil {
-		t.Fatalf("receive: %v", err)
-	}
-	if !bytes.Equal(got, obj) || rst.Restored != 0 {
-		t.Fatalf("object intact %v, %d restored from an empty bitmap", bytes.Equal(got, obj), rst.Restored)
+	if rst := ep.pushOK(obj, core.Config{Transfer: 5, PacketSize: 512}, Options{}).st; rst.Restored != 0 {
+		t.Fatalf("%d restored from an empty bitmap", rst.Restored)
 	}
 	if _, err := os.Stat(checkpoint.File(dir, 5)); !os.IsNotExist(err) {
 		t.Fatalf("the claimed checkpoint was not consumed: %v", err)
 	}
 
 	// A transfer whose checkpoint was corrupt is an ordinary fresh one.
-	recvCh2 := make(chan error, 1)
-	var got2 []byte
-	go func() {
-		g, _, err := acceptUntilSuccess(ctx, l)
-		got2 = g
-		recvCh2 <- err
-	}()
-	obj2 := makeObj(2 << 10)
-	sst2, err := Send(ctx, l.Addr(), obj2, core.Config{Transfer: 7, PacketSize: 512}, Options{})
-	if err != nil {
-		t.Fatalf("send for corrupt-checkpoint id: %v", err)
-	}
-	if sst2.Restored != 0 {
+	if sst2 := ep.pushOK(makeObj(2<<10), core.Config{Transfer: 7, PacketSize: 512}, Options{}).sst; sst2.Restored != 0 {
 		t.Fatalf("restored %d packets from a corrupt checkpoint", sst2.Restored)
-	}
-	if err := <-recvCh2; err != nil {
-		t.Fatalf("receive 2: %v", err)
-	}
-	if !bytes.Equal(got2, obj2) {
-		t.Fatal("fallback object corrupted")
 	}
 }

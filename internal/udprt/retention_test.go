@@ -4,14 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/hpcnet/fobs/internal/core"
-	"github.com/hpcnet/fobs/internal/faultnet"
 	"github.com/hpcnet/fobs/internal/wire"
 )
 
@@ -48,28 +47,9 @@ func sendThenOverwrite(t *testing.T, ctx context.Context, addr string, obj []byt
 	for i := range obj {
 		obj[i] = 0xA5
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for senderGoroutines() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of Send's goroutines outlived it by 5s (from %d before it)", senderGoroutines(), before)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, 5*time.Second, fmt.Sprintf("Send's goroutines ending (%d before it)", before),
+		func() bool { return senderGoroutines() <= before })
 	return st, err
-}
-
-// delivered polls startServer's map for the transfer's object for up to
-// five seconds: the handler runs after the COMPLETE that ends Send is on the
-// wire.
-func delivered(mu *sync.Mutex, received map[uint32][]byte, id uint32) []byte {
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		mu.Lock()
-		obj := received[id]
-		mu.Unlock()
-		if obj != nil || time.Now().After(deadline) {
-			return obj
-		}
-	}
 }
 
 // TestSendKeepsNothingOfObj pins the promise in Send's doc comment that a
@@ -82,29 +62,31 @@ func TestSendKeepsNothingOfObj(t *testing.T) {
 	defer cancel()
 
 	t.Run("complete", func(t *testing.T) {
-		srv, received, mu, _ := startServer(t)
+		ep := listen(t, byServe, Options{})
+		ep.recv(1)
 		obj := makeObj(1 << 20)
 		want := bytes.Clone(obj)
-		if _, err := sendThenOverwrite(t, ctx, srv.Addr(), obj, core.Config{Transfer: 1}, Options{}); err != nil {
+		if _, err := sendThenOverwrite(t, ctx, ep.l.Addr(), obj, core.Config{Transfer: 1}, Options{}); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(delivered(mu, received, 1), want) {
-			t.Fatal("the receiver holds different bytes")
+		if ep.delivered(want).id != 1 {
+			t.Fatal("the receiver holds the bytes under another transfer")
 		}
 	})
 
 	t.Run("dedup hit", func(t *testing.T) {
-		srv, received, mu, _ := startServer(t)
+		ep := listen(t, byServe, Options{})
+		ep.recv(1)
 		obj := makeObj(256 << 10)
 		want := bytes.Clone(obj)
-		if _, err := Send(ctx, srv.Addr(), want, core.Config{Transfer: 1}, Options{}); err != nil {
+		if _, err := Send(ctx, ep.l.Addr(), want, core.Config{Transfer: 1}, Options{}); err != nil {
 			t.Fatal(err)
 		}
-		st, err := sendThenOverwrite(t, ctx, srv.Addr(), obj, core.Config{Transfer: 2}, Options{})
+		st, err := sendThenOverwrite(t, ctx, ep.l.Addr(), obj, core.Config{Transfer: 2}, Options{})
 		if err != nil || !st.Deduped {
 			t.Fatalf("second send: deduped %v, %v; want a hit", st.Deduped, err)
 		}
-		if !bytes.Equal(delivered(mu, received, 2), want) {
+		if !bytes.Equal(ep.byID(2)[2].obj, want) {
 			t.Fatal("the receiver's hit holds different bytes")
 		}
 	})
@@ -116,7 +98,7 @@ func TestSendKeepsNothingOfObj(t *testing.T) {
 			defer close(aborted)
 			fake.acceptHandshake()
 			if fake.ctl != nil {
-				time.Sleep(20 * time.Millisecond) // let the engine start sending
+				fake.readData(1, 5*time.Second) // the engine is sending
 				writeAbort(fake.ctl, 0, wire.AbortUnspecified)
 			}
 		}()
@@ -129,7 +111,8 @@ func TestSendKeepsNothingOfObj(t *testing.T) {
 	})
 
 	t.Run("cancelled context", func(t *testing.T) {
-		srv, _, _, _ := startServer(t)
+		ep := listen(t, byServe, Options{})
+		ep.recv(1)
 		cctx, ccancel := context.WithCancel(ctx)
 		defer ccancel()
 		opts := Options{
@@ -140,19 +123,16 @@ func TestSendKeepsNothingOfObj(t *testing.T) {
 				}
 			},
 		}
-		_, err := sendThenOverwrite(t, cctx, srv.Addr(), makeObj(2<<20), core.Config{Transfer: 1}, opts)
+		_, err := sendThenOverwrite(t, cctx, ep.l.Addr(), makeObj(2<<20), core.Config{Transfer: 1}, opts)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 	})
 
 	t.Run("retry after a failed attempt", func(t *testing.T) {
-		srv, received, mu, _ := startServer(t)
-		proxy, err := faultnet.NewProxy(srv.Addr(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer proxy.Close()
+		ep := listen(t, byServe, Options{})
+		proxy := ep.front(nil)
+		ep.recv(1)
 		obj := makeObj(512 << 10)
 		want := bytes.Clone(obj)
 		var cut atomic.Bool
@@ -174,20 +154,21 @@ func TestSendKeepsNothingOfObj(t *testing.T) {
 		if !cut.Load() {
 			t.Fatal("the first attempt finished before its control connection was cut")
 		}
-		if !bytes.Equal(delivered(mu, received, 1), want) {
-			t.Fatal("the receiver holds different bytes")
+		if ep.delivered(want).id != 1 {
+			t.Fatal("the receiver holds the bytes under another transfer")
 		}
 	})
 
 	t.Run("striped", func(t *testing.T) {
-		srv, received, mu, _ := startServer(t)
+		ep := listen(t, byServe, Options{})
+		ep.recv(1)
 		obj := makeObj(1<<20 + 3)
 		want := bytes.Clone(obj)
-		if _, err := sendThenOverwrite(t, ctx, srv.Addr(), obj, core.Config{Transfer: 1}, Options{Streams: 4}); err != nil {
+		if _, err := sendThenOverwrite(t, ctx, ep.l.Addr(), obj, core.Config{Transfer: 1}, Options{Streams: 4}); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(delivered(mu, received, 1), want) {
-			t.Fatal("the receiver holds different bytes")
+		if ep.delivered(want).id != 1 {
+			t.Fatal("the receiver holds the bytes under another transfer")
 		}
 	})
 }

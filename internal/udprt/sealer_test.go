@@ -6,7 +6,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"math/rand"
-	"net"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -19,6 +18,8 @@ import (
 	"github.com/hpcnet/fobs/internal/checkpoint"
 	"github.com/hpcnet/fobs/internal/core"
 	"github.com/hpcnet/fobs/internal/faultnet"
+	"github.com/hpcnet/fobs/internal/metrics"
+	"github.com/hpcnet/fobs/internal/stats"
 	"github.com/hpcnet/fobs/internal/wire"
 )
 
@@ -128,70 +129,6 @@ func sealWorkers() int {
 	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "udprt.(*sealer).work")
 }
 
-// rawSender is a hand-driven sender: a control connection, a data socket,
-// and the frames a test chooses to put on them.
-type rawSender struct {
-	t        *testing.T
-	ctl      net.Conn
-	udp      *net.UDPConn
-	obj      []byte
-	transfer uint32
-	ps       int
-}
-
-// openRaw announces obj — CHECK then HELLO — to addr and reads the HAVE
-// that accepts it.
-func openRaw(t *testing.T, addr string, obj []byte, transfer uint32, ps int) *rawSender {
-	t.Helper()
-	ctl, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ctl.Close() })
-	if _, err := ctl.Write(announceFor(transfer, obj, ps)); err != nil {
-		t.Fatal(err)
-	}
-	ctl.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if f, err := readControlFrame(ctl); err != nil || f.typ != wire.TypeHave || f.have.Received != 0 {
-		t.Fatalf("announcement answer: type %d, %v", f.typ, err)
-	}
-	ua, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	udp, err := net.DialUDP("udp", nil, ua)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { udp.Close() })
-	return &rawSender{t: t, ctl: ctl, udp: udp, obj: obj, transfer: transfer, ps: ps}
-}
-
-// data puts packets [from, to) of the object on the data socket.
-func (r *rawSender) data(from, to int) {
-	r.t.Helper()
-	total := core.NumPackets(int64(len(r.obj)), r.ps)
-	for seq := from; seq < to; seq++ {
-		lo := seq * r.ps
-		pkt := wire.AppendData(nil, &wire.Data{Transfer: r.transfer, Seq: uint32(seq), Total: uint32(total),
-			Payload: r.obj[lo:min(lo+r.ps, len(r.obj))]})
-		if _, err := r.udp.Write(pkt); err != nil {
-			r.t.Fatal(err)
-		}
-	}
-}
-
-// verdict reads the receiver's terminal control frame.
-func (r *rawSender) verdict() controlFrame {
-	r.t.Helper()
-	r.ctl.SetReadDeadline(time.Now().Add(10 * time.Second))
-	f, err := readControlFrame(r.ctl)
-	if err != nil {
-		r.t.Fatalf("no terminal frame: %v", err)
-	}
-	return f
-}
-
 // TestSealerWorkerNeverOutlivesTransfer: whichever way a transfer ends —
 // idle watchdog, cancellation, the sender's ABORT, or retention followed by
 // a transfer that claims the state and completes it — the leaf-hashing
@@ -202,50 +139,55 @@ func TestSealerWorkerNeverOutlivesTransfer(t *testing.T) {
 	packets := core.NumPackets(int64(len(obj)), ps)
 
 	// partial runs one Accept against a raw sender that places the first
-	// 1.5 leaves and then ends the transfer its own way.
-	partial := func(t *testing.T, opts Options, end func(r *rawSender, cancel context.CancelFunc)) (*Listener, error) {
+	// three quarters of the object and then, once the receiver's record shows
+	// packets placed, ends the transfer its own way.
+	partial := func(t *testing.T, opts Options, end func(*rawPeer, *testEndpoint)) (*testEndpoint, error) {
 		t.Helper()
-		l, err := Listen("127.0.0.1:0", opts)
-		if err != nil {
-			t.Fatal(err)
+		opts.Metrics = metrics.New()
+		ep := listen(t, byAccept, opts)
+		ep.recv(1)
+		peer := dialRaw(t, ep.l.Addr(), announceFor(5, obj, ps))
+		peer.accepted()
+		peer.dataUntil(5, obj, ps, 0, packets*3/4, func() bool { return ep.fresh(5) > 0 })
+		if n := sealWorkers(); n != 1 {
+			t.Fatalf("%d sealer workers while the transfer runs, want 1", n)
 		}
-		t.Cleanup(func() { l.Close() })
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		t.Cleanup(cancel)
-		errc := make(chan error, 1)
-		go func() { _, _, err := l.Accept(ctx); errc <- err }()
-		r := openRaw(t, l.Addr(), obj, 5, ps)
-		r.data(0, packets*3/4)
-		deadline := time.Now().Add(5 * time.Second)
-		for sealWorkers() != 1 {
-			if time.Now().After(deadline) {
-				t.Fatalf("%d sealer workers while the transfer runs, want 1", sealWorkers())
-			}
-			time.Sleep(time.Millisecond)
-		}
-		end(r, cancel)
-		err = <-errc
+		end(peer, ep)
+		r, _ := ep.result(true)
 		if n := sealWorkers(); n != 0 {
-			t.Fatalf("%d sealer workers after Accept returned (%v)", n, err)
+			t.Fatalf("%d sealer workers after Accept returned (%v)", n, r.err)
 		}
-		return l, err
+		return ep, r.err
 	}
 
 	t.Run("idle timeout", func(t *testing.T) {
-		_, err := partial(t, Options{IdleTimeout: 300 * time.Millisecond}, func(*rawSender, context.CancelFunc) {})
+		_, err := partial(t, Options{IdleTimeout: 300 * time.Millisecond}, func(*rawPeer, *testEndpoint) {})
 		if !errors.Is(err, ErrIdle) {
 			t.Fatalf("Accept err = %v, want ErrIdle", err)
 		}
 	})
 	t.Run("ctx cancel", func(t *testing.T) {
-		_, err := partial(t, Options{}, func(_ *rawSender, cancel context.CancelFunc) { cancel() })
+		_, err := partial(t, Options{}, func(_ *rawPeer, ep *testEndpoint) { ep.cancel() })
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("Accept err = %v, want context.Canceled", err)
 		}
 	})
 	t.Run("sender abort then resume", func(t *testing.T) {
-		l, err := partial(t, Options{}, func(r *rawSender, _ context.CancelFunc) {
-			writeAbort(r.ctl, 5, wire.AbortCancelled)
+		ep, err := partial(t, Options{}, func(peer *rawPeer, ep *testEndpoint) {
+			writeAbort(peer.ctl, 5, wire.AbortCancelled)
+			// What the endpoint's loop reads once the ABORT ended the
+			// transfer was in its data socket, unread, when the ABORT was
+			// acted on: the peer sends nothing after it.
+			rec := ep.aborted(5, wire.AbortCancelled)
+			var io stats.IOCounters
+			waitUntil(t, 5*time.Second, "the endpoint reading every datagram sent", func() bool {
+				ep.l.mu.Lock()
+				defer ep.l.mu.Unlock()
+				io = ep.l.io
+				return io.RecvDatagrams+io.RecvOverflow >= peer.sent
+			})
+			t.Logf("datagrams unread at the ABORT: %d of %d sent (%d placed, %d dropped at the socket)",
+				io.RecvDatagrams-rec.IO.RecvDatagrams, peer.sent, rec.Fresh, io.RecvOverflow)
 		})
 		var abort *AbortError
 		if !errors.As(err, &abort) {
@@ -254,48 +196,32 @@ func TestSealerWorkerNeverOutlivesTransfer(t *testing.T) {
 		// The partial state was retained; the next announcement of the
 		// content claims it, seeds a new sealer from the bitmap, and
 		// completes on the rest.
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		type result struct {
-			obj []byte
-			st  core.ReceiverStats
-			err error
+		p := ep.push(obj, core.Config{Transfer: 5, PacketSize: ps}, Options{Retry: &RetryPolicy{}})
+		if p.serr != nil {
+			t.Fatalf("rerun: %v", p.serr)
 		}
-		resc := make(chan result, 1)
-		go func() { got, st, err := l.Accept(ctx); resc <- result{got, st, err} }()
-		sst, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: 5, PacketSize: ps}, Options{Retry: &RetryPolicy{}})
-		if err != nil {
-			t.Fatalf("rerun: %v", err)
+		if p.err != nil || !bytes.Equal(p.obj, obj) {
+			t.Fatalf("resumed accept: err=%v intact=%v", p.err, bytes.Equal(p.obj, obj))
 		}
-		res := <-resc
-		if res.err != nil || !bytes.Equal(res.obj, obj) {
-			t.Fatalf("resumed accept: err=%v intact=%v", res.err, bytes.Equal(res.obj, obj))
-		}
-		if res.st.Restored == 0 || sst.Restored == 0 {
-			t.Fatalf("nothing resumed: receiver restored %d, sender %d", res.st.Restored, sst.Restored)
+		if p.st.Restored == 0 || p.sst.Restored == 0 {
+			t.Fatalf("nothing resumed: receiver restored %d, sender %d", p.st.Restored, p.sst.Restored)
 		}
 		if n := sealWorkers(); n != 0 {
 			t.Fatalf("%d sealer workers after the resumed transfer completed", n)
 		}
 	})
 	t.Run("server", func(t *testing.T) {
-		srv, err := NewServer("127.0.0.1:0", Options{})
-		if err != nil {
-			t.Fatal(err)
+		ep := listen(t, byServe, Options{})
+		ep.recv(1)
+		peer := dialRaw(t, ep.l.Addr(), announceFor(6, obj, ps))
+		peer.accepted()
+		peer.data(6, obj, ps, 0, packets/2)
+		writeAbort(peer.ctl, 6, wire.AbortCancelled)
+		peer.ctl.Close()
+		ep.close() // Serve waits for every control handler
+		if len(ep.got) != 0 {
+			t.Error("an aborted transfer was delivered")
 		}
-		defer srv.Close()
-		ctx, cancel := context.WithCancel(context.Background())
-		served := make(chan struct{})
-		go func() {
-			defer close(served)
-			srv.Serve(ctx, func(uint32, []byte, core.ReceiverStats) { t.Error("an aborted transfer was delivered") })
-		}()
-		r := openRaw(t, srv.Addr(), obj, 6, ps)
-		r.data(0, packets/2)
-		writeAbort(r.ctl, 6, wire.AbortCancelled)
-		r.ctl.Close()
-		cancel()
-		<-served // Serve waits for every control handler
 		if n := sealWorkers(); n != 0 {
 			t.Fatalf("%d sealer workers after Serve returned", n)
 		}
@@ -315,42 +241,16 @@ func TestSealedTransfersUnderFaults(t *testing.T) {
 	faults := func() *faultnet.Faults {
 		return faultnet.New(faultnet.Policy{Seed: 3, Dup: 0.08, Reorder: 0.08})
 	}
-	front := func(t *testing.T, addr string) *faultnet.Proxy {
-		t.Helper()
-		proxy, err := faultnet.NewProxy(addr, faults())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { proxy.Close() })
-		return proxy
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
 	sopts := Options{Pace: 2 * time.Microsecond}
 
 	accept := func(t *testing.T, sopts Options) {
-		l, err := Listen("127.0.0.1:0", Options{})
-		if err != nil {
-			t.Fatal(err)
+		ep := listen(t, byAccept, Options{})
+		proxy := ep.front(faults())
+		p := ep.pushOK(obj, cfg, sopts)
+		if st := proxy.Stats(); st.Duplicated == 0 || st.Reordered == 0 || p.st.Duplicates == 0 {
+			t.Fatalf("faults never fired: %+v, receiver saw %d duplicates", st, p.st.Duplicates)
 		}
-		defer l.Close()
-		proxy := front(t, l.Addr())
-		var got []byte
-		var rst core.ReceiverStats
-		var rerr error
-		done := make(chan struct{})
-		go func() { defer close(done); got, rst, rerr = l.Accept(ctx) }()
-		if _, err := Send(ctx, proxy.Addr(), obj, cfg, sopts); err != nil {
-			t.Fatalf("send: %v", err)
-		}
-		<-done
-		if rerr != nil || !bytes.Equal(got, obj) {
-			t.Fatalf("receive: err=%v intact=%v", rerr, bytes.Equal(got, obj))
-		}
-		if st := proxy.Stats(); st.Duplicated == 0 || st.Reordered == 0 || rst.Duplicates == 0 {
-			t.Fatalf("faults never fired: %+v, receiver saw %d duplicates", st, rst.Duplicates)
-		}
-		if _, ok := l.cache.lookup(core.ContentID(obj), uint64(len(obj))); !ok {
+		if _, ok := ep.l.cache.lookup(core.ContentID(obj), uint64(len(obj))); !ok {
 			t.Fatal("verified object was not cached")
 		}
 	}
@@ -361,75 +261,30 @@ func TestSealedTransfersUnderFaults(t *testing.T) {
 		accept(t, striped)
 	})
 	t.Run("session", func(t *testing.T) {
-		sl, err := ListenSession("127.0.0.1:0", Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sl.Close()
-		proxy := front(t, sl.Addr())
-		var got []byte
-		var rerr error
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			is, err := sl.AcceptSession(ctx)
-			if err != nil {
-				rerr = err
-				return
-			}
-			defer is.Close()
-			got, _, rerr = is.Next(ctx)
-		}()
-		s, err := OpenSession(ctx, proxy.Addr(), sopts)
+		ep := listen(t, bySession, Options{})
+		ep.front(faults())
+		ep.recv(1)
+		s, err := OpenSession(ep.ctx, ep.addr(), sopts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		if _, err := s.Send(ctx, obj, cfg); err != nil {
+		if _, err := s.Send(ep.ctx, obj, cfg); err != nil {
 			t.Fatalf("session send: %v", err)
 		}
-		<-done
-		if rerr != nil || !bytes.Equal(got, obj) {
-			t.Fatalf("session receive: err=%v intact=%v", rerr, bytes.Equal(got, obj))
-		}
+		ep.delivered(obj)
 	})
 	t.Run("server", func(t *testing.T) {
-		srv, err := NewServer("127.0.0.1:0", Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		proxy := front(t, srv.Addr())
-		sctx, stop := context.WithCancel(ctx)
-		delivered := make(chan []byte, 1)
-		served := make(chan struct{})
-		go func() {
-			defer close(served)
-			srv.Serve(sctx, func(_ uint32, got []byte, _ core.ReceiverStats) { delivered <- got })
-		}()
+		ep := listen(t, byServe, Options{})
+		ep.front(faults())
 		scfg := cfg
 		scfg.Transfer = 9
-		if _, err := Send(ctx, proxy.Addr(), obj, scfg, sopts); err != nil {
-			t.Fatalf("send to server: %v", err)
-		}
-		if got := <-delivered; !bytes.Equal(got, obj) {
-			t.Fatal("server delivered a corrupted object")
-		}
-		stop()
-		<-served
+		ep.pushOK(obj, scfg, sopts)
 	})
 	t.Run("resumed", func(t *testing.T) {
-		l, err := Listen("127.0.0.1:0", Options{IdleTimeout: 2 * time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		proxy := front(t, l.Addr())
-		var got []byte
-		var rst core.ReceiverStats
-		var rerr error
-		done := make(chan struct{})
-		go func() { defer close(done); got, rst, rerr = acceptUntilSuccess(ctx, l) }()
+		ep := listen(t, byAccept, Options{IdleTimeout: 2 * time.Second})
+		proxy := ep.front(faults())
+		ep.recvUntilSuccess()
 		var cut atomic.Bool
 		ropts := Options{
 			StallTimeout: 2 * time.Second,
@@ -443,15 +298,11 @@ func TestSealedTransfersUnderFaults(t *testing.T) {
 				}
 			},
 		}
-		if _, err := Send(ctx, proxy.Addr(), obj, cfg, ropts); err != nil {
+		if _, err := Send(ep.ctx, proxy.Addr(), obj, cfg, ropts); err != nil {
 			t.Fatalf("supervised send: %v", err)
 		}
-		<-done
-		if rerr != nil || !bytes.Equal(got, obj) {
-			t.Fatalf("resumed receive: err=%v intact=%v", rerr, bytes.Equal(got, obj))
-		}
-		if !cut.Load() || rst.Restored == 0 {
-			t.Fatalf("the transfer was not resumed (cut=%v, restored %d)", cut.Load(), rst.Restored)
+		if r := ep.delivered(obj); !cut.Load() || r.st.Restored == 0 {
+			t.Fatalf("the transfer was not resumed (cut=%v, restored %d)", cut.Load(), r.st.Restored)
 		}
 	})
 }
@@ -474,12 +325,8 @@ func TestFlippedByteInAnyLeafFailsDigest(t *testing.T) {
 		"last leaf":   last*core.LeafSize + 17,
 	} {
 		t.Run(name, func(t *testing.T) {
-			l, err := Listen("127.0.0.1:0", Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer l.Close()
-			proxy, err := faultnet.NewProxy(l.Addr(), faultnet.New(faultnet.Policy{
+			ep := listen(t, byAccept, Options{})
+			proxy := ep.front(faultnet.New(faultnet.Policy{
 				Seed:          7,
 				CorruptOffset: wire.DataHeaderLen,
 				CorruptIf: func(pkt []byte) bool {
@@ -487,18 +334,8 @@ func TestFlippedByteInAnyLeafFailsDigest(t *testing.T) {
 					return err == nil && int(d.Seq) == target/ps
 				},
 			}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer proxy.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			defer cancel()
-			var got []byte
-			var rerr error
-			done := make(chan struct{})
-			go func() { defer close(done); got, _, rerr = l.Accept(ctx) }()
-			_, serr := Send(ctx, proxy.Addr(), obj, core.Config{PacketSize: ps}, Options{Pace: 2 * time.Microsecond})
-			<-done
+			p := ep.push(obj, core.Config{PacketSize: ps}, Options{Pace: 2 * time.Microsecond})
+			serr := p.serr
 			if st := proxy.Stats(); st.Corrupted == 0 {
 				t.Fatalf("corruption never fired: %+v", st)
 			}
@@ -509,13 +346,13 @@ func TestFlippedByteInAnyLeafFailsDigest(t *testing.T) {
 			if !errors.As(serr, &abort) || abort.Reason != wire.AbortDigestMismatch {
 				t.Fatalf("sender err = %v, want it to carry ABORT(digest-mismatch)", serr)
 			}
-			if !errors.Is(rerr, ErrDigestMismatch) {
-				t.Fatalf("receiver err = %v, want ErrDigestMismatch", rerr)
+			if !errors.Is(p.err, ErrDigestMismatch) {
+				t.Fatalf("receiver err = %v, want ErrDigestMismatch", p.err)
 			}
-			if got != nil {
+			if p.obj != nil {
 				t.Fatal("a corrupted object was delivered")
 			}
-			if n := l.cache.len(); n != 0 {
+			if n := ep.l.cache.len(); n != 0 {
 				t.Fatalf("a corrupted object was cached (%d entries)", n)
 			}
 		})
@@ -529,33 +366,17 @@ func TestFlippedByteInAnyLeafFailsDigest(t *testing.T) {
 // on that one connection, since every announcement must name its content.
 func TestOldCheckVersionRefused(t *testing.T) {
 	obj := makeObj(300 << 10)
-	l, err := Listen("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
+	ep := listen(t, byAccept, Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	accErr := make(chan error, 1)
-	go func() { _, _, err := l.Accept(ctx); accErr <- err }()
-	conn, err := net.Dial("tcp", l.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	ep.recv(1)
 	v1 := wire.AppendCheck(nil, &wire.Check{Version: 1, Flags: wire.CheckFlagDedup, Transfer: 1,
 		ObjectSize: uint64(len(obj)), PacketSize: 1024, Digest: sha256.Sum256(obj)})
 	v1 = wire.AppendHello(v1, &wire.Hello{Transfer: 1, ObjectSize: uint64(len(obj)), PacketSize: 1024})
-	if _, err := conn.Write(v1); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if f, err := readControlFrame(conn); err != nil || f.typ != wire.TypeAbort || f.abort.Reason != wire.AbortUnsupported {
-		t.Fatalf("answer to a v1 CHECK = type %d reason %v (%v), want ABORT unsupported", f.typ, f.abort.Reason, err)
-	}
-	if err := <-accErr; !errors.Is(err, wire.ErrCheckVersion) {
-		t.Fatalf("Accept err = %v, want ErrCheckVersion", err)
+	dialRaw(t, ep.l.Addr(), v1).refused(wire.AbortUnsupported)
+	if r, _ := ep.result(true); !errors.Is(r.err, wire.ErrCheckVersion) {
+		t.Fatalf("Accept err = %v, want ErrCheckVersion", r.err)
 	}
 
 	// The stub peer refuses the first connection the way an earlier build
@@ -565,7 +386,7 @@ func TestOldCheckVersionRefused(t *testing.T) {
 		n := 0
 		defer func() { conns <- n }()
 		for {
-			c, err := acceptControl(ctx, l.tcp)
+			c, err := acceptControl(ctx, ep.l.tcp)
 			if err != nil {
 				return
 			}
@@ -578,7 +399,7 @@ func TestOldCheckVersionRefused(t *testing.T) {
 			c.Close()
 		}
 	}()
-	_, err = Send(ctx, l.Addr(), obj, core.Config{Transfer: 2}, Options{HandshakeRetries: 3})
+	_, err := Send(ctx, ep.l.Addr(), obj, core.Config{Transfer: 2}, Options{HandshakeRetries: 3})
 	var abort *AbortError
 	if !errors.As(err, &abort) || abort.Reason != wire.AbortUnsupported {
 		t.Fatalf("send past a refused CHECK: err = %v, want the peer's ABORT(unsupported)", err)
@@ -598,44 +419,27 @@ func TestCompleteDigestRule(t *testing.T) {
 	obj := makeObj(20 * ps)
 	tag := wire.ContentTag(core.ContentID(obj))
 	t.Run("answered CHECK", func(t *testing.T) {
-		l, err := Listen("127.0.0.1:0", Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		accErr := make(chan error, 1)
-		go func() { _, _, err := l.Accept(ctx); accErr <- err }()
-		r := openRaw(t, l.Addr(), obj, 4, ps)
-		r.data(0, 20)
-		f := r.verdict()
+		ep := listen(t, byAccept, Options{})
+		ep.recv(1)
+		peer := dialRaw(t, ep.l.Addr(), announceFor(4, obj, ps))
+		peer.accepted()
+		peer.data(4, obj, ps, 0, 20)
+		f := peer.read()
 		if f.typ != wire.TypeComplete || f.complete.Received != uint64(len(obj)) {
 			t.Fatalf("terminal frame type %d, %+v", f.typ, f.complete)
 		}
 		if f.complete.Digest != tag {
 			t.Fatalf("COMPLETE carries %08x, want the content tag %08x", f.complete.Digest, tag)
 		}
-		if err := <-accErr; err != nil {
-			t.Fatalf("Accept: %v", err)
-		}
+		ep.delivered(obj)
 	})
 	t.Run("no CHECK", func(t *testing.T) {
-		l, err := Listen("127.0.0.1:0", Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		accErr := make(chan error, 1)
-		go func() { _, _, err := l.Accept(ctx); accErr <- err }()
-		peer := dialRaw(t, l.Addr(), wire.AppendHello(nil, &wire.Hello{Transfer: 4, ObjectSize: uint64(len(obj)), PacketSize: ps}))
-		if f := peer.read(); f.typ != wire.TypeAbort || f.abort.Reason != wire.AbortBadHello {
-			t.Fatalf("an announcement without a CHECK was answered type %d (%s), want ABORT(bad-hello)", f.typ, f.abort.Reason)
-		}
-		if err := <-accErr; !errors.Is(err, errBadAnnouncement) {
-			t.Fatalf("Accept err = %v, want errBadAnnouncement", err)
+		ep := listen(t, byAccept, Options{})
+		ep.recv(1)
+		dialRaw(t, ep.l.Addr(), wire.AppendHello(nil, &wire.Hello{Transfer: 4, ObjectSize: uint64(len(obj)), PacketSize: ps})).
+			refused(wire.AbortBadHello)
+		if r, _ := ep.result(true); !errors.Is(r.err, errBadAnnouncement) {
+			t.Fatalf("Accept err = %v, want errBadAnnouncement", r.err)
 		}
 	})
 	t.Run("wrong tag fails the send", func(t *testing.T) {
@@ -707,118 +511,33 @@ func TestUnusableAnnouncementRefused(t *testing.T) {
 			wire.AppendCheck(nil, &wire.Check{Transfer: 1, ObjectSize: 64, PacketSize: 1024}),
 			&wire.Hello{Transfer: 1, PacketSize: 1024}),
 	}
-	// refused writes frame on a fresh control connection and requires the
-	// reasoned ABORT.
-	refused := func(t *testing.T, addr string, frame []byte) {
-		t.Helper()
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		if _, err := conn.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		f, err := readControlFrame(conn)
-		if err != nil || f.typ != wire.TypeAbort || f.abort.Reason != wire.AbortBadHello {
-			t.Fatalf("answer = type %d reason %v (%v), want ABORT bad-hello", f.typ, f.abort.Reason, err)
-		}
-	}
 	obj := makeObj(64 << 10)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
-	t.Run("Listener.Accept", func(t *testing.T) {
-		l, err := Listen("127.0.0.1:0", Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		for name, frame := range frames {
-			accErr := make(chan error, 1)
-			go func() { _, _, err := l.Accept(ctx); accErr <- err }()
-			refused(t, l.Addr(), frame)
-			if err := <-accErr; !errors.Is(err, errBadAnnouncement) {
-				t.Fatalf("%s: Accept err = %v, want errBadAnnouncement", name, err)
+	for _, kind := range []string{byAccept, bySession, byServe} {
+		t.Run(map[string]string{byAccept: "Listener.Accept", bySession: "IncomingSession.Next", byServe: "Server"}[kind], func(t *testing.T) {
+			ep := listen(t, kind, Options{})
+			for name, frame := range frames {
+				ep.recv(1)
+				dialRaw(t, ep.l.Addr(), frame).refused(wire.AbortBadHello)
+				if r, ok := ep.result(true); ok && !errors.Is(r.err, errBadAnnouncement) {
+					t.Fatalf("%s: err = %v, want errBadAnnouncement", name, r.err)
+				}
 			}
-		}
-		done, objs, _, errs := acceptN(ctx, l, 1)
-		if _, err := Send(ctx, l.Addr(), obj, core.Config{}, Options{}); err != nil {
-			t.Fatalf("send after the refusals: %v", err)
-		}
-		<-done
-		if errs[0] != nil || !bytes.Equal(objs[0], obj) {
-			t.Fatalf("accept after the refusals: %v", errs[0])
-		}
-	})
-	t.Run("IncomingSession.Next", func(t *testing.T) {
-		sl, err := ListenSession("127.0.0.1:0", Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sl.Close()
-		next := func() ([]byte, error) {
-			is, err := sl.AcceptSession(ctx)
+			if kind != bySession {
+				ep.pushOK(obj, core.Config{Transfer: 8}, Options{})
+				return
+			}
+			ep.recv(1)
+			s, err := OpenSession(ep.ctx, ep.l.Addr(), Options{})
 			if err != nil {
-				return nil, err
+				t.Fatal(err)
 			}
-			defer is.Close()
-			got, _, err := is.Next(ctx)
-			return got, err
-		}
-		for name, frame := range frames {
-			accErr := make(chan error, 1)
-			go func() { _, err := next(); accErr <- err }()
-			refused(t, sl.Addr(), frame)
-			if err := <-accErr; !errors.Is(err, errBadAnnouncement) {
-				t.Fatalf("%s: Next err = %v, want errBadAnnouncement", name, err)
+			defer s.Close()
+			if _, err := s.Send(ep.ctx, obj, core.Config{}); err != nil {
+				t.Fatalf("session send after the refusals: %v", err)
 			}
-		}
-		type result struct {
-			obj []byte
-			err error
-		}
-		resc := make(chan result, 1)
-		go func() { got, err := next(); resc <- result{got, err} }()
-		s, err := OpenSession(ctx, sl.Addr(), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		if _, err := s.Send(ctx, obj, core.Config{}); err != nil {
-			t.Fatalf("session send after the refusals: %v", err)
-		}
-		if res := <-resc; res.err != nil || !bytes.Equal(res.obj, obj) {
-			t.Fatalf("session receive after the refusals: %v", res.err)
-		}
-	})
-	t.Run("Server", func(t *testing.T) {
-		srv, err := NewServer("127.0.0.1:0", Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		sctx, stop := context.WithCancel(ctx)
-		delivered := make(chan []byte, 1)
-		served := make(chan error, 1)
-		go func() {
-			served <- srv.Serve(sctx, func(_ uint32, got []byte, _ core.ReceiverStats) { delivered <- got })
-		}()
-		for _, frame := range frames {
-			refused(t, srv.Addr(), frame)
-		}
-		if _, err := Send(ctx, srv.Addr(), obj, core.Config{Transfer: 8}, Options{}); err != nil {
-			t.Fatalf("send after the refusals: %v", err)
-		}
-		if got := <-delivered; !bytes.Equal(got, obj) {
-			t.Fatal("server delivered a corrupted object after the refusals")
-		}
-		stop()
-		if err := <-served; err != nil {
-			t.Fatalf("Serve: %v", err)
-		}
-	})
+			ep.delivered(obj)
+		})
+	}
 }
 
 // TestCacheLoadRemovesUnverifiable: a persisted cache entry whose bytes do

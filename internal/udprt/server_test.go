@@ -11,57 +11,17 @@ import (
 	"github.com/hpcnet/fobs/internal/core"
 )
 
-func startServer(t *testing.T) (*Server, map[uint32][]byte, *sync.Mutex, context.CancelFunc) {
-	t.Helper()
-	srv, err := NewServer("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	received := map[uint32][]byte{}
-	var mu sync.Mutex
-	go srv.Serve(ctx, func(transfer uint32, obj []byte, st core.ReceiverStats) {
-		mu.Lock()
-		received[transfer] = obj
-		mu.Unlock()
-	})
-	t.Cleanup(func() {
-		cancel()
-		srv.Close()
-	})
-	return srv, received, &mu, cancel
-}
-
 func TestServerSingleTransfer(t *testing.T) {
-	srv, received, mu, _ := startServer(t)
-	obj := makeObj(512 << 10)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if _, err := Send(ctx, srv.Addr(), obj, core.Config{Transfer: 7}, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	// The handler runs asynchronously after COMPLETE is written; poll
-	// briefly.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		got, ok := received[7]
-		mu.Unlock()
-		if ok {
-			if !bytes.Equal(got, obj) {
-				t.Fatal("object corrupted through server")
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("handler never received the object")
-		}
-		time.Sleep(5 * time.Millisecond)
+	ep := listen(t, byServe, Options{})
+	// The handler runs after COMPLETE is written, so after Send may return.
+	if id := ep.pushOK(makeObj(512<<10), core.Config{Transfer: 7}, Options{}).id; id != 7 {
+		t.Fatalf("the handler was handed transfer %d, want 7", id)
 	}
 }
 
 func TestServerConcurrentTransfers(t *testing.T) {
-	srv, received, mu, _ := startServer(t)
+	ep := listen(t, byServe, Options{})
+	ep.recv(1)
 	const n = 4
 	objs := make([][]byte, n)
 	rng := rand.New(rand.NewSource(77))
@@ -69,8 +29,6 @@ func TestServerConcurrentTransfers(t *testing.T) {
 		objs[i] = make([]byte, 256<<10+i*1111)
 		rng.Read(objs[i])
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
 
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -78,7 +36,7 @@ func TestServerConcurrentTransfers(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = Send(ctx, srv.Addr(), objs[i],
+			_, errs[i] = Send(ep.ctx, ep.l.Addr(), objs[i],
 				core.Config{Transfer: uint32(i + 1)},
 				Options{Pace: 5 * time.Microsecond})
 		}(i)
@@ -89,24 +47,9 @@ func TestServerConcurrentTransfers(t *testing.T) {
 			t.Fatalf("sender %d: %v", i, err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		done := len(received) == n
-		mu.Unlock()
-		if done {
-			break
-		}
-		if time.Now().After(deadline) {
-			mu.Lock()
-			t.Fatalf("only %d/%d transfers reached the handler", len(received), n)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	mu.Lock()
-	defer mu.Unlock()
+	received := ep.byID(n)
 	for i := 0; i < n; i++ {
-		if !bytes.Equal(received[uint32(i+1)], objs[i]) {
+		if !bytes.Equal(received[uint32(i+1)].obj, objs[i]) {
 			t.Fatalf("transfer %d corrupted", i+1)
 		}
 	}
@@ -114,60 +57,31 @@ func TestServerConcurrentTransfers(t *testing.T) {
 
 func TestServerSequentialReuseOfTransferID(t *testing.T) {
 	// Once a transfer finishes, its id can be used again.
-	srv, received, mu, _ := startServer(t)
+	ep := listen(t, byServe, Options{})
 	for round := 0; round < 2; round++ {
-		obj := makeObj(64<<10 + round)
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		if _, err := Send(ctx, srv.Addr(), obj, core.Config{Transfer: 42}, Options{}); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		cancel()
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			mu.Lock()
-			got := received[42]
-			mu.Unlock()
-			if len(got) == len(obj) {
-				if !bytes.Equal(got, obj) {
-					t.Fatalf("round %d corrupted", round)
-				}
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("round %d never completed", round)
-			}
-			time.Sleep(5 * time.Millisecond)
+		if id := ep.pushOK(makeObj(64<<10+round), core.Config{Transfer: 42}, Options{}).id; id != 42 {
+			t.Fatalf("round %d: the handler was handed transfer %d, want 42", round, id)
 		}
 	}
 }
 
 func TestServerNilHandler(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if err := srv.Serve(context.Background(), nil); err == nil {
+	if err := listen(t, byServe, Options{}).srv.Serve(context.Background(), nil); err == nil {
 		t.Fatal("nil handler accepted")
 	}
 }
 
 func TestServerCloseStopsServe(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		done <- srv.Serve(context.Background(), func(uint32, []byte, core.ReceiverStats) {})
-	}()
-	time.Sleep(50 * time.Millisecond)
-	srv.Close()
+	ep := listen(t, byServe, Options{})
+	// A transfer served is a Serve that has reached its accept loop.
+	ep.pushOK(makeObj(1024), core.Config{Transfer: 1}, Options{})
+	ep.l.Close()
 	select {
-	case err := <-done:
+	case err := <-ep.served:
 		if err != nil {
 			t.Fatalf("Serve returned %v after Close", err)
 		}
+		ep.served <- nil // for the endpoint's own close
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not return after Close")
 	}

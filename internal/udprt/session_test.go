@@ -1,7 +1,6 @@
 package udprt
 
 import (
-	"bytes"
 	"context"
 	"math/rand"
 	"testing"
@@ -11,15 +10,7 @@ import (
 )
 
 func TestSessionStreamsObjectsInOrder(t *testing.T) {
-	sl, err := ListenSession("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sl.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
+	ep := listen(t, bySession, Options{})
 	const frames = 5
 	objs := make([][]byte, frames)
 	rng := rand.New(rand.NewSource(3))
@@ -27,61 +18,27 @@ func TestSessionStreamsObjectsInOrder(t *testing.T) {
 		objs[i] = make([]byte, 128<<10+i*7777)
 		rng.Read(objs[i])
 	}
-
-	type recv struct {
-		objs [][]byte
-		err  error
-	}
-	done := make(chan recv, 1)
-	go func() {
-		is, err := sl.AcceptSession(ctx)
-		if err != nil {
-			done <- recv{err: err}
-			return
-		}
-		defer is.Close()
-		var got [][]byte
-		for i := 0; i < frames; i++ {
-			obj, _, err := is.Next(ctx)
-			if err != nil {
-				done <- recv{err: err}
-				return
-			}
-			got = append(got, obj)
-		}
-		done <- recv{objs: got}
-	}()
-
-	sess, err := OpenSession(ctx, sl.Addr(), Options{})
+	ep.recv(frames)
+	sess, err := OpenSession(ep.ctx, ep.l.Addr(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
 	for i, obj := range objs {
-		if _, err := sess.Send(ctx, obj, core.Config{AckFrequency: 32}); err != nil {
+		if _, err := sess.Send(ep.ctx, obj, core.Config{AckFrequency: 32}); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 	}
-	r := <-done
-	if r.err != nil {
-		t.Fatal(r.err)
-	}
-	for i := range objs {
-		if !bytes.Equal(r.objs[i], objs[i]) {
-			t.Fatalf("frame %d corrupted", i)
-		}
+	for _, obj := range objs {
+		ep.delivered(obj)
 	}
 }
 
 func TestSessionSendEmptyObject(t *testing.T) {
-	sl, err := ListenSession("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sl.Close()
+	ep := listen(t, bySession, Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	sess, err := OpenSession(ctx, sl.Addr(), Options{})
+	sess, err := OpenSession(ctx, ep.l.Addr(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,32 +49,14 @@ func TestSessionSendEmptyObject(t *testing.T) {
 }
 
 func TestSessionNextAfterSenderCloses(t *testing.T) {
-	sl, err := ListenSession("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sl.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	errCh := make(chan error, 1)
-	go func() {
-		is, err := sl.AcceptSession(ctx)
-		if err != nil {
-			errCh <- err
-			return
-		}
-		defer is.Close()
-		_, _, err = is.Next(ctx) // sender closes without a HELLO
-		errCh <- err
-	}()
-
-	sess, err := OpenSession(ctx, sl.Addr(), Options{})
+	ep := listen(t, bySession, Options{})
+	ep.recv(1) // the sender closes without a HELLO
+	sess, err := OpenSession(ep.ctx, ep.l.Addr(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sess.Close()
-	if err := <-errCh; err == nil {
+	if r, _ := ep.result(true); r.err == nil {
 		t.Fatal("Next returned nil error after the sender closed the session")
 	}
 }

@@ -1,10 +1,8 @@
 package udprt
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -71,10 +69,9 @@ func TestStripedLoopback(t *testing.T) {
 	for _, n := range []int{2, 4} {
 		t.Run(map[int]string{2: "streams=2", 4: "streams=4"}[n], func(t *testing.T) {
 			obj := makeObj(1<<20 + 333)
-			got, sst, rst := transfer(t, obj, core.Config{}, Options{Streams: n})
-			if !bytes.Equal(got, obj) {
-				t.Fatal("striped object corrupted")
-			}
+			opts := Options{Streams: n}
+			p := push(t, obj, core.Config{}, opts, opts)
+			sst, rst := p.sst, p.st
 			needed := core.NumPackets(int64(len(obj)), core.DefaultPacketSize)
 			if sst.PacketsNeeded != needed {
 				t.Fatalf("aggregate PacketsNeeded = %d, want %d", sst.PacketsNeeded, needed)
@@ -92,11 +89,8 @@ func TestStripedLoopback(t *testing.T) {
 // TestStripedTinyObject pins the clamp: four requested streams over a
 // one-packet object degenerate to the classic single-flow transfer.
 func TestStripedTinyObject(t *testing.T) {
-	obj := makeObj(100)
-	got, _, _ := transfer(t, obj, core.Config{}, Options{Streams: 4})
-	if !bytes.Equal(got, obj) {
-		t.Fatal("tiny striped object corrupted")
-	}
+	opts := Options{Streams: 4}
+	push(t, makeObj(100), core.Config{}, opts, opts)
 }
 
 // TestStripedUnderLoss runs a 4-stripe transfer through a seeded lossy
@@ -118,38 +112,10 @@ func TestStripedUnderLoss(t *testing.T) {
 			NoFastPath: noFastPath,
 			Metrics:    reg,
 		}
-		l, err := Listen("127.0.0.1:0", opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		proxy, err := faultnet.NewProxy(l.Addr(), faultnet.New(faultnet.Policy{Seed: 7, Drop: 0.10}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer proxy.Close()
-
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		var got []byte
-		var rst core.ReceiverStats
-		var rerr error
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			got, rst, rerr = l.Accept(ctx)
-		}()
-		sst, serr := Send(ctx, proxy.Addr(), obj, core.Config{}, opts)
-		<-done
-		if serr != nil {
-			t.Fatalf("send: %v", serr)
-		}
-		if rerr != nil {
-			t.Fatalf("receive: %v", rerr)
-		}
-		if !bytes.Equal(got, obj) {
-			t.Fatal("striped object corrupted under loss")
-		}
+		ep := listen(t, byAccept, opts)
+		proxy := ep.front(faultnet.New(faultnet.Policy{Seed: 7, Drop: 0.10}))
+		p := ep.pushOK(obj, core.Config{}, opts)
+		sst, rst := p.sst, p.st
 		if st := proxy.Stats(); st.Dropped == 0 {
 			t.Fatalf("faults never fired: %+v", st)
 		}
@@ -218,10 +184,7 @@ func TestStripedProgressAggregates(t *testing.T) {
 			last = done
 		},
 	}
-	got, _, _ := transfer(t, obj, core.Config{AckFrequency: 32}, opts)
-	if !bytes.Equal(got, obj) {
-		t.Fatal("transfer corrupted")
-	}
+	push(t, obj, core.Config{AckFrequency: 32}, opts, opts)
 	mu.Lock()
 	defer mu.Unlock()
 	if last == 0 {
@@ -233,61 +196,20 @@ func TestStripedProgressAggregates(t *testing.T) {
 // every object striped across three UDP flows; tags auto-advance by the
 // stripe count, so stragglers from one object cannot land in the next.
 func TestSessionStriped(t *testing.T) {
-	sl, err := ListenSession("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sl.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
 	const frames = 3
-	objs := make([][]byte, frames)
-	for i := range objs {
-		objs[i] = makeObj(256<<10 + i*911)
-	}
-	type recv struct {
-		objs [][]byte
-		err  error
-	}
-	done := make(chan recv, 1)
-	go func() {
-		is, err := sl.AcceptSession(ctx)
-		if err != nil {
-			done <- recv{err: err}
-			return
-		}
-		defer is.Close()
-		var got [][]byte
-		for i := 0; i < frames; i++ {
-			obj, _, err := is.Next(ctx)
-			if err != nil {
-				done <- recv{err: err}
-				return
-			}
-			got = append(got, obj)
-		}
-		done <- recv{objs: got}
-	}()
-
-	sess, err := OpenSession(ctx, sl.Addr(), Options{Streams: 3})
+	ep := listen(t, bySession, Options{})
+	ep.recv(frames)
+	sess, err := OpenSession(ep.ctx, ep.l.Addr(), Options{Streams: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	for i, obj := range objs {
-		if _, err := sess.Send(ctx, obj, core.Config{AckFrequency: 32}); err != nil {
+	for i := 0; i < frames; i++ {
+		obj := makeObj(256<<10 + i*911)
+		if _, err := sess.Send(ep.ctx, obj, core.Config{AckFrequency: 32}); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-	}
-	r := <-done
-	if r.err != nil {
-		t.Fatal(r.err)
-	}
-	for i := range objs {
-		if !bytes.Equal(r.objs[i], objs[i]) {
-			t.Fatalf("frame %d corrupted", i)
-		}
+		ep.delivered(obj)
 	}
 }
 
@@ -295,24 +217,20 @@ func TestSessionStriped(t *testing.T) {
 // Send fails, the control stream is suspect and every later Send refuses
 // immediately with ErrSessionBroken instead of risking corrupt framing.
 func TestSessionBrokenAfterFailedSend(t *testing.T) {
-	sl, err := ListenSession("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sl.Close()
+	ep := listen(t, bySession, Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
 	accepted := make(chan *IncomingSession, 1)
 	go func() {
-		is, err := sl.AcceptSession(ctx)
+		is, err := ep.sl.AcceptSession(ctx)
 		if err != nil {
 			accepted <- nil
 			return
 		}
 		accepted <- is
 	}()
-	sess, err := OpenSession(ctx, sl.Addr(), Options{HandshakeTimeout: 2 * time.Second})
+	sess, err := OpenSession(ctx, ep.l.Addr(), Options{HandshakeTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,42 +258,14 @@ func TestSessionBrokenAfterFailedSend(t *testing.T) {
 // contract: the receiver answers with ABORT (bad hello) and surfaces the
 // refused frame type — never data corruption or a hang.
 func TestFutureHelloXVersionRejected(t *testing.T) {
-	l, err := Listen("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	acceptErr := make(chan error, 1)
-	go func() {
-		_, _, err := l.Accept(ctx)
-		acceptErr <- err
-	}()
-
+	ep := listen(t, byAccept, Options{})
+	ep.recv(1)
 	obj := makeObj(4096)
 	frame := legacyHelloX(3, obj, 1024, 2)
 	frame[3] = 2
-	conn, err := net.Dial("tcp", l.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(append(announceFor(3, obj, 1024)[:wire.CheckLen], frame...)); err != nil {
-		t.Fatal(err)
-	}
-
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	f, err := readControlFrame(conn)
-	if err != nil {
-		t.Fatalf("reading the receiver's answer: %v", err)
-	}
-	if f.typ != wire.TypeAbort || f.abort.Reason != wire.AbortBadHello {
-		t.Fatalf("receiver answered type %d reason %v, want ABORT(bad hello)", f.typ, f.abort.Reason)
-	}
-	if err := <-acceptErr; !errors.Is(err, wire.ErrBadType) {
-		t.Fatalf("Accept = %v, want wrapped wire.ErrBadType", err)
+	dialRaw(t, ep.l.Addr(), append(announceFor(3, obj, 1024)[:wire.CheckLen], frame...)).refused(wire.AbortBadHello)
+	if r, _ := ep.result(true); !errors.Is(r.err, wire.ErrBadType) {
+		t.Fatalf("Accept = %v, want wrapped wire.ErrBadType", r.err)
 	}
 }
 

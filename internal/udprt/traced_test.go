@@ -2,11 +2,8 @@ package udprt
 
 import (
 	"bytes"
-	"context"
 	"errors"
-	"net"
 	"testing"
-	"time"
 
 	"github.com/hpcnet/fobs/internal/core"
 	"github.com/hpcnet/fobs/internal/metrics"
@@ -32,28 +29,7 @@ func TestTracedLoopbackJoin(t *testing.T) {
 	tid := obs.NewTraceID()
 	sopts.TraceID = tid
 
-	l, err := Listen("127.0.0.1:0", ropts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	obj := makeObj(256 << 10)
-	done := make(chan struct{})
-	var got []byte
-	var rerr error
-	go func() { defer close(done); got, _, rerr = l.Accept(ctx) }()
-	if _, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: 7}, sopts); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	<-done
-	if rerr != nil {
-		t.Fatalf("Accept: %v", rerr)
-	}
-	if !bytes.Equal(got, obj) {
-		t.Fatal("object corrupted")
-	}
+	push(t, makeObj(256<<10), core.Config{Transfer: 7}, sopts, ropts)
 	if err := slog.Close(); err != nil {
 		t.Fatalf("sender log close: %v", err)
 	}
@@ -116,9 +92,7 @@ func TestTracedStripedTransferReportsEachMomentOnce(t *testing.T) {
 	opts, log := tracedOpts(&buf) // both ends, one log: the join parts them by role
 	reg := metrics.New()
 	opts.Metrics, opts.Streams = reg, streams
-	if got, _, _ := transfer(t, makeObj(512<<10), core.Config{Transfer: 20}, opts); len(got) != 512<<10 {
-		t.Fatalf("received %d bytes", len(got))
-	}
+	push(t, makeObj(512<<10), core.Config{Transfer: 20}, opts, opts)
 	log.Close()
 	evs, err := obs.ReadEvents(&buf)
 	if err != nil {
@@ -169,19 +143,7 @@ func TestTracedAutoIDPropagates(t *testing.T) {
 	var sbuf, rbuf bytes.Buffer
 	sopts, slog := tracedOpts(&sbuf)
 	ropts, rlog := tracedOpts(&rbuf)
-	l, err := Listen("127.0.0.1:0", ropts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	done := make(chan struct{})
-	go func() { defer close(done); l.Accept(ctx) }()
-	if _, err := Send(ctx, l.Addr(), makeObj(64<<10), core.Config{}, sopts); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	<-done
+	push(t, makeObj(64<<10), core.Config{}, sopts, ropts)
 	slog.Close()
 	rlog.Close()
 	sev, _ := obs.ReadEvents(&sbuf)
@@ -203,36 +165,12 @@ func TestTracedAutoIDPropagates(t *testing.T) {
 // hello) — never a hang, never a data blast.
 func TestFutureTraceVersionAborted(t *testing.T) {
 	for _, version := range []uint8{1, 2} {
-		l, err := Listen("127.0.0.1:0", Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		accErr := make(chan error, 1)
-		go func() { _, _, err := l.Accept(ctx); accErr <- err }()
-
-		conn, err := net.Dial("tcp", l.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
+		ep := listen(t, byAccept, Options{})
+		ep.recv(1)
 		frame := legacyTrace(version, [16]byte{1})
-		frame = append(frame, announceFor(1, makeObj(64), 64)...)
-		if _, err := conn.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		f, err := readControlFrame(conn)
-		if err != nil {
-			t.Fatalf("no answer to a version-%d TRACE: %v", version, err)
-		}
-		if f.typ != wire.TypeAbort || f.abort.Reason != wire.AbortBadHello {
-			t.Fatalf("answer = type %d reason %v, want ABORT bad hello", f.typ, f.abort.Reason)
-		}
-		if err := <-accErr; !errors.Is(err, wire.ErrBadType) {
-			t.Fatalf("Accept err = %v, want wire.ErrBadType", err)
+		dialRaw(t, ep.l.Addr(), append(frame, announceFor(1, makeObj(64), 64)...)).refused(wire.AbortBadHello)
+		if r, _ := ep.result(true); !errors.Is(r.err, wire.ErrBadType) {
+			t.Fatalf("version %d: Accept err = %v, want wire.ErrBadType", version, r.err)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -109,16 +108,7 @@ func (c *gapAfter) Tick(max int) core.Directive {
 func TestPacedRoundLeavesAlone(t *testing.T) {
 	eachIOPath(t, func(t *testing.T, noFastPath bool) {
 		const packets = 20
-		sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sink.Close()
-		conn, err := net.DialUDP("udp", nil, sink.LocalAddr().(*net.UDPAddr))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
+		conn, sink := udpPair(t)
 		var flushes []int // written by the engine's goroutine, read after it returns
 		opts := Options{IOBatch: 16, IdlePoll: 5 * time.Second, NoFastPath: noFastPath}.withDefaults()
 		opts.testFlushHook = func(k, m int) { flushes = append(flushes, k) }
@@ -152,31 +142,6 @@ func TestPacedRoundLeavesAlone(t *testing.T) {
 	})
 }
 
-// push sends obj to a fresh Listener and returns what arrived with both
-// endpoints' socket counters.
-func push(t *testing.T, obj []byte, cfg core.Config, sOpts, rOpts Options) (got []byte, sio, rio stats.IOCounters) {
-	t.Helper()
-	sOpts.IOCounters, rOpts.IOCounters = &sio, &rio
-	l, err := Listen("127.0.0.1:0", rOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	var rerr error
-	done := make(chan struct{})
-	go func() { defer close(done); got, _, rerr = l.Accept(ctx) }()
-	if _, err := Send(ctx, l.Addr(), obj, cfg, sOpts); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	<-done
-	if rerr != nil {
-		t.Fatalf("receive: %v", rerr)
-	}
-	return got, sio, rio
-}
-
 // TestTrainsAcrossSocketPaths: a sender with trains against a scalar
 // receiver, a scalar sender against a receiver that takes trains, and both
 // fast: the same bytes arrive, and trains show exactly where both the path
@@ -197,11 +162,9 @@ func TestTrainsAcrossSocketPaths(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := metrics.New()
-			got, sio, rio := push(t, obj, core.Config{PacketSize: 1024},
-				Options{NoFastPath: tc.sendScalar, Metrics: reg}, Options{NoFastPath: tc.recvScalar, Metrics: reg})
-			if !bytes.Equal(got, obj) {
-				t.Fatal("object corrupted")
-			}
+			var sio, rio stats.IOCounters
+			push(t, obj, core.Config{PacketSize: 1024}, Options{NoFastPath: tc.sendScalar, Metrics: reg, IOCounters: &sio},
+				Options{NoFastPath: tc.recvScalar, Metrics: reg, IOCounters: &rio})
 			// The metrics record exports the same tallies, trains included.
 			snap := reg.Snapshot()
 			if s, r := findTransfer(t, snap, 0, obs.RoleSender), findTransfer(t, snap, 0, obs.RoleReceiver); s.IO != sio || r.IO != rio {
@@ -233,11 +196,8 @@ func TestTrainsAcrossSocketPaths(t *testing.T) {
 // TestStripedOverTrains: four stripes at 8 KiB packets — seven to a train —
 // into one listener ring.
 func TestStripedOverTrains(t *testing.T) {
-	obj := makeObj(4<<20 + 99)
-	got, sio, rio := push(t, obj, core.Config{PacketSize: 8192}, Options{Streams: 4}, Options{})
-	if !bytes.Equal(got, obj) {
-		t.Fatal("object corrupted")
-	}
+	var sio, rio stats.IOCounters
+	push(t, makeObj(4<<20+99), core.Config{PacketSize: 8192}, Options{Streams: 4, IOCounters: &sio}, Options{IOCounters: &rio})
 	if sio.FastPath && sio.SendTrains > 0 && rio.RecvTrains > 0 && rio.MaxRecvBatch < 2 {
 		t.Fatalf("trains arrived but no drain delivered more than one datagram: %+v", rio)
 	}
@@ -250,35 +210,10 @@ func TestStripedOverTrains(t *testing.T) {
 // ring is TestSessionSocketsReusableAfterKickedWait.
 func TestSessionOverTrains(t *testing.T) {
 	var rio stats.IOCounters
-	sl, err := ListenSession("127.0.0.1:0", Options{IOCounters: &rio})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sl.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	ep := listen(t, bySession, Options{IOCounters: &rio})
 	const objects = 3
-	type arrival struct {
-		obj []byte
-		io  stats.IOCounters
-	}
-	received := make(chan arrival, objects)
-	go func() {
-		defer close(received)
-		in, err := sl.AcceptSession(ctx)
-		if err != nil {
-			return
-		}
-		defer in.Close()
-		for i := 0; i < objects; i++ {
-			obj, _, err := in.Next(ctx)
-			if err != nil {
-				return
-			}
-			received <- arrival{obj, rio}
-		}
-	}()
-	s, err := OpenSession(ctx, sl.Addr(), Options{Pace: time.Microsecond})
+	ep.recv(objects)
+	s, err := OpenSession(ep.ctx, ep.l.Addr(), Options{Pace: time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,18 +222,16 @@ func TestSessionOverTrains(t *testing.T) {
 	for i := 0; i < objects; i++ {
 		obj := makeObj(256<<10 + i)
 		obj[0] = byte(i) // distinct content: a dedup hit would skip the data phase
-		st, err := s.Send(ctx, obj, core.Config{PacketSize: 1024})
+		st, err := s.Send(ep.ctx, obj, core.Config{PacketSize: 1024})
 		if err != nil {
 			t.Fatalf("object %d: %v", i, err)
 		}
-		a, ok := <-received
-		if !ok || !bytes.Equal(a.obj, obj) {
-			t.Fatalf("object %d corrupted or never delivered", i)
+		// Each delivery's counters are in rio until the next transfer ends.
+		ep.delivered(obj)
+		if rio.RecvDatagrams < st.PacketsNeeded {
+			t.Fatalf("object %d: receiver counted %d datagrams of the %d needed", i, rio.RecvDatagrams, st.PacketsNeeded)
 		}
-		if a.io.RecvDatagrams < st.PacketsNeeded {
-			t.Fatalf("object %d: receiver counted %d datagrams of the %d needed", i, a.io.RecvDatagrams, st.PacketsNeeded)
-		}
-		sent, counted = sent+st.PacketsSent, counted+a.io.RecvDatagrams
+		sent, counted = sent+st.PacketsSent, counted+rio.RecvDatagrams
 	}
 	// The ring is shared, the counters are not: each datagram is in exactly
 	// one transfer's count, where counts since Listen would add up to twice
@@ -311,9 +244,8 @@ func TestSessionOverTrains(t *testing.T) {
 // TestServerConcurrentSendersOverTrains: two unpaced senders into one
 // Server, whose data loop demuxes their interleaved trains by transfer tag.
 func TestServerConcurrentSendersOverTrains(t *testing.T) {
-	srv, received, mu, _ := startServer(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	ep := listen(t, byServe, Options{})
+	ep.recv(1)
 	objs := [][]byte{makeObj(2<<20 + 1), makeObj(2<<20 + 2)}
 	objs[1][0] ^= 0xFF
 	var wg sync.WaitGroup
@@ -323,7 +255,7 @@ func TestServerConcurrentSendersOverTrains(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = Send(ctx, srv.Addr(), objs[i],
+			_, errs[i] = Send(ep.ctx, ep.l.Addr(), objs[i],
 				core.Config{PacketSize: 1024, Transfer: uint32(i + 1)}, Options{IOCounters: &ios[i]})
 		}(i)
 	}
@@ -333,22 +265,10 @@ func TestServerConcurrentSendersOverTrains(t *testing.T) {
 			t.Fatalf("sender %d: %v", i, err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
+	got := ep.byID(len(objs))
 	for i := range objs {
-		for {
-			mu.Lock()
-			got, ok := received[uint32(i+1)]
-			mu.Unlock()
-			if ok {
-				if !bytes.Equal(got, objs[i]) {
-					t.Fatalf("object %d corrupted through the server", i)
-				}
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("handler never received object %d", i)
-			}
-			time.Sleep(5 * time.Millisecond)
+		if !bytes.Equal(got[uint32(i+1)].obj, objs[i]) {
+			t.Fatalf("object %d corrupted through the server", i)
 		}
 	}
 	for i, c := range ios {

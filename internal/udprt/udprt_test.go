@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
-	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,47 +17,10 @@ func makeObj(n int) []byte {
 	return obj
 }
 
-// transfer runs one loopback transfer and returns what the receiver got.
-func transfer(t *testing.T, obj []byte, cfg core.Config, opts Options) ([]byte, core.SenderStats, core.ReceiverStats) {
-	t.Helper()
-	l, err := Listen("127.0.0.1:0", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
-	var (
-		got  []byte
-		rst  core.ReceiverStats
-		rerr error
-		wg   sync.WaitGroup
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		got, rst, rerr = l.Accept(ctx)
-	}()
-
-	sst, serr := Send(ctx, l.Addr(), obj, cfg, opts)
-	wg.Wait()
-	if serr != nil {
-		t.Fatalf("send: %v", serr)
-	}
-	if rerr != nil {
-		t.Fatalf("receive: %v", rerr)
-	}
-	return got, sst, rst
-}
-
 func TestLoopbackTransfer(t *testing.T) {
 	obj := makeObj(1<<20 + 77)
-	got, sst, rst := transfer(t, obj, core.Config{}, Options{})
-	if !bytes.Equal(got, obj) {
-		t.Fatal("object corrupted over loopback")
-	}
+	p := push(t, obj, core.Config{}, Options{}, Options{})
+	sst, rst := p.sst, p.st
 	if rst.Received != core.NumPackets(int64(len(obj)), core.DefaultPacketSize) {
 		t.Fatalf("receiver got %d distinct packets", rst.Received)
 	}
@@ -69,59 +30,24 @@ func TestLoopbackTransfer(t *testing.T) {
 }
 
 func TestLoopbackLargePackets(t *testing.T) {
-	obj := makeObj(2 << 20)
-	got, _, _ := transfer(t, obj, core.Config{PacketSize: 8192}, Options{})
-	if !bytes.Equal(got, obj) {
-		t.Fatal("object corrupted with 8K packets")
-	}
+	push(t, makeObj(2<<20), core.Config{PacketSize: 8192}, Options{}, Options{})
 }
 
 func TestLoopbackSmallObject(t *testing.T) {
-	obj := makeObj(10)
-	got, _, _ := transfer(t, obj, core.Config{}, Options{})
-	if !bytes.Equal(got, obj) {
-		t.Fatal("tiny object corrupted")
-	}
+	push(t, makeObj(10), core.Config{}, Options{}, Options{})
 }
 
 func TestLoopbackWithPacing(t *testing.T) {
 	// Pacing survives and still completes; useful on hosts with tiny
 	// default UDP buffers.
-	obj := makeObj(256 << 10)
-	got, _, _ := transfer(t, obj, core.Config{AckFrequency: 16}, Options{Pace: 100 * time.Microsecond})
-	if !bytes.Equal(got, obj) {
-		t.Fatal("paced transfer corrupted")
-	}
+	opts := Options{Pace: 100 * time.Microsecond}
+	push(t, makeObj(256<<10), core.Config{AckFrequency: 16}, opts, opts)
 }
 
 func TestSequentialTransfers(t *testing.T) {
-	l, err := Listen("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
+	ep := listen(t, byAccept, Options{})
 	for i := 0; i < 3; i++ {
-		obj := makeObj(128<<10 + i)
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		var wg sync.WaitGroup
-		var got []byte
-		var rerr error
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got, _, rerr = l.Accept(ctx)
-		}()
-		if _, err := Send(ctx, l.Addr(), obj, core.Config{Transfer: uint32(i)}, Options{}); err != nil {
-			t.Fatalf("transfer %d: send: %v", i, err)
-		}
-		wg.Wait()
-		cancel()
-		if rerr != nil {
-			t.Fatalf("transfer %d: receive: %v", i, rerr)
-		}
-		if !bytes.Equal(got, obj) {
-			t.Fatalf("transfer %d corrupted", i)
-		}
+		ep.pushOK(makeObj(128<<10+i), core.Config{Transfer: uint32(i)}, Options{})
 	}
 }
 
@@ -140,14 +66,10 @@ func TestSendNoListener(t *testing.T) {
 }
 
 func TestAcceptContextCancel(t *testing.T) {
-	l, err := Listen("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
+	ep := listen(t, byAccept, Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	if _, _, err := l.Accept(ctx); err == nil {
+	if _, _, err := ep.l.Accept(ctx); err == nil {
 		t.Fatal("Accept returned without a sender")
 	}
 }
@@ -159,73 +81,35 @@ func TestListenBadAddress(t *testing.T) {
 }
 
 func TestAddrReportsBoundPort(t *testing.T) {
-	l, err := Listen("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if l.Addr() == "127.0.0.1:0" {
+	if listen(t, byAccept, Options{}).l.Addr() == "127.0.0.1:0" {
 		t.Fatal("Addr did not resolve the ephemeral port")
 	}
 }
 
 func TestLoopbackWithChecksums(t *testing.T) {
-	obj := makeObj(512 << 10)
-	got, _, _ := transfer(t, obj, core.Config{Checksum: true}, Options{})
-	if !bytes.Equal(got, obj) {
-		t.Fatal("checksummed transfer corrupted")
-	}
+	push(t, makeObj(512<<10), core.Config{Checksum: true}, Options{}, Options{})
 }
 
 func TestTransferSurvivesHostileDatagrams(t *testing.T) {
 	// Garbage and spoofed packets aimed at both sockets must not corrupt
 	// or stall a transfer.
-	l, err := Listen("127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
+	ep := listen(t, byAccept, Options{})
 	// The attacker floods the listener's UDP port with junk and with
 	// validly-framed packets for a bogus transfer.
+	conn := dialData(t, ep.l.Addr())
 	attack := make(chan struct{})
 	go func() {
 		defer close(attack)
-		conn, err := net.Dial("udp", l.Addr())
-		if err != nil {
-			return
-		}
-		defer conn.Close()
 		junk := []byte("not a fobs packet at all, just noise")
 		spoof := wire.AppendData(nil, &wire.Data{Transfer: 999, Seq: 0, Total: 4, Payload: make([]byte, 64)})
 		for i := 0; i < 500; i++ {
 			conn.Write(junk)
 			conn.Write(spoof)
-			time.Sleep(100 * time.Microsecond)
+			time.Sleep(100 * time.Microsecond) // scenario: the attack's spacing
 		}
 	}()
-
-	obj := makeObj(256 << 10)
-	var got []byte
-	var rerr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		got, _, rerr = l.Accept(ctx)
-	}()
-	if _, err := Send(ctx, l.Addr(), obj, core.Config{Checksum: true}, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	<-done
+	ep.pushOK(makeObj(256<<10), core.Config{Checksum: true}, Options{})
 	<-attack
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	if !bytes.Equal(got, obj) {
-		t.Fatal("object corrupted under hostile traffic")
-	}
 }
 
 func TestProgressCallback(t *testing.T) {
@@ -249,10 +133,7 @@ func TestProgressCallback(t *testing.T) {
 			}
 		},
 	}
-	got, _, _ := transfer(t, obj, core.Config{AckFrequency: 32}, opts)
-	if !bytes.Equal(got, obj) {
-		t.Fatal("transfer corrupted")
-	}
+	push(t, obj, core.Config{AckFrequency: 32}, opts, opts)
 	if calls == 0 {
 		t.Fatal("progress callback never invoked")
 	}
@@ -265,16 +146,8 @@ func TestProgressCallback(t *testing.T) {
 // complete intact.
 func TestReceiveRingRejectsOverlongDatagram(t *testing.T) {
 	eachIOPath(t, func(t *testing.T, noFastPath bool) {
-		l, err := Listen("127.0.0.1:0", Options{NoFastPath: noFastPath})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		peer, err := net.DialUDP("udp", nil, l.udp.LocalAddr().(*net.UDPAddr))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer peer.Close()
+		l := listen(t, byAccept, Options{NoFastPath: noFastPath}).l
+		peer := dialData(t, l.Addr())
 
 		const packetSize, packets = 64, 4
 		obj := makeObj(packets * packetSize)

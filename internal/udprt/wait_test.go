@@ -1,18 +1,15 @@
 package udprt
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"net"
-	"net/netip"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/hpcnet/fobs/internal/bitmap"
 	"github.com/hpcnet/fobs/internal/core"
-	"github.com/hpcnet/fobs/internal/faultnet"
 	"github.com/hpcnet/fobs/internal/wire"
 )
 
@@ -21,25 +18,6 @@ import (
 // the verdict, ctx or Options.IdlePoll. Every scenario runs on both socket
 // paths. The tests set IdlePoll far above a loopback round trip, so a wake
 // that only the timeout delivered shows up as a missed deadline.
-
-// readData reads count DATA datagrams from the fake receiver's UDP socket,
-// each within per, returning the sender's data-flow address.
-func (f *fakeReceiver) readData(count int, per time.Duration) (netip.AddrPort, error) {
-	buf := make([]byte, maxDatagram)
-	var from netip.AddrPort
-	for i := 0; i < count; i++ {
-		f.udp.SetReadDeadline(time.Now().Add(per))
-		n, addr, err := f.udp.ReadFromUDPAddrPort(buf)
-		if err != nil {
-			return from, err
-		}
-		if _, err := wire.DecodeData(buf[:n]); err != nil {
-			return from, err
-		}
-		from = addr
-	}
-	return from, nil
-}
 
 // TestSenderSilentAfterFullTurn: with every acknowledgement black-holed the
 // sender puts each packet on the wire once, then once more per IdlePoll —
@@ -54,25 +32,11 @@ func TestSenderSilentAfterFullTurn(t *testing.T) {
 			idlePoll = 10 * time.Millisecond
 			window   = 50 * time.Millisecond
 		)
-		l, err := Listen("127.0.0.1:0", Options{NoFastPath: noFastPath})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		proxy, err := faultnet.NewProxy(l.Addr(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer proxy.Close()
+		ep := listen(t, byAccept, Options{NoFastPath: noFastPath})
+		proxy := ep.front(nil)
 		proxy.SetBlackhole(true)
-
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
 		obj := makeObj(packets << 10)
-		var got []byte
-		var rerr error
-		accepted := make(chan struct{})
-		go func() { defer close(accepted); got, _, rerr = l.Accept(ctx) }()
+		ep.recv(1)
 
 		var emitted atomic.Int64
 		opts := Options{IdlePoll: idlePoll, NoFastPath: noFastPath}
@@ -80,20 +44,17 @@ func TestSenderSilentAfterFullTurn(t *testing.T) {
 		sent := make(chan error, 1)
 		start := time.Now()
 		go func() {
-			_, err := Send(ctx, proxy.Addr(), obj, core.Config{PacketSize: 1024}, opts)
+			_, err := Send(ep.ctx, proxy.Addr(), obj, core.Config{PacketSize: 1024}, opts)
 			sent <- err
 		}()
-		time.Sleep(window)
+		time.Sleep(window) // scenario: the window the emitted packets are counted over
 		inWindow, elapsed := emitted.Load(), time.Since(start)
 		proxy.SetBlackhole(false)
 
 		if err := <-sent; err != nil {
 			t.Fatalf("send: %v", err)
 		}
-		<-accepted
-		if rerr != nil || !bytes.Equal(got, obj) {
-			t.Fatalf("receive: err=%v, intact=%v", rerr, bytes.Equal(got, obj))
-		}
+		ep.delivered(obj)
 		if inWindow < packets {
 			t.Fatalf("only %d packets emitted in %v: the window missed the first turn", inWindow, elapsed)
 		}
@@ -213,13 +174,10 @@ func TestLoopbackSendDoesNotWaitOutIdlePoll(t *testing.T) {
 	eachIOPath(t, func(t *testing.T, noFastPath bool) {
 		obj := makeObj(64 << 10)
 		start := time.Now()
-		got, sst, _ := transfer(t, obj, core.Config{PacketSize: 1024},
-			Options{IdlePoll: time.Second, NoFastPath: noFastPath})
+		opts := Options{IdlePoll: time.Second, NoFastPath: noFastPath}
+		sst := push(t, obj, core.Config{PacketSize: 1024}, opts, opts).sst
 		if took := time.Since(start); took > 200*time.Millisecond {
 			t.Fatalf("64 KiB loopback transfer took %v under a 1s IdlePoll", took)
-		}
-		if !bytes.Equal(got, obj) {
-			t.Fatal("object corrupted")
 		}
 		if sst.PacketsSent > 2*sst.PacketsNeeded {
 			t.Fatalf("sent %d packets for an object of %d", sst.PacketsSent, sst.PacketsNeeded)
@@ -243,31 +201,10 @@ func readDeadlinePassed(t *testing.T, c *net.UDPConn) bool {
 // the Send that it ended.
 func TestSessionSocketsReusableAfterKickedWait(t *testing.T) {
 	eachIOPath(t, func(t *testing.T, noFastPath bool) {
-		sl, err := ListenSession("127.0.0.1:0", Options{NoFastPath: noFastPath})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sl.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
+		ep := listen(t, bySession, Options{NoFastPath: noFastPath})
 		const objects = 3
-		received := make(chan []byte, objects)
-		go func() {
-			defer close(received)
-			in, err := sl.AcceptSession(ctx)
-			if err != nil {
-				return
-			}
-			defer in.Close()
-			for i := 0; i < objects; i++ {
-				obj, _, err := in.Next(ctx)
-				if err != nil {
-					return
-				}
-				received <- obj
-			}
-		}()
-		s, err := OpenSession(ctx, sl.Addr(), Options{IdlePoll: time.Second, Streams: 2, NoFastPath: noFastPath})
+		ep.recv(objects)
+		s, err := OpenSession(ep.ctx, ep.l.Addr(), Options{IdlePoll: time.Second, Streams: 2, NoFastPath: noFastPath})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +213,7 @@ func TestSessionSocketsReusableAfterKickedWait(t *testing.T) {
 			obj := makeObj(64<<10 + i)
 			obj[0] = byte(i) // distinct content: a dedup hit would skip the data phase
 			start := time.Now()
-			if _, err := s.Send(ctx, obj, core.Config{PacketSize: 1024}); err != nil {
+			if _, err := s.Send(ep.ctx, obj, core.Config{PacketSize: 1024}); err != nil {
 				t.Fatalf("object %d: %v", i, err)
 			}
 			if took := time.Since(start); took > 200*time.Millisecond {
@@ -287,9 +224,7 @@ func TestSessionSocketsReusableAfterKickedWait(t *testing.T) {
 					t.Fatalf("object %d: data socket %d came back with a read deadline in the past", i, j)
 				}
 			}
-			if got := <-received; !bytes.Equal(got, obj) {
-				t.Fatalf("object %d corrupted", i)
-			}
+			ep.delivered(obj)
 		}
 	})
 }

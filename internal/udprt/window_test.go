@@ -1,10 +1,7 @@
 package udprt
 
 import (
-	"bytes"
-	"context"
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,12 +20,9 @@ import (
 // what it says the kernel granted.
 func grantedFor(t *testing.T, request int) int {
 	t.Helper()
-	l, err := Listen("127.0.0.1:0", Options{ReadBuffer: request})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	granted, requested := l.ReadBuffer()
+	ep := listen(t, byAccept, Options{ReadBuffer: request})
+	defer ep.close()
+	granted, requested := ep.l.ReadBuffer()
 	if requested != request {
 		t.Fatalf("ReadBuffer reports %d requested, want %d", requested, request)
 	}
@@ -49,65 +43,13 @@ func TestReadBufferGrantIsReadBack(t *testing.T) {
 	if huge := grantedFor(t, 1<<30); huge >= 1<<30 || huge < small {
 		t.Fatalf("asked for 1 GiB, granted %d (256 KiB request: %d): expected the system's limit in between", huge, small)
 	}
-	l, err := Listen("127.0.0.1:0", Options{ReadBuffer: 256 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
+	l := listen(t, byAccept, Options{ReadBuffer: 256 << 10}).l
 	if w := l.window(1).Bytes(); w != 128<<10 {
 		t.Fatalf("window of one flow into 256 KiB: %d bytes, want half", w)
 	}
 	if w := l.window(4).Bytes(); w != 32<<10 {
 		t.Fatalf("window of each of four flows into 256 KiB: %d bytes, want an eighth", w)
 	}
-}
-
-// pushThrough sends objs one after another to an endpoint bound with listen,
-// whose receiving side dawdles between one transfer and the next, and
-// returns the sender's summed statistics and the endpoint's socket counters,
-// what it dropped summed over the transfers.
-func pushThrough(t *testing.T, listen, send Options, objs [][]byte, ps int, dawdle time.Duration) (core.SenderStats, stats.IOCounters) {
-	t.Helper()
-	var rio stats.IOCounters
-	listen.IOCounters = &rio
-	l, err := Listen("127.0.0.1:0", listen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	overflow := 0
-	received := make(chan error, 1)
-	go func() {
-		for i, obj := range objs {
-			got, _, err := l.Accept(ctx)
-			if err == nil && !bytes.Equal(got, obj) {
-				err = errors.New("not delivered intact")
-			}
-			if err != nil {
-				received <- fmt.Errorf("object %d: %w", i, err)
-				return
-			}
-			overflow += rio.RecvOverflow
-			time.Sleep(dawdle) // a receiver in no hurry holds no sender up
-		}
-		received <- nil
-	}()
-	var sum core.SenderStats
-	for i, obj := range objs {
-		st, err := Send(ctx, l.Addr(), obj, core.Config{PacketSize: ps, Transfer: uint32(100 * (i + 1))}, send)
-		if err != nil {
-			t.Fatalf("object %d: %v", i, err)
-		}
-		sum.PacketsSent += st.PacketsSent
-		sum.PacketsNeeded += st.PacketsNeeded
-	}
-	if err := <-received; err != nil {
-		t.Fatal(err)
-	}
-	rio.RecvOverflow = overflow
-	return sum, rio
 }
 
 // TestWindowKeepsSmallBufferFromOverflowing: a receiver whose socket buffer
@@ -125,10 +67,20 @@ func TestWindowKeepsSmallBufferFromOverflowing(t *testing.T) {
 	}
 	eachIOPath(t, func(t *testing.T, noFastPath bool) {
 		for _, streams := range []int{1, 4} {
-			listen := Options{ReadBuffer: streams << 19, NoFastPath: noFastPath}
-			st, rio := pushThrough(t, listen, Options{Streams: streams, NoFastPath: noFastPath}, objs, 1024, 5*time.Millisecond)
+			var rio stats.IOCounters
+			ep := listen(t, byAccept, Options{ReadBuffer: streams << 19, NoFastPath: noFastPath, IOCounters: &rio})
+			var st core.SenderStats
+			dropped := 0
+			for i, obj := range objs {
+				p := ep.pushOK(obj, core.Config{PacketSize: 1024, Transfer: uint32(100 * (i + 1))}, Options{Streams: streams, NoFastPath: noFastPath})
+				st.PacketsSent += p.sst.PacketsSent
+				st.PacketsNeeded += p.sst.PacketsNeeded
+				dropped += rio.RecvOverflow
+				time.Sleep(5 * time.Millisecond) // scenario: a receiver in no hurry holds no sender up
+			}
+			ep.close()
 			t.Logf("streams %d: sent %d for %d (waste %.1f%%), %d dropped at the socket",
-				streams, st.PacketsSent, st.PacketsNeeded, 100*st.Waste(), rio.RecvOverflow)
+				streams, st.PacketsSent, st.PacketsNeeded, 100*st.Waste(), dropped)
 			// Under the race detector a receive loop falls silent for longer
 			// than any round trip the sender has probed, and a window is now
 			// and then written off that was only late: bounded there, exact
@@ -137,8 +89,8 @@ func TestWindowKeepsSmallBufferFromOverflowing(t *testing.T) {
 			if raceEnabled {
 				drops, waste = st.PacketsNeeded/20, 3
 			}
-			if rio.RecvOverflow > drops {
-				t.Errorf("streams %d: %d dropped at the receiver's socket", streams, rio.RecvOverflow)
+			if dropped > drops {
+				t.Errorf("streams %d: %d dropped at the receiver's socket", streams, dropped)
 			}
 			if st.Waste() > waste {
 				t.Errorf("streams %d: sent %d packets for %d", streams, st.PacketsSent, st.PacketsNeeded)
@@ -159,9 +111,11 @@ func TestOverflowIsCounted(t *testing.T) {
 	if !FastPathAvailable() {
 		t.Skip("vectored fast path not available in this build")
 	}
-	objs := [][]byte{makeObj(8 << 20)}
+	obj := makeObj(8 << 20)
 	for try := 1; ; try++ {
-		st, rio := pushThrough(t, Options{ReadBuffer: 64 << 10, testNoWindow: true}, Options{}, objs, 1024, 0)
+		var rio stats.IOCounters
+		st := push(t, obj, core.Config{PacketSize: 1024, Transfer: 100}, Options{},
+			Options{ReadBuffer: 64 << 10, testNoWindow: true, IOCounters: &rio}).sst
 		t.Logf("try %d: sent %d for %d, %d dropped at the socket", try, st.PacketsSent, st.PacketsNeeded, rio.RecvOverflow)
 		if rio.RecvOverflow > 0 {
 			return
@@ -184,37 +138,21 @@ func TestWindowDoesNotCapLongFatPath(t *testing.T) {
 		buffer = 256 << 10
 		size   = 4 << 20
 	)
-	l, err := Listen("127.0.0.1:0", Options{ReadBuffer: buffer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if granted, _ := l.ReadBuffer(); granted != buffer {
+	ep := listen(t, byAccept, Options{ReadBuffer: buffer})
+	if granted, _ := ep.l.ReadBuffer(); granted != buffer {
 		t.Skipf("kernel granted %d of %d", granted, buffer)
 	}
-	proxy, err := faultnet.NewProxy(l.Addr(), faultnet.New(faultnet.Policy{Seed: 5, Delay: 1, DelayBy: delay}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	ep.front(faultnet.New(faultnet.Policy{Seed: 5, Delay: 1, DelayBy: delay}))
 	obj := makeObj(size)
-	var got []byte
-	var rerr error
-	accepted := make(chan struct{})
-	go func() { defer close(accepted); got, _, rerr = l.Accept(ctx) }()
+	ep.recv(1)
 	start := time.Now()
-	st, err := Send(ctx, proxy.Addr(), obj, core.Config{PacketSize: 1024}, Options{})
+	st, err := Send(ep.ctx, ep.addr(), obj, core.Config{PacketSize: 1024}, Options{})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("send: %v", err)
 	}
-	<-accepted
-	if rerr != nil || !bytes.Equal(got, obj) {
-		t.Fatalf("receive: err=%v, intact=%v", rerr, bytes.Equal(got, obj))
-	}
-	window := l.window(1).Bytes()
+	ep.delivered(obj)
+	window := ep.l.window(1).Bytes()
 	capped := time.Duration(float64(size) / float64(window) * float64(delay)) // one window per (one-way) round trip
 	t.Logf("%d bytes in %v (a window of %d per %v would take %v); sent %d for %d",
 		size, elapsed, window, delay, capped, st.PacketsSent, st.PacketsNeeded)
@@ -238,39 +176,33 @@ func TestWindowWaitsForgiveAndStallStillFires(t *testing.T) {
 			idlePoll = 20 * time.Millisecond
 			packets  = 16 << 10
 		)
-		l, err := Listen("127.0.0.1:0", Options{ReadBuffer: buffer, NoFastPath: noFastPath})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		proxy, err := faultnet.NewProxy(l.Addr(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer proxy.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		go l.Accept(ctx)
+		ep := listen(t, byAccept, Options{ReadBuffer: buffer, NoFastPath: noFastPath})
+		proxy := ep.front(nil)
+		ep.recv(1)
 
-		// The path dies once a tenth of the object has gone out.
-		var emitted, atDeath, diedAt atomic.Int64
-		opts := Options{StallTimeout: stall, IdlePoll: idlePoll, NoFastPath: noFastPath}
+		// The path dies once a tenth of the object has gone out. The sender's
+		// last acknowledgement is stamped as it is processed.
+		var emitted, atDeath, diedAt, lastAck atomic.Int64
+		opts := Options{StallTimeout: stall, IdlePoll: idlePoll, NoFastPath: noFastPath,
+			Progress: func(int, int) { lastAck.Store(time.Now().UnixNano()) }}
 		opts.testFlushHook = func(k, m int) {
 			if n := emitted.Add(int64(m)); n >= packets/10 && atDeath.CompareAndSwap(0, n) {
 				proxy.SetBlackhole(true)
 				diedAt.Store(time.Now().UnixNano())
 			}
 		}
-		st, err := Send(ctx, proxy.Addr(), makeObj(packets<<10), core.Config{PacketSize: 1024}, opts)
+		st, err := Send(ep.ctx, proxy.Addr(), makeObj(packets<<10), core.Config{PacketSize: 1024}, opts)
 		if !errors.Is(err, ErrStalled) || st.Stalls != 1 {
 			t.Fatalf("err = %v, Stalls = %d; want ErrStalled and 1", err, st.Stalls)
 		}
-		// The last acknowledgement came shortly before the path died, or —
-		// what was in flight then — shortly after.
-		if silent := time.Since(time.Unix(0, diedAt.Load())); silent < stall-stall/4 || silent > stall+stall/2+10*idlePoll {
-			t.Fatalf("watchdog fired %v after the path died, want %v and a few waits of %v", silent, stall, idlePoll)
+		// The watchdog counts from the last acknowledgement: shortly before
+		// the path died, or — what was in flight then — shortly after, or,
+		// on a busy host whose receiver fell behind, a while before.
+		if silent := time.Since(time.Unix(0, lastAck.Load())); silent < stall-stall/4 || silent > stall+stall/2+10*idlePoll {
+			t.Fatalf("watchdog fired %v after the last acknowledgement (%v after the path died), want %v and a few waits of %v",
+				silent, time.Since(time.Unix(0, diedAt.Load())), stall, idlePoll)
 		}
-		window := max(l.window(1).Bytes()>>10, 2*core.DefaultAckFrequency)
+		window := max(ep.l.window(1).Bytes()>>10, 2*core.DefaultAckFrequency)
 		after := int(emitted.Load() - atDeath.Load())
 		t.Logf("%d packets went out after the path died, a window being %d", after, window)
 		if after < 3*window {
