@@ -83,7 +83,10 @@ sim-golden:
 
 # The memory budgets in one place: the tests that pin them — one object-sized
 # allocation per received object once the content cache is at its bound, a
-# send ring that holds headers rather than packets, both cache bounds at run
+# send ring that holds headers rather than packets, a small Send that pays
+# for its object and not for its packet size (ack buffers sized by the status
+# map, the sender's I/O kit pooled — shared safely by concurrent and striped
+# Sends — and every ack fitting its slot), both cache bounds at run
 # time and at start-up with transfers in flight holding reservations, a
 # recycled landing buffer that never leaks an evicted object's bytes nor is
 # taken while a dedup hit reads it, a checkpoint written without copying the
@@ -95,7 +98,7 @@ sim-golden:
 # Informational (CI runs it non-gating): the tests gate in tier1 already,
 # and two seconds of loopback is a reading, not a measurement.
 mem-smoke:
-	$(GO) test ./internal/udprt -count=1 -v -run 'TestReceiveAllocBudget|TestSendRingAllocBudget|TestContentCacheEviction|TestOversizeObjectIsNotCached|TestCacheLoadReplaysWithinBounds|TestRecycledLandingRetainsNoEvictedBytes|TestDedupHitsNeverShareARecycledBuffer|TestServerReservationsWithinBounds|TestSendKeepsNothingOfObj'
+	$(GO) test ./internal/udprt -count=1 -v -run 'TestReceiveAllocBudget|TestSendRingAllocBudget|TestSmallSendAllocBudget|TestAckFitsSenderSlot|TestConcurrentSendsSharePooledKits|TestContentCacheEviction|TestOversizeObjectIsNotCached|TestCacheLoadReplaysWithinBounds|TestRecycledLandingRetainsNoEvictedBytes|TestDedupHitsNeverShareARecycledBuffer|TestServerReservationsWithinBounds|TestSendKeepsNothingOfObj'
 	$(GO) test ./internal/checkpoint -count=1 -v -run 'TestSaveStreamsTheObject'
 	$(GO) test ./internal/tasks -count=1 -v -run 'TestMoverReadMatchesReadFile|TestDaemonOversizeFileSentNotKept|TestMoverTaskAllocBudget'
 	bash benchmark/run.sh --workload bulk_32k --seed 1 --seconds 2 --trace 0 | grep -E '^(# |alloc_kib_per_op |rss_peak_mib )'

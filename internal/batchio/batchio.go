@@ -128,6 +128,23 @@ func NewSender(conn *net.UDPConn, batch int, vectored bool) (*Sender, error) {
 // Vectored reports whether this sender actually uses sendmmsg.
 func (s *Sender) Vectored() bool { return s.vectored }
 
+// Rebind points s at conn, a new flow, as NewSender would with the batch
+// capacity and socket path s has: the counters start from zero, FlushHook is
+// cleared and the per-train limit is the kernel's again. A caller that keeps
+// Senders for later flows rebinds instead of making one per flow.
+// Rebind(nil) unbinds s: it names no socket and no iovec points at a datagram
+// of an earlier flush, so a Sender kept for later holds nothing its flushes
+// handed it. An unbound Sender must be rebound before it sends.
+func (s *Sender) Rebind(conn *net.UDPConn) {
+	s.conn, s.rc, s.FlushHook = conn, nil, nil
+	s.calls, s.sent, s.trains, s.maxBatch = 0, 0, 0, 0
+	s.vs.rebind()
+	if s.vectored && conn != nil {
+		rc, err := conn.SyscallConn()
+		s.rc, s.vectored = rc, err == nil // as NewSender falls back
+	}
+}
+
 // Send places pkts on the wire, each slice one datagram, and returns how
 // many the kernel accepted. On the fast path the whole slice goes out as
 // one sendmmsg vector of trains (parking on the netpoller across
@@ -295,6 +312,32 @@ func NewReceiver(conn *net.UDPConn, slots, bufSize int, vectored bool) (*Receive
 
 // Vectored reports whether this receiver actually uses recvmmsg.
 func (r *Receiver) Vectored() bool { return r.vectored }
+
+// Rebind points r at conn, a new flow, with slots of bufSize bytes, as
+// NewReceiver would with the slot count and socket path r has: the counters
+// start from zero and a datagram longer than bufSize arrives truncated to it.
+// It reports false, and leaves r as it was, when r cannot serve: bufSize is
+// longer than the slots r was made with, or r was made as a data socket's
+// reader (slots of TrainBufLen or more ask their socket for options a new
+// socket has not been asked for). Rebind(nil, 0) unbinds r; an unbound
+// Receiver must be rebound before it reads.
+func (r *Receiver) Rebind(conn *net.UDPConn, bufSize int) bool {
+	if made := cap(r.bufs[0]); bufSize > made || made >= TrainBufLen {
+		return false
+	}
+	r.conn, r.rc = conn, nil
+	if r.vectored && conn != nil {
+		rc, err := conn.SyscallConn()
+		r.rc, r.vectored = rc, err == nil // as NewReceiver falls back
+	}
+	for i := range r.bufs {
+		r.bufs[i] = r.bufs[i][:bufSize]
+	}
+	r.vr.rebind(r.bufs)
+	r.segs, r.drops = r.segs[:0], 0
+	r.ResetCounters()
+	return true
+}
 
 // Slots returns the receiver's message capacity per drain.
 func (r *Receiver) Slots() int { return len(r.bufs) }

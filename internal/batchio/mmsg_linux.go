@@ -131,6 +131,13 @@ func (v *vecSendState) init(batch int) {
 
 func (v *vecSendState) cap() int { return len(v.hdrs) }
 
+// rebind readies the state for a new socket: the train limit is the kernel's
+// again, and no iovec points at a datagram of the last flush.
+func (v *vecSendState) rebind() {
+	v.maxSeg = maxTrainSegs
+	clear(v.iovs)
+}
+
 // trainLen returns how many leading datagrams, of the lengths given, leave
 // as one message: a maximal run of equal-length datagrams, which one shorter
 // datagram may close (the kernel cuts a train every size bytes, so only its
@@ -352,6 +359,13 @@ func (v *vecRecvState) init(bufs [][]byte, control bool) {
 			v.n, v.errno = int(n), 0
 		}
 		return true
+	}
+}
+
+// rebind points the iovecs at the slots as they are now cut.
+func (v *vecRecvState) rebind(bufs [][]byte) {
+	for i := range v.iovs {
+		v.iovs[i].SetLen(len(bufs[i]))
 	}
 }
 

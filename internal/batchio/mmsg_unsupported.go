@@ -17,6 +17,8 @@ type vecSendState struct {
 
 func (v *vecSendState) init(int) {}
 
+func (v *vecSendState) rebind() {}
+
 func (v *vecSendState) cap() int { return 0 }
 
 func (s *Sender) sendVectored(heads, bodies [][]byte) (int, error) {
@@ -30,6 +32,8 @@ type vecRecvState struct {
 func setDataSockopts(syscall.RawConn) (trains, drops bool) { return false, false }
 
 func (v *vecRecvState) init([][]byte, bool) {}
+
+func (v *vecRecvState) rebind([][]byte) {}
 
 func (r *Receiver) recvVectored() (int, error) { return r.recvScalar() }
 

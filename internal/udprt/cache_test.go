@@ -3,6 +3,7 @@ package udprt
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"runtime"
 	"sync"
@@ -117,6 +118,46 @@ func TestSendRingAllocBudget(t *testing.T) {
 	if extra >= 224*perSlot {
 		t.Errorf("224 more ring slots cost %d KiB, want < %d KiB: the send ring scales with the packet size",
 			extra>>10, 224*perSlot>>10)
+	}
+}
+
+// TestSmallSendAllocBudget: a small Send pays for its object, not for its
+// packet size or its socket plumbing. 64 KiB pushes of 1 KiB packets into a
+// Server: once the cache is at its bound, each admission recycles the buffer
+// it evicts as the landing buffer, the handler's copy is the object, the
+// acknowledgement buffers at both ends hold the one word of status map such an
+// object has, and the sender's batched socket state comes from the pool. The
+// whole process may allocate the object plus 12 KiB per push. One push of the
+// sixteen measured may exceed that: now and then a push lands on growth of the
+// runtime's own tables (the goroutine list, a timer heap), 5–25 KiB at once,
+// about one push in four hundred. Two may not: a pool that fails to serve
+// every other Send, or ack slots sized by the packet size again, puts most
+// pushes over.
+func TestSmallSendAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	const size, pushes, slack = 64 << 10, maxCached + 16, 12 << 10
+	ep := listen(t, byServe, Options{})
+	obj := makeObj(size)
+	var over []string
+	for i := 0; i < pushes; i++ {
+		numbered(obj, i)
+		before := totalAlloc()
+		p := ep.push(obj, core.Config{Transfer: uint32(i + 1), PacketSize: 1024}, Options{})
+		grew := totalAlloc() - before
+		if p.serr != nil || p.err != nil || p.sst.Deduped || !bytes.Equal(p.obj, obj) {
+			t.Fatalf("push %d: send err=%v, receive err=%v, deduped=%v, intact=%v",
+				i, p.serr, p.err, p.sst.Deduped, bytes.Equal(p.obj, obj))
+		}
+		if i >= maxCached && grew > size+slack {
+			over = append(over, fmt.Sprintf("push %d: %.1f KiB", i, float64(grew)/1024))
+		}
+		t.Logf("push %d: %.1f KiB", i, float64(grew)/1024)
+	}
+	if len(over) > 1 {
+		t.Errorf("with the cache at its bound, %d pushes allocated more than %d KiB (object + %d KiB): %v",
+			len(over), (size+slack)>>10, slack>>10, over)
 	}
 }
 

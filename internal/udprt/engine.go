@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"github.com/hpcnet/fobs/internal/batchio"
@@ -26,13 +27,24 @@ import (
 // catches every queued ack per poll.
 const ackPollSlots = 8
 
-// ackDatagramLen is the longest acknowledgement a transfer's receiver can
-// frame, which is what each slot of the sender's ack ring must hold. The
-// receiver sizes its acks from the announced packet size (the HELLO carries
-// no ack size), so a sender-side AckPacketSize below PacketSize must not
-// shrink the slot. A longer datagram arrives truncated and fails to decode.
-func ackDatagramLen(cfg core.Config) int {
-	return wire.AckHeaderLen + 8*wire.MaxFragWords(max(cfg.AckPacketSize, cfg.PacketSize))
+// ackLen is the longest acknowledgement a transfer of n packets can frame
+// when its acks are bounded to ackPacketSize bytes. An ack carries a window
+// of the receiver's status map, and core.Receiver.BuildAck extracts at most
+// the map's own words: a 64-packet object's longest ack holds one word,
+// whatever the packet size. Both ends size their ack buffers by it — the
+// receiver engine the frames it writes, the sender engine the slots it reads
+// them into.
+func ackLen(ackPacketSize, n int) int {
+	return wire.AckHeaderLen + 8*min(wire.MaxFragWords(ackPacketSize), (n+63)/64)
+}
+
+// ackSlotLen is what each slot of a sender's ack ring must hold for a transfer
+// of that many packets under cfg. The receiver bounds its acks by the
+// announced packet size (the HELLO carries no ack size), so a sender-side
+// AckPacketSize below PacketSize must not shrink the slot. A longer datagram
+// arrives truncated and fails to decode.
+func ackSlotLen(cfg core.Config, packets int) int {
+	return ackLen(max(cfg.AckPacketSize, cfg.PacketSize), packets)
 }
 
 // senderEndpoint is a sender engine's view of the network: the UDP data
@@ -73,7 +85,6 @@ type senderEndpoint struct {
 type senderEngine struct {
 	senderEndpoint
 	snd  *core.Sender
-	cfg  core.Config
 	opts Options
 	// probe is the stripe's instrumentation (inert when none is on).
 	probe probe
@@ -87,7 +98,7 @@ type senderEngine struct {
 // sends at all, already installed (newSenderPlan and runSenderPlan do) — to
 // its endpoint.
 func newSenderEngine(snd *core.Sender, ep senderEndpoint, opts Options, p probe) *senderEngine {
-	return &senderEngine{senderEndpoint: ep, snd: snd, cfg: snd.Config(), opts: opts, probe: p}
+	return &senderEngine{senderEndpoint: ep, snd: snd, opts: opts, probe: p}
 }
 
 // sendRing is the engine's reusable flush: per slot, the DATA header framed
@@ -119,6 +130,77 @@ func (r sendRing) from(i int) sendRing { return sendRing{r.heads[i:], r.bodies[i
 // send puts the first k slots on the wire.
 func (r sendRing) send(tx *batchio.Sender, k int) (int, error) {
 	return tx.SendGather(r.heads[:k], r.bodies[:k])
+}
+
+// senderKit is a sender engine's I/O state: the batched sender and the ring it
+// flushes, the ack receiver and the buffer acks decode into. None of it grows
+// with the object, so it outlives the engine that used it: a kit waits in
+// kitPool, bound to no socket and naming no byte of any object, for the next
+// engine, of this Send or a later one.
+type senderKit struct {
+	tx       *batchio.Sender
+	ring     sendRing
+	rx       *batchio.Receiver
+	ackWords []uint64
+}
+
+// kitPool keeps the kits of engines that have returned, the latest last, up
+// to maxPooledKits of them. It is a list under a lock, not a sync.Pool: a
+// sync.Pool keeps a returned kit in the slot of the processor that returned
+// it, where an engine started on another processor does not look, and empties
+// at every collection, so that six in a thousand small Sends built their kit
+// anew where the list builds one, and whether a kit is pooled could not be
+// tested.
+var kitPool struct {
+	sync.Mutex
+	kits []*senderKit
+}
+
+// maxPooledKits bounds the pool: enough for a few concurrent striped Sends.
+const maxPooledKits = 16
+
+// getKit returns a kit bound to conn with a ring of batch slots and ack slots
+// of ackSlot bytes, on the fast path when fast asks for it: the latest pooled
+// kit when it fits — a ring exactly that long, since its length is a look's
+// room; ack slots at least that long, cut to ackSlot; the same socket path —
+// and a new one otherwise, the pooled one dropped.
+func getKit(conn *net.UDPConn, batch, ackSlot int, fast bool) (*senderKit, error) {
+	fast = fast && batchio.FastPathAvailable()
+	var k *senderKit
+	kitPool.Lock()
+	if n := len(kitPool.kits); n > 0 {
+		k, kitPool.kits[n-1] = kitPool.kits[n-1], nil
+		kitPool.kits = kitPool.kits[:n-1]
+	}
+	kitPool.Unlock()
+	if k != nil && k.ring.len() == batch && k.tx.Vectored() == fast && k.rx.Vectored() == fast &&
+		k.rx.Rebind(conn, ackSlot) {
+		k.tx.Rebind(conn)
+		return k, nil
+	}
+	tx, err := batchio.NewSender(conn, batch, fast)
+	if err != nil {
+		return nil, fmt.Errorf("udprt: batched sender: %w", err)
+	}
+	rx, err := batchio.NewReceiver(conn, ackPollSlots, ackSlot, fast)
+	if err != nil {
+		return nil, fmt.Errorf("udprt: ack receiver: %w", err)
+	}
+	return &senderKit{tx: tx, ring: newSendRing(batch), rx: rx,
+		ackWords: make([]uint64, 0, (ackSlot-wire.AckHeaderLen)/8)}, nil
+}
+
+// put unbinds k from its socket, forgets every payload its ring and iovecs
+// named — Send keeps nothing of obj — and pools it.
+func (k *senderKit) put() {
+	k.tx.Rebind(nil)
+	k.rx.Rebind(nil, 0)
+	clear(k.ring.bodies)
+	kitPool.Lock()
+	defer kitPool.Unlock()
+	if len(kitPool.kits) < maxPooledKits {
+		kitPool.kits = append(kitPool.kits, k)
+	}
 }
 
 // encodeBatch pulls up to max packets from the sender's schedule and frames
@@ -190,16 +272,14 @@ func encodeBatch(snd *core.Sender, ring sendRing, max int, p probe, base int) (k
 // transient buffer pressure (ENOBUFS et al.) is absorbed by the pacing
 // loop.
 func (e *senderEngine) run(ctx context.Context) error {
-	snd, cfg, opts := e.snd, e.cfg, e.opts
-	tx, err := batchio.NewSender(e.conn, opts.IOBatch, !opts.NoFastPath)
+	snd, opts := e.snd, e.opts
+	kit, err := getKit(e.conn, opts.IOBatch, ackSlotLen(snd.Config(), snd.NumPackets()), !opts.NoFastPath)
 	if err != nil {
-		return fmt.Errorf("udprt: batched sender: %w", err)
+		return err
 	}
+	defer kit.put() // after the counters are read: the next engine resets them
+	tx, rx, ring := kit.tx, kit.rx, kit.ring
 	tx.FlushHook = opts.testFlushHook
-	rx, err := batchio.NewReceiver(e.conn, ackPollSlots, ackDatagramLen(cfg), !opts.NoFastPath)
-	if err != nil {
-		return fmt.Errorf("udprt: ack receiver: %w", err)
-	}
 	// The pacing clock, the instant it set (zero: none), and the time waited.
 	var pace pacer
 	var paceAt time.Time
@@ -211,18 +291,16 @@ func (e *senderEngine) run(ctx context.Context) error {
 		e.io = c
 		e.probe.io(c)
 	}()
-	ring := newSendRing(opts.IOBatch)
-	ackWords := make([]uint64, 0, wire.MaxFragWords(cfg.AckPacketSize))
 	// started is the epoch of the sender's clock (core.Sender.Look).
 	started := time.Now()
 	// handleAcks feeds the first n datagrams of the ack ring to the sender.
 	handleAcks := func(n int) {
 		for i := 0; i < n; i++ {
-			a, err := wire.DecodeAckInto(rx.Datagram(i), ackWords)
+			a, err := wire.DecodeAckInto(rx.Datagram(i), kit.ackWords)
 			if err != nil {
 				continue
 			}
-			ackWords = a.Frag.Words[:0] // HandleAck consumed the fragment
+			kit.ackWords = a.Frag.Words[:0] // HandleAck consumed the fragment
 			// Per-ack instrumentation (metrics counter, flight record,
 			// latency histograms) fires inside HandleAck via the sender's
 			// ack observer (the probe), which also sees exactly which
@@ -430,7 +508,7 @@ func newReceiverEngine(rcv *core.Receiver) *receiverEngine {
 	cfg := rcv.Config()
 	return &receiverEngine{
 		rcv:        rcv,
-		ackBuf:     make([]byte, 0, cfg.AckPacketSize+wire.AckHeaderLen),
+		ackBuf:     make([]byte, 0, ackLen(cfg.AckPacketSize, rcv.NumPackets())),
 		packetSize: cfg.PacketSize,
 	}
 }

@@ -450,11 +450,18 @@ func (ep *testEndpoint) wantFrames(ordered bool, want ...string) {
 
 // retains reports whether the endpoint's resume store holds state for obj's
 // content.
-func (ep *testEndpoint) retains(obj []byte) bool {
+func (ep *testEndpoint) retains(obj []byte) bool { return ep.retainedOf(obj) > 0 }
+
+// retainedOf is how many packets of obj's content the endpoint's resume
+// store holds (zero: it holds no state for it).
+func (ep *testEndpoint) retainedOf(obj []byte) int {
 	s := ep.l.store
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.entries[core.ContentID(obj)] != nil
+	if ret := s.entries[core.ContentID(obj)]; ret != nil {
+		return ret.received
+	}
+	return 0
 }
 
 // tags counts the transfer tags registered with the endpoint.

@@ -11,6 +11,7 @@ package udprt
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"net/netip"
@@ -43,6 +44,8 @@ type inbound struct {
 	arrived  bool              // a data datagram has been routed to the transfer
 	pending  int               // stripes not yet complete
 	lastData time.Time         // when the last drain holding a datagram of this transfer began
+	mark     uint64            // the marker settle waits for (zero: none)
+	settled  chan struct{}     // closed when the loop routes that marker
 }
 
 // tagRoute is a registered transfer tag's destination: a stripe of an inbound.
@@ -89,10 +92,14 @@ func (l *Listener) drain() error {
 // serialized into the engine's reusable buffer, and the reply goes out
 // through the net package's value-typed address API. A datagram longer than
 // the transfer's packets is not cut short by its slot; core's length check
-// refuses it.
+// refuses it. A datagram that is not DATA is dropped, unless the socket wrote
+// it to itself: that is a settling transfer's marker (settle).
 func (l *Listener) route(buf []byte, from netip.AddrPort, now time.Time) {
 	d, err := wire.DecodeData(buf)
 	if err != nil {
+		if netip.AddrPortFrom(from.Addr().Unmap(), from.Port()) == l.self {
+			l.marked(buf)
+		}
 		return
 	}
 	l.mu.Lock()
@@ -127,6 +134,61 @@ func (l *Listener) route(buf []byte, from netip.AddrPort, now time.Time) {
 		if in.pending--; in.pending == 0 {
 			close(in.complete)
 		}
+	}
+}
+
+// settleWait bounds settle's wait for the loop.
+const settleWait = 250 * time.Millisecond
+
+// markerLen is the length of settle's marker: the transfer tag it names, then
+// the mark. No DATA frame is that short.
+const markerLen = 4 + 8
+
+// settle lets the loop route every datagram the data socket took before now,
+// so that a failed transfer retains what reached its endpoint, not only what
+// the loop had read by the time the failure was seen. It writes a marker
+// datagram to the socket itself — queued behind everything the socket holds —
+// and returns once the loop has routed it, after settleWait, or when the loop
+// stops, whichever is first; a marker that cannot be written is not waited for.
+func (l *Listener) settle(in *inbound) {
+	mark := l.marks.Add(1)
+	settled := make(chan struct{})
+	in.mu.Lock()
+	in.mark, in.settled = mark, settled
+	in.mu.Unlock()
+	var m [markerLen]byte
+	binary.BigEndian.PutUint32(m[:], in.plan.layout()[0].Transfer)
+	binary.BigEndian.PutUint64(m[4:], mark)
+	if _, err := l.udp.WriteToUDPAddrPort(m[:], l.self); err != nil {
+		return
+	}
+	wait := time.NewTimer(settleWait)
+	defer wait.Stop()
+	select {
+	case <-settled:
+	case <-wait.C:
+	case <-l.stopped:
+	}
+}
+
+// marked is route for a datagram the endpoint wrote to itself: the marker of
+// a transfer that settles.
+func (l *Listener) marked(buf []byte) {
+	if len(buf) != markerLen {
+		return
+	}
+	l.mu.Lock()
+	rt, ok := l.inbound[binary.BigEndian.Uint32(buf)]
+	l.mu.Unlock()
+	if !ok {
+		return
+	}
+	in := rt.in
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.mark != 0 && in.mark == binary.BigEndian.Uint64(buf[4:]) {
+		in.mark = 0
+		close(in.settled)
 	}
 }
 
@@ -295,10 +357,12 @@ func (l *Listener) receive(ctx context.Context, ctl net.Conn, watchCtl bool) (re
 		return fail(fmt.Errorf("udprt: check answer write: %w", err), true) // the sender never saw our acceptance; stay claimable
 	}
 	err = l.await(ctx, in, ctl, watchCtl)
-	l.detach(in)
 	if err != nil {
+		l.settle(in)
+		l.detach(in)
 		return fail(err, true)
 	}
+	l.detach(in)
 	// Every packet is placed; what remains is the content verdict over the
 	// leaves not hashed yet and the COMPLETE write.
 	probes.event(obs.KindDrain, uint64(seal.pending()))

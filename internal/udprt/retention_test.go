@@ -11,29 +11,45 @@ import (
 	"time"
 
 	"github.com/hpcnet/fobs/internal/core"
+	"github.com/hpcnet/fobs/internal/stats"
 	"github.com/hpcnet/fobs/internal/wire"
 )
+
+// stacks is every goroutine's stack, one per element.
+func stacks() [][]byte {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Split(buf[:n], []byte("\n\n"))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
 
 // senderGoroutines counts the live goroutines of Send's data phase: every
 // stack running in, or created by, runSenderPlan — the completion reader,
 // the waker and the stripe engines.
 func senderGoroutines() int {
-	buf := make([]byte, 1<<20)
-	for {
-		n := runtime.Stack(buf, true)
-		if n < len(buf) {
-			buf = buf[:n]
-			break
-		}
-		buf = make([]byte, 2*len(buf))
-	}
 	count := 0
-	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+	for _, g := range stacks() {
 		if bytes.Contains(g, []byte("udprt.runSenderPlan")) {
 			count++
 		}
 	}
 	return count
+}
+
+// inStack reports whether some goroutine is in a call of one of fns.
+func inStack(fns ...string) bool {
+	for _, g := range stacks() {
+		for _, fn := range fns {
+			if bytes.Contains(g, []byte(fn+"(")) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // sendThenOverwrite runs Send and overwrites every byte of obj the moment it
@@ -159,6 +175,37 @@ func TestSendKeepsNothingOfObj(t *testing.T) {
 		}
 	})
 
+	t.Run("collected while its kit is pooled", func(t *testing.T) {
+		// The engine's kit outlives the Send in the pool; its ring and
+		// iovecs named every payload of obj. One collection after Send
+		// returns, with the kit still pooled, obj must be garbage.
+		ep := listen(t, byServe, Options{})
+		ep.recv(1)
+		obj := makeObj(1 << 20)
+		want := bytes.Clone(obj)
+		collected := make(chan struct{})
+		runtime.SetFinalizer(&obj[0], func(*byte) { close(collected) })
+		if _, err := Send(ctx, ep.l.Addr(), obj, core.Config{Transfer: 1}, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		obj = nil
+		if ep.delivered(want).id != 1 {
+			t.Fatal("the receiver holds the bytes under another transfer")
+		}
+		kitPool.Lock()
+		pooled := len(kitPool.kits)
+		kitPool.Unlock()
+		if pooled == 0 {
+			t.Fatal("Send's engine pooled no kit")
+		}
+		runtime.GC()
+		select {
+		case <-collected:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("obj survived a collection after Send returned, with %d kits pooled", pooled)
+		}
+	})
+
 	t.Run("striped", func(t *testing.T) {
 		ep := listen(t, byServe, Options{})
 		ep.recv(1)
@@ -171,4 +218,45 @@ func TestSendKeepsNothingOfObj(t *testing.T) {
 			t.Fatal("the receiver holds the bytes under another transfer")
 		}
 	})
+}
+
+// TestFailedTransferRetainsWhatTheSocketTook: a transfer that fails retains
+// every datagram its endpoint's data socket took before the failure, not only
+// those the loop had routed by then. The loop is held back (Listener.mu) while
+// a raw sender's data and then its ABORT arrive, and let go once the
+// lifecycle has left its wait for the verdict; the retained state must then
+// hold every packet sent.
+func TestFailedTransferRetainsWhatTheSocketTook(t *testing.T) {
+	const ps, sent = 1024, 256
+	var io stats.IOCounters
+	ep := listen(t, byAccept, Options{IOCounters: &io})
+	ep.recv(1)
+	obj := makeObj(2 * sent * ps) // twice what is sent: the transfer cannot complete
+	peer := dialRaw(t, ep.addr(), announceFor(1, obj, ps))
+	peer.accepted()
+
+	ep.l.mu.Lock()
+	held := true
+	defer func() {
+		if held {
+			ep.l.mu.Unlock()
+		}
+	}()
+	peer.data(1, obj, ps, 0, sent)
+	writeAbort(peer.ctl, 1, wire.AbortUnspecified)
+	waitUntil(t, 10*time.Second, "the lifecycle leaving its wait for the verdict", func() bool {
+		return inStack("udprt.(*Listener).settle", "udprt.(*Listener).detach")
+	})
+	held = false
+	ep.l.mu.Unlock()
+
+	if r, _ := ep.result(true); r.err == nil {
+		t.Fatal("the aborted transfer was delivered")
+	}
+	if io.RecvOverflow != 0 {
+		t.Fatalf("the socket dropped %d datagrams: it did not take all %d sent", io.RecvOverflow, sent)
+	}
+	if got := ep.retainedOf(obj); got != sent {
+		t.Fatalf("retained %d packets, want the %d the socket took before the ABORT", got, sent)
+	}
 }

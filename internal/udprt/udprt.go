@@ -25,7 +25,9 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/hpcnet/fobs/internal/batchio"
@@ -301,6 +303,10 @@ type Listener struct {
 	opts   Options
 	store  *resumeStore
 	cache  *contentCache
+	// self is where the data socket reaches itself (settle): its own
+	// address, loopback when it is bound to every interface.
+	self  netip.AddrPort
+	marks atomic.Uint64 // the last mark settle took
 
 	// mu guards the registration map, the published ring counters and
 	// Options.IOCounters.
@@ -342,10 +348,21 @@ func Listen(addr string, opts Options) (*Listener, error) {
 		return nil, fmt.Errorf("udprt: batched receiver: %w", err)
 	}
 	l := &Listener{tcp: tl, udp: ul, rx: rx, rcvbuf: batchio.ReadBuffer(ul), opts: opts,
-		store: newResumeStore(opts), cache: newContentCache(opts),
+		store: newResumeStore(opts), cache: newContentCache(opts), self: selfAddr(ul),
 		inbound: make(map[uint32]tagRoute), stopped: make(chan struct{})}
 	go l.loop()
 	return l, nil
+}
+
+// selfAddr is where conn reaches itself, unmapped: its own address, or
+// loopback when it is bound to every interface.
+func selfAddr(conn *net.UDPConn) netip.AddrPort {
+	a := conn.LocalAddr().(*net.UDPAddr).AddrPort()
+	ip := a.Addr().Unmap()
+	if ip.IsUnspecified() {
+		ip = netip.AddrFrom4([4]byte{127, 0, 0, 1})
+	}
+	return netip.AddrPortFrom(ip, a.Port())
 }
 
 // Addr returns the control address the listener is bound to.
