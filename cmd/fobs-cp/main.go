@@ -14,18 +14,16 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"github.com/hpcnet/fobs"
+	"github.com/hpcnet/fobs/cmd/internal/cli"
 )
 
 func main() {
@@ -81,19 +79,12 @@ func run() error {
 		checkpointDir = flag.String("checkpoint", "",
 			"directory for resume checkpoints; interrupted transfers survive a restart of this process (with -recv)")
 
-		debugAddr = flag.String("debug-addr", "",
-			"serve live metrics + pprof over HTTP on this address (e.g. localhost:6060)")
-		statsInterval = flag.Duration("stats-interval", 0,
-			"print a one-line metrics summary this often (0: off)")
-		record = flag.String("record", "",
-			"write a packet-level flight recording of every transfer to this .fobrec file")
+		instruments = cli.Flags("fobs-cp", false)
 	)
 	flag.Parse()
 
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+	ctx, cancel := cli.Context(*timeout)
 	defer cancel()
-	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	cfg := fobs.Config{PacketSize: *packetSize, Checksum: *checksum}
 	opts := fobs.Options{
@@ -108,31 +99,11 @@ func run() error {
 	// in-flight file got from its per-transfer counters.
 	reg := fobs.NewMetrics()
 	opts.Metrics = reg
-	if *debugAddr != "" {
-		dbg, err := fobs.ServeMetricsDebug(*debugAddr, reg)
-		if err != nil {
-			return fmt.Errorf("debug server: %w", err)
-		}
-		defer dbg.Close()
-		fmt.Printf("fobs-cp: metrics at http://%s/debug/fobs\n", dbg.Addr())
+	closeInstruments, err := instruments.Open(&opts)
+	if err != nil {
+		return err
 	}
-	if *statsInterval > 0 {
-		defer reg.StartReporter(os.Stderr, *statsInterval)()
-	}
-	if *record != "" {
-		rec, err := fobs.CreateFlightLog(*record)
-		if err != nil {
-			return err
-		}
-		opts.Record = rec
-		defer func() {
-			if err := rec.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "fobs-cp: sealing %s: %v\n", *record, err)
-				return
-			}
-			fmt.Printf("fobs-cp: flight recording sealed in %s\n", *record)
-		}()
-	}
+	defer closeInstruments()
 
 	switch {
 	case *send != "" && *recv != "":

@@ -11,16 +11,14 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"github.com/hpcnet/fobs"
+	"github.com/hpcnet/fobs/cmd/internal/cli"
 )
 
 func main() {
@@ -63,16 +61,8 @@ func run() error {
 			fmt.Sprintf("datagrams per recvmmsg vector (0: default %d)", fobs.DefaultIOBatch))
 		noFastPath = flag.Bool("no-fastpath", false,
 			"force one syscall per datagram even where recvmmsg is available")
-		ioStats = flag.Bool("io-stats", false, "print batched-IO syscall counters")
 
-		debugAddr = flag.String("debug-addr", "",
-			"serve live metrics + pprof over HTTP on this address (e.g. localhost:6060)")
-		statsInterval = flag.Duration("stats-interval", 0,
-			"print a one-line metrics summary this often (0: off)")
-		record = flag.String("record", "",
-			"write a packet-level flight recording to this .fobrec file (analyze with fobs-analyze)")
-		events = flag.String("events", "",
-			"append lifecycle span events (JSONL) to this file; join with the sender's via fobs-analyze -events")
+		instruments = cli.Flags("fobs-recv", true)
 	)
 	flag.Parse()
 
@@ -83,47 +73,11 @@ func run() error {
 		IOBatch:      *ioBatch,
 		NoFastPath:   *noFastPath,
 	}
-	var ioc fobs.IOCounters
-	if *ioStats {
-		opts.IOCounters = &ioc
+	closeInstruments, err := instruments.Open(&opts)
+	if err != nil {
+		return err
 	}
-	if *debugAddr != "" || *statsInterval > 0 || *record != "" {
-		reg := fobs.NewMetrics()
-		opts.Metrics = reg
-		if *debugAddr != "" {
-			dbg, err := fobs.ServeMetricsDebug(*debugAddr, reg)
-			if err != nil {
-				return fmt.Errorf("debug server: %w", err)
-			}
-			defer dbg.Close()
-			fmt.Printf("fobs-recv: metrics at http://%s/debug/fobs\n", dbg.Addr())
-		}
-		if *statsInterval > 0 {
-			defer reg.StartReporter(os.Stderr, *statsInterval)()
-		}
-	}
-	if *record != "" {
-		rec, err := fobs.CreateFlightLog(*record)
-		if err != nil {
-			return err
-		}
-		opts.Record = rec
-		defer func() {
-			if err := rec.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "fobs-recv: sealing %s: %v\n", *record, err)
-				return
-			}
-			fmt.Printf("fobs-recv: flight recording sealed in %s\n", *record)
-		}()
-	}
-	if *events != "" {
-		tlog, err := fobs.CreateTraceLog(*events)
-		if err != nil {
-			return err
-		}
-		opts.Trace = tlog
-		defer tlog.Close()
-	}
+	defer closeInstruments()
 	l, err := fobs.Listen(*listen, opts)
 	if err != nil {
 		return err
@@ -134,10 +88,8 @@ func run() error {
 		fmt.Printf("fobs-recv: the kernel granted %d of the %d-byte receive buffer asked for; senders will be held to it (raise net.core.rmem_max for more)\n", got, want)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+	ctx, cancel := cli.Context(*timeout)
 	defer cancel()
-	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	// Accept until one transfer completes: an interrupted attempt parks its
 	// partial state in the resume window (and checkpoint directory, when
@@ -164,9 +116,7 @@ func run() error {
 	mbps := float64(len(obj)*8) / elapsed.Seconds() / 1e6
 	fmt.Printf("fobs-recv: %d bytes in %v (%.1f Mb/s), %d packets (%d duplicates)\n",
 		len(obj), elapsed.Round(time.Millisecond), mbps, st.Received, st.Duplicates)
-	if *ioStats {
-		fmt.Printf("fobs-recv: io %s\n", ioc.String())
-	}
+	instruments.PrintIO()
 
 	if *out != "" {
 		if err := os.WriteFile(*out, obj, 0o644); err != nil {

@@ -13,19 +13,17 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"github.com/hpcnet/fobs"
+	"github.com/hpcnet/fobs/cmd/internal/cli"
 )
 
 func parseSize(s string) (int64, error) {
@@ -84,23 +82,13 @@ func run() error {
 			"abort when no acknowledgement arrives for this long (0: default 15s, negative: disabled)")
 		handshakeTimeout = flag.Duration("handshake-timeout", 0,
 			"bound on each announcement/HAVE exchange (0: default 10s)")
-		handshakeRetries = flag.Int("handshake-retries", 0,
-			"connection+handshake attempts before giving up (0: default 3)")
 
 		ioBatch = flag.Int("io-batch", 0,
 			fmt.Sprintf("datagrams per sendmmsg/recvmmsg vector (0: default %d)", fobs.DefaultIOBatch))
 		noFastPath = flag.Bool("no-fastpath", false,
 			"force one syscall per datagram even where sendmmsg is available")
-		ioStats = flag.Bool("io-stats", false, "print batched-IO syscall counters")
 
-		debugAddr = flag.String("debug-addr", "",
-			"serve live metrics + pprof over HTTP on this address (e.g. localhost:6060)")
-		statsInterval = flag.Duration("stats-interval", 0,
-			"print a one-line metrics summary this often (0: off)")
-		record = flag.String("record", "",
-			"write a packet-level flight recording to this .fobrec file (analyze with fobs-analyze)")
-		events = flag.String("events", "",
-			"append lifecycle span events (JSONL) to this file; join with the receiver's via fobs-analyze -events")
+		instruments = cli.Flags("fobs-send", true)
 	)
 	flag.Parse()
 
@@ -125,10 +113,8 @@ func run() error {
 		AckFrequency: *ackFreq,
 		Batch:        fobs.FixedBatch(*batch),
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+	ctx, cancel := cli.Context(*timeout)
 	defer cancel()
-	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	opts := fobs.Options{
 		Pace:             *pace,
@@ -136,7 +122,6 @@ func run() error {
 		Streams:          *streams,
 		StallTimeout:     *stallTimeout,
 		HandshakeTimeout: *handshakeTimeout,
-		HandshakeRetries: *handshakeRetries,
 		IOBatch:          *ioBatch,
 		NoFastPath:       *noFastPath,
 		NoDedup:          *noDedup,
@@ -147,47 +132,11 @@ func run() error {
 			Backoff:    *retryBackoff,
 		}
 	}
-	var ioc fobs.IOCounters
-	if *ioStats {
-		opts.IOCounters = &ioc
+	closeInstruments, err := instruments.Open(&opts)
+	if err != nil {
+		return err
 	}
-	if *debugAddr != "" || *statsInterval > 0 || *record != "" {
-		reg := fobs.NewMetrics()
-		opts.Metrics = reg
-		if *debugAddr != "" {
-			dbg, err := fobs.ServeMetricsDebug(*debugAddr, reg)
-			if err != nil {
-				return fmt.Errorf("debug server: %w", err)
-			}
-			defer dbg.Close()
-			fmt.Printf("fobs-send: metrics at http://%s/debug/fobs\n", dbg.Addr())
-		}
-		if *statsInterval > 0 {
-			defer reg.StartReporter(os.Stderr, *statsInterval)()
-		}
-	}
-	if *record != "" {
-		rec, err := fobs.CreateFlightLog(*record)
-		if err != nil {
-			return err
-		}
-		opts.Record = rec
-		defer func() {
-			if err := rec.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "fobs-send: sealing %s: %v\n", *record, err)
-				return
-			}
-			fmt.Printf("fobs-send: flight recording sealed in %s\n", *record)
-		}()
-	}
-	if *events != "" {
-		tlog, err := fobs.CreateTraceLog(*events)
-		if err != nil {
-			return err
-		}
-		opts.Trace = tlog
-		defer tlog.Close()
-	}
+	defer closeInstruments()
 	if *progress {
 		lastPct := -1
 		opts.Progress = func(done, total int) {
@@ -214,9 +163,7 @@ func run() error {
 		fmt.Printf("fobs-send: resumed: %d of %d packets excused by the receiver's HAVE bitmap\n",
 			st.Restored, st.PacketsNeeded)
 	}
-	if *ioStats {
-		fmt.Printf("fobs-send: io %s\n", ioc.String())
-	}
+	instruments.PrintIO()
 	if err != nil {
 		return err
 	}

@@ -66,8 +66,9 @@ type (
 
 // Real-network runtime.
 type (
-	// Options tunes the socket runtime: buffer sizes, idle polling, and
-	// the failure model's liveness watchdogs and handshake retries.
+	// Options tunes the socket runtime: buffer sizes, idle polling, the
+	// failure model's liveness watchdogs and handshake timeout, and the
+	// retry supervisor (Retry), Send's only retry.
 	Options = udprt.Options
 	// Listener accepts incoming FOBS transfers.
 	Listener = udprt.Listener

@@ -1043,7 +1043,7 @@ func TestDaemonFailsUnreachableTask(t *testing.T) {
 	d, err := New(Config{
 		Dir:   dir,
 		Retry: &udprt.RetryPolicy{MaxRetries: -1, Budget: 5 * time.Second},
-		Send:  udprt.Options{HandshakeRetries: 1, HandshakeTimeout: time.Second},
+		Send:  udprt.Options{HandshakeTimeout: time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)

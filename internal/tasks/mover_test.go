@@ -132,7 +132,7 @@ func TestMoverTaskAllocBudget(t *testing.T) {
 	d, err := New(Config{
 		Dir:   t.TempDir(),
 		Retry: &udprt.RetryPolicy{MaxRetries: -1},
-		Send:  udprt.Options{HandshakeRetries: 1, HandshakeTimeout: time.Second},
+		Send:  udprt.Options{HandshakeTimeout: time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)

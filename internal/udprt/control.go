@@ -156,27 +156,46 @@ func exchange(ctx context.Context, ctl net.Conn, frame []byte, transfer uint32, 
 	return f.have, nil
 }
 
-// watchControl reads one control frame in the background, converting it (or
-// the connection's death) into an error on the returned channel, so a
-// transfer's wait notices a sender's ABORT or disappearance.
-// The goroutine exits once a frame or error arrives; closing the connection
-// releases it. Only safe while the connection carries at most one more
-// frame toward us — i.e. not on a multi-object session conn, where it would
-// steal the next announcement.
-func watchControl(ctl net.Conn, transfer uint32) <-chan error {
-	ch := make(chan error, 1)
-	go func() {
-		f, err := readControlFrame(ctl)
-		switch {
-		case err != nil:
-			ch <- fmt.Errorf("udprt: control connection lost: %w", err)
-		case f.typ == wire.TypeAbort:
-			ch <- &AbortError{Transfer: f.abort.Transfer, Reason: f.abort.Reason}
-		default:
-			ch <- fmt.Errorf("udprt: unexpected control frame type %d mid-transfer", f.typ)
+// ctlReader is a receiving endpoint's control connection and its one
+// reader, started when the connection is accepted. Its goroutine decodes the
+// sender's frames in order and hands each over — announcements to receive,
+// an ABORT to the wait — holding at most one frame ahead, so a sender that
+// floods the channel meets TCP's backpressure. A read error closes frames
+// and is kept raw in err: only an owner that takes it formats it, so a
+// connection closed under a finished transfer costs no error value.
+type ctlReader struct {
+	ctl    net.Conn
+	frames chan controlFrame
+	err    error // the read error that closed frames; read only after frames is closed
+}
+
+// readControl starts ctl's reader.
+func readControl(ctl net.Conn) *ctlReader {
+	r := &ctlReader{ctl: ctl, frames: make(chan controlFrame)}
+	go r.run()
+	return r
+}
+
+func (r *ctlReader) run() {
+	for {
+		f, err := readControlFrame(r.ctl)
+		if err != nil {
+			r.err = err
+			close(r.frames)
+			return
 		}
-	}()
-	return ch
+		r.frames <- f
+	}
+}
+
+// close closes the connection and returns once its reader has ended,
+// dropping a frame it held that nobody will take. It may be called more
+// than once.
+func (r *ctlReader) close() error {
+	err := r.ctl.Close()
+	for range r.frames {
+	}
+	return err
 }
 
 // unblockOnDone kicks a blocking accept (or read) out when ctx ends by

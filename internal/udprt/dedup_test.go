@@ -362,7 +362,7 @@ func TestVerifyRequiredIsTerminalOnRefusal(t *testing.T) {
 			}()
 			opts := tc.opts
 			opts.HandshakeTimeout = 5 * time.Second
-			opts.HandshakeRetries = 3 // a budget the refusal must not touch
+			opts.Retry = &RetryPolicy{MaxRetries: 2, Backoff: 10 * time.Millisecond} // a budget the refusal must not touch
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			_, err := Send(ctx, stub.addr(), makeObj(1024), core.Config{Transfer: 3, PacketSize: 512}, opts)

@@ -431,25 +431,38 @@ func TestEndpointMatrix(t *testing.T) {
 			peer.data(92, obj, ps, 0, packets/2)
 			ep.placed(92)
 			writeAbort(peer.ctl, 92, wire.AbortCancelled)
-			r, ok := ep.result(true)
-			if ep.watches() {
+			if r, ok := ep.result(true); ok {
 				var abort *AbortError
-				if ok && (!errors.As(r.err, &abort) || abort.Reason != wire.AbortCancelled) {
+				if !errors.As(r.err, &abort) || abort.Reason != wire.AbortCancelled {
 					t.Fatalf("receiver err = %v, want the sender's ABORT", r.err)
 				}
-				ep.aborted(92, wire.AbortCancelled)
-				ep.wantFrames(true, "HAVE(0)")
-			} else {
-				// A session connection is not watched: the silence that
-				// follows the ABORT is what ends the transfer.
-				if !errors.Is(r.err, ErrIdle) {
-					t.Fatalf("receiver err = %v, want ErrIdle", r.err)
-				}
-				ep.aborted(92, wire.AbortIdleTimeout)
-				ep.wantFrames(true, "HAVE(0)", "ABORT("+wire.AbortIdleTimeout.String()+")")
 			}
+			ep.aborted(92, wire.AbortCancelled)
+			ep.wantFrames(true, "HAVE(0)")
 			if !ep.retains(obj) {
 				t.Fatal("the aborted transfer's state was not retained")
+			}
+		}},
+		{name: "sender's control connection closed mid-transfer", run: func(t *testing.T, ep *testEndpoint) {
+			// At the default IdleTimeout (30 s): only the control connection's
+			// reader can end the transfer this soon.
+			ep.recv(1)
+			peer := dialRaw(t, ep.proxy.Addr(), announceFor(94, obj, ps))
+			peer.accepted()
+			peer.data(94, obj, ps, 0, packets/2)
+			ep.placed(94)
+			closed := time.Now()
+			peer.ctl.Close()
+			if r, ok := ep.result(true); ok && (r.err == nil || errors.Is(r.err, ErrIdle)) {
+				t.Fatalf("receiver err = %v, want the lost control connection", r.err)
+			}
+			ep.aborted(94, wire.AbortUnspecified)
+			if took := time.Since(closed); took > time.Second {
+				t.Fatalf("the transfer ended %v after its control connection closed, want within 1s", took)
+			}
+			ep.wantFrames(true, "HAVE(0)")
+			if !ep.retains(obj) {
+				t.Fatal("the orphaned transfer's state was not retained")
 			}
 		}},
 		{name: "ctx cancel", run: func(t *testing.T, ep *testEndpoint) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -248,6 +249,29 @@ func TestAcceptDeadlineNotPoisoned(t *testing.T) {
 	}
 	// The listener must still work for a patient caller.
 	ep.pushOK(makeObj(64<<10), core.Config{}, Options{})
+}
+
+// TestAnnouncementWaitEndsWithContext: a control connection that has not
+// announced is let go as soon as the endpoint's context ends, with
+// ABORT(cancelled) — a reason a sender's supervisor retries — not after the
+// 30 s bound on the announcement.
+func TestAnnouncementWaitEndsWithContext(t *testing.T) {
+	ep := listen(t, byAccept, Options{})
+	peer, ctl := net.Pipe()
+	defer peer.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rd := readControl(ctl)
+	defer rd.close()
+	ended := make(chan error, 1)
+	go func() { _, _, _, err := ep.l.receive(ctx, rd); ended <- err }()
+	peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if f, err := readControlFrame(peer); err != nil || f.typ != wire.TypeAbort || f.abort.Reason != wire.AbortCancelled {
+		t.Fatalf("the waiting sender was answered type %d (%s), %v; want ABORT(cancelled)", f.typ, f.abort.Reason, err)
+	}
+	if err := <-ended; !errors.Is(err, context.Canceled) {
+		t.Fatalf("receive = %v, want context.Canceled", err)
+	}
 }
 
 // TestSeverControlMidTransfer cuts the TCP control connection while data

@@ -243,10 +243,6 @@ func (ep *testEndpoint) quiet() {
 	}
 }
 
-// watches reports whether the adapter watches a transfer's control
-// connection for the sender's ABORT (a session connection cannot be).
-func (ep *testEndpoint) watches() bool { return ep.kind != bySession }
-
 // take runs the adapter for n transfers, one after another — n Accepts, or n
 // announcements on one session, which a failed one ends — and hands report
 // each outcome.

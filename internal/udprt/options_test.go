@@ -22,8 +22,6 @@ func TestOptionsDefaults(t *testing.T) {
 		{"StallTimeout", o.StallTimeout, 15 * time.Second},
 		{"IdleTimeout", o.IdleTimeout, 30 * time.Second},
 		{"HandshakeTimeout", o.HandshakeTimeout, 10 * time.Second},
-		{"HandshakeRetries", o.HandshakeRetries, 3},
-		{"HandshakeBackoff", o.HandshakeBackoff, 200 * time.Millisecond},
 		{"IOBatch", o.IOBatch, DefaultIOBatch},
 		{"Streams", o.Streams, 1},
 		{"Pace", o.Pace, time.Duration(0)},

@@ -5,15 +5,15 @@
 // routes every datagram by transfer tag to the transfer in flight that
 // registered it; receive runs one announced transfer from its announcement to
 // COMPLETE, ABORT or retention. Listener.Accept, IncomingSession.Next and
-// Server.Serve differ only in where the control connection comes from,
-// whether it may be watched, and how many transfers run at once.
+// Server.Serve differ only in where the control connection comes from —
+// each starts the connection's one reader (ctlReader) when it accepts it —
+// and how many transfers run at once.
 package udprt
 
 import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"net"
 	"net/netip"
 	"sync"
 	"time"
@@ -289,16 +289,18 @@ func (l *Listener) detach(in *inbound) {
 // goes out, and the caller is handed a copy of it made after (cacheSlot). A
 // transfer with no slot is handed its landing buffer itself.
 // A refusal — an unusable announcement, a tag in flight — answers a reasoned
-// ABORT and leaves nothing behind. The wait ends on completion, ctx, the idle
-// watchdog or, when watchCtl says the connection is dedicated to this
-// transfer, the sender's ABORT or death (on a session connection the watcher
-// would steal the next announcement; the idle watchdog covers a vanished
-// sender there). A single-flow transfer that fails after it was admitted
+// ABORT and leaves nothing behind. The announcement comes from the
+// connection's reader, rd, and so does whatever the sender writes during the
+// wait: the wait ends on completion, ctx, the idle watchdog, or the sender's
+// ABORT or death, on every endpoint — a session's included, whose next
+// announcement the sender writes only after this transfer's COMPLETE. A
+// single-flow transfer that fails after it was admitted
 // leaves its partial state in the resume store under its content identity;
 // one whose bytes failed verification is neither delivered, cached nor
 // retained. Every exit stamps the instruments with its error value.
-func (l *Listener) receive(ctx context.Context, ctl net.Conn, watchCtl bool) (recvPlan, []byte, core.ReceiverStats, error) {
-	plan, err := readTransferPlan(ctx, ctl)
+func (l *Listener) receive(ctx context.Context, rd *ctlReader) (recvPlan, []byte, core.ReceiverStats, error) {
+	ctl := rd.ctl
+	plan, err := readTransferPlan(ctx, rd)
 	if err != nil {
 		refuseAnnouncement(ctl, err)
 		return plan, nil, core.ReceiverStats{}, err
@@ -356,7 +358,7 @@ func (l *Listener) receive(ctx context.Context, ctl net.Conn, watchCtl bool) (re
 		l.detach(in)
 		return fail(fmt.Errorf("udprt: check answer write: %w", err), true) // the sender never saw our acceptance; stay claimable
 	}
-	err = l.await(ctx, in, ctl, watchCtl)
+	err = l.await(ctx, in, rd)
 	if err != nil {
 		l.settle(in)
 		l.detach(in)
@@ -407,16 +409,12 @@ func (l *Listener) landing(plan recvPlan, slot *cacheSlot) ([]byte, []*receiverE
 }
 
 // await blocks until the live transfer completes (nil) or fails: ctx ends,
-// the sender aborts or vanishes (only when watchCtl allows watching the
-// connection), or no datagram for any stripe arrives for Options.IdleTimeout.
-// The two failures the sender cannot know of are announced to it with an
-// ABORT tagged with the transfer's base id.
-func (l *Listener) await(ctx context.Context, in *inbound, ctl net.Conn, watchCtl bool) error {
+// the sender aborts or its control connection is lost (the reader hands over
+// a frame or closes), or no datagram for any stripe arrives for
+// Options.IdleTimeout. The two failures the sender cannot know of are
+// announced to it with an ABORT tagged with the transfer's base id.
+func (l *Listener) await(ctx context.Context, in *inbound, rd *ctlReader) error {
 	base, idle := in.plan.base, l.opts.IdleTimeout
-	var abortCh <-chan error
-	if watchCtl {
-		abortCh = watchControl(ctl, base)
-	}
 	var idleC <-chan time.Time
 	if idle > 0 {
 		tick := time.NewTicker(max(idle/4, 50*time.Millisecond))
@@ -428,10 +426,17 @@ func (l *Listener) await(ctx context.Context, in *inbound, ctl net.Conn, watchCt
 		case <-in.complete:
 			return nil
 		case <-ctx.Done():
-			writeAbort(ctl, base, wire.AbortCancelled)
+			writeAbort(rd.ctl, base, wire.AbortCancelled)
 			return ctx.Err()
-		case err := <-abortCh:
-			return err
+		case f, ok := <-rd.frames:
+			switch {
+			case !ok:
+				return fmt.Errorf("udprt: control connection lost: %w", rd.err)
+			case f.typ == wire.TypeAbort:
+				return &AbortError{Transfer: f.abort.Transfer, Reason: f.abort.Reason}
+			default:
+				return fmt.Errorf("udprt: unexpected control frame type %d mid-transfer", f.typ)
+			}
 		case <-idleC:
 			in.mu.Lock()
 			starved := in.pending > 0 && time.Since(in.lastData) > idle
@@ -443,7 +448,7 @@ func (l *Listener) await(ctx context.Context, in *inbound, ctl net.Conn, watchCt
 			}
 			in.mu.Unlock()
 			if starved {
-				writeAbort(ctl, base, wire.AbortIdleTimeout)
+				writeAbort(rd.ctl, base, wire.AbortIdleTimeout)
 				return fmt.Errorf("udprt: no data for %v: %w", idle, ErrIdle)
 			}
 		}

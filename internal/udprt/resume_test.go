@@ -213,6 +213,59 @@ func TestRetryFlappingLink(t *testing.T) {
 		cuts.Load(), sst.Restored, sst.PacketsNeeded, sst.PacketsSent)
 }
 
+// TestRetryOutlastsALateListener: Options.Retry, Send's one retry ladder,
+// covers the dial: a Send whose first dial is refused — nothing listens there
+// yet — is re-dialled once a listener is up, and completes.
+func TestRetryOutlastsALateListener(t *testing.T) {
+	obj := makeObj(64 << 10)
+	gone := listen(t, byAccept, Options{}) // a port bound, noted and released
+	addr := gone.l.Addr()
+	gone.close()
+	reg := metrics.New()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	sent := make(chan error, 1)
+	go func() {
+		_, err := Send(ctx, addr, obj, core.Config{Transfer: 5}, Options{Metrics: reg,
+			Retry: &RetryPolicy{MaxRetries: 8, Backoff: 100 * time.Millisecond, Seed: 5}})
+		sent <- err
+	}()
+	waitUntil(t, 10*time.Second, "the first dial refused", func() bool { return reg.Snapshot().Retries > 0 })
+	ep := listenAt(t, addr, byAccept, Options{})
+	ep.recv(1)
+	if err := <-sent; err != nil {
+		t.Fatalf("a supervised Send against a late listener: %v", err)
+	}
+	ep.delivered(obj)
+}
+
+// TestSendWithoutRetryDialsOnce: without Options.Retry, Send makes exactly
+// one attempt. A peer that accepts the control connection and drops it —
+// a failure the supervisor would retry — sees one connection.
+func TestSendWithoutRetryDialsOnce(t *testing.T) {
+	stub := newFakeReceiver(t, false)
+	var conns atomic.Int32
+	go func() {
+		for {
+			c, err := stub.tcp.Accept()
+			if err != nil {
+				return
+			}
+			conns.Add(1)
+			c.Close()
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, err := Send(ctx, stub.addr(), makeObj(1024), core.Config{Transfer: 6, PacketSize: 512}, Options{})
+	if err == nil || !IsRetryable(err) {
+		t.Fatalf("err = %v, want a failure the supervisor would retry", err)
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("%d connections, want 1", n)
+	}
+}
+
 // TestRetryDegradesWhenReceiverCannotResume points the supervisor at a
 // listener with retention disabled: every retry's CHECK is answered a miss,
 // and the retry is a full fresh transfer.

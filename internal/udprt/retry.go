@@ -153,7 +153,7 @@ func sendSupervised(ctx context.Context, addr string, obj []byte, cfg core.Confi
 	sup := opts.supervisor(opts.TraceID, cfg.Transfer)
 	defer sup.seal()
 
-	st, err := sendOnce(ctx, addr, obj, cfg, opts)
+	st, err := sendAttempt(ctx, addr, obj, cfg, opts)
 	for attempt := 1; attempt <= pol.MaxRetries && IsRetryable(err); attempt++ {
 		sup.event(obs.KindRetry, uint64(attempt))
 		select {
@@ -163,7 +163,7 @@ func sendSupervised(ctx context.Context, addr string, obj []byte, cfg core.Confi
 			return st, fmt.Errorf("udprt: retry budget exhausted: %w", err)
 		case <-time.After(pol.delay(attempt, rng)):
 		}
-		st, err = sendOnce(ctx, addr, obj, cfg, opts)
+		st, err = sendAttempt(ctx, addr, obj, cfg, opts)
 	}
 	return st, err
 }

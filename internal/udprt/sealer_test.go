@@ -399,7 +399,9 @@ func TestOldCheckVersionRefused(t *testing.T) {
 			c.Close()
 		}
 	}()
-	_, err := Send(ctx, ep.l.Addr(), obj, core.Config{Transfer: 2}, Options{HandshakeRetries: 3})
+	// A retry budget the refusal must not touch: ABORT(unsupported) is terminal.
+	retry := &RetryPolicy{MaxRetries: 2, Backoff: 10 * time.Millisecond}
+	_, err := Send(ctx, ep.l.Addr(), obj, core.Config{Transfer: 2}, Options{Retry: retry})
 	var abort *AbortError
 	if !errors.As(err, &abort) || abort.Reason != wire.AbortUnsupported {
 		t.Fatalf("send past a refused CHECK: err = %v, want the peer's ABORT(unsupported)", err)

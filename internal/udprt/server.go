@@ -68,10 +68,9 @@ func (s *Server) Serve(ctx context.Context, handle Handler) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer ctl.Close()
-			// The connection carries at most one more inbound frame (an
-			// ABORT), so the transfer may watch it for sender death.
-			if plan, obj, st, err := s.receive(ctx, ctl, true); err == nil {
+			rd := readControl(ctl)
+			defer rd.close()
+			if plan, obj, st, err := s.receive(ctx, rd); err == nil {
 				handle(plan.base, obj, st)
 			}
 		}()

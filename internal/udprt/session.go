@@ -61,17 +61,16 @@ func (s *Session) Close() error {
 	return s.ctl.Close()
 }
 
-// Send transfers one object within the session. cfg.Transfer is
-// overridden by the session's own numbering (striped objects consume one
-// tag per stripe). There is no handshake retry inside a session — on any
-// error the control stream is suspect, the session is marked broken, and
-// every later Send fails with ErrSessionBroken.
+// Send transfers one object within the session: the same per-object
+// exchange as Send (senderPlan.send) over the session's control connection
+// and data sockets. cfg.Transfer is overridden by the session's own
+// numbering (striped objects consume one tag per stripe). There is no retry
+// inside a session — on any error the control stream is suspect, the
+// session is marked broken, and every later Send fails with
+// ErrSessionBroken.
 func (s *Session) Send(ctx context.Context, obj []byte, cfg core.Config) (core.SenderStats, error) {
 	if s.broken {
 		return core.SenderStats{}, ErrSessionBroken
-	}
-	if len(obj) == 0 {
-		return core.SenderStats{}, errors.New("udprt: empty object")
 	}
 	cfg.Transfer = s.next + 1
 	plan, err := newSenderPlan(obj, cfg, s.opts)
@@ -79,29 +78,7 @@ func (s *Session) Send(ctx context.Context, obj []byte, cfg core.Config) (core.S
 		return core.SenderStats{}, err
 	}
 	s.next += uint32(len(plan.snds))
-
-	// Each object gets its own trace id (unless the session pins one); any
-	// handshake failure breaks the session.
-	plan.instrument(s.opts, s.opts.senderTraceID())
-	have, err := exchange(ctx, s.ctl, plan.announcement(s.opts), plan.base, s.opts.HandshakeTimeout)
-	var hit bool
-	if err == nil {
-		hit, err = plan.accepted(have)
-	}
-	if err != nil {
-		s.broken = true
-		plan.finish(err)
-		return plan.stats(), err
-	}
-	var st core.SenderStats
-	if hit {
-		// The receiver already holds the content: COMPLETE follows the HAVE
-		// with no data flow, and the control stream stays clean for the
-		// session's next object.
-		st, err = completeDedupedSend(plan, s.ctl)
-	} else {
-		st, err = runSenderPlan(ctx, plan, s.conns[:len(plan.snds)], s.ctl, s.opts)
-	}
+	st, err := plan.send(ctx, s.ctl, "", s.conns, s.opts)
 	s.broken = err != nil
 	return st, err
 }
@@ -132,8 +109,8 @@ func (sl *SessionListener) Close() error { return sl.l.Close() }
 
 // IncomingSession is the receive side of one sender's session.
 type IncomingSession struct {
-	sl  *SessionListener
-	ctl *net.TCPConn
+	sl *SessionListener
+	rd *ctlReader // the session's control connection and its one reader, for every object
 }
 
 // AcceptSession waits for one sender to connect.
@@ -142,19 +119,18 @@ func (sl *SessionListener) AcceptSession(ctx context.Context) (*IncomingSession,
 	if err != nil {
 		return nil, fmt.Errorf("udprt: accept session: %w", err)
 	}
-	return &IncomingSession{sl: sl, ctl: ctl}, nil
+	return &IncomingSession{sl: sl, rd: readControl(ctl)}, nil
 }
 
 // Close ends the session from the receive side.
-func (is *IncomingSession) Close() error { return is.ctl.Close() }
+func (is *IncomingSession) Close() error { return is.rd.close() }
 
 // Next receives the session's next object — single-flow or striped,
 // whatever the announcement declares. It returns io-style errors when the
-// sender closes the session or ctx expires. The control connection
-// carries further announcements after this object, so the transfer cannot
-// watch it for aborts; the idle watchdog covers a vanished sender
-// instead.
+// sender closes the session or ctx expires. The transfer is watched like
+// any other: the sender's ABORT or a lost control connection ends it at
+// once.
 func (is *IncomingSession) Next(ctx context.Context) ([]byte, core.ReceiverStats, error) {
-	_, obj, st, err := is.sl.l.receive(ctx, is.ctl, false)
+	_, obj, st, err := is.sl.l.receive(ctx, is.rd)
 	return obj, st, err
 }

@@ -89,6 +89,9 @@ type senderPlan struct {
 // stripe. cfg.Transfer is the base tag; stripe i uses base+i. The plan's
 // instruments start with instrument, once the caller means to run it.
 func newSenderPlan(obj []byte, cfg core.Config, opts Options) (*senderPlan, error) {
+	if len(obj) == 0 {
+		return nil, errEmptyObject
+	}
 	if opts.Streams > wire.MaxStreams {
 		return nil, fmt.Errorf("udprt: %d streams exceeds the wire limit of %d", opts.Streams, wire.MaxStreams)
 	}
@@ -213,6 +216,13 @@ func (p *senderPlan) finish(err error) {
 	for _, pr := range p.probes {
 		pr.finish(err)
 	}
+}
+
+// fail is finish for an exit that never reached the data phase: the
+// instruments stamped with err, and the statistics handed back with it.
+func (p *senderPlan) fail(err error) (core.SenderStats, error) {
+	p.finish(err)
+	return p.stats(), err
 }
 
 // stats sums the per-stripe sender statistics into the object-wide view

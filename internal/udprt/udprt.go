@@ -102,14 +102,6 @@ type Options struct {
 	// HandshakeTimeout bounds each announcement → HAVE exchange (default
 	// 10s).
 	HandshakeTimeout time.Duration
-	// HandshakeRetries is how many times Send attempts the control
-	// connection plus handshake before giving up (default 3). Retries
-	// cover connection errors and timeouts only; an ABORT rejection from
-	// the receiver is final.
-	HandshakeRetries int
-	// HandshakeBackoff is the delay before the second handshake attempt,
-	// doubling on each further attempt (default 200ms).
-	HandshakeBackoff time.Duration
 	// IOBatch is the ring length of the batched socket path (default 32).
 	// The sender queues batch rounds in a ring of this many packets and
 	// flushes it — and looks for an acknowledgement — when it is full, when
@@ -142,10 +134,13 @@ type Options struct {
 	// field nil costs one predictable nil check per event.
 	Metrics *metrics.Registry
 	// Retry, when non-nil, wraps Send in a retry supervisor: failed
-	// attempts are classified (see IsRetryable) and re-dialed with jittered
-	// exponential backoff under the policy's budget. Every attempt is the
-	// same announcement, so a single-stream retry is answered with whatever
-	// the receiver retained of the failed one, and sends only the rest.
+	// attempts — a refused or lost control connection and a handshake that
+	// timed out included — are classified (see IsRetryable) and re-dialed
+	// with jittered exponential backoff under the policy's budget. It is
+	// Send's only retry: without it Send makes exactly one attempt. Every
+	// attempt is the same announcement, so a single-stream retry is answered
+	// with whatever the receiver retained of the failed one, and sends only
+	// the rest.
 	Retry *RetryPolicy
 	// ResumeWindow is how long a listener or server retains the partial
 	// state (buffer + got-bitmap) of a failed single-stream inbound transfer,
@@ -228,12 +223,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.HandshakeTimeout == 0 {
 		o.HandshakeTimeout = 10 * time.Second
-	}
-	if o.HandshakeRetries == 0 {
-		o.HandshakeRetries = 3
-	}
-	if o.HandshakeBackoff == 0 {
-		o.HandshakeBackoff = 200 * time.Millisecond
 	}
 	if o.IOBatch == 0 {
 		o.IOBatch = DefaultIOBatch
@@ -420,10 +409,9 @@ func (l *Listener) Accept(ctx context.Context) ([]byte, core.ReceiverStats, erro
 	if err != nil {
 		return nil, core.ReceiverStats{}, err
 	}
-	defer ctl.Close()
-	// The connection carries at most one more inbound frame (an ABORT), so
-	// the transfer may watch it for sender death.
-	_, obj, st, err := l.receive(ctx, ctl, true)
+	rd := readControl(ctl)
+	defer rd.close()
+	_, obj, st, err := l.receive(ctx, rd)
 	return obj, st, err
 }
 
@@ -458,31 +446,37 @@ func completeFrame(plan recvPlan) []byte {
 	})
 }
 
-// readTransferPlan consumes the transfer announcement — exactly a CHECK,
-// then the HELLO — bounded by 30s or ctx's deadline, whichever is sooner.
-// The deadline is cleared afterwards so it never lingers on the control
-// connection. The HELLO is always read, even when the CHECK will turn out a
-// dedup hit: the sender writes both in one piece, and consuming them keeps
-// the stream framing clean for session reuse. A CHECK of a protocol
-// revision this build does not speak surfaces as an error wrapping
-// wire.ErrCheckVersion; a frame of a retired type (an earlier build's TRACE,
-// HELLOX or RESUME) as a bad control frame; and anything else that is not
-// CHECK then HELLO, a CHECK whose geometry is not the HELLO's, or a geometry
-// no receiver can be built for — an empty object, a size or packet size that
-// does not fit an int — as errBadAnnouncement. Callers answer through
-// refuseAnnouncement.
-func readTransferPlan(ctx context.Context, ctl net.Conn) (recvPlan, error) {
+// readTransferPlan takes the transfer announcement — exactly a CHECK, then
+// the HELLO — from the connection's reader before ctx ends, bounded by a read
+// deadline of 30s or ctx's deadline, whichever is sooner, which is cleared
+// afterwards so it never lingers on the control connection. The HELLO is
+// always taken, even when the CHECK will turn out a dedup hit: the sender
+// writes both in one piece, and consuming them keeps the stream framing clean
+// for session reuse. A CHECK of a protocol revision this build does not speak
+// surfaces as an error wrapping wire.ErrCheckVersion; a frame of a retired
+// type (an earlier build's TRACE, HELLOX or RESUME) as a bad control frame;
+// and anything else that is not CHECK then HELLO, a CHECK whose geometry is
+// not the HELLO's, or a geometry no receiver can be built for — an empty
+// object, a size or packet size that does not fit an int — as
+// errBadAnnouncement. Callers answer through refuseAnnouncement.
+func readTransferPlan(ctx context.Context, rd *ctlReader) (recvPlan, error) {
 	dl := time.Now().Add(30 * time.Second)
 	if d, ok := ctx.Deadline(); ok && d.Before(dl) {
 		dl = d
 	}
-	ctl.SetReadDeadline(dl)
-	defer ctl.SetReadDeadline(time.Time{})
+	rd.ctl.SetReadDeadline(dl)
+	defer rd.ctl.SetReadDeadline(time.Time{})
 	var frames [2]controlFrame
 	for i, want := range []uint8{wire.TypeCheck, wire.TypeHello} {
-		f, err := readControlFrame(ctl)
-		if err != nil {
-			return recvPlan{}, fmt.Errorf("udprt: hello read: %w", err)
+		var f controlFrame
+		var ok bool
+		select {
+		case f, ok = <-rd.frames:
+		case <-ctx.Done():
+			return recvPlan{}, fmt.Errorf("udprt: hello read: %w", ctx.Err())
+		}
+		if !ok {
+			return recvPlan{}, fmt.Errorf("udprt: hello read: %w", rd.err)
 		}
 		if f.typ != want {
 			return recvPlan{}, fmt.Errorf("%w: control frame type %d where type %d belongs", errBadAnnouncement, f.typ, want)
@@ -517,11 +511,15 @@ var errBadAnnouncement = errors.New("udprt: unusable transfer announcement")
 // refuseAnnouncement answers an announcement readTransferPlan could not
 // accept with a reasoned ABORT, so the peer fails its handshake instead of
 // blasting data: unsupported for a protocol revision this build does not
-// speak, bad-hello for anything else.
+// speak, cancelled when the endpoint's context ended the wait, bad-hello for
+// anything else.
 func refuseAnnouncement(ctl net.Conn, err error) {
 	reason := wire.AbortBadHello
-	if errors.Is(err, wire.ErrCheckVersion) {
+	switch {
+	case errors.Is(err, wire.ErrCheckVersion):
 		reason = wire.AbortUnsupported
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		reason = wire.AbortCancelled
 	}
 	writeAbort(ctl, 0, reason)
 }
@@ -531,9 +529,10 @@ func refuseAnnouncement(ctl net.Conn, err error) {
 // by the caller (zero is fine for a single transfer). With Options.Streams
 // > 1 the object is split into contiguous stripes, each with its own tag
 // (base+i), flow and engine; the returned statistics sum over stripes.
-// With Options.Retry set, failed transfers are retried (a single-stream
-// retry sends only what the receiver did not retain) and the returned
-// statistics are the final attempt's.
+// Without Options.Retry, Send makes exactly one attempt: one control
+// connection, one exchange. With it, failed transfers are retried (a
+// single-stream retry sends only what the receiver did not retain) and the
+// returned statistics are the final attempt's.
 //
 // Send keeps nothing of obj. Once it returns, on any exit — a verified
 // COMPLETE, a dedup hit, an ABORT, a cancelled context, an error, the last
@@ -542,57 +541,70 @@ func refuseAnnouncement(ctl net.Conn, err error) {
 func Send(ctx context.Context, addr string, obj []byte, cfg core.Config, opts Options) (core.SenderStats, error) {
 	opts = opts.withDefaults()
 	if len(obj) == 0 {
-		return core.SenderStats{}, errors.New("udprt: empty object")
+		return core.SenderStats{}, errEmptyObject
 	}
 	if opts.Retry != nil {
 		return sendSupervised(ctx, addr, obj, cfg, opts)
 	}
-	return sendOnce(ctx, addr, obj, cfg, opts)
+	return sendAttempt(ctx, addr, obj, cfg, opts)
 }
 
-// sendOnce is one un-supervised transfer attempt: the whole Send path,
-// handshake to verdict — a data phase for whatever the CHECK's answer did
-// not excuse, or, when it says the receiver holds the whole object, a
-// zero-data completion.
-func sendOnce(ctx context.Context, addr string, obj []byte, cfg core.Config, opts Options) (core.SenderStats, error) {
+var errEmptyObject = errors.New("udprt: empty object")
+
+// sendAttempt is one attempt of Send: a fresh plan of obj, sent over a
+// control connection and data flows of its own.
+func sendAttempt(ctx context.Context, addr string, obj []byte, cfg core.Config, opts Options) (core.SenderStats, error) {
 	plan, err := newSenderPlan(obj, cfg, opts)
 	if err != nil {
 		return core.SenderStats{}, err
 	}
-	plan.instrument(opts, opts.senderTraceID())
-	plan.probes.event(obs.KindDial, 0)
-	ctl, have, err := dialHandshake(ctx, addr, plan.announcement(opts), plan.base, opts)
-	if err != nil {
-		plan.finish(err)
-		return plan.stats(), err
-	}
-	defer ctl.Close()
-	hit, err := plan.accepted(have)
-	if err != nil {
-		writeAbort(ctl, plan.base, wire.AbortBadHello)
-		plan.finish(err)
-		return plan.stats(), err
-	}
-	if hit {
-		// Dedup hit: the receiver already holds the object. No handshake
-		// completes and no data flow dials — just the verdict.
-		return completeDedupedSend(plan, ctl)
-	}
-	return dialAndRun(ctx, addr, plan, ctl, opts)
+	return plan.send(ctx, nil, addr, nil, opts)
 }
 
-// dialAndRun opens the plan's data flows toward addr and lets the shared
-// sender engine drive each stripe until the completion signal arrives on the
-// control channel.
-func dialAndRun(ctx context.Context, addr string, plan *senderPlan, ctl net.Conn, opts Options) (core.SenderStats, error) {
-	conns, err := dialDataFlows(addr, len(plan.snds), opts)
-	if err != nil {
-		writeAbort(ctl, plan.base, wire.AbortUnspecified)
-		plan.finish(err)
-		return plan.stats(), err
+// send is the one per-object exchange of Send and Session.Send: instrument
+// → [dial control] → announce → HAVE → dedup hit: verdict, or miss: [dial
+// data flows] → run → verdict. The two differ only in where ctl and the data
+// flows come from: a session passes its own; Send passes nil for both, and
+// they are dialled toward addr — the data flows only after a miss, so a
+// dedup hit opens no UDP socket — and closed on the way out. A HAVE that
+// does not fit the plan is refused with ABORT(bad-hello), and data flows
+// that cannot be dialled with ABORT(unspecified), so the receiver never
+// waits on a sender that has given up. Every exit stamps the instruments.
+func (p *senderPlan) send(ctx context.Context, ctl net.Conn, addr string, flows []*net.UDPConn, opts Options) (core.SenderStats, error) {
+	p.instrument(opts, opts.senderTraceID())
+	if ctl == nil {
+		p.probes.event(obs.KindDial, 0)
+		var d net.Dialer
+		c, err := d.DialContext(ctx, "tcp", addr)
+		if err != nil {
+			return p.fail(fmt.Errorf("udprt: dial control: %w", err))
+		}
+		defer c.Close()
+		ctl = c
 	}
-	defer closeAll(conns)
-	return runSenderPlan(ctx, plan, conns, ctl, opts)
+	have, err := exchange(ctx, ctl, p.announcement(opts), p.base, opts.HandshakeTimeout)
+	if err != nil {
+		return p.fail(err)
+	}
+	hit, err := p.accepted(have)
+	if err != nil {
+		writeAbort(ctl, p.base, wire.AbortBadHello)
+		return p.fail(err)
+	}
+	if hit {
+		// The receiver already holds the content: COMPLETE follows the HAVE
+		// with no data flow, and a session's control stream stays clean for
+		// its next object.
+		return completeDedupedSend(p, ctl)
+	}
+	if flows == nil {
+		if flows, err = dialDataFlows(addr, len(p.snds), opts); err != nil {
+			writeAbort(ctl, p.base, wire.AbortUnspecified)
+			return p.fail(err)
+		}
+		defer closeAll(flows)
+	}
+	return runSenderPlan(ctx, p, flows[:len(p.snds)], ctl, opts)
 }
 
 // completeDedupedSend finishes a transfer whose CHECK query hit: every
@@ -608,8 +620,7 @@ func completeDedupedSend(plan *senderPlan, ctl net.Conn) (core.SenderStats, erro
 	for i, snd := range plan.snds {
 		n := snd.NumPackets()
 		if _, err := snd.Restore(fullWords(n)); err != nil {
-			plan.finish(err)
-			return plan.stats(), err
+			return plan.fail(err)
 		}
 		plan.probes[i].stripe().event(obs.KindSkip, uint64(n))
 		total += n
@@ -620,57 +631,6 @@ func completeDedupedSend(plan *senderPlan, ctl net.Conn) (core.SenderStats, erro
 	st := plan.stats()
 	st.Deduped = err == nil
 	return st, err
-}
-
-// dialHandshake establishes the control connection and completes the
-// handshake — the announcement in one write, the HAVE back — retrying with
-// exponential backoff on connection errors and timeouts. An ABORT from the
-// receiver (a duplicate transfer id, an announcement it refuses) is final
-// and never retried.
-//
-// When the returned HAVE covers all packets the receiver already holds the
-// object, and the caller must await COMPLETE instead of running the data
-// phase.
-func dialHandshake(ctx context.Context, addr string, frame []byte, transfer uint32, opts Options) (net.Conn, wire.Have, error) {
-	var lastErr error
-	backoff := opts.HandshakeBackoff
-	for attempt := 0; attempt < opts.HandshakeRetries; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return nil, wire.Have{}, fmt.Errorf("udprt: handshake: %w", ctx.Err())
-			case <-time.After(backoff):
-			}
-			backoff *= 2
-		}
-		ctl, have, err := attemptHandshake(ctx, addr, frame, transfer, opts)
-		if err == nil {
-			return ctl, have, nil
-		}
-		var abort *AbortError
-		if errors.As(err, &abort) || ctx.Err() != nil {
-			return nil, wire.Have{}, err
-		}
-		lastErr = err
-	}
-	return nil, wire.Have{}, fmt.Errorf("udprt: handshake failed after %d attempts: %w",
-		opts.HandshakeRetries, lastErr)
-}
-
-// attemptHandshake dials one control connection and runs the announcement
-// exchange on it.
-func attemptHandshake(ctx context.Context, addr string, frame []byte, transfer uint32, opts Options) (net.Conn, wire.Have, error) {
-	var d net.Dialer
-	ctl, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, wire.Have{}, fmt.Errorf("udprt: dial control: %w", err)
-	}
-	have, err := exchange(ctx, ctl, frame, transfer, opts.HandshakeTimeout)
-	if err != nil {
-		ctl.Close()
-		return nil, wire.Have{}, err
-	}
-	return ctl, have, nil
 }
 
 // readCompletion blocks until the receiver's terminal control frame

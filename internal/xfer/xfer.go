@@ -178,6 +178,10 @@ func (s Summary) Goodput() float64 {
 	return float64(s.Bytes*8) / s.Elapsed.Seconds()
 }
 
+// ErrFileChanged reports a file whose length is no longer the one its
+// manifest entry records, which is what the receiver waits for.
+var ErrFileChanged = errors.New("xfer: file changed since the manifest was built")
+
 // SendTree transfers every regular file under root to the xfer receiver at
 // addr.
 func SendTree(ctx context.Context, addr, root string, cfg core.Config, opts udprt.Options) (Summary, error) {
@@ -186,6 +190,16 @@ func SendTree(ctx context.Context, addr, root string, cfg core.Config, opts udpr
 	if err != nil {
 		return Summary{}, err
 	}
+	sum, err := sendTree(ctx, addr, root, manifest, cfg, opts)
+	sum.Elapsed = time.Since(start)
+	return sum, err
+}
+
+// sendTree sends manifest, then the files under root it lists, in its
+// order. Which files travel is the manifest's decision, not the disk's: an
+// empty entry is created from the manifest alone, and a file whose length
+// is not its entry's fails the send with ErrFileChanged.
+func sendTree(ctx context.Context, addr, root string, manifest Manifest, cfg core.Config, opts udprt.Options) (Summary, error) {
 	if len(manifest.Files) == 0 {
 		return Summary{}, fmt.Errorf("xfer: no regular files under %s", root)
 	}
@@ -204,15 +218,18 @@ func SendTree(ctx context.Context, addr, root string, cfg core.Config, opts udpr
 		if err != nil {
 			return Summary{}, err
 		}
-		if len(data) == 0 {
-			continue // empty files are created from the manifest alone
+		if int64(len(data)) != f.Size {
+			return Summary{}, fmt.Errorf("xfer: send %s: %w: %d bytes, manifest says %d", f.Path, ErrFileChanged, len(data), f.Size)
+		}
+		if f.Size == 0 {
+			continue
 		}
 		if _, err := sess.Send(ctx, data, cfg); err != nil {
 			return Summary{}, fmt.Errorf("xfer: send %s: %w", f.Path, err)
 		}
-		bytes += int64(len(data))
+		bytes += f.Size
 	}
-	return Summary{Files: len(manifest.Files), Bytes: bytes, Elapsed: time.Since(start)}, nil
+	return Summary{Files: len(manifest.Files), Bytes: bytes}, nil
 }
 
 // ReceiveTree accepts one tree transfer session and writes it under

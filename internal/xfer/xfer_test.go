@@ -3,6 +3,7 @@ package xfer
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -241,5 +242,39 @@ func TestSummaryGoodput(t *testing.T) {
 	}
 	if (Summary{}).Goodput() != 0 {
 		t.Fatal("zero-duration goodput not 0")
+	}
+}
+
+// TestSendTreeRefusesAFileChangedSinceItsManifest: the manifest decides what
+// the receiver waits for, so a file emptied after the manifest was built
+// fails the send with ErrFileChanged — it is not skipped as an empty file
+// while the receiver waits for its bytes.
+func TestSendTreeRefusesAFileChangedSinceItsManifest(t *testing.T) {
+	src := makeTree(t)
+	sl, err := udprt.ListenSession("127.0.0.1:0", udprt.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	received := make(chan error, 1)
+	go func() {
+		_, err := ReceiveTree(ctx, sl, t.TempDir())
+		received <- err
+	}()
+
+	manifest, err := BuildManifest(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(filepath.Join(src, "README"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sendTree(ctx, sl.Addr(), src, manifest, core.Config{}, udprt.Options{}); !errors.Is(err, ErrFileChanged) {
+		t.Fatalf("send of a tree with a file emptied since its manifest: err = %v, want ErrFileChanged", err)
+	}
+	if err := <-received; err == nil {
+		t.Fatal("the receiver completed a tree whose file never came")
 	}
 }
