@@ -332,6 +332,60 @@ func TestSenderCountsStaleAcks(t *testing.T) {
 	}
 }
 
+// TestRetransmitClassification: a repeat selection of a sequence number is a
+// retransmission, counted once per resend, so PacketsSent is always the
+// object's packets plus Retransmits once every packet went out; the payload
+// bytes and the rounds that selected packets are counted beside them.
+func TestRetransmitClassification(t *testing.T) {
+	s := NewSender(makeObject(4*DefaultPacketSize-100), Config{}) // a short last packet
+	send := func(k int) {
+		s.PlanRound(0)
+		for i := 0; i < k; i++ {
+			if _, ok := s.NextPacket(); !ok {
+				t.Fatal("nothing to send with no packet acknowledged")
+			}
+		}
+	}
+	send(4) // one full turn
+	if st := s.Stats(); st.Retransmits != 0 || st.PacketsSent != 4 {
+		t.Fatalf("first turn: sent=%d retx=%d, want 4/0", st.PacketsSent, st.Retransmits)
+	}
+	send(2) // two resends
+	st := s.Stats()
+	if st.Retransmits != 2 || st.PacketsSent != st.PacketsNeeded+st.Retransmits {
+		t.Fatalf("sent=%d needed=%d retx=%d, want retx 2 and sent = needed + retx",
+			st.PacketsSent, st.PacketsNeeded, st.Retransmits)
+	}
+	if want := 6*DefaultPacketSize - 100; st.BytesSent != want { // the resends are packets 0 and 1
+		t.Fatalf("bytes=%d, want %d", st.BytesSent, want)
+	}
+	if st.Rounds != 2 {
+		t.Fatalf("rounds=%d, want 2", st.Rounds)
+	}
+}
+
+// TestKnownReceivedIsMonotone: a stale (reordered) acknowledgement carries an
+// older, smaller status map; merging it never lowers what the sender knows.
+func TestKnownReceivedIsMonotone(t *testing.T) {
+	s := NewSender(makeObject(10*DefaultPacketSize), Config{})
+	ack := func(seq uint32, word uint64) {
+		t.Helper()
+		a := wire.Ack{AckSeq: seq, Frag: bitmap.Fragment{Words: []uint64{word}}}
+		if err := s.HandleAck(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ack(5, 0b1111)
+	ack(3, 0b11) // reordered: an older map
+	if st := s.Stats(); st.KnownReceived != 4 || st.StaleAcks != 1 {
+		t.Fatalf("known=%d stale=%d after a stale ack, want 4/1", st.KnownReceived, st.StaleAcks)
+	}
+	ack(6, 0b1111111)
+	if st := s.Stats(); st.KnownReceived != 7 || st.AcksProcessed != 3 {
+		t.Fatalf("known=%d acks=%d, want 7/3", st.KnownReceived, st.AcksProcessed)
+	}
+}
+
 func TestSenderRejectsCorruptFragment(t *testing.T) {
 	s := NewSender(makeObject(2048), Config{})
 	bad := wire.Ack{AckSeq: 1}

@@ -19,6 +19,9 @@ type ReceiverStats struct {
 	// PacketsNeeded is the object's packet count, fixed at construction —
 	// the denominator for partial-transfer progress reports.
 	PacketsNeeded int
+	// BytesReceived is the payload bytes of the packets received through
+	// HandleData (restored ones excluded).
+	BytesReceived int
 	// Duplicates counts retransmissions of packets already held — the
 	// receive-side view of the sender's greediness.
 	Duplicates int
@@ -177,6 +180,7 @@ func (r *Receiver) HandleData(d wire.Data) (ackDue bool, err error) {
 		return false, nil
 	}
 	r.stats.Received++
+	r.stats.BytesReceived += len(d.Payload)
 	r.sinceAck++
 	if seq > r.highest {
 		r.highest = seq

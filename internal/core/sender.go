@@ -13,6 +13,10 @@ type SenderStats struct {
 	// PacketsSent is every data packet placed on the network, including
 	// retransmissions — the numerator of the wasted-resources metric.
 	PacketsSent int
+	// BytesSent is the payload bytes of those packets.
+	BytesSent int
+	// Rounds counts the batch-send rounds that selected at least one packet.
+	Rounds int
 	// PacketsNeeded is the object's packet count.
 	PacketsNeeded int
 	// AcksProcessed counts acknowledgement packets consumed.
@@ -33,11 +37,15 @@ type SenderStats struct {
 	// PacketsSent covers only the gaps (plus retransmissions).
 	Restored int
 	// Retransmits counts the packets of PacketsSent whose sequence number
-	// had been sent before this run — the same classification the metrics
-	// layer performs, kept here so rate policy (a Controller's LossEvents
-	// are its increments) works with instrumentation disabled.
+	// had been sent before this run: the one classification there is, which
+	// rate policy (a Controller's LossEvents are its increments) and the
+	// live registry both read.
 	// Conservation: PacketsSent = first sends + Retransmits.
 	Retransmits int
+	// RoundTrips counts the round trips the sender's probe measured, one at a
+	// time, and RTT is the latest of them.
+	RoundTrips int
+	RTT        time.Duration
 	// Deduped reports that the receiver answered the content-digest query
 	// with a full HAVE: it already held the object, the data phase was
 	// skipped entirely, and PacketsSent is zero while Restored covers the
@@ -57,8 +65,8 @@ func (s SenderStats) Waste() float64 {
 // AckObserver sees the sender-internal acknowledgement processing that a
 // driver cannot reconstruct from outside: which acknowledgement was
 // processed, and exactly which packets its bitmap fragment newly marked
-// received. The flight recorder and latency histograms hang off this
-// hook; implementations must not call back into the Sender.
+// received. The flight recorder hangs off this hook; implementations must
+// not call back into the Sender.
 type AckObserver interface {
 	// OnAck is called once per acknowledgement processed for this
 	// transfer, before the fragment merge: serial is the ack sequence
@@ -81,7 +89,7 @@ type Sender struct {
 	acked *bitmap.Bitmap
 	// sent marks every sequence number transmitted at least once, so a
 	// repeat selection is classified as a retransmission (test-and-set per
-	// packet, mirroring the metrics layer's sentOnce classifier).
+	// packet).
 	sent *bitmap.Bitmap
 	obs  AckObserver
 	// onAcked adapts obs.OnPacketAcked to the bitmap's merge callback; it
@@ -91,7 +99,8 @@ type Sender struct {
 	cursor    int // circular schedule position
 	lastAck   uint32
 	lastDelta int
-	sentSince int // packets sent since the previous processed ack
+	sentSince int  // packets sent since the previous processed ack
+	planned   bool // a round was planned and has selected no packet yet
 	complete  bool
 
 	// cc is the rate-control policy, fed here and nowhere else: fresh
@@ -172,6 +181,7 @@ func (s *Sender) PlanRound(now time.Duration) (batch int, gap time.Duration) {
 		return want, 0
 	}
 	s.reportLoss()
+	s.planned = true
 	d := s.cc.Tick(want)
 	if s.probeSeq < 0 {
 		s.probeSeq, s.probeAt = probeArmed, now
@@ -197,6 +207,8 @@ func (s *Sender) probeRTT(now time.Duration) (rtt time.Duration, ok bool) {
 	}
 	s.probeSeq = probeIdle
 	rtt = now - s.probeAt
+	s.stats.RoundTrips++
+	s.stats.RTT = rtt
 	s.cc.OnRTT(rtt)
 	s.flow.rtt(rtt)
 	return rtt, true
@@ -294,6 +306,10 @@ func (s *Sender) NextPacket() (pkt wire.Data, ok bool) {
 	if !s.sent.Set(seq) {
 		s.stats.Retransmits++
 	}
+	if s.planned {
+		s.planned = false
+		s.stats.Rounds++
+	}
 	if s.probeSeq == probeArmed {
 		s.probeSeq = seq
 	}
@@ -302,6 +318,7 @@ func (s *Sender) NextPacket() (pkt wire.Data, ok bool) {
 	if hi > len(s.obj) {
 		hi = len(s.obj)
 	}
+	s.stats.BytesSent += hi - lo
 	return wire.Data{
 		Transfer: s.cfg.Transfer,
 		Seq:      uint32(seq),

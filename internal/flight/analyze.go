@@ -18,13 +18,17 @@ type Analysis struct {
 	Ended   bool
 
 	// Sender totals.
-	PacketsSent   int64
-	Retransmits   int64
-	BytesSent     int64
-	AcksReceived  int64
-	StaleAcks     int64
-	AckedPackets  int64
+	PacketsSent  int64
+	Retransmits  int64
+	BytesSent    int64
+	AcksReceived int64
+	StaleAcks    int64
+	AckedPackets int64
+	// KnownReceived is what the sender's status map held at the end: the
+	// packets a resume or a dedup hit excused (Restored, from their events)
+	// and those acknowledged since.
 	KnownReceived int64
+	Restored      int64
 	Stalls        int64
 
 	// Receiver totals.
@@ -55,9 +59,10 @@ type Analysis struct {
 	// key 0 in well-formed streams).
 	RetransmitCounts map[uint32]int64
 
-	// AckDelay and RTT are recomputed offline from the record timestamps:
+	// AckDelay and RTT are computed offline from the record timestamps:
 	// first-send → acked and last-send → acked per packet, in
-	// nanoseconds, bucketed identically to the live metrics histograms.
+	// nanoseconds, bucketed like the live registry's round-trip histogram
+	// (which holds one sample per measured round trip, not per packet).
 	AckDelay metrics.HistogramSnapshot
 	RTT      metrics.HistogramSnapshot
 
@@ -206,9 +211,6 @@ func Analyze(ep *EndpointLog) (*Analysis, error) {
 			if rec.Flag != 0 {
 				a.StaleAcks++
 			}
-			if int64(rec.Aux) > a.KnownReceived {
-				a.KnownReceived = int64(rec.Aux)
-			}
 		case KindAcked:
 			if int64(rec.Seq) >= int64(n) {
 				return nil, corrupt(i, "ack of seq %d beyond object of %d packets", rec.Seq, n)
@@ -271,6 +273,8 @@ func Analyze(ep *EndpointLog) (*Analysis, error) {
 				a.Stalls++
 			case obs.KindIdle:
 				a.Idles++
+			case obs.KindResume, obs.KindSkip:
+				a.Restored += int64(rec.Aux)
 			default:
 				if uint32(kind) != rec.Seq || !kind.Known() {
 					return nil, corrupt(i, "unknown event kind %d", rec.Seq)
@@ -281,6 +285,7 @@ func Analyze(ep *EndpointLog) (*Analysis, error) {
 		}
 	}
 	a.FairnessChecked = checkFair
+	a.KnownReceived = a.Restored + a.AckedPackets
 	a.AckDelay = ackDelay.Snapshot()
 	a.RTT = rtt.Snapshot()
 	a.Span = lastAt
@@ -310,9 +315,7 @@ func (a *Analysis) CrossCheck(snap *metrics.TransferSnapshot) (mismatches []stri
 		cmp("acks_received", a.AcksReceived, snap.AcksReceived)
 		cmp("known_received", a.KnownReceived, snap.KnownReceived)
 		cmp("stalls", a.Stalls, snap.Stalls)
-		if snap.AckDelay != nil {
-			cmp("acked_packets", a.AckedPackets, snap.AckDelay.Count)
-		}
+		cmp("acked_packets", a.AckedPackets, snap.KnownReceived-snap.PacketsRestored)
 	} else {
 		cmp("data_demuxed", a.DataDemuxed, snap.DataDemuxed)
 		cmp("packets_fresh", a.Fresh, snap.Fresh)

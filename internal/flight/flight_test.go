@@ -63,13 +63,14 @@ func senderSnapshot() metrics.TransferSnapshot {
 		Role:          obs.RoleSender,
 		PacketsNeeded: 2,
 		ObjectBytes:   2048,
-		PacketsSent:   3,
-		Retransmits:   1,
-		BytesSent:     3072,
-		AcksReceived:  2,
-		KnownReceived: 2,
-		Outcome:       metrics.OutcomeCompleted,
-		AckDelay:      &metrics.HistogramSnapshot{Count: 2},
+		Counts: metrics.Counts{
+			PacketsSent:   3,
+			Retransmits:   1,
+			BytesSent:     3072,
+			AcksReceived:  2,
+			KnownReceived: 2,
+		},
+		Outcome: metrics.OutcomeCompleted,
 	}
 }
 
@@ -381,6 +382,32 @@ func TestAnalyzeDroppedRecordsRelaxChecks(t *testing.T) {
 	}
 	if _, checked := a.CrossCheck(&metrics.TransferSnapshot{PacketsNeeded: 2}); checked {
 		t.Error("cross-check ran despite dropped records")
+	}
+}
+
+// TestCrossCheckKnownIsTheStatusMap: what a sender knows received is its
+// status map — the packets a resume excused plus those acknowledged since —
+// not the largest count an ack carried, which runs ahead of the map when the
+// ack's bitmap window did not cover every packet it counted.
+func TestCrossCheckKnownIsTheStatusMap(t *testing.T) {
+	ep := synthetic(4, []Record{
+		{Kind: KindEvent, Seq: uint32(obs.KindResume), Aux: 1},
+		{Kind: KindDataSend, Seq: 1, Aux: 1},
+		{Kind: KindDataSend, Seq: 2, Aux: 1},
+		{Kind: KindAckRecv, Seq: 1, Aux: 3}, // counts both, shows packet 1 alone
+		{Kind: KindAcked, Seq: 1, Aux: 1},
+	})
+	a, err := Analyze(ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Restored != 1 || a.KnownReceived != 2 {
+		t.Fatalf("restored %d, known %d; want 1 and 2", a.Restored, a.KnownReceived)
+	}
+	snap := metrics.TransferSnapshot{PacketsNeeded: 4, Role: obs.RoleSender, PacketsRestored: 1,
+		Counts: metrics.Counts{PacketsSent: 2, AcksReceived: 1, KnownReceived: 2}}
+	if mismatches, checked := a.CrossCheck(&snap); !checked || len(mismatches) != 0 {
+		t.Fatalf("cross-check: checked %v, mismatches %v", checked, mismatches)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // inspection:
 //
 //	/debug/fobs         expvar-style JSON snapshot of every transfer
-//	/debug/fobs/prom    aggregate counters and latency histograms in the
-//	                    Prometheus text exposition format
+//	/debug/fobs/prom    aggregate counters and the round-trip histogram in
+//	                    the Prometheus text exposition format
 //	/debug/fobs/trace   sampled series as CSV
 //	/debug/fobs/charts  sampled series as ASCII sparkline charts
 //	/debug/pprof/...    the standard runtime profiles

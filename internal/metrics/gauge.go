@@ -8,7 +8,10 @@
 // package's allocation and locking constraints where they matter.
 package metrics
 
-import "sort"
+import (
+	"maps"
+	"slices"
+)
 
 // SetGauge sets the named gauge to v, creating it on first use. Safe on a
 // nil registry and for concurrent use.
@@ -70,23 +73,22 @@ func (r *Registry) gaugesSnapshot() map[string]float64 {
 	if len(r.gauges) == 0 {
 		return nil
 	}
-	out := make(map[string]float64, len(r.gauges))
-	for k, v := range r.gauges {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(r.gauges)
 }
 
 // GaugeNames returns the snapshot's gauge names sorted, so renderers emit
 // a deterministic order.
-func (s Snapshot) GaugeNames() []string {
-	if len(s.Gauges) == 0 {
+func (s Snapshot) GaugeNames() []string { return sortedNames(s.Gauges) }
+
+// sortedNames returns m's keys in order, nil for an empty map.
+func sortedNames[V any](m map[string]V) []string {
+	if len(m) == 0 {
 		return nil
 	}
-	names := make([]string, 0, len(s.Gauges))
-	for name := range s.Gauges {
+	names := make([]string, 0, len(m))
+	for name := range m {
 		names = append(names, name)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
 }

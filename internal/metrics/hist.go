@@ -9,8 +9,7 @@ import (
 // style: values are binned by a power-of-two exponent with histSubCount
 // linear sub-buckets per octave, giving a constant ~6% relative
 // resolution across the full int64 range with a fixed 8 KiB footprint and
-// an Observe that is two shifts, a bit-length, and two atomic adds —
-// cheap enough for one observation per acknowledged packet. The zero
+// an Observe that is two shifts, a bit-length, and two atomic adds. The zero
 // value is ready to use; construct with new(Histogram).
 type Histogram struct {
 	counts [histBuckets]atomic.Int64

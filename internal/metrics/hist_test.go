@@ -1,10 +1,13 @@
 package metrics
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/hpcnet/fobs/internal/obs"
 )
@@ -116,39 +119,37 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
+// TestSenderLatencyHistograms: a sender's RTT histogram holds one sample per
+// round trip its probe measured — a publication that brings none observes
+// nothing — and there is no other latency histogram; a receiver has none.
 func TestSenderLatencyHistograms(t *testing.T) {
 	r := New()
 	tm := r.StartSender(1, 4, 4096)
-	tm.NoteDataSent(0, 1024)
-	tm.NoteDataSent(1, 1024)
-	tm.NoteDataSent(1, 1024) // retransmit: RTT measures from this send
-	tm.NoteSeqAcked(0)
-	tm.NoteSeqAcked(1)
-	tm.NoteSeqAcked(3) // never sent: must not observe
+	tm.Publish(Counts{PacketsSent: 4}, 1, 3*time.Millisecond)
+	tm.Publish(Counts{PacketsSent: 5}, 1, 3*time.Millisecond) // no new round trip
+	tm.Publish(Counts{PacketsSent: 6}, 2, 5*time.Millisecond)
 	tm.Event(obs.KindComplete, 0)
 	s := tm.Snapshot()
-	if s.AckDelay == nil || s.AckDelay.Count != 2 {
-		t.Fatalf("ack delay count: %+v", s.AckDelay)
+	if s.RTT == nil || s.RTT.Count != 2 || s.RTT.Max < int64(5*time.Millisecond) {
+		t.Fatalf("rtt: %+v", s.RTT)
 	}
-	if s.RTT == nil || s.RTT.Count != 2 {
-		t.Fatalf("rtt count: %+v", s.RTT)
+	b, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Receiver transfers carry no latency histograms.
+	if bytes.Contains(b, []byte("ack_delay")) {
+		t.Errorf("snapshot still carries a per-packet ack-delay histogram: %s", b)
+	}
 	rcv := r.StartReceiver(2, 4, 4096)
-	rcv.NoteSeqAcked(0)
-	if snap := rcv.Snapshot(); snap.AckDelay != nil || snap.RTT != nil {
-		t.Error("receiver grew latency histograms")
+	if snap := rcv.Snapshot(); snap.RTT != nil {
+		t.Error("receiver grew a latency histogram")
 	}
 }
 
 func TestWritePrometheus(t *testing.T) {
 	r := New()
 	tm := r.StartSender(1, 2, 2048)
-	tm.NoteDataSent(0, 1024)
-	tm.NoteDataSent(1, 1024)
-	tm.NoteSeqAcked(0)
-	tm.NoteSeqAcked(1)
-	tm.NoteAckReceived(2)
+	tm.Publish(Counts{PacketsSent: 2, AcksReceived: 1, KnownReceived: 2}, 1, time.Millisecond)
 	tm.Event(obs.KindComplete, 0)
 	var sb strings.Builder
 	r.WritePrometheus(&sb)
@@ -158,14 +159,16 @@ func TestWritePrometheus(t *testing.T) {
 		"fobs_packets_sent_total 2",
 		"fobs_acks_received_total 1",
 		"fobs_transfers_completed_total 1",
-		"# TYPE fobs_ack_delay_seconds histogram",
-		`fobs_ack_delay_seconds_bucket{le="+Inf"} 2`,
-		"fobs_ack_delay_seconds_count 2",
 		"# TYPE fobs_rtt_seconds histogram",
+		`fobs_rtt_seconds_bucket{le="+Inf"} 1`,
+		"fobs_rtt_seconds_count 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "fobs_ack_delay_seconds") {
+		t.Errorf("prometheus output still has the per-packet ack-delay histogram:\n%s", out)
 	}
 	// Bucket counts must be cumulative: the last finite bucket equals count.
 	var nilReg *Registry

@@ -1,24 +1,25 @@
 // Package metrics is the live observability layer of the real-network FOBS
-// runtime: a low-overhead registry of per-transfer counters and lifecycle
-// events that the sender, receiver, session and multi-transfer server
-// drivers feed while a transfer is in flight.
+// runtime: a registry of per-transfer counts and lifecycle events that
+// the sender, receiver, session and multi-transfer server drivers show
+// while a transfer is in flight.
 //
 // The paper's evaluation is entirely about measured behaviour — goodput,
 // retransmission cost, duplicate rate as a function of batch size and ack
 // frequency — and the simulated runtime already exposes those quantities
 // through internal/stats and internal/trace. This package gives the socket
 // runtime the same visibility, live: every quantity the paper reports is a
-// counter here, sampled into trace series so a running transfer can emit
+// count here, sampled into trace series so a running transfer can emit
 // the same CSV/ASCII charts the simulator produces.
 //
 // Design constraints, in order:
 //
-//  1. The hot paths (one note per datagram and per acknowledgement) must
-//     not allocate and must not take locks: every per-packet quantity is an
-//     atomic counter on a pre-allocated Transfer handle, and the
-//     retransmission classifier is a test-and-set on a pre-sized atomic
-//     bitmap. The hot-path allocation gates in internal/udprt run with
-//     metrics enabled to keep this honest.
+//  1. Nothing here counts a packet. The protocol's state machines
+//     (internal/core) keep the one tally of every quantity, and a Transfer
+//     is a view over them: a sending engine publishes its sender's counts
+//     at batch boundaries (Publish), and a receiving transfer's counts are
+//     read from its receiver under that transfer's lock whenever a
+//     snapshot is taken (Follow). The per-packet instrument is the flight
+//     recorder (internal/flight), not this package.
 //  2. Lifecycle events — internal/obs's vocabulary: handshake, rounds,
 //     completion, abort, watchdog firings and the rest — go through one
 //     Transfer.Event into a fixed-size lock-free ring (internal/spine), so
@@ -72,17 +73,13 @@ func (o Outcome) MarshalJSON() ([]byte, error) { return []byte(`"` + o.String() 
 // UnmarshalJSON parses an outcome name, so snapshots round-trip through
 // JSON (the flight-recorder trailer embeds one).
 func (o *Outcome) UnmarshalJSON(b []byte) error {
-	switch string(b) {
-	case `"running"`:
-		*o = OutcomeRunning
-	case `"completed"`:
-		*o = OutcomeCompleted
-	case `"aborted"`:
-		*o = OutcomeAborted
-	default:
-		return fmt.Errorf("metrics: unknown outcome %s", b)
+	for c := OutcomeRunning; c <= OutcomeAborted; c++ {
+		if string(b) == `"`+c.String()+`"` {
+			*o = c
+			return nil
+		}
 	}
-	return nil
+	return fmt.Errorf("metrics: unknown outcome %s", b)
 }
 
 // ringSize is the number of retained events. 256 comfortably covers the
@@ -145,9 +142,6 @@ func New() *Registry {
 	}
 }
 
-// Since returns the registry-relative timestamp of the given instant.
-func (r *Registry) Since(t time.Time) time.Duration { return t.Sub(r.start) }
-
 // now returns the registry-relative current time.
 func (r *Registry) now() time.Duration { return time.Since(r.start) }
 
@@ -188,43 +182,41 @@ func (r *Registry) startTransfer(id uint32, role obs.Role, packetsNeeded int, ob
 		needed:      int64(packetsNeeded),
 		objectBytes: objectBytes,
 	}
-	if role == obs.RoleSender && packetsNeeded > 0 {
-		t.sentOnce = make([]atomic.Uint64, (packetsNeeded+63)/64)
-		t.firstSendNs = make([]int64, packetsNeeded)
-		t.lastSendNs = make([]int64, packetsNeeded)
-		t.ackDelay = new(Histogram)
+	if role == obs.RoleSender {
 		t.rtt = new(Histogram)
 	}
 	t.startedNs.Store(int64(r.now()))
 	key := transferKey{id: id, role: role}
 	r.mu.Lock()
 	if old := r.active[key]; old != nil {
-		r.retireLocked(old)
+		r.archiveLocked(old.snapshot(false))
 	}
 	r.active[key] = t
 	r.mu.Unlock()
 	return t
 }
 
-// retireLocked moves a transfer into the finished history. Caller holds
-// r.mu.
-func (r *Registry) retireLocked(t *Transfer) {
-	r.finished = append(r.finished, t.snapshot())
+// archiveLocked appends a finished transfer's snapshot to the history.
+// Caller holds r.mu.
+func (r *Registry) archiveLocked(s TransferSnapshot) {
+	r.finished = append(r.finished, s)
 	if len(r.finished) > historyCap {
 		r.finished = r.finished[len(r.finished)-historyCap:]
 	}
 }
 
 // finish is called by a transfer's first outcome event exactly once: it
-// removes the handle from the active set and archives its final snapshot.
+// removes the handle from the active set and archives its final snapshot,
+// taken before the registry's lock so that no view is read under it.
 func (r *Registry) finish(t *Transfer) {
+	final := t.snapshot(true)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	key := transferKey{id: t.id, role: t.role}
 	if r.active[key] == t {
 		delete(r.active, key)
 	}
-	r.retireLocked(t)
+	r.archiveLocked(final)
 }
 
 // Event is one lifecycle occurrence pulled out of the ring.
@@ -281,10 +273,14 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	transfers := make([]TransferSnapshot, 0, len(r.finished)+len(r.active))
 	transfers = append(transfers, r.finished...)
+	active := make([]*Transfer, 0, len(r.active))
 	for _, t := range r.active {
-		transfers = append(transfers, t.snapshot())
+		active = append(active, t)
 	}
 	r.mu.Unlock()
+	for _, t := range active {
+		transfers = append(transfers, t.snapshot(false))
+	}
 
 	snap := Snapshot{
 		At:         r.now(),
@@ -389,9 +385,39 @@ func (a *Totals) add(t *TransferSnapshot) {
 	}
 }
 
-// TransferSnapshot is the frozen state of one transfer endpoint. Sender
-// fields are zero on receiver snapshots and vice versa. Durations are
-// relative to the registry's start; zero means "has not happened yet"
+// Counts are the per-transfer tallies the protocol's state machines keep,
+// as the registry last saw them. Sender fields are zero on receiver
+// snapshots and vice versa.
+type Counts struct {
+	// Sender side. PacketsSent counts every data packet placed on the
+	// wire; Retransmits counts the subset whose sequence number had been
+	// sent before, so at completion PacketsSent == PacketsNeeded -
+	// PacketsRestored + Retransmits (PacketsRestored is zero except on
+	// resumed transfers, where the HAVE bitmap excused that many packets
+	// from transmission). KnownReceived is how many packets the sender
+	// knows arrived: its status map's count, restored packets included.
+	// Rounds counts batch-send rounds that selected at least one packet.
+	PacketsSent   int64 `json:"packets_sent"`
+	Retransmits   int64 `json:"retransmits"`
+	BytesSent     int64 `json:"bytes_sent"`
+	AcksReceived  int64 `json:"acks_received"`
+	KnownReceived int64 `json:"known_received"`
+	Rounds        int64 `json:"rounds"`
+
+	// Receiver side. DataDemuxed counts well-formed data packets routed
+	// to this transfer; every one is classified as exactly one of Fresh,
+	// Duplicates or Rejected, so Fresh + Duplicates + Rejected ==
+	// DataDemuxed always. BytesReceived is the fresh packets' payload.
+	DataDemuxed   int64 `json:"data_demuxed"`
+	Fresh         int64 `json:"packets_fresh"`
+	Duplicates    int64 `json:"duplicates"`
+	Rejected      int64 `json:"rejected"`
+	BytesReceived int64 `json:"bytes_received"`
+	AcksSent      int64 `json:"acks_sent"`
+}
+
+// TransferSnapshot is the frozen state of one transfer endpoint. Durations
+// are relative to the registry's start; zero means "has not happened yet"
 // (StartedAt is always set, so the zero ambiguity only affects transfers
 // registered in the registry's first nanosecond — tolerable).
 type TransferSnapshot struct {
@@ -401,38 +427,14 @@ type TransferSnapshot struct {
 	PacketsNeeded int64 `json:"packets_needed"`
 	ObjectBytes   int64 `json:"object_bytes"`
 
-	// Sender side. PacketsSent counts every data packet placed on the
-	// wire; Retransmits counts the subset whose sequence number had been
-	// sent before, so at completion PacketsSent == PacketsNeeded -
-	// PacketsRestored + Retransmits (PacketsRestored is zero except on
-	// resumed transfers, where the HAVE bitmap excused that many packets
-	// from transmission). KnownReceived is the receiver's cumulative count
-	// as of the last acknowledgement.
-	PacketsSent   int64 `json:"packets_sent"`
-	Retransmits   int64 `json:"retransmits"`
-	BytesSent     int64 `json:"bytes_sent"`
-	AcksReceived  int64 `json:"acks_received"`
-	KnownReceived int64 `json:"known_received"`
+	Counts
 	// PacketsRestored counts packets a resume handshake or a dedup hit
 	// marked already delivered before this run's first send (sender role)
 	// or carried over from retained state or the content cache (receiver
 	// role).
 	PacketsRestored int64 `json:"packets_restored,omitempty"`
-	// Rounds counts batch-send phases that placed at least one packet.
-	Rounds int64 `json:"rounds"`
-	Stalls int64 `json:"stalls"`
-
-	// Receiver side. DataDemuxed counts well-formed data packets routed
-	// to this transfer; every one is classified as exactly one of Fresh,
-	// Duplicates or Rejected, so Fresh + Duplicates + Rejected ==
-	// DataDemuxed always.
-	DataDemuxed   int64 `json:"data_demuxed"`
-	Fresh         int64 `json:"packets_fresh"`
-	Duplicates    int64 `json:"duplicates"`
-	Rejected      int64 `json:"rejected"`
-	BytesReceived int64 `json:"bytes_received"`
-	AcksSent      int64 `json:"acks_sent"`
-	IdleTimeouts  int64 `json:"idle_timeouts"`
+	Stalls          int64 `json:"stalls"`
+	IdleTimeouts    int64 `json:"idle_timeouts"`
 
 	// Phase timestamps, relative to the registry's start. FirstDataAt is
 	// the transfer's KindRounds: its first data batch on the wire (sender)
@@ -448,22 +450,22 @@ type TransferSnapshot struct {
 	// protocol imports).
 	AbortReason uint32 `json:"abort_reason,omitempty"`
 
-	// AckDelay and RTT are the sender's per-packet latency histograms
-	// (nanoseconds): AckDelay is first-send → acknowledgement, RTT is
-	// last-send → acknowledgement. Nil on receiver snapshots and on
-	// senders that saw no acknowledged packet.
-	AckDelay *HistogramSnapshot `json:"ack_delay,omitempty"`
-	RTT      *HistogramSnapshot `json:"rtt,omitempty"`
+	// RTT is the sender's round-trip histogram (nanoseconds): one sample
+	// per round trip the sender's probe measured, from planning the round
+	// that carried the probed packet to the acknowledgement that showed it
+	// received. Nil on receiver snapshots and on senders that measured
+	// none.
+	RTT *HistogramSnapshot `json:"rtt,omitempty"`
 
 	// IO is the transfer's socket-level syscall accounting, filled when
 	// the driver's IO loop ends.
 	IO stats.IOCounters `json:"io"`
 }
 
-// Transfer is the live handle one endpoint's driver feeds. Event and the
-// Note methods are safe for concurrent use and no-op on a nil receiver; none
-// allocates or locks, but for the first outcome event, which archives the
-// handle under the registry's lock.
+// Transfer is the live handle of one endpoint. Its methods are safe for
+// concurrent use and no-op on a nil receiver; Event neither allocates nor
+// locks, but for the first outcome event, which archives the handle under
+// the registry's lock.
 type Transfer struct {
 	reg         *Registry
 	id          uint32
@@ -471,22 +473,9 @@ type Transfer struct {
 	needed      int64
 	objectBytes int64
 
-	packetsSent   atomic.Int64
-	firstSends    atomic.Int64
-	restored      atomic.Int64
-	bytesSent     atomic.Int64
-	acksReceived  atomic.Int64
-	knownReceived atomic.Int64
-	rounds        atomic.Int64
-	stalls        atomic.Int64
-
-	demuxed       atomic.Int64
-	fresh         atomic.Int64
-	duplicates    atomic.Int64
-	rejected      atomic.Int64
-	bytesReceived atomic.Int64
-	acksSent      atomic.Int64
-	idles         atomic.Int64
+	restored atomic.Int64
+	stalls   atomic.Int64
+	idles    atomic.Int64
 
 	startedNs   atomic.Int64
 	handshakeNs atomic.Int64
@@ -495,34 +484,18 @@ type Transfer struct {
 	outcome     atomic.Uint32
 	abortReason atomic.Uint32
 
-	// sentOnce marks sequence numbers that have been sent at least once,
-	// classifying later sends as retransmissions (sender role only).
-	sentOnce []atomic.Uint64
+	// rtt observes the sender's measured round trips (sender role only).
+	rtt *Histogram
 
-	// Per-packet send timestamps feeding the latency histograms (sender
-	// role only). Plain slices: NoteDataSent and NoteSeqAcked both run on
-	// the transfer's single sending goroutine, and nothing else reads
-	// them — only the histograms (which are atomic) cross goroutines.
-	firstSendNs []int64
-	lastSendNs  []int64
-	// ackDelay observes first-send → acknowledgement per packet (the
-	// paper-relevant recovery latency, retransmission waits included);
-	// rtt observes last-send → acknowledgement, a lower-bound round-trip
-	// sample per packet.
-	ackDelay *Histogram
-	rtt      *Histogram
-
-	// cold guards the rarely-written, non-atomic tail (IO counters).
-	cold sync.Mutex
-	io   stats.IOCounters
-}
-
-// ID returns the transfer tag, or zero on a nil handle.
-func (t *Transfer) ID() uint32 {
-	if t == nil {
-		return 0
-	}
-	return t.id
+	// mu guards what the endpoint's driver hands over: the counts as last
+	// published (or, once the outcome is in, as follow last read them), the
+	// view that reads them (follow, until the outcome), the round trips
+	// already observed, and the socket counters.
+	mu     sync.Mutex
+	counts Counts
+	follow func(*Counts)
+	trips  int
+	io     stats.IOCounters
 }
 
 // Event records one lifecycle moment of the endpoint in the registry's
@@ -570,124 +543,45 @@ func (t *Transfer) Event(kind obs.Kind, arg uint64) {
 	t.reg.record(now, t.id, t.role, kind, arg)
 }
 
-// NoteDataSent records one data packet placed on the wire: seq is its
-// sequence number (used to classify retransmissions), n its payload bytes.
-func (t *Transfer) NoteDataSent(seq uint32, n int) {
+// Publish replaces a sending endpoint's counts with c, as its engine has
+// them now. trips is how many round trips the sender has measured and rtt
+// the latest of them: the RTT histogram observes it when trips grew since
+// the last publication.
+func (t *Transfer) Publish(c Counts, trips int, rtt time.Duration) {
 	if t == nil {
 		return
 	}
-	t.packetsSent.Add(1)
-	t.bytesSent.Add(int64(n))
-	if w := int(seq) / 64; w < len(t.sentOnce) {
-		bit := uint64(1) << (seq % 64)
-		if old := t.sentOnce[w].Load(); old&bit == 0 {
-			// Plain load/store pair: drivers send a given transfer's
-			// packets from one goroutine, so no first-send can be lost;
-			// the atomic store only orders the word against concurrent
-			// snapshot readers.
-			t.sentOnce[w].Store(old | bit)
-			t.firstSends.Add(1)
-		}
-	}
-	if int(seq) < len(t.lastSendNs) {
-		now := int64(t.reg.now())
-		t.lastSendNs[seq] = now
-		if t.firstSendNs[seq] == 0 {
-			t.firstSendNs[seq] = now
-		}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.counts = c
+	if trips > t.trips {
+		t.trips = trips
+		t.rtt.Observe(int64(rtt))
 	}
 }
 
-// NoteSeqAcked records that one packet became known-received: the latency
-// histograms get the delay since the packet's first send (ack delay) and
-// since its most recent send (an RTT sample). Drivers call it from the
-// sending goroutine, once per newly acknowledged packet.
-func (t *Transfer) NoteSeqAcked(seq uint32) {
-	if t == nil || int(seq) >= len(t.firstSendNs) {
-		return
-	}
-	first := t.firstSendNs[seq]
-	if first == 0 {
-		return // acked a packet never sent: corrupt peer, nothing to time
-	}
-	now := int64(t.reg.now())
-	t.ackDelay.Observe(now - first)
-	t.rtt.Observe(now - t.lastSendNs[seq])
-}
-
-// NoteRound records one batch-send phase that placed at least one packet.
-func (t *Transfer) NoteRound() {
+// Follow makes every snapshot read the endpoint's counts through read, until
+// its outcome: read must take whatever lock guards the state it reads. A
+// receiving endpoint's counts are then exact at every snapshot, and cost its
+// data path nothing.
+func (t *Transfer) Follow(read func(*Counts)) {
 	if t == nil {
 		return
 	}
-	t.rounds.Add(1)
+	t.mu.Lock()
+	t.follow = read
+	t.mu.Unlock()
 }
 
-// NoteAckReceived records one acknowledgement consumed by the sender;
-// received is the receiver's cumulative delivered count the ack carried.
-func (t *Transfer) NoteAckReceived(received int64) {
+// AddIO adds the endpoint's socket-level counters; drivers call it when
+// their IO loop ends.
+func (t *Transfer) AddIO(c stats.IOCounters) {
 	if t == nil {
 		return
 	}
-	t.acksReceived.Add(1)
-	// Acks can arrive reordered; the gauge keeps the maximum.
-	for {
-		cur := t.knownReceived.Load()
-		if received <= cur || t.knownReceived.CompareAndSwap(cur, received) {
-			return
-		}
-	}
-}
-
-// NoteDataFresh records one never-before-seen data packet of n payload
-// bytes delivered to the receiver.
-func (t *Transfer) NoteDataFresh(n int) {
-	if t == nil {
-		return
-	}
-	t.demuxed.Add(1)
-	t.fresh.Add(1)
-	t.bytesReceived.Add(int64(n))
-}
-
-// NoteDataDuplicate records one retransmission of a packet the receiver
-// already held.
-func (t *Transfer) NoteDataDuplicate() {
-	if t == nil {
-		return
-	}
-	t.demuxed.Add(1)
-	t.duplicates.Add(1)
-}
-
-// NoteDataRejected records one well-formed packet for this transfer that
-// the receiver state machine refused (wrong total, bad payload length).
-func (t *Transfer) NoteDataRejected() {
-	if t == nil {
-		return
-	}
-	t.demuxed.Add(1)
-	t.rejected.Add(1)
-}
-
-// NoteAckSent records one acknowledgement of n wire bytes sent by the
-// receiver.
-func (t *Transfer) NoteAckSent(n int) {
-	if t == nil {
-		return
-	}
-	t.acksSent.Add(1)
-}
-
-// NoteIO stores the endpoint's socket-level counters; drivers call it once
-// when their IO loop ends.
-func (t *Transfer) NoteIO(c stats.IOCounters) {
-	if t == nil {
-		return
-	}
-	t.cold.Lock()
+	t.mu.Lock()
 	t.io.Add(c)
-	t.cold.Unlock()
+	t.mu.Unlock()
 }
 
 // Snapshot freezes the transfer's current counters.
@@ -695,31 +589,22 @@ func (t *Transfer) Snapshot() TransferSnapshot {
 	if t == nil {
 		return TransferSnapshot{}
 	}
-	return t.snapshot()
+	return t.snapshot(false)
 }
 
-func (t *Transfer) snapshot() TransferSnapshot {
+// snapshot freezes the transfer's current state. The outcome's snapshot is
+// final: the view is read a last time and dropped, so no later snapshot
+// reaches into the endpoint's state.
+func (t *Transfer) snapshot(final bool) TransferSnapshot {
 	s := TransferSnapshot{
 		Transfer:      t.id,
 		Role:          t.role,
 		PacketsNeeded: t.needed,
 		ObjectBytes:   t.objectBytes,
 
-		PacketsSent:     t.packetsSent.Load(),
 		PacketsRestored: t.restored.Load(),
-		BytesSent:       t.bytesSent.Load(),
-		AcksReceived:    t.acksReceived.Load(),
-		KnownReceived:   t.knownReceived.Load(),
-		Rounds:          t.rounds.Load(),
 		Stalls:          t.stalls.Load(),
-
-		DataDemuxed:   t.demuxed.Load(),
-		Fresh:         t.fresh.Load(),
-		Duplicates:    t.duplicates.Load(),
-		Rejected:      t.rejected.Load(),
-		BytesReceived: t.bytesReceived.Load(),
-		AcksSent:      t.acksSent.Load(),
-		IdleTimeouts:  t.idles.Load(),
+		IdleTimeouts:    t.idles.Load(),
 
 		StartedAt:   time.Duration(t.startedNs.Load()),
 		HandshakeAt: time.Duration(t.handshakeNs.Load()),
@@ -729,15 +614,20 @@ func (t *Transfer) snapshot() TransferSnapshot {
 		Outcome:     Outcome(t.outcome.Load()),
 		AbortReason: t.abortReason.Load(),
 	}
-	s.Retransmits = s.PacketsSent - t.firstSends.Load()
-	if h := t.ackDelay.Snapshot(); h.Count > 0 {
-		s.AckDelay = &h
-	}
 	if h := t.rtt.Snapshot(); h.Count > 0 {
 		s.RTT = &h
 	}
-	t.cold.Lock()
-	s.IO = t.io
-	t.cold.Unlock()
+	t.mu.Lock()
+	read := t.follow
+	s.Counts, s.IO = t.counts, t.io
+	t.mu.Unlock()
+	if read != nil {
+		read(&s.Counts) // outside t.mu: read takes the endpoint's own lock
+		if final {
+			t.mu.Lock()
+			t.counts, t.follow = s.Counts, nil
+			t.mu.Unlock()
+		}
+	}
 	return s
 }

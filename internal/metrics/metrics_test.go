@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,17 +28,12 @@ func TestNilRegistryIsInert(t *testing.T) {
 	}
 	// Every method must be a no-op on the nil handle.
 	tm.Event(obs.KindHandshake, 0)
-	tm.NoteDataSent(0, 100)
-	tm.NoteRound()
-	tm.NoteAckReceived(5)
+	tm.Publish(Counts{PacketsSent: 1}, 1, time.Millisecond)
 	tm.Event(obs.KindStall, 0)
-	tm.NoteDataFresh(100)
-	tm.NoteDataDuplicate()
-	tm.NoteDataRejected()
-	tm.NoteAckSent(32)
+	tm.Follow(func(c *Counts) { c.Fresh++ })
 	tm.Event(obs.KindIdle, 0)
 	tm.Event(obs.KindResume, 5)
-	tm.NoteIO(stats.IOCounters{})
+	tm.AddIO(stats.IOCounters{})
 	r.Supervisor(1).Event(obs.KindRetry, 1)
 	tm.Event(obs.KindComplete, 0)
 	tm.Event(obs.KindAbort, 0)
@@ -55,45 +51,12 @@ func TestNilRegistryIsInert(t *testing.T) {
 	}
 }
 
-func TestRetransmitClassification(t *testing.T) {
-	r := New()
-	tm := r.StartSender(7, 4, 4000)
-	// First pass: all four packets fresh.
-	for seq := uint32(0); seq < 4; seq++ {
-		tm.NoteDataSent(seq, 1000)
-	}
-	// Second pass: two retransmissions.
-	tm.NoteDataSent(1, 1000)
-	tm.NoteDataSent(3, 1000)
-	s := tm.Snapshot()
-	if s.PacketsSent != 6 || s.Retransmits != 2 {
-		t.Fatalf("sent=%d retx=%d, want 6/2", s.PacketsSent, s.Retransmits)
-	}
-	if s.PacketsSent != s.PacketsNeeded+s.Retransmits {
-		t.Fatalf("conservation violated: sent=%d needed=%d retx=%d",
-			s.PacketsSent, s.PacketsNeeded, s.Retransmits)
-	}
-	if s.BytesSent != 6000 {
-		t.Fatalf("bytes=%d, want 6000", s.BytesSent)
-	}
-	// Out-of-range sequence numbers must not panic or misclassify.
-	tm.NoteDataSent(1<<30, 10)
-	if got := tm.Snapshot(); got.Retransmits != 3 {
-		// An out-of-range seq cannot be proven fresh, so it counts as a
-		// retransmit (sent - firstSends).
-		t.Fatalf("out-of-range retx=%d, want 3", got.Retransmits)
-	}
-}
-
 func TestResumeAndRetryCounters(t *testing.T) {
 	r := New()
 	tm := r.StartSender(9, 10, 10000)
 	// A resumed sender: 6 packets carried over, 4 sent fresh, 1 retransmit.
 	tm.Event(obs.KindResume, 6)
-	for seq := uint32(6); seq < 10; seq++ {
-		tm.NoteDataSent(seq, 1000)
-	}
-	tm.NoteDataSent(7, 1000)
+	tm.Publish(Counts{PacketsSent: 5, Retransmits: 1, KnownReceived: 10}, 0, 0)
 	s := tm.Snapshot()
 	if s.PacketsRestored != 6 {
 		t.Fatalf("restored=%d, want 6", s.PacketsRestored)
@@ -134,18 +97,32 @@ func TestResumeAndRetryCounters(t *testing.T) {
 	}
 }
 
+// TestReceiverClassificationAndTotals: a followed endpoint's counts are read
+// through its view at every snapshot — exact whenever one is taken — and a
+// last time at its outcome, after which the view is never called again.
 func TestReceiverClassificationAndTotals(t *testing.T) {
 	r := New()
 	tm := r.StartReceiver(9, 3, 3000)
 	tm.Event(obs.KindHandshake, 0)
 	tm.Event(obs.KindRounds, 0)
-	tm.NoteDataFresh(1000)
-	tm.NoteDataFresh(1000)
-	tm.NoteDataDuplicate()
-	tm.NoteDataRejected()
-	tm.NoteDataFresh(1000)
-	tm.NoteAckSent(40)
-	tm.NoteAckSent(40)
+	var mu sync.Mutex
+	held, reads := Counts{}, 0
+	tm.Follow(func(c *Counts) {
+		mu.Lock()
+		defer mu.Unlock()
+		*c = held
+		reads++
+	})
+	set := func(c Counts) {
+		mu.Lock()
+		held = c
+		mu.Unlock()
+	}
+	set(Counts{DataDemuxed: 1, Fresh: 1, BytesReceived: 1000})
+	if s := tm.Snapshot(); s.Fresh != 1 || s.BytesReceived != 1000 {
+		t.Fatalf("snapshot did not read the view: %+v", s.Counts)
+	}
+	set(Counts{DataDemuxed: 5, Fresh: 3, Duplicates: 1, Rejected: 1, BytesReceived: 3000, AcksSent: 2})
 	s := tm.Snapshot()
 	if s.Fresh != 3 || s.Duplicates != 1 || s.Rejected != 1 || s.DataDemuxed != 5 {
 		t.Fatalf("fresh=%d dup=%d rej=%d demux=%d", s.Fresh, s.Duplicates, s.Rejected, s.DataDemuxed)
@@ -163,13 +140,20 @@ func TestReceiverClassificationAndTotals(t *testing.T) {
 		t.Fatalf("first data %v before handshake %v", s.FirstDataAt, s.HandshakeAt)
 	}
 	tm.Event(obs.KindComplete, 0)
+	mu.Lock()
+	final := reads
+	mu.Unlock()
+	set(Counts{Fresh: 99}) // the endpoint's state is no longer the registry's
 	snap := r.Snapshot()
-	if snap.Active != 0 || snap.Totals.Completed != 1 {
-		t.Fatalf("after complete: active=%d completed=%d", snap.Active, snap.Totals.Completed)
+	if snap.Active != 0 || snap.Totals.Completed != 1 || snap.Totals.Fresh != 3 {
+		t.Fatalf("after complete: active=%d completed=%d fresh=%d", snap.Active, snap.Totals.Completed, snap.Totals.Fresh)
 	}
 	got, ok := snap.Find(9, obs.RoleReceiver)
 	if !ok || got.Outcome != OutcomeCompleted || got.DoneAt == 0 {
 		t.Fatalf("Find(9, receiver) = %+v, %v", got, ok)
+	}
+	if tm.Snapshot().Fresh != 3 || reads != final {
+		t.Fatalf("view read after the outcome: %d reads, %d at the outcome", reads, final)
 	}
 }
 
@@ -187,25 +171,12 @@ func TestCompleteAbortFirstWins(t *testing.T) {
 	}
 }
 
-func TestKnownReceivedIsMonotone(t *testing.T) {
-	r := New()
-	tm := r.StartSender(1, 10, 100)
-	tm.NoteAckReceived(4)
-	tm.NoteAckReceived(2) // reordered ack must not regress the gauge
-	tm.NoteAckReceived(7)
-	s := tm.Snapshot()
-	if s.KnownReceived != 7 || s.AcksReceived != 3 {
-		t.Fatalf("known=%d acks=%d, want 7/3", s.KnownReceived, s.AcksReceived)
-	}
-}
-
 func TestIDReuseArchivesOldHandle(t *testing.T) {
 	r := New()
 	a := r.StartSender(5, 1, 10)
-	a.NoteDataSent(0, 10)
+	a.Publish(Counts{PacketsSent: 1}, 0, 0)
 	b := r.StartSender(5, 2, 20) // same id, new transfer
-	b.NoteDataSent(0, 10)
-	b.NoteDataSent(1, 10)
+	b.Publish(Counts{PacketsSent: 2}, 0, 0)
 	b.Event(obs.KindComplete, 0)
 	snap := r.Snapshot()
 	if len(snap.Transfers) != 2 {
@@ -274,11 +245,11 @@ func TestEventRingOrderAndLapping(t *testing.T) {
 func TestSamplerAndCharts(t *testing.T) {
 	r := New()
 	tm := r.StartReceiver(1, 100, 100_000)
+	var fresh atomic.Int64
+	tm.Follow(func(c *Counts) { c.Fresh, c.BytesReceived = fresh.Load(), 1000*fresh.Load() })
 	r.Sample()
 	for i := 0; i < 5; i++ {
-		for j := 0; j < 20; j++ {
-			tm.NoteDataFresh(1000)
-		}
+		fresh.Add(20)
 		time.Sleep(2 * time.Millisecond)
 		r.Sample()
 	}
@@ -307,9 +278,7 @@ func TestReporterWritesSummaries(t *testing.T) {
 		return buf.Write(p)
 	})
 	stop := r.StartReporter(w, 5*time.Millisecond)
-	for i := uint32(0); i < 10; i++ {
-		tm.NoteDataSent(i, 1000)
-	}
+	tm.Publish(Counts{PacketsSent: 10, BytesSent: 10_000}, 0, 0)
 	time.Sleep(15 * time.Millisecond)
 	tm.Event(obs.KindComplete, 0)
 	stop()
@@ -329,9 +298,7 @@ func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 func TestDebugEndpointServesSnapshot(t *testing.T) {
 	r := New()
 	tm := r.StartSender(42, 8, 8000)
-	for i := uint32(0); i < 8; i++ {
-		tm.NoteDataSent(i, 1000)
-	}
+	tm.Publish(Counts{PacketsSent: 8, BytesSent: 8000}, 0, 0)
 	srv, err := ServeDebug("127.0.0.1:0", r)
 	if err != nil {
 		t.Fatalf("ServeDebug: %v", err)

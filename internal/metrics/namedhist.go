@@ -9,8 +9,6 @@
 // math (quantiles, merging, Prometheus cumulative form) is shared.
 package metrics
 
-import "sort"
-
 // ObserveHistogram records one value into the named histogram, creating
 // it on first use. By convention names carry their unit as a suffix
 // ("_ns" for nanoseconds); the Prometheus renderer converts "_ns"
@@ -66,14 +64,4 @@ func (r *Registry) histsSnapshot() map[string]HistogramSnapshot {
 
 // HistogramNames returns the snapshot's named-histogram names sorted, so
 // renderers emit a deterministic order.
-func (s Snapshot) HistogramNames() []string {
-	if len(s.Histograms) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(s.Histograms))
-	for name := range s.Histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func (s Snapshot) HistogramNames() []string { return sortedNames(s.Histograms) }

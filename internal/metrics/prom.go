@@ -6,20 +6,8 @@ import (
 	"strings"
 )
 
-// MergedAckDelay folds the ack-delay histograms of every sender transfer in
-// the snapshot into one distribution.
-func (s Snapshot) MergedAckDelay() HistogramSnapshot {
-	var out HistogramSnapshot
-	for _, t := range s.Transfers {
-		if t.AckDelay != nil {
-			out.Merge(*t.AckDelay)
-		}
-	}
-	return out
-}
-
-// MergedRTT folds the per-packet RTT histograms of every sender transfer in
-// the snapshot into one distribution.
+// MergedRTT folds the round-trip histograms of every sender transfer in the
+// snapshot into one distribution.
 func (s Snapshot) MergedRTT() HistogramSnapshot {
 	var out HistogramSnapshot
 	for _, t := range s.Transfers {
@@ -30,8 +18,8 @@ func (s Snapshot) MergedRTT() HistogramSnapshot {
 	return out
 }
 
-// WritePrometheus renders the registry's aggregate counters and latency
-// histograms in the Prometheus text exposition format (no client library —
+// WritePrometheus renders the registry's aggregate counters and round-trip
+// histogram in the Prometheus text exposition format (no client library —
 // the format is a stable line protocol). Counters aggregate over every
 // transfer the registry has seen; histograms are in seconds, as the
 // convention demands.
@@ -69,19 +57,17 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "fobs_gauge{name=%q} %g\n", name, snap.Gauges[name])
 		}
 	}
-	writePromHistogram(w, "fobs_ack_delay_seconds",
-		"Per-packet first-send to acknowledgement latency.", snap.MergedAckDelay())
 	writePromHistogram(w, "fobs_rtt_seconds",
-		"Per-packet last-send to acknowledgement latency.", snap.MergedRTT())
+		"Round trips measured by the senders, one sample each.", snap.MergedRTT(), 1e-9)
 	for _, name := range snap.HistogramNames() {
 		// Nanosecond-valued histograms (by the "_ns" naming convention)
 		// become *_seconds per the Prometheus unit rules; anything else is
 		// emitted in its native unit.
 		prom, scale := "fobs_"+promName(name), 1.0
-		if n, ok := cutSuffix(prom, "_ns"); ok {
+		if n, ok := strings.CutSuffix(prom, "_ns"); ok {
 			prom, scale = n+"_seconds", 1e-9
 		}
-		writePromHistogramScaled(w, prom, "Named registry histogram "+name+".",
+		writePromHistogram(w, prom, "Named registry histogram "+name+".",
 			snap.Histograms[name], scale)
 	}
 }
@@ -101,28 +87,14 @@ func promName(name string) string {
 	}, name)
 }
 
-// cutSuffix is strings.CutSuffix for the suffixes we care about (kept
-// local so the file reads without the stdlib version in mind).
-func cutSuffix(s, suffix string) (string, bool) {
-	if len(s) < len(suffix) || s[len(s)-len(suffix):] != suffix {
-		return s, false
-	}
-	return s[:len(s)-len(suffix)], true
-}
-
-// writePromHistogram converts one nanosecond-valued snapshot into a
-// Prometheus histogram in seconds. Our buckets are sparse (only non-empty
-// ones survive the snapshot) with recorded lower bounds; each bucket's
-// upper bound is recovered from the bucketing function, and counts are
-// accumulated into the cumulative form the exposition format requires.
-func writePromHistogram(w io.Writer, name, help string, s HistogramSnapshot) {
-	writePromHistogramScaled(w, name, help, s, 1e-9)
-}
-
-// writePromHistogramScaled is writePromHistogram with an explicit unit
-// conversion factor (1e-9 for nanosecond-valued snapshots, 1 for
-// dimensionless ones like attempt counts).
-func writePromHistogramScaled(w io.Writer, name, help string, s HistogramSnapshot, scale float64) {
+// writePromHistogram renders one snapshot as a Prometheus histogram, its
+// values multiplied by scale (1e-9 for nanosecond-valued snapshots, whose
+// unit is then seconds; 1 for dimensionless ones like attempt counts). Our
+// buckets are sparse (only non-empty ones survive the snapshot) with
+// recorded lower bounds; each bucket's upper bound is recovered from the
+// bucketing function, and counts are accumulated into the cumulative form
+// the exposition format requires.
+func writePromHistogram(w io.Writer, name, help string, s HistogramSnapshot, scale float64) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
 	var cum int64
 	for _, b := range s.Buckets {

@@ -73,25 +73,32 @@ func (r *Registry) StartSampler(interval time.Duration) (stop func()) {
 		interval = 250 * time.Millisecond
 	}
 	r.Sample() // prime the rate meters
-	done := make(chan struct{})
+	return every(interval, r.Sample)
+}
+
+// every calls fn every interval on a goroutine of its own until the returned
+// stop function is called; stop calls fn a last time, waits for it, and is
+// idempotent.
+func every(interval time.Duration, fn func()) (stop func()) {
+	done, finished := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(finished)
 		tick := time.NewTicker(interval)
 		defer tick.Stop()
 		for {
 			select {
 			case <-tick.C:
-				r.Sample()
+				fn()
 			case <-done:
+				fn()
 				return
 			}
 		}
 	}()
 	var once sync.Once
 	return func() {
-		once.Do(func() {
-			close(done)
-			r.Sample()
-		})
+		once.Do(func() { close(done) })
+		<-finished
 	}
 }
 
@@ -145,7 +152,6 @@ func (r *Registry) StartReporter(w io.Writer, interval time.Duration) (stop func
 		interval = time.Second
 	}
 	r.Sample()
-	done := make(chan struct{})
 	var prev Totals
 	var prevAt time.Duration
 	report := func() {
@@ -158,8 +164,8 @@ func (r *Registry) StartReporter(w io.Writer, interval time.Duration) (stop func
 		goodput := float64(snap.Totals.BytesReceived-prev.BytesReceived) * 8e-6 / dt
 		sendRate := float64(snap.Totals.BytesSent-prev.BytesSent) * 8e-6 / dt
 		lat := ""
-		if d := snap.MergedAckDelay(); d.Count > 0 {
-			lat = fmt.Sprintf(" ackdelay=%s/%s", time.Duration(d.P50).Round(10*time.Microsecond),
+		if d := snap.MergedRTT(); d.Count > 0 {
+			lat = fmt.Sprintf(" rtt=%s/%s", time.Duration(d.P50).Round(10*time.Microsecond),
 				time.Duration(d.P99).Round(10*time.Microsecond))
 		}
 		fmt.Fprintf(w, "[fobs] t=%.1fs active=%d sent=%d pkts (%d retx) recv=%d (%d dup) acks=%d/%d send=%.1fMb/s goodput=%.1fMb/s%s done=%d/%d\n",
@@ -171,24 +177,5 @@ func (r *Registry) StartReporter(w io.Writer, interval time.Duration) (stop func
 			snap.Totals.Completed, snap.Totals.Completed+snap.Totals.Aborted)
 		prev, prevAt = snap.Totals, snap.At
 	}
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				report()
-			case <-done:
-				report() // one final line with the end-of-run totals
-				return
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() { close(done) })
-		<-finished
-	}
+	return every(interval, report) // stop writes one final line with the end-of-run totals
 }

@@ -180,18 +180,25 @@ func TestEndpointMatrix(t *testing.T) {
 			big := makeObj(1<<20 + 31)
 			ep.recvUntilSuccess()
 			var cut atomic.Bool
-			sst, err := Send(ep.ctx, ep.proxy.Addr(), big, core.Config{Transfer: 51, PacketSize: ps, AckFrequency: 8}, Options{
+			sever := func() {
+				if cut.CompareAndSwap(false, true) {
+					ep.proxy.SetBlackhole(true)
+					ep.proxy.SeverControl()
+					time.AfterFunc(100*time.Millisecond, func() { ep.proxy.SetBlackhole(false) })
+				}
+			}
+			opts := Options{
 				StallTimeout: 2 * time.Second,
 				Pace:         killPointPace,
 				Retry:        &RetryPolicy{MaxRetries: 4, Backoff: 250 * time.Millisecond, Seed: 7},
 				Progress: func(done, total int) {
-					if done > total/2 && cut.CompareAndSwap(false, true) {
-						ep.proxy.SetBlackhole(true)
-						ep.proxy.SeverControl()
-						time.AfterFunc(100*time.Millisecond, func() { ep.proxy.SetBlackhole(false) })
+					if done > total/2 {
+						sever()
 					}
 				},
-			})
+			}
+			opts.testFlushHook = beforeEnd(core.NumPackets(int64(len(big)), ps), sever)
+			sst, err := Send(ep.ctx, ep.proxy.Addr(), big, core.Config{Transfer: 51, PacketSize: ps, AckFrequency: 8}, opts)
 			if err != nil || !cut.Load() {
 				t.Fatalf("supervised send: err=%v cut=%v", err, cut.Load())
 			}

@@ -206,9 +206,8 @@ func (k *senderKit) put() {
 // encodeBatch pulls up to max packets from the sender's schedule and frames
 // each into its slot of the reusable ring, returning how many slots were
 // filled. The headers are framed in place and the payloads stay in the
-// object, so steady-state encoding allocates nothing — including the probe's
-// report, which with metrics on is a handful of atomic adds plus a bitmap
-// test-and-set to classify retransmissions.
+// object, so steady-state encoding allocates nothing — the recorder's report
+// of each packet included.
 func encodeBatch(snd *core.Sender, ring sendRing, max int, p probe, base int) (k int) {
 	for k < ring.len() && k < max {
 		pkt, ok := snd.NextPacket()
@@ -293,7 +292,8 @@ func (e *senderEngine) run(ctx context.Context) error {
 	}()
 	// started is the epoch of the sender's clock (core.Sender.Look).
 	started := time.Now()
-	// handleAcks feeds the first n datagrams of the ack ring to the sender.
+	// handleAcks feeds the first n datagrams of the ack ring to the sender,
+	// and shows the registry what they changed.
 	handleAcks := func(n int) {
 		for i := 0; i < n; i++ {
 			a, err := wire.DecodeAckInto(rx.Datagram(i), kit.ackWords)
@@ -301,14 +301,16 @@ func (e *senderEngine) run(ctx context.Context) error {
 				continue
 			}
 			kit.ackWords = a.Frag.Words[:0] // HandleAck consumed the fragment
-			// Per-ack instrumentation (metrics counter, flight record,
-			// latency histograms) fires inside HandleAck via the sender's
-			// ack observer (the probe), which also sees exactly which
-			// packets the fragment newly acknowledged; a fresh
-			// acknowledgement is the controller's rate signal there too.
+			// A recording probe hears of the ack inside HandleAck, as the
+			// sender's ack observer, and of exactly which packets the
+			// fragment newly acknowledged; a fresh acknowledgement is the
+			// controller's rate signal there too.
 			if snd.HandleAck(a) == nil && e.progress != nil {
 				e.progress(snd.Stats().KnownReceived, snd.NumPackets())
 			}
+		}
+		if n > 0 {
+			e.probe.publish(snd)
 		}
 	}
 	writeErrs := 0
@@ -327,13 +329,15 @@ func (e *senderEngine) run(ctx context.Context) error {
 	// wait makes the next look block on the ack socket instead of polling it.
 	wait := false
 	// flush puts the first k ring slots on the wire, adds what the kernel took
-	// to sent, and reports whether this look may send more: not after a short
-	// or failed write (kernel backpressure: pace, poll, come back). fatal is
-	// set once persistent failures reach the limit.
+	// to sent, shows the registry the counts, and reports whether this look
+	// may send more: not after a short or failed write (kernel backpressure:
+	// pace, poll, come back). fatal is set once persistent failures reach the
+	// limit.
 	var sent int
 	var fatal bool
 	flush := func(k int) bool {
 		m, err := ring.send(tx, k)
+		e.probe.publish(snd)
 		sent += m
 		if err != nil {
 			fatal = noteWriteErr(err)
@@ -417,8 +421,7 @@ func (e *senderEngine) run(ctx context.Context) error {
 		// queue up in the ring until it is full or the room used up, a round
 		// with one goes out alone — what is queued leaves first — and ends
 		// the look.
-		fill := 0   // ring slots awaiting the flush
-		rounds := 0 // rounds that put packets in the ring
+		fill := 0 // ring slots awaiting the flush
 		sent = 0
 		var gapPer time.Duration // of the last round planned
 		gapFrom := 0             // packets sent before that round was encoded
@@ -449,7 +452,6 @@ func (e *senderEngine) run(ctx context.Context) error {
 			if n == 0 {
 				break // the schedule has nothing to send, or the kernel no room
 			}
-			rounds++
 			if gapPer > 0 {
 				break
 			}
@@ -466,9 +468,6 @@ func (e *senderEngine) run(ctx context.Context) error {
 			// buffer draining, an ack or the completion signal.
 			wait = true
 			continue
-		}
-		for ; rounds > 0; rounds-- {
-			e.probe.round()
 		}
 		// Pacing: the round's gap, per packet the kernel took, moves the clock
 		// on (under the fixed policy gapPer is exactly Options.Pace).

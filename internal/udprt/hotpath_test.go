@@ -51,11 +51,12 @@ func eachInstrumentation(t *testing.T, role obs.Role, packets int, fn func(t *te
 // work — ask the sender what the look may send (which resolves the
 // round-trip probe and runs the flow account), have it plan the round under
 // its congestion controller (the call that also reports the last round's
-// loss classification), pull packets from the schedule, note them in the
-// metrics, encode into the ring, flush, charge the pacing clock — through the
-// calls the sender engine makes, and requires zero allocations on both socket
-// paths, with and without metrics, under every congestion policy in the
-// table, bare and slowed by both Options.Pace and a RateCap.
+// loss classification), pull packets from the schedule, record them, encode
+// into the ring, flush, show the registry the counts, charge the pacing
+// clock — through the calls the sender engine makes, and requires zero
+// allocations on both socket paths, with and without metrics, under every
+// congestion policy in the table, bare and slowed by both Options.Pace and a
+// RateCap.
 func TestSenderHotPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -109,6 +110,7 @@ func TestSenderHotPathZeroAllocs(t *testing.T) {
 						// too.
 						started := time.Now()
 						var clock pacer
+						p := probe{tm: tm, fr: fr}
 						if allocs := testing.AllocsPerRun(300, func() {
 							now := time.Since(started)
 							snd.Look(now, ring.len())
@@ -116,13 +118,14 @@ func TestSenderHotPathZeroAllocs(t *testing.T) {
 							if gapPer < 0 {
 								t.Fatal("negative pacing gap")
 							}
-							k := encodeBatch(snd, ring, batch, probe{tm: tm, fr: fr}, 0)
+							k := encodeBatch(snd, ring, batch, p, 0)
 							if k != batch {
 								t.Fatalf("encodeBatch = %d, want %d", k, batch)
 							}
 							if _, err := ring.send(tx, k); err != nil {
 								t.Fatalf("Send: %v", err)
 							}
+							p.publish(snd)
 							clock.charge(time.Now(), gapPer, k)
 						}); allocs > 0 {
 							t.Errorf("sender plan+encode+flush+pace allocates %.1f times per batch, want 0", allocs)

@@ -208,6 +208,54 @@ func TestMetricsLoopbackGroundTruth(t *testing.T) {
 	}
 }
 
+// TestSenderCountsArePublished: the registry counts no packet, so what it
+// shows of a sender is what the engine published. A paced sender is seen
+// running with packets sent — the publication after each flush and ack
+// drain — and its final record is core's exactly. A dedup hit starts no
+// engine, so only the outcome's publication shows it: nothing sent, and
+// every packet excused and known received.
+func TestSenderCountsArePublished(t *testing.T) {
+	reg := metrics.New()
+	ep := listen(t, byAccept, Options{})
+	ep.recv(2)
+	obj := makeObj(2<<20 + 3) // ≈ 400 ms at the pace below: long enough to be seen running
+	type sent struct {
+		st  core.SenderStats
+		err error
+	}
+	done := make(chan sent, 1)
+	go func() {
+		st, err := Send(ep.ctx, ep.l.Addr(), obj, core.Config{Transfer: 1}, Options{Metrics: reg, Pace: 200 * time.Microsecond})
+		done <- sent{st, err}
+	}()
+	waitUntil(t, 10*time.Second, "the running sender's published packets", func() bool {
+		s, ok := reg.Snapshot().Find(1, obs.RoleSender)
+		return ok && s.Outcome == metrics.OutcomeRunning && s.PacketsSent > 0
+	})
+	first := <-done
+	if first.err != nil {
+		t.Fatalf("send: %v", first.err)
+	}
+	ep.delivered(obj)
+	s := findTransfer(t, reg.Snapshot(), 1, obs.RoleSender)
+	checkSenderLaws(t, s, first.st, len(obj))
+	if s.KnownReceived != s.PacketsNeeded || s.Rounds != int64(first.st.Rounds) {
+		t.Fatalf("final record: known %d of %d, rounds %d (core %d)", s.KnownReceived, s.PacketsNeeded, s.Rounds, first.st.Rounds)
+	}
+
+	sst, err := Send(ep.ctx, ep.l.Addr(), obj, core.Config{Transfer: 2}, Options{Metrics: reg})
+	if err != nil || !sst.Deduped {
+		t.Fatalf("second send: err=%v deduped=%v", err, sst.Deduped)
+	}
+	ep.delivered(obj)
+	d := findTransfer(t, reg.Snapshot(), 2, obs.RoleSender)
+	if d.Outcome != metrics.OutcomeCompleted || d.PacketsSent != 0 ||
+		d.PacketsRestored != d.PacketsNeeded || d.KnownReceived != d.PacketsNeeded {
+		t.Fatalf("dedup record: outcome %v, sent %d, restored %d, known %d of %d",
+			d.Outcome, d.PacketsSent, d.PacketsRestored, d.KnownReceived, d.PacketsNeeded)
+	}
+}
+
 // TestServerMetricsIsolation runs concurrent transfers through one Server
 // sharing one registry and checks each transfer's record stands alone: a
 // slow transfer aborted mid-flight is archived as aborted with the peer's

@@ -2,6 +2,7 @@ package udprt
 
 import (
 	"errors"
+	"sync"
 
 	"github.com/hpcnet/fobs/internal/core"
 	"github.com/hpcnet/fobs/internal/flight"
@@ -18,7 +19,9 @@ import (
 // span recorder is the transfer's, and the probes of its stripes share it
 // (see stripes). A handle is nil when its instrument is off and no-ops then,
 // so the zero probe is inert and no call site asks what is on. No method
-// allocates, a failed finish aside.
+// allocates, a failed finish aside. Per packet, only the recorder hears of
+// anything: the live counts are core's, which the registry is shown (publish,
+// follow), never told packet by packet.
 type probe struct {
 	tm *metrics.Transfer
 	fr *flight.Recorder
@@ -39,13 +42,13 @@ func (o Options) startSpan(tid obs.TraceID, transfer uint32, role obs.Role) prob
 }
 
 // sender returns p with the counters and packet recorder of one sending
-// stripe started in reg and rec (either may be nil), and makes it the
-// observer of the stripe's acknowledgement processing.
+// stripe started in reg and rec (either may be nil), and makes a recording
+// probe the observer of the stripe's acknowledgement processing.
 func (p probe) sender(reg *metrics.Registry, rec *flight.Log, snd *core.Sender, objBytes int64) probe {
 	cfg := snd.Config()
 	p.tm = reg.StartSender(cfg.Transfer, snd.NumPackets(), objBytes)
 	p.fr = rec.StartSender(cfg.Transfer, snd.NumPackets(), objBytes, cfg.PacketSize, int(cfg.Schedule))
-	if p.tm != nil || p.fr != nil {
+	if p.fr != nil {
 		snd.SetObserver(p)
 	}
 	return p
@@ -98,52 +101,80 @@ func (s stripes) event(kind obs.Kind, arg uint64) {
 	}
 }
 
-// Reports with one instrument behind them: a batch-size decision, a batch
-// round sent, the socket counters.
+// publish shows the registry a sending stripe's counts as snd has them, and
+// the latest round trip it measured. The engine calls it after each flush
+// and each ack drain, and the plan once more at the outcome, so a running
+// transfer's counts lag by at most one of those and a finished one's are
+// exact.
+func (p probe) publish(snd *core.Sender) {
+	if p.tm == nil {
+		return
+	}
+	st := snd.Stats()
+	p.tm.Publish(metrics.Counts{
+		PacketsSent:   int64(st.PacketsSent),
+		Retransmits:   int64(st.Retransmits),
+		BytesSent:     int64(st.BytesSent),
+		AcksReceived:  int64(st.AcksProcessed),
+		KnownReceived: int64(st.KnownReceived),
+		Rounds:        int64(st.Rounds),
+	}, st.RoundTrips, st.RTT)
+}
+
+// follow makes the registry read a receiving stripe's counts from its engine,
+// under mu, the lock of the transfer the engine serves, at every snapshot.
+func (p probe) follow(mu *sync.Mutex, e *receiverEngine) {
+	if p.tm == nil {
+		return
+	}
+	p.tm.Follow(func(c *metrics.Counts) {
+		mu.Lock()
+		defer mu.Unlock()
+		st := e.rcv.Stats()
+		fresh := st.Received - st.Restored
+		*c = metrics.Counts{
+			DataDemuxed:   int64(fresh + st.Duplicates + st.Rejected),
+			Fresh:         int64(fresh),
+			Duplicates:    int64(st.Duplicates),
+			Rejected:      int64(st.Rejected),
+			BytesReceived: int64(st.BytesReceived),
+			AcksSent:      int64(e.ackCalls),
+		}
+	})
+}
+
+// Reports with one instrument behind them: a batch-size decision, the socket
+// counters.
 func (p probe) batchSize(b int)       { p.fr.BatchSize(b) }
-func (p probe) round()                { p.tm.NoteRound() }
-func (p probe) io(c stats.IOCounters) { p.tm.NoteIO(c) }
+func (p probe) io(c stats.IOCounters) { p.tm.AddIO(c) }
 
 // dataSent records one data packet encoded for the wire, the idx-th of its
 // batch round.
-func (p probe) dataSent(seq uint32, size, idx int) {
-	p.tm.NoteDataSent(seq, size)
-	p.fr.DataSent(seq, size, idx)
-}
+func (p probe) dataSent(seq uint32, size, idx int) { p.fr.DataSent(seq, size, idx) }
 
 // OnAck and OnPacketAcked make a probe a core.AckObserver.
 func (p probe) OnAck(serial uint32, received int, stale bool) {
-	p.tm.NoteAckReceived(int64(received))
 	p.fr.AckReceived(serial, received, stale)
 }
 
-func (p probe) OnPacketAcked(seq uint32) {
-	p.tm.NoteSeqAcked(seq)
-	p.fr.AckedSeq(seq)
-}
+func (p probe) OnPacketAcked(seq uint32) { p.fr.AckedSeq(seq) }
 
 // dataReceived translates one HandleData call's effect on the receiver's
-// counters into the instruments' classification. A packet that moved no
+// counters into the recorder's classification. A packet that moved no
 // counter belonged to another transfer and is not this stripe's traffic.
 func (p probe) dataReceived(seq uint32, payload int, before, after core.ReceiverStats) {
 	switch {
 	case after.Received > before.Received:
-		p.tm.NoteDataFresh(payload)
 		p.fr.DataReceived(seq, payload, flight.ClassFresh)
 	case after.Duplicates > before.Duplicates:
-		p.tm.NoteDataDuplicate()
 		p.fr.DataReceived(seq, payload, flight.ClassDuplicate)
 	case after.Rejected > before.Rejected:
-		p.tm.NoteDataRejected()
 		p.fr.DataReceived(seq, payload, flight.ClassRejected)
 	}
 }
 
 // ackSent records one acknowledgement the receiver put on the wire.
-func (p probe) ackSent(serial uint32, received, size int) {
-	p.tm.NoteAckSent(size)
-	p.fr.AckSent(serial, received, size)
-}
+func (p probe) ackSent(serial uint32, received, size int) { p.fr.AckSent(serial, received, size) }
 
 // finish stamps the outcome err (nil: delivered whole) into every instrument
 // and seals the recorders: verify+complete, or a reasoned abort with the wire

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/hpcnet/fobs/internal/core"
@@ -31,6 +32,7 @@ func TestZeroProbeInert(t *testing.T) {
 	if q := (Options{}).supervisor(obs.NewTraceID(), 1); q != (probe{}) {
 		t.Fatalf("instruments off, yet the supervisor probe is %+v", q)
 	}
+	var mu sync.Mutex
 	every := func() {
 		p.event(obs.KindDial, 0)
 		p.event(obs.KindHandshake, 0)
@@ -39,7 +41,7 @@ func TestZeroProbeInert(t *testing.T) {
 		p.OnAck(1, 1, false)
 		p.OnPacketAcked(0)
 		p.batchSize(8)
-		p.round()
+		p.publish(snd)
 		p.event(obs.KindStall, 0)
 		stripes{p, p}.event(obs.KindRounds, 0)
 		p.stripe().event(obs.KindSkip, 4)
@@ -47,6 +49,7 @@ func TestZeroProbeInert(t *testing.T) {
 		p.dataReceived(0, 1024, core.ReceiverStats{}, core.ReceiverStats{Duplicates: 1})
 		p.dataReceived(0, 1024, core.ReceiverStats{}, core.ReceiverStats{Rejected: 1})
 		p.ackSent(1, 1, 40)
+		p.follow(&mu, nil)
 		p.event(obs.KindIdle, 0)
 		p.io(stats.IOCounters{SendCalls: 1})
 		p.span().finish(nil)

@@ -213,8 +213,12 @@ func (l *Listener) register(plan recvPlan) *inbound {
 	return in
 }
 
-// arm attaches the engines and lets the loop drive them.
+// arm attaches the engines, lets the loop drive them and the registry read
+// them.
 func (in *inbound) arm(engines []*receiverEngine) {
+	for _, e := range engines {
+		e.probe.follow(&in.mu, e)
+	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.engines = engines

@@ -213,9 +213,16 @@ func (p *senderPlan) accepted(have wire.Have) (hit bool, err error) {
 
 // finish stamps one outcome into every stripe's instruments and the span.
 func (p *senderPlan) finish(err error) {
-	for _, pr := range p.probes {
-		pr.finish(err)
+	for i := range p.probes {
+		p.finishStripe(i, err)
 	}
+}
+
+// finishStripe shows the registry stripe i's final counts, then stamps its
+// outcome err into the stripe's instruments.
+func (p *senderPlan) finishStripe(i int, err error) {
+	p.probes[i].publish(p.snds[i])
+	p.probes[i].finish(err)
 }
 
 // fail is finish for an exit that never reached the data phase: the
@@ -233,6 +240,8 @@ func (p *senderPlan) stats() core.SenderStats {
 	for _, snd := range p.snds {
 		s := snd.Stats()
 		t.PacketsSent += s.PacketsSent
+		t.BytesSent += s.BytesSent
+		t.Rounds += s.Rounds
 		t.PacketsNeeded += s.PacketsNeeded
 		t.AcksProcessed += s.AcksProcessed
 		t.StaleAcks += s.StaleAcks
@@ -240,6 +249,8 @@ func (p *senderPlan) stats() core.SenderStats {
 		t.Stalls += s.Stalls
 		t.Restored += s.Restored
 		t.Retransmits += s.Retransmits
+		t.RoundTrips += s.RoundTrips
+		t.RTT = max(t.RTT, s.RTT) // the slowest stripe's latest
 	}
 	return t
 }
@@ -364,7 +375,7 @@ func runSenderPlan(ctx context.Context, p *senderPlan, conns []*net.UDPConn, ctl
 	var io stats.IOCounters
 	for i := range engines {
 		io.Add(engines[i].io)
-		p.probes[i].finish(errs[i])
+		p.finishStripe(i, errs[i])
 	}
 	if opts.IOCounters != nil {
 		*opts.IOCounters = io
@@ -522,6 +533,7 @@ func sumRecvStats(engines []*receiverEngine) core.ReceiverStats {
 	for _, e := range engines {
 		s := e.rcv.Stats()
 		t.Received += s.Received
+		t.BytesReceived += s.BytesReceived
 		t.Restored += s.Restored
 		t.PacketsNeeded += s.PacketsNeeded
 		t.Duplicates += s.Duplicates

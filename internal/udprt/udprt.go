@@ -126,12 +126,14 @@ type Options struct {
 	// under the endpoint's lock before Accept or Next returns or the
 	// Server's handler runs.
 	IOCounters *stats.IOCounters
-	// Metrics, when non-nil, receives a live per-transfer record of every
-	// run: packets sent/retransmitted/duplicate, acks both ways, bytes,
-	// watchdog firings and phase timestamps, queryable via
-	// Registry.Snapshot and the metrics debug HTTP endpoint. The
-	// instrumentation is allocation-free on the hot paths; leaving the
-	// field nil costs one predictable nil check per event.
+	// Metrics, when non-nil, keeps a live per-transfer record of every run:
+	// packets sent/retransmitted/duplicate, acks both ways, bytes, round
+	// trips, watchdog firings and phase timestamps, queryable via
+	// Registry.Snapshot and the metrics debug HTTP endpoint. The counts are
+	// core's own, never counted again per packet: a sending engine publishes
+	// them after each flush and ack drain and at the outcome, and a
+	// receiving transfer's are read under its lock at each snapshot. Leaving
+	// the field nil costs one predictable nil check per publication.
 	Metrics *metrics.Registry
 	// Retry, when non-nil, wraps Send in a retry supervisor: failed
 	// attempts — a refused or lost control connection and a handshake that

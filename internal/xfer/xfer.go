@@ -178,8 +178,9 @@ func (s Summary) Goodput() float64 {
 	return float64(s.Bytes*8) / s.Elapsed.Seconds()
 }
 
-// ErrFileChanged reports a file whose length is no longer the one its
-// manifest entry records, which is what the receiver waits for.
+// ErrFileChanged reports a file whose length or CRC-32C is no longer the one
+// its manifest entry records, which is what the receiver waits for and
+// verifies.
 var ErrFileChanged = errors.New("xfer: file changed since the manifest was built")
 
 // SendTree transfers every regular file under root to the xfer receiver at
@@ -197,8 +198,9 @@ func SendTree(ctx context.Context, addr, root string, cfg core.Config, opts udpr
 
 // sendTree sends manifest, then the files under root it lists, in its
 // order. Which files travel is the manifest's decision, not the disk's: an
-// empty entry is created from the manifest alone, and a file whose length
-// is not its entry's fails the send with ErrFileChanged.
+// empty entry is created from the manifest alone, and a file whose length or
+// checksum is not its entry's fails the send with ErrFileChanged before any of
+// its bytes go out.
 func sendTree(ctx context.Context, addr, root string, manifest Manifest, cfg core.Config, opts udprt.Options) (Summary, error) {
 	if len(manifest.Files) == 0 {
 		return Summary{}, fmt.Errorf("xfer: no regular files under %s", root)
@@ -220,6 +222,9 @@ func sendTree(ctx context.Context, addr, root string, manifest Manifest, cfg cor
 		}
 		if int64(len(data)) != f.Size {
 			return Summary{}, fmt.Errorf("xfer: send %s: %w: %d bytes, manifest says %d", f.Path, ErrFileChanged, len(data), f.Size)
+		}
+		if crc := crc32.Checksum(data, castagnoli); crc != f.CRC {
+			return Summary{}, fmt.Errorf("xfer: send %s: %w: CRC-32C %08x, manifest says %08x", f.Path, ErrFileChanged, crc, f.CRC)
 		}
 		if f.Size == 0 {
 			continue

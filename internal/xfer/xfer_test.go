@@ -250,6 +250,28 @@ func TestSummaryGoodput(t *testing.T) {
 // fails the send with ErrFileChanged — it is not skipped as an empty file
 // while the receiver waits for its bytes.
 func TestSendTreeRefusesAFileChangedSinceItsManifest(t *testing.T) {
+	refusesChangedFile(t, func(path string) error { return os.Truncate(path, 0) })
+}
+
+// TestSendTreeRefusesAFileEditedInPlace: a same-length edit made after the
+// manifest was built fails the send with ErrFileChanged on the sender's own
+// checksum, before the receiver is sent bytes its manifest CRC must refuse.
+func TestSendTreeRefusesAFileEditedInPlace(t *testing.T) {
+	refusesChangedFile(t, func(path string) error {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		data[len(data)/2] ^= 0x5a
+		return os.WriteFile(path, data, 0o644)
+	})
+}
+
+// refusesChangedFile builds a tree's manifest, applies change to its README,
+// and requires the send to fail with ErrFileChanged and the receiver not to
+// complete.
+func refusesChangedFile(t *testing.T, change func(path string) error) {
+	t.Helper()
 	src := makeTree(t)
 	sl, err := udprt.ListenSession("127.0.0.1:0", udprt.Options{})
 	if err != nil {
@@ -268,11 +290,11 @@ func TestSendTreeRefusesAFileChangedSinceItsManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(filepath.Join(src, "README"), 0); err != nil {
+	if err := change(filepath.Join(src, "README")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sendTree(ctx, sl.Addr(), src, manifest, core.Config{}, udprt.Options{}); !errors.Is(err, ErrFileChanged) {
-		t.Fatalf("send of a tree with a file emptied since its manifest: err = %v, want ErrFileChanged", err)
+		t.Fatalf("send of a tree with a file changed since its manifest: err = %v, want ErrFileChanged", err)
 	}
 	if err := <-received; err == nil {
 		t.Fatal("the receiver completed a tree whose file never came")
