@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 vet cross loc race short test bench bench-smoke sim-golden mem-smoke waste-smoke bench-e2e bench-e2e-smoke bench-e2e-test offload-probe cover fuzz-smoke shuffle faultnet-soak flake-census fobsd-smoke verify
+.PHONY: all tier1 vet cross loc knobs race short test bench bench-smoke sim-golden mem-smoke waste-smoke bench-e2e bench-e2e-smoke bench-e2e-test offload-probe cover fuzz-smoke shuffle faultnet-soak flake-census fobsd-smoke verify
 
 all: verify
 
@@ -49,6 +49,14 @@ loc:
 		  n[mod " " dir " " col] += $$1; n[mod " ~total " col] += $$1; seen[mod " " dir]; seen[mod " ~total"] } \
 		END { for (k in seen) printf "%s %7d %7d\n", k, n[k " code"], n[k " test"] }' \
 	| sort | awk '{ sub(/^~/, "", $$2); printf "%-10s %-28s %7d non-test %7d test\n", $$1, $$2, $$3, $$4 }'
+
+# The knob census (EXPERIMENTS.md, "Knob census"): TestKnobCensus holds
+# the table to the exported fields of fobs.Options and fobs.Config and to the
+# flag sets of fobs-send, fobs-recv and fobs-cp as cmd/internal/cli builds
+# them, and logs how many each has, so a new knob shows up in the log and
+# fails until it has a row.
+knobs:
+	$(GO) test ./cmd/internal/cli -run '^TestKnobCensus$$' -count=1 -v
 
 # The concurrency-heavy packages (real sockets, fault injection, server
 # demux) must stay clean under the race detector.

@@ -15,11 +15,9 @@ package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"log"
 	"os"
-	"strings"
 	"time"
 
 	"github.com/hpcnet/fobs"
@@ -58,75 +56,40 @@ func reportPartials(reg *fobs.Metrics) {
 // stopping the reporter with a final line — execute on every exit path,
 // including a SIGINT/SIGTERM abort.
 func run() error {
-	var (
-		send       = flag.String("send", "", "directory tree to send")
-		recv       = flag.String("recv", "", "directory to receive into")
-		addr       = flag.String("addr", "127.0.0.1:7700", "receiver address (with -send)")
-		listen     = flag.String("listen", "127.0.0.1:7700", "address to listen on (with -recv)")
-		packetSize = flag.Int("packet-size", fobs.PacketSize, "data packet payload bytes")
-		checksum   = flag.Bool("checksum", true, "CRC-32C every data packet in addition to per-file checksums")
-		pace       = flag.Duration("pace", 0, "per-packet pacing delay (loopback/LAN tuning)")
-		cc         = flag.String("cc", fobs.CCFixed,
-			fmt.Sprintf("congestion control policy (%s; with -send)", strings.Join(fobs.CongestionPolicies(), ", ")))
-		streams = flag.Int("streams", 1,
-			fmt.Sprintf("parallel stripes per file, each its own UDP flow (1..%d; with -send)", fobs.MaxStreams))
-		timeout = flag.Duration("timeout", time.Hour, "give up after this long")
-		noDedup = flag.Bool("no-dedup", false,
-			"do not let the receiver answer from its content cache; always move every file's bytes (with -send)")
-
-		resumeWindow = flag.Duration("resume-window", 0,
-			"retain interrupted transfers this long so a sender of the same content sends only what is missing (0: default 60s, negative: disabled; with -recv)")
-		checkpointDir = flag.String("checkpoint", "",
-			"directory for resume checkpoints; interrupted transfers survive a restart of this process (with -recv)")
-
-		instruments = cli.Flags("fobs-cp", false)
-	)
-	flag.Parse()
-
-	ctx, cancel := cli.Context(*timeout)
+	c := cli.Parse(cli.Copy, os.Args[1:])
+	ctx, cancel := c.Context()
 	defer cancel()
 
-	cfg := fobs.Config{PacketSize: *packetSize, Checksum: *checksum}
-	opts := fobs.Options{
-		Pace:         *pace,
-		Congestion:   *cc,
-		Streams:      *streams,
-		ResumeWindow: *resumeWindow,
-		Checkpoint:   *checkpointDir,
-		NoDedup:      *noDedup,
-	}
 	// The registry is always on: an aborted copy reports how far each
 	// in-flight file got from its per-transfer counters.
 	reg := fobs.NewMetrics()
-	opts.Metrics = reg
-	closeInstruments, err := instruments.Open(&opts)
+	c.Options.Metrics = reg
+	closeInstruments, err := c.Open()
 	if err != nil {
 		return err
 	}
 	defer closeInstruments()
 
 	switch {
-	case *send != "" && *recv != "":
+	case c.Send != "" && c.Recv != "":
 		return errors.New("use either -send or -recv, not both")
-	case *send != "":
-		sum, err := fobs.SendTree(ctx, *addr, *send, cfg, opts)
+	case c.Send != "":
+		sum, err := fobs.SendTree(ctx, c.Addr, c.Send, c.Config, c.Options)
 		if err != nil {
 			reportPartials(reg)
 			return err
 		}
 		fmt.Printf("fobs-cp: sent %d files, %d bytes in %v (%.1f Mb/s)\n",
 			sum.Files, sum.Bytes, sum.Elapsed.Round(time.Millisecond), sum.Goodput()/1e6)
-	case *recv != "":
-		sl, err := fobs.ListenSession(*listen, opts)
+	case c.Recv != "":
+		sl, err := fobs.ListenSession(c.Listen, c.Options)
 		if err != nil {
 			return err
 		}
 		defer sl.Close()
 		fmt.Printf("fobs-cp: listening on %s\n", sl.Addr())
-		if got, want := sl.ReadBuffer(); got > 0 && got < want {
-			fmt.Printf("fobs-cp: the kernel granted %d of the %d-byte receive buffer asked for; senders will be held to it (raise net.core.rmem_max for more)\n", got, want)
-		}
-		sum, err := fobs.ReceiveTree(ctx, sl, *recv)
+		c.NoteReadBuffer(sl.ReadBuffer())
+		sum, err := fobs.ReceiveTree(ctx, sl, c.Recv)
 		if err != nil {
 			reportPartials(reg)
 			return err

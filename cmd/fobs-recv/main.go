@@ -11,7 +11,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 	"os"
@@ -44,51 +43,21 @@ func reportPartial(st fobs.ReceiverStats, err error) {
 // recording, stopping the reporter with a final line — execute on every
 // exit path, including a SIGINT/SIGTERM abort.
 func run() error {
-	var (
-		listen  = flag.String("listen", "127.0.0.1:7700", "address to listen on (TCP control + UDP data)")
-		out     = flag.String("out", "", "file to write the received object to (empty: discard)")
-		timeout = flag.Duration("timeout", 10*time.Minute, "give up after this long")
-
-		idleTimeout = flag.Duration("idle-timeout", 0,
-			"abort when no data arrives mid-transfer for this long (0: default 30s, negative: disabled)")
-
-		resumeWindow = flag.Duration("resume-window", 0,
-			"retain interrupted transfers this long so a sender of the same content sends only what is missing (0: default 60s, negative: disabled)")
-		checkpointDir = flag.String("checkpoint", "",
-			"directory for resume checkpoints; interrupted transfers survive a restart of this process")
-
-		ioBatch = flag.Int("io-batch", 0,
-			fmt.Sprintf("datagrams per recvmmsg vector (0: default %d)", fobs.DefaultIOBatch))
-		noFastPath = flag.Bool("no-fastpath", false,
-			"force one syscall per datagram even where recvmmsg is available")
-
-		instruments = cli.Flags("fobs-recv", true)
-	)
-	flag.Parse()
-
-	opts := fobs.Options{
-		IdleTimeout:  *idleTimeout,
-		ResumeWindow: *resumeWindow,
-		Checkpoint:   *checkpointDir,
-		IOBatch:      *ioBatch,
-		NoFastPath:   *noFastPath,
-	}
-	closeInstruments, err := instruments.Open(&opts)
+	c := cli.Parse(cli.Recv, os.Args[1:])
+	closeInstruments, err := c.Open()
 	if err != nil {
 		return err
 	}
 	defer closeInstruments()
-	l, err := fobs.Listen(*listen, opts)
+	l, err := fobs.Listen(c.Listen, c.Options)
 	if err != nil {
 		return err
 	}
 	defer l.Close()
 	fmt.Printf("fobs-recv: listening on %s\n", l.Addr())
-	if got, want := l.ReadBuffer(); got > 0 && got < want {
-		fmt.Printf("fobs-recv: the kernel granted %d of the %d-byte receive buffer asked for; senders will be held to it (raise net.core.rmem_max for more)\n", got, want)
-	}
+	c.NoteReadBuffer(l.ReadBuffer())
 
-	ctx, cancel := cli.Context(*timeout)
+	ctx, cancel := c.Context()
 	defer cancel()
 
 	// Accept until one transfer completes: an interrupted attempt parks its
@@ -116,13 +85,13 @@ func run() error {
 	mbps := float64(len(obj)*8) / elapsed.Seconds() / 1e6
 	fmt.Printf("fobs-recv: %d bytes in %v (%.1f Mb/s), %d packets (%d duplicates)\n",
 		len(obj), elapsed.Round(time.Millisecond), mbps, st.Received, st.Duplicates)
-	instruments.PrintIO()
+	c.PrintIO()
 
-	if *out != "" {
-		if err := os.WriteFile(*out, obj, 0o644); err != nil {
-			return fmt.Errorf("write %s: %w", *out, err)
+	if c.Out != "" {
+		if err := os.WriteFile(c.Out, obj, 0o644); err != nil {
+			return fmt.Errorf("write %s: %w", c.Out, err)
 		}
-		fmt.Printf("fobs-recv: wrote %s\n", *out)
+		fmt.Printf("fobs-recv: wrote %s\n", c.Out)
 	}
 	return nil
 }

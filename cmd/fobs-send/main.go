@@ -13,7 +13,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 	"math/rand"
@@ -56,51 +55,17 @@ func main() {
 // recording, stopping the reporter with a final line — execute on every
 // exit path, including a SIGINT/SIGTERM abort.
 func run() error {
-	var (
-		addr       = flag.String("addr", "127.0.0.1:7700", "fobs-recv address")
-		file       = flag.String("file", "", "file to send (overrides -size)")
-		size       = flag.String("size", "40MiB", "synthetic object size when no -file is given")
-		packetSize = flag.Int("packet-size", fobs.PacketSize, "data packet payload bytes")
-		ackFreq    = flag.Int("ack-freq", fobs.DefaultAckFrequency, "receiver ack frequency hint (informational)")
-		batch      = flag.Int("batch", fobs.DefaultBatch, "packets per batch-send operation")
-		pace       = flag.Duration("pace", 0, "extra delay per batch (helps tiny kernel buffers)")
-		cc         = flag.String("cc", fobs.CCFixed,
-			fmt.Sprintf("congestion control policy (%s)", strings.Join(fobs.CongestionPolicies(), ", ")))
-		streams = flag.Int("streams", 1,
-			fmt.Sprintf("parallel stripes, each its own UDP flow (1..%d)", fobs.MaxStreams))
-		progress = flag.Bool("progress", false, "print transfer progress")
-		timeout  = flag.Duration("timeout", 10*time.Minute, "give up after this long")
-
-		retries = flag.Int("retries", 0,
-			"re-dial a failed transfer up to this many times with exponential backoff (0: no retries)")
-		retryBackoff = flag.Duration("retry-backoff", 0,
-			"delay before the first retry, doubling each attempt (0: default 500ms; needs -retries)")
-		noDedup = flag.Bool("no-dedup", false,
-			"do not let the receiver answer from its content cache; move the bytes even if it holds them")
-
-		stallTimeout = flag.Duration("stall-timeout", 0,
-			"abort when no acknowledgement arrives for this long (0: default 15s, negative: disabled)")
-		handshakeTimeout = flag.Duration("handshake-timeout", 0,
-			"bound on each announcement/HAVE exchange (0: default 10s)")
-
-		ioBatch = flag.Int("io-batch", 0,
-			fmt.Sprintf("datagrams per sendmmsg/recvmmsg vector (0: default %d)", fobs.DefaultIOBatch))
-		noFastPath = flag.Bool("no-fastpath", false,
-			"force one syscall per datagram even where sendmmsg is available")
-
-		instruments = cli.Flags("fobs-send", true)
-	)
-	flag.Parse()
+	c := cli.Parse(cli.Send, os.Args[1:])
 
 	var obj []byte
-	if *file != "" {
-		data, err := os.ReadFile(*file)
+	if c.File != "" {
+		data, err := os.ReadFile(c.File)
 		if err != nil {
 			return err
 		}
 		obj = data
 	} else {
-		n, err := parseSize(*size)
+		n, err := parseSize(c.Size)
 		if err != nil {
 			return err
 		}
@@ -108,46 +73,15 @@ func run() error {
 		rand.New(rand.NewSource(time.Now().UnixNano())).Read(obj)
 	}
 
-	cfg := fobs.Config{
-		PacketSize:   *packetSize,
-		AckFrequency: *ackFreq,
-		Batch:        fobs.FixedBatch(*batch),
-	}
-	ctx, cancel := cli.Context(*timeout)
+	ctx, cancel := c.Context()
 	defer cancel()
-
-	opts := fobs.Options{
-		Pace:             *pace,
-		Congestion:       *cc,
-		Streams:          *streams,
-		StallTimeout:     *stallTimeout,
-		HandshakeTimeout: *handshakeTimeout,
-		IOBatch:          *ioBatch,
-		NoFastPath:       *noFastPath,
-		NoDedup:          *noDedup,
-	}
-	if *retries > 0 {
-		opts.Retry = &fobs.RetryPolicy{
-			MaxRetries: *retries,
-			Backoff:    *retryBackoff,
-		}
-	}
-	closeInstruments, err := instruments.Open(&opts)
+	closeInstruments, err := c.Open()
 	if err != nil {
 		return err
 	}
 	defer closeInstruments()
-	if *progress {
-		lastPct := -1
-		opts.Progress = func(done, total int) {
-			if pct := 100 * done / total; pct/5 != lastPct/5 {
-				lastPct = pct
-				fmt.Printf("fobs-send: %3d%% (%d/%d packets confirmed)\n", pct, done, total)
-			}
-		}
-	}
 	start := time.Now()
-	st, err := fobs.Send(ctx, *addr, obj, cfg, opts)
+	st, err := fobs.Send(ctx, c.Addr, obj, c.Config, c.Options)
 	elapsed := time.Since(start)
 	// The stats line prints even on an aborted run: a partial transfer's
 	// accounting (and its flight recording) is exactly what post-mortems
@@ -163,7 +97,7 @@ func run() error {
 		fmt.Printf("fobs-send: resumed: %d of %d packets excused by the receiver's HAVE bitmap\n",
 			st.Restored, st.PacketsNeeded)
 	}
-	instruments.PrintIO()
+	c.PrintIO()
 	if err != nil {
 		return err
 	}

@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"github.com/hpcnet/fobs"
+	"github.com/hpcnet/fobs/cmd/internal/cli"
 )
 
 // tenantRates collects repeated -tenant-rate name=bps flags.
@@ -102,7 +103,7 @@ func run() error {
 		listen  = flag.String("listen", "127.0.0.1:7780", "HTTP API address")
 		dir     = flag.String("dir", "", "state directory for the crash-safe task journal, fobs-tasks.journal (required; one-file-per-task directories of earlier builds are migrated)")
 		workers = flag.Int("workers", 2, "concurrent transfer tasks")
-		pace    = flag.Duration("pace", 0, "extra delay per batch-send in every mover")
+		pace    = flag.Duration("pace", 0, cli.PaceUsage)
 		cc      = flag.String("cc", "",
 			fmt.Sprintf("default congestion control policy (%s; tasks may override)",
 				strings.Join(fobs.CongestionPolicies(), ", ")))

@@ -1,6 +1,12 @@
-// Package cli is what the transfer commands (fobs-send, fobs-recv, fobs-cp)
-// share: the instrument flags, wired into fobs.Options by one constructor,
-// and the run context that a timeout or SIGINT/SIGTERM ends.
+// Package cli is the one place the transfer commands (fobs-send, fobs-recv,
+// fobs-cp) declare their flags. Each flag is declared once, with one help
+// text, and sets one fobs.Options or fobs.Config field or one command input
+// such as -file or -out. A command names the flags it offers (Send, Recv,
+// Copy); Parse registers them on a flag.FlagSet and parses its command line.
+// The package also holds what the commands share beyond flags: the
+// instruments behind -debug-addr, -stats-interval, -record, -events and
+// -io-stats, the run context that a timeout or SIGINT/SIGTERM ends, and the
+// receive-buffer notice.
 package cli
 
 import (
@@ -9,50 +15,157 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	"github.com/hpcnet/fobs"
 )
 
-// Instruments are a command's instrument flags.
-type Instruments struct {
-	cmd           string
-	debugAddr     *string
-	statsInterval *time.Duration
-	record        *string
-	events        *string // nil when the command does not offer -events
-	ioStats       *bool   // nil when the command does not offer -io-stats
+// Spec is one command: its name, the default of its -timeout, and the flags
+// it offers besides -timeout, which every command has.
+type Spec struct {
+	Name    string
+	Timeout time.Duration
+	Flags   []string
+}
+
+// The three transfer commands.
+var (
+	Send = Spec{"fobs-send", 10 * time.Minute, []string{
+		"addr", "file", "size", "packet-size", "pace", "cc", "streams", "no-dedup",
+		"progress", "retries", "retry-backoff", "stall-timeout", "handshake-timeout",
+		"debug-addr", "stats-interval", "record", "events", "io-stats"}}
+	Recv = Spec{"fobs-recv", 10 * time.Minute, []string{
+		"listen", "out", "idle-timeout", "resume-window", "checkpoint",
+		"debug-addr", "stats-interval", "record", "events", "io-stats"}}
+	Copy = Spec{"fobs-cp", time.Hour, []string{
+		"send", "recv", "addr", "listen", "packet-size", "checksum", "pace", "cc",
+		"streams", "no-dedup", "resume-window", "checkpoint",
+		"debug-addr", "stats-interval", "record"}}
+)
+
+// PaceUsage is the help text of every -pace flag, fobsd's included.
+const PaceUsage = "extra delay per packet, added to the gap the congestion policy sets (0: none)"
+
+// Command is one command's parsed command line.
+type Command struct {
+	name string
+	fs   *flag.FlagSet
+	// Options and Config are the settings the flags set.
+	Options fobs.Options
+	Config  fobs.Config
+	// The inputs: what a flag names that is not a setting.
+	Addr, Listen, File, Size, Out, Send, Recv string
+	Timeout                                   time.Duration
+
+	progress      bool
+	retry         fobs.RetryPolicy
+	debugAddr     string
+	statsInterval time.Duration
+	record        string
+	events        string
+	ioStats       bool
 	io            fobs.IOCounters
 }
 
-// Flags registers command cmd's instrument flags on the command line:
-// -debug-addr, -stats-interval and -record, and, when oneTransfer is set,
-// -events and -io-stats.
-func Flags(cmd string, oneTransfer bool) *Instruments {
-	in := &Instruments{
-		cmd: cmd,
-		debugAddr: flag.String("debug-addr", "",
-			"serve live metrics + pprof over HTTP on this address (e.g. localhost:6060)"),
-		statsInterval: flag.Duration("stats-interval", 0,
-			"print a one-line metrics summary this often (0: off)"),
-		record: flag.String("record", "",
-			"write a packet-level flight recording of every transfer to this .fobrec file (analyze with fobs-analyze)"),
+// define registers the flag called name on c.fs. Every flag the
+// commands offer is one case here, declared once, with its one help text.
+func (c *Command) define(name string) {
+	fs := c.fs
+	switch name {
+	case "addr":
+		fs.StringVar(&c.Addr, name, "127.0.0.1:7700", "the receiver's address")
+	case "listen":
+		fs.StringVar(&c.Listen, name, "127.0.0.1:7700", "address to listen on (TCP control + UDP data)")
+	case "file":
+		fs.StringVar(&c.File, name, "", "file to send (overrides -size)")
+	case "size":
+		fs.StringVar(&c.Size, name, "40MiB", "synthetic object size when no -file is given")
+	case "out":
+		fs.StringVar(&c.Out, name, "", "file to write the received object to (empty: discard)")
+	case "send":
+		fs.StringVar(&c.Send, name, "", "directory tree to send")
+	case "recv":
+		fs.StringVar(&c.Recv, name, "", "directory to receive into")
+	case "packet-size":
+		fs.IntVar(&c.Config.PacketSize, name, fobs.PacketSize, "data packet payload bytes")
+	case "checksum":
+		fs.BoolVar(&c.Config.Checksum, name, true, "CRC-32C every data packet's payload, so a corrupted packet is dropped and sent again")
+	case "pace":
+		fs.DurationVar(&c.Options.Pace, name, 0, PaceUsage)
+	case "cc":
+		fs.StringVar(&c.Options.Congestion, name, fobs.CCFixed,
+			fmt.Sprintf("the sender's congestion control policy (%s)", strings.Join(fobs.CongestionPolicies(), ", ")))
+	case "streams":
+		fs.IntVar(&c.Options.Streams, name, 1, fmt.Sprintf("parallel stripes per object, each its own UDP flow (1..%d)", fobs.MaxStreams))
+	case "no-dedup":
+		fs.BoolVar(&c.Options.NoDedup, name, false, "do not let the receiver answer from its content cache; move the bytes even if it holds them")
+	case "progress":
+		fs.BoolVar(&c.progress, name, false, "print transfer progress")
+	case "retries":
+		fs.IntVar(&c.retry.MaxRetries, name, 0, "re-dial a failed transfer up to this many times with exponential backoff (0: no retries)")
+	case "retry-backoff":
+		fs.DurationVar(&c.retry.Backoff, name, 0, "delay before the first retry, doubling each attempt (0: default 500ms; needs -retries)")
+	case "stall-timeout":
+		fs.DurationVar(&c.Options.StallTimeout, name, 0, "abort when no acknowledgement arrives for this long (0: default 15s, negative: disabled)")
+	case "handshake-timeout":
+		fs.DurationVar(&c.Options.HandshakeTimeout, name, 0, "bound on each announcement/HAVE exchange (0: default 10s)")
+	case "idle-timeout":
+		fs.DurationVar(&c.Options.IdleTimeout, name, 0, "abort when no data arrives mid-transfer for this long (0: default 30s, negative: disabled)")
+	case "resume-window":
+		fs.DurationVar(&c.Options.ResumeWindow, name, 0,
+			"retain interrupted transfers this long so a sender of the same content sends only what is missing (0: default 60s, negative: disabled)")
+	case "checkpoint":
+		fs.StringVar(&c.Options.Checkpoint, name, "", "directory for resume checkpoints; interrupted transfers survive a restart of this process")
+	case "debug-addr":
+		fs.StringVar(&c.debugAddr, name, "", "serve live metrics + pprof over HTTP on this address (e.g. localhost:6060)")
+	case "stats-interval":
+		fs.DurationVar(&c.statsInterval, name, 0, "print a one-line metrics summary this often (0: off)")
+	case "record":
+		fs.StringVar(&c.record, name, "", "write a packet-level flight recording of every transfer to this .fobrec file (analyze with fobs-analyze)")
+	case "events":
+		fs.StringVar(&c.events, name, "", "append lifecycle span events (JSONL) to this file; join with the peer's via fobs-analyze -events")
+	case "io-stats":
+		fs.BoolVar(&c.ioStats, name, false, "print batched-IO syscall counters")
+	default:
+		panic("cli: no flag " + name)
 	}
-	if oneTransfer {
-		in.events = flag.String("events", "",
-			"append lifecycle span events (JSONL) to this file; join with the peer's via fobs-analyze -events")
-		in.ioStats = flag.Bool("io-stats", false, "print batched-IO syscall counters")
-	}
-	return in
 }
 
-// Open wires what the flags asked for into opts — a metrics registry
-// (opts.Metrics when set) behind -debug-addr, -stats-interval or -record, the
-// debug server, the reporter, the flight log, the span log, the socket
-// counters — and returns the function that stops and seals them, which the
-// caller defers. On an error Open has closed what it opened.
-func (in *Instruments) Open(opts *fobs.Options) (closeAll func(), err error) {
+// Parse registers spec's flags on a fresh flag set and parses args, the
+// command line without the program name; a bad flag exits with the usage,
+// as the flag package's own command line does. -retries and -retry-backoff
+// become Options.Retry when -retries is set, -progress a printing
+// Options.Progress.
+func Parse(spec Spec, args []string) *Command {
+	c := &Command{name: spec.Name, fs: flag.NewFlagSet(spec.Name, flag.ExitOnError)}
+	c.fs.DurationVar(&c.Timeout, "timeout", spec.Timeout, "give up after this long")
+	for _, name := range spec.Flags {
+		c.define(name)
+	}
+	c.fs.Parse(args)
+	if c.retry.MaxRetries > 0 {
+		c.Options.Retry = &c.retry
+	}
+	if c.progress {
+		lastPct := -1
+		c.Options.Progress = func(done, total int) {
+			if pct := 100 * done / total; pct/5 != lastPct/5 {
+				lastPct = pct
+				fmt.Printf("%s: %3d%% (%d/%d packets confirmed)\n", c.name, pct, done, total)
+			}
+		}
+	}
+	return c
+}
+
+// Open wires what the instrument flags asked for into Options — a metrics
+// registry (Options.Metrics when set) behind -debug-addr, -stats-interval or
+// -record, the debug server, the reporter, the flight log, the span log, the
+// socket counters — and returns the function that stops and seals them,
+// which the caller defers. On an error Open has closed what it opened.
+func (c *Command) Open() (closeAll func(), err error) {
 	var closers []func()
 	closeAll = func() {
 		for i := len(closers) - 1; i >= 0; i-- {
@@ -64,39 +177,40 @@ func (in *Instruments) Open(opts *fobs.Options) (closeAll func(), err error) {
 			closeAll()
 		}
 	}()
-	if in.ioStats != nil && *in.ioStats {
-		opts.IOCounters = &in.io
+	opts := &c.Options
+	if c.ioStats {
+		opts.IOCounters = &c.io
 	}
-	if opts.Metrics == nil && (*in.debugAddr != "" || *in.statsInterval > 0 || *in.record != "") {
+	if opts.Metrics == nil && (c.debugAddr != "" || c.statsInterval > 0 || c.record != "") {
 		opts.Metrics = fobs.NewMetrics()
 	}
-	if *in.debugAddr != "" {
-		dbg, err := fobs.ServeMetricsDebug(*in.debugAddr, opts.Metrics)
+	if c.debugAddr != "" {
+		dbg, err := fobs.ServeMetricsDebug(c.debugAddr, opts.Metrics)
 		if err != nil {
 			return nil, fmt.Errorf("debug server: %w", err)
 		}
 		closers = append(closers, func() { dbg.Close() })
-		fmt.Printf("%s: metrics at http://%s/debug/fobs\n", in.cmd, dbg.Addr())
+		fmt.Printf("%s: metrics at http://%s/debug/fobs\n", c.name, dbg.Addr())
 	}
-	if *in.statsInterval > 0 {
-		closers = append(closers, opts.Metrics.StartReporter(os.Stderr, *in.statsInterval))
+	if c.statsInterval > 0 {
+		closers = append(closers, opts.Metrics.StartReporter(os.Stderr, c.statsInterval))
 	}
-	if *in.record != "" {
-		rec, err := fobs.CreateFlightLog(*in.record)
+	if c.record != "" {
+		rec, err := fobs.CreateFlightLog(c.record)
 		if err != nil {
 			return nil, err
 		}
 		opts.Record = rec
 		closers = append(closers, func() {
 			if err := rec.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: sealing %s: %v\n", in.cmd, *in.record, err)
+				fmt.Fprintf(os.Stderr, "%s: sealing %s: %v\n", c.name, c.record, err)
 				return
 			}
-			fmt.Printf("%s: flight recording sealed in %s\n", in.cmd, *in.record)
+			fmt.Printf("%s: flight recording sealed in %s\n", c.name, c.record)
 		})
 	}
-	if in.events != nil && *in.events != "" {
-		tlog, err := fobs.CreateTraceLog(*in.events)
+	if c.events != "" {
+		tlog, err := fobs.CreateTraceLog(c.events)
 		if err != nil {
 			return nil, err
 		}
@@ -108,16 +222,26 @@ func (in *Instruments) Open(opts *fobs.Options) (closeAll func(), err error) {
 
 // PrintIO prints the transfer's socket counters when -io-stats asked for
 // them.
-func (in *Instruments) PrintIO() {
-	if in.ioStats != nil && *in.ioStats {
-		fmt.Printf("%s: io %s\n", in.cmd, in.io.String())
+func (c *Command) PrintIO() {
+	if c.ioStats {
+		fmt.Printf("%s: io %s\n", c.name, c.io.String())
 	}
 }
 
-// Context is a command's run context: it ends after timeout or at SIGINT or
-// SIGTERM, so a transfer aborts cleanly and the command's defers still run.
-func Context(timeout time.Duration) (context.Context, func()) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+// NoteReadBuffer says so when the kernel granted a receiving endpoint less
+// receive buffer than it asked for: senders are held to what was granted.
+func (c *Command) NoteReadBuffer(granted, requested int) {
+	if granted > 0 && granted < requested {
+		fmt.Printf("%s: the kernel granted %d of the %d-byte receive buffer asked for; senders will be held to it (raise net.core.rmem_max for more)\n",
+			c.name, granted, requested)
+	}
+}
+
+// Context is the command's run context: it ends after -timeout or at SIGINT
+// or SIGTERM, so a transfer aborts cleanly and the command's defers still
+// run.
+func (c *Command) Context() (context.Context, func()) {
+	ctx, cancel := context.WithTimeout(context.Background(), c.Timeout)
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	return ctx, func() { stop(); cancel() }
 }

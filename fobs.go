@@ -66,9 +66,11 @@ type (
 
 // Real-network runtime.
 type (
-	// Options tunes the socket runtime: buffer sizes, idle polling, the
-	// failure model's liveness watchdogs and handshake timeout, and the
-	// retry supervisor (Retry), Send's only retry.
+	// Options tunes the socket runtime: the congestion policy, pacing and
+	// striping, the failure model's liveness watchdogs and handshake
+	// timeout, the retry supervisor (Retry), Send's only retry, resumption
+	// and the instruments. Socket buffers (4 MiB), the sender's idle poll
+	// (2 ms) and the batched-IO ring (32 datagrams) are constants.
 	Options = udprt.Options
 	// Listener accepts incoming FOBS transfers.
 	Listener = udprt.Listener
@@ -82,10 +84,6 @@ type (
 	// Options.IOCounters at one to collect a transfer's tallies.
 	IOCounters = stats.IOCounters
 )
-
-// DefaultIOBatch is the default sendmmsg/recvmmsg vector length used by
-// the batched-IO fast path (Options.IOBatch when left zero).
-const DefaultIOBatch = udprt.DefaultIOBatch
 
 // MaxStreams is the wire-format limit on Options.Streams: how many
 // parallel stripes one striped transfer may announce.

@@ -163,7 +163,7 @@ func BenchmarkStripedLoopback(b *testing.B) {
 	for _, n := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("streams=%d", n), func(b *testing.B) {
 			obj := makeObj(8 << 20)
-			opts := Options{IOBatch: benchBatch, Streams: n}
+			opts := Options{ioBatch: benchBatch, Streams: n}
 			cfg := core.Config{PacketSize: 8192, Batch: core.FixedBatch(benchBatch)}
 			b.SetBytes(int64(len(obj)))
 			b.ResetTimer()
@@ -187,7 +187,7 @@ func BenchmarkCCPolicies(b *testing.B) {
 	for _, policy := range CongestionPolicies() {
 		b.Run("cc="+policy, func(b *testing.B) {
 			obj := makeObj(8 << 20)
-			opts := Options{IOBatch: benchBatch, Congestion: policy}
+			opts := Options{ioBatch: benchBatch, Congestion: policy}
 			// The large packet size keeps sabul's bits-per-second probing
 			// from turning a loopback benchmark into a rate-limit test.
 			cfg := core.Config{PacketSize: 8192, Batch: core.FixedBatch(benchBatch)}
@@ -213,7 +213,7 @@ func BenchmarkLoopbackTransfer(b *testing.B) {
 	}
 	benchEachPath(b, func(b *testing.B, noFastPath bool) {
 		obj := makeObj(8 << 20)
-		opts := Options{NoFastPath: noFastPath, IOBatch: benchBatch}
+		opts := Options{NoFastPath: noFastPath, ioBatch: benchBatch}
 		cfg := core.Config{Batch: core.FixedBatch(benchBatch)}
 		b.SetBytes(int64(len(obj)))
 		b.ResetTimer()
@@ -288,7 +288,7 @@ func BenchmarkDedupSecondPush(b *testing.B) {
 		b.Skip("real-socket benchmark skipped in -short mode")
 	}
 	obj := makeObj(8 << 20)
-	opts := Options{IOBatch: benchBatch}
+	opts := Options{ioBatch: benchBatch}
 	cfg := core.Config{Batch: core.FixedBatch(benchBatch)}
 	ep := listen(b, byAccept, opts)
 	ep.recv(1 + b.N)

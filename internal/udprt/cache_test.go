@@ -85,7 +85,7 @@ func TestReceiveAllocBudget(t *testing.T) {
 	}
 }
 
-// TestSendRingAllocBudget: what a Send allocates grows with Options.IOBatch
+// TestSendRingAllocBudget: what a Send allocates grows with the ring length
 // by the ring's per-slot bookkeeping — a DATA header, the slices naming it
 // and its payload, and batchio's message and iovec room — never by a
 // packet's worth per slot: the payloads go out from the object where they
@@ -104,7 +104,7 @@ func TestSendRingAllocBudget(t *testing.T) {
 		batch := []int{32, 256}[i%2]
 		numbered(obj, i)
 		before := totalAlloc()
-		p := ep.push(obj, core.Config{Transfer: uint32(i + 1), PacketSize: 1024}, Options{IOBatch: batch})
+		p := ep.push(obj, core.Config{Transfer: uint32(i + 1), PacketSize: 1024}, Options{ioBatch: batch})
 		grew := totalAlloc() - before
 		if p.serr != nil || p.err != nil {
 			t.Fatalf("push %d: send err=%v, accept err=%v", i, p.serr, p.err)
@@ -114,7 +114,7 @@ func TestSendRingAllocBudget(t *testing.T) {
 		}
 	}
 	extra := int64(least[256]) - int64(least[32])
-	t.Logf("IOBatch 32: %d KiB, IOBatch 256: %d KiB, %d bytes per extra slot", least[32]>>10, least[256]>>10, extra/224)
+	t.Logf("ring 32: %d KiB, ring 256: %d KiB, %d bytes per extra slot", least[32]>>10, least[256]>>10, extra/224)
 	if extra >= 224*perSlot {
 		t.Errorf("224 more ring slots cost %d KiB, want < %d KiB: the send ring scales with the packet size",
 			extra>>10, 224*perSlot>>10)

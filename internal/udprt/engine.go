@@ -229,7 +229,7 @@ func encodeBatch(snd *core.Sender, ring sendRing, max int, p probe, base int) (k
 // planned one at a time by the sender (core.Sender.PlanRound: the batch
 // policy asks for B packets, the congestion controller may cap the ask and
 // names the round's pacing gap) and framed one behind another into a
-// reusable ring of Options.IOBatch slots (sendRing: a header each, the
+// reusable ring of DefaultIOBatch slots (sendRing: a header each, the
 // payload left in the object). The ring leaves as one flush (one sendmmsg whose
 // equal-length datagrams travel as UDP_SEGMENT trains; one write per packet
 // on the scalar path), and the ack socket is looked at once per flush, not
@@ -244,7 +244,7 @@ func encodeBatch(snd *core.Sender, ring sendRing, max int, p probe, base int) (k
 //
 // Whether a look sends at all is the sender's decision too (core.Sender.Look:
 // the turn-over rule and the receive window, core's flow.go). A look with room
-// for nothing blocks on the ack socket until news or Options.IdlePoll, and a
+// for nothing blocks on the ack socket until news or the idle poll (2 ms), and a
 // wait that runs out is reported (core.Sender.Quiet). An acknowledgement ends
 // the wait by arriving; the verdict and ctx end it because whoever delivers
 // them then sets the socket's read deadline to the past (runSenderPlan's
@@ -259,7 +259,7 @@ func encodeBatch(snd *core.Sender, ring sendRing, max int, p probe, base int) (k
 //
 // Arming the deadline before looking at done and ctx, and reading only
 // after, is what keeps a verdict that lands between two waits from costing
-// more than one IdlePoll: a kick that came before the arming is followed by
+// more than one idle poll: a kick that came before the arming is followed by
 // a look that sees the verdict, and one that comes after it cuts the read
 // short.
 //
@@ -272,7 +272,7 @@ func encodeBatch(snd *core.Sender, ring sendRing, max int, p probe, base int) (k
 // loop.
 func (e *senderEngine) run(ctx context.Context) error {
 	snd, opts := e.snd, e.opts
-	kit, err := getKit(e.conn, opts.IOBatch, ackSlotLen(snd.Config(), snd.NumPackets()), !opts.NoFastPath)
+	kit, err := getKit(e.conn, opts.ioBatch, ackSlotLen(snd.Config(), snd.NumPackets()), !opts.NoFastPath)
 	if err != nil {
 		return err
 	}
@@ -347,7 +347,7 @@ func (e *senderEngine) run(ctx context.Context) error {
 	for {
 		until := paceAt // a look with no deadline is a poll
 		if wait {
-			until = time.Now().Add(opts.IdlePoll)
+			until = time.Now().Add(opts.idlePoll)
 		}
 		if !until.IsZero() {
 			e.conn.SetReadDeadline(until)
@@ -378,7 +378,7 @@ func (e *senderEngine) run(ctx context.Context) error {
 			if !wait {
 				paceWait += time.Since(waitFrom) // a passing instant is not silence
 			} else if isTimeout(rerr) {
-				snd.Quiet(time.Since(started)) // no news for IdlePoll
+				snd.Quiet(time.Since(started)) // no news for an idle poll
 			}
 		} else {
 			n, rerr = rx.TryRecv()

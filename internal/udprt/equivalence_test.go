@@ -122,8 +122,8 @@ func TestFaultScenariosBothPaths(t *testing.T) {
 
 // TestBatchPolicyReachesWire asserts that the batch sizes the policy
 // chooses arrive at the socket layer as actual flush vector lengths,
-// chunked at Options.IOBatch — including the partial final vector of an
-// over-IOBatch batch and the degenerate single-packet object.
+// chunked at the ring length — including the partial final vector of an
+// over-ring batch and the degenerate single-packet object.
 func TestBatchPolicyReachesWire(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -135,7 +135,7 @@ func TestBatchPolicyReachesWire(t *testing.T) {
 	}{
 		// Policy batch fits inside one vector: flushes of exactly 8.
 		{"fixed8", core.FixedBatch(8), 16, 96 << 10, []int{8, 8}, 8},
-		// Policy batch larger than IOBatch: chunked 32 then a partial
+		// Policy batch larger than ioBatch: chunked 32 then a partial
 		// final vector of 16.
 		{"fixed48-chunked", core.FixedBatch(48), 32, 96 << 10, []int{32, 16, 32, 16}, 32},
 		// Policy batch below the default vector size.
@@ -152,7 +152,7 @@ func TestBatchPolicyReachesWire(t *testing.T) {
 			eachIOPath(t, func(t *testing.T, noFastPath bool) {
 				var flushes []int
 				opts := Options{
-					IOBatch:    tc.ioBatch,
+					ioBatch:    tc.ioBatch,
 					NoFastPath: noFastPath,
 					Pace:       2 * time.Microsecond,
 				}
@@ -172,7 +172,7 @@ func TestBatchPolicyReachesWire(t *testing.T) {
 				}
 				for i, k := range flushes {
 					if k > tc.maxVector || k > tc.ioBatch {
-						t.Fatalf("flush %d = %d exceeds max vector %d / IOBatch %d",
+						t.Fatalf("flush %d = %d exceeds max vector %d / ring %d",
 							i, k, tc.maxVector, tc.ioBatch)
 					}
 				}

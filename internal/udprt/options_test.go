@@ -16,13 +16,13 @@ func TestOptionsDefaults(t *testing.T) {
 		got  any
 		want any
 	}{
-		{"ReadBuffer", o.ReadBuffer, 4 << 20},
-		{"WriteBuffer", o.WriteBuffer, 4 << 20},
-		{"IdlePoll", o.IdlePoll, 2 * time.Millisecond},
+		{"readBuffer", o.readBuffer, 4 << 20},
+		{"socketBuffer", socketBuffer, 4 << 20},
+		{"idlePoll", o.idlePoll, 2 * time.Millisecond},
 		{"StallTimeout", o.StallTimeout, 15 * time.Second},
 		{"IdleTimeout", o.IdleTimeout, 30 * time.Second},
 		{"HandshakeTimeout", o.HandshakeTimeout, 10 * time.Second},
-		{"IOBatch", o.IOBatch, DefaultIOBatch},
+		{"ioBatch", o.ioBatch, 32},
 		{"Streams", o.Streams, 1},
 		{"Pace", o.Pace, time.Duration(0)},
 	}
@@ -38,20 +38,20 @@ func TestOptionsDefaults(t *testing.T) {
 // degenerate values are clamped to sane floors.
 func TestOptionsDefaultsPreserveExplicit(t *testing.T) {
 	o := Options{
-		ReadBuffer:   1 << 20,
+		readBuffer:   1 << 20,
 		StallTimeout: -1, // disabled, per the field docs
 		IdleTimeout:  -1,
-		IOBatch:      -5,
+		ioBatch:      -5,
 		Streams:      -2,
 	}.withDefaults()
-	if o.ReadBuffer != 1<<20 {
-		t.Errorf("explicit ReadBuffer overridden: %d", o.ReadBuffer)
+	if o.readBuffer != 1<<20 {
+		t.Errorf("explicit readBuffer overridden: %d", o.readBuffer)
 	}
 	if o.StallTimeout != -1 || o.IdleTimeout != -1 {
 		t.Errorf("negative watchdogs not preserved: %v/%v", o.StallTimeout, o.IdleTimeout)
 	}
-	if o.IOBatch != 1 {
-		t.Errorf("IOBatch floor = %d, want clamp to 1", o.IOBatch)
+	if o.ioBatch != 1 {
+		t.Errorf("ioBatch floor = %d, want clamp to 1", o.ioBatch)
 	}
 	if o.Streams != 1 {
 		t.Errorf("Streams floor = %d, want clamp to 1", o.Streams)

@@ -63,7 +63,7 @@ func (l *Listener) loop() {
 	}
 }
 
-// drain is one wakeup of the loop: up to Options.IOBatch messages — each a
+// drain is one wakeup of the loop: up to DefaultIOBatch messages — each a
 // datagram or, from a sender that groups them, a train of up to 64 — leave
 // the socket in one recvmmsg (one datagram per read on the scalar path) and
 // every datagram is routed before the socket is touched again, so concurrent

@@ -340,7 +340,7 @@ func runSenderPlan(ctx context.Context, p *senderPlan, conns []*net.UDPConn, ctl
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := range engines {
-		p.snds[i].SetFlow(p.window, opts.IdlePoll)
+		p.snds[i].SetFlow(p.window, opts.idlePoll)
 		engines[i] = newSenderEngine(p.snds[i], senderEndpoint{
 			conn:     conns[i],
 			done:     stripeDone[i],
@@ -420,8 +420,8 @@ func dialDataFlows(addr string, n int, opts Options) ([]*net.UDPConn, error) {
 		// As large as the kernel will grant, which may be less than asked
 		// for: a short send buffer only parks the flush on the netpoller,
 		// and what comes back on this socket is acknowledgements.
-		_ = conn.SetReadBuffer(opts.ReadBuffer)
-		_ = conn.SetWriteBuffer(opts.WriteBuffer)
+		_ = conn.SetReadBuffer(opts.readBuffer)
+		_ = conn.SetWriteBuffer(socketBuffer)
 		conns = append(conns, conn)
 	}
 	return conns, nil

@@ -23,7 +23,7 @@ import (
 // and the train counters are checked wherever a train did leave.
 
 // TestUnpacedRoundsFlushPerRing: FixedBatch(2) plans rounds of two, but
-// with no pacing gap they queue in the ring and leave IOBatch at a time —
+// with no pacing gap they queue in the ring and leave a ring at a time —
 // and never more than what is left of the turn.
 func TestUnpacedRoundsFlushPerRing(t *testing.T) {
 	eachIOPath(t, func(t *testing.T, noFastPath bool) {
@@ -36,7 +36,7 @@ func TestUnpacedRoundsFlushPerRing(t *testing.T) {
 		defer cancel()
 		var mu sync.Mutex
 		var flushes []int
-		opts := Options{IOBatch: ioBatch, IdlePoll: 5 * time.Second, NoFastPath: noFastPath}
+		opts := Options{ioBatch: ioBatch, idlePoll: 5 * time.Second, NoFastPath: noFastPath}
 		opts.testFlushHook = func(k, m int) {
 			mu.Lock()
 			flushes = append(flushes, k)
@@ -110,10 +110,10 @@ func TestPacedRoundLeavesAlone(t *testing.T) {
 		const packets = 20
 		conn, sink := udpPair(t)
 		var flushes []int // written by the engine's goroutine, read after it returns
-		opts := Options{IOBatch: 16, IdlePoll: 5 * time.Second, NoFastPath: noFastPath}.withDefaults()
+		opts := Options{ioBatch: 16, idlePoll: 5 * time.Second, NoFastPath: noFastPath}.withDefaults()
 		opts.testFlushHook = func(k, m int) { flushes = append(flushes, k) }
 		snd := core.NewSender(makeObj(packets<<10), core.Config{PacketSize: 1024, Batch: core.FixedBatch(2)})
-		snd.SetFlow(0, opts.IdlePoll) // as runSenderPlan installs it for a receiver that advertised no window
+		snd.SetFlow(0, opts.idlePoll) // as runSenderPlan installs it for a receiver that advertised no window
 		e := newSenderEngine(snd, senderEndpoint{
 			conn: conn, done: make(chan error), abort: func(wire.AbortReason) {},
 		}, opts, probe{})

@@ -41,21 +41,6 @@ import (
 
 // Options tune the real-network drivers.
 type Options struct {
-	// ReadBuffer and WriteBuffer request kernel socket buffer sizes for
-	// the UDP data socket (default 4 MiB; best effort). The kernel cuts a
-	// request down to its own limit without an error (net.core.rmem_max and
-	// wmem_max on Linux); a receiving endpoint reads back what it was
-	// granted (Listener.ReadBuffer) and advertises its receive window from
-	// that, not from the request.
-	ReadBuffer, WriteBuffer int
-	// IdlePoll is how long the sender stays silent once it has nothing new
-	// to say — a full turn of the paper's circular buffer gone out since the
-	// last acknowledgement, or the receive window full: it blocks on its ack
-	// socket until news (an acknowledgement, the completion signal, ctx) or
-	// IdlePoll, whichever is first (default 2 ms). It is the retransmission
-	// interval of a tail whose acknowledgements are lost, and the granularity
-	// of the stall watchdog while the sender is blocked.
-	IdlePoll time.Duration
 	// Pace inserts a fixed per-packet delay on top of whatever gap the
 	// Congestion policy dictates, useful to keep loopback transfers from
 	// overrunning the receiving process (default 0). Gaps are charged to the
@@ -102,15 +87,6 @@ type Options struct {
 	// HandshakeTimeout bounds each announcement → HAVE exchange (default
 	// 10s).
 	HandshakeTimeout time.Duration
-	// IOBatch is the ring length of the batched socket path (default 32).
-	// The sender queues batch rounds in a ring of this many packets and
-	// flushes it — and looks for an acknowledgement — when it is full, when
-	// the turn is over, or after a round that carries a pacing gap; one
-	// flush is one sendmmsg whose equal-length packets travel as datagram
-	// trains (UDP_SEGMENT). A listener drains up to this many messages —
-	// datagrams or whole trains (UDP_GRO) — per recvmmsg, into a ring of
-	// this many 64 KiB slots allocated once per Listen.
-	IOBatch int
 	// NoFastPath forces the portable scalar socket path (one syscall per
 	// datagram) even on builds where the vectored fast path is available.
 	// The equivalence suite runs every scenario both ways.
@@ -205,17 +181,22 @@ type Options struct {
 	// testNoWindow makes a receiving endpoint advertise no receive window,
 	// as a build that predates the window does.
 	testNoWindow bool
+	// readBuffer, idlePoll and ioBatch stand in for socketBuffer,
+	// defaultIdlePoll and DefaultIOBatch when set (tests only): a small
+	// receive buffer for the window tests, a coarse wait for the
+	// wait-discipline tests, a long ring for the send ring's allocation
+	// budget.
+	readBuffer int
+	idlePoll   time.Duration
+	ioBatch    int
 }
 
 func (o Options) withDefaults() Options {
-	if o.ReadBuffer == 0 {
-		o.ReadBuffer = 4 << 20
+	if o.readBuffer == 0 {
+		o.readBuffer = socketBuffer
 	}
-	if o.WriteBuffer == 0 {
-		o.WriteBuffer = 4 << 20
-	}
-	if o.IdlePoll == 0 {
-		o.IdlePoll = 2 * time.Millisecond
+	if o.idlePoll == 0 {
+		o.idlePoll = defaultIdlePoll
 	}
 	if o.StallTimeout == 0 {
 		o.StallTimeout = 15 * time.Second
@@ -226,11 +207,11 @@ func (o Options) withDefaults() Options {
 	if o.HandshakeTimeout == 0 {
 		o.HandshakeTimeout = 10 * time.Second
 	}
-	if o.IOBatch == 0 {
-		o.IOBatch = DefaultIOBatch
+	if o.ioBatch == 0 {
+		o.ioBatch = DefaultIOBatch
 	}
-	if o.IOBatch < 1 {
-		o.IOBatch = 1
+	if o.ioBatch < 1 {
+		o.ioBatch = 1
 	}
 	if o.Streams < 1 {
 		o.Streams = 1
@@ -254,12 +235,34 @@ func (o Options) senderTraceID() obs.TraceID {
 	return obs.TraceID{}
 }
 
-// DefaultIOBatch is the default ring length of the batched socket path.
-// Large enough that a 1 KiB-packet ring leaves as one full train and a
-// receiver wakeup amortizes its syscall over a queue of them, small enough
-// that the sender's per-transfer ring and the listener's 64 KiB-slot ring
-// (2 MiB) stay cheap.
+// DefaultIOBatch is the ring length of the batched socket path. The sender
+// queues batch rounds in a ring of this many packets and flushes it — and
+// looks for an acknowledgement — when it is full, when the turn is over, or
+// after a round that carries a pacing gap; one flush is one sendmmsg whose
+// equal-length packets travel as datagram trains (UDP_SEGMENT). A listener
+// drains up to this many messages — datagrams or whole trains (UDP_GRO) —
+// per recvmmsg, into a ring of this many 64 KiB slots allocated once per
+// Listen. Large enough that a 1 KiB-packet ring leaves as one full train
+// and a receiver wakeup amortizes its syscall over a queue of them, small
+// enough that the sender's per-transfer ring and the listener's 2 MiB ring
+// stay cheap.
 const DefaultIOBatch = 32
+
+// socketBuffer is the kernel buffer size, receive and send, every data
+// socket asks for. The kernel cuts a request down to its own limit without
+// an error (net.core.rmem_max and wmem_max on Linux); a receiving endpoint
+// reads back what it was granted (Listener.ReadBuffer) and advertises its
+// receive window from that, not from the request.
+const socketBuffer = 4 << 20
+
+// defaultIdlePoll is how long the sender stays silent once it has nothing
+// new to say — a full turn of the paper's circular buffer gone out since the
+// last acknowledgement, or the receive window full: it blocks on its ack
+// socket until news (an acknowledgement, the completion signal, ctx) or this
+// long, whichever is first. It is the retransmission interval of a tail whose
+// acknowledgements are lost, and the granularity of the stall watchdog
+// while the sender is blocked.
+const defaultIdlePoll = 2 * time.Millisecond
 
 // FastPathAvailable reports whether this build has the vectored
 // sendmmsg/recvmmsg socket path (Linux on a 64-bit architecture). When
@@ -330,9 +333,9 @@ func Listen(addr string, opts Options) (*Listener, error) {
 	// as the kernel will grant: a refusal and a request cut down to the
 	// system's limit both show in the read-back below, and only acks leave
 	// through the write buffer.
-	_ = ul.SetReadBuffer(opts.ReadBuffer)
-	_ = ul.SetWriteBuffer(opts.WriteBuffer)
-	rx, err := batchio.NewReceiver(ul, opts.IOBatch, maxDatagram, !opts.NoFastPath)
+	_ = ul.SetReadBuffer(opts.readBuffer)
+	_ = ul.SetWriteBuffer(socketBuffer)
+	rx, err := batchio.NewReceiver(ul, opts.ioBatch, maxDatagram, !opts.NoFastPath)
 	if err != nil {
 		tl.Close()
 		ul.Close()
@@ -360,11 +363,11 @@ func selfAddr(conn *net.UDPConn) netip.AddrPort {
 func (l *Listener) Addr() string { return l.tcp.Addr().String() }
 
 // ReadBuffer reports the data socket's receive buffer in bytes: what the
-// kernel granted (zero where it cannot be read back) and what
-// Options.ReadBuffer asked for. Granted below requested means the system's
+// kernel granted (zero where it cannot be read back) and what the endpoint
+// asked for (4 MiB). Granted below requested means the system's
 // limit (net.core.rmem_max on Linux) cut the request down; receive windows
 // are cut from what was granted, so senders slow down rather than overrun it.
-func (l *Listener) ReadBuffer() (granted, requested int) { return l.rcvbuf, l.opts.ReadBuffer }
+func (l *Listener) ReadBuffer() (granted, requested int) { return l.rcvbuf, l.opts.readBuffer }
 
 // window is the receive window an accepted transfer of that many stripes is
 // told: per flow, because every stripe's sender runs its own, and of half

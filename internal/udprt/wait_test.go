@@ -15,12 +15,12 @@ import (
 
 // The sender's wait discipline: after one full turn of the circular buffer
 // without an acknowledgement the engine blocks on its ack socket until news,
-// the verdict, ctx or Options.IdlePoll. Every scenario runs on both socket
-// paths. The tests set IdlePoll far above a loopback round trip, so a wake
+// the verdict, ctx or the idle poll. Every scenario runs on both socket
+// paths. The tests set the idle poll far above a loopback round trip, so a wake
 // that only the timeout delivered shows up as a missed deadline.
 
 // TestSenderSilentAfterFullTurn: with every acknowledgement black-holed the
-// sender puts each packet on the wire once, then once more per IdlePoll —
+// sender puts each packet on the wire once, then once more per idle poll —
 // not once per trip round its loop.
 func TestSenderSilentAfterFullTurn(t *testing.T) {
 	if testing.Short() {
@@ -39,7 +39,7 @@ func TestSenderSilentAfterFullTurn(t *testing.T) {
 		ep.recv(1)
 
 		var emitted atomic.Int64
-		opts := Options{IdlePoll: idlePoll, NoFastPath: noFastPath}
+		opts := Options{idlePoll: idlePoll, NoFastPath: noFastPath}
 		opts.testFlushHook = func(k, m int) { emitted.Add(int64(m)) }
 		sent := make(chan error, 1)
 		start := time.Now()
@@ -66,7 +66,7 @@ func TestSenderSilentAfterFullTurn(t *testing.T) {
 }
 
 // TestWaitWokenByAckAndVerdict drives a sender by hand: after its first turn
-// it is blocked with a one-second IdlePoll, and an acknowledgement, then the
+// it is blocked with a one-second idle poll, and an acknowledgement, then the
 // COMPLETE, must each get it moving in a fraction of that. An acknowledgement
 // too long for the ring slot is not news.
 func TestWaitWokenByAckAndVerdict(t *testing.T) {
@@ -83,7 +83,7 @@ func TestWaitWokenByAckAndVerdict(t *testing.T) {
 		sent := make(chan error, 1)
 		go func() {
 			_, err := Send(ctx, fake.addr(), obj, core.Config{PacketSize: 1024, Transfer: 3},
-				Options{IdlePoll: time.Second, NoFastPath: noFastPath})
+				Options{idlePoll: time.Second, NoFastPath: noFastPath})
 			sent <- err
 		}()
 		from, err := fake.readData(packets, 5*time.Second)
@@ -145,7 +145,7 @@ func TestWaitWokenByCancel(t *testing.T) {
 		sent := make(chan error, 1)
 		go func() {
 			_, err := Send(ctx, fake.addr(), makeObj(64<<10), core.Config{PacketSize: 1024},
-				Options{IdlePoll: 5 * time.Second, NoFastPath: noFastPath})
+				Options{idlePoll: 5 * time.Second, NoFastPath: noFastPath})
 			sent <- err
 		}()
 		if _, err := fake.readData(64, 5*time.Second); err != nil {
@@ -169,15 +169,15 @@ func TestWaitWokenByCancel(t *testing.T) {
 }
 
 // TestLoopbackSendDoesNotWaitOutIdlePoll: end to end, the completion ack and
-// the COMPLETE end a transfer long before a coarse IdlePoll would.
+// the COMPLETE end a transfer long before a coarse idle poll would.
 func TestLoopbackSendDoesNotWaitOutIdlePoll(t *testing.T) {
 	eachIOPath(t, func(t *testing.T, noFastPath bool) {
 		obj := makeObj(64 << 10)
 		start := time.Now()
-		opts := Options{IdlePoll: time.Second, NoFastPath: noFastPath}
+		opts := Options{idlePoll: time.Second, NoFastPath: noFastPath}
 		sst := push(t, obj, core.Config{PacketSize: 1024}, opts, opts).sst
 		if took := time.Since(start); took > 200*time.Millisecond {
-			t.Fatalf("64 KiB loopback transfer took %v under a 1s IdlePoll", took)
+			t.Fatalf("64 KiB loopback transfer took %v under a 1s idle poll", took)
 		}
 		if sst.PacketsSent > 2*sst.PacketsNeeded {
 			t.Fatalf("sent %d packets for an object of %d", sst.PacketsSent, sst.PacketsNeeded)
@@ -204,7 +204,7 @@ func TestSessionSocketsReusableAfterKickedWait(t *testing.T) {
 		ep := listen(t, bySession, Options{NoFastPath: noFastPath})
 		const objects = 3
 		ep.recv(objects)
-		s, err := OpenSession(ep.ctx, ep.l.Addr(), Options{IdlePoll: time.Second, Streams: 2, NoFastPath: noFastPath})
+		s, err := OpenSession(ep.ctx, ep.l.Addr(), Options{idlePoll: time.Second, Streams: 2, NoFastPath: noFastPath})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestSessionSocketsReusableAfterKickedWait(t *testing.T) {
 				t.Fatalf("object %d: %v", i, err)
 			}
 			if took := time.Since(start); took > 200*time.Millisecond {
-				t.Fatalf("object %d took %v under a 1s IdlePoll", i, took)
+				t.Fatalf("object %d took %v under a 1s idle poll", i, took)
 			}
 			for j, c := range s.conns {
 				if readDeadlinePassed(t, c) {
@@ -244,7 +244,7 @@ func TestStallWatchdogBetweenWaits(t *testing.T) {
 		)
 		start := time.Now()
 		sst, err := Send(ctx, fake.addr(), makeObj(64<<10), core.Config{PacketSize: 1024},
-			Options{StallTimeout: stall, IdlePoll: idlePoll, NoFastPath: noFastPath})
+			Options{StallTimeout: stall, idlePoll: idlePoll, NoFastPath: noFastPath})
 		elapsed := time.Since(start)
 		if !errors.Is(err, ErrStalled) || sst.Stalls != 1 {
 			t.Fatalf("err = %v, Stalls = %d; want ErrStalled and 1", err, sst.Stalls)

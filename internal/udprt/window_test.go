@@ -20,7 +20,7 @@ import (
 // what it says the kernel granted.
 func grantedFor(t *testing.T, request int) int {
 	t.Helper()
-	ep := listen(t, byAccept, Options{ReadBuffer: request})
+	ep := listen(t, byAccept, Options{readBuffer: request})
 	defer ep.close()
 	granted, requested := ep.l.ReadBuffer()
 	if requested != request {
@@ -43,7 +43,7 @@ func TestReadBufferGrantIsReadBack(t *testing.T) {
 	if huge := grantedFor(t, 1<<30); huge >= 1<<30 || huge < small {
 		t.Fatalf("asked for 1 GiB, granted %d (256 KiB request: %d): expected the system's limit in between", huge, small)
 	}
-	l := listen(t, byAccept, Options{ReadBuffer: 256 << 10}).l
+	l := listen(t, byAccept, Options{readBuffer: 256 << 10}).l
 	if w := l.window(1).Bytes(); w != 128<<10 {
 		t.Fatalf("window of one flow into 256 KiB: %d bytes, want half", w)
 	}
@@ -68,7 +68,7 @@ func TestWindowKeepsSmallBufferFromOverflowing(t *testing.T) {
 	eachIOPath(t, func(t *testing.T, noFastPath bool) {
 		for _, streams := range []int{1, 4} {
 			var rio stats.IOCounters
-			ep := listen(t, byAccept, Options{ReadBuffer: streams << 19, NoFastPath: noFastPath, IOCounters: &rio})
+			ep := listen(t, byAccept, Options{readBuffer: streams << 19, NoFastPath: noFastPath, IOCounters: &rio})
 			var st core.SenderStats
 			dropped := 0
 			for i, obj := range objs {
@@ -115,7 +115,7 @@ func TestOverflowIsCounted(t *testing.T) {
 	for try := 1; ; try++ {
 		var rio stats.IOCounters
 		st := push(t, obj, core.Config{PacketSize: 1024, Transfer: 100}, Options{},
-			Options{ReadBuffer: 64 << 10, testNoWindow: true, IOCounters: &rio}).sst
+			Options{readBuffer: 64 << 10, testNoWindow: true, IOCounters: &rio}).sst
 		t.Logf("try %d: sent %d for %d, %d dropped at the socket", try, st.PacketsSent, st.PacketsNeeded, rio.RecvOverflow)
 		if rio.RecvOverflow > 0 {
 			return
@@ -138,7 +138,7 @@ func TestWindowDoesNotCapLongFatPath(t *testing.T) {
 		buffer = 256 << 10
 		size   = 4 << 20
 	)
-	ep := listen(t, byAccept, Options{ReadBuffer: buffer})
+	ep := listen(t, byAccept, Options{readBuffer: buffer})
 	if granted, _ := ep.l.ReadBuffer(); granted != buffer {
 		t.Skipf("kernel granted %d of %d", granted, buffer)
 	}
@@ -176,14 +176,14 @@ func TestWindowWaitsForgiveAndStallStillFires(t *testing.T) {
 			idlePoll = 20 * time.Millisecond
 			packets  = 16 << 10
 		)
-		ep := listen(t, byAccept, Options{ReadBuffer: buffer, NoFastPath: noFastPath})
+		ep := listen(t, byAccept, Options{readBuffer: buffer, NoFastPath: noFastPath})
 		proxy := ep.front(nil)
 		ep.recv(1)
 
 		// The path dies once a tenth of the object has gone out. The sender's
 		// last acknowledgement is stamped as it is processed.
 		var emitted, atDeath, diedAt, lastAck atomic.Int64
-		opts := Options{StallTimeout: stall, IdlePoll: idlePoll, NoFastPath: noFastPath,
+		opts := Options{StallTimeout: stall, idlePoll: idlePoll, NoFastPath: noFastPath,
 			Progress: func(int, int) { lastAck.Store(time.Now().UnixNano()) }}
 		opts.testFlushHook = func(k, m int) {
 			if n := emitted.Add(int64(m)); n >= packets/10 && atDeath.CompareAndSwap(0, n) {
@@ -208,7 +208,7 @@ func TestWindowWaitsForgiveAndStallStillFires(t *testing.T) {
 		if after < 3*window {
 			t.Fatalf("%d packets after the path died: the full window wedged the sender (window %d)", after, window)
 		}
-		// A wait per IdlePoll, a window (and what was in flight when the path
+		// A wait per idle poll, a window (and what was in flight when the path
 		// died) per wait.
 		if limit := (int(stall/idlePoll) + 4) * 2 * window; after > limit {
 			t.Fatalf("%d packets after the path died, want at most %d", after, limit)
