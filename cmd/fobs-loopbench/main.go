@@ -2,21 +2,20 @@
 // loopback — throughput versus packet size, the real-world analogue of the
 // paper's Figure 3 — and anchors it against this kernel's own TCP.
 //
-//	fobs-loopbench -size 33554432
+//	fobs-loopbench -size 32MiB
 package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"log"
 	"net"
 	"os"
-	"strings"
 	"time"
 
 	"github.com/hpcnet/fobs"
+	"github.com/hpcnet/fobs/cmd/internal/cli"
 )
 
 // tcpBaseline moves obj over a kernel TCP connection on loopback and
@@ -55,18 +54,19 @@ func tcpBaseline(obj []byte) (time.Duration, error) {
 }
 
 // fobsRun moves obj over the FOBS runtime on loopback with the given
-// config, pacing and stripe count, returning elapsed time and sender
-// waste. scalar forces one syscall per datagram on both endpoints. Both
-// endpoints share reg and rec (either may be nil) so the bench's
-// transfers show up on the debug endpoint, in the periodic summaries, and
-// in the flight recording.
-func fobsRun(obj []byte, cfg fobs.Config, pace time.Duration, streams int, cc string, scalar bool, reg *fobs.Metrics, rec *fobs.FlightLog) (time.Duration, float64, error) {
-	l, err := fobs.Listen("127.0.0.1:0", fobs.Options{NoFastPath: scalar, Metrics: reg, Record: rec})
+// config and sender options, returning elapsed time and sender waste, within
+// timeout. scalar forces one syscall per datagram on both endpoints. Both
+// endpoints share opts' Metrics and Record (either may be nil) so the bench's
+// transfers show up on the debug endpoint, in the periodic summaries, and in
+// the flight recording.
+func fobsRun(obj []byte, cfg fobs.Config, opts fobs.Options, scalar bool, timeout time.Duration) (time.Duration, float64, error) {
+	opts.NoFastPath = scalar
+	l, err := fobs.Listen("127.0.0.1:0", fobs.Options{NoFastPath: scalar, Metrics: opts.Metrics, Record: opts.Record})
 	if err != nil {
 		return 0, 0, err
 	}
 	defer l.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
@@ -74,8 +74,7 @@ func fobsRun(obj []byte, cfg fobs.Config, pace time.Duration, streams int, cc st
 		done <- err
 	}()
 	start := time.Now()
-	st, err := fobs.Send(ctx, l.Addr(), obj, cfg,
-		fobs.Options{Pace: pace, Streams: streams, Congestion: cc, NoFastPath: scalar, Metrics: reg, Record: rec})
+	st, err := fobs.Send(ctx, l.Addr(), obj, cfg, opts)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -92,73 +91,42 @@ func main() {
 }
 
 func run() error {
-	var (
-		size = flag.Int64("size", 32<<20, "object size in bytes")
-		pace = flag.Duration("pace", 5*time.Microsecond, "per-packet pacing (loopback needs a little)")
-		cc   = flag.String("cc", fobs.CCFixed,
-			fmt.Sprintf("congestion control policy for the sweeps (%s)", strings.Join(fobs.CongestionPolicies(), ", ")))
-		streams = flag.Int("streams", 1,
-			fmt.Sprintf("stripes for the packet-size sweep (1..%d)", fobs.MaxStreams))
-
-		debugAddr = flag.String("debug-addr", "",
-			"serve live metrics + pprof over HTTP on this address (e.g. localhost:6060)")
-		statsInterval = flag.Duration("stats-interval", 0,
-			"print a one-line metrics summary this often (0: off)")
-		record = flag.String("record", "",
-			"write a packet-level flight recording of every bench transfer to this .fobrec file")
-	)
-	flag.Parse()
-
-	var reg *fobs.Metrics
-	if *debugAddr != "" || *statsInterval > 0 || *record != "" {
-		reg = fobs.NewMetrics()
-		if *debugAddr != "" {
-			dbg, err := fobs.ServeMetricsDebug(*debugAddr, reg)
-			if err != nil {
-				return fmt.Errorf("debug server: %w", err)
-			}
-			defer dbg.Close()
-			fmt.Printf("fobs-loopbench: metrics at http://%s/debug/fobs\n", dbg.Addr())
-		}
-		if *statsInterval > 0 {
-			defer reg.StartReporter(os.Stderr, *statsInterval)()
-		}
+	c := cli.Parse(cli.Loopbench, os.Args[1:])
+	size, err := cli.ObjectSize(c.Size)
+	if err != nil {
+		return err
 	}
-	var rec *fobs.FlightLog
-	if *record != "" {
-		var err error
-		rec, err = fobs.CreateFlightLog(*record)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if err := rec.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "fobs-loopbench: sealing %s: %v\n", *record, err)
-				return
-			}
-			fmt.Printf("fobs-loopbench: flight recording sealed in %s\n", *record)
-		}()
+	closeInstruments, err := c.Open()
+	if err != nil {
+		return err
 	}
+	defer closeInstruments()
 
-	obj := make([]byte, *size)
+	obj := make([]byte, size)
 	for i := range obj {
 		obj[i] = byte(i * 31)
+	}
+	mbps := func(elapsed time.Duration) float64 { return float64(size*8) / elapsed.Seconds() / 1e6 }
+	// bench moves obj once with cfg, over streams stripes under policy cc,
+	// the rest of the sender's options as the flags set them.
+	bench := func(cfg fobs.Config, streams int, cc string, scalar bool) (time.Duration, float64, error) {
+		opts := c.Options
+		opts.Streams, opts.Congestion = streams, cc
+		return fobsRun(obj, cfg, opts, scalar, c.Timeout)
 	}
 
 	if elapsed, err := tcpBaseline(obj); err != nil {
 		return fmt.Errorf("tcp baseline: %w", err)
 	} else {
-		fmt.Printf("%-22s %8.1f Mb/s\n", "kernel tcp (loopback)",
-			float64(*size*8)/elapsed.Seconds()/1e6)
+		fmt.Printf("%-22s %8.1f Mb/s\n", "kernel tcp (loopback)", mbps(elapsed))
 	}
 
 	for _, ps := range []int{1024, 2048, 4096, 8192, 16384, 32768} {
-		elapsed, waste, err := fobsRun(obj, fobs.Config{PacketSize: ps}, *pace, *streams, *cc, false, reg, rec)
+		elapsed, waste, err := bench(fobs.Config{PacketSize: ps}, c.Options.Streams, c.Options.Congestion, false)
 		if err != nil {
 			return fmt.Errorf("fobs ps=%d: %w", ps, err)
 		}
-		fmt.Printf("fobs packet=%-6d      %8.1f Mb/s   waste %.1f%%\n",
-			ps, float64(*size*8)/elapsed.Seconds()/1e6, 100*waste)
+		fmt.Printf("fobs packet=%-6d      %8.1f Mb/s   waste %.1f%%\n", ps, mbps(elapsed), 100*waste)
 	}
 
 	// Striped parallel flows: the real-network counterpart of the paper's
@@ -168,12 +136,11 @@ func run() error {
 	// simulated curve from fobs-bench's striping sweep.
 	fmt.Println()
 	for _, n := range []int{1, 2, 4} {
-		elapsed, waste, err := fobsRun(obj, fobs.Config{PacketSize: 8192}, *pace, n, *cc, false, reg, rec)
+		elapsed, waste, err := bench(fobs.Config{PacketSize: 8192}, n, c.Options.Congestion, false)
 		if err != nil {
 			return fmt.Errorf("fobs streams=%d: %w", n, err)
 		}
-		fmt.Printf("fobs streams=%-2d packet=8192 %8.1f Mb/s   waste %.1f%%\n",
-			n, float64(*size*8)/elapsed.Seconds()/1e6, 100*waste)
+		fmt.Printf("fobs streams=%-2d packet=8192 %8.1f Mb/s   waste %.1f%%\n", n, mbps(elapsed), 100*waste)
 	}
 
 	// Congestion policies side by side on the same path. Loopback is
@@ -183,12 +150,11 @@ func run() error {
 	// TestCongestionWasteSweep) for the other half of the story.
 	fmt.Println()
 	for _, policy := range fobs.CongestionPolicies() {
-		elapsed, waste, err := fobsRun(obj, fobs.Config{PacketSize: 8192}, *pace, 1, policy, false, reg, rec)
+		elapsed, waste, err := bench(fobs.Config{PacketSize: 8192}, 1, policy, false)
 		if err != nil {
 			return fmt.Errorf("fobs cc=%s: %w", policy, err)
 		}
-		fmt.Printf("fobs cc=%-6s packet=8192 %8.1f Mb/s   waste %.1f%%\n",
-			policy, float64(*size*8)/elapsed.Seconds()/1e6, 100*waste)
+		fmt.Printf("fobs cc=%-6s packet=8192 %8.1f Mb/s   waste %.1f%%\n", policy, mbps(elapsed), 100*waste)
 	}
 
 	// Fast path versus scalar with a batch worth vectoring: the paper's
@@ -197,18 +163,16 @@ func run() error {
 	// size, where per-datagram syscall cost dominates.
 	if fobs.FastPathAvailable() {
 		cfg := fobs.Config{PacketSize: 1024, Batch: fobs.FixedBatch(64)}
-		fast, _, err := fobsRun(obj, cfg, *pace, 1, *cc, false, reg, rec)
+		fast, _, err := bench(cfg, 1, c.Options.Congestion, false)
 		if err != nil {
 			return fmt.Errorf("fast path: %w", err)
 		}
-		scalar, _, err := fobsRun(obj, cfg, *pace, 1, *cc, true, reg, rec)
+		scalar, _, err := bench(cfg, 1, c.Options.Congestion, true)
 		if err != nil {
 			return fmt.Errorf("scalar path: %w", err)
 		}
 		fmt.Printf("\nfast path vs scalar (packet=%d, batch=64): %8.1f vs %8.1f Mb/s (%.2fx)\n",
-			cfg.PacketSize, float64(*size*8)/fast.Seconds()/1e6,
-			float64(*size*8)/scalar.Seconds()/1e6,
-			scalar.Seconds()/fast.Seconds())
+			cfg.PacketSize, mbps(fast), mbps(scalar), scalar.Seconds()/fast.Seconds())
 	}
 
 	fmt.Println("\nLarger packets amortize per-datagram syscall cost — the same")

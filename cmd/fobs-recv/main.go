@@ -66,7 +66,6 @@ func run() error {
 	// announcement of the same content that picks it up — so a failed
 	// Accept here means "listen again", not
 	// "give up", until the deadline or an interrupt ends the wait.
-	start := time.Now()
 	var obj []byte
 	var st fobs.ReceiverStats
 	for {
@@ -81,7 +80,8 @@ func run() error {
 		}
 		fmt.Printf("fobs-recv: listening again on %s\n", l.Addr())
 	}
-	elapsed := time.Since(start)
+	// Timed from the announcement, not from the wait for a sender to dial.
+	elapsed := st.Elapsed
 	mbps := float64(len(obj)*8) / elapsed.Seconds() / 1e6
 	fmt.Printf("fobs-recv: %d bytes in %v (%.1f Mb/s), %d packets (%d duplicates)\n",
 		len(obj), elapsed.Round(time.Millisecond), mbps, st.Received, st.Duplicates)

@@ -17,33 +17,11 @@ import (
 	"log"
 	"math/rand"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"github.com/hpcnet/fobs"
 	"github.com/hpcnet/fobs/cmd/internal/cli"
 )
-
-func parseSize(s string) (int64, error) {
-	mult := int64(1)
-	upper := strings.ToUpper(strings.TrimSpace(s))
-	for suffix, m := range map[string]int64{
-		"KIB": 1 << 10, "MIB": 1 << 20, "GIB": 1 << 30,
-		"KB": 1e3, "MB": 1e6, "GB": 1e9,
-	} {
-		if strings.HasSuffix(upper, suffix) {
-			upper = strings.TrimSuffix(upper, suffix)
-			mult = m
-			break
-		}
-	}
-	n, err := strconv.ParseInt(strings.TrimSpace(upper), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad size %q: %w", s, err)
-	}
-	return n * mult, nil
-}
 
 func main() {
 	if err := run(); err != nil {
@@ -65,7 +43,7 @@ func run() error {
 		}
 		obj = data
 	} else {
-		n, err := parseSize(c.Size)
+		n, err := cli.ObjectSize(c.Size)
 		if err != nil {
 			return err
 		}

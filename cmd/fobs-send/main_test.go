@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/hpcnet/fobs/cmd/internal/cli"
+)
 
 func TestParseSize(t *testing.T) {
 	for in, want := range map[string]int64{
@@ -12,7 +16,7 @@ func TestParseSize(t *testing.T) {
 		"3kb":    3e3,
 		" 7MiB ": 7 << 20,
 	} {
-		got, err := parseSize(in)
+		got, err := cli.ObjectSize(in)
 		if err != nil {
 			t.Errorf("parseSize(%q): %v", in, err)
 			continue
@@ -22,7 +26,7 @@ func TestParseSize(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{"", "MiB", "twelve", "12XB"} {
-		if _, err := parseSize(bad); err == nil {
+		if _, err := cli.ObjectSize(bad); err == nil {
 			t.Errorf("parseSize(%q) accepted", bad)
 		}
 	}

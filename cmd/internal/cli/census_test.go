@@ -4,7 +4,10 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"go/parser"
+	"go/token"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -65,7 +68,7 @@ func readCensus(t *testing.T) []censusRow {
 }
 
 // knobs is every knob as the tree has it: each exported field of
-// fobs.Options and fobs.Config, and each flag of the three commands, with
+// fobs.Options and fobs.Config, and each flag of the four commands, with
 // the commands that offer it.
 func knobs() map[string][]string {
 	have := map[string][]string{}
@@ -76,7 +79,7 @@ func knobs() map[string][]string {
 			}
 		}
 	}
-	for _, spec := range []Spec{Send, Recv, Copy} {
+	for _, spec := range []Spec{Send, Recv, Copy, Loopbench} {
 		Parse(spec, nil).fs.VisitAll(func(f *flag.Flag) {
 			have["-"+f.Name] = append(have["-"+f.Name], spec.Name)
 		})
@@ -126,8 +129,8 @@ func census(rows []censusRow, have map[string][]string) []string {
 }
 
 // TestKnobCensus holds EXPERIMENTS.md's knob census to the tree: every
-// Options and Config field and every flag of fobs-send, fobs-recv and
-// fobs-cp has a row, and every row names a knob that exists, or says that
+// Options and Config field and every flag of fobs-send, fobs-recv, fobs-cp
+// and fobs-loopbench has a row, and every row names a knob that exists, or says that
 // it went. It logs the counts `make knobs` prints.
 func TestKnobCensus(t *testing.T) {
 	have := knobs()
@@ -147,10 +150,10 @@ func TestKnobCensus(t *testing.T) {
 	}
 	t.Logf("fobs.Options: %d exported fields", count["Options"])
 	t.Logf("fobs.Config: %d fields", count["Config"])
-	for _, spec := range []Spec{Send, Recv, Copy} {
+	for _, spec := range []Spec{Send, Recv, Copy, Loopbench} {
 		t.Logf("%s: %d flags", spec.Name, count[spec.Name])
 	}
-	t.Logf("flag names across the three commands: %d", count["flag"])
+	t.Logf("flag names across the four commands: %d", count["flag"])
 }
 
 // TestCensusNamesWhatWent: the check itself, on the knobs the tree had
@@ -167,6 +170,32 @@ func TestCensusNamesWhatWent(t *testing.T) {
 	for _, k := range []string{"Options.IdlePoll", "Options.IOBatch", "Options.ReadBuffer", "-ack-freq", "-io-batch"} {
 		if !strings.Contains(got, k+": the row says") {
 			t.Errorf("census of the earlier knobs does not name %s:\n%s", k, got)
+		}
+	}
+}
+
+// TestCommandsDeclareNoFlags: the commands whose flags this package declares
+// import no flag package of their own, so none can declare a flag a second
+// time, with a second help text or a default of its own.
+func TestCommandsDeclareNoFlags(t *testing.T) {
+	for _, spec := range []Spec{Send, Recv, Copy, Loopbench} {
+		srcs, err := filepath.Glob(filepath.Join("..", "..", spec.Name, "*.go"))
+		if err != nil || len(srcs) == 0 {
+			t.Fatalf("%s: no source (%v)", spec.Name, err)
+		}
+		for _, src := range srcs {
+			if strings.HasSuffix(src, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), src, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"flag"` {
+					t.Errorf("%s imports flag: its flags belong in cmd/internal/cli", src)
+				}
+			}
 		}
 	}
 }

@@ -1,8 +1,9 @@
 // Package cli is the one place the transfer commands (fobs-send, fobs-recv,
-// fobs-cp) declare their flags. Each flag is declared once, with one help
-// text, and sets one fobs.Options or fobs.Config field or one command input
-// such as -file or -out. A command names the flags it offers (Send, Recv,
-// Copy); Parse registers them on a flag.FlagSet and parses its command line.
+// fobs-cp) and fobs-loopbench declare their flags. Each flag is declared
+// once, with one help text, and sets one fobs.Options or fobs.Config field or
+// one command input such as -file or -out. A command names the flags it
+// offers (Send, Recv, Copy, Loopbench) and the defaults that are its own;
+// Parse registers them on a flag.FlagSet and parses its command line.
 // The package also holds what the commands share beyond flags: the
 // instruments behind -debug-addr, -stats-interval, -record, -events and
 // -io-stats, the run context that a timeout or SIGINT/SIGTERM ends, and the
@@ -15,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -22,27 +24,36 @@ import (
 	"github.com/hpcnet/fobs"
 )
 
-// Spec is one command: its name, the default of its -timeout, and the flags
-// it offers besides -timeout, which every command has.
+// Spec is one command: its name, the flags it offers besides -timeout, which
+// every command has, and its own defaults, by flag name: -timeout's, and any
+// other flag's whose shared default does not suit the command.
 type Spec struct {
-	Name    string
-	Timeout time.Duration
-	Flags   []string
+	Name     string
+	Flags    []string
+	Defaults map[string]string
 }
 
-// The three transfer commands.
+// The three transfer commands, and the loopback bench.
 var (
-	Send = Spec{"fobs-send", 10 * time.Minute, []string{
+	Send = Spec{"fobs-send", []string{
 		"addr", "file", "size", "packet-size", "pace", "cc", "streams", "no-dedup",
 		"progress", "retries", "retry-backoff", "stall-timeout", "handshake-timeout",
-		"debug-addr", "stats-interval", "record", "events", "io-stats"}}
-	Recv = Spec{"fobs-recv", 10 * time.Minute, []string{
+		"debug-addr", "stats-interval", "record", "events", "io-stats"},
+		map[string]string{"timeout": "10m"}}
+	Recv = Spec{"fobs-recv", []string{
 		"listen", "out", "idle-timeout", "resume-window", "checkpoint",
-		"debug-addr", "stats-interval", "record", "events", "io-stats"}}
-	Copy = Spec{"fobs-cp", time.Hour, []string{
+		"debug-addr", "stats-interval", "record", "events", "io-stats"},
+		map[string]string{"timeout": "10m"}}
+	Copy = Spec{"fobs-cp", []string{
 		"send", "recv", "addr", "listen", "packet-size", "checksum", "pace", "cc",
 		"streams", "no-dedup", "resume-window", "checkpoint",
-		"debug-addr", "stats-interval", "record"}}
+		"debug-addr", "stats-interval", "record"},
+		map[string]string{"timeout": "1h"}}
+	// Loopback paces a little by default: two endpoints on one host lose
+	// an unpaced sender's packets in the receiver's socket buffer.
+	Loopbench = Spec{"fobs-loopbench", []string{
+		"size", "pace", "cc", "streams", "debug-addr", "stats-interval", "record"},
+		map[string]string{"timeout": "5m", "size": "32MiB", "pace": "5us"}}
 )
 
 // PaceUsage is the help text of every -pace flag, fobsd's included.
@@ -81,7 +92,7 @@ func (c *Command) define(name string) {
 	case "file":
 		fs.StringVar(&c.File, name, "", "file to send (overrides -size)")
 	case "size":
-		fs.StringVar(&c.Size, name, "40MiB", "synthetic object size when no -file is given")
+		fs.StringVar(&c.Size, name, "40MiB", "synthetic object size, in bytes or with a KiB/MiB/GiB or KB/MB/GB suffix (fobs-send: when no -file is given)")
 	case "out":
 		fs.StringVar(&c.Out, name, "", "file to write the received object to (empty: discard)")
 	case "send":
@@ -140,9 +151,16 @@ func (c *Command) define(name string) {
 // Options.Progress.
 func Parse(spec Spec, args []string) *Command {
 	c := &Command{name: spec.Name, fs: flag.NewFlagSet(spec.Name, flag.ExitOnError)}
-	c.fs.DurationVar(&c.Timeout, "timeout", spec.Timeout, "give up after this long")
+	c.fs.DurationVar(&c.Timeout, "timeout", 0, "give up after this long")
 	for _, name := range spec.Flags {
 		c.define(name)
+	}
+	for name, v := range spec.Defaults {
+		f := c.fs.Lookup(name)
+		if err := f.Value.Set(v); err != nil {
+			panic(fmt.Sprintf("cli: %s's -%s default: %v", spec.Name, name, err))
+		}
+		f.DefValue = v
 	}
 	c.fs.Parse(args)
 	if c.retry.MaxRetries > 0 {
@@ -218,6 +236,28 @@ func (c *Command) Open() (closeAll func(), err error) {
 		closers = append(closers, func() { tlog.Close() })
 	}
 	return closeAll, nil
+}
+
+// ObjectSize is the byte count -size names: a number, optionally suffixed
+// KiB, MiB, GiB (powers of two) or KB, MB, GB (powers of ten).
+func ObjectSize(s string) (int64, error) {
+	mult := int64(1)
+	upper := strings.ToUpper(strings.TrimSpace(s))
+	for suffix, m := range map[string]int64{
+		"KIB": 1 << 10, "MIB": 1 << 20, "GIB": 1 << 30,
+		"KB": 1e3, "MB": 1e6, "GB": 1e9,
+	} {
+		if strings.HasSuffix(upper, suffix) {
+			upper = strings.TrimSuffix(upper, suffix)
+			mult = m
+			break
+		}
+	}
+	n, err := strconv.ParseInt(strings.TrimSpace(upper), 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad size %q: %w", s, err)
+	}
+	return n * mult, nil
 }
 
 // PrintIO prints the transfer's socket counters when -io-stats asked for

@@ -339,7 +339,7 @@ func TestSenderCountsStaleAcks(t *testing.T) {
 func TestRetransmitClassification(t *testing.T) {
 	s := NewSender(makeObject(4*DefaultPacketSize-100), Config{}) // a short last packet
 	send := func(k int) {
-		s.PlanRound(0)
+		s.planRound(0)
 		for i := 0; i < k; i++ {
 			if _, ok := s.NextPacket(); !ok {
 				t.Fatal("nothing to send with no packet acknowledged")

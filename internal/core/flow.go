@@ -4,8 +4,8 @@ import "time"
 
 // flow is the half of the send decision that is not rate control: whether a
 // look may send at all. It reads no clock: HandleAck tells it the receiver's
-// cumulative counts, probeRTT the round trips, Look dates the news on the
-// caller's clock and asks, Quiet says a wait ran out. Two rules make it. The
+// cumulative counts, probeRTT the round trips, look dates the news on the
+// caller's clock and asks, quiet says a wait ran out. Two rules make it. The
 // turn-over rule: once as many packets have been selected since the last news
 // as are not known received — a full turn of the circular buffer — a further
 // turn tells the receiver nothing the sender knows it lacks. The receive
@@ -42,6 +42,7 @@ type flow struct {
 	minRTT     time.Duration
 	epochAt    time.Duration
 	epochHeard int
+	idle       time.Duration // how long the caller's waits for news last
 	// lastRTT is how long a packet has lately taken to be reported, the
 	// receiver's queue and its acknowledgement interval included: the latest
 	// probed round trip, or half the figure before it when that is longer, so
@@ -64,17 +65,15 @@ const firstWaits = 8
 func (s *Sender) SetFlow(windowBytes int, idle time.Duration) {
 	s.flow = flow{
 		on: true, pkts: (windowBytes + s.cfg.PacketSize - 1) / s.cfg.PacketSize, ackEvery: s.cfg.AckFrequency,
-		heard: s.stats.Restored, epochHeard: s.stats.Restored, lastRTT: firstWaits * idle,
+		heard: s.stats.Restored, epochHeard: s.stats.Restored, idle: idle, lastRTT: firstWaits * idle,
 	}
 }
 
-// Look is the caller's one call per look, after HandleAck took what the look
-// found, at now on its clock (zero when the data phase began). It dates the
-// news, resolves the round-trip probe and returns how many packets, at most
-// limit, the look may send — none means wait for news or the deadline, and
-// Quiet if the deadline came first; always limit with no flow installed — and
-// how long the receiver has been silent, zero when the look found news.
-func (s *Sender) Look(now time.Duration, limit int) (room int, silence time.Duration) {
+// look is Step's first move, after HandleAck took what the look found, at
+// now. It dates the news, resolves the round-trip probe and returns how many
+// packets, at most limit, the look may send — none means wait for news, and
+// quiet if the wait ran out; always limit with no flow installed.
+func (s *Sender) look(now time.Duration, limit int) int {
 	f := &s.flow
 	if f.fresh {
 		f.fresh, f.heardAt = false, now
@@ -84,15 +83,26 @@ func (s *Sender) Look(now time.Duration, limit int) (room int, silence time.Dura
 	if f.on {
 		limit = f.room(s.stats, min(limit, s.n-s.acked.Count()-f.turn))
 	}
-	return limit, now - f.heardAt
+	return limit
 }
 
-// Quiet tells the sender that a wait ran out at now with nothing heard: the
+// Silence is how long the receiver has been silent at now on the caller's
+// clock: zero when an acknowledgement arrived since the last step. A driver's
+// stall watchdog reads it before each step.
+func (s *Sender) Silence(now time.Duration) time.Duration {
+	if s.flow.fresh {
+		return 0
+	}
+	return now - s.flow.heardAt
+}
+
+// quiet notes that a wait for news ran out at now with nothing heard: the
 // next look starts another turn, and the window may write off what is
-// outstanding. It returns how many first sends were written off.
-func (s *Sender) Quiet(now time.Duration) int {
+// outstanding.
+func (s *Sender) quiet(now time.Duration) {
 	s.flow.turn = 0
-	return s.flow.quiet(s.stats, now-s.flow.heardAt)
+	s.stats.WaitsOut++
+	s.stats.WrittenOff += s.flow.quiet(s.stats, now-s.flow.heardAt)
 }
 
 // unheard is how many first sends the receiver has not reported received nor

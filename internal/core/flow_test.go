@@ -111,15 +111,15 @@ func TestWindowAccountAllocatesNothing(t *testing.T) {
 	serial := uint32(0)
 	if n := testing.AllocsPerRun(100, func() {
 		now += time.Millisecond
-		snd.PlanRound(now)
+		snd.planRound(now)
 		for i := 0; i < 64; i++ {
 			snd.NextPacket()
 		}
 		serial++
 		snd.HandleAck(wire.Ack{Transfer: 9, AckSeq: serial, Received: uint32(snd.Stats().PacketsSent - 100),
 			Frag: bitmap.Fragment{Start: 0}})
-		snd.Look(now, 32)
-		snd.Quiet(now + time.Millisecond)
+		snd.look(now, 32)
+		snd.quiet(now + time.Millisecond)
 	}); n != 0 {
 		t.Fatalf("%v allocations per look", n)
 	}
@@ -130,7 +130,7 @@ func TestWindowAccountAllocatesNothing(t *testing.T) {
 // later, and returns the sequence numbers sent and the looks that waited
 // instead, in one sequence (a wait is ^0), and how many waits ran out. Each
 // look may send what the
-// sender's Look allows — with a window-0 flow installed — or, with none, what
+// sender's look allows — with a window-0 flow installed — or, with none, what
 // the turn-over rule alone allows, counted here: once as many packets have
 // gone out since the last acknowledgement as are not known received, the look
 // waits, and a wait with no acknowledgement on its way runs out and starts a
@@ -159,14 +159,14 @@ func sendSequence(t *testing.T, flowed bool) (seqs []uint32, quiet int) {
 			}
 			turn = 0
 		}
-		room, _ := snd.Look(now, ring)
+		room := snd.look(now, ring)
 		if !flowed {
 			room = min(ring, snd.NumPackets()-snd.Stats().KnownReceived-turn)
 		}
 		if room <= 0 {
 			seqs = append(seqs, ^uint32(0))
 			if len(arrived) == 0 {
-				snd.Quiet(now)
+				snd.quiet(now)
 				turn = 0
 				quiet++
 			}

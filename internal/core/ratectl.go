@@ -13,7 +13,7 @@ import (
 // greediness", "switch to a high-performance TCP algorithm") and the related
 // work FOBS positions itself against (a TCP-friendly window, SABUL's
 // loss-means-congestion rate loop) behind one interface. A Sender feeds its
-// controller and plans every round through it (PlanRound), so each policy
+// controller and plans every round through it (Step), so each policy
 // runs unchanged over the simulator (internal/simrun) and over sockets
 // (internal/udprt).
 //
@@ -63,7 +63,7 @@ type LossEvent struct {
 
 // Directive is a controller's command for the next batch round.
 type Directive struct {
-	// Batch caps the number of packets in the round; PlanRound clamps it to
+	// Batch caps the number of packets in the round; the sender clamps it to
 	// [1, the batch policy's ask].
 	Batch int
 	// Gap is the pacing delay per packet sent this round, non-negative and

@@ -609,8 +609,8 @@ func TestSenderFeedsController(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if b, gap := s.PlanRound(10 * ms); b != 3 || gap != 0 {
-		t.Fatalf("PlanRound = %d, %v", b, gap)
+	if b, gap := s.planRound(10 * ms); b != 3 || gap != 0 {
+		t.Fatalf("planRound = %d, %v", b, gap)
 	}
 	send(3) // 0 1 2: first sends; the probe rides packet 0
 	if got := f.take(); got != "tick 3" {
@@ -633,7 +633,7 @@ func TestSenderFeedsController(t *testing.T) {
 		t.Fatalf("stale and foreign acks fed %q", got)
 	}
 	send(1) // 3 again
-	s.PlanRound(12 * ms)
+	s.planRound(12 * ms)
 	if got := f.take(); got != "loss 1, tick 3" {
 		t.Fatalf("planning fed %q", got)
 	}
@@ -646,12 +646,12 @@ func TestSenderFeedsController(t *testing.T) {
 	}
 	// The next planned round arms a new probe (packet 3, unacknowledged); a
 	// second of silence gives it up and the round after re-arms.
-	s.PlanRound(20 * ms)
+	s.planRound(20 * ms)
 	send(1)
 	if _, ok := s.probeRTT(20*ms + rttProbeStale + 1); ok || s.probeSeq != probeIdle {
 		t.Fatalf("stale probe: ok=%v probeSeq=%d", ok, s.probeSeq)
 	}
-	s.PlanRound(2000 * ms)
+	s.planRound(2000 * ms)
 	send(1)
 	ack(3, 1, 0b1000)
 	if rtt, ok := s.probeRTT(2001 * ms); !ok || rtt != ms {
@@ -661,7 +661,7 @@ func TestSenderFeedsController(t *testing.T) {
 	idle := NewSender(makeObject(64), Config{Batch: FixedBatch(0)})
 	idle.SetController(f)
 	f.take()
-	if b, gap := idle.PlanRound(0); b != 0 || gap != 0 || f.take() != "" {
+	if b, gap := idle.planRound(0); b != 0 || gap != 0 || f.take() != "" {
 		t.Fatalf("empty ask planned (%d, %v) and consulted the controller", b, gap)
 	}
 }

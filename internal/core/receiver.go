@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"github.com/hpcnet/fobs/internal/bitmap"
 	"github.com/hpcnet/fobs/internal/wire"
@@ -37,6 +38,10 @@ type ReceiverStats struct {
 	// data flow was dialed, and Restored covers the whole object. Set by
 	// the driver, never by the state machine.
 	Deduped bool
+	// Elapsed is how long the transfer took from the moment its announcement
+	// was read, not counting the wait for a sender to dial. Set by the
+	// driver.
+	Elapsed time.Duration
 }
 
 // Receiver is the FOBS data-receiving state machine: it places each packet

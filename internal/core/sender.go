@@ -46,6 +46,9 @@ type SenderStats struct {
 	// time, and RTT is the latest of them.
 	RoundTrips int
 	RTT        time.Duration
+	// WaitsOut counts the waits for news that ran out with nothing heard, and
+	// WrittenOff the first sends they wrote off as lost (flow.go).
+	WaitsOut, WrittenOff int
 	// Deduped reports that the receiver answered the content-digest query
 	// with a full HAVE: it already held the object, the data phase was
 	// skipped entirely, and PacketsSent is zero while Restored covers the
@@ -78,10 +81,10 @@ type AckObserver interface {
 	OnPacketAcked(seq uint32)
 }
 
-// Sender is the FOBS data-sending state machine. Its callers use HandleAck for
-// each acknowledgement available (never blocking for one), Look, PlanRound
-// and NextPacket to emit packets, Quiet when a wait for news ran out, and
-// SetComplete when the completion signal arrives on the control channel.
+// Sender is the FOBS data-sending state machine. Its drivers use HandleAck for
+// each acknowledgement available (never blocking for one), Step for each look
+// (step.go: the one sender loop), and SetComplete when the completion signal
+// arrives on the control channel.
 type Sender struct {
 	cfg   Config
 	obj   []byte
@@ -117,6 +120,7 @@ type Sender struct {
 	// flow is the rest of the send decision: the turn-over rule and the
 	// receive window (flow.go), inert until SetFlow.
 	flow flow
+	loop loop // Step's, between looks (step.go)
 
 	// content memoizes ContentID(obj) — computed on first demand, not at
 	// construction, so the simulation harnesses that build thousands of
@@ -168,14 +172,13 @@ func (s *Sender) reportLoss() {
 	}
 }
 
-// PlanRound plans the next batch-send round, the one call both drivers make:
-// the batch policy asks, the controller may cap the ask and names the pacing
-// gap to charge per packet sent. Nothing to ask for (batch <= 0) bypasses the
-// controller. The clamps are the sender's own guarantee — no controller can
-// push a round outside [1, ask] or make the gap negative. now is the
-// caller's clock, as in Look: with no round-trip probe in flight, the
-// round's first packet becomes one.
-func (s *Sender) PlanRound(now time.Duration) (batch int, gap time.Duration) {
+// planRound plans the next batch-send round of a step: the batch policy asks,
+// the controller may cap the ask and names the pacing gap to charge per
+// packet sent. Nothing to ask for (batch <= 0) bypasses the controller. The
+// clamps are the sender's own guarantee — no controller can push a round
+// outside [1, ask] or make the gap negative. now is the step's clock: with no
+// round-trip probe in flight, the round's first packet becomes one.
+func (s *Sender) planRound(now time.Duration) (batch int, gap time.Duration) {
 	want := s.BatchSize()
 	if want <= 0 {
 		return want, 0
@@ -194,7 +197,7 @@ func (s *Sender) PlanRound(now time.Duration) (batch int, gap time.Duration) {
 // sequence number shows acknowledged, plan-to-acknowledgement bounds one
 // network round trip — an overestimate by up to the receiver's ack-batching
 // delay, which is part of the control loop anyway. The controller and the
-// flow account hear of the sample; Look is the callers' way in.
+// flow account hear of the sample; look is the step's way in.
 func (s *Sender) probeRTT(now time.Duration) (rtt time.Duration, ok bool) {
 	if s.probeSeq < 0 {
 		return 0, false

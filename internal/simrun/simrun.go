@@ -4,11 +4,13 @@
 //
 // The driver reproduces the paper's process structure faithfully:
 //
-//   - the sender alternates batch-send operations with non-blocking polls
-//     of the acknowledgement socket, paced only by its NIC (the analogue
-//     of select()-guarded sends) plus whatever gap the sender's rate
-//     controller dictates, in rounds that controller may cap, and waiting
-//     for news when the sender's flow control says so (Sender().SetFlow);
+//   - the sender runs core's one sender loop (core.Sender.Step), as the
+//     sockets do: each look takes at most one acknowledgement (the paper's
+//     non-blocking poll) and sends one round (the step's vector is one ask
+//     long). The driver models a blocking send by the NIC- and CPU-free
+//     instant the next look waits for; the pacing gap is core's clock, whose
+//     instant the driver only waits for, as it waits for news (an
+//     acknowledgement or IdlePoll) when the step says so;
 //   - the receiver handles data packets as the host CPU serves them,
 //     occupies the CPU while building each acknowledgement (the stall the
 //     paper identifies as the loss mechanism at high ack rates), and
@@ -17,7 +19,6 @@
 package simrun
 
 import (
-	"math"
 	"time"
 
 	"github.com/hpcnet/fobs/internal/core"
@@ -43,9 +44,9 @@ type Options struct {
 	// (default 150 µs — constructing and pushing a 1 KB datagram through
 	// a 2002 kernel).
 	AckBuildTime time.Duration
-	// IdlePoll is how long the sender sleeps when it has nothing to send
-	// and is waiting for acknowledgements or the completion signal
-	// (default 500 µs).
+	// IdlePoll is how long the sender waits for news when the step says so,
+	// unless an acknowledgement arrives first (default 500 µs); a scenario
+	// that installs a flow passes SetFlow the same figure.
 	IdlePoll time.Duration
 	// CtlRTO is the control channel's retransmission timeout
 	// (default 250 ms).
@@ -97,17 +98,16 @@ type FOBSRun struct {
 
 	dataAddr, ackAddr netsim.Addr
 
-	ackQ          []wire.Ack
-	loopScheduled bool
-	started       event.Time
-	finished      event.Time
-	done          bool
+	ackQ     []wire.Ack
+	started  event.Time
+	finished event.Time
+	done     bool
 
-	// wait runs out IdlePoll after the sender said to wait, unless an ack
-	// arrives first; waitsOut counts those that ran out, writtenOff the first
-	// sends they wrote off.
-	wait                 *event.Timer
-	waitsOut, writtenOff int
+	// nic is the sender's core.Vector, look the timer of its next look, and
+	// newsWait says the look waits for news: an arriving ack brings it on.
+	nic      nic
+	look     *event.Timer
+	newsWait bool
 
 	goodput  *trace.Rate
 	sendRate *trace.Rate
@@ -132,13 +132,8 @@ func NewFOBS(p *netsim.Path, obj []byte, cfg core.Config, opts Options) *FOBSRun
 	r.rcvSock = p.B.OpenUDP(base, r.onData)
 	r.sndSock = p.A.OpenUDP(base+1, r.onAck)
 	r.ctlSnd, r.ctlRcv = netsim.NewPipe(p.A, base+2, p.B, base+2, opts.CtlRTO)
-	r.wait = event.NewTimer(p.Net.Sim, func() { // a wait for news ran out
-		if !r.done {
-			r.waitsOut++
-			r.writtenOff += r.snd.Quiet(r.path.Net.Now().Sub(r.started))
-			r.senderLoop()
-		}
-	})
+	r.nic.r = r
+	r.look = event.NewTimer(p.Net.Sim, r.senderLoop)
 	r.ctlSnd.OnMessage = func(m any) {
 		if _, ok := m.(wire.Complete); ok {
 			r.complete()
@@ -178,7 +173,7 @@ func (r *FOBSRun) Start() {
 	if r.goodput != nil {
 		r.sampleLoop()
 	}
-	r.scheduleLoop(0)
+	r.look.Reset(0)
 }
 
 // Run starts the transfer and drives the simulation until it completes or
@@ -235,8 +230,8 @@ func (r *FOBSRun) Result() stats.TransferResult {
 	res.Extra["drops_random"] = float64(random)
 	res.Extra["drops_outage"] = float64(outage)
 	res.Extra["drops_rxbuf"] = float64(r.path.B.Stats().RXDropsFull)
-	res.Extra["waits_out"] = float64(r.waitsOut)
-	res.Extra["written_off"] = float64(r.writtenOff)
+	res.Extra["waits_out"] = float64(sst.WaitsOut)
+	res.Extra["written_off"] = float64(sst.WrittenOff)
 	return res
 }
 
@@ -249,20 +244,26 @@ func (r *FOBSRun) complete() {
 	r.snd.SetComplete()
 }
 
-// scheduleLoop arms the sender loop to run after d, coalescing duplicates.
-func (r *FOBSRun) scheduleLoop(d time.Duration) {
-	if r.loopScheduled || r.done {
-		return
-	}
-	r.loopScheduled = true
-	r.path.Net.Sim.After(d, func() {
-		r.loopScheduled = false
-		r.senderLoop()
-	})
+// nic is the simulated sender's core.Vector: each packet goes to the NIC as
+// it is put, and a look is as long as the batch policy's ask, so that it
+// sends one round.
+type nic struct {
+	r    *FOBSRun
+	free event.Time // when the NIC has drained the last packet put
 }
 
-// senderLoop is one iteration of the paper's three-phase sender algorithm.
+func (v *nic) Len() int                 { return v.r.snd.BatchSize() }
+func (v *nic) Round(int, time.Duration) {}
+func (v *nic) Flush(k int) (int, bool)  { return k, true }
+
+func (v *nic) Put(_ int, pkt wire.Data, _ int) {
+	size := wire.DataHeaderLen + len(pkt.Payload) + wire.UDPIPOverhead
+	v.free = v.r.sndSock.SendTo(v.r.dataAddr, size, pkt).NICFreeAt
+}
+
+// senderLoop is one look of the paper's three-phase sender algorithm.
 func (r *FOBSRun) senderLoop() {
+	r.newsWait = false
 	if r.done || r.snd.Done() {
 		return
 	}
@@ -277,64 +278,38 @@ func (r *FOBSRun) senderLoop() {
 			panic("simrun: " + err.Error())
 		}
 	}
-	clock := r.path.Net.Now().Sub(r.started)
-	room, _ := r.snd.Look(clock, math.MaxInt)
-	if room <= 0 {
-		// The sender waits for news: the next queued ack, or the one that
-		// stops the timer by arriving, or IdlePoll of silence.
-		if len(r.ackQ) > 0 {
-			r.scheduleLoop(0)
-		} else {
-			r.wait.Reset(r.opts.IdlePoll)
-		}
-		return
-	}
-	// Phase 1 + 3: batch-send with the schedule choosing each packet, in a
-	// round planned by the sender's controller on the simulation's clock.
-	batch, gapPer := r.snd.PlanRound(clock)
-	batch = min(batch, room)
-	var last netsim.SendResult
-	sent := 0
-	dst := r.dataAddr
-	for i := 0; i < batch; i++ {
-		pkt, ok := r.snd.NextPacket()
-		if !ok {
-			break
-		}
-		size := wire.DataHeaderLen + len(pkt.Payload) + wire.UDPIPOverhead
-		last = r.sndSock.SendTo(dst, size, pkt)
-		sent++
-	}
-	if sent == 0 {
-		// Everything known-received (or a stale bitmap says so): the
-		// repeated zero-packet batch-send of the paper — logically
-		// blocking on an acknowledgement or the completion signal.
-		r.scheduleLoop(r.opts.IdlePoll)
-		return
-	}
-	// Pace like a blocking send: resume when the NIC has drained AND the
-	// host CPU has finished the send-side work (a send system call blocks
-	// the process), plus any controller-requested gap.
-	next := last.NICFreeAt
-	if cpu := r.path.A.CPUFreeAt(); cpu > next {
-		next = cpu
-	}
+	// Phases 1 and 3: the step plans the round and sends it to the NIC.
 	now := r.path.Net.Now()
-	if next < now {
-		next = now
+	wait, at := r.snd.Step(now.Sub(r.started), &r.nic)
+	if wait == core.News {
+		// The next queued ack, or the one that stops the timer by
+		// arriving, or IdlePoll of silence.
+		if len(r.ackQ) > 0 {
+			r.look.Reset(0)
+		} else {
+			r.newsWait = true
+			r.look.Reset(r.opts.IdlePoll)
+		}
+		return
 	}
-	gap := gapPer * time.Duration(sent)
+	// Like a blocking send: resume when the NIC has drained AND the host CPU
+	// has finished the send-side work (a send system call blocks the
+	// process), and not before the pacing instant.
+	next := max(r.nic.free, r.path.A.CPUFreeAt(), now)
+	if wait == core.Pace {
+		next = max(next, r.started.Add(at))
+	}
+	delay := next.Sub(now)
 	if r.opts.SchedNoise > 0 {
-		gap += time.Duration(r.path.Net.Rand().Int63n(int64(r.opts.SchedNoise)))
+		delay += time.Duration(r.path.Net.Rand().Int63n(int64(r.opts.SchedNoise)))
 	}
-	delay := next.Sub(now) + gap
 	if delay <= 0 {
 		// A drop at the NIC itself (policer, full queue) leaves the link
 		// idle; without a floor the loop would re-fire at this same
 		// virtual instant forever.
 		delay = time.Microsecond
 	}
-	r.scheduleLoop(delay)
+	r.look.Reset(delay)
 }
 
 // onAck queues an acknowledgement for the sender's next poll and wakes an
@@ -345,8 +320,10 @@ func (r *FOBSRun) onAck(p *netsim.Packet) {
 		return
 	}
 	r.ackQ = append(r.ackQ, a)
-	r.wait.Stop()
-	r.scheduleLoop(0)
+	if r.newsWait {
+		r.newsWait = false
+		r.look.Reset(0)
+	}
 }
 
 // onData handles one data packet at the receiver and emits acknowledgements

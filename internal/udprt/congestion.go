@@ -1,7 +1,7 @@
 // Congestion control on sockets. The policies — the Controller interface, its
 // five implementations and the one table that names them — live in
 // internal/core, and the core.Sender every engine drives is what feeds them
-// and plans each round (Sender.PlanRound): nothing here observes an
+// and plans each round (Sender.Step): nothing here observes an
 // acknowledgement or counts a retransmission on a controller's behalf. What
 // is this package's own is what only a socket runtime has: the name a caller
 // selects a policy by (Options.Congestion), and the two ways a deployment

@@ -128,8 +128,8 @@ type misbehavedController struct {
 func (m *misbehavedController) Tick(int) core.Directive { return m.d }
 
 // TestPlanRoundClamps proves the guarantee the engine plans under, around any
-// controller: the round batch stays within [1, ask] and the gap is never
-// negative, no matter what the policy returns.
+// controller: the round batch a step plans stays within [1, ask] and the gap
+// is never negative, no matter what the policy returns.
 func TestPlanRoundClamps(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -147,8 +147,10 @@ func TestPlanRoundClamps(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			snd := core.NewSender(makeObj(64<<10), core.Config{Batch: core.FixedBatch(8)})
 			snd.SetController(&misbehavedController{d: tc.d})
-			if batch, gap := snd.PlanRound(0); batch != tc.batch || gap != tc.gap {
-				t.Fatalf("PlanRound under %+v = (%d, %v), want (%d, %v)", tc.d, batch, gap, tc.batch, tc.gap)
+			v := &scheduleVector{t: t, snd: snd} // a wire to nowhere
+			snd.Step(0, v)
+			if r := v.rounds[0]; r.batch != tc.batch || r.gap != tc.gap {
+				t.Fatalf("first round planned under %+v = (%d, %v), want (%d, %v)", tc.d, r.batch, r.gap, tc.batch, tc.gap)
 			}
 		})
 	}

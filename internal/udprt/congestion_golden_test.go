@@ -20,16 +20,81 @@ type plannedRound struct {
 	gap        time.Duration
 }
 
+// scheduleVector is a socketless wire for core.Sender.Step: it carries each
+// flushed packet to a core.Receiver (nil: to nowhere) through a seeded drop
+// process whose rate loss names round by round, holds the acknowledgements
+// that come back for the driver, and transcribes the rounds as the step plans
+// them: per round the batch, every sequence number sent, and the pacing gap
+// charged. Its length is the batch policy's ask: one round per look, the
+// paper's one send operation.
+type scheduleVector struct {
+	t     *testing.T
+	snd   *core.Sender
+	rcv   *core.Receiver
+	drops *rand.Rand
+	loss  func(round int) float64
+
+	slots   []wire.Data
+	rounds  []plannedRound
+	pending []wire.Ack
+	sb      strings.Builder
+	open    bool          // a round's line awaits its sent= and gap=
+	sent    int           // packets the open round put on the wire
+	charged time.Duration // the pacing gap charged by the look so far
+}
+
+func (v *scheduleVector) Len() int { return v.snd.BatchSize() }
+
+func (v *scheduleVector) Round(batch int, gap time.Duration) {
+	v.close()
+	v.rounds = append(v.rounds, plannedRound{v.snd.BatchSize(), batch, gap})
+	fmt.Fprintf(&v.sb, "round %d: batch=%d seqs=", len(v.rounds), batch)
+	v.open, v.sent = true, 0
+}
+
+func (v *scheduleVector) Put(i int, pkt wire.Data, idx int) {
+	if idx > 0 {
+		v.sb.WriteByte(',')
+	}
+	fmt.Fprintf(&v.sb, "%d", pkt.Seq)
+	v.slots = append(v.slots[:i], pkt)
+	v.sent++
+}
+
+func (v *scheduleVector) Flush(k int) (int, bool) {
+	for _, pkt := range v.slots[:k] {
+		if v.rcv == nil || v.drops.Float64() < v.loss(len(v.rounds)) {
+			continue
+		}
+		if ackDue, err := v.rcv.HandleData(pkt); err != nil {
+			v.t.Fatalf("round %d: receiver: %v", len(v.rounds), err)
+		} else if ackDue {
+			v.pending = append(v.pending, v.rcv.BuildAck())
+		}
+	}
+	return k, true
+}
+
+// close ends the open round's line with what it sent and the gap charged.
+func (v *scheduleVector) close() {
+	if !v.open {
+		return
+	}
+	gap := v.rounds[len(v.rounds)-1].gap * time.Duration(v.sent)
+	v.charged += gap
+	fmt.Fprintf(&v.sb, " sent=%d gap=%d\n", v.sent, gap)
+	v.open = false
+}
+
 // runSchedule drives one deterministic socketless transfer — the
 // core.Sender newSenderPlan builds for (cfg, opts), controller installed the
-// way Send installs it, and a core.Receiver, joined by a seeded drop process
-// whose rate loss names round by round; acknowledgements delivered with one
-// round of latency exactly as the engine's poll-at-loop-top does — and
-// transcribes the complete packet schedule: per round, the batch, every
-// sequence number sent, and the pacing gap charged. Rounds are planned by
-// the call the engine makes (Sender.PlanRound) on a virtual clock, the
-// round-trip probe resolved by the call it makes (Sender.Look, with no flow
-// installed: the paper's sender): the sender's own feed, not a copy of it.
+// way Send installs it, and a core.Receiver acknowledging every
+// cfg.AckFrequency packets, joined by a scheduleVector; acknowledgements
+// delivered one look later exactly as the engine's poll-at-loop-top does —
+// and returns the vector's transcript of the complete packet schedule. Each
+// look is the engine's own step (core.Sender.Step, with no flow installed:
+// the paper's sender) on a virtual clock that moves 50 µs a look and on by
+// the gap each round charged: the sender's own loop, not a copy of it.
 func runSchedule(t *testing.T, obj []byte, cfg core.Config, opts Options, loss func(round int) float64) (string, []plannedRound) {
 	t.Helper()
 	plan, err := newSenderPlan(obj, cfg, opts)
@@ -37,66 +102,38 @@ func runSchedule(t *testing.T, obj []byte, cfg core.Config, opts Options, loss f
 		t.Fatal(err)
 	}
 	snd := plan.snds[0]
-	rcv := core.NewReceiver(int64(len(obj)), plan.cfg)
-	drops := rand.New(rand.NewSource(1234))
-
-	var sb strings.Builder
-	var rounds []plannedRound
-	var pending []wire.Ack
+	rcfg := plan.cfg
+	rcfg.AckFrequency = cfg.AckFrequency
+	v := &scheduleVector{t: t, snd: snd, rcv: core.NewReceiver(int64(len(obj)), rcfg),
+		drops: rand.New(rand.NewSource(1234)), loss: loss}
 	var now time.Duration
-	for round := 1; ; round++ {
-		if round > 100000 {
+	for look := 1; ; look++ {
+		if look > 100000 {
 			t.Fatal("schedule did not complete in 100000 rounds")
 		}
-		// Poll-ack phase: the previous round's acknowledgements arrive.
-		for _, a := range pending {
+		// Poll-ack phase: the previous look's acknowledgements arrive.
+		for _, a := range v.pending {
 			if err := snd.HandleAck(a); err != nil {
-				t.Fatalf("round %d: %v", round, err)
+				t.Fatalf("round %d: %v", len(v.rounds), err)
 			}
 		}
-		pending = pending[:0]
+		v.pending = v.pending[:0]
 		if snd.KnownComplete() {
 			break
 		}
-		// Plan + send phase.
 		now += 50 * time.Microsecond
-		ask := snd.BatchSize()
-		snd.Look(now, ask)
-		batch, gapPer := snd.PlanRound(now)
-		rounds = append(rounds, plannedRound{ask, batch, gapPer})
-		fmt.Fprintf(&sb, "round %d: batch=%d seqs=", round, batch)
-		sent := 0
-		for sent < batch {
-			pkt, ok := snd.NextPacket()
-			if !ok {
-				break
-			}
-			if sent > 0 {
-				sb.WriteByte(',')
-			}
-			fmt.Fprintf(&sb, "%d", pkt.Seq)
-			sent++
-			if drops.Float64() < loss(round) {
-				continue
-			}
-			if ackDue, err := rcv.HandleData(pkt); err != nil {
-				t.Fatalf("round %d: receiver: %v", round, err)
-			} else if ackDue {
-				pending = append(pending, rcv.BuildAck())
-			}
-		}
-		// Pacing phase: the exact gap the engine would charge.
-		gap := gapPer * time.Duration(sent)
-		now += gap
-		fmt.Fprintf(&sb, " sent=%d gap=%d\n", sent, gap)
-		if sent == 0 && len(pending) == 0 {
-			t.Fatalf("round %d: schedule stalled with %d packets missing", round, rcv.Missing())
+		before := snd.Stats().PacketsSent
+		snd.Step(now, v)
+		v.close()
+		now, v.charged = now+v.charged, 0
+		if snd.Stats().PacketsSent == before && len(v.pending) == 0 {
+			t.Fatalf("round %d: schedule stalled with %d packets missing", len(v.rounds), v.rcv.Missing())
 		}
 	}
 	st := snd.Stats()
-	fmt.Fprintf(&sb, "done: sent=%d needed=%d retransmits=%d waste=%.4f\n",
+	fmt.Fprintf(&v.sb, "done: sent=%d needed=%d retransmits=%d waste=%.4f\n",
 		st.PacketsSent, st.PacketsNeeded, st.Retransmits, st.Waste())
-	return sb.String(), rounds
+	return v.sb.String(), v.rounds
 }
 
 // TestFixedPolicyGoldenSchedule pins the schedule of a paced, state-carrying
@@ -108,8 +145,9 @@ func runSchedule(t *testing.T, obj []byte, cfg core.Config, opts Options, loss f
 //
 // with a live core.Backoff as cfg.Rate. Config.Rate is gone — what it did on
 // sockets is Options{Congestion: "backoff"} — and the same schedule now comes
-// out of one call, Sender.PlanRound, through the one wrapper that adds
-// Options.Pace: the golden file has not changed since. Regenerate it with
+// out of the sender loop itself, Sender.Step, which plans each round through
+// the one wrapper that adds Options.Pace: the golden file has not changed
+// since. Regenerate it with
 // UPDATE_CC_GOLDEN=1 only if the sender is meant to behave differently.
 func TestFixedPolicyGoldenSchedule(t *testing.T) {
 	obj := make([]byte, 8<<10)

@@ -1,11 +1,11 @@
-// The transfer engine: the one sender loop and the one receiver pipeline
-// behind every datapath in this package. Send, Session.Send and each stripe
-// of a striped transfer are thin adapters over the sender engine — they
-// differ only in how sockets are obtained, how the completion verdict is
-// delivered, and who writes the control-channel ABORT, which is exactly
-// what the endpoint parameters capture. On the receive side there is nothing
-// to adapt: every endpoint's one loop (receive.go) routes each datagram to
-// the receiver engine of the stripe it belongs to.
+// The transfer engine: the sockets under core's one sender loop, and the one
+// receiver pipeline, behind every datapath in this package. Send,
+// Session.Send and each stripe of a striped transfer are thin adapters over
+// the sender engine — they differ only in how sockets are obtained, how the
+// completion verdict is delivered, and who writes the control-channel ABORT,
+// which is exactly what the endpoint parameters capture. On the receive side
+// every endpoint's one loop (receive.go) routes each datagram to the receiver
+// engine of the stripe it belongs to.
 package udprt
 
 import (
@@ -72,16 +72,10 @@ type senderEndpoint struct {
 	progress func(knownReceived, total int)
 }
 
-// senderEngine owns the poll-ack / batch-send / select loop of the paper's
-// sender for one data flow. It is deliberately single-threaded like the
-// paper's sender: each iteration performs one non-blocking poll of the
-// acknowledgement socket (the paper's select()-guarded "look for, but do
-// not block for, an acknowledgement packet") followed by one send
-// operation — which carries a ring of batch rounds where the paper's
-// carried one. The one departure: when the sender says a look may send
-// nothing, the poll becomes a wait on the same socket (see run). Only the TCP
-// completion signal has its own goroutine — a hot sender loop must never be
-// able to starve the poll that feeds it.
+// senderEngine runs the paper's sender loop (core.Sender.Step) over one data
+// flow, single-threaded like the paper's sender: each look reads the
+// acknowledgement socket — a poll, or a wait when the step said so — and
+// then steps. Only the TCP completion signal has its own goroutine.
 type senderEngine struct {
 	senderEndpoint
 	snd  *core.Sender
@@ -123,9 +117,6 @@ func newSendRing(slots int) sendRing {
 
 // len is the ring's slot count.
 func (r sendRing) len() int { return len(r.heads) }
-
-// from is the ring from slot i on.
-func (r sendRing) from(i int) sendRing { return sendRing{r.heads[i:], r.bodies[i:]} }
 
 // send puts the first k slots on the wire.
 func (r sendRing) send(tx *batchio.Sender, k int) (int, error) {
@@ -203,73 +194,67 @@ func (k *senderKit) put() {
 	}
 }
 
-// encodeBatch pulls up to max packets from the sender's schedule and frames
-// each into its slot of the reusable ring, returning how many slots were
-// filled. The headers are framed in place and the payloads stay in the
-// object, so steady-state encoding allocates nothing — the recorder's report
-// of each packet included.
-func encodeBatch(snd *core.Sender, ring sendRing, max int, p probe, base int) (k int) {
-	for k < ring.len() && k < max {
-		pkt, ok := snd.NextPacket()
-		if !ok {
-			break
-		}
-		ring.heads[k] = wire.AppendDataHeader(ring.heads[k][:0], &pkt)
-		ring.bodies[k] = pkt.Payload
-		p.dataSent(pkt.Seq, len(pkt.Payload), base+k)
-		k++
+// ringVector is the engine's core.Vector: each packet's DATA header framed in
+// its ring slot, the payload left in the object, the ring flushed as one
+// SendGather; steady state allocates nothing. fatal is set once persistent
+// write failures reach writeErrLimit with no acknowledgement between.
+type ringVector struct {
+	ring      sendRing
+	tx        *batchio.Sender
+	snd       *core.Sender
+	probe     probe
+	writeErrs int
+	lastErr   error
+	fatal     bool
+}
+
+func (v *ringVector) Len() int                         { return v.ring.len() }
+func (v *ringVector) Round(batch int, _ time.Duration) { v.probe.batchSize(batch) }
+
+func (v *ringVector) Put(i int, pkt wire.Data, idx int) {
+	v.ring.heads[i] = wire.AppendDataHeader(v.ring.heads[i][:0], &pkt)
+	v.ring.bodies[i] = pkt.Payload
+	v.probe.dataSent(pkt.Seq, len(pkt.Payload), idx)
+}
+
+func (v *ringVector) Flush(k int) (int, bool) {
+	m, err := v.ring.send(v.tx, k)
+	v.probe.publish(v.snd)
+	if err != nil {
+		v.fatal = v.noteWriteErr(err)
 	}
-	return k
+	return m, err == nil && m == k
+}
+
+// noteWriteErr folds one persistent socket failure into the abort accounting,
+// reporting whether the limit is reached. Transient buffer pressure does not
+// count.
+func (v *ringVector) noteWriteErr(err error) bool {
+	if isTransientWriteErr(err) || isTimeout(err) {
+		return false
+	}
+	v.writeErrs++
+	v.lastErr = err
+	return v.writeErrs >= writeErrLimit
 }
 
 // run drives the engine until the completion verdict arrives on the
-// endpoint's done channel or the transfer fails.
+// endpoint's done channel or the transfer fails. What each look sends and
+// then waits for is the step's decision; a wait is a read of the ack socket
+// (one recvmmsg drains every queued acknowledgement) under a deadline, the
+// idle poll's end or the pacing instant, and the engine blocks nowhere else.
+// An acknowledgement ends a wait by arriving; the verdict and ctx end it
+// because whoever delivers them then sets the read deadline to the past
+// (runSenderPlan's waker). Arming the deadline before looking at done and
+// ctx, and reading only after, keeps a verdict that lands between two waits
+// from costing more than one idle poll.
 //
-// The batch-send phase is where the fast path earns its keep. Rounds are
-// planned one at a time by the sender (core.Sender.PlanRound: the batch
-// policy asks for B packets, the congestion controller may cap the ask and
-// names the round's pacing gap) and framed one behind another into a
-// reusable ring of DefaultIOBatch slots (sendRing: a header each, the
-// payload left in the object). The ring leaves as one flush (one sendmmsg whose
-// equal-length datagrams travel as UDP_SEGMENT trains; one write per packet
-// on the scalar path), and the ack socket is looked at once per flush, not
-// once per round: the unit between two looks stays one send operation, it
-// just carries a ring of packets in the time two used to take. The ring is
-// flushed when it is full, when the look's room is used up, and after a
-// round that carries a gap, which therefore goes out on its own, whole
-// (chunked at the ring length when B is larger), as it always did: a paced
-// policy's spacing on the wire is round by round. The ack poll likewise
-// drains every queued acknowledgement in one recvmmsg. Steady state
-// allocates nothing per packet.
-//
-// Whether a look sends at all is the sender's decision too (core.Sender.Look:
-// the turn-over rule and the receive window, core's flow.go). A look with room
-// for nothing blocks on the ack socket until news or the idle poll (2 ms), and a
-// wait that runs out is reported (core.Sender.Quiet). An acknowledgement ends
-// the wait by arriving; the verdict and ctx end it because whoever delivers
-// them then sets the socket's read deadline to the past (runSenderPlan's
-// waker).
-//
-// Pacing is the same wait with another deadline: the instant of the pacing
-// clock (pacer, pace.go), which each paced round moves on by its gap for every
-// packet the kernel took. Acknowledgements landing in the gap are processed as
-// they land; an instant that passes is not silence (nothing is reported to
-// the sender); whatever ends the wait, nothing leaves before the instant.
-// The engine blocks nowhere else.
-//
-// Arming the deadline before looking at done and ctx, and reading only
-// after, is what keeps a verdict that lands between two waits from costing
-// more than one idle poll: a kick that came before the arming is followed by
-// a look that sees the verdict, and one that comes after it cuts the read
-// short.
-//
-// Liveness: if the transfer is incomplete and no acknowledgement arrives
-// for Options.StallTimeout, the loop aborts (ABORT stalled on the control
-// channel) and returns an error wrapping ErrStalled. Persistent UDP write
-// errors (e.g. ECONNREFUSED once the peer's socket is gone) surface after
-// writeErrLimit failing batch rounds with no intervening acknowledgement;
-// transient buffer pressure (ENOBUFS et al.) is absorbed by the pacing
-// loop.
+// Liveness: an incomplete transfer with no acknowledgement for
+// Options.StallTimeout aborts (ABORT stalled) with an error wrapping
+// ErrStalled. Persistent UDP write errors (e.g. ECONNREFUSED once the peer's
+// socket is gone) surface after writeErrLimit failing flushes with no
+// acknowledgement between; transient buffer pressure (ENOBUFS et al.) is
+// absorbed by the waits.
 func (e *senderEngine) run(ctx context.Context) error {
 	snd, opts := e.snd, e.opts
 	kit, err := getKit(e.conn, opts.ioBatch, ackSlotLen(snd.Config(), snd.NumPackets()), !opts.NoFastPath)
@@ -277,21 +262,18 @@ func (e *senderEngine) run(ctx context.Context) error {
 		return err
 	}
 	defer kit.put() // after the counters are read: the next engine resets them
-	tx, rx, ring := kit.tx, kit.rx, kit.ring
-	tx.FlushHook = opts.testFlushHook
-	// The pacing clock, the instant it set (zero: none), and the time waited.
-	var pace pacer
-	var paceAt time.Time
+	rx := kit.rx
+	kit.tx.FlushHook = opts.testFlushHook
+	v := &ringVector{ring: kit.ring, tx: kit.tx, snd: snd, probe: e.probe}
 	var paceWait time.Duration
 	defer func() {
-		c := tx.Counters()
+		c := kit.tx.Counters()
 		c.Add(rx.Counters())
 		c.PaceWait = paceWait
 		e.io = c
 		e.probe.io(c)
 	}()
-	// started is the epoch of the sender's clock (core.Sender.Look).
-	started := time.Now()
+	started := time.Now() // the step's clock counts from here
 	// handleAcks feeds the first n datagrams of the ack ring to the sender,
 	// and shows the registry what they changed.
 	handleAcks := func(n int) {
@@ -313,93 +295,63 @@ func (e *senderEngine) run(ctx context.Context) error {
 			e.probe.publish(snd)
 		}
 	}
-	writeErrs := 0
-	var lastWriteErr error
-	// noteWriteErr folds one persistent socket failure into the abort
-	// accounting, reporting whether the limit is reached. Transient
-	// buffer pressure does not count.
-	noteWriteErr := func(err error) bool {
-		if isTransientWriteErr(err) || isTimeout(err) {
-			return false
-		}
-		writeErrs++
-		lastWriteErr = err
-		return writeErrs >= writeErrLimit
-	}
-	// wait makes the next look block on the ack socket instead of polling it.
-	wait := false
-	// flush puts the first k ring slots on the wire, adds what the kernel took
-	// to sent, shows the registry the counts, and reports whether this look
-	// may send more: not after a short or failed write (kernel backpressure:
-	// pace, poll, come back). fatal is set once persistent failures reach the
-	// limit.
-	var sent int
-	var fatal bool
-	flush := func(k int) bool {
-		m, err := ring.send(tx, k)
-		e.probe.publish(snd)
-		sent += m
-		if err != nil {
-			fatal = noteWriteErr(err)
-		}
-		return err == nil && m == k
-	}
-	for {
-		until := paceAt // a look with no deadline is a poll
-		if wait {
-			until = time.Now().Add(opts.idlePoll)
-		}
-		if !until.IsZero() {
-			e.conn.SetReadDeadline(until)
-		}
+	// over reports the verdict or ctx's end, when either is in.
+	over := func() (bool, error) {
 		select {
 		case err := <-e.done:
 			snd.SetComplete()
-			return err
+			return true, err
 		case <-ctx.Done():
 			e.abort(wire.AbortCancelled)
-			return ctx.Err()
+			return true, ctx.Err()
 		default:
+			return false, nil
 		}
-		// Phase 2: look for acknowledgements — blocking only when the sender
-		// said wait or a pacing instant pends. A latched socket error consumed
-		// by the read (the asynchronous ECONNREFUSED of an earlier batch — which
-		// a partial sendmmsg reports as a short count, not an errno) counts
-		// toward the write-error limit, or the fast path could spin forever
-		// on a dead peer that scalar writes would have exposed.
-		var n int
-		var rerr error
-		if !until.IsZero() {
+	}
+	wait, at := core.Poll, time.Duration(0)
+	for {
+		waiting := wait != core.Poll
+		if waiting {
+			e.conn.SetReadDeadline(started.Add(at))
+		}
+		if done, err := over(); done {
+			return err
+		}
+		// A latched socket error consumed by the read (the asynchronous
+		// ECONNREFUSED of an earlier batch — which a partial sendmmsg reports
+		// as a short count, not an errno) counts toward the write-error limit,
+		// or the fast path could spin forever on a dead peer that scalar
+		// writes would have exposed.
+		n, rerr := 0, error(nil)
+		if waiting {
 			waitFrom := time.Now()
 			n, rerr = rx.Recv()
 			// A lingering deadline, once past, would fail every later poll
 			// without reading the socket.
 			e.conn.SetReadDeadline(time.Time{})
-			if !wait {
-				paceWait += time.Since(waitFrom) // a passing instant is not silence
-			} else if isTimeout(rerr) {
-				snd.Quiet(time.Since(started)) // no news for an idle poll
+			if wait == core.Pace {
+				paceWait += time.Since(waitFrom)
 			}
 		} else {
 			n, rerr = rx.TryRecv()
 		}
 		handleAcks(n)
-		if rerr != nil && noteWriteErr(rerr) {
+		if rerr != nil && v.noteWriteErr(rerr) {
 			e.abort(wire.AbortUnspecified)
-			return fmt.Errorf("udprt: data socket: %w", lastWriteErr)
+			return fmt.Errorf("udprt: data socket: %w", v.lastErr)
 		}
-		if wait {
+		if wait == core.News {
 			// Whatever ended the wait may have been the verdict: look
 			// before putting anything more on the wire.
-			wait = false
-			continue
+			if done, err := over(); done {
+				return err
+			}
 		}
 		now := time.Since(started)
-		room, silence := snd.Look(now, ring.len())
 		// Liveness: any processed ack — fresh or stale — proves the
 		// receiver is alive and resets both watchdog counters.
-		if silence == 0 {
-			writeErrs = 0
+		if silence := snd.Silence(now); silence == 0 {
+			v.writeErrs = 0
 		} else if opts.StallTimeout > 0 && silence > opts.StallTimeout {
 			snd.NoteStall()
 			e.probe.event(obs.KindStall, 0)
@@ -407,72 +359,10 @@ func (e *senderEngine) run(ctx context.Context) error {
 			return fmt.Errorf("udprt: no acknowledgement for %v: %w",
 				opts.StallTimeout, ErrStalled)
 		}
-		if !paceAt.IsZero() && time.Now().Before(paceAt) {
-			continue // nothing goes out before the pacing instant
-		}
-		paceAt = time.Time{}
-		if room <= 0 {
-			wait = true // logically blocked on an ack or the completion signal
-			continue
-		}
-		// Phases 1+3: batch-send with the schedule choosing each packet. The
-		// batch policy asks, the congestion controller may cap the ask and
-		// dictates the round's per-packet pacing gap; rounds without a gap
-		// queue up in the ring until it is full or the room used up, a round
-		// with one goes out alone — what is queued leaves first — and ends
-		// the look.
-		fill := 0 // ring slots awaiting the flush
-		sent = 0
-		var gapPer time.Duration // of the last round planned
-		gapFrom := 0             // packets sent before that round was encoded
-		ok := true
-		for ok && fill < room {
-			var batch int
-			batch, gapPer = snd.PlanRound(now)
-			e.probe.batchSize(batch)
-			if gapPer == 0 {
-				batch = min(batch, room-fill)
-			} else if fill > 0 {
-				ok, fill = flush(fill), 0
-			}
-			gapFrom = sent
-			n := 0
-			for ok && n < batch {
-				if fill == ring.len() {
-					// A round longer than the ring goes out in ring-sized chunks.
-					ok, fill = flush(fill), 0
-					continue
-				}
-				k := encodeBatch(snd, ring.from(fill), batch-n, e.probe, n)
-				if k == 0 {
-					break
-				}
-				fill, n = fill+k, n+k
-			}
-			if n == 0 {
-				break // the schedule has nothing to send, or the kernel no room
-			}
-			if gapPer > 0 {
-				break
-			}
-		}
-		if ok && fill > 0 {
-			flush(fill)
-		}
-		if fatal {
+		wait, at = snd.Step(now, v)
+		if v.fatal {
 			e.abort(wire.AbortUnspecified)
-			return fmt.Errorf("udprt: data write: %w", lastWriteErr)
-		}
-		if sent == 0 {
-			// This look's write failed: logically blocked on the kernel
-			// buffer draining, an ack or the completion signal.
-			wait = true
-			continue
-		}
-		// Pacing: the round's gap, per packet the kernel took, moves the clock
-		// on (under the fixed policy gapPer is exactly Options.Pace).
-		if gapPer > 0 {
-			paceAt = pace.charge(time.Now(), gapPer, sent-gapFrom)
+			return fmt.Errorf("udprt: data write: %w", v.lastErr)
 		}
 	}
 }

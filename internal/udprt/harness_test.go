@@ -641,6 +641,8 @@ type fakeReceiver struct {
 	udp  *net.UDPConn // nil when the test wants ECONNREFUSED on data writes
 	ctl  *net.TCPConn
 	done chan struct{}
+	// window is the receive window the answer advertises (zero: none).
+	window wire.Window
 }
 
 // newFakeReceiver binds the TCP control port, optionally with a UDP socket
@@ -698,7 +700,7 @@ func (f *fakeReceiver) acceptHandshake() {
 		}
 		transfer = frame.hello.Transfer
 	}
-	if err := writeControl(ctl, wire.AppendHave(nil, &wire.Have{Transfer: transfer, Words: []uint64{0}})); err != nil {
+	if err := writeControl(ctl, wire.AppendHave(nil, &wire.Have{Transfer: transfer, Words: []uint64{0}, Window: f.window})); err != nil {
 		f.t.Errorf("fake receiver answer: %v", err)
 	}
 }

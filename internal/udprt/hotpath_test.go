@@ -12,6 +12,35 @@ import (
 	"github.com/hpcnet/fobs/internal/obs"
 )
 
+// encodeBatch frames up to max packets of snd's schedule into ring's slots
+// through the engine's own ringVector.Put, the idx-th of them numbered base+idx
+// in its round, and returns how many it filled: a feed for the tests, which
+// flush it themselves.
+func encodeBatch(snd *core.Sender, ring sendRing, max int, p probe, base int) (k int) {
+	v := ringVector{ring: ring, probe: p}
+	for ; k < ring.len() && k < max; k++ {
+		pkt, ok := snd.NextPacket()
+		if !ok {
+			break
+		}
+		v.Put(k, pkt, base+k)
+	}
+	return k
+}
+
+// gapChecked is the engine's vector, failing the test on a negative pacing gap.
+type gapChecked struct {
+	*ringVector
+	t *testing.T
+}
+
+func (v *gapChecked) Round(batch int, gap time.Duration) {
+	if gap < 0 {
+		v.t.Fatal("negative pacing gap")
+	}
+	v.ringVector.Round(batch, gap)
+}
+
 // eachInstrumentation runs fn with instrumentation off (nil handles, the
 // zero-configuration default), with live metrics, with metrics plus a
 // flight recording, and with every layer plus a span recorder, so every
@@ -47,16 +76,15 @@ func eachInstrumentation(t *testing.T, role obs.Role, packets int, fn func(t *te
 	})
 }
 
-// TestSenderHotPathZeroAllocs measures the sender's steady-state per-batch
-// work — ask the sender what the look may send (which resolves the
-// round-trip probe and runs the flow account), have it plan the round under
-// its congestion controller (the call that also reports the last round's
-// loss classification), pull packets from the schedule, record them, encode
-// into the ring, flush, show the registry the counts, charge the pacing
-// clock — through the calls the sender engine makes, and requires zero
-// allocations on both socket paths, with and without metrics, under every
-// congestion policy in the table, bare and slowed by both Options.Pace and a
-// RateCap.
+// TestSenderHotPathZeroAllocs measures the sender's steady-state per-look
+// work — the look (which resolves the round-trip probe and runs the flow
+// account), the rounds planned under the congestion controller (the call that
+// also reports the last round's loss classification), packets pulled from the
+// schedule, recorded and encoded into the ring, the flush, the registry shown
+// the counts, the pacing clock charged — by running the engine's own step,
+// core.Sender.Step over its ringVector, and requires zero allocations on both
+// socket paths, with and without metrics, under every congestion policy in
+// the table, bare and slowed by both Options.Pace and a RateCap.
 func TestSenderHotPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -101,34 +129,29 @@ func TestSenderHotPathZeroAllocs(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						ring := newSendRing(16)
+						v := &ringVector{ring: newSendRing(16), tx: tx, snd: snd, probe: probe{tm: tm, fr: fr}}
+						checked := &gapChecked{ringVector: v, t: t}
 						// With no acks the circular schedule supplies
-						// retransmissions forever, so every run encodes and
-						// flushes a controller-planned batch. The loss feedback
-						// runs live (a no-ack run is all retransmissions), so
-						// window policies are measured at their smallest batch
-						// too.
-						started := time.Now()
-						var clock pacer
-						p := probe{tm: tm, fr: fr}
+						// retransmissions forever, so the looks keep encoding
+						// and flushing controller-planned rounds. The loss
+						// feedback runs live (a no-ack run is all
+						// retransmissions), so window policies are measured at
+						// their smallest batch too. A look comes every
+						// millisecond of the step's clock, an idle poll: the
+						// waits for news the window asks for run out, and the
+						// account writes the silence off as the engine's would.
+						var now time.Duration
 						if allocs := testing.AllocsPerRun(300, func() {
-							now := time.Since(started)
-							snd.Look(now, ring.len())
-							batch, gapPer := snd.PlanRound(now)
-							if gapPer < 0 {
-								t.Fatal("negative pacing gap")
+							now += time.Millisecond
+							snd.Step(now, checked)
+							if v.fatal || v.writeErrs > 0 {
+								t.Fatalf("flush: %v", v.lastErr)
 							}
-							k := encodeBatch(snd, ring, batch, p, 0)
-							if k != batch {
-								t.Fatalf("encodeBatch = %d, want %d", k, batch)
-							}
-							if _, err := ring.send(tx, k); err != nil {
-								t.Fatalf("Send: %v", err)
-							}
-							p.publish(snd)
-							clock.charge(time.Now(), gapPer, k)
 						}); allocs > 0 {
-							t.Errorf("sender plan+encode+flush+pace allocates %.1f times per batch, want 0", allocs)
+							t.Errorf("sender step (look+plan+encode+flush+pace) allocates %.1f times per look, want 0", allocs)
+						}
+						if st := snd.Stats(); st.PacketsSent == 0 || tx.Counters().SentDatagrams != st.PacketsSent {
+							t.Errorf("the looks selected %d packets and the wire took %d", st.PacketsSent, tx.Counters().SentDatagrams)
 						}
 						if tm != nil {
 							s := tm.Snapshot()

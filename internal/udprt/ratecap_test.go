@@ -190,12 +190,20 @@ func TestRateCapZeroAlloc(t *testing.T) {
 	}
 }
 
-// measureGrantRate emulates `flows` sender engines sharing one cap: each
-// loop grants a round of the default batch policy's ask, counts it, and
-// waits out the dictated gap on the engine's own pacing clock — exactly what
-// the engine does with a directive, with a sleep in place of the ack socket —
-// then reports the combined on-the-wire bit rate.
+// nullVector is a wire that takes every packet and goes nowhere.
+type nullVector struct{}
+
+func (nullVector) Len() int                 { return DefaultIOBatch }
+func (nullVector) Round(int, time.Duration) {}
+func (nullVector) Put(int, wire.Data, int)  {}
+func (nullVector) Flush(k int) (int, bool)  { return k, true }
+
+// measureGrantRate runs `flows` senders sharing one cap, each the engine's own
+// step (core.Sender.Step) under the capped controller Send installs, flushing
+// to a nullVector and waiting out each pacing instant with a sleep in place
+// of the ack socket, then reports the combined on-the-wire bit rate.
 func measureGrantRate(c *RateCap, flows int, bitsPerPkt float64, dur time.Duration) float64 {
+	packetSize := int(bitsPerPkt/8) - wire.UDPIPOverhead
 	var total atomic.Int64
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -203,16 +211,15 @@ func measureGrantRate(c *RateCap, flows int, bitsPerPkt float64, dur time.Durati
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var clock pacer
-			var end time.Time
+			snd := core.NewSender(makeObj(64*packetSize), core.Config{PacketSize: packetSize})
+			cc, _ := newController(Options{RateCap: c}, packetSize)
+			snd.SetController(cc)
 			for time.Since(start) < dur {
-				n, gap, e := c.grant(core.DefaultBatch, bitsPerPkt, end)
-				end = e
-				total.Add(int64(n))
-				if at := clock.charge(time.Now(), gap, n); !at.IsZero() {
-					time.Sleep(time.Until(at)) // scenario: the grant-rate measurement
+				if wait, at := snd.Step(time.Since(start), nullVector{}); wait == core.Pace {
+					time.Sleep(time.Until(start.Add(at))) // scenario: the grant-rate measurement
 				}
 			}
+			total.Add(int64(snd.Stats().PacketsSent))
 		}()
 	}
 	wg.Wait()

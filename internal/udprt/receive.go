@@ -301,14 +301,16 @@ func (l *Listener) detach(in *inbound) {
 // single-flow transfer that fails after it was admitted
 // leaves its partial state in the resume store under its content identity;
 // one whose bytes failed verification is neither delivered, cached nor
-// retained. Every exit stamps the instruments with its error value.
-func (l *Listener) receive(ctx context.Context, rd *ctlReader) (recvPlan, []byte, core.ReceiverStats, error) {
+// retained. Every exit stamps the instruments with its error value, and
+// every exit after the announcement was read the stats with the time since.
+func (l *Listener) receive(ctx context.Context, rd *ctlReader) (plan recvPlan, _ []byte, st core.ReceiverStats, err error) {
 	ctl := rd.ctl
-	plan, err := readTransferPlan(ctx, rd)
+	plan, err = readTransferPlan(ctx, rd)
 	if err != nil {
 		refuseAnnouncement(ctl, err)
 		return plan, nil, core.ReceiverStats{}, err
 	}
+	defer func(read time.Time) { st.Elapsed = time.Since(read) }(time.Now())
 	if obj, ok := plan.dedupHit(l.cache); ok {
 		obj, st, err := l.completeDeduped(plan, ctl, obj)
 		return plan, obj, st, err

@@ -107,6 +107,10 @@ func newSenderPlan(obj []byte, cfg core.Config, opts Options) (*senderPlan, erro
 	for i, sd := range p.stripes {
 		scfg := cfg
 		scfg.Transfer = sd.Transfer
+		// The flow account models the receiver's ack cadence (SetFlow), and
+		// every socket receiver acks at DefaultAckFrequency (newRecvEngines),
+		// whatever the sender was configured with.
+		scfg.AckFrequency = core.DefaultAckFrequency
 		snd := core.NewSender(obj[sd.Offset:sd.Offset+sd.Length], scfg)
 		// A controller per stripe, and — plans being per attempt — per
 		// attempt: an unknown Options.Congestion fails here, before any

@@ -188,3 +188,37 @@ func TestReceiveRingRejectsOverlongDatagram(t *testing.T) {
 		}
 	})
 }
+
+// TestReceiverTimesFromTheAnnouncement: a receiver that listens long before
+// its sender dials reports the transfer's own time, from the announcement
+// on, not the wait in front of it.
+func TestReceiverTimesFromTheAnnouncement(t *testing.T) {
+	const wait = 300 * time.Millisecond
+	l, err := Listen("127.0.0.1:0", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	type accepted struct {
+		st  core.ReceiverStats
+		err error
+	}
+	done := make(chan accepted, 1)
+	go func() {
+		_, st, err := l.Accept(ctx)
+		done <- accepted{st, err}
+	}()
+	time.Sleep(wait) // scenario: the receiver listens before the sender dials
+	if _, err := Send(ctx, l.Addr(), makeObj(64<<10), core.Config{}, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	a := <-done
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	if a.st.Elapsed <= 0 || a.st.Elapsed >= wait {
+		t.Fatalf("the receiver reported %v for a transfer it waited %v to start", a.st.Elapsed, wait)
+	}
+}

@@ -3,6 +3,7 @@ package udprt
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -257,5 +258,40 @@ func TestStallWatchdogBetweenWaits(t *testing.T) {
 				sst.PacketsSent, turns, sst.PacketsNeeded)
 		}
 		fake.expectAbort(wire.AbortStalled)
+	})
+}
+
+// TestSenderModelsTheReceiversAckCadence: every socket receiver acknowledges
+// every core.DefaultAckFrequency packets, whatever the sender was configured
+// with, so a sender told AckFrequency 8 still keeps its window at no less
+// than two of the receiver's intervals: against a one-packet window and no
+// acknowledgement it sends 2 × DefaultAckFrequency packets and waits — not
+// 2 × 8, the floor of a cadence that never arrives.
+func TestSenderModelsTheReceiversAckCadence(t *testing.T) {
+	eachIOPath(t, func(t *testing.T, noFastPath bool) {
+		fake := newFakeReceiver(t, true)
+		fake.window = wire.WindowOf(1024) // one packet
+		go fake.acceptHandshake()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var emitted atomic.Int64
+		// Waits far longer than the test: nothing is written off.
+		opts := Options{idlePoll: time.Second, NoFastPath: noFastPath}
+		opts.testFlushHook = func(k, m int) { emitted.Add(int64(m)) }
+		sent := make(chan error, 1)
+		go func() {
+			_, err := Send(ctx, fake.addr(), makeObj(1<<20), core.Config{PacketSize: 1024, AckFrequency: 8}, opts)
+			sent <- err
+		}()
+		floor := int64(2 * core.DefaultAckFrequency)
+		waitUntil(t, 5*time.Second, lazy(func() string {
+			return fmt.Sprintf("%d packets of a window floor of %d", emitted.Load(), floor)
+		}), func() bool { return emitted.Load() >= floor })
+		time.Sleep(20 * time.Millisecond) // scenario: the sender is now waiting, and stays silent
+		if n := emitted.Load(); n != floor {
+			t.Fatalf("%d packets went out against a one-packet window, want the floor of %d", n, floor)
+		}
+		cancel()
+		<-sent
 	})
 }

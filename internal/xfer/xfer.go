@@ -241,17 +241,19 @@ func sendTree(ctx context.Context, addr, root string, manifest Manifest, cfg cor
 // destRoot, creating directories as needed. Every file is verified against
 // its manifest CRC before being renamed into place.
 func ReceiveTree(ctx context.Context, sl *udprt.SessionListener, destRoot string) (Summary, error) {
-	start := time.Now()
 	is, err := sl.AcceptSession(ctx)
 	if err != nil {
 		return Summary{}, err
 	}
 	defer is.Close()
 
-	manifestRaw, _, err := is.Next(ctx)
+	manifestRaw, mst, err := is.Next(ctx)
 	if err != nil {
 		return Summary{}, fmt.Errorf("xfer: receive manifest: %w", err)
 	}
+	// The tree is timed from the manifest's announcement, not from the wait
+	// for a sender to dial.
+	start := time.Now().Add(-mst.Elapsed)
 	manifest, err := DecodeManifest(manifestRaw)
 	if err != nil {
 		return Summary{}, err

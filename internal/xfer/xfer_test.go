@@ -117,6 +117,35 @@ func TestTreeTransferRoundTrip(t *testing.T) {
 	})
 }
 
+// TestReceiveTreeTimesFromTheAnnouncement: a tree receiver that listens
+// long before its sender dials reports the tree's own time, from the
+// manifest's announcement on, not the wait in front of it.
+func TestReceiveTreeTimesFromTheAnnouncement(t *testing.T) {
+	const wait = 300 * time.Millisecond
+	sl, err := udprt.ListenSession("127.0.0.1:0", udprt.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	done := make(chan Summary, 1)
+	go func() {
+		sum, err := ReceiveTree(ctx, sl, t.TempDir())
+		if err != nil {
+			t.Error(err)
+		}
+		done <- sum
+	}()
+	time.Sleep(wait) // scenario: the receiver listens before the sender dials
+	if _, err := SendTree(ctx, sl.Addr(), makeTree(t), core.Config{}, udprt.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if sum := <-done; sum.Elapsed <= 0 || sum.Elapsed >= wait {
+		t.Fatalf("the receiver reported %v for a tree it waited %v to start", sum.Elapsed, wait)
+	}
+}
+
 func TestManifestRoundTrip(t *testing.T) {
 	m := Manifest{Files: []FileEntry{
 		{Path: "a/b.txt", Size: 123, Mode: 0o640, CRC: 0xDEADBEEF},
