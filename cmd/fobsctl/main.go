@@ -148,7 +148,7 @@ func (c *client) submit(args []string) (int, error) {
 		streams = fs.Int("streams", 0, "stripe across this many UDP flows (0/1: unstriped)")
 		cc      = fs.String("cc", "", "congestion control policy for this task ("+strings.Join(fobs.CongestionPolicies(), ", ")+")")
 		noDedup = fs.Bool("no-dedup", false,
-			"do not let the receiver answer from its content cache; always move the bytes")
+			"do not let the receiver answer from an object it already holds whole; always move the bytes")
 		wait = fs.Bool("wait", false, "poll until the task reaches a terminal state")
 	)
 	fs.Parse(args)

@@ -111,7 +111,7 @@ func (c *Command) define(name string) {
 	case "streams":
 		fs.IntVar(&c.Options.Streams, name, 1, fmt.Sprintf("parallel stripes per object, each its own UDP flow (1..%d)", fobs.MaxStreams))
 	case "no-dedup":
-		fs.BoolVar(&c.Options.NoDedup, name, false, "do not let the receiver answer from its content cache; move the bytes even if it holds them")
+		fs.BoolVar(&c.Options.NoDedup, name, false, "do not let the receiver answer from an object it already holds whole; move the bytes even if it holds them")
 	case "progress":
 		fs.BoolVar(&c.progress, name, false, "print transfer progress")
 	case "retries":
@@ -128,7 +128,7 @@ func (c *Command) define(name string) {
 		fs.DurationVar(&c.Options.ResumeWindow, name, 0,
 			"retain interrupted transfers this long so a sender of the same content sends only what is missing (0: default 60s, negative: disabled)")
 	case "checkpoint":
-		fs.StringVar(&c.Options.Checkpoint, name, "", "directory for resume checkpoints; interrupted transfers survive a restart of this process")
+		fs.StringVar(&c.Options.Checkpoint, name, "", "directory where the receiver keeps what it holds — verified objects for dedup, interrupted transfers for resume — so both survive a restart of this process")
 	case "debug-addr":
 		fs.StringVar(&c.debugAddr, name, "", "serve live metrics + pprof over HTTP on this address (e.g. localhost:6060)")
 	case "stats-interval":

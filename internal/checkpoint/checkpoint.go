@@ -1,10 +1,13 @@
-// Package checkpoint persists the receive side of an interrupted transfer
-// — the partially assembled object, its got-bitmap and the content identity
-// it was announced under — so a restarted process can answer a CHECK for
-// that content with what it holds instead of forcing a full retransmission.
-// GridFTP's restart markers serve the same purpose; here the unit is the
-// whole receiver state, written atomically once per abort rather than
-// streamed, because FOBS transfers are single objects, not byte streams.
+// Package checkpoint persists what a receiver holds of an object — the
+// assembled bytes, the got-bitmap of the packets placed so far and the
+// content identity the object was announced under — so a restarted process
+// can answer a CHECK for that content with what it holds instead of forcing
+// a full retransmission. GridFTP's restart markers serve the same purpose;
+// here the unit is the whole receiver state, written atomically once rather
+// than streamed, because FOBS transfers are single objects, not byte
+// streams. A whole, verified object and a partial one are the same State in
+// the same file, named by the content identity (CacheFile), and one loader
+// (LoadCacheDir) reads a directory of them back within the caller's bounds.
 //
 // Format (all big-endian): an 8-byte magic, a version byte, the transfer
 // header, the bitmap words, the object bytes, and a trailing CRC-32C over
@@ -19,9 +22,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -41,55 +47,68 @@ var (
 	// checksum validation.
 	ErrCorrupt = errors.New("checkpoint: corrupt or truncated file")
 	// ErrOldVersion reports a file an earlier build wrote in a format this
-	// one no longer reads. LoadDir and LoadCacheDir remove such files:
-	// nothing will ever read them again.
+	// one no longer reads. LoadCacheDir removes such files: nothing will
+	// ever read them again.
 	ErrOldVersion = errors.New("checkpoint: written by an earlier format version")
 )
 
 // castagnoli matches the CRC-32C polynomial used on the wire.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// State is one retained transfer: everything a receiver needs to rebuild
-// its state machines and answer a CHECK for its content after a restart.
+// State is what a receiver holds of one object: everything it needs to
+// rebuild its state machines and answer a CHECK for the content after a
+// restart.
 type State struct {
-	// Transfer names the file; the content identity is what a later
-	// transfer finds the state by.
+	// Transfer is the id the transfer-named API (File, Save, Remove) names
+	// the file by; a content-named file carries zero.
 	Transfer   uint32
 	ObjectSize uint64
 	PacketSize uint32
-	// Received counts distinct packets held; Words is the got-bitmap.
+	// Received counts distinct packets held; Words is the got-bitmap. A
+	// whole object is saved with every packet counted and no words.
 	Received uint32
 	Words    []uint64
-	// Object is the partially filled object buffer, ObjectSize bytes.
+	// Object is the object buffer, ObjectSize bytes: every packet of a
+	// whole object, the placed packets and zeros of a partial one.
 	Object []byte
 	// Content is the whole-object content identity (core.ContentID), when
-	// known (HasContent). Both a content-cache entry and a retained partial
-	// transfer are found by it; a file without one is never claimed.
-	// Serialized after the object under flags bit 1.
+	// known (HasContent): what the file is named by and what a later
+	// transfer finds the state by. Serialized after the object under flags
+	// bit 1.
 	Content    [32]byte
 	HasContent bool
 }
 
-// File returns the checkpoint path for a transfer id under dir.
+// File returns the transfer-named checkpoint path for a transfer id under
+// dir. Nothing in this module writes such files (LoadCacheDir removes them);
+// File, Save and Remove remain for the layer benchmark's timing of save.
 func File(dir string, transfer uint32) string {
-	return filepath.Join(dir, fmt.Sprintf("fobs-ckpt-%08x", transfer))
+	return filepath.Join(dir, fmt.Sprintf("%s%08x", transferPrefix, transfer))
 }
+
+// transferPrefix and contentPrefix begin the two file names: by transfer id
+// (File), an earlier build's retained state, and by content (CacheFile).
+const (
+	transferPrefix = "fobs-ckpt-"
+	contentPrefix  = "fobs-cache-"
+)
 
 // headerLen is the fixed payload prefix after the magic:
 // version, flags, transfer, objsize, psize, received, words.
 const headerLen = 1 + 1 + 4 + 8 + 4 + 4 + 4
 
-// Save atomically writes st to the checkpoint file for its transfer id:
-// the bytes land in a temporary file first and rename into place, so a
-// crash mid-write leaves either the old checkpoint or none — never a torn
-// one that Load would have to reject.
+// Save atomically writes st to the checkpoint file for its transfer id
+// through the same writer as SaveCache.
 func Save(dir string, st *State) error {
 	return save(File(dir, st.Transfer), st)
 }
 
 // save writes st to path as a framed file whose body is three parts — the
 // header with the bitmap words, the object, the content trailer — so the
-// object goes from the caller's buffer to the file without a copy.
+// object goes from the caller's buffer to the file without a copy. The
+// bytes land in a temporary file first and rename into place, so a crash
+// mid-write leaves either the old file or none — never a torn one that Load
+// would have to reject.
 func save(path string, st *State) error {
 	if uint64(len(st.Object)) != st.ObjectSize {
 		return fmt.Errorf("checkpoint: object is %d bytes, header says %d", len(st.Object), st.ObjectSize)
@@ -124,17 +143,18 @@ func Load(path string) (*State, error) {
 	return decode(body)
 }
 
-// decode validates and parses a checkpoint body, the framed container's
-// payload. The State's Object aliases body.
-func decode(body []byte) (*State, error) {
+// decodeHead parses the fixed header at the front of a checkpoint body into
+// a State without words, object or content, and returns the count of bitmap
+// words the header announces.
+func decodeHead(body []byte) (*State, int, error) {
 	if len(body) < headerLen {
-		return nil, ErrCorrupt
+		return nil, 0, ErrCorrupt
 	}
 	if body[0] < Version {
-		return nil, fmt.Errorf("%w: version %d, speak %d", ErrOldVersion, body[0], Version)
+		return nil, 0, fmt.Errorf("%w: version %d, speak %d", ErrOldVersion, body[0], Version)
 	}
 	if body[0] != Version {
-		return nil, fmt.Errorf("checkpoint: version %d, speak %d", body[0], Version)
+		return nil, 0, fmt.Errorf("checkpoint: version %d, speak %d", body[0], Version)
 	}
 	st := &State{
 		HasContent: body[1]&flagContent != 0,
@@ -143,7 +163,19 @@ func decode(body []byte) (*State, error) {
 		PacketSize: binary.BigEndian.Uint32(body[14:]),
 		Received:   binary.BigEndian.Uint32(body[18:]),
 	}
-	nw := int(binary.BigEndian.Uint32(body[22:]))
+	if st.PacketSize == 0 || st.ObjectSize == 0 {
+		return nil, 0, ErrCorrupt
+	}
+	return st, int(binary.BigEndian.Uint32(body[22:])), nil
+}
+
+// decode validates and parses a checkpoint body, the framed container's
+// payload. The State's Object aliases body.
+func decode(body []byte) (*State, error) {
+	st, nw, err := decodeHead(body)
+	if err != nil {
+		return nil, err
+	}
 	rest := body[headerLen:]
 	if st.HasContent {
 		if len(rest) < 32 {
@@ -154,8 +186,7 @@ func decode(body []byte) (*State, error) {
 	}
 	// Measured against what is there, never summed: a lying header's sizes
 	// could wrap a sum around to the file's length.
-	if st.PacketSize == 0 || st.ObjectSize == 0 || nw > len(rest)/8 ||
-		uint64(len(rest)-8*nw) != st.ObjectSize {
+	if nw > len(rest)/8 || uint64(len(rest)-8*nw) != st.ObjectSize {
 		return nil, ErrCorrupt
 	}
 	st.Words = make([]uint64, nw)
@@ -166,47 +197,20 @@ func decode(body []byte) (*State, error) {
 	return st, nil
 }
 
-// load is Load for the directory scans: a file of an earlier format version
-// is removed on the way.
-func load(path string) (*State, error) {
-	st, err := Load(path)
-	if errors.Is(err, ErrOldVersion) {
-		os.Remove(path)
-	}
-	return st, err
-}
-
-// LoadDir loads every valid checkpoint under dir, keyed by transfer id.
-// Corrupt or foreign files are skipped, not errors: a retained directory
-// shared with other artifacts must not poison startup. Checkpoints an
-// earlier format version wrote are removed.
-func LoadDir(dir string) (map[uint32]*State, error) {
-	ents, err := os.ReadDir(dir)
+// peek reads only a checkpoint file's magic and fixed header, no byte of the
+// object; Load still decides whether the file is sound.
+func peek(path string) (*State, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	var out map[uint32]*State
-	for _, e := range ents {
-		var xfer uint32
-		if e.IsDir() {
-			continue
-		}
-		if _, err := fmt.Sscanf(e.Name(), "fobs-ckpt-%08x", &xfer); err != nil {
-			continue
-		}
-		st, err := load(filepath.Join(dir, e.Name()))
-		if err != nil || st.Transfer != xfer {
-			continue
-		}
-		if out == nil {
-			out = make(map[uint32]*State)
-		}
-		out[xfer] = st
+	defer f.Close()
+	var b [8 + headerLen]byte
+	if _, err := io.ReadFull(f, b[:]); err != nil || [8]byte(b[:8]) != fileMagic {
+		return nil, ErrCorrupt
 	}
-	return out, nil
+	st, _, err := decodeHead(b[8:])
+	return st, err
 }
 
 // Remove deletes the checkpoint for a transfer id, if present.
@@ -214,19 +218,17 @@ func Remove(dir string, transfer uint32) {
 	os.Remove(File(dir, transfer))
 }
 
-// CacheFile returns the content-cache path for a digest under dir. The
-// name keys on the digest (its first 8 bytes — plenty against accidental
-// collision in a bounded cache; the loader verifies the full digest), not
-// a transfer id, and the distinct prefix keeps LoadDir's resume scan from
-// ever picking a cache entry up, and vice versa, in a shared directory.
+// CacheFile returns the path of the entry held for a content identity under
+// dir, whole or partial. The name keys on the identity's first 8 bytes —
+// plenty against accidental collision in a bounded store; the loader
+// verifies a whole object's full identity.
 func CacheFile(dir string, content [32]byte) string {
-	return filepath.Join(dir, fmt.Sprintf("fobs-cache-%016x", binary.BigEndian.Uint64(content[:8])))
+	return filepath.Join(dir, fmt.Sprintf("%s%016x", contentPrefix, binary.BigEndian.Uint64(content[:8])))
 }
 
-// SaveCache atomically writes a completed object as a content-cache entry:
-// the same framed State container as a resume checkpoint (one persistence
-// path, per the roadmap), keyed by content digest instead of transfer id.
-// st.HasContent must be set.
+// SaveCache atomically writes st under its content identity: a whole object
+// or a partial one, in the same framed State container. st.HasContent must
+// be set.
 func SaveCache(dir string, st *State) error {
 	if !st.HasContent {
 		return errors.New("checkpoint: cache entry without a content digest")
@@ -234,16 +236,19 @@ func SaveCache(dir string, st *State) error {
 	return save(CacheFile(dir, st.Content), st)
 }
 
-// LoadCacheDir offers every valid content-cache entry under dir to admit,
-// one file at a time and oldest first by modification time — the order the
-// entries were saved in — so no more is resident than admit keeps. An entry
-// admit turns down has its file removed. Corrupt or foreign files are
-// skipped for the same reason LoadDir skips them; an entry whose filename
-// does not match its own content digest is treated as foreign. admit still
-// verifies the full digest against the object bytes before trusting an
-// entry, and owns st.Object if it keeps it. Entries an earlier format version
-// wrote are removed, like the ones admit turns down.
-func LoadCacheDir(dir string, admit func(st *State) bool) error {
+// LoadCacheDir reads the content-named files under dir back within the
+// caller's bounds, in two passes. Newest first by modification time, it
+// offers each file's header alone (peek) to room; a file room has no room
+// for is removed unread. Then, oldest first — the order the files were saved
+// in — it offers each file room took to admit, one whole file at a time, so
+// no more is resident than admit keeps; admit owns st.Object if it keeps it,
+// and a file it turns down is removed. Removed on the way, since nothing will
+// ever read them: files of an earlier format version, files that name no
+// content, and files in an earlier build's transfer-id naming (File).
+// Corrupt or foreign files — a file whose name is not its own content's
+// included — are skipped, not errors: a directory shared with other
+// artifacts must not poison start-up.
+func LoadCacheDir(dir string, room, admit func(st *State) bool) error {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -252,40 +257,56 @@ func LoadCacheDir(dir string, admit func(st *State) bool) error {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	type cacheFile struct {
-		name  string
+		path  string
 		key   uint64
 		saved time.Time
 	}
 	var files []cacheFile
 	for _, e := range ents {
-		var key uint64
+		name := e.Name()
 		if e.IsDir() {
 			continue
 		}
-		if _, err := fmt.Sscanf(e.Name(), "fobs-cache-%016x", &key); err != nil {
+		if strings.HasPrefix(name, transferPrefix) {
+			os.Remove(filepath.Join(dir, name))
+			continue
+		}
+		hex, ok := strings.CutPrefix(name, contentPrefix)
+		key, err := strconv.ParseUint(hex, 16, 64)
+		if !ok || len(hex) != 16 || err != nil {
 			continue
 		}
 		info, err := e.Info()
 		if err != nil {
 			continue
 		}
-		files = append(files, cacheFile{e.Name(), key, info.ModTime()})
+		files = append(files, cacheFile{filepath.Join(dir, name), key, info.ModTime()})
 	}
-	sort.SliceStable(files, func(i, j int) bool { return files[i].saved.Before(files[j].saved) })
+	sort.SliceStable(files, func(i, j int) bool { return files[i].saved.After(files[j].saved) })
+	taken := files[:0]
 	for _, f := range files {
-		path := filepath.Join(dir, f.name)
-		st, err := load(path)
-		if err != nil || !st.HasContent || binary.BigEndian.Uint64(st.Content[:8]) != f.key {
+		head, err := peek(f.path)
+		switch {
+		case errors.Is(err, ErrOldVersion) || err == nil && (!head.HasContent || !room(head)):
+			os.Remove(f.path)
+		case err == nil:
+			taken = append(taken, f)
+		}
+	}
+	for i := len(taken) - 1; i >= 0; i-- {
+		f := taken[i]
+		st, err := Load(f.path)
+		if err != nil || binary.BigEndian.Uint64(st.Content[:8]) != f.key {
 			continue
 		}
 		if !admit(st) {
-			os.Remove(path)
+			os.Remove(f.path)
 		}
 	}
 	return nil
 }
 
-// RemoveCache deletes the content-cache entry for a digest, if present.
+// RemoveCache deletes the entry held for a content identity, if present.
 func RemoveCache(dir string, content [32]byte) {
 	os.Remove(CacheFile(dir, content))
 }

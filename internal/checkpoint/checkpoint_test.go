@@ -231,86 +231,54 @@ func restamp(b []byte) []byte {
 	return b
 }
 
-func TestLoadDirSkipsJunk(t *testing.T) {
+// TestLoadCacheDirRemovesOldFiles: what nothing will ever read again is
+// removed by the directory scan — a file an earlier format version wrote
+// (refused as ErrOldVersion), one in an earlier build's transfer-id naming,
+// and one that names no content — while a current one stays.
+func TestLoadCacheDirRemovesOldFiles(t *testing.T) {
 	dir := t.TempDir()
 	st := sampleState()
-	if err := Save(dir, st); err != nil {
-		t.Fatal(err)
-	}
-	st2 := sampleState()
-	st2.Transfer = 7
-	if err := Save(dir, st2); err != nil {
-		t.Fatal(err)
-	}
-	// Junk neighbors: a foreign file, a corrupt checkpoint, a directory.
-	os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("hi"), 0o644)
-	os.WriteFile(File(dir, 9), []byte("FOBSCKPTgarbage"), 0o644)
-	os.Mkdir(filepath.Join(dir, "sub"), 0o755)
-
-	got, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[42] == nil || got[7] == nil {
-		t.Fatalf("LoadDir found %d states, want transfers 42 and 7", len(got))
-	}
-
-	Remove(dir, 42)
-	got, err = LoadDir(dir)
-	if err != nil || len(got) != 1 || got[7] == nil {
-		t.Fatalf("after Remove: %v states, err=%v", got, err)
-	}
-}
-
-// TestLoadDirRemovesOldVersion: a checkpoint an earlier format version wrote
-// is refused as ErrOldVersion, and the directory scans remove it — resume
-// checkpoint and cache entry alike — while a current one stays.
-func TestLoadDirRemovesOldVersion(t *testing.T) {
-	dir := t.TempDir()
-	st := sampleState()
-	if err := Save(dir, st); err != nil {
-		t.Fatal(err)
-	}
 	if err := SaveCache(dir, st); err != nil {
 		t.Fatal(err)
 	}
-	old := func(path string) {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b[8] = Version - 1
-		if err := os.WriteFile(path, restamp(b), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Load(path); !errors.Is(err, ErrOldVersion) {
-			t.Fatalf("old version: err=%v, want ErrOldVersion", err)
-		}
-	}
-	old(File(dir, st.Transfer))
-	old(CacheFile(dir, st.Content))
-	st.Transfer = 7
-	if err := Save(dir, st); err != nil {
+	oldFile := CacheFile(dir, st.Content)
+	b, err := os.ReadFile(oldFile)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadDir(dir)
-	if err != nil || len(got) != 1 || got[7] == nil {
-		t.Fatalf("LoadDir: %d states (err=%v), want just transfer 7", len(got), err)
-	}
-	if err := LoadCacheDir(dir, func(*State) bool { t.Fatal("an old cache entry was offered"); return true }); err != nil {
+	b[8] = Version - 1
+	if err := os.WriteFile(oldFile, restamp(b), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{File(dir, 42), CacheFile(dir, st.Content)} {
+	if _, err := Load(oldFile); !errors.Is(err, ErrOldVersion) {
+		t.Fatalf("old version: err=%v, want ErrOldVersion", err)
+	}
+	if err := Save(dir, st); err != nil { // transfer-named
+		t.Fatal(err)
+	}
+	anonymous := sampleState()
+	anonymous.Transfer, anonymous.HasContent = 43, false
+	if err := Save(dir, anonymous); err != nil {
+		t.Fatal(err)
+	}
+	var other [32]byte
+	other[0] = 0xAB
+	anonFile := CacheFile(dir, other)
+	if err := os.Rename(File(dir, anonymous.Transfer), anonFile); err != nil {
+		t.Fatal(err)
+	}
+	current := cacheState(7)
+	if err := SaveCache(dir, current); err != nil {
+		t.Fatal(err)
+	}
+	got, err := loadCacheAll(dir)
+	if err != nil || len(got) != 1 || got[0].Content != current.Content {
+		t.Fatalf("LoadCacheDir: %d states (err=%v), want just the current one", len(got), err)
+	}
+	for _, path := range []string{oldFile, File(dir, 42), anonFile} {
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
 			t.Fatalf("%s survived the scan: %v", filepath.Base(path), err)
 		}
-	}
-}
-
-func TestLoadDirMissingDirIsEmpty(t *testing.T) {
-	got, err := LoadDir(filepath.Join(t.TempDir(), "never-created"))
-	if err != nil || got != nil {
-		t.Fatalf("missing dir: got %v, err=%v", got, err)
 	}
 }
 

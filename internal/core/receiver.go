@@ -33,8 +33,8 @@ type ReceiverStats struct {
 	// IdleTimeouts counts firings of the driver's idle watchdog: the
 	// object was incomplete and no data arrived for the configured window.
 	IdleTimeouts int
-	// Deduped reports that this transfer was answered from the receiver's
-	// content cache: the sender's digest query matched a held object, no
+	// Deduped reports that this transfer was answered from an object the
+	// receiver held whole: the sender's digest query matched it, no
 	// data flow was dialed, and Restored covers the whole object. Set by
 	// the driver, never by the state machine.
 	Deduped bool

@@ -430,7 +430,7 @@ type TransferSnapshot struct {
 	Counts
 	// PacketsRestored counts packets a resume handshake or a dedup hit
 	// marked already delivered before this run's first send (sender role)
-	// or carried over from retained state or the content cache (receiver
+	// or carried over from retained state or a whole held object (receiver
 	// role).
 	PacketsRestored int64 `json:"packets_restored,omitempty"`
 	Stalls          int64 `json:"stalls"`

@@ -338,7 +338,7 @@ func (d *Daemon) moverOptions(t *Task) udprt.Options {
 	// retained part of it from an earlier attempt (a crash, a requeue) is
 	// sent only the rest — a rerun costs one handshake, whatever the
 	// receiver holds. The spec can keep the receiver from answering it from
-	// its cache (NoDedup).
+	// an object it holds whole (NoDedup).
 	opts.NoDedup = t.Spec.NoDedup
 	opts.RateCap = d.capFor(t.Spec.tenant())
 	if t.Spec.Streams > 1 {

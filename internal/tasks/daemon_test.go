@@ -495,7 +495,7 @@ func TestDaemonKillPointSweep(t *testing.T) {
 		stop()
 		// Wait for the receiver to park the partial transfer (signalled by
 		// its checkpoint file) so the rerun's RESUME finds it.
-		ckpt := checkpoint.File(ckptDir, task.Transfer)
+		ckpt := checkpoint.CacheFile(ckptDir, core.ContentID(obj))
 		for deadline := time.Now().Add(10 * time.Second); ; {
 			if _, err := os.Stat(ckpt); err == nil {
 				break

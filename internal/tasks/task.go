@@ -75,8 +75,8 @@ type Spec struct {
 	// Congestion selects the congestion-control policy by name (empty:
 	// the runtime default).
 	Congestion string `json:"congestion,omitempty"`
-	// NoDedup keeps the receiver from answering the task's CHECK from its
-	// content cache, so the bytes move even when it holds them; what it
+	// NoDedup keeps the receiver from answering the task's CHECK from an
+	// object it holds whole, so the bytes move even then; what it
 	// retained of an earlier, failed attempt still excuses packets.
 	NoDedup bool `json:"no_dedup,omitempty"`
 }

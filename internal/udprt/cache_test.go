@@ -29,22 +29,39 @@ func numbered(obj []byte, i int) [32]byte {
 	return core.ContentID(obj)
 }
 
-// add installs a copy of obj under content the way a transfer does — admit,
-// land in the recycled buffer (or a new one), keep, persist, release — for
-// tests that fill a cache without moving packets.
-func (c *contentCache) add(content [32]byte, obj []byte, packetSize int) {
-	slot := c.admit(content, len(obj))
-	if slot == nil {
+// add installs a copy of obj under content the way a transfer does — open,
+// land in the recycled buffer (or a new one), keep, deliver — for tests that
+// fill a store without moving packets. Content the store already holds
+// whole is answered from it, and stays.
+func (s *store) add(content [32]byte, obj []byte, packetSize int) {
+	h := s.open(recvPlan{checkDigest: content, checkDedup: true, objectSize: uint64(len(obj)), packetSize: packetSize})
+	if !h.reserved {
 		return
 	}
-	buf := slot.recycled()
+	buf := h.obj
 	if buf == nil {
 		buf = make([]byte, len(obj))
 	}
 	copy(buf, obj)
-	slot.keep(buf)
-	c.persist(slot.ent, packetSize)
-	slot.release()
+	h.keep(buf)
+	h.deliver(buf)
+}
+
+// len reports the whole entries held.
+func (s *store) len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.wholes
+}
+
+// entryOf returns the entry held for content, whole or partial, or nil.
+func (s *store) entryOf(content [32]byte) *entry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if i := s.index(content); i >= 0 {
+		return s.entries[i]
+	}
+	return nil
 }
 
 // TestReceiveAllocBudget: a completed inbound transfer costs one
@@ -80,7 +97,7 @@ func TestReceiveAllocBudget(t *testing.T) {
 		}
 		t.Logf("push %d: %d KiB", i, grew>>10)
 	}
-	if n := ep.l.cache.len(); n != maxCached {
+	if n := ep.l.store.len(); n != maxCached {
 		t.Fatalf("cache holds %d entries after %d pushes, want %d", n, pushes, maxCached)
 	}
 }
@@ -166,7 +183,7 @@ func TestSmallSendAllocBudget(t *testing.T) {
 // miss that moves the data again — and it evicts nothing on its way past.
 func TestOversizeObjectIsNotCached(t *testing.T) {
 	ep := listen(t, byAccept, Options{})
-	ep.l.cache.maxBytes = 1 << 20
+	ep.l.store.maxBytes = 1 << 20
 	small, big := makeObj(256<<10), makeObj(1<<20+1)
 	for i, tc := range []struct {
 		obj     []byte
@@ -185,7 +202,7 @@ func TestOversizeObjectIsNotCached(t *testing.T) {
 func TestCacheLoadReplaysWithinBounds(t *testing.T) {
 	const size, files = 1 << 20, 6
 	dir := t.TempDir()
-	seed := newContentCache(Options{Checkpoint: dir})
+	seed := newStore(Options{Checkpoint: dir})
 	obj := makeObj(size)
 	base := time.Now().Add(-time.Hour).Truncate(time.Second)
 	var ids [][32]byte
@@ -199,7 +216,7 @@ func TestCacheLoadReplaysWithinBounds(t *testing.T) {
 		ids = append(ids, id)
 	}
 
-	c := &contentCache{dir: dir, max: 4, maxBytes: 3*size + size/2}
+	c := &store{dir: dir, dedup: true, max: 4, maxBytes: 3*size + size/2}
 	before := totalAlloc()
 	c.load()
 	grew := totalAlloc() - before
@@ -244,7 +261,7 @@ func TestContentCacheRecycleRace(t *testing.T) {
 	}{{"memory", ""}, {"persisted", t.TempDir()}} {
 		t.Run(tc.name, func(t *testing.T) {
 			const size, rounds = 64 << 10, 200
-			c := newContentCache(Options{Checkpoint: tc.dir})
+			c := newStore(Options{Checkpoint: tc.dir})
 			c.max = 2
 			hot := makeObj(size)
 			hotID := core.ContentID(hot)
@@ -298,7 +315,7 @@ func TestContentCacheRecycleRace(t *testing.T) {
 			for _, e := range c.entries {
 				resident[e.content] = true
 			}
-			loaded := newContentCache(Options{Checkpoint: tc.dir})
+			loaded := newStore(Options{Checkpoint: tc.dir})
 			ents, err := os.ReadDir(tc.dir)
 			if err != nil {
 				t.Fatal(err)

@@ -34,33 +34,33 @@ func TestStripedCorruptionFailsDigest(t *testing.T) {
 	})
 }
 
-// TestCheckMissCopiesNothing: a CHECK that cannot be answered from the cache
-// — it does not permit dedup, or names another size — is a miss decided
-// before the cached object is copied out.
+// TestCheckMissCopiesNothing: a CHECK that cannot be answered from a whole
+// entry — it does not permit dedup, or names another size — is a miss
+// decided before the entry's object is copied out.
 func TestCheckMissCopiesNothing(t *testing.T) {
 	obj := makeObj(64 << 10)
-	cache := newContentCache(Options{}.withDefaults())
+	s := newStore(Options{}.withDefaults())
 	id := core.ContentID(obj)
-	cache.add(id, obj, 1024)
+	s.add(id, obj, 1024)
 	hit := recvPlan{checkDedup: true, checkDigest: id, objectSize: uint64(len(obj))}
-	if got, ok := hit.dedupHit(cache); !ok || len(got) != len(obj) {
+	if got, ok := s.answer(hit); !ok || len(got) != len(obj) {
 		t.Fatal("a dedup-permitting CHECK for a cached object missed")
 	}
 	noDedup, resized := hit, hit
 	noDedup.checkDedup = false
 	resized.objectSize++
 	for name, plan := range map[string]recvPlan{"no-dedup": noDedup, "other-size": resized} {
-		if _, ok := plan.dedupHit(cache); ok {
+		if _, ok := s.answer(plan); ok {
 			t.Fatalf("%s CHECK answered from the cache", name)
 		}
 		if raceEnabled {
 			continue
 		}
-		if allocs := testing.AllocsPerRun(20, func() { plan.dedupHit(cache) }); allocs > 0 {
+		if allocs := testing.AllocsPerRun(20, func() { s.answer(plan) }); allocs > 0 {
 			t.Fatalf("%s CHECK allocated %.0f times on its way to a miss: the object was copied", name, allocs)
 		}
 	}
-	if _, ok := hit.dedupHit(nil); ok {
-		t.Fatal("a nil cache answered a CHECK")
+	if _, ok := newStore(Options{NoDedup: true}).answer(hit); ok {
+		t.Fatal("a store that keeps no whole entries answered a CHECK")
 	}
 }

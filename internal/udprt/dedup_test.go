@@ -182,8 +182,8 @@ func TestDedupBackToBackRepush(t *testing.T) {
 	})
 }
 
-// TestDedupCachePersistsAcrossRestart proves the cache rides the same
-// durable container as the resume store: a receiver restarted over its
+// TestDedupCachePersistsAcrossRestart proves whole entries persist like
+// partial ones, in the same files: a receiver restarted over its
 // checkpoint directory still answers HAVE for the objects it verified
 // before the restart.
 func TestDedupCachePersistsAcrossRestart(t *testing.T) {
@@ -194,7 +194,7 @@ func TestDedupCachePersistsAcrossRestart(t *testing.T) {
 	seed.close()
 
 	ep := listen(t, byAccept, Options{Checkpoint: dir})
-	if n := ep.l.cache.len(); n != 1 {
+	if n := ep.l.store.len(); n != 1 {
 		t.Fatalf("restarted cache holds %d entries, want 1", n)
 	}
 	if sst := ep.pushOK(obj, core.Config{Transfer: 2}, Options{}).sst; !sst.Deduped || sst.PacketsSent != 0 {
@@ -207,7 +207,7 @@ func TestDedupCachePersistsAcrossRestart(t *testing.T) {
 // it copies into the buffer it left behind when that buffer is the right
 // size.
 func TestContentCacheEviction(t *testing.T) {
-	c := newContentCache(Options{})
+	c := newStore(Options{})
 	c.max = 2
 	mk := func(fill byte, size int) ([32]byte, []byte) {
 		obj := bytes.Repeat([]byte{fill}, size)
@@ -308,8 +308,8 @@ func TestContentCacheEviction(t *testing.T) {
 		}
 	}
 
-	// Nil cache (NoDedup): every method is a no-op.
-	var nilCache *contentCache
+	// A store that keeps no whole entries (NoDedup): adds are no-ops.
+	nilCache := newStore(Options{NoDedup: true})
 	nilCache.add(d1, o1, 512)
 	if _, ok := nilCache.lookup(d1, 1024); ok || nilCache.len() != 0 {
 		t.Fatal("nil cache answered a lookup")

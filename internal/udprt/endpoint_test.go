@@ -216,7 +216,7 @@ func TestEndpointMatrix(t *testing.T) {
 		{name: "fully restored resume", run: func(t *testing.T, ep *testEndpoint) {
 			// Retained state that is the whole object answers the CHECK the
 			// way a cache hit does: the full HAVE, then COMPLETE, no data.
-			ep.seedRetained(60, obj, ps, packets)
+			ep.seedRetained(obj, ps, packets)
 			ep.recv(1)
 			peer := dialRaw(t, ep.proxy.Addr(), announceFor(61, obj, ps))
 			if f := peer.read(); f.typ != wire.TypeHave || int(f.have.Received) != packets {
@@ -229,17 +229,18 @@ func TestEndpointMatrix(t *testing.T) {
 			ep.completed(61)
 		}},
 		{name: "HAVE write severed", run: func(t *testing.T, ep *testEndpoint) {
-			// Hold the lifecycle at its claim, kill the connection under it,
-			// let it go: the HAVE that answers the CHECK cannot be written,
-			// and the claimed state — complete, nothing left to receive — must
-			// go back to the store.
-			ep.seedRetained(62, obj, ps, packets)
-			ep.l.store.mu.Lock()
+			// Hold the lifecycle once it has claimed the state (at its
+			// registration), kill the connection under it, let it go: the
+			// HAVE that answers the CHECK cannot be written, and the claimed
+			// state — complete, nothing left to receive — must go back to the
+			// store.
+			ep.seedRetained(obj, ps, packets)
+			ep.l.mu.Lock()
 			ep.recv(1)
 			peer := dialRaw(t, ep.l.Addr(), announceFor(62, obj, ps))
-			ep.registered()
+			waitUntil(t, 10*time.Second, "the lifecycle claiming the retained state", func() bool { return !ep.retains(obj) })
 			peer.reset()
-			ep.l.store.mu.Unlock()
+			ep.l.mu.Unlock()
 			if r, ok := ep.result(true); ok && r.err == nil {
 				t.Fatal("a transfer whose HAVE could not be written was delivered")
 			}
@@ -256,7 +257,7 @@ func TestEndpointMatrix(t *testing.T) {
 			// The identity is the content, not the transfer id: a fresh Send
 			// under a new id of content the receiver retains in part sends
 			// only the rest.
-			ep.seedRetained(63, obj, ps, packets/2)
+			ep.seedRetained(obj, ps, packets/2)
 			ep.recv(1)
 			sst, err := Send(ep.ctx, ep.proxy.Addr(), obj, core.Config{Transfer: 64, PacketSize: ps}, Options{})
 			if err != nil {
@@ -277,7 +278,7 @@ func TestEndpointMatrix(t *testing.T) {
 			// and leaves the retained entry alone.
 			other := bytes.Clone(obj)
 			other[0] ^= 0xFF
-			ep.seedRetained(65, obj, ps, packets/2)
+			ep.seedRetained(obj, ps, packets/2)
 			ep.recv(1)
 			sst, err := Send(ep.ctx, ep.proxy.Addr(), other, core.Config{Transfer: 65, PacketSize: ps}, Options{})
 			if err != nil {
@@ -294,8 +295,8 @@ func TestEndpointMatrix(t *testing.T) {
 		{name: "unrestorable retained state", run: func(t *testing.T, ep *testEndpoint) {
 			// Retained state whose bitmap does not fit the object is dropped
 			// and the CHECK answered as a miss, never refused.
-			ep.l.store.insert(&retained{content: core.ContentID(obj), transfer: 67, objectSize: uint64(len(obj)),
-				packetSize: ps, obj: make([]byte, len(obj)), words: fullWords(packets + 640), received: packets})
+			ep.l.store.hold(&entry{content: core.ContentID(obj), packetSize: ps, obj: make([]byte, len(obj)),
+				words: fullWords(packets + 640), received: packets})
 			ep.recv(1)
 			sst, err := Send(ep.ctx, ep.proxy.Addr(), obj, core.Config{Transfer: 67, PacketSize: ps}, Options{})
 			if err != nil {
@@ -312,7 +313,7 @@ func TestEndpointMatrix(t *testing.T) {
 		{name: "RESUME from an earlier build", run: func(t *testing.T, ep *testEndpoint) {
 			// The retired frame is refused with a reason, and nothing is
 			// registered or claimed.
-			ep.seedRetained(66, obj, ps, packets/2)
+			ep.seedRetained(obj, ps, packets/2)
 			ep.recv(1)
 			dialRaw(t, ep.proxy.Addr(), legacyResume(66, obj, ps))
 			if r, ok := ep.result(true); ok && r.err == nil {
@@ -327,7 +328,7 @@ func TestEndpointMatrix(t *testing.T) {
 			// A CHECK naming retained content, then the retired striped
 			// announcement: refused with a reason, nothing registered or
 			// claimed.
-			ep.seedRetained(67, obj, ps, packets/2)
+			ep.seedRetained(obj, ps, packets/2)
 			ep.recv(1)
 			check := announceFor(67, obj, ps)[:wire.CheckLen]
 			dialRaw(t, ep.proxy.Addr(), append(check, legacyHelloX(67, obj, ps, 4)...))
@@ -342,7 +343,7 @@ func TestEndpointMatrix(t *testing.T) {
 		{name: "TRACE prelude from an earlier build", run: func(t *testing.T, ep *testEndpoint) {
 			// The retired prelude ahead of an announcement of retained
 			// content: refused with a reason, nothing registered or claimed.
-			ep.seedRetained(68, obj, ps, packets/2)
+			ep.seedRetained(obj, ps, packets/2)
 			ep.recv(1)
 			dialRaw(t, ep.proxy.Addr(), append(legacyTrace(1, [16]byte{7}), announceFor(68, obj, ps)...))
 			if r, ok := ep.result(true); ok && r.err == nil {
@@ -358,7 +359,7 @@ func TestEndpointMatrix(t *testing.T) {
 			// than the HELLO behind it is refused before any tag is
 			// registered, and the retained state of the content it names is
 			// left alone.
-			ep.seedRetained(69, obj, ps, packets/2)
+			ep.seedRetained(obj, ps, packets/2)
 			for _, bend := range []func(*wire.Check){
 				func(c *wire.Check) { c.Transfer++ },
 				func(c *wire.Check) { c.ObjectSize-- },
@@ -413,7 +414,7 @@ func TestEndpointMatrix(t *testing.T) {
 			}
 			ep.wantFrames(true, "HAVE(0)", "ABORT("+wire.AbortDigestMismatch.String()+")")
 			ep.aborted(81, wire.AbortDigestMismatch)
-			if ep.l.cache.len() != 0 || ep.retains(obj) {
+			if ep.l.store.len() != 0 || ep.retains(obj) {
 				t.Fatal("a corrupted object was cached or retained")
 			}
 		}},
@@ -495,7 +496,7 @@ func TestEndpointMatrix(t *testing.T) {
 			// flight unharmed.
 			other := bytes.Clone(obj)
 			other[0] ^= 0xFF
-			ep.seedRetained(95, obj, ps, 1)
+			ep.seedRetained(obj, ps, 1)
 			ep.recv(1)
 			ep.recv(1)
 			squatter := dialRaw(t, ep.proxy.Addr(), announceFor(95, other, ps))
@@ -519,9 +520,10 @@ func TestEndpointMatrix(t *testing.T) {
 			}
 		}},
 		{name: "striped RESUME", run: func(t *testing.T, ep *testEndpoint) {
-			// A striped announcement of retained content never consults the
-			// store: it moves every packet, and the state stays retained.
-			ep.seedRetained(97, obj, ps, packets/2)
+			// A striped announcement of retained content never claims it: it
+			// moves every packet, and once kept whole it displaces the partial
+			// entry — the store holds one entry per content.
+			ep.seedRetained(obj, ps, packets/2)
 			ep.recv(1)
 			sst, err := Send(ep.ctx, ep.proxy.Addr(), obj, core.Config{Transfer: 97, PacketSize: ps}, Options{Streams: 4})
 			if err != nil {
@@ -531,22 +533,22 @@ func TestEndpointMatrix(t *testing.T) {
 				t.Fatalf("a striped transfer restored %d (receiver %d)", sst.Restored, r.st.Restored)
 			}
 			ep.wantFrames(true, "HAVE(0)", "COMPLETE")
-			if !ep.retains(obj) {
-				t.Fatal("the striped transfer took the retained state with it")
+			if ep.retains(obj) || ep.l.store.len() != 1 {
+				t.Fatal("the completed striped transfer left its partial state beside the whole object")
 			}
 		}},
 		{name: "COMPLETE write severed", run: func(t *testing.T, ep *testEndpoint) {
 			// Hold the lifecycle between its verdict and its COMPLETE (at the
-			// content cache), kill the connection under it, let it go: the
+			// store's keep), kill the connection under it, let it go: the
 			// record must say the transfer failed, with the write's error.
 			ep.recv(1)
 			peer := dialRaw(t, ep.l.Addr(), announceFor(98, obj, ps))
 			peer.accepted()
 			peer.dataUntil(98, obj, ps, 0, packets-1, func() bool { return ep.fresh(98) == int64(packets-1) })
-			ep.l.cache.mu.Lock()
+			ep.l.store.mu.Lock()
 			peer.dataUntil(98, obj, ps, packets-1, packets, func() bool { return ep.tags() == 0 })
 			peer.reset()
-			ep.l.cache.mu.Unlock()
+			ep.l.store.mu.Unlock()
 			if r, ok := ep.result(true); ok && r.err == nil {
 				t.Fatal("a transfer whose COMPLETE could not be written was delivered")
 			}

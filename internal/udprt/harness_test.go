@@ -444,18 +444,15 @@ func (ep *testEndpoint) wantFrames(ordered bool, want ...string) {
 	}
 }
 
-// retains reports whether the endpoint's resume store holds state for obj's
-// content.
+// retains reports whether the endpoint's store holds a partial entry for
+// obj's content.
 func (ep *testEndpoint) retains(obj []byte) bool { return ep.retainedOf(obj) > 0 }
 
-// retainedOf is how many packets of obj's content the endpoint's resume
-// store holds (zero: it holds no state for it).
+// retainedOf is how many packets of obj's content the endpoint's store
+// holds in a partial entry (zero: it holds none for it).
 func (ep *testEndpoint) retainedOf(obj []byte) int {
-	s := ep.l.store
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ret := s.entries[core.ContentID(obj)]; ret != nil {
-		return ret.received
+	if e := ep.l.store.entryOf(core.ContentID(obj)); e != nil && !e.whole() {
+		return e.received
 	}
 	return 0
 }
@@ -473,17 +470,16 @@ func (ep *testEndpoint) registered() {
 	waitUntil(ep.t, 10*time.Second, "a transfer registering", func() bool { return ep.tags() > 0 })
 }
 
-// seedRetained plants resume state for obj's content holding its first
-// `have` packets, as an earlier failed transfer under id would have left it.
-func (ep *testEndpoint) seedRetained(id uint32, obj []byte, ps, have int) {
+// seedRetained plants a partial entry for obj's content holding its first
+// `have` packets, as an earlier failed transfer would have left it.
+func (ep *testEndpoint) seedRetained(obj []byte, ps, have int) {
 	words := make([]uint64, (core.NumPackets(int64(len(obj)), ps)+63)/64)
 	for i := 0; i < have; i++ {
 		words[i/64] |= 1 << (i % 64)
 	}
 	held := make([]byte, len(obj))
 	copy(held, obj[:min(have*ps, len(obj))])
-	ep.l.store.insert(&retained{content: core.ContentID(obj), transfer: id, objectSize: uint64(len(obj)),
-		packetSize: ps, obj: held, words: words, received: have})
+	ep.l.store.hold(&entry{content: core.ContentID(obj), packetSize: ps, obj: held, words: words, received: have})
 }
 
 // announceFor is a single-flow announcement of obj under id: its CHECK, then

@@ -11,27 +11,27 @@ import (
 	"github.com/hpcnet/fobs/internal/core"
 )
 
-// Landing in the cache: a transfer the content cache will keep reserves its
-// slot on admission, lands in the buffer the admission's eviction freed, and
-// that buffer becomes the cache entry. These tests hold the three promises
-// that makes: a recycled buffer's old bytes never leave the receiver, a
-// buffer someone still reads is never recycled, and entries plus
-// reservations stay within the cache's bounds.
+// Landing in the store: a transfer that may become a whole entry reserves
+// room when its announcement is opened, lands in the buffer the
+// reservation's eviction freed, and that buffer becomes the whole entry.
+// These tests hold the three promises that makes: a recycled buffer's old
+// bytes never leave the receiver, a buffer someone still reads is never
+// recycled, and whole entries plus reservations stay within the bounds.
 
-// held reports the cache's entries plus reservations, and their bytes: what
-// the bounds limit.
-func (c *contentCache) held() (slots, bytes int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries) + c.reserved, c.bytes + c.reservedBytes
+// held reports the store's whole entries plus reservations, and their bytes:
+// what the bounds limit.
+func (s *store) held() (slots, bytes int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.wholes + s.reserved, s.bytes + s.reservedBytes
 }
 
 // reservations reports the slots reserved and not yet kept or released, and
 // their bytes.
-func (c *contentCache) reservations() (n, bytes int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reserved, c.reservedBytes
+func (s *store) reservations() (n, bytes int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.reserved, s.reservedBytes
 }
 
 // pattern returns n bytes of one value stamped with a counter: an object
@@ -68,8 +68,8 @@ func checkPlacedOrZero(t *testing.T, where string, obj, want []byte, words []uin
 
 // TestRecycledLandingRetainsNoEvictedBytes: with the cache at its bound, a
 // transfer lands in the buffer of the entry its admission evicted. Severed
-// mid-flight, it is retained — and neither the resume store's buffer nor the
-// checkpoint file holds a byte of the evicted object: every unplaced packet
+// mid-flight, it is retained — and neither the partial entry's buffer nor
+// its file holds a byte of the evicted object: every unplaced packet
 // is zero. Its reservation is released, and the retry resumes from the
 // retained packets and completes bit-identical.
 func TestRecycledLandingRetainsNoEvictedBytes(t *testing.T) {
@@ -80,16 +80,16 @@ func TestRecycledLandingRetainsNoEvictedBytes(t *testing.T) {
 	dir := t.TempDir()
 	ep := listen(t, byAccept, Options{Checkpoint: dir, IdleTimeout: 2 * time.Second})
 	l := ep.l
-	l.cache.max = 2
-	for i := 0; i < l.cache.max; i++ {
+	l.store.max = 2
+	for i := 0; i < l.store.max; i++ {
 		ep.pushOK(pattern(size, 0xA5, i), core.Config{Transfer: uint32(i + 1)}, Options{})
 	}
-	if slots, _ := l.cache.held(); slots != l.cache.max {
-		t.Fatalf("the cache holds %d, want it at its bound of %d", slots, l.cache.max)
+	if slots, _ := l.store.held(); slots != l.store.max {
+		t.Fatalf("the cache holds %d, want it at its bound of %d", slots, l.store.max)
 	}
-	l.cache.mu.Lock()
-	oldest := &l.cache.entries[0].obj[0]
-	l.cache.mu.Unlock()
+	l.store.mu.Lock()
+	oldest := &l.store.entries[0].obj[0]
+	l.store.mu.Unlock()
 
 	proxy := ep.front(nil)
 	obj := makeObj(size)
@@ -109,25 +109,23 @@ func TestRecycledLandingRetainsNoEvictedBytes(t *testing.T) {
 		t.Fatalf("the transfer was not severed: cut=%v, send err=%v, accept err=%v", cut.Load(), p.serr, p.err)
 	}
 
-	l.store.mu.Lock()
-	ret := l.store.entries[id]
-	l.store.mu.Unlock()
-	if ret == nil {
+	ret := l.store.entryOf(id)
+	if ret == nil || ret.whole() {
 		t.Fatal("the severed transfer was not retained")
 	}
 	if &ret.obj[0] != oldest {
 		t.Fatal("the transfer did not land in the buffer its admission evicted: nothing was recycled")
 	}
-	unplaced := checkPlacedOrZero(t, "resume store", ret.obj, obj, ret.words, ret.packetSize, true)
+	unplaced := checkPlacedOrZero(t, "partial entry", ret.obj, obj, ret.words, ret.packetSize, true)
 	if unplaced == 0 {
 		t.Fatal("every packet was placed before the cut: nothing to check")
 	}
-	st, err := checkpoint.Load(checkpoint.File(dir, transfer))
+	st, err := checkpoint.Load(checkpoint.CacheFile(dir, id))
 	if err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	checkPlacedOrZero(t, "checkpoint", st.Object, obj, st.Words, int(st.PacketSize), false)
-	if n, b := l.cache.reservations(); n != 0 || b != 0 {
+	if n, b := l.store.reservations(); n != 0 || b != 0 {
 		t.Fatal("the failed transfer's reservation was not released")
 	}
 
@@ -148,7 +146,7 @@ func TestRecycledLandingRetainsNoEvictedBytes(t *testing.T) {
 func TestDedupHitsNeverShareARecycledBuffer(t *testing.T) {
 	const size, rounds = 32 << 10, 12
 	ep := listen(t, byServe, Options{})
-	ep.l.cache.max = 2
+	ep.l.store.max = 2
 	ep.recv(1)
 	var mu sync.Mutex
 	want := map[uint32][32]byte{}
@@ -206,10 +204,10 @@ func TestDedupHitsNeverShareARecycledBuffer(t *testing.T) {
 	if bad > 0 {
 		t.Fatalf("%d deliveries were not the bytes their sender pushed", bad)
 	}
-	if slots, _ := ep.l.cache.held(); slots > ep.l.cache.max {
-		t.Fatalf("after the pushes the cache holds %d slots, want ≤ %d", slots, ep.l.cache.max)
+	if slots, _ := ep.l.store.held(); slots > ep.l.store.max {
+		t.Fatalf("after the pushes the cache holds %d slots, want ≤ %d", slots, ep.l.store.max)
 	}
-	if n, _ := ep.l.cache.reservations(); n != 0 {
+	if n, _ := ep.l.store.reservations(); n != 0 {
 		t.Fatalf("%d reservations outlived their transfers", n)
 	}
 	t.Logf("%d of %d hot pushes were hits", hits.Load(), 3*rounds)
@@ -223,7 +221,7 @@ func TestDedupHitsNeverShareARecycledBuffer(t *testing.T) {
 func TestServerReservationsWithinBounds(t *testing.T) {
 	const size, flows = 512 << 10, 3
 	ep := listen(t, byServe, Options{})
-	c := ep.l.cache
+	c := ep.l.store
 	c.max, c.maxBytes = 2, 3*size
 	ep.recv(1)
 	ctx := ep.ctx

@@ -277,32 +277,30 @@ func (l *Listener) detach(in *inbound) {
 // receive runs one inbound transfer on an established control connection,
 // from its announcement to its verdict:
 //
-//	plan → cache hit? → register → reserve a cache slot → claim, recycle
-//	or create → start sealer → go live → answer (HAVE) → wait → detach →
-//	verify → keep → COMPLETE → caller's copy
+//	plan → open the store → dedup hit? → register → land → start sealer →
+//	go live → answer (HAVE) → wait → detach → verify → keep → COMPLETE →
+//	deliver the caller's copy
 //
-// The announcement is answered from one lookup, with one HAVE. A
-// content-cache hit ends the transfer at its second step (completeDeduped).
-// Otherwise the resume store is consulted for the announced content: a hit
-// restores its bitmap, and the HAVE carries it — or carries nothing on a
-// miss — with the receive window that accepts the transfer; retained state
-// that was already the whole object completes at once.
-// A transfer the cache will keep reserves its slot on admission and, on a
-// miss, lands in the buffer the reservation's eviction freed when one fits;
-// once verified, its landing buffer becomes the cache entry before COMPLETE
-// goes out, and the caller is handed a copy of it made after (cacheSlot). A
-// transfer with no slot is handed its landing buffer itself.
-// A refusal — an unusable announcement, a tag in flight — answers a reasoned
-// ABORT and leaves nothing behind. The announcement comes from the
-// connection's reader, rd, and so does whatever the sender writes during the
-// wait: the wait ends on completion, ctx, the idle watchdog, or the sender's
-// ABORT or death, on every endpoint — a session's included, whose next
-// announcement the sender writes only after this transfer's COMPLETE. A
-// single-flow transfer that fails after it was admitted
-// leaves its partial state in the resume store under its content identity;
-// one whose bytes failed verification is neither delivered, cached nor
-// retained. Every exit stamps the instruments with its error value, and
-// every exit after the announcement was read the stats with the time since.
+// The announcement is answered from one call on the store (open), with one
+// HAVE. A dedup hit ends the transfer at its second step (completeDeduped).
+// Otherwise the landing the store lent is where the transfer assembles: a
+// claimed partial entry restores its bitmap, and the HAVE carries it — or
+// carries nothing — with the receive window that accepts the transfer;
+// retained state that was already the whole object completes at once. A
+// transfer the store reserved room for becomes a whole entry once verified,
+// before COMPLETE goes out, and the caller is handed a copy of it made
+// after; a transfer with no reservation is handed its landing buffer
+// itself. A refusal — an unusable announcement, a tag in flight — answers a
+// reasoned ABORT and gives back what the store lent. The announcement comes
+// from the connection's reader, rd, and so does whatever the sender writes
+// during the wait: the wait ends on completion, ctx, the idle watchdog, or
+// the sender's ABORT or death, on every endpoint — a session's included,
+// whose next announcement the sender writes only after this transfer's
+// COMPLETE. A single-flow transfer that fails after it was admitted leaves
+// its partial state in the store under its content identity; one whose
+// bytes failed verification is neither delivered, kept nor retained. Every
+// exit stamps the instruments with its error value, and every exit after
+// the announcement was read the stats with the time since.
 func (l *Listener) receive(ctx context.Context, rd *ctlReader) (plan recvPlan, _ []byte, st core.ReceiverStats, err error) {
 	ctl := rd.ctl
 	plan, err = readTransferPlan(ctx, rd)
@@ -311,20 +309,20 @@ func (l *Listener) receive(ctx context.Context, rd *ctlReader) (plan recvPlan, _
 		return plan, nil, core.ReceiverStats{}, err
 	}
 	defer func(read time.Time) { st.Elapsed = time.Since(read) }(time.Now())
-	if obj, ok := plan.dedupHit(l.cache); ok {
-		obj, st, err := l.completeDeduped(plan, ctl, obj)
+	h := l.store.open(plan)
+	defer h.release()
+	if h.hit {
+		obj, st, err := l.completeDeduped(plan, ctl, h.obj)
 		return plan, obj, st, err
 	}
-	// Register first, claim second: an announcement that collides with a
-	// transfer in flight must not take the retained state down with it.
 	in := l.register(plan)
 	if in == nil {
+		// A tag in flight: what the landing claimed goes back untouched.
+		h.retain(nil)
 		writeAbort(ctl, plan.base, wire.AbortDuplicateTransfer)
 		return plan, nil, core.ReceiverStats{}, fmt.Errorf("udprt: transfer %d refused: %s", plan.base, wire.AbortDuplicateTransfer)
 	}
-	slot := plan.admit(l.cache)
-	defer slot.release()
-	obj, engines := l.landing(plan, slot)
+	obj, engines := land(plan, &h)
 	restored := engines[0].rcv.Stats().Restored
 	span := l.opts.startSpan(plan.trace, plan.base, obs.RoleReceiver)
 	probes := make(stripes, len(engines))
@@ -340,7 +338,7 @@ func (l *Listener) receive(ctx context.Context, rd *ctlReader) (plan recvPlan, _
 	// summed.
 	fail := func(err error, retain bool) (recvPlan, []byte, core.ReceiverStats, error) {
 		if retain {
-			l.store.retain(plan, engines[0].rcv)
+			h.retain(engines[0].rcv)
 		}
 		for _, e := range engines {
 			e.probe.finish(err)
@@ -380,34 +378,33 @@ func (l *Listener) receive(ctx context.Context, rd *ctlReader) (plan recvPlan, _
 	}
 	// Kept before COMPLETE: the sender may re-push the same content the
 	// moment its Send returns, and that CHECK must already hit.
-	slot.keep(obj)
+	h.keep(obj)
 	if err := writeControl(ctl, completeFrame(plan)); err != nil {
 		return fail(fmt.Errorf("udprt: completion write: %w", err), false)
 	}
-	obj = slot.deliver(obj, plan.packetSize)
+	obj = h.deliver(obj)
 	for _, e := range engines {
 		e.probe.finish(nil)
 	}
 	return plan, obj, sumRecvStats(engines), nil
 }
 
-// landing builds the plan's engines over the buffer they assemble into: the
-// state the resume store retained for the announced content, restored, when
-// there is some (single-flow plans only), or else the buffer the slot's
-// admission recycled, or else a new one. A recycled buffer is not cleared:
-// nothing reads a byte of it before a packet is placed there (the sealer
-// hashes whole leaves only), and a failed transfer's unplaced bytes are
-// zeroed before the resume store keeps it. Retained state that does not
-// restore is dropped, and the plan lands as on a miss.
-func (l *Listener) landing(plan recvPlan, slot *cacheSlot) ([]byte, []*receiverEngine) {
-	if ret := l.store.claim(plan); ret != nil {
-		engines := newRecvEngines(plan, ret.obj)
-		if _, err := engines[0].rcv.Restore(ret.words); err == nil {
+// land builds the plan's engines over the buffer the landing lent: a claimed
+// partial entry's, restored, or one a reservation recycled, or else a new
+// one. A recycled buffer is not cleared: nothing reads a byte of it before a
+// packet is placed there (the sealer hashes whole leaves only), and a failed
+// transfer's unplaced bytes are zeroed before the store retains it. A
+// claimed entry that does not restore is dropped when the landing ends, and
+// the plan lands in a new buffer as on a miss.
+func land(plan recvPlan, h *landing) ([]byte, []*receiverEngine) {
+	if c := h.claimed; c != nil {
+		engines := newRecvEngines(plan, c.obj)
+		if _, err := engines[0].rcv.Restore(c.words); err == nil {
 			engines[0].finished = engines[0].rcv.Complete()
-			return ret.obj, engines
+			return c.obj, engines
 		}
 	}
-	obj := slot.recycled()
+	obj := h.obj
 	if obj == nil {
 		obj = make([]byte, plan.objectSize)
 	}

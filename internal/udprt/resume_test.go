@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -374,8 +375,8 @@ func TestResumeAfterReceiverRestart(t *testing.T) {
 		t.Fatalf("restart did not resume: receiver restored %d, sender restored %d",
 			r.st.Restored, s.st.Restored)
 	}
-	if _, err := os.Stat(checkpoint.File(dir, transferID)); !os.IsNotExist(err) {
-		t.Fatalf("checkpoint not consumed by the successful resume: %v", err)
+	if st, err := checkpoint.Load(checkpoint.CacheFile(dir, core.ContentID(obj))); err == nil && len(st.Words) > 0 {
+		t.Fatalf("checkpoint not consumed by the successful resume: its file still holds %d of %d packets", st.Received, s.st.PacketsNeeded)
 	}
 }
 
@@ -485,19 +486,35 @@ func TestRetryPolicyDelay(t *testing.T) {
 	}
 }
 
-// retainedOf is resume state for size bytes of content id under transfer,
-// holding its first packet of 100 bytes.
-func retainedOf(id byte, transfer uint32, size uint64) *retained {
-	return &retained{content: [32]byte{id}, transfer: transfer, objectSize: size, packetSize: 100,
-		received: 1, obj: make([]byte, size), words: []uint64{1}}
+// retainedOf is a partial entry for size bytes of content id, holding its
+// first packet of 100 bytes.
+func retainedOf(id byte, size uint64) *entry {
+	return &entry{content: [32]byte{id}, packetSize: 100, received: 1, obj: make([]byte, size), words: []uint64{1}}
+}
+
+// claim is what a single-flow plan's landing claims from the store: the
+// partial entry it lands in, or nil. The landing ends at once, so a claim
+// consumes the entry.
+func (s *store) claim(plan recvPlan) *entry {
+	h := s.open(plan)
+	defer h.release()
+	return h.claimed
+}
+
+// partials reports the partial entries held.
+func (s *store) partials() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.entries) - s.wholes
 }
 
 // TestResumeStoreClaim covers the store's identity rule: a claim is a hit
 // only for the announced content in the announced geometry, a hit consumes
 // the entry, a miss leaves every entry alone, and striped plans never claim.
 func TestResumeStoreClaim(t *testing.T) {
-	store := &resumeStore{window: time.Minute, entries: map[[32]byte]*retained{}}
-	store.insert(retainedOf(0xA, 7, 1000))
+	s := &store{window: time.Minute}
+	held := retainedOf(0xA, 1000)
+	s.hold(held)
 	plan := func(id byte, transfer uint32, size uint64, ps int) recvPlan {
 		return recvPlan{base: transfer, objectSize: size, packetSize: ps, checkDigest: [32]byte{id}}
 	}
@@ -511,55 +528,49 @@ func TestResumeStoreClaim(t *testing.T) {
 			return p
 		}(),
 	} {
-		if ret := store.claim(p); ret != nil {
+		if ret := s.claim(p); ret != nil {
 			t.Fatalf("%s: claimed %+v", name, ret)
 		}
 	}
 	// The content is the identity: another transfer id claims it…
-	ret := store.claim(plan(0xA, 99, 1000, 100))
-	if ret == nil || ret.transfer != 7 {
+	ret := s.claim(plan(0xA, 99, 1000, 100))
+	if ret != held {
 		t.Fatalf("a claim of retained content under another id: %+v", ret)
 	}
 	// …and a successful claim consumes it.
-	if ret := store.claim(plan(0xA, 99, 1000, 100)); ret != nil {
+	if ret := s.claim(plan(0xA, 99, 1000, 100)); ret != nil {
 		t.Fatal("second claim of a consumed entry succeeded")
 	}
 
-	// A retained id taken by other content replaces the entry whose
-	// checkpoint file the new one's would overwrite.
-	store.insert(retainedOf(0xA, 7, 1000))
-	store.insert(retainedOf(0xB, 7, 1000))
-	if store.claim(plan(0xA, 7, 1000, 100)) != nil || store.claim(plan(0xB, 7, 1000, 100)) == nil {
-		t.Fatal("one transfer id holds two entries")
+	// Entries are named by content alone: two contents retained by
+	// transfers under one id are two entries, each claimable.
+	s.hold(retainedOf(0xA, 1000))
+	s.hold(retainedOf(0xB, 1000))
+	if s.claim(plan(0xA, 7, 1000, 100)) == nil || s.claim(plan(0xB, 7, 1000, 100)) == nil {
+		t.Fatal("one content's entry displaced another's")
 	}
 
-	// A nil store claims nothing and never panics.
-	var nilStore *resumeStore
-	if ret := nilStore.claim(plan(0xA, 7, 1000, 100)); ret != nil {
-		t.Fatalf("nil store claimed %+v", ret)
+	// A store that keeps no partial entries (ResumeWindow < 0) claims
+	// nothing and never panics.
+	off := &store{window: -1}
+	off.hold(retainedOf(0xA, 1000))
+	if ret := off.claim(plan(0xA, 7, 1000, 100)); ret != nil {
+		t.Fatalf("a store with retention off claimed %+v", ret)
 	}
-	nilStore.retain(plan(0xA, 7, 1000, 100), nil)
+	h := off.open(plan(0xA, 7, 1000, 100))
+	h.retain(nil)
+	h.release()
 }
 
 // TestResumeStoreEvictionAndExpiry bounds the store: the oldest entry is
 // evicted past maxRetained, and the grace window reaps on schedule.
 func TestResumeStoreEvictionAndExpiry(t *testing.T) {
-	store := &resumeStore{entries: map[[32]byte]*retained{}} // window 0: no timers
+	s := &store{} // window 0: no timers
 	for i := 0; i < maxRetained+3; i++ {
-		store.insert(retainedOf(byte(i), uint32(i), 10))
-		// insert stamps retainedAt with the wall clock; space the entries
-		// so "oldest" is well defined.
-		time.Sleep(time.Millisecond) // scenario: entries retained a moment apart
+		s.hold(retainedOf(byte(i), 10))
 	}
-	held := func(id byte) bool {
-		store.mu.Lock()
-		defer store.mu.Unlock()
-		return store.entries[[32]byte{id}] != nil
-	}
-	store.mu.Lock()
-	n := len(store.entries)
-	store.mu.Unlock()
-	if n != maxRetained {
+	held := func(id byte) bool { return s.entryOf([32]byte{id}) != nil }
+	if n := s.partials(); n != maxRetained {
 		t.Fatalf("store holds %d entries, want %d", n, maxRetained)
 	}
 	if held(0) || held(1) || held(2) {
@@ -570,40 +581,33 @@ func TestResumeStoreEvictionAndExpiry(t *testing.T) {
 	}
 
 	// Replacing the entry for held content must not evict anyone.
-	store.insert(retainedOf(maxRetained+2, 99, 11))
-	store.mu.Lock()
-	n = len(store.entries)
-	store.mu.Unlock()
-	if n != maxRetained {
+	s.hold(retainedOf(maxRetained+2, 11))
+	if n := s.partials(); n != maxRetained {
 		t.Fatalf("replacement changed the count to %d", n)
 	}
 
-	fast := &resumeStore{window: 30 * time.Millisecond, entries: map[[32]byte]*retained{}}
-	fast.insert(retainedOf(1, 1, 10))
-	waitUntil(t, 5*time.Second, "the entry expiring", func() bool {
-		fast.mu.Lock()
-		defer fast.mu.Unlock()
-		return len(fast.entries) == 0
-	})
+	fast := &store{window: 30 * time.Millisecond}
+	fast.hold(retainedOf(1, 10))
+	waitUntil(t, 5*time.Second, "the entry expiring", func() bool { return fast.partials() == 0 })
 }
 
 // TestListenSurvivesCorruptCheckpoints seeds a checkpoint directory with
 // every flavour of broken file — torn, checksum-flipped, wrong magic,
 // empty, junk-named — plus a checkpoint an earlier format version wrote, one
-// that names no content, and one valid checkpoint, and requires Listen to
-// come up without panicking and without rewriting what it loads, remove
-// the two that nothing could ever claim, resume the one valid transfer, and
-// treat the rest as unresumable. Startup over a dirty state directory is
-// exactly the daemon-restart path, so corruption must degrade, never crash.
+// that names no content, one in an earlier build's transfer-id naming, and
+// one valid checkpoint, and requires Listen to come up without panicking and
+// without rewriting what it loads, remove the three that nothing could ever
+// claim, resume the one valid transfer, and treat the rest as unresumable.
+// Startup over a dirty state directory is exactly the daemon-restart path,
+// so corruption must degrade, never crash.
 func TestListenSurvivesCorruptCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 
-	// One genuine checkpoint for transfer 5: an empty bitmap is fine (the
-	// transfer that claims it just moves everything).
+	// One genuine checkpoint: an empty bitmap is fine (the transfer that
+	// claims it just moves everything).
 	obj := makeObj(4 << 10)
 	rcv := core.NewReceiver(int64(len(obj)), core.Config{Transfer: 5, PacketSize: 512})
 	valid := &checkpoint.State{
-		Transfer:   5,
 		ObjectSize: uint64(len(obj)),
 		PacketSize: 512,
 		Words:      rcv.HaveWords(nil),
@@ -611,16 +615,18 @@ func TestListenSurvivesCorruptCheckpoints(t *testing.T) {
 		Content:    core.ContentID(obj),
 		HasContent: true,
 	}
-	if err := checkpoint.Save(dir, valid); err != nil {
+	if err := checkpoint.SaveCache(dir, valid); err != nil {
 		t.Fatal(err)
 	}
-	good, err := os.ReadFile(checkpoint.File(dir, 5))
+	validFile := checkpoint.CacheFile(dir, valid.Content)
+	good, err := os.ReadFile(validFile)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Broken neighbors under legitimate checkpoint names.
-	writeCkpt := func(transfer uint32, b []byte) {
-		if err := os.WriteFile(checkpoint.File(dir, transfer), b, 0o644); err != nil {
+	named := func(id byte) string { return checkpoint.CacheFile(dir, [32]byte{id}) }
+	writeCkpt := func(id byte, b []byte) {
+		if err := os.WriteFile(named(id), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -631,11 +637,12 @@ func TestListenSurvivesCorruptCheckpoints(t *testing.T) {
 	writeCkpt(7, flipped)
 	writeCkpt(8, []byte("XXXXXXXXnot a checkpoint at all"))
 	writeCkpt(9, nil)
-	if err := os.WriteFile(checkpoint.File(dir, 10)+".tmp", good, 0o644); err != nil {
+	if err := os.WriteFile(named(10)+".tmp", good, 0o644); err != nil {
 		t.Fatal(err) // a crash's leftover temporary
 	}
 	// A version-1 file (its checksum restamped, so only the version is
-	// wrong) and a current one that names no content.
+	// wrong), a current one that names no content, and a current one in the
+	// transfer-id naming.
 	v1 := append([]byte(nil), good...)
 	v1[8] = 1
 	binary.BigEndian.PutUint32(v1[len(v1)-4:], crc32.Checksum(v1[8:len(v1)-4], crc32.MakeTable(crc32.Castagnoli)))
@@ -645,19 +652,27 @@ func TestListenSurvivesCorruptCheckpoints(t *testing.T) {
 	if err := checkpoint.Save(dir, &anonymous); err != nil {
 		t.Fatal(err)
 	}
+	if err := os.Rename(checkpoint.File(dir, 12), named(12)); err != nil {
+		t.Fatal(err)
+	}
+	byTransfer := *valid
+	byTransfer.Transfer = 13
+	if err := checkpoint.Save(dir, &byTransfer); err != nil {
+		t.Fatal(err)
+	}
 	// Backdate the valid file: loading it must not write it again.
 	backdated := time.Now().Add(-time.Hour).Truncate(time.Second)
-	if err := os.Chtimes(checkpoint.File(dir, 5), backdated, backdated); err != nil {
+	if err := os.Chtimes(validFile, backdated, backdated); err != nil {
 		t.Fatal(err)
 	}
 
 	ep := listen(t, byAccept, Options{Checkpoint: dir})
-	if fi, err := os.Stat(checkpoint.File(dir, 5)); err != nil || !fi.ModTime().Equal(backdated) {
+	if fi, err := os.Stat(validFile); err != nil || !fi.ModTime().Equal(backdated) {
 		t.Fatalf("Listen rewrote the checkpoint it loaded: %v, %v", fi.ModTime(), err)
 	}
-	for _, id := range []uint32{11, 12} {
-		if _, err := os.Stat(checkpoint.File(dir, id)); !os.IsNotExist(err) {
-			t.Fatalf("unclaimable checkpoint %d survived Listen: %v", id, err)
+	for _, path := range []string{named(11), named(12), checkpoint.File(dir, 13)} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("unclaimable checkpoint %s survived Listen: %v", filepath.Base(path), err)
 		}
 	}
 
@@ -666,8 +681,8 @@ func TestListenSurvivesCorruptCheckpoints(t *testing.T) {
 	if rst := ep.pushOK(obj, core.Config{Transfer: 5, PacketSize: 512}, Options{}).st; rst.Restored != 0 {
 		t.Fatalf("%d restored from an empty bitmap", rst.Restored)
 	}
-	if _, err := os.Stat(checkpoint.File(dir, 5)); !os.IsNotExist(err) {
-		t.Fatalf("the claimed checkpoint was not consumed: %v", err)
+	if st, err := checkpoint.Load(validFile); err == nil && len(st.Words) > 0 {
+		t.Fatalf("the claimed checkpoint was not consumed: its file still holds %d packets", st.Received)
 	}
 
 	// A transfer whose checkpoint was corrupt is an ordinary fresh one.

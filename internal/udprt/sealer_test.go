@@ -250,7 +250,7 @@ func TestSealedTransfersUnderFaults(t *testing.T) {
 		if st := proxy.Stats(); st.Duplicated == 0 || st.Reordered == 0 || p.st.Duplicates == 0 {
 			t.Fatalf("faults never fired: %+v, receiver saw %d duplicates", st, p.st.Duplicates)
 		}
-		if _, ok := ep.l.cache.lookup(core.ContentID(obj), uint64(len(obj))); !ok {
+		if _, ok := ep.l.store.lookup(core.ContentID(obj), uint64(len(obj))); !ok {
 			t.Fatal("verified object was not cached")
 		}
 	}
@@ -352,7 +352,7 @@ func TestFlippedByteInAnyLeafFailsDigest(t *testing.T) {
 			if p.obj != nil {
 				t.Fatal("a corrupted object was delivered")
 			}
-			if n := ep.l.cache.len(); n != 0 {
+			if n := ep.l.store.len(); n != 0 {
 				t.Fatalf("a corrupted object was cached (%d entries)", n)
 			}
 		})
@@ -568,7 +568,7 @@ func TestCacheLoadRemovesUnverifiable(t *testing.T) {
 		t.Fatalf("seeded %d files, want 3", len(ents))
 	}
 
-	c := newContentCache(Options{Checkpoint: dir}.withDefaults())
+	c := newStore(Options{Checkpoint: dir}.withDefaults())
 	if c.len() != 1 {
 		t.Fatalf("loaded %d entries, want 1", c.len())
 	}

@@ -449,9 +449,8 @@ type recvPlan struct {
 	// announcement was untraced.
 	trace obs.TraceID
 	// The CHECK every announcement opens with: checkDigest is the object's
-	// content identity, which the object is verified against, cached under
-	// and retained under. checkDedup permits answering from the content
-	// cache.
+	// content identity, which the object is verified against and held
+	// under. checkDedup permits answering from a whole entry.
 	checkDigest [32]byte
 	checkDedup  bool
 }
@@ -500,17 +499,6 @@ func (p recvPlan) verifyContent(seal *sealer) error {
 	return nil
 }
 
-// dedupHit returns the cached copy this announcement's CHECK may be answered
-// from. The dedup flag and the announced size are tested before the copy-out
-// (a whole object): a CHECK without the flag, or one that names a different
-// size, is a miss that costs nothing.
-func (p recvPlan) dedupHit(cache *contentCache) ([]byte, bool) {
-	if !p.checkDedup {
-		return nil, false
-	}
-	return cache.lookup(p.checkDigest, p.objectSize)
-}
-
 // newRecvEngines builds one receiver engine per stripe of the plan, each
 // assembling in place into its own slice of obj — the one pre-allocated
 // object, or the retained buffer of a restored transfer — so completion needs
@@ -548,22 +536,13 @@ func sumRecvStats(engines []*receiverEngine) core.ReceiverStats {
 	return t
 }
 
-// admit reserves the cache slot of a transfer whose announcement permits
-// caching (cacheSlot); nil otherwise, or when the cache does not take it.
-func (p recvPlan) admit(cache *contentCache) *cacheSlot {
-	if !p.checkDedup {
-		return nil
-	}
-	return cache.admit(p.checkDigest, int(p.objectSize))
-}
-
 // completeDeduped answers a dedup-hitting CHECK: the full HAVE bitmap (the
 // verdict) followed immediately by the COMPLETE carrying the tag of the
-// identity the bytes are cached under — no data flow, no registration, no
+// identity the bytes are held under — no data flow, no registration, no
 // pass over the object — so N senders pushing the same hot object fan out of
-// the cache concurrently, never competing for the transfer-id space. The returned object is the cache's copy, so a Server's
-// completion handler sees the same bytes a real transfer would have
-// assembled.
+// the store concurrently, never competing for the transfer-id space. The
+// returned object is the whole entry's copy, so a Server's completion
+// handler sees the same bytes a real transfer would have assembled.
 func (l *Listener) completeDeduped(plan recvPlan, ctl net.Conn, obj []byte) ([]byte, core.ReceiverStats, error) {
 	opts := l.opts
 	total := core.NumPackets(int64(plan.objectSize), plan.packetSize)

@@ -120,16 +120,23 @@ type Options struct {
 	// with whatever the receiver retained of the failed one, and sends only
 	// the rest.
 	Retry *RetryPolicy
-	// ResumeWindow is how long a listener or server retains the partial
-	// state (buffer + got-bitmap) of a failed single-stream inbound transfer,
-	// keyed by the content identity its CHECK announced, so that the next
-	// announcement of the same content — under any transfer id — sends only
-	// what is missing (default 60s; negative disables retention).
+	// ResumeWindow is how long a listener or server keeps the partial
+	// state (buffer + got-bitmap) of a failed single-stream inbound transfer
+	// in its store, keyed by the content identity its CHECK announced, so
+	// that the next announcement of the same content — under any transfer
+	// id — sends only what is missing (default 60s; negative keeps no
+	// partial state). The store holds one entry per content: content it
+	// holds whole is not retained in part too.
 	ResumeWindow time.Duration
-	// Checkpoint, when non-empty, is a directory where retained transfer
-	// state is also persisted as checkpoint files, so a restarted receiver
-	// process still holds what it retained before the restart. Files are
-	// removed when claimed or when the window lapses.
+	// Checkpoint, when non-empty, is a directory where a listener or
+	// server also keeps every entry of its store — whole objects for dedup,
+	// partial ones for resume — as a file named by its content, so a
+	// restarted receiver process still holds what it held. Listen loads the
+	// directory within the store's bounds, newest files first, and removes
+	// what they leave no room for and what it cannot use: files this
+	// configuration keeps no entry of, unverifiable whole objects, and
+	// files an earlier build named by transfer id. A file is removed when
+	// its entry is evicted, expires or is consumed.
 	Checkpoint string
 	// RateCap, when non-nil, bounds the aggregate on-the-wire send rate of
 	// every transfer sharing the same *RateCap value (payload plus UDP/IP
@@ -157,10 +164,11 @@ type Options struct {
 	// span log under it too; a zero id there is an untraced announcement
 	// (see DESIGN.md §5i).
 	TraceID obs.TraceID
-	// NoDedup opts out of answers from the content cache. Sending: the
-	// CHECK omits wire.CheckFlagDedup, so every push moves the
-	// bytes the receiver did not retain of it. Receiving: no content cache
-	// is kept. Retained partial state is consulted either way.
+	// NoDedup opts out of dedup answers: answers from a whole object the
+	// receiver already holds. Sending: the CHECK omits wire.CheckFlagDedup,
+	// so every push moves the bytes the receiver did not retain of it.
+	// Receiving: the store keeps no whole objects. Retained partial state
+	// is consulted either way.
 	NoDedup bool
 	// Record, when non-nil, captures a packet-level flight recording of
 	// every transfer this endpoint runs: each data send with its attempt
@@ -295,8 +303,9 @@ type Listener struct {
 	// (zero where that cannot be read back): what receive windows are cut from.
 	rcvbuf int
 	opts   Options
-	store  *resumeStore
-	cache  *contentCache
+	// store holds what the endpoint keeps of objects between transfers:
+	// whole ones for dedup, partial ones for resume.
+	store *store
 	// self is where the data socket reaches itself (settle): its own
 	// address, loopback when it is bound to every interface.
 	self  netip.AddrPort
@@ -342,7 +351,7 @@ func Listen(addr string, opts Options) (*Listener, error) {
 		return nil, fmt.Errorf("udprt: batched receiver: %w", err)
 	}
 	l := &Listener{tcp: tl, udp: ul, rx: rx, rcvbuf: batchio.ReadBuffer(ul), opts: opts,
-		store: newResumeStore(opts), cache: newContentCache(opts), self: selfAddr(ul),
+		store: newStore(opts), self: selfAddr(ul),
 		inbound: make(map[uint32]tagRoute), stopped: make(chan struct{})}
 	go l.loop()
 	return l, nil

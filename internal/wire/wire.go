@@ -526,8 +526,8 @@ const CheckFlagDedup uint8 = 1 << 1
 // retains a failed transfer's partial state under.
 //
 // The receiver answers every announcement from one lookup, with a HAVE: the
-// full got-bitmap (followed by COMPLETE) when CheckFlagDedup is set and its
-// content cache holds the digest, or when it retained the whole object; the
+// full got-bitmap (followed by COMPLETE) when CheckFlagDedup is set and it
+// holds the object whole and verified, or when it retained the whole object; the
 // bitmap of what it retained of the object from an earlier, failed transfer;
 // or the "hold nothing" HAVE.
 type Check struct {
