@@ -19,10 +19,13 @@ import (
 // a `Type.Member` whose Type is one of its types (a method or a field, its
 // embedded types' included), the two combined (`pkg.Type.Member`), a
 // `path/file.go` or a bare `file.go`. Names of the
-// benchmark's ledger metrics (BENCHMARK.json) resolve too, and anything
-// whose first word is neither a package nor a type of the repository — the
-// standard library, a local variable — is not a reference. Narration of code
-// that is gone belongs in CHANGES.md, where history is kept.
+// benchmark's ledger metrics (BENCHMARK.json) and of the repository's files
+// (`BENCHMARK.json`) resolve too. A dotted span whose first word is neither a
+// package nor a type of the repository must still start with a name the
+// source knows: a package some file imports (`time.Now`), or an identifier
+// declared somewhere — a variable, parameter, field or constant (`opts.Pace`).
+// Narration of code that is gone belongs in CHANGES.md, where history is
+// kept.
 func TestDocsNameCodeThatExists(t *testing.T) {
 	idx := indexSource(t, ".")
 	for _, doc := range []string{"DESIGN.md", "README.md"} {
@@ -40,6 +43,36 @@ func TestDocsNameCodeThatExists(t *testing.T) {
 	}
 }
 
+// TestDocsResolves pins what resolves: code that exists, a standard package,
+// a name declared somewhere and a file of the repository do; a dotted span
+// that starts with a name the source does not know, or names a member a
+// type lacks, does not.
+func TestDocsResolves(t *testing.T) {
+	idx := indexSource(t, ".")
+	for ref, want := range map[string]bool{
+		"time.Now":                  true,
+		"opts.Pace":                 true,
+		"udprt.Options.Pace":        true,
+		"core.Sender.Step()":        true,
+		"BENCHMARK.json":            true,
+		"fixed_schedule.golden":     true,
+		"go test ./...":             true,
+		"noSuchType.Member":         false,
+		"udprt.noSuchName":          false,
+		"Options.NoSuchField":       false,
+		"internal/core/nosuch.go":   false,
+		"noSuchFile.golden":         false,
+		"slowedController.Tick":     false,
+		"udprt.RateCap.Limit":       true,
+		"udprt.slowedController":    false,
+		"core.RateCap.noSuchMember": false,
+	} {
+		if got := idx.resolves(ref); got != want {
+			t.Errorf("resolves(%q) = %v, want %v", ref, got, want)
+		}
+	}
+}
+
 // backticked matches an inline code span in Markdown.
 var backticked = regexp.MustCompile("`([^`]+)`")
 
@@ -49,13 +82,14 @@ var dotted = regexp.MustCompile(`^[A-Za-z_]\w*(\.[A-Za-z_]\w*)+(\(\))?$`)
 
 // sourceIndex is what the repository declares: by package name, its
 // top-level names; by type name, its methods and fields and the types it
-// embeds (across packages); the base names of its Go files; and the
-// ledger's metric names.
+// embeds (across packages); every name its files import or declare at any
+// scope; the base names of its files; and the ledger's metric names.
 type sourceIndex struct {
 	root    string
 	pkgs    map[string]map[string]bool
 	members map[string]map[string]bool
 	embeds  map[string][]string
+	names   map[string]bool
 	files   map[string]bool
 	metrics map[string]bool
 }
@@ -65,7 +99,7 @@ type sourceIndex struct {
 func indexSource(t *testing.T, root string) *sourceIndex {
 	t.Helper()
 	idx := &sourceIndex{root: root, pkgs: map[string]map[string]bool{}, members: map[string]map[string]bool{},
-		embeds: map[string][]string{}, files: map[string]bool{}, metrics: map[string]bool{}}
+		embeds: map[string][]string{}, names: map[string]bool{}, files: map[string]bool{}, metrics: map[string]bool{}}
 	add := func(m map[string]map[string]bool, k, v string) {
 		if m[k] == nil {
 			m[k] = map[string]bool{}
@@ -77,17 +111,21 @@ func indexSource(t *testing.T, root string) *sourceIndex {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() && path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+		if d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
 			return filepath.SkipDir
 		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+		if d.IsDir() {
 			return nil
 		}
 		idx.files[d.Name()] = true
+		if !strings.HasSuffix(path, ".go") || strings.Contains(filepath.ToSlash(path), "testdata/") {
+			return nil
+		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
+		idx.declared(f)
 		pkg := f.Name.Name
 		if pkg == "main" {
 			pkg = filepath.Base(filepath.Dir(path))
@@ -148,6 +186,45 @@ func indexSource(t *testing.T, root string) *sourceIndex {
 	return idx
 }
 
+// declared adds to the index every name f imports — its alias, or its path's
+// last element — and every identifier f declares at any scope.
+func (idx *sourceIndex) declared(f *ast.File) {
+	for _, imp := range f.Imports {
+		name := filepath.Base(strings.Trim(imp.Path.Value, `"`))
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		idx.names[name] = true
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		var ids []ast.Expr
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok == token.DEFINE {
+				ids = n.Lhs
+			}
+		case *ast.RangeStmt:
+			if n.Tok == token.DEFINE {
+				ids = []ast.Expr{n.Key, n.Value}
+			}
+		case *ast.ValueSpec:
+			for _, id := range n.Names {
+				ids = append(ids, id)
+			}
+		case *ast.Field:
+			for _, id := range n.Names {
+				ids = append(ids, id)
+			}
+		}
+		for _, e := range ids {
+			if id, ok := e.(*ast.Ident); ok {
+				idx.names[id.Name] = true
+			}
+		}
+		return true
+	})
+}
+
 // receiverType names a method's receiver type, without pointer or type
 // parameters.
 func receiverType(e ast.Expr) string {
@@ -199,7 +276,7 @@ func (idx *sourceIndex) resolves(ref string) bool {
 		_, err := os.Stat(filepath.Join(idx.root, ref))
 		return err == nil
 	}
-	if idx.metrics[ref] || !dotted.MatchString(ref) {
+	if idx.metrics[ref] || idx.files[ref] || !dotted.MatchString(ref) {
 		return true
 	}
 	parts := strings.Split(strings.TrimSuffix(ref, "()"), ".")
@@ -213,7 +290,7 @@ func (idx *sourceIndex) resolves(ref string) bool {
 		parts = parts[1:]
 	}
 	if _, ok := idx.members[parts[0]]; !ok {
-		return true // neither a package nor a type of the repository
+		return idx.names[parts[0]] // neither a package nor a type of the repository
 	}
 	return len(parts) == 2 && idx.hasMember(parts[0], parts[1], 0)
 }

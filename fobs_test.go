@@ -32,7 +32,7 @@ func TestFacadeLoopbackTransfer(t *testing.T) {
 		done <- rcv{data, err}
 	}()
 
-	sst, err := fobs.Send(ctx, l.Addr(), obj, fobs.Config{AckFrequency: 32}, fobs.Options{})
+	sst, err := fobs.Send(ctx, l.Addr(), obj, fobs.Config{PacketSize: 1024}, fobs.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

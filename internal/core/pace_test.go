@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"github.com/hpcnet/fobs/internal/wire"
 )
 
 // The pacing clock on a fake clock: the pacer reads no time, so its
@@ -120,3 +122,182 @@ func TestPacerNeverMovesBack(t *testing.T) {
 		now += time.Duration(rng.Intn(3000)) * time.Microsecond / 10
 	}
 }
+
+// The shared rate cap on the same fake clock: its verdict per round, what it
+// charges, how planRound composes it with the policy and the pace, a late
+// wake, and a capped step's allocations. Its rate on real sockets is
+// internal/udprt's to measure, and on the simulator internal/simrun's.
+
+// TestRateCapGrantContract pins the cap's verdict per round: the batch stays
+// in [1, want], the gap in [0, MaxControllerGap]; a cap below one flow's
+// starvation floor yields exactly the floor and reserves nothing; and a
+// tight loop of grants cannot reserve wire time unboundedly far ahead.
+func TestRateCapGrantContract(t *testing.T) {
+	const bitsPerPkt = 12000
+	now := paceEpoch
+	c, _ := NewRateCap(2e6)
+	for _, want := range []int{-3, 0, 1, 7, 32, 1024} {
+		n, gap, _ := c.grant(now, want, bitsPerPkt, 0)
+		if lo := max(want, 1); n < 1 || n > lo {
+			t.Fatalf("grant(%d): batch %d outside [1, %d]", want, n, lo)
+		}
+		if gap < 0 || gap > MaxControllerGap {
+			t.Fatalf("grant(%d): gap %v outside [0, %v]", want, gap, MaxControllerGap)
+		}
+	}
+
+	// A cap below one packet per MaxControllerGap cannot be honoured; the
+	// controller contract's floor wins, verbatim.
+	floor, _ := NewRateCap(1) // 1 bit/s
+	var end time.Duration
+	for i := 0; i < 4; i++ {
+		n, gap, e := floor.grant(now, 32, bitsPerPkt, end)
+		if n != 1 || gap != MaxControllerGap || e != end {
+			t.Fatalf("sub-floor cap granted (%d, %v) and moved the flow's end; want (1, %v), nothing reserved",
+				n, gap, MaxControllerGap)
+		}
+	}
+
+	// Backlog is bounded: after a burst of un-slept grants the schedule
+	// saturates at the starvation floor instead of charging further debt.
+	c2, _ := NewRateCap(1e6)
+	for i := 0; i < 10000; i++ {
+		_, _, end = c2.grant(now, 32, bitsPerPkt, end)
+	}
+	if ahead := c2.next - now; ahead > capMaxBacklog+time.Second {
+		t.Fatalf("schedule ran %v ahead of now; backlog bound failed", ahead)
+	}
+	if n, gap, _ := c2.grant(now, 32, bitsPerPkt, end); n != 1 || gap != MaxControllerGap {
+		t.Fatalf("saturated cap granted (%d, %v), want the starvation floor", n, gap)
+	}
+}
+
+// TestRateCapChargesEachReservationOnce: a flow pays for each stretch of the
+// schedule once. Alone under the cap its every round is charged exactly its
+// own packets' wire time — not that plus what it reserved before, which its
+// pacing clock has already paid for and which would make a flow's charge grow
+// with every round it plans faster than its clock runs. Two flows taking
+// turns each pay for their own round and the other's.
+func TestRateCapChargesEachReservationOnce(t *testing.T) {
+	const bitsPerPkt = 12000
+	const perPkt = 20 * time.Millisecond // at 600 kb/s
+	now := paceEpoch
+	alone, _ := NewRateCap(bitsPerPkt / perPkt.Seconds())
+	var end time.Duration
+	for round := 1; round <= 4; round++ {
+		n, gap, e := alone.grant(now, 2, bitsPerPkt, end)
+		end = e
+		if n != 2 || gap != perPkt {
+			t.Fatalf("one flow, round %d: granted (%d, %v), want (2, %v)", round, n, gap, perPkt)
+		}
+	}
+
+	shared, _ := NewRateCap(bitsPerPkt / perPkt.Seconds())
+	var ends [2]time.Duration
+	for round := 1; round <= 3; round++ {
+		for f := range ends {
+			_, gap, e := shared.grant(now, 2, bitsPerPkt, ends[f])
+			ends[f] = e
+			// The first flow's first round has no one ahead of it.
+			if round > 1 && gap != 2*perPkt {
+				t.Fatalf("two flows, round %d, flow %d: gap %v, want %v", round, f, gap, 2*perPkt)
+			}
+		}
+	}
+}
+
+// TestRateCapControllerComposes checks planRound's stricter-verdict rule:
+// under a generous cap a paced round's gap is the policy's plus the pace, to
+// the nanosecond, its batch the policy's; a starved cap overrides even the
+// greedy policy.
+func TestRateCapControllerComposes(t *testing.T) {
+	const pace = 7 * time.Microsecond
+	obj := makeObject(100 * DefaultPacketSize)
+	round := func(pace time.Duration, c *RateCap, cc Controller) (batch int, gap time.Duration) {
+		s := NewSender(obj, Config{Batch: FixedBatch(32)})
+		s.SetController(cc)
+		s.SetPace(pace, c, paceEpoch)
+		v := &tape{size: 32, take: -1}
+		s.Step(0, v)
+		return v.rounds[0], v.gaps[0]
+	}
+	generous, _ := NewRateCap(1e12)
+	newSABUL := func() Controller { cc, _ := NewController(CCSABUL, DefaultPacketSize); return cc }
+	gotB, gotG := round(pace, generous, newSABUL())
+	wantB, wantG := round(0, nil, newSABUL())
+	if gotB != wantB || gotG != wantG+pace {
+		t.Fatalf("paced and capped round (%d, %v), want (%d, %v)", gotB, gotG, wantB, wantG+pace)
+	}
+
+	starved, _ := NewRateCap(1)
+	if b, g := round(0, starved, Greedy{}); b != 1 || g != MaxControllerGap {
+		t.Fatalf("starved cap let round (%d, %v) through, want (1, %v)", b, g, MaxControllerGap)
+	}
+}
+
+// TestRateCapLateWakeBanksOneBurst: a capped sender stepping 5 ms after its
+// pacing instant sends at most PaceBurst of the schedule it missed at once —
+// plus the grain the clock may run ahead before a wait and one round — and
+// the shared schedule after it stands PaceBurst behind that wake, not at it,
+// so the burst is charged as repaid time instead of being added on top.
+func TestRateCapLateWakeBanksOneBurst(t *testing.T) {
+	const (
+		batch = 4
+		late  = 5 * time.Millisecond
+	)
+	cfg := Config{Batch: FixedBatch(batch)}
+	perPkt := 100 * time.Microsecond
+	c, _ := NewRateCap(float64(8*(DefaultPacketSize+wire.UDPIPOverhead)) / perPkt.Seconds())
+	s := NewSender(makeObject(4096*DefaultPacketSize), cfg)
+	s.SetPace(0, c, paceEpoch)
+	v := &tape{size: 32, take: -1}
+	// Steady state: every wait wakes on its instant.
+	now, at := time.Duration(0), time.Duration(0)
+	for now < 20*time.Millisecond {
+		var w Wait
+		if w, at = s.Step(now, v); w == Pace {
+			now = at
+		}
+	}
+	wake := now + late
+	before := s.Stats().PacketsSent
+	s.Step(wake, v)
+	if want := paceEpoch + wake - PaceBurst + batch*perPkt; c.next != want {
+		t.Fatalf("after a wake %v late the schedule's head is %v from the wake, want %v",
+			late, c.next-paceEpoch-wake, want-paceEpoch-wake)
+	}
+	for w := Poll; w == Poll; w, _ = s.Step(wake, v) {
+	}
+	burst := time.Duration(s.Stats().PacketsSent-before) * perPkt
+	t.Logf("a wake %v late sent %v of schedule at once", late, burst)
+	if burst < PaceBurst || burst > PaceBurst+paceGrain+batch*perPkt {
+		t.Fatalf("a wake %v late sent %v of schedule at once, want PaceBurst %v repaid and at most %v ahead",
+			late, burst, PaceBurst, paceGrain+batch*perPkt)
+	}
+}
+
+// TestRateCapZeroAlloc holds a capped, paced step to the bar of every
+// shipped policy: its rounds allocate nothing.
+func TestRateCapZeroAlloc(t *testing.T) {
+	c, _ := NewRateCap(1e8)
+	cc, _ := NewController(CCSABUL, DefaultPacketSize)
+	s := NewSender(makeObject(1024*DefaultPacketSize), Config{})
+	s.SetController(cc)
+	s.SetPace(time.Microsecond, c, paceEpoch)
+	v := &nullWire{}
+	now := time.Duration(0)
+	if n := testing.AllocsPerRun(200, func() {
+		now += time.Millisecond
+		s.Step(now, v)
+	}); n != 0 {
+		t.Fatalf("a capped step allocates %.1f, want 0", n)
+	}
+}
+
+// nullWire takes every packet and goes nowhere.
+type nullWire struct{}
+
+func (*nullWire) Len() int                 { return 32 }
+func (*nullWire) Round(int, time.Duration) {}
+func (*nullWire) Put(int, wire.Data, int)  {}
+func (*nullWire) Flush(k int) (int, bool)  { return k, true }

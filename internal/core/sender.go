@@ -121,6 +121,12 @@ type Sender struct {
 	// receive window (flow.go), inert until SetFlow.
 	flow flow
 	loop loop // Step's, between looks (step.go)
+	// pace is added to every round's gap, and cap, when set, is the rate
+	// cap the sender shares (SetPace): capAt is the cap's clock when the
+	// sender's reads zero, capEnd where its last reservation on it ends.
+	pace          time.Duration
+	cap           *RateCap
+	capAt, capEnd time.Duration
 
 	// content memoizes ContentID(obj) — computed on first demand, not at
 	// construction, so the simulation harnesses that build thousands of
@@ -153,6 +159,14 @@ func NewSender(obj []byte, cfg Config) *Sender {
 // before the first round is planned. A controller serves one sender.
 func (s *Sender) SetController(c Controller) { s.cc = c }
 
+// SetPace slows every round the sender plans, before the first: pace is
+// added to the controller's gap, and then c, when not nil, takes the stricter
+// of its verdict and the round's. c's clock reads at when the step's clock
+// reads zero.
+func (s *Sender) SetPace(pace time.Duration, c *RateCap, at time.Duration) {
+	s.pace, s.cap, s.capAt, s.capEnd = pace, c, at, 0
+}
+
 const (
 	probeIdle  = -1
 	probeArmed = -2
@@ -174,10 +188,12 @@ func (s *Sender) reportLoss() {
 
 // planRound plans the next batch-send round of a step: the batch policy asks,
 // the controller may cap the ask and names the pacing gap to charge per
-// packet sent. Nothing to ask for (batch <= 0) bypasses the controller. The
-// clamps are the sender's own guarantee — no controller can push a round
-// outside [1, ask] or make the gap negative. now is the step's clock: with no
-// round-trip probe in flight, the round's first packet becomes one.
+// packet sent, SetPace's pace is added to it, and a shared rate cap then
+// takes the stricter of its verdict and the round's: smaller batch, longer
+// gap. Nothing to ask for (batch <= 0) bypasses them all. The clamps are the
+// sender's own guarantee — no controller can push a round outside [1, ask] or
+// make the gap negative. now is the step's clock: with no round-trip probe in
+// flight, the round's first packet becomes one.
 func (s *Sender) planRound(now time.Duration) (batch int, gap time.Duration) {
 	want := s.BatchSize()
 	if want <= 0 {
@@ -189,7 +205,13 @@ func (s *Sender) planRound(now time.Duration) (batch int, gap time.Duration) {
 	if s.probeSeq < 0 {
 		s.probeSeq, s.probeAt = probeArmed, now
 	}
-	return min(want, max(d.Batch, 1)), max(d.Gap, 0)
+	batch, gap = min(want, max(d.Batch, 1)), max(d.Gap+s.pace, 0)
+	if s.cap != nil {
+		var capGap time.Duration
+		batch, capGap, s.capEnd = s.cap.grant(s.capAt+now, batch, float64(8*(s.cfg.PacketSize+wire.UDPIPOverhead)), s.capEnd)
+		gap = max(gap, capGap)
+	}
+	return batch, gap
 }
 
 // probeRTT resolves the round-trip probe against the caller's clock (any

@@ -16,14 +16,17 @@ import (
 // whose wire takes at most take packets of a flush (negative: all of them).
 type tape struct {
 	size, take int
-	rounds     []int // batch of each round planned
-	flushes    []int // packets handed to each flush
+	rounds     []int           // batch of each round planned
+	gaps       []time.Duration // and its gap
+	flushes    []int           // packets handed to each flush
 	seqs       []uint32
 }
 
-func (v *tape) Len() int                         { return v.size }
-func (v *tape) Round(batch int, _ time.Duration) { v.rounds = append(v.rounds, batch) }
-func (v *tape) Put(_ int, pkt wire.Data, _ int)  { v.seqs = append(v.seqs, pkt.Seq) }
+func (v *tape) Len() int { return v.size }
+func (v *tape) Round(batch int, gap time.Duration) {
+	v.rounds, v.gaps = append(v.rounds, batch), append(v.gaps, gap)
+}
+func (v *tape) Put(_ int, pkt wire.Data, _ int) { v.seqs = append(v.seqs, pkt.Seq) }
 func (v *tape) Flush(k int) (int, bool) {
 	v.flushes = append(v.flushes, k)
 	if v.take >= 0 && v.take < k {

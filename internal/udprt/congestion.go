@@ -1,19 +1,18 @@
 // Congestion control on sockets. The policies — the Controller interface, its
 // five implementations and the one table that names them — live in
-// internal/core, and the core.Sender every engine drives is what feeds them
-// and plans each round (Sender.Step): nothing here observes an
-// acknowledgement or counts a retransmission on a controller's behalf. What
-// is this package's own is what only a socket runtime has: the name a caller
-// selects a policy by (Options.Congestion), and the two ways a deployment
-// slows every policy down from outside — the fixed Options.Pace and the
-// shared Options.RateCap — which wrap whichever controller was built.
+// internal/core, and so does what slows every policy down from outside: the
+// core.Sender every engine drives feeds its controller, adds a fixed pace to
+// each round's gap and charges a shared rate cap (Sender.SetPace), so nothing
+// here observes an acknowledgement or sets a gap on a controller's behalf.
+// What is this package's own is what only a socket runtime has: the name a
+// caller selects a policy by (Options.Congestion), and the wall clock the
+// shared cap's is converted from.
 package udprt
 
 import (
 	"time"
 
 	"github.com/hpcnet/fobs/internal/core"
-	"github.com/hpcnet/fobs/internal/wire"
 )
 
 // Controller policy names, the values Options.Congestion and the CLIs' -cc
@@ -33,46 +32,33 @@ const (
 // order the benches sweep them.
 func CongestionPolicies() []string { return core.Policies() }
 
-// newController builds one stripe's controller for one attempt — always a
-// fresh one, so no two senders share a policy's state — failing on a name
-// the table does not have. Options.Pace and Options.RateCap, when set, wrap
-// it.
-func newController(opts Options, packetSize int) (core.Controller, error) {
-	cc, err := core.NewController(opts.Congestion, packetSize)
-	if err != nil || (opts.Pace == 0 && opts.RateCap == nil) {
-		return cc, err
-	}
-	return &slowedController{
-		Controller: cc, pace: opts.Pace, cap: opts.RateCap,
-		bitsPerPkt: float64(8 * (packetSize + wire.UDPIPOverhead)),
-	}, nil
+// RateCap bounds the aggregate send rate of every transfer whose Options
+// carry it: core's shared pacing clock (core.RateCap), with the instant its
+// clock reads zero on this runtime's. One RateCap may be shared by any number
+// of concurrent Sends and by every stripe within them; its methods are safe
+// for concurrent use.
+type RateCap struct {
+	*core.RateCap
+	epoch time.Time
 }
 
-// slowedController post-processes a policy's directive: Options.Pace is added
-// to the gap, and the shared RateCap, when there is one, then takes the
-// stricter of the two verdicts — smaller batch, longer gap. Observations pass
-// through untouched. Like every controller it is driven from its sender's
-// single goroutine and allocates nothing per round; the state behind the cap
-// is a mutex-guarded timestamp, touched once per batch round, never per
-// packet.
-type slowedController struct {
-	core.Controller
-	pace       time.Duration
-	cap        *RateCap
-	bitsPerPkt float64
-	capEnd     time.Time // where this stripe's last reservation on the cap ends
+// NewRateCap builds a shared cap of bitsPerSecond on-the-wire bits per
+// second. bitsPerSecond must be positive.
+func NewRateCap(bitsPerSecond float64) (*RateCap, error) {
+	c, err := core.NewRateCap(bitsPerSecond)
+	if err != nil {
+		return nil, err
+	}
+	return &RateCap{RateCap: c, epoch: time.Now()}, nil
 }
 
-func (c *slowedController) Tick(max int) core.Directive {
-	d := c.Controller.Tick(max)
-	d.Gap += c.pace
-	if c.cap == nil {
-		return d
+// slow hands a stripe's sender what slows it from outside its policy:
+// o.Pace, and o.RateCap with the engine's clock converted once — start, the
+// instant the sender's step clock reads zero, on the cap's.
+func (o Options) slow(snd *core.Sender, start time.Time) {
+	if c := o.RateCap; c != nil {
+		snd.SetPace(o.Pace, c.RateCap, start.Sub(c.epoch))
+	} else {
+		snd.SetPace(o.Pace, nil, 0)
 	}
-	n, gap, end := c.cap.grant(min(max, d.Batch), c.bitsPerPkt, c.capEnd)
-	c.capEnd = end
-	if d.Gap > gap {
-		gap = d.Gap
-	}
-	return core.Directive{Batch: n, Gap: gap}
 }

@@ -10,30 +10,33 @@ import (
 // The controllers' own contract suite — bounds, determinism, recovery and
 // zero allocations over synthetic traces, for all five policies — is
 // internal/core's TestControllerConformance. The tests here hold what this
-// package adds to the same contract: the controller Options selects, wrapped
-// by Options.Pace and Options.RateCap, planning a real sender's rounds.
+// package adds to the same contract: the controller Options selects, slowed by
+// Options.Pace and Options.RateCap, planning a real sender's rounds.
 
 // TestControllerConformance runs every policy Options.Congestion can name
 // through runSchedule — a real sender and receiver, the sender's own feed —
 // and requires of the rounds it plans what the engine relies on: (a) every
 // batch within [1, ask] and every gap within [0, MaxControllerGap] plus the
 // configured pace, bare, paced and under a (generous) rate cap; (b) the same
-// transfer planned twice gives the same schedule. And (c), of the wrapped
-// controller by itself: the rate it permits after a burst of lossy
-// acknowledgement intervals and then four hundred clean ones is no lower
-// than at the end of the burst — wrapping paces no policy into a standstill.
+// transfer planned twice gives the same schedule. And (c), paced and under
+// the generous cap: the round a sender plans after a burst of lossy
+// acknowledgement intervals and then four hundred clean ones is no slower
+// than at the end of the burst — the pace and the cap pace no policy into a
+// standstill.
 func TestControllerConformance(t *testing.T) {
 	const pace = 5 * time.Microsecond
 	obj := makeObj(256 << 10)
 	cfg := core.Config{PacketSize: 64, AckFrequency: 32, Batch: core.FixedBatch(16)}
 	for _, name := range CongestionPolicies() {
 		t.Run(name, func(t *testing.T) {
-			generous, _ := NewRateCap(1e12)
+			// A generous cap, one per run: each run's virtual clock starts
+			// at the wall clock's now and runs far ahead of it.
+			generous := func() *RateCap { c, _ := NewRateCap(1e12); return c }
 			t.Run("invariants", func(t *testing.T) {
 				for _, opts := range []Options{
 					{Congestion: name},
 					{Congestion: name, Pace: pace},
-					{Congestion: name, Pace: pace, RateCap: generous},
+					{Congestion: name, Pace: pace, RateCap: generous()},
 				} {
 					for _, loss := range []float64{0, 0.05, 0.30} {
 						_, rounds := runSchedule(t, obj[:128<<10], cfg, opts, func(int) float64 { return loss })
@@ -57,63 +60,82 @@ func TestControllerConformance(t *testing.T) {
 				}
 			})
 			t.Run("recovers_after_loss_burst", func(t *testing.T) {
-				cc, err := newController(Options{Congestion: name, Pace: pace, RateCap: generous}, 1024)
+				cc, err := core.NewController(name, 1024)
 				if err != nil {
 					t.Fatal(err)
 				}
-				// intervals drives n rounds, each its own acknowledgement
-				// interval, half of it lost when lossy, and returns the last
-				// directive.
-				intervals := func(n int, lossy bool) (d core.Directive) {
+				// 16 384 packets: no round of the 600 below is a retransmission.
+				snd := core.NewSender(makeObj(1<<20), core.Config{PacketSize: 64, Batch: core.FixedBatch(DefaultIOBatch)})
+				snd.SetController(cc)
+				Options{Pace: pace, RateCap: generous()}.slow(snd, time.Now())
+				v := &scheduleVector{t: t, snd: snd} // a wire to nowhere
+				var now time.Duration
+				// intervals has the sender plan n rounds, each a look past the
+				// last one's pacing instant and its own acknowledgement
+				// interval, half of it lost when lossy, and returns the last.
+				intervals := func(n int, lossy bool) (r plannedRound) {
 					for i := 0; i < n; i++ {
-						d = cc.Tick(DefaultIOBatch)
-						ev := core.AckEvent{Sent: d.Batch, Acked: d.Batch}
+						now += time.Second
+						snd.Step(now, v)
+						r = v.rounds[len(v.rounds)-1]
+						ev := core.AckEvent{Sent: r.batch, Acked: r.batch}
 						if lossy {
-							ev.Acked = d.Batch / 2
-							cc.OnLoss(core.LossEvent{Retransmits: d.Batch - ev.Acked})
+							ev.Acked = r.batch / 2
+							cc.OnLoss(core.LossEvent{Retransmits: r.batch - ev.Acked})
 						}
 						cc.OnAck(ev)
 						cc.OnRTT(300 * time.Microsecond)
 					}
-					return d
+					return r
 				}
 				intervals(100, false)
 				atBurstEnd := intervals(100, true)
 				recovered := intervals(400, false)
-				if recovered.Gap > atBurstEnd.Gap || recovered.Batch < atBurstEnd.Batch {
-					t.Fatalf("directive after recovery %+v is slower than at the burst's end %+v", recovered, atBurstEnd)
+				if recovered.gap > atBurstEnd.gap || recovered.batch < atBurstEnd.batch {
+					t.Fatalf("round after recovery %+v is slower than at the burst's end %+v", recovered, atBurstEnd)
 				}
 			})
 		})
 	}
 }
 
-// TestFixedControllerLegacyArithmetic: greedy plus Options.Pace through the
-// wrapper is the pre-policy engine's arithmetic — the ask uncapped, the gap
-// exactly the pace, whatever the controller is told — and a state-carrying
-// policy's gap has the pace added to whatever it says at Tick time.
+// TestFixedControllerLegacyArithmetic: greedy plus Options.Pace, as a sender
+// plans it, is the pre-policy engine's arithmetic — the ask uncapped, the
+// gap exactly the pace, whatever the controller is told — and a
+// state-carrying policy's gap has the pace added to whatever it says at Tick
+// time.
 func TestFixedControllerLegacyArithmetic(t *testing.T) {
 	const pace = 7 * time.Microsecond
-	cc, err := newController(Options{Congestion: CCFixed, Pace: pace}, 1024)
-	if err != nil {
-		t.Fatal(err)
+	// paced builds a sender of policy under the pace, its controller, and a
+	// wire to nowhere that transcribes its rounds.
+	paced := func(policy string) (*core.Sender, core.Controller, *scheduleVector) {
+		snd := core.NewSender(makeObj(1<<20), core.Config{PacketSize: 1024, Batch: core.FixedBatch(13)})
+		cc, err := core.NewController(policy, 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snd.SetController(cc)
+		Options{Pace: pace}.slow(snd, time.Now())
+		return snd, cc, &scheduleVector{t: t, snd: snd}
 	}
+	snd, cc, v := paced(CCFixed)
 	cc.OnLoss(core.LossEvent{Retransmits: 100})
 	cc.OnRTT(3 * time.Millisecond)
 	cc.OnAck(core.AckEvent{Sent: 50, Acked: 1})
-	if got, want := cc.Tick(13), (core.Directive{Batch: 13, Gap: pace}); got != want {
-		t.Fatalf("fixed + pace: Tick = %+v, want %+v", got, want)
+	snd.Step(0, v)
+	if got, want := v.rounds[0], (plannedRound{ask: 13, batch: 13, gap: pace}); got != want {
+		t.Fatalf("fixed + pace: round %+v, want %+v", got, want)
 	}
-	paced, _ := newController(Options{Congestion: core.CCBackoff, Pace: pace}, 1024)
+	snd, cc, v = paced(core.CCBackoff)
 	bare := &core.Backoff{}
 	for i := 0; i < 5; i++ {
 		ev := core.AckEvent{Sent: 64, Acked: 64 - 8*i}
-		paced.OnAck(ev)
+		cc.OnAck(ev)
 		bare.OnAck(ev)
 		want := bare.Tick(13)
-		want.Gap += pace
-		if got := paced.Tick(13); got != want {
-			t.Fatalf("sample %d: Tick = %+v, want %+v", i, got, want)
+		snd.Step(time.Duration(i)*time.Second, v) // each look past the last one's pacing instant
+		if got := v.rounds[i]; got.batch != want.Batch || got.gap != want.Gap+pace {
+			t.Fatalf("sample %d: round %+v, want %+v plus %v", i, got, want, pace)
 		}
 	}
 }
@@ -174,13 +196,12 @@ func TestValidateCongestion(t *testing.T) {
 }
 
 // TestControllerZeroAlloc gates every policy as this package hands it to a
-// sender — wrapped for a pace — at zero allocations over its full
-// observe/decide surface: the engine consults it inside the zero-alloc hot
-// path.
+// sender at zero allocations over its full observe/decide surface: the
+// engine consults it inside the zero-alloc hot path.
 func TestControllerZeroAlloc(t *testing.T) {
 	for _, name := range CongestionPolicies() {
 		t.Run(name, func(t *testing.T) {
-			cc, err := newController(Options{Congestion: name, Pace: time.Microsecond}, 1024)
+			cc, err := core.NewController(name, 1024)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -87,8 +87,8 @@ func (v *scheduleVector) close() {
 }
 
 // runSchedule drives one deterministic socketless transfer — the
-// core.Sender newSenderPlan builds for (cfg, opts), controller installed the
-// way Send installs it, and a core.Receiver acknowledging every
+// core.Sender newSenderPlan builds for (cfg, opts), controller, pace and rate
+// cap installed the way Send installs them, and a core.Receiver acknowledging every
 // cfg.AckFrequency packets, joined by a scheduleVector; acknowledgements
 // delivered one look later exactly as the engine's poll-at-loop-top does —
 // and returns the vector's transcript of the complete packet schedule. Each
@@ -102,6 +102,7 @@ func runSchedule(t *testing.T, obj []byte, cfg core.Config, opts Options, loss f
 		t.Fatal(err)
 	}
 	snd := plan.snds[0]
+	opts.slow(snd, time.Now()) // as the engine does when the data phase starts
 	rcfg := plan.cfg
 	rcfg.AckFrequency = cfg.AckFrequency
 	v := &scheduleVector{t: t, snd: snd, rcv: core.NewReceiver(int64(len(obj)), rcfg),
@@ -145,9 +146,8 @@ func runSchedule(t *testing.T, obj []byte, cfg core.Config, opts Options, loss f
 //
 // with a live core.Backoff as cfg.Rate. Config.Rate is gone — what it did on
 // sockets is Options{Congestion: "backoff"} — and the same schedule now comes
-// out of the sender loop itself, Sender.Step, which plans each round through
-// the one wrapper that adds Options.Pace: the golden file has not changed
-// since. Regenerate it with
+// out of the sender loop itself, Sender.Step, whose round planning adds
+// Options.Pace to the policy's gap: the golden file has not changed since. Regenerate it with
 // UPDATE_CC_GOLDEN=1 only if the sender is meant to behave differently.
 func TestFixedPolicyGoldenSchedule(t *testing.T) {
 	obj := make([]byte, 8<<10)

@@ -77,7 +77,7 @@ func TestRetriedSendStartsFromAFreshController(t *testing.T) {
 			}
 		},
 		testController: func(cc core.Controller) {
-			b := built{cc: cc.(*slowedController).Controller.(*core.AIMD)}
+			b := built{cc: cc.(*core.AIMD)}
 			b.window = b.cc.Window()
 			for _, a := range attempts {
 				b.earlier = append(b.earlier, a.cc.Window())

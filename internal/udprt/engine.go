@@ -274,6 +274,7 @@ func (e *senderEngine) run(ctx context.Context) error {
 		e.probe.io(c)
 	}()
 	started := time.Now() // the step's clock counts from here
+	opts.slow(snd, started)
 	// handleAcks feeds the first n datagrams of the ack ring to the sender,
 	// and shows the registry what they changed.
 	handleAcks := func(n int) {

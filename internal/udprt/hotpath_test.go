@@ -89,14 +89,13 @@ func TestSenderHotPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	capped, _ := NewRateCap(1e12) // generous: the cap runs, nothing starves
 	eachIOPath(t, func(t *testing.T, noFastPath bool) {
 		for _, policy := range CongestionPolicies() {
 			for _, slowed := range []bool{false, true} {
 				name, opts := "cc="+policy, Options{Congestion: policy}
 				if slowed {
 					name += "/paced+capped"
-					opts.Pace, opts.RateCap = time.Microsecond, capped
+					opts.Pace = time.Microsecond
 				}
 				t.Run(name, func(t *testing.T) {
 					eachInstrumentation(t, obs.RoleSender, 1<<20/1024, func(t *testing.T, tm *metrics.Transfer, fr *flight.Recorder, or *obs.Recorder) {
@@ -118,6 +117,13 @@ func TestSenderHotPathZeroAllocs(t *testing.T) {
 						}()
 						defer func() { close(stop); <-drained }()
 
+						opts := opts
+						if slowed {
+							// Generous: the cap runs, nothing starves. Each run a
+							// cap of its own, as the looks' clock runs far ahead of
+							// the wall's.
+							opts.RateCap, _ = NewRateCap(1e12)
+						}
 						plan, err := newSenderPlan(makeObj(1<<20),
 							core.Config{PacketSize: 1024, Batch: core.FixedBatch(16)}, opts)
 						if err != nil {
@@ -125,6 +131,7 @@ func TestSenderHotPathZeroAllocs(t *testing.T) {
 						}
 						snd := plan.snds[0]
 						snd.SetFlow(1<<20, time.Millisecond) // as runSenderPlan installs it
+						opts.slow(snd, time.Now())           // and the engine its pace and cap
 						tx, err := batchio.NewSender(conn, 16, !noFastPath)
 						if err != nil {
 							t.Fatal(err)

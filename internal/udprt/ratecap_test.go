@@ -1,9 +1,10 @@
-// Rate-cap tests: the shared-limiter contract (bounds, starvation floor,
-// bounded backlog, one charge per reservation, zero-alloc rounds), the
-// wrapper's composition with the inner congestion policy, measured aggregate
-// rates for one and many flows sharing one cap, real loopback transfers paced
-// at their cap — one alone, two sharing it — and the supervised rerun an
-// orchestrator uses to continue a transfer across its own restart.
+// Rate-cap tests on the wall clock: measured aggregate rates for one and many
+// flows sharing one cap, real loopback transfers paced at their cap — one
+// alone, two sharing it — and the supervised rerun an orchestrator uses to
+// continue a transfer across its own restart. The cap's own contract (its
+// verdict per round, its charge, its composition with the policy, a late
+// wake, zero allocations) is internal/core's, on a fake clock, and two capped
+// senders on the virtual clock are internal/simrun's.
 package udprt
 
 import (
@@ -31,165 +32,6 @@ func TestNewRateCapValidates(t *testing.T) {
 	}
 }
 
-// TestRateCapGrantContract pins the limiter's per-round verdict: the batch
-// stays in [1, want], the gap in [0, core.MaxControllerGap]; a cap below one
-// flow's starvation floor yields exactly the floor; and a tight loop of
-// grants cannot reserve wire time unboundedly far into the future.
-func TestRateCapGrantContract(t *testing.T) {
-	const bitsPerPkt = 12000
-	c, _ := NewRateCap(2e6)
-	for _, want := range []int{-3, 0, 1, 7, 32, 1024} {
-		n, gap, _ := c.grant(want, bitsPerPkt, time.Time{})
-		lo := want
-		if lo < 1 {
-			lo = 1
-		}
-		if n < 1 || n > lo {
-			t.Fatalf("grant(%d): batch %d outside [1, %d]", want, n, lo)
-		}
-		if gap < 0 || gap > core.MaxControllerGap {
-			t.Fatalf("grant(%d): gap %v outside [0, %v]", want, gap, core.MaxControllerGap)
-		}
-	}
-
-	// A cap below one packet per core.MaxControllerGap cannot be honoured; the
-	// engine contract's floor wins, verbatim.
-	floor, _ := NewRateCap(1) // 1 bit/s
-	var end time.Time
-	for i := 0; i < 4; i++ {
-		n, gap, e := floor.grant(32, bitsPerPkt, end)
-		if n != 1 || gap != core.MaxControllerGap || !e.Equal(end) {
-			t.Fatalf("sub-floor cap granted (%d, %v) and moved the flow's end; want (1, %v), nothing reserved",
-				n, gap, core.MaxControllerGap)
-		}
-	}
-
-	// Backlog is bounded: after a burst of un-slept grants the schedule
-	// saturates at the starvation floor instead of charging further debt.
-	c2, _ := NewRateCap(1e6)
-	for i := 0; i < 10000; i++ {
-		_, _, end = c2.grant(32, bitsPerPkt, end)
-	}
-	if ahead := time.Until(c2.next); ahead > capMaxBacklog+time.Second {
-		t.Fatalf("schedule ran %v ahead of real time; backlog bound failed", ahead)
-	}
-	if n, gap, _ := c2.grant(32, bitsPerPkt, end); n != 1 || gap != core.MaxControllerGap {
-		t.Fatalf("saturated cap granted (%d, %v), want the starvation floor", n, gap)
-	}
-}
-
-// TestRateCapChargesEachReservationOnce: a flow pays for each stretch of the
-// schedule once. Alone under the cap its every round is charged exactly its
-// own packets' wire time — not that plus what it reserved before, which its
-// pacing clock has already paid for and which would make a flow's charge grow
-// with every round it plans faster than real time runs. Two flows taking
-// turns each pay for their own round and the other's.
-func TestRateCapChargesEachReservationOnce(t *testing.T) {
-	const bitsPerPkt = 12000
-	const perPkt = 20 * time.Millisecond // at 600 kb/s: far longer than the test runs
-	alone, _ := NewRateCap(bitsPerPkt / perPkt.Seconds())
-	var end time.Time
-	for round := 1; round <= 4; round++ {
-		n, gap, e := alone.grant(2, bitsPerPkt, end)
-		end = e
-		if n != 2 || gap != perPkt {
-			t.Fatalf("one flow, round %d: granted (%d, %v), want (2, %v)", round, n, gap, perPkt)
-		}
-	}
-
-	shared, _ := NewRateCap(bitsPerPkt / perPkt.Seconds())
-	var ends [2]time.Time
-	for round := 1; round <= 3; round++ {
-		for f := range ends {
-			_, gap, e := shared.grant(2, bitsPerPkt, ends[f])
-			ends[f] = e
-			// The first round of the second flow starts from now, a moment
-			// after the first flow's: only later rounds are exact.
-			if round > 1 && gap != 2*perPkt {
-				t.Fatalf("two flows, round %d, flow %d: gap %v, want %v", round, f, gap, 2*perPkt)
-			}
-		}
-	}
-}
-
-// TestRateCapControllerComposes checks the wrapper against the controller
-// contract and its stricter-verdict rule: observations pass through to the
-// inner policy, the batch never exceeds the inner verdict or max, and the
-// gap is the larger of the inner policy's (Options.Pace added first) and the
-// cap's; with neither a pace nor a cap there is no wrapper at all.
-func TestRateCapControllerComposes(t *testing.T) {
-	if cc, _ := newController(Options{Congestion: CCAIMD}, 1024); cc != nil {
-		if _, bare := cc.(*core.AIMD); !bare {
-			t.Fatalf("newController without Pace or RateCap built %T, want the bare policy", cc)
-		}
-	}
-	cap1, _ := NewRateCap(1e9) // generous: the inner policy should dominate
-	cc, err := newController(Options{Congestion: CCAIMD, RateCap: cap1}, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrapped, ok := cc.(*slowedController)
-	if !ok {
-		t.Fatalf("newController with RateCap built %T, want *slowedController", cc)
-	}
-	inner := wrapped.Controller.(*core.AIMD)
-	if wrapped.Name() != inner.Name() {
-		t.Fatalf("wrapper name %q, want inner policy name %q", wrapped.Name(), inner.Name())
-	}
-	for round := 0; round < 200; round++ {
-		d := wrapped.Tick(DefaultIOBatch)
-		if d.Batch < 1 || d.Batch > DefaultIOBatch {
-			t.Fatalf("round %d: batch %d outside [1, %d]", round, d.Batch, DefaultIOBatch)
-		}
-		if d.Gap < 0 || d.Gap > core.MaxControllerGap {
-			t.Fatalf("round %d: gap %v outside [0, %v]", round, d.Gap, core.MaxControllerGap)
-		}
-		wrapped.OnAck(core.AckEvent{Sent: d.Batch, Acked: d.Batch})
-	}
-	if inner.Window() <= 16 {
-		t.Fatalf("200 clean intervals left the inner window at %.1f: observations did not pass through", inner.Window())
-	}
-	wrapped.OnLoss(core.LossEvent{Retransmits: 1})
-	if inner.Epochs() != 1 {
-		t.Fatal("a loss did not reach the inner policy")
-	}
-
-	// Pace first, then the cap's stricter verdict: under a generous cap the
-	// gap is the policy's plus the pace, to the nanosecond.
-	const pace = 7 * time.Microsecond
-	cap2, _ := NewRateCap(1e12)
-	paced, _ := newController(Options{Congestion: CCSABUL, Pace: pace, RateCap: cap2}, 1024)
-	bare, _ := newController(Options{Congestion: CCSABUL}, 1024)
-	if got, want := paced.Tick(DefaultIOBatch), bare.Tick(DefaultIOBatch); got.Gap != want.Gap+pace || got.Batch != want.Batch {
-		t.Fatalf("paced and capped directive %+v, want %+v plus %v", got, want, pace)
-	}
-
-	// A starved cap must override even a greedy inner policy.
-	capLow, _ := NewRateCap(1)
-	strict, _ := newController(Options{RateCap: capLow}, 1024)
-	d := strict.Tick(DefaultIOBatch)
-	if d.Batch != 1 || d.Gap != core.MaxControllerGap {
-		t.Fatalf("starved cap let directive %+v through, want the floor", d)
-	}
-}
-
-// TestRateCapZeroAlloc holds the wrapper to the same bar as every shipped
-// policy: no allocation in any observation hook or in Tick.
-func TestRateCapZeroAlloc(t *testing.T) {
-	c, _ := NewRateCap(1e8)
-	cc, _ := newController(Options{Congestion: CCSABUL, RateCap: c}, 1024)
-	ack := core.AckEvent{Sent: 8, Acked: 8}
-	loss := core.LossEvent{Retransmits: 1}
-	if n := testing.AllocsPerRun(200, func() {
-		cc.OnAck(ack)
-		cc.OnLoss(loss)
-		cc.OnRTT(250 * time.Microsecond)
-		_ = cc.Tick(DefaultIOBatch)
-	}); n != 0 {
-		t.Fatalf("capped controller allocates %.1f per round, want 0", n)
-	}
-}
-
 // nullVector is a wire that takes every packet and goes nowhere.
 type nullVector struct{}
 
@@ -199,7 +41,7 @@ func (nullVector) Put(int, wire.Data, int)  {}
 func (nullVector) Flush(k int) (int, bool)  { return k, true }
 
 // measureGrantRate runs `flows` senders sharing one cap, each the engine's own
-// step (core.Sender.Step) under the capped controller Send installs, flushing
+// step (core.Sender.Step) under the cap as the engine installs it, flushing
 // to a nullVector and waiting out each pacing instant with a sleep in place
 // of the ack socket, then reports the combined on-the-wire bit rate.
 func measureGrantRate(c *RateCap, flows int, bitsPerPkt float64, dur time.Duration) float64 {
@@ -212,8 +54,7 @@ func measureGrantRate(c *RateCap, flows int, bitsPerPkt float64, dur time.Durati
 		go func() {
 			defer wg.Done()
 			snd := core.NewSender(makeObj(64*packetSize), core.Config{PacketSize: packetSize})
-			cc, _ := newController(Options{RateCap: c}, packetSize)
-			snd.SetController(cc)
+			Options{RateCap: c}.slow(snd, start)
 			for time.Since(start) < dur {
 				if wait, at := snd.Step(time.Since(start), nullVector{}); wait == core.Pace {
 					time.Sleep(time.Until(start.Add(at))) // scenario: the grant-rate measurement

@@ -112,10 +112,10 @@ func newSenderPlan(obj []byte, cfg core.Config, opts Options) (*senderPlan, erro
 		// whatever the sender was configured with.
 		scfg.AckFrequency = core.DefaultAckFrequency
 		snd := core.NewSender(obj[sd.Offset:sd.Offset+sd.Length], scfg)
-		// A controller per stripe, and — plans being per attempt — per
-		// attempt: an unknown Options.Congestion fails here, before any
-		// socket work.
-		cc, err := newController(opts, ps)
+		// A fresh controller per stripe, and — plans being per attempt —
+		// per attempt, so no two senders share a policy's state: an unknown
+		// Options.Congestion fails here, before any socket work.
+		cc, err := core.NewController(opts.Congestion, ps)
 		if err != nil {
 			return nil, err
 		}

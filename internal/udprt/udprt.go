@@ -43,7 +43,8 @@ import (
 type Options struct {
 	// Pace inserts a fixed per-packet delay on top of whatever gap the
 	// Congestion policy dictates, useful to keep loopback transfers from
-	// overrunning the receiving process (default 0). Gaps are charged to the
+	// overrunning the receiving process (default 0): each stripe's sender adds
+	// it to every round's gap (core.Sender.SetPace). Gaps are charged to the
 	// sender's pacing clock, which waits only once it is a millisecond ahead
 	// and repays what a wait oversleeps: the wire carries one packet per gap.
 	Pace time.Duration
@@ -141,11 +142,11 @@ type Options struct {
 	// RateCap, when non-nil, bounds the aggregate on-the-wire send rate of
 	// every transfer sharing the same *RateCap value (payload plus UDP/IP
 	// overhead, like CCSABUL's accounting). The cap composes with the
-	// selected Congestion policy — each stripe's controller is wrapped so
-	// the stricter of the policy's pacing and the cap's applies — and is
-	// how an orchestrator imposes a per-tenant ceiling across that
-	// tenant's concurrent transfers: one transfer alone runs at the cap,
-	// several share it. A cap below one packet per
+	// selected Congestion policy — each stripe's sender charges it and plans
+	// every round to the stricter of the policy's verdict (plus Pace) and
+	// the cap's — and is how an orchestrator imposes a per-tenant ceiling
+	// across that tenant's concurrent transfers: one transfer alone runs at
+	// the cap, several share it. A cap below one packet per
 	// core.MaxControllerGap per flow cannot be fully honoured: the
 	// controller contract's starvation floor wins.
 	RateCap *RateCap
