@@ -189,7 +189,9 @@ faultnet-soak:
 # about 129 s of each run, and the sans-IO item on the roadmap moves it to the
 # simulator. The sealer's abort row logs how many datagrams a sender's ABORT
 # left unread in the endpoint's data socket; the census counts those lines
-# too. Informational: scheduled CI runs it non-gating.
+# too. Every test of those packages is in it by package, the endpoint matrix
+# and the kept-connection tests (TestKeptConn*) included. Informational:
+# scheduled CI runs it non-gating.
 flake-census:
 	@for race in "" -race; do \
 		echo "# $(GO) test $$race -count=20, TestCongestionWasteSweep skipped"; \

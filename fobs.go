@@ -158,7 +158,8 @@ func Listen(addr string, opts Options) (*Listener, error) {
 	return udprt.Listen(addr, opts)
 }
 
-// Send transfers obj to the FOBS listener at addr over real sockets.
+// Send transfers obj to the FOBS listener at addr over real sockets, on the
+// control connection an earlier successful Send to addr kept, or a new one.
 func Send(ctx context.Context, addr string, obj []byte, cfg Config, opts Options) (SenderStats, error) {
 	return udprt.Send(ctx, addr, obj, cfg, opts)
 }

@@ -278,6 +278,9 @@ func TestProxyRelaysUDPAndTCP(t *testing.T) {
 	if err != nil || string(buf[:n]) != "ctl" {
 		t.Fatalf("tcp echo through proxy: %q, %v", buf[:n], err)
 	}
+	if got := p.Accepted(); got != 1 {
+		t.Fatalf("proxy counted %d control connections, want 1", got)
+	}
 }
 
 func TestProxySeverControlKillsConnections(t *testing.T) {

@@ -27,6 +27,7 @@ type Proxy struct {
 	faults   *Faults
 
 	blackhole atomic.Bool
+	accepted  atomic.Int64 // control connections clients opened
 
 	mu     sync.Mutex
 	tap    io.Writer               // see TapControl
@@ -71,6 +72,10 @@ func NewProxy(upstream string, faults *Faults) (*Proxy, error) {
 
 // Addr is the address senders should dial instead of the upstream's.
 func (p *Proxy) Addr() string { return p.tcp.Addr().String() }
+
+// Accepted counts the control connections clients have opened through the
+// proxy: a sender's dials, as the endpoint behind it sees them.
+func (p *Proxy) Accepted() int { return int(p.accepted.Load()) }
 
 // Stats reports the injector's counters.
 func (p *Proxy) Stats() Stats { return p.faults.Stats() }
@@ -127,6 +132,7 @@ func (p *Proxy) acceptLoop() {
 		if err != nil {
 			return
 		}
+		p.accepted.Add(1)
 		upRaw, err := net.Dial("tcp", p.tcpAddr)
 		if err != nil {
 			cl.Close()

@@ -167,6 +167,12 @@ type ctlReader struct {
 	ctl    net.Conn
 	frames chan controlFrame
 	err    error // the read error that closed frames; read only after frames is closed
+	// held is the first frame of the next announcement on a connection that
+	// has served a transfer, taken off frames by the connection's server
+	// while it waited (see nextAnnouncement) and handed to readTransferPlan
+	// with the connection.
+	held    controlFrame
+	holding bool
 }
 
 // readControl starts ctl's reader.
@@ -196,26 +202,4 @@ func (r *ctlReader) close() error {
 	for range r.frames {
 	}
 	return err
-}
-
-// unblockOnDone kicks a blocking accept (or read) out when ctx ends by
-// setting an immediate deadline. The returned stop function waits for the
-// watcher to finish, so the caller can then safely clear the deadline and
-// leave the socket clean for later use — a context deadline on one Accept
-// must not poison all later Accepts.
-func unblockOnDone(ctx context.Context, setDeadline func(time.Time) error) (stop func()) {
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		select {
-		case <-ctx.Done():
-			setDeadline(time.Now())
-		case <-done:
-		}
-	}()
-	return func() {
-		close(done)
-		<-finished
-	}
 }

@@ -5,9 +5,10 @@
 // routes every datagram by transfer tag to the transfer in flight that
 // registered it; receive runs one announced transfer from its announcement to
 // COMPLETE, ABORT or retention. Listener.Accept, IncomingSession.Next and
-// Server.Serve differ only in where the control connection comes from —
-// each starts the connection's one reader (ctlReader) when it accepts it —
-// and how many transfers run at once.
+// Server.Serve differ only in how long they hold the control connection the
+// endpoint lends them (conns.go: one accept loop, one reader and one server
+// per connection, which serves announcements until its sender closes it) and
+// how many transfers run at once.
 package udprt
 
 import (

@@ -381,12 +381,13 @@ func TestOldCheckVersionRefused(t *testing.T) {
 
 	// The stub peer refuses the first connection the way an earlier build
 	// refuses this one's CHECK; there must be no second.
+	stub := newFakeReceiver(t, false)
 	conns := make(chan int, 1)
 	go func() {
 		n := 0
 		defer func() { conns <- n }()
 		for {
-			c, err := acceptControl(ctx, ep.l.tcp)
+			c, err := stub.tcp.AcceptTCP()
 			if err != nil {
 				return
 			}
@@ -401,12 +402,12 @@ func TestOldCheckVersionRefused(t *testing.T) {
 	}()
 	// A retry budget the refusal must not touch: ABORT(unsupported) is terminal.
 	retry := &RetryPolicy{MaxRetries: 2, Backoff: 10 * time.Millisecond}
-	_, err := Send(ctx, ep.l.Addr(), obj, core.Config{Transfer: 2}, Options{Retry: retry})
+	_, err := Send(ctx, stub.addr(), obj, core.Config{Transfer: 2}, Options{Retry: retry})
 	var abort *AbortError
 	if !errors.As(err, &abort) || abort.Reason != wire.AbortUnsupported {
 		t.Fatalf("send past a refused CHECK: err = %v, want the peer's ABORT(unsupported)", err)
 	}
-	cancel()
+	stub.close()
 	if n := <-conns; n != 1 {
 		t.Fatalf("%d connections, want 1", n)
 	}

@@ -24,6 +24,10 @@ var ErrSessionBroken = errors.New("udprt: session broken by earlier failed send"
 // cannot corrupt the next. This is the shape of the paper's
 // remote-visualization workload — many frames, one peer. With
 // Options.Streams > 1 every object is striped across that many UDP flows.
+// Send shares the control connection the same way (it keeps the connection
+// of a successful exchange for the next Send to the same address); what a
+// session adds is its data sockets and its tag numbering, kept across
+// objects.
 //
 // A session is not usable after a Send returns an error: further Sends
 // fail fast with ErrSessionBroken. Close it and open a fresh one.
@@ -107,23 +111,29 @@ func (sl *SessionListener) ReadBuffer() (granted, requested int) { return sl.l.R
 // Close releases the listener.
 func (sl *SessionListener) Close() error { return sl.l.Close() }
 
-// IncomingSession is the receive side of one sender's session.
+// IncomingSession is the receive side of one sender's session: the
+// endpoint lends it one control connection for its whole life.
 type IncomingSession struct {
 	sl *SessionListener
-	rd *ctlReader // the session's control connection and its one reader, for every object
+	ls lease // the session's control connection and its one reader, for every object
 }
 
-// AcceptSession waits for one sender to connect.
+// AcceptSession waits for one sender to connect: a new control connection,
+// or one that served an earlier transfer and carries a new announcement.
 func (sl *SessionListener) AcceptSession(ctx context.Context) (*IncomingSession, error) {
-	ctl, err := acceptControl(ctx, sl.l.tcp)
+	ls, err := sl.l.lease(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("udprt: accept session: %w", err)
 	}
-	return &IncomingSession{sl: sl, rd: readControl(ctl)}, nil
+	return &IncomingSession{sl: sl, ls: ls}, nil
 }
 
-// Close ends the session from the receive side.
-func (is *IncomingSession) Close() error { return is.rd.close() }
+// Close ends the session from the receive side: its connection is closed.
+func (is *IncomingSession) Close() error {
+	err := is.ls.rd.ctl.Close()
+	is.ls.giveBack(false)
+	return err
+}
 
 // Next receives the session's next object — single-flow or striped,
 // whatever the announcement declares. It returns io-style errors when the
@@ -131,6 +141,6 @@ func (is *IncomingSession) Close() error { return is.rd.close() }
 // any other: the sender's ABORT or a lost control connection ends it at
 // once.
 func (is *IncomingSession) Next(ctx context.Context) ([]byte, core.ReceiverStats, error) {
-	_, obj, st, err := is.sl.l.receive(ctx, is.rd)
+	_, obj, st, err := is.sl.l.receive(ctx, is.ls.rd)
 	return obj, st, err
 }

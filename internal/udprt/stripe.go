@@ -302,10 +302,9 @@ func runSenderPlan(ctx context.Context, p *senderPlan, conns []*net.UDPConn, ctl
 	}
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	// The waker is the unblockOnDone idiom applied to the engines' waits:
-	// once the verdict is in every done channel, or the run context is
-	// over, an immediate read deadline kicks each engine out of its ack
-	// socket. Publishing before kicking is what the engines' arm / look /
+	// The waker kicks the engines out of their waits: once the verdict is
+	// in every done channel, or the run context is over, an immediate read
+	// deadline kicks each engine out of its ack socket. Publishing before kicking is what the engines' arm / look /
 	// read order relies on.
 	woken := make(chan struct{})
 	go func() {

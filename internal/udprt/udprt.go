@@ -289,9 +289,10 @@ const maxDatagram = batchio.TrainBufLen
 const writeErrLimit = 8
 
 // Listener is one receiving endpoint: a TCP control port and a UDP data
-// socket bound to the same port number, the data socket's receive ring, and
-// the one goroutine that drains it (see loop). Accept runs one transfer per
-// call on it; a SessionListener and a Server are the same endpoint behind
+// socket bound to the same port number, the data socket's receive ring, the
+// one goroutine that drains it (see loop), and the one that accepts control
+// connections and lends them out (see acceptLoop). Accept runs one transfer
+// per call on it; a SessionListener and a Server are the same endpoint behind
 // other adapters.
 type Listener struct {
 	tcp *net.TCPListener
@@ -318,11 +319,19 @@ type Listener struct {
 	inbound map[uint32]tagRoute // transfer tag (one per stripe) → transfer in flight
 	io      stats.IOCounters    // rx's tallies as of the loop's latest drain
 	stopped chan struct{}       // closed when the loop has exited
+
+	// leases carries control connections from their servers to the adapters
+	// that take them; closing is closed by Close, which waits on conns for
+	// the accept loop and every connection server to end.
+	leases    chan lease
+	closing   chan struct{}
+	closeOnce sync.Once
+	conns     sync.WaitGroup
 }
 
 // Listen binds addr (e.g. "127.0.0.1:7700") for control (TCP) and data
-// (UDP, same port) and starts the endpoint's receive loop, which runs until
-// Close.
+// (UDP, same port) and starts the endpoint's receive loop and accept loop,
+// which run until Close.
 func Listen(addr string, opts Options) (*Listener, error) {
 	opts = opts.withDefaults()
 	tcpAddr, err := net.ResolveTCPAddr("tcp", addr)
@@ -353,8 +362,11 @@ func Listen(addr string, opts Options) (*Listener, error) {
 	}
 	l := &Listener{tcp: tl, udp: ul, rx: rx, rcvbuf: batchio.ReadBuffer(ul), opts: opts,
 		store: newStore(opts), self: selfAddr(ul),
-		inbound: make(map[uint32]tagRoute), stopped: make(chan struct{})}
+		inbound: make(map[uint32]tagRoute), stopped: make(chan struct{}),
+		leases: make(chan lease), closing: make(chan struct{})}
 	go l.loop()
+	l.conns.Add(1)
+	go l.acceptLoop()
 	return l, nil
 }
 
@@ -391,42 +403,32 @@ func (l *Listener) window(stripes int) wire.Window {
 	return wire.WindowOf(l.rcvbuf / 2 / stripes)
 }
 
-// Close releases both sockets and returns once the receive loop has exited.
-// Transfers still in flight end on their own context or idle watchdog.
+// Close releases both sockets and every control connection the endpoint
+// holds, and returns once its receive loop, its accept loop and every
+// connection's server have ended. A sender that keeps a connection to the
+// endpoint reads EOF on it. Transfers still in flight end on their own
+// context, the lost control connection or the idle watchdog.
 func (l *Listener) Close() error {
+	l.closeOnce.Do(func() { close(l.closing) })
 	l.udp.Close()
 	<-l.stopped
-	return l.tcp.Close()
+	err := l.tcp.Close()
+	l.conns.Wait()
+	return err
 }
 
-// acceptControl blocks for one control connection, honouring both ctx
-// cancellation and its deadline, and always leaves the listener's deadline
-// cleared so one bounded Accept cannot poison later ones.
-func acceptControl(ctx context.Context, tl *net.TCPListener) (*net.TCPConn, error) {
-	stop := unblockOnDone(ctx, tl.SetDeadline)
-	ctl, err := tl.AcceptTCP()
-	stop()
-	tl.SetDeadline(time.Time{})
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, fmt.Errorf("udprt: accept control: %w", ctxErr)
-		}
-		return nil, fmt.Errorf("udprt: accept control: %w", err)
-	}
-	return ctl, nil
-}
-
-// Accept waits for a sender's control connection and runs one transfer on
-// it (see receive) until the object completes, the idle watchdog fires, the
-// sender aborts, or ctx ends, returning the assembled object.
+// Accept runs the next announcement any sender makes on the endpoint (see
+// receive) until the object completes, the idle watchdog fires, the sender
+// aborts, or ctx ends, returning the assembled object. The announcement comes
+// on a new control connection or on one that served an earlier transfer: a
+// connection serves announcements until its sender closes it.
 func (l *Listener) Accept(ctx context.Context) ([]byte, core.ReceiverStats, error) {
-	ctl, err := acceptControl(ctx, l.tcp)
+	ls, err := l.lease(ctx)
 	if err != nil {
 		return nil, core.ReceiverStats{}, err
 	}
-	rd := readControl(ctl)
-	defer rd.close()
-	_, obj, st, err := l.receive(ctx, rd)
+	_, obj, st, err := l.receive(ctx, ls.rd)
+	ls.giveBack(err == nil)
 	return obj, st, err
 }
 
@@ -462,7 +464,9 @@ func completeFrame(plan recvPlan) []byte {
 }
 
 // readTransferPlan takes the transfer announcement — exactly a CHECK, then
-// the HELLO — from the connection's reader before ctx ends, bounded by a read
+// the HELLO — from the connection's reader (its first frame from the held
+// one, when the connection's server took it off the reader while the
+// connection waited for it) before ctx ends, bounded by a read
 // deadline of 30s or ctx's deadline, whichever is sooner, which is cleared
 // afterwards so it never lingers on the control connection. The HELLO is
 // always taken, even when the CHECK will turn out a dedup hit: the sender
@@ -483,12 +487,15 @@ func readTransferPlan(ctx context.Context, rd *ctlReader) (recvPlan, error) {
 	defer rd.ctl.SetReadDeadline(time.Time{})
 	var frames [2]controlFrame
 	for i, want := range []uint8{wire.TypeCheck, wire.TypeHello} {
-		var f controlFrame
-		var ok bool
-		select {
-		case f, ok = <-rd.frames:
-		case <-ctx.Done():
-			return recvPlan{}, fmt.Errorf("udprt: hello read: %w", ctx.Err())
+		f, ok := rd.held, rd.holding
+		if rd.holding {
+			rd.held, rd.holding = controlFrame{}, false
+		} else {
+			select {
+			case f, ok = <-rd.frames:
+			case <-ctx.Done():
+				return recvPlan{}, fmt.Errorf("udprt: hello read: %w", ctx.Err())
+			}
 		}
 		if !ok {
 			return recvPlan{}, fmt.Errorf("udprt: hello read: %w", rd.err)
@@ -544,10 +551,19 @@ func refuseAnnouncement(ctl net.Conn, err error) {
 // by the caller (zero is fine for a single transfer). With Options.Streams
 // > 1 the object is split into contiguous stripes, each with its own tag
 // (base+i), flow and engine; the returned statistics sum over stripes.
-// Without Options.Retry, Send makes exactly one attempt: one control
-// connection, one exchange. With it, failed transfers are retried (a
-// single-stream retry sends only what the receiver did not retain) and the
+// Without Options.Retry, Send makes exactly one attempt: one exchange, and
+// one data flow per stripe of its own. With it, failed transfers are retried
+// (a single-stream retry sends only what the receiver did not retain) and the
 // returned statistics are the final attempt's.
+//
+// The control connection is one per peer, not one per object: Send takes
+// the idle connection an earlier successful Send to the same addr left open,
+// and dials only when there is none. A Send that ends in a verified COMPLETE
+// or a dedup hit keeps its connection for the next one — up to 4 per addr,
+// each for 10 s — and any other exit closes it. When the receiver has closed
+// a kept connection while it idled (the announcement meets EOF, a reset or a
+// broken pipe before any answer), Send dials once more; an answer, HAVE or
+// ABORT, is never retried.
 //
 // Send keeps nothing of obj. Once it returns, on any exit — a verified
 // COMPLETE, a dedup hit, an ABORT, a cancelled context, an error, the last
@@ -567,7 +583,8 @@ func Send(ctx context.Context, addr string, obj []byte, cfg core.Config, opts Op
 var errEmptyObject = errors.New("udprt: empty object")
 
 // sendAttempt is one attempt of Send: a fresh plan of obj, sent over a
-// control connection and data flows of its own.
+// control connection to addr — a kept one or a new one — and data flows of
+// its own.
 func sendAttempt(ctx context.Context, addr string, obj []byte, cfg core.Config, opts Options) (core.SenderStats, error) {
 	plan, err := newSenderPlan(obj, cfg, opts)
 	if err != nil {
@@ -577,27 +594,33 @@ func sendAttempt(ctx context.Context, addr string, obj []byte, cfg core.Config, 
 }
 
 // send is the one per-object exchange of Send and Session.Send: instrument
-// → [dial control] → announce → HAVE → dedup hit: verdict, or miss: [dial
-// data flows] → run → verdict. The two differ only in where ctl and the data
-// flows come from: a session passes its own; Send passes nil for both, and
-// they are dialled toward addr — the data flows only after a miss, so a
-// dedup hit opens no UDP socket — and closed on the way out. A HAVE that
-// does not fit the plan is refused with ABORT(bad-hello), and data flows
-// that cannot be dialled with ABORT(unspecified), so the receiver never
+// → [take or dial control] → announce → HAVE → dedup hit: verdict, or miss:
+// [dial data flows] → run → verdict. The two differ only in where ctl and
+// the data flows come from: a session passes its own; Send passes nil for
+// both, takes a kept control connection to addr or dials one (announce), and
+// dials the data flows toward addr only after a miss, so a dedup hit opens no
+// UDP socket; it closes the data flows on the way out, and keeps the control
+// connection for the next Send to addr only when the exchange succeeded. A
+// HAVE that does not fit the plan is refused with ABORT(bad-hello), and data
+// flows that cannot be dialled with ABORT(unspecified), so the receiver never
 // waits on a sender that has given up. Every exit stamps the instruments.
-func (p *senderPlan) send(ctx context.Context, ctl net.Conn, addr string, flows []*net.UDPConn, opts Options) (core.SenderStats, error) {
+func (p *senderPlan) send(ctx context.Context, ctl net.Conn, addr string, flows []*net.UDPConn, opts Options) (st core.SenderStats, err error) {
 	p.instrument(opts, opts.senderTraceID())
-	if ctl == nil {
-		p.probes.event(obs.KindDial, 0)
-		var d net.Dialer
-		c, err := d.DialContext(ctx, "tcp", addr)
-		if err != nil {
-			return p.fail(fmt.Errorf("udprt: dial control: %w", err))
+	var have wire.Have
+	if ctl != nil {
+		have, err = exchange(ctx, ctl, p.announcement(opts), p.base, opts.HandshakeTimeout)
+	} else {
+		ctl, have, err = p.announce(ctx, addr, opts)
+		if ctl != nil {
+			defer func(c net.Conn) {
+				if err == nil {
+					idleControl.put(addr, c)
+				} else {
+					c.Close()
+				}
+			}(ctl)
 		}
-		defer c.Close()
-		ctl = c
 	}
-	have, err := exchange(ctx, ctl, p.announcement(opts), p.base, opts.HandshakeTimeout)
 	if err != nil {
 		return p.fail(err)
 	}
@@ -608,8 +631,8 @@ func (p *senderPlan) send(ctx context.Context, ctl net.Conn, addr string, flows 
 	}
 	if hit {
 		// The receiver already holds the content: COMPLETE follows the HAVE
-		// with no data flow, and a session's control stream stays clean for
-		// its next object.
+		// with no data flow, and the control stream stays clean for the next
+		// object.
 		return completeDedupedSend(p, ctl)
 	}
 	if flows == nil {
@@ -620,6 +643,30 @@ func (p *senderPlan) send(ctx context.Context, ctl net.Conn, addr string, flows 
 		defer closeAll(flows)
 	}
 	return runSenderPlan(ctx, p, flows[:len(p.snds)], ctl, opts)
+}
+
+// announce makes Send's announcement exchange on a control connection to
+// addr: the one kept last for addr, when there is one, else a new one. A kept
+// connection the receiver closed while it idled is closed and the exchange
+// made once more on a new connection. The connection comes back whenever
+// there is one, the exchange failed or not.
+func (p *senderPlan) announce(ctx context.Context, addr string, opts Options) (net.Conn, wire.Have, error) {
+	frame := p.announcement(opts)
+	if c := idleControl.take(addr); c != nil {
+		have, err := exchange(ctx, c, frame, p.base, opts.HandshakeTimeout)
+		if !stale(err) {
+			return c, have, err
+		}
+		c.Close()
+	}
+	p.probes.event(obs.KindDial, 0)
+	var d net.Dialer
+	c, err := d.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return nil, wire.Have{}, fmt.Errorf("udprt: dial control: %w", err)
+	}
+	have, err := exchange(ctx, c, frame, p.base, opts.HandshakeTimeout)
+	return c, have, err
 }
 
 // completeDedupedSend finishes a transfer whose CHECK query hit: every
