@@ -18,7 +18,8 @@ import (
 	"path/filepath"
 	"time"
 
-	"github.com/hpcnet/fobs"
+	"github.com/hpcnet/fobs/internal/experiments"
+	"github.com/hpcnet/fobs/internal/stats"
 )
 
 type intList []int
@@ -41,7 +42,7 @@ func main() {
 		related  = flag.Bool("related", false, "run the §2 related-work comparison (RUDP, SABUL)")
 		ext      = flag.Bool("ext", false, "run the §7 congestion-extension comparison")
 		sharing  = flag.Bool("sharing", false, "run the fairness and queue-management studies")
-		size     = flag.Int64("size", fobs.ObjectSize, "object size in bytes (paper: 40 MiB)")
+		size     = flag.Int64("size", experiments.ObjectSize, "object size in bytes (paper: 40 MiB)")
 		csvDir   = flag.String("csv", "", "also write figure data as CSV files into this directory")
 	)
 	flag.Var(&figs, "fig", "figure to regenerate (1, 2 or 3); repeatable")
@@ -78,7 +79,7 @@ func main() {
 		fn()
 		fmt.Printf("[%s took %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
-	writeCSV := func(name string, fig *fobs.Figure) {
+	writeCSV := func(name string, fig *stats.Figure) {
 		if *csvDir == "" {
 			return
 		}
@@ -91,19 +92,19 @@ func main() {
 	}
 
 	if want["fig1"] || want["fig2"] {
-		var pts []fobs.AckSweepPoint
+		var pts []experiments.AckSweepPoint
 		timed("ack-frequency sweep", func() {
-			pts = fobs.AckFrequencySweep(*size, fobs.DefaultAckFrequencies)
+			pts = experiments.AckFrequencySweep(*size, experiments.DefaultAckFrequencies)
 		})
 		if want["fig1"] {
-			fig := fobs.Figure1(pts)
+			fig := experiments.Figure1(pts)
 			fmt.Println(fig.Render())
 			fmt.Println("paper: approximately 90% of the available bandwidth on both connections")
 			fmt.Println()
 			writeCSV("figure1.csv", fig)
 		}
 		if want["fig2"] {
-			fig := fobs.Figure2(pts)
+			fig := experiments.Figure2(pts)
 			fmt.Println(fig.Render())
 			fmt.Println("paper: approximately 3% of the total data transferred")
 			fmt.Println()
@@ -112,8 +113,8 @@ func main() {
 	}
 	if want["fig3"] {
 		timed("packet-size sweep (Figure 3)", func() {
-			pts := fobs.PacketSizeSweep(*size, fobs.DefaultPacketSizes)
-			fig := fobs.Figure3(pts)
+			pts := experiments.PacketSizeSweep(*size, experiments.DefaultPacketSizes)
+			fig := experiments.Figure3(pts)
 			fmt.Println(fig.Render())
 			fmt.Println("paper: performance peaked at approximately 52% of the maximum (622 Mb/s)")
 			writeCSV("figure3.csv", fig)
@@ -121,12 +122,12 @@ func main() {
 	}
 	if want["table1"] {
 		timed("Table 1 (TCP ± LWE)", func() {
-			fmt.Println(fobs.Table1(*size).Render())
+			fmt.Println(experiments.Table1(*size).Render())
 		})
 	}
 	if want["table2"] {
 		timed("Table 2 (FOBS vs PSockets)", func() {
-			res := fobs.Table2(*size)
+			res := experiments.Table2(*size)
 			fmt.Println(res.Render())
 			fmt.Println("PSockets probe phase:")
 			for _, pr := range res.Probes {
@@ -136,15 +137,15 @@ func main() {
 	}
 	if want["ablation"] {
 		timed("ablations (§3.1 + substrate)", func() {
-			fmt.Println(fobs.RenderBatchSweep(fobs.BatchSweep(*size, fobs.DefaultBatchSizes)))
-			fmt.Println(fobs.RenderScheduleSweep(fobs.ScheduleSweep(*size)))
-			fmt.Println(fobs.RenderTCPVariants(fobs.TCPVariants(*size)))
+			fmt.Println(experiments.RenderBatchSweep(experiments.BatchSweep(*size, experiments.DefaultBatchSizes)))
+			fmt.Println(experiments.RenderScheduleSweep(experiments.ScheduleSweep(*size)))
+			fmt.Println(experiments.RenderTCPVariants(experiments.TCPVariants(*size)))
 		})
 	}
 	if want["related"] {
 		timed("related work (§2)", func() {
-			sc := fobs.Lossy(fobs.LongHaul(), 0.01)
-			r := fobs.RelatedWork(*size, sc)
+			sc := experiments.Lossy(experiments.LongHaul(), 0.01)
+			r := experiments.RelatedWork(*size, sc)
 			fmt.Println(r.Render(sc.MaxBandwidth))
 			fmt.Println("(1% ambient loss: SABUL reads it as congestion and collapses;")
 			fmt.Println(" RUDP stays close on huge objects but FOBS repairs in-flight)")
@@ -152,20 +153,20 @@ func main() {
 	}
 	if want["ext"] {
 		timed("extensions (§7)", func() {
-			e := fobs.Extensions(*size)
-			fmt.Println(e.Render(fobs.LongHaul().MaxBandwidth))
+			e := experiments.Extensions(*size)
+			fmt.Println(e.Render(experiments.LongHaul().MaxBandwidth))
 		})
 	}
 	if want["sharing"] {
 		timed("sharing studies", func() {
 			for _, n := range []int{2, 4} {
-				fmt.Println(fobs.Fairness(*size, n).Render(fobs.LongHaul().MaxBandwidth))
+				fmt.Println(experiments.Fairness(*size, n).Render(experiments.LongHaul().MaxBandwidth))
 			}
-			fmt.Println(fobs.REDResponse(*size).Render(100e6))
-			fmt.Println(fobs.QoSReservation(*size).Render())
-			fmt.Println(fobs.RenderStripingSweep(
-				fobs.StripingSweep(*size, []int{1, 2, 4, 8}), fobs.LongHaul().MaxBandwidth))
-			fmt.Println(fobs.Incast(*size/4, 4).Render(100e6))
+			fmt.Println(experiments.REDResponse(*size).Render(100e6))
+			fmt.Println(experiments.QoSReservation(*size).Render())
+			fmt.Println(experiments.RenderStripingSweep(
+				experiments.StripingSweep(*size, []int{1, 2, 4, 8}), experiments.LongHaul().MaxBandwidth))
+			fmt.Println(experiments.Incast(*size/4, 4).Render(100e6))
 		})
 	}
 }

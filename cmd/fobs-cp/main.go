@@ -82,14 +82,14 @@ func run() error {
 		fmt.Printf("fobs-cp: sent %d files, %d bytes in %v (%.1f Mb/s)\n",
 			sum.Files, sum.Bytes, sum.Elapsed.Round(time.Millisecond), sum.Goodput()/1e6)
 	case c.Recv != "":
-		sl, err := fobs.ListenSession(c.Listen, c.Options)
+		l, err := fobs.Listen(c.Listen, c.Options)
 		if err != nil {
 			return err
 		}
-		defer sl.Close()
-		fmt.Printf("fobs-cp: listening on %s\n", sl.Addr())
-		c.NoteReadBuffer(sl.ReadBuffer())
-		sum, err := fobs.ReceiveTree(ctx, sl, c.Recv)
+		defer l.Close()
+		fmt.Printf("fobs-cp: listening on %s\n", l.Addr())
+		c.NoteReadBuffer(l.ReadBuffer())
+		sum, err := fobs.ReceiveTree(ctx, l, c.Recv)
 		if err != nil {
 			reportPartials(reg)
 			return err

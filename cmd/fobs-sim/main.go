@@ -15,7 +15,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/hpcnet/fobs"
 	"github.com/hpcnet/fobs/internal/core"
 	"github.com/hpcnet/fobs/internal/event"
 	"github.com/hpcnet/fobs/internal/experiments"
@@ -28,7 +27,7 @@ import (
 )
 
 // tracedTCP mirrors experiments.RunTCP but with congestion-window tracing.
-func tracedTCP(sc fobs.Scenario, seed, size int64, lwe bool) (stats.TransferResult, []string) {
+func tracedTCP(sc experiments.Scenario, seed, size int64, lwe bool) (stats.TransferResult, []string) {
 	p := sc.Build(seed)
 	cfg := tcpsim.Config{LargeWindows: lwe}
 	if lwe {
@@ -55,18 +54,18 @@ func tracedTCP(sc fobs.Scenario, seed, size int64, lwe bool) (stats.TransferResu
 	return res, []string{f.CwndTrace().Render(60)}
 }
 
-func scenario(name string) (fobs.Scenario, error) {
+func scenario(name string) (experiments.Scenario, error) {
 	switch name {
 	case "short":
-		return fobs.ShortHaul(), nil
+		return experiments.ShortHaul(), nil
 	case "long":
-		return fobs.LongHaul(), nil
+		return experiments.LongHaul(), nil
 	case "gigabit":
-		return fobs.Gigabit(), nil
+		return experiments.Gigabit(), nil
 	case "contended":
-		return fobs.Contended(), nil
+		return experiments.Contended(), nil
 	default:
-		return fobs.Scenario{}, fmt.Errorf("unknown scenario %q (short|long|gigabit|contended)", name)
+		return experiments.Scenario{}, fmt.Errorf("unknown scenario %q (short|long|gigabit|contended)", name)
 	}
 }
 
@@ -74,11 +73,11 @@ func main() {
 	var (
 		scName     = flag.String("scenario", "long", "short | long | gigabit | contended")
 		proto      = flag.String("proto", "fobs", "fobs | tcp | tcp+lwe | psockets | rudp | sabul")
-		size       = flag.Int64("size", fobs.ObjectSize, "object size in bytes")
+		size       = flag.Int64("size", experiments.ObjectSize, "object size in bytes")
 		seed       = flag.Int64("seed", 1, "simulation seed")
-		ackFreq    = flag.Int("ack-freq", fobs.DefaultAckFrequency, "FOBS ack frequency")
-		packetSize = flag.Int("packet-size", fobs.PacketSize, "FOBS/RUDP/SABUL packet size")
-		batch      = flag.Int("batch", fobs.DefaultBatch, "FOBS batch-send size")
+		ackFreq    = flag.Int("ack-freq", core.DefaultAckFrequency, "FOBS ack frequency")
+		packetSize = flag.Int("packet-size", experiments.PacketSize, "FOBS/RUDP/SABUL packet size")
+		batch      = flag.Int("batch", core.DefaultBatch, "FOBS batch-send size")
 		streams    = flag.Int("streams", 8, "PSockets stream count")
 		rate       = flag.String("rate", "greedy", "FOBS rate controller: greedy or one of "+strings.Join(core.Policies(), ", "))
 		doTrace    = flag.Bool("trace", false, "sample rates/cwnd over time and print sparklines (fobs and tcp protocols)")

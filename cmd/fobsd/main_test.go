@@ -120,7 +120,7 @@ func TestFobsdSmokeSIGKILL(t *testing.T) {
 	// both the kill window and (belt and braces) a receiver hiccup.
 	var mu sync.Mutex
 	objs := make(map[uint32][]byte)
-	srv, err := fobs.NewServer("127.0.0.1:0", fobs.Options{
+	srv, err := fobs.Listen("127.0.0.1:0", fobs.Options{
 		ResumeWindow: 2 * time.Minute,
 		Checkpoint:   t.TempDir(),
 	})

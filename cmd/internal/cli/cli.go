@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"github.com/hpcnet/fobs"
+	"github.com/hpcnet/fobs/internal/core"
 )
 
 // Spec is one command: its name, the flags it offers besides -timeout, which
@@ -100,7 +101,7 @@ func (c *Command) define(name string) {
 	case "recv":
 		fs.StringVar(&c.Recv, name, "", "directory to receive into")
 	case "packet-size":
-		fs.IntVar(&c.Config.PacketSize, name, fobs.PacketSize, "data packet payload bytes")
+		fs.IntVar(&c.Config.PacketSize, name, core.DefaultPacketSize, "data packet payload bytes")
 	case "checksum":
 		fs.BoolVar(&c.Config.Checksum, name, true, "CRC-32C every data packet's payload, so a corrupted packet is dropped and sent again")
 	case "pace":

@@ -27,12 +27,12 @@ func TestEmptyCommandLineKeepsDefaults(t *testing.T) {
 	}{
 		{Send,
 			fobs.Options{Congestion: fobs.CCFixed, Streams: 1},
-			fobs.Config{PacketSize: fobs.PacketSize, AckFrequency: fobs.DefaultAckFrequency, Batch: fobs.FixedBatch(fobs.DefaultBatch)},
+			fobs.Config{PacketSize: core.DefaultPacketSize, AckFrequency: fobs.DefaultAckFrequency, Batch: fobs.FixedBatch(fobs.DefaultBatch)},
 			10 * time.Minute},
 		{Recv, fobs.Options{}, fobs.Config{}, 10 * time.Minute},
 		{Copy,
 			fobs.Options{Congestion: fobs.CCFixed, Streams: 1},
-			fobs.Config{PacketSize: fobs.PacketSize, Checksum: true},
+			fobs.Config{PacketSize: core.DefaultPacketSize, Checksum: true},
 			time.Hour},
 	} {
 		c := Parse(tc.spec, nil)

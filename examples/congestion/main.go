@@ -12,18 +12,19 @@ package main
 import (
 	"fmt"
 
-	"github.com/hpcnet/fobs"
+	"github.com/hpcnet/fobs/internal/experiments"
+	"github.com/hpcnet/fobs/internal/stats"
 )
 
 func main() {
-	sc := fobs.LongHaul()
+	sc := experiments.LongHaul()
 	fmt.Printf("40 MiB transfers over a heavily contended %s path\n\n", sc.Name)
 
-	e := fobs.Extensions(fobs.ObjectSize)
+	e := experiments.Extensions(experiments.ObjectSize)
 
 	fmt.Printf("%-14s  %10s  %9s  %9s\n", "mode", "goodput", "% of max", "waste")
 	fmt.Printf("%-14s  %10s  %9s  %9s\n", "----", "-------", "--------", "-----")
-	for _, res := range []fobs.TransferResult{e.Greedy, e.Backoff, e.Hybrid} {
+	for _, res := range []stats.TransferResult{e.Greedy, e.Backoff, e.Hybrid} {
 		status := ""
 		if !res.Completed {
 			status = "  (incomplete)"

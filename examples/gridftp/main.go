@@ -13,7 +13,9 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/hpcnet/fobs"
+	"github.com/hpcnet/fobs/internal/core"
+	"github.com/hpcnet/fobs/internal/experiments"
+	"github.com/hpcnet/fobs/internal/stats"
 )
 
 func main() {
@@ -28,7 +30,7 @@ func main() {
 	}
 	// A quiet measurement window, as in the paper's FOBS experiments;
 	// drop the Quiet wrapper to see behaviour under bursty contention.
-	sc := fobs.Quiet(fobs.LongHaul())
+	sc := experiments.Quiet(experiments.LongHaul())
 	fmt.Printf("site-to-site dataset transfer over %s (RTT %v, %g Mb/s path)\n\n",
 		sc.Name, sc.RTT, sc.MaxBandwidth/1e6)
 
@@ -40,7 +42,7 @@ func main() {
 	}
 	var rows []row
 
-	run := func(proto string, transfer func(size int64, seed int64) fobs.TransferResult) {
+	run := func(proto string, transfer func(size int64, seed int64) stats.TransferResult) {
 		var total time.Duration
 		sent, needed := 0, 0
 		for i, f := range files {
@@ -56,14 +58,14 @@ func main() {
 		rows = append(rows, row{proto, total, sent, needed})
 	}
 
-	run("fobs", func(size, seed int64) fobs.TransferResult {
-		return fobs.Simulate(sc, seed, size, fobs.Config{})
+	run("fobs", func(size, seed int64) stats.TransferResult {
+		return experiments.RunFOBS(sc, seed, size, core.Config{})
 	})
-	run("tcp+lwe", func(size, seed int64) fobs.TransferResult {
-		return fobs.SimulateTCP(sc, seed, size, true)
+	run("tcp+lwe", func(size, seed int64) stats.TransferResult {
+		return experiments.RunTCP(sc, seed, size, true)
 	})
-	run("tcp", func(size, seed int64) fobs.TransferResult {
-		return fobs.SimulateTCP(sc, seed, size, false)
+	run("tcp", func(size, seed int64) stats.TransferResult {
+		return experiments.RunTCP(sc, seed, size, false)
 	})
 
 	totalBytes := int64(0)

@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	srv, err := fobs.NewServer("127.0.0.1:0", fobs.Options{})
+	srv, err := fobs.Listen("127.0.0.1:0", fobs.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,7 +14,9 @@ import (
 	"sort"
 	"time"
 
-	"github.com/hpcnet/fobs"
+	"github.com/hpcnet/fobs/internal/core"
+	"github.com/hpcnet/fobs/internal/experiments"
+	"github.com/hpcnet/fobs/internal/stats"
 )
 
 const (
@@ -29,7 +31,7 @@ func percentile(durs []time.Duration, p float64) time.Duration {
 	return sorted[idx]
 }
 
-func stream(name string, transfer func(seed int64) fobs.TransferResult) {
+func stream(name string, transfer func(seed int64) stats.TransferResult) {
 	var latencies []time.Duration
 	var total time.Duration
 	for i := 0; i < frames; i++ {
@@ -50,18 +52,18 @@ func stream(name string, transfer func(seed int64) fobs.TransferResult) {
 }
 
 func main() {
-	sc := fobs.ShortHaul()
+	sc := experiments.ShortHaul()
 	fmt.Printf("streaming %d frames of %d MiB over %s (RTT %v, %g Mb/s)\n\n",
 		frames, frameBytes>>20, sc.Name, sc.RTT, sc.MaxBandwidth/1e6)
 
-	stream("fobs", func(seed int64) fobs.TransferResult {
-		return fobs.Simulate(sc, seed, frameBytes, fobs.Config{AckFrequency: 32})
+	stream("fobs", func(seed int64) stats.TransferResult {
+		return experiments.RunFOBS(sc, seed, frameBytes, core.Config{AckFrequency: 32})
 	})
-	stream("tcp+lwe", func(seed int64) fobs.TransferResult {
-		return fobs.SimulateTCP(sc, seed, frameBytes, true)
+	stream("tcp+lwe", func(seed int64) stats.TransferResult {
+		return experiments.RunTCP(sc, seed, frameBytes, true)
 	})
-	stream("tcp", func(seed int64) fobs.TransferResult {
-		return fobs.SimulateTCP(sc, seed, frameBytes, false)
+	stream("tcp", func(seed int64) stats.TransferResult {
+		return experiments.RunTCP(sc, seed, frameBytes, false)
 	})
 
 	fmt.Println("\nFor interactive visualization the tail matters: one slow frame is a")

@@ -1,7 +1,7 @@
-// Package fobs is a from-scratch implementation and evaluation harness for
-// FOBS — the Fast Object-Based data transfer System of Dickens & Gropp,
-// "An Evaluation of Object-Based Data Transfers on High Performance
-// Networks" (HPDC 2002).
+// Package fobs is a from-scratch implementation of FOBS — the Fast
+// Object-Based data transfer System of Dickens & Gropp, "An Evaluation of
+// Object-Based Data Transfers on High Performance Networks" (HPDC 2002) —
+// over real sockets.
 //
 // FOBS moves a single large in-memory object over UDP with an effectively
 // infinite send window and selective acknowledgements over the whole
@@ -10,36 +10,24 @@
 // high-bandwidth, high-delay research networks where stock TCP leaves most
 // of the pipe idle.
 //
-// The package exposes three layers:
+// The package is the runtime a caller uses: Send an object, and take it at
+// a Listener — one transfer per Accept, many at once with Serve — plus
+// directory trees (SendTree, ReceiveTree), the orchestration daemon
+// (TaskDaemon) and the instruments that observe them. The reproduction of the
+// paper's evaluation on a simulated testbed is not part of it: cmd/fobs-bench
+// and cmd/fobs-sim drive it from internal/experiments.
 //
-//   - A real-network runtime (Send / Listen) that transfers objects over
-//     genuine UDP and TCP sockets — usable on loopback, LAN or WAN.
-//   - A deterministic discrete-event simulation (Simulate and the Scenario
-//     presets) reproducing the paper's Abilene testbed paths, with TCP
-//     (±Large Window extensions), PSockets, RUDP and SABUL baselines
-//     implemented alongside FOBS.
-//   - The experiment harness behind every table and figure in the paper's
-//     evaluation (AckFrequencySweep, PacketSizeSweep, Table1, Table2, …),
-//     also driven by the benchmarks in bench_test.go and by cmd/fobs-bench.
-//
-// Quick start (real sockets, loopback):
+// Quick start (loopback):
 //
 //	l, _ := fobs.Listen("127.0.0.1:0", fobs.Options{})
 //	go fobs.Send(ctx, l.Addr(), object, fobs.Config{}, fobs.Options{})
 //	copy, _, _ := l.Accept(ctx)
-//
-// Quick start (simulation):
-//
-//	res := fobs.Simulate(fobs.LongHaul(), 1, 40<<20, fobs.Config{AckFrequency: 64})
-//	fmt.Printf("%.0f%% of the pipe, %.1f%% waste\n",
-//		100*res.Utilization(100e6), 100*res.Waste())
 package fobs
 
 import (
 	"context"
 
 	"github.com/hpcnet/fobs/internal/core"
-	"github.com/hpcnet/fobs/internal/experiments"
 	"github.com/hpcnet/fobs/internal/flight"
 	"github.com/hpcnet/fobs/internal/metrics"
 	"github.com/hpcnet/fobs/internal/obs"
@@ -64,6 +52,15 @@ type (
 	ReceiverStats = core.ReceiverStats
 )
 
+// The defaults of Config's zero value: the paper's tuned protocol.
+const (
+	// DefaultAckFrequency is the receiver's default acknowledgement
+	// cadence.
+	DefaultAckFrequency = core.DefaultAckFrequency
+	// DefaultBatch is the paper's tuned batch-send size.
+	DefaultBatch = core.DefaultBatch
+)
+
 // Real-network runtime.
 type (
 	// Options tunes the socket runtime: the congestion policy, pacing and
@@ -72,7 +69,9 @@ type (
 	// and the instruments. Socket buffers (4 MiB), the sender's idle poll
 	// (2 ms) and the batched-IO ring (32 datagrams) are constants.
 	Options = udprt.Options
-	// Listener accepts incoming FOBS transfers.
+	// Listener is a receiving endpoint. It takes a transfer three ways:
+	// Accept runs one per call, Serve runs many at once, and AcceptSession
+	// holds one sender's connection for a sequence of objects.
 	Listener = udprt.Listener
 	// RetryPolicy configures the sender-side retry/backoff supervisor.
 	// Hang one on Options.Retry and Send re-dials failed transfers with
@@ -164,16 +163,6 @@ func Send(ctx context.Context, addr string, obj []byte, cfg Config, opts Options
 	return udprt.Send(ctx, addr, obj, cfg, opts)
 }
 
-// Server accepts many concurrent transfers on one address, demultiplexed
-// by each sender's Transfer tag.
-type Server = udprt.Server
-
-// NewServer binds addr for concurrent incoming transfers; drive it with
-// Server.Serve.
-func NewServer(addr string, opts Options) (*Server, error) {
-	return udprt.NewServer(addr, opts)
-}
-
 // Orchestration types wrap the tasks package: a daemon that queues
 // submitted transfer tasks durably, dispatches them through a bounded
 // mover pool with per-tenant fairness and rate caps, and — because every
@@ -227,15 +216,6 @@ func NewTaskDaemon(cfg TaskDaemonConfig) (*TaskDaemon, error) {
 	return tasks.New(cfg)
 }
 
-// SessionListener accepts multi-object sessions — a sequence of objects to
-// one receiver over a single socket pair, the remote-visualization workload.
-type SessionListener = udprt.SessionListener
-
-// ListenSession binds addr for incoming multi-object sessions.
-func ListenSession(addr string, opts Options) (*SessionListener, error) {
-	return udprt.ListenSession(addr, opts)
-}
-
 // TreeSummary reports one tree transfer: files and directories over FOBS
 // sessions (see internal/xfer).
 type TreeSummary = xfer.Summary
@@ -246,194 +226,8 @@ func SendTree(ctx context.Context, addr, root string, cfg Config, opts Options) 
 	return xfer.SendTree(ctx, addr, root, cfg, opts)
 }
 
-// ReceiveTree accepts one tree-transfer session and writes it under
+// ReceiveTree accepts one tree-transfer session at l and writes it under
 // destRoot.
-func ReceiveTree(ctx context.Context, sl *SessionListener, destRoot string) (TreeSummary, error) {
-	return xfer.ReceiveTree(ctx, sl, destRoot)
+func ReceiveTree(ctx context.Context, l *Listener, destRoot string) (TreeSummary, error) {
+	return xfer.ReceiveTree(ctx, l, destRoot)
 }
-
-// Simulation and evaluation harness.
-type (
-	// Scenario is a simulated testbed path (see ShortHaul, LongHaul,
-	// Gigabit, Contended).
-	Scenario = experiments.Scenario
-	// TransferResult summarizes one transfer by any protocol.
-	TransferResult = stats.TransferResult
-	// AckSweepPoint, PacketSizePoint, BatchSweepPoint and
-	// ScheduleSweepPoint are sweep samples for the paper's figures and
-	// ablations.
-	AckSweepPoint      = experiments.AckSweepPoint
-	PacketSizePoint    = experiments.PacketSizePoint
-	BatchSweepPoint    = experiments.BatchSweepPoint
-	ScheduleSweepPoint = experiments.ScheduleSweepPoint
-	// Table1Result and Table2Result mirror the paper's tables.
-	Table1Result = experiments.Table1Result
-	Table2Result = experiments.Table2Result
-	// RelatedWorkResult compares FOBS with RUDP and SABUL.
-	RelatedWorkResult = experiments.RelatedWorkResult
-	// ExtensionResult compares the §7 congestion-control extensions.
-	ExtensionResult = experiments.ExtensionResult
-)
-
-// Paper-matching defaults.
-const (
-	// ObjectSize is the paper's 40 MB evaluation transfer.
-	ObjectSize = experiments.ObjectSize
-	// PacketSize is the paper's 1024-byte data packet.
-	PacketSize = experiments.PacketSize
-	// DefaultAckFrequency is the receiver's default acknowledgement
-	// cadence.
-	DefaultAckFrequency = core.DefaultAckFrequency
-	// DefaultBatch is the paper's tuned batch-send size.
-	DefaultBatch = core.DefaultBatch
-)
-
-// Scenario presets reproducing the paper's testbed paths.
-var (
-	// ShortHaul is the ANL–LCSE path: 26 ms RTT, 100 Mb/s bottleneck.
-	ShortHaul = experiments.ShortHaul
-	// LongHaul is the ANL–CACR path: 65 ms RTT, 100 Mb/s bottleneck.
-	LongHaul = experiments.LongHaul
-	// Gigabit is the NCSA–LCSE path: GigE NICs, OC-12 backbone.
-	Gigabit = experiments.Gigabit
-	// Contended is the NCSA–CACR path of Table 2 under heavy contention.
-	Contended = experiments.Contended
-)
-
-// Quiet returns a copy of the scenario as measured during a calm window:
-// no cross traffic, only light scattered ambient loss. The paper's FOBS
-// sweeps (Figures 1–3) were taken in such windows.
-func Quiet(sc Scenario) Scenario { return experiments.Quiet(sc) }
-
-// Simulate runs one FOBS transfer of objSize bytes over the scenario on
-// the deterministic simulator and returns its result.
-func Simulate(sc Scenario, seed int64, objSize int64, cfg Config) TransferResult {
-	return experiments.RunFOBS(sc, seed, objSize, cfg)
-}
-
-// SimulateTCP runs one bulk TCP transfer over the scenario, with or
-// without the RFC 1323 Large Window extensions.
-func SimulateTCP(sc Scenario, seed int64, objSize int64, largeWindows bool) TransferResult {
-	return experiments.RunTCP(sc, seed, objSize, largeWindows)
-}
-
-// AckFrequencySweep regenerates the data behind Figures 1 and 2.
-func AckFrequencySweep(objSize int64, freqs []int) []AckSweepPoint {
-	return experiments.AckFrequencySweep(objSize, freqs)
-}
-
-// PacketSizeSweep regenerates the data behind Figure 3.
-func PacketSizeSweep(objSize int64, sizes []int) []PacketSizePoint {
-	return experiments.PacketSizeSweep(objSize, sizes)
-}
-
-// Table1 regenerates the paper's Table 1 (TCP ± LWE).
-func Table1(objSize int64) Table1Result { return experiments.Table1(objSize) }
-
-// Table2 regenerates the paper's Table 2 (FOBS vs PSockets).
-func Table2(objSize int64) Table2Result { return experiments.Table2(objSize) }
-
-// BatchSweep runs the batch-size ablation of §3.1.
-func BatchSweep(objSize int64, batches []int) []BatchSweepPoint {
-	return experiments.BatchSweep(objSize, batches)
-}
-
-// ScheduleSweep runs the packet-choice ablation of §3.1.
-func ScheduleSweep(objSize int64) []ScheduleSweepPoint {
-	return experiments.ScheduleSweep(objSize)
-}
-
-// RelatedWork compares FOBS against the RUDP and SABUL baselines of §2.
-func RelatedWork(objSize int64, sc Scenario) RelatedWorkResult {
-	return experiments.RelatedWork(objSize, sc)
-}
-
-// Lossy returns a copy of the scenario with burst contention removed and
-// the given Bernoulli ambient loss — the non-QoS wide-area conditions the
-// paper designs FOBS for.
-func Lossy(sc Scenario, p float64) Scenario { return experiments.Lossy(sc, p) }
-
-// Extensions compares the congestion-control extensions of §7.
-func Extensions(objSize int64) ExtensionResult {
-	return experiments.Extensions(objSize)
-}
-
-// FairnessResult reports how concurrent greedy FOBS flows share one
-// bottleneck (Jain's index over per-flow goodputs).
-type FairnessResult = experiments.FairnessResult
-
-// Fairness runs n concurrent greedy FOBS transfers over one long-haul
-// path — the sharing question behind the paper's §7.
-func Fairness(objSize int64, n int) FairnessResult { return experiments.Fairness(objSize, n) }
-
-// REDResult compares TCP's and FOBS's response to Random Early Detection.
-type REDResult = experiments.REDResult
-
-// REDResponse runs TCP and FOBS over a mid-path bottleneck with drop-tail
-// and with RED queue management.
-func REDResponse(objSize int64) REDResult { return experiments.REDResponse(objSize) }
-
-// QoSResult compares the protocols against a policed QoS reservation.
-type QoSResult = experiments.QoSResult
-
-// QoSReservation runs greedy FOBS, backed-off FOBS, SABUL and RUDP against
-// a 50 Mb/s token-bucket contract at the network edge.
-func QoSReservation(objSize int64) QoSResult { return experiments.QoSReservation(objSize) }
-
-// StripingPoint is one row of the FOBS-striping ablation.
-type StripingPoint = experiments.StripingPoint
-
-// StripingSweep divides one object across parallel FOBS flows — PSockets'
-// trick applied to FOBS, which (unlike TCP) has nothing for it to fix.
-func StripingSweep(objSize int64, counts []int) []StripingPoint {
-	return experiments.StripingSweep(objSize, counts)
-}
-
-// RenderStripingSweep formats the striping ablation.
-func RenderStripingSweep(pts []StripingPoint, maxBandwidth float64) string {
-	return experiments.RenderStripingSweep(pts, maxBandwidth)
-}
-
-// IncastResult reports the many-senders-one-receiver stress test.
-type IncastResult = experiments.IncastResult
-
-// Incast runs n greedy FOBS senders into one 100 Mb/s receiver.
-func Incast(objSize int64, n int) IncastResult { return experiments.Incast(objSize, n) }
-
-// Default sweep axes matching the paper's evaluation.
-var (
-	DefaultAckFrequencies = experiments.DefaultAckFrequencies
-	DefaultPacketSizes    = experiments.DefaultPacketSizes
-	DefaultBatchSizes     = experiments.DefaultBatchSizes
-)
-
-// Figure is a renderable set of series sharing axes: the paper's figures.
-type Figure = stats.Figure
-
-// Figure1 formats an acknowledgement-frequency sweep as the paper's
-// Figure 1 (percentage of maximum bandwidth).
-func Figure1(pts []AckSweepPoint) *Figure { return experiments.Figure1(pts) }
-
-// Figure2 formats the same sweep as the paper's Figure 2 (wasted network
-// resources).
-func Figure2(pts []AckSweepPoint) *Figure { return experiments.Figure2(pts) }
-
-// Figure3 formats a packet-size sweep as the paper's Figure 3.
-func Figure3(pts []PacketSizePoint) *Figure { return experiments.Figure3(pts) }
-
-// RenderBatchSweep and RenderScheduleSweep format the §3.1 ablations.
-func RenderBatchSweep(pts []BatchSweepPoint) string { return experiments.RenderBatchSweep(pts) }
-
-// RenderScheduleSweep formats the packet-choice ablation.
-func RenderScheduleSweep(pts []ScheduleSweepPoint) string {
-	return experiments.RenderScheduleSweep(pts)
-}
-
-// TCPVariantPoint is one row of the TCP congestion-control ablation.
-type TCPVariantPoint = experiments.TCPVariantPoint
-
-// TCPVariants compares Tahoe, Reno and NewReno on the lossy long haul.
-func TCPVariants(objSize int64) []TCPVariantPoint { return experiments.TCPVariants(objSize) }
-
-// RenderTCPVariants formats the TCP variant ablation.
-func RenderTCPVariants(pts []TCPVariantPoint) string { return experiments.RenderTCPVariants(pts) }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/hpcnet/fobs"
+	"github.com/hpcnet/fobs/internal/experiments"
 )
 
 func TestFacadeLoopbackTransfer(t *testing.T) {
@@ -49,7 +50,7 @@ func TestFacadeLoopbackTransfer(t *testing.T) {
 }
 
 func TestFacadeSimulate(t *testing.T) {
-	res := fobs.Simulate(fobs.ShortHaul(), 1, 2<<20, fobs.Config{})
+	res := experiments.RunFOBS(experiments.ShortHaul(), 1, 2<<20, fobs.Config{})
 	if !res.Completed {
 		t.Fatal("simulated transfer incomplete")
 	}
@@ -59,8 +60,8 @@ func TestFacadeSimulate(t *testing.T) {
 }
 
 func TestFacadeSimulateTCP(t *testing.T) {
-	lwe := fobs.SimulateTCP(fobs.LongHaul(), 1, 2<<20, true)
-	plain := fobs.SimulateTCP(fobs.LongHaul(), 1, 2<<20, false)
+	lwe := experiments.RunTCP(experiments.LongHaul(), 1, 2<<20, true)
+	plain := experiments.RunTCP(experiments.LongHaul(), 1, 2<<20, false)
 	if !lwe.Completed || !plain.Completed {
 		t.Fatal("TCP runs incomplete")
 	}
@@ -70,12 +71,12 @@ func TestFacadeSimulateTCP(t *testing.T) {
 }
 
 func TestFacadeHeadlineClaim(t *testing.T) {
-	// The abstract's claim, end to end through the public API: FOBS gets
+	// The abstract's claim, end to end on the simulator: FOBS gets
 	// on the order of 90% of the long-haul pipe, well above optimized TCP.
 	obj := int64(8 << 20)
-	f := fobs.Simulate(fobs.LongHaul(), 1, obj, fobs.Config{})
-	tcp := fobs.SimulateTCP(fobs.LongHaul(), 1, obj, true)
-	if u := f.Utilization(fobs.LongHaul().MaxBandwidth); u < 0.6 {
+	f := experiments.RunFOBS(experiments.LongHaul(), 1, obj, fobs.Config{})
+	tcp := experiments.RunTCP(experiments.LongHaul(), 1, obj, true)
+	if u := f.Utilization(experiments.LongHaul().MaxBandwidth); u < 0.6 {
 		t.Fatalf("FOBS long-haul utilization %.2f, want > 0.6", u)
 	}
 	if f.Goodput() <= tcp.Goodput() {
@@ -84,16 +85,16 @@ func TestFacadeHeadlineClaim(t *testing.T) {
 }
 
 func TestFacadeDefaults(t *testing.T) {
-	if fobs.ObjectSize != 40<<20 {
-		t.Fatalf("ObjectSize = %d", fobs.ObjectSize)
+	if experiments.ObjectSize != 40<<20 {
+		t.Fatalf("ObjectSize = %d", experiments.ObjectSize)
 	}
-	if fobs.PacketSize != 1024 {
-		t.Fatalf("PacketSize = %d", fobs.PacketSize)
+	if experiments.PacketSize != 1024 {
+		t.Fatalf("PacketSize = %d", experiments.PacketSize)
 	}
 	if fobs.DefaultBatch != 2 {
 		t.Fatalf("DefaultBatch = %d", fobs.DefaultBatch)
 	}
-	if len(fobs.DefaultAckFrequencies) == 0 || len(fobs.DefaultPacketSizes) == 0 {
+	if len(experiments.DefaultAckFrequencies) == 0 || len(experiments.DefaultPacketSizes) == 0 {
 		t.Fatal("default sweep axes empty")
 	}
 }

@@ -81,11 +81,11 @@ func countEvents(task Task, name string) int {
 	return n
 }
 
-// receiver hosts a concurrent udprt Server and collects every completed
+// receiver hosts a serving udprt endpoint (Listener.Serve) and collects every completed
 // object, counting completions per transfer id (the at-least-once tests
 // expect reruns to land twice).
 type receiver struct {
-	srv  *udprt.Server
+	srv  *udprt.Listener
 	addr string
 
 	mu          sync.Mutex
@@ -98,7 +98,7 @@ func startReceiver(t *testing.T, opts udprt.Options) *receiver {
 	if opts.ResumeWindow == 0 {
 		opts.ResumeWindow = time.Minute
 	}
-	srv, err := udprt.NewServer("127.0.0.1:0", opts)
+	srv, err := udprt.Listen("127.0.0.1:0", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

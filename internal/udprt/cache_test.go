@@ -140,7 +140,7 @@ func TestSendRingAllocBudget(t *testing.T) {
 
 // TestSmallSendAllocBudget: a small Send pays for its object, not for its
 // packet size or its socket plumbing. 64 KiB pushes of 1 KiB packets into a
-// Server: once the cache is at its bound, each admission recycles the buffer
+// serving endpoint (Serve): once the cache is at its bound, each admission recycles the buffer
 // it evicts as the landing buffer, the handler's copy is the object, the
 // acknowledgement buffers at both ends hold the one word of status map such an
 // object has, and the sender's batched socket state comes from the pool. The

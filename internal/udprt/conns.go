@@ -1,12 +1,13 @@
 // Control connections, both ends: one per peer, not one per object. The
 // paper's FOBS keeps one TCP connection per peer for the completion signal
 // while the object is the unit on the data path, and so does this runtime.
-// A receiving endpoint runs one accept loop, from Listen to Close, and one
-// server per accepted connection, which lends the connection to whichever
-// adapter — Accept, Serve, AcceptSession — takes it, and serves the
-// connection's announcements until its sender closes it. A sender keeps the
-// connection a successful Send leaves open in a pool keyed by the address it
-// was sent to, for the next Send there.
+// A receiving endpoint, a Listener, runs one accept loop, from Listen to
+// Close, and one server per accepted connection, which lends the connection
+// to whichever of the Listener's three ways to take a transfer — Accept,
+// Serve, AcceptSession — takes it, and serves the connection's announcements
+// until its sender closes it. A sender keeps the connection a successful
+// Send leaves open in a pool keyed by the address it was sent to, for the
+// next Send there.
 package udprt
 
 import (

@@ -65,6 +65,30 @@ func TestKeptConnServesConsecutiveSends(t *testing.T) {
 	}
 }
 
+// TestKeptConnCancelledSendAnnouncesNothing: a Send whose context is done
+// before it starts fails with the context's error and announces nothing on
+// the kept connection, as it would dial nothing without one: the endpoint
+// answers no further frame, and the connection stays kept for the next Send.
+func TestKeptConnCancelledSendAnnouncesNothing(t *testing.T) {
+	ep := listen(t, byServe, Options{})
+	proxy := ep.front(nil)
+	ep.pushOK(makeObj(64<<10), core.Config{Transfer: 1}, Options{})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Send(ctx, ep.addr(), makeObj(64<<10+1), core.Config{Transfer: 2}, Options{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Send with a done context: %v, want context.Canceled", err)
+	}
+	ep.wantFrames(true, "HAVE(0)", "COMPLETE")
+	if n := keptFor(ep.addr()); n != 1 {
+		t.Fatalf("%d connections kept after the cancelled Send, want the first Send's", n)
+	}
+	ep.pushOK(makeObj(64<<10+2), core.Config{Transfer: 2}, Options{})
+	if n := proxy.Accepted(); n != 1 {
+		t.Fatalf("%d control connections dialled, want 1", n)
+	}
+}
+
 // TestKeptConnQuietClosedSilently: an endpoint closes a connection that has
 // served a transfer and then carried nothing for announceWait without a
 // word — its sender has no transfer there to refuse — and the next Send,
@@ -235,8 +259,8 @@ func TestKeptConnNotKeptAfterFailure(t *testing.T) {
 	}
 }
 
-// TestKeptConnOnePerConcurrentSend: Sends in flight at once to one Server
-// each hold a connection of their own, and at most poolPerAddr of them are
+// TestKeptConnOnePerConcurrentSend: Sends in flight at once to one serving
+// endpoint each hold a connection of their own, and at most poolPerAddr of them are
 // kept afterwards. Every Send waits, at its first acknowledgement, until all
 // of them have reached theirs.
 func TestKeptConnOnePerConcurrentSend(t *testing.T) {
@@ -308,7 +332,7 @@ func TestKeptConnReleasedByClose(t *testing.T) {
 			if n := endpointGoroutines(); n > before {
 				t.Fatalf("%d endpoint goroutines outlived Close (%d before Listen)", n, before)
 			}
-			ep.l, ep.srv = nil, nil // the harness's own references
+			ep.l = nil // the harness's own reference
 			waitUntil(t, 10*time.Second, "the closed endpoint's store being collected", func() bool {
 				runtime.GC()
 				select {

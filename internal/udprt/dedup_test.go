@@ -98,7 +98,7 @@ func TestVerifyLoopback(t *testing.T) {
 	push(t, makeObj(1<<20), core.Config{Transfer: 5}, opts, opts)
 }
 
-// TestServerDedupFanout makes the concurrent Server the dedup point: after
+// TestServerDedupFanout makes a serving endpoint (Serve) the dedup point: after
 // one sender delivers the object, later senders of the same content
 // complete from the cache without ever registering a transfer (so the
 // same transfer id would not even collide).

@@ -1,6 +1,6 @@
 // The endpoint matrix: Listener.Accept, IncomingSession.Next and
-// Server.Serve are three adapters over one receive lifecycle, so one table of
-// scenarios runs against all three. Every sender reaches its endpoint through
+// Listener.Serve are three ways to take a transfer over one receive
+// lifecycle, so one table of scenarios runs against all three. Every sender reaches its endpoint through
 // a faultnet proxy whose control tap records the frames the receiver
 // answered with; every scenario ends with the endpoint quiet — no transfer
 // tag registered, no sealer goroutine alive.
@@ -560,7 +560,7 @@ func TestEndpointMatrix(t *testing.T) {
 }
 
 // TestStripingUnsupportedStaysTerminal: no endpoint of this build refuses
-// stripes, but an older Server may still answer ABORT with the code it once
+// stripes, but an older receiver may still answer ABORT with the code it once
 // meant striping-unsupported by, reserved now (as is the retired RESUME's
 // refusal code before it); either decodes, and reads as a deliberate
 // rejection, not a reason to retry.

@@ -296,10 +296,21 @@ func (e *senderEngine) run(ctx context.Context) error {
 			e.probe.publish(snd)
 		}
 	}
-	// over reports the verdict or ctx's end, when either is in.
+	// over reports the verdict or ctx's end, when either is in. The receiver
+	// writes its last acknowledgement before its verdict, so on a success
+	// that acknowledgement may still sit in the socket: it is read first, or
+	// the sender's count of what arrived would stop one ack short. (Should
+	// the waker's kick land between clearing the deadline and the read,
+	// nothing is read.)
 	over := func() (bool, error) {
 		select {
 		case err := <-e.done:
+			if err == nil {
+				e.conn.SetReadDeadline(time.Time{})
+				if n, _ := rx.TryRecv(); n > 0 {
+					handleAcks(n)
+				}
+			}
 			snd.SetComplete()
 			return true, err
 		case <-ctx.Done():

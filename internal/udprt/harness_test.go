@@ -29,11 +29,12 @@ import (
 	"github.com/hpcnet/fobs/internal/wire"
 )
 
-// The three adapters over the one receive lifecycle.
+// The Listener's three ways to take a transfer, over the one receive
+// lifecycle.
 const (
 	byAccept  = "accept"  // Listener.Accept
-	bySession = "session" // IncomingSession.Next
-	byServe   = "serve"   // Server.Serve
+	bySession = "session" // Listener.AcceptSession, then IncomingSession.Next
+	byServe   = "serve"   // Listener.Serve
 )
 
 // pollStep is the harness's one poll step.
@@ -56,7 +57,7 @@ type lazy func() string
 
 func (f lazy) String() string { return f() }
 
-// received is one transfer's outcome as its adapter reported it; a Server
+// received is one transfer's outcome as its adapter reported it; Serve
 // reports its transfer id too.
 type received struct {
 	id  uint32
@@ -123,8 +124,6 @@ type testEndpoint struct {
 	t      testing.TB
 	kind   string
 	l      *Listener
-	sl     *SessionListener
-	srv    *Server
 	reg    *metrics.Registry // the endpoint's Options.Metrics
 	proxy  *faultnet.Proxy   // set by front
 	tap    *frameTap
@@ -132,7 +131,7 @@ type testEndpoint struct {
 	cancel context.CancelFunc
 	got    chan received
 	wg     sync.WaitGroup
-	served chan error // Serve's return, once a Server serves
+	served chan error // Serve's return, once the endpoint serves
 	once   sync.Once
 }
 
@@ -151,18 +150,7 @@ func listenAt(t testing.TB, addr, kind string, opts Options) *testEndpoint {
 		got: make(chan received, 1024)} // more than any test receives
 	ep.ctx, ep.cancel = context.WithTimeout(context.Background(), 60*time.Second)
 	bind := func() (err error) {
-		switch kind {
-		case bySession:
-			if ep.sl, err = ListenSession(addr, opts); err == nil {
-				ep.l = ep.sl.l
-			}
-		case byServe:
-			if ep.srv, err = NewServer(addr, opts); err == nil {
-				ep.l = ep.srv.Listener
-			}
-		default:
-			ep.l, err = Listen(addr, opts)
-		}
+		ep.l, err = Listen(addr, opts)
 		return err
 	}
 	err := bind()
@@ -215,7 +203,7 @@ func (ep *testEndpoint) addr() string {
 }
 
 // close ends the endpoint: every transfer it runs is cancelled and has
-// returned, and a Server's Serve returned nil.
+// returned, and Serve returned nil.
 func (ep *testEndpoint) close() {
 	ep.once.Do(func() {
 		ep.cancel()
@@ -254,7 +242,7 @@ func (ep *testEndpoint) take(n int, report func(received)) {
 		}
 		return
 	}
-	is, err := ep.sl.AcceptSession(ep.ctx)
+	is, err := ep.l.AcceptSession(ep.ctx)
 	if err != nil {
 		report(received{err: err})
 		return
@@ -268,14 +256,14 @@ func (ep *testEndpoint) take(n int, report func(received)) {
 	}
 }
 
-// recv has the adapter take n more transfers in the background. A Server
+// recv has the adapter take n more transfers in the background. Serve
 // serves from the first recv on, and takes every transfer on its own.
 func (ep *testEndpoint) recv(n int) {
 	if ep.kind == byServe {
 		if ep.served == nil {
 			ep.served = make(chan error, 1)
 			go func() {
-				ep.served <- ep.srv.Serve(ep.ctx, func(id uint32, obj []byte, st core.ReceiverStats) {
+				ep.served <- ep.l.Serve(ep.ctx, func(id uint32, obj []byte, st core.ReceiverStats) {
 					ep.got <- received{id, obj, st, nil}
 				})
 			}()
@@ -310,7 +298,7 @@ func (ep *testEndpoint) recvUntilSuccess() {
 	}()
 }
 
-// result waits for the next outcome the adapter reports. A Server reports
+// result waits for the next outcome the adapter reports. Serve reports
 // nothing for a failed transfer; ok is false then, and the caller reads the
 // verdict from the metrics record instead.
 func (ep *testEndpoint) result(failing bool) (r received, ok bool) {
@@ -337,7 +325,7 @@ func (ep *testEndpoint) delivered(obj []byte) received {
 	return r
 }
 
-// byID waits for n deliveries from a Server and returns them by transfer id.
+// byID waits for n deliveries from Serve and returns them by transfer id.
 func (ep *testEndpoint) byID(n int) map[uint32]received {
 	ep.t.Helper()
 	got := map[uint32]received{}

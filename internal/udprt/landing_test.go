@@ -139,7 +139,7 @@ func TestRecycledLandingRetainsNoEvictedBytes(t *testing.T) {
 
 // TestDedupHitsNeverShareARecycledBuffer: senders pushing one hot object —
 // dedup hits, each a reader copying the entry out — against senders pushing
-// fresh objects of the same size into a Server whose cache sits at its
+// fresh objects of the same size into a serving endpoint whose cache sits at its
 // bound, so every miss evicts and recycles. A hit must always deliver the hot
 // bytes, every miss its own; under -race, a buffer recycled while a hit still
 // reads it is reported even when the bytes happen to match.
@@ -214,7 +214,7 @@ func TestDedupHitsNeverShareARecycledBuffer(t *testing.T) {
 }
 
 // TestServerReservationsWithinBounds: transfers in flight at once into a
-// Server each hold a reservation from admission to completion, and entries
+// serving endpoint each hold a reservation from admission to completion, and entries
 // plus reservations never exceed the cache's bounds — in slots or in bytes —
 // at any moment sampled. A transfer admitted with every slot reserved gets
 // none: it completes uncached, and nothing leaks once all are done.

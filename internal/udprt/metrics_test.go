@@ -256,8 +256,8 @@ func TestSenderCountsArePublished(t *testing.T) {
 	}
 }
 
-// TestServerMetricsIsolation runs concurrent transfers through one Server
-// sharing one registry and checks each transfer's record stands alone: a
+// TestServerMetricsIsolation runs concurrent transfers through one serving
+// endpoint sharing one registry and checks each transfer's record stands alone: a
 // slow transfer aborted mid-flight is archived as aborted with the peer's
 // reason, while the transfers that completed around it keep exact,
 // uncontaminated counts.

@@ -4,11 +4,12 @@
 // address), and so is this one. A Listener owns the data socket's loop, which
 // routes every datagram by transfer tag to the transfer in flight that
 // registered it; receive runs one announced transfer from its announcement to
-// COMPLETE, ABORT or retention. Listener.Accept, IncomingSession.Next and
-// Server.Serve differ only in how long they hold the control connection the
-// endpoint lends them (conns.go: one accept loop, one reader and one server
-// per connection, which serves announcements until its sender closes it) and
-// how many transfers run at once.
+// COMPLETE, ABORT or retention. The Listener's three ways to take a
+// transfer — Accept, Serve and AcceptSession's IncomingSession.Next — differ
+// only in how long they hold the control connection the endpoint lends them
+// (conns.go: one accept loop, one reader and one server per connection,
+// which serves announcements until its sender closes it) and how many
+// transfers run at once.
 package udprt
 
 import (

@@ -380,8 +380,8 @@ func TestResumeAfterReceiverRestart(t *testing.T) {
 	}
 }
 
-// TestServerResumesTransfer runs the sever-then-resume cycle against the
-// concurrent Server: its control handler must retain on abort and answer a
+// TestServerResumesTransfer runs the sever-then-resume cycle against a
+// serving endpoint (Serve): its control handler must retain on abort and answer a
 // later RESUME from its shared store.
 func TestServerResumesTransfer(t *testing.T) {
 	if testing.Short() {

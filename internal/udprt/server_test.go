@@ -66,7 +66,7 @@ func TestServerSequentialReuseOfTransferID(t *testing.T) {
 }
 
 func TestServerNilHandler(t *testing.T) {
-	if err := listen(t, byServe, Options{}).srv.Serve(context.Background(), nil); err == nil {
+	if err := listen(t, byServe, Options{}).l.Serve(context.Background(), nil); err == nil {
 		t.Fatal("nil handler accepted")
 	}
 }

@@ -39,7 +39,8 @@ type Session struct {
 	broken bool
 }
 
-// OpenSession dials a session towards a SessionListener at addr.
+// OpenSession dials a session towards the endpoint at addr, which takes it
+// with Listener.AcceptSession.
 func OpenSession(ctx context.Context, addr string, opts Options) (*Session, error) {
 	opts = opts.withDefaults()
 	if opts.Streams > wire.MaxStreams {
@@ -87,45 +88,23 @@ func (s *Session) Send(ctx context.Context, obj []byte, cfg core.Config) (core.S
 	return st, err
 }
 
-// SessionListener accepts one session at a time and yields its objects in
-// order.
-type SessionListener struct {
-	l *Listener
-}
-
-// ListenSession binds addr for incoming sessions.
-func ListenSession(addr string, opts Options) (*SessionListener, error) {
-	l, err := Listen(addr, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &SessionListener{l: l}, nil
-}
-
-// Addr returns the bound control address.
-func (sl *SessionListener) Addr() string { return sl.l.Addr() }
-
-// ReadBuffer reports the data socket's receive buffer (see Listener.ReadBuffer).
-func (sl *SessionListener) ReadBuffer() (granted, requested int) { return sl.l.ReadBuffer() }
-
-// Close releases the listener.
-func (sl *SessionListener) Close() error { return sl.l.Close() }
-
 // IncomingSession is the receive side of one sender's session: the
 // endpoint lends it one control connection for its whole life.
 type IncomingSession struct {
-	sl *SessionListener
+	l  *Listener
 	ls lease // the session's control connection and its one reader, for every object
 }
 
 // AcceptSession waits for one sender to connect: a new control connection,
-// or one that served an earlier transfer and carries a new announcement.
-func (sl *SessionListener) AcceptSession(ctx context.Context) (*IncomingSession, error) {
-	ls, err := sl.l.lease(ctx)
+// or one that served an earlier transfer and carries a new announcement. The
+// session then holds that connection, and yields its objects in order, until
+// either end closes it.
+func (l *Listener) AcceptSession(ctx context.Context) (*IncomingSession, error) {
+	ls, err := l.lease(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("udprt: accept session: %w", err)
 	}
-	return &IncomingSession{sl: sl, ls: ls}, nil
+	return &IncomingSession{l: l, ls: ls}, nil
 }
 
 // Close ends the session from the receive side: its connection is closed.
@@ -141,6 +120,6 @@ func (is *IncomingSession) Close() error {
 // any other: the sender's ABORT or a lost control connection ends it at
 // once.
 func (is *IncomingSession) Next(ctx context.Context) ([]byte, core.ReceiverStats, error) {
-	_, obj, st, err := is.sl.l.receive(ctx, is.ls.rd)
+	_, obj, st, err := is.l.receive(ctx, is.ls.rd)
 	return obj, st, err
 }

@@ -540,7 +540,7 @@ func sumRecvStats(engines []*receiverEngine) core.ReceiverStats {
 // identity the bytes are held under — no data flow, no registration, no
 // pass over the object — so N senders pushing the same hot object fan out of
 // the store concurrently, never competing for the transfer-id space. The
-// returned object is the whole entry's copy, so a Server's completion
+// returned object is the whole entry's copy, so Serve's completion
 // handler sees the same bytes a real transfer would have assembled.
 func (l *Listener) completeDeduped(plan recvPlan, ctl net.Conn, obj []byte) ([]byte, core.ReceiverStats, error) {
 	opts := l.opts

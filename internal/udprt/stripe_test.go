@@ -223,7 +223,7 @@ func TestSessionBrokenAfterFailedSend(t *testing.T) {
 
 	accepted := make(chan *IncomingSession, 1)
 	go func() {
-		is, err := ep.sl.AcceptSession(ctx)
+		is, err := ep.l.AcceptSession(ctx)
 		if err != nil {
 			accepted <- nil
 			return

@@ -242,7 +242,7 @@ func TestSessionOverTrains(t *testing.T) {
 }
 
 // TestServerConcurrentSendersOverTrains: two unpaced senders into one
-// Server, whose data loop demuxes their interleaved trains by transfer tag.
+// serving endpoint, whose data loop demuxes their interleaved trains by transfer tag.
 func TestServerConcurrentSendersOverTrains(t *testing.T) {
 	ep := listen(t, byServe, Options{})
 	ep.recv(1)

@@ -94,14 +94,14 @@ type Options struct {
 	NoFastPath bool
 	// IOCounters, when non-nil, is filled with a transfer's socket-level
 	// counters (syscalls, datagrams, batch fill) when the transfer ends. A
-	// sender reports its own sockets. A receiving endpoint — Listener,
-	// session or Server alike — credits the transfer with what its shared
-	// receive ring counted between the transfer's registration and its
-	// completion (concurrent Server transfers each see the ring's whole
+	// sender reports its own sockets. A receiving endpoint — through
+	// Accept, Serve or a session alike — credits the transfer with what its
+	// shared receive ring counted between the transfer's registration and
+	// its completion (concurrent served transfers each see the ring's whole
 	// traffic over their own span; MaxRecvBatch is the ring's largest drain
 	// since Listen) plus the acknowledgements it wrote, and writes the field
-	// under the endpoint's lock before Accept or Next returns or the
-	// Server's handler runs.
+	// under the endpoint's lock before Accept or Next returns or Serve's
+	// handler runs.
 	IOCounters *stats.IOCounters
 	// Metrics, when non-nil, keeps a live per-transfer record of every run:
 	// packets sent/retransmitted/duplicate, acks both ways, bytes, round
@@ -291,9 +291,10 @@ const writeErrLimit = 8
 // Listener is one receiving endpoint: a TCP control port and a UDP data
 // socket bound to the same port number, the data socket's receive ring, the
 // one goroutine that drains it (see loop), and the one that accepts control
-// connections and lends them out (see acceptLoop). Accept runs one transfer
-// per call on it; a SessionListener and a Server are the same endpoint behind
-// other adapters.
+// connections and lends them out (see acceptLoop). It has three ways to
+// take a transfer, all on that one loop: Accept runs one per call, Serve runs
+// many at once, and AcceptSession holds one sender's connection for a
+// sequence of them.
 type Listener struct {
 	tcp *net.TCPListener
 	udp *net.UDPConn
@@ -651,6 +652,12 @@ func (p *senderPlan) send(ctx context.Context, ctl net.Conn, addr string, flows 
 // made once more on a new connection. The connection comes back whenever
 // there is one, the exchange failed or not.
 func (p *senderPlan) announce(ctx context.Context, addr string, opts Options) (net.Conn, wire.Have, error) {
+	// A done context announces nothing, on a kept connection as on a new one
+	// (DialContext refuses it): the receiver would take the transfer's tag
+	// for a sender that is already gone.
+	if err := ctx.Err(); err != nil {
+		return nil, wire.Have{}, fmt.Errorf("udprt: dial control: %w", err)
+	}
 	frame := p.announcement(opts)
 	if c := idleControl.take(addr); c != nil {
 		have, err := exchange(ctx, c, frame, p.base, opts.HandshakeTimeout)

@@ -99,6 +99,12 @@ func DecodeManifest(b []byte) (Manifest, error) {
 		if f.Size < 0 {
 			return m, fmt.Errorf("xfer: negative size for %q", f.Path)
 		}
+		// Only permission bits: the receiver creates every file with the
+		// mode it is sent, and setuid, setgid, sticky or a file type there
+		// would be the sender's to choose. BuildManifest sends Perm() alone.
+		if f.Mode&^fs.ModePerm != 0 {
+			return m, fmt.Errorf("xfer: mode %v for %q is not permission bits", f.Mode, f.Path)
+		}
 		if err := validateRelPath(f.Path); err != nil {
 			return m, err
 		}
@@ -240,8 +246,8 @@ func sendTree(ctx context.Context, addr, root string, manifest Manifest, cfg cor
 // ReceiveTree accepts one tree transfer session and writes it under
 // destRoot, creating directories as needed. Every file is verified against
 // its manifest CRC before being renamed into place.
-func ReceiveTree(ctx context.Context, sl *udprt.SessionListener, destRoot string) (Summary, error) {
-	is, err := sl.AcceptSession(ctx)
+func ReceiveTree(ctx context.Context, l *udprt.Listener, destRoot string) (Summary, error) {
+	is, err := l.AcceptSession(ctx)
 	if err != nil {
 		return Summary{}, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -74,11 +75,11 @@ func TestTreeTransferRoundTrip(t *testing.T) {
 	src := makeTree(t)
 	dst := t.TempDir()
 
-	sl, err := udprt.ListenSession("127.0.0.1:0", udprt.Options{})
+	l, err := udprt.Listen("127.0.0.1:0", udprt.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sl.Close()
+	defer l.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -89,11 +90,11 @@ func TestTreeTransferRoundTrip(t *testing.T) {
 	}
 	done := make(chan recvResult, 1)
 	go func() {
-		sum, err := ReceiveTree(ctx, sl, dst)
+		sum, err := ReceiveTree(ctx, l, dst)
 		done <- recvResult{sum, err}
 	}()
 
-	sendSum, err := SendTree(ctx, sl.Addr(), src, core.Config{AckFrequency: 32}, udprt.Options{})
+	sendSum, err := SendTree(ctx, l.Addr(), src, core.Config{AckFrequency: 32}, udprt.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,23 +123,23 @@ func TestTreeTransferRoundTrip(t *testing.T) {
 // manifest's announcement on, not the wait in front of it.
 func TestReceiveTreeTimesFromTheAnnouncement(t *testing.T) {
 	const wait = 300 * time.Millisecond
-	sl, err := udprt.ListenSession("127.0.0.1:0", udprt.Options{})
+	l, err := udprt.Listen("127.0.0.1:0", udprt.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sl.Close()
+	defer l.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	done := make(chan Summary, 1)
 	go func() {
-		sum, err := ReceiveTree(ctx, sl, t.TempDir())
+		sum, err := ReceiveTree(ctx, l, t.TempDir())
 		if err != nil {
 			t.Error(err)
 		}
 		done <- sum
 	}()
 	time.Sleep(wait) // scenario: the receiver listens before the sender dials
-	if _, err := SendTree(ctx, sl.Addr(), makeTree(t), core.Config{}, udprt.Options{}); err != nil {
+	if _, err := SendTree(ctx, l.Addr(), makeTree(t), core.Config{}, udprt.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if sum := <-done; sum.Elapsed <= 0 || sum.Elapsed >= wait {
@@ -204,11 +205,16 @@ func TestManifestRoundTripProperty(t *testing.T) {
 
 func TestDecodeManifestRejectsMalformed(t *testing.T) {
 	good := Manifest{Files: []FileEntry{{Path: "ok", Size: 1, Mode: 0o644}}}.Encode()
+	withMode := func(mode fs.FileMode) []byte {
+		return Manifest{Files: []FileEntry{{Path: "ok", Size: 1, Mode: mode}}}.Encode()
+	}
 	cases := map[string][]byte{
 		"empty":     {},
 		"short":     good[:5],
 		"truncated": good[:len(good)-3],
 		"trailing":  append(append([]byte{}, good...), 0xFF),
+		"setuid":    withMode(0o755 | fs.ModeSetuid),
+		"directory": withMode(fs.ModeDir | 0o644),
 	}
 	for name, b := range cases {
 		if _, err := DecodeManifest(b); err == nil {
@@ -302,16 +308,16 @@ func TestSendTreeRefusesAFileEditedInPlace(t *testing.T) {
 func refusesChangedFile(t *testing.T, change func(path string) error) {
 	t.Helper()
 	src := makeTree(t)
-	sl, err := udprt.ListenSession("127.0.0.1:0", udprt.Options{})
+	l, err := udprt.Listen("127.0.0.1:0", udprt.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sl.Close()
+	defer l.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	received := make(chan error, 1)
 	go func() {
-		_, err := ReceiveTree(ctx, sl, t.TempDir())
+		_, err := ReceiveTree(ctx, l, t.TempDir())
 		received <- err
 	}()
 
@@ -322,7 +328,7 @@ func refusesChangedFile(t *testing.T, change func(path string) error) {
 	if err := change(filepath.Join(src, "README")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sendTree(ctx, sl.Addr(), src, manifest, core.Config{}, udprt.Options{}); !errors.Is(err, ErrFileChanged) {
+	if _, err := sendTree(ctx, l.Addr(), src, manifest, core.Config{}, udprt.Options{}); !errors.Is(err, ErrFileChanged) {
 		t.Fatalf("send of a tree with a file changed since its manifest: err = %v, want ErrFileChanged", err)
 	}
 	if err := <-received; err == nil {
